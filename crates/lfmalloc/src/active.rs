@@ -79,12 +79,12 @@ impl Active {
         (self.0 & CREDITS_MASK) as u32
     }
 
-    /// The word after taking one credit (`credits > 0` required); the
-    /// fast-path reservation is `CAS(active, old, old.take_credit())`.
+    /// The word after taking `n` credits (`n <= credits` required); the
+    /// fast-path reservation is `CAS(active, old, old.take_credits(1))`.
     #[inline]
-    pub fn take_credit(self) -> Active {
-        debug_assert!(self.credits() > 0);
-        Active(self.0 - 1)
+    pub fn take_credits(self, n: u32) -> Active {
+        debug_assert!(n <= self.credits());
+        Active(self.0 - n as u64)
     }
 }
 
@@ -122,12 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn take_credit_decrements_only_credits() {
+    fn take_credits_decrements_only_credits() {
         let d = fake_desc(0x1000);
         let a = Active::pack(d, 5);
-        let b = a.take_credit();
+        let b = a.take_credits(1);
         assert_eq!(b.credits(), 4);
         assert_eq!(b.desc(), a.desc());
+        assert_eq!(a.take_credits(5).credits(), 0);
+        assert_eq!(a.take_credits(5).desc(), a.desc());
     }
 
     #[test]

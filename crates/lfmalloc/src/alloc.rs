@@ -136,7 +136,7 @@ pub(crate) unsafe fn abandon_reservation<S: PageSource>(
         let newactive = if oldactive.credits() == 0 {
             Active::null()
         } else {
-            oldactive.take_credit()
+            oldactive.take_credits(1)
         };
         match heap.cas_active(oldactive, newactive) {
             Ok(()) => return true, // ...and die here, reservation in hand
@@ -163,17 +163,52 @@ unsafe fn finish_block(block: usize, desc: *const Descriptor, off: usize) -> *mu
 ///
 /// Returns the *block start* and descriptor, or `None` if the heap has
 /// no active superblock.
+#[inline]
 unsafe fn malloc_from_active<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
 ) -> Option<(usize, *const Descriptor)> {
-    // -- First step: reserve block ------------------------------------
+    unsafe { pop_from_active(inner, heap, 1) }.map(|(block, desc, _)| (block, desc))
+}
+
+/// `MallocFromActive` with both steps generalised from one block to up
+/// to `k`: one `Active` CAS reserves `m = min(k, credits + 1)` blocks,
+/// one tagged `Anchor` CAS pops the `m`-block chain at the head of the
+/// free list. This is how a thread magazine refills
+/// ([`crate::magazine`]); with `k == 1` it is the paper's function line
+/// for line.
+///
+/// Why the chain pop is as safe as the single pop: the free list never
+/// holds fewer blocks than are reserved, so with `m` reservations in
+/// hand the first `m` links from `avail` exist. Links of listed blocks
+/// are immutable, and any pop between our anchor load and our CAS bumps
+/// the tag (a push alone changes `avail`, and can only bring the old
+/// value back after a pop), so a successful CAS proves the chain we
+/// walked is the chain we took — the paper's ABA argument, with the tag
+/// still bumped once per pop. A *failed* walk may have read a link out
+/// of a block a racing pop already handed to the application, i.e. user
+/// bytes: every link is therefore checked against `maxcount` before it
+/// is followed, so the walk never leaves the superblock.
+///
+/// Returns the first block's start, the descriptor and `m`; the blocks
+/// are linked in list order by block index through their first word.
+///
+/// # Safety
+///
+/// `heap` must be a heap of `inner`, and `k >= 1`.
+pub(crate) unsafe fn pop_from_active<S: PageSource>(
+    inner: &Inner<S>,
+    heap: &ProcHeap,
+    k: u32,
+) -> Option<(usize, *const Descriptor, u32)> {
+    debug_assert!(k >= 1);
+    // -- First step: reserve blocks -----------------------------------
     // `reserve_tries`/`pop_tries` feed the CAS-retry histograms *and*
     // the liveness watchdog; forced-retry failpoint iterations count
     // too, so a seeded storm is indistinguishable from a real one.
     let mut reserve_tries: u64 = 0;
     let mut oldactive = heap.load_active();
-    let reserved = loop {
+    let (reserved, m) = loop {
         if oldactive.is_null() {
             return None; // line 2
         }
@@ -187,13 +222,14 @@ unsafe fn malloc_from_active<S: PageSource>(
             oldactive = heap.load_active();
             continue;
         }
-        let newactive = if oldactive.credits() == 0 {
+        let m = k.min(oldactive.credits() + 1);
+        let newactive = if m > oldactive.credits() {
             Active::null() // line 4: taking the last credit
         } else {
-            oldactive.take_credit() // line 5
+            oldactive.take_credits(m) // line 5
         };
         match heap.cas_active(oldactive, newactive) {
-            Ok(()) => break oldactive, // line 6 success
+            Ok(()) => break (oldactive, m), // line 6 success
             Err(observed) => {
                 reserve_tries += 1;
                 watch(inner, heap, WatchSite::ActiveReserve, reserve_tries);
@@ -202,21 +238,22 @@ unsafe fn malloc_from_active<S: PageSource>(
         }
     };
     crate::stat_hist!(inner, heap, active_cas, reserve_tries);
-    // After this CAS we are *guaranteed* a block in this superblock;
+    let took_last = m > reserved.credits();
+    // After this CAS we are *guaranteed* `m` blocks in this superblock;
     // the state may meanwhile become FULL, PARTIAL, or even the active
     // superblock of a different heap — but never EMPTY (paper §3.2.3).
     if malloc_api::fail_point!("active.reserved").kill {
         // The paper's canonical kill window (between lines 6 and 8):
-        // the reservation leaks one block, same as `abandon_reservation`.
+        // the reservation leaks its blocks, same as `abandon_reservation`.
         return None;
     }
     let desc_ptr = reserved.desc();
     let desc = unsafe { &*desc_ptr };
 
-    // -- Second step: pop block (lock-free LIFO pop with ABA tag) -----
+    // -- Second step: pop blocks (lock-free LIFO pop with ABA tag) ----
     let mut pop_tries: u64 = 0;
     let mut morecredits = 0;
-    let (block, oldanchor) = loop {
+    let (block, oldanchor) = 'pop: loop {
         if malloc_api::fail_point!("active.pop").retry {
             // Forced CAS-failure arm of the pop loop; counted so the
             // watchdog sees seeded storms.
@@ -227,15 +264,26 @@ unsafe fn malloc_from_active<S: PageSource>(
         let oldanchor = desc.load_anchor(); // line 8
         let sb = desc.sb() as usize;
         let sz = desc.sz() as usize;
+        let maxcount = desc.maxcount();
         let block = sb + oldanchor.avail() as usize * sz; // line 9
-        // line 10: read the next free index from the block body. Atomic:
-        // a racing thread may have already allocated this block and be
-        // writing user data; the tag CAS below rejects that case.
-        let next = unsafe { (*(block as *const AtomicU64)).load(Ordering::Acquire) };
+        // line 10, `m` times: read the next free index from the block
+        // body. Atomic: a racing thread may have already allocated this
+        // block and be writing user data; the bounds check keeps such a
+        // walk inside the superblock and the tag CAS below rejects it.
+        let mut next = oldanchor.avail();
+        for _ in 0..m {
+            if next >= maxcount {
+                pop_tries += 1;
+                watch(inner, heap, WatchSite::ActivePop, pop_tries);
+                continue 'pop;
+            }
+            let link = (sb + next as usize * sz) as *const AtomicU64;
+            next = unsafe { (*link).load(Ordering::Acquire) } as u32 & (MAX_BLOCKS - 1);
+        }
         let mut newanchor = oldanchor
-            .with_avail(next as u32 & (MAX_BLOCKS - 1)) // line 11 (masked: garbage is rejected by the CAS)
+            .with_avail(next) // line 11 (masked: garbage is rejected by the CAS)
             .with_tag_bump(); // line 12
-        if reserved.credits() == 0 {
+        if took_last {
             // line 13: we took the last credit; state must be ACTIVE.
             if oldanchor.count() == 0 {
                 newanchor = newanchor.with_state(SbState::Full); // line 15
@@ -253,10 +301,10 @@ unsafe fn malloc_from_active<S: PageSource>(
         watch(inner, heap, WatchSite::ActivePop, pop_tries);
     };
     crate::stat_hist!(inner, heap, anchor_cas, pop_tries);
-    if reserved.credits() == 0 && oldanchor.count() > 0 {
+    if took_last && oldanchor.count() > 0 {
         unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 19-20
     }
-    Some((block, desc_ptr))
+    Some((block, desc_ptr, m))
 }
 
 /// `UpdateActive` (Figure 4): try to reinstall `desc` as the active
@@ -460,7 +508,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     }
     desc.set_heap(heap as *const _ as *mut ProcHeap); // line 4
     desc.set_sb(sb);
-    desc.set_sz(sz as u32); // line 6
+    desc.set_sz(sz as u32, ci); // line 6
     desc.set_maxcount(maxcount); // line 7
     if inner.config.hardening != crate::harden::Hardening::Off {
         // A recycled descriptor can carry stale allocation bits from

@@ -34,6 +34,12 @@
 //! * `EMPTY` descriptors record `count == maxcount - 1` (all blocks
 //!   free except the conceptual one being freed); their superblock may
 //!   already be recycled, so it is not walked.
+//! * Every block cached in a thread magazine ([`crate::magazine`]) lies
+//!   at a block start of a live, non-`EMPTY` superblock of the
+//!   magazine's class, is cached exactly once, and is not among the
+//!   blocks that superblock's free list accounts for; each magazine's
+//!   count matches its list and stays within its capacity. (To the
+//!   checks above a cached block is simply allocated.)
 //! * The hazard domain's retired backlog respects the Michael-2004
 //!   reclamation bound (`R ≤ records * (SCAN_THRESHOLD + H)`).
 //! * OS-level accounting reconciles:
@@ -91,6 +97,8 @@ pub struct AuditReport {
     pub descriptors_floating: usize,
     /// Free blocks visited across all superblock free-list walks.
     pub free_blocks_walked: usize,
+    /// Blocks cached in thread magazines.
+    pub magazine_blocks: usize,
     /// Retired pointers awaiting hazard reclamation.
     pub retired_pending: usize,
     /// Live large blocks.
@@ -111,12 +119,14 @@ impl core::fmt::Display for AuditReport {
         write!(
             f,
             "audit: {} descriptors ({} free, {} linked, {} floating), \
-             {} free blocks walked, {} retired pending, {} large live, {} violation(s)",
+             {} free blocks walked, {} cached in magazines, {} retired pending, \
+             {} large live, {} violation(s)",
             self.descriptors_total,
             self.descriptors_free,
             self.descriptors_linked,
             self.descriptors_floating,
             self.free_blocks_walked,
+            self.magazine_blocks,
             self.retired_pending,
             self.large_live,
             self.violations.len()
@@ -342,6 +352,9 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
         }
     }
 
+    // -- Thread magazines. ----------------------------------------------
+    check_magazines(inner, &all_set, &free_set, &sb_regions, &mut rep);
+
     // -- Hazard-pointer reclamation bound (Michael 2004). --------------
     let records = inner.domain.record_count();
     let retired = inner.domain.retired_count();
@@ -375,6 +388,94 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     }
 
     rep
+}
+
+/// The blocks (by index) that `desc`'s anchor — plus the Active word of
+/// its heap, if it is installed there — accounts for as free: the first
+/// `count (+ credits + 1)` links from `avail`. The walk stops at the
+/// first out-of-range or repeated index; `check_linked_desc` reports
+/// those.
+fn accounted_free_blocks(desc: &Descriptor) -> HashSet<u64> {
+    let anchor = desc.load_anchor();
+    let active = unsafe { &*desc.heap() }.load_active();
+    let reserved = if core::ptr::eq(active.desc(), desc) { active.credits() as usize + 1 } else { 0 };
+    let (sb, sz, maxc) = (desc.sb() as usize, desc.sz() as usize, desc.maxcount() as u64);
+    let mut free = HashSet::new();
+    let mut idx = anchor.avail() as u64;
+    for _ in 0..anchor.count() as usize + reserved {
+        if idx >= maxc || !free.insert(idx) {
+            break;
+        }
+        idx = unsafe { *((sb + idx as usize * sz) as *const u64) };
+    }
+    free
+}
+
+fn check_magazines<S: PageSource>(
+    inner: &Inner<S>,
+    all_set: &HashSet<usize>,
+    free_set: &HashSet<usize>,
+    sb_regions: &[(*mut u8, usize)],
+    rep: &mut AuditReport,
+) {
+    let (cached, miscounted) = crate::magazine::snapshot(inner);
+    rep.magazine_blocks = cached.len();
+    for m in miscounted {
+        rep.violations.push(AuditViolation {
+            check: "mag.count",
+            detail: format!(
+                "magazine[slot {}, class {}] counts {}, holds {} (capacity {})",
+                m.slot,
+                m.class,
+                m.counted,
+                m.walked,
+                crate::magazine::capacity(m.class)
+            ),
+        });
+    }
+    let mut seen: HashSet<usize> = HashSet::new();
+    let mut free_lists: HashMap<usize, HashSet<u64>> = HashMap::new();
+    for b in &cached {
+        let place = format!("magazine[slot {}, class {}]", b.slot, b.class);
+        let mut flag = |check: &'static str, detail: String| {
+            rep.violations.push(AuditViolation { check, detail: format!("{place}: {detail}") })
+        };
+        let prefix_addr = b.user.wrapping_sub(crate::config::PREFIX_SIZE);
+        let mapped = sb_regions
+            .iter()
+            .any(|&(base, bytes)| prefix_addr >= base as usize && b.user < base as usize + bytes);
+        if !mapped || b.user % 16 != crate::config::PREFIX_SIZE {
+            flag("mag.block-foreign", format!("{:#x} is no block of this instance", b.user));
+            continue; // do not dereference
+        }
+        if !seen.insert(b.user) {
+            flag("mag.block-twice", format!("{:#x} is cached twice", b.user));
+            continue;
+        }
+        let d = unsafe { *(prefix_addr as *const usize) };
+        if !all_set.contains(&d) || free_set.contains(&d) {
+            flag("mag.desc-dead", format!("{:#x} names {d:#x}, no live descriptor", b.user));
+            continue;
+        }
+        let desc = unsafe { &*(d as *const Descriptor) };
+        let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
+        if desc.class() != b.class || sz != inner.classes[b.class].sz as usize {
+            flag("mag.class", format!("{:#x} is a {sz}-byte block of class {}", b.user, desc.class()));
+            continue;
+        }
+        if desc.load_anchor().state() == SbState::Empty {
+            flag("mag.desc-empty", format!("{:#x} names EMPTY descriptor {d:#x}", b.user));
+            continue;
+        }
+        if prefix_addr < sb || prefix_addr >= sb + SB_SIZE || (prefix_addr - sb) % sz != 0 {
+            flag("mag.block-range", format!("{:#x} is no block start of superblock {sb:#x}", b.user));
+            continue;
+        }
+        let idx = ((prefix_addr - sb) / sz) as u64;
+        if free_lists.entry(d).or_insert_with(|| accounted_free_blocks(desc)).contains(&idx) {
+            flag("mag.block-free", format!("{:#x} is also on its superblock's free list", b.user));
+        }
+    }
 }
 
 fn check_linked_desc<S: PageSource>(

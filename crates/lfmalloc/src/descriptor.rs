@@ -57,6 +57,12 @@ pub struct Descriptor {
     sz: AtomicU32,
     /// Blocks per superblock (`sbsize / sz`).
     maxcount: AtomicU32,
+    /// `ceil(2^32 / sz)`: [`block_index`](Self::block_index) divides by
+    /// `sz` with one multiply. Written with `sz`.
+    sz_recip: AtomicU32,
+    /// Size-class index of `sz`. Written with `sz`; lets `free` name the
+    /// class without touching the owning heap's cache line.
+    class: AtomicU32,
     /// Hardened-mode allocation bitmap: bit `i` is set while block `i`
     /// is handed out to the application. All zero (and untouched on the
     /// hot paths) when hardening is off; the double-free arbiter when it
@@ -135,10 +141,30 @@ impl Descriptor {
         self.sz.load(Ordering::Relaxed)
     }
 
-    /// Sets the block size (construction only).
+    /// Sets the block size of size class `class` (construction only),
+    /// along with the reciprocal [`block_index`](Self::block_index)
+    /// multiplies by.
     #[inline]
-    pub fn set_sz(&self, sz: u32) {
+    pub fn set_sz(&self, sz: u32, class: usize) {
+        debug_assert!(sz >= 16, "the reciprocal must fit 32 bits");
         self.sz.store(sz, Ordering::Relaxed);
+        self.sz_recip.store(sz_recip(sz), Ordering::Relaxed);
+        self.class.store(class as u32, Ordering::Relaxed);
+    }
+
+    /// Size-class index of the described superblock.
+    #[inline]
+    pub fn class(&self) -> usize {
+        self.class.load(Ordering::Relaxed) as usize
+    }
+
+    /// `off / sz` for a byte offset `off < SB_SIZE` into the superblock,
+    /// without the hardware divide: exact for every class and offset
+    /// (see `reciprocal_is_exact_for_every_class_and_offset`).
+    #[inline]
+    pub fn block_index(&self, off: usize) -> usize {
+        debug_assert!(off < (1 << SB_SHIFT));
+        ((off as u64 * self.sz_recip.load(Ordering::Relaxed) as u64) >> 32) as usize
     }
 
     /// Blocks per superblock.
@@ -191,6 +217,13 @@ impl Descriptor {
             w.store(0, Ordering::Relaxed);
         }
     }
+}
+
+/// `ceil(2^32 / sz)`. With `off < 2^14` the product's error term is
+/// below `2^-18`, less than the `1/sz >= 2^-13` by which `off / sz`
+/// falls short of the next integer, so the floor is exact.
+const fn sz_recip(sz: u32) -> u32 {
+    (1u64 << 32).div_ceil(sz as u64) as u32
 }
 
 /// Descriptors per 16 KiB descriptor superblock.
@@ -488,13 +521,33 @@ mod tests {
 
     #[test]
     fn descriptor_is_cacheline_aligned_with_bitmap() {
-        // 40 bytes of paper fields + 128 bytes of allocation bitmap,
-        // rounded to the 64-byte alignment the Active word needs.
+        // 40 bytes of paper fields + the reciprocal and class words +
+        // 128 bytes of allocation bitmap, rounded to the 64-byte
+        // alignment the Active word needs.
         assert_eq!(core::mem::size_of::<Descriptor>(), 192);
         assert_eq!(core::mem::align_of::<Descriptor>(), 64);
         assert_eq!(DESC_PER_SLAB, 85);
         // The bitmap covers the densest class: 16-byte blocks.
         assert_eq!(BITMAP_WORDS * 64, (1 << SB_SHIFT) / 16);
+    }
+
+    #[test]
+    fn reciprocal_is_exact_for_every_class_and_offset() {
+        use crate::config::SB_SIZE;
+        use crate::size_classes::CLASS_SIZES;
+        let src = SystemSource::new();
+        let domain = HazardDomain::new();
+        let pool = Box::new(DescriptorPool::new());
+        let d = unsafe { &*pool.alloc(&domain, &src) };
+        for (ci, &sz) in CLASS_SIZES.iter().enumerate() {
+            d.set_sz(sz, ci);
+            assert_eq!(d.class(), ci);
+            for off in 0..SB_SIZE {
+                assert_eq!(d.block_index(off), off / sz as usize, "sz {sz}, off {off}");
+            }
+        }
+        drop(domain);
+        unsafe { pool.release_all(&src) };
     }
 
     #[test]

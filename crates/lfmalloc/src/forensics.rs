@@ -963,7 +963,7 @@ fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, re
 
     b.clear();
     b.push_str("inside allocator entry point: ");
-    b.push_str(if crate::fork::in_allocator() { "yes" } else { "no" });
+    b.push_str(if crate::tls::in_allocator() { "yes" } else { "no" });
     w.line(&b);
 
     b.clear();

@@ -197,6 +197,11 @@ fn recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
     // hazards its dead owner published, release it for re-adoption.
     let adopted = inner.domain.adopt_orphans();
     inner.domain.reap_inactive();
+    // Magazines, same two moves: this thread's slot crossed the fork
+    // with it and is taken back under its new stamp; every other
+    // parent-era slot is an orphan whose blocks go home.
+    crate::magazine::reattach_after_fork(inner);
+    crate::magazine::drain_dead(inner);
     // The reaper thread (if any) died in the fork. On the hooked path
     // the child hook already cleared it; this covers lazy recovery.
     if let Some(cfg) = crate::maintain::reaper_reconcile(inner) {
@@ -217,58 +222,6 @@ fn respawn<S: PageSource>(inner: &Inner<S>, cfg: ReaperConfig) {
             unsafe { core::mem::transmute(thunk) };
         unsafe { thunk(inner as *const Inner<S> as *mut () as *mut (), cfg) };
     }
-}
-
-thread_local! {
-    /// True while this thread is inside an allocator entry point. A
-    /// `Cell<bool>` with const init: no lazy-init allocation, no drop
-    /// registration — safe to touch from the malloc path itself.
-    static IN_ALLOC: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII release of the reentrancy flag. `armed == false` means the flag
-/// was never set (TLS unavailable during thread teardown) and must not
-/// be cleared — the teardown call simply runs unguarded.
-pub(crate) struct AllocGuard {
-    armed: bool,
-}
-
-impl Drop for AllocGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = IN_ALLOC.try_with(|flag| flag.set(false));
-        }
-    }
-}
-
-/// Enters an allocator entry point. `None` means the calling thread is
-/// *already* inside one — a signal handler re-entered the allocator —
-/// and the caller must fail fast instead of proceeding.
-#[inline]
-pub(crate) fn enter_alloc() -> Option<AllocGuard> {
-    match IN_ALLOC.try_with(|flag| {
-        if flag.get() {
-            false
-        } else {
-            flag.set(true);
-            true
-        }
-    }) {
-        Ok(true) => Some(AllocGuard { armed: true }),
-        Ok(false) => None,
-        // TLS teardown: cannot track reentrancy, proceed unguarded (the
-        // thread is running destructors, not signal handlers' malloc).
-        Err(_) => Some(AllocGuard { armed: false }),
-    }
-}
-
-/// Whether the calling thread is currently inside an allocator entry
-/// point. Read-only and async-signal-safe (one TLS flag read): the
-/// crash reporter uses it to say whether the fault interrupted the
-/// allocator itself or plain application code.
-#[cfg(feature = "forensics")]
-pub(crate) fn in_allocator() -> bool {
-    IN_ALLOC.try_with(|flag| flag.get()).unwrap_or(false)
 }
 
 /// Counts a rejected reentrant entry. Recorded regardless of hardening
@@ -295,5 +248,5 @@ pub(crate) fn reject_reentrant<S: PageSource>(inner: &Inner<S>, ptr: usize) {
 /// the fast path). Panics if the thread is already inside one.
 #[doc(hidden)]
 pub fn hold_reentrancy_guard_for_testing() -> impl Drop {
-    enter_alloc().expect("thread already inside an allocator entry point")
+    crate::tls::enter_alloc().expect("thread already inside an allocator entry point")
 }

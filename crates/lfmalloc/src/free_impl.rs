@@ -29,50 +29,39 @@ pub(crate) unsafe fn free_small<S: PageSource>(
 ) {
     let desc = unsafe { &*desc_ptr };
     let sb = desc.sb() as usize; // line 6
-    let sz = desc.sz() as usize;
     // The prefix may sit anywhere inside the block (alignment offsets);
-    // integer division recovers the block index (== the paper's
-    // `(ptr-sb)/desc->sz` with the default 8-byte offset).
+    // the index recovers the block start (== the paper's
+    // `(ptr-sb)/desc->sz` with the default 8-byte offset). Computed
+    // once per free, by reciprocal multiply.
     let prefix_addr = ptr as usize - PREFIX_SIZE;
-    let idx = (prefix_addr - sb) / sz; // line 9
-    let block = sb + idx * sz;
-    unsafe { push_free_block(inner, desc_ptr, block) }
+    let idx = desc.block_index(prefix_addr - sb); // line 9
+    let block = sb + idx * desc.sz() as usize;
+    unsafe { push_free_block(inner, desc_ptr, idx as u32, block) }
 }
 
-/// Pushes `block` (a block *start* address) onto its superblock's free
-/// list and performs the state transitions of Figure 6 — the anchor-CAS
-/// half of [`free_small`], shared with the hardened path, which releases
-/// quarantined blocks through it.
+/// Pushes `block` (a block *start* address, index `idx`) onto its
+/// superblock's free list as one application-level free — the
+/// anchor-CAS half of [`free_small`], shared with the hardened path,
+/// which releases quarantined blocks through it.
 ///
 /// # Safety
 ///
-/// `block` must be an allocated block of `desc_ptr`'s superblock that no
-/// other thread can free concurrently.
+/// `block` must be allocated block `idx` of `desc_ptr`'s superblock,
+/// and no other thread may free it concurrently.
 pub(crate) unsafe fn push_free_block<S: PageSource>(
     inner: &Inner<S>,
     desc_ptr: *mut Descriptor,
+    idx: u32,
     block: usize,
 ) {
-    let desc = unsafe { &*desc_ptr };
-    let sb = desc.sb() as usize;
-    let sz = desc.sz() as usize;
-    let maxcount = desc.maxcount();
-    let idx = ((block - sb) / sz) as u32;
-    // Latency classification: a plain free-list push is the fast path;
-    // an EMPTY transition or FULL→PARTIAL relink is the slow path.
-    let t0 = crate::lat_start!();
-
-    // The watchdog needs the owning heap for site attribution; read it
-    // now, while the block still pins the descriptor (the heap table
-    // itself lives until instance teardown, so the reference stays
-    // valid even if the descriptor is recycled later).
-    let owner = unsafe { &*desc.heap() };
-    // Telemetry reads the owning heap under the same pinning argument.
+    // Telemetry reads the owning heap while the block still pins the
+    // descriptor; see `push_free_chain`.
     #[cfg(feature = "stats")]
     {
+        let owner = unsafe { &*(*desc_ptr).heap() };
         if crate::heap::try_thread_id().is_none() {
-            // TLS teardown: the freeing thread no longer has an
-            // identity, so "local vs remote" is undecidable — it is
+            // TLS teardown: the freeing thread's identity is being
+            // retired, so "local vs remote" is undecidable — it is
             // deliberately attributed as a *remote* free (the paper's
             // slow-path accounting) rather than defaulting to heap 0's
             // local path, and counted separately so teardown traffic is
@@ -85,13 +74,48 @@ pub(crate) unsafe fn push_free_block<S: PageSource>(
             inner.shard(owner).free_remote.inc();
         }
     }
+    unsafe { push_free_chain(inner, desc_ptr, idx, block, 1) }
+}
+
+/// Figure 6's anchor update for a chain of `n` blocks of one superblock
+/// (`n == 1` is the paper's `free`): links the chain in front of the
+/// free list with one CAS and performs the state transitions. The
+/// chain's first block has index `first_idx`; its blocks are already
+/// linked to each other by block index through their first words, and
+/// `last` is the start address of its last block, whose link this
+/// function writes. A thread magazine returns runs of cached blocks
+/// through here ([`crate::magazine`]).
+///
+/// # Safety
+///
+/// The chain's blocks must be distinct allocated blocks of `desc_ptr`'s
+/// superblock that no other thread can free concurrently.
+pub(crate) unsafe fn push_free_chain<S: PageSource>(
+    inner: &Inner<S>,
+    desc_ptr: *mut Descriptor,
+    first_idx: u32,
+    last: usize,
+    n: u32,
+) {
+    let desc = unsafe { &*desc_ptr };
+    let sb = desc.sb() as usize;
+    let maxcount = desc.maxcount();
+    // Latency classification: a plain free-list push is the fast path;
+    // an EMPTY transition or FULL→PARTIAL relink is the slow path.
+    let t0 = crate::lat_start!();
+
+    // The watchdog needs the owning heap for site attribution; read it
+    // now, while the blocks still pin the descriptor (the heap table
+    // itself lives until instance teardown, so the reference stays
+    // valid even if the descriptor is recycled later).
+    let owner = unsafe { &*desc.heap() };
 
     let mut link_tries: u64 = 0;
     let mut heap: *mut ProcHeap = core::ptr::null_mut();
     let (oldanchor, newanchor) = loop {
         let fp = malloc_api::fail_point!("free.link");
         if fp.kill {
-            // Died before the anchor CAS: the block simply stays
+            // Died before the anchor CAS: the blocks simply stay
             // allocated forever; the superblock is untouched.
             return;
         }
@@ -102,25 +126,27 @@ pub(crate) unsafe fn push_free_block<S: PageSource>(
             continue;
         }
         let old = desc.load_anchor(); // line 7
-        // line 8: link this block to the current list head. Written
-        // before the CAS; the CAS's release ordering is the paper's
-        // memory fence (line 17).
+        // line 8: link the chain's end to the current list head.
+        // Written before the CAS; the CAS's release ordering is the
+        // paper's memory fence (line 17).
         unsafe {
-            (*(block as *const AtomicU64)).store(old.avail() as u64, Ordering::Relaxed);
+            (*(last as *const AtomicU64)).store(old.avail() as u64, Ordering::Relaxed);
         }
-        let mut new = old.with_avail(idx); // line 9
+        let mut new = old.with_avail(first_idx); // line 9
         if old.state() == SbState::Full {
             new = new.with_state(SbState::Partial); // lines 10-11
         }
-        if old.count() == maxcount - 1 {
-            // lines 12-15: this was the last allocated block. Read the
+        if old.count() + n == maxcount {
+            // lines 12-15: these were the last allocated blocks (count
+            // stays short of `maxcount` by one, as in the paper, so an
+            // EMPTY anchor reads the same however it got there). Read the
             // owning heap *before* the CAS (the paper's instruction
             // fence, line 14): after the CAS the descriptor may be
             // recycled by another thread at any time.
             heap = desc.heap(); // line 13
-            new = new.with_state(SbState::Empty); // line 15
+            new = new.with_count(maxcount - 1).with_state(SbState::Empty); // line 15
         } else {
-            new = new.with_count(old.count() + 1); // line 16
+            new = new.with_count(old.count() + n); // line 16
         }
         match desc.cas_anchor(old, new) {
             Ok(()) => break (old, new), // line 18

@@ -395,7 +395,8 @@ pub(crate) unsafe fn release_quarantined<S: PageSource>(
             },
         );
     }
-    unsafe { crate::free_impl::push_free_block(inner, desc_ptr, block) };
+    let idx = desc.block_index(block - desc.sb() as usize) as u32;
+    unsafe { crate::free_impl::push_free_block(inner, desc_ptr, idx, block) };
 }
 
 /// Hardened free of a large block whose span registry entry named

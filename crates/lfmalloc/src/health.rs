@@ -412,6 +412,11 @@ pub struct HealthSnapshot {
     pub hazard_leaked: usize,
     /// Blocks currently sitting in the hardened-mode quarantine.
     pub quarantine_depth: usize,
+    /// Thread-magazine slots currently owned, by live threads or by
+    /// exited ones whose slot nobody has adopted or drained yet. Like
+    /// `hazard_records`, it follows the number of threads alive at once,
+    /// not the number that ever ran.
+    pub magazine_slots: usize,
     /// Bytes currently mapped from the OS.
     pub os_live_bytes: usize,
     /// Last maintenance trim target, if any trim has been requested.
@@ -460,7 +465,7 @@ impl HealthSnapshot {
              \"audit_slice_checked\":{},\"audit_slice_flagged\":{},\
              \"last_audit_violations\":{},\"hazard_records\":{},\
              \"hazard_retired\":{},\"hazard_retired_high_water\":{},\
-             \"hazard_leaked\":{},\"quarantine_depth\":{},\
+             \"hazard_leaked\":{},\"quarantine_depth\":{},\"magazine_slots\":{},\
              \"os_live_bytes\":{},\"os_watermark\":{},\
              \"fork_generation\":{},\"fork_recoveries\":{}}}",
             self.is_degraded(),
@@ -484,6 +489,7 @@ impl HealthSnapshot {
             self.hazard_retired_high_water,
             self.hazard_leaked,
             self.quarantine_depth,
+            self.magazine_slots,
             self.os_live_bytes,
             match self.os_watermark {
                 Some(w) => w.to_string(),
@@ -527,6 +533,7 @@ impl<S: PageSource> LfMalloc<S> {
             hazard_retired_high_water: hwm,
             hazard_leaked: inner.domain.leaked_count(),
             quarantine_depth: inner.quarantine_depth(),
+            magazine_slots: crate::magazine::owned_slots(inner),
             os_live_bytes: inner.source.stats().live_bytes,
             os_watermark: if watermark == usize::MAX { None } else { Some(watermark) },
             fork_generation: inner.fork.recovered_generation(),

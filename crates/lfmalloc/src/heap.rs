@@ -93,69 +93,56 @@ impl ProcHeap {
     }
 }
 
-static NEXT_THREAD_ID: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// `(process generation, thread id)`. The id is issued lazily and
-    /// re-issued whenever the stored generation lags
-    /// [`malloc_api::procfork::generation`]: the TLS cell survives a
-    /// fork verbatim, but a parent-era id must not leak into the child —
-    /// recycled ids would alias heap slots whose parent owners died
-    /// mid-operation. `u64::MAX` is the "never issued" sentinel (the
-    /// generation counter starts at 0 and only increments).
-    static THREAD_SLOT: core::cell::Cell<(u64, usize)> =
-        const { core::cell::Cell::new((u64::MAX, 0)) };
-}
-
 /// A small, dense per-thread id ("Threads use their thread ids to decide
-/// which processor heap to use"). Falls back to 0 when thread-local
-/// storage is unavailable (calls during thread teardown) — correctness
+/// which processor heap to use"); it lives in the thread's allocator
+/// block ([`crate::tls`]) and is re-issued after a fork. Correctness
 /// never depends on the id, only distribution does.
 ///
-/// The fallback means allocator calls issued from TLS destructors all
-/// map to heap 0. For *malloc* that is only a distribution artifact; for
-/// *free*-side telemetry it would silently misattribute teardown frees
-/// of heap-0 blocks as local. Callers that care use [`try_thread_id`]
-/// to detect the teardown case and route it deliberately (counted under
-/// the `free_teardown` stat as a remote free).
+/// Allocator calls issued from TLS destructors keep the thread's id.
+/// For *malloc* that is all there is to say; *free*-side telemetry
+/// uses [`try_thread_id`] to detect the teardown case and route it
+/// deliberately (counted under the `free_teardown` stat as a remote
+/// free).
 #[inline]
 pub fn thread_id() -> usize {
-    try_thread_id().unwrap_or(0)
+    crate::tls::with_block(|tb| tb.id())
 }
 
-/// Like [`thread_id`], but reports thread-local-storage unavailability
-/// (the thread is running TLS destructors) as `None` instead of folding
-/// it into id 0.
+/// Like [`thread_id`], but `None` once the thread's identity is being
+/// retired (it is running TLS destructors past the allocator's own).
 #[inline]
 pub fn try_thread_id() -> Option<usize> {
-    THREAD_SLOT
-        .try_with(|slot| {
-            let cur = malloc_api::procfork::generation();
-            let (gen, id) = slot.get();
-            if gen == cur {
-                id
-            } else {
-                // First use on this thread, or first use since a fork:
-                // issue a fresh id. `NEXT_THREAD_ID` keeps counting from
-                // the parent's value, so a child id can never collide
-                // with an id some parent thread stamped into heap state.
-                let id = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-                slot.set((cur, id));
-                id
-            }
-        })
-        .ok()
+    crate::tls::try_thread_id()
 }
 
-/// Maps the calling thread to a heap index under `mode`.
-///
-/// `HeapMode::Single` skips the thread-id lookup entirely — that skipped
-/// lookup is the §4.2.4 uniprocessor optimization.
-#[inline]
-pub fn heap_index(mode: HeapMode) -> usize {
-    match mode {
-        HeapMode::Single => 0,
-        HeapMode::PerCpu(n) => thread_id() % n.max(1),
+/// The thread → heap-column map: `id mod n` without the hardware
+/// divide. `n` is fixed per instance, so the reciprocal is computed
+/// once; powers of two get a mask.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct HeapMap {
+    n: u32,
+    /// `2^64 / n + 1` (Lemire's fastmod, exact for every 32-bit
+    /// operand), or 0 when `n` is a power of two and `n - 1` masks.
+    recip: u64,
+}
+
+impl HeapMap {
+    /// Maps thread ids to heap columns under `mode`.
+    pub(crate) fn new(mode: HeapMode) -> Self {
+        let n = mode.heap_count().min(u32::MAX as usize) as u32;
+        HeapMap { n, recip: if n.is_power_of_two() { 0 } else { u64::MAX / n as u64 + 1 } }
+    }
+
+    /// The column of thread `id` (only its low 32 bits take part).
+    #[inline]
+    pub(crate) fn column(self, id: usize) -> usize {
+        let id = id as u32;
+        if self.recip == 0 {
+            (id & (self.n - 1)) as usize
+        } else {
+            let low = self.recip.wrapping_mul(id as u64);
+            ((low as u128 * self.n as u128) >> 64) as usize
+        }
     }
 }
 
@@ -186,7 +173,7 @@ mod tests {
         let err = h.cas_active(Active::null(), a).unwrap_err();
         assert_eq!(err.raw(), a.raw());
         // Take a credit.
-        h.cas_active(a, a.take_credit()).unwrap();
+        h.cas_active(a, a.take_credits(1)).unwrap();
         assert_eq!(h.load_active().credits(), 2);
     }
 
@@ -211,10 +198,14 @@ mod tests {
     }
 
     #[test]
-    fn heap_index_modes() {
-        assert_eq!(heap_index(HeapMode::Single), 0);
-        let n = 4;
-        assert!(heap_index(HeapMode::PerCpu(n)) < n);
-        assert_eq!(heap_index(HeapMode::PerCpu(1)), 0);
+    fn heap_map_is_id_mod_n() {
+        assert_eq!(HeapMap::new(HeapMode::Single).column(12345), 0);
+        assert_eq!(HeapMap::new(HeapMode::PerCpu(1)).column(usize::MAX), 0);
+        for n in [2usize, 3, 4, 5, 6, 7, 8, 12, 48, 64, 100, 1000] {
+            let map = HeapMap::new(HeapMode::PerCpu(n));
+            for id in (0..5_000u32).chain([u32::MAX - 1, u32::MAX, 0x8000_0001, 0xFFFF_FFF0]) {
+                assert_eq!(map.column(id as usize), id as usize % n, "n {n}, id {id}");
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::anchor::SbState;
 use crate::config::{Config, PREFIX_SIZE, SB_BATCH, SB_SHIFT};
 use crate::descriptor::{Descriptor, DescriptorPool};
 use crate::harden::{Hardening, MisuseCounters, QUARANTINE_CAP};
-use crate::heap::{heap_index, ProcHeap};
+use crate::heap::{HeapMap, ProcHeap};
 use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
 use core::ptr::NonNull;
@@ -51,8 +51,13 @@ pub(crate) struct Inner<S: PageSource> {
     pub source: CountingSource<S>,
     pub config: Config,
     pub nheaps: usize,
+    /// Thread id → heap column (`id mod nheaps`, precomputed).
+    pub heap_map: HeapMap,
     /// `NUM_CLASSES * nheaps` processor heaps, system-allocated.
     pub heaps: *mut ProcHeap,
+    /// Thread-magazine slots and the instance id that keys them (see
+    /// [`crate::magazine`]); an allocation of its own.
+    pub mags: crate::magazine::SlotTable,
     pub classes: [SizeClassState; NUM_CLASSES],
     /// Count of live large blocks (diagnostics).
     pub large_live: AtomicUsize,
@@ -95,10 +100,13 @@ pub(crate) struct Inner<S: PageSource> {
 }
 
 impl<S: PageSource> Inner<S> {
-    /// The heap the calling thread uses for size class `ci`.
+    /// The heap the calling thread uses for size class `ci`. A single
+    /// heap skips the thread-id lookup entirely — that skipped lookup
+    /// is the §4.2.4 uniprocessor optimization.
     #[inline]
     pub fn heap_for(&self, ci: usize) -> &ProcHeap {
-        let h = heap_index(self.config.heap_mode);
+        let h =
+            if self.nheaps == 1 { 0 } else { self.heap_map.column(crate::heap::thread_id()) };
         unsafe { &*self.heaps.add(ci * self.nheaps + h) }
     }
 
@@ -262,6 +270,11 @@ impl<S: PageSource> LfMalloc<S> {
                     );
                 }
             };
+            let Some(mags) = crate::magazine::SlotTable::new() else {
+                free_quarantine(quarantine);
+                System.dealloc(heaps as *mut u8, heaps_layout);
+                return Err(OutOfMemory);
+            };
             // Telemetry shards mirror the heap table's layout; build them
             // first so a failure cleans up like any other metadata OOM.
             #[cfg(feature = "stats")]
@@ -305,7 +318,9 @@ impl<S: PageSource> LfMalloc<S> {
                 source: CountingSource::new(source),
                 config,
                 nheaps,
+                heap_map: HeapMap::new(config.heap_mode),
                 heaps,
+                mags,
                 classes: core::array::from_fn(|i| SizeClassState {
                     partial: PartialList::new(config.partial_mode),
                     sz: CLASS_SIZES[i],
@@ -433,6 +448,14 @@ impl<S: PageSource> LfMalloc<S> {
         released
     }
 
+    /// Returns the blocks cached in the calling thread's magazines to
+    /// their superblocks, and how many there were. For a thread about to
+    /// go idle holding memory others could use; safe to call at any
+    /// time, concurrently with anything.
+    pub fn flush_thread_cache(&self) -> usize {
+        crate::magazine::drain_own(self.inner())
+    }
+
     /// Returns all reclaimable memory to the OS: uninstalls idle active
     /// superblocks, prunes empty descriptors out of the partial
     /// structures, flushes the hazard domain, then unmaps every fully
@@ -457,9 +480,12 @@ impl<S: PageSource> LfMalloc<S> {
         let inner = self.inner();
         let t0 = crate::lat_start!();
         inner.health.note_watermark(target_bytes);
-        // 0. Hardened mode: quarantined blocks pin their superblocks
-        //    partially allocated; release them before hunting for fully
-        //    free hyperblocks.
+        // 0. Blocks parked outside the free lists pin their superblocks
+        //    partially allocated; send them home before hunting for
+        //    fully free hyperblocks: every thread's magazines (quiescence
+        //    makes other threads' slots ours to touch), and in hardened
+        //    mode the quarantine.
+        unsafe { crate::magazine::drain_all(inner) };
         self.flush_quarantine();
         // 1. Uninstall every idle active superblock. An installed ACTIVE
         //    superblock's Active word pins credits+1 reserved blocks, so
@@ -562,7 +588,7 @@ impl<S: PageSource> LfMalloc<S> {
         #[cfg(feature = "profile")]
         let site = core::panic::Location::caller();
         let inner = self.inner();
-        let Some(_reentry) = crate::fork::enter_alloc() else {
+        let Some(entry) = crate::tls::enter_alloc() else {
             // Signal handler re-entered the allocator on this thread:
             // fail fast instead of racing our own interrupted frame.
             crate::fork::reject_reentrant(inner, 0);
@@ -579,6 +605,10 @@ impl<S: PageSource> LfMalloc<S> {
             class_index_aligned(total, align)
         };
         let p = match class {
+            // Prefix at the block start: the shape a magazine caches.
+            Some(ci) if off == PREFIX_SIZE => unsafe {
+                crate::magazine::malloc(inner, entry.block(), ci)
+            },
             Some(ci) => unsafe { crate::alloc::malloc_small(inner, ci, off) },
             None => unsafe { crate::large::alloc_large(inner, size, align) },
         };
@@ -622,19 +652,18 @@ impl<S: PageSource> LfMalloc<S> {
         #[cfg(feature = "profile")]
         let site = core::panic::Location::caller();
         let inner = self.inner();
-        let Some(_reentry) = crate::fork::enter_alloc() else {
+        let Some(entry) = crate::tls::enter_alloc() else {
             crate::fork::reject_reentrant(inner, 0);
             return core::ptr::null_mut();
         };
         crate::fork::maybe_recover(inner);
-        let off = PREFIX_SIZE;
-        let Some(total) = size.checked_add(off) else {
+        let Some(total) = size.checked_add(PREFIX_SIZE) else {
             return core::ptr::null_mut();
         };
         let class = class_index(total);
         let p = match class {
             Some(ci) => {
-                let p = unsafe { crate::alloc::malloc_small(inner, ci, off) };
+                let p = unsafe { crate::magazine::malloc(inner, entry.block(), ci) };
                 if !p.is_null() {
                     unsafe { core::ptr::write_bytes(p, 0, size) };
                 }
@@ -700,7 +729,7 @@ impl<S: PageSource> LfMalloc<S> {
         let desc = unsafe { &*(prefix as *const crate::descriptor::Descriptor) };
         let sz = desc.sz() as usize;
         let sb = desc.sb() as usize;
-        let idx = (prefix_addr - sb) / sz;
+        let idx = desc.block_index(prefix_addr - sb);
         let block_end = sb + (idx + 1) * sz;
         block_end - ptr as usize
     }
@@ -716,7 +745,7 @@ impl<S: PageSource> LfMalloc<S> {
             return;
         }
         let inner = self.inner();
-        let Some(_reentry) = crate::fork::enter_alloc() else {
+        let Some(entry) = crate::tls::enter_alloc() else {
             // Reentrant free: leaking the block is the only safe answer
             // (touching the anchor could race our interrupted frame).
             crate::fork::reject_reentrant(inner, ptr as usize);
@@ -743,15 +772,11 @@ impl<S: PageSource> LfMalloc<S> {
             (*( (ptr as usize - PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed)
         };
         if prefix & crate::large::LARGE_FLAG != 0 {
-            unsafe { crate::large::free_large(inner, ptr, prefix) };
-        } else {
-            unsafe {
-                crate::free_impl::free_small(
-                    inner,
-                    ptr,
-                    prefix as *mut crate::descriptor::Descriptor,
-                )
-            };
+            return unsafe { crate::large::free_large(inner, ptr, prefix) };
+        }
+        let desc = prefix as *mut Descriptor;
+        if !unsafe { crate::magazine::free(inner, entry.block(), ptr, desc) } {
+            unsafe { crate::free_impl::free_small(inner, ptr, desc) };
         }
     }
 }
@@ -828,6 +853,7 @@ impl<S: PageSource> Drop for LfMalloc<S> {
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).source));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).large_spans));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).reaper));
+            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).mags));
             #[cfg(feature = "stats")]
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).stats));
             #[cfg(feature = "profile")]

@@ -29,6 +29,11 @@
 //! * Retired descriptors are recycled through hazard pointers (the
 //!   paper's `SafeCAS`); size-class partial-superblock lists are
 //!   lock-free FIFO queues ([`partial`]).
+//! * In front of all that, each thread keeps a small private stack of
+//!   free blocks per size class ([`magazine`]) that it refills and
+//!   flushes in batches against the lock-free core, so the common
+//!   malloc and free execute no CAS at all. Not in the paper; every
+//!   miss, remote free and slow path is the paper's code unchanged.
 //!
 //! # Quick start
 //!
@@ -151,6 +156,7 @@ pub mod heap;
 pub mod heapdump;
 pub mod instance;
 pub mod large;
+pub mod magazine;
 pub mod maintain;
 #[cfg(feature = "stats")]
 pub mod metrics;
@@ -159,6 +165,7 @@ pub mod partial;
 pub mod profile;
 pub(crate) mod retry;
 pub mod size_classes;
+pub(crate) mod tls;
 #[cfg(feature = "stats")]
 pub mod stats;
 

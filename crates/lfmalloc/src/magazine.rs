@@ -1,0 +1,701 @@
+//! Thread magazines: a private stack of free blocks per (thread, size
+//! class) in front of the lock-free core. DESIGN.md §15 is the
+//! narrative spec; the short form:
+//!
+//! * A **hit** — `malloc` popping a cached block, `free` pushing one —
+//!   is a handful of plain loads and stores on memory only the calling
+//!   thread touches: no atomic read-modify-write, no shared cache line.
+//! * A **miss** refills half a magazine with
+//!   [`alloc::pop_from_active`](crate::alloc): Figure 4's two CASes,
+//!   reserving and popping `k` blocks instead of one. An **overflow**
+//!   returns half through [`free_impl::push_free_chain`](crate::free_impl),
+//!   one CAS per run of blocks sharing a superblock.
+//! * Only *local* frees enter (the block's superblock belongs to the
+//!   caller's own heap), so a block handed to another thread still goes
+//!   home on free and Hoard's no-false-sharing property survives.
+//! * Cached blocks keep their descriptor prefix; the stack is linked
+//!   through the first *user* word. To the core they are simply
+//!   allocated, so every paper invariant holds unchanged.
+//!
+//! Slots live in the instance (their own allocation, so the hot lines
+//! share nothing with `Inner`'s read-mostly fields) and are owned by
+//! [stamp](crate::tls): a thread finds its slot through its TLS block,
+//! and a slot whose owner has exited or died in a fork is drained by
+//! the next thread to adopt it, by [`maintain`](crate::LfMalloc::maintain)
+//! or by fork recovery. What a *killed* thread strands is bounded by
+//! [`MAX_CACHED_BYTES`].
+
+use crate::config::PREFIX_SIZE;
+use crate::descriptor::Descriptor;
+use crate::harden::Hardening;
+use crate::heap::ProcHeap;
+use crate::instance::Inner;
+use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
+use crate::tls::{stamp_alive, ThreadBlock, DRAINING};
+use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use osmem::PageSource;
+use std::alloc::{GlobalAlloc, Layout, System};
+
+/// Most blocks one magazine holds.
+pub const MAX_BLOCKS: usize = 32;
+
+/// Most bytes one magazine holds; classes too big for two blocks of it
+/// get no magazine at all.
+pub const MAX_CLASS_BYTES: usize = 2048;
+
+/// Blocks the magazine of class `ci` holds: [`MAX_CLASS_BYTES`] worth,
+/// at most [`MAX_BLOCKS`], and 0 rather than 1 (a refill is half).
+pub const fn capacity(ci: usize) -> usize {
+    let n = MAX_CLASS_BYTES / CLASS_SIZES[ci] as usize;
+    if n < 2 {
+        0
+    } else if n > MAX_BLOCKS {
+        MAX_BLOCKS
+    } else {
+        n
+    }
+}
+
+/// Classes `0..CACHED_CLASSES` have a magazine (block size ≤ 1 KiB).
+pub const CACHED_CLASSES: usize = {
+    let mut ci = 0;
+    while ci < NUM_CLASSES && capacity(ci) > 0 {
+        ci += 1;
+    }
+    ci
+};
+
+/// What one thread's full magazines hold: the bound on memory stranded
+/// by a thread killed (or fork-orphaned, until recovery) with them.
+pub const MAX_CACHED_BYTES: usize = {
+    let (mut ci, mut sum) = (0, 0);
+    while ci < CACHED_CLASSES {
+        sum += capacity(ci) * CLASS_SIZES[ci] as usize;
+        ci += 1;
+    }
+    sum
+};
+
+/// Slots per instance. A thread that finds none free runs on the
+/// lock-free core alone, as every thread did before magazines.
+pub const SLOTS: usize = 64;
+
+static CAP: [u8; CACHED_CLASSES] = {
+    let mut cap = [0u8; CACHED_CLASSES];
+    let mut ci = 0;
+    while ci < CACHED_CLASSES {
+        cap[ci] = capacity(ci) as u8;
+        ci += 1;
+    }
+    cap
+};
+
+/// One magazine: a LIFO of user pointers linked through their first
+/// word. Atomics only so that a drain by another thread (after the
+/// owner is gone, or under `trim`'s quiescence) is not a data race; the
+/// owner's accesses are plain loads and stores.
+#[repr(C)]
+pub(crate) struct Bin {
+    head: AtomicPtr<u8>,
+    count: AtomicU32,
+}
+
+/// One thread's magazines in one instance.
+#[repr(C, align(64))]
+pub(crate) struct Slot {
+    bins: [Bin; CACHED_CLASSES],
+    /// Stamp of the owning thread; 0 = free. Changes hands only by CAS.
+    owner: AtomicU64,
+}
+
+/// The instance's slots and its identity. All-zero is the empty table.
+pub(crate) struct SlotTable {
+    /// Never reused, so a thread's cached `(id, slot)` pair can outlive
+    /// the instance without ever being followed.
+    id: u64,
+    slots: *mut Slot,
+}
+
+// SAFETY: `slots` is an owned allocation of atomics; `id` is immutable.
+unsafe impl Send for SlotTable {}
+unsafe impl Sync for SlotTable {}
+
+impl SlotTable {
+    pub(crate) fn new() -> Option<Self> {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        let slots = unsafe { System.alloc_zeroed(Layout::new::<[Slot; SLOTS]>()) } as *mut Slot;
+        (!slots.is_null()).then(|| SlotTable {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            slots,
+        })
+    }
+
+    fn slots(&self) -> &[Slot] {
+        // SAFETY: `SLOTS` zero-initialised slots, live until drop.
+        unsafe { core::slice::from_raw_parts(self.slots, SLOTS) }
+    }
+}
+
+impl Drop for SlotTable {
+    fn drop(&mut self) {
+        unsafe { System.dealloc(self.slots as *mut u8, Layout::new::<[Slot; SLOTS]>()) };
+    }
+}
+
+/// The calling thread's slot in `inner`, null when it runs without one.
+#[inline]
+fn slot_of<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    // A fault scenario schedules yields, retries and kills call by call
+    // at the core's CAS windows; while one runs every call takes the
+    // paper's paths so each window is reached when the plan says.
+    #[cfg(feature = "failpoints")]
+    if malloc_api::failpoints::scenario_active() {
+        return core::ptr::null();
+    }
+    if tb.mag_inst.get() == inner.mags.id {
+        tb.mag.get()
+    } else {
+        attach(inner, tb)
+    }
+}
+
+/// First magazine use of this thread on this instance (or first since
+/// it used another one, or since a fork): find or claim a slot and
+/// cache it, with the thread's heap column, in the TLS block.
+#[cold]
+fn attach<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    let slot = claim(inner, tb);
+    let col = inner.heap_map.column(tb.id());
+    tb.heap0
+        .set(inner.heaps as usize + col * core::mem::size_of::<ProcHeap>());
+    tb.mag.set(slot);
+    tb.mag_inst.set(inner.mags.id);
+    slot
+}
+
+fn claim<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    let me = tb.stamp();
+    // Hardened frees are validated and quarantined one by one; a cache
+    // in front would hide exactly the reuse they exist to delay.
+    if me == 0 || inner.config.hardening != Hardening::Off {
+        return core::ptr::null();
+    }
+    let slots = inner.mags.slots();
+    // A slot this thread already owns: it was here before, or it is the
+    // forking thread and the slot still carries its parent-era stamp.
+    let prev = tb.prev_stamp();
+    for s in slots {
+        let o = s.owner.load(Ordering::Acquire);
+        if o == me
+            || (prev != 0
+                && o == prev
+                && s.owner
+                    .compare_exchange(o, me, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok())
+        {
+            return s;
+        }
+    }
+    for s in slots {
+        let o = s.owner.load(Ordering::Acquire);
+        if (o == 0 || !stamp_alive(o))
+            && s.owner
+                .compare_exchange(o, me, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+        {
+            // Adopted from a thread that is gone: its blocks came from
+            // *its* heap's superblocks and go back there, not to us.
+            unsafe { drain_slot(inner, s) };
+            return s;
+        }
+    }
+    core::ptr::null()
+}
+
+/// The heap class `ci` maps the calling thread to, from the column
+/// cached at attach (so only meaningful once `slot_of` has run).
+#[inline]
+fn my_heap<'a, S: PageSource>(inner: &'a Inner<S>, tb: &ThreadBlock, ci: usize) -> &'a ProcHeap {
+    let addr = tb.heap0.get() + ci * inner.nheaps * core::mem::size_of::<ProcHeap>();
+    // SAFETY: `heap0` is a class-0 heap of `inner`'s table (`attach`),
+    // and `ci < NUM_CLASSES` rows of `nheaps` heaps follow it.
+    unsafe { &*(addr as *const ProcHeap) }
+}
+
+/// Small `malloc` at the default alignment: a cached block if there is
+/// one, else a refill, else the paper's ladder.
+///
+/// # Safety
+///
+/// `ci` must be a valid class index.
+#[inline]
+pub(crate) unsafe fn malloc<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    ci: usize,
+) -> *mut u8 {
+    if ci < CACHED_CLASSES {
+        let slot = slot_of(inner, tb);
+        if !slot.is_null() {
+            let bin = unsafe { &(*slot).bins[ci] };
+            let head = bin.head.load(Ordering::Relaxed);
+            if head.is_null() {
+                return unsafe { refill(inner, tb, bin, ci) };
+            }
+            // The block is ours alone: its link word is stable.
+            let next = unsafe { *(head as *const *mut u8) };
+            bin.head.store(next, Ordering::Relaxed);
+            bin.count
+                .store(bin.count.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+            crate::stat!(inner, my_heap(inner, tb, ci), malloc_cached);
+            return head;
+        }
+    }
+    unsafe { crate::alloc::malloc_small(inner, ci, PREFIX_SIZE) }
+}
+
+/// Miss: take up to half a magazine from the heap's active superblock
+/// with two CASes, hand the first block out and cache the rest. With no
+/// active superblock the ladder serves this one call and installs one.
+#[inline(never)]
+unsafe fn refill<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    bin: &Bin,
+    ci: usize,
+) -> *mut u8 {
+    let heap = my_heap(inner, tb, ci);
+    let k = CAP[ci] as u32 / 2;
+    let t0 = crate::lat_start!();
+    let Some((first, desc_ptr, m)) = (unsafe { crate::alloc::pop_from_active(inner, heap, k) })
+    else {
+        return unsafe { crate::alloc::malloc_small(inner, ci, PREFIX_SIZE) };
+    };
+    crate::stat!(inner, heap, malloc_fast);
+    crate::stat_lat!(inner, lat_malloc_fast, t0);
+    let desc = unsafe { &*desc_ptr };
+    let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
+    // The chain is linked by block index through each block's first
+    // word — where the prefix goes. Rewrite it in address order into
+    // what a hit expects: prefix in place, next user pointer behind it.
+    let mut block = first;
+    for i in 1..=m {
+        let link = (block + PREFIX_SIZE) as *mut *mut u8;
+        let next = unsafe { (*(block as *const AtomicU64)).load(Ordering::Relaxed) } as usize;
+        unsafe { (*(block as *const AtomicU64)).store(desc_ptr as u64, Ordering::Relaxed) };
+        if i == m {
+            // The last block's index word is not ours to follow.
+            unsafe { *link = core::ptr::null_mut() };
+            break;
+        }
+        block = sb + next * sz;
+        unsafe { *link = (block + PREFIX_SIZE) as *mut u8 };
+    }
+    crate::stat!(inner, heap, mag_refill);
+    let user = (first + PREFIX_SIZE) as *mut u8;
+    if m > 1 {
+        // Release: a fork (or a signal) between the two stores must find
+        // the links written before the head that leads to them.
+        bin.head
+            .store(unsafe { *(user as *const *mut u8) }, Ordering::Release);
+        bin.count.store(m - 1, Ordering::Relaxed);
+    }
+    user
+}
+
+/// Small `free`: caches the block if it may be cached. `false` means
+/// the caller must take the paper's path.
+///
+/// # Safety
+///
+/// `ptr` must be a live small block of `inner` whose prefix named
+/// `desc_ptr`.
+#[inline]
+pub(crate) unsafe fn free<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    ptr: *mut u8,
+    desc_ptr: *mut Descriptor,
+) -> bool {
+    let slot = slot_of(inner, tb);
+    // Blocks start on multiples of 16 and the default user offset is 8:
+    // any other remainder is an over-aligned block, whose prefix is not
+    // at its start — a hit could not hand it out as it is.
+    if slot.is_null() || ptr as usize % 16 != PREFIX_SIZE {
+        return false;
+    }
+    let desc = unsafe { &*desc_ptr };
+    let ci = desc.class();
+    // Local only: a remote block goes home through its own anchor.
+    if ci >= CACHED_CLASSES || !core::ptr::eq(desc.heap(), my_heap(inner, tb, ci)) {
+        return false;
+    }
+    let bin = unsafe { &(*slot).bins[ci] };
+    let mut n = bin.count.load(Ordering::Relaxed);
+    if n >= CAP[ci] as u32 {
+        unsafe { flush(inner, bin, CAP[ci] as u32 / 2) };
+        crate::stat!(inner, my_heap(inner, tb, ci), mag_flush);
+        n = bin.count.load(Ordering::Relaxed);
+    }
+    unsafe { *(ptr as *mut *mut u8) = bin.head.load(Ordering::Relaxed) };
+    // Release: see `refill`.
+    bin.head.store(ptr, Ordering::Release);
+    bin.count.store(n + 1, Ordering::Relaxed);
+    crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
+    true
+}
+
+/// Takes the `n` most recently cached blocks of `bin` (all of them if
+/// it holds fewer) and returns them to their superblocks.
+unsafe fn flush<S: PageSource>(inner: &Inner<S>, bin: &Bin, n: u32) {
+    let first = bin.head.load(Ordering::Relaxed);
+    if first.is_null() {
+        bin.count.store(0, Ordering::Relaxed);
+        return;
+    }
+    let mut last = first;
+    let mut taken = 1;
+    loop {
+        let next = unsafe { *(last as *const *mut u8) };
+        if taken == n || next.is_null() {
+            // Detach before anything is pushed: from here the blocks
+            // are in flight, in neither the magazine nor a free list.
+            bin.head.store(next, Ordering::Release);
+            let left = if next.is_null() {
+                0
+            } else {
+                bin.count.load(Ordering::Relaxed) - taken
+            };
+            bin.count.store(left, Ordering::Relaxed);
+            unsafe { *(last as *mut *mut u8) = core::ptr::null_mut() };
+            break;
+        }
+        last = next;
+        taken += 1;
+    }
+    unsafe { release_list(inner, first) };
+}
+
+/// Pushes a null-terminated list of cached blocks back onto their
+/// superblocks' free lists, one anchor CAS per run of neighbours that
+/// share a descriptor; returns how many blocks that was.
+unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut user: *mut u8) -> usize {
+    let mut blocks = 0;
+    while !user.is_null() {
+        let first = user as usize - PREFIX_SIZE;
+        let desc_ptr =
+            unsafe { (*(first as *const AtomicU64)).load(Ordering::Relaxed) } as *mut Descriptor;
+        let desc = unsafe { &*desc_ptr };
+        let sb = desc.sb() as usize;
+        let (mut last, mut len) = (first, 1);
+        user = unsafe { *(user as *const *mut u8) };
+        while !user.is_null() {
+            let block = user as usize - PREFIX_SIZE;
+            let prefix = unsafe { (*(block as *const AtomicU64)).load(Ordering::Relaxed) };
+            if prefix != desc_ptr as u64 {
+                break;
+            }
+            user = unsafe { *(user as *const *mut u8) };
+            unsafe {
+                (*(last as *const AtomicU64))
+                    .store(desc.block_index(block - sb) as u64, Ordering::Relaxed);
+            }
+            last = block;
+            len += 1;
+        }
+        let idx = desc.block_index(first - sb) as u32;
+        unsafe { crate::free_impl::push_free_chain(inner, desc_ptr, idx, last, len) };
+        blocks += len as usize;
+    }
+    blocks
+}
+
+/// Empties every magazine of `slot`. The caller owns the slot (claimed
+/// its owner word) or the instance is quiescent.
+unsafe fn drain_slot<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
+    let mut blocks = 0;
+    for bin in &slot.bins {
+        // The pointer list is consistent at every instant, the count is
+        // not (a fork can land between a hit's two stores): the list is
+        // what gets released, the count is just reset.
+        let first = bin.head.swap(core::ptr::null_mut(), Ordering::Acquire);
+        bin.count.store(0, Ordering::Relaxed);
+        blocks += unsafe { release_list(inner, first) };
+    }
+    blocks
+}
+
+/// Returns the calling thread's cached blocks to their superblocks;
+/// returns how many.
+pub(crate) fn drain_own<S: PageSource>(inner: &Inner<S>) -> usize {
+    let Some(entry) = crate::tls::enter_alloc() else {
+        return 0; // a signal handler inside the allocator: leave it be
+    };
+    let slot = slot_of(inner, entry.block());
+    if slot.is_null() {
+        0
+    } else {
+        unsafe { drain_slot(inner, &*slot) }
+    }
+}
+
+/// Returns every cached block of every slot to its superblock, whoever
+/// owns it; returns how many. Ownership is untouched: a live owner's
+/// next call simply misses.
+///
+/// # Safety
+///
+/// Quiescence, as for [`trim`](crate::LfMalloc::trim): no thread may be
+/// inside `malloc`/`free` on this instance.
+pub(crate) unsafe fn drain_all<S: PageSource>(inner: &Inner<S>) -> usize {
+    inner
+        .mags
+        .slots()
+        .iter()
+        .map(|s| unsafe { drain_slot(inner, s) })
+        .sum()
+}
+
+/// Drains and frees up the slots whose owner has exited or was lost in
+/// a fork; returns how many blocks went home. Safe under full
+/// concurrency: the owner word's CAS elects one drainer, and a dead
+/// owner cannot come back.
+pub(crate) fn drain_dead<S: PageSource>(inner: &Inner<S>) -> usize {
+    let mut blocks = 0;
+    for s in inner.mags.slots() {
+        let o = s.owner.load(Ordering::Acquire);
+        if o != 0
+            && !stamp_alive(o)
+            && s.owner
+                .compare_exchange(o, DRAINING, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+        {
+            blocks += unsafe { drain_slot(inner, s) };
+            s.owner.store(0, Ordering::Release);
+        }
+    }
+    blocks
+}
+
+/// Slots with an owner, alive or not (diagnostics).
+pub(crate) fn owned_slots<S: PageSource>(inner: &Inner<S>) -> usize {
+    inner
+        .mags
+        .slots()
+        .iter()
+        .filter(|s| s.owner.load(Ordering::Relaxed) != 0)
+        .count()
+}
+
+/// Fork recovery, on the recovering thread: take back the slot this
+/// thread owned in the parent (its magazine crossed the fork intact)
+/// before [`drain_dead`] treats every parent-era stamp as an orphan.
+pub(crate) fn reattach_after_fork<S: PageSource>(inner: &Inner<S>) {
+    crate::tls::with_block(|tb| {
+        tb.forget_magazine();
+        attach(inner, tb);
+    });
+}
+
+/// Crash-tolerance test hook: the calling thread forgets every slot it
+/// owns, in every instance, exactly as if it had been killed — the
+/// slots keep naming it, its liveness ticket stays taken, and the
+/// blocks cached there (at most [`MAX_CACHED_BYTES`] per instance) are
+/// stranded until `trim`. The thread itself carries on under a new
+/// identity.
+#[doc(hidden)]
+pub fn simulate_killed_thread() {
+    crate::tls::with_block(|tb| tb.abandon());
+}
+
+/// One cached block as the auditor sees it.
+pub(crate) struct CachedBlock {
+    pub slot: usize,
+    pub class: usize,
+    pub user: usize,
+}
+
+/// A magazine whose count disagrees with its list, or whose list is
+/// longer than its capacity.
+pub(crate) struct Miscount {
+    pub slot: usize,
+    pub class: usize,
+    pub counted: u32,
+    pub walked: u32,
+}
+
+/// Every cached block, plus every [`Miscount`]. Walks are cut at
+/// capacity + 1, so a cyclic list shows as a miscount instead of
+/// hanging the audit.
+pub(crate) fn snapshot<S: PageSource>(inner: &Inner<S>) -> (Vec<CachedBlock>, Vec<Miscount>) {
+    let (mut blocks, mut bad) = (Vec::new(), Vec::new());
+    for (si, slot) in inner.mags.slots().iter().enumerate() {
+        for (ci, bin) in slot.bins.iter().enumerate() {
+            let counted = bin.count.load(Ordering::Relaxed);
+            let mut p = bin.head.load(Ordering::Acquire);
+            let mut walked = 0u32;
+            while !p.is_null() && walked <= CAP[ci] as u32 {
+                blocks.push(CachedBlock {
+                    slot: si,
+                    class: ci,
+                    user: p as usize,
+                });
+                walked += 1;
+                p = unsafe { *(p as *const *mut u8) };
+            }
+            if counted != walked || walked > CAP[ci] as u32 {
+                bad.push(Miscount {
+                    slot: si,
+                    class: ci,
+                    counted,
+                    walked,
+                });
+            }
+        }
+    }
+    (blocks, bad)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Config;
+    use crate::instance::LfMalloc;
+    use malloc_api::RawMalloc;
+
+    #[test]
+    fn capacity_table_is_bounded_in_blocks_and_bytes() {
+        assert_eq!(CACHED_CLASSES, 32);
+        assert_eq!(CLASS_SIZES[CACHED_CLASSES - 1], 1024);
+        for ci in 0..NUM_CLASSES {
+            let cap = capacity(ci);
+            assert!(cap <= MAX_BLOCKS);
+            assert!(cap * CLASS_SIZES[ci] as usize <= MAX_CLASS_BYTES);
+            assert_eq!(cap > 0, ci < CACHED_CLASSES, "cached classes are a prefix");
+            assert_ne!(cap, 1, "a refill is half a magazine");
+        }
+        assert_eq!(capacity(0), 32);
+        assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES);
+        assert_eq!(core::mem::size_of::<Slot>() % 64, 0);
+    }
+
+    #[test]
+    fn a_freed_block_comes_back_with_its_prefix_intact() {
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p = a.malloc(40);
+            let prefix = *(p.sub(PREFIX_SIZE) as *const usize);
+            a.free(p);
+            let (cached, bad) = snapshot(a.inner());
+            assert!(bad.is_empty());
+            assert!(
+                cached.iter().any(|b| b.user == p as usize),
+                "local free is cached"
+            );
+            let q = a.malloc(40);
+            assert_eq!(q, p, "LIFO hit");
+            assert_eq!(*(q.sub(PREFIX_SIZE) as *const usize), prefix);
+            a.free(q);
+        }
+    }
+
+    #[test]
+    fn refill_and_overflow_move_half_a_magazine() {
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        let cap = capacity(0);
+        let cached = |a: &LfMalloc| snapshot(a.inner()).0.len();
+        unsafe {
+            // Install an active superblock; the ladder serves this one.
+            let mut held = vec![a.malloc(8)];
+            assert_eq!(cached(&a), 0);
+            held.push(a.malloc(8));
+            assert_eq!(cached(&a), cap / 2 - 1, "a miss takes half, hands one out");
+            // Use those up, then one more refill's worth.
+            for _ in 0..cap - 1 {
+                held.push(a.malloc(8));
+            }
+            assert_eq!(cached(&a), 0);
+            assert!(held.iter().all(|p| !p.is_null()));
+            for p in held.drain(..cap) {
+                a.free(p);
+            }
+            assert_eq!(cached(&a), cap, "frees fill the magazine to capacity");
+            a.free(held.pop().unwrap());
+            assert_eq!(cached(&a), cap - cap / 2 + 1, "an overflow returns half");
+            assert!(held.is_empty());
+            assert!(a.audit().is_clean());
+        }
+    }
+
+    #[test]
+    fn remote_overaligned_and_uncached_classes_bypass() {
+        let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
+        unsafe {
+            let aligned = a.allocate(24, 64);
+            let big = a.malloc(2000);
+            a.deallocate(aligned);
+            a.free(big);
+            assert!(snapshot(a.inner()).0.is_empty(), "neither may be cached");
+            // A block freed by a thread on another heap goes home.
+            let p = a.malloc(8) as usize;
+            let home = (*(*((p - PREFIX_SIZE) as *const *const Descriptor))).heap() as usize;
+            let a2 = std::sync::Arc::clone(&a);
+            let cached_remotely = std::thread::spawn(move || {
+                let here = a2.inner().heap_for(0) as *const ProcHeap as usize;
+                a2.free(p as *mut u8);
+                let hit = snapshot(a2.inner()).0.iter().any(|b| b.user == p);
+                (here == home, hit)
+            })
+            .join()
+            .unwrap();
+            assert_eq!(
+                cached_remotely.0, cached_remotely.1,
+                "cached iff the free was local"
+            );
+        }
+    }
+
+    #[test]
+    fn hardened_instances_never_cache() {
+        let a = LfMalloc::with_config(Config::with_heaps(1).with_hardening(Hardening::Detect));
+        unsafe {
+            let p = a.malloc(8);
+            a.free(p);
+        }
+        assert!(snapshot(a.inner()).0.is_empty());
+    }
+
+    #[test]
+    fn an_exited_threads_slot_is_drained_by_maintain_or_by_its_adopter() {
+        let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
+        // Runs a malloc/free pair of `size` on a thread of its own and
+        // reports the class-0 blocks cached when it is done.
+        let pair_on_thread = |size: usize| {
+            let a = std::sync::Arc::clone(&a);
+            std::thread::spawn(move || unsafe {
+                let p = a.malloc(size);
+                a.free(p);
+                snapshot(a.inner())
+                    .0
+                    .iter()
+                    .filter(|b| b.class == 0)
+                    .count()
+            })
+            .join()
+            .unwrap()
+        };
+        let left = pair_on_thread(8);
+        assert!(left > 0, "the thread exits with blocks cached");
+        assert_eq!(drain_dead(a.inner()), left);
+        assert!(snapshot(a.inner()).0.is_empty());
+        // Without a maintenance pass the next thread adopts the slot
+        // and sends the blocks home before it caches any of its own.
+        assert!(pair_on_thread(8) > 0);
+        assert_eq!(
+            pair_on_thread(24),
+            0,
+            "the adopter inherited the dead thread's blocks"
+        );
+        assert!(a.audit().is_clean());
+    }
+}

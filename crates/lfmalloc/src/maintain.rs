@@ -2,7 +2,8 @@
 //!
 //! The allocator's steady state leaves work behind by design: threads
 //! that exit strand retired hazard nodes in their (now inactive)
-//! records, hardened frees park blocks in the quarantine, EMPTY
+//! records and cached blocks in their magazine slots, hardened frees
+//! park blocks in the quarantine, EMPTY
 //! descriptors can sit behind a non-empty partial-list head, and freed
 //! hyperblocks stay cached until a (quiescent-only) `trim()`. PRs 1–4
 //! made each of those pools observable; this module adds the driver
@@ -47,7 +48,8 @@ use osmem::PageSource;
 /// How much work one [`LfMalloc::maintain`] pass may do.
 #[derive(Clone, Copy, Debug)]
 pub struct MaintenanceBudget {
-    /// Adopt-and-scan inactive hazard records (dead-thread reap) and
+    /// Dead-thread reap: adopt-and-scan inactive hazard records, send
+    /// the blocks cached in exited threads' magazine slots home, and
     /// flush the calling thread's own retired list.
     pub reap_hazard: bool,
     /// Maximum quarantined blocks released back into circulation
@@ -138,6 +140,9 @@ impl Default for MaintenanceBudget {
 pub struct MaintenanceReport {
     /// Retired hazard nodes reclaimed (dead-thread reap + own flush).
     pub reaped_retired: u64,
+    /// Blocks returned to their superblocks out of the magazine slots
+    /// of threads that exited (or were lost in a fork).
+    pub magazines_drained: u64,
     /// Quarantined blocks released back into circulation.
     pub quarantine_flushed: u64,
     /// EMPTY descriptors pruned off heap slots and partial lists.
@@ -317,6 +322,9 @@ impl<S: PageSource> LfMalloc<S> {
             inner.domain.flush();
             reaped += before.saturating_sub(inner.domain.retired_count()) as u64;
             report.reaped_retired = reaped;
+            // Before the prune below: these blocks may be all that keeps
+            // a superblock from going EMPTY.
+            report.magazines_drained = crate::magazine::drain_dead(inner) as u64;
         }
         if budget.quarantine > 0 {
             report.quarantine_flushed = flush_quarantine_budgeted(inner, budget.quarantine);

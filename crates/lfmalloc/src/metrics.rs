@@ -96,13 +96,23 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     let mut o = String::with_capacity(8 * 1024);
 
     write_family(&mut o, "lfmalloc_mallocs", "counter", "Small mallocs by serving path.");
+    let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"cached\"}} {}", t.malloc_cached);
     let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"fast\"}} {}", t.malloc_fast);
     let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"partial\"}} {}", t.malloc_slow);
     let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"newsb\"}} {}", t.malloc_newsb);
     write_family(&mut o, "lfmalloc_frees", "counter", "Small frees by locality.");
+    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"cached\"}} {}", t.free_cached);
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"local\"}} {}", t.free_local);
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"remote\"}} {}", t.free_remote);
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"teardown\"}} {}", t.free_teardown);
+    write_family(
+        &mut o,
+        "lfmalloc_magazine_batches",
+        "counter",
+        "Thread-magazine batch moves against the lock-free core.",
+    );
+    let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"refill\"}} {}", t.mag_refill);
+    let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"flush\"}} {}", t.mag_flush);
     write_family(
         &mut o,
         "lfmalloc_superblocks_retired",

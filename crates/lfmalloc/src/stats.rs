@@ -53,12 +53,19 @@ pub const FRAG_SERIES_CAP: usize = 256;
 #[repr(align(64))]
 #[derive(Debug, Default)]
 pub(crate) struct ClassShard {
-    /// Mallocs served by `MallocFromActive` (the two-CAS fast path).
+    /// Mallocs served from the calling thread's magazine (no CAS).
+    pub malloc_cached: Counter,
+    /// Mallocs served by `MallocFromActive` (the two-CAS fast path),
+    /// magazine refills included: a refill hands its first block out.
     pub malloc_fast: Counter,
     /// Mallocs served by `MallocFromPartial`.
     pub malloc_slow: Counter,
     /// Mallocs served by `MallocFromNewSB`.
     pub malloc_newsb: Counter,
+    /// Frees absorbed by the calling thread's magazine (no CAS; always
+    /// local). When such a block later goes home in a flush it is not
+    /// counted again.
+    pub free_cached: Counter,
     /// Frees by the thread mapped to the owning heap.
     pub free_local: Counter,
     /// Frees by a thread mapped to a different heap (remote frees).
@@ -74,6 +81,10 @@ pub(crate) struct ClassShard {
     pub partial_pop: Counter,
     /// Blocks actually served out of a partial superblock.
     pub partial_reuse: Counter,
+    /// Magazine refills: k-block pops from the active superblock.
+    pub mag_refill: Counter,
+    /// Magazine overflows: half a magazine returned to its superblocks.
+    pub mag_flush: Counter,
     /// Retries of the Active-word reservation CAS, per malloc.
     pub active_cas: Histogram<RETRY_BUCKETS>,
     /// Retries of Anchor CASes (pop/reserve/credit-return/free-link),
@@ -395,9 +406,11 @@ pub struct ClassStats {
     pub class: usize,
     /// Total block size of the class, prefix included (0 in `totals`).
     pub block_size: u32,
+    pub malloc_cached: u64,
     pub malloc_fast: u64,
     pub malloc_slow: u64,
     pub malloc_newsb: u64,
+    pub free_cached: u64,
     pub free_local: u64,
     pub free_remote: u64,
     /// TLS-teardown frees (a subset of `free_remote`).
@@ -406,6 +419,8 @@ pub struct ClassStats {
     pub partial_push: u64,
     pub partial_pop: u64,
     pub partial_reuse: u64,
+    pub mag_refill: u64,
+    pub mag_flush: u64,
     /// Active-word reservation CAS retries per malloc, bucketed
     /// 0 / 1 / 2–3 / ... / 64+ (see [`bucket_label`]).
     pub active_cas: [u64; RETRY_BUCKETS],
@@ -414,20 +429,23 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    /// All small mallocs of the class.
+    /// All small mallocs of the class: each was served by exactly one of
+    /// the magazine, the active superblock, a partial one or a new one.
     pub fn mallocs(&self) -> u64 {
-        self.malloc_fast + self.malloc_slow + self.malloc_newsb
+        self.malloc_cached + self.malloc_fast + self.malloc_slow + self.malloc_newsb
     }
 
     /// All small frees of the class.
     pub fn frees(&self) -> u64 {
-        self.free_local + self.free_remote
+        self.free_cached + self.free_local + self.free_remote
     }
 
     fn accumulate(&mut self, shard: &ClassShard) {
+        self.malloc_cached += shard.malloc_cached.get();
         self.malloc_fast += shard.malloc_fast.get();
         self.malloc_slow += shard.malloc_slow.get();
         self.malloc_newsb += shard.malloc_newsb.get();
+        self.free_cached += shard.free_cached.get();
         self.free_local += shard.free_local.get();
         self.free_remote += shard.free_remote.get();
         self.free_teardown += shard.free_teardown.get();
@@ -435,6 +453,8 @@ impl ClassStats {
         self.partial_push += shard.partial_push.get();
         self.partial_pop += shard.partial_pop.get();
         self.partial_reuse += shard.partial_reuse.get();
+        self.mag_refill += shard.mag_refill.get();
+        self.mag_flush += shard.mag_flush.get();
         let a = shard.active_cas.snapshot();
         let n = shard.anchor_cas.snapshot();
         for i in 0..RETRY_BUCKETS {
@@ -444,9 +464,11 @@ impl ClassStats {
     }
 
     fn add(&mut self, other: &ClassStats) {
+        self.malloc_cached += other.malloc_cached;
         self.malloc_fast += other.malloc_fast;
         self.malloc_slow += other.malloc_slow;
         self.malloc_newsb += other.malloc_newsb;
+        self.free_cached += other.free_cached;
         self.free_local += other.free_local;
         self.free_remote += other.free_remote;
         self.free_teardown += other.free_teardown;
@@ -454,6 +476,8 @@ impl ClassStats {
         self.partial_push += other.partial_push;
         self.partial_pop += other.partial_pop;
         self.partial_reuse += other.partial_reuse;
+        self.mag_refill += other.mag_refill;
+        self.mag_flush += other.mag_flush;
         for i in 0..RETRY_BUCKETS {
             self.active_cas[i] += other.active_cas[i];
             self.anchor_cas[i] += other.anchor_cas[i];
@@ -462,16 +486,20 @@ impl ClassStats {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\"class\":{},\"size\":{},\"malloc_fast\":{},\"malloc_slow\":{},\
-             \"malloc_newsb\":{},\"free_local\":{},\"free_remote\":{},\
+            "{{\"class\":{},\"size\":{},\"malloc_cached\":{},\"malloc_fast\":{},\
+             \"malloc_slow\":{},\"malloc_newsb\":{},\"free_cached\":{},\
+             \"free_local\":{},\"free_remote\":{},\
              \"free_teardown\":{},\"free_empty\":{},\
              \"partial_push\":{},\"partial_pop\":{},\"partial_reuse\":{},\
+             \"mag_refill\":{},\"mag_flush\":{},\
              \"active_cas\":{},\"anchor_cas\":{}}}",
             self.class,
             self.block_size,
+            self.malloc_cached,
             self.malloc_fast,
             self.malloc_slow,
             self.malloc_newsb,
+            self.free_cached,
             self.free_local,
             self.free_remote,
             self.free_teardown,
@@ -479,6 +507,8 @@ impl ClassStats {
             self.partial_push,
             self.partial_pop,
             self.partial_reuse,
+            self.mag_refill,
+            self.mag_flush,
             json_array(&self.active_cas),
             json_array(&self.anchor_cas),
         )
@@ -685,8 +715,11 @@ pub(crate) fn record_frag_sample<S: PageSource>(inner: &Inner<S>) {
             let s = inner.stats.shard(ci * inner.nheaps + h);
             newsb += s.malloc_newsb.get();
             empt += s.free_empty.get();
-            mallocs += s.malloc_fast.get() + s.malloc_slow.get() + s.malloc_newsb.get();
-            frees += s.free_local.get() + s.free_remote.get();
+            mallocs += s.malloc_cached.get()
+                + s.malloc_fast.get()
+                + s.malloc_slow.get()
+                + s.malloc_newsb.get();
+            frees += s.free_cached.get() + s.free_local.get() + s.free_remote.get();
         }
         let c = newsb.saturating_sub(empt) * SB_SIZE as u64;
         committed += c;
@@ -919,16 +952,18 @@ impl<S: PageSource> LfMalloc<S> {
         writeln!(w, "___ Begin lfmalloc statistics ___")?;
         writeln!(
             w,
-            "mallocs: {:>12}  (fast {} / partial {} / new-sb {})",
+            "mallocs: {:>12}  (cached {} / fast {} / partial {} / new-sb {})",
             t.mallocs(),
+            t.malloc_cached,
             t.malloc_fast,
             t.malloc_slow,
             t.malloc_newsb
         )?;
         writeln!(
             w,
-            "frees:   {:>12}  (local {} / remote {} [{} in TLS teardown] / emptied {} superblocks)",
+            "frees:   {:>12}  (cached {} / local {} / remote {} [{} in TLS teardown] / emptied {} superblocks)",
             t.frees(),
+            t.free_cached,
             t.free_local,
             t.free_remote,
             t.free_teardown,
@@ -939,6 +974,7 @@ impl<S: PageSource> LfMalloc<S> {
             "partial: {:>12} push / {} pop / {} blocks reused",
             t.partial_push, t.partial_pop, t.partial_reuse
         )?;
+        writeln!(w, "magazines: {:>10} refills / {} flushes", t.mag_refill, t.mag_flush)?;
         writeln!(
             w,
             "large:   {:>12} alloc / {} free / {} live",
@@ -1088,8 +1124,9 @@ impl<S: PageSource> LfMalloc<S> {
             "class", "size", "mallocs", "fast%", "frees", "remote", "new-sb", "partial p/p/reuse"
         )?;
         for c in s.classes.iter().filter(|c| c.mallocs() + c.frees() > 0) {
+            // "fast" as the application sees it: no slow-path rung.
             let fast_pct = if c.mallocs() > 0 {
-                100.0 * c.malloc_fast as f64 / c.mallocs() as f64
+                100.0 * (c.malloc_cached + c.malloc_fast) as f64 / c.mallocs() as f64
             } else {
                 0.0
             };
@@ -1178,8 +1215,9 @@ mod tests {
         assert_eq!(s.totals.mallocs(), 2);
         assert_eq!(s.totals.frees(), 2);
         assert_eq!(s.totals.malloc_newsb, 1, "first malloc carves a superblock");
-        assert_eq!(s.totals.free_local, 2, "single heap: every free is local");
-        assert_eq!(s.totals.free_remote, 0);
+        assert_eq!(s.totals.mag_refill, 1, "the second finds it active and refills from it");
+        assert_eq!(s.totals.free_cached, 2, "single heap: every free is local, and cached");
+        assert_eq!(s.totals.free_local + s.totals.free_remote, 0);
         assert!(s.sb_carves >= 1);
         assert!(s.reconciliation.reconciles(), "snapshot embeds the audit reconciliation");
         // The one-shot session saw no contention: all CAS histograms in

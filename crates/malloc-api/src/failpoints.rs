@@ -86,6 +86,7 @@ pub use imp::*;
 mod imp {
     use super::FpSignal;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// The fault injected when a site fires.
@@ -175,7 +176,14 @@ mod imp {
         let rng = site_seed(reg.seed, name);
         let budget = if max_fires == u64::MAX { None } else { Some(max_fires) };
         reg.sites.insert(name, Site { action, trigger, budget, hits: 0, rng });
+        ANY_ARMED.store(true, Ordering::Release);
     }
+
+    /// False while no site is armed, so that [`hit`] can answer without
+    /// the registry lock. Besides the cost, that matters after `fork`:
+    /// a child forked while another thread held the lock would deadlock
+    /// on its first failpoint, armed or not.
+    static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 
     /// Disarms one site (its cumulative fire count is preserved).
     pub fn disarm(name: &str) {
@@ -185,6 +193,7 @@ mod imp {
     /// Disarms every site and zeroes all counters and the seed.
     pub fn clear() {
         let mut reg = lock_registry();
+        ANY_ARMED.store(false, Ordering::Release);
         reg.sites.clear();
         reg.fired.clear();
         reg.seed = 0;
@@ -221,6 +230,9 @@ mod imp {
 
     /// The live decision point behind [`fail_point!`].
     pub fn hit(name: &'static str) -> FpSignal {
+        if !ANY_ARMED.load(Ordering::Acquire) {
+            return FpSignal::NONE;
+        }
         let action = {
             let mut reg = lock_registry();
             let Some(site) = reg.sites.get_mut(name) else {
@@ -271,18 +283,38 @@ mod imp {
 
     impl Drop for ScenarioGuard {
         fn drop(&mut self) {
+            SCENARIO_ACTIVE.store(false, Ordering::Release);
             clear();
         }
+    }
+
+    static SCENARIO: Mutex<()> = Mutex::new(());
+    static SCENARIO_ACTIVE: AtomicBool = AtomicBool::new(false);
+
+    /// Keeps fault scenarios out while held, without being one: for a
+    /// test that shares a binary with scenario tests and asserts on
+    /// state a running scenario changes process-wide (see
+    /// [`scenario_active`]).
+    pub fn no_scenario() -> impl Drop {
+        SCENARIO.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether a [`ScenarioGuard`] is alive. Code that would keep a
+    /// call from reaching the sites a plan schedules (a cache in front
+    /// of them) asks this and steps aside for the scenario's duration.
+    #[inline]
+    pub fn scenario_active() -> bool {
+        SCENARIO_ACTIVE.load(Ordering::Acquire)
     }
 
     /// Starts a fault scenario: takes the global scenario lock, clears
     /// all previous state, and installs `seed` for probabilistic
     /// triggers.
     pub fn scenario(seed: u64) -> ScenarioGuard {
-        static SCENARIO: Mutex<()> = Mutex::new(());
         let lock = SCENARIO.lock().unwrap_or_else(|e| e.into_inner());
         clear();
         set_seed(seed);
+        SCENARIO_ACTIVE.store(true, Ordering::Release);
         ScenarioGuard { _lock: lock }
     }
 }
@@ -344,6 +376,7 @@ mod tests {
     fn scenario_drop_clears_state() {
         {
             let _s = scenario(7);
+            assert!(scenario_active());
             arm("fp.test.cleanup", FpAction::Retry, FpTrigger::Always);
             assert!(hit("fp.test.cleanup").retry);
         }

@@ -303,19 +303,26 @@ const LAT_PATHS: [&str; 8] = [
 
 fn print_record(rec: &Json) {
     let t = rec.get("totals").cloned().unwrap_or(Json::Obj(vec![]));
-    let mallocs = t.num("malloc_fast") + t.num("malloc_slow") + t.num("malloc_newsb");
-    let frees = t.num("free_local") + t.num("free_remote");
+    // `num` reads an absent key as 0, so records from before the
+    // magazine counters still print.
+    let mallocs = t.num("malloc_cached")
+        + t.num("malloc_fast")
+        + t.num("malloc_slow")
+        + t.num("malloc_newsb");
+    let frees = t.num("free_cached") + t.num("free_local") + t.num("free_remote");
     println!("== operations ==");
     println!(
-        "  small mallocs {:>14}   fast {:.1}%  partial {:.1}%  new-sb {:.1}%",
+        "  small mallocs {:>14}   cached {:.1}%  fast {:.1}%  partial {:.1}%  new-sb {:.1}%",
         mallocs as u64,
+        100.0 * t.num("malloc_cached") / mallocs.max(1.0),
         100.0 * t.num("malloc_fast") / mallocs.max(1.0),
         100.0 * t.num("malloc_slow") / mallocs.max(1.0),
         100.0 * t.num("malloc_newsb") / mallocs.max(1.0),
     );
     println!(
-        "  small frees   {:>14}   local {:.1}%  remote {:.1}%  (teardown {})",
+        "  small frees   {:>14}   cached {:.1}%  local {:.1}%  remote {:.1}%  (teardown {})",
         frees as u64,
+        100.0 * t.num("free_cached") / frees.max(1.0),
         100.0 * t.num("free_local") / frees.max(1.0),
         100.0 * t.num("free_remote") / frees.max(1.0),
         t.u64("free_teardown"),
@@ -425,11 +432,15 @@ fn print_sites(rec: &Json, n: usize) {
 fn print_diff(a: &Json, b: &Json) {
     println!("{:<34} {:>14} {:>14} {:>14}", "counter", "before", "after", "delta");
     let rows: &[(&str, &str)] = &[
+        ("small mallocs (cached)", "totals.malloc_cached"),
         ("small mallocs (fast)", "totals.malloc_fast"),
         ("small mallocs (partial)", "totals.malloc_slow"),
         ("small mallocs (new sb)", "totals.malloc_newsb"),
+        ("small frees (cached)", "totals.free_cached"),
         ("small frees (local)", "totals.free_local"),
         ("small frees (remote)", "totals.free_remote"),
+        ("magazine refills", "totals.mag_refill"),
+        ("magazine flushes", "totals.mag_flush"),
         ("superblocks retired", "totals.free_empty"),
         ("large allocs", "large.alloc"),
         ("large frees", "large.free"),

@@ -63,7 +63,8 @@ fn main() {
     println!("\nTop 5 hottest size classes:");
     println!("{:>7} {:>8} {:>10} {:>10} {:>8} {:>8}", "class", "size", "mallocs", "remote", "fast%", "new-sb");
     for c in snap.hottest_classes().iter().take(5) {
-        let fast_pct = 100.0 * c.malloc_fast as f64 / c.mallocs().max(1) as f64;
+        let fast_pct =
+            100.0 * (c.malloc_cached + c.malloc_fast) as f64 / c.mallocs().max(1) as f64;
         println!(
             "{:>7} {:>8} {:>10} {:>10} {:>7.1}% {:>8}",
             c.class, c.block_size, c.mallocs(), c.free_remote, fast_pct, c.malloc_newsb

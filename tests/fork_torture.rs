@@ -36,6 +36,8 @@ const AUDIT_VIOLATION: i32 = 11;
 const HEALTH_MISMATCH: i32 = 12;
 const ORACLE_VIOLATION: i32 = 13;
 const REAPER_STUCK: i32 = 14;
+const MAGAZINE_LOST: i32 = 15;
+const ORPHANS_KEPT: i32 = 16;
 
 /// Serializes fork scenarios: the test harness is multithreaded, and
 /// concurrent `waitpid` loops could reap each other's children.
@@ -158,6 +160,81 @@ fn lfmalloc_child_recovers_after_fork_under_load() {
         assert!(a.audit().is_clean(), "parent audit dirty after fork");
         assert_eq!(a.health().fork_recoveries, 0);
     });
+}
+
+/// Thread magazines across a fork: the forking thread's magazine comes
+/// through intact (same blocks, same order, under its new identity),
+/// while the slots of the threads the fork left behind are orphans
+/// whose blocks `fork::recover` sends home — none stay cached, none are
+/// lost, and the child audits clean.
+#[test]
+fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
+    let _serial = fork_lock();
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    // This thread's magazine: `top` was freed last, so it is next out.
+    let top = unsafe {
+        let blocks: Vec<*mut u8> = (0..5).map(|_| a.malloc(40)).collect();
+        assert!(blocks.iter().all(|p| !p.is_null()));
+        for p in &blocks {
+            a.free(*p);
+        }
+        blocks[4] as usize
+    };
+    let mine = a.audit().magazine_blocks;
+    assert!(mine >= 5);
+    // Two more threads fill magazines of their own and stay alive
+    // (parked) across the fork, so in the parent their slots are owned
+    // by live threads and in the child by nobody.
+    let ready = std::sync::Barrier::new(3);
+    let release = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        for t in 0..2usize {
+            let (a, ready, release) = (&a, &ready, &release);
+            s.spawn(move || {
+                unsafe {
+                    for i in 0..64usize {
+                        let p = a.malloc(16 + 24 * ((i + t) % 12));
+                        assert!(!p.is_null());
+                        a.free(p);
+                    }
+                }
+                ready.wait();
+                release.wait();
+            });
+        }
+        ready.wait();
+        let total = a.audit().magazine_blocks;
+        assert!(total > mine, "the parked threads cached nothing");
+        assert_eq!(a.health().magazine_slots, 3);
+
+        let pid = unsafe { procfork::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            // The child hook has already run recovery.
+            let audit = a.audit();
+            if !audit.is_clean() {
+                unsafe { sys::_exit(AUDIT_VIOLATION) };
+            }
+            if audit.magazine_blocks != mine || a.health().magazine_slots != 1 {
+                unsafe { sys::_exit(ORPHANS_KEPT) };
+            }
+            let p = unsafe { a.malloc(40) };
+            if p as usize != top || a.audit().magazine_blocks != mine - 1 {
+                unsafe { sys::_exit(MAGAZINE_LOST) };
+            }
+            unsafe {
+                a.free(p);
+                sys::_exit(if a.audit().is_clean() { OK } else { AUDIT_VIOLATION });
+            }
+        }
+        let code = wait_child(pid, "magazines across fork");
+        release.wait();
+        assert_eq!(code, OK, "child failed (see exit-code constants)");
+    });
+    // The parent is untouched: all three magazines as they were.
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert!(audit.magazine_blocks > mine);
 }
 
 /// The reaper dies in the fork. The child must (a) get a fresh reaper

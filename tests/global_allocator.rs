@@ -179,6 +179,92 @@ fn signal_handler_allocation_is_deadlock_free() {
     );
 }
 
+/// The same contract with the signal landing *inside* the fast path: a
+/// second thread showers the allocating thread with signals while it
+/// does nothing but malloc/free pairs, which its magazine serves with
+/// plain loads and stores — so most deliveries interrupt a pop or a
+/// push half done. The handler's own malloc must then be refused by the
+/// reentrancy flag (null, counted), never run on the torn magazine, and
+/// every delivery must finish one way or the other.
+#[test]
+fn signal_landing_inside_a_magazine_hit_is_rejected_and_counted() {
+    use std::sync::atomic::{AtomicBool, AtomicPtr};
+    extern "C" {
+        fn pthread_self() -> usize;
+        fn pthread_kill(thread: usize, sig: i32) -> i32;
+    }
+    const SIGUSR2: i32 = 12; // SIGUSR1 belongs to the test above
+    static INST: AtomicPtr<LfMalloc> = AtomicPtr::new(core::ptr::null_mut());
+    static DELIVERED: AtomicUsize = AtomicUsize::new(0);
+    static COMPLETED: AtomicUsize = AtomicUsize::new(0);
+    static REJECTED: AtomicUsize = AtomicUsize::new(0);
+
+    extern "C" fn on_usr2(_sig: i32) {
+        DELIVERED.fetch_add(1, Ordering::SeqCst);
+        let a = unsafe { &*INST.load(Ordering::Acquire) };
+        unsafe {
+            let p = a.malloc(8);
+            if p.is_null() {
+                REJECTED.fetch_add(1, Ordering::SeqCst);
+            } else {
+                (p as *mut u64).write(0xEE);
+                a.free(p);
+                COMPLETED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    // An instance of its own (not GLOBAL), so the audit at the end is
+    // quiescent whatever the other tests in this binary are doing.
+    let a = Box::new(LfMalloc::with_config(Config::with_heaps(1)));
+    INST.store(&*a as *const LfMalloc as *mut LfMalloc, Ordering::Release);
+    let prev = unsafe { sys::signal(SIGUSR2, on_usr2 as *const () as usize) };
+    let target = unsafe { pthread_self() };
+    let done = AtomicBool::new(false);
+    const SIGNALS: usize = 3_000;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..SIGNALS {
+                assert_eq!(unsafe { pthread_kill(target, SIGUSR2) }, 0);
+                for _ in 0..200 {
+                    std::hint::spin_loop();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        // Same size class as the handler: they contend for one magazine.
+        let mut pairs = 0u64;
+        while !done.load(Ordering::Acquire) {
+            unsafe {
+                let p = a.malloc(8) as *mut u64;
+                assert!(!p.is_null(), "the interrupted thread itself is never refused");
+                p.write(pairs);
+                assert_eq!(p.read(), pairs, "block handed out twice");
+                a.free(p as *mut u8);
+            }
+            pairs += 1;
+        }
+    });
+    unsafe { sys::signal(SIGUSR2, prev) };
+    INST.store(core::ptr::null_mut(), Ordering::Release);
+
+    let (delivered, completed, rejected) = (
+        DELIVERED.load(Ordering::SeqCst),
+        COMPLETED.load(Ordering::SeqCst),
+        REJECTED.load(Ordering::SeqCst),
+    );
+    assert!(delivered > 0, "no signal was delivered");
+    assert_eq!(completed + rejected, delivered, "a delivery was lost or deadlocked");
+    assert!(rejected > 0, "no signal landed inside the allocator in {delivered} deliveries");
+    assert_eq!(
+        a.misuse_counters().count(MisuseKind::ReentrantAlloc),
+        rejected as u64,
+        "every refusal is counted, and nothing else is"
+    );
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+}
+
 /// Deterministic version of the reentrancy contract: with the guard
 /// artificially held (as if a signal had landed mid-malloc), the fast
 /// path fails fast with a counted rejection instead of recursing.

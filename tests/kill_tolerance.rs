@@ -123,6 +123,99 @@ fn concurrent_threads_progress_while_killer_rampages() {
     println!("workers completed 80k pairs alongside {kills} mid-malloc kills");
 }
 
+/// A thread magazine weakens "a kill leaks at most one block" to a
+/// stated bound: a thread killed with its magazines full strands what
+/// they hold — at most `magazine::MAX_CACHED_BYTES` (Σ capacity × block
+/// size over the cached classes, ≤ 32 classes × 2 KiB) per instance —
+/// and still never blocks anyone: other threads allocate, free, adopt
+/// other slots and audit clean around the corpse, and a quiescent
+/// `trim` takes even that back.
+#[test]
+fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
+    use lfmalloc::magazine::{
+        capacity, simulate_killed_thread, CACHED_CLASSES, MAX_CACHED_BYTES, MAX_CLASS_BYTES,
+    };
+    use lfmalloc::size_classes::CLASS_SIZES;
+    // Magazines step aside while a fault scenario runs; keep the ones
+    // below out of this test's way.
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
+
+    let full: usize = (0..CACHED_CLASSES).map(capacity).sum();
+    let full_bytes: usize =
+        (0..CACHED_CLASSES).map(|ci| capacity(ci) * CLASS_SIZES[ci] as usize).sum();
+    assert_eq!(full_bytes, MAX_CACHED_BYTES);
+    assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES);
+
+    let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
+    let victim = Arc::clone(&a);
+    std::thread::spawn(move || unsafe {
+        // Fill every magazine to the brim: hold a capacity's worth of
+        // blocks per class, then free them all (frees up to capacity
+        // never flush).
+        for ci in 0..CACHED_CLASSES {
+            let size = CLASS_SIZES[ci] as usize - 8;
+            let blocks: Vec<*mut u8> = (0..capacity(ci)).map(|_| victim.malloc(size)).collect();
+            assert!(blocks.iter().all(|p| !p.is_null()));
+            // Use up what the last refill left cached, so the frees
+            // below are all the magazine ends up holding.
+            let mut spare = Vec::new();
+            while victim.audit().magazine_blocks > (0..ci).map(capacity).sum::<usize>() {
+                spare.push(victim.malloc(size));
+            }
+            for p in blocks {
+                victim.free(p);
+            }
+            // The spares stay allocated: a kill leaks those too.
+            std::mem::forget(spare);
+        }
+        simulate_killed_thread(); // ...and dies here, magazines full
+    })
+    .join()
+    .unwrap();
+
+    // The corpse's slot is not up for adoption and maintenance cannot
+    // drain it: its owner never said goodbye.
+    let rep = a.maintain(MaintenanceBudget::full());
+    assert_eq!(rep.magazines_drained, 0, "a killed thread's slot must stay untouched");
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.magazine_blocks, full, "exactly the full magazines are stranded");
+
+    // Everyone else carries on, magazines and all.
+    let mut workers = Vec::new();
+    for t in 0..4u64 {
+        let a = Arc::clone(&a);
+        workers.push(std::thread::spawn(move || {
+            let mut rng = testkit::TestRng::new(0xDEAD + t);
+            for _ in 0..20_000 {
+                unsafe {
+                    let sz = rng.range(1, 1024);
+                    let p = a.malloc(sz);
+                    assert!(!p.is_null(), "allocation blocked behind a killed thread's magazine");
+                    testkit::fill(p, sz);
+                    testkit::check_fill(p, sz);
+                    a.free(p);
+                }
+            }
+        }));
+    }
+    for w in workers {
+        w.join().unwrap();
+    }
+    let rep = a.maintain(MaintenanceBudget::full());
+    assert!(rep.magazines_drained > 0, "the exited workers' slots are drained");
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.magazine_blocks, full, "still only the corpse's blocks are cached");
+    assert_eq!(a.health().magazine_slots, 1);
+    // Quiescent now: trim may touch any slot, the corpse's included.
+    unsafe { a.trim() };
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.magazine_blocks, 0);
+}
+
 /// Kill sites beyond the reservation window, reachable only through the
 /// deterministic failpoint registry (`--features failpoints`): deaths
 /// inside `free` (before the free-list CAS, and between the EMPTY

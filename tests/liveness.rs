@@ -57,8 +57,9 @@ fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
 /// allocating threads, then one maintenance pass must leave the
 /// instance healthy — hazard records adopted (their count plateaus at
 /// the concurrency width, not the thread count), dead-thread retired
-/// queues drained, OS footprint trimmed under a fixed bound, and a full
-/// audit clean.
+/// queues drained, the blocks exited threads left in their magazines
+/// sent home, OS footprint trimmed under a fixed bound, and a full audit
+/// clean.
 #[test]
 fn thread_churn_soak_stays_healthy() {
     const THREADS: usize = 5_000;
@@ -74,6 +75,14 @@ fn thread_churn_soak_stays_healthy() {
             h.hazard_records,
             THREADS
         );
+        // Same plateau for thread magazines: a new thread adopts (and
+        // drains) an exited thread's slot before taking a fresh one.
+        assert!(
+            h.magazine_slots <= 2 * WIDTH,
+            "magazine slots did not plateau: {} owned after {} threads (seed {seed:#x})",
+            h.magazine_slots,
+            THREADS
+        );
 
         // All workers are joined, so the quiescent-trim contract holds.
         let bound = 4 << 20; // 4 MiB keeps plenty of slack over the working set
@@ -87,8 +96,16 @@ fn thread_churn_soak_stays_healthy() {
             h.os_live_bytes
         );
         assert_eq!(h.os_watermark, Some(bound));
+        // (Magazines step aside while a fault scenario runs elsewhere in
+        // the process, so a failpoints build may find nothing to drain.)
+        assert!(
+            cfg!(feature = "failpoints") || rep.magazines_drained > 0,
+            "exited threads left nothing cached? {rep:?}"
+        );
         let audit = a.audit();
         assert!(audit.is_clean(), "audit after soak (seed {seed:#x}):\n{audit}");
+        assert_eq!(audit.magazine_blocks, 0, "exited threads' blocks leaked (seed {seed:#x})");
+        assert_eq!(a.health().magazine_slots, 0);
         let h = a.health();
         assert!(!h.is_degraded(), "degraded after clean soak (seed {seed:#x}): {}", h.to_json());
     });
@@ -170,9 +187,9 @@ fn frees_during_tls_teardown_are_routed() {
         let t = a.as_ref().stats().totals;
         assert_eq!(t.frees(), 16 * 32, "every teardown free was counted");
         assert_eq!(
-            t.free_local + t.free_remote,
+            t.free_cached + t.free_local + t.free_remote,
             t.frees(),
-            "teardown frees stay inside the local/remote split"
+            "teardown frees stay inside the cached/local/remote split"
         );
     }
 }

@@ -45,13 +45,11 @@ fn counters_are_monotonic_across_concurrent_snapshots() {
     for _ in 0..50 {
         let next = a.as_ref().stats();
         let (p, n) = (&prev.totals, &next.totals);
+        assert!(n.malloc_cached >= p.malloc_cached, "malloc_cached went backwards");
         assert!(n.malloc_fast >= p.malloc_fast, "malloc_fast went backwards");
         assert!(n.malloc_slow >= p.malloc_slow, "malloc_slow went backwards");
         assert!(n.malloc_newsb >= p.malloc_newsb, "malloc_newsb went backwards");
-        assert!(
-            n.free_local + n.free_remote >= p.free_local + p.free_remote,
-            "frees went backwards"
-        );
+        assert!(n.frees() >= p.frees(), "frees went backwards");
         assert!(
             n.anchor_cas.iter().sum::<u64>() >= p.anchor_cas.iter().sum::<u64>(),
             "anchor histogram went backwards"
@@ -68,9 +66,10 @@ fn counters_are_monotonic_across_concurrent_snapshots() {
 
 #[test]
 fn malloc_paths_partition_the_total() {
-    // Quiescent bookkeeping identity: every small malloc took exactly
-    // one of the three ladder rungs, so fast + slow + new-sb == the
-    // number of small mallocs issued; frees match mallocs.
+    // Quiescent bookkeeping identity: every small malloc was served by
+    // exactly one of the thread's magazine or the three ladder rungs,
+    // so cached + fast + slow + new-sb == the number of small mallocs
+    // issued; frees match mallocs.
     let a = LfMalloc::with_config(Config::with_heaps(2));
     const N: u64 = 20_000;
     unsafe {
@@ -88,8 +87,13 @@ fn malloc_paths_partition_the_total() {
     let s = a.stats();
     let t = &s.totals;
     assert_eq!(t.mallocs(), N, "{t:?}");
-    assert_eq!(t.malloc_fast + t.malloc_slow + t.malloc_newsb, N);
+    assert_eq!(t.malloc_cached + t.malloc_fast + t.malloc_slow + t.malloc_newsb, N);
+    assert!(t.malloc_cached > 0 && t.mag_refill > 0, "magazines never served: {t:?}");
+    // Sizes up to 4 KiB: the classes above 1 KiB have no magazine.
+    assert!(t.malloc_fast > t.mag_refill, "{t:?}");
     assert_eq!(t.frees(), N, "{t:?}");
+    assert_eq!(t.free_cached + t.free_local + t.free_remote, N);
+    assert!(t.free_cached > 0 && t.mag_flush > 0, "{t:?}");
     // Single-threaded: every free targets the caller's own heap.
     assert_eq!(t.free_remote, 0, "{t:?}");
     // Per-class rows must sum to the totals row.

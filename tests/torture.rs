@@ -126,6 +126,8 @@ fn audit_flags_seeded_freelist_corruption() {
         let p = a.malloc(64);
         assert!(!p.is_null());
         a.free(p);
+        // A local free is cached in the thread's magazine; send it home.
+        a.flush_thread_cache();
         // `p`'s block is now the head of its superblock's free list; the
         // block's first word (at the prefix slot, user pointer − 8)
         // holds the next-free index.
