@@ -534,10 +534,21 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    static RECLAIMED: AtomicUsize = AtomicUsize::new(0);
+    /// `retire`'s `ctx` for [`count_reclaim`]: the test's own counter, so
+    /// tests running in parallel cannot see each other's reclamations.
+    /// Declare the counter before the domain: dropping the domain
+    /// reclaims into it.
+    ///
+    /// Tests that need a thread's record *inactive* join the scoped
+    /// thread's handle themselves: a scope's own wait at its end returns
+    /// once the closure has, which can be before the thread's TLS
+    /// destructors (where the record is released) have run.
+    fn ctx(reclaimed: &AtomicUsize) -> *mut u8 {
+        reclaimed as *const AtomicUsize as *mut u8
+    }
 
-    unsafe fn count_reclaim(_ctx: *mut u8, p: *mut u8) {
-        RECLAIMED.fetch_add(1, Ordering::SeqCst);
+    unsafe fn count_reclaim(ctx: *mut u8, p: *mut u8) {
+        unsafe { &*(ctx as *const AtomicUsize) }.fetch_add(1, Ordering::SeqCst);
         drop(unsafe { Box::from_raw(p as *mut u64) });
     }
 
@@ -555,45 +566,45 @@ mod tests {
 
     #[test]
     fn protected_node_is_not_reclaimed_until_cleared() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
         let n = Box::into_raw(Box::new(1u64));
         let a = AtomicPtr::new(n);
         let p = d.protect(Slot(0), &a);
         assert!(!p.is_null());
 
-        let before = RECLAIMED.load(Ordering::SeqCst);
-        unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+        unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
         d.flush();
         // Still protected: not reclaimed.
-        assert_eq!(RECLAIMED.load(Ordering::SeqCst), before);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 0);
 
         d.clear(Slot(0));
         d.flush();
-        assert_eq!(RECLAIMED.load(Ordering::SeqCst), before + 1);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn drop_reclaims_everything() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
-        let before = RECLAIMED.load(Ordering::SeqCst);
         for _ in 0..10 {
             let n = Box::into_raw(Box::new(0u64));
-            unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+            unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
         }
         drop(d);
-        assert!(RECLAIMED.load(Ordering::SeqCst) >= before + 10);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 10);
     }
 
     #[test]
     fn scan_threshold_triggers_reclamation() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
-        let before = RECLAIMED.load(Ordering::SeqCst);
         for _ in 0..(SCAN_THRESHOLD + 8) {
             let n = Box::into_raw(Box::new(0u64));
-            unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+            unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
         }
         // At least one automatic scan must have fired.
-        assert!(RECLAIMED.load(Ordering::SeqCst) > before);
+        assert!(reclaimed.load(Ordering::SeqCst) > 0);
         drop(d);
     }
 
@@ -612,53 +623,58 @@ mod tests {
 
     #[test]
     fn flush_all_scans_every_records_retired_list() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
-        let before = RECLAIMED.load(Ordering::SeqCst);
         // Retire below the scan threshold from two threads → two records,
         // each holding unreclaimed nodes.
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..5 {
                     let n = Box::into_raw(Box::new(0u64));
-                    unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+                    unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
                 }
-            });
+            })
+            .join()
+            .unwrap();
         });
         for _ in 0..5 {
             let n = Box::into_raw(Box::new(0u64));
-            unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+            unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
         }
         // flush() only reaches the calling thread's record; flush_all
         // must drain the other thread's too.
         unsafe { d.flush_all() };
-        assert!(RECLAIMED.load(Ordering::SeqCst) >= before + 10);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 10);
         assert_eq!(d.retired_count(), 0);
         assert_eq!(d.leaked_count(), 0, "no pressure, no leaks");
     }
 
     #[test]
     fn reap_inactive_drains_dead_thread_records() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
-        let before = RECLAIMED.load(Ordering::SeqCst);
         // An exited thread leaves its record inactive with nodes still
         // retired (below the scan threshold, so nothing auto-drained).
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..7 {
                     let n = Box::into_raw(Box::new(0u64));
-                    unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+                    unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
                 }
-            });
+            })
+            .join()
+            .unwrap();
         });
         assert_eq!(d.retired_count(), 7, "orphaned nodes await a reaper");
         let reaped = d.reap_inactive();
         assert_eq!(reaped, 7);
         assert_eq!(d.retired_count(), 0);
-        assert_eq!(RECLAIMED.load(Ordering::SeqCst), before + 7);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 7);
     }
 
     #[test]
     fn reap_inactive_skips_live_owners() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
         // The calling thread's own record is active (cached); nodes it
         // retired must not be double-scanned out from under it.
@@ -666,33 +682,34 @@ mod tests {
         let a = AtomicPtr::new(n);
         let p = d.protect(Slot(0), &a);
         assert!(!p.is_null());
-        unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
-        let before = RECLAIMED.load(Ordering::SeqCst);
+        unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
         assert_eq!(d.reap_inactive(), 0, "active record is skipped");
-        assert_eq!(RECLAIMED.load(Ordering::SeqCst), before);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 0);
         d.clear(Slot(0));
         d.flush();
     }
 
     #[test]
     fn adopt_orphans_claims_stale_inactive_record() {
+        let reclaimed = AtomicUsize::new(0);
         let d = HazardDomain::new();
-        let before = RECLAIMED.load(Ordering::SeqCst);
         // An exited thread leaves an inactive record holding retired
         // nodes; forge a stale stamp, as if the record predated a fork.
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..5 {
                     let n = Box::into_raw(Box::new(0u64));
-                    unsafe { d.retire(n as *mut u8, core::ptr::null_mut(), count_reclaim) };
+                    unsafe { d.retire(n as *mut u8, ctx(&reclaimed), count_reclaim) };
                 }
-            });
+            })
+            .join()
+            .unwrap();
         });
         let rec = unsafe { &*d.head.load(Ordering::Acquire) };
         rec.set_generation(u64::MAX);
         assert_eq!(d.adopt_orphans(), 1);
         assert_eq!(d.retired_count(), 0);
-        assert_eq!(RECLAIMED.load(Ordering::SeqCst), before + 5);
+        assert_eq!(reclaimed.load(Ordering::SeqCst), 5);
         // Drained and re-stamped: normal adoption works again.
         assert_eq!(d.adopt_orphans(), 0, "second pass finds nothing");
         let r2 = record::acquire_record(&d);
@@ -747,7 +764,7 @@ mod tests {
     fn stale_records_are_skipped_by_normal_adoption() {
         let d = HazardDomain::new();
         std::thread::scope(|s| {
-            s.spawn(|| d.set(Slot(0), core::ptr::null_mut::<u8>()));
+            s.spawn(|| d.set(Slot(0), core::ptr::null_mut::<u8>())).join().unwrap();
         });
         // One inactive record exists; forge a stale stamp.
         let rec = d.head.load(Ordering::Acquire);

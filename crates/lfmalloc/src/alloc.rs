@@ -470,15 +470,10 @@ unsafe fn malloc_from_partial<S: PageSource>(
 unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> NewSb {
     let ci = heap.class();
     let sz = inner.classes[ci].sz as usize;
-    let retries = inner.config.oom_retries;
     // line 1, with bounded backoff: a transient source outage (or a
     // momentarily drained reserve) should not surface as spurious OOM.
-    let desc_ptr = crate::retry::with_backoff(retries, || {
-        let p = unsafe { inner.desc_pool.alloc(&inner.domain, &inner.source) as *mut u8 };
-        if p.is_null() {
-            crate::stat_global!(inner, oom_backoffs);
-        }
-        p
+    let desc_ptr = crate::retry::from_source(inner, || unsafe {
+        inner.desc_pool.alloc(&inner.domain, &inner.source) as *mut u8
     }) as *mut Descriptor;
     if desc_ptr.is_null() {
         crate::stat_event!(inner, OomBackoff, ci, 0);
@@ -486,13 +481,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     }
     let desc = unsafe { &*desc_ptr };
     // line 2, same retry policy.
-    let sb = crate::retry::with_backoff(retries, || {
-        let p = inner.sb_pool.alloc(&inner.source);
-        if p.is_null() {
-            crate::stat_global!(inner, oom_backoffs);
-        }
-        p
-    });
+    let sb = crate::retry::from_source(inner, || inner.sb_pool.alloc(&inner.source));
     if sb.is_null() {
         unsafe { inner.desc_pool.retire(&inner.domain, desc_ptr) };
         crate::stat_event!(inner, OomBackoff, ci, 0);

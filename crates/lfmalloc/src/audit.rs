@@ -42,9 +42,18 @@
 //!   checks above a cached block is simply allocated.)
 //! * The hazard domain's retired backlog respects the Michael-2004
 //!   reclamation bound (`R ≤ records * (SCAN_THRESHOLD + H)`).
+//! * Every span in the free-span cache ([`crate::large::SpanCache`])
+//!   carries a header whose size is the slot's page count and whose
+//!   alignment its base honours, is within the per-span bound, is no
+//!   hardened span, and sits in one slot only; the slots together stay
+//!   within the retained-bytes bound and within what is reserved.
 //! * OS-level accounting reconciles:
 //!   `live_bytes == superblock hyperblocks + descriptor slabs + live
-//!   large-block bytes`.
+//!   large-block bytes + cached large-span bytes`. A thread killed
+//!   holding a large span (between taking it from the cache or the OS
+//!   and handing it out, or between freeing it and parking it) leaves
+//!   the source ahead by that one span; [`ByteReconciliation::stranded`]
+//!   is the gap.
 //!
 //! # Concurrency
 //!
@@ -103,6 +112,10 @@ pub struct AuditReport {
     pub retired_pending: usize,
     /// Live large blocks.
     pub large_live: usize,
+    /// Free large spans parked in the span cache.
+    pub large_cached_spans: usize,
+    /// Where the OS bytes sit, and whether the components add up.
+    pub bytes: ByteReconciliation,
     /// Every failed check.
     pub violations: Vec<AuditViolation>,
 }
@@ -120,7 +133,7 @@ impl core::fmt::Display for AuditReport {
             f,
             "audit: {} descriptors ({} free, {} linked, {} floating), \
              {} free blocks walked, {} cached in magazines, {} retired pending, \
-             {} large live, {} violation(s)",
+             {} large live, {} large cached, {} violation(s)",
             self.descriptors_total,
             self.descriptors_free,
             self.descriptors_linked,
@@ -129,6 +142,7 @@ impl core::fmt::Display for AuditReport {
             self.magazine_blocks,
             self.retired_pending,
             self.large_live,
+            self.large_cached_spans,
             self.violations.len()
         )?;
         for v in &self.violations {
@@ -140,7 +154,8 @@ impl core::fmt::Display for AuditReport {
 
 /// The audit's OS-byte reconciliation, broken out per component so
 /// reports can show where live bytes actually sit (superblock
-/// hyperblocks vs descriptor slabs vs large blocks). Computed by
+/// hyperblocks vs descriptor slabs vs large blocks, live and cached).
+/// Computed by
 /// [`Inner::reconcile_bytes`] — the single source of truth shared by
 /// [`LfMalloc::audit`] and the `stats` snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -151,6 +166,8 @@ pub struct ByteReconciliation {
     pub descriptor_slab_bytes: usize,
     /// Bytes backing live large blocks.
     pub large_bytes: usize,
+    /// Bytes of freed large spans parked in the span cache.
+    pub large_cached_bytes: usize,
     /// What the counting page source believes is live.
     pub source_live_bytes: usize,
 }
@@ -158,7 +175,16 @@ pub struct ByteReconciliation {
 impl ByteReconciliation {
     /// Sum of the per-component byte counts.
     pub fn expected(&self) -> usize {
-        self.superblock_bytes + self.descriptor_slab_bytes + self.large_bytes
+        self.superblock_bytes
+            + self.descriptor_slab_bytes
+            + self.large_bytes
+            + self.large_cached_bytes
+    }
+
+    /// Bytes the source counts live that no component accounts for: what
+    /// threads killed holding a large span left behind (0 otherwise).
+    pub fn stranded(&self) -> usize {
+        self.source_live_bytes.saturating_sub(self.expected())
     }
 
     /// True when the source agrees with the component sum.
@@ -175,6 +201,7 @@ impl<S: PageSource> Inner<S> {
             superblock_bytes: self.sb_pool.mapped_bytes(),
             descriptor_slab_bytes: self.desc_pool.mapped_bytes(),
             large_bytes: self.large_bytes.load(Ordering::Relaxed),
+            large_cached_bytes: self.large_cache.cached_bytes(),
             source_live_bytes: self.source.stats().live_bytes,
         }
     }
@@ -367,15 +394,24 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
         });
     }
 
+    // -- Free-span cache. ----------------------------------------------
+    check_span_cache(inner, &mut rep);
+
     // -- OS accounting reconciliation. ---------------------------------
     let rec = inner.reconcile_bytes();
+    rep.bytes = rec;
     let large_bytes = rec.large_bytes;
     if !rec.reconciles() {
         rep.violations.push(AuditViolation {
             check: "bytes.reconcile",
             detail: format!(
-                "source live_bytes {} != superblocks {} + desc slabs {} + large {large_bytes}",
-                rec.source_live_bytes, rec.superblock_bytes, rec.descriptor_slab_bytes
+                "source live_bytes {} != superblocks {} + desc slabs {} + large {large_bytes} \
+                 + cached large {} ({} stranded)",
+                rec.source_live_bytes,
+                rec.superblock_bytes,
+                rec.descriptor_slab_bytes,
+                rec.large_cached_bytes,
+                rec.stranded()
             ),
         });
     }
@@ -388,6 +424,43 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     }
 
     rep
+}
+
+fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
+    use crate::large::{header_fields, MAX_CACHED_BYTES, MAX_CACHED_SPAN};
+    let cache = &inner.large_cache;
+    let mut flag = |detail: String| {
+        rep.violations.push(AuditViolation { check: "large.cache", detail })
+    };
+    let mut seen: HashSet<usize> = HashSet::new();
+    let (mut spans, mut cached) = (0, 0);
+    for (base, bytes) in cache.spans() {
+        spans += 1;
+        cached += bytes;
+        if base == 0 || bytes == 0 || bytes > MAX_CACHED_SPAN {
+            flag(format!("slot holds {bytes} bytes at {base:#x}"));
+            continue; // do not dereference
+        }
+        if !seen.insert(base) {
+            flag(format!("span {base:#x} is parked in two slots"));
+            continue;
+        }
+        if inner.large_spans.span_containing(base).is_some() {
+            flag(format!("span {base:#x} is also registered as a live hardened block"));
+        }
+        let header = unsafe { *(base as *const usize) };
+        let (total, guarded, _) = header_fields(header);
+        if total != bytes || guarded || base % crate::large::header_align(header) != 0 {
+            flag(format!("span {base:#x} of {bytes} bytes carries header {header:#x}"));
+        }
+    }
+    if cached > MAX_CACHED_BYTES || cached > cache.reserved_bytes() {
+        flag(format!(
+            "{cached} bytes parked, {} reserved, bound {MAX_CACHED_BYTES}",
+            cache.reserved_bytes()
+        ));
+    }
+    rep.large_cached_spans = spans;
 }
 
 /// The blocks (by index) that `desc`'s anchor — plus the Active word of

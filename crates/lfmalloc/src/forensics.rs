@@ -1057,6 +1057,8 @@ fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, re
     b.push_dec(rec.descriptor_slab_bytes as u64);
     b.push_str(" + large ");
     b.push_dec(rec.large_bytes as u64);
+    b.push_str(" + cached large ");
+    b.push_dec(rec.large_cached_bytes as u64);
     b.push_str(", reconciles=");
     b.push_str(if rec.reconciles() { "yes" } else { "no" });
     b.push_str(")");

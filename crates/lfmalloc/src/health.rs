@@ -417,6 +417,10 @@ pub struct HealthSnapshot {
     /// `hazard_records`, it follows the number of threads alive at once,
     /// not the number that ever ran.
     pub magazine_slots: usize,
+    /// Freed large spans parked in the span cache for the next large
+    /// malloc, and the OS bytes they hold (at most 8 spans and 4 MiB).
+    pub large_cached_spans: usize,
+    pub large_cached_bytes: usize,
     /// Bytes currently mapped from the OS.
     pub os_live_bytes: usize,
     /// Last maintenance trim target, if any trim has been requested.
@@ -466,6 +470,7 @@ impl HealthSnapshot {
              \"last_audit_violations\":{},\"hazard_records\":{},\
              \"hazard_retired\":{},\"hazard_retired_high_water\":{},\
              \"hazard_leaked\":{},\"quarantine_depth\":{},\"magazine_slots\":{},\
+             \"large_cached_spans\":{},\"large_cached_bytes\":{},\
              \"os_live_bytes\":{},\"os_watermark\":{},\
              \"fork_generation\":{},\"fork_recoveries\":{}}}",
             self.is_degraded(),
@@ -490,6 +495,8 @@ impl HealthSnapshot {
             self.hazard_leaked,
             self.quarantine_depth,
             self.magazine_slots,
+            self.large_cached_spans,
+            self.large_cached_bytes,
             self.os_live_bytes,
             match self.os_watermark {
                 Some(w) => w.to_string(),
@@ -534,6 +541,8 @@ impl<S: PageSource> LfMalloc<S> {
             hazard_leaked: inner.domain.leaked_count(),
             quarantine_depth: inner.quarantine_depth(),
             magazine_slots: crate::magazine::owned_slots(inner),
+            large_cached_spans: inner.large_cache.spans().count(),
+            large_cached_bytes: inner.large_cache.cached_bytes(),
             os_live_bytes: inner.source.stats().live_bytes,
             os_watermark: if watermark == usize::MAX { None } else { Some(watermark) },
             fork_generation: inner.fork.recovered_generation(),

@@ -169,6 +169,8 @@ pub(crate) fn render_dump<S: PageSource>(
     b.push_dec(rec.descriptor_slab_bytes as u64);
     b.push_str(",\"large_bytes\":");
     b.push_dec(rec.large_bytes as u64);
+    b.push_str(",\"large_cached_bytes\":");
+    b.push_dec(rec.large_cached_bytes as u64);
     b.push_str(",\"source_live_bytes\":");
     b.push_dec(rec.source_live_bytes as u64);
     b.push_str(",\"reconciles\":");
@@ -251,6 +253,10 @@ pub(crate) fn render_dump<S: PageSource>(
     b.push_dec(inner.large_live.load(Ordering::Relaxed) as u64);
     b.push_str(",\"bytes\":");
     b.push_dec(inner.large_bytes.load(Ordering::Relaxed) as u64);
+    b.push_str(",\"cached_spans\":");
+    b.push_dec(inner.large_cache.spans().count() as u64);
+    b.push_str(",\"cached_bytes\":");
+    b.push_dec(inner.large_cache.cached_bytes() as u64);
     b.push_str(",\"spans\":[");
     wline(w, &b)?;
     let mut first = true;
@@ -710,6 +716,9 @@ pub struct AnalyzeReport {
     pub large_spans: u64,
     /// Bytes backing live large blocks.
     pub large_bytes: u64,
+    /// Freed large spans parked in the span cache, and their bytes.
+    pub large_cached_spans: u64,
+    pub large_cached_bytes: u64,
     /// Freed blocks parked in quarantine.
     pub quarantine_depth: u64,
     /// Page-source live bytes.
@@ -809,6 +818,8 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
             .and_then(Json::as_arr)
             .map_or(0, |s| s.len() as u64),
         large_bytes: v.get("large").map_or(0, |l| l.u64_at("bytes")),
+        large_cached_spans: v.get("large").map_or(0, |l| l.u64_at("cached_spans")),
+        large_cached_bytes: v.get("large").map_or(0, |l| l.u64_at("cached_bytes")),
         quarantine_depth: v.u64_at("quarantine_depth"),
         os_live_bytes: v.get("os").map_or(0, |o| o.u64_at("source_live_bytes")),
         reconciles: v
@@ -833,11 +844,13 @@ impl core::fmt::Display for AnalyzeReport {
         writeln!(f, "lfmalloc heap dump v{} (hardening: {})", self.version, self.hardening)?;
         writeln!(
             f,
-            "os: {} live bytes ({}), large: {} spans / {} B, quarantine: {}",
+            "os: {} live bytes ({}), large: {} spans / {} B (+ {} cached / {} B), quarantine: {}",
             self.os_live_bytes,
             if self.reconciles { "reconciles" } else { "DOES NOT RECONCILE" },
             self.large_spans,
             self.large_bytes,
+            self.large_cached_spans,
+            self.large_cached_bytes,
             self.quarantine_depth,
         )?;
         writeln!(

@@ -63,6 +63,9 @@ pub(crate) struct Inner<S: PageSource> {
     pub large_live: AtomicUsize,
     /// Total OS bytes backing live large blocks (audit accounting).
     pub large_bytes: AtomicUsize,
+    /// Freed large spans kept for the next large malloc (see
+    /// [`crate::large::SpanCache`]); always empty in hardened mode.
+    pub large_cache: crate::large::SpanCache,
     /// Live large-block spans, the provenance registry hardened frees
     /// consult. Populated only when `config.hardening != Off`.
     pub large_spans: SpanRegistry,
@@ -327,6 +330,7 @@ impl<S: PageSource> LfMalloc<S> {
                 }),
                 large_live: AtomicUsize::new(0),
                 large_bytes: AtomicUsize::new(0),
+                large_cache: crate::large::SpanCache::new(),
                 large_spans: SpanRegistry::new(),
                 misuse: MisuseCounters::new(),
                 quarantine,
@@ -459,7 +463,8 @@ impl<S: PageSource> LfMalloc<S> {
     /// Returns all reclaimable memory to the OS: uninstalls idle active
     /// superblocks, prunes empty descriptors out of the partial
     /// structures, flushes the hazard domain, then unmaps every fully
-    /// free hyperblock and descriptor slab. Returns bytes released.
+    /// free hyperblock and descriptor slab, and every cached large span.
+    /// Returns bytes released.
     ///
     /// # Safety
     ///
@@ -471,7 +476,8 @@ impl<S: PageSource> LfMalloc<S> {
 
     /// Like [`trim`](Self::trim) but leaves up to `target_bytes` of
     /// superblock hyperblocks cached for reuse (a low watermark;
-    /// descriptor slabs, a tiny fraction, are always fully trimmed).
+    /// descriptor slabs, a tiny fraction, and cached large spans are
+    /// always fully trimmed).
     ///
     /// # Safety
     ///
@@ -571,6 +577,10 @@ impl<S: PageSource> LfMalloc<S> {
         // 4. Give fully free hyperblocks and slabs back to the OS.
         let mut released = unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
         released += unsafe { inner.desc_pool.trim(&inner.domain, &inner.source) };
+        released += unsafe { crate::large::drain_cache(inner) };
+        // Quiescent, so nobody is between reserving and parking: whatever
+        // is still reserved was left by a killed thread.
+        inner.large_cache.resync();
         crate::stat_global!(inner, trims);
         crate::stat_event!(inner, Trim, 0, released);
         crate::stat_lat!(inner, lat_trim, t0);
@@ -610,7 +620,7 @@ impl<S: PageSource> LfMalloc<S> {
                 crate::magazine::malloc(inner, entry.block(), ci)
             },
             Some(ci) => unsafe { crate::alloc::malloc_small(inner, ci, off) },
-            None => unsafe { crate::large::alloc_large(inner, size, align) },
+            None => unsafe { crate::large::alloc_large(inner, size, align) }.0,
         };
         #[cfg(feature = "profile")]
         if !p.is_null() {
@@ -636,13 +646,13 @@ impl<S: PageSource> LfMalloc<S> {
     /// Allocates `size` zeroed bytes.
     ///
     /// Small blocks come from recycled superblocks and are always
-    /// explicitly zeroed. Large blocks go straight to the page source
-    /// and are never pooled (see [`crate::large`]), so when the source
-    /// guarantees zero-filled fresh pages
-    /// ([`PageSource::zeroes_fresh_pages`]) the memset is skipped — the
-    /// user area of a fresh large block is provably untouched (the
-    /// prefix word sits below the user pointer and hardened canaries sit
-    /// beyond the user extent).
+    /// explicitly zeroed. So is a large block whose span was recycled
+    /// out of the free-span cache (see [`crate::large`]). Only when the
+    /// span is fresh from the page source *and* the source guarantees
+    /// zero-filled fresh pages ([`PageSource::zeroes_fresh_pages`]) is
+    /// the memset skipped — the user area of a fresh large block is
+    /// provably untouched (the prefix word sits below the user pointer
+    /// and hardened canaries sit beyond the user extent).
     ///
     /// # Safety
     ///
@@ -670,8 +680,9 @@ impl<S: PageSource> LfMalloc<S> {
                 p
             }
             None => {
-                let p = unsafe { crate::large::alloc_large(inner, size, PREFIX_SIZE) };
-                if !p.is_null() && !inner.source.zeroes_fresh_pages() {
+                let (p, fresh) = unsafe { crate::large::alloc_large(inner, size, PREFIX_SIZE) };
+                let clean = fresh && inner.source.zeroes_fresh_pages();
+                if !p.is_null() && !clean {
                     unsafe { core::ptr::write_bytes(p, 0, size) };
                 }
                 p
@@ -842,8 +853,9 @@ impl<S: PageSource> Drop for LfMalloc<S> {
             //    DescAvail, retired queue nodes to their pools. Contexts
             //    (pools) are still alive.
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).domain));
-            // 2. Release bulk memory: superblock hyperblocks, then the
-            //    descriptor slabs.
+            // 2. Release bulk memory: cached large spans, superblock
+            //    hyperblocks, then the descriptor slabs.
+            crate::large::drain_cache(&*inner);
             (*inner).sb_pool.release_all(&(*inner).source);
             (*inner).desc_pool.release_all(&(*inner).source);
             // 3. Drop the remaining owning fields exactly once each.

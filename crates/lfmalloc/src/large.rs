@@ -1,5 +1,9 @@
-//! Large blocks: allocated directly from the OS, freed directly to the
-//! OS (§3.1 / Figure 4 lines 2–3, Figure 6 lines 4–5).
+//! Large blocks: allocated from the OS (§3.1 / Figure 4 lines 2–3), and
+//! freed into a small lock-free cache of free spans that the next large
+//! malloc looks in first ([`SpanCache`], DESIGN.md §16). The paper frees
+//! them straight to the OS (Figure 6 lines 4–5); that is still what
+//! happens to a span the cache has no room for, to every span above
+//! [`MAX_CACHED_SPAN`], and to every hardened block.
 //!
 //! Layout of a large allocation:
 //!
@@ -15,6 +19,12 @@
 //! the word before the user pointer and dispatches on the low bit
 //! ("Large block - desc holds sz+1"). Descriptors are 64-byte aligned so
 //! a genuine descriptor pointer is always even.
+//!
+//! The header is written once, when the span is mapped, and names what
+//! the source was asked for. A span that comes back out of the cache
+//! keeps it — only the prefix word is rewritten — so it reports its true
+//! usable size and is eventually returned with the size and alignment it
+//! was mapped with.
 
 use crate::config::PREFIX_SIZE;
 use crate::harden::{Hardening, GUARD_CANARY};
@@ -52,12 +62,210 @@ pub(crate) fn header_fields(header: usize) -> (usize, bool, bool) {
     )
 }
 
-/// Allocates a large block of `size` bytes at `align`.
+/// The alignment a large block's span was mapped with.
+pub(crate) fn header_align(header: usize) -> usize {
+    1usize << (header & ALIGN_EXP_BITS)
+}
+
+/// Slots in the free-span cache.
+pub(crate) const CACHE_SLOTS: usize = 8;
+
+/// Largest span the cache keeps. Above this one map/unmap pair costs
+/// little next to touching the memory, and one idle span would be most
+/// of what the cache may hold.
+pub(crate) const MAX_CACHED_SPAN: usize = 2 << 20;
+
+/// Most the cache retains, over all its slots.
+pub(crate) const MAX_CACHED_BYTES: usize = 4 << 20;
+
+/// Slot-word bits 0..=9: the span's page count (at most
+/// `MAX_CACHED_SPAN / PAGE_SIZE` = 512).
+const SLOT_PAGES_MASK: usize = (1 << 10) - 1;
+
+/// Slot-word bit 11: a maintenance pass saw the span parked and nobody
+/// has taken it since; the next pass releases it.
+const SLOT_IDLE: usize = 1 << 11;
+
+const _: () = assert!(MAX_CACHED_SPAN / PAGE_SIZE <= SLOT_PAGES_MASK);
+const _: () = assert!(SLOT_PAGES_MASK < SLOT_IDLE && SLOT_IDLE < PAGE_SIZE);
+
+/// Free large spans, parked by `free` for the next large `malloc`.
+///
+/// Each slot is one word, `base | pages (| SLOT_IDLE)`, or 0 when empty:
+/// `base` is page aligned, which frees the low 12 bits. The word *is*
+/// the span, and whoever holds the word owns the span outright: parking
+/// is one `0 -> word` CAS, taking is one `word -> 0` CAS. No tag is
+/// needed. A taker's CAS can only succeed on a word that is in the slot
+/// now, and an equal word that was taken and parked again in between
+/// names a span its last holder gave up just as legitimately.
+pub(crate) struct SpanCache {
+    slots: [AtomicUsize; CACHE_SLOTS],
+    /// Bytes parked plus bytes a `free` has reserved and is about to
+    /// park. Reserving before the slot CAS is what keeps the parked
+    /// total within [`MAX_CACHED_BYTES`] at every instant. A thread
+    /// killed between the two halves leaves its reservation behind;
+    /// [`resync`](Self::resync) recovers it.
+    reserved: AtomicUsize,
+}
+
+impl SpanCache {
+    pub(crate) const fn new() -> Self {
+        SpanCache {
+            slots: [const { AtomicUsize::new(0) }; CACHE_SLOTS],
+            reserved: AtomicUsize::new(0),
+        }
+    }
+
+    fn decode(word: usize) -> (usize, usize) {
+        (word & !(PAGE_SIZE - 1), (word & SLOT_PAGES_MASK) * PAGE_SIZE)
+    }
+
+    /// Claims the span in slot `i` if it is occupied and `wanted(base,
+    /// bytes, idle)` says so. The caller owns the span from then on and
+    /// still has to give its bytes back to `reserved`.
+    ///
+    /// The CAS is `Acquire` and pairs with the `Release` CAS in
+    /// [`park`]: what the parking thread did to the span (the header it
+    /// read, the user's last writes) happens before anything the taker
+    /// does to it. A maintenance pass's `Relaxed` idle-bit CAS in between
+    /// is a read-modify-write and so continues that release sequence.
+    fn claim(
+        &self,
+        i: usize,
+        wanted: impl Fn(usize, usize, bool) -> bool,
+    ) -> Option<(usize, usize)> {
+        let word = self.slots[i].load(Ordering::Relaxed);
+        let (base, bytes) = Self::decode(word);
+        if word == 0 || !wanted(base, bytes, word & SLOT_IDLE != 0) {
+            return None;
+        }
+        // A lost CAS means another thread took or aged the span; the
+        // caller moves on to the next slot, so a scan is 8 steps at most.
+        self.slots[i]
+            .compare_exchange(word, 0, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| (base, bytes))
+    }
+
+    /// Occupied slots as `(base, bytes)` (audit and reports; racy unless
+    /// the instance is quiescent).
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.slots
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .filter(|&w| w != 0)
+            .map(Self::decode)
+    }
+
+    /// Bytes parked right now.
+    pub(crate) fn cached_bytes(&self) -> usize {
+        self.spans().map(|(_, bytes)| bytes).sum()
+    }
+
+    /// Bytes parked or reserved for parking (never below
+    /// [`cached_bytes`](Self::cached_bytes) on a quiescent instance).
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.reserved.load(Ordering::Relaxed)
+    }
+
+    /// Sets the reservation to what is parked, dropping whatever killed
+    /// threads left reserved. Only for a caller that knows no `malloc` or
+    /// `free` is running: `trim` and fork recovery.
+    pub(crate) fn resync(&self) {
+        self.reserved.store(self.cached_bytes(), Ordering::Relaxed);
+    }
+}
+
+/// Parks a freed span in the cache. False when the span has to go back
+/// to the source instead: too big, no free slot, or it would take the
+/// retained bytes over the bound.
+fn park<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
+    let cache = &inner.large_cache;
+    if total > MAX_CACHED_SPAN {
+        return false;
+    }
+    if cache.reserved.fetch_add(total, Ordering::Relaxed) + total > MAX_CACHED_BYTES {
+        cache.reserved.fetch_sub(total, Ordering::Relaxed);
+        return false;
+    }
+    if malloc_api::fail_point!("large.cache_put").kill {
+        // Killed holding the span: it is neither live, parked nor
+        // unmapped, and its reservation stays behind with it.
+        return true;
+    }
+    let word = base | (total / PAGE_SIZE);
+    for slot in &cache.slots {
+        if slot.load(Ordering::Relaxed) == 0
+            && slot.compare_exchange(0, word, Ordering::Release, Ordering::Relaxed).is_ok()
+        {
+            return true;
+        }
+    }
+    cache.reserved.fetch_sub(total, Ordering::Relaxed);
+    false
+}
+
+/// Returns a span nobody holds a pointer into to the source, with the
+/// size and alignment its header says it was mapped with.
+unsafe fn unmap<S: PageSource>(inner: &Inner<S>, base: usize) -> usize {
+    let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
+    let (total, _, _) = header_fields(header);
+    unsafe { inner.source.dealloc_pages(base as *mut u8, total, header_align(header)) };
+    total
+}
+
+/// Claims every cached span (`only_idle`: every span carrying the idle
+/// mark) and returns it to the source; `(spans, bytes)` released. Safe
+/// alongside `malloc`/`free`: each span is claimed by the same CAS a
+/// `malloc` would use.
+unsafe fn release_cached<S: PageSource>(inner: &Inner<S>, only_idle: bool) -> (usize, usize) {
+    let cache = &inner.large_cache;
+    let (mut spans, mut released) = (0, 0);
+    for i in 0..CACHE_SLOTS {
+        if let Some((base, bytes)) = cache.claim(i, |_, _, idle| idle || !only_idle) {
+            cache.reserved.fetch_sub(bytes, Ordering::Relaxed);
+            released += unsafe { unmap(inner, base) };
+            spans += 1;
+        }
+    }
+    (spans, released)
+}
+
+/// Empties the cache into the source; bytes released. `trim`, teardown,
+/// and the pressure valve of [`crate::retry::from_source`].
+pub(crate) unsafe fn drain_cache<S: PageSource>(inner: &Inner<S>) -> usize {
+    unsafe { release_cached(inner, false) }.1
+}
+
+/// One ageing step, run by every maintenance pass: spans that have sat
+/// parked since the previous pass go back to the source, the rest are
+/// marked so the next pass can tell. Returns spans released.
+pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usize {
+    let released = unsafe { release_cached(inner, true) }.0;
+    for slot in &inner.large_cache.slots {
+        let word = slot.load(Ordering::Relaxed);
+        if word != 0 {
+            // Failure means the span was taken meanwhile: not idle.
+            let _ = slot.compare_exchange(
+                word,
+                word | SLOT_IDLE,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
+    }
+    released
+}
+
+/// Allocates a large block of `size` bytes at `align`. The flag is true
+/// when the span came fresh from the source, false when it was recycled
+/// out of the cache with a previous user's bytes still in it.
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
     size: usize,
     align: usize,
-) -> *mut u8 {
+) -> (*mut u8, bool) {
+    const FAILED: (*mut u8, bool) = (core::ptr::null_mut(), true);
     let t0 = crate::lat_start!();
     // User data starts at least 16 bytes in: 8 for the header word at
     // base, 8 for the prefix at user-8.
@@ -65,10 +273,10 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     // Checked rounding: near-usize::MAX requests must fail cleanly, not
     // wrap into tiny page counts.
     let Some(needed) = size.checked_add(user_off) else {
-        return core::ptr::null_mut();
+        return FAILED;
     };
     let Some(padded) = needed.checked_add(PAGE_SIZE - 1) else {
-        return core::ptr::null_mut();
+        return FAILED;
     };
     // Hardened blocks carry two trailing guard pages: a canary page
     // whose bytes are verified on free, then a trap page that is made
@@ -76,23 +284,36 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     let hardened = inner.config.hardening != Hardening::Off;
     let guard_bytes = if hardened { 2 * PAGE_SIZE } else { 0 };
     let Some(padded) = padded.checked_add(guard_bytes) else {
-        return core::ptr::null_mut();
+        return FAILED;
     };
     let total = pages_for(padded & !(PAGE_SIZE - 1));
     let os_align = align.max(PAGE_SIZE);
-    // Bounded backoff: ride out a transient source outage rather than
-    // reporting spurious OOM (same policy as the superblock carve).
-    let base = crate::retry::with_backoff(inner.config.oom_retries, || {
-        let p = unsafe { inner.source.alloc_pages(total, os_align) };
-        if p.is_null() {
-            crate::stat_global!(inner, oom_backoffs);
+    // Hardened blocks never come out of the cache (and never go in): the
+    // guard pages, the registry entry and the unmap on free are how that
+    // mode catches a use after free.
+    if !hardened && total <= MAX_CACHED_SPAN {
+        // First fit: big enough, at most a quarter wasted, aligned.
+        let fits = |base: usize, bytes: usize, _| {
+            bytes >= total && bytes - total <= total / 4 && base % os_align == 0
+        };
+        let cache = &inner.large_cache;
+        if let Some((base, bytes)) = (0..CACHE_SLOTS).find_map(|i| cache.claim(i, fits)) {
+            if malloc_api::fail_point!("large.cache_take").kill {
+                // Killed holding the span, its reservation with it.
+                return FAILED;
+            }
+            cache.reserved.fetch_sub(bytes, Ordering::Relaxed);
+            crate::stat_global!(inner, large_cache_hit);
+            return (unsafe { hand_out(inner, base, bytes, user_off, t0) }, false);
         }
-        p
-    });
+    }
+    let base =
+        crate::retry::from_source(inner, || unsafe { inner.source.alloc_pages(total, os_align) });
     if base.is_null() {
         crate::stat_event!(inner, OomBackoff, 0, total);
-        return core::ptr::null_mut();
+        return FAILED;
     }
+    crate::stat_global!(inner, large_cache_miss);
     debug_assert_eq!(total & ALIGN_EXP_MASK, 0);
     let mut header = total | os_align.trailing_zeros() as usize;
     if hardened {
@@ -116,20 +337,34 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
                 }
                 inner.source.dealloc_pages(base, total, os_align);
             }
-            return core::ptr::null_mut();
+            return FAILED;
         }
     }
     unsafe {
         (*(base as *const AtomicUsize)).store(header, Ordering::Relaxed);
-        let user = base.add(user_off);
+        (hand_out(inner, base as usize, total, user_off, t0), true)
+    }
+}
+
+/// Last step of a large malloc, fresh or recycled: writes the prefix
+/// word for this request's `user_off` and counts the span live.
+unsafe fn hand_out<S: PageSource>(
+    inner: &Inner<S>,
+    base: usize,
+    total: usize,
+    user_off: usize,
+    t0: u64,
+) -> *mut u8 {
+    let user = (base + user_off) as *mut u8;
+    unsafe {
         (*(user.sub(PREFIX_SIZE) as *const AtomicUsize))
             .store((user_off << 1) | LARGE_FLAG, Ordering::Relaxed);
-        inner.large_live.fetch_add(1, Ordering::Relaxed);
-        inner.large_bytes.fetch_add(total, Ordering::Relaxed);
-        crate::stat_global!(inner, large_alloc);
-        crate::stat_lat!(inner, lat_malloc_large, t0);
-        user
     }
+    inner.large_live.fetch_add(1, Ordering::Relaxed);
+    inner.large_bytes.fetch_add(total, Ordering::Relaxed);
+    crate::stat_global!(inner, large_alloc);
+    crate::stat_lat!(inner, lat_malloc_large, t0);
+    user
 }
 
 /// Usable bytes of a large block given its user pointer and prefix
@@ -155,23 +390,195 @@ pub(crate) unsafe fn free_large<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, p
     unsafe { release_large(inner, base as usize) };
 }
 
-/// Returns a large block's pages to the source and settles the
-/// accounting, given its validated base address.
+/// Takes a freed large block out of the live accounting, given its
+/// validated base address, and parks its span in the cache or, failing
+/// that, returns it to the source.
 pub(crate) unsafe fn release_large<S: PageSource>(inner: &Inner<S>, base: usize) {
     let t0 = crate::lat_start!();
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
-    let (total, _, _) = header_fields(header);
-    let os_align = 1usize << (header & ALIGN_EXP_BITS);
-    unsafe { inner.source.dealloc_pages(base as *mut u8, total, os_align) };
+    let (total, guarded, _) = header_fields(header);
     inner.large_live.fetch_sub(1, Ordering::Relaxed);
     inner.large_bytes.fetch_sub(total, Ordering::Relaxed);
     crate::stat_global!(inner, large_free);
+    if guarded || !park(inner, base, total) {
+        crate::stat_global!(inner, large_cache_bypass);
+        unsafe { unmap(inner, base) };
+    }
     crate::stat_lat!(inner, lat_free_large, t0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Config, LfMalloc, MaintenanceBudget};
+    use malloc_api::RawMalloc;
+
+    fn instance() -> LfMalloc {
+        LfMalloc::with_config(Config::with_heaps(1))
+    }
+
+    /// OS bytes behind a large block of `size` bytes at the default
+    /// alignment.
+    fn span(size: usize) -> usize {
+        pages_for(size + 2 * PREFIX_SIZE)
+    }
+
+    #[test]
+    fn freed_span_is_the_next_mallocs_span() {
+        let a = instance();
+        unsafe {
+            let p = a.malloc(64 << 10);
+            a.free(p);
+            assert_eq!(a.health().large_cached_bytes, span(64 << 10));
+            assert_eq!(a.os_stats().live_bytes, span(64 << 10), "parked, not unmapped");
+            let q = a.malloc(64 << 10);
+            assert_eq!(q, p);
+            assert_eq!(a.health().large_cached_spans, 0, "one span, live or cached, never both");
+            assert_eq!(a.os_stats().os_allocs, 1);
+            a.free(q);
+        }
+    }
+
+    #[test]
+    fn a_recycled_span_keeps_its_header() {
+        let a = instance();
+        unsafe {
+            // 20 pages parked; a 17-page request fits with 3 pages slack
+            // and is told about all of them.
+            let p = a.malloc(20 * PAGE_SIZE - 16);
+            let usable = a.usable_size(p);
+            a.free(p);
+            let q = a.malloc(17 * PAGE_SIZE - 16);
+            assert_eq!(q, p);
+            assert_eq!(a.usable_size(q), usable);
+            // At another alignment the user pointer moves, the span
+            // stays, and the usable size shrinks by the padding.
+            a.free(q);
+            let r = a.malloc_aligned(16 * PAGE_SIZE, PAGE_SIZE);
+            assert_eq!(r as usize, p as usize - 16 + PAGE_SIZE);
+            assert_eq!(a.usable_size(r), 19 * PAGE_SIZE);
+            a.free(r);
+            assert_eq!(a.os_stats().os_allocs, 1);
+            // The span goes back with the size it was mapped with.
+            a.trim();
+            assert_eq!(a.os_stats().live_bytes, 0);
+        }
+    }
+
+    #[test]
+    fn fit_is_big_enough_little_slack_and_aligned() {
+        let a = instance();
+        unsafe {
+            let p = a.malloc(20 * PAGE_SIZE - 16);
+            a.free(p);
+            // Too small for the request.
+            let big = a.malloc(21 * PAGE_SIZE - 16);
+            assert_ne!(big, p);
+            // More than a quarter of the request would be wasted.
+            let small = a.malloc(15 * PAGE_SIZE - 16);
+            assert_ne!(small, p);
+            assert_eq!(a.health().large_cached_spans, 1, "the 20-page span is still parked");
+            // Not aligned for the request (if the OS happened to align
+            // it that far, the hit is legal).
+            let al = a.malloc_aligned(16 * PAGE_SIZE, 1 << 20);
+            assert_eq!(al as usize % (1 << 20), 0);
+            if (p as usize - 16) % (1 << 20) != 0 {
+                assert_eq!(a.health().large_cached_spans, 1);
+            }
+            for q in [big, small, al] {
+                a.free(q);
+            }
+            assert!(a.audit().is_clean());
+        }
+    }
+
+    #[test]
+    fn bounds_hold_and_audit_is_clean_at_every_fill() {
+        let a = instance();
+        unsafe {
+            assert!(a.audit().is_clean(), "empty: {}", a.audit());
+            // Above the per-span bound: straight back to the source.
+            let p = a.malloc(MAX_CACHED_SPAN);
+            a.free(p);
+            assert_eq!(a.os_stats().live_bytes, 0);
+            // Three 1.5 MiB spans: the third would pass 4 MiB retained.
+            let ps: Vec<_> = (0..3).map(|_| a.malloc(3 << 19)).collect();
+            for p in ps {
+                a.free(p);
+            }
+            let h = a.health();
+            assert_eq!((h.large_cached_spans, h.large_cached_bytes), (2, 2 * span(3 << 19)));
+            let rep = a.audit();
+            assert!(rep.is_clean(), "partly full: {rep}");
+            assert_eq!(rep.bytes.large_cached_bytes, h.large_cached_bytes);
+            assert_eq!(rep.large_cached_spans, 2);
+            a.trim();
+            // Nine small spans: eight slots.
+            let ps: Vec<_> = (0..CACHE_SLOTS + 1).map(|_| a.malloc(16 << 10)).collect();
+            for p in ps {
+                a.free(p);
+            }
+            assert_eq!(a.health().large_cached_spans, CACHE_SLOTS);
+            assert_eq!(a.os_stats().live_bytes, CACHE_SLOTS * span(16 << 10));
+            let rep = a.audit();
+            assert!(rep.is_clean(), "full: {rep}");
+            let released = a.trim();
+            assert!(released >= CACHE_SLOTS * span(16 << 10), "trim counts the drained spans");
+            assert_eq!(a.os_stats().live_bytes, 0);
+            assert_eq!(a.inner().large_cache.reserved_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn maintain_releases_spans_nobody_took_since_the_previous_pass() {
+        let a = instance();
+        unsafe {
+            let idle = a.malloc(64 << 10);
+            let hot = a.malloc(256 << 10);
+            a.free(idle);
+            a.free(hot);
+            assert_eq!(a.maintain(MaintenanceBudget::light()).large_spans_released, 0);
+            // `hot` is taken and parked again between the passes.
+            let again = a.malloc(256 << 10);
+            assert_eq!(again, hot);
+            a.free(again);
+            assert_eq!(a.maintain(MaintenanceBudget::light()).large_spans_released, 1);
+            assert_eq!(a.health().large_cached_bytes, span(256 << 10));
+            assert_eq!(a.maintain(MaintenanceBudget::light()).large_spans_released, 1);
+            assert_eq!(a.os_stats().live_bytes, 0);
+            assert!(a.audit().is_clean());
+        }
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn trim_takes_back_the_room_a_killed_free_had_reserved() {
+        use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
+        let _guard = fp::scenario(0x2E5E);
+        let a = instance();
+        unsafe {
+            let p = a.malloc(1 << 20);
+            fp::arm_limited("large.cache_put", FpAction::Kill, FpTrigger::Always, 1);
+            a.free(p); // dies between reserving and parking
+            assert_eq!(a.health().large_cached_spans, 0);
+            assert_eq!(a.inner().large_cache.reserved_bytes(), span(1 << 20));
+            a.trim();
+            assert_eq!(a.inner().large_cache.reserved_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn dropping_the_instance_returns_cached_spans() {
+        let src = std::sync::Arc::new(osmem::CountingSource::new(osmem::SystemSource::new()));
+        let a = LfMalloc::with_config_and_source(Config::with_heaps(1), src.clone());
+        unsafe {
+            let p = a.malloc(100_000);
+            a.free(p);
+        }
+        assert!(src.stats().live_bytes > 0);
+        drop(a);
+        assert_eq!(src.stats().live_bytes, 0);
+    }
 
     #[test]
     fn header_packing_roundtrip() {
@@ -180,7 +587,7 @@ mod tests {
         let os_align = 1usize << 20;
         let header = total | os_align.trailing_zeros() as usize;
         assert_eq!(header_fields(header), (total, false, false));
-        assert_eq!(1usize << (header & ALIGN_EXP_BITS), os_align);
+        assert_eq!(header_align(header), os_align);
         // Guard flags coexist with any exponent up to 63.
         let header = total | 63 | GUARDED_FLAG | HW_GUARD_FLAG;
         assert_eq!(header_fields(header), (total, true, true));

@@ -4,7 +4,9 @@
 //! that exit strand retired hazard nodes in their (now inactive)
 //! records and cached blocks in their magazine slots, hardened frees
 //! park blocks in the quarantine, EMPTY
-//! descriptors can sit behind a non-empty partial-list head, and freed
+//! descriptors can sit behind a non-empty partial-list head, freed
+//! large spans wait in the span cache for a malloc that may never come,
+//! and freed
 //! hyperblocks stay cached until a (quiescent-only) `trim()`. PRs 1–4
 //! made each of those pools observable; this module adds the driver
 //! that actually drains them, incrementally and concurrently:
@@ -151,6 +153,10 @@ pub struct MaintenanceReport {
     pub audit_checked: u64,
     /// Advisory flags raised by the audit slice.
     pub audit_flagged: u64,
+    /// Cached large spans returned to the OS because no malloc took them
+    /// since the previous pass (the trim phase, when the budget has one,
+    /// drains the rest and counts them in `bytes_trimmed`).
+    pub large_spans_released: u64,
     /// Bytes released to the OS by the trim phase (0 unless the budget
     /// was built with [`MaintenanceBudget::with_quiescent_trim`]).
     pub bytes_trimmed: usize,
@@ -295,7 +301,8 @@ unsafe impl<S: PageSource + Send + Sync> Send for RawInner<S> {}
 impl<S: PageSource> LfMalloc<S> {
     /// Runs one bounded self-healing pass: drains dead-thread retired
     /// queues, releases quarantined blocks, prunes EMPTY descriptors,
-    /// advances the advisory audit slice, and (only if the budget was
+    /// advances the advisory audit slice, releases cached large spans
+    /// that sat idle since the previous pass, and (only if the budget was
     /// built with the `unsafe` trim constructor) trims toward the OS
     /// watermark. Safe to call concurrently with `malloc`/`free` for
     /// any budget that doesn't trim; see [`MaintenanceBudget`].
@@ -337,6 +344,10 @@ impl<S: PageSource> LfMalloc<S> {
             report.audit_checked = checked;
             report.audit_flagged = flagged;
         }
+        // Ageing of the large-span cache: two passes without a taker and a
+        // span goes back to the OS. Needs no quiescence (a span is claimed
+        // by the CAS a malloc would use), so every pass runs it.
+        report.large_spans_released = unsafe { crate::large::release_idle_spans(inner) } as u64;
         if let Some(target) = budget.trim_target {
             inner.health.note_watermark(target);
             // Safety: the budget's `with_quiescent_trim` constructor put

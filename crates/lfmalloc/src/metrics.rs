@@ -123,6 +123,16 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     write_family(&mut o, "lfmalloc_large", "counter", "Large-block operations.");
     let _ = writeln!(o, "lfmalloc_large_total{{op=\"alloc\"}} {}", s.large_alloc);
     let _ = writeln!(o, "lfmalloc_large_total{{op=\"free\"}} {}", s.large_free);
+    write_family(
+        &mut o,
+        "lfmalloc_large_cache",
+        "counter",
+        "Large mallocs served from the span cache (hit) or the page source (miss), \
+         and large frees that went straight back to the source (bypass).",
+    );
+    let _ = writeln!(o, "lfmalloc_large_cache_total{{outcome=\"hit\"}} {}", s.large_cache_hit);
+    let _ = writeln!(o, "lfmalloc_large_cache_total{{outcome=\"miss\"}} {}", s.large_cache_miss);
+    let _ = writeln!(o, "lfmalloc_large_cache_total{{outcome=\"bypass\"}} {}", s.large_cache_bypass);
     write_family(&mut o, "lfmalloc_oom_backoffs", "counter", "");
     let _ = writeln!(o, "lfmalloc_oom_backoffs_total {}", s.oom_backoffs);
     write_family(&mut o, "lfmalloc_trims", "counter", "");
@@ -150,6 +160,15 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     let _ = writeln!(o, "lfmalloc_os_peak_bytes {}", s.os.peak_bytes);
     write_family(&mut o, "lfmalloc_large_live", "gauge", "Live large blocks.");
     let _ = writeln!(o, "lfmalloc_large_live {}", s.large_live);
+    write_family(
+        &mut o,
+        "lfmalloc_large_cached_spans",
+        "gauge",
+        "Freed large spans parked in the span cache.",
+    );
+    let _ = writeln!(o, "lfmalloc_large_cached_spans {}", s.health.large_cached_spans);
+    write_family(&mut o, "lfmalloc_large_cached_bytes", "gauge", "OS bytes those spans hold.");
+    let _ = writeln!(o, "lfmalloc_large_cached_bytes {}", s.health.large_cached_bytes);
     #[cfg(feature = "forensics")]
     {
         write_family(

@@ -6,22 +6,51 @@
 //! fail transiently — the kernel is reclaiming, a cgroup limit is
 //! momentarily hit, an injected outage is in flight. Treating the first
 //! null as OOM turns every such blip into a spurious allocation
-//! failure. Instead, the superblock-carve and large-allocation paths
-//! retry up to [`Config::oom_retries`](crate::config::Config::oom_retries)
-//! times, spinning an exponential [`Backoff`] and yielding the thread
-//! between attempts so a recovering source gets time to recover.
+//! failure. Instead, the three paths that ask the source for memory
+//! (superblock carve, descriptor-slab carve, large allocation) go
+//! through [`from_source`]: up to
+//! [`Config::oom_retries`](crate::config::Config::oom_retries) further
+//! attempts, spinning an exponential [`Backoff`] and yielding the thread
+//! in between so a recovering source gets time to recover. Before the
+//! first of them the free-span cache ([`crate::large`]) is emptied into
+//! the source: memory the allocator is only sitting on is the first
+//! thing to give back.
 //!
 //! Lock-freedom is unaffected: the retry count is a hard bound, so every
 //! call still completes in a finite number of steps; after the budget is
 //! spent the failure propagates as a null return (never a panic).
 
+use crate::instance::Inner;
 use lockfree_structs::Backoff;
+use osmem::PageSource;
+
+/// Runs one request against the page source (directly or through a
+/// pool) under the instance's retry budget, counting each null; the
+/// first null also drains the large-span cache into the source.
+pub(crate) fn from_source<S: PageSource>(
+    inner: &Inner<S>,
+    mut attempt: impl FnMut() -> *mut u8,
+) -> *mut u8 {
+    let mut relieved = false;
+    with_backoff(inner.config.oom_retries, || {
+        let p = attempt();
+        if p.is_null() {
+            crate::stat_global!(inner, oom_backoffs);
+            if !relieved {
+                relieved = true;
+                // SAFETY: every cached span is owned by the cache alone.
+                unsafe { crate::large::drain_cache(inner) };
+            }
+        }
+        p
+    })
+}
 
 /// Runs `attempt` until it returns non-null, at most `1 + retries`
 /// times, with exponential backoff plus a scheduler yield between
 /// attempts. Returns the first non-null result, or null once the budget
 /// is exhausted.
-pub(crate) fn with_backoff(retries: u32, mut attempt: impl FnMut() -> *mut u8) -> *mut u8 {
+fn with_backoff(retries: u32, mut attempt: impl FnMut() -> *mut u8) -> *mut u8 {
     let first = attempt();
     if !first.is_null() {
         return first;

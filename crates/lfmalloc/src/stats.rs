@@ -304,6 +304,12 @@ pub(crate) struct InstanceStats {
     /// Large blocks allocated / freed.
     pub large_alloc: Counter,
     pub large_free: Counter,
+    /// Large mallocs served from the span cache / from the source
+    /// (`hit + miss == large_alloc`), and large frees whose span went
+    /// straight back to the source instead of into the cache.
+    pub large_cache_hit: Counter,
+    pub large_cache_miss: Counter,
+    pub large_cache_bypass: Counter,
     /// Failed attempts inside the OOM retry/backoff loops.
     pub oom_backoffs: Counter,
     /// `trim`/`trim_to` invocations.
@@ -347,6 +353,9 @@ impl InstanceStats {
             nshards,
             large_alloc: Counter::new(),
             large_free: Counter::new(),
+            large_cache_hit: Counter::new(),
+            large_cache_miss: Counter::new(),
+            large_cache_bypass: Counter::new(),
             oom_backoffs: Counter::new(),
             trims: Counter::new(),
             events: EventRing::new(EVENT_RING_CAP),
@@ -751,6 +760,12 @@ pub struct StatsSnapshot {
     pub large_alloc: u64,
     pub large_free: u64,
     pub large_live: u64,
+    /// Large mallocs served from the span cache / from the page source
+    /// (`hit + miss == large_alloc`), and large frees whose span went
+    /// straight back to the source (hardened, over a bound, or no slot).
+    pub large_cache_hit: u64,
+    pub large_cache_miss: u64,
+    pub large_cache_bypass: u64,
     /// Failed attempts inside OOM retry/backoff loops.
     pub oom_backoffs: u64,
     /// `trim`/`trim_to` invocations.
@@ -809,7 +824,8 @@ impl StatsSnapshot {
         let r = &self.reconciliation;
         format!(
             "{{\"allocator\":\"lfmalloc\",\"totals\":{},\"classes\":[{}],\
-             \"large\":{{\"alloc\":{},\"free\":{},\"live\":{}}},\
+             \"large\":{{\"alloc\":{},\"free\":{},\"live\":{},\"cache_hit\":{},\
+             \"cache_miss\":{},\"cache_bypass\":{}}},\
              \"oom_backoffs\":{},\"trims\":{},\"events_dropped\":{},\
              \"hazard\":{{\"scans\":{},\"reclaimed\":{},\"retired_high_water\":{},\
              \"frees_per_scan\":{}}},\
@@ -819,13 +835,17 @@ impl StatsSnapshot {
              \"munmap_calls\":{}}},\
              \"carves\":{{\"superblock\":{},\"descriptor\":{}}},\
              \"reconcile\":{{\"superblock_bytes\":{},\"descriptor_slab_bytes\":{},\
-             \"large_bytes\":{},\"source_live_bytes\":{},\"ok\":{}}},\
+             \"large_bytes\":{},\"large_cached_bytes\":{},\"source_live_bytes\":{},\
+             \"ok\":{}}},\
              \"health\":{},\"latency\":{},\"fragmentation\":{}{}}}",
             self.totals.to_json(),
             classes.join(","),
             self.large_alloc,
             self.large_free,
             self.large_live,
+            self.large_cache_hit,
+            self.large_cache_miss,
+            self.large_cache_bypass,
             self.oom_backoffs,
             self.trims,
             self.events_dropped,
@@ -846,6 +866,7 @@ impl StatsSnapshot {
             r.superblock_bytes,
             r.descriptor_slab_bytes,
             r.large_bytes,
+            r.large_cached_bytes,
             r.source_live_bytes,
             r.reconciles(),
             self.health.to_json(),
@@ -907,6 +928,9 @@ impl<S: PageSource> LfMalloc<S> {
             large_alloc: inner.stats.large_alloc.get(),
             large_free: inner.stats.large_free.get(),
             large_live: inner.large_live.load(core::sync::atomic::Ordering::Relaxed) as u64,
+            large_cache_hit: inner.stats.large_cache_hit.get(),
+            large_cache_miss: inner.stats.large_cache_miss.get(),
+            large_cache_bypass: inner.stats.large_cache_bypass.get(),
             oom_backoffs: inner.stats.oom_backoffs.get(),
             trims: inner.stats.trims.get(),
             events_dropped: inner.stats.events.dropped(),
@@ -977,8 +1001,16 @@ impl<S: PageSource> LfMalloc<S> {
         writeln!(w, "magazines: {:>10} refills / {} flushes", t.mag_refill, t.mag_flush)?;
         writeln!(
             w,
-            "large:   {:>12} alloc / {} free / {} live",
-            s.large_alloc, s.large_free, s.large_live
+            "large:   {:>12} alloc / {} free / {} live  (span cache: {} hit / {} miss / {} bypassed, \
+             {} spans holding {} bytes)",
+            s.large_alloc,
+            s.large_free,
+            s.large_live,
+            s.large_cache_hit,
+            s.large_cache_miss,
+            s.large_cache_bypass,
+            s.health.large_cached_spans,
+            s.health.large_cached_bytes
         )?;
         writeln!(w, "oom backoff attempts: {}   trims: {}", s.oom_backoffs, s.trims)?;
         writeln!(w, "latency (ns, power-of-two bucket upper bounds):")?;
@@ -1071,12 +1103,13 @@ impl<S: PageSource> LfMalloc<S> {
         let r = &s.reconciliation;
         writeln!(
             w,
-            "os: {} live bytes = {} superblock + {} descriptor-slab + {} large \
+            "os: {} live bytes = {} superblock + {} descriptor-slab + {} large + {} cached large \
              (peak {}, mmap {}, munmap {}, carves {} sb / {} desc){}",
             r.source_live_bytes,
             r.superblock_bytes,
             r.descriptor_slab_bytes,
             r.large_bytes,
+            r.large_cached_bytes,
             s.os.peak_bytes,
             s.os.os_allocs,
             s.os.os_frees,
@@ -1247,7 +1280,11 @@ mod tests {
         assert!(text.contains("descriptor-slab"));
         let json = a.stats().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"large\":{\"alloc\":1,\"free\":1,\"live\":0}"));
+        assert!(json.contains(
+            "\"large\":{\"alloc\":1,\"free\":1,\"live\":0,\"cache_hit\":0,\
+             \"cache_miss\":1,\"cache_bypass\":0}"
+        ));
+        assert!(text.contains("+ 102400 cached large"), "{text}");
         assert!(json.contains("\"ok\":true"));
     }
 }

@@ -328,10 +328,12 @@ fn print_record(rec: &Json) {
         t.u64("free_teardown"),
     );
     println!(
-        "  large         {:>14} alloc / {} free ({} live)",
+        "  large         {:>14} alloc / {} free ({} live; span cache {} hit / {} miss)",
         rec.u64("large.alloc"),
         rec.u64("large.free"),
         rec.u64("large.live"),
+        rec.u64("large.cache_hit"),
+        rec.u64("large.cache_miss"),
     );
     println!(
         "  superblocks retired {}   trims {}   oom backoffs {}   events dropped {}",
@@ -444,6 +446,9 @@ fn print_diff(a: &Json, b: &Json) {
         ("superblocks retired", "totals.free_empty"),
         ("large allocs", "large.alloc"),
         ("large frees", "large.free"),
+        ("large span-cache hits", "large.cache_hit"),
+        ("large span-cache misses", "large.cache_miss"),
+        ("large frees past the cache", "large.cache_bypass"),
         ("trims", "trims"),
         ("oom backoffs", "oom_backoffs"),
         ("events dropped", "events_dropped"),

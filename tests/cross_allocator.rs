@@ -129,3 +129,27 @@ fn blocks_from_different_allocators_are_independent() {
         }
     }
 }
+
+#[test]
+fn zeroed_large_block_after_a_dirty_free_on_every_allocator() {
+    // A freed large block may be handed out again; `malloc_zeroed` must
+    // not trust it to be clean. lfmalloc does hand the same span out
+    // again (its free-span cache), which is the case this pins.
+    const N: usize = 64 << 10;
+    for a in all_allocators() {
+        unsafe {
+            let p = a.malloc(N);
+            assert!(!p.is_null());
+            core::ptr::write_bytes(p, 0xAB, N);
+            a.free(p);
+            let q = a.malloc_zeroed(N);
+            assert!(!q.is_null());
+            if a.name() == "lfmalloc" {
+                assert_eq!(q, p, "the cached span is reused");
+            }
+            let dirty = (0..N).filter(|&i| *q.add(i) != 0).count();
+            assert_eq!(dirty, 0, "{}: malloc_zeroed returned {dirty} non-zero bytes", a.name());
+            a.free(q);
+        }
+    }
+}

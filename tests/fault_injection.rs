@@ -168,3 +168,56 @@ fn concurrent_oom_does_not_corrupt() {
         unsafe { a.free(p as *mut u8) };
     }
 }
+
+#[test]
+fn a_refusal_at_any_os_entry_point_drains_the_span_cache_first() {
+    // DESIGN.md §7.2: memory the allocator is only sitting on is the
+    // first thing to give back. Each of the three places that ask the
+    // source for memory must empty the free-span cache on the first
+    // null and then succeed within the retry budget.
+    let park_a_span = |a: &LfMalloc<Arc<Flaky>>| unsafe {
+        let p = a.malloc(64 << 10);
+        assert!(!p.is_null());
+        a.free(p);
+        assert_eq!(a.health().large_cached_spans, 1);
+    };
+    let outage = 3; // < DEFAULT_OOM_RETRIES
+
+    // Descriptor-slab carve: the first small malloc of an instance.
+    let (a, src) = lf_with_budget(isize::MAX);
+    park_a_span(&a);
+    src.inner().fail_next(outage);
+    unsafe {
+        let p = a.malloc(64);
+        assert!(!p.is_null(), "descriptor carve did not ride out the outage");
+        assert_eq!(a.health().large_cached_spans, 0, "cache survived a refused carve");
+        assert_eq!(src.inner().denials(), outage);
+
+        // Superblock carve: fill the only hyperblock (64 superblocks: one
+        // holds `p`, the others two 8000-byte blocks each), so the next
+        // block needs a new one.
+        let blocks: Vec<*mut u8> = (0..126).map(|_| a.malloc(8000)).collect();
+        assert_eq!(a.hyperblock_count(), 1);
+        park_a_span(&a);
+        src.inner().fail_next(outage);
+        let q = a.malloc(8000);
+        assert!(!q.is_null(), "superblock carve did not ride out the outage");
+        assert_eq!(a.hyperblock_count(), 2);
+        assert_eq!(a.health().large_cached_spans, 0, "cache survived a refused carve");
+
+        // Large allocation that the parked span is too small for.
+        park_a_span(&a);
+        src.inner().fail_next(outage);
+        let big = a.malloc(1 << 20);
+        assert!(!big.is_null(), "large path did not ride out the outage");
+        assert_eq!(a.health().large_cached_spans, 0, "cache survived a refused map");
+        assert_eq!(src.inner().denials(), 3 * outage);
+
+        for p in blocks.into_iter().chain([p, q, big]) {
+            a.free(p);
+        }
+    }
+    assert!(a.audit().is_clean(), "{}", a.audit());
+    drop(a);
+    assert_eq!(src.stats().live_bytes, 0, "teardown returns the re-parked span too");
+}

@@ -377,6 +377,27 @@ fn dump_heap_fd_is_parseable_and_profile_free() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn dump_heap_accounts_for_cached_large_spans() {
+    // With hardening off a freed large span waits in the span cache;
+    // the dump must say so, or its OS bytes would not add up.
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    unsafe {
+        let (p, q) = (a.malloc(64 << 10), a.malloc(300 << 10));
+        a.free(p);
+        let path = tmp("dump-cached.json");
+        a.dump_heap(&path).expect("dump_heap");
+        let text = std::fs::read_to_string(&path).expect("read dump");
+        let r = lfmalloc::analyze_dump(&text).expect("analyze own dump");
+        assert!(r.reconciles, "{r}");
+        assert_eq!((r.large_cached_spans, r.large_cached_bytes), (1, (64 << 10) + 4096));
+        assert_eq!(r.large_bytes, (300 << 10) + 4096, "live still means live");
+        assert!(r.to_string().contains("(+ 1 cached / 69632 B)"), "{r}");
+        a.free(q);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Planted leak: dump -> analyzer ranks the leaking call site first.
 // ---------------------------------------------------------------------

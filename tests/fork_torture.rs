@@ -38,6 +38,7 @@ const ORACLE_VIOLATION: i32 = 13;
 const REAPER_STUCK: i32 = 14;
 const MAGAZINE_LOST: i32 = 15;
 const ORPHANS_KEPT: i32 = 16;
+const SPAN_CACHE_LOST: i32 = 17;
 
 /// Serializes fork scenarios: the test harness is multithreaded, and
 /// concurrent `waitpid` loops could reap each other's children.
@@ -235,6 +236,68 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
     let audit = a.audit();
     assert!(audit.is_clean(), "{audit}");
     assert!(audit.magazine_blocks > mine);
+}
+
+/// The free-span cache crosses a fork as plain memory: the child owns
+/// a copy of every parked span, takes them, parks its own, trims them
+/// away and audits clean throughout, and none of it shows in the
+/// parent.
+#[test]
+fn span_cache_crosses_the_fork_and_serves_the_child() {
+    let _serial = fork_lock();
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let (p64, p1m) = unsafe {
+        let (p, q) = (a.malloc(64 << 10), a.malloc(1 << 20));
+        assert!(!p.is_null() && !q.is_null());
+        a.free(p);
+        a.free(q);
+        (p, q)
+    };
+    let cached = a.health().large_cached_bytes;
+    assert_eq!(a.health().large_cached_spans, 2);
+
+    let pid = unsafe { procfork::fork() };
+    assert!(pid >= 0, "fork failed");
+    if pid == 0 {
+        unsafe {
+            let h = a.health();
+            if (h.large_cached_spans, h.large_cached_bytes) != (2, cached) {
+                sys::_exit(SPAN_CACHE_LOST);
+            }
+            // Hits on the inherited spans, then a size nothing fits.
+            let (q64, q1m, q300k) = (a.malloc(64 << 10), a.malloc(1 << 20), a.malloc(300 << 10));
+            if q64 != p64 || q1m != p1m {
+                sys::_exit(SPAN_CACHE_LOST);
+            }
+            if q300k.is_null() {
+                sys::_exit(NULL_ALLOC);
+            }
+            core::ptr::write_bytes(q1m, 0x5A, 1 << 20);
+            if !a.audit().is_clean() {
+                sys::_exit(AUDIT_VIOLATION);
+            }
+            for q in [q64, q1m, q300k] {
+                a.free(q);
+            }
+            if a.health().large_cached_spans != 3 || !a.audit().is_clean() {
+                sys::_exit(AUDIT_VIOLATION);
+            }
+            a.trim();
+            let clean = a.audit().is_clean() && a.health().large_cached_bytes == 0;
+            sys::_exit(if clean { OK } else { AUDIT_VIOLATION });
+        }
+    }
+    let code = wait_child(pid, "span cache across fork");
+    assert_eq!(code, OK, "child failed (see exit-code constants)");
+    // The parent's cache is as it was, and still its own.
+    assert_eq!(a.health().large_cached_bytes, cached);
+    unsafe {
+        let q = a.malloc(1 << 20);
+        assert_eq!(q, p1m);
+        a.free(q);
+    }
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
 }
 
 /// The reaper dies in the fork. The child must (a) get a fresh reaper

@@ -197,6 +197,36 @@ fn large_block_misuse_classification() {
 }
 
 #[test]
+fn hardened_large_blocks_bypass_the_span_cache() {
+    // Unmapping a large block the moment it is freed is how this mode
+    // catches a use after free of one: the span leaves the registry and
+    // the address space, so a stale pointer finds nothing to act on. The
+    // free-span cache would keep the span alive and hand it to the next
+    // malloc; hardened instances must never use it.
+    let a = hardened(Hardening::Detect);
+    unsafe {
+        for round in 1..=3u64 {
+            let p = a.malloc(64 << 10);
+            assert!(!p.is_null());
+            core::ptr::write_bytes(p, 0xAB, 64 << 10);
+            a.free(p);
+            let h = a.health();
+            assert_eq!((h.large_cached_spans, h.large_cached_bytes), (0, 0));
+            assert_eq!(a.os_stats().os_frees as u64, round, "the span went straight back");
+            // The stale pointer is caught, not served from a cache.
+            a.free(p);
+            assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), round);
+        }
+        // malloc_zeroed on a hardened instance always gets a fresh span.
+        let z = a.malloc_zeroed(64 << 10);
+        assert!((0..64 << 10).all(|i| *z.add(i) == 0));
+        a.free(z);
+    }
+    assert_eq!(a.misuse_counters().total(), 3);
+    assert!(a.audit().is_clean(), "{:?}", a.audit());
+}
+
+#[test]
 #[should_panic(expected = "lfmalloc hardened mode")]
 fn abort_mode_panics_with_the_report() {
     let a = hardened(Hardening::Abort);

@@ -327,4 +327,71 @@ mod failpoint_kills {
         let rep = a.audit();
         assert!(rep.is_clean(), "EMPTY-transition kill corrupted the heap:\n{rep}");
     }
+
+    /// The free-span cache's two windows (DESIGN.md §16): a thread that
+    /// dies holding a span it took out of the cache and had not handed
+    /// out yet, or one it was about to park, strands that one span, at
+    /// most the per-span bound, and nothing else. Nobody waits for it,
+    /// and the audit's byte reconciliation names the gap exactly.
+    #[test]
+    fn span_cache_kills_strand_one_span_each() {
+        const SPAN: usize = (256 << 10) + 4096; // a 256 KiB block's pages
+        const PER_SPAN_BOUND: usize = 2 << 20;
+        for (site, seed) in [("large.cache_take", 0x7A4E), ("large.cache_put", 0x9071)] {
+            let _guard = fp::scenario(seed);
+            let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
+            unsafe {
+                let p = a.malloc(256 << 10);
+                a.free(p); // parked
+                fp::arm_limited(site, FpAction::Kill, FpTrigger::Always, 1);
+                // The victim's malloc takes the span and dies (take), or
+                // completes and its free dies holding the span (put).
+                let q = a.malloc(256 << 10);
+                if site == "large.cache_take" {
+                    assert!(q.is_null(), "a killed malloc hands nothing out");
+                } else {
+                    assert_eq!(q, p);
+                    a.free(q);
+                }
+                assert_eq!(fp::fired(site), 1, "{site} never fired");
+            }
+            let rep = a.audit();
+            assert_eq!(rep.bytes.stranded(), SPAN, "{site}: {rep}");
+            assert!(rep.bytes.stranded() <= PER_SPAN_BOUND);
+            assert_eq!((rep.large_live, rep.large_cached_spans), (0, 0), "{site}: {rep}");
+            let checks: Vec<_> = rep.violations.iter().map(|v| v.check).collect();
+            assert_eq!(checks, ["bytes.reconcile"], "{site}: {rep}");
+
+            // Everyone else carries on around the corpse, cache and all.
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let a = Arc::clone(&a);
+                    std::thread::spawn(move || {
+                        let mut rng = testkit::TestRng::new(0x5BA2 + t);
+                        for _ in 0..2_000 {
+                            unsafe {
+                                let sz = rng.range(16 << 10, 512 << 10);
+                                let p = a.malloc(sz);
+                                assert!(!p.is_null(), "blocked behind a killed span holder");
+                                testkit::fill(p, 512);
+                                testkit::check_fill(p, 512);
+                                a.free(p);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+            // Quiescent trim empties the cache and takes back the room
+            // the corpse had reserved in it; the span itself stays lost.
+            unsafe { a.trim() };
+            let rep = a.audit();
+            assert_eq!(rep.bytes.stranded(), SPAN, "{site}: still exactly the one span");
+            assert_eq!(a.os_stats().live_bytes, SPAN + rep.bytes.superblock_bytes
+                + rep.bytes.descriptor_slab_bytes);
+            assert_eq!(rep.violations.len(), 1, "{site}: {rep}");
+        }
+    }
 }

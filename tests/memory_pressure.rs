@@ -60,12 +60,15 @@ fn trim_returns_a_pressure_burst_to_the_os() {
             }
             assert!(src.stats().live_bytes >= CAP / 2, "burst never reached the OS");
 
-            // Drain and trim: everything must come back.
+            // Drain and trim: everything must come back, the large
+            // spans the frees parked in the span cache included.
             for (p, sz) in live.drain(..) {
                 testkit::check_fill(p, sz);
                 a.free(p);
             }
+            assert!(a.health().large_cached_spans > 0, "the burst's large frees parked nothing");
             let released = a.trim();
+            assert_eq!(a.health().large_cached_bytes, 0, "trim left spans cached");
             assert!(released > 0, "trim released nothing after a full drain (seed {seed:#x})");
         }
         let after = src.stats().live_bytes;
@@ -130,8 +133,9 @@ fn full_outage_yields_nulls_then_recovers() {
         src.fail_next(400);
 
         unsafe {
-            // Large blocks go straight to the OS: with the source dark,
-            // they must come back null — not panic, not spin forever.
+            // Large blocks the span cache has nothing for go to the OS:
+            // with the source dark, they must come back null — not
+            // panic, not spin forever.
             let mut nulls = 0;
             for _ in 0..8 {
                 let p = a.malloc(HYPERBLOCK);
@@ -176,6 +180,70 @@ fn full_outage_yields_nulls_then_recovers() {
         assert!(after <= HYPERBLOCK, "post-recovery trim left {after} bytes (seed {seed:#x})");
         assert_clean(&a, "post-recovery trim", seed);
     });
+}
+
+/// A source with a hard byte cap, like a cgroup limit: a request that
+/// would take the live bytes over the cap is refused.
+struct CappedSource {
+    inner: CountingSource<SystemSource>,
+    cap: usize,
+}
+
+unsafe impl PageSource for CappedSource {
+    unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
+        if self.inner.stats().live_bytes + size > self.cap {
+            return core::ptr::null_mut();
+        }
+        unsafe { self.inner.alloc_pages(size, align) }
+    }
+    unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
+        unsafe { self.inner.dealloc_pages(ptr, size, align) }
+    }
+    fn stats(&self) -> malloc_api::AllocStats {
+        self.inner.stats()
+    }
+    fn zeroes_fresh_pages(&self) -> bool {
+        self.inner.zeroes_fresh_pages()
+    }
+}
+
+#[test]
+fn cached_spans_are_given_back_when_the_os_says_no() {
+    // Under a byte cap, the spans parked in the free-span cache are what
+    // stands between a request and success. The first refusal must hand
+    // them back, and the retry that follows must then fit (§7.2).
+    let src = Arc::new(CappedSource {
+        inner: CountingSource::new(SystemSource::new()),
+        cap: 3 * HYPERBLOCK,
+    });
+    let a = LfMalloc::with_config_and_source(Config::with_heaps(1), Arc::clone(&src));
+    let park_two_mib = || unsafe {
+        let (p, q) = (a.malloc(HYPERBLOCK), a.malloc(HYPERBLOCK));
+        assert!(!p.is_null() && !q.is_null());
+        a.free(p);
+        a.free(q);
+        assert!(a.health().large_cached_bytes >= 2 * HYPERBLOCK);
+    };
+    unsafe {
+        // A large request neither cached span is big enough for, and
+        // that does not fit under the cap next to them.
+        park_two_mib();
+        let big = a.malloc(3 * HYPERBLOCK / 2);
+        assert!(!big.is_null(), "2 MiB sat in the cache while 1.5 MiB was refused");
+        assert_eq!(a.health().large_cached_bytes, 0);
+        a.free(big);
+        a.trim();
+
+        // The first small malloc: a descriptor slab and a hyperblock.
+        park_two_mib();
+        let small = a.malloc(64);
+        assert!(!small.is_null(), "2 MiB sat in the cache while a hyperblock was refused");
+        assert_eq!(a.health().large_cached_bytes, 0);
+        a.free(small);
+    }
+    assert_clean(&a, "capped source", 0);
+    unsafe { a.trim() };
+    assert_eq!(src.stats().live_bytes, 0);
 }
 
 #[test]

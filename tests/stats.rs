@@ -225,3 +225,42 @@ fn health_and_maintenance_land_in_stats_surface() {
     assert!(text.contains("maintenance: 1 passes"), "{text}");
     assert!(text.contains("TLS teardown"), "{text}");
 }
+
+#[test]
+fn span_cache_counters_add_up_on_every_surface() {
+    // Every large malloc is a hit or a miss; every large free parks its
+    // span or bypasses the cache. 10 pairs of one size: the first
+    // misses, the rest hit. Then a span too big to park.
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    unsafe {
+        for _ in 0..10 {
+            let p = a.malloc(64 << 10);
+            assert!(!p.is_null());
+            a.free(p);
+        }
+        let p = a.malloc(4 << 20);
+        a.free(p);
+    }
+    let s = a.stats();
+    assert_eq!((s.large_cache_hit, s.large_cache_miss, s.large_cache_bypass), (9, 2, 1));
+    assert_eq!(s.large_cache_hit + s.large_cache_miss, s.large_alloc);
+    assert_eq!(s.os.os_allocs, 2, "two spans ever mapped");
+    assert_eq!((s.large_live, s.reconciliation.large_bytes), (0, 0), "live still means live");
+    assert_eq!(s.reconciliation.large_cached_bytes, (64 << 10) + 4096);
+    assert_eq!(s.health.large_cached_spans, 1);
+    assert!(s.reconciliation.reconciles());
+
+    let json = s.to_json();
+    assert!(json.contains("\"cache_hit\":9,\"cache_miss\":2,\"cache_bypass\":1"), "{json}");
+    assert!(json.contains("\"large_cached_bytes\":69632"), "{json}");
+    assert!(json.contains("\"large_cached_spans\":1"), "{json}");
+    let mut out = Vec::new();
+    a.dump_stats(&mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert!(text.contains("span cache: 9 hit / 2 miss / 1 bypassed, 1 spans holding 69632 bytes"), "{text}");
+    assert!(text.contains("+ 69632 cached large"), "{text}");
+    let om = a.render_openmetrics();
+    lfmalloc::metrics::check_openmetrics(&om).expect("exposition well-formed");
+    assert!(om.contains("lfmalloc_large_cache_total{outcome=\"hit\"} 9"), "{om}");
+    assert!(om.contains("lfmalloc_large_cached_bytes 69632"), "{om}");
+}

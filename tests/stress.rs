@@ -3,6 +3,7 @@
 
 use lfmalloc_repro::prelude::*;
 use malloc_api::testkit::{self, TestRng};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 #[test]
@@ -153,4 +154,86 @@ fn thread_lifecycle_churn() {
             h.join().unwrap();
         }
     }
+}
+
+#[test]
+fn large_span_cache_under_four_threads() {
+    // Four threads churn large blocks of every cacheable shape against
+    // the 8 slots of the free-span cache. Every block carries its
+    // owner's tag at both ends for as long as it is live, so a span
+    // handed out twice shows as a foreign tag. Between rounds everyone
+    // stops and the books are checked.
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 20;
+    const RETAINED_BOUND: usize = 4 << 20; // DESIGN.md §16
+    // An instance of its own, large blocks only: every OS byte it holds
+    // is a large span, live or cached.
+    let a = LfMalloc::with_config(Config::with_heaps(THREADS));
+    let gate = std::sync::Barrier::new(THREADS);
+    // Per thread: an upper bound on the OS bytes behind its live blocks.
+    let held: Vec<std::sync::atomic::AtomicUsize> =
+        (0..THREADS).map(|_| Default::default()).collect();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (a, gate, held) = (&a, &gate, &held);
+            s.spawn(move || unsafe {
+                let mut rng = TestRng::new(0x1A26E + t as u64);
+                let mut live: Vec<(*mut u8, usize, u64, usize)> = Vec::new();
+                let mut seq = 0u64;
+                let check = |&(p, sz, tag, _): &(*mut u8, usize, u64, usize)| {
+                    assert_eq!((p as *const u64).read(), tag, "span handed out twice");
+                    assert_eq!((p.add(sz - 8) as *const u64).read_unaligned(), tag);
+                };
+                for _ in 0..ROUNDS {
+                    for _ in 0..400 {
+                        if live.len() == 6 || (!live.is_empty() && rng.range(0, 2) == 0) {
+                            let b = live.swap_remove(rng.range(0, live.len()));
+                            check(&b);
+                            a.free(b.0);
+                        } else {
+                            let sz = rng.range(12 << 10, (1 << 20) + 1);
+                            let align = 8usize << rng.range(0, 14); // 8 B ..= 64 KiB
+                            let p = a.malloc_aligned(sz, align);
+                            assert!(!p.is_null());
+                            assert_eq!(p as usize % align, 0, "alignment {align} not honoured");
+                            assert!(a.usable_size(p) >= sz);
+                            seq += 1;
+                            let tag = (t as u64) << 56 | seq;
+                            (p as *mut u64).write(tag);
+                            (p.add(sz - 8) as *mut u64).write_unaligned(tag);
+                            // Span: size + offset of the user area, in
+                            // pages, plus a recycled span's slack.
+                            let span = (sz + align.max(16) + 4095) / 4096 * 4096;
+                            live.push((p, sz, tag, span + span / 4));
+                        }
+                    }
+                    live.iter().for_each(check);
+                    held[t].store(live.iter().map(|b| b.3).sum(), Ordering::Relaxed);
+                    gate.wait();
+                    if t == 0 {
+                        let rep = a.audit();
+                        assert!(rep.is_clean(), "{rep}");
+                        let live_bound: usize =
+                            held.iter().map(|h| h.load(Ordering::Relaxed)).sum();
+                        assert!(rep.bytes.large_bytes <= live_bound);
+                        assert!(rep.bytes.large_cached_bytes <= RETAINED_BOUND);
+                        assert!(
+                            a.os_stats().live_bytes <= live_bound + RETAINED_BOUND,
+                            "{} OS bytes for at most {live_bound} live",
+                            a.os_stats().live_bytes
+                        );
+                    }
+                    gate.wait();
+                }
+                for b in live {
+                    check(&b);
+                    a.free(b.0);
+                }
+            });
+        }
+    });
+    assert!(a.health().large_cached_spans > 0, "nothing was ever parked");
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0);
+    assert!(a.audit().is_clean());
 }
