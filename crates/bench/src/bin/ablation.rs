@@ -3,18 +3,20 @@
 //! * `uniproc` — **U1 / §4.2.4**: single-heap mode with no thread-id
 //!   lookup; paper reports "15% increase in contention-free speedup on
 //!   Linux scalability".
-//! * `partial` — **A1 / §3.2.6**: FIFO vs LIFO size-class partial lists
-//!   (the paper prefers FIFO for lower contention/false sharing).
 //! * `credits` — **A2 / §3.2.1-3.2.3**: how much the credits mechanism
 //!   (batched reservations in the Active word) buys, by capping
 //!   `MAXCREDITS`. With cap 1 every allocation that drains the Active
 //!   word must touch the anchor — approximating a credit-free design.
 //!
-//! Usage: `ablation [uniproc|partial|credits|all] [--scale F] [--threads N]`.
+//! (A1, FIFO vs LIFO vs ordered-list partial lists, went with the
+//! organizations it compared: the allocator keeps one, DESIGN.md §17.5;
+//! its last table is a dated row in EXPERIMENTS.md.)
+//!
+//! Usage: `ablation [uniproc|credits|all] [--scale F] [--threads N]`.
 
-use bench::table::{fmt_speedup, Table};
+use bench::table::Table;
 use bench::{run_workload, Scale, Workload};
-use lfmalloc::{Config, LfMalloc, PartialMode};
+use lfmalloc::{Config, LfMalloc};
 use std::sync::Arc;
 use workloads::WorkloadResult;
 
@@ -42,28 +44,6 @@ fn uniproc(scale: Scale) {
     t.row(["single heap", &format!("{:.0}", single.ns_per_op()), &format!("{:.0}", single.throughput())]);
     println!("{}", t.render());
     println!("gain: {gain:+.1}% (paper: +15% contention-free speedup on POWER3)\n");
-}
-
-fn partial(scale: Scale, threads: usize) {
-    println!("A1 (§3.2.6): partial-list organizations ({threads} threads)");
-    println!("fifo = MS queue (paper's choice); lifo = Treiber stack; list = ordered list w/ mid-removal\n");
-    let mut t =
-        Table::new(["benchmark", "fifo ops/s", "lifo ops/s", "list ops/s", "fifo/lifo", "fifo/list"]);
-    for w in [Workload::Larson, Workload::ProducerConsumer(500), Workload::Threadtest] {
-        let base = Config::with_heaps(threads);
-        let fifo = run_lf(Config { partial_mode: PartialMode::Fifo, ..base }, w, threads, scale);
-        let lifo = run_lf(Config { partial_mode: PartialMode::Lifo, ..base }, w, threads, scale);
-        let list = run_lf(Config { partial_mode: PartialMode::List, ..base }, w, threads, scale);
-        t.row([
-            w.label(),
-            format!("{:.0}", fifo.throughput()),
-            format!("{:.0}", lifo.throughput()),
-            format!("{:.0}", list.throughput()),
-            fmt_speedup(fifo.throughput() / lifo.throughput()),
-            fmt_speedup(fifo.throughput() / list.throughput()),
-        ]);
-    }
-    println!("{}", t.render());
 }
 
 fn credits(scale: Scale, threads: usize) {
@@ -103,19 +83,18 @@ fn main() {
                 i += 1;
                 threads = args[i].parse().expect("--threads takes an integer");
             }
-            name @ ("uniproc" | "partial" | "credits" | "all") => which.push(name.to_string()),
+            name @ ("uniproc" | "credits" | "all") => which.push(name.to_string()),
             other => panic!("unknown argument {other}"),
         }
         i += 1;
     }
     if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = vec!["uniproc".into(), "partial".into(), "credits".into()];
+        which = vec!["uniproc".into(), "credits".into()];
     }
     let scale = Scale(scale);
     for name in which {
         match name.as_str() {
             "uniproc" => uniproc(scale),
-            "partial" => partial(scale, threads),
             "credits" => credits(scale, threads),
             _ => unreachable!(),
         }

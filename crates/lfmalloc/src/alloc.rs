@@ -358,7 +358,7 @@ pub(crate) unsafe fn heap_put_partial<S: PageSource>(inner: &Inner<S>, desc: *mu
     let prev = heap.swap_partial(desc); // lines 1-2 (swap == CAS loop)
     if !prev.is_null() {
         let ci = heap.class();
-        unsafe { inner.classes[ci].partial.put(&inner.domain, prev) }; // line 3
+        unsafe { inner.classes[ci].partial.put(prev) }; // line 3
     }
 }
 
@@ -382,7 +382,7 @@ unsafe fn heap_get_partial<S: PageSource>(
         let desc = heap.load_partial(); // line 1
         if desc.is_null() {
             // line 3: ListGetPartial
-            let got = unsafe { inner.classes[heap.class()].partial.get(&inner.domain) };
+            let got = unsafe { inner.classes[heap.class()].partial.get() };
             if got.is_some() {
                 crate::stat!(inner, heap, partial_pop);
             }
@@ -421,7 +421,7 @@ unsafe fn malloc_from_partial<S: PageSource>(
             if old.state() == SbState::Empty {
                 // line 5-6: raced with the emptying free; recycle and
                 // try another partial superblock.
-                unsafe { inner.desc_pool.retire(&inner.domain, desc_ptr) };
+                unsafe { inner.desc_pool.retire(desc_ptr) };
                 continue 'retry;
             }
             // "oldanchor state must be PARTIAL; oldanchor count must be > 0"
@@ -473,7 +473,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     // line 1, with bounded backoff: a transient source outage (or a
     // momentarily drained reserve) should not surface as spurious OOM.
     let desc_ptr = crate::retry::from_source(inner, || unsafe {
-        inner.desc_pool.alloc(&inner.domain, &inner.source) as *mut u8
+        inner.desc_pool.alloc(&inner.source) as *mut u8
     }) as *mut Descriptor;
     if desc_ptr.is_null() {
         crate::stat_event!(inner, OomBackoff, ci, 0);
@@ -483,7 +483,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     // line 2, same retry policy.
     let sb = crate::retry::from_source(inner, || inner.sb_pool.alloc(&inner.source));
     if sb.is_null() {
-        unsafe { inner.desc_pool.retire(&inner.domain, desc_ptr) };
+        unsafe { inner.desc_pool.retire(desc_ptr) };
         crate::stat_event!(inner, OomBackoff, ci, 0);
         return NewSb::Done(None);
     }
@@ -525,7 +525,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
         // lines 16-17: lost the race; recycle everything.
         unsafe {
             inner.sb_pool.dealloc(sb);
-            inner.desc_pool.retire(&inner.domain, desc_ptr);
+            inner.desc_pool.retire(desc_ptr);
         }
         NewSb::Lost
     }

@@ -18,6 +18,10 @@
 //!   slot or a size-class partial list lies inside a descriptor slab, is
 //!   not simultaneously on `DescAvail`, and is linked from exactly one
 //!   place.
+//! * Every node on `DescAvail` or the emergency reserve lies on a slot
+//!   boundary of a registered descriptor slab, is on no partial list and
+//!   in no heap slot, and appears once across both stacks; and free +
+//!   linked + floating = slots carved (`desc.avail`).
 //! * A linked descriptor's geometry matches its size class
 //!   (`sz == CLASS_SIZES[ci]`, `maxcount == SB_SIZE / sz`), its
 //!   superblock pointer lies inside a mapped hyperblock at superblock
@@ -40,8 +44,6 @@
 //!   blocks that superblock's free list accounts for; each magazine's
 //!   count matches its list and stays within its capacity. (To the
 //!   checks above a cached block is simply allocated.)
-//! * The hazard domain's retired backlog respects the Michael-2004
-//!   reclamation bound (`R ≤ records * (SCAN_THRESHOLD + H)`).
 //! * Every span in the free-span cache ([`crate::large::SpanCache`])
 //!   carries a header whose size is the slot's page count and whose
 //!   alignment its base honours, is within the per-span bound, is no
@@ -70,7 +72,6 @@ use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::NUM_CLASSES;
 use core::sync::atomic::Ordering;
-use hazard::{SCAN_THRESHOLD, SLOTS_PER_RECORD};
 use osmem::PageSource;
 use std::collections::{HashMap, HashSet};
 
@@ -97,7 +98,7 @@ impl core::fmt::Display for AuditViolation {
 pub struct AuditReport {
     /// Descriptor slots in all slabs.
     pub descriptors_total: usize,
-    /// Descriptors on the `DescAvail` free stack.
+    /// Descriptors on the `DescAvail` free stack or in the reserve.
     pub descriptors_free: usize,
     /// Descriptors linked from actives, heap slots or class lists.
     pub descriptors_linked: usize,
@@ -108,8 +109,6 @@ pub struct AuditReport {
     pub free_blocks_walked: usize,
     /// Blocks cached in thread magazines.
     pub magazine_blocks: usize,
-    /// Retired pointers awaiting hazard reclamation.
-    pub retired_pending: usize,
     /// Live large blocks.
     pub large_live: usize,
     /// Free large spans parked in the span cache.
@@ -132,7 +131,7 @@ impl core::fmt::Display for AuditReport {
         write!(
             f,
             "audit: {} descriptors ({} free, {} linked, {} floating), \
-             {} free blocks walked, {} cached in magazines, {} retired pending, \
+             {} free blocks walked, {} cached in magazines, \
              {} large live, {} large cached, {} violation(s)",
             self.descriptors_total,
             self.descriptors_free,
@@ -140,7 +139,6 @@ impl core::fmt::Display for AuditReport {
             self.descriptors_floating,
             self.free_blocks_walked,
             self.magazine_blocks,
-            self.retired_pending,
             self.large_live,
             self.large_cached_spans,
             self.violations.len()
@@ -249,23 +247,24 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     let all_set: HashSet<usize> = all.iter().map(|d| *d as usize).collect();
     // The free universe is DescAvail plus the emergency reserve — both
     // hold descriptors that are linked into no allocator structure.
-    let mut free = unsafe { inner.desc_pool.free_descriptors() };
-    free.extend(unsafe { inner.desc_pool.reserve_descriptors() });
+    let free = unsafe { inner.desc_pool.free_descriptors() };
     let mut free_set: HashSet<usize> = HashSet::new();
     for d in &free {
         let a = *d as usize;
+        // `all_set` holds exactly the slot boundaries of the registered
+        // slabs.
         if !all_set.contains(&a) {
             rep.violations.push(AuditViolation {
-                check: "desc.free-foreign",
-                detail: format!("DescAvail entry {a:#x} outside every descriptor slab"),
+                check: "desc.avail",
+                detail: format!("free-stack node {a:#x} is no slot of any descriptor slab"),
             });
         }
         if !free_set.insert(a) {
             rep.violations.push(AuditViolation {
-                check: "desc.free-cycle",
-                detail: format!("DescAvail entry {a:#x} appears twice"),
+                check: "desc.avail",
+                detail: format!("free-stack node {a:#x} appears twice"),
             });
-            break; // the stack is cyclic; stop counting
+            break; // a stack is cyclic or the two share a tail; stop counting
         }
     }
     rep.descriptors_total = all.len();
@@ -324,8 +323,8 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
         }
         if free_set.contains(&a) {
             rep.violations.push(AuditViolation {
-                check: "desc.linked-free",
-                detail: format!("{} holds {a:#x}, which is also on DescAvail", l.place),
+                check: "desc.avail",
+                detail: format!("{} holds {a:#x}, which is also on a free stack", l.place),
             });
         }
         if let Some(prev) = seen.insert(a, l.place.clone()) {
@@ -382,15 +381,22 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     // -- Thread magazines. ----------------------------------------------
     check_magazines(inner, &all_set, &free_set, &sb_regions, &mut rep);
 
-    // -- Hazard-pointer reclamation bound (Michael 2004). --------------
-    let records = inner.domain.record_count();
-    let retired = inner.domain.retired_count();
-    rep.retired_pending = retired;
-    let bound = records * (SCAN_THRESHOLD + records * SLOTS_PER_RECORD);
-    if retired > bound {
+    // -- Descriptor conservation. ---------------------------------------
+    // Every slot carved is on a free stack, linked, or floating (in use
+    // by a FULL superblock, or stranded by a kill): nothing is counted
+    // twice and nothing is parked anywhere else — there is no retire
+    // list to hide on.
+    let accounted = rep.descriptors_free + rep.descriptors_linked + rep.descriptors_floating;
+    if accounted != rep.descriptors_total {
         rep.violations.push(AuditViolation {
-            check: "hazard.retired-bound",
-            detail: format!("{retired} retired pointers exceed bound {bound} ({records} records)"),
+            check: "desc.avail",
+            detail: format!(
+                "{} free + {} linked + {} floating != {} slots carved",
+                rep.descriptors_free,
+                rep.descriptors_linked,
+                rep.descriptors_floating,
+                rep.descriptors_total
+            ),
         });
     }
 

@@ -56,24 +56,6 @@ impl HeapMode {
     }
 }
 
-/// Organization of the size-class partial-superblock lists (§3.2.6
-/// describes both; the paper prefers FIFO).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PartialMode {
-    /// Michael–Scott FIFO queue: "reduces the chances of contention and
-    /// false sharing" — the paper's preferred choice.
-    Fifo,
-    /// LIFO (Treiber) list — the alternative the paper sketches; kept as
-    /// an ablation (experiment A1 in DESIGN.md).
-    Lifo,
-    /// Michael's lock-free ordered list with mid-list removal — the
-    /// paper's other §3.2.6 option: "the simpler version in [19] of the
-    /// lock-free linked list algorithm in [16] can be used to manage
-    /// such a list ... with the possibility of removing descriptors
-    /// from the middle of the list".
-    List,
-}
-
 /// Allocation-sampler parameters (read only when the `profile` cargo
 /// feature is compiled in; carried unconditionally because two words of
 /// configuration cost nothing and keep [`Config`]'s shape
@@ -154,8 +136,6 @@ impl Default for ForensicsParams {
 pub struct Config {
     /// Heap topology.
     pub heap_mode: HeapMode,
-    /// Partial-list organization.
-    pub partial_mode: PartialMode,
     /// Cap on credits moved into the `Active` word at once
     /// (1..=[`MAX_CREDITS`]). The paper fixes this at 64 via pointer
     /// alignment; the A2 ablation sweeps it to show what credit
@@ -203,13 +183,11 @@ pub struct Config {
 impl Config {
     /// Paper-shaped defaults: per-CPU heaps (detected at initialization
     /// time, as §4.2.4 suggests: "the allocator can determine the number
-    /// of processors in the system at initialization time"), FIFO
-    /// partial lists.
+    /// of processors in the system at initialization time").
     pub fn detect() -> Self {
         let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Config {
             heap_mode: HeapMode::PerCpu(cpus),
-            partial_mode: PartialMode::Fifo,
             max_credits: MAX_CREDITS,
             oom_retries: DEFAULT_OOM_RETRIES,
             hardening: Hardening::Off,
@@ -227,7 +205,6 @@ impl Config {
     pub const fn with_heaps(n: usize) -> Self {
         Config {
             heap_mode: HeapMode::PerCpu(n),
-            partial_mode: PartialMode::Fifo,
             max_credits: MAX_CREDITS,
             oom_retries: DEFAULT_OOM_RETRIES,
             hardening: Hardening::Off,
@@ -243,7 +220,6 @@ impl Config {
     pub const fn uniprocessor() -> Self {
         Config {
             heap_mode: HeapMode::Single,
-            partial_mode: PartialMode::Fifo,
             max_credits: MAX_CREDITS,
             oom_retries: DEFAULT_OOM_RETRIES,
             hardening: Hardening::Off,
@@ -336,7 +312,6 @@ mod tests {
     fn detect_gives_at_least_one_heap() {
         let c = Config::detect();
         assert!(c.heap_mode.heap_count() >= 1);
-        assert_eq!(c.partial_mode, PartialMode::Fifo);
     }
 
     #[test]

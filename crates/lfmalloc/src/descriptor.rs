@@ -13,25 +13,62 @@
 //! ```
 //!
 //! Descriptors are allocated from 16 KiB descriptor superblocks and
-//! recycled through `DescAvail`, a lock-free LIFO whose pop is made
-//! ABA-safe with hazard pointers ("SafeCAS", §3.2.5, Figure 7).
+//! recycled through `DescAvail`, a lock-free LIFO (§3.2.5, Figure 7).
 //! "In the current implementation, superblock descriptors are not reused
 //! as regular blocks and cannot be returned to the OS. This is
 //! acceptable as descriptors constitute on average less than 1% of
-//! allocated memory" — we reproduce that: descriptor slabs live until
-//! the allocator instance is torn down.
+//! allocated memory" — descriptor slabs here live until the instance is
+//! torn down or a quiescent `trim` finds one wholly free.
+//!
+//! # No reclamation scheme (DESIGN.md §17)
+//!
+//! The paper makes `DescAvail`'s pop ABA-safe with a hazard pointer
+//! ("SafeCAS") and routes every retired descriptor through a retire
+//! list and a scan. Here `DescRetire` is one push and `DescAlloc` one
+//! pop of a [`DescStack`], the tag-protected intrusive LIFO the page
+//! pool uses for superblocks, and the argument is the page pool's:
+//!
+//! * **Type stability.** Descriptor slabs are unmapped only by a
+//!   quiescent `trim`, so a popper that read a stale head still reads
+//!   a `Descriptor::next` word — atomically, whatever it holds.
+//! * **The tag.** Every pop bumps the head's tag, so if that descriptor
+//!   left the stack in the meantime (the only way its link can have
+//!   changed) the stale CAS fails. The tag is [`DescStack::TAG_BITS`]
+//!   = 22 bits wide because the head packs 48-bit addresses
+//!   ([`DESC_ADDR_BITS`]); a slab mapped above that is refused as OOM.
+//! * **The Anchor's own tag** is never reset: `malloc_from_new_sb`
+//!   builds a reused descriptor's anchor from the value it finds, so a
+//!   free delayed across a whole life of the descriptor still loses its
+//!   CAS.
+//!
+//! The same link word threads a descriptor through `DescAvail`, the
+//! emergency reserve and its size class's partial list
+//! ([`crate::partial`]); a descriptor is on at most one of them at a
+//! time, because whoever moves it popped it (or carved it) first.
 
 use crate::anchor::Anchor;
-use crate::config::SB_SHIFT;
+use crate::config::{SB_SHIFT, SB_SIZE};
 use crate::heap::ProcHeap;
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use hazard::{HazardDomain, Slot};
-use lockfree_structs::{HpStack, Intrusive};
+use lockfree_structs::TaggedStack;
 use osmem::{PagePool, PageSource};
 
-/// Hazard slot reserved for `DescAvail` pops (slots 0–2 belong to the
-/// partial-list queues).
-pub const SLOT_DESC: Slot = Slot(3);
+/// Significant bits of a descriptor address as [`DescStack`] packs it:
+/// the user half of x86-64's four-level paging (47 bits) and all of
+/// aarch64's 48-bit layout, which is what Linux maps without an explicit
+/// hint. [`DescriptorPool::alloc`] refuses a slab above it.
+pub const DESC_ADDR_BITS: u32 = 48;
+
+/// A tag-protected LIFO of descriptors linked through
+/// [`Descriptor::next`]: `DescAvail`, the emergency reserve, and each
+/// size class's partial list.
+pub type DescStack = TaggedStack<6, { core::mem::offset_of!(Descriptor, next) }, DESC_ADDR_BITS>;
+
+// Parity with the page pool's `TaggedStack<14>`: a stale pop succeeds
+// wrongly only after exactly k * 2^TAG_BITS pops in its window.
+const _: () = assert!(DescStack::TAG_BITS >= 21);
+const _: () = assert!(DescStack::TAG_BITS >= TaggedStack::<14>::TAG_BITS);
+const _: () = assert!(core::mem::align_of::<Descriptor>() == 1 << 6);
 
 /// Words in the hardened-mode allocation bitmap: one bit per block,
 /// sized for the smallest class (16-byte blocks, prefix included →
@@ -46,9 +83,11 @@ pub struct Descriptor {
     /// The packed `(avail, count, state, tag)` word; every state change
     /// of the superblock is one CAS on this field.
     anchor: AtomicU64,
-    /// `DescAvail` free-list link (also used by the LIFO partial-list
-    /// ablation; the two uses are mutually exclusive in time).
-    next: AtomicPtr<Descriptor>,
+    /// Link word of whichever [`DescStack`] holds the descriptor
+    /// (`DescAvail`, the reserve, or a partial list — one at a time);
+    /// stale poppers of any of them may read it at any time, so it is
+    /// only ever accessed atomically.
+    next: AtomicUsize,
     /// Base address of the described superblock.
     sb: AtomicPtr<u8>,
     /// The processor heap that most recently owned this superblock.
@@ -69,12 +108,6 @@ pub struct Descriptor {
     /// is on. Grows the descriptor from 64 to 192 bytes — the paper's
     /// "less than 1% of allocated memory" bound still holds.
     bitmap: [AtomicU64; BITMAP_WORDS],
-}
-
-unsafe impl Intrusive for Descriptor {
-    fn next_link(&self) -> &AtomicPtr<Descriptor> {
-        &self.next
-    }
 }
 
 impl Descriptor {
@@ -242,17 +275,17 @@ pub const DESC_RESERVE_TARGET: usize = 64;
 /// (Figure 7's `DescAlloc`/`DescRetire`).
 #[derive(Debug)]
 pub struct DescriptorPool {
-    avail: HpStack<Descriptor>,
+    avail: DescStack,
     /// Emergency reserve, consulted only when both `avail` and the slab
     /// refill path come up empty. Topped back up opportunistically from
     /// fresh slabs and from retired descriptors, so descriptor
     /// allocation keeps succeeding during an OS outage.
-    reserve: HpStack<Descriptor>,
+    reserve: DescStack,
     /// Approximate occupancy of `reserve` (monotone counters around the
-    /// pushes/pops; small transient undercounts are harmless — they only
-    /// bias a descriptor toward the reserve).
+    /// pushes/pops; small transient miscounts are harmless — they only
+    /// bias a descriptor toward one stack or the other).
     reserve_len: AtomicUsize,
-    /// Descriptor superblocks; never released until instance teardown.
+    /// Descriptor superblocks; released only by `trim` and at teardown.
     slabs: PagePool<SB_SHIFT>,
 }
 
@@ -260,30 +293,22 @@ impl DescriptorPool {
     /// Creates an empty pool.
     pub const fn new() -> Self {
         DescriptorPool {
-            avail: HpStack::new(),
-            reserve: HpStack::new(),
+            avail: DescStack::new(),
+            reserve: DescStack::new(),
             reserve_len: AtomicUsize::new(0),
             slabs: PagePool::new(1),
         }
     }
 
     /// `DescAlloc`: pops an available descriptor, refilling from a fresh
-    /// descriptor superblock when empty.
-    ///
-    /// Deviation from Figure 7: on refill the paper installs the whole
-    /// remainder chain with one `CAS(&DescAvail, NULL, ...)` and gives
-    /// the slab back if it loses the race; we push the remainder
-    /// individually (unconditionally correct, at worst a few extra slabs
-    /// under a cold-start race).
+    /// descriptor superblock when empty. As in Figure 7, the rest of a
+    /// fresh slab is linked privately and installed with one CAS (two
+    /// when part of it tops up the reserve).
     ///
     /// # Safety
     ///
-    /// `domain` must be this pool's domain for the instance's lifetime.
-    pub unsafe fn alloc<S: PageSource>(
-        &self,
-        domain: &HazardDomain,
-        source: &S,
-    ) -> *mut Descriptor {
+    /// `source` must be the pool's page source.
+    pub unsafe fn alloc<S: PageSource>(&self, source: &S) -> *mut Descriptor {
         let fp = malloc_api::fail_point!("desc.alloc");
         if fp.kill {
             return core::ptr::null_mut(); // the caller sees OOM
@@ -291,64 +316,80 @@ impl DescriptorPool {
         if !fp.retry {
             // `retry` skips the `DescAvail` fast path once, forcing the
             // slab-refill slow path even when descriptors are available.
-            if let Some(d) = unsafe { self.avail.pop(domain, SLOT_DESC) } {
-                return d;
+            if let Some(d) = unsafe { self.avail.pop() } {
+                return d as *mut Descriptor;
             }
         }
-        let slab = self.slabs.alloc(source);
+        let mut slab = self.slabs.alloc(source);
+        if !slab.is_null() && (slab as usize + SB_SIZE) > (1usize << DESC_ADDR_BITS) {
+            // The stack heads cannot pack this address: to the
+            // descriptor pool it is no memory at all.
+            unsafe { self.slabs.dealloc(slab) };
+            slab = core::ptr::null_mut();
+        }
         if slab.is_null() {
             // OS exhausted; one more look at the free list, then the
             // emergency reserve — this is the path that keeps EMPTY-
             // transition processing alive while user memory is gone.
-            if let Some(d) = unsafe { self.avail.pop(domain, SLOT_DESC) } {
-                return d;
+            if let Some(d) = unsafe { self.avail.pop() } {
+                return d as *mut Descriptor;
             }
-            if let Some(d) = unsafe { self.reserve.pop(domain, SLOT_DESC) } {
+            if let Some(d) = unsafe { self.reserve.pop() } {
                 self.reserve_len.fetch_sub(1, Ordering::Relaxed);
-                return d;
+                return d as *mut Descriptor;
             }
             return core::ptr::null_mut();
         }
         // The slab arrives zeroed (mmap semantics): all-zero bytes are a
-        // valid Descriptor (null pointers, zero anchor). Top up the
-        // emergency reserve first, then feed `DescAvail`.
+        // valid Descriptor (null pointers, zero anchor). Slot 0 is the
+        // caller's; slots 1.. are chained here, where nobody else can see
+        // them, then the front of the chain tops up the emergency reserve
+        // and the rest feeds `DescAvail`.
         let descs = slab as *mut Descriptor;
-        for i in 1..DESC_PER_SLAB {
-            // Fresh descriptors were never popped; direct push is safe.
-            if self.reserve_len.load(Ordering::Relaxed) < DESC_RESERVE_TARGET {
-                unsafe { self.reserve.push(descs.add(i)) };
-                self.reserve_len.fetch_add(1, Ordering::Relaxed);
-            } else {
-                unsafe { self.avail.push(descs.add(i)) };
-            }
+        let slot = |i: usize| unsafe { descs.add(i) } as usize;
+        for i in 1..DESC_PER_SLAB - 1 {
+            unsafe { (*descs.add(i)).next.store(slot(i + 1), Ordering::Relaxed) };
         }
+        // Claim the reserve's shortfall before filling it, so two
+        // threads carving at once do not both fill it.
+        let room = self
+            .reserve_len
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < DESC_RESERVE_TARGET).then_some(DESC_RESERVE_TARGET)
+            })
+            .map_or(0, |n| DESC_RESERVE_TARGET - n);
+        const _: () = assert!(DESC_RESERVE_TARGET < DESC_PER_SLAB - 1);
+        if room > 0 {
+            unsafe { self.reserve.push_chain(slot(1), slot(room)) };
+        }
+        unsafe { self.avail.push_chain(slot(1 + room), slot(DESC_PER_SLAB - 1)) };
         descs
     }
 
-    /// `DescRetire`: hands the descriptor to the hazard domain; it
-    /// returns to `DescAvail` once no thread protects it. This is what
-    /// makes the pop's CAS ABA-safe.
+    /// `DescRetire`: one push. The descriptor is reusable at once; what
+    /// keeps a thread that still holds a stale pointer to it harmless is
+    /// spelled out in the [module docs](self).
     ///
     /// # Safety
     ///
-    /// `desc` must be unreachable from every allocator structure, and
-    /// `self` must be address-stable until the domain drops.
-    pub unsafe fn retire(&self, domain: &HazardDomain, desc: *mut Descriptor) {
+    /// `desc` must be a descriptor of this pool, unreachable from every
+    /// allocator structure.
+    pub unsafe fn retire(&self, desc: *mut Descriptor) {
         if malloc_api::fail_point!("desc.retire").kill {
             return; // died before retiring: the descriptor leaks
         }
-        unsafe fn reclaim(ctx: *mut u8, ptr: *mut u8) {
-            let pool = unsafe { &*(ctx as *const DescriptorPool) };
-            // Refill the emergency reserve before the general free list,
-            // so an outage-depleted reserve recovers as load continues.
-            if pool.reserve_len.load(Ordering::Relaxed) < DESC_RESERVE_TARGET {
-                unsafe { pool.reserve.push(ptr as *mut Descriptor) };
-                pool.reserve_len.fetch_add(1, Ordering::Relaxed);
-            } else {
-                unsafe { pool.avail.push(ptr as *mut Descriptor) };
-            }
+        unsafe { self.put_free(desc) };
+    }
+
+    /// Refills the emergency reserve before the general free list, so an
+    /// outage-depleted reserve recovers as load continues.
+    unsafe fn put_free(&self, desc: *mut Descriptor) {
+        if self.reserve_len.load(Ordering::Relaxed) < DESC_RESERVE_TARGET {
+            unsafe { self.reserve.push(desc as usize) };
+            self.reserve_len.fetch_add(1, Ordering::Relaxed);
+        } else {
+            unsafe { self.avail.push(desc as usize) };
         }
-        unsafe { domain.retire(desc as *mut u8, self as *const _ as *mut u8, reclaim) };
     }
 
     /// Number of descriptor slabs mapped (diagnostics; "less than 1% of
@@ -407,27 +448,33 @@ impl DescriptorPool {
         self.slabs.owning_region(addr).is_some()
     }
 
-    /// Descriptors currently free on `DescAvail`.
+    /// Descriptors currently free: `DescAvail`'s, then the emergency
+    /// reserve's.
     ///
     /// # Safety
     ///
     /// Requires quiescence: no concurrent `alloc`/`retire`.
     pub unsafe fn free_descriptors(&self) -> Vec<*mut Descriptor> {
-        unsafe { self.avail.snapshot() }
-    }
-
-    /// Descriptors currently parked in the emergency reserve.
-    ///
-    /// # Safety
-    ///
-    /// Requires quiescence: no concurrent `alloc`/`retire`.
-    pub unsafe fn reserve_descriptors(&self) -> Vec<*mut Descriptor> {
-        unsafe { self.reserve.snapshot() }
+        let mut free = unsafe { self.avail.snapshot() };
+        free.extend(unsafe { self.reserve.snapshot() });
+        free.into_iter().map(|a| a as *mut Descriptor).collect()
     }
 
     /// Approximate emergency-reserve occupancy (diagnostics).
     pub fn reserve_len(&self) -> usize {
         self.reserve_len.load(Ordering::Relaxed)
+    }
+
+    /// Descriptors on `DescAvail` and in the reserve right now, by
+    /// walking both (diagnostics; see [`walk_len`]).
+    pub fn free_counts(&self) -> (usize, usize) {
+        let limit = self.slot_count();
+        (walk_len(&self.avail, limit), walk_len(&self.reserve, limit))
+    }
+
+    /// Descriptor slots carved so far: [`DESC_PER_SLAB`] per mapped slab.
+    pub fn slot_count(&self) -> usize {
+        self.slab_count() * DESC_PER_SLAB
     }
 
     /// Whether `desc` points at a valid descriptor slot inside one of
@@ -455,20 +502,18 @@ impl DescriptorPool {
     ///
     /// # Safety
     ///
-    /// Requires quiescence: no concurrent operation on this pool or its
-    /// hazard `domain` (retired descriptors must already be flushed back
-    /// — call `HazardDomain::flush_all` first), and `source` must be the
-    /// pool's page source.
-    pub unsafe fn trim<S: PageSource>(&self, domain: &HazardDomain, source: &S) -> usize {
-        // Drain both free stacks. Under quiescence pop cannot ABA, and
-        // every popped descriptor re-enters only by the direct pushes
-        // below (fresh-push discipline holds: no concurrent pops exist).
+    /// Requires quiescence: nothing else may touch this pool or any of
+    /// its descriptors meanwhile — not a diagnostics walk either — and
+    /// `source` must be the pool's page source. This is the one place a
+    /// descriptor's memory goes away, and the reason every other
+    /// operation may treat descriptors as type-stable.
+    pub unsafe fn trim<S: PageSource>(&self, source: &S) -> usize {
         let mut free: Vec<*mut Descriptor> = Vec::new();
-        while let Some(d) = unsafe { self.avail.pop(domain, SLOT_DESC) } {
-            free.push(d);
+        while let Some(d) = unsafe { self.avail.pop() } {
+            free.push(d as *mut Descriptor);
         }
-        while let Some(d) = unsafe { self.reserve.pop(domain, SLOT_DESC) } {
-            free.push(d);
+        while let Some(d) = unsafe { self.reserve.pop() } {
+            free.push(d as *mut Descriptor);
         }
         self.reserve_len.store(0, Ordering::Relaxed);
         // A slab is a trim victim iff every one of its slots is free.
@@ -485,14 +530,8 @@ impl DescriptorPool {
             free.retain(|&d| (d as usize) < base || (d as usize) >= base + bytes);
             unsafe { self.slabs.dealloc(base as *mut u8) };
         }
-        // Re-stack survivors, reserve first.
         for d in free {
-            if self.reserve_len.load(Ordering::Relaxed) < DESC_RESERVE_TARGET {
-                unsafe { self.reserve.push(d) };
-                self.reserve_len.fetch_add(1, Ordering::Relaxed);
-            } else {
-                unsafe { self.avail.push(d) };
-            }
+            unsafe { self.put_free(d) };
         }
         unsafe { self.slabs.trim(source) }
     }
@@ -511,6 +550,22 @@ impl Default for DescriptorPool {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Length of `stack` by following the links from its top, for
+/// diagnostics. Safe beside concurrent pushes and pops — a `next` word
+/// only ever holds a descriptor address or 0, and descriptors are
+/// type-stable — but then the walk may cross into another stack through
+/// a descriptor that moved, so the answer is a hint, and `limit` (the
+/// number of descriptors there are) is what ends a walk gone astray.
+pub(crate) fn walk_len(stack: &DescStack, limit: usize) -> usize {
+    let mut n = 0;
+    let mut p = stack.top();
+    while p != 0 && n < limit {
+        n += 1;
+        p = unsafe { &*(p as *const Descriptor) }.next.load(Ordering::Relaxed);
+    }
+    n
 }
 
 #[cfg(test)]
@@ -536,9 +591,8 @@ mod tests {
         use crate::config::SB_SIZE;
         use crate::size_classes::CLASS_SIZES;
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
-        let d = unsafe { &*pool.alloc(&domain, &src) };
+        let d = unsafe { &*pool.alloc(&src) };
         for (ci, &sz) in CLASS_SIZES.iter().enumerate() {
             d.set_sz(sz, ci);
             assert_eq!(d.class(), ci);
@@ -546,17 +600,15 @@ mod tests {
                 assert_eq!(d.block_index(off), off / sz as usize, "sz {sz}, off {off}");
             }
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
     #[test]
     fn alloc_bits_set_clear_and_race_semantics() {
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         unsafe {
-            let d = &*pool.alloc(&domain, &src);
+            let d = &*pool.alloc(&src);
             assert_eq!(d.alloc_bit_count(), 0, "fresh descriptor starts clear");
             assert!(d.set_alloc_bit(0));
             assert!(d.set_alloc_bit(1023), "highest 16-byte-class index");
@@ -568,18 +620,16 @@ mod tests {
             d.reset_alloc_bits();
             assert_eq!(d.alloc_bit_count(), 0);
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
     #[test]
     fn pool_owns_exactly_its_descriptor_slots() {
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         assert!(!pool.owns(core::ptr::null()), "empty pool owns nothing");
         unsafe {
-            let d = pool.alloc(&domain, &src);
+            let d = pool.alloc(&src);
             assert!(pool.owns(d));
             // Misaligned interior pointer: inside the slab, wrong stride.
             assert!(!pool.owns((d as usize + 8) as *const Descriptor));
@@ -594,54 +644,47 @@ mod tests {
             let local = 0usize;
             assert!(!pool.owns(&local as *const usize as *const Descriptor));
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
     #[test]
     fn pool_allocates_distinct_aligned_descriptors() {
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         let mut seen = std::collections::HashSet::new();
         unsafe {
             for _ in 0..DESC_PER_SLAB * 2 + 3 {
-                let d = pool.alloc(&domain, &src);
+                let d = pool.alloc(&src);
                 assert!(!d.is_null());
                 assert_eq!(d as usize % 64, 0);
                 assert!(seen.insert(d as usize), "descriptor handed out twice");
             }
         }
         assert_eq!(pool.slab_count(), 3);
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
     #[test]
     fn retired_descriptor_is_recycled() {
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         unsafe {
-            let first = pool.alloc(&domain, &src);
-            pool.retire(&domain, first);
-            domain.flush();
+            let first = pool.alloc(&src);
+            pool.retire(first);
             // With one slab of fresh descriptors available the recycled
             // one sits on top of the LIFO.
-            let again = pool.alloc(&domain, &src);
+            let again = pool.alloc(&src);
             assert_eq!(again, first, "retired descriptor should be reused first");
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
     #[test]
     fn anchor_cas_failure_returns_observed() {
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         unsafe {
-            let d = &*pool.alloc(&domain, &src);
+            let d = &*pool.alloc(&src);
             let a0 = d.load_anchor();
             let a1 = a0.with_count(5).with_state(SbState::Partial);
             d.cas_anchor(a0, a1).unwrap();
@@ -649,7 +692,6 @@ mod tests {
             let err = d.cas_anchor(a0, a0.with_count(9)).unwrap_err();
             assert_eq!(err.raw(), a1.raw());
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
@@ -657,32 +699,29 @@ mod tests {
     fn reserve_keeps_alloc_alive_when_source_is_dead() {
         use osmem::FlakySource;
         let src = FlakySource::new(SystemSource::new(), 1);
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         unsafe {
             // First slab succeeds and seeds the reserve.
-            let d = pool.alloc(&domain, &src);
+            let d = pool.alloc(&src);
             assert!(!d.is_null());
             assert_eq!(pool.reserve_len(), DESC_RESERVE_TARGET);
             // Exhaust DescAvail (the fresh slab minus the reserve minus
             // the one handed out), with the source now dead.
             for _ in 0..(DESC_PER_SLAB - 1 - DESC_RESERVE_TARGET) {
-                assert!(!pool.alloc(&domain, &src).is_null());
+                assert!(!pool.alloc(&src).is_null());
             }
             // The reserve now carries allocation through the outage.
             for i in 0..DESC_RESERVE_TARGET {
-                assert!(!pool.alloc(&domain, &src).is_null(), "reserve pop {i} failed");
+                assert!(!pool.alloc(&src).is_null(), "reserve pop {i} failed");
             }
             assert_eq!(pool.reserve_len(), 0);
-            assert!(pool.alloc(&domain, &src).is_null(), "everything truly exhausted");
+            assert!(pool.alloc(&src).is_null(), "everything truly exhausted");
             assert!(src.denials() > 0);
             // Retired descriptors refill the reserve first.
-            pool.retire(&domain, d);
-            domain.flush();
+            pool.retire(d);
             assert_eq!(pool.reserve_len(), 1);
-            assert!(!pool.alloc(&domain, &src).is_null());
+            assert!(!pool.alloc(&src).is_null());
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
     }
 
@@ -690,33 +729,30 @@ mod tests {
     fn trim_releases_fully_free_slabs_and_restacks_reserve_first() {
         use osmem::{CountingSource, SystemSource};
         let src = CountingSource::new(SystemSource::new());
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         unsafe {
             // Two slabs: hold one descriptor from the first slab live.
-            let _held = pool.alloc(&domain, &src);
+            let _held = pool.alloc(&src);
             let mut handed = Vec::new();
             for _ in 0..DESC_PER_SLAB {
-                let d = pool.alloc(&domain, &src);
+                let d = pool.alloc(&src);
                 assert!(!d.is_null());
                 handed.push(d);
             }
             assert_eq!(pool.slab_count(), 2);
-            // Retire everything except `held`, flush, then trim: the
+            // Retire everything except `held`, then trim: the
             // second slab becomes fully free and is unmapped; the first
             // survives because of `held`.
             for d in handed {
-                pool.retire(&domain, d);
+                pool.retire(d);
             }
-            domain.flush_all();
-            let released = pool.trim(&domain, &src);
+            let released = pool.trim(&src);
             assert_eq!(released, 1 << SB_SHIFT, "one slab released");
             assert_eq!(pool.slab_count(), 1);
             assert_eq!(pool.reserve_len(), DESC_RESERVE_TARGET, "reserve re-topped");
             // Pool still functions.
-            assert!(!pool.alloc(&domain, &src).is_null());
+            assert!(!pool.alloc(&src).is_null());
         }
-        drop(domain);
         unsafe { pool.release_all(&src) };
         assert_eq!(src.stats().live_bytes, 0);
     }
@@ -724,16 +760,55 @@ mod tests {
     #[test]
     fn fresh_descriptor_fields_are_zero() {
         let src = SystemSource::new();
-        let domain = HazardDomain::new();
         let pool = Box::new(DescriptorPool::new());
         unsafe {
-            let d = &*pool.alloc(&domain, &src);
+            let d = &*pool.alloc(&src);
             assert!(d.sb().is_null());
             assert!(d.heap().is_null());
             assert_eq!(d.sz(), 0);
             assert_eq!(d.load_anchor().raw(), 0);
         }
-        drop(domain);
+        unsafe { pool.release_all(&src) };
+    }
+
+    /// The argument that replaced SafeCAS, one step at a time (the same
+    /// shape as `osmem::pool`'s test, on `DescAvail`): A is frozen in
+    /// `DescAlloc` between reading the top descriptor's link and its
+    /// CAS; B allocates that descriptor and the next, and retires the
+    /// first, which is reusable at once and so back on top with a new
+    /// link. A's CAS sees the address it expects under a tag it does
+    /// not, fails, and retries; nothing is handed out twice.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_stale_desc_alloc_loses_to_the_head_tag() {
+        use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
+        let _guard = fp::scenario(0xABA);
+        let src = SystemSource::new();
+        let pool = Box::new(DescriptorPool::new());
+        let first = unsafe { pool.alloc(&src) } as usize; // carves the slab
+        let (avail, reserve) = pool.free_counts();
+        assert_eq!(avail, DESC_PER_SLAB - 1 - DESC_RESERVE_TARGET);
+        assert_eq!(reserve, DESC_RESERVE_TARGET);
+        fp::arm_limited("stack.pop", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| unsafe { pool.alloc(&src) } as usize);
+            while fp::fired("stack.pop") == 0 {
+                std::thread::yield_now();
+            }
+            let (x, y) = unsafe { (pool.alloc(&src), pool.alloc(&src)) };
+            unsafe { pool.retire(x) };
+            fp::disarm("stack.pop");
+            let got = a.join().unwrap();
+            assert_eq!(got, x as usize, "A retried and popped the real top");
+            let mut seen = std::collections::HashSet::from([first, got, y as usize]);
+            assert_eq!(seen.len(), 3);
+            // Everything still free comes out once, and that is all of it.
+            for _ in 0..avail - 2 {
+                assert!(seen.insert(unsafe { pool.alloc(&src) } as usize), "handed out twice");
+            }
+            assert_eq!(pool.free_counts(), (0, reserve), "DescAvail conserved");
+            assert_eq!(pool.slab_count(), 1);
+        });
         unsafe { pool.release_all(&src) };
     }
 }

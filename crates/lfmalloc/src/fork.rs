@@ -5,8 +5,9 @@
 //! thread. For this allocator that leaves three kinds of wreckage in
 //! the child:
 //!
-//! * every other thread's hazard record is orphaned — `active`, maybe
-//!   holding published hazards and a retired backlog nobody will drain;
+//! * every other thread's magazine slot is orphaned, its cached blocks
+//!   owned by a thread that does not exist (nothing else is: a
+//!   descriptor is never parked on a per-thread list, DESIGN.md §17.6);
 //! * the TLS thread-id registry still holds parent-era ids, and the
 //!   background reaper's `JoinHandle` refers to a thread that no longer
 //!   exists (joining it would block forever);
@@ -188,20 +189,13 @@ fn recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
     {
         return;
     }
-    // The forking thread's own hazard record crossed the fork with it:
-    // restamp it first so the orphan pass below keeps its hands off.
-    // (Per POSIX the child is single-threaded until recovery is done,
-    // so "the current thread" is the only surviving owner.)
-    inner.domain.restamp_current_thread();
-    // Adopt every parent-era record: drain its retired backlog, null
-    // hazards its dead owner published, release it for re-adoption.
-    let adopted = inner.domain.adopt_orphans();
-    inner.domain.reap_inactive();
-    // Magazines, same two moves: this thread's slot crossed the fork
-    // with it and is taken back under its new stamp; every other
-    // parent-era slot is an orphan whose blocks go home.
+    // Magazines: this thread's slot crossed the fork with it and is
+    // taken back under its new stamp; every other parent-era slot is an
+    // orphan whose blocks go home. (Per POSIX the child is
+    // single-threaded until recovery is done, so "the current thread"
+    // is the only surviving owner.)
     crate::magazine::reattach_after_fork(inner);
-    crate::magazine::drain_dead(inner);
+    let drained = crate::magazine::drain_dead(inner);
     // The span cache crossed the fork as it was and stays usable. A
     // thread that was between reserving room in it and parking its span
     // does not exist here; give its reservation back.
@@ -212,8 +206,8 @@ fn recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
         respawn(inner, cfg);
     }
     inner.health.note_fork_recovery();
-    crate::stat_event!(inner, ChildRecover, 0, adopted as u64);
-    let _ = adopted;
+    crate::stat_event!(inner, ChildRecover, 0, drained as u64);
+    let _ = drained;
 }
 
 /// Restarts the reaper through the monomorphized trampoline stored by

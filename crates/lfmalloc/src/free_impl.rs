@@ -195,13 +195,40 @@ unsafe fn remove_empty_desc<S: PageSource>(
 ) {
     if heap.cas_partial(desc, core::ptr::null_mut()) {
         // lines 1-2
-        unsafe { inner.desc_pool.retire(&inner.domain, desc) };
+        unsafe { retire_if_empty(inner, desc) };
     } else {
         // line 3: ListRemoveEmptyDesc — the goal "is to ensure that
         // empty descriptors are eventually made available for reuse, and
         // not necessarily to remove a specific empty descriptor
         // immediately".
         let ci = heap.class();
-        unsafe { inner.classes[ci].partial.remove_empty(&inner.domain, &inner.desc_pool) };
+        unsafe { inner.classes[ci].partial.remove_empty(&inner.desc_pool) };
     }
+}
+
+/// Disposes of a descriptor the caller has just taken out of a heap's
+/// Partial slot because it saw it EMPTY: retires it (and says so) if it
+/// still is, puts it back otherwise.
+///
+/// The second look is what immediate descriptor reuse costs (DESIGN.md
+/// §17.3). Between the caller's look and its slot CAS a malloc may have
+/// taken the EMPTY descriptor from the slot and retired it, and the
+/// descriptor — back on `DescAvail` at once, with no retire list to sit
+/// out a grace period on — may have been given a new superblock of the
+/// same heap, filled, and parked in the same slot. The slot CAS cannot
+/// tell (the paper's cannot either; its window is a hazard scan wide).
+/// But taking a descriptor out of the slot makes it the caller's alone,
+/// and then its state says which life it is in, as it does for
+/// `MallocFromPartial` (Figure 4, line 5).
+pub(crate) unsafe fn retire_if_empty<S: PageSource>(
+    inner: &Inner<S>,
+    desc: *mut Descriptor,
+) -> bool {
+    let empty = unsafe { (*desc).load_anchor() }.state() == SbState::Empty;
+    if empty {
+        unsafe { inner.desc_pool.retire(desc) };
+    } else {
+        unsafe { crate::alloc::heap_put_partial(inner, desc) };
+    }
+    empty
 }

@@ -21,7 +21,8 @@
 //!   site and tally, turning a silent livelock into a loud crash).
 //! * [`LfMalloc::health`](crate::LfMalloc::health) aggregates the storm
 //!   counters with maintenance progress (see [`crate::maintain`]),
-//!   hazard-domain depth, quarantine depth, last-audit outcome, and OS
+//!   descriptor free-stack and partial-list depths, quarantine depth,
+//!   last-audit outcome, and OS
 //!   bytes vs. the trim watermark into a [`HealthSnapshot`] whose
 //!   [`is_degraded`](HealthSnapshot::is_degraded) gives a single verdict.
 //!
@@ -34,6 +35,7 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
+use crate::size_classes::NUM_CLASSES;
 use osmem::PageSource;
 
 /// What the watchdog does when a retry loop crosses the ceiling.
@@ -179,9 +181,6 @@ pub(crate) struct HealthState {
     maintain_passes: AtomicU64,
     /// Maintenance passes driven by the background reaper specifically.
     reaper_passes: AtomicU64,
-    /// Retired hazard nodes reclaimed by maintenance (dead-thread reap +
-    /// own-thread flush).
-    reaped_retired: AtomicU64,
     /// Quarantined blocks released by maintenance.
     quarantine_flushed: AtomicU64,
     /// EMPTY descriptors pruned off heap slots / partial lists by
@@ -195,9 +194,6 @@ pub(crate) struct HealthState {
     /// Violation count of the last *full* `audit()` ([`AUDIT_NEVER`] =
     /// never ran).
     last_audit_violations: AtomicU64,
-    /// Highest retired-queue depth observed at watch/maintain sampling
-    /// points (always-on companion to the `stats`-gated true high-water).
-    retired_hwm: AtomicU64,
     /// Child-side fork recoveries performed (see [`crate::fork`]).
     fork_recoveries: AtomicU64,
     /// Audit-slice cursor into the descriptor universe.
@@ -214,13 +210,11 @@ impl HealthState {
             throttles: AtomicU64::new(0),
             maintain_passes: AtomicU64::new(0),
             reaper_passes: AtomicU64::new(0),
-            reaped_retired: AtomicU64::new(0),
             quarantine_flushed: AtomicU64::new(0),
             empty_pruned: AtomicU64::new(0),
             audit_slice_checked: AtomicU64::new(0),
             audit_slice_flagged: AtomicU64::new(0),
             last_audit_violations: AtomicU64::new(AUDIT_NEVER),
-            retired_hwm: AtomicU64::new(0),
             fork_recoveries: AtomicU64::new(0),
             audit_cursor: AtomicUsize::new(0),
             watermark: AtomicUsize::new(usize::MAX),
@@ -247,7 +241,6 @@ impl HealthState {
     pub(crate) fn note_maintain(
         &self,
         from_reaper: bool,
-        reaped: u64,
         flushed: u64,
         pruned: u64,
         slice_checked: u64,
@@ -257,7 +250,6 @@ impl HealthState {
         if from_reaper {
             self.reaper_passes.fetch_add(1, Ordering::Relaxed);
         }
-        self.reaped_retired.fetch_add(reaped, Ordering::Relaxed);
         self.quarantine_flushed.fetch_add(flushed, Ordering::Relaxed);
         self.empty_pruned.fetch_add(pruned, Ordering::Relaxed);
         self.audit_slice_checked.fetch_add(slice_checked, Ordering::Relaxed);
@@ -277,22 +269,6 @@ impl HealthState {
     /// Counts one completed child-side fork recovery.
     pub(crate) fn note_fork_recovery(&self) {
         self.fork_recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lock-free max on the observed retired depth.
-    pub(crate) fn observe_retired(&self, depth: u64) {
-        let mut cur = self.retired_hwm.load(Ordering::Relaxed);
-        while depth > cur {
-            match self.retired_hwm.compare_exchange_weak(
-                cur,
-                depth,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
-        }
     }
 
     /// Advances the audit-slice cursor by `n` modulo `universe`,
@@ -372,7 +348,7 @@ fn storm<S: PageSource>(
 }
 
 /// Aggregated health verdict of one allocator instance — liveness,
-/// maintenance progress, reclamation depth, audit outcome, and OS
+/// maintenance progress, descriptor bookkeeping, audit outcome, and OS
 /// footprint in one racy-but-coherent-enough snapshot.
 #[derive(Clone, Debug)]
 pub struct HealthSnapshot {
@@ -388,8 +364,6 @@ pub struct HealthSnapshot {
     pub maintain_passes: u64,
     /// Maintenance passes driven by the background reaper.
     pub reaper_passes: u64,
-    /// Retired hazard nodes reclaimed by maintenance.
-    pub reaped_retired: u64,
     /// Quarantined blocks released by maintenance.
     pub quarantine_flushed: u64,
     /// EMPTY descriptors pruned by maintenance.
@@ -401,21 +375,20 @@ pub struct HealthSnapshot {
     /// Violations reported by the last full `audit()`; `None` if no full
     /// audit has run.
     pub last_audit_violations: Option<u64>,
-    /// Hazard records ever created in the instance's domain.
-    pub hazard_records: usize,
-    /// Currently retired-but-unreclaimed hazard nodes.
-    pub hazard_retired: usize,
-    /// Highest retired depth observed (true high-water under `stats`,
-    /// sampled high-water otherwise).
-    pub hazard_retired_high_water: u64,
-    /// Hazard nodes intentionally leaked under memory pressure.
-    pub hazard_leaked: usize,
+    /// Free descriptors on `DescAvail` and in the emergency reserve,
+    /// and descriptors on each size class's partial list: one walk of
+    /// each stack at snapshot time, so hints under concurrency. Free +
+    /// listed + in use = `descriptor_slots`, the slots carved so far.
+    pub desc_avail: usize,
+    pub desc_reserve: usize,
+    pub partial_listed: [usize; NUM_CLASSES],
+    pub descriptor_slots: usize,
     /// Blocks currently sitting in the hardened-mode quarantine.
     pub quarantine_depth: usize,
     /// Thread-magazine slots currently owned, by live threads or by
-    /// exited ones whose slot nobody has adopted or drained yet. Like
-    /// `hazard_records`, it follows the number of threads alive at once,
-    /// not the number that ever ran.
+    /// exited ones whose slot nobody has adopted or drained yet. It
+    /// follows the number of threads alive at once, not the number that
+    /// ever ran.
     pub magazine_slots: usize,
     /// Freed large spans parked in the span cache for the next large
     /// malloc, and the OS bytes they hold (at most 8 spans and 4 MiB).
@@ -439,15 +412,22 @@ impl HealthSnapshot {
         self.storms.iter().sum()
     }
 
+    /// Descriptors neither free nor on a partial list: installed in a
+    /// heap, owning a FULL superblock, in a thread's hands, or stranded
+    /// by a kill.
+    pub fn descriptors_in_use(&self) -> usize {
+        let listed: usize = self.partial_listed.iter().sum();
+        self.descriptor_slots.saturating_sub(self.desc_avail + self.desc_reserve + listed)
+    }
+
     /// The single health verdict: `true` when something needs attention —
-    /// a retry storm was detected, hazard nodes had to be leaked, or the
-    /// last full audit found violations. Quarantine depth and OS bytes
+    /// a retry storm was detected, or the last full audit found
+    /// violations. Quarantine depth and OS bytes
     /// above the watermark are reported but do *not* degrade: both are
     /// expected states for a live heap (quarantine is a design feature;
     /// trim only releases fully-free hyperblocks).
     pub fn is_degraded(&self) -> bool {
         self.storms_total() > 0
-            || self.hazard_leaked > 0
             || matches!(self.last_audit_violations, Some(v) if v > 0)
     }
 
@@ -464,12 +444,12 @@ impl HealthSnapshot {
         format!(
             "{{\"degraded\":{},\"policy\":\"{}\",\"retry_ceiling\":{},\
              \"storms\":{{{}}},\"throttle_activations\":{},\
-             \"maintain_passes\":{},\"reaper_passes\":{},\"reaped_retired\":{},\
+             \"maintain_passes\":{},\"reaper_passes\":{},\
              \"quarantine_flushed\":{},\"empty_pruned\":{},\
              \"audit_slice_checked\":{},\"audit_slice_flagged\":{},\
-             \"last_audit_violations\":{},\"hazard_records\":{},\
-             \"hazard_retired\":{},\"hazard_retired_high_water\":{},\
-             \"hazard_leaked\":{},\"quarantine_depth\":{},\"magazine_slots\":{},\
+             \"last_audit_violations\":{},\"desc_avail\":{},\
+             \"desc_reserve\":{},\"partial_listed\":{:?},\"descriptor_slots\":{},\
+             \"quarantine_depth\":{},\"magazine_slots\":{},\
              \"large_cached_spans\":{},\"large_cached_bytes\":{},\
              \"os_live_bytes\":{},\"os_watermark\":{},\
              \"fork_generation\":{},\"fork_recoveries\":{}}}",
@@ -480,7 +460,6 @@ impl HealthSnapshot {
             self.throttle_activations,
             self.maintain_passes,
             self.reaper_passes,
-            self.reaped_retired,
             self.quarantine_flushed,
             self.empty_pruned,
             self.audit_slice_checked,
@@ -489,10 +468,10 @@ impl HealthSnapshot {
                 Some(v) => v.to_string(),
                 None => "null".into(),
             },
-            self.hazard_records,
-            self.hazard_retired,
-            self.hazard_retired_high_water,
-            self.hazard_leaked,
+            self.desc_avail,
+            self.desc_reserve,
+            self.partial_listed,
+            self.descriptor_slots,
             self.quarantine_depth,
             self.magazine_slots,
             self.large_cached_spans,
@@ -515,11 +494,8 @@ impl<S: PageSource> LfMalloc<S> {
     pub fn health(&self) -> HealthSnapshot {
         let inner = self.inner();
         let h = &inner.health;
-        let retired = inner.domain.retired_count();
-        h.observe_retired(retired as u64);
-        let hwm = h.retired_hwm.load(Ordering::Relaxed);
-        #[cfg(feature = "stats")]
-        let hwm = hwm.max(inner.domain.stats().retired_high_water);
+        let (desc_avail, desc_reserve) = inner.desc_pool.free_counts();
+        let descriptor_slots = inner.desc_pool.slot_count();
         let watermark = h.watermark.load(Ordering::Relaxed);
         let last_audit = h.last_audit_violations.load(Ordering::Relaxed);
         HealthSnapshot {
@@ -529,16 +505,17 @@ impl<S: PageSource> LfMalloc<S> {
             throttle_activations: h.throttles.load(Ordering::Relaxed),
             maintain_passes: h.maintain_passes.load(Ordering::Relaxed),
             reaper_passes: h.reaper_passes.load(Ordering::Relaxed),
-            reaped_retired: h.reaped_retired.load(Ordering::Relaxed),
             quarantine_flushed: h.quarantine_flushed.load(Ordering::Relaxed),
             empty_pruned: h.empty_pruned.load(Ordering::Relaxed),
             audit_slice_checked: h.audit_slice_checked.load(Ordering::Relaxed),
             audit_slice_flagged: h.audit_slice_flagged.load(Ordering::Relaxed),
             last_audit_violations: if last_audit == AUDIT_NEVER { None } else { Some(last_audit) },
-            hazard_records: inner.domain.record_count(),
-            hazard_retired: retired,
-            hazard_retired_high_water: hwm,
-            hazard_leaked: inner.domain.leaked_count(),
+            desc_avail,
+            desc_reserve,
+            partial_listed: core::array::from_fn(|ci| {
+                inner.classes[ci].partial.len_hint(descriptor_slots)
+            }),
+            descriptor_slots,
             quarantine_depth: inner.quarantine_depth(),
             magazine_slots: crate::magazine::owned_slots(inner),
             large_cached_spans: inner.large_cache.spans().count(),

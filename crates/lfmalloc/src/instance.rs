@@ -21,7 +21,6 @@ use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
 use core::ptr::NonNull;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use hazard::HazardDomain;
 use lockfree_structs::BoundedQueue;
 use malloc_api::{AllocStats, RawMalloc};
 use osmem::{CountingSource, PagePool, PageSource, SpanRegistry, SystemSource};
@@ -42,10 +41,6 @@ pub(crate) struct SizeClassState {
 
 /// All allocator state; address-stable behind a system allocation.
 pub(crate) struct Inner<S: PageSource> {
-    // Field order is teardown order (see `LfMalloc::drop`): the hazard
-    // domain must drain (pushing retired descriptors and queue nodes
-    // back into their pools) before any pool releases memory.
-    pub domain: HazardDomain,
     pub desc_pool: DescriptorPool,
     pub sb_pool: PagePool<SB_SHIFT>,
     pub source: CountingSource<S>,
@@ -175,8 +170,7 @@ impl core::fmt::Display for OutOfMemory {
 impl std::error::Error for OutOfMemory {}
 
 impl LfMalloc<SystemSource> {
-    /// Paper-shaped defaults: per-CPU heaps, FIFO partial lists, system
-    /// page source.
+    /// Paper-shaped defaults: per-CPU heaps, system page source.
     pub fn new_default() -> Self {
         Self::with_config(Config::detect())
     }
@@ -315,7 +309,6 @@ impl<S: PageSource> LfMalloc<S> {
                 return Err(OutOfMemory);
             }
             inner.write(Inner {
-                domain: HazardDomain::new(),
                 desc_pool: DescriptorPool::new(),
                 sb_pool: PagePool::new(SB_BATCH),
                 source: CountingSource::new(source),
@@ -325,7 +318,7 @@ impl<S: PageSource> LfMalloc<S> {
                 heaps,
                 mags,
                 classes: core::array::from_fn(|i| SizeClassState {
-                    partial: PartialList::new(config.partial_mode),
+                    partial: PartialList::new(),
                     sz: CLASS_SIZES[i],
                 }),
                 large_live: AtomicUsize::new(0),
@@ -348,11 +341,6 @@ impl<S: PageSource> LfMalloc<S> {
                 #[cfg(feature = "forensics")]
                 forensics,
             });
-            // The FIFO partial lists allocate their dummy nodes now that
-            // the domain has a stable address.
-            for class in &(*inner).classes {
-                class.partial.init(&(*inner).domain);
-            }
             // Fork awareness: register atfork hooks against the (now
             // address-stable) instance. This touches only the in-tree
             // procfork registry — never `pthread_atfork`, which may
@@ -404,8 +392,7 @@ impl<S: PageSource> LfMalloc<S> {
 
     /// OS-level memory accounting (drives the space-efficiency
     /// experiment). Covers superblock hyperblocks, descriptor slabs and
-    /// large blocks; excludes only the tiny fixed metadata block and
-    /// queue-node slabs.
+    /// large blocks; excludes only the tiny fixed metadata block.
     pub fn os_stats(&self) -> AllocStats {
         self.inner().source.stats()
     }
@@ -462,14 +449,15 @@ impl<S: PageSource> LfMalloc<S> {
 
     /// Returns all reclaimable memory to the OS: uninstalls idle active
     /// superblocks, prunes empty descriptors out of the partial
-    /// structures, flushes the hazard domain, then unmaps every fully
-    /// free hyperblock and descriptor slab, and every cached large span.
-    /// Returns bytes released.
+    /// structures, then unmaps every fully free hyperblock and descriptor
+    /// slab, and every cached large span. Returns bytes released.
     ///
     /// # Safety
     ///
-    /// Requires quiescence: no concurrent `malloc`/`free`/`trim` on this
-    /// instance. (The instance stays fully usable afterwards.)
+    /// Requires quiescence: no concurrent call of any kind on this
+    /// instance — `malloc`/`free`/`trim`, and also `maintain`, `audit`,
+    /// `health` and the stats snapshots, which read descriptors whose
+    /// slab this may unmap. (The instance stays fully usable afterwards.)
     pub unsafe fn trim(&self) -> usize {
         unsafe { self.trim_to(0) }
     }
@@ -525,7 +513,7 @@ impl<S: PageSource> LfMalloc<S> {
                             crate::stat_event!(inner, SbRetire, ci, desc.sb() as usize);
                             unsafe {
                                 inner.sb_pool.dealloc(desc.sb());
-                                inner.desc_pool.retire(&inner.domain, desc_ptr);
+                                inner.desc_pool.retire(desc_ptr);
                             }
                             break;
                         }
@@ -555,28 +543,26 @@ impl<S: PageSource> LfMalloc<S> {
                     && unsafe { (*desc).load_anchor() }.state() == SbState::Empty
                     && heap.cas_partial(desc, core::ptr::null_mut())
                 {
-                    unsafe { inner.desc_pool.retire(&inner.domain, desc) };
+                    unsafe { crate::free_impl::retire_if_empty(inner, desc) };
                 }
             }
             let list = &inner.classes[ci].partial;
             let mut keep: Vec<*mut crate::descriptor::Descriptor> = Vec::new();
-            while let Some(desc) = unsafe { list.get(&inner.domain) } {
+            while let Some(desc) = unsafe { list.get() } {
                 if unsafe { (*desc).load_anchor() }.state() == SbState::Empty {
-                    unsafe { inner.desc_pool.retire(&inner.domain, desc) };
+                    unsafe { inner.desc_pool.retire(desc) };
                 } else {
                     keep.push(desc);
                 }
             }
             for desc in keep {
-                unsafe { list.put(&inner.domain, desc) };
+                unsafe { list.put(desc) };
             }
         }
-        // 3. Flush every record's retired descriptors back into the
-        //    descriptor pool so step 4 sees the slabs as free.
-        unsafe { inner.domain.flush_all() };
-        // 4. Give fully free hyperblocks and slabs back to the OS.
+        // 3. Give fully free hyperblocks and slabs back to the OS (the
+        //    descriptors retired above are on the free stacks already).
         let mut released = unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
-        released += unsafe { inner.desc_pool.trim(&inner.domain, &inner.source) };
+        released += unsafe { inner.desc_pool.trim(&inner.source) };
         released += unsafe { crate::large::drain_cache(inner) };
         // Quiescent, so nobody is between reserving and parking: whatever
         // is still reserved was left by a killed thread.
@@ -849,16 +835,12 @@ impl<S: PageSource> Drop for LfMalloc<S> {
         crate::metrics::stop_metrics_inner(self.inner());
         unsafe {
             let inner = self.inner.as_ptr();
-            // 1. Drain the hazard domain: retired descriptors return to
-            //    DescAvail, retired queue nodes to their pools. Contexts
-            //    (pools) are still alive.
-            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).domain));
-            // 2. Release bulk memory: cached large spans, superblock
+            // 1. Release bulk memory: cached large spans, superblock
             //    hyperblocks, then the descriptor slabs.
             crate::large::drain_cache(&*inner);
             (*inner).sb_pool.release_all(&(*inner).source);
             (*inner).desc_pool.release_all(&(*inner).source);
-            // 3. Drop the remaining owning fields exactly once each.
+            // 2. Drop the remaining owning fields exactly once each.
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).desc_pool));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).sb_pool));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).classes));
@@ -886,7 +868,7 @@ impl<S: PageSource> Drop for LfMalloc<S> {
                     Layout::array::<BoundedQueue<QuarantineEntry>>(nheaps).unwrap(),
                 );
             }
-            // 4. Free the heap table and the instance block (plain data).
+            // 3. Free the heap table and the instance block (plain data).
             let nheaps = (*inner).nheaps;
             let heaps_layout = Layout::array::<ProcHeap>(NUM_CLASSES * nheaps).unwrap();
             System.dealloc((*inner).heaps as *mut u8, heaps_layout);

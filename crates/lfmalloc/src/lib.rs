@@ -26,9 +26,12 @@
 //!   CAS to reserve plus one CAS to pop ([`alloc`]).
 //! * A typical free is a single CAS push onto the superblock's free list
 //!   ([`free_impl`]).
-//! * Retired descriptors are recycled through hazard pointers (the
-//!   paper's `SafeCAS`); size-class partial-superblock lists are
-//!   lock-free FIFO queues ([`partial`]).
+//! * Retired descriptors go straight back onto a tag-protected free
+//!   stack, and each size class's partial-superblock list is the same
+//!   stack threaded through the descriptors ([`descriptor`],
+//!   [`partial`]): descriptors are type-stable, so no reclamation
+//!   scheme is needed (the paper uses hazard pointers and a FIFO queue
+//!   here).
 //! * In front of all that, each thread keeps a small private stack of
 //!   free blocks per size class ([`magazine`]) that it refills and
 //!   flushes in batches against the lock-free core, so the common
@@ -57,9 +60,10 @@
 //! Documented centrally in `DESIGN.md`; the load-bearing ones:
 //! anchor bit-field widths are 12/12/2/38 instead of 10/10/2/42 (so a
 //! 16 KiB superblock of 16-byte blocks fits), the block prefix
-//! generalizes to alignments above 8, and empty superblocks return to a
+//! generalizes to alignments above 8, empty superblocks return to a
 //! never-unmapped page pool rather than `munmap` (the paper's hyperblock
-//! scheme, §3.2.5).
+//! scheme, §3.2.5), and `DescAvail` and the partial lists are
+//! tag-protected stacks instead of `SafeCAS` and an MS queue.
 
 // Telemetry increment macros (crate-internal). With the `stats` feature
 // they hit the instance's shard/global counters; without it they expand
@@ -170,7 +174,7 @@ pub(crate) mod tls;
 pub mod stats;
 
 pub use audit::{AuditReport, AuditViolation, ByteReconciliation};
-pub use config::{Config, HeapMode, PartialMode};
+pub use config::{Config, HeapMode};
 pub use global::GlobalLfMalloc;
 pub use harden::{process_misuse_counters, Hardening, MisuseCounters, MisuseKind, MisuseReport};
 pub use health::{

@@ -1,21 +1,19 @@
 //! Incremental self-healing maintenance and the background reaper.
 //!
 //! The allocator's steady state leaves work behind by design: threads
-//! that exit strand retired hazard nodes in their (now inactive)
-//! records and cached blocks in their magazine slots, hardened frees
-//! park blocks in the quarantine, EMPTY
-//! descriptors can sit behind a non-empty partial-list head, freed
-//! large spans wait in the span cache for a malloc that may never come,
-//! and freed
-//! hyperblocks stay cached until a (quiescent-only) `trim()`. PRs 1–4
-//! made each of those pools observable; this module adds the driver
-//! that actually drains them, incrementally and concurrently:
+//! that exit strand cached blocks in their magazine slots, hardened
+//! frees park blocks in the quarantine, EMPTY descriptors can sit
+//! beneath a non-empty partial-list head, freed large spans wait in the
+//! span cache for a malloc that may never come, and freed hyperblocks
+//! stay cached until a (quiescent-only) `trim()`. Each of those pools is
+//! observable; this module is the driver that drains them,
+//! incrementally and concurrently:
 //!
 //! * [`LfMalloc::maintain`] runs one bounded pass over the reclaimable
 //!   backlog under a [`MaintenanceBudget`]. Every phase it runs by
 //!   default is **safe under full concurrency** — each reuses an
-//!   ownership protocol the hot paths already rely on (the hazard
-//!   `active` try-lock, the MPMC quarantine ring, the partial-list
+//!   ownership protocol the hot paths already rely on (the magazine
+//!   slot's owner-word CAS, the MPMC quarantine ring, the partial-list
 //!   get/put and heap-slot CAS). The one quiescence-only phase, the OS
 //!   trim toward a byte watermark, must be opted into through the
 //!   `unsafe` [`MaintenanceBudget::with_quiescent_trim`], which carries
@@ -50,10 +48,10 @@ use osmem::PageSource;
 /// How much work one [`LfMalloc::maintain`] pass may do.
 #[derive(Clone, Copy, Debug)]
 pub struct MaintenanceBudget {
-    /// Dead-thread reap: adopt-and-scan inactive hazard records, send
-    /// the blocks cached in exited threads' magazine slots home, and
-    /// flush the calling thread's own retired list.
-    pub reap_hazard: bool,
+    /// Dead-thread reap: send the blocks cached in exited threads'
+    /// magazine slots home. (A dead thread leaves nothing else behind:
+    /// descriptors are retired straight onto the free stack.)
+    pub reap_dead_threads: bool,
     /// Maximum quarantined blocks released back into circulation
     /// (0 = skip; no-op when hardening is off).
     pub quarantine: u32,
@@ -74,7 +72,7 @@ impl MaintenanceBudget {
     /// a modest quarantine drain, light pruning, a small audit slice.
     pub const fn light() -> Self {
         MaintenanceBudget {
-            reap_hazard: true,
+            reap_dead_threads: true,
             quarantine: 64,
             prune_partials: 8,
             audit_descriptors: 64,
@@ -87,7 +85,7 @@ impl MaintenanceBudget {
     /// every concurrent-safe phase.
     pub const fn full() -> Self {
         MaintenanceBudget {
-            reap_hazard: true,
+            reap_dead_threads: true,
             quarantine: 4096,
             prune_partials: 1024,
             audit_descriptors: 512,
@@ -140,8 +138,6 @@ impl Default for MaintenanceBudget {
 /// What one maintenance pass accomplished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceReport {
-    /// Retired hazard nodes reclaimed (dead-thread reap + own flush).
-    pub reaped_retired: u64,
     /// Blocks returned to their superblocks out of the magazine slots
     /// of threads that exited (or were lost in a fork).
     pub magazines_drained: u64,
@@ -299,8 +295,8 @@ struct RawInner<S: PageSource>(core::ptr::NonNull<Inner<S>>);
 unsafe impl<S: PageSource + Send + Sync> Send for RawInner<S> {}
 
 impl<S: PageSource> LfMalloc<S> {
-    /// Runs one bounded self-healing pass: drains dead-thread retired
-    /// queues, releases quarantined blocks, prunes EMPTY descriptors,
+    /// Runs one bounded self-healing pass: drains dead threads'
+    /// magazines, releases quarantined blocks, prunes EMPTY descriptors,
     /// advances the advisory audit slice, releases cached large spans
     /// that sat idle since the previous pass, and (only if the budget was
     /// built with the `unsafe` trim constructor) trims toward the OS
@@ -318,17 +314,7 @@ impl<S: PageSource> LfMalloc<S> {
         let inner = self.inner();
         let t0 = crate::lat_start!();
         let mut report = MaintenanceReport::default();
-        if budget.reap_hazard {
-            inner.health.observe_retired(inner.domain.retired_count() as u64);
-            let mut reaped = inner.domain.reap_inactive() as u64;
-            // Our own record is active, so the reap skipped it; scan it
-            // directly. The before/after difference is racy against
-            // concurrent retires on other records — harmless, it only
-            // feeds a diagnostic counter.
-            let before = inner.domain.retired_count();
-            inner.domain.flush();
-            reaped += before.saturating_sub(inner.domain.retired_count()) as u64;
-            report.reaped_retired = reaped;
+        if budget.reap_dead_threads {
             // Before the prune below: these blocks may be all that keeps
             // a superblock from going EMPTY.
             report.magazines_drained = crate::magazine::drain_dead(inner) as u64;
@@ -356,7 +342,6 @@ impl<S: PageSource> LfMalloc<S> {
         }
         inner.health.note_maintain(
             from_reaper,
-            report.reaped_retired,
             report.quarantine_flushed,
             report.empty_pruned,
             report.audit_checked,
@@ -366,7 +351,7 @@ impl<S: PageSource> LfMalloc<S> {
             inner,
             Maintain,
             0,
-            report.reaped_retired + report.quarantine_flushed + report.empty_pruned
+            report.magazines_drained + report.quarantine_flushed + report.empty_pruned
         );
         crate::stat_lat!(inner, lat_maintain, t0);
         // Every pass contributes one point to the fragmentation time
@@ -515,8 +500,8 @@ fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
             if !desc.is_null()
                 && unsafe { (*desc).load_anchor() }.state() == SbState::Empty
                 && heap.cas_partial(desc, core::ptr::null_mut())
+                && unsafe { crate::free_impl::retire_if_empty(inner, desc) }
             {
-                unsafe { inner.desc_pool.retire(&inner.domain, desc) };
                 pruned += 1;
             }
         }
@@ -524,11 +509,11 @@ fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
         let mut keep: Vec<*mut Descriptor> = Vec::new();
         let mut budget = per_class;
         while budget > 0 {
-            let Some(desc) = (unsafe { list.get(&inner.domain) }) else {
+            let Some(desc) = (unsafe { list.get() }) else {
                 break;
             };
             if unsafe { (*desc).load_anchor() }.state() == SbState::Empty {
-                unsafe { inner.desc_pool.retire(&inner.domain, desc) };
+                unsafe { inner.desc_pool.retire(desc) };
                 pruned += 1;
             } else {
                 keep.push(desc);
@@ -536,7 +521,7 @@ fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
             budget -= 1;
         }
         for desc in keep {
-            unsafe { list.put(&inner.domain, desc) };
+            unsafe { list.put(desc) };
         }
     }
     pruned
@@ -579,7 +564,7 @@ mod tests {
     #[test]
     fn budgets_compose_const() {
         const B: MaintenanceBudget = MaintenanceBudget::light().with_audit(16).with_prune(2);
-        assert!(B.reap_hazard);
+        assert!(B.reap_dead_threads);
         assert_eq!(B.audit_descriptors, 16);
         assert_eq!(B.prune_partials, 2);
         assert!(!B.trims());
@@ -625,34 +610,6 @@ mod tests {
         let h = a.health();
         assert_eq!(h.os_watermark, Some(1 << 20));
         assert!(a.audit().is_clean());
-    }
-
-    #[test]
-    fn maintain_drains_dead_thread_retired_nodes() {
-        let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
-        // Worker threads allocate and free, then exit: their hazard
-        // records go inactive, possibly with retired queue nodes.
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let a = std::sync::Arc::clone(&a);
-                s.spawn(move || unsafe {
-                    let mut ptrs = Vec::new();
-                    for i in 0..200usize {
-                        let p = a.malloc(16 + (i % 256));
-                        assert!(!p.is_null());
-                        ptrs.push(p);
-                    }
-                    for p in ptrs {
-                        a.free(p);
-                    }
-                });
-            }
-        });
-        let before = a.inner().domain.retired_count();
-        a.maintain(MaintenanceBudget::light());
-        let after = a.inner().domain.retired_count();
-        assert!(after <= before, "maintain never grows the retired backlog");
-        assert_eq!(after, 0, "quiescent reap drains everything");
     }
 
     #[test]

@@ -169,6 +169,28 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     let _ = writeln!(o, "lfmalloc_large_cached_spans {}", s.health.large_cached_spans);
     write_family(&mut o, "lfmalloc_large_cached_bytes", "gauge", "OS bytes those spans hold.");
     let _ = writeln!(o, "lfmalloc_large_cached_bytes {}", s.health.large_cached_bytes);
+    write_family(
+        &mut o,
+        "lfmalloc_descriptors",
+        "gauge",
+        "Descriptor slots carved, by where they are: DescAvail, the emergency reserve, \
+         a size-class partial list, or in use.",
+    );
+    let h = &s.health;
+    let listed: usize = h.partial_listed.iter().sum();
+    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"avail\"}} {}", h.desc_avail);
+    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"reserve\"}} {}", h.desc_reserve);
+    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"partial_list\"}} {listed}");
+    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"in_use\"}} {}", h.descriptors_in_use());
+    write_family(
+        &mut o,
+        "lfmalloc_partial_listed",
+        "gauge",
+        "Descriptors on each size class's partial list (classes with any).",
+    );
+    for (ci, n) in h.partial_listed.iter().enumerate().filter(|(_, n)| **n > 0) {
+        let _ = writeln!(o, "lfmalloc_partial_listed{{class=\"{ci}\"}} {n}");
+    }
     #[cfg(feature = "forensics")]
     {
         write_family(

@@ -2,65 +2,41 @@
 //!
 //! Three operations are required: `ListPutPartial`, `ListGetPartial`,
 //! and `ListRemoveEmptyDesc` ("to ensure that empty descriptors are
-//! eventually made available for reuse"). The paper describes two
-//! organizations and prefers the FIFO one:
+//! eventually made available for reuse"). The paper describes a FIFO
+//! organization (a Michael–Scott queue, preferred) and a LIFO one (a
+//! lock-free linked list); this is the LIFO, on the structure the
+//! descriptor free list already uses: a [`DescStack`] threaded through
+//! the descriptors' own link word. No node is allocated, nothing is
+//! retired, and `ListGetPartial` on an empty list is one load.
 //!
-//! * **FIFO** (preferred): a Michael–Scott queue. Put enqueues at the
-//!   tail, get dequeues from the head; remove-empty "keeps dequeuing
-//!   descriptors from the head of the list until it dequeues a non-empty
-//!   descriptor or reaches the end", re-enqueueing the non-empty one.
-//!   This "reduces the chances of contention and false sharing".
-//! * **LIFO**: a Treiber-style list. The paper sketches it with a
-//!   lock-free linked list that can unlink from the middle; we
-//!   approximate mid-removal with pop-filter-repush on a tag-protected
-//!   stack (descriptor slabs are never unmapped, so traversal is safe).
-//!   Kept as the A1 ablation.
+//! Why not the FIFO. The queue's nodes need a reclamation scheme, which
+//! costs two hazard publications on every dequeue, including the one
+//! that answers "empty" on each new-superblock malloc; the ablation that
+//! compared the organizations (EXPERIMENTS.md, A1) had them within ±5 %.
+//! What FIFO rotation bought `ListRemoveEmptyDesc` — successive calls
+//! reach EMPTY descriptors queued behind a non-empty head — is covered
+//! here by a bound instead: a class carves a new superblock only after
+//! `ListGetPartial` found its list empty, and `malloc_from_partial`
+//! retires every EMPTY descriptor `get` hands it on the way there, so
+//! the EMPTY descriptors parked in a list never outnumber the
+//! superblocks the class had at its peak (DESIGN.md §17.4). `maintain`
+//! and `trim` prune the rest.
+//!
+//! A listed descriptor is live: frees still CAS its `Anchor` while it
+//! sits here, which is why the link is a field of its own. The safety
+//! argument for the stack itself is in [`crate::descriptor`].
 
 use crate::anchor::SbState;
-use crate::config::PartialMode;
-use crate::descriptor::{Descriptor, DescriptorPool};
-use hazard::HazardDomain;
-use lockfree_structs::list::RawList;
-use lockfree_structs::queue::RawQueue;
-use lockfree_structs::TaggedStack;
+use crate::descriptor::{walk_len, DescStack, Descriptor, DescriptorPool};
 
-/// One size class's partial list, in the configured organization.
-#[derive(Debug)]
-pub enum PartialList {
-    /// Michael–Scott FIFO of descriptor pointers.
-    Fifo(RawQueue),
-    /// Tag-protected LIFO of descriptors. The link is threaded through
-    /// the descriptor's `next` field (byte offset 8 — the first word is
-    /// the live `Anchor`, which frees still CAS while the descriptor
-    /// sits in a partial list). Descriptor slabs are never unmapped, so
-    /// tag-protected traversal is safe.
-    Lifo(TaggedStack<6, 8>),
-    /// Michael's ordered lock-free list keyed by descriptor address,
-    /// with true mid-list removal of empty descriptors (§3.2.6's first
-    /// option).
-    List(RawList),
-}
+/// One size class's partial list.
+#[derive(Debug, Default)]
+pub struct PartialList(DescStack);
 
 impl PartialList {
-    /// Creates an empty list in the given mode. FIFO lists need
-    /// [`init`](Self::init) before use.
-    pub const fn new(mode: PartialMode) -> Self {
-        match mode {
-            PartialMode::Fifo => PartialList::Fifo(RawQueue::new()),
-            PartialMode::Lifo => PartialList::Lifo(TaggedStack::new()),
-            PartialMode::List => PartialList::List(RawList::new()),
-        }
-    }
-
-    /// One-time initialization (allocates the FIFO dummy node).
-    ///
-    /// # Safety
-    ///
-    /// Single-threaded, before any use; `self` must not move afterwards.
-    pub unsafe fn init(&self, domain: &HazardDomain) {
-        if let PartialList::Fifo(q) = self {
-            unsafe { q.init(domain) };
-        }
+    /// Creates an empty list.
+    pub const fn new() -> Self {
+        PartialList(DescStack::new())
     }
 
     /// `ListPutPartial(desc)`.
@@ -69,66 +45,33 @@ impl PartialList {
     ///
     /// `desc` must be a live descriptor not present in any other
     /// allocator structure.
-    pub unsafe fn put(&self, domain: &HazardDomain, desc: *mut Descriptor) {
-        match self {
-            PartialList::Fifo(q) => unsafe { q.enqueue(domain, desc as usize) },
-            PartialList::Lifo(s) => unsafe { s.push(desc as usize) },
-            PartialList::List(l) => {
-                let fresh = unsafe { l.insert(domain, desc as usize) };
-                debug_assert!(fresh, "descriptor {desc:p} inserted twice");
-            }
-        }
+    pub unsafe fn put(&self, desc: *mut Descriptor) {
+        unsafe { self.0.push(desc as usize) }
     }
 
     /// `ListGetPartial()`: removes and returns some partial descriptor.
     ///
     /// # Safety
     ///
-    /// `init` must have completed with this `domain`.
-    pub unsafe fn get(&self, domain: &HazardDomain) -> Option<*mut Descriptor> {
-        match self {
-            PartialList::Fifo(q) => unsafe { q.dequeue(domain) }.map(|v| v as *mut Descriptor),
-            PartialList::Lifo(s) => unsafe { s.pop() }.map(|v| v as *mut Descriptor),
-            PartialList::List(l) => {
-                unsafe { l.pop_first(domain) }.map(|v| v as *mut Descriptor)
-            }
-        }
+    /// Every descriptor ever put must still be mapped (they all are,
+    /// outside a quiescent `trim`).
+    pub unsafe fn get(&self) -> Option<*mut Descriptor> {
+        unsafe { self.0.pop() }.map(|v| v as *mut Descriptor)
     }
 
-    /// `ListRemoveEmptyDesc()`: retires dequeued EMPTY descriptors until
-    /// a non-empty one (re-inserted) or the end of the list. Guarantees
-    /// empty descriptors do not accumulate unboundedly.
+    /// `ListRemoveEmptyDesc()`: retires popped EMPTY descriptors until a
+    /// non-empty one (put back) or the end of the list.
     ///
     /// # Safety
     ///
-    /// `pool` must be the instance's descriptor pool and `domain` its
-    /// hazard domain.
-    pub unsafe fn remove_empty(&self, domain: &HazardDomain, pool: &DescriptorPool) {
-        // The ordered-list organization can unlink an empty descriptor
-        // from the middle directly, the paper's first option.
-        if let PartialList::List(l) = self {
-            let removed = unsafe {
-                l.remove_first_where(domain, |addr| {
-                    (*(addr as *const Descriptor)).load_anchor().state() == SbState::Empty
-                })
-            };
-            if let Some(addr) = removed {
-                unsafe { pool.retire(domain, addr as *mut Descriptor) };
+    /// `pool` must be the instance's descriptor pool.
+    pub unsafe fn remove_empty(&self, pool: &DescriptorPool) {
+        while let Some(desc) = unsafe { self.get() } {
+            if unsafe { (*desc).load_anchor() }.state() != SbState::Empty {
+                unsafe { self.put(desc) };
+                return;
             }
-            return;
-        }
-        loop {
-            let Some(desc) = (unsafe { self.get(domain) }) else { return };
-            if unsafe { (*desc).load_anchor() }.state() == SbState::Empty {
-                // Retire and keep going, per the paper: "keeps dequeuing
-                // descriptors from the head of the list until it dequeues
-                // a non-empty descriptor or reaches the end".
-                unsafe { pool.retire(domain, desc) };
-                continue;
-            }
-            // Non-empty: re-insert (FIFO: at the tail) and stop.
-            unsafe { self.put(domain, desc) };
-            return;
+            unsafe { pool.retire(desc) };
         }
     }
 
@@ -138,21 +81,13 @@ impl PartialList {
     ///
     /// No concurrent mutation; intended for offline auditing.
     pub unsafe fn snapshot(&self) -> Vec<*mut Descriptor> {
-        let addrs = match self {
-            PartialList::Fifo(q) => unsafe { q.snapshot() },
-            PartialList::Lifo(s) => unsafe { s.snapshot() },
-            PartialList::List(l) => unsafe { l.snapshot() },
-        };
-        addrs.into_iter().map(|a| a as *mut Descriptor).collect()
+        unsafe { self.0.snapshot() }.into_iter().map(|a| a as *mut Descriptor).collect()
     }
 
-    /// Best-effort emptiness check (diagnostics).
-    pub fn is_empty_hint(&self) -> bool {
-        match self {
-            PartialList::Fifo(q) => q.is_empty_hint(),
-            PartialList::Lifo(s) => s.is_empty(),
-            PartialList::List(l) => l.is_empty_hint(),
-        }
+    /// Descriptors listed right now, counting at most `limit`
+    /// (diagnostics; see [`walk_len`]).
+    pub fn len_hint(&self, limit: usize) -> usize {
+        walk_len(&self.0, limit)
     }
 }
 
@@ -162,128 +97,73 @@ mod tests {
     use crate::anchor::Anchor;
     use osmem::SystemSource;
 
-    fn setup() -> (SystemSource, Box<HazardDomain>, Box<DescriptorPool>) {
-        (SystemSource::new(), Box::new(HazardDomain::new()), Box::new(DescriptorPool::new()))
+    fn setup() -> (SystemSource, Box<DescriptorPool>) {
+        (SystemSource::new(), Box::new(DescriptorPool::new()))
     }
 
-    // Must run while any PartialList that retired nodes into `domain`
-    // is still alive: dropping the domain reclaims retired queue nodes
-    // into their owning NodePool, so the list drops only afterwards.
-    fn teardown(src: SystemSource, domain: Box<HazardDomain>, pool: Box<DescriptorPool>) {
-        drop(domain);
-        unsafe { pool.release_all(&src) };
-    }
-
-    fn make_desc(
-        pool: &DescriptorPool,
-        domain: &HazardDomain,
-        src: &SystemSource,
-        state: SbState,
-    ) -> *mut Descriptor {
-        let d = unsafe { pool.alloc(domain, src) };
+    fn make_desc(pool: &DescriptorPool, src: &SystemSource, state: SbState) -> *mut Descriptor {
+        let d = unsafe { pool.alloc(src) };
         assert!(!d.is_null());
         unsafe { (*d).store_anchor(Anchor::new(0, 1, state)) };
         d
     }
 
     #[test]
-    fn fifo_put_get_roundtrip() {
-        let (src, domain, pool) = setup();
-        let list = Box::new(PartialList::new(PartialMode::Fifo));
-        unsafe { list.init(&domain) };
-        let d1 = make_desc(&pool, &domain, &src, SbState::Partial);
-        let d2 = make_desc(&pool, &domain, &src, SbState::Partial);
+    fn put_get_roundtrip_is_lifo() {
+        let (src, pool) = setup();
+        let list = PartialList::new();
+        let d1 = make_desc(&pool, &src, SbState::Partial);
+        let d2 = make_desc(&pool, &src, SbState::Partial);
         unsafe {
-            list.put(&domain, d1);
-            list.put(&domain, d2);
-            assert_eq!(list.get(&domain), Some(d1), "FIFO order");
-            assert_eq!(list.get(&domain), Some(d2));
-            assert_eq!(list.get(&domain), None);
+            list.put(d1);
+            list.put(d2);
+            assert_eq!(list.len_hint(usize::MAX), 2);
+            assert_eq!(list.get(), Some(d2), "LIFO order");
+            assert_eq!(list.get(), Some(d1));
+            assert_eq!(list.get(), None);
+            pool.release_all(&src);
         }
-        teardown(src, domain, pool);
-        drop(list);
-    }
-
-    #[test]
-    fn lifo_put_get_roundtrip() {
-        let (src, domain, pool) = setup();
-        let list = Box::new(PartialList::new(PartialMode::Lifo));
-        unsafe { list.init(&domain) };
-        let d1 = make_desc(&pool, &domain, &src, SbState::Partial);
-        let d2 = make_desc(&pool, &domain, &src, SbState::Partial);
-        unsafe {
-            list.put(&domain, d1);
-            list.put(&domain, d2);
-            assert_eq!(list.get(&domain), Some(d2), "LIFO order");
-            assert_eq!(list.get(&domain), Some(d1));
-            assert_eq!(list.get(&domain), None);
-        }
-        teardown(src, domain, pool);
-        drop(list);
     }
 
     #[test]
     fn remove_empty_retires_leading_empties() {
-        for mode in [PartialMode::Fifo, PartialMode::Lifo, PartialMode::List] {
-            let (src, domain, pool) = setup();
-            let list = Box::new(PartialList::new(mode));
-            unsafe { list.init(&domain) };
-            let empty = make_desc(&pool, &domain, &src, SbState::Empty);
-            let partial = make_desc(&pool, &domain, &src, SbState::Partial);
-            unsafe {
-                // Order the empty one at the removal end.
-                match mode {
-                    PartialMode::Fifo | PartialMode::List => {
-                        list.put(&domain, empty);
-                        list.put(&domain, partial);
-                    }
-                    PartialMode::Lifo => {
-                        list.put(&domain, partial);
-                        list.put(&domain, empty);
-                    }
-                }
-                list.remove_empty(&domain, &pool);
-                domain.flush();
-                // The empty desc went back to the pool; the partial one
-                // is still in the list.
-                assert_eq!(list.get(&domain), Some(partial));
-                assert_eq!(list.get(&domain), None);
-            }
-            teardown(src, domain, pool);
-            drop(list);
+        let (src, pool) = setup();
+        let list = PartialList::new();
+        let e1 = make_desc(&pool, &src, SbState::Empty);
+        let e2 = make_desc(&pool, &src, SbState::Empty);
+        let partial = make_desc(&pool, &src, SbState::Partial);
+        unsafe {
+            list.put(partial);
+            list.put(e1);
+            list.put(e2);
+            list.remove_empty(&pool);
+            // Both empties went back to the pool (most recent on top);
+            // the partial one is still listed.
+            assert_eq!(list.snapshot(), vec![partial]);
+            assert_eq!(pool.alloc(&src), e1);
+            assert_eq!(pool.alloc(&src), e2);
+            pool.release_all(&src);
         }
     }
 
     #[test]
-    fn remove_empty_reinserts_nonempty_and_stops() {
-        let (src, domain, pool) = setup();
-        let list = Box::new(PartialList::new(PartialMode::Fifo));
-        unsafe { list.init(&domain) };
-        let partial = make_desc(&pool, &domain, &src, SbState::Partial);
-        let empty = make_desc(&pool, &domain, &src, SbState::Empty);
+    fn remove_empty_puts_a_nonempty_head_back_and_stops() {
+        let (src, pool) = setup();
+        let list = PartialList::new();
+        let partial = make_desc(&pool, &src, SbState::Partial);
+        let empty = make_desc(&pool, &src, SbState::Empty);
         unsafe {
-            list.put(&domain, partial);
-            list.put(&domain, empty); // behind the non-empty one
-            list.remove_empty(&domain, &pool);
-            // Stopped at the non-empty head; empty still queued, partial
-            // moved to the tail.
-            assert_eq!(list.get(&domain), Some(empty));
-            assert_eq!(list.get(&domain), Some(partial));
+            list.put(empty); // beneath the non-empty one
+            list.put(partial);
+            list.remove_empty(&pool);
+            assert_eq!(list.snapshot(), vec![partial, empty], "nothing moved");
+            list.remove_empty(&pool); // on an otherwise untouched list: same
+            assert_eq!(list.get(), Some(partial));
+            assert_eq!(list.get(), Some(empty));
+            // On an empty list: nothing to do.
+            list.remove_empty(&pool);
+            assert_eq!(list.get(), None);
+            pool.release_all(&src);
         }
-        teardown(src, domain, pool);
-        drop(list);
-    }
-
-    #[test]
-    fn remove_empty_on_empty_list_is_noop() {
-        let (src, domain, pool) = setup();
-        let list = Box::new(PartialList::new(PartialMode::Fifo));
-        unsafe {
-            list.init(&domain);
-            list.remove_empty(&domain, &pool);
-        }
-        assert!(list.is_empty_hint());
-        teardown(src, domain, pool);
-        drop(list);
     }
 }

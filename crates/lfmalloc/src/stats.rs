@@ -26,7 +26,6 @@ use crate::config::SB_SIZE;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
-use hazard::HazardStats;
 use lockfree_structs::stats::StructsCasStats;
 use lockfree_structs::BoundedQueue;
 use malloc_api::telemetry::{
@@ -110,13 +109,14 @@ pub enum EventKind {
     /// [`WatchSite`](crate::health::WatchSite) index.
     LivenessStorm,
     /// A maintenance pass completed; `arg` is the number of objects it
-    /// acted on (reaped + flushed + pruned).
+    /// acted on (magazine blocks drained + flushed + pruned).
     Maintain,
     /// The process forked with this instance's atfork hooks registered
     /// (recorded parent-side); `arg` is the parent's process generation.
     Fork,
     /// Child-side fork recovery completed; `arg` is the number of
-    /// orphaned hazard records adopted (see [`crate::fork`]).
+    /// blocks sent home from orphaned magazine slots (see
+    /// [`crate::fork`]).
     ChildRecover,
     /// A black-box crash report was emitted (recorded by the forensics
     /// test hooks, never from the signal handler itself — the event
@@ -772,8 +772,6 @@ pub struct StatsSnapshot {
     pub trims: u64,
     /// Events the ring had to drop.
     pub events_dropped: u64,
-    /// Hazard-pointer domain counters (scans, reclaimed, high-water).
-    pub hazard: HazardStats,
     /// Process-wide queue/stack CAS retries from `lockfree-structs`
     /// (shared by *all* instances in the process — the embedded
     /// structures keep their layout by counting into statics).
@@ -827,8 +825,6 @@ impl StatsSnapshot {
              \"large\":{{\"alloc\":{},\"free\":{},\"live\":{},\"cache_hit\":{},\
              \"cache_miss\":{},\"cache_bypass\":{}}},\
              \"oom_backoffs\":{},\"trims\":{},\"events_dropped\":{},\
-             \"hazard\":{{\"scans\":{},\"reclaimed\":{},\"retired_high_water\":{},\
-             \"frees_per_scan\":{}}},\
              \"structs_cas\":{{\"queue_enqueue\":{},\"queue_dequeue\":{},\
              \"stack_push\":{},\"stack_pop\":{}}},\
              \"os\":{{\"live_bytes\":{},\"peak_bytes\":{},\"mmap_calls\":{},\
@@ -849,10 +845,6 @@ impl StatsSnapshot {
             self.oom_backoffs,
             self.trims,
             self.events_dropped,
-            self.hazard.scans,
-            self.hazard.reclaimed,
-            self.hazard.retired_high_water,
-            json_array(&self.hazard.frees_per_scan),
             self.structs_cas.queue_enqueue_retries,
             self.structs_cas.queue_dequeue_retries,
             self.structs_cas.stack_push_retries,
@@ -934,7 +926,6 @@ impl<S: PageSource> LfMalloc<S> {
             oom_backoffs: inner.stats.oom_backoffs.get(),
             trims: inner.stats.trims.get(),
             events_dropped: inner.stats.events.dropped(),
-            hazard: inner.domain.stats(),
             structs_cas: lockfree_structs::stats::snapshot(),
             os: inner.source.stats(),
             sb_carves: inner.sb_pool.carve_count(),
@@ -1088,10 +1079,13 @@ impl<S: PageSource> LfMalloc<S> {
         write_histogram(w, "  anchor (pop/free)", &t.anchor_cas)?;
         writeln!(
             w,
-            "hazard:  {} scans, {} reclaimed, retired high-water {}",
-            s.hazard.scans, s.hazard.reclaimed, s.hazard.retired_high_water
+            "descriptors: {} slots = {} avail + {} reserve + {} on partial lists + {} in use",
+            s.health.descriptor_slots,
+            s.health.desc_avail,
+            s.health.desc_reserve,
+            s.health.partial_listed.iter().sum::<usize>(),
+            s.health.descriptors_in_use()
         )?;
-        write_histogram(w, "  frees per scan", &s.hazard.frees_per_scan)?;
         writeln!(
             w,
             "structs: queue cas retries {}/{} (enq/deq), stack {}/{} (push/pop) [process-wide]",
@@ -1129,11 +1123,10 @@ impl<S: PageSource> LfMalloc<S> {
         )?;
         writeln!(
             w,
-            "maintenance: {} passes ({} reaper) — {} retired reaped, {} quarantine flushed, \
+            "maintenance: {} passes ({} reaper) — {} quarantine flushed, \
              {} empty pruned, audit slices {}/{} flagged, last full audit {}",
             h.maintain_passes,
             h.reaper_passes,
-            h.reaped_retired,
             h.quarantine_flushed,
             h.empty_pruned,
             h.audit_slice_flagged,

@@ -2,7 +2,7 @@
 //! shared `malloc_api::testkit` contract (the same battery the three
 //! baseline allocators run).
 
-use lfmalloc::{Config, HeapMode, LfMalloc, PartialMode};
+use lfmalloc::{Config, LfMalloc};
 use malloc_api::testkit;
 use malloc_api::RawMalloc;
 use std::sync::Arc;
@@ -50,30 +50,6 @@ fn full_battery_single_heap() {
 #[test]
 fn full_battery_many_heaps() {
     let a = Arc::new(LfMalloc::with_config(Config::with_heaps(8)));
-    testkit::check_all(a);
-}
-
-#[test]
-fn full_battery_lifo_partial_lists() {
-    // The A1 ablation configuration.
-    let cfg = Config {
-        heap_mode: HeapMode::PerCpu(4),
-        partial_mode: PartialMode::Lifo,
-        ..Config::detect()
-    };
-    let a = Arc::new(LfMalloc::with_config(cfg));
-    testkit::check_all(a);
-}
-
-#[test]
-fn full_battery_ordered_list_partial_lists() {
-    // The §3.2.6 "linked list with mid-removal" organization.
-    let cfg = Config {
-        heap_mode: HeapMode::PerCpu(4),
-        partial_mode: PartialMode::List,
-        ..Config::detect()
-    };
-    let a = Arc::new(LfMalloc::with_config(cfg));
     testkit::check_all(a);
 }
 

@@ -8,19 +8,16 @@
 //!   of Operation) packing a pointer and an ABA-prevention tag into one
 //!   CAS-able word. The allocator uses it for the `Anchor` field and for
 //!   page-pool free lists.
-//! * [`stack`] — Treiber/IBM-freelist LIFO stacks: a tag-protected
-//!   variant ([`stack::TaggedStack`]) and a hazard-pointer-protected
-//!   variant ([`stack::HpStack`], the paper's `DescAvail` list with
-//!   `SafeCAS`).
+//! * [`stack`] — the tag-protected Treiber/IBM-freelist LIFO
+//!   ([`stack::TaggedStack`]): the page pool's free list, and the
+//!   allocator's `DescAvail`, descriptor reserve and partial lists.
 //! * [`queue`] — the Michael–Scott FIFO queue (PODC 1996) with
 //!   hazard-pointer memory management, "with optimized memory
 //!   management" (§3.2.6): nodes come from an internal never-unmapped
-//!   slab pool, so the queue itself needs no general-purpose malloc —
-//!   which would be circular inside an allocator.
-//! * [`list`] — Michael's lock-free ordered list / list-based set
-//!   (SPAA 2002, the paper's ref [16]) with hazard-pointer reclamation
-//!   and mid-list removal — the basis of the paper's LIFO partial-list
-//!   variant and of lock-free hash tables.
+//!   slab pool (its free list is the paper's `SafeCAS` pop), so the
+//!   queue itself needs no general-purpose malloc — which would be
+//!   circular inside an allocator. The producer–consumer workload and
+//!   baseline; the allocator itself no longer links it.
 //! * [`mpmc`] — Vyukov's bounded MPMC array queue, the fixed-capacity
 //!   ring behind the hardened allocator's free-block quarantine (not
 //!   strictly lock-free; see the module docs for the caveat).
@@ -75,7 +72,6 @@ macro_rules! cas_retry {
 pub(crate) use cas_retry;
 
 pub mod backoff;
-pub mod list;
 pub mod mpmc;
 pub mod pad;
 pub mod queue;
@@ -85,9 +81,8 @@ pub mod stats;
 pub mod tagptr;
 
 pub use backoff::Backoff;
-pub use list::OrderedSet;
 pub use mpmc::BoundedQueue;
 pub use pad::CachePadded;
 pub use queue::Queue;
-pub use stack::{HpStack, Intrusive, TaggedStack};
+pub use stack::TaggedStack;
 pub use tagptr::TagPtr;

@@ -12,8 +12,10 @@
 //! This module provides:
 //!
 //! * [`RawQueue`] — the embeddable engine: caller supplies the
-//!   [`HazardDomain`] and guarantees address stability. Used by
-//!   `lfmalloc` for its per-size-class partial lists.
+//!   [`HazardDomain`] and guarantees address stability. `lfmalloc` used
+//!   it for its per-size-class partial lists until its descriptors
+//!   moved to tag-protected intrusive stacks (DESIGN.md §17); it stays
+//!   as the engine under [`Queue`].
 //! * [`Queue`] — a safe, self-contained wrapper (own domain, boxed for
 //!   address stability) used by tests and by the producer–consumer
 //!   benchmark of §4.1.
@@ -21,7 +23,7 @@
 //! Nodes are 16 bytes (`next` + `value`), matching the "fixed size queue
 //! node (16 bytes)" the paper's producer–consumer benchmark allocates.
 
-use crate::stack::{HpStack, Intrusive};
+use crate::backoff::Backoff;
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use hazard::{HazardDomain, Slot};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -39,12 +41,6 @@ pub const SLOT_FREE: Slot = Slot(2);
 pub struct Node {
     next: AtomicPtr<Node>,
     value: AtomicUsize,
-}
-
-unsafe impl Intrusive for Node {
-    fn next_link(&self) -> &AtomicPtr<Node> {
-        &self.next
-    }
 }
 
 const NODES_PER_SLAB: usize = 64;
@@ -65,11 +61,14 @@ fn slab_layout() -> Layout {
 }
 
 /// A never-shrinking pool of queue nodes backed by system-allocator
-/// slabs. Free nodes sit on a hazard-protected stack; recycling flows
-/// through [`HazardDomain::retire`] so node reuse is ABA-safe.
+/// slabs. Free nodes sit on a LIFO whose pop is the paper's `SafeCAS`
+/// (§3.2.5, Figure 7): the CAS is ABA-safe because the popper publishes
+/// a hazard pointer to the head it read, and a popped node re-enters
+/// the list only through [`HazardDomain::retire`], that is, once no
+/// thread protects it. Fresh nodes (never popped) are pushed directly.
 #[derive(Debug)]
 pub struct NodePool {
-    free: HpStack<Node>,
+    free: AtomicPtr<Node>,
     slabs: AtomicPtr<SlabHeader>,
 }
 
@@ -79,7 +78,59 @@ unsafe impl Sync for NodePool {}
 impl NodePool {
     /// Creates an empty pool (no slab is allocated until first use).
     pub const fn new() -> Self {
-        NodePool { free: HpStack::new(), slabs: AtomicPtr::new(core::ptr::null_mut()) }
+        NodePool {
+            free: AtomicPtr::new(core::ptr::null_mut()),
+            slabs: AtomicPtr::new(core::ptr::null_mut()),
+        }
+    }
+
+    /// Pushes `node` on the free list.
+    ///
+    /// # Safety
+    ///
+    /// `node` must be valid, not on the list, and either never popped
+    /// or arriving through `retire` (see the type's docs).
+    unsafe fn push_free(&self, node: *mut Node) {
+        let mut backoff = Backoff::new();
+        let mut head = self.free.load(Ordering::Acquire);
+        loop {
+            unsafe { (*node).next.store(head, Ordering::Relaxed) };
+            match self.free.compare_exchange_weak(head, node, Ordering::Release, Ordering::Acquire)
+            {
+                Ok(_) => return,
+                Err(observed) => {
+                    crate::cas_retry!(STACK_PUSH_RETRIES);
+                    head = observed;
+                    backoff.spin();
+                }
+            }
+        }
+    }
+
+    /// Pops a free node under hazard slot [`SLOT_FREE`].
+    ///
+    /// # Safety
+    ///
+    /// `domain` must be the one domain used for all operations on this
+    /// pool.
+    unsafe fn pop_free(&self, domain: &HazardDomain) -> Option<*mut Node> {
+        let mut backoff = Backoff::new();
+        loop {
+            let p = domain.protect(SLOT_FREE, &self.free);
+            if p.is_null() {
+                domain.clear(SLOT_FREE);
+                return None;
+            }
+            // p is protected: it cannot be reclaimed and pushed again, so
+            // its link is stable if p is still the head.
+            let next = unsafe { (*p).next.load(Ordering::Acquire) };
+            if self.free.compare_exchange(p, next, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+                domain.clear(SLOT_FREE);
+                return Some(p);
+            }
+            crate::cas_retry!(STACK_POP_RETRIES);
+            backoff.spin();
+        }
     }
 
     /// Pops a free node, refilling from a fresh slab when empty.
@@ -89,7 +140,7 @@ impl NodePool {
     /// `domain` must be the one domain used for all operations on this
     /// pool.
     pub unsafe fn alloc_node(&self, domain: &HazardDomain) -> *mut Node {
-        if let Some(n) = unsafe { self.free.pop(domain, SLOT_FREE) } {
+        if let Some(n) = unsafe { self.pop_free(domain) } {
             return n;
         }
         // Refill: one slab, first node returned, rest pushed free.
@@ -122,7 +173,7 @@ impl NodePool {
             }
             if i != 0 {
                 // Fresh nodes may be pushed directly (never popped yet).
-                unsafe { self.free.push(n) };
+                unsafe { self.push_free(n) };
             }
         }
         nodes
@@ -138,7 +189,7 @@ impl NodePool {
     pub unsafe fn retire_node(&self, domain: &HazardDomain, node: *mut Node) {
         unsafe fn reclaim(ctx: *mut u8, ptr: *mut u8) {
             let pool = unsafe { &*(ctx as *const NodePool) };
-            unsafe { pool.free.push(ptr as *mut Node) };
+            unsafe { pool.push_free(ptr as *mut Node) };
         }
         unsafe { domain.retire(node as *mut u8, self as *const _ as *mut u8, reclaim) };
     }
@@ -176,7 +227,7 @@ impl Drop for NodePool {
 /// The embeddable Michael–Scott queue engine.
 ///
 /// The caller owns the [`HazardDomain`] (letting many queues share one
-/// domain, as lfmalloc's size classes do) and must keep both the queue
+/// domain) and must keep both the queue
 /// and the domain at stable addresses between `init` and drop.
 #[derive(Debug)]
 pub struct RawQueue {
@@ -313,27 +364,6 @@ impl RawQueue {
     /// Slab count of the internal node pool (diagnostics).
     pub fn slab_count(&self) -> usize {
         self.pool.slab_count()
-    }
-
-    /// Quiescent snapshot: the values currently queued, head first.
-    /// Bounded by a cycle guard so a corrupt chain terminates.
-    ///
-    /// # Safety
-    ///
-    /// No concurrent enqueue/dequeue; intended for offline auditing.
-    pub unsafe fn snapshot(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let h = self.head.load(Ordering::Acquire);
-        if h.is_null() {
-            return out;
-        }
-        // The head node is the dummy; real values start at head.next.
-        let mut p = unsafe { (*h).next.load(Ordering::Acquire) };
-        while !p.is_null() && out.len() < (1 << 24) {
-            out.push(unsafe { (*p).value.load(Ordering::Relaxed) });
-            p = unsafe { (*p).next.load(Ordering::Acquire) };
-        }
-        out
     }
 }
 
@@ -534,7 +564,7 @@ mod tests {
 
     #[test]
     fn raw_queue_shared_domain() {
-        // Two queues sharing one domain (the lfmalloc configuration).
+        // Two queues sharing one domain.
         let domain = Box::new(HazardDomain::new());
         let q1 = Box::new(RawQueue::new());
         let q2 = Box::new(RawQueue::new());

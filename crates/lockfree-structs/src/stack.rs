@@ -1,29 +1,27 @@
-//! Lock-free LIFO stacks (IBM free-list / Treiber stacks).
+//! Lock-free LIFO stack (IBM free-list / Treiber stack).
 //!
-//! Two variants, matching the two ABA defenses the paper employs:
+//! [`TaggedStack`] — the head is a [`TagPtr`] bumped on every pop (the
+//! "classic IBM tag mechanism" [8]). Used where nodes are **never
+//! unmapped** while the stack is in use, so a stale traversal reads
+//! valid memory and the tag stops a stale CAS: the page pool's
+//! superblock free list, and the allocator's descriptor free stacks and
+//! partial lists (type-stable descriptor slabs).
 //!
-//! * [`TaggedStack`] — head is a [`TagPtr`] bumped on every pop (the
-//!   "classic IBM tag mechanism" [8]). Used where nodes are large,
-//!   strongly aligned, and **never unmapped** (the page pool's
-//!   superblock free list), so a stale traversal reads valid memory and
-//!   the tag stops a stale CAS.
-//! * [`HpStack`] — head is a plain pointer; pops are protected by hazard
-//!   pointers and nodes must be re-inserted only through
-//!   [`HazardDomain::retire`]. This is the paper's `DescAvail`
-//!   descriptor list, where `SafeCAS` "use[s] the hazard pointer
-//!   methodology ... to prevent the ABA problem for this structure"
-//!   (§3.2.5).
+//! The paper's other ABA defence, `SafeCAS` under a hazard pointer
+//! (§3.2.5), lives on where this workspace still uses it: the
+//! Michael–Scott queue's node free list ([`crate::queue::NodePool`]).
 
 use crate::backoff::Backoff;
-use crate::tagptr::TagPtr;
-use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use hazard::{HazardDomain, Slot};
+use crate::tagptr::{TagPtr, ADDR_BITS};
+use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A lock-free LIFO stack of raw, `2^SHIFT`-aligned memory regions.
 ///
 /// The word at byte offset `OFFSET` (default 0: the first word) of each
 /// free region is used as the intrusive next link.
-/// ABA is prevented by a tag packed into the head word.
+/// ABA is prevented by a tag packed into the head word; every region
+/// must lie below `2^ADDR` (default [`ADDR_BITS`]), which leaves
+/// [`TAG_BITS`](Self::TAG_BITS) `= 64 - (ADDR - SHIFT)` bits of tag.
 ///
 /// # Safety model
 ///
@@ -31,20 +29,28 @@ use hazard::{HazardDomain, Slot};
 /// (they may be *reused* while popped — a racing `pop` may read the first
 /// word of a region another thread owns, which is why the link is read
 /// with an atomic load — but they may never be unmapped). The page pool
-/// satisfies this by construction: it never returns memory to the OS,
-/// like the paper's descriptor superblocks.
+/// satisfies this by construction: it never returns memory to the OS
+/// while the pool is in use, like the paper's descriptor superblocks.
 #[derive(Debug)]
-pub struct TaggedStack<const SHIFT: u32, const OFFSET: usize = 0> {
+pub struct TaggedStack<const SHIFT: u32, const OFFSET: usize = 0, const ADDR: u32 = ADDR_BITS> {
     head: AtomicU64,
 }
 
-impl<const SHIFT: u32, const OFFSET: usize> Default for TaggedStack<SHIFT, OFFSET> {
+impl<const SHIFT: u32, const OFFSET: usize, const ADDR: u32> Default
+    for TaggedStack<SHIFT, OFFSET, ADDR>
+{
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<const SHIFT: u32, const OFFSET: usize> TaggedStack<SHIFT, OFFSET> {
+impl<const SHIFT: u32, const OFFSET: usize, const ADDR: u32> TaggedStack<SHIFT, OFFSET, ADDR> {
+    /// Width of the ABA tag in the head word: a stale pop's CAS can
+    /// only succeed wrongly if exactly a multiple of `2^TAG_BITS` pops
+    /// ran between its head load and its CAS and left the same region on
+    /// top.
+    pub const TAG_BITS: u32 = TagPtr::<SHIFT, ADDR>::TAG_BITS;
+
     /// Creates an empty stack.
     pub const fn new() -> Self {
         TaggedStack { head: AtomicU64::new(0) }
@@ -54,17 +60,33 @@ impl<const SHIFT: u32, const OFFSET: usize> TaggedStack<SHIFT, OFFSET> {
     ///
     /// # Safety
     ///
-    /// `node` must be non-zero, aligned to `2^SHIFT`, point to at least
-    /// one writable word, not currently be in the stack, and satisfy the
-    /// never-unmapped rule above.
+    /// `node` must be non-zero, aligned to `2^SHIFT`, below `2^ADDR`,
+    /// point to at least one writable word at `OFFSET`, not currently be
+    /// in the stack, and satisfy the never-unmapped rule above.
+    #[inline]
     pub unsafe fn push(&self, node: usize) {
-        debug_assert_ne!(node, 0);
-        let link = unsafe { &*((node + OFFSET) as *const AtomicUsize) };
+        unsafe { self.push_chain(node, node) }
+    }
+
+    /// Pushes a privately linked chain with one CAS (the paper's slab
+    /// install, Figure 7): `first` ends up on top, and `last`'s link,
+    /// which this function writes, continues into the old stack.
+    ///
+    /// # Safety
+    ///
+    /// Every region of the chain must satisfy [`push`](Self::push)'s
+    /// rules, and the link words from `first` to `last` must already
+    /// lead from one to the next; no other thread may touch the chain.
+    pub unsafe fn push_chain(&self, first: usize, last: usize) {
+        debug_assert!(first != 0 && last != 0);
+        let link = unsafe { &*((last + OFFSET) as *const AtomicUsize) };
         let mut backoff = Backoff::new();
-        let mut head = TagPtr::<SHIFT>::from_raw(self.head.load(Ordering::Acquire));
+        let mut head = TagPtr::<SHIFT, ADDR>::from_raw(self.head.load(Ordering::Acquire));
         loop {
+            // Relaxed: the Release CAS below publishes the link (and the
+            // chain behind it) to whoever Acquire-loads the new head.
             link.store(head.addr(), Ordering::Relaxed);
-            let new = head.with_addr(node);
+            let new = head.with_addr(first);
             match self.head.compare_exchange_weak(
                 head.raw(),
                 new.raw(),
@@ -88,7 +110,7 @@ impl<const SHIFT: u32, const OFFSET: usize> TaggedStack<SHIFT, OFFSET> {
     /// Same stack-wide rules as [`push`](Self::push).
     pub unsafe fn pop(&self) -> Option<usize> {
         let mut backoff = Backoff::new();
-        let mut head = TagPtr::<SHIFT>::from_raw(self.head.load(Ordering::Acquire));
+        let mut head = TagPtr::<SHIFT, ADDR>::from_raw(self.head.load(Ordering::Acquire));
         loop {
             if head.is_null() {
                 return None;
@@ -104,6 +126,16 @@ impl<const SHIFT: u32, const OFFSET: usize> TaggedStack<SHIFT, OFFSET> {
             let next =
                 unsafe { &*((head.addr() + OFFSET) as *const AtomicUsize) }.load(Ordering::Relaxed);
             let new = head.with_addr_masked(next).bump_tag();
+            // The ABA window: between the link read above and the CAS
+            // below the region may be popped, reused and pushed back.
+            let fp = crate::fp("stack.pop");
+            if fp.kill {
+                return None; // died before taking anything
+            }
+            if fp.retry {
+                head = TagPtr::from_raw(self.head.load(Ordering::Acquire));
+                continue;
+            }
             match self.head.compare_exchange_weak(
                 head.raw(),
                 new.raw(),
@@ -120,9 +152,16 @@ impl<const SHIFT: u32, const OFFSET: usize> TaggedStack<SHIFT, OFFSET> {
         }
     }
 
+    /// The region on top at the time of the load, 0 if none. For
+    /// diagnostics that walk the links themselves (the caller knows
+    /// whether a link word can hold anything but a region address).
+    pub fn top(&self) -> usize {
+        TagPtr::<SHIFT, ADDR>::from_raw(self.head.load(Ordering::Acquire)).addr()
+    }
+
     /// True if the stack was empty at the time of the load.
     pub fn is_empty(&self) -> bool {
-        TagPtr::<SHIFT>::from_raw(self.head.load(Ordering::Acquire)).is_null()
+        self.top() == 0
     }
 
     /// Quiescent snapshot: the regions currently in the stack, top
@@ -133,136 +172,10 @@ impl<const SHIFT: u32, const OFFSET: usize> TaggedStack<SHIFT, OFFSET> {
     /// No concurrent push/pop; intended for offline auditing.
     pub unsafe fn snapshot(&self) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut p = TagPtr::<SHIFT>::from_raw(self.head.load(Ordering::Acquire)).addr();
+        let mut p = self.top();
         while p != 0 && out.len() < (1 << 24) {
             out.push(p);
             p = unsafe { &*((p + OFFSET) as *const AtomicUsize) }.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-/// A node type usable in an [`HpStack`]: exposes one intrusive link.
-///
-/// # Safety
-///
-/// `next_link` must return a stable `AtomicPtr` embedded in the node that
-/// the stack may use exclusively while the node is free.
-pub unsafe trait Intrusive: Sized {
-    /// The node's intrusive next link.
-    fn next_link(&self) -> &AtomicPtr<Self>;
-}
-
-/// A lock-free LIFO stack protected by hazard pointers instead of tags.
-///
-/// This is the paper's descriptor free list: `DescRetire` is a plain
-/// push, `DescAlloc` is a pop whose CAS is made ABA-safe by publishing a
-/// hazard pointer to the observed head ("SafeCAS").
-///
-/// # ABA discipline
-///
-/// Hazard pointers only prevent ABA if a popped node cannot re-enter the
-/// stack while some thread still protects it. Therefore **nodes must be
-/// re-inserted only via [`HazardDomain::retire`]** with a reclaim
-/// function that performs the [`push`](HpStack::push); pushing a
-/// previously popped node directly is unsound under concurrency.
-/// Fresh nodes (never popped) may be pushed directly.
-#[derive(Debug)]
-pub struct HpStack<T: Intrusive> {
-    head: AtomicPtr<T>,
-}
-
-unsafe impl<T: Intrusive + Send> Send for HpStack<T> {}
-unsafe impl<T: Intrusive + Send> Sync for HpStack<T> {}
-
-impl<T: Intrusive> Default for HpStack<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Intrusive> HpStack<T> {
-    /// Creates an empty stack.
-    pub const fn new() -> Self {
-        HpStack { head: AtomicPtr::new(core::ptr::null_mut()) }
-    }
-
-    /// Pushes `node`.
-    ///
-    /// # Safety
-    ///
-    /// `node` must be valid, not in the stack, and either never popped
-    /// before or flowing through `retire` (see ABA discipline above).
-    pub unsafe fn push(&self, node: *mut T) {
-        debug_assert!(!node.is_null());
-        let mut backoff = Backoff::new();
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            unsafe { (*node).next_link().store(head, Ordering::Relaxed) };
-            match self.head.compare_exchange_weak(
-                head,
-                node,
-                Ordering::Release,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(observed) => {
-                    crate::cas_retry!(STACK_PUSH_RETRIES);
-                    head = observed;
-                    backoff.spin();
-                }
-            }
-        }
-    }
-
-    /// Pops a node, protecting the traversal with hazard `slot` of
-    /// `domain`.
-    ///
-    /// # Safety
-    ///
-    /// All nodes in the stack must remain allocated while any thread may
-    /// be inside `pop` (retire-mediated recycling guarantees this).
-    pub unsafe fn pop(&self, domain: &HazardDomain, slot: Slot) -> Option<*mut T> {
-        let mut backoff = Backoff::new();
-        loop {
-            let p = domain.protect(slot, &self.head);
-            if p.is_null() {
-                domain.clear(slot);
-                return None;
-            }
-            // p is protected: it cannot be reclaimed-and-reused, so its
-            // link is stable if p is still the head.
-            let next = unsafe { (*p).next_link().load(Ordering::Acquire) };
-            if self
-                .head
-                .compare_exchange(p, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                domain.clear(slot);
-                return Some(p);
-            }
-            crate::cas_retry!(STACK_POP_RETRIES);
-            backoff.spin();
-        }
-    }
-
-    /// True if the stack was empty at the time of the load.
-    pub fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire).is_null()
-    }
-
-    /// Quiescent snapshot: the nodes currently in the stack, top first.
-    /// Bounded by a cycle guard so a corrupt chain terminates.
-    ///
-    /// # Safety
-    ///
-    /// No concurrent push/pop; intended for offline auditing.
-    pub unsafe fn snapshot(&self) -> Vec<*mut T> {
-        let mut out = Vec::new();
-        let mut p = self.head.load(Ordering::Acquire);
-        while !p.is_null() && out.len() < (1 << 24) {
-            out.push(p);
-            p = unsafe { (*p).next_link().load(Ordering::Relaxed) };
         }
         out
     }
@@ -272,10 +185,7 @@ impl<T: Intrusive> HpStack<T> {
 mod tests {
     use super::*;
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-
-    // ---- TaggedStack ----
 
     const SHIFT: u32 = 6; // 64-byte aligned test nodes
 
@@ -406,106 +316,56 @@ mod tests {
         }
     }
 
-    // ---- HpStack ----
-
-    #[repr(align(64))]
-    struct TestNode {
-        next: AtomicPtr<TestNode>,
-        claimed: AtomicBool,
-    }
-
-    unsafe impl Intrusive for TestNode {
-        fn next_link(&self) -> &AtomicPtr<TestNode> {
-            &self.next
+    #[test]
+    fn push_chain_installs_a_private_chain_with_one_cas() {
+        let s = TaggedStack::<SHIFT>::new();
+        let r: Vec<usize> = (0..4).map(|_| alloc_region()).collect();
+        unsafe {
+            s.push(r[0]);
+            // r[1] -> r[2] -> r[3], linked privately; r[3]'s link is the
+            // stack's to write.
+            (*(r[1] as *const AtomicUsize)).store(r[2], Ordering::Relaxed);
+            (*(r[2] as *const AtomicUsize)).store(r[3], Ordering::Relaxed);
+            s.push_chain(r[1], r[3]);
+            assert_eq!(s.snapshot(), vec![r[1], r[2], r[3], r[0]]);
+            for want in [r[1], r[2], r[3], r[0]] {
+                assert_eq!(s.pop(), Some(want));
+            }
+            assert_eq!(s.pop(), None);
+            for p in r {
+                free_region(p);
+            }
         }
     }
 
-    fn new_node() -> *mut TestNode {
-        Box::into_raw(Box::new(TestNode {
-            next: AtomicPtr::new(core::ptr::null_mut()),
-            claimed: AtomicBool::new(false),
-        }))
-    }
-
     #[test]
-    fn hp_lifo_order() {
-        let d = HazardDomain::new();
-        let s = HpStack::<TestNode>::new();
-        let (a, b) = (new_node(), new_node());
+    fn head_tag_survives_a_full_wrap() {
+        // The descriptor stacks' shape: 64-byte nodes, link in the
+        // second word, addresses below 2^48.
+        type DescShaped = TaggedStack<6, 8, 48>;
+        const { assert!(DescShaped::TAG_BITS >= 21) };
+        const { assert!(TaggedStack::<14>::TAG_BITS >= 21) };
+        let s = DescShaped::new();
+        let (a, b) = (alloc_region(), alloc_region());
         unsafe {
             s.push(a);
             s.push(b);
-            assert_eq!(s.pop(&d, Slot(0)), Some(b));
-            assert_eq!(s.pop(&d, Slot(0)), Some(a));
-            assert_eq!(s.pop(&d, Slot(0)), None);
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
-    }
-
-    // Reclaim = push back onto the stack (the descriptor-recycling shape).
-    unsafe fn reclaim_to_stack(ctx: *mut u8, ptr: *mut u8) {
-        let stack = unsafe { &*(ctx as *const HpStack<TestNode>) };
-        unsafe { stack.push(ptr as *mut TestNode) };
-    }
-
-    #[test]
-    fn hp_concurrent_recycling_no_aba() {
-        const NODES: usize = 16;
-        const OPS: usize = 10_000;
-        struct Shared {
-            stack: HpStack<TestNode>,
-            domain: HazardDomain,
-        }
-        let shared = Arc::new(Shared { stack: HpStack::new(), domain: HazardDomain::new() });
-        let nodes: Vec<*mut TestNode> = (0..NODES).map(|_| new_node()).collect();
-        for &n in &nodes {
-            unsafe { shared.stack.push(n) };
-        }
-        let addrs: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
-
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let sh = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..OPS {
-                    if let Some(n) = unsafe { sh.stack.pop(&sh.domain, Slot(0)) } {
-                        let node = unsafe { &*n };
-                        assert!(
-                            !node.claimed.swap(true, Ordering::AcqRel),
-                            "node popped twice concurrently (ABA!)"
-                        );
-                        node.claimed.store(false, Ordering::Release);
-                        // Recycle through retire, per the ABA discipline.
-                        unsafe {
-                            sh.domain.retire(
-                                n as *mut u8,
-                                &sh.stack as *const _ as *mut u8,
-                                reclaim_to_stack,
-                            )
-                        };
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Flush every thread's retired nodes back (main thread's record
-        // plus domain drop cover the rest); then count.
-        shared.domain.flush();
-        // Drain what is present; the retired-but-unflushed remainder is
-        // released when the domain drops, so just verify no duplicates.
-        let mut seen = std::collections::HashSet::new();
-        unsafe {
-            while let Some(n) = shared.stack.pop(&shared.domain, Slot(0)) {
-                assert!(seen.insert(n as usize), "duplicate node in stack");
-                assert!(addrs.contains(&(n as usize)), "foreign node in stack");
+            const TAG_MASK: u64 = (1 << DescShaped::TAG_BITS) - 1;
+            let tag = |s: &DescShaped| s.head.load(Ordering::Relaxed) & TAG_MASK;
+            assert_eq!(tag(&s), 0);
+            // One pop short of the wrap, then across it.
+            for _ in 0..TAG_MASK {
+                let top = s.pop().unwrap();
+                s.push(top);
             }
-        }
-        drop(shared);
-        for n in nodes {
-            unsafe { drop(Box::from_raw(n)) };
+            assert_eq!(tag(&s), TAG_MASK);
+            assert_eq!(s.pop(), Some(b));
+            assert_eq!(tag(&s), 0, "the tag wrapped");
+            assert_eq!(s.top(), a, "and carried nothing into the address");
+            assert_eq!(s.pop(), Some(a));
+            assert_eq!(s.pop(), None);
+            free_region(a);
+            free_region(b);
         }
     }
 }

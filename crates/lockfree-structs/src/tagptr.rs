@@ -14,12 +14,21 @@
 //! For the 16 KiB-aligned superblocks of the page pool that is a 21-bit
 //! tag (2M wrap-around); the paper's own 42-bit anchor tag carries the
 //! same practical-impossibility argument.
+//!
+//! A user whose nodes are only weakly aligned buys tag bits back by
+//! promising a narrower address range (`ADDR`): the allocator's
+//! 64-byte-aligned descriptors pack 48-bit addresses (all Linux hands
+//! out without an explicit hint, on x86-64 and aarch64) for a 22-bit
+//! tag, and refuse memory mapped above that as out-of-memory.
 
-/// Number of address bits assumed significant (x86-64 LA57 upper bound).
+/// Number of address bits assumed significant by default (x86-64 LA57
+/// upper bound).
 pub const ADDR_BITS: u32 = 57;
 
 /// A `(pointer, tag)` pair packed into `u64`, parameterized by the
-/// pointer's guaranteed alignment `2^SHIFT`.
+/// pointer's guaranteed alignment `2^SHIFT` and the number of
+/// significant address bits `ADDR` (every packed address must lie below
+/// `2^ADDR`).
 ///
 /// # Example
 ///
@@ -35,11 +44,11 @@ pub const ADDR_BITS: u32 = 57;
 /// assert_eq!(q.tag(), 6);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct TagPtr<const SHIFT: u32>(u64);
+pub struct TagPtr<const SHIFT: u32, const ADDR: u32 = ADDR_BITS>(u64);
 
-impl<const SHIFT: u32> TagPtr<SHIFT> {
+impl<const SHIFT: u32, const ADDR: u32> TagPtr<SHIFT, ADDR> {
     /// Bits available for the tag.
-    pub const TAG_BITS: u32 = 64 - (ADDR_BITS - SHIFT);
+    pub const TAG_BITS: u32 = 64 - (ADDR - SHIFT);
     /// Mask extracting the tag from the packed word.
     pub const TAG_MASK: u64 = (1u64 << Self::TAG_BITS) - 1;
 
@@ -48,16 +57,17 @@ impl<const SHIFT: u32> TagPtr<SHIFT> {
     ///
     /// # Panics
     ///
-    /// Debug-panics if `addr` is misaligned or exceeds [`ADDR_BITS`].
+    /// Debug-panics if `addr` is misaligned or needs more than `ADDR`
+    /// bits.
     #[inline]
     pub fn pack(addr: usize, tag: u64) -> Self {
         debug_assert_eq!(addr & ((1 << SHIFT) - 1), 0, "misaligned addr {addr:#x}");
-        debug_assert!(addr < (1usize << ADDR_BITS), "non-canonical addr {addr:#x}");
+        debug_assert!(addr < (1usize << ADDR), "addr {addr:#x} above 2^{ADDR}");
         TagPtr((((addr as u64) >> SHIFT) << Self::TAG_BITS) | (tag & Self::TAG_MASK))
     }
 
     /// Packs a *possibly garbage* address read through a benign race,
-    /// masking it to alignment and [`ADDR_BITS`] instead of asserting.
+    /// masking it to alignment and `ADDR` bits instead of asserting.
     ///
     /// `TaggedStack::pop` reads the link word of a region that a racing
     /// pop may already own and have overwritten with arbitrary bytes;
@@ -71,7 +81,7 @@ impl<const SHIFT: u32> TagPtr<SHIFT> {
     /// tolerates.
     #[inline]
     pub fn pack_masked(addr: usize, tag: u64) -> Self {
-        let clean = addr & !((1usize << SHIFT) - 1) & ((1usize << ADDR_BITS) - 1);
+        let clean = addr & !((1usize << SHIFT) - 1) & ((1usize << ADDR) - 1);
         Self::pack(clean, tag)
     }
 
@@ -131,7 +141,7 @@ impl<const SHIFT: u32> TagPtr<SHIFT> {
     }
 }
 
-impl<const SHIFT: u32> core::fmt::Debug for TagPtr<SHIFT> {
+impl<const SHIFT: u32, const ADDR: u32> core::fmt::Debug for TagPtr<SHIFT, ADDR> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "TagPtr(addr={:#x}, tag={})", self.addr(), self.tag())
     }
@@ -169,6 +179,7 @@ mod tests {
         assert_eq!(TagPtr::<14>::TAG_BITS, 21); // 16 KiB superblocks
         assert_eq!(TagPtr::<6>::TAG_BITS, 13); // 64 B descriptors
         assert_eq!(TagPtr::<12>::TAG_BITS, 19); // 4 KiB pages
+        assert_eq!(TagPtr::<6, 48>::TAG_BITS, 22); // descriptors below 2^48
     }
 
     #[test]

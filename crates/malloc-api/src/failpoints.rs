@@ -12,7 +12,10 @@
 //!   failure arm even when no real contention exists,
 //! * a simulated thread death ([`FpAction::Kill`]) — the call site
 //!   abandons the operation mid-flight, exactly like a thread killed by
-//!   the OS between two instructions.
+//!   the OS between two instructions,
+//! * an indefinite stall ([`FpAction::Park`]) — the thread stays at the
+//!   site until the test disarms it, so a test can run a chosen
+//!   interleaving (the ABA shape) around a thread frozen mid-operation.
 //!
 //! A site is reached via the [`fail_point!`] macro and returns an
 //! [`FpSignal`] the caller inspects:
@@ -100,6 +103,10 @@ mod imp {
         Retry,
         /// Ask the site to abandon the operation (simulated thread death).
         Kill,
+        /// Hold the thread at the site until the site is disarmed (or
+        /// re-armed with another action, or the scenario ends). Arm it
+        /// with a budget: every thread it fires for waits.
+        Park,
     }
 
     /// When an armed site fires.
@@ -270,6 +277,15 @@ mod imp {
             }
             FpAction::Retry => FpSignal { retry: true, kill: false },
             FpAction::Kill => FpSignal { retry: false, kill: true },
+            FpAction::Park => {
+                let parked = || {
+                    lock_registry().sites.get(name).is_some_and(|s| s.action == FpAction::Park)
+                };
+                while parked() {
+                    std::thread::yield_now();
+                }
+                FpSignal::NONE
+            }
         }
     }
 
@@ -354,6 +370,23 @@ mod tests {
         assert!(hit("fp.test.oneshot").kill);
         assert!(!hit("fp.test.oneshot").kill);
         assert_eq!(fired("fp.test.oneshot"), 1);
+    }
+
+    #[test]
+    fn park_holds_the_thread_until_disarmed() {
+        let _s = scenario(1);
+        arm_limited("fp.test.park", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| hit("fp.test.park"));
+            while fired("fp.test.park") == 0 {
+                std::thread::yield_now();
+            }
+            // The budget is spent: a second thread passes straight through.
+            assert_eq!(hit("fp.test.park"), FpSignal::NONE);
+            assert!(!parked.is_finished());
+            disarm("fp.test.park");
+            assert_eq!(parked.join().unwrap(), FpSignal::NONE);
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! is bad news twice over: lock-based allocators can be cloned with a
 //! lock held by a thread that no longer exists (the child deadlocks on
 //! first use), and even a lock-free allocator inherits per-thread state —
-//! hazard records, retired queues, background threads — whose owners are
+//! thread caches, ownership stamps, background threads — whose owners are
 //! gone. POSIX answers with `pthread_atfork`; this module provides the
 //! same prepare/parent/child protocol **in-tree**, so it is testable,
 //! deterministic, and free of the libc allocation hazards that make

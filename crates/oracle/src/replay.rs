@@ -2,7 +2,7 @@
 //!
 //! Replay re-executes a [`Trace`] against any allocator with real
 //! threads (so thread-identity-dependent behavior — per-heap routing,
-//! remote frees, hazard records — is faithfully exercised) but with
+//! remote frees, magazine slots — is faithfully exercised) but with
 //! exactly **one op in flight at a time**: a global turn counter admits
 //! ops strictly in recorded `seq` order. Combined with re-arming the
 //! trace's seeded failpoint plans, two replays of the same trace

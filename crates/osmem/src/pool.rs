@@ -501,4 +501,51 @@ mod tests {
         let pool = Arc::try_unwrap(pool).unwrap();
         unsafe { pool.release_all(&*src) };
     }
+
+    /// The textbook ABA shape on the free LIFO, one step at a time: A is
+    /// frozen between reading the top region's link and its CAS; B pops
+    /// that region and the next, then pushes the first back, so the
+    /// head's address is what A saw and the link A read is stale. The
+    /// head's tag is not what A saw: A's CAS fails, and every region is
+    /// handed out once.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_stale_pop_loses_to_the_head_tag() {
+        use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
+        let _guard = fp::scenario(0xABA);
+        let src = SystemSource::new();
+        let pool = SbPool::new(4); // one carve: region 0 out, 1..=3 free
+        let r0 = pool.alloc(&src);
+        fp::arm_limited("stack.pop", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| pool.alloc(&src) as usize);
+            while fp::fired("stack.pop") == 0 {
+                std::thread::yield_now();
+            }
+            // A holds (x, next = y) and is parked.
+            let x = pool.alloc(&src);
+            let y = pool.alloc(&src);
+            unsafe { pool.dealloc(x) }; // x on top again, its link now z, not y
+            fp::disarm("stack.pop");
+            let got = a.join().unwrap() as *mut u8;
+            assert_eq!(got, x, "A retried and popped the real top");
+            let z = pool.alloc(&src);
+            let all = [r0, got, y, z];
+            for (i, r) in all.iter().enumerate() {
+                assert!(!r.is_null() && !all[..i].contains(r), "a region was handed out twice");
+            }
+            // Had A's CAS gone through, `y` would be on the stack while B
+            // owns it; instead the stack is empty and conserved.
+            assert_eq!(pool.hyperblock_count(), 1);
+            for r in all {
+                unsafe { pool.dealloc(r) };
+            }
+        });
+        let mut drained = 0;
+        while unsafe { pool.free.pop() }.is_some() {
+            drained += 1;
+        }
+        assert_eq!(drained, 4, "stack conserved");
+        unsafe { pool.release_all(&src) };
+    }
 }

@@ -342,6 +342,20 @@ fn print_record(rec: &Json) {
         rec.u64("oom_backoffs"),
         rec.u64("events_dropped"),
     );
+    if rec.get("health.descriptor_slots").is_some() {
+        let listed: f64 = rec
+            .arr("health.partial_listed")
+            .iter()
+            .map(|n| if let Json::Num(n) = n { *n } else { 0.0 })
+            .sum();
+        println!(
+            "  descriptors   {:>14} slots: {} avail, {} reserve, {} on partial lists",
+            rec.u64("health.descriptor_slots"),
+            rec.u64("health.desc_avail"),
+            rec.u64("health.desc_reserve"),
+            listed as u64,
+        );
+    }
 
     if rec.get("latency").is_some() {
         println!("\n== latency ==");

@@ -50,8 +50,8 @@ fn main() {
         }
     });
 
-    // The full report: totals, CAS-retry histograms, hazard-pointer
-    // activity, the byte reconciliation, per-class rows, and the
+    // The full report: totals, CAS-retry histograms, the descriptor
+    // census, the byte reconciliation, per-class rows, and the
     // drained slow-path event trace.
     // `as_ref()` first: `Arc<T>` itself implements `RawMalloc`, whose
     // `stats()` (OS-level `AllocStats`) would otherwise shadow the
@@ -84,9 +84,9 @@ fn main() {
     let budget = unsafe { MaintenanceBudget::full().with_quiescent_trim(4 << 20) };
     let rep = a.as_ref().maintain(budget);
     println!(
-        "\nMaintenance pass: {} retired reaped, {} empty pruned, {}/{} audit slice flagged, \
+        "\nMaintenance pass: {} magazine blocks drained, {} empty pruned, {}/{} audit slice flagged, \
          {} bytes trimmed ({} -> {} live)",
-        rep.reaped_retired,
+        rep.magazines_drained,
         rep.empty_pruned,
         rep.audit_flagged,
         rep.audit_checked,

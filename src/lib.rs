@@ -11,7 +11,9 @@
 //! * [`workloads`] — the six benchmarks of §4.1.
 //! * [`oracle`] — the shadow-heap differential verifier with trace
 //!   record/replay and failure shrinking.
-//! * [`hazard`], [`lockfree_structs`], [`osmem`] — the substrates.
+//! * [`lockfree_structs`], [`osmem`] — the substrates; [`hazard`] —
+//!   hazard pointers, which the producer–consumer workload's queue
+//!   uses (the allocator itself no longer does).
 //!
 //! # Quickstart
 //!
@@ -47,7 +49,7 @@ pub mod prelude {
     pub use lfmalloc::{
         Config, GlobalLfMalloc, Hardening, HealthSnapshot, HeapMode, LfMalloc, LivenessConfig,
         LivenessPolicy, MaintenanceBudget, MaintenanceReport, MisuseKind, MisuseReport,
-        PartialMode, ReaperConfig, WatchSite,
+        ReaperConfig, WatchSite,
     };
     pub use malloc_api::{AllocStats, RawMalloc};
     pub use oracle::{OracleMalloc, Trace};

@@ -7,9 +7,11 @@
 //! These tests fork repeatedly while other threads hammer the
 //! allocators and then prove, in the child:
 //!
-//! * lfmalloc serves allocations immediately, adopts every orphaned
-//!   hazard record, passes a full [`LfMalloc::audit`], and reports the
-//!   recovery in its health snapshot (DESIGN.md §12);
+//! * lfmalloc serves allocations immediately, drains every orphaned
+//!   magazine slot, passes a full [`LfMalloc::audit`] — descriptor
+//!   conservation included: the threads the fork left behind held no
+//!   retire lists, so nothing is adopted — and reports the recovery in
+//!   its health snapshot (DESIGN.md §12, §17.6);
 //! * the reaper thread — which died in the fork — is respawned, and
 //!   `stop_reaper` never tries to join the corpse;
 //! * the three lock-based baselines, which WOULD deadlock when forked
@@ -103,9 +105,10 @@ fn hammer<A: RawMalloc + Send + Sync>(a: &A, stop: &AtomicBool, seed: u64) {
 }
 
 /// Child-side proof for lfmalloc: the heap must work immediately, the
-/// audit must be clean (every parent thread's hazard record adopted,
-/// retired queues drained), and the health snapshot must show exactly
-/// one recovery at the child's generation.
+/// audit must be clean (every descriptor slot on a free stack, linked
+/// or in use, whatever the threads the fork dropped were doing), and the
+/// health snapshot must show exactly one recovery at the child's
+/// generation.
 fn lfmalloc_child_check(a: &LfMalloc) -> ! {
     unsafe {
         let mut ptrs = Vec::new();

@@ -394,4 +394,125 @@ mod failpoint_kills {
             assert_eq!(rep.violations.len(), 1, "{site}: {rep}");
         }
     }
+
+    /// The descriptor cycle's windows (DESIGN.md §17.6). A thread killed
+    /// at any of them blocks no one, and what it strands is exactly what
+    /// it had in hand: nothing where it dies before taking anything, one
+    /// descriptor where it held one, one superblock between the EMPTY
+    /// transition and the recycle. There is
+    /// no per-thread retire list any more, so a death can no longer pin
+    /// up to a scan threshold's worth (64) of retired descriptors.
+    #[test]
+    fn descriptor_cycle_kills_strand_exactly_what_was_in_hand() {
+        // One pass takes a two-block superblock through every transition:
+        // new, FULL, PARTIAL (into the heap slot), taken from the slot,
+        // FULL, PARTIAL, EMPTY, descriptor retired.
+        unsafe fn cycle(a: &LfMalloc) {
+            unsafe {
+                let p0 = a.malloc(8000);
+                let p1 = a.malloc(8000);
+                a.free(p0);
+                let p2 = a.malloc(8000);
+                a.free(p1);
+                a.free(p2);
+            }
+        }
+        // (site, descriptors stranded, superblocks stranded)
+        for (site, descs, sbs) in [
+            ("desc.alloc", 0, 0),
+            ("stack.pop", 0, 0),
+            ("partial.get", 0, 0),
+            ("partial.put", 1, 0),
+            ("partial.reserve", 1, 0),
+            ("desc.retire", 1, 0),
+            // The EMPTY descriptor is still in the heap's slot, where the
+            // next malloc finds and retires it; only the superblock is lost.
+            ("free.empty", 0, 1),
+        ] {
+            let _guard = fp::scenario(0xDE5C);
+            let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
+            unsafe {
+                cycle(&a);
+                assert_eq!(a.audit().descriptors_floating, 0, "{site}: clean start");
+                fp::arm_limited(site, FpAction::Kill, FpTrigger::Always, 1);
+                cycle(&a); // someone dies in here, once
+                assert_eq!(fp::fired(site), 1, "{site} never fired");
+            }
+            // Everyone else completes around the corpse.
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let a = Arc::clone(&a);
+                    std::thread::spawn(move || {
+                        for _ in 0..500 {
+                            unsafe { cycle(&a) };
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{site}: {rep}");
+            assert_eq!(rep.descriptors_floating, descs, "{site}: descriptors stranded\n{rep}");
+            // What a quiescent trim cannot give back is what the corpse
+            // pins: its descriptor's slab, its superblock's hyperblock.
+            unsafe { a.trim() };
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{site} after trim: {rep}");
+            assert_eq!(
+                (rep.bytes.descriptor_slab_bytes, rep.bytes.superblock_bytes),
+                (descs * (16 << 10), sbs * (1 << 20)),
+                "{site}: pinned after trim"
+            );
+        }
+    }
+
+    /// The ABA that immediate descriptor reuse opens on a heap's Partial
+    /// slot (DESIGN.md §17.3), run step by step: a free empties a
+    /// superblock and stalls before `RemoveEmptyDesc`; meanwhile the
+    /// descriptor is taken from the slot, retired, handed out again, and
+    /// parked in the same slot as a live superblock. The stalled thread's
+    /// slot CAS succeeds on the stale pointer; it must notice the
+    /// descriptor is no longer the one it emptied and put it back.
+    #[test]
+    fn a_stalled_emptier_leaves_the_descriptors_next_life_alone() {
+        let _guard = fp::scenario(0xABA5);
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p0 = a.malloc(8000);
+            let p1 = a.malloc(8000) as usize; // same superblock, now FULL
+            a.free(p0); // PARTIAL, parked in the heap's slot
+            fp::arm_limited("free.empty", FpAction::Park, FpTrigger::Always, 1);
+            std::thread::scope(|s| {
+                // EMPTY transition done, recycle and RemoveEmptyDesc pending.
+                let emptier = s.spawn(|| a.free(p1 as *mut u8));
+                while fp::fired("free.empty") == 0 {
+                    std::thread::yield_now();
+                }
+                // This malloc finds the EMPTY descriptor in the slot and
+                // retires it, then carves a superblock and pops the same
+                // descriptor straight back off DescAvail.
+                let q0 = a.malloc(8000);
+                let q1 = a.malloc(8000);
+                assert!(!q0.is_null() && !q1.is_null());
+                testkit::fill(q1, 8000);
+                a.free(q0); // FULL -> PARTIAL: into the same slot
+                fp::disarm("free.empty");
+                emptier.join().unwrap();
+                let rep = a.audit();
+                assert!(rep.is_clean(), "{rep}");
+                assert_eq!(rep.descriptors_floating, 0, "the live descriptor is linked: {rep}");
+                // The superblock's second life carries on and ends normally.
+                let q2 = a.malloc(8000);
+                assert_eq!(q2, q0, "served from the descriptor that was put back");
+                testkit::check_fill(q1, 8000);
+                a.free(q1);
+                a.free(q2);
+            });
+        }
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(rep.descriptors_floating, 0);
+    }
 }

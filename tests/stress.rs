@@ -119,8 +119,6 @@ fn all_configurations_survive_producer_consumer() {
         Config::detect(),
         Config::uniprocessor(),
         Config::with_heaps(8),
-        Config { partial_mode: PartialMode::Lifo, ..Config::detect() },
-        Config { partial_mode: PartialMode::List, ..Config::detect() },
         Config::detect().with_max_credits(1),
         Config::detect().with_max_credits(7),
     ];
@@ -134,7 +132,7 @@ fn all_configurations_survive_producer_consumer() {
 #[test]
 fn thread_lifecycle_churn() {
     // Many short-lived threads each doing a little allocation: exercises
-    // hazard-record adoption and thread-id reuse paths.
+    // magazine-slot adoption and thread-id reuse paths.
     let a = Arc::new(LfMalloc::new_default());
     for wave in 0..20 {
         let mut handles = Vec::new();
@@ -235,5 +233,149 @@ fn large_span_cache_under_four_threads() {
     assert!(a.health().large_cached_spans > 0, "nothing was ever parked");
     unsafe { a.trim() };
     assert_eq!(a.os_stats().live_bytes, 0);
+    assert!(a.audit().is_clean());
+}
+
+#[test]
+fn superblock_cycle_under_four_threads() {
+    // The `sbcycle` shape (64 x 8000 B, two blocks to a superblock,
+    // allocated then freed) on four threads over two heaps, half of every
+    // thread's frees remote: DescAlloc, DescRetire, ListPutPartial,
+    // ListGetPartial and ListRemoveEmptyDesc all race on one size
+    // class. Each block carries its owner's tag at both ends while it is
+    // live, so a block (or a superblock, through a descriptor handed out
+    // twice) given to two owners shows as a foreign tag.
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 40;
+    const BLOCKS: usize = 64;
+    const SZ: usize = 8000;
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let gate = std::sync::Barrier::new(THREADS);
+    let handed: Vec<std::sync::Mutex<Vec<(usize, u64)>>> =
+        (0..THREADS).map(|_| Default::default()).collect();
+    let slots_after_first_round = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (a, gate, handed, first) = (&a, &gate, &handed, &slots_after_first_round);
+            s.spawn(move || unsafe {
+                let check_and_free = |p: *mut u8, tag: u64| {
+                    assert_eq!((p as *const u64).read(), tag, "block handed out twice");
+                    assert_eq!((p.add(SZ - 8) as *const u64).read(), tag);
+                    a.free(p);
+                };
+                for round in 0..ROUNDS {
+                    let mut mine = Vec::with_capacity(BLOCKS);
+                    for i in 0..BLOCKS {
+                        let p = a.malloc(SZ);
+                        assert!(!p.is_null());
+                        let tag = (t as u64) << 56 | (round as u64) << 16 | i as u64;
+                        (p as *mut u64).write(tag);
+                        (p.add(SZ - 8) as *mut u64).write(tag);
+                        mine.push((p as usize, tag));
+                    }
+                    // Every other block goes to the neighbour to free.
+                    let theirs: Vec<_> = mine.iter().copied().step_by(2).collect();
+                    mine.retain(|b| !theirs.contains(b));
+                    *handed[(t + 1) % THREADS].lock().unwrap() = theirs;
+                    gate.wait();
+                    let remote = std::mem::take(&mut *handed[t].lock().unwrap());
+                    for ((p, tag), (q, qtag)) in mine.into_iter().zip(remote) {
+                        check_and_free(p as *mut u8, tag);
+                        check_and_free(q as *mut u8, qtag);
+                    }
+                    gate.wait();
+                    if t == 0 {
+                        let rep = a.audit();
+                        assert!(rep.is_clean(), "round {round}: {rep}");
+                        if round == 0 {
+                            first.store(rep.descriptors_total, Ordering::Relaxed);
+                        }
+                        assert_eq!(
+                            rep.descriptors_total,
+                            first.load(Ordering::Relaxed),
+                            "descriptor slabs grew in round {round}: retired ones are not coming back"
+                        );
+                    }
+                    gate.wait();
+                }
+            });
+        }
+    });
+    let h = a.health();
+    assert_eq!(h.descriptors_in_use(), 0, "every descriptor is parked again: {h:?}");
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0);
+    assert!(a.audit().is_clean());
+}
+
+#[test]
+fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
+    // DESIGN.md §17.4. A LIFO partial list cannot rotate its EMPTY
+    // descriptors to the front the way the paper's FIFO does, so they
+    // wait beneath a non-empty head. The bound: they are descriptors the
+    // class once used, so they never outnumber its peak superblock
+    // count; and the class takes them all back before it carves anything
+    // new.
+    const N: usize = 12; // superblocks per thread, two 8000-byte blocks each
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let listed = || a.health().partial_listed.iter().sum::<usize>();
+    // Two threads (two heaps, unless both ids fall on one) fill N
+    // superblocks each.
+    let per_thread: Vec<Vec<usize>> = (0..2)
+        .map(|_| {
+            std::thread::scope(|s| {
+                s.spawn(|| (0..2 * N).map(|_| unsafe { a.malloc(8000) } as usize).collect())
+                    .join()
+                    .unwrap()
+            })
+        })
+        .collect();
+    let blocks: Vec<usize> = per_thread.concat();
+    assert!(blocks.iter().all(|&p| p != 0));
+    // Blocks 2k and 2k+1 of a thread share superblock k (the class holds
+    // two, and each thread allocated alone on its heap).
+    let peak_superblocks = 2 * N;
+    assert_eq!(listed(), 0);
+    // Free one block of each: every superblock turns PARTIAL and passes
+    // through its heap's slot onto the class list.
+    for pair in blocks.chunks(2) {
+        unsafe { a.free(pair[0] as *mut u8) };
+    }
+    let on_list = listed();
+    assert!(on_list >= peak_superblocks - 2, "{on_list} listed: at most one per heap in a slot");
+    assert!(a.audit().is_clean());
+    // Empty them, oldest first, all but the one on top of the list (the
+    // last one displaced from a slot: the second to last superblock).
+    let top = blocks.len() / 2 - 2;
+    for (k, pair) in blocks.chunks(2).enumerate() {
+        if k != top {
+            unsafe { a.free(pair[1] as *mut u8) };
+        }
+    }
+    let rep = a.audit();
+    assert!(rep.is_clean(), "{rep}");
+    let parked = listed();
+    assert_eq!(parked, on_list, "ListRemoveEmptyDesc stops at the non-empty head");
+    assert!(
+        parked - 1 <= peak_superblocks,
+        "{parked} parked, the class never had more than {peak_superblocks}"
+    );
+    // The class's next mallocs: the PARTIAL head serves one block, the
+    // EMPTY ones beneath are retired one after another on the way to
+    // MallocFromNewSB, which then finds its descriptor on DescAvail.
+    let (slots, hyperblocks) = (a.health().descriptor_slots, a.hyperblock_count());
+    let p = unsafe { a.malloc(8000) };
+    let q = unsafe { a.malloc(8000) };
+    assert!(!p.is_null() && !q.is_null());
+    assert_eq!(listed(), 0, "the list was drained before a superblock was carved");
+    let h = a.health();
+    assert_eq!(h.descriptor_slots, slots, "no descriptor slab carved");
+    assert_eq!(a.hyperblock_count(), hyperblocks, "no hyperblock mapped");
+    assert!(h.desc_avail + h.desc_reserve >= parked - 1, "the parked descriptors are free again");
+    unsafe {
+        a.free(p);
+        a.free(q);
+        a.free(blocks[2 * top + 1] as *mut u8);
+    }
     assert!(a.audit().is_clean());
 }

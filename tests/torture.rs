@@ -185,21 +185,22 @@ mod failpoint_scenarios {
 
     /// Sites armed with each action category in the combined scenario,
     /// for the coverage assertion.
-    const YIELD_SITES: &[&str] = &["active.reserve", "hazard.scan", "hazard.retire", "queue.dequeue"];
-    const RETRY_SITES: &[&str] = &["active.pop", "free.link", "queue.enqueue", "partial.get"];
+    const YIELD_SITES: &[&str] = &["active.reserve", "stack.pop", "desc.alloc"];
+    const RETRY_SITES: &[&str] = &["active.pop", "free.link", "partial.get"];
     const KILL_SITES: &[&str] =
         &["active.reserved", "active.update", "partial.put", "desc.retire", "free.empty"];
 
     fn arm_combined_scenario() {
         // Yields and bounded delays: pure schedule perturbation.
         fp::arm("active.reserve", FpAction::Yield, FpTrigger::EveryNth(13));
-        fp::arm("hazard.scan", FpAction::Yield, FpTrigger::Always);
-        fp::arm("hazard.retire", FpAction::Delay(25), FpTrigger::EveryNth(6));
-        fp::arm("queue.dequeue", FpAction::Delay(40), FpTrigger::EveryNth(8));
+        // `stack.pop` sits inside the ABA window of every descriptor
+        // and superblock pop: a yield there invites the pop-reuse-push
+        // interleaving the head tag exists for.
+        fp::arm("stack.pop", FpAction::Yield, FpTrigger::Always);
+        fp::arm("desc.alloc", FpAction::Delay(25), FpTrigger::EveryNth(6));
         // Forced CAS-retry arms: exercise every loop's failure path.
         fp::arm("active.pop", FpAction::Retry, FpTrigger::EveryNth(11));
         fp::arm("free.link", FpAction::Retry, FpTrigger::EveryNth(9));
-        fp::arm("queue.enqueue", FpAction::Retry, FpTrigger::Chance(8000));
         fp::arm("partial.get", FpAction::Retry, FpTrigger::Chance(6000));
         // Simulated thread deaths, bounded so leaks stay bounded.
         fp::arm_limited("active.reserved", FpAction::Kill, FpTrigger::EveryNth(301), 8);
@@ -269,8 +270,8 @@ mod failpoint_scenarios {
         fp::arm("active.reserve", FpAction::Retry, FpTrigger::EveryNth(2));
         fp::arm("active.pop", FpAction::Retry, FpTrigger::EveryNth(2));
         fp::arm("free.link", FpAction::Retry, FpTrigger::EveryNth(2));
-        fp::arm("queue.enqueue", FpAction::Retry, FpTrigger::EveryNth(2));
-        fp::arm("queue.dequeue", FpAction::Retry, FpTrigger::EveryNth(2));
+        fp::arm("partial.get", FpAction::Retry, FpTrigger::EveryNth(2));
+        fp::arm("stack.pop", FpAction::Retry, FpTrigger::EveryNth(2));
 
         let a = LfMalloc::with_config(Config::with_heaps(1));
         unsafe {
