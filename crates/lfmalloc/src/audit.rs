@@ -38,12 +38,13 @@
 //! * `EMPTY` descriptors record `count == maxcount - 1` (all blocks
 //!   free except the conceptual one being freed); their superblock may
 //!   already be recycled, so it is not walked.
-//! * Every block cached in a thread magazine ([`crate::magazine`]) lies
-//!   at a block start of a live, non-`EMPTY` superblock of the
-//!   magazine's class, is cached exactly once, and is not among the
-//!   blocks that superblock's free list accounts for; each magazine's
-//!   count matches its list and stays within its capacity. (To the
-//!   checks above a cached block is simply allocated.)
+//! * Every block cached in a thread magazine or parked in a thread's
+//!   outbox ([`crate::magazine`]) lies at a block start of a live,
+//!   non-`EMPTY` superblock of the bin's class, is held exactly once
+//!   across both rows of every slot, and is not among the blocks that
+//!   superblock's free list accounts for; each bin's count matches its
+//!   list and stays within its row's capacity. (To the checks above
+//!   such a block is simply allocated.)
 //! * Every span in the free-span cache ([`crate::large::SpanCache`])
 //!   carries a header whose size is the slot's page count and whose
 //!   alignment its base honours, is within the per-span bound, is no
@@ -107,7 +108,7 @@ pub struct AuditReport {
     pub descriptors_floating: usize,
     /// Free blocks visited across all superblock free-list walks.
     pub free_blocks_walked: usize,
-    /// Blocks cached in thread magazines.
+    /// Blocks cached in thread magazines or parked in their outboxes.
     pub magazine_blocks: usize,
     /// Live large blocks.
     pub large_live: usize,
@@ -490,6 +491,15 @@ fn accounted_free_blocks(desc: &Descriptor) -> HashSet<u64> {
     free
 }
 
+/// The row of a magazine slot a block or a miscount was found in.
+fn row_name(out: bool) -> &'static str {
+    if out {
+        "outbox"
+    } else {
+        "magazine"
+    }
+}
+
 fn check_magazines<S: PageSource>(
     inner: &Inner<S>,
     all_set: &HashSet<usize>,
@@ -503,19 +513,20 @@ fn check_magazines<S: PageSource>(
         rep.violations.push(AuditViolation {
             check: "mag.count",
             detail: format!(
-                "magazine[slot {}, class {}] counts {}, holds {} (capacity {})",
+                "{}[slot {}, class {}] counts {}, holds {} (capacity {})",
+                row_name(m.out),
                 m.slot,
                 m.class,
                 m.counted,
                 m.walked,
-                crate::magazine::capacity(m.class)
+                m.bound
             ),
         });
     }
     let mut seen: HashSet<usize> = HashSet::new();
     let mut free_lists: HashMap<usize, HashSet<u64>> = HashMap::new();
     for b in &cached {
-        let place = format!("magazine[slot {}, class {}]", b.slot, b.class);
+        let place = format!("{}[slot {}, class {}]", row_name(b.out), b.slot, b.class);
         let mut flag = |check: &'static str, detail: String| {
             rep.violations.push(AuditViolation { check, detail: format!("{place}: {detail}") })
         };

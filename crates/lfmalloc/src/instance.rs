@@ -439,8 +439,9 @@ impl<S: PageSource> LfMalloc<S> {
         released
     }
 
-    /// Returns the blocks cached in the calling thread's magazines to
-    /// their superblocks, and how many there were. For a thread about to
+    /// Returns the blocks cached in the calling thread's magazines, and
+    /// the other threads' blocks parked in its outboxes, to their
+    /// superblocks, and how many there were. For a thread about to
     /// go idle holding memory others could use; safe to call at any
     /// time, concurrently with anything.
     pub fn flush_thread_cache(&self) -> usize {

@@ -35,8 +35,10 @@
 //! * In front of all that, each thread keeps a small private stack of
 //!   free blocks per size class ([`magazine`]) that it refills and
 //!   flushes in batches against the lock-free core, so the common
-//!   malloc and free execute no CAS at all. Not in the paper; every
-//!   miss, remote free and slow path is the paper's code unchanged.
+//!   malloc and free execute no CAS at all; blocks of other threads'
+//!   superblocks wait in a second, never-popped row (the outbox) and
+//!   go home a run at a time. Not in the paper; every miss, push and
+//!   slow path is the paper's code unchanged.
 //!
 //! # Quick start
 //!

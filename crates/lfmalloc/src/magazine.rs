@@ -10,9 +10,12 @@
 //!   reserving and popping `k` blocks instead of one. An **overflow**
 //!   returns half through [`free_impl::push_free_chain`](crate::free_impl),
 //!   one CAS per run of blocks sharing a superblock.
-//! * Only *local* frees enter (the block's superblock belongs to the
-//!   caller's own heap), so a block handed to another thread still goes
-//!   home on free and Hoard's no-false-sharing property survives.
+//! * Only *local* frees enter a magazine (the block's superblock belongs
+//!   to the caller's own heap). A *remote* free is parked in the slot's
+//!   **outbox**, a second row of bins that `malloc` never pops: when one
+//!   holds half a magazine the whole run goes home the way an overflow
+//!   does. A block handed to another thread therefore still returns to
+//!   its own superblock and Hoard's no-false-sharing property survives.
 //! * Cached blocks keep their descriptor prefix; the stack is linked
 //!   through the first *user* word. To the core they are simply
 //!   allocated, so every paper invariant holds unchanged.
@@ -65,16 +68,30 @@ pub const CACHED_CLASSES: usize = {
     ci
 };
 
-/// What one thread's full magazines hold: the bound on memory stranded
-/// by a thread killed (or fork-orphaned, until recovery) with them.
+/// Blocks the outbox of class `ci` holds: the half magazine an overflow
+/// sends home, and 0 where that is no run at all (one block), so such a
+/// class's remote frees take the paper's path one by one.
+pub const fn out_capacity(ci: usize) -> usize {
+    let n = capacity(ci) / 2;
+    if n < 2 {
+        0
+    } else {
+        n
+    }
+}
+
+/// What one thread's full magazines and full outboxes hold: the bound
+/// on memory stranded by a thread killed (or fork-orphaned, until
+/// recovery) with them.
 pub const MAX_CACHED_BYTES: usize = {
     let (mut ci, mut sum) = (0, 0);
     while ci < CACHED_CLASSES {
-        sum += capacity(ci) * CLASS_SIZES[ci] as usize;
+        sum += (capacity(ci) + out_capacity(ci)) * CLASS_SIZES[ci] as usize;
         ci += 1;
     }
     sum
 };
+const _: () = assert!(MAX_CACHED_BYTES <= 96 * 1024);
 
 /// Slots per instance. A thread that finds none free runs on the
 /// lock-free core alone, as every thread did before magazines.
@@ -100,10 +117,12 @@ pub(crate) struct Bin {
     count: AtomicU32,
 }
 
-/// One thread's magazines in one instance.
+/// One thread's magazines and outboxes in one instance.
 #[repr(C, align(64))]
 pub(crate) struct Slot {
     bins: [Bin; CACHED_CLASSES],
+    /// Remote frees on their way home; `malloc` never looks here.
+    out: [Bin; CACHED_CLASSES],
     /// Stamp of the owning thread; 0 = free. Changes hands only by CAS.
     owner: AtomicU64,
 }
@@ -303,8 +322,9 @@ unsafe fn refill<S: PageSource>(
     user
 }
 
-/// Small `free`: caches the block if it may be cached. `false` means
-/// the caller must take the paper's path.
+/// Small `free`: caches a local block for this thread's next `malloc`,
+/// parks a remote one in the outbox. `false` means neither may be done
+/// and the caller must take the paper's path.
 ///
 /// # Safety
 ///
@@ -326,22 +346,43 @@ pub(crate) unsafe fn free<S: PageSource>(
     }
     let desc = unsafe { &*desc_ptr };
     let ci = desc.class();
-    // Local only: a remote block goes home through its own anchor.
-    if ci >= CACHED_CLASSES || !core::ptr::eq(desc.heap(), my_heap(inner, tb, ci)) {
+    if ci >= CACHED_CLASSES {
         return false;
     }
-    let bin = unsafe { &(*slot).bins[ci] };
+    // Half a magazine is what goes home at a time from either row: the
+    // newer half of a full magazine, all of a full outbox.
+    let half = CAP[ci] as u32 / 2;
+    let local = core::ptr::eq(desc.heap(), my_heap(inner, tb, ci));
+    let (bin, limit) = if local {
+        (unsafe { &(*slot).bins[ci] }, CAP[ci] as u32)
+    } else if half >= 2 {
+        // Remote, and `out_capacity(ci) != 0`: the block goes home
+        // through its own anchor, but in company, and no `malloc` of
+        // this thread may have it meanwhile.
+        (unsafe { &(*slot).out[ci] }, half)
+    } else {
+        return false;
+    };
     let mut n = bin.count.load(Ordering::Relaxed);
-    if n >= CAP[ci] as u32 {
-        unsafe { flush(inner, bin, CAP[ci] as u32 / 2) };
-        crate::stat!(inner, my_heap(inner, tb, ci), mag_flush);
+    if n >= limit {
+        unsafe { flush(inner, bin, half) };
+        if local {
+            crate::stat!(inner, my_heap(inner, tb, ci), mag_flush);
+        } else {
+            crate::stat!(inner, my_heap(inner, tb, ci), out_flush);
+        }
         n = bin.count.load(Ordering::Relaxed);
     }
     unsafe { *(ptr as *mut *mut u8) = bin.head.load(Ordering::Relaxed) };
     // Release: see `refill`.
     bin.head.store(ptr, Ordering::Release);
     bin.count.store(n + 1, Ordering::Relaxed);
-    crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
+    if local {
+        crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
+    } else {
+        // Counted where `free_remote` would have been: the owning heap.
+        crate::stat!(inner, unsafe { &*desc.heap() }, free_outbox);
+    }
     true
 }
 
@@ -410,11 +451,11 @@ unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut user: *mut u8) -> us
     blocks
 }
 
-/// Empties every magazine of `slot`. The caller owns the slot (claimed
-/// its owner word) or the instance is quiescent.
+/// Empties every magazine and outbox of `slot`. The caller owns the
+/// slot (claimed its owner word) or the instance is quiescent.
 unsafe fn drain_slot<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
     let mut blocks = 0;
-    for bin in &slot.bins {
+    for bin in slot.bins.iter().chain(&slot.out) {
         // The pointer list is consistent at every instant, the count is
         // not (a fork can land between a hit's two stores): the list is
         // what gets released, the count is just reset.
@@ -508,48 +549,59 @@ pub fn simulate_killed_thread() {
     crate::tls::with_block(|tb| tb.abandon());
 }
 
-/// One cached block as the auditor sees it.
+/// One cached or parked block as the auditor sees it.
 pub(crate) struct CachedBlock {
     pub slot: usize,
     pub class: usize,
+    /// Parked in the outbox, not cached in the magazine.
+    pub out: bool,
     pub user: usize,
 }
 
-/// A magazine whose count disagrees with its list, or whose list is
-/// longer than its capacity.
+/// A magazine or outbox whose count disagrees with its list, or whose
+/// list is longer than its bound.
 pub(crate) struct Miscount {
     pub slot: usize,
     pub class: usize,
+    pub out: bool,
     pub counted: u32,
     pub walked: u32,
+    /// [`capacity`] of a magazine, [`out_capacity`] of an outbox.
+    pub bound: u32,
 }
 
-/// Every cached block, plus every [`Miscount`]. Walks are cut at
-/// capacity + 1, so a cyclic list shows as a miscount instead of
-/// hanging the audit.
+/// Every cached and parked block, plus every [`Miscount`]. Walks are
+/// cut at the row's bound + 1, so a cyclic list shows as a miscount
+/// instead of hanging the audit.
 pub(crate) fn snapshot<S: PageSource>(inner: &Inner<S>) -> (Vec<CachedBlock>, Vec<Miscount>) {
     let (mut blocks, mut bad) = (Vec::new(), Vec::new());
     for (si, slot) in inner.mags.slots().iter().enumerate() {
-        for (ci, bin) in slot.bins.iter().enumerate() {
-            let counted = bin.count.load(Ordering::Relaxed);
-            let mut p = bin.head.load(Ordering::Acquire);
-            let mut walked = 0u32;
-            while !p.is_null() && walked <= CAP[ci] as u32 {
-                blocks.push(CachedBlock {
-                    slot: si,
-                    class: ci,
-                    user: p as usize,
-                });
-                walked += 1;
-                p = unsafe { *(p as *const *mut u8) };
-            }
-            if counted != walked || walked > CAP[ci] as u32 {
-                bad.push(Miscount {
-                    slot: si,
-                    class: ci,
-                    counted,
-                    walked,
-                });
+        for (out, row) in [(false, &slot.bins), (true, &slot.out)] {
+            for (ci, bin) in row.iter().enumerate() {
+                let bound = if out { out_capacity(ci) } else { capacity(ci) } as u32;
+                let counted = bin.count.load(Ordering::Relaxed);
+                let mut p = bin.head.load(Ordering::Acquire);
+                let mut walked = 0u32;
+                while !p.is_null() && walked <= bound {
+                    blocks.push(CachedBlock {
+                        slot: si,
+                        class: ci,
+                        out,
+                        user: p as usize,
+                    });
+                    walked += 1;
+                    p = unsafe { *(p as *const *mut u8) };
+                }
+                if counted != walked || walked > bound {
+                    bad.push(Miscount {
+                        slot: si,
+                        class: ci,
+                        out,
+                        counted,
+                        walked,
+                        bound,
+                    });
+                }
             }
         }
     }
@@ -575,12 +627,45 @@ mod tests {
             assert_ne!(cap, 1, "a refill is half a magazine");
         }
         assert_eq!(capacity(0), 32);
-        assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES);
+        for ci in 0..CACHED_CLASSES {
+            let out = out_capacity(ci);
+            assert!(out == capacity(ci) / 2 || (out == 0 && capacity(ci) < 4));
+        }
+        assert_eq!(out_capacity(0), 16);
+        assert_eq!(out_capacity(CACHED_CLASSES - 1), 0, "one block is no run");
+        assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES * 3 / 2);
         assert_eq!(core::mem::size_of::<Slot>() % 64, 0);
+    }
+
+    fn desc_of(user: *mut u8) -> &'static Descriptor {
+        unsafe { &**(user.sub(PREFIX_SIZE) as *const *const Descriptor) }
+    }
+
+    /// Runs `f` on a thread of its own whose heap for `home`'s class is
+    /// not `home`.
+    fn on_a_remote_thread<R: Send>(
+        a: &LfMalloc,
+        home: *mut ProcHeap,
+        f: impl Fn() -> R + Sync,
+    ) -> R {
+        let home = home as usize;
+        malloc_api::testkit::on_some_thread(|| {
+            let ci = unsafe { &*(home as *const ProcHeap) }.class();
+            (a.inner().heap_for(ci) as *const ProcHeap as usize != home).then(&f)
+        })
+    }
+
+    fn parked(a: &LfMalloc) -> Vec<usize> {
+        let (blocks, bad) = snapshot(a.inner());
+        assert!(bad.is_empty());
+        blocks.iter().filter(|b| b.out).map(|b| b.user).collect()
     }
 
     #[test]
     fn a_freed_block_comes_back_with_its_prefix_intact() {
+        // Magazines step aside while a fault scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(Config::with_heaps(1));
         unsafe {
             let p = a.malloc(40);
@@ -601,6 +686,9 @@ mod tests {
 
     #[test]
     fn refill_and_overflow_move_half_a_magazine() {
+        // Magazines step aside while a fault scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(Config::with_heaps(1));
         let cap = capacity(0);
         let cached = |a: &LfMalloc| snapshot(a.inner()).0.len();
@@ -628,45 +716,222 @@ mod tests {
     }
 
     #[test]
-    fn remote_overaligned_and_uncached_classes_bypass() {
-        let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
+    fn overaligned_and_uncached_bypass_and_a_remote_block_is_parked() {
+        // Magazines step aside while a fault scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
         unsafe {
             let aligned = a.allocate(24, 64);
             let big = a.malloc(2000);
             a.deallocate(aligned);
             a.free(big);
             assert!(snapshot(a.inner()).0.is_empty(), "neither may be cached");
-            // A block freed by a thread on another heap goes home.
+            // A block freed by a thread on another heap waits in that
+            // thread's outbox, where no malloc finds it.
             let p = a.malloc(8) as usize;
-            let home = (*(*((p - PREFIX_SIZE) as *const *const Descriptor))).heap() as usize;
-            let a2 = std::sync::Arc::clone(&a);
-            let cached_remotely = std::thread::spawn(move || {
-                let here = a2.inner().heap_for(0) as *const ProcHeap as usize;
-                a2.free(p as *mut u8);
-                let hit = snapshot(a2.inner()).0.iter().any(|b| b.user == p);
-                (here == home, hit)
-            })
-            .join()
-            .unwrap();
-            assert_eq!(
-                cached_remotely.0, cached_remotely.1,
-                "cached iff the free was local"
-            );
+            // So does not a block of a class whose half magazine is one
+            // block: that one goes straight home.
+            let lone = a.malloc(1000) as usize;
+            assert_eq!(out_capacity(desc_of(lone as *mut u8).class()), 0);
+            on_a_remote_thread(&a, desc_of(p as *mut u8).heap(), || {
+                a.free(p as *mut u8);
+                a.free(lone as *mut u8);
+                assert_eq!(parked(&a), [p]);
+                let audit = a.audit();
+                assert!(audit.is_clean(), "{audit}");
+                assert_eq!(audit.magazine_blocks, 1);
+                let mine: Vec<_> = (0..3 * capacity(0)).map(|_| a.malloc(8)).collect();
+                assert!(mine.iter().all(|&q| !q.is_null() && q as usize != p));
+                for q in mine {
+                    a.free(q);
+                }
+                assert_eq!(parked(&a), [p], "local frees leave the outbox alone");
+                let both_rows = snapshot(a.inner()).0.len();
+                assert!(both_rows > 1);
+                assert_eq!(
+                    a.flush_thread_cache(),
+                    both_rows,
+                    "the outbox is flushed too"
+                );
+                assert!(snapshot(a.inner()).0.is_empty());
+            });
+            assert!(a.audit().is_clean());
         }
     }
 
     #[test]
-    fn hardened_instances_never_cache() {
-        let a = LfMalloc::with_config(Config::with_heaps(1).with_hardening(Hardening::Detect));
+    fn a_full_outbox_goes_home_as_one_run() {
+        // Magazines step aside while a fault scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        let k = out_capacity(0);
+        unsafe {
+            let held: Vec<usize> = (0..k + 1).map(|_| a.malloc(8) as usize).collect();
+            let desc = desc_of(held[0] as *mut u8);
+            assert!(held
+                .iter()
+                .all(|&p| core::ptr::eq(desc_of(p as *mut u8), desc)));
+            on_a_remote_thread(&a, desc.heap(), || {
+                let before = desc.load_anchor().count();
+                for &p in &held[..k] {
+                    a.free(p as *mut u8);
+                }
+                assert_eq!(parked(&a).len(), k);
+                assert_eq!(
+                    desc.load_anchor().count(),
+                    before,
+                    "nothing has gone home yet"
+                );
+                // The owner is idle, so the one CAS is all that moves.
+                a.free(held[k] as *mut u8);
+                assert_eq!(desc.load_anchor().count(), before + k as u32);
+                assert_eq!(parked(&a), [held[k]]);
+                assert!(a.audit().is_clean());
+            });
+        }
+    }
+
+    #[test]
+    fn an_outbox_holding_two_superblocks_goes_home_as_two_runs() {
+        // Magazines step aside while a fault scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        unsafe {
+            // 256-byte blocks: 64 to a superblock, outbox of 4.
+            let first = a.malloc(248);
+            let (da, ci) = (desc_of(first), desc_of(first).class());
+            assert_eq!(out_capacity(ci), 4);
+            let mut held = vec![first];
+            while core::ptr::eq(desc_of(held[held.len() - 1]), da) {
+                held.push(a.malloc(248));
+            }
+            held.push(a.malloc(248));
+            let db = desc_of(held[held.len() - 1]);
+            let from = |d: &Descriptor, n: usize| -> Vec<usize> {
+                let of_d = held.iter().filter(|&&p| core::ptr::eq(desc_of(p), d));
+                of_d.take(n).map(|&p| p as usize).collect()
+            };
+            let (of_a, of_b) = (from(da, 3), from(db, 2));
+            assert_eq!((of_a.len(), of_b.len()), (3, 2));
+            on_a_remote_thread(&a, da.heap(), || {
+                let (a0, b0) = (da.load_anchor().count(), db.load_anchor().count());
+                for &p in of_a[..2].iter().chain(&of_b) {
+                    a.free(p as *mut u8);
+                }
+                assert_eq!(parked(&a).len(), 4);
+                a.free(of_a[2] as *mut u8);
+                assert_eq!(parked(&a), [of_a[2]]);
+                assert_eq!(
+                    da.load_anchor().count(),
+                    a0 + 2,
+                    "the run of the first superblock"
+                );
+                assert_eq!(db.load_anchor().count(), b0 + 2, "the run of the second");
+                assert!(a.audit().is_clean());
+            });
+        }
+    }
+
+    #[test]
+    fn audit_walks_the_outbox_with_its_own_bound() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        let checks = |a: &LfMalloc| -> Vec<String> {
+            let hits = a.audit().violations;
+            hits.iter()
+                .map(|v| format!("{} {}", v.check, v.detail))
+                .collect()
+        };
+        unsafe {
+            // The ladder serves the first malloc, so the magazine then
+            // holds `p` alone and `q` stays allocated.
+            let (p, q) = (a.malloc(8), a.malloc(8));
+            a.free(p);
+            let slots = a.inner().mags.slots();
+            let mine = slots
+                .iter()
+                .find(|s| s.bins[0].head.load(Ordering::Relaxed) == p);
+            let out = &mine.expect("this thread's slot caches p").out[0];
+            let plant = |head: *mut u8, count: u32| {
+                out.head.store(head, Ordering::Relaxed);
+                out.count.store(count, Ordering::Relaxed);
+            };
+            assert!(a.audit().is_clean());
+            // One block in both rows.
+            plant(p, 1);
+            let found = checks(&a);
+            assert!(
+                found
+                    .iter()
+                    .any(|v| v.starts_with("mag.block-twice outbox[")),
+                "{found:?}"
+            );
+            // A cycle: the walk stops one past the outbox's bound.
+            *(q as *mut *mut u8) = q;
+            plant(q, 1);
+            let found = checks(&a);
+            let miscount = format!(
+                "counts 1, holds {} (capacity {})",
+                out_capacity(0) + 1,
+                out_capacity(0)
+            );
+            assert!(
+                found
+                    .iter()
+                    .any(|v| v.starts_with("mag.count outbox[") && v.ends_with(&miscount)),
+                "{found:?}"
+            );
+            plant(core::ptr::null_mut(), 0);
+            assert!(a.audit().is_clean());
+            a.free(q);
+        }
+    }
+
+    #[test]
+    fn hardened_instances_never_cache_nor_park() {
+        let a = LfMalloc::with_config(Config::with_heaps(2).with_hardening(Hardening::Detect));
         unsafe {
             let p = a.malloc(8);
             a.free(p);
+            assert!(snapshot(a.inner()).0.is_empty());
+            let p = a.malloc(8) as usize;
+            on_a_remote_thread(&a, desc_of(p as *mut u8).heap(), || a.free(p as *mut u8));
         }
         assert!(snapshot(a.inner()).0.is_empty());
     }
 
+    /// A fault scenario must reach `free.link` call by call: while one
+    /// runs a remote free is pushed, not parked.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn fault_scenarios_never_park() {
+        use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        unsafe {
+            let held: Vec<usize> = (0..8).map(|_| a.malloc(8) as usize).collect();
+            let _guard = fp::scenario(0x0B0C);
+            fp::arm("free.link", FpAction::Yield, FpTrigger::Always);
+            on_a_remote_thread(&a, desc_of(held[0] as *mut u8).heap(), || {
+                for &p in &held {
+                    // Other tests' frees reach the armed site as well.
+                    let before = fp::fired("free.link");
+                    a.free(p as *mut u8);
+                    assert!(fp::fired("free.link") > before);
+                }
+                assert!(parked(&a).is_empty());
+            });
+        }
+    }
+
     #[test]
     fn an_exited_threads_slot_is_drained_by_maintain_or_by_its_adopter() {
+        // Magazines step aside while a fault scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
         let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
         // Runs a malloc/free pair of `size` on a thread of its own and
         // reports the class-0 blocks cached when it is done.

@@ -139,7 +139,8 @@ impl Default for MaintenanceBudget {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceReport {
     /// Blocks returned to their superblocks out of the magazine slots
-    /// of threads that exited (or were lost in a fork).
+    /// (magazines and outboxes) of threads that exited (or were lost in
+    /// a fork).
     pub magazines_drained: u64,
     /// Quarantined blocks released back into circulation.
     pub quarantine_flushed: u64,

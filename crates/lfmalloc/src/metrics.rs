@@ -102,6 +102,7 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"newsb\"}} {}", t.malloc_newsb);
     write_family(&mut o, "lfmalloc_frees", "counter", "Small frees by locality.");
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"cached\"}} {}", t.free_cached);
+    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"outbox\"}} {}", t.free_outbox);
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"local\"}} {}", t.free_local);
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"remote\"}} {}", t.free_remote);
     let _ = writeln!(o, "lfmalloc_frees_total{{path=\"teardown\"}} {}", t.free_teardown);
@@ -113,6 +114,7 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     );
     let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"refill\"}} {}", t.mag_refill);
     let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"flush\"}} {}", t.mag_flush);
+    let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"outbox_flush\"}} {}", t.out_flush);
     write_family(
         &mut o,
         "lfmalloc_superblocks_retired",

@@ -65,9 +65,14 @@ pub(crate) struct ClassShard {
     /// local). When such a block later goes home in a flush it is not
     /// counted again.
     pub free_cached: Counter,
+    /// Remote frees parked in the freeing thread's outbox (no CAS), in
+    /// the owning heap's shard. When such a block later goes home in an
+    /// outbox flush it is not counted again.
+    pub free_outbox: Counter,
     /// Frees by the thread mapped to the owning heap.
     pub free_local: Counter,
-    /// Frees by a thread mapped to a different heap (remote frees).
+    /// Frees by a thread mapped to a different heap that took the
+    /// paper's one-CAS push (remote frees that could not be parked).
     pub free_remote: Counter,
     /// Frees issued during TLS teardown (thread identity gone); also
     /// counted under `free_remote` — see `heap::try_thread_id`.
@@ -84,6 +89,8 @@ pub(crate) struct ClassShard {
     pub mag_refill: Counter,
     /// Magazine overflows: half a magazine returned to its superblocks.
     pub mag_flush: Counter,
+    /// Full outboxes sent home, one anchor CAS per superblock in them.
+    pub out_flush: Counter,
     /// Retries of the Active-word reservation CAS, per malloc.
     pub active_cas: Histogram<RETRY_BUCKETS>,
     /// Retries of Anchor CASes (pop/reserve/credit-return/free-link),
@@ -420,6 +427,7 @@ pub struct ClassStats {
     pub malloc_slow: u64,
     pub malloc_newsb: u64,
     pub free_cached: u64,
+    pub free_outbox: u64,
     pub free_local: u64,
     pub free_remote: u64,
     /// TLS-teardown frees (a subset of `free_remote`).
@@ -430,6 +438,7 @@ pub struct ClassStats {
     pub partial_reuse: u64,
     pub mag_refill: u64,
     pub mag_flush: u64,
+    pub out_flush: u64,
     /// Active-word reservation CAS retries per malloc, bucketed
     /// 0 / 1 / 2–3 / ... / 64+ (see [`bucket_label`]).
     pub active_cas: [u64; RETRY_BUCKETS],
@@ -446,7 +455,13 @@ impl ClassStats {
 
     /// All small frees of the class.
     pub fn frees(&self) -> u64 {
-        self.free_cached + self.free_local + self.free_remote
+        self.free_cached + self.free_outbox + self.free_local + self.free_remote
+    }
+
+    /// Frees by a thread mapped to another heap than the block's,
+    /// whether parked in its outbox first or pushed at once.
+    pub fn remote_frees(&self) -> u64 {
+        self.free_outbox + self.free_remote
     }
 
     fn accumulate(&mut self, shard: &ClassShard) {
@@ -455,6 +470,7 @@ impl ClassStats {
         self.malloc_slow += shard.malloc_slow.get();
         self.malloc_newsb += shard.malloc_newsb.get();
         self.free_cached += shard.free_cached.get();
+        self.free_outbox += shard.free_outbox.get();
         self.free_local += shard.free_local.get();
         self.free_remote += shard.free_remote.get();
         self.free_teardown += shard.free_teardown.get();
@@ -464,6 +480,7 @@ impl ClassStats {
         self.partial_reuse += shard.partial_reuse.get();
         self.mag_refill += shard.mag_refill.get();
         self.mag_flush += shard.mag_flush.get();
+        self.out_flush += shard.out_flush.get();
         let a = shard.active_cas.snapshot();
         let n = shard.anchor_cas.snapshot();
         for i in 0..RETRY_BUCKETS {
@@ -478,6 +495,7 @@ impl ClassStats {
         self.malloc_slow += other.malloc_slow;
         self.malloc_newsb += other.malloc_newsb;
         self.free_cached += other.free_cached;
+        self.free_outbox += other.free_outbox;
         self.free_local += other.free_local;
         self.free_remote += other.free_remote;
         self.free_teardown += other.free_teardown;
@@ -487,6 +505,7 @@ impl ClassStats {
         self.partial_reuse += other.partial_reuse;
         self.mag_refill += other.mag_refill;
         self.mag_flush += other.mag_flush;
+        self.out_flush += other.out_flush;
         for i in 0..RETRY_BUCKETS {
             self.active_cas[i] += other.active_cas[i];
             self.anchor_cas[i] += other.anchor_cas[i];
@@ -497,10 +516,10 @@ impl ClassStats {
         format!(
             "{{\"class\":{},\"size\":{},\"malloc_cached\":{},\"malloc_fast\":{},\
              \"malloc_slow\":{},\"malloc_newsb\":{},\"free_cached\":{},\
-             \"free_local\":{},\"free_remote\":{},\
+             \"free_outbox\":{},\"free_local\":{},\"free_remote\":{},\
              \"free_teardown\":{},\"free_empty\":{},\
              \"partial_push\":{},\"partial_pop\":{},\"partial_reuse\":{},\
-             \"mag_refill\":{},\"mag_flush\":{},\
+             \"mag_refill\":{},\"mag_flush\":{},\"out_flush\":{},\
              \"active_cas\":{},\"anchor_cas\":{}}}",
             self.class,
             self.block_size,
@@ -509,6 +528,7 @@ impl ClassStats {
             self.malloc_slow,
             self.malloc_newsb,
             self.free_cached,
+            self.free_outbox,
             self.free_local,
             self.free_remote,
             self.free_teardown,
@@ -518,6 +538,7 @@ impl ClassStats {
             self.partial_reuse,
             self.mag_refill,
             self.mag_flush,
+            self.out_flush,
             json_array(&self.active_cas),
             json_array(&self.anchor_cas),
         )
@@ -728,7 +749,10 @@ pub(crate) fn record_frag_sample<S: PageSource>(inner: &Inner<S>) {
                 + s.malloc_fast.get()
                 + s.malloc_slow.get()
                 + s.malloc_newsb.get();
-            frees += s.free_cached.get() + s.free_local.get() + s.free_remote.get();
+            frees += s.free_cached.get()
+                + s.free_outbox.get()
+                + s.free_local.get()
+                + s.free_remote.get();
         }
         let c = newsb.saturating_sub(empt) * SB_SIZE as u64;
         committed += c;
@@ -976,9 +1000,10 @@ impl<S: PageSource> LfMalloc<S> {
         )?;
         writeln!(
             w,
-            "frees:   {:>12}  (cached {} / local {} / remote {} [{} in TLS teardown] / emptied {} superblocks)",
+            "frees:   {:>12}  (cached {} / outbox {} / local {} / remote {} [{} in TLS teardown] / emptied {} superblocks)",
             t.frees(),
             t.free_cached,
+            t.free_outbox,
             t.free_local,
             t.free_remote,
             t.free_teardown,
@@ -989,7 +1014,11 @@ impl<S: PageSource> LfMalloc<S> {
             "partial: {:>12} push / {} pop / {} blocks reused",
             t.partial_push, t.partial_pop, t.partial_reuse
         )?;
-        writeln!(w, "magazines: {:>10} refills / {} flushes", t.mag_refill, t.mag_flush)?;
+        writeln!(
+            w,
+            "magazines: {:>10} refills / {} flushes / {} outbox flushes",
+            t.mag_refill, t.mag_flush, t.out_flush
+        )?;
         writeln!(
             w,
             "large:   {:>12} alloc / {} free / {} live  (span cache: {} hit / {} miss / {} bypassed, \
@@ -1164,7 +1193,7 @@ impl<S: PageSource> LfMalloc<S> {
                 c.mallocs(),
                 fast_pct,
                 c.frees(),
-                c.free_remote,
+                c.remote_frees(),
                 c.malloc_newsb,
                 c.partial_push,
                 c.partial_pop,

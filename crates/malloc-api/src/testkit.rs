@@ -132,6 +132,21 @@ pub fn for_each_seed<F: FnMut(u64)>(name: &str, seeds: &[u64], mut scenario: F) 
     }
 }
 
+/// Runs `attempt` on fresh threads, one after another (each joined
+/// before the next starts), until one returns `Some`, and returns that.
+/// For a test that needs a thread with a property only the thread
+/// itself can read — typically which heap its id maps to: ids are
+/// handed out in sequence, so one of the next few threads has it.
+pub fn on_some_thread<R: Send>(attempt: impl Fn() -> Option<R> + Sync) -> R {
+    for _ in 0..64 {
+        let ran = std::thread::scope(|s| s.spawn(&attempt).join());
+        if let Some(r) = ran.unwrap_or_else(|panic| std::panic::resume_unwind(panic)) {
+            return r;
+        }
+    }
+    panic!("64 threads in a row declined");
+}
+
 /// Claims an exclusive-ownership canary word at `addr` and immediately
 /// releases it: the word must be 0 (unclaimed), is swapped to 1, checked,
 /// and stored back to 0. Two threads holding the "same" resource at once

@@ -309,7 +309,10 @@ fn print_record(rec: &Json) {
         + t.num("malloc_fast")
         + t.num("malloc_slow")
         + t.num("malloc_newsb");
-    let frees = t.num("free_cached") + t.num("free_local") + t.num("free_remote");
+    let frees = t.num("free_cached")
+        + t.num("free_outbox")
+        + t.num("free_local")
+        + t.num("free_remote");
     println!("== operations ==");
     println!(
         "  small mallocs {:>14}   cached {:.1}%  fast {:.1}%  partial {:.1}%  new-sb {:.1}%",
@@ -320,9 +323,10 @@ fn print_record(rec: &Json) {
         100.0 * t.num("malloc_newsb") / mallocs.max(1.0),
     );
     println!(
-        "  small frees   {:>14}   cached {:.1}%  local {:.1}%  remote {:.1}%  (teardown {})",
+        "  small frees   {:>14}   cached {:.1}%  outbox {:.1}%  local {:.1}%  remote {:.1}%  (teardown {})",
         frees as u64,
         100.0 * t.num("free_cached") / frees.max(1.0),
+        100.0 * t.num("free_outbox") / frees.max(1.0),
         100.0 * t.num("free_local") / frees.max(1.0),
         100.0 * t.num("free_remote") / frees.max(1.0),
         t.u64("free_teardown"),
@@ -453,10 +457,12 @@ fn print_diff(a: &Json, b: &Json) {
         ("small mallocs (partial)", "totals.malloc_slow"),
         ("small mallocs (new sb)", "totals.malloc_newsb"),
         ("small frees (cached)", "totals.free_cached"),
+        ("small frees (outbox)", "totals.free_outbox"),
         ("small frees (local)", "totals.free_local"),
         ("small frees (remote)", "totals.free_remote"),
         ("magazine refills", "totals.mag_refill"),
         ("magazine flushes", "totals.mag_flush"),
+        ("outbox flushes", "totals.out_flush"),
         ("superblocks retired", "totals.free_empty"),
         ("large allocs", "large.alloc"),
         ("large frees", "large.free"),

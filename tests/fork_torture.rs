@@ -166,15 +166,20 @@ fn lfmalloc_child_recovers_after_fork_under_load() {
     });
 }
 
-/// Thread magazines across a fork: the forking thread's magazine comes
-/// through intact (same blocks, same order, under its new identity),
-/// while the slots of the threads the fork left behind are orphans
-/// whose blocks `fork::recover` sends home — none stay cached, none are
-/// lost, and the child audits clean.
+/// Thread magazines across a fork: the forking thread's magazine and
+/// outbox come through intact (same blocks, same order, under its new
+/// identity), while the slots of the threads the fork left behind are
+/// orphans whose blocks — cached and parked alike — `fork::recover`
+/// sends home: none stay cached, none are lost, and the child audits
+/// clean.
 #[test]
 fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     let _serial = fork_lock();
     let a = LfMalloc::with_config(Config::with_heaps(2));
+    let home = lfmalloc::heap::thread_id() % 2;
+    // One block of this thread's for each of the others to free.
+    let handed: Vec<usize> = (0..2).map(|_| unsafe { a.malloc(40) } as usize).collect();
     // This thread's magazine: `top` was freed last, so it is next out.
     let top = unsafe {
         let blocks: Vec<*mut u8> = (0..5).map(|_| a.malloc(40)).collect();
@@ -184,16 +189,20 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
         }
         blocks[4] as usize
     };
-    let mine = a.audit().magazine_blocks;
-    assert!(mine >= 5);
+    let cached = a.audit().magazine_blocks;
+    assert!(cached >= 5);
     // Two more threads fill magazines of their own and stay alive
     // (parked) across the fork, so in the parent their slots are owned
-    // by live threads and in the child by nobody.
+    // by live threads and in the child by nobody. Their ids follow each
+    // other, so one of them is on the other heap: freeing this thread's
+    // block parks it in that thread's outbox, and its gift to this
+    // thread is parked in this thread's.
+    let gifts = [AtomicUsize::new(0), AtomicUsize::new(0)];
     let ready = std::sync::Barrier::new(3);
     let release = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
         for t in 0..2usize {
-            let (a, ready, release) = (&a, &ready, &release);
+            let (a, ready, release, gifts, handed) = (&a, &ready, &release, &gifts, &handed);
             s.spawn(move || {
                 unsafe {
                     for i in 0..64usize {
@@ -201,12 +210,22 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
                         assert!(!p.is_null());
                         a.free(p);
                     }
+                    a.free(handed[t] as *mut u8);
+                    if lfmalloc::heap::thread_id() % 2 != home {
+                        gifts[t].store(a.malloc(40) as usize, Ordering::Relaxed);
+                    }
                 }
                 ready.wait();
                 release.wait();
             });
         }
         ready.wait();
+        let mut mine = cached;
+        for gift in gifts.iter().map(|g| g.load(Ordering::Relaxed)).filter(|&g| g != 0) {
+            unsafe { a.free(gift as *mut u8) };
+            mine += 1;
+        }
+        assert!(mine > cached, "neither thread was on the other heap");
         let total = a.audit().magazine_blocks;
         assert!(total > mine, "the parked threads cached nothing");
         assert_eq!(a.health().magazine_slots, 3);
@@ -228,6 +247,10 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
             }
             unsafe {
                 a.free(p);
+                // Both rows are this thread's to send home.
+                if a.flush_thread_cache() != mine || a.audit().magazine_blocks != 0 {
+                    sys::_exit(MAGAZINE_LOST);
+                }
                 sys::_exit(if a.audit().is_clean() { OK } else { AUDIT_VIOLATION });
             }
         }
@@ -238,7 +261,7 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
     // The parent is untouched: all three magazines as they were.
     let audit = a.audit();
     assert!(audit.is_clean(), "{audit}");
-    assert!(audit.magazine_blocks > mine);
+    assert!(audit.magazine_blocks > cached);
 }
 
 /// The free-span cache crosses a fork as plain memory: the child owns

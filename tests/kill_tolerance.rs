@@ -124,16 +124,17 @@ fn concurrent_threads_progress_while_killer_rampages() {
 }
 
 /// A thread magazine weakens "a kill leaks at most one block" to a
-/// stated bound: a thread killed with its magazines full strands what
-/// they hold — at most `magazine::MAX_CACHED_BYTES` (Σ capacity × block
-/// size over the cached classes, ≤ 32 classes × 2 KiB) per instance —
-/// and still never blocks anyone: other threads allocate, free, adopt
-/// other slots and audit clean around the corpse, and a quiescent
-/// `trim` takes even that back.
+/// stated bound: a thread killed with its magazines and its outboxes
+/// full strands what they hold — at most `magazine::MAX_CACHED_BYTES`
+/// (Σ (capacity + outbox capacity) × block size over the cached
+/// classes, ≤ 32 classes × 3 KiB) per instance — and still never blocks
+/// anyone: other threads allocate, free, adopt other slots and audit
+/// clean around the corpse, and a quiescent `trim` takes even that back.
 #[test]
 fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     use lfmalloc::magazine::{
-        capacity, simulate_killed_thread, CACHED_CLASSES, MAX_CACHED_BYTES, MAX_CLASS_BYTES,
+        capacity, out_capacity, simulate_killed_thread, CACHED_CLASSES, MAX_CACHED_BYTES,
+        MAX_CLASS_BYTES,
     };
     use lfmalloc::size_classes::CLASS_SIZES;
     // Magazines step aside while a fault scenario runs; keep the ones
@@ -141,27 +142,40 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     #[cfg(feature = "failpoints")]
     let _quiet = malloc_api::failpoints::no_scenario();
 
-    let full: usize = (0..CACHED_CLASSES).map(capacity).sum();
-    let full_bytes: usize =
-        (0..CACHED_CLASSES).map(|ci| capacity(ci) * CLASS_SIZES[ci] as usize).sum();
+    let size_of = |ci: usize| CLASS_SIZES[ci] as usize - 8;
+    let full: usize = (0..CACHED_CLASSES).map(|ci| capacity(ci) + out_capacity(ci)).sum();
+    let full_bytes: usize = (0..CACHED_CLASSES)
+        .map(|ci| (capacity(ci) + out_capacity(ci)) * CLASS_SIZES[ci] as usize)
+        .sum();
     assert_eq!(full_bytes, MAX_CACHED_BYTES);
-    assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES);
+    assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES * 3 / 2);
 
-    let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
-    let victim = Arc::clone(&a);
-    std::thread::spawn(move || unsafe {
+    let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
+    // An outbox's worth of this thread's blocks per class, for the
+    // victim to free from the other heap.
+    let home = lfmalloc::heap::thread_id() % 2;
+    let handed: Vec<Vec<usize>> = (0..CACHED_CLASSES)
+        .map(|ci| (0..out_capacity(ci)).map(|_| unsafe { a.malloc(size_of(ci)) } as usize).collect())
+        .collect();
+    a.flush_thread_cache();
+    assert_eq!(a.audit().magazine_blocks, 0);
+    let victim = &a;
+    testkit::on_some_thread(|| unsafe {
+        if lfmalloc::heap::thread_id() % 2 == home {
+            return None; // this one would free `handed` locally
+        }
         // Fill every magazine to the brim: hold a capacity's worth of
         // blocks per class, then free them all (frees up to capacity
         // never flush).
         for ci in 0..CACHED_CLASSES {
-            let size = CLASS_SIZES[ci] as usize - 8;
-            let blocks: Vec<*mut u8> = (0..capacity(ci)).map(|_| victim.malloc(size)).collect();
+            let blocks: Vec<*mut u8> =
+                (0..capacity(ci)).map(|_| victim.malloc(size_of(ci))).collect();
             assert!(blocks.iter().all(|p| !p.is_null()));
             // Use up what the last refill left cached, so the frees
             // below are all the magazine ends up holding.
             let mut spare = Vec::new();
             while victim.audit().magazine_blocks > (0..ci).map(capacity).sum::<usize>() {
-                spare.push(victim.malloc(size));
+                spare.push(victim.malloc(size_of(ci)));
             }
             for p in blocks {
                 victim.free(p);
@@ -169,10 +183,14 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
             // The spares stay allocated: a kill leaks those too.
             std::mem::forget(spare);
         }
-        simulate_killed_thread(); // ...and dies here, magazines full
-    })
-    .join()
-    .unwrap();
+        // Fill every outbox as well (up to its capacity no remote free
+        // flushes).
+        for &p in handed.iter().flatten() {
+            victim.free(p as *mut u8);
+        }
+        simulate_killed_thread(); // ...and dies here, both rows full
+        Some(())
+    });
 
     // The corpse's slot is not up for adoption and maintenance cannot
     // drain it: its owner never said goodbye.
@@ -180,7 +198,7 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     assert_eq!(rep.magazines_drained, 0, "a killed thread's slot must stay untouched");
     let audit = a.audit();
     assert!(audit.is_clean(), "{audit}");
-    assert_eq!(audit.magazine_blocks, full, "exactly the full magazines are stranded");
+    assert_eq!(audit.magazine_blocks, full, "exactly the full magazines and outboxes are stranded");
 
     // Everyone else carries on, magazines and all.
     let mut workers = Vec::new();
@@ -208,7 +226,7 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     let audit = a.audit();
     assert!(audit.is_clean(), "{audit}");
     assert_eq!(audit.magazine_blocks, full, "still only the corpse's blocks are cached");
-    assert_eq!(a.health().magazine_slots, 1);
+    assert_eq!(a.health().magazine_slots, 2, "the corpse's, and this thread's (empty)");
     // Quiescent now: trim may touch any slot, the corpse's included.
     unsafe { a.trim() };
     let audit = a.audit();

@@ -13,7 +13,10 @@ use malloc_api::testkit::{self, TestRng};
 use std::sync::Arc;
 
 /// Spawns `total` short-lived allocating threads, at most `width`
-/// concurrently, each doing a seeded malloc/fill/free burst.
+/// concurrently, each doing a seeded malloc/fill/free burst and freeing
+/// four blocks of a feeder thread that has already exited — so the
+/// threads on the feeder's heap exit with blocks cached, and the others
+/// with blocks parked in their outboxes as well.
 fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
     a: &Arc<LfMalloc<S>>,
     seed: u64,
@@ -24,13 +27,24 @@ fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
     let mut spawned = 0usize;
     while spawned < total {
         let batch = width.min(total - spawned);
+        let feeder = Arc::clone(a);
+        let fed: Vec<usize> = std::thread::spawn(move || {
+            (0..4 * batch).map(|i| unsafe { feeder.malloc(24 + 40 * (i % 4)) } as usize).collect()
+        })
+        .join()
+        .unwrap();
+        assert!(fed.iter().all(|&p| p != 0));
         let mut handles = Vec::with_capacity(batch);
         for t in 0..batch {
             let a = Arc::clone(a);
             let tseed = seed ^ ((spawned + t + 1) as u64);
+            let handed = fed[4 * t..4 * t + 4].to_vec();
             handles.push(std::thread::spawn(move || {
                 let mut rng = TestRng::new(tseed);
                 let mut live: Vec<(*mut u8, usize)> = Vec::new();
+                for p in handed {
+                    unsafe { a.free(p as *mut u8) };
+                }
                 for _ in 0..8 {
                     let sz = rng.range(8, 1024);
                     let p = unsafe { a.malloc(sz) };
@@ -59,7 +73,7 @@ fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
 /// exited thread retired is on the free stack at once, not on a list
 /// that died with the thread), magazine slots adopted (their count
 /// follows the concurrency width, not the thread count), the blocks
-/// exited threads left in their magazines sent home, OS footprint
+/// exited threads left in their magazines and outboxes sent home, OS footprint
 /// trimmed under a fixed bound, and a full audit clean.
 #[test]
 fn thread_churn_soak_stays_healthy() {
@@ -192,9 +206,9 @@ fn frees_during_tls_teardown_are_routed() {
         let t = a.as_ref().stats().totals;
         assert_eq!(t.frees(), 16 * 32, "every teardown free was counted");
         assert_eq!(
-            t.free_cached + t.free_local + t.free_remote,
+            t.free_cached + t.free_outbox + t.free_local + t.free_remote,
             t.frees(),
-            "teardown frees stay inside the cached/local/remote split"
+            "teardown frees stay inside the cached/outbox/local/remote split"
         );
     }
 }

@@ -105,7 +105,8 @@ fn malloc_paths_partition_the_total() {
 fn cross_thread_frees_count_as_remote() {
     // Producer-consumer with a heap per thread: the consumer frees
     // blocks whose superblocks belong to the producer's heap, so every
-    // one of them must land in free_remote.
+    // one of them must count as remote: parked in the consumer's outbox
+    // (free_outbox) or, had it no slot, pushed directly (free_remote).
     let a = Arc::new(LfMalloc::with_config(Config::with_heaps(8)));
     const N: usize = 10_000;
     let (tx, rx) = std::sync::mpsc::channel::<usize>();
@@ -133,7 +134,7 @@ fn cross_thread_frees_count_as_remote() {
     // remote frees dominate. Require a clear majority rather than all
     // N so the test is robust to thread-slot assignment.
     assert!(
-        t.free_remote >= (N as u64) / 2,
+        t.remote_frees() >= (N as u64) / 2,
         "cross-thread frees not attributed: {t:?}"
     );
 }
@@ -263,4 +264,41 @@ fn span_cache_counters_add_up_on_every_surface() {
     lfmalloc::metrics::check_openmetrics(&om).expect("exposition well-formed");
     assert!(om.contains("lfmalloc_large_cache_total{outcome=\"hit\"} 9"), "{om}");
     assert!(om.contains("lfmalloc_large_cached_bytes 69632"), "{om}");
+}
+
+#[test]
+fn outbox_counters_add_up_on_every_surface() {
+    // 40 blocks of 8 B (an outbox holds 16) freed from the other heap:
+    // all 40 are parked, the 17th and the 33rd each send a full outbox
+    // home first, 8 stay parked. A 1000 B block, whose class has no
+    // outbox, takes the one-CAS remote push.
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let home = lfmalloc::heap::thread_id() % 2;
+    let mut blocks: Vec<usize> = (0..40).map(|_| unsafe { a.malloc(8) } as usize).collect();
+    blocks.push(unsafe { a.malloc(1000) } as usize);
+    assert!(blocks.iter().all(|&p| p != 0));
+    malloc_api::testkit::on_some_thread(|| {
+        (lfmalloc::heap::thread_id() % 2 != home)
+            .then(|| blocks.iter().for_each(|&p| unsafe { a.free(p as *mut u8) }))
+    });
+    let s = a.stats();
+    let t = &s.totals;
+    assert_eq!((t.free_outbox, t.out_flush, t.free_remote), (40, 2, 1), "{t:?}");
+    assert_eq!((t.free_cached, t.free_local, t.mag_flush), (0, 0, 0), "{t:?}");
+    assert_eq!(t.frees(), 41);
+    a.flush_thread_cache();
+    assert_eq!(a.audit().magazine_blocks, 8, "what the exited thread left parked");
+
+    let json = s.to_json();
+    assert!(json.contains("\"free_outbox\":40,"), "{json}");
+    assert!(json.contains("\"out_flush\":2,"), "{json}");
+    let mut out = Vec::new();
+    a.dump_stats(&mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert!(text.contains("(cached 0 / outbox 40 / local 0 / remote 1 "), "{text}");
+    assert!(text.contains("0 flushes / 2 outbox flushes"), "{text}");
+    let om = a.render_openmetrics();
+    lfmalloc::metrics::check_openmetrics(&om).expect("exposition well-formed");
+    assert!(om.contains("lfmalloc_frees_total{path=\"outbox\"} 40"), "{om}");
+    assert!(om.contains("lfmalloc_magazine_batches_total{op=\"outbox_flush\"} 2"), "{om}");
 }

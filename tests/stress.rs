@@ -379,3 +379,91 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
     }
     assert!(a.audit().is_clean());
 }
+
+#[test]
+fn outbox_flushes_race_the_owners_refills_on_one_anchor() {
+    // DESIGN.md §15.7. The owner allocates round r+1 (k-block pops from
+    // its active superblocks) and frees its share of round r (local
+    // overflows, EMPTY transitions) while the other thread, on the other
+    // heap, frees *its* share of round r: parked in its outbox and sent
+    // home a run at a time, onto the anchors the owner is popping.
+    // Barriers alone order the rounds; each block carries its tag at
+    // both ends while live.
+    const ROUNDS: usize = 100;
+    const PER_ROUND: usize = 1002;
+    const SIZES: [usize; 3] = [16, 32, 64];
+    // Magazines (outboxes with them) step aside under a fault scenario.
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let gate = std::sync::Barrier::new(2);
+    let handed: [std::sync::Mutex<Vec<(usize, u64)>>; 2] = Default::default();
+    // A tag's low half is the block's index in its round, which fixes
+    // its size.
+    let check_and_free = |(p, tag): (usize, u64)| unsafe {
+        let (p, sz) = (p as *mut u8, SIZES[tag as u32 as usize % 3]);
+        assert_eq!((p as *const u64).read(), tag, "block handed out twice");
+        assert_eq!((p.add(sz - 8) as *const u64).read(), tag);
+        a.free(p);
+    };
+    std::thread::scope(|s| {
+        let (a, gate, handed) = (&a, &gate, &handed);
+        let (column, owners_column) = std::sync::mpsc::channel();
+        s.spawn(move || {
+            column.send(lfmalloc::heap::thread_id() % 2).unwrap();
+            let mut kept: Vec<(usize, u64)> = Vec::new();
+            for round in 0..ROUNDS {
+                let mut batch = Vec::with_capacity(PER_ROUND);
+                for i in 0..PER_ROUND {
+                    let sz = SIZES[i % 3];
+                    let p = unsafe { a.malloc(sz) };
+                    assert!(!p.is_null());
+                    let tag = (round as u64) << 32 | i as u64;
+                    unsafe {
+                        (p as *mut u64).write(tag);
+                        (p.add(sz - 8) as *mut u64).write(tag);
+                    }
+                    batch.push((p as usize, tag));
+                    if i % 2 == 0 {
+                        if let Some(mine) = kept.pop() {
+                            check_and_free(mine);
+                        }
+                    }
+                }
+                kept = batch.iter().copied().step_by(2).collect();
+                *handed[round % 2].lock().unwrap() = batch.into_iter().skip(1).step_by(2).collect();
+                gate.wait();
+            }
+            kept.into_iter().for_each(check_and_free);
+            a.flush_thread_cache();
+        });
+        // Only a thread on the other heap joins the owner at the gate.
+        let home = owners_column.recv().unwrap();
+        testkit::on_some_thread(|| {
+            if lfmalloc::heap::thread_id() % 2 == home {
+                return None;
+            }
+            for round in 0..ROUNDS {
+                gate.wait();
+                let theirs = std::mem::take(&mut *handed[round % 2].lock().unwrap());
+                theirs.into_iter().for_each(check_and_free);
+            }
+            a.flush_thread_cache();
+            Some(())
+        });
+    });
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.magazine_blocks, 0, "both threads sent both rows home");
+    #[cfg(feature = "stats")]
+    {
+        let t = a.stats().totals;
+        assert_eq!(t.frees(), (ROUNDS * PER_ROUND) as u64, "{t:?}");
+        assert_eq!(t.free_outbox, (ROUNDS * PER_ROUND / 2) as u64, "every remote free was parked: {t:?}");
+        assert!(t.out_flush > 0 && t.mag_flush > 0 && t.free_empty > 0, "{t:?}");
+    }
+    // Nothing is live, so trim finds every superblock retired or idle.
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0, "a block is still live or a superblock was lost");
+    assert!(a.audit().is_clean());
+}
