@@ -5,6 +5,14 @@
 //! failures ("the thread tries the following in order until it allocates
 //! a block").
 //!
+//! One departure (DESIGN.md §18): an EMPTY superblock stays on its
+//! descriptor. Arm (2) *reopens* an EMPTY descriptor it takes instead of
+//! retiring it, arm (3) asks the page pool only when `DescAlloc` returned
+//! a descriptor without a superblock, and a lost install retires the pair
+//! together, onto the warm stack. Both arms end in [`open_sb`]. Before
+//! arm (3) maps a hyperblock or reports OOM it prunes the EMPTY pairs
+//! parked under other classes onto that stack.
+//!
 //! All functions here return **block start addresses**; the caller
 //! ([`malloc_small`]) writes the descriptor prefix and applies the user
 //! offset. This is the one structural generalization over the paper
@@ -19,10 +27,12 @@ use crate::descriptor::Descriptor;
 use crate::health::{watch, WatchSite};
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
+use crate::maintain::{prune_empty, MaintenanceBudget};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use osmem::PageSource;
 
-/// Outcome of `MallocFromNewSB`.
+/// Outcome of an arm that opens a superblock: `MallocFromNewSB`, or
+/// `MallocFromPartial` handed an EMPTY one.
 enum NewSb {
     /// Allocation finished: `Some((block, descriptor))`, or `None` when
     /// the OS is out of memory.
@@ -81,15 +91,12 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(
             unsafe { note_alloc(inner, block, desc) };
             return stash(unsafe { finish_block(block, desc, off) });
         }
-        if let Some((block, desc)) = unsafe { malloc_from_partial(inner, heap) } {
-            crate::stat!(inner, heap, malloc_slow);
-            crate::stat_lat!(inner, lat_malloc_slow, t0);
-            unsafe { note_alloc(inner, block, desc) };
-            return stash(unsafe { finish_block(block, desc, off) });
-        }
-        match unsafe { malloc_from_new_sb(inner, heap) } {
+        let slow = match unsafe { malloc_from_partial(inner, heap) } {
+            Some(outcome) => outcome,
+            None => unsafe { malloc_from_new_sb(inner, heap) },
+        };
+        match slow {
             NewSb::Done(Some((block, desc))) => {
-                crate::stat!(inner, heap, malloc_newsb);
                 crate::stat_lat!(inner, lat_malloc_slow, t0);
                 unsafe { note_alloc(inner, block, desc) };
                 return stash(unsafe { finish_block(block, desc, off) });
@@ -346,7 +353,8 @@ pub(crate) unsafe fn update_active<S: PageSource>(
 
 /// `HeapPutPartial` (Figure 6): swap `desc` into the owning heap's
 /// most-recently-used Partial slot; the displaced occupant (if any)
-/// goes to the size class's partial list.
+/// goes to the size class's partial list — or, if it went EMPTY while
+/// it sat there, is retired with its superblock (the swap made it ours).
 pub(crate) unsafe fn heap_put_partial<S: PageSource>(inner: &Inner<S>, desc: *mut Descriptor) {
     if malloc_api::fail_point!("partial.put").kill {
         // Died before re-linking: the descriptor (and its partial
@@ -356,9 +364,13 @@ pub(crate) unsafe fn heap_put_partial<S: PageSource>(inner: &Inner<S>, desc: *mu
     let heap = unsafe { &*(*desc).heap() };
     crate::stat!(inner, heap, partial_push);
     let prev = heap.swap_partial(desc); // lines 1-2 (swap == CAS loop)
-    if !prev.is_null() {
-        let ci = heap.class();
-        unsafe { inner.classes[ci].partial.put(prev) }; // line 3
+    if prev.is_null() {
+        return;
+    }
+    if unsafe { (*prev).load_anchor() }.state() == SbState::Empty {
+        unsafe { inner.desc_pool.retire(prev) };
+    } else {
+        unsafe { inner.classes[heap.class()].partial.put(prev) }; // line 3
     }
 }
 
@@ -399,94 +411,137 @@ unsafe fn heap_get_partial<S: PageSource>(
 
 /// `MallocFromPartial` (Figure 4): reserve `morecredits + 1` blocks from
 /// a partial superblock in one CAS, pop one for the caller, and deposit
-/// the rest in the Active word.
-unsafe fn malloc_from_partial<S: PageSource>(
-    inner: &Inner<S>,
-    heap: &ProcHeap,
-) -> Option<(usize, *const Descriptor)> {
-    'retry: loop {
-        let desc_ptr = unsafe { heap_get_partial(inner, heap) }?; // line 1-2
-        if malloc_api::fail_point!("partial.reserve").kill {
-            // Died holding a descriptor plucked from the partial list:
-            // the descriptor and its superblock leak.
-            return None;
-        }
-        let desc = unsafe { &*desc_ptr };
-        desc.set_heap(heap as *const _ as *mut ProcHeap); // line 3
-
-        // -- Reserve blocks (lines 4-10) -------------------------------
-        let mut reserve_tries: u64 = 0;
-        let morecredits = loop {
-            let old = desc.load_anchor();
-            if old.state() == SbState::Empty {
-                // line 5-6: raced with the emptying free; recycle and
-                // try another partial superblock.
-                unsafe { inner.desc_pool.retire(desc_ptr) };
-                continue 'retry;
-            }
-            // "oldanchor state must be PARTIAL; oldanchor count must be > 0"
-            debug_assert_eq!(old.state(), SbState::Partial);
-            debug_assert!(old.count() > 0);
-            let mc = (old.count() - 1).min(inner.config.max_credits); // line 7
-            let new = old
-                .with_count(old.count() - (mc + 1)) // line 8
-                .with_state(if mc > 0 { SbState::Active } else { SbState::Full }); // line 9
-            if desc.cas_anchor(old, new).is_ok() {
-                break mc; // line 10
-            }
-            reserve_tries += 1;
-            watch(inner, heap, WatchSite::PartialReserve, reserve_tries);
-        };
-        crate::stat_hist!(inner, heap, anchor_cas, reserve_tries);
-
-        // -- Pop reserved block (lines 11-15) ---------------------------
-        let mut pop_tries: u64 = 0;
-        let block = loop {
-            let old = desc.load_anchor();
-            let sb = desc.sb() as usize;
-            let sz = desc.sz() as usize;
-            let block = sb + old.avail() as usize * sz; // line 12
-            let next = unsafe { (*(block as *const AtomicU64)).load(Ordering::Acquire) };
-            let new = old.with_avail(next as u32 & (MAX_BLOCKS - 1)).with_tag_bump(); // 13-14
-            if desc.cas_anchor(old, new).is_ok() {
-                break block; // line 15
-            }
-            pop_tries += 1;
-            watch(inner, heap, WatchSite::PartialPop, pop_tries);
-        };
-        crate::stat_hist!(inner, heap, anchor_cas, pop_tries);
-        if morecredits > 0 {
-            unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 16-17
-        }
-        crate::stat!(inner, heap, partial_reuse);
-        return Some((block, desc_ptr));
+/// the rest in the Active word. `None`: there is no partial superblock.
+/// A descriptor that went EMPTY where it was parked is not retired
+/// (lines 5–6) but reopened: taking it out of the slot or off the list
+/// made it, and the superblock still attached to it, this thread's alone.
+unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> Option<NewSb> {
+    let desc_ptr = unsafe { heap_get_partial(inner, heap) }?; // line 1-2
+    if malloc_api::fail_point!("partial.reserve").kill {
+        // Died holding a descriptor plucked from the partial list:
+        // the descriptor and its superblock leak.
+        return None;
     }
+    let desc = unsafe { &*desc_ptr };
+    desc.set_heap(heap as *const _ as *mut ProcHeap); // line 3
+
+    // -- Reserve blocks (lines 4-10) -----------------------------------
+    let mut reserve_tries: u64 = 0;
+    let morecredits = loop {
+        let old = desc.load_anchor();
+        if old.state() == SbState::Empty {
+            if malloc_api::fail_point!("sb.reopen").kill {
+                return None; // died holding the pair: both leak
+            }
+            let opened = unsafe { open_sb(inner, heap, desc_ptr) };
+            if matches!(opened, NewSb::Done(_)) {
+                crate::stat!(inner, heap, sb_reopen);
+            }
+            return Some(opened);
+        }
+        // "oldanchor state must be PARTIAL; oldanchor count must be > 0"
+        debug_assert_eq!(old.state(), SbState::Partial);
+        debug_assert!(old.count() > 0);
+        let mc = (old.count() - 1).min(inner.config.max_credits); // line 7
+        let new = old
+            .with_count(old.count() - (mc + 1)) // line 8
+            .with_state(if mc > 0 { SbState::Active } else { SbState::Full }); // line 9
+        if desc.cas_anchor(old, new).is_ok() {
+            break mc; // line 10
+        }
+        reserve_tries += 1;
+        watch(inner, heap, WatchSite::PartialReserve, reserve_tries);
+    };
+    crate::stat_hist!(inner, heap, anchor_cas, reserve_tries);
+
+    // -- Pop reserved block (lines 11-15) -------------------------------
+    let mut pop_tries: u64 = 0;
+    let block = loop {
+        let old = desc.load_anchor();
+        let sb = desc.sb() as usize;
+        let sz = desc.sz() as usize;
+        let block = sb + old.avail() as usize * sz; // line 12
+        let next = unsafe { (*(block as *const AtomicU64)).load(Ordering::Acquire) };
+        let new = old.with_avail(next as u32 & (MAX_BLOCKS - 1)).with_tag_bump(); // 13-14
+        if desc.cas_anchor(old, new).is_ok() {
+            break block; // line 15
+        }
+        pop_tries += 1;
+        watch(inner, heap, WatchSite::PartialPop, pop_tries);
+    };
+    crate::stat_hist!(inner, heap, anchor_cas, pop_tries);
+    if morecredits > 0 {
+        unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 16-17
+    }
+    crate::stat!(inner, heap, malloc_slow);
+    crate::stat!(inner, heap, partial_reuse);
+    Some(NewSb::Done(Some((block, desc_ptr))))
 }
 
-/// `MallocFromNewSB` (Figure 4): build a fresh superblock and try to
-/// install it as the heap's active superblock. On a lost race the
-/// superblock and descriptor are recycled ("we prefer to deallocate the
-/// superblock rather than take a block from it", §3.2.3).
+/// `MallocFromNewSB` (Figure 4), lines 1–2: a descriptor, and a
+/// superblock for it unless it brought its own off the warm stack.
 unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> NewSb {
-    let ci = heap.class();
-    let sz = inner.classes[ci].sz as usize;
     // line 1, with bounded backoff: a transient source outage (or a
     // momentarily drained reserve) should not surface as spurious OOM.
     let desc_ptr = crate::retry::from_source(inner, || unsafe {
         inner.desc_pool.alloc(&inner.source) as *mut u8
     }) as *mut Descriptor;
     if desc_ptr.is_null() {
-        crate::stat_event!(inner, OomBackoff, ci, 0);
+        crate::stat_event!(inner, OomBackoff, heap.class(), 0);
         return NewSb::Done(None); // OS exhausted
     }
     let desc = unsafe { &*desc_ptr };
-    // line 2, same retry policy.
-    let sb = crate::retry::from_source(inner, || inner.sb_pool.alloc(&inner.source));
-    if sb.is_null() {
-        unsafe { inner.desc_pool.retire(desc_ptr) };
-        crate::stat_event!(inner, OomBackoff, ci, 0);
-        return NewSb::Done(None);
+    if desc.sb().is_null() {
+        // A bare descriptor and a dry page pool: line 2 would map another
+        // hyperblock, or hear the OS refuse one, while EMPTY superblocks
+        // sit parked under other classes and heaps, where this class
+        // cannot see them (DESIGN.md §18.4). Those come first: a reaper's
+        // budget of them before mapping, every one before reporting OOM.
+        let (mut sb, mut pruned) = (core::ptr::null_mut(), 0);
+        if !inner.sb_pool.has_free() {
+            pruned = prune_empty(inner, MaintenanceBudget::light().prune_partials);
+        }
+        if pruned == 0 {
+            // line 2, same retry policy.
+            sb = crate::retry::from_source(inner, || inner.sb_pool.alloc(&inner.source));
+            if sb.is_null() {
+                pruned = prune_empty(inner, u32::MAX);
+            }
+        }
+        if sb.is_null() {
+            unsafe { inner.desc_pool.retire(desc_ptr) };
+            if pruned > 0 {
+                // The pruned pairs are warm: round the ladder again and
+                // `DescAlloc` brings one back with its descriptor.
+                return NewSb::Lost;
+            }
+            crate::stat_event!(inner, OomBackoff, heap.class(), 0);
+            return NewSb::Done(None);
+        }
+        desc.set_sb(sb);
     }
+    unsafe { open_sb(inner, heap, desc_ptr) }
+}
+
+/// The rest of `MallocFromNewSB` (Figure 4, lines 3–17): lay a fresh free
+/// list over `desc_ptr`'s superblock and try to install it as `heap`'s
+/// active superblock. On a lost race the pair is retired as it stands
+/// ("we prefer to deallocate the superblock rather than take a block
+/// from it", §3.2.3 — onto the warm stack, not into the page pool).
+///
+/// # Safety
+///
+/// The caller holds `desc_ptr` exclusively, with a superblock attached
+/// that has no block allocated or reserved.
+unsafe fn open_sb<S: PageSource>(
+    inner: &Inner<S>,
+    heap: &ProcHeap,
+    desc_ptr: *mut Descriptor,
+) -> NewSb {
+    let desc = unsafe { &*desc_ptr };
+    let ci = heap.class();
+    let sz = inner.classes[ci].sz as usize;
+    let sb = desc.sb();
     let maxcount = (SB_SIZE / sz) as u32;
     // line 3: organize blocks in a linked list starting with index 0.
     for i in 0..maxcount {
@@ -496,7 +551,6 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
         }
     }
     desc.set_heap(heap as *const _ as *mut ProcHeap); // line 4
-    desc.set_sb(sb);
     desc.set_sz(sz as u32, ci); // line 6
     desc.set_maxcount(maxcount); // line 7
     if inner.config.hardening != crate::harden::Hardening::Off {
@@ -508,7 +562,8 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     let credits = (maxcount - 1).min(inner.config.max_credits) - 1; // line 9
     let count = (maxcount - 1) - (credits + 1); // line 10
     // lines 5, 10, 11 — preserving the descriptor's tag sequence across
-    // reuse keeps the ABA argument intact.
+    // reuse keeps the ABA argument intact. A store: no block of an EMPTY
+    // superblock is allocated or reserved, so no anchor CAS is pending.
     let anchor = desc
         .load_anchor()
         .with_avail(1)
@@ -519,14 +574,14 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     let newactive = Active::pack(desc_ptr, credits);
     if heap.cas_active(Active::null(), newactive).is_ok() {
         // line 13 success: block 0 is ours.
+        crate::stat!(inner, heap, malloc_newsb);
         crate::stat_event!(inner, SbAcquire, ci, sb as usize);
         NewSb::Done(Some((sb as usize, desc_ptr)))
     } else {
-        // lines 16-17: lost the race; recycle everything.
-        unsafe {
-            inner.sb_pool.dealloc(sb);
-            inner.desc_pool.retire(desc_ptr);
-        }
+        // lines 16-17: lost the race; back to EMPTY (nobody saw it), as
+        // every warm descriptor is.
+        desc.store_anchor(anchor.with_count(maxcount - 1).with_state(SbState::Empty));
+        unsafe { inner.desc_pool.retire(desc_ptr) };
         NewSb::Lost
     }
 }

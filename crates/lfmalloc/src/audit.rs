@@ -18,10 +18,19 @@
 //!   slot or a size-class partial list lies inside a descriptor slab, is
 //!   not simultaneously on `DescAvail`, and is linked from exactly one
 //!   place.
-//! * Every node on `DescAvail` or the emergency reserve lies on a slot
-//!   boundary of a registered descriptor slab, is on no partial list and
-//!   in no heap slot, and appears once across both stacks; and free +
-//!   linked + floating = slots carved (`desc.avail`).
+//! * Every node on `DescAvail`, the warm stack or the emergency reserve
+//!   lies on a slot boundary of a registered descriptor slab, is on no
+//!   partial list and in no heap slot, and appears once across the
+//!   three; and free + linked + floating = slots carved (`desc.avail`).
+//! * A warm descriptor is EMPTY with a superblock of the page pool
+//!   attached (`desc.warm_has_sb`); a cold one — `DescAvail` or the
+//!   reserve — has none (`desc.cold_has_no_sb`); so has an EMPTY
+//!   descriptor parked in a heap slot or on a partial list
+//!   (`slot.parked_empty_has_sb`). No two descriptors claim one
+//!   superblock, and the superblocks on the page pool's free stack plus
+//!   the ones attached to a descriptor are all there are
+//!   (`sb.conservation`): an EMPTY superblock is never taken off its
+//!   descriptor outside `trim`, and a kill strands the pair together.
 //! * A linked descriptor's geometry matches its size class
 //!   (`sz == CLASS_SIZES[ci]`, `maxcount == SB_SIZE / sz`), its
 //!   superblock pointer lies inside a mapped hyperblock at superblock
@@ -36,8 +45,8 @@
 //!   or leaves allocated blocks unreachable, but never shorter and
 //!   never cyclic.
 //! * `EMPTY` descriptors record `count == maxcount - 1` (all blocks
-//!   free except the conceptual one being freed); their superblock may
-//!   already be recycled, so it is not walked.
+//!   free except the conceptual one being freed); their free list is
+//!   not walked (whoever reopens the superblock lays a fresh one).
 //! * Every block cached in a thread magazine or parked in a thread's
 //!   outbox ([`crate::magazine`]) lies at a block start of a live,
 //!   non-`EMPTY` superblock of the bin's class, is held exactly once
@@ -99,8 +108,15 @@ impl core::fmt::Display for AuditViolation {
 pub struct AuditReport {
     /// Descriptor slots in all slabs.
     pub descriptors_total: usize,
-    /// Descriptors on the `DescAvail` free stack or in the reserve.
+    /// Descriptors on the `DescAvail` free stack, the warm stack or in
+    /// the reserve.
     pub descriptors_free: usize,
+    /// Retired descriptors on the warm stack, each holding its EMPTY
+    /// superblock for the next `MallocFromNewSB` of any class.
+    pub warm_superblocks: usize,
+    /// EMPTY descriptors parked in a heap slot or on a partial list,
+    /// each holding its superblock for the next malloc of its class.
+    pub parked_superblocks: usize,
     /// Descriptors linked from actives, heap slots or class lists.
     pub descriptors_linked: usize,
     /// Descriptors neither free nor linked: `FULL` superblocks' owners
@@ -132,12 +148,15 @@ impl core::fmt::Display for AuditReport {
         write!(
             f,
             "audit: {} descriptors ({} free, {} linked, {} floating), \
+             {} EMPTY superblocks warm, {} parked, \
              {} free blocks walked, {} cached in magazines, \
              {} large live, {} large cached, {} violation(s)",
             self.descriptors_total,
             self.descriptors_free,
             self.descriptors_linked,
             self.descriptors_floating,
+            self.warm_superblocks,
+            self.parked_superblocks,
             self.free_blocks_walked,
             self.magazine_blocks,
             self.large_live,
@@ -246,11 +265,13 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     // -- Descriptor universe: every slab slot, and the free subset. ----
     let all = inner.desc_pool.all_descriptors();
     let all_set: HashSet<usize> = all.iter().map(|d| *d as usize).collect();
-    // The free universe is DescAvail plus the emergency reserve — both
-    // hold descriptors that are linked into no allocator structure.
-    let free = unsafe { inner.desc_pool.free_descriptors() };
+    // The free universe is the warm stack, DescAvail and the emergency
+    // reserve — all hold descriptors that are linked into no allocator
+    // structure.
+    let (warm, cold) = unsafe { inner.desc_pool.free_descriptors() };
+    rep.warm_superblocks = warm.len();
     let mut free_set: HashSet<usize> = HashSet::new();
-    for d in &free {
+    for d in warm.iter().chain(&cold) {
         let a = *d as usize;
         // `all_set` holds exactly the slot boundaries of the registered
         // slabs.
@@ -339,6 +360,31 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
 
     // -- Per-descriptor invariants + free-list walks. ------------------
     let sb_regions = inner.sb_pool.hyperblocks();
+    // Free descriptors are dereferenced only where the slab check above
+    // vouched for them.
+    for d in warm.iter().filter(|d| all_set.contains(&(**d as usize))) {
+        let desc = unsafe { &**d };
+        if desc.load_anchor().state() != SbState::Empty || !sb_in_pool(&sb_regions, desc.sb() as usize) {
+            rep.violations.push(AuditViolation {
+                check: "desc.warm_has_sb",
+                detail: format!(
+                    "warm {:#x}: state {:?}, superblock {:#x}",
+                    *d as usize,
+                    desc.load_anchor().state(),
+                    desc.sb() as usize
+                ),
+            });
+        }
+    }
+    for d in cold.iter().filter(|d| all_set.contains(&(**d as usize))) {
+        let sb = unsafe { (**d).sb() } as usize;
+        if sb != 0 {
+            rep.violations.push(AuditViolation {
+                check: "desc.cold_has_no_sb",
+                detail: format!("cold {:#x} still names superblock {sb:#x}", *d as usize),
+            });
+        }
+    }
     for l in &links {
         if !all_set.contains(&(l.desc as usize)) {
             continue; // foreign pointer: do not dereference
@@ -377,6 +423,38 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
                 ),
             });
         }
+    }
+
+    // -- Superblock conservation. ----------------------------------------
+    // A superblock is on the page pool's free stack or attached to
+    // exactly one descriptor — in use, parked EMPTY, warm, or stranded
+    // with it by a kill.
+    let mut claimed: HashMap<usize, usize> = HashMap::new();
+    for d in &all {
+        let sb = unsafe { (**d).sb() } as usize;
+        if sb == 0 {
+            continue; // cold, or never used since the slab carve
+        }
+        if let Some(other) = claimed.insert(sb, *d as usize) {
+            rep.violations.push(AuditViolation {
+                check: "sb.conservation",
+                detail: format!("superblock {sb:#x} claimed by {other:#x} and {:#x}", *d as usize),
+            });
+        }
+    }
+    let pool_free = unsafe { inner.sb_pool.free_regions() }.len();
+    let mapped = inner.sb_pool.mapped_bytes() / SB_SIZE;
+    if pool_free + claimed.len() != mapped {
+        rep.violations.push(AuditViolation {
+            check: "sb.conservation",
+            detail: format!(
+                "{pool_free} in the page pool + {} on descriptors ({} warm, {} parked) \
+                 != {mapped} mapped",
+                claimed.len(),
+                rep.warm_superblocks,
+                rep.parked_superblocks
+            ),
+        });
     }
 
     // -- Thread magazines. ----------------------------------------------
@@ -431,6 +509,15 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     }
 
     rep
+}
+
+/// Whether `sb` is a superblock-aligned address inside a mapped
+/// hyperblock of the page pool.
+fn sb_in_pool(sb_regions: &[(*mut u8, usize)], sb: usize) -> bool {
+    sb % SB_SIZE == 0
+        && sb_regions
+            .iter()
+            .any(|&(base, bytes)| sb >= base as usize && sb + SB_SIZE <= base as usize + bytes)
 }
 
 fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
@@ -617,10 +704,21 @@ fn check_linked_desc<S: PageSource>(
         return;
     }
 
+    // Superblock pointer: inside a mapped hyperblock, superblock-aligned.
+    let sb = desc.sb() as usize;
+    let in_pool = sb_in_pool(sb_regions, sb);
+
     if state == SbState::Empty {
-        // The superblock may already be recycled (free's dealloc runs
-        // before the descriptor leaves the lists), so only the anchor
-        // is checkable: an EMPTY anchor records all blocks free.
+        // Parked: the superblock waits on its descriptor for whoever
+        // takes that next. Its free list is not walked (a reopen lays a
+        // fresh one); an EMPTY anchor records all blocks free.
+        rep.parked_superblocks += 1;
+        if !in_pool {
+            rep.violations.push(AuditViolation {
+                check: "slot.parked_empty_has_sb",
+                detail: format!("{}: EMPTY desc {a:#x} names superblock {sb:#x}", l.place),
+            });
+        }
         if anchor.count() != maxc - 1 {
             rep.violations.push(AuditViolation {
                 check: "desc.empty-count",
@@ -635,12 +733,6 @@ fn check_linked_desc<S: PageSource>(
         return;
     }
 
-    // Superblock pointer: inside a mapped hyperblock, superblock-aligned.
-    let sb = desc.sb() as usize;
-    let in_pool = sb % SB_SIZE == 0
-        && sb_regions
-            .iter()
-            .any(|&(base, bytes)| sb >= base as usize && sb + SB_SIZE <= base as usize + bytes);
     if !in_pool {
         rep.violations.push(AuditViolation {
             check: "desc.sb-range",

@@ -42,9 +42,19 @@
 //!   CAS.
 //!
 //! The same link word threads a descriptor through `DescAvail`, the
-//! emergency reserve and its size class's partial list
+//! warm stack, the emergency reserve and its size class's partial list
 //! ([`crate::partial`]); a descriptor is on at most one of them at a
 //! time, because whoever moves it popped it (or carved it) first.
+//!
+//! # The superblock travels with its descriptor (DESIGN.md §18)
+//!
+//! An EMPTY superblock stays on its descriptor: the pair is retired onto
+//! `warm` and comes back from `DescAlloc` together, fit for any size
+//! class. **The superblock belongs to whoever holds the descriptor
+//! exclusively** (popped it from a stack, swapped or CASed it out of a
+//! heap slot); a thread that merely made it EMPTY holds nothing. So a
+//! descriptor on `warm` is EMPTY with `sb` attached, and one on
+//! `DescAvail` or the reserve has `sb == null`.
 
 use crate::anchor::Anchor;
 use crate::config::{SB_SHIFT, SB_SIZE};
@@ -149,7 +159,8 @@ impl Descriptor {
         self.sb.load(Ordering::Relaxed)
     }
 
-    /// Sets the superblock base (construction only).
+    /// Attaches a superblock, or detaches it with null (the exclusive
+    /// holder only: construction and `detach_warm`).
     #[inline]
     pub fn set_sb(&self, sb: *mut u8) {
         self.sb.store(sb, Ordering::Relaxed);
@@ -275,6 +286,10 @@ pub const DESC_RESERVE_TARGET: usize = 64;
 /// (Figure 7's `DescAlloc`/`DescRetire`).
 #[derive(Debug)]
 pub struct DescriptorPool {
+    /// Retired descriptors that still own their EMPTY superblock; popped
+    /// before `avail`, which saves the page pool's pop and push.
+    warm: DescStack,
+    /// `DescAvail`: retired descriptors with no superblock attached.
     avail: DescStack,
     /// Emergency reserve, consulted only when both `avail` and the slab
     /// refill path come up empty. Topped back up opportunistically from
@@ -293,6 +308,7 @@ impl DescriptorPool {
     /// Creates an empty pool.
     pub const fn new() -> Self {
         DescriptorPool {
+            warm: DescStack::new(),
             avail: DescStack::new(),
             reserve: DescStack::new(),
             reserve_len: AtomicUsize::new(0),
@@ -300,10 +316,11 @@ impl DescriptorPool {
         }
     }
 
-    /// `DescAlloc`: pops an available descriptor, refilling from a fresh
-    /// descriptor superblock when empty. As in Figure 7, the rest of a
-    /// fresh slab is linked privately and installed with one CAS (two
-    /// when part of it tops up the reserve).
+    /// `DescAlloc`: pops an available descriptor (a warm one before a
+    /// bare one), refilling from a fresh descriptor superblock when there
+    /// is none. As in Figure 7, the rest of a fresh slab is linked
+    /// privately and installed with one CAS (two when part of it tops up
+    /// the reserve).
     ///
     /// # Safety
     ///
@@ -316,8 +333,8 @@ impl DescriptorPool {
         if !fp.retry {
             // `retry` skips the `DescAvail` fast path once, forcing the
             // slab-refill slow path even when descriptors are available.
-            if let Some(d) = unsafe { self.avail.pop() } {
-                return d as *mut Descriptor;
+            if let Some(d) = unsafe { self.pop_free() } {
+                return d;
             }
         }
         let mut slab = self.slabs.alloc(source);
@@ -331,8 +348,8 @@ impl DescriptorPool {
             // OS exhausted; one more look at the free list, then the
             // emergency reserve — this is the path that keeps EMPTY-
             // transition processing alive while user memory is gone.
-            if let Some(d) = unsafe { self.avail.pop() } {
-                return d as *mut Descriptor;
+            if let Some(d) = unsafe { self.pop_free() } {
+                return d;
             }
             if let Some(d) = unsafe { self.reserve.pop() } {
                 self.reserve_len.fetch_sub(1, Ordering::Relaxed);
@@ -366,19 +383,47 @@ impl DescriptorPool {
         descs
     }
 
-    /// `DescRetire`: one push. The descriptor is reusable at once; what
-    /// keeps a thread that still holds a stale pointer to it harmless is
-    /// spelled out in the [module docs](self).
+    /// Warm before cold: the pop shared by `alloc`'s two looks.
+    unsafe fn pop_free(&self) -> Option<*mut Descriptor> {
+        unsafe { self.warm.pop().or_else(|| self.avail.pop()) }.map(|d| d as *mut Descriptor)
+    }
+
+    /// `DescRetire`: one push, onto `warm` when the descriptor still owns
+    /// a superblock. The descriptor is reusable at once; what keeps a
+    /// thread that still holds a stale pointer to it harmless is spelled
+    /// out in the [module docs](self).
     ///
     /// # Safety
     ///
     /// `desc` must be a descriptor of this pool, unreachable from every
-    /// allocator structure.
+    /// allocator structure, and EMPTY if a superblock is attached.
     pub unsafe fn retire(&self, desc: *mut Descriptor) {
         if malloc_api::fail_point!("desc.retire").kill {
-            return; // died before retiring: the descriptor leaks
+            return; // died before retiring: the descriptor (and its superblock) leak
         }
-        unsafe { self.put_free(desc) };
+        if unsafe { (*desc).sb() }.is_null() {
+            unsafe { self.put_free(desc) }
+        } else {
+            unsafe { self.warm.push(desc as usize) }
+        }
+    }
+
+    /// Takes the superblock off every warm descriptor, hands it to
+    /// `release`, and moves the descriptor to the cold stacks (`trim`,
+    /// before it looks for fully free hyperblocks).
+    ///
+    /// # Safety
+    ///
+    /// Requires quiescence, like [`trim`](Self::trim).
+    pub unsafe fn detach_warm(&self, mut release: impl FnMut(*mut u8)) {
+        while let Some(d) = unsafe { self.warm.pop() } {
+            let desc = d as *mut Descriptor;
+            unsafe {
+                release((*desc).sb());
+                (*desc).set_sb(core::ptr::null_mut());
+                self.put_free(desc);
+            }
+        }
     }
 
     /// Refills the emergency reserve before the general free list, so an
@@ -448,16 +493,18 @@ impl DescriptorPool {
         self.slabs.owning_region(addr).is_some()
     }
 
-    /// Descriptors currently free: `DescAvail`'s, then the emergency
+    /// Descriptors currently free: the warm stack's (superblock
+    /// attached), then the cold ones — `DescAvail`'s and the emergency
     /// reserve's.
     ///
     /// # Safety
     ///
     /// Requires quiescence: no concurrent `alloc`/`retire`.
-    pub unsafe fn free_descriptors(&self) -> Vec<*mut Descriptor> {
-        let mut free = unsafe { self.avail.snapshot() };
-        free.extend(unsafe { self.reserve.snapshot() });
-        free.into_iter().map(|a| a as *mut Descriptor).collect()
+    pub unsafe fn free_descriptors(&self) -> (Vec<*mut Descriptor>, Vec<*mut Descriptor>) {
+        let as_descs = |v: Vec<usize>| v.into_iter().map(|a| a as *mut Descriptor).collect();
+        let mut cold = unsafe { self.avail.snapshot() };
+        cold.extend(unsafe { self.reserve.snapshot() });
+        (as_descs(unsafe { self.warm.snapshot() }), as_descs(cold))
     }
 
     /// Approximate emergency-reserve occupancy (diagnostics).
@@ -465,11 +512,11 @@ impl DescriptorPool {
         self.reserve_len.load(Ordering::Relaxed)
     }
 
-    /// Descriptors on `DescAvail` and in the reserve right now, by
-    /// walking both (diagnostics; see [`walk_len`]).
-    pub fn free_counts(&self) -> (usize, usize) {
+    /// Descriptors on `DescAvail`, in the reserve and on the warm stack
+    /// right now, by walking each (diagnostics; see [`walk_len`]).
+    pub fn free_counts(&self) -> (usize, usize, usize) {
         let limit = self.slot_count();
-        (walk_len(&self.avail, limit), walk_len(&self.reserve, limit))
+        (walk_len(&self.avail, limit), walk_len(&self.reserve, limit), walk_len(&self.warm, limit))
     }
 
     /// Descriptor slots carved so far: [`DESC_PER_SLAB`] per mapped slab.
@@ -552,20 +599,32 @@ impl Default for DescriptorPool {
     }
 }
 
-/// Length of `stack` by following the links from its top, for
-/// diagnostics. Safe beside concurrent pushes and pops — a `next` word
-/// only ever holds a descriptor address or 0, and descriptors are
-/// type-stable — but then the walk may cross into another stack through
-/// a descriptor that moved, so the answer is a hint, and `limit` (the
-/// number of descriptors there are) is what ends a walk gone astray.
-pub(crate) fn walk_len(stack: &DescStack, limit: usize) -> usize {
-    let mut n = 0;
+/// Number of descriptors on `stack` that `want` accepts, by following
+/// the links from its top, for diagnostics. Safe beside concurrent pushes
+/// and pops — a `next` word only ever holds a descriptor address or 0,
+/// and descriptors are type-stable — but then the walk may cross into
+/// another stack through a descriptor that moved, so the answer is a
+/// hint, and `limit` (the number of descriptors there are) is what ends
+/// a walk gone astray.
+pub(crate) fn walk_count(
+    stack: &DescStack,
+    limit: usize,
+    mut want: impl FnMut(&Descriptor) -> bool,
+) -> usize {
+    let (mut seen, mut n) = (0, 0);
     let mut p = stack.top();
-    while p != 0 && n < limit {
-        n += 1;
-        p = unsafe { &*(p as *const Descriptor) }.next.load(Ordering::Relaxed);
+    while p != 0 && seen < limit {
+        let desc = unsafe { &*(p as *const Descriptor) };
+        seen += 1;
+        n += want(desc) as usize;
+        p = desc.next.load(Ordering::Relaxed);
     }
     n
+}
+
+/// Length of `stack` (see [`walk_count`]).
+pub(crate) fn walk_len(stack: &DescStack, limit: usize) -> usize {
+    walk_count(stack, limit, |_| true)
 }
 
 #[cfg(test)]
@@ -679,6 +738,44 @@ mod tests {
         unsafe { pool.release_all(&src) };
     }
 
+    /// DESIGN.md §18: a descriptor retired with its superblock attached
+    /// waits on the warm stack and is what `DescAlloc` hands out first;
+    /// one retired without goes cold; `detach_warm` is the only thing
+    /// that takes a superblock off a retired descriptor, and it clears
+    /// the pointer.
+    #[test]
+    fn a_retired_pair_comes_back_warm_and_detaches_cold() {
+        let src = SystemSource::new();
+        let pool = Box::new(DescriptorPool::new());
+        let sbs: PagePool<SB_SHIFT> = PagePool::new(4);
+        unsafe {
+            let (bare, paired) = (pool.alloc(&src), pool.alloc(&src));
+            let sb = sbs.alloc(&src);
+            (*paired).set_sb(sb);
+            (*paired).store_anchor(Anchor::new(0, 1, SbState::Empty));
+            let cold_before = pool.free_counts();
+            pool.retire(paired);
+            pool.retire(bare);
+            assert_eq!(pool.free_counts().2, 1, "the pair is warm");
+            let (warm, cold) = pool.free_descriptors();
+            assert_eq!(warm, vec![paired]);
+            assert!(cold.contains(&bare) && cold.iter().all(|d| (**d).sb().is_null()));
+            assert_eq!(pool.alloc(&src), paired, "warm before DescAvail");
+            assert_eq!((*paired).sb(), sb, "and its superblock came along");
+            pool.retire(paired);
+            let mut released = Vec::new();
+            pool.detach_warm(|sb| released.push(sb));
+            assert_eq!(released, vec![sb]);
+            assert!((*paired).sb().is_null(), "a cold descriptor names no superblock");
+            let (avail, reserve, warm) = pool.free_counts();
+            assert_eq!(warm, 0);
+            assert_eq!(avail + reserve, cold_before.0 + cold_before.1 + 2);
+            sbs.dealloc(sb);
+            sbs.release_all(&src);
+            pool.release_all(&src);
+        }
+    }
+
     #[test]
     fn anchor_cas_failure_returns_observed() {
         let src = SystemSource::new();
@@ -786,7 +883,7 @@ mod tests {
         let src = SystemSource::new();
         let pool = Box::new(DescriptorPool::new());
         let first = unsafe { pool.alloc(&src) } as usize; // carves the slab
-        let (avail, reserve) = pool.free_counts();
+        let (avail, reserve, _) = pool.free_counts();
         assert_eq!(avail, DESC_PER_SLAB - 1 - DESC_RESERVE_TARGET);
         assert_eq!(reserve, DESC_RESERVE_TARGET);
         fp::arm_limited("stack.pop", FpAction::Park, FpTrigger::Always, 1);
@@ -806,7 +903,7 @@ mod tests {
             for _ in 0..avail - 2 {
                 assert!(seen.insert(unsafe { pool.alloc(&src) } as usize), "handed out twice");
             }
-            assert_eq!(pool.free_counts(), (0, reserve), "DescAvail conserved");
+            assert_eq!(pool.free_counts(), (0, reserve, 0), "DescAvail conserved");
             assert_eq!(pool.slab_count(), 1);
         });
         unsafe { pool.release_all(&src) };

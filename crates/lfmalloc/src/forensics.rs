@@ -1176,8 +1176,15 @@ fn emit_leak_report<S: PageSource>(inner: &Inner<S>, fd: i32) {
         let sz = desc.sz() as usize;
         let maxcount = desc.maxcount() as usize;
         let sb = desc.sb() as usize;
-        if sz >= 2 * PREFIX_SIZE && maxcount >= 1 && sz * maxcount <= SB_SIZE && sb != 0 {
-            let anchor = desc.load_anchor();
+        let anchor = desc.load_anchor();
+        // An EMPTY descriptor keeps its superblock (parked or warm) but
+        // no block of it is in use.
+        if sz >= 2 * PREFIX_SIZE
+            && maxcount >= 1
+            && sz * maxcount <= SB_SIZE
+            && sb != 0
+            && anchor.state() != crate::anchor::SbState::Empty
+        {
             let used = maxcount as u64 - (anchor.count() as u64).min(maxcount as u64);
             live_blocks += used;
             live_bytes += used * sz as u64;

@@ -4,8 +4,14 @@
 //! pushing the freed block into its superblock's available list and
 //! adjusting the superblock's state appropriately." One CAS in the
 //! common case; the first free into a FULL superblock re-links it
-//! (`HeapPutPartial`), and the free of the last allocated block empties
-//! the superblock (recycle + `RemoveEmptyDesc`).
+//! (`HeapPutPartial`), and the free of the last allocated block makes
+//! the superblock EMPTY — and leaves it on its descriptor, where the
+//! anchor CAS found it (DESIGN.md §18). The thread that emptied it holds
+//! no reference to the pair, so it neither recycles the superblock
+//! (Figure 6, line 20) nor takes the descriptor out of the heap's slot
+//! (`RemoveEmptyDesc`, line 1): whoever next *takes* the descriptor
+//! reopens or retires the two together. This file does not name the
+//! page pool (CI checks that).
 
 use crate::anchor::SbState;
 use crate::config::PREFIX_SIZE;
@@ -98,6 +104,8 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     n: u32,
 ) {
     let desc = unsafe { &*desc_ptr };
+    // For the event ring, read while the blocks still pin the descriptor.
+    #[cfg(feature = "stats")]
     let sb = desc.sb() as usize;
     let maxcount = desc.maxcount();
     // Latency classification: a plain free-list push is the fast path;
@@ -133,6 +141,13 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
             (*(last as *const AtomicU64)).store(old.avail() as u64, Ordering::Relaxed);
         }
         let mut new = old.with_avail(first_idx); // line 9
+        // One chain never takes a superblock FULL → EMPTY: the descriptor
+        // would be in no slot and on no list, stranded. A FULL anchor
+        // counts 0, so the chain would have to be the whole superblock;
+        // a magazine row holds at most `MAX_CLASS_BYTES / sz` blocks of a
+        // class, an eighth of the `SB_SIZE / sz` a superblock does, and
+        // every other caller passes n == 1 < 2 ≤ maxcount.
+        debug_assert!(old.state() != SbState::Full || n < maxcount);
         if old.state() == SbState::Full {
             new = new.with_state(SbState::Partial); // lines 10-11
         }
@@ -161,17 +176,21 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
 
     if newanchor.state() == SbState::Empty {
         if malloc_api::fail_point!("free.empty").kill {
-            // Died between the EMPTY transition and the recycle: the
-            // superblock and its descriptor leak with the dead thread.
+            // Died right after the EMPTY transition: nothing is
+            // stranded, the descriptor is still wherever it was parked;
+            // only the sweep below is skipped.
             return;
         }
         crate::stat!(inner, owner, free_empty);
         crate::stat_event!(inner, SbRetire, owner.class(), sb);
-        // lines 19-21: recycle the superblock's memory, then make the
-        // descriptor reclaimable.
-        unsafe {
-            inner.sb_pool.dealloc(sb as *mut u8); // line 20
-            remove_empty_desc(inner, &*heap, desc_ptr); // line 21
+        // Lines 19–21, restated: the superblock stays on its descriptor.
+        // One load says whether that sits in its heap's Partial slot,
+        // where the next malloc of the class reopens it; if not, sweep
+        // the class list the way `RemoveEmptyDesc`'s line 3 does (the
+        // popped descriptors are the sweeper's, superblocks and all).
+        let heap = unsafe { &*heap };
+        if heap.load_partial() != desc_ptr {
+            unsafe { inner.classes[heap.class()].partial.remove_empty(&inner.desc_pool) };
         }
         crate::stat_lat!(inner, lat_free_slow, t0);
     } else if oldanchor.state() == SbState::Full {
@@ -183,52 +202,4 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     } else {
         crate::stat_lat!(inner, lat_free_fast, t0);
     }
-}
-
-/// `RemoveEmptyDesc` (Figure 6): retire the descriptor if we can pluck
-/// it from the heap's Partial slot; otherwise sweep one empty descriptor
-/// out of the size class's partial list.
-unsafe fn remove_empty_desc<S: PageSource>(
-    inner: &Inner<S>,
-    heap: &ProcHeap,
-    desc: *mut Descriptor,
-) {
-    if heap.cas_partial(desc, core::ptr::null_mut()) {
-        // lines 1-2
-        unsafe { retire_if_empty(inner, desc) };
-    } else {
-        // line 3: ListRemoveEmptyDesc — the goal "is to ensure that
-        // empty descriptors are eventually made available for reuse, and
-        // not necessarily to remove a specific empty descriptor
-        // immediately".
-        let ci = heap.class();
-        unsafe { inner.classes[ci].partial.remove_empty(&inner.desc_pool) };
-    }
-}
-
-/// Disposes of a descriptor the caller has just taken out of a heap's
-/// Partial slot because it saw it EMPTY: retires it (and says so) if it
-/// still is, puts it back otherwise.
-///
-/// The second look is what immediate descriptor reuse costs (DESIGN.md
-/// §17.3). Between the caller's look and its slot CAS a malloc may have
-/// taken the EMPTY descriptor from the slot and retired it, and the
-/// descriptor — back on `DescAvail` at once, with no retire list to sit
-/// out a grace period on — may have been given a new superblock of the
-/// same heap, filled, and parked in the same slot. The slot CAS cannot
-/// tell (the paper's cannot either; its window is a hazard scan wide).
-/// But taking a descriptor out of the slot makes it the caller's alone,
-/// and then its state says which life it is in, as it does for
-/// `MallocFromPartial` (Figure 4, line 5).
-pub(crate) unsafe fn retire_if_empty<S: PageSource>(
-    inner: &Inner<S>,
-    desc: *mut Descriptor,
-) -> bool {
-    let empty = unsafe { (*desc).load_anchor() }.state() == SbState::Empty;
-    if empty {
-        unsafe { inner.desc_pool.retire(desc) };
-    } else {
-        unsafe { crate::alloc::heap_put_partial(inner, desc) };
-    }
-    empty
 }

@@ -33,6 +33,7 @@
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use crate::anchor::SbState;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::NUM_CLASSES;
@@ -375,14 +376,22 @@ pub struct HealthSnapshot {
     /// Violations reported by the last full `audit()`; `None` if no full
     /// audit has run.
     pub last_audit_violations: Option<u64>,
-    /// Free descriptors on `DescAvail` and in the emergency reserve,
-    /// and descriptors on each size class's partial list: one walk of
-    /// each stack at snapshot time, so hints under concurrency. Free +
-    /// listed + in use = `descriptor_slots`, the slots carved so far.
+    /// Free descriptors on `DescAvail`, in the emergency reserve and on
+    /// the warm stack (each of those still holding its EMPTY
+    /// superblock), and descriptors on each size class's partial list:
+    /// one walk of each stack at snapshot time, so hints under
+    /// concurrency. Free + listed + in use = `descriptor_slots`, the
+    /// slots carved so far.
     pub desc_avail: usize,
     pub desc_reserve: usize,
+    pub desc_warm: usize,
     pub partial_listed: [usize; NUM_CLASSES],
     pub descriptor_slots: usize,
+    /// EMPTY descriptors parked where their superblock went EMPTY — a
+    /// heap's Partial slot or a partial list — each holding its 16 KiB
+    /// until the class's next malloc reopens it or `maintain` moves it
+    /// to the warm stack (DESIGN.md §18).
+    pub parked_empty: usize,
     /// Blocks currently sitting in the hardened-mode quarantine.
     pub quarantine_depth: usize,
     /// Thread-magazine slots currently owned, by live threads or by
@@ -417,7 +426,16 @@ impl HealthSnapshot {
     /// by a kill.
     pub fn descriptors_in_use(&self) -> usize {
         let listed: usize = self.partial_listed.iter().sum();
-        self.descriptor_slots.saturating_sub(self.desc_avail + self.desc_reserve + listed)
+        self.descriptor_slots
+            .saturating_sub(self.desc_avail + self.desc_reserve + self.desc_warm + listed)
+    }
+
+    /// Bytes of EMPTY superblocks kept mapped for reuse: the warm ones
+    /// (any class may take them; what the page pool's free stack held
+    /// before PR 16) and the parked ones (their class only). `trim`
+    /// returns both.
+    pub fn retained_empty_bytes(&self) -> usize {
+        (self.desc_warm + self.parked_empty) * crate::config::SB_SIZE
     }
 
     /// The single health verdict: `true` when something needs attention —
@@ -448,7 +466,8 @@ impl HealthSnapshot {
              \"quarantine_flushed\":{},\"empty_pruned\":{},\
              \"audit_slice_checked\":{},\"audit_slice_flagged\":{},\
              \"last_audit_violations\":{},\"desc_avail\":{},\
-             \"desc_reserve\":{},\"partial_listed\":{:?},\"descriptor_slots\":{},\
+             \"desc_reserve\":{},\"desc_warm\":{},\"parked_empty\":{},\
+             \"retained_empty_bytes\":{},\"partial_listed\":{:?},\"descriptor_slots\":{},\
              \"quarantine_depth\":{},\"magazine_slots\":{},\
              \"large_cached_spans\":{},\"large_cached_bytes\":{},\
              \"os_live_bytes\":{},\"os_watermark\":{},\
@@ -470,6 +489,9 @@ impl HealthSnapshot {
             },
             self.desc_avail,
             self.desc_reserve,
+            self.desc_warm,
+            self.parked_empty,
+            self.retained_empty_bytes(),
             self.partial_listed,
             self.descriptor_slots,
             self.quarantine_depth,
@@ -494,8 +516,14 @@ impl<S: PageSource> LfMalloc<S> {
     pub fn health(&self) -> HealthSnapshot {
         let inner = self.inner();
         let h = &inner.health;
-        let (desc_avail, desc_reserve) = inner.desc_pool.free_counts();
+        let (desc_avail, desc_reserve, desc_warm) = inner.desc_pool.free_counts();
         let descriptor_slots = inner.desc_pool.slot_count();
+        let parked_slots = (0..NUM_CLASSES * inner.nheaps)
+            .map(|i| unsafe { &*inner.heaps.add(i) }.load_partial())
+            .filter(|d| !d.is_null() && unsafe { (**d).load_anchor() }.state() == SbState::Empty)
+            .count();
+        let parked_listed: usize =
+            inner.classes.iter().map(|c| c.partial.empty_hint(descriptor_slots)).sum();
         let watermark = h.watermark.load(Ordering::Relaxed);
         let last_audit = h.last_audit_violations.load(Ordering::Relaxed);
         HealthSnapshot {
@@ -512,10 +540,12 @@ impl<S: PageSource> LfMalloc<S> {
             last_audit_violations: if last_audit == AUDIT_NEVER { None } else { Some(last_audit) },
             desc_avail,
             desc_reserve,
+            desc_warm,
             partial_listed: core::array::from_fn(|ci| {
                 inner.classes[ci].partial.len_hint(descriptor_slots)
             }),
             descriptor_slots,
+            parked_empty: parked_slots + parked_listed,
             quarantine_depth: inner.quarantine_depth(),
             magazine_slots: crate::magazine::owned_slots(inner),
             large_cached_spans: inner.large_cache.spans().count(),

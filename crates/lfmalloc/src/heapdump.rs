@@ -15,7 +15,9 @@
 //! * `health`, `misuse` — the always-on counter families;
 //! * `descriptors` — a census of the descriptor universe by superblock
 //!   state (`Active`/`Full`/`Partial`/`Empty`, plus `unbound` for
-//!   descriptors not currently backing a superblock);
+//!   descriptors not currently backing a superblock, and `warm`: how
+//!   many of the `Empty` ones are retired with their superblock still
+//!   attached, ready for any class);
 //! * `classes` — per-size-class occupancy (superblocks, blocks used vs
 //!   capacity) aggregated over bound descriptors;
 //! * `large` — live count/bytes and every registered span;
@@ -122,6 +124,9 @@ fn walk_descriptors<S: PageSource>(inner: &Inner<S>) -> DescWalk {
         let anchor = desc.load_anchor();
         let state = anchor.state();
         w.by_state[state as usize] += 1;
+        if state == SbState::Empty {
+            return; // parked or warm: no block in use, no class's capacity
+        }
         if let Some(ci) = class_of_size(desc.sz()) {
             let used = maxcount as u64 - (anchor.count() as u64).min(maxcount as u64);
             let c = &mut w.classes[ci as usize];
@@ -219,6 +224,8 @@ pub(crate) fn render_dump<S: PageSource>(
     b.push_dec(walk.by_state[SbState::Empty as usize]);
     b.push_str(",\"unbound\":");
     b.push_dec(walk.unbound);
+    b.push_str(",\"warm\":");
+    b.push_dec(inner.desc_pool.free_counts().2 as u64);
     b.push_str("},");
     wline(w, &b)?;
 
@@ -696,6 +703,9 @@ pub struct DescriptorCensus {
     pub empty: u64,
     /// Not currently backing a superblock.
     pub unbound: u64,
+    /// Of the Empty ones: retired onto the warm stack, superblock
+    /// attached (0 in dumps written before PR 16).
+    pub warm: u64,
 }
 
 /// The offline analysis of one heap dump (`lfstat analyze`).
@@ -796,6 +806,7 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
         partial: d.map_or(0, |d| d.u64_at("partial")),
         empty: d.map_or(0, |d| d.u64_at("empty")),
         unbound: d.map_or(0, |d| d.u64_at("unbound")),
+        warm: d.map_or(0, |d| d.u64_at("warm")),
     };
 
     let misuse_total = v
@@ -855,12 +866,14 @@ impl core::fmt::Display for AnalyzeReport {
         )?;
         writeln!(
             f,
-            "descriptors: {} total ({} active, {} full, {} partial, {} empty, {} unbound)",
+            "descriptors: {} total ({} active, {} full, {} partial, {} empty of which {} warm, \
+             {} unbound)",
             self.descriptors.total,
             self.descriptors.active,
             self.descriptors.full,
             self.descriptors.partial,
             self.descriptors.empty,
+            self.descriptors.warm,
             self.descriptors.unbound,
         )?;
         writeln!(

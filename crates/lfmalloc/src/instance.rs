@@ -512,10 +512,7 @@ impl<S: PageSource> LfMalloc<S> {
                             // figure (new-sb minus emptied) stays true.
                             crate::stat!(inner, heap, free_empty);
                             crate::stat_event!(inner, SbRetire, ci, desc.sb() as usize);
-                            unsafe {
-                                inner.sb_pool.dealloc(desc.sb());
-                                inner.desc_pool.retire(desc_ptr);
-                            }
+                            unsafe { inner.desc_pool.retire(desc_ptr) };
                             break;
                         }
                     } else {
@@ -532,36 +529,14 @@ impl<S: PageSource> LfMalloc<S> {
                 }
             }
         }
-        // 2. Prune EMPTY descriptors out of the heap partial slots and
-        //    the class partial lists (free() retires most of them, but
-        //    ListRemoveEmptyDesc stops at the first non-empty head, so
-        //    stragglers can sit behind it).
-        for ci in 0..NUM_CLASSES {
-            for h in 0..inner.nheaps {
-                let heap = unsafe { &*inner.heaps.add(ci * inner.nheaps + h) };
-                let desc = heap.load_partial();
-                if !desc.is_null()
-                    && unsafe { (*desc).load_anchor() }.state() == SbState::Empty
-                    && heap.cas_partial(desc, core::ptr::null_mut())
-                {
-                    unsafe { crate::free_impl::retire_if_empty(inner, desc) };
-                }
-            }
-            let list = &inner.classes[ci].partial;
-            let mut keep: Vec<*mut crate::descriptor::Descriptor> = Vec::new();
-            while let Some(desc) = unsafe { list.get() } {
-                if unsafe { (*desc).load_anchor() }.state() == SbState::Empty {
-                    unsafe { inner.desc_pool.retire(desc) };
-                } else {
-                    keep.push(desc);
-                }
-            }
-            for desc in keep {
-                unsafe { list.put(desc) };
-            }
-        }
-        // 3. Give fully free hyperblocks and slabs back to the OS (the
-        //    descriptors retired above are on the free stacks already).
+        // 2. Retire the EMPTY descriptors parked in heap partial slots
+        //    and class partial lists, then take the superblock off every
+        //    retired pair: an EMPTY superblock stays on its descriptor
+        //    (DESIGN.md §18), and the page pool can only unmap what is on
+        //    its own free stack.
+        crate::maintain::prune_empty(inner, u32::MAX);
+        unsafe { inner.desc_pool.detach_warm(|sb| inner.sb_pool.dealloc(sb)) };
+        // 3. Give fully free hyperblocks and slabs back to the OS.
         let mut released = unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
         released += unsafe { inner.desc_pool.trim(&inner.source) };
         released += unsafe { crate::large::drain_cache(inner) };

@@ -31,7 +31,9 @@
 //!   stack threaded through the descriptors ([`descriptor`],
 //!   [`partial`]): descriptors are type-stable, so no reclamation
 //!   scheme is needed (the paper uses hazard pointers and a FIFO queue
-//!   here).
+//!   here). An EMPTY superblock stays on its descriptor through all of
+//!   it — parked where it went EMPTY, or retired as a pair — until a
+//!   malloc reopens it; only `trim` takes the two apart.
 //! * In front of all that, each thread keeps a small private stack of
 //!   free blocks per size class ([`magazine`]) that it refills and
 //!   flushes in batches against the lock-free core, so the common
@@ -62,10 +64,11 @@
 //! Documented centrally in `DESIGN.md`; the load-bearing ones:
 //! anchor bit-field widths are 12/12/2/38 instead of 10/10/2/42 (so a
 //! 16 KiB superblock of 16-byte blocks fits), the block prefix
-//! generalizes to alignments above 8, empty superblocks return to a
-//! never-unmapped page pool rather than `munmap` (the paper's hyperblock
-//! scheme, §3.2.5), and `DescAvail` and the partial lists are
-//! tag-protected stacks instead of `SafeCAS` and an MS queue.
+//! generalizes to alignments above 8, empty superblocks are neither
+//! `munmap`ped nor returned to the hyperblock pool (§3.2.5) but kept on
+//! their descriptors for the next superblock life, and `DescAvail` and
+//! the partial lists are tag-protected stacks instead of `SafeCAS` and
+//! an MS queue.
 
 // Telemetry increment macros (crate-internal). With the `stats` feature
 // they hit the instance's shard/global counters; without it they expand

@@ -40,6 +40,7 @@ use crate::anchor::SbState;
 use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
 use crate::instance::{Inner, LfMalloc};
+use crate::partial::PartialList;
 use crate::size_classes::NUM_CLASSES;
 use core::sync::atomic::{AtomicBool, Ordering};
 use core::time::Duration;
@@ -487,12 +488,14 @@ fn flush_quarantine_budgeted<S: PageSource>(inner: &Inner<S>, max: u32) -> u64 {
 }
 
 /// Prunes EMPTY descriptors out of the heap partial slots and (budgeted
-/// per class) off the partial lists. Both moves reuse hot-path
-/// ownership protocols — the heap-slot CAS is `remove_empty_desc`'s,
-/// and a popped EMPTY descriptor is exclusively owned (its superblock
-/// was already recycled by `free`'s EMPTY transition), exactly the case
-/// `malloc_from_partial` handles — so this is concurrent-safe.
-fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
+/// per class) off the partial lists, retiring each with the superblock
+/// it still owns onto the warm stack, where any class can take it
+/// (DESIGN.md §18). Both moves reuse hot-path ownership protocols — a
+/// descriptor CASed out of a slot or popped off a list is exclusively
+/// owned, exactly the case `malloc_from_partial` handles — so this is
+/// concurrent-safe, and it allocates nothing: a malloc about to map a
+/// hyperblock, or refused one, prunes before it does anything else.
+pub(crate) fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
     let mut pruned = 0u64;
     for ci in 0..NUM_CLASSES {
         for h in 0..inner.nheaps {
@@ -501,13 +504,16 @@ fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
             if !desc.is_null()
                 && unsafe { (*desc).load_anchor() }.state() == SbState::Empty
                 && heap.cas_partial(desc, core::ptr::null_mut())
-                && unsafe { crate::free_impl::retire_if_empty(inner, desc) }
+                && unsafe { retire_if_empty(inner, desc) }
             {
                 pruned += 1;
             }
         }
         let list = &inner.classes[ci].partial;
-        let mut keep: Vec<*mut Descriptor> = Vec::new();
+        // The ones to keep wait on a private list, not in a `Vec`:
+        // `malloc` runs this too (`alloc::malloc_from_new_sb`), and there
+        // nothing may allocate. Popping it back restores their order.
+        let keep = PartialList::new();
         let mut budget = per_class;
         while budget > 0 {
             let Some(desc) = (unsafe { list.get() }) else {
@@ -517,15 +523,36 @@ fn prune_empty<S: PageSource>(inner: &Inner<S>, per_class: u32) -> u64 {
                 unsafe { inner.desc_pool.retire(desc) };
                 pruned += 1;
             } else {
-                keep.push(desc);
+                unsafe { keep.put(desc) };
             }
             budget -= 1;
         }
-        for desc in keep {
+        while let Some(desc) = unsafe { keep.get() } {
             unsafe { list.put(desc) };
         }
     }
     pruned
+}
+
+/// Disposes of a descriptor the caller has just taken out of a heap's
+/// Partial slot because it saw it EMPTY: retires it (and says so) if it
+/// still is, puts it back otherwise.
+///
+/// The second look is what immediate descriptor reuse costs (DESIGN.md
+/// §17.3). Between the caller's look and its slot CAS a malloc may have
+/// taken the EMPTY descriptor from the slot and reopened it, and the
+/// superblock may have filled and been parked, PARTIAL, in the same
+/// slot. The slot CAS cannot tell. But taking a descriptor out of the
+/// slot makes it the caller's alone, and then its state says which life
+/// it is in, as it does for `MallocFromPartial` (Figure 4, line 5).
+unsafe fn retire_if_empty<S: PageSource>(inner: &Inner<S>, desc: *mut Descriptor) -> bool {
+    let empty = unsafe { (*desc).load_anchor() }.state() == SbState::Empty;
+    if empty {
+        unsafe { inner.desc_pool.retire(desc) };
+    } else {
+        unsafe { crate::alloc::heap_put_partial(inner, desc) };
+    }
+    empty
 }
 
 /// One advisory audit slice: checks up to `max` descriptors (persistent

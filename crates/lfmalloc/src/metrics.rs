@@ -119,9 +119,16 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
         &mut o,
         "lfmalloc_superblocks_retired",
         "counter",
-        "Superblocks emptied and recycled.",
+        "Superblocks emptied (each stays on its descriptor for reuse).",
     );
     let _ = writeln!(o, "lfmalloc_superblocks_retired_total {}", t.free_empty);
+    write_family(
+        &mut o,
+        "lfmalloc_superblocks_reopened",
+        "counter",
+        "EMPTY superblocks reopened where they were parked (a subset of newsb mallocs).",
+    );
+    let _ = writeln!(o, "lfmalloc_superblocks_reopened_total {}", t.sb_reopen);
     write_family(&mut o, "lfmalloc_large", "counter", "Large-block operations.");
     let _ = writeln!(o, "lfmalloc_large_total{{op=\"alloc\"}} {}", s.large_alloc);
     let _ = writeln!(o, "lfmalloc_large_total{{op=\"free\"}} {}", s.large_free);
@@ -176,14 +183,22 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
         "lfmalloc_descriptors",
         "gauge",
         "Descriptor slots carved, by where they are: DescAvail, the emergency reserve, \
-         a size-class partial list, or in use.",
+         the warm stack (EMPTY superblock attached), a size-class partial list, or in use.",
     );
     let h = &s.health;
     let listed: usize = h.partial_listed.iter().sum();
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"avail\"}} {}", h.desc_avail);
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"reserve\"}} {}", h.desc_reserve);
+    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"warm\"}} {}", h.desc_warm);
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"partial_list\"}} {listed}");
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"in_use\"}} {}", h.descriptors_in_use());
+    write_family(
+        &mut o,
+        "lfmalloc_retained_empty_bytes",
+        "gauge",
+        "Bytes of EMPTY superblocks kept on their descriptors, warm or parked.",
+    );
+    let _ = writeln!(o, "lfmalloc_retained_empty_bytes {}", h.retained_empty_bytes());
     write_family(
         &mut o,
         "lfmalloc_partial_listed",

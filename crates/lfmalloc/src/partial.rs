@@ -15,19 +15,20 @@
 //! compared the organizations (EXPERIMENTS.md, A1) had them within ±5 %.
 //! What FIFO rotation bought `ListRemoveEmptyDesc` — successive calls
 //! reach EMPTY descriptors queued behind a non-empty head — is covered
-//! here by a bound instead: a class carves a new superblock only after
+//! here by a bound instead: a class opens another superblock only after
 //! `ListGetPartial` found its list empty, and `malloc_from_partial`
-//! retires every EMPTY descriptor `get` hands it on the way there, so
-//! the EMPTY descriptors parked in a list never outnumber the
-//! superblocks the class had at its peak (DESIGN.md §17.4). `maintain`
-//! and `trim` prune the rest.
+//! reopens every EMPTY descriptor `get` hands it before that, so the
+//! EMPTY descriptors parked in a list — each still holding its 16 KiB
+//! superblock (DESIGN.md §18) — never outnumber the superblocks the
+//! class had at its peak (§17.4). `maintain`, `trim`, and a malloc of
+//! any class that would otherwise map a hyperblock prune the rest.
 //!
 //! A listed descriptor is live: frees still CAS its `Anchor` while it
 //! sits here, which is why the link is a field of its own. The safety
 //! argument for the stack itself is in [`crate::descriptor`].
 
 use crate::anchor::SbState;
-use crate::descriptor::{walk_len, DescStack, Descriptor, DescriptorPool};
+use crate::descriptor::{walk_count, walk_len, DescStack, Descriptor, DescriptorPool};
 
 /// One size class's partial list.
 #[derive(Debug, Default)]
@@ -59,8 +60,9 @@ impl PartialList {
         unsafe { self.0.pop() }.map(|v| v as *mut Descriptor)
     }
 
-    /// `ListRemoveEmptyDesc()`: retires popped EMPTY descriptors until a
-    /// non-empty one (put back) or the end of the list.
+    /// `ListRemoveEmptyDesc()`: retires popped EMPTY descriptors, each
+    /// with its superblock, until a non-empty one (put back) or the end
+    /// of the list.
     ///
     /// # Safety
     ///
@@ -88,6 +90,11 @@ impl PartialList {
     /// (diagnostics; see [`walk_len`]).
     pub fn len_hint(&self, limit: usize) -> usize {
         walk_len(&self.0, limit)
+    }
+
+    /// How many of them read EMPTY — each one a parked superblock.
+    pub fn empty_hint(&self, limit: usize) -> usize {
+        walk_count(&self.0, limit, |d| d.load_anchor().state() == SbState::Empty)
     }
 }
 

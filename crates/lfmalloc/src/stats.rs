@@ -85,6 +85,10 @@ pub(crate) struct ClassShard {
     pub partial_pop: Counter,
     /// Blocks actually served out of a partial superblock.
     pub partial_reuse: Counter,
+    /// EMPTY superblocks reopened where they were parked, by the malloc
+    /// that took their descriptor out of a heap slot or off a partial
+    /// list (a subset of `malloc_newsb`).
+    pub sb_reopen: Counter,
     /// Magazine refills: k-block pops from the active superblock.
     pub mag_refill: Counter,
     /// Magazine overflows: half a magazine returned to its superblocks.
@@ -436,6 +440,8 @@ pub struct ClassStats {
     pub partial_push: u64,
     pub partial_pop: u64,
     pub partial_reuse: u64,
+    /// Reopened-in-place superblocks (a subset of `malloc_newsb`).
+    pub sb_reopen: u64,
     pub mag_refill: u64,
     pub mag_flush: u64,
     pub out_flush: u64,
@@ -478,6 +484,7 @@ impl ClassStats {
         self.partial_push += shard.partial_push.get();
         self.partial_pop += shard.partial_pop.get();
         self.partial_reuse += shard.partial_reuse.get();
+        self.sb_reopen += shard.sb_reopen.get();
         self.mag_refill += shard.mag_refill.get();
         self.mag_flush += shard.mag_flush.get();
         self.out_flush += shard.out_flush.get();
@@ -503,6 +510,7 @@ impl ClassStats {
         self.partial_push += other.partial_push;
         self.partial_pop += other.partial_pop;
         self.partial_reuse += other.partial_reuse;
+        self.sb_reopen += other.sb_reopen;
         self.mag_refill += other.mag_refill;
         self.mag_flush += other.mag_flush;
         self.out_flush += other.out_flush;
@@ -519,7 +527,7 @@ impl ClassStats {
              \"free_outbox\":{},\"free_local\":{},\"free_remote\":{},\
              \"free_teardown\":{},\"free_empty\":{},\
              \"partial_push\":{},\"partial_pop\":{},\"partial_reuse\":{},\
-             \"mag_refill\":{},\"mag_flush\":{},\"out_flush\":{},\
+             \"sb_reopen\":{},\"mag_refill\":{},\"mag_flush\":{},\"out_flush\":{},\
              \"active_cas\":{},\"anchor_cas\":{}}}",
             self.class,
             self.block_size,
@@ -536,6 +544,7 @@ impl ClassStats {
             self.partial_push,
             self.partial_pop,
             self.partial_reuse,
+            self.sb_reopen,
             self.mag_refill,
             self.mag_flush,
             self.out_flush,
@@ -1011,8 +1020,8 @@ impl<S: PageSource> LfMalloc<S> {
         )?;
         writeln!(
             w,
-            "partial: {:>12} push / {} pop / {} blocks reused",
-            t.partial_push, t.partial_pop, t.partial_reuse
+            "partial: {:>12} push / {} pop / {} blocks reused / {} EMPTY reopened in place",
+            t.partial_push, t.partial_pop, t.partial_reuse, t.sb_reopen
         )?;
         writeln!(
             w,
@@ -1108,12 +1117,16 @@ impl<S: PageSource> LfMalloc<S> {
         write_histogram(w, "  anchor (pop/free)", &t.anchor_cas)?;
         writeln!(
             w,
-            "descriptors: {} slots = {} avail + {} reserve + {} on partial lists + {} in use",
+            "descriptors: {} slots = {} avail + {} reserve + {} warm + {} on partial lists + {} in use; \
+             {} EMPTY parked, {} B of EMPTY superblocks retained",
             s.health.descriptor_slots,
             s.health.desc_avail,
             s.health.desc_reserve,
+            s.health.desc_warm,
             s.health.partial_listed.iter().sum::<usize>(),
-            s.health.descriptors_in_use()
+            s.health.descriptors_in_use(),
+            s.health.parked_empty,
+            s.health.retained_empty_bytes()
         )?;
         writeln!(
             w,

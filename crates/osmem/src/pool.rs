@@ -138,6 +138,21 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         unsafe { self.free.push(region as usize) };
     }
 
+    /// Whether the free LIFO holds a region, so that [`alloc`](Self::alloc)
+    /// would not go to the source (a hint beside concurrent callers).
+    pub fn has_free(&self) -> bool {
+        !self.free.is_empty()
+    }
+
+    /// The regions on the free LIFO (audit accounting).
+    ///
+    /// # Safety
+    ///
+    /// Requires quiescence: no concurrent `alloc`/`dealloc`.
+    pub unsafe fn free_regions(&self) -> Vec<usize> {
+        unsafe { self.free.snapshot() }
+    }
+
     /// Number of hyperblocks mapped so far.
     pub fn hyperblock_count(&self) -> usize {
         self.hyper_count.load(Ordering::Relaxed)

@@ -353,11 +353,14 @@ fn print_record(rec: &Json) {
             .map(|n| if let Json::Num(n) = n { *n } else { 0.0 })
             .sum();
         println!(
-            "  descriptors   {:>14} slots: {} avail, {} reserve, {} on partial lists",
+            "  descriptors   {:>14} slots: {} avail, {} reserve, {} warm, {} on partial lists; \
+             {} B of EMPTY superblocks retained",
             rec.u64("health.descriptor_slots"),
             rec.u64("health.desc_avail"),
             rec.u64("health.desc_reserve"),
+            rec.u64("health.desc_warm"),
             listed as u64,
+            rec.u64("health.retained_empty_bytes"),
         );
     }
 

@@ -236,9 +236,10 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
 
 /// Kill sites beyond the reservation window, reachable only through the
 /// deterministic failpoint registry (`--features failpoints`): deaths
-/// inside `free` (before the free-list CAS, and between the EMPTY
-/// transition and the superblock recycle) and inside the partial-list
-/// operations (put, get, and the post-get reservation).
+/// inside `free` (before the free-list CAS, and right after the EMPTY
+/// transition), inside the partial-list operations (put, get, and the
+/// post-get reservation) and holding an EMPTY superblock about to be
+/// reopened.
 #[cfg(feature = "failpoints")]
 mod failpoint_kills {
     use super::*;
@@ -320,30 +321,42 @@ mod failpoint_kills {
     }
 
     #[test]
-    fn empty_transition_kill_strands_one_superblock() {
+    fn empty_transition_kill_strands_nothing() {
         let _guard = fp::scenario(0xE391);
-        // Die exactly once, between the EMPTY anchor CAS and the
-        // superblock's return to the page pool.
+        // Die exactly once, right after the EMPTY anchor CAS. The dying
+        // thread held nothing: the superblock stays on its descriptor,
+        // the descriptor in the heap's Partial slot (DESIGN.md §18).
         fp::arm_limited("free.empty", FpAction::Kill, FpTrigger::Always, 1);
 
         let a = LfMalloc::with_config(Config::with_heaps(1));
         unsafe {
             // 4096-byte class: 4 blocks per superblock, so one batch
-            // drains a superblock to EMPTY quickly.
-            let blocks: Vec<*mut u8> = (0..4).map(|_| a.malloc(4_000)).collect();
-            for p in blocks {
-                assert!(!p.is_null());
-                a.free(p); // the last free dies mid-recycle
+            // drains a superblock to EMPTY quickly. A fifth block keeps
+            // the Active word on a second superblock.
+            let blocks: Vec<*mut u8> = (0..5).map(|_| a.malloc(4_000)).collect();
+            assert!(blocks.iter().all(|p| !p.is_null()));
+            for &p in &blocks[..4] {
+                a.free(p); // the last of these dies right after its CAS
             }
             assert_eq!(fp::fired("free.empty"), 1, "the EMPTY-path kill never fired");
-            // The superblock is stranded (legal leak), but allocation
-            // continues from fresh superblocks.
-            let p = a.malloc(4_000);
-            assert!(!p.is_null(), "allocation blocked after EMPTY-transition kill");
-            a.free(p);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "EMPTY-transition kill corrupted the heap:\n{rep}");
+            assert_eq!((rep.parked_superblocks, rep.descriptors_floating), (1, 0), "{rep}");
+            // The class's next mallocs drain the second superblock, then
+            // take the parked one out of the slot and reopen it: the same
+            // four blocks come back.
+            let again: Vec<*mut u8> = (0..7).map(|_| a.malloc(4_000)).collect();
+            assert!(blocks[..4].iter().all(|p| again.contains(p)), "the parked superblock was not reused");
+            assert_eq!(a.hyperblock_count(), 1);
+            for p in again.into_iter().chain([blocks[4]]) {
+                a.free(p);
+            }
         }
         let rep = a.audit();
-        assert!(rep.is_clean(), "EMPTY-transition kill corrupted the heap:\n{rep}");
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(rep.descriptors_floating, 0, "{rep}");
+        unsafe { a.trim() };
+        assert_eq!(a.os_stats().live_bytes, 0, "the kill stranded something");
     }
 
     /// The free-span cache's two windows (DESIGN.md §16): a thread that
@@ -413,39 +426,47 @@ mod failpoint_kills {
         }
     }
 
-    /// The descriptor cycle's windows (DESIGN.md §17.6). A thread killed
-    /// at any of them blocks no one, and what it strands is exactly what
-    /// it had in hand: nothing where it dies before taking anything, one
-    /// descriptor where it held one, one superblock between the EMPTY
-    /// transition and the recycle. There is
-    /// no per-thread retire list any more, so a death can no longer pin
-    /// up to a scan threshold's worth (64) of retired descriptors.
+    /// The descriptor cycle's windows (DESIGN.md §17.6, §18). A thread
+    /// killed at any of them blocks no one, and what it strands is exactly
+    /// what it had in hand: nothing where it dies before taking anything
+    /// or after letting go (the EMPTY transition: the pair stays where it
+    /// was parked), one descriptor *and the superblock attached to it*
+    /// where it held one — since PR 16 nobody takes a superblock off a
+    /// descriptor it does not hold, so a lost descriptor's superblock no
+    /// longer finds its own way back to the page pool. There is no
+    /// per-thread retire list, so a death cannot pin more than that.
     #[test]
     fn descriptor_cycle_kills_strand_exactly_what_was_in_hand() {
-        // One pass takes a two-block superblock through every transition:
-        // new, FULL, PARTIAL (into the heap slot), taken from the slot,
-        // FULL, PARTIAL, EMPTY, descriptor retired.
+        // One pass takes two two-block superblocks, A and B, through every
+        // transition: A reopened out of the heap slot, B popped off the
+        // warm stack; both FULL, PARTIAL (B's descriptor displacing A's
+        // from the slot onto the class list), taken again (B from the
+        // slot, A off the list), FULL, PARTIAL again, EMPTY — B parked in
+        // the slot, A swept off the list and retired warm.
         unsafe fn cycle(a: &LfMalloc) {
             unsafe {
-                let p0 = a.malloc(8000);
-                let p1 = a.malloc(8000);
-                a.free(p0);
-                let p2 = a.malloc(8000);
-                a.free(p1);
-                a.free(p2);
+                let (a0, a1) = (a.malloc(8000), a.malloc(8000));
+                let (b0, b1) = (a.malloc(8000), a.malloc(8000));
+                a.free(a0);
+                a.free(b0);
+                let (b2, a2) = (a.malloc(8000), a.malloc(8000));
+                for p in [a1, b1, b2, a2] {
+                    a.free(p);
+                }
             }
         }
-        // (site, descriptors stranded, superblocks stranded)
-        for (site, descs, sbs) in [
-            ("desc.alloc", 0, 0),
-            ("stack.pop", 0, 0),
-            ("partial.get", 0, 0),
-            ("partial.put", 1, 0),
-            ("partial.reserve", 1, 0),
-            ("desc.retire", 1, 0),
-            // The EMPTY descriptor is still in the heap's slot, where the
-            // next malloc finds and retires it; only the superblock is lost.
-            ("free.empty", 0, 1),
+        // (site, descriptor + superblock pairs stranded)
+        for (site, pairs) in [
+            ("desc.alloc", 0),
+            ("stack.pop", 0),
+            ("partial.get", 0),
+            ("partial.put", 1),
+            ("partial.reserve", 1),
+            ("desc.retire", 1),
+            ("sb.reopen", 1),
+            // The dying thread had let go: the EMPTY pair is where the
+            // anchor CAS found it, and the next malloc takes it from there.
+            ("free.empty", 0),
         ] {
             let _guard = fp::scenario(0xDE5C);
             let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
@@ -472,7 +493,7 @@ mod failpoint_kills {
             }
             let rep = a.audit();
             assert!(rep.is_clean(), "{site}: {rep}");
-            assert_eq!(rep.descriptors_floating, descs, "{site}: descriptors stranded\n{rep}");
+            assert_eq!(rep.descriptors_floating, pairs, "{site}: descriptors stranded\n{rep}");
             // What a quiescent trim cannot give back is what the corpse
             // pins: its descriptor's slab, its superblock's hyperblock.
             unsafe { a.trim() };
@@ -480,19 +501,79 @@ mod failpoint_kills {
             assert!(rep.is_clean(), "{site} after trim: {rep}");
             assert_eq!(
                 (rep.bytes.descriptor_slab_bytes, rep.bytes.superblock_bytes),
-                (descs * (16 << 10), sbs * (1 << 20)),
+                (pairs * (16 << 10), pairs * (1 << 20)),
                 "{site}: pinned after trim"
             );
         }
     }
 
-    /// The ABA that immediate descriptor reuse opens on a heap's Partial
+    /// A malloc that took an EMPTY descriptor out of the heap's slot is
+    /// frozen before it reopens the superblock (DESIGN.md §18). The pair
+    /// is its alone: everyone else finds the slot empty and carries on
+    /// with other superblocks — filling, emptying, parking and displacing
+    /// in the same slot — and when the frozen thread resumes it finds
+    /// another superblock installed, loses the install, and retires its
+    /// pair warm and untouched.
+    #[test]
+    fn a_frozen_reopener_holds_its_pair_alone() {
+        let _guard = fp::scenario(0x5B0E);
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let sb_of = |p: *mut u8| p as usize & !(16384 - 1);
+            let p0 = a.malloc(4_000);
+            let parked_sb = sb_of(p0);
+            a.free(p0);
+            // Uninstall it: three more blocks drain the credits, four
+            // frees make it EMPTY, parked in the slot.
+            let rest: Vec<*mut u8> = (0..4).map(|_| a.malloc(4_000)).collect();
+            rest.into_iter().for_each(|p| a.free(p));
+            let rep = a.audit();
+            assert_eq!((rep.parked_superblocks, rep.warm_superblocks), (1, 0), "{rep}");
+            fp::arm_limited("sb.reopen", FpAction::Park, FpTrigger::Always, 1);
+            std::thread::scope(|s| {
+                let frozen = s.spawn(|| a.malloc(4_000) as usize);
+                while fp::fired("sb.reopen") == 0 {
+                    std::thread::yield_now();
+                }
+                // Around the frozen thread: a second superblock opens,
+                // fills, parks PARTIAL in the slot, goes EMPTY there, is
+                // reopened by the next malloc, and ends up installed.
+                let blocks: Vec<*mut u8> = (0..4).map(|_| a.malloc(4_000)).collect();
+                assert!(blocks.iter().all(|&p| !p.is_null() && sb_of(p) != parked_sb));
+                blocks.iter().for_each(|&p| testkit::fill(p, 4_000));
+                blocks.iter().for_each(|&p| {
+                    testkit::check_fill(p, 4_000);
+                    a.free(p)
+                });
+                let q = a.malloc(4_000);
+                assert!(sb_of(q) != parked_sb, "the frozen thread's superblock was handed out");
+                fp::disarm("sb.reopen");
+                // Active is installed (q's superblock has credits), so the
+                // frozen malloc loses its install, retires its pair and is
+                // served by the ladder's next turn.
+                let r = frozen.join().unwrap() as *mut u8;
+                assert!(!r.is_null());
+                let rep = a.audit();
+                assert!(rep.is_clean(), "{rep}");
+                assert_eq!((rep.warm_superblocks, rep.descriptors_floating), (1, 0), "{rep}");
+                a.free(q);
+                a.free(r);
+            });
+        }
+        unsafe { a.trim() };
+        assert_eq!(a.os_stats().live_bytes, 0);
+        assert!(a.audit().is_clean());
+    }
+
+    /// The ABA that immediate descriptor reuse opened on a heap's Partial
     /// slot (DESIGN.md §17.3), run step by step: a free empties a
-    /// superblock and stalls before `RemoveEmptyDesc`; meanwhile the
-    /// descriptor is taken from the slot, retired, handed out again, and
-    /// parked in the same slot as a live superblock. The stalled thread's
-    /// slot CAS succeeds on the stale pointer; it must notice the
-    /// descriptor is no longer the one it emptied and put it back.
+    /// superblock and stalls right after its anchor CAS; meanwhile the
+    /// descriptor is taken from the slot, reopened, filled, and parked in
+    /// the same slot as a live superblock. Through PR 15 the stalled
+    /// thread then CASed the stale pointer out of the slot and needed a
+    /// second look not to retire a live descriptor; now it only *loads*
+    /// the slot, sees the descriptor parked there, and leaves — a thread
+    /// that made a superblock EMPTY holds no reference to it (§18).
     #[test]
     fn a_stalled_emptier_leaves_the_descriptors_next_life_alone() {
         let _guard = fp::scenario(0xABA5);
@@ -503,14 +584,13 @@ mod failpoint_kills {
             a.free(p0); // PARTIAL, parked in the heap's slot
             fp::arm_limited("free.empty", FpAction::Park, FpTrigger::Always, 1);
             std::thread::scope(|s| {
-                // EMPTY transition done, recycle and RemoveEmptyDesc pending.
+                // EMPTY transition done, the look at the slot pending.
                 let emptier = s.spawn(|| a.free(p1 as *mut u8));
                 while fp::fired("free.empty") == 0 {
                     std::thread::yield_now();
                 }
                 // This malloc finds the EMPTY descriptor in the slot and
-                // retires it, then carves a superblock and pops the same
-                // descriptor straight back off DescAvail.
+                // reopens it, superblock and all.
                 let q0 = a.malloc(8000);
                 let q1 = a.malloc(8000);
                 assert!(!q0.is_null() && !q1.is_null());
@@ -523,7 +603,7 @@ mod failpoint_kills {
                 assert_eq!(rep.descriptors_floating, 0, "the live descriptor is linked: {rep}");
                 // The superblock's second life carries on and ends normally.
                 let q2 = a.malloc(8000);
-                assert_eq!(q2, q0, "served from the descriptor that was put back");
+                assert_eq!(q2, q0, "served from the descriptor that was left alone");
                 testkit::check_fill(q1, 8000);
                 a.free(q1);
                 a.free(q2);

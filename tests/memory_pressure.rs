@@ -247,6 +247,54 @@ fn cached_spans_are_given_back_when_the_os_says_no() {
 }
 
 #[test]
+fn empty_superblocks_parked_under_one_class_serve_another_before_the_os_is_asked() {
+    // An EMPTY superblock stays on its descriptor (DESIGN.md §18), and a
+    // descriptor buried in one class's partial list is out of every other
+    // class's sight. A phase change from 8000 B blocks to 4000 B ones
+    // must still find those superblocks: before another hyperblock is
+    // mapped (no cap), and before OOM is reported (a cap that has no room
+    // for a second hyperblock).
+    for cap in [usize::MAX, HYPERBLOCK + (64 << 10)] {
+        let src = Arc::new(CappedSource { inner: CountingSource::new(SystemSource::new()), cap });
+        let a = LfMalloc::with_config_and_source(Config::with_heaps(1), Arc::clone(&src));
+        unsafe {
+            // 60 superblocks of two 8000 B blocks each; one free apiece
+            // makes every one PARTIAL (one in the heap's slot, 59 listed),
+            // the second free makes 58 of them EMPTY where they are, all
+            // beneath a listed one that is not.
+            let blocks: Vec<*mut u8> = (0..120).map(|_| a.malloc(8000)).collect();
+            assert!(blocks.iter().all(|p| !p.is_null()));
+            assert_eq!(a.hyperblock_count(), 1);
+            for pair in blocks.chunks(2) {
+                a.free(pair[0]);
+            }
+            for pair in blocks.chunks(2).take(58) {
+                a.free(pair[1]);
+            }
+            assert!(a.health().parked_empty >= 57, "the idle superblocks are parked: {:?}", a.health());
+
+            // 120 blocks of another class: 30 superblocks, of which the
+            // page pool has 4.
+            let other: Vec<*mut u8> = (0..120).map(|_| a.malloc(4000)).collect();
+            let served = other.iter().filter(|p| !p.is_null()).count();
+            assert_eq!(served, 120, "OOM beside 58 idle superblocks (cap {cap:#x})");
+            assert_eq!(a.hyperblock_count(), 1, "mapped beside 58 idle superblocks (cap {cap:#x})");
+            assert_clean(&a, "cross-class phase change", cap as u64);
+
+            for p in other {
+                a.free(p);
+            }
+            for pair in blocks.chunks(2).skip(58) {
+                a.free(pair[1]);
+            }
+            a.trim();
+        }
+        assert_clean(&a, "cross-class phase change, trimmed", cap as u64);
+        assert_eq!(src.stats().live_bytes, 0);
+    }
+}
+
+#[test]
 fn descriptor_reserve_keeps_frees_alive_after_source_death() {
     // A tight budget: a few hyperblocks' worth of OS grants, then the
     // source dies for good (no outage recovery, no refill).

@@ -1,6 +1,7 @@
 //! Heavier stress and invariant tests for the lock-free allocator,
 //! run end-to-end through the public API.
 
+use lfmalloc::config::SB_SIZE;
 use lfmalloc_repro::prelude::*;
 use malloc_api::testkit::{self, TestRng};
 use std::sync::atomic::Ordering;
@@ -301,8 +302,21 @@ fn superblock_cycle_under_four_threads() {
             });
         }
     });
+    // Every superblock is EMPTY again, and still on its descriptor
+    // (DESIGN.md §18): at most one parked per heap slot of the class, the
+    // rest on the warm stack; nothing went back to the page pool and
+    // nothing is in anyone's hands.
     let h = a.health();
-    assert_eq!(h.descriptors_in_use(), 0, "every descriptor is parked again: {h:?}");
+    assert!(h.parked_empty <= 2, "one slot per heap: {h:?}");
+    assert_eq!(h.descriptors_in_use(), h.parked_empty, "every other descriptor is retired: {h:?}");
+    let rep = a.audit();
+    assert_eq!((rep.parked_superblocks, rep.warm_superblocks), (h.parked_empty, h.desc_warm));
+    assert_eq!(
+        h.retained_empty_bytes(),
+        rep.bytes.superblock_bytes.min((h.desc_warm + h.parked_empty) * SB_SIZE),
+        "warm + parked is all the retained-EMPTY memory there is: {h:?}"
+    );
+    assert!(h.desc_warm >= THREADS * BLOCKS / 2 / 2, "a round's worth of superblocks is warm: {h:?}");
     unsafe { a.trim() };
     assert_eq!(a.os_stats().live_bytes, 0);
     assert!(a.audit().is_clean());
@@ -360,23 +374,254 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
         parked - 1 <= peak_superblocks,
         "{parked} parked, the class never had more than {peak_superblocks}"
     );
-    // The class's next mallocs: the PARTIAL head serves one block, the
-    // EMPTY ones beneath are retired one after another on the way to
-    // MallocFromNewSB, which then finds its descriptor on DescAvail.
-    let (slots, hyperblocks) = (a.health().descriptor_slots, a.hyperblock_count());
-    let p = unsafe { a.malloc(8000) };
-    let q = unsafe { a.malloc(8000) };
-    assert!(!p.is_null() && !q.is_null());
-    assert_eq!(listed(), 0, "the list was drained before a superblock was carved");
+    // What §17.4 bounded in descriptors §18 bounds in bytes: every one
+    // of them still holds its 16 KiB superblock.
+    let h = a.health();
+    assert!(h.parked_empty >= parked - 1, "{h:?}");
+    assert_eq!(rep.parked_superblocks, h.parked_empty);
+    assert!(
+        h.retained_empty_bytes() <= peak_superblocks * SB_SIZE,
+        "{} B retained, the class never had more than {peak_superblocks} superblocks",
+        h.retained_empty_bytes()
+    );
+    // The class's next mallocs pop down to them: an EMPTY descriptor left
+    // in a heap slot first, then the PARTIAL head (one block), then each
+    // EMPTY descriptor beneath it is reopened where it is (two blocks) —
+    // all of it before a descriptor is carved, a superblock is asked of
+    // the page pool, or anything is mapped.
+    let (slots, hyperblocks, os_allocs) =
+        (h.descriptor_slots, a.hyperblock_count(), a.os_stats().os_allocs);
+    let mut again = Vec::new();
+    while listed() > 0 {
+        assert!(again.len() <= 2 * peak_superblocks, "the list is not draining");
+        let p = unsafe { a.malloc(8000) };
+        assert!(!p.is_null());
+        again.push(p);
+    }
+    assert!(again.len() >= 2 * (parked - 1), "every parked superblock served both its blocks");
     let h = a.health();
     assert_eq!(h.descriptor_slots, slots, "no descriptor slab carved");
     assert_eq!(a.hyperblock_count(), hyperblocks, "no hyperblock mapped");
-    assert!(h.desc_avail + h.desc_reserve >= parked - 1, "the parked descriptors are free again");
+    assert_eq!(a.os_stats().os_allocs, os_allocs, "the OS was not asked");
+    assert!(a.audit().is_clean());
+    // `maintain` is the other way down: with everything freed again in
+    // the same order, it retires whatever is parked, wherever it is.
     unsafe {
-        a.free(p);
-        a.free(q);
         a.free(blocks[2 * top + 1] as *mut u8);
+        for p in again {
+            a.free(p);
+        }
     }
+    let rep = a.audit();
+    assert!(rep.is_clean(), "{rep}");
+    assert!(rep.parked_superblocks > 0);
+    a.maintain(MaintenanceBudget::full());
+    let h = a.health();
+    assert_eq!((h.parked_empty, listed()), (0, 0), "{h:?}");
+    assert!(a.audit().is_clean());
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0);
+}
+
+#[test]
+fn a_second_sweep_maps_nothing_and_asks_the_page_pool_for_nothing() {
+    // The benchmark's `sbcycle` shape, twice. The first sweep maps one
+    // hyperblock and carves one descriptor slab; after it every
+    // superblock is EMPTY and on its descriptor (31 warm, the last one
+    // parked in the heap's slot), so the second sweep opens 32
+    // superblocks without the OS, the descriptor slabs or — while a warm
+    // pair is left — the page pool hearing of it.
+    const BLOCKS: usize = 64;
+    // Under `failpoints`: any call of `PagePool::alloc` in the second
+    // sweep, for a superblock or a descriptor slab, fails the malloc.
+    #[cfg(feature = "failpoints")]
+    let _guard = malloc_api::failpoints::scenario(0x5EC0);
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    let sweep = || unsafe {
+        let blocks: Vec<*mut u8> = (0..BLOCKS).map(|_| a.malloc(8000)).collect();
+        assert!(blocks.iter().all(|p| !p.is_null()));
+        blocks.into_iter().for_each(|p| a.free(p));
+    };
+    sweep();
+    let first = a.audit();
+    assert!(first.is_clean(), "{first}");
+    assert_eq!((first.warm_superblocks, first.parked_superblocks), (BLOCKS / 2 - 1, 1), "{first}");
+    let (os_allocs, hyperblocks) = (a.os_stats().os_allocs, a.hyperblock_count());
+    assert_eq!(hyperblocks, 1);
+    #[cfg(feature = "failpoints")]
+    {
+        use malloc_api::failpoints::{arm, FpAction, FpTrigger};
+        arm("pool.carve", FpAction::Kill, FpTrigger::Always);
+    }
+    sweep();
+    #[cfg(feature = "failpoints")]
+    assert_eq!(malloc_api::failpoints::fired("pool.carve"), 0, "the page pool was consulted");
+    let second = a.audit();
+    assert!(second.is_clean(), "{second}");
+    assert_eq!(a.os_stats().os_allocs, os_allocs);
+    assert_eq!(a.hyperblock_count(), hyperblocks);
+    assert_eq!(second.descriptors_total, first.descriptors_total);
+    assert_eq!(
+        (second.warm_superblocks, second.parked_superblocks),
+        (first.warm_superblocks, first.parked_superblocks)
+    );
+    #[cfg(feature = "stats")]
+    {
+        let t = a.stats().totals;
+        assert_eq!(t.malloc_newsb, BLOCKS as u64, "32 superblock lives a sweep: {t:?}");
+        assert_eq!(t.sb_reopen, 1, "the parked one was reopened in place: {t:?}");
+        assert_eq!(t.free_empty, t.malloc_newsb, "committed estimate newsb − emptied: {t:?}");
+    }
+}
+
+#[test]
+fn a_warm_superblock_serves_any_class() {
+    // Every superblock is 16 KiB, whatever it is cut into: 60 superblocks
+    // filled and drained as 8000-byte blocks come back as 60 superblocks
+    // of 4000-byte blocks, out of the one hyperblock (64 superblocks).
+    const SBS: usize = 60;
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    for (sz, per_sb) in [(8000, 2), (4000, 4)] {
+        let blocks: Vec<*mut u8> = (0..SBS * per_sb).map(|_| unsafe { a.malloc(sz) }).collect();
+        assert!(blocks.iter().all(|p| !p.is_null()));
+        for &p in &blocks {
+            unsafe { testkit::fill(p, sz) };
+        }
+        for p in blocks {
+            unsafe {
+                testkit::check_fill(p, sz);
+                a.free(p);
+            }
+        }
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{sz}: {rep}");
+        assert_eq!(a.hyperblock_count(), 1, "{sz}: a class could not use another's superblocks");
+    }
+    // The second class took the first one's warm pairs, not fresh ones.
+    let rep = a.audit();
+    assert!(rep.warm_superblocks + rep.parked_superblocks <= SBS + 1, "{rep}");
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0);
+}
+
+#[test]
+fn parked_empty_superblocks_are_one_per_slot_and_returnable() {
+    // DESIGN.md §18's second bound. Four uncached classes, two threads
+    // (two heaps, unless both ids fall on one), allocate-then-free sweeps:
+    // when everything is freed, what is EMPTY is on the warm stack except
+    // the last superblock each (class, heap) saw, which is still in that
+    // heap's Partial slot (or installed, if it has credits left). A
+    // `maintain` pass empties every slot; `trim` returns all of it.
+    const SIZES: [usize; 4] = [1500, 3000, 6000, 8000];
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    for _ in 0..2 {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 0..3 {
+                    for sz in SIZES {
+                        let n = (round + 2) * 3 * SB_SIZE / sz;
+                        let blocks: Vec<*mut u8> = (0..n).map(|_| unsafe { a.malloc(sz) }).collect();
+                        assert!(blocks.iter().all(|p| !p.is_null()));
+                        blocks.into_iter().for_each(|p| unsafe { a.free(p) });
+                    }
+                }
+            });
+        });
+    }
+    let rep = a.audit();
+    assert!(rep.is_clean(), "{rep}");
+    assert!(rep.parked_superblocks <= SIZES.len() * 2, "more than one per (class, heap) slot: {rep}");
+    assert!(rep.warm_superblocks > 0);
+    let h = a.health();
+    assert_eq!(h.parked_empty, rep.parked_superblocks);
+    assert_eq!(h.retained_empty_bytes(), (rep.warm_superblocks + rep.parked_superblocks) * SB_SIZE);
+    let pruned = a.maintain(MaintenanceBudget::full()).empty_pruned;
+    assert_eq!(pruned as usize, rep.parked_superblocks);
+    let after = a.audit();
+    assert!(after.is_clean(), "{after}");
+    assert_eq!(after.parked_superblocks, 0, "maintain left a slot parked");
+    assert_eq!(after.warm_superblocks, rep.warm_superblocks + rep.parked_superblocks);
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0);
+    let rep = a.audit();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!((rep.warm_superblocks, rep.parked_superblocks), (0, 0));
+}
+
+#[test]
+fn reopen_in_place_races_remote_frees_and_slot_displacement() {
+    // Two allocating threads and two freeing threads on ONE heap and one
+    // class of two-block superblocks, each allocator streaming its blocks
+    // to its freer through a bounded channel, so all four run for the
+    // whole round. The freers free in allocation order — superblock after
+    // superblock goes FULL → PARTIAL (swapped into the one Partial slot,
+    // retiring or listing whoever sat there) → EMPTY (parked where it is,
+    // or swept off the list) — while the allocators, whose Active word
+    // runs dry every second malloc, take descriptors out of that slot and
+    // off that list: PARTIAL to reserve from, EMPTY to reopen where they
+    // are. A marker ends a round; barriers make the audit quiescent. Each
+    // block carries its tag at both ends while live: a superblock
+    // reopened under a block still out, or handed to two openers, shows
+    // as a foreign tag.
+    const PAIRS: usize = 2;
+    const ROUNDS: usize = 8;
+    const BLOCKS: usize = 5000;
+    const IN_FLIGHT: usize = 256;
+    const SZ: usize = 8000;
+    const END_OF_ROUND: (usize, u64) = (0, 0);
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    let gate = std::sync::Barrier::new(2 * PAIRS);
+    std::thread::scope(|s| {
+        for t in 0..PAIRS {
+            let (a, gate) = (&a, &gate);
+            let (to_freer, from_allocator) = std::sync::mpsc::sync_channel(IN_FLIGHT);
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    for i in 0..BLOCKS {
+                        let p = unsafe { a.malloc(SZ) };
+                        assert!(!p.is_null());
+                        let tag = (t as u64 + 1) << 56 | (round as u64) << 32 | i as u64;
+                        unsafe {
+                            (p as *mut u64).write(tag);
+                            (p.add(SZ - 8) as *mut u64).write(tag);
+                        }
+                        to_freer.send((p as usize, tag)).unwrap();
+                    }
+                    to_freer.send(END_OF_ROUND).unwrap();
+                    gate.wait();
+                    if t == 0 {
+                        let rep = a.audit();
+                        assert!(rep.is_clean(), "round {round}: {rep}");
+                        assert_eq!(rep.descriptors_floating, 0, "round {round}: {rep}");
+                    }
+                    gate.wait();
+                }
+            });
+            s.spawn(move || {
+                for (p, tag) in from_allocator {
+                    if (p, tag) == END_OF_ROUND {
+                        gate.wait();
+                        gate.wait();
+                        continue;
+                    }
+                    let p = p as *mut u8;
+                    unsafe {
+                        assert_eq!((p as *const u64).read(), tag, "block handed out twice");
+                        assert_eq!((p.add(SZ - 8) as *const u64).read(), tag);
+                        a.free(p);
+                    }
+                }
+            });
+        }
+    });
+    #[cfg(feature = "stats")]
+    {
+        let t = a.stats().totals;
+        assert!(t.sb_reopen > 0, "no superblock was ever reopened in place: {t:?}");
+        assert!(t.malloc_newsb - t.free_empty <= 1, "every superblock life ended EMPTY, bar one still open: {t:?}");
+    }
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0, "a superblock was lost");
     assert!(a.audit().is_clean());
 }
 

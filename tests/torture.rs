@@ -188,7 +188,7 @@ mod failpoint_scenarios {
     const YIELD_SITES: &[&str] = &["active.reserve", "stack.pop", "desc.alloc"];
     const RETRY_SITES: &[&str] = &["active.pop", "free.link", "partial.get"];
     const KILL_SITES: &[&str] =
-        &["active.reserved", "active.update", "partial.put", "desc.retire", "free.empty"];
+        &["active.reserved", "active.update", "partial.put", "desc.retire", "free.empty", "sb.reopen"];
 
     fn arm_combined_scenario() {
         // Yields and bounded delays: pure schedule perturbation.
@@ -208,6 +208,9 @@ mod failpoint_scenarios {
         fp::arm_limited("partial.put", FpAction::Kill, FpTrigger::EveryNth(3), 3);
         fp::arm_limited("desc.retire", FpAction::Kill, FpTrigger::EveryNth(2), 3);
         fp::arm_limited("free.empty", FpAction::Kill, FpTrigger::EveryNth(3), 2);
+        // Dies holding an EMPTY superblock and its descriptor, taken out
+        // of a heap slot to be reopened: the pair leaks, nobody waits.
+        fp::arm_limited("sb.reopen", FpAction::Kill, FpTrigger::EveryNth(2), 3);
     }
 
     #[test]
