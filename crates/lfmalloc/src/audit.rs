@@ -58,14 +58,14 @@
 //!   carries a header whose size is the slot's page count and whose
 //!   alignment its base honours, is within the per-span bound, is no
 //!   hardened span, and sits in one slot only; the slots together stay
-//!   within the retained-bytes bound and within what is reserved.
+//!   within the retained-bytes bound and within what is mapped.
 //! * OS-level accounting reconciles:
 //!   `live_bytes == superblock hyperblocks + descriptor slabs + live
-//!   large-block bytes + cached large-span bytes`. A thread killed
-//!   holding a large span (between taking it from the cache or the OS
-//!   and handing it out, or between freeing it and parking it) leaves
-//!   the source ahead by that one span; [`ByteReconciliation::stranded`]
-//!   is the gap.
+//!   large-block bytes + cached large-span bytes`, live being what is
+//!   mapped minus what the slots hold. A thread killed holding a large
+//!   span is no gap: its span reads as one live block nobody will free,
+//!   like a small block in a dead thread's hands;
+//!   [`ByteReconciliation::stranded`] is what the source holds beyond.
 //!
 //! # Concurrency
 //!
@@ -199,8 +199,8 @@ impl ByteReconciliation {
             + self.large_cached_bytes
     }
 
-    /// Bytes the source counts live that no component accounts for: what
-    /// threads killed holding a large span left behind (0 otherwise).
+    /// Bytes the source holds beyond the books: only a kill between the
+    /// mapped count and the `alloc_pages`/`dealloc_pages` beside it opens it.
     pub fn stranded(&self) -> usize {
         self.source_live_bytes.saturating_sub(self.expected())
     }
@@ -218,10 +218,21 @@ impl<S: PageSource> Inner<S> {
         ByteReconciliation {
             superblock_bytes: self.sb_pool.mapped_bytes(),
             descriptor_slab_bytes: self.desc_pool.mapped_bytes(),
-            large_bytes: self.large_bytes.load(Ordering::Relaxed),
+            large_bytes: self.large_live().1,
             large_cached_bytes: self.large_cache.cached_bytes(),
             source_live_bytes: self.source.stats().live_bytes,
         }
+    }
+
+    /// Live large blocks as `(blocks, OS bytes)`, for every report. No
+    /// operation counts them: a span is live when it is mapped and in no
+    /// slot — in the application's hands or a `malloc`'s or `free`'s.
+    pub(crate) fn large_live(&self) -> (usize, usize) {
+        let cache = &self.large_cache;
+        (
+            self.large_mapped_spans.load(Ordering::Relaxed).saturating_sub(cache.cached_spans()),
+            self.large_mapped_bytes.load(Ordering::Relaxed).saturating_sub(cache.cached_bytes()),
+        )
     }
 }
 
@@ -500,7 +511,7 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
             ),
         });
     }
-    rep.large_live = inner.large_live.load(Ordering::Relaxed);
+    rep.large_live = inner.large_live().0;
     if (rep.large_live == 0) != (large_bytes == 0) {
         rep.violations.push(AuditViolation {
             check: "large.reconcile",
@@ -522,13 +533,12 @@ fn sb_in_pool(sb_regions: &[(*mut u8, usize)], sb: usize) -> bool {
 
 fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
     use crate::large::{header_fields, MAX_CACHED_BYTES, MAX_CACHED_SPAN};
-    let cache = &inner.large_cache;
     let mut flag = |detail: String| {
         rep.violations.push(AuditViolation { check: "large.cache", detail })
     };
     let mut seen: HashSet<usize> = HashSet::new();
     let (mut spans, mut cached) = (0, 0);
-    for (base, bytes) in cache.spans() {
+    for (base, bytes) in inner.large_cache.spans() {
         spans += 1;
         cached += bytes;
         if base == 0 || bytes == 0 || bytes > MAX_CACHED_SPAN {
@@ -548,11 +558,10 @@ fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
             flag(format!("span {base:#x} of {bytes} bytes carries header {header:#x}"));
         }
     }
-    if cached > MAX_CACHED_BYTES || cached > cache.reserved_bytes() {
-        flag(format!(
-            "{cached} bytes parked, {} reserved, bound {MAX_CACHED_BYTES}",
-            cache.reserved_bytes()
-        ));
+    let mapped_spans = inner.large_mapped_spans.load(Ordering::Relaxed);
+    let mapped = inner.large_mapped_bytes.load(Ordering::Relaxed);
+    if cached > MAX_CACHED_BYTES || cached > mapped || spans > mapped_spans {
+        flag(format!("{spans} spans of {cached} bytes parked, {mapped_spans} of {mapped} mapped"));
     }
     rep.large_cached_spans = spans;
 }

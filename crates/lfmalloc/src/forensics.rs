@@ -1162,9 +1162,9 @@ fn emit_leak_report<S: PageSource>(inner: &Inner<S>, fd: i32) {
 
     b.clear();
     b.push_str("large blocks live: ");
-    b.push_dec(inner.large_live.load(Ordering::Relaxed) as u64);
+    b.push_dec(inner.large_live().0 as u64);
     b.push_str(" (");
-    b.push_dec(inner.large_bytes.load(Ordering::Relaxed) as u64);
+    b.push_dec(rec.large_bytes as u64);
     b.push_str(" B)");
     w.line(&b);
 

@@ -196,10 +196,6 @@ fn recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
     // is the only surviving owner.)
     crate::magazine::reattach_after_fork(inner);
     let drained = crate::magazine::drain_dead(inner);
-    // The span cache crossed the fork as it was and stays usable. A
-    // thread that was between reserving room in it and parking its span
-    // does not exist here; give its reservation back.
-    inner.large_cache.resync();
     // The reaper thread (if any) died in the fork. On the hooked path
     // the child hook already cleared it; this covers lazy recovery.
     if let Some(cfg) = crate::maintain::reaper_reconcile(inner) {

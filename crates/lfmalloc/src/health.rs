@@ -548,7 +548,7 @@ impl<S: PageSource> LfMalloc<S> {
             parked_empty: parked_slots + parked_listed,
             quarantine_depth: inner.quarantine_depth(),
             magazine_slots: crate::magazine::owned_slots(inner),
-            large_cached_spans: inner.large_cache.spans().count(),
+            large_cached_spans: inner.large_cache.cached_spans(),
             large_cached_bytes: inner.large_cache.cached_bytes(),
             os_live_bytes: inner.source.stats().live_bytes,
             os_watermark: if watermark == usize::MAX { None } else { Some(watermark) },

@@ -39,7 +39,6 @@
 //! reserved credits that count as used. The analyzer treats them as
 //! diagnostics, not ground truth.
 
-use core::sync::atomic::Ordering;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -257,13 +256,13 @@ pub(crate) fn render_dump<S: PageSource>(
 
     b.clear();
     b.push_str("\"large\":{\"live\":");
-    b.push_dec(inner.large_live.load(Ordering::Relaxed) as u64);
+    b.push_dec(inner.large_live().0 as u64);
     b.push_str(",\"bytes\":");
-    b.push_dec(inner.large_bytes.load(Ordering::Relaxed) as u64);
+    b.push_dec(rec.large_bytes as u64);
     b.push_str(",\"cached_spans\":");
-    b.push_dec(inner.large_cache.spans().count() as u64);
+    b.push_dec(inner.large_cache.cached_spans() as u64);
     b.push_str(",\"cached_bytes\":");
-    b.push_dec(inner.large_cache.cached_bytes() as u64);
+    b.push_dec(rec.large_cached_bytes as u64);
     b.push_str(",\"spans\":[");
     wline(w, &b)?;
     let mut first = true;

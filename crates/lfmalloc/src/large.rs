@@ -3,7 +3,8 @@
 //! malloc looks in first ([`SpanCache`], DESIGN.md §16). The paper frees
 //! them straight to the OS (Figure 6 lines 4–5); that is still what
 //! happens to a span the cache has no room for, to every span above
-//! [`MAX_CACHED_SPAN`], and to every hardened block.
+//! [`MAX_CACHED_SPAN`], and to every hardened block. A hit is a take CAS
+//! and a park CAS; live is derived, not counted ([`Inner::large_live`]).
 //!
 //! Layout of a large allocation:
 //!
@@ -98,42 +99,30 @@ const _: () = assert!(SLOT_PAGES_MASK < SLOT_IDLE && SLOT_IDLE < PAGE_SIZE);
 /// needed. A taker's CAS can only succeed on a word that is in the slot
 /// now, and an equal word that was taken and parked again in between
 /// names a span its last holder gave up just as legitimately.
+/// The eight words are the cache's only state, and one cache line.
+#[derive(Default)]
+#[repr(align(64))]
 pub(crate) struct SpanCache {
     slots: [AtomicUsize; CACHE_SLOTS],
-    /// Bytes parked plus bytes a `free` has reserved and is about to
-    /// park. Reserving before the slot CAS is what keeps the parked
-    /// total within [`MAX_CACHED_BYTES`] at every instant. A thread
-    /// killed between the two halves leaves its reservation behind;
-    /// [`resync`](Self::resync) recovers it.
-    reserved: AtomicUsize,
 }
 
-impl SpanCache {
-    pub(crate) const fn new() -> Self {
-        SpanCache {
-            slots: [const { AtomicUsize::new(0) }; CACHE_SLOTS],
-            reserved: AtomicUsize::new(0),
-        }
-    }
+const _: () = assert!(core::mem::size_of::<SpanCache>() == 64);
 
+impl SpanCache {
     fn decode(word: usize) -> (usize, usize) {
         (word & !(PAGE_SIZE - 1), (word & SLOT_PAGES_MASK) * PAGE_SIZE)
     }
 
     /// Claims the span in slot `i` if it is occupied and `wanted(base,
-    /// bytes, idle)` says so. The caller owns the span from then on and
-    /// still has to give its bytes back to `reserved`.
+    /// bytes, idle)` says so; its base. The caller owns the span from
+    /// then on.
     ///
-    /// The CAS is `Acquire` and pairs with the `Release` CAS in
-    /// [`park`]: what the parking thread did to the span (the header it
+    /// The CAS is `Acquire` and pairs with the park CAS in [`park`]:
+    /// what the parking thread did to the span (the header it
     /// read, the user's last writes) happens before anything the taker
     /// does to it. A maintenance pass's `Relaxed` idle-bit CAS in between
     /// is a read-modify-write and so continues that release sequence.
-    fn claim(
-        &self,
-        i: usize,
-        wanted: impl Fn(usize, usize, bool) -> bool,
-    ) -> Option<(usize, usize)> {
+    fn claim(&self, i: usize, wanted: impl Fn(usize, usize, bool) -> bool) -> Option<usize> {
         let word = self.slots[i].load(Ordering::Relaxed);
         let (base, bytes) = Self::decode(word);
         if word == 0 || !wanted(base, bytes, word & SLOT_IDLE != 0) {
@@ -144,7 +133,22 @@ impl SpanCache {
         self.slots[i]
             .compare_exchange(word, 0, Ordering::Acquire, Ordering::Relaxed)
             .ok()
-            .map(|_| (base, bytes))
+            .map(|_| base)
+    }
+
+    /// One pass for [`park`], last word to first: bytes parked, and the
+    /// lowest empty slot (`CACHE_SLOTS`: none). `SeqCst`: see there.
+    #[inline]
+    fn scan(&self) -> (usize, usize) {
+        let (mut parked, mut empty) = (0, CACHE_SLOTS);
+        for (i, slot) in self.slots.iter().enumerate().rev() {
+            let word = slot.load(Ordering::SeqCst);
+            parked += Self::decode(word).1;
+            if word == 0 {
+                empty = i;
+            }
+        }
+        (parked, empty)
     }
 
     /// Occupied slots as `(base, bytes)` (audit and reports; racy unless
@@ -157,52 +161,46 @@ impl SpanCache {
             .map(Self::decode)
     }
 
+    /// Spans parked right now.
+    pub(crate) fn cached_spans(&self) -> usize {
+        self.spans().count()
+    }
+
     /// Bytes parked right now.
     pub(crate) fn cached_bytes(&self) -> usize {
         self.spans().map(|(_, bytes)| bytes).sum()
-    }
-
-    /// Bytes parked or reserved for parking (never below
-    /// [`cached_bytes`](Self::cached_bytes) on a quiescent instance).
-    pub(crate) fn reserved_bytes(&self) -> usize {
-        self.reserved.load(Ordering::Relaxed)
-    }
-
-    /// Sets the reservation to what is parked, dropping whatever killed
-    /// threads left reserved. Only for a caller that knows no `malloc` or
-    /// `free` is running: `trim` and fork recovery.
-    pub(crate) fn resync(&self) {
-        self.reserved.store(self.cached_bytes(), Ordering::Relaxed);
     }
 }
 
 /// Parks a freed span in the cache. False when the span has to go back
 /// to the source instead: too big, no free slot, or it would take the
 /// retained bytes over the bound.
+/// The bound is on what *stays*: parkers that raced may each have seen
+/// room for one span, so each looks again after its CAS and, over the
+/// bound, takes its own span back out. CAS and scan are `SeqCst` so that
+/// the later of two racing parkers sees both spans; to the taker's
+/// `Acquire` the CAS is a `Release` (DESIGN.md §16.1–16.2).
 fn park<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
     let cache = &inner.large_cache;
-    if total > MAX_CACHED_SPAN {
-        return false;
-    }
-    if cache.reserved.fetch_add(total, Ordering::Relaxed) + total > MAX_CACHED_BYTES {
-        cache.reserved.fetch_sub(total, Ordering::Relaxed);
+    let (parked, first) = cache.scan();
+    if total > MAX_CACHED_SPAN || first == CACHE_SLOTS || parked + total > MAX_CACHED_BYTES {
         return false;
     }
     if malloc_api::fail_point!("large.cache_put").kill {
-        // Killed holding the span: it is neither live, parked nor
-        // unmapped, and its reservation stays behind with it.
+        // Killed holding the span: mapped, in no slot — one live block.
         return true;
     }
     let word = base | (total / PAGE_SIZE);
-    for slot in &cache.slots {
-        if slot.load(Ordering::Relaxed) == 0
-            && slot.compare_exchange(0, word, Ordering::Release, Ordering::Relaxed).is_ok()
-        {
-            return true;
-        }
-    }
-    cache.reserved.fetch_sub(total, Ordering::Relaxed);
-    false
+    let Some(i) = (first..CACHE_SLOTS).find(|&i| {
+        let slot = &cache.slots[i];
+        slot.load(Ordering::Relaxed) == 0
+            && slot.compare_exchange(0, word, Ordering::SeqCst, Ordering::Relaxed).is_ok()
+    }) else {
+        return false;
+    };
+    // Matched on base, so an ageing mark does not hide the word. A lost
+    // claim means a taker has the span: parked, as far as we can tell.
+    cache.scan().0 <= MAX_CACHED_BYTES || cache.claim(i, |b, _, _| b == base).is_none()
 }
 
 /// Returns a span nobody holds a pointer into to the source, with the
@@ -210,6 +208,8 @@ fn park<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
 unsafe fn unmap<S: PageSource>(inner: &Inner<S>, base: usize) -> usize {
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, _, _) = header_fields(header);
+    inner.large_mapped_spans.fetch_sub(1, Ordering::Relaxed);
+    inner.large_mapped_bytes.fetch_sub(total, Ordering::Relaxed);
     unsafe { inner.source.dealloc_pages(base as *mut u8, total, header_align(header)) };
     total
 }
@@ -222,8 +222,7 @@ unsafe fn release_cached<S: PageSource>(inner: &Inner<S>, only_idle: bool) -> (u
     let cache = &inner.large_cache;
     let (mut spans, mut released) = (0, 0);
     for i in 0..CACHE_SLOTS {
-        if let Some((base, bytes)) = cache.claim(i, |_, _, idle| idle || !only_idle) {
-            cache.reserved.fetch_sub(bytes, Ordering::Relaxed);
+        if let Some(base) = cache.claim(i, |_, _, idle| idle || !only_idle) {
             released += unsafe { unmap(inner, base) };
             spans += 1;
         }
@@ -260,6 +259,9 @@ pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usiz
 /// Allocates a large block of `size` bytes at `align`. The flag is true
 /// when the span came fresh from the source, false when it was recycled
 /// out of the cache with a previous user's bytes still in it.
+/// Out of line, like [`free_large`]: inlined, the large path moves the
+/// small path's hot code in `allocate`/`deallocate` (DESIGN.md §16.6).
+#[inline(never)]
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
     size: usize,
@@ -291,32 +293,50 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     // Hardened blocks never come out of the cache (and never go in): the
     // guard pages, the registry entry and the unmap on free are how that
     // mode catches a use after free.
-    if !hardened && total <= MAX_CACHED_SPAN {
-        // First fit: big enough, at most a quarter wasted, aligned.
-        let fits = |base: usize, bytes: usize, _| {
-            bytes >= total && bytes - total <= total / 4 && base % os_align == 0
-        };
-        let cache = &inner.large_cache;
-        if let Some((base, bytes)) = (0..CACHE_SLOTS).find_map(|i| cache.claim(i, fits)) {
+    // First fit: big enough, at most a quarter wasted, aligned.
+    let fits = |base: usize, bytes: usize, _| {
+        bytes >= total && bytes - total <= total / 4 && base & (os_align - 1) == 0
+    };
+    let cached = (!hardened && total <= MAX_CACHED_SPAN)
+        .then(|| (0..CACHE_SLOTS).find_map(|i| inner.large_cache.claim(i, fits)))
+        .flatten();
+    let base = match cached {
+        Some(base) => {
             if malloc_api::fail_point!("large.cache_take").kill {
-                // Killed holding the span, its reservation with it.
+                // Killed holding the span, like `park`'s kill.
                 return FAILED;
             }
-            cache.reserved.fetch_sub(bytes, Ordering::Relaxed);
             crate::stat_global!(inner, large_cache_hit);
-            return (unsafe { hand_out(inner, base, bytes, user_off, t0) }, false);
+            base
         }
+        None => unsafe { map_span(inner, total, os_align) },
+    };
+    if base == 0 {
+        return FAILED;
     }
+    let user = (base + user_off) as *mut u8;
+    unsafe {
+        (*(user.sub(PREFIX_SIZE) as *const AtomicUsize))
+            .store((user_off << 1) | LARGE_FLAG, Ordering::Relaxed);
+    }
+    crate::stat_global!(inner, large_alloc);
+    crate::stat_lat!(inner, lat_malloc_large, t0);
+    (user, cached.is_none())
+}
+
+/// The miss path: maps a span of `total` bytes, writes its header and
+/// counts it mapped. Returns the base, or 0 when the source has nothing.
+unsafe fn map_span<S: PageSource>(inner: &Inner<S>, total: usize, os_align: usize) -> usize {
     let base =
         crate::retry::from_source(inner, || unsafe { inner.source.alloc_pages(total, os_align) });
     if base.is_null() {
         crate::stat_event!(inner, OomBackoff, 0, total);
-        return FAILED;
+        return 0;
     }
     crate::stat_global!(inner, large_cache_miss);
     debug_assert_eq!(total & ALIGN_EXP_MASK, 0);
     let mut header = total | os_align.trailing_zeros() as usize;
-    if hardened {
+    if inner.config.hardening != Hardening::Off {
         header |= GUARDED_FLAG;
         unsafe {
             core::ptr::write_bytes(
@@ -337,34 +357,14 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
                 }
                 inner.source.dealloc_pages(base, total, os_align);
             }
-            return FAILED;
+            return 0;
         }
     }
-    unsafe {
-        (*(base as *const AtomicUsize)).store(header, Ordering::Relaxed);
-        (hand_out(inner, base as usize, total, user_off, t0), true)
-    }
-}
-
-/// Last step of a large malloc, fresh or recycled: writes the prefix
-/// word for this request's `user_off` and counts the span live.
-unsafe fn hand_out<S: PageSource>(
-    inner: &Inner<S>,
-    base: usize,
-    total: usize,
-    user_off: usize,
-    t0: u64,
-) -> *mut u8 {
-    let user = (base + user_off) as *mut u8;
-    unsafe {
-        (*(user.sub(PREFIX_SIZE) as *const AtomicUsize))
-            .store((user_off << 1) | LARGE_FLAG, Ordering::Relaxed);
-    }
-    inner.large_live.fetch_add(1, Ordering::Relaxed);
-    inner.large_bytes.fetch_add(total, Ordering::Relaxed);
-    crate::stat_global!(inner, large_alloc);
-    crate::stat_lat!(inner, lat_malloc_large, t0);
-    user
+    // The span can circulate: counted mapped from here until `unmap`.
+    inner.large_mapped_spans.fetch_add(1, Ordering::Relaxed);
+    inner.large_mapped_bytes.fetch_add(total, Ordering::Relaxed);
+    unsafe { (*(base as *const AtomicUsize)).store(header, Ordering::Relaxed) };
+    base as usize
 }
 
 /// Usable bytes of a large block given its user pointer and prefix
@@ -383,6 +383,7 @@ pub(crate) unsafe fn usable_size_large(ptr: *mut u8, prefix: usize) -> usize {
 /// (the trusting non-hardened path; hardened frees route through
 /// [`crate::harden`], which validates and then calls
 /// [`release_large`]).
+#[inline(never)]
 pub(crate) unsafe fn free_large<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, prefix: usize) {
     debug_assert_eq!(prefix & LARGE_FLAG, LARGE_FLAG);
     let user_off = prefix >> 1;
@@ -390,15 +391,12 @@ pub(crate) unsafe fn free_large<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, p
     unsafe { release_large(inner, base as usize) };
 }
 
-/// Takes a freed large block out of the live accounting, given its
-/// validated base address, and parks its span in the cache or, failing
-/// that, returns it to the source.
+/// Parks a freed large block's span in the cache, given its validated
+/// base address, or, failing that, returns it to the source.
 pub(crate) unsafe fn release_large<S: PageSource>(inner: &Inner<S>, base: usize) {
     let t0 = crate::lat_start!();
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, guarded, _) = header_fields(header);
-    inner.large_live.fetch_sub(1, Ordering::Relaxed);
-    inner.large_bytes.fetch_sub(total, Ordering::Relaxed);
     crate::stat_global!(inner, large_free);
     if guarded || !park(inner, base, total) {
         crate::stat_global!(inner, large_cache_bypass);
@@ -525,7 +523,6 @@ mod tests {
             let released = a.trim();
             assert!(released >= CACHE_SLOTS * span(16 << 10), "trim counts the drained spans");
             assert_eq!(a.os_stats().live_bytes, 0);
-            assert_eq!(a.inner().large_cache.reserved_bytes(), 0);
         }
     }
 
@@ -550,21 +547,102 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_hit_pair_moves_the_span_and_no_counter() {
+        let a = instance();
+        let books = || {
+            let i = a.inner();
+            let mapped = (
+                i.large_mapped_spans.load(Ordering::Relaxed),
+                i.large_mapped_bytes.load(Ordering::Relaxed),
+            );
+            (mapped, i.large_live().0, a.health().large_cached_spans)
+        };
+        let mapped = (1, span(64 << 10));
+        unsafe {
+            let mut p = a.malloc(64 << 10);
+            for _ in 0..10_000 {
+                assert_eq!(books(), (mapped, 1, 0));
+                a.free(p);
+                assert_eq!(books(), (mapped, 0, 1));
+                p = a.malloc(64 << 10);
+            }
+            a.free(p);
+        }
+        let os = a.os_stats();
+        assert_eq!((os.os_allocs, os.os_frees), (1, 0));
+    }
+
+    /// The second look, one step at a time: A scans an empty cache and is
+    /// frozen before its CAS; B and C park 3 MiB; A's CAS lands on
+    /// 4.5 MiB, and A takes its span back out and unmaps it.
     #[cfg(feature = "failpoints")]
     #[test]
-    fn trim_takes_back_the_room_a_killed_free_had_reserved() {
+    fn a_park_that_lands_over_the_bound_takes_its_span_back() {
         use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
-        let _guard = fp::scenario(0x2E5E);
+        let _guard = fp::scenario(0x0B0D);
         let a = instance();
-        unsafe {
-            let p = a.malloc(1 << 20);
-            fp::arm_limited("large.cache_put", FpAction::Kill, FpTrigger::Always, 1);
-            a.free(p); // dies between reserving and parking
-            assert_eq!(a.health().large_cached_spans, 0);
-            assert_eq!(a.inner().large_cache.reserved_bytes(), span(1 << 20));
-            a.trim();
-            assert_eq!(a.inner().large_cache.reserved_bytes(), 0);
-        }
+        let [pa, pb, pc] = [(); 3].map(|_| unsafe { a.malloc(3 << 19) } as usize);
+        fp::arm_limited("large.cache_put", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| {
+            let frozen = s.spawn(|| unsafe { a.free(pa as *mut u8) });
+            while fp::fired("large.cache_put") == 0 {
+                std::thread::yield_now();
+            }
+            unsafe {
+                a.free(pb as *mut u8);
+                a.free(pc as *mut u8);
+            }
+            assert_eq!(a.health().large_cached_spans, 2, "A has not parked yet");
+            fp::disarm("large.cache_put");
+            frozen.join().unwrap();
+        });
+        let h = a.health();
+        assert_eq!((h.large_cached_spans, h.large_cached_bytes), (2, 2 * span(3 << 19)));
+        assert_eq!(a.os_stats().live_bytes, 2 * span(3 << 19), "A's span went to the source");
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(rep.large_live, 0);
+    }
+
+    /// Four parkers that can each see room for one more span: whatever
+    /// the interleaving, what stays is within the bound and in the books.
+    #[test]
+    fn racing_parks_leave_at_most_the_bound() {
+        use std::sync::Barrier;
+        const SIZE: usize = 3 << 19;
+        let a = instance();
+        let (gate, round) = (Barrier::new(4), Barrier::new(5));
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (a, gate, round) = (&a, &gate, &round);
+                s.spawn(move || {
+                    for r in 0..200 {
+                        unsafe {
+                            let p = a.malloc(SIZE) as *mut usize;
+                            assert!(!p.is_null());
+                            let (last, tag) = (p.add(SIZE / 8 - 1), t << 16 | r);
+                            p.write(tag);
+                            last.write(!tag);
+                            gate.wait();
+                            assert_eq!((p.read(), last.read()), (tag, !tag), "span shared");
+                            a.free(p as *mut u8);
+                        }
+                        round.wait();
+                        round.wait();
+                    }
+                });
+            }
+            for _ in 0..200 {
+                round.wait();
+                let rep = a.audit();
+                assert!(rep.is_clean(), "{rep}");
+                assert!(rep.bytes.large_cached_bytes <= MAX_CACHED_BYTES, "{rep}");
+                assert_eq!(rep.large_live, 0);
+                assert_eq!(a.os_stats().live_bytes, rep.bytes.large_cached_bytes);
+                round.wait();
+            }
+        });
     }
 
     #[test]

@@ -767,7 +767,7 @@ pub(crate) fn record_frag_sample<S: PageSource>(inner: &Inner<S>) {
         committed += c;
         live += (mallocs.saturating_sub(frees) * CLASS_SIZES[ci] as u64).min(c);
     }
-    let large = inner.large_bytes.load(core::sync::atomic::Ordering::Relaxed) as u64;
+    let large = inner.large_live().1 as u64;
     inner.stats.frag_series.record(FragSample {
         nanos: now_nanos(),
         small_committed_bytes: committed,
@@ -943,16 +943,14 @@ impl<S: PageSource> LfMalloc<S> {
             maintain: inner.stats.lat_maintain.snapshot(),
             trim: inner.stats.lat_trim.snapshot(),
         };
-        let fragmentation = FragmentationStats::compute(
-            &classes,
-            inner.large_bytes.load(core::sync::atomic::Ordering::Relaxed) as u64,
-        );
+        let (large_live, large_live_bytes) = inner.large_live();
+        let fragmentation = FragmentationStats::compute(&classes, large_live_bytes as u64);
         StatsSnapshot {
             classes,
             totals,
             large_alloc: inner.stats.large_alloc.get(),
             large_free: inner.stats.large_free.get(),
-            large_live: inner.large_live.load(core::sync::atomic::Ordering::Relaxed) as u64,
+            large_live: large_live as u64,
             large_cache_hit: inner.stats.large_cache_hit.get(),
             large_cache_miss: inner.stats.large_cache_miss.get(),
             large_cache_bypass: inner.stats.large_cache_bypass.get(),
