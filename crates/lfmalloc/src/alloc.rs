@@ -13,22 +13,23 @@
 //! arm (3) maps a hyperblock or reports OOM it prunes the EMPTY pairs
 //! parked under other classes onto that stack.
 //!
-//! All functions here return **block start addresses**; the caller
-//! ([`malloc_small`]) writes the descriptor prefix and applies the user
-//! offset. This is the one structural generalization over the paper
-//! (which hardcodes `addr + EIGHTBYTES`) and exists to support Rust
-//! `Layout` alignments above 8 — at offset 8 the code is byte-for-byte
-//! the paper's.
+//! Second departure (DESIGN.md §19): a block is handed out as it is,
+//! from its first byte — no prefix is written (Figure 4's line 21,
+//! `*addr = desc; return addr+EIGHTBYTES`, is gone). What `free` needs is
+//! in the frame map, written once per superblock by [`open_sb`] and
+//! kept current by `MallocFromPartial`'s line 3. An over-aligned request
+//! is an ordinary block of a class whose size the alignment divides.
 
 use crate::active::Active;
 use crate::anchor::{SbState, MAX_BLOCKS};
-use crate::config::{PREFIX_SIZE, SB_SIZE};
-use crate::descriptor::Descriptor;
+use crate::config::SB_SIZE;
+use crate::descriptor::{Descriptor, BITMAP_WORDS};
+use crate::framemap::Entry;
 use crate::health::{watch, WatchSite};
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
 use crate::maintain::{prune_empty, MaintenanceBudget};
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
 /// Outcome of an arm that opens a superblock: `MallocFromNewSB`, or
@@ -44,17 +45,10 @@ enum NewSb {
 
 /// Small-block malloc: the `while(1)` ladder of Figure 4's `malloc`.
 ///
-/// `off` is the user-data offset inside the block (`>= PREFIX_SIZE`);
-/// the descriptor prefix lands at `block + off - 8`.
-///
 /// # Safety
 ///
-/// `ci` must be a valid class index and `off + 1 <= CLASS_SIZES[ci]`.
-pub(crate) unsafe fn malloc_small<S: PageSource>(
-    inner: &Inner<S>,
-    ci: usize,
-    off: usize,
-) -> *mut u8 {
+/// `ci` must be a valid class index.
+pub(crate) unsafe fn malloc_small<S: PageSource>(inner: &Inner<S>, ci: usize) -> *mut u8 {
     // Intentionally planted bug, reachable only when the
     // `alloc.double_handout` failpoint is armed: hand out the previous
     // allocation of the same size class a second time — the observable
@@ -89,7 +83,7 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(
             crate::stat!(inner, heap, malloc_fast);
             crate::stat_lat!(inner, lat_malloc_fast, t0);
             unsafe { note_alloc(inner, block, desc) };
-            return stash(unsafe { finish_block(block, desc, off) });
+            return stash(block as *mut u8);
         }
         let slow = match unsafe { malloc_from_partial(inner, heap) } {
             Some(outcome) => outcome,
@@ -99,7 +93,7 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(
             NewSb::Done(Some((block, desc))) => {
                 crate::stat_lat!(inner, lat_malloc_slow, t0);
                 unsafe { note_alloc(inner, block, desc) };
-                return stash(unsafe { finish_block(block, desc, off) });
+                return stash(block as *mut u8);
             }
             NewSb::Done(None) => return core::ptr::null_mut(),
             NewSb::Lost => continue,
@@ -109,8 +103,8 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(
 
 /// Hardened-mode bookkeeping for a freshly obtained block: set its
 /// allocation bit before the pointer can escape to the application (the
-/// bit is this thread's exclusive property until `finish_block`
-/// returns, so the set cannot race a legitimate free).
+/// bit is this thread's exclusive property until `malloc_small` returns,
+/// so the set cannot race a legitimate free).
 #[inline]
 unsafe fn note_alloc<S: PageSource>(inner: &Inner<S>, block: usize, desc: *const Descriptor) {
     if inner.config.hardening == crate::harden::Hardening::Off {
@@ -150,18 +144,6 @@ pub(crate) unsafe fn abandon_reservation<S: PageSource>(
             Err(observed) => oldactive = observed,
         }
     }
-}
-
-/// Writes the descriptor prefix at `block + off - 8` and returns the
-/// user pointer `block + off` (paper line 21: `*addr = desc; return
-/// addr+EIGHTBYTES`).
-#[inline]
-unsafe fn finish_block(block: usize, desc: *const Descriptor, off: usize) -> *mut u8 {
-    unsafe {
-        (*((block + off - PREFIX_SIZE) as *const AtomicUsize))
-            .store(desc as usize, Ordering::Relaxed);
-    }
-    (block + off) as *mut u8
 }
 
 /// `MallocFromActive` (Figure 4): the common case. Two atomic steps:
@@ -423,7 +405,13 @@ unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) 
         return None;
     }
     let desc = unsafe { &*desc_ptr };
-    desc.set_heap(heap as *const _ as *mut ProcHeap); // line 3
+    if !core::ptr::eq(desc.heap(), heap) {
+        desc.set_heap(heap as *const _ as *mut ProcHeap); // line 3
+        // The frame's entry follows: frees of this superblock's blocks
+        // are local to the adopting heap's threads from here on.
+        let entry = Entry::pack(desc_ptr, heap.class(), inner.column_of(heap));
+        inner.frames.set(desc.sb() as usize, entry);
+    }
 
     // -- Reserve blocks (lines 4-10) -----------------------------------
     let mut reserve_tries: u64 = 0;
@@ -504,6 +492,12 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
         if pruned == 0 {
             // line 2, same retry policy.
             sb = crate::retry::from_source(inner, || inner.sb_pool.alloc(&inner.source));
+            if !sb.is_null() && !inner.frames.cover(sb as usize) {
+                // A frame the map has no word for (DESIGN.md §19.5) is
+                // no memory at all, like a descriptor slab above 2^48.
+                unsafe { inner.sb_pool.dealloc(sb) };
+                sb = core::ptr::null_mut();
+            }
             if sb.is_null() {
                 pruned = prune_empty(inner, u32::MAX);
             }
@@ -542,7 +536,15 @@ unsafe fn open_sb<S: PageSource>(
     let ci = heap.class();
     let sz = inner.classes[ci].sz as usize;
     let sb = desc.sb();
-    let maxcount = (SB_SIZE / sz) as u32;
+    let mut maxcount = (SB_SIZE / sz) as u32;
+    if inner.config.hardening != crate::harden::Hardening::Off {
+        // A recycled descriptor can carry stale allocation bits from
+        // blocks leaked on its previous superblock (kill-injected
+        // frees); this superblock starts with every block free. And it
+        // has no more blocks than the bitmap has bits (DESIGN.md §8.2).
+        desc.reset_alloc_bits();
+        maxcount = maxcount.min(BITMAP_WORDS as u32 * 64);
+    }
     // line 3: organize blocks in a linked list starting with index 0.
     for i in 0..maxcount {
         unsafe {
@@ -551,14 +553,12 @@ unsafe fn open_sb<S: PageSource>(
         }
     }
     desc.set_heap(heap as *const _ as *mut ProcHeap); // line 4
-    desc.set_sz(sz as u32, ci); // line 6
+    desc.set_sz(sz as u32); // line 6
     desc.set_maxcount(maxcount); // line 7
-    if inner.config.hardening != crate::harden::Hardening::Off {
-        // A recycled descriptor can carry stale allocation bits from
-        // blocks leaked on its previous superblock (kill-injected
-        // frees); this superblock starts with every block free.
-        desc.reset_alloc_bits();
-    }
+    // Before the install CAS publishes the first block: the word `free`
+    // will look its blocks up by. A thread killed before this line has
+    // handed out nothing.
+    inner.frames.set(sb as usize, Entry::pack(desc_ptr, ci, inner.column_of(heap)));
     let credits = (maxcount - 1).min(inner.config.max_credits) - 1; // line 9
     let count = (maxcount - 1) - (credits + 1); // line 10
     // lines 5, 10, 11 — preserving the descriptor's tag sequence across

@@ -31,8 +31,14 @@
 //!   the ones attached to a descriptor are all there are
 //!   (`sb.conservation`): an EMPTY superblock is never taken off its
 //!   descriptor outside `trim`, and a kill strands the pair together.
+//! * Every superblock attached to a descriptor that is linked, warm or
+//!   named by a cached block has a frame-map entry naming that
+//!   descriptor, its class and its heap's column; every region on the
+//!   page pool's free stack and every frame of a large span, cached or
+//!   hardened-live, reads empty (`map.entry`).
 //! * A linked descriptor's geometry matches its size class
-//!   (`sz == CLASS_SIZES[ci]`, `maxcount == SB_SIZE / sz`), its
+//!   (`sz == CLASS_SIZES[ci]`, `maxcount == SB_SIZE / sz` — in hardened
+//!   mode at most the allocation bitmap's 1024 bits), its
 //!   superblock pointer lies inside a mapped hyperblock at superblock
 //!   alignment, and its anchor state is legal for its location (an
 //!   installed active descriptor is `ACTIVE`; slot/list members are
@@ -49,7 +55,8 @@
 //!   not walked (whoever reopens the superblock lays a fresh one).
 //! * Every block cached in a thread magazine or parked in a thread's
 //!   outbox ([`crate::magazine`]) lies at a block start of a live,
-//!   non-`EMPTY` superblock of the bin's class, is held exactly once
+//!   non-`EMPTY` superblock of the bin's class (by the frame map: the
+//!   block itself says nothing), is held exactly once
 //!   across both rows of every slot, and is not among the blocks that
 //!   superblock's free list accounts for; each bin's count matches its
 //!   list and stays within its row's capacity. (To the checks above
@@ -78,6 +85,7 @@
 use crate::anchor::SbState;
 use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
+use crate::framemap::Entry;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::NUM_CLASSES;
@@ -452,8 +460,32 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
                 detail: format!("superblock {sb:#x} claimed by {other:#x} and {:#x}", *d as usize),
             });
         }
+        // `map.entry`: the superblock's frame names `d`, its class and
+        // its heap's column. A floating pair may read empty: a thread
+        // killed before `open_sb` wrote the entry had handed out nothing.
+        let (entry, heap) = (inner.frames.get(sb), unsafe { (**d).heap() });
+        let want = unsafe { heap.as_ref() }.map(|h| Entry::pack(*d, h.class(), inner.column_of(h)));
+        let floating = !free_set.contains(&(*d as usize)) && !seen.contains_key(&(*d as usize));
+        if Some(entry) != want && !(entry.is_empty() && floating) {
+            rep.violations.push(AuditViolation {
+                check: "map.entry",
+                detail: format!("superblock {sb:#x} of {:#x} reads {entry:x?}, not {want:x?}", *d as usize),
+            });
+        }
     }
-    let pool_free = unsafe { inner.sb_pool.free_regions() }.len();
+    let pool_free = unsafe { inner.sb_pool.free_regions() };
+    // Off a descriptor, or under a large span, a frame holds no small
+    // block and must say so: `free` tells the two apart by nothing else.
+    let mut spans: Vec<(usize, usize)> = inner.large_cache.spans().collect();
+    inner.large_spans.for_each(|base, bytes| spans.push((base, bytes)));
+    let large = spans.iter().flat_map(|&(base, bytes)| (base..base + bytes).step_by(SB_SIZE));
+    for frame in pool_free.iter().copied().chain(large) {
+        if !inner.frames.get(frame).is_empty() {
+            let detail = format!("frame {frame:#x} holds no superblock, its entry is not empty");
+            rep.violations.push(AuditViolation { check: "map.entry", detail });
+        }
+    }
+    let pool_free = pool_free.len();
     let mapped = inner.sb_pool.mapped_bytes() / SB_SIZE;
     if pool_free + claimed.len() != mapped {
         rep.violations.push(AuditViolation {
@@ -469,7 +501,7 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     }
 
     // -- Thread magazines. ----------------------------------------------
-    check_magazines(inner, &all_set, &free_set, &sb_regions, &mut rep);
+    check_magazines(inner, &free_set, &mut rep);
 
     // -- Descriptor conservation. ---------------------------------------
     // Every slot carved is on a free stack, linked, or floating (in use
@@ -598,9 +630,7 @@ fn row_name(out: bool) -> &'static str {
 
 fn check_magazines<S: PageSource>(
     inner: &Inner<S>,
-    all_set: &HashSet<usize>,
     free_set: &HashSet<usize>,
-    sb_regions: &[(*mut u8, usize)],
     rep: &mut AuditReport,
 ) {
     let (cached, miscounted) = crate::magazine::snapshot(inner);
@@ -626,11 +656,9 @@ fn check_magazines<S: PageSource>(
         let mut flag = |check: &'static str, detail: String| {
             rep.violations.push(AuditViolation { check, detail: format!("{place}: {detail}") })
         };
-        let prefix_addr = b.user.wrapping_sub(crate::config::PREFIX_SIZE);
-        let mapped = sb_regions
-            .iter()
-            .any(|&(base, bytes)| prefix_addr >= base as usize && b.user < base as usize + bytes);
-        if !mapped || b.user % 16 != crate::config::PREFIX_SIZE {
+        // Descriptor, class and block start all come from the frame map.
+        let entry = inner.frames.get(b.user);
+        if entry.is_empty() {
             flag("mag.block-foreign", format!("{:#x} is no block of this instance", b.user));
             continue; // do not dereference
         }
@@ -638,26 +666,26 @@ fn check_magazines<S: PageSource>(
             flag("mag.block-twice", format!("{:#x} is cached twice", b.user));
             continue;
         }
-        let d = unsafe { *(prefix_addr as *const usize) };
-        if !all_set.contains(&d) || free_set.contains(&d) {
+        let d = entry.desc() as usize;
+        if free_set.contains(&d) {
             flag("mag.desc-dead", format!("{:#x} names {d:#x}, no live descriptor", b.user));
             continue;
         }
-        let desc = unsafe { &*(d as *const Descriptor) };
+        let desc = unsafe { &*entry.desc() };
         let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
-        if desc.class() != b.class || sz != inner.classes[b.class].sz as usize {
-            flag("mag.class", format!("{:#x} is a {sz}-byte block of class {}", b.user, desc.class()));
+        if entry.class() != b.class || sz != inner.classes[b.class].sz as usize {
+            flag("mag.class", format!("{:#x} is a {sz}-byte block of class {}", b.user, entry.class()));
             continue;
         }
         if desc.load_anchor().state() == SbState::Empty {
             flag("mag.desc-empty", format!("{:#x} names EMPTY descriptor {d:#x}", b.user));
             continue;
         }
-        if prefix_addr < sb || prefix_addr >= sb + SB_SIZE || (prefix_addr - sb) % sz != 0 {
+        if sb != b.user & !(SB_SIZE - 1) || (b.user - sb) % sz != 0 {
             flag("mag.block-range", format!("{:#x} is no block start of superblock {sb:#x}", b.user));
             continue;
         }
-        let idx = ((prefix_addr - sb) / sz) as u64;
+        let idx = ((b.user - sb) / sz) as u64;
         if free_lists.entry(d).or_insert_with(|| accounted_free_blocks(desc)).contains(&idx) {
             flag("mag.block-free", format!("{:#x} is also on its superblock's free list", b.user));
         }
@@ -682,7 +710,10 @@ fn check_linked_desc<S: PageSource>(
         });
         return;
     }
-    if sz == 0 || maxc as usize != SB_SIZE / sz as usize {
+    // A hardened superblock has no more blocks than allocation bits.
+    let hardened = inner.config.hardening != crate::harden::Hardening::Off;
+    let cap = if hardened { crate::descriptor::BITMAP_WORDS * 64 } else { SB_SIZE };
+    if sz == 0 || maxc as usize != (SB_SIZE / sz as usize).min(cap) {
         rep.violations.push(AuditViolation {
             check: "desc.geometry",
             detail: format!("{}: desc {a:#x} sz {sz}, maxcount {maxc}", l.place),
@@ -786,7 +817,6 @@ fn check_linked_desc<S: PageSource>(
     // onto the list (abandoned reservations), so the walk stops after
     // `expected` — a longer list is legal, a shorter or cyclic one is
     // corruption.
-    let hardened = inner.config.hardening != crate::harden::Hardening::Off;
     let mut visited: HashSet<u64> = HashSet::new();
     let mut idx = anchor.avail() as u64;
     for step in 0..expected {

@@ -25,8 +25,10 @@ pub const DESC_ALIGN_SHIFT: u32 = 6;
 /// `credits` ranges over 0..=63, encoding 1..=64 available reservations.
 pub const MAX_CREDITS: u32 = 1 << DESC_ALIGN_SHIFT;
 
-/// Per-block prefix holding the descriptor pointer (or the large-block
-/// marker). "Each block includes an 8 byte prefix (overhead)."
+/// The word in front of a *large* block holding its marker (offset into
+/// the span, large-block bit set). Small blocks have no prefix: the
+/// paper's "each block includes an 8 byte prefix (overhead)" is replaced
+/// by the frame map (DESIGN.md §19).
 pub const PREFIX_SIZE: usize = 8;
 
 /// Default [`Config::oom_retries`]: enough attempts that a brief OS
@@ -47,10 +49,12 @@ pub enum HeapMode {
 }
 
 impl HeapMode {
-    /// Number of heaps this mode uses per size class.
+    /// Number of heaps this mode uses per size class: at least 1, and at
+    /// most 2^16 — a frame-map entry names the owning heap's column in
+    /// 16 bits (DESIGN.md §19.1).
     pub fn heap_count(self) -> usize {
         match self {
-            HeapMode::PerCpu(n) => n.max(1),
+            HeapMode::PerCpu(n) => n.clamp(1, 1 << 16),
             HeapMode::Single => 1,
         }
     }
@@ -306,6 +310,7 @@ mod tests {
         assert_eq!(HeapMode::Single.heap_count(), 1);
         assert_eq!(HeapMode::PerCpu(8).heap_count(), 8);
         assert_eq!(HeapMode::PerCpu(0).heap_count(), 1, "zero heaps is clamped");
+        assert_eq!(HeapMode::PerCpu(usize::MAX).heap_count(), 1 << 16, "a column is 16 bits");
     }
 
     #[test]

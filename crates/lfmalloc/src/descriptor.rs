@@ -80,9 +80,11 @@ const _: () = assert!(DescStack::TAG_BITS >= 21);
 const _: () = assert!(DescStack::TAG_BITS >= TaggedStack::<14>::TAG_BITS);
 const _: () = assert!(core::mem::align_of::<Descriptor>() == 1 << 6);
 
-/// Words in the hardened-mode allocation bitmap: one bit per block,
-/// sized for the smallest class (16-byte blocks, prefix included →
-/// `SB_SIZE / 16` = 1024 blocks per superblock).
+/// Words in the hardened-mode allocation bitmap: one bit per block of a
+/// 16-byte-class superblock (`SB_SIZE / 16` = 1024). A hardened
+/// instance opens no superblock with more blocks than that
+/// (`alloc::open_sb`), so its 8-byte superblocks use their first half
+/// and the descriptor stays 192 bytes (DESIGN.md §8.2).
 pub const BITMAP_WORDS: usize = (1 << SB_SHIFT) / 16 / 64;
 
 /// A superblock descriptor (64-byte aligned so the `Active` word can
@@ -102,16 +104,13 @@ pub struct Descriptor {
     sb: AtomicPtr<u8>,
     /// The processor heap that most recently owned this superblock.
     heap: AtomicPtr<ProcHeap>,
-    /// Block size (total, prefix included).
+    /// Block size.
     sz: AtomicU32,
     /// Blocks per superblock (`sbsize / sz`).
     maxcount: AtomicU32,
     /// `ceil(2^32 / sz)`: [`block_index`](Self::block_index) divides by
     /// `sz` with one multiply. Written with `sz`.
     sz_recip: AtomicU32,
-    /// Size-class index of `sz`. Written with `sz`; lets `free` name the
-    /// class without touching the owning heap's cache line.
-    class: AtomicU32,
     /// Hardened-mode allocation bitmap: bit `i` is set while block `i`
     /// is handed out to the application. All zero (and untouched on the
     /// hot paths) when hardening is off; the double-free arbiter when it
@@ -179,27 +178,19 @@ impl Descriptor {
         self.heap.store(heap, Ordering::Release);
     }
 
-    /// Total block size.
+    /// Block size.
     #[inline]
     pub fn sz(&self) -> u32 {
         self.sz.load(Ordering::Relaxed)
     }
 
-    /// Sets the block size of size class `class` (construction only),
-    /// along with the reciprocal [`block_index`](Self::block_index)
-    /// multiplies by.
+    /// Sets the block size (construction only), along with the
+    /// reciprocal [`block_index`](Self::block_index) multiplies by.
     #[inline]
-    pub fn set_sz(&self, sz: u32, class: usize) {
-        debug_assert!(sz >= 16, "the reciprocal must fit 32 bits");
+    pub fn set_sz(&self, sz: u32) {
+        debug_assert!(sz >= 2, "ceil(2^32 / sz) must fit 32 bits");
         self.sz.store(sz, Ordering::Relaxed);
         self.sz_recip.store(sz_recip(sz), Ordering::Relaxed);
-        self.class.store(class as u32, Ordering::Relaxed);
-    }
-
-    /// Size-class index of the described superblock.
-    #[inline]
-    pub fn class(&self) -> usize {
-        self.class.load(Ordering::Relaxed) as usize
     }
 
     /// `off / sz` for a byte offset `off < SB_SIZE` into the superblock,
@@ -472,7 +463,7 @@ impl DescriptorPool {
     /// Calls `f` with every descriptor slot without allocating — the
     /// crash-forensics variant of
     /// [`all_descriptors`](Self::all_descriptors). The slab registry
-    /// walk is the same lock-free chain as [`owns`](Self::owns), so
+    /// walk is the same lock-free chain as [`owns_addr`](Self::owns_addr), so
     /// this is safe from a signal handler; slot *contents* are as
     /// untrusted as ever.
     pub fn for_each_descriptor(&self, mut f: impl FnMut(*mut Descriptor)) {
@@ -485,8 +476,7 @@ impl DescriptorPool {
         });
     }
 
-    /// Whether `addr` lies anywhere inside this pool's slab mappings —
-    /// coarser than [`owns`](Self::owns) (no slot-stride requirement):
+    /// Whether `addr` lies anywhere inside this pool's slab mappings:
     /// the "is this descriptor metadata?" question `describe_ptr` asks
     /// about arbitrary addresses. Lock-free and allocation-free.
     pub fn owns_addr(&self, addr: usize) -> bool {
@@ -522,25 +512,6 @@ impl DescriptorPool {
     /// Descriptor slots carved so far: [`DESC_PER_SLAB`] per mapped slab.
     pub fn slot_count(&self) -> usize {
         self.slab_count() * DESC_PER_SLAB
-    }
-
-    /// Whether `desc` points at a valid descriptor slot inside one of
-    /// this pool's slabs — the provenance question a hardened free asks
-    /// about the pointer recovered from a block prefix *before*
-    /// dereferencing it. Lock-free and allocation-free.
-    pub fn owns(&self, desc: *const Descriptor) -> bool {
-        let addr = desc as usize;
-        match self.slabs.owning_region(addr) {
-            None => false,
-            Some((base, _)) => {
-                // Slabs tile the hyperblock; descriptors tile each slab
-                // at `size_of::<Descriptor>()` stride, with unusable
-                // slack past `DESC_PER_SLAB` slots.
-                let slab_off = (addr - base) % (1 << SB_SHIFT);
-                slab_off % core::mem::size_of::<Descriptor>() == 0
-                    && slab_off / core::mem::size_of::<Descriptor>() < DESC_PER_SLAB
-            }
-        }
     }
 
     /// Unmaps descriptor slabs whose [`DESC_PER_SLAB`] slots are all
@@ -635,13 +606,14 @@ mod tests {
 
     #[test]
     fn descriptor_is_cacheline_aligned_with_bitmap() {
-        // 40 bytes of paper fields + the reciprocal and class words +
+        // 40 bytes of paper fields + the reciprocal word +
         // 128 bytes of allocation bitmap, rounded to the 64-byte
         // alignment the Active word needs.
         assert_eq!(core::mem::size_of::<Descriptor>(), 192);
         assert_eq!(core::mem::align_of::<Descriptor>(), 64);
         assert_eq!(DESC_PER_SLAB, 85);
-        // The bitmap covers the densest class: 16-byte blocks.
+        // The bitmap covers a superblock of 16-byte blocks, and half of
+        // one of 8-byte blocks — all a hardened instance opens of it.
         assert_eq!(BITMAP_WORDS * 64, (1 << SB_SHIFT) / 16);
     }
 
@@ -652,9 +624,9 @@ mod tests {
         let src = SystemSource::new();
         let pool = Box::new(DescriptorPool::new());
         let d = unsafe { &*pool.alloc(&src) };
-        for (ci, &sz) in CLASS_SIZES.iter().enumerate() {
-            d.set_sz(sz, ci);
-            assert_eq!(d.class(), ci);
+        assert_eq!(CLASS_SIZES[0], 8, "the densest class is covered");
+        for &sz in &CLASS_SIZES {
+            d.set_sz(sz);
             for off in 0..SB_SIZE {
                 assert_eq!(d.block_index(off), off / sz as usize, "sz {sz}, off {off}");
             }
@@ -678,30 +650,6 @@ mod tests {
             assert!(!d.clear_alloc_bit(0), "second clear is the double free");
             d.reset_alloc_bits();
             assert_eq!(d.alloc_bit_count(), 0);
-        }
-        unsafe { pool.release_all(&src) };
-    }
-
-    #[test]
-    fn pool_owns_exactly_its_descriptor_slots() {
-        let src = SystemSource::new();
-        let pool = Box::new(DescriptorPool::new());
-        assert!(!pool.owns(core::ptr::null()), "empty pool owns nothing");
-        unsafe {
-            let d = pool.alloc(&src);
-            assert!(pool.owns(d));
-            // Misaligned interior pointer: inside the slab, wrong stride.
-            assert!(!pool.owns((d as usize + 8) as *const Descriptor));
-            // Slack past the last whole descriptor slot.
-            let (base, _) = pool
-                .slabs
-                .owning_region(d as usize)
-                .expect("slab registered");
-            let slack = base + DESC_PER_SLAB * core::mem::size_of::<Descriptor>();
-            assert!(!pool.owns(slack as *const Descriptor));
-            // Memory the pool never mapped.
-            let local = 0usize;
-            assert!(!pool.owns(&local as *const usize as *const Descriptor));
         }
         unsafe { pool.release_all(&src) };
     }

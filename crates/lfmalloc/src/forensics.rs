@@ -56,7 +56,7 @@ use malloc_api::telemetry::Counter;
 use osmem::source::{PageSource, PAGE_SIZE};
 
 use crate::anchor::SbState;
-use crate::config::{ForensicsParams, PREFIX_SIZE, SB_SIZE};
+use crate::config::{ForensicsParams, SB_SIZE};
 use crate::descriptor::Descriptor;
 use crate::harden::POISON;
 use crate::instance::{Inner, LfMalloc};
@@ -264,46 +264,34 @@ pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, pt
     e.seq.store(seq, Ordering::Release);
 }
 
-/// Free-path hook: attributes the class with the same guarded prefix
-/// walk `describe_ptr` uses (never dereferences unowned memory), then
-/// records the op.
+/// Free-path hook: attributes the class from the frame map, like
+/// `describe_ptr` (never dereferences unowned memory), then records the
+/// op.
 #[inline]
 pub(crate) fn record_free<S: PageSource>(inner: &Inner<S>, ptr: *mut u8) {
     let addr = ptr as usize;
     let class = if inner.large_spans.span_containing(addr).is_some() {
         CLASS_LARGE
     } else {
-        small_class_of(inner, addr).unwrap_or(CLASS_UNKNOWN)
+        // Best effort, like the hardened free path's lookup, but
+        // reporting instead of rejecting.
+        match inner.frames.get(addr) {
+            e if e.is_empty() => CLASS_UNKNOWN,
+            e => e.class() as u16,
+        }
     };
     record(inner, OpKind::Free, class, addr);
 }
 
-/// Best-effort size-class attribution of a (purported) small-block user
-/// pointer: provenance-gated prefix read, exactly like the hardened
-/// free path, but reporting instead of rejecting.
-fn small_class_of<S: PageSource>(inner: &Inner<S>, addr: usize) -> Option<u16> {
-    if addr < PREFIX_SIZE || addr % PREFIX_SIZE != 0 {
-        return None;
-    }
-    let prefix_addr = addr - PREFIX_SIZE;
-    if !inner.sb_pool.owns(prefix_addr) {
-        return None;
-    }
-    let prefix = unsafe { (*(prefix_addr as *const AtomicUsize)).load(Ordering::Relaxed) };
-    if prefix & crate::large::LARGE_FLAG != 0 {
-        return None;
-    }
-    let desc_ptr = prefix as *mut Descriptor;
-    if !inner.desc_pool.owns(desc_ptr) {
-        return None;
-    }
-    let desc = unsafe { &*desc_ptr };
-    class_of_size(desc.sz())
-}
-
-/// Maps a block size back to its class index (sizes are distinct).
-pub(crate) fn class_of_size(sz: u32) -> Option<u16> {
-    CLASS_SIZES.iter().position(|&s| s == sz).map(|i| i as u16)
+/// The frame-map entry of the superblock `dp` names, if that names `dp`
+/// back: the census walks' "this slot describes a superblock right now".
+pub(crate) fn entry_of_desc<S: PageSource>(
+    inner: &Inner<S>,
+    dp: *mut Descriptor,
+) -> Option<crate::framemap::Entry> {
+    let sb = unsafe { (*dp).sb() } as usize;
+    let entry = inner.frames.get(sb);
+    (sb != 0 && entry.desc() == dp).then_some(entry)
 }
 
 /// Snapshot of the most recent `max` flight-recorder entries, newest
@@ -551,49 +539,34 @@ pub(crate) fn describe_ptr_inner<S: PageSource>(inner: &Inner<S>, addr: usize) -
         r.guarded = guarded;
         return r;
     }
-    if inner.sb_pool.owns(addr) {
-        // Find the descriptor whose superblock contains the address —
-        // an allocation-free scan of the (append-only) slab registry
-        // with the hardened-free geometry gates on each candidate.
-        let mut found: Option<PtrReport> = None;
-        inner.desc_pool.for_each_descriptor(|dp| {
-            if found.is_some() {
-                return;
-            }
-            let desc = unsafe { &*dp };
-            let sz = desc.sz() as usize;
-            let maxcount = desc.maxcount() as usize;
-            let sb = desc.sb() as usize;
-            let geometry_ok = sz >= 2 * PREFIX_SIZE
-                && maxcount >= 1
-                && sz * maxcount <= SB_SIZE
-                && sb != 0
-                && sb % SB_SIZE == 0
-                && inner.sb_pool.owns(sb);
-            if !geometry_ok || addr < sb || addr >= sb + SB_SIZE {
-                return;
-            }
-            let idx = (addr - sb) / sz;
-            if idx >= maxcount {
-                // Inside the superblock's unusable tail slack.
-                return;
-            }
+    // A superblock's frame names its descriptor and class: no scan, and
+    // nothing read that the allocator did not write.
+    let entry = inner.frames.get(addr);
+    if !entry.is_empty() {
+        let desc = unsafe { &*entry.desc() };
+        let sz = CLASS_SIZES[entry.class()] as usize;
+        let sb = addr & !(SB_SIZE - 1);
+        let idx = (addr - sb) / sz;
+        // Past `maxcount` lies the superblock's unusable tail slack.
+        if idx < desc.maxcount() as usize {
             let block_start = sb + idx * sz;
             let hardened = inner.config.hardening != crate::harden::Hardening::Off;
             let mut r = PtrReport::blank(addr, PtrKind::Small);
-            r.class = class_of_size(desc.sz());
-            r.class_size = desc.sz();
+            r.class = Some(entry.class() as u16);
+            r.class_size = sz as u32;
             r.superblock = sb;
-            r.descriptor = dp as usize;
+            r.descriptor = entry.desc() as usize;
             r.block_index = idx as u32;
             r.block_start = block_start;
             r.offset_in_block = (addr - block_start) as u32;
             r.sb_state = Some(desc.load_anchor().state());
             r.allocated = if hardened { Some(desc.alloc_bit(idx)) } else { None };
             r.poisoned = hardened && block_poisoned(block_start, sz);
-            found = Some(r);
-        });
-        return found.unwrap_or_else(|| PtrReport::blank(addr, PtrKind::Superblock));
+            return r;
+        }
+    }
+    if inner.sb_pool.owns(addr) {
+        return PtrReport::blank(addr, PtrKind::Superblock);
     }
     if inner.desc_pool.owns_addr(addr) {
         return PtrReport::blank(addr, PtrKind::DescriptorSlab);
@@ -601,15 +574,10 @@ pub(crate) fn describe_ptr_inner<S: PageSource>(inner: &Inner<S>, addr: usize) -
     PtrReport::blank(addr, PtrKind::Foreign)
 }
 
-/// Whether the block interior (past the prefix word, which stays a live
-/// descriptor pointer while quarantined) carries the poison fill.
+/// Whether the block carries the poison fill (sampled at its start; a
+/// quarantined block is poisoned from its first byte).
 fn block_poisoned(block_start: usize, sz: usize) -> bool {
-    let start = block_start + PREFIX_SIZE;
-    let n = (sz - PREFIX_SIZE).min(16);
-    if n == 0 {
-        return false;
-    }
-    (0..n).all(|i| unsafe { core::ptr::read_volatile((start + i) as *const u8) } == POISON)
+    (0..sz.min(16)).all(|i| unsafe { core::ptr::read_volatile((block_start + i) as *const u8) } == POISON)
 }
 
 // ---------------------------------------------------------------------
@@ -1173,21 +1141,14 @@ fn emit_leak_report<S: PageSource>(inner: &Inner<S>, fd: i32) {
     let mut live_bytes = 0u64;
     inner.desc_pool.for_each_descriptor(|dp| {
         let desc = unsafe { &*dp };
-        let sz = desc.sz() as usize;
-        let maxcount = desc.maxcount() as usize;
-        let sb = desc.sb() as usize;
+        let maxcount = desc.maxcount() as u64;
         let anchor = desc.load_anchor();
         // An EMPTY descriptor keeps its superblock (parked or warm) but
         // no block of it is in use.
-        if sz >= 2 * PREFIX_SIZE
-            && maxcount >= 1
-            && sz * maxcount <= SB_SIZE
-            && sb != 0
-            && anchor.state() != crate::anchor::SbState::Empty
-        {
-            let used = maxcount as u64 - (anchor.count() as u64).min(maxcount as u64);
+        if entry_of_desc(inner, dp).is_some() && anchor.state() != crate::anchor::SbState::Empty {
+            let used = maxcount - (anchor.count() as u64).min(maxcount);
             live_blocks += used;
-            live_bytes += used * sz as u64;
+            live_bytes += used * desc.sz() as u64;
         }
     });
     b.clear();
@@ -1312,13 +1273,5 @@ mod tests {
             b.push_str("a");
         }
         assert_eq!(b.as_bytes().len(), 512, "capped at capacity");
-    }
-
-    #[test]
-    fn class_of_size_maps_every_class() {
-        for (i, &sz) in CLASS_SIZES.iter().enumerate() {
-            assert_eq!(class_of_size(sz), Some(i as u16));
-        }
-        assert_eq!(class_of_size(3), None);
     }
 }

@@ -12,37 +12,34 @@
 //! (`RemoveEmptyDesc`, line 1): whoever next *takes* the descriptor
 //! reopens or retires the two together. This file does not name the
 //! page pool (CI checks that).
+//!
+//! Lines 1–3, reading the descriptor out of the word in front of the
+//! block, are gone with that word (DESIGN.md §19): the caller found it
+//! in the frame map, and the pointer it passes is the block's first byte.
 
 use crate::anchor::SbState;
-use crate::config::PREFIX_SIZE;
+use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
 use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
-/// Frees a small block. `ptr` is the user pointer; `desc_ptr` was read
-/// from its prefix.
+/// Frees a small block. `ptr` is the block; `desc_ptr` is what the
+/// frame map names for its frame.
 ///
 /// # Safety
 ///
-/// `ptr` must be a live small block of this instance whose prefix named
-/// `desc_ptr`.
+/// `ptr` must be a live small block of `desc_ptr`'s superblock.
 pub(crate) unsafe fn free_small<S: PageSource>(
     inner: &Inner<S>,
     ptr: *mut u8,
     desc_ptr: *mut Descriptor,
 ) {
-    let desc = unsafe { &*desc_ptr };
-    let sb = desc.sb() as usize; // line 6
-    // The prefix may sit anywhere inside the block (alignment offsets);
-    // the index recovers the block start (== the paper's
-    // `(ptr-sb)/desc->sz` with the default 8-byte offset). Computed
-    // once per free, by reciprocal multiply.
-    let prefix_addr = ptr as usize - PREFIX_SIZE;
-    let idx = desc.block_index(prefix_addr - sb); // line 9
-    let block = sb + idx * desc.sz() as usize;
-    unsafe { push_free_block(inner, desc_ptr, idx as u32, block) }
+    // Lines 6 and 9: superblocks are `SB_SIZE`-aligned, so the offset is
+    // the address's low bits; the index is one reciprocal multiply.
+    let idx = unsafe { &*desc_ptr }.block_index(ptr as usize & (SB_SIZE - 1));
+    unsafe { push_free_block(inner, desc_ptr, idx as u32, ptr as usize) }
 }
 
 /// Pushes `block` (a block *start* address, index `idx`) onto its

@@ -180,12 +180,9 @@ unsafe impl GlobalAlloc for GlobalLfMalloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Grow in place when the size class already covers `new_size`
         // (common for Vec doubling within a class); otherwise move.
-        let inst = self.instance();
-        if layout.align() <= crate::config::PREFIX_SIZE {
-            let usable = unsafe { inst.block_usable_size(ptr) };
-            if usable >= new_size {
-                return ptr;
-            }
+        // The block keeps its address, so any alignment survives.
+        if unsafe { self.instance().block_usable_size(ptr) } >= new_size {
+            return ptr;
         }
         let new = unsafe { self.alloc(Layout::from_size_align_unchecked(new_size, layout.align())) };
         if !new.is_null() {

@@ -1,19 +1,19 @@
 //! Hardened deallocation: provenance-checked free, double-free and
 //! use-after-free defense.
 //!
-//! The paper's free path trusts its caller completely: it reads the
-//! descriptor pointer out of the 8-byte block prefix and CASes the
-//! anchor it finds there. A single invalid or double free therefore
-//! corrupts the heap silently. This module adds an opt-in validated
+//! The paper's free path trusts its caller completely: whatever
+//! descriptor the pointer leads it to, it CASes the anchor it finds
+//! there. A single invalid or double free therefore corrupts the heap
+//! silently. This module adds an opt-in validated
 //! free path ([`Config::hardening`](crate::config::Config) ≠
 //! [`Hardening::Off`]) that keeps the allocator's lock-freedom while
 //! detecting the four classic misuse classes:
 //!
 //! * **Invalid free** — the pointer was never produced by this instance
 //!   (foreign allocator, interior pointer, stack/unmapped address).
-//!   Established *before any dereference* by asking the superblock page
-//!   pool, the descriptor-slab pool and the large-span registry whether
-//!   they own the relevant addresses.
+//!   Established *before any dereference* by asking the large-span
+//!   registry and the frame map — words the allocator wrote itself —
+//!   what lives at the address.
 //! * **Double free** — arbitrated by a per-block allocation bitmap in
 //!   the descriptor ([`Descriptor::clear_alloc_bit`]): concurrent
 //!   double frees race on one `fetch_and` and exactly one loses, so the
@@ -32,6 +32,7 @@
 
 use crate::config::{PREFIX_SIZE, SB_SIZE};
 use crate::descriptor::Descriptor;
+use crate::size_classes::CLASS_SIZES;
 use crate::instance::Inner;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use osmem::source::PAGE_SIZE;
@@ -106,8 +107,8 @@ pub struct MisuseReport {
     pub kind: MisuseKind,
     /// The pointer the application passed to `free`.
     pub ptr: usize,
-    /// Total block size (prefix included) of the owning size class;
-    /// `None` for large blocks and pointers with no valid owner.
+    /// Block size of the owning size class; `None` for large blocks and
+    /// pointers with no valid owner.
     pub size_class: Option<usize>,
     /// Address of the owning `ProcHeap` (0 when unknown — large blocks
     /// and foreign pointers have none).
@@ -272,58 +273,19 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
     }
 
     // -- Small blocks. -------------------------------------------------
-    // Every pointer this instance hands out is >= 8-aligned with its
-    // prefix word 8 bytes below; reject before any memory access.
-    if addr < PREFIX_SIZE || addr % PREFIX_SIZE != 0 {
+    // The frame map says whether a superblock lives at the address, and
+    // whose: a word the allocator wrote, not one the application could
+    // have. What is left to ask of the pointer is whether it is the
+    // first byte of one of that superblock's blocks.
+    let frame = inner.frames.get(addr);
+    let (desc_ptr, sz) = (frame.desc(), CLASS_SIZES[frame.class()] as usize);
+    let (off, idx) = (addr & (SB_SIZE - 1), (addr & (SB_SIZE - 1)) / sz);
+    // SAFETY: a non-empty entry names a descriptor slot; slots are type-stable.
+    let desc = (!frame.is_empty()).then(|| unsafe { &*desc_ptr });
+    let Some(desc) = desc.filter(|d| off % sz == 0 && idx < d.maxcount() as usize) else {
         report(inner, misuse(MisuseKind::InvalidFree, ptr));
         return;
-    }
-    let prefix_addr = addr - PREFIX_SIZE;
-    // Provenance gate 1: the prefix word must lie inside a superblock
-    // hyperblock this instance mapped. Only now is it safe to read.
-    if !inner.sb_pool.owns(prefix_addr) {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
-        return;
-    }
-    let prefix =
-        unsafe { (*(prefix_addr as *const AtomicUsize)).load(Ordering::Relaxed) };
-    if prefix & crate::large::LARGE_FLAG != 0 {
-        // An odd prefix inside a superblock: either a stale large-block
-        // marker (the span was already freed) or plain user data. The
-        // span registry above said this is not a live large block.
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
-        return;
-    }
-    // Provenance gate 2: the prefix must name a real descriptor slot.
-    let desc_ptr = prefix as *mut Descriptor;
-    if !inner.desc_pool.owns(desc_ptr) {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
-        return;
-    }
-    // The descriptor slot is ours, so dereferencing is safe; its
-    // *contents* are still untrusted (the slot may be free or describe
-    // a different superblock) — sanity-check the geometry.
-    let desc = unsafe { &*desc_ptr };
-    let sz = desc.sz() as usize;
-    let maxcount = desc.maxcount() as usize;
-    let sb = desc.sb() as usize;
-    let geometry_ok = sz >= 2 * PREFIX_SIZE
-        && maxcount >= 1
-        && sz * maxcount <= SB_SIZE
-        && sb != 0
-        && sb % SB_SIZE == 0
-        && inner.sb_pool.owns(sb)
-        && prefix_addr >= sb
-        && prefix_addr < sb + SB_SIZE;
-    if !geometry_ok {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
-        return;
-    }
-    let idx = (prefix_addr - sb) / sz;
-    if idx >= maxcount {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
-        return;
-    }
+    };
     // -- Double-free arbiter: one fetch_and, one winner. ---------------
     if !desc.clear_alloc_bit(idx) {
         report(
@@ -339,17 +301,12 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
         return;
     }
     // -- Poison + quarantine. ------------------------------------------
-    // The prefix word (the descriptor pointer) is left intact: a repeat
-    // free of a quarantined block must still find the descriptor so the
-    // bitmap can classify it as a double free.
-    let block = sb + idx * sz;
-    unsafe {
-        core::ptr::write_bytes((block + PREFIX_SIZE) as *mut u8, POISON, sz - PREFIX_SIZE)
-    };
+    // The whole block: none of it is the allocator's.
+    unsafe { core::ptr::write_bytes(ptr, POISON, sz) };
     let shard = unsafe {
         &*inner.quarantine.add(crate::heap::thread_id() % inner.nheaps)
     };
-    let mut entry = (block, desc_ptr as usize);
+    let mut entry = (addr, desc_ptr as usize);
     // Push, displacing the oldest entry when the ring is full; the
     // displaced block is verified and released for reuse. Bounded
     // retries: under a pathological push/pop race, releasing directly
@@ -381,8 +338,7 @@ pub(crate) unsafe fn release_quarantined<S: PageSource>(
 ) {
     let desc = unsafe { &*desc_ptr };
     let sz = desc.sz() as usize;
-    let clean =
-        (PREFIX_SIZE..sz).all(|i| unsafe { *((block + i) as *const u8) } == POISON);
+    let clean = (0..sz).all(|i| unsafe { *((block + i) as *const u8) } == POISON);
     if !clean {
         report(
             inner,

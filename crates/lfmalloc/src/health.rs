@@ -399,6 +399,10 @@ pub struct HealthSnapshot {
     /// follows the number of threads alive at once, not the number that
     /// ever ran.
     pub magazine_slots: usize,
+    /// Leaves of the frame map: an anonymous 1 MiB mapping (outside
+    /// `os_live_bytes`, resident a page at a time) per 2 GiB a
+    /// superblock was ever opened in, kept until drop (DESIGN.md §19).
+    pub map_leaves: usize,
     /// Freed large spans parked in the span cache for the next large
     /// malloc, and the OS bytes they hold (at most 8 spans and 4 MiB).
     pub large_cached_spans: usize,
@@ -468,7 +472,7 @@ impl HealthSnapshot {
              \"last_audit_violations\":{},\"desc_avail\":{},\
              \"desc_reserve\":{},\"desc_warm\":{},\"parked_empty\":{},\
              \"retained_empty_bytes\":{},\"partial_listed\":{:?},\"descriptor_slots\":{},\
-             \"quarantine_depth\":{},\"magazine_slots\":{},\
+             \"quarantine_depth\":{},\"magazine_slots\":{},\"map_leaves\":{},\
              \"large_cached_spans\":{},\"large_cached_bytes\":{},\
              \"os_live_bytes\":{},\"os_watermark\":{},\
              \"fork_generation\":{},\"fork_recoveries\":{}}}",
@@ -496,6 +500,7 @@ impl HealthSnapshot {
             self.descriptor_slots,
             self.quarantine_depth,
             self.magazine_slots,
+            self.map_leaves,
             self.large_cached_spans,
             self.large_cached_bytes,
             self.os_live_bytes,
@@ -548,6 +553,7 @@ impl<S: PageSource> LfMalloc<S> {
             parked_empty: parked_slots + parked_listed,
             quarantine_depth: inner.quarantine_depth(),
             magazine_slots: crate::magazine::owned_slots(inner),
+            map_leaves: inner.frames.leaf_count(),
             large_cached_spans: inner.large_cache.cached_spans(),
             large_cached_bytes: inner.large_cache.cached_bytes(),
             os_live_bytes: inner.source.stats().live_bytes,

@@ -129,7 +129,7 @@ pub(crate) struct HeapMap {
 impl HeapMap {
     /// Maps thread ids to heap columns under `mode`.
     pub(crate) fn new(mode: HeapMode) -> Self {
-        let n = mode.heap_count().min(u32::MAX as usize) as u32;
+        let n = mode.heap_count() as u32; // at most 2^16
         HeapMap { n, recip: if n.is_power_of_two() { 0 } else { u64::MAX / n as u64 + 1 } }
     }
 

@@ -45,9 +45,8 @@ use std::path::Path;
 use osmem::source::PageSource;
 
 use crate::anchor::SbState;
-use crate::config::{PREFIX_SIZE, SB_SIZE};
 use crate::forensics::{
-    class_of_size, merge_tail, unpack_meta, FdWriter, OpKind, SigBuf, CLASS_LARGE, CLASS_UNKNOWN,
+    entry_of_desc, merge_tail, unpack_meta, FdWriter, OpKind, SigBuf, CLASS_LARGE, CLASS_UNKNOWN,
 };
 use crate::harden::{Hardening, MisuseKind};
 use crate::instance::{Inner, LfMalloc};
@@ -107,32 +106,22 @@ fn walk_descriptors<S: PageSource>(inner: &Inner<S>) -> DescWalk {
     inner.desc_pool.for_each_descriptor(|dp| {
         let desc = unsafe { &*dp };
         w.total += 1;
-        let sz = desc.sz() as usize;
-        let maxcount = desc.maxcount() as usize;
-        let sb = desc.sb() as usize;
-        let bound = sz >= 2 * PREFIX_SIZE
-            && maxcount >= 1
-            && sz * maxcount <= SB_SIZE
-            && sb != 0
-            && sb % SB_SIZE == 0
-            && inner.sb_pool.owns(sb);
-        if !bound {
+        // Bound: the frame of the superblock it names names it back.
+        let Some(entry) = entry_of_desc(inner, dp) else {
             w.unbound += 1;
             return;
-        }
+        };
         let anchor = desc.load_anchor();
         let state = anchor.state();
         w.by_state[state as usize] += 1;
         if state == SbState::Empty {
             return; // parked or warm: no block in use, no class's capacity
         }
-        if let Some(ci) = class_of_size(desc.sz()) {
-            let used = maxcount as u64 - (anchor.count() as u64).min(maxcount as u64);
-            let c = &mut w.classes[ci as usize];
-            c[0] += 1;
-            c[1] += used;
-            c[2] += maxcount as u64;
-        }
+        let maxcount = desc.maxcount() as u64;
+        let c = &mut w.classes[entry.class()];
+        c[0] += 1;
+        c[1] += maxcount - (anchor.count() as u64).min(maxcount);
+        c[2] += maxcount;
     });
     w
 }

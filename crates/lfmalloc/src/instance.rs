@@ -22,7 +22,7 @@ use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLA
 use core::ptr::NonNull;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use lockfree_structs::BoundedQueue;
-use malloc_api::{AllocStats, RawMalloc};
+use malloc_api::{AllocStats, RawMalloc, MIN_MALLOC_ALIGN};
 use osmem::{CountingSource, PagePool, PageSource, SpanRegistry, SystemSource};
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -35,7 +35,7 @@ pub(crate) type QuarantineEntry = (usize, usize);
 pub(crate) struct SizeClassState {
     /// Partial-superblock list shared by the class's heaps.
     pub partial: PartialList,
-    /// Total block size (prefix included).
+    /// Block size.
     pub sz: u32,
 }
 
@@ -56,6 +56,9 @@ pub(crate) struct Inner<S: PageSource> {
     /// Thread-magazine slots and the instance id that keys them (see
     /// [`crate::magazine`]); an allocation of its own.
     pub mags: crate::magazine::SlotTable,
+    /// Descriptor, class and heap column of each superblock's 16 KiB
+    /// frame: how `free` finds its way from an address.
+    pub frames: crate::framemap::FrameMap,
     pub classes: [SizeClassState; NUM_CLASSES],
     /// Large spans mapped and not yet unmapped, live or parked, and their
     /// OS bytes. Live is derived from them: [`Inner::large_live`].
@@ -109,6 +112,14 @@ impl<S: PageSource> Inner<S> {
         let h =
             if self.nheaps == 1 { 0 } else { self.heap_map.column(crate::heap::thread_id()) };
         unsafe { &*self.heaps.add(ci * self.nheaps + h) }
+    }
+
+    /// The column of `heap`, one of this instance's.
+    #[inline]
+    pub fn column_of(&self, heap: &ProcHeap) -> usize {
+        // SAFETY: both point into the one heap table, row `class` of it
+        // (a subtraction, not `% nheaps`: `open_sb` is too hot to divide).
+        unsafe { (heap as *const ProcHeap).offset_from(self.heaps) as usize - heap.class() * self.nheaps }
     }
 
     /// Heap `h` of class `ci` (tests and diagnostics).
@@ -270,7 +281,9 @@ impl<S: PageSource> LfMalloc<S> {
                     );
                 }
             };
-            let Some(mags) = crate::magazine::SlotTable::new() else {
+            let (Some(mags), Some(frames)) =
+                (crate::magazine::SlotTable::new(), crate::framemap::FrameMap::new())
+            else {
                 free_quarantine(quarantine);
                 System.dealloc(heaps as *mut u8, heaps_layout);
                 return Err(OutOfMemory);
@@ -320,6 +333,7 @@ impl<S: PageSource> LfMalloc<S> {
                 heap_map: HeapMap::new(config.heap_mode),
                 heaps,
                 mags,
+                frames,
                 classes: core::array::from_fn(|i| SizeClassState {
                     partial: PartialList::new(),
                     sz: CLASS_SIZES[i],
@@ -538,7 +552,12 @@ impl<S: PageSource> LfMalloc<S> {
         //    (DESIGN.md §18), and the page pool can only unmap what is on
         //    its own free stack.
         crate::maintain::prune_empty(inner, u32::MAX);
-        unsafe { inner.desc_pool.detach_warm(|sb| inner.sb_pool.dealloc(sb)) };
+        let release = |sb: *mut u8| {
+            // Off its descriptor, the frame holds no small block.
+            inner.frames.set(sb as usize, crate::framemap::Entry::EMPTY);
+            unsafe { inner.sb_pool.dealloc(sb) }
+        };
+        unsafe { inner.desc_pool.detach_warm(release) };
         // 3. Give fully free hyperblocks and slabs back to the OS.
         let mut released = unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
         released += unsafe { inner.desc_pool.trim(&inner.source) };
@@ -567,21 +586,15 @@ impl<S: PageSource> LfMalloc<S> {
             return core::ptr::null_mut();
         };
         crate::fork::maybe_recover(inner);
-        let off = align.max(PREFIX_SIZE);
-        let Some(total) = size.checked_add(off) else {
-            return core::ptr::null_mut();
-        };
-        let class = if align <= PREFIX_SIZE {
-            class_index(total)
+        // Every class's blocks are 8-aligned; above that, the class must
+        // be a multiple of the alignment.
+        let class = if align <= MIN_MALLOC_ALIGN {
+            class_index(size)
         } else {
-            class_index_aligned(total, align)
+            class_index_aligned(size, align)
         };
         let p = match class {
-            // Prefix at the block start: the shape a magazine caches.
-            Some(ci) if off == PREFIX_SIZE => unsafe {
-                crate::magazine::malloc(inner, entry.block(), ci)
-            },
-            Some(ci) => unsafe { crate::alloc::malloc_small(inner, ci, off) },
+            Some(ci) => unsafe { crate::magazine::malloc(inner, entry.block(), ci) },
             None => unsafe { crate::large::alloc_large(inner, size, align) }.0,
         };
         #[cfg(feature = "profile")]
@@ -613,7 +626,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// span is fresh from the page source *and* the source guarantees
     /// zero-filled fresh pages ([`PageSource::zeroes_fresh_pages`]) is
     /// the memset skipped — the user area of a fresh large block is
-    /// provably untouched (the prefix word sits below the user pointer
+    /// provably untouched (the marker word sits below the user pointer
     /// and hardened canaries sit beyond the user extent).
     ///
     /// # Safety
@@ -629,10 +642,7 @@ impl<S: PageSource> LfMalloc<S> {
             return core::ptr::null_mut();
         };
         crate::fork::maybe_recover(inner);
-        let Some(total) = size.checked_add(PREFIX_SIZE) else {
-            return core::ptr::null_mut();
-        };
-        let class = class_index(total);
+        let class = class_index(size);
         let p = match class {
             Some(ci) => {
                 let p = unsafe { crate::magazine::malloc(inner, entry.block(), ci) };
@@ -642,7 +652,8 @@ impl<S: PageSource> LfMalloc<S> {
                 p
             }
             None => {
-                let (p, fresh) = unsafe { crate::large::alloc_large(inner, size, PREFIX_SIZE) };
+                let (p, fresh) =
+                    unsafe { crate::large::alloc_large(inner, size, MIN_MALLOC_ALIGN) };
                 let clean = fresh && inner.source.zeroes_fresh_pages();
                 if !p.is_null() && !clean {
                     unsafe { core::ptr::write_bytes(p, 0, size) };
@@ -680,31 +691,24 @@ impl<S: PageSource> LfMalloc<S> {
     #[doc(hidden)]
     pub fn simulate_killed_reservation(&self, size: usize) -> bool {
         let inner = self.inner();
-        match class_index(size + PREFIX_SIZE) {
+        match class_index(size) {
             Some(ci) => unsafe { crate::alloc::abandon_reservation(inner, ci) },
             None => false,
         }
     }
 
-    /// Usable bytes in the block at `ptr` (size-class rounding makes
-    /// this ≥ the requested size).
+    /// Usable bytes in the block at `ptr`: its class's block size (this
+    /// ≥ the requested size), or what is left of a large block's span.
     ///
     /// # Safety
     ///
     /// `ptr` must be a live block of this instance.
     pub unsafe fn block_usable_size(&self, ptr: *mut u8) -> usize {
-        let prefix_addr = ptr as usize - PREFIX_SIZE;
-        let prefix =
-            unsafe { (*(prefix_addr as *const AtomicUsize)).load(Ordering::Relaxed) };
-        if prefix & crate::large::LARGE_FLAG != 0 {
-            return unsafe { crate::large::usable_size_large(ptr, prefix) };
+        let entry = self.inner().frames.get(ptr as usize);
+        if entry.is_empty() {
+            return unsafe { crate::large::usable_size_large(ptr, large_marker(ptr)) };
         }
-        let desc = unsafe { &*(prefix as *const crate::descriptor::Descriptor) };
-        let sz = desc.sz() as usize;
-        let sb = desc.sb() as usize;
-        let idx = desc.block_index(prefix_addr - sb);
-        let block_end = sb + (idx + 1) * sz;
-        block_end - ptr as usize
+        CLASS_SIZES[entry.class()] as usize
     }
 
     /// Frees a block returned by [`allocate`](Self::allocate) (or by the
@@ -739,19 +743,23 @@ impl<S: PageSource> LfMalloc<S> {
             // any memory; misuse is reported, never executed.
             return unsafe { crate::harden::free_hardened(inner, ptr) };
         }
-        // Read the prefix: a descriptor pointer (even) or the
-        // large-block marker (odd).
-        let prefix = unsafe {
-            (*( (ptr as usize - PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed)
-        };
-        if prefix & crate::large::LARGE_FLAG != 0 {
-            return unsafe { crate::large::free_large(inner, ptr, prefix) };
+        // The address names its frame and the frame its superblock: the
+        // block itself is not read. No superblock there: a large block.
+        let frame = inner.frames.get(ptr as usize);
+        if frame.is_empty() {
+            return unsafe { crate::large::free_large(inner, ptr, large_marker(ptr)) };
         }
-        let desc = prefix as *mut Descriptor;
-        if !unsafe { crate::magazine::free(inner, entry.block(), ptr, desc) } {
-            unsafe { crate::free_impl::free_small(inner, ptr, desc) };
+        if !unsafe { crate::magazine::free(inner, entry.block(), ptr, frame) } {
+            unsafe { crate::free_impl::free_small(inner, ptr, frame.desc()) };
         }
     }
+}
+
+/// The word in front of a large block: its offset into its span, under
+/// the paper's large-block bit. Small blocks have no such word.
+#[inline]
+unsafe fn large_marker(ptr: *mut u8) -> usize {
+    unsafe { (*(ptr.sub(PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed) }
 }
 
 unsafe impl<S: PageSource + Send + Sync> RawMalloc for LfMalloc<S> {
@@ -759,7 +767,7 @@ unsafe impl<S: PageSource + Send + Sync> RawMalloc for LfMalloc<S> {
     // `allocate` so samples attribute to the application call site.
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn malloc(&self, size: usize) -> *mut u8 {
-        unsafe { self.allocate(size, PREFIX_SIZE) }
+        unsafe { self.allocate(size, MIN_MALLOC_ALIGN) }
     }
 
     unsafe fn free(&self, ptr: *mut u8) {
@@ -824,6 +832,7 @@ impl<S: PageSource> Drop for LfMalloc<S> {
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).large_spans));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).reaper));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).mags));
+            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).frames));
             #[cfg(feature = "stats")]
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).stats));
             #[cfg(feature = "profile")]
@@ -867,13 +876,14 @@ mod tests {
     use super::*;
     use crate::active::Active;
     use crate::anchor::SbState;
+    use crate::config::SB_SIZE;
 
     #[test]
     fn first_malloc_installs_an_active_superblock() {
         let a = LfMalloc::with_config(Config::with_heaps(2));
         let ci = class_index(16).unwrap();
         unsafe {
-            let p = a.malloc(8);
+            let p = a.malloc(16);
             assert!(!p.is_null());
             // Exactly one heap of the 16-byte class is now active.
             let actives: Vec<Active> =
@@ -1008,6 +1018,79 @@ mod tests {
             assert!(a.audit().is_clean());
             a.trim();
             assert_eq!(a.hyperblock_count(), 0);
+        }
+    }
+
+    /// An 8-byte request occupies 8 bytes: the paper's Threadtest shape,
+    /// 100 000 live 8-byte blocks, is 49 superblocks where the prefix
+    /// made it 98 — one hyperblock, not two.
+    #[test]
+    fn a_hundred_thousand_eight_byte_blocks_fit_one_hyperblock() {
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let blocks: Vec<*mut u8> = (0..100_000).map(|_| a.malloc(8)).collect();
+            assert!(blocks.iter().all(|p| !p.is_null() && a.usable_size(*p) == 8));
+            assert_eq!(a.hyperblock_count(), 1);
+            for p in blocks {
+                a.free(p);
+            }
+        }
+        assert!(a.audit().is_clean());
+    }
+
+    #[test]
+    fn sixteen_byte_requests_are_sixteen_aligned() {
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            // Interleaved with 8-byte blocks, which are only 8-aligned
+            // and live in superblocks of their own.
+            let held: Vec<(*mut u8, *mut u8)> = (0..100).map(|_| (a.malloc(8), a.malloc(16))).collect();
+            for &(small, p) in &held {
+                assert_eq!(small as usize % 8, 0);
+                assert_eq!(p as usize % 16, 0);
+                assert_eq!(a.malloc_aligned(8, 16) as usize % 16, 0, "asked for, never the 8-byte class");
+            }
+            assert!(held.iter().any(|&(small, _)| small as usize % 16 == 8));
+        }
+    }
+
+    /// `trim` clears the entry of every superblock it takes off a
+    /// descriptor, so an address range handed back to the OS reads "no
+    /// small block" — which is how the free of a large block that the OS
+    /// maps there next finds its way.
+    #[test]
+    fn trimmed_frames_read_empty_and_a_large_block_there_frees_as_one() {
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let blocks: Vec<*mut u8> = (0..200).map(|_| a.malloc(8_000)).collect();
+            let hypers = a.inner().sb_pool.hyperblocks();
+            assert!(hypers.len() >= 2);
+            let frames = |f: &dyn Fn(usize) -> bool| {
+                hypers
+                    .iter()
+                    .flat_map(|&(base, bytes)| (base as usize..base as usize + bytes).step_by(SB_SIZE))
+                    .filter(|&frame| f(frame))
+                    .count()
+            };
+            assert_eq!(frames(&|f| !a.inner().frames.get(f).is_empty()), 100, "one per superblock opened");
+            for p in blocks {
+                a.free(p);
+            }
+            a.trim();
+            assert_eq!(a.hyperblock_count(), 0);
+            assert_eq!(frames(&|f| !a.inner().frames.get(f).is_empty()), 0);
+            // The system allocator may or may not put these where the
+            // hyperblocks were; wherever they land, no frame vouches for
+            // a superblock and the marker word decides.
+            let large: Vec<*mut u8> = (0..4).map(|_| a.malloc(1 << 20)).collect();
+            for p in large {
+                assert!(a.inner().frames.get(p as usize).is_empty());
+                assert!(a.usable_size(p) >= 1 << 20);
+                a.free(p);
+            }
+            a.trim();
+            assert_eq!(a.os_stats().live_bytes, 0);
+            assert!(a.audit().is_clean());
         }
     }
 

@@ -25,7 +25,8 @@
 //!   pointer with a **credits** count so the common malloc path is one
 //!   CAS to reserve plus one CAS to pop ([`alloc`]).
 //! * A typical free is a single CAS push onto the superblock's free list
-//!   ([`free_impl`]).
+//!   ([`free_impl`]); it finds the descriptor from the block's address,
+//!   in a word per 16 KiB frame (`framemap`, not in the paper).
 //! * Retired descriptors go straight back onto a tag-protected free
 //!   stack, and each size class's partial-superblock list is the same
 //!   stack threaded through the descriptors ([`descriptor`],
@@ -63,12 +64,12 @@
 //!
 //! Documented centrally in `DESIGN.md`; the load-bearing ones:
 //! anchor bit-field widths are 12/12/2/38 instead of 10/10/2/42 (so a
-//! 16 KiB superblock of 16-byte blocks fits), the block prefix
-//! generalizes to alignments above 8, empty superblocks are neither
-//! `munmap`ped nor returned to the hyperblock pool (§3.2.5) but kept on
-//! their descriptors for the next superblock life, and `DescAvail` and
-//! the partial lists are tag-protected stacks instead of `SafeCAS` and
-//! an MS queue.
+//! 16 KiB superblock of 8-byte blocks fits), small blocks carry no
+//! prefix (the descriptor is found from the address), empty
+//! superblocks are neither `munmap`ped nor returned to the hyperblock
+//! pool (§3.2.5) but kept on their descriptors for the next superblock
+//! life, and `DescAvail` and the partial lists are tag-protected stacks
+//! instead of `SafeCAS` and an MS queue.
 
 // Telemetry increment macros (crate-internal). With the `stats` feature
 // they hit the instance's shard/global counters; without it they expand
@@ -156,6 +157,7 @@ pub mod descriptor;
 #[cfg(feature = "forensics")]
 pub mod forensics;
 pub mod fork;
+pub(crate) mod framemap;
 pub mod free_impl;
 pub mod global;
 pub mod harden;

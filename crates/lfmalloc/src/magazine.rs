@@ -16,9 +16,10 @@
 //!   holds half a magazine the whole run goes home the way an overflow
 //!   does. A block handed to another thread therefore still returns to
 //!   its own superblock and Hoard's no-false-sharing property survives.
-//! * Cached blocks keep their descriptor prefix; the stack is linked
-//!   through the first *user* word. To the core they are simply
-//!   allocated, so every paper invariant holds unchanged.
+//! * A cached block is linked through its first word and holds nothing
+//!   else of the allocator's: where it goes home is the frame map's
+//!   business (DESIGN.md §19). To the core it is simply allocated, so
+//!   every paper invariant holds unchanged.
 //!
 //! Slots live in the instance (their own allocation, so the hot lines
 //! share nothing with `Inner`'s read-mostly fields) and are owned by
@@ -28,8 +29,8 @@
 //! or by fork recovery. What a *killed* thread strands is bounded by
 //! [`MAX_CACHED_BYTES`].
 
-use crate::config::PREFIX_SIZE;
-use crate::descriptor::Descriptor;
+use crate::config::SB_SIZE;
+use crate::framemap::Entry;
 use crate::harden::Hardening;
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
@@ -107,8 +108,8 @@ static CAP: [u8; CACHED_CLASSES] = {
     cap
 };
 
-/// One magazine: a LIFO of user pointers linked through their first
-/// word. Atomics only so that a drain by another thread (after the
+/// One magazine: a LIFO of blocks linked through their first word.
+/// Atomics only so that a drain by another thread (after the
 /// owner is gone, or under `trim`'s quiescence) is not a data race; the
 /// owner's accesses are plain loads and stores.
 #[repr(C)]
@@ -241,8 +242,8 @@ fn my_heap<'a, S: PageSource>(inner: &'a Inner<S>, tb: &ThreadBlock, ci: usize) 
     unsafe { &*(addr as *const ProcHeap) }
 }
 
-/// Small `malloc` at the default alignment: a cached block if there is
-/// one, else a refill, else the paper's ladder.
+/// Small `malloc`: a cached block if there is one, else a refill, else
+/// the paper's ladder.
 ///
 /// # Safety
 ///
@@ -270,7 +271,7 @@ pub(crate) unsafe fn malloc<S: PageSource>(
             return head;
         }
     }
-    unsafe { crate::alloc::malloc_small(inner, ci, PREFIX_SIZE) }
+    unsafe { crate::alloc::malloc_small(inner, ci) }
 }
 
 /// Miss: take up to half a magazine from the heap's active superblock
@@ -288,38 +289,34 @@ unsafe fn refill<S: PageSource>(
     let t0 = crate::lat_start!();
     let Some((first, desc_ptr, m)) = (unsafe { crate::alloc::pop_from_active(inner, heap, k) })
     else {
-        return unsafe { crate::alloc::malloc_small(inner, ci, PREFIX_SIZE) };
+        return unsafe { crate::alloc::malloc_small(inner, ci) };
     };
     crate::stat!(inner, heap, malloc_fast);
     crate::stat_lat!(inner, lat_malloc_fast, t0);
     let desc = unsafe { &*desc_ptr };
     let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
     // The chain is linked by block index through each block's first
-    // word — where the prefix goes. Rewrite it in address order into
-    // what a hit expects: prefix in place, next user pointer behind it.
+    // word. Turn each index into the pointer a hit expects, in place.
     let mut block = first;
     for i in 1..=m {
-        let link = (block + PREFIX_SIZE) as *mut *mut u8;
-        let next = unsafe { (*(block as *const AtomicU64)).load(Ordering::Relaxed) } as usize;
-        unsafe { (*(block as *const AtomicU64)).store(desc_ptr as u64, Ordering::Relaxed) };
+        let link = block as *const AtomicU64;
         if i == m {
             // The last block's index word is not ours to follow.
-            unsafe { *link = core::ptr::null_mut() };
+            unsafe { (*link).store(0, Ordering::Relaxed) };
             break;
         }
-        block = sb + next * sz;
-        unsafe { *link = (block + PREFIX_SIZE) as *mut u8 };
+        block = sb + unsafe { (*link).load(Ordering::Relaxed) } as usize * sz;
+        unsafe { (*link).store(block as u64, Ordering::Relaxed) };
     }
     crate::stat!(inner, heap, mag_refill);
-    let user = (first + PREFIX_SIZE) as *mut u8;
     if m > 1 {
         // Release: a fork (or a signal) between the two stores must find
         // the links written before the head that leads to them.
         bin.head
-            .store(unsafe { *(user as *const *mut u8) }, Ordering::Release);
+            .store(unsafe { *(first as *const *mut u8) }, Ordering::Release);
         bin.count.store(m - 1, Ordering::Relaxed);
     }
-    user
+    first as *mut u8
 }
 
 /// Small `free`: caches a local block for this thread's next `malloc`,
@@ -328,31 +325,27 @@ unsafe fn refill<S: PageSource>(
 ///
 /// # Safety
 ///
-/// `ptr` must be a live small block of `inner` whose prefix named
-/// `desc_ptr`.
+/// `ptr` must be a live small block of `inner` and `entry` its frame's
+/// word in the frame map.
 #[inline]
 pub(crate) unsafe fn free<S: PageSource>(
     inner: &Inner<S>,
     tb: &ThreadBlock,
     ptr: *mut u8,
-    desc_ptr: *mut Descriptor,
+    entry: Entry,
 ) -> bool {
     let slot = slot_of(inner, tb);
-    // Blocks start on multiples of 16 and the default user offset is 8:
-    // any other remainder is an over-aligned block, whose prefix is not
-    // at its start — a hit could not hand it out as it is.
-    if slot.is_null() || ptr as usize % 16 != PREFIX_SIZE {
-        return false;
-    }
-    let desc = unsafe { &*desc_ptr };
-    let ci = desc.class();
-    if ci >= CACHED_CLASSES {
+    let ci = entry.class();
+    if slot.is_null() || ci >= CACHED_CLASSES {
         return false;
     }
     // Half a magazine is what goes home at a time from either row: the
     // newer half of a full magazine, all of a full outbox.
     let half = CAP[ci] as u32 / 2;
-    let local = core::ptr::eq(desc.heap(), my_heap(inner, tb, ci));
+    // The entry's column is as current as `desc.heap()` would be (both
+    // change at `MallocFromPartial`'s line 3); the descriptor's line,
+    // which a remote owner keeps writing, is not touched.
+    let local = unsafe { inner.heaps.add(entry.column()) } as usize == tb.heap0.get();
     let (bin, limit) = if local {
         (unsafe { &(*slot).bins[ci] }, CAP[ci] as u32)
     } else if half >= 2 {
@@ -381,7 +374,7 @@ pub(crate) unsafe fn free<S: PageSource>(
         crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
     } else {
         // Counted where `free_remote` would have been: the owning heap.
-        crate::stat!(inner, unsafe { &*desc.heap() }, free_outbox);
+        crate::stat!(inner, unsafe { &*(*entry.desc()).heap() }, free_outbox);
     }
     true
 }
@@ -419,24 +412,20 @@ unsafe fn flush<S: PageSource>(inner: &Inner<S>, bin: &Bin, n: u32) {
 
 /// Pushes a null-terminated list of cached blocks back onto their
 /// superblocks' free lists, one anchor CAS per run of neighbours that
-/// share a descriptor; returns how many blocks that was.
-unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut user: *mut u8) -> usize {
+/// share a superblock — the same 16 KiB frame, so telling takes no load;
+/// returns how many blocks that was.
+unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> usize {
     let mut blocks = 0;
-    while !user.is_null() {
-        let first = user as usize - PREFIX_SIZE;
-        let desc_ptr =
-            unsafe { (*(first as *const AtomicU64)).load(Ordering::Relaxed) } as *mut Descriptor;
+    while !next.is_null() {
+        let first = next as usize;
+        let sb = first & !(SB_SIZE - 1);
+        let desc_ptr = inner.frames.get(first).desc();
         let desc = unsafe { &*desc_ptr };
-        let sb = desc.sb() as usize;
         let (mut last, mut len) = (first, 1);
-        user = unsafe { *(user as *const *mut u8) };
-        while !user.is_null() {
-            let block = user as usize - PREFIX_SIZE;
-            let prefix = unsafe { (*(block as *const AtomicU64)).load(Ordering::Relaxed) };
-            if prefix != desc_ptr as u64 {
-                break;
-            }
-            user = unsafe { *(user as *const *mut u8) };
+        next = unsafe { *(next as *const *mut u8) };
+        while next as usize & !(SB_SIZE - 1) == sb {
+            let block = next as usize;
+            next = unsafe { *(next as *const *mut u8) };
             unsafe {
                 (*(last as *const AtomicU64))
                     .store(desc.block_index(block - sb) as u64, Ordering::Relaxed);
@@ -617,8 +606,9 @@ mod tests {
 
     #[test]
     fn capacity_table_is_bounded_in_blocks_and_bytes() {
-        assert_eq!(CACHED_CLASSES, 32);
+        assert_eq!(CACHED_CLASSES, 33);
         assert_eq!(CLASS_SIZES[CACHED_CLASSES - 1], 1024);
+        assert_eq!(MAX_CACHED_BYTES, 79_328);
         for ci in 0..NUM_CLASSES {
             let cap = capacity(ci);
             assert!(cap <= MAX_BLOCKS);
@@ -637,8 +627,8 @@ mod tests {
         assert_eq!(core::mem::size_of::<Slot>() % 64, 0);
     }
 
-    fn desc_of(user: *mut u8) -> &'static Descriptor {
-        unsafe { &**(user.sub(PREFIX_SIZE) as *const *const Descriptor) }
+    fn desc_of(a: &LfMalloc, block: *mut u8) -> &crate::descriptor::Descriptor {
+        unsafe { &*a.inner().frames.get(block as usize).desc() }
     }
 
     /// Runs `f` on a thread of its own whose heap for `home`'s class is
@@ -662,14 +652,19 @@ mod tests {
     }
 
     #[test]
-    fn a_freed_block_comes_back_with_its_prefix_intact() {
+    fn a_freed_block_comes_back_and_its_neighbours_are_not_written() {
         // Magazines step aside while a fault scenario runs.
         #[cfg(feature = "failpoints")]
         let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(Config::with_heaps(1));
         unsafe {
-            let p = a.malloc(40);
-            let prefix = *(p.sub(PREFIX_SIZE) as *const usize);
+            // Three neighbours, every byte of each the caller's.
+            let held: Vec<*mut u8> = (0..3).map(|_| a.malloc(48)).collect();
+            let p = held[1];
+            assert!(held.iter().all(|q| (*q as usize).abs_diff(p as usize) <= 48));
+            for q in &held {
+                core::ptr::write_bytes(*q, 0xA5, 48);
+            }
             a.free(p);
             let (cached, bad) = snapshot(a.inner());
             assert!(bad.is_empty());
@@ -677,10 +672,29 @@ mod tests {
                 cached.iter().any(|b| b.user == p as usize),
                 "local free is cached"
             );
-            let q = a.malloc(40);
-            assert_eq!(q, p, "LIFO hit");
-            assert_eq!(*(q.sub(PREFIX_SIZE) as *const usize), prefix);
-            a.free(q);
+            assert_eq!(a.malloc(40), p, "LIFO hit");
+            for q in [held[0], held[2]] {
+                assert!((0..48).all(|i| *q.add(i) == 0xA5), "a neighbour was written");
+            }
+            for q in held {
+                a.free(q);
+            }
+        }
+    }
+
+    #[test]
+    fn an_overaligned_block_is_cached_like_any_other() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p = a.malloc_aligned(100, 128);
+            assert_eq!(p as usize % 128, 0);
+            assert_eq!(a.usable_size(p), 128, "an ordinary block of the 128-byte class");
+            a.free(p);
+            assert!(snapshot(a.inner()).0.iter().any(|b| b.user == p as usize));
+            assert_eq!(a.malloc_aligned(100, 128), p, "and the magazine serves it again");
+            a.free(p);
         }
     }
 
@@ -716,25 +730,23 @@ mod tests {
     }
 
     #[test]
-    fn overaligned_and_uncached_bypass_and_a_remote_block_is_parked() {
+    fn uncached_classes_bypass_and_a_remote_block_is_parked() {
         // Magazines step aside while a fault scenario runs.
         #[cfg(feature = "failpoints")]
         let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(Config::with_heaps(2));
         unsafe {
-            let aligned = a.allocate(24, 64);
             let big = a.malloc(2000);
-            a.deallocate(aligned);
             a.free(big);
-            assert!(snapshot(a.inner()).0.is_empty(), "neither may be cached");
+            assert!(snapshot(a.inner()).0.is_empty(), "no magazine above 1 KiB");
             // A block freed by a thread on another heap waits in that
             // thread's outbox, where no malloc finds it.
             let p = a.malloc(8) as usize;
             // So does not a block of a class whose half magazine is one
             // block: that one goes straight home.
             let lone = a.malloc(1000) as usize;
-            assert_eq!(out_capacity(desc_of(lone as *mut u8).class()), 0);
-            on_a_remote_thread(&a, desc_of(p as *mut u8).heap(), || {
+            assert_eq!(out_capacity(a.inner().frames.get(lone).class()), 0);
+            on_a_remote_thread(&a, desc_of(&a, p as *mut u8).heap(), || {
                 a.free(p as *mut u8);
                 a.free(lone as *mut u8);
                 assert_eq!(parked(&a), [p]);
@@ -769,10 +781,10 @@ mod tests {
         let k = out_capacity(0);
         unsafe {
             let held: Vec<usize> = (0..k + 1).map(|_| a.malloc(8) as usize).collect();
-            let desc = desc_of(held[0] as *mut u8);
+            let desc = desc_of(&a, held[0] as *mut u8);
             assert!(held
                 .iter()
-                .all(|&p| core::ptr::eq(desc_of(p as *mut u8), desc)));
+                .all(|&p| core::ptr::eq(desc_of(&a, p as *mut u8), desc)));
             on_a_remote_thread(&a, desc.heap(), || {
                 let before = desc.load_anchor().count();
                 for &p in &held[..k] {
@@ -801,17 +813,17 @@ mod tests {
         let a = LfMalloc::with_config(Config::with_heaps(2));
         unsafe {
             // 256-byte blocks: 64 to a superblock, outbox of 4.
-            let first = a.malloc(248);
-            let (da, ci) = (desc_of(first), desc_of(first).class());
+            let first = a.malloc(256);
+            let (da, ci) = (desc_of(&a, first), a.inner().frames.get(first as usize).class());
             assert_eq!(out_capacity(ci), 4);
             let mut held = vec![first];
-            while core::ptr::eq(desc_of(held[held.len() - 1]), da) {
-                held.push(a.malloc(248));
+            while core::ptr::eq(desc_of(&a, held[held.len() - 1]), da) {
+                held.push(a.malloc(256));
             }
-            held.push(a.malloc(248));
-            let db = desc_of(held[held.len() - 1]);
-            let from = |d: &Descriptor, n: usize| -> Vec<usize> {
-                let of_d = held.iter().filter(|&&p| core::ptr::eq(desc_of(p), d));
+            held.push(a.malloc(256));
+            let db = desc_of(&a, held[held.len() - 1]);
+            let from = |d: &crate::descriptor::Descriptor, n: usize| -> Vec<usize> {
+                let of_d = held.iter().filter(|&&p| core::ptr::eq(desc_of(&a, p), d));
                 of_d.take(n).map(|&p| p as usize).collect()
             };
             let (of_a, of_b) = (from(da, 3), from(db, 2));
@@ -832,6 +844,64 @@ mod tests {
                 assert_eq!(db.load_anchor().count(), b0 + 2, "the run of the second");
                 assert!(a.audit().is_clean());
             });
+        }
+    }
+
+    /// `MallocFromPartial`'s line 3 moves the frame's entry with the
+    /// descriptor's heap: once another heap has adopted a PARTIAL
+    /// superblock, frees of its blocks are local to that heap's threads.
+    #[test]
+    fn an_adopted_superblocks_entry_follows_it_to_the_new_heap() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        let entry_of = |p: usize| a.inner().frames.get(p);
+        // Fills two superblocks of `size`-byte blocks and starts a third,
+        // then frees a block of the first and one of the second: the
+        // second displaces the first from the heap's Partial slot onto
+        // the class list, for whichever heap asks next.
+        let a_partial_superblock = |size: usize, per_sb: usize| unsafe {
+            let held: Vec<usize> = (0..2 * per_sb + 1).map(|_| a.malloc(size) as usize).collect();
+            assert_eq!(entry_of(held[0]), entry_of(held[per_sb - 1]));
+            assert_ne!(entry_of(held[0]).desc(), entry_of(held[per_sb]).desc());
+            for freed in [held[0], held[per_sb]] {
+                a.free(freed as *mut u8);
+                a.flush_thread_cache();
+            }
+            held[1]
+        };
+        unsafe {
+            // Class 4096 has no magazine: every malloc is the ladder's.
+            let theirs = a_partial_superblock(4096, 4);
+            let before = entry_of(theirs);
+            let home = (*before.desc()).heap();
+            assert_eq!(before.column(), a.inner().column_of(&*home));
+            on_a_remote_thread(&a, home, || {
+                let mine = a.malloc(4096);
+                let after = entry_of(theirs);
+                assert_eq!(entry_of(mine as usize), after, "adopted off the class list");
+                assert_eq!(after.desc(), before.desc());
+                assert_ne!(after.column(), before.column(), "the column moved with `heap`");
+                assert_eq!(after.column(), a.inner().column_of(&*(*after.desc()).heap()));
+                assert!(a.audit().is_clean());
+                a.free(mine);
+            });
+            // A cached class, seen from the magazine: the adopter's free
+            // of a block it did not allocate is a hit.
+            let theirs = a_partial_superblock(16, 1024);
+            let home = (*entry_of(theirs).desc()).heap();
+            on_a_remote_thread(&a, home, || {
+                let mine = a.malloc(16);
+                assert_eq!(entry_of(mine as usize), entry_of(theirs), "adopted");
+                a.free(theirs as *mut u8);
+                let (cached, _) = snapshot(a.inner());
+                assert!(
+                    cached.iter().any(|b| b.user == theirs && !b.out),
+                    "local to the adopting heap: cached, not parked"
+                );
+                assert_eq!(a.malloc(16) as usize, theirs, "and a hit");
+            });
+            assert!(a.audit().is_clean());
         }
     }
 
@@ -899,7 +969,7 @@ mod tests {
             a.free(p);
             assert!(snapshot(a.inner()).0.is_empty());
             let p = a.malloc(8) as usize;
-            on_a_remote_thread(&a, desc_of(p as *mut u8).heap(), || a.free(p as *mut u8));
+            on_a_remote_thread(&a, desc_of(&a, p as *mut u8).heap(), || a.free(p as *mut u8));
         }
         assert!(snapshot(a.inner()).0.is_empty());
     }
@@ -915,7 +985,7 @@ mod tests {
             let held: Vec<usize> = (0..8).map(|_| a.malloc(8) as usize).collect();
             let _guard = fp::scenario(0x0B0C);
             fp::arm("free.link", FpAction::Yield, FpTrigger::Always);
-            on_a_remote_thread(&a, desc_of(held[0] as *mut u8).heap(), || {
+            on_a_remote_thread(&a, desc_of(&a, held[0] as *mut u8).heap(), || {
                 for &p in &held {
                     // Other tests' frees reach the armed site as well.
                     let before = fp::fired("free.link");

@@ -340,19 +340,18 @@ fn take_sample<S: PageSource>(
     if armed != Ok(true) {
         return;
     }
-    // Derive class and block geometry from the block itself (prefix
-    // word: descriptor pointer when even, large marker when odd) — the
+    // Derive class and block geometry from the address (the frame map
+    // for a small block, the marker word in front of a large one) — the
     // shim needs no plumbing through the malloc ladder.
-    let prefix = unsafe {
-        (*((ptr as usize - PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed)
-    };
-    let (class, block_bytes) = if prefix & crate::large::LARGE_FLAG != 0 {
-        let user_off = prefix >> 1;
-        (LARGE_CLASS, unsafe { crate::large::usable_size_large(ptr, prefix) } + user_off)
+    let entry = inner.frames.get(ptr as usize);
+    let (class, block_bytes) = if entry.is_empty() {
+        let marker = unsafe {
+            (*((ptr as usize - PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed)
+        };
+        let user_off = marker >> 1;
+        (LARGE_CLASS, unsafe { crate::large::usable_size_large(ptr, marker) } + user_off)
     } else {
-        let desc = unsafe { &*(prefix as *const crate::descriptor::Descriptor) };
-        let heap = unsafe { &*desc.heap() };
-        (heap.class() as u16, desc.sz() as usize)
+        (entry.class() as u16, crate::size_classes::CLASS_SIZES[entry.class()] as usize)
     };
     let thread = SAMPLER_THREAD.try_with(|t| t.get().1).unwrap_or(u32::MAX);
     p.insert(

@@ -424,7 +424,7 @@ impl<S: PageSource> Inner<S> {
 pub struct ClassStats {
     /// Size-class index.
     pub class: usize,
-    /// Total block size of the class, prefix included (0 in `totals`).
+    /// Block size of the class (0 in `totals`).
     pub block_size: u32,
     pub malloc_cached: u64,
     pub malloc_fast: u64,
@@ -648,7 +648,7 @@ impl LatencyStats {
 pub struct FragClass {
     /// Size-class index.
     pub class: usize,
-    /// Total block size, prefix included.
+    /// Block size.
     pub block_size: u32,
     /// Estimated bytes in the class's live superblocks.
     pub committed_bytes: u64,

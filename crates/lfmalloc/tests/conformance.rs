@@ -150,23 +150,50 @@ fn drop_returns_all_memory() {
 fn usable_size_covers_request_and_class_rounding() {
     let a = LfMalloc::new_default();
     unsafe {
-        // Small path: 8-byte request + 8-byte prefix → 16-byte class,
-        // usable = 8.
+        // Small path: an 8-byte request is an 8-byte block, all of it
+        // usable — no prefix.
         let p = a.malloc(8);
         assert_eq!(a.usable_size(p), 8);
         a.free(p);
-        // 100-byte request + prefix → 112-byte class, usable = 104.
+        // 100-byte request → 112-byte class, usable = 112.
         let p = a.malloc(100);
-        assert_eq!(a.usable_size(p), 104);
+        assert_eq!(a.usable_size(p), 112);
         a.free(p);
         // Large path: usable ≥ request.
         let p = a.malloc(100_000);
         assert!(a.usable_size(p) >= 100_000);
         a.free(p);
-        // Aligned path: usable accounts for the in-block offset.
+        // Aligned path: an ordinary block of a class the alignment divides.
         let p = a.malloc_aligned(100, 64);
-        assert!(a.usable_size(p) >= 100, "usable {}", a.usable_size(p));
+        assert_eq!(a.usable_size(p), 128);
         a.free(p);
+    }
+}
+
+/// The word in front of a live small block is its neighbour's last
+/// word, not the allocator's: a one-word overflow out of the neighbour
+/// damages the victim's data (an application bug) and nothing `free`
+/// follows. With a prefix there, the second free below would chase the
+/// scribbled word as a descriptor pointer.
+#[test]
+fn a_one_word_overflow_into_a_neighbour_does_not_reach_the_allocator() {
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    unsafe {
+        let blocks: Vec<*mut u8> = (0..8).map(|_| a.malloc(48)).collect();
+        let (p, q) = (blocks[3], blocks[4]);
+        assert_eq!(q as usize, p as usize + 48, "neighbours, nothing between them");
+        // Fill `p` to its last byte and one word beyond.
+        core::ptr::write_bytes(p, 0xFF, 48 + 8);
+        a.free(q);
+        a.free(p);
+        a.flush_thread_cache();
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        for p in blocks.into_iter().filter(|&b| b != p && b != q) {
+            a.free(p);
+        }
+        a.trim();
+        assert_eq!(a.os_stats().live_bytes, 0);
     }
 }
 
@@ -174,7 +201,7 @@ fn usable_size_covers_request_and_class_rounding() {
 fn realloc_grows_in_place_within_class_and_moves_across() {
     let a = LfMalloc::new_default();
     unsafe {
-        let p = a.malloc(40); // class 48: usable 40
+        let p = a.malloc(40); // class 48: usable 48
         testkit::fill(p, 40);
         let snapshot: Vec<u8> = core::slice::from_raw_parts(p, 40).to_vec();
         // Same class: stays put.

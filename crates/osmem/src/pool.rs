@@ -104,6 +104,16 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
             // repopulated it while the OS call failed.
             return unsafe { self.free.pop() }.map_or(core::ptr::null_mut(), |r| r as *mut u8);
         }
+        // Threads that find the pool dry in the same instant each map a
+        // hyperblock; whoever comes back to a stocked LIFO takes a region
+        // there and returns its own mapping, which no stack ever held
+        // (a forced carve, `retry`, keeps it).
+        if !fp.retry {
+            if let Some(r) = unsafe { self.free.pop() } {
+                unsafe { source.dealloc_pages(base, bytes, Self::REGION_SIZE) };
+                return r as *mut u8;
+            }
+        }
         if !self.register_hyperblock(base, bytes) {
             // No registry record means no teardown/trim path for this
             // hyperblock; return it rather than leak it, and report OOM
@@ -515,6 +525,68 @@ mod tests {
         }
         let pool = Arc::try_unwrap(pool).unwrap();
         unsafe { pool.release_all(&*src) };
+    }
+
+    /// Two threads find the pool dry in the same instant and each maps a
+    /// hyperblock. The source holds the second one's mapping back until
+    /// the first has carved, so the second comes back to a stocked LIFO:
+    /// it takes a region from there and returns its own mapping.
+    #[test]
+    fn a_dry_pool_carve_race_ends_with_one_hyperblock() {
+        use std::sync::atomic::AtomicUsize;
+        /// Lets the first `alloc_pages` caller through once a second one
+        /// is inside too, and the second once `first_done` is set.
+        struct Gated {
+            inner: CountingSource<SystemSource>,
+            inside: AtomicUsize,
+            first_done: AtomicUsize,
+        }
+        unsafe impl PageSource for Gated {
+            unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
+                let gate = match self.inside.fetch_add(1, Ordering::AcqRel) {
+                    0 => &self.inside,     // wait for company (inside == 2)
+                    _ => &self.first_done, // wait for the first to carve (== 2)
+                };
+                while gate.load(Ordering::Acquire) < 2 {
+                    std::thread::yield_now();
+                }
+                unsafe { self.inner.alloc_pages(size, align) }
+            }
+            unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
+                unsafe { self.inner.dealloc_pages(ptr, size, align) }
+            }
+        }
+        let src = Gated {
+            inner: CountingSource::new(SystemSource::new()),
+            inside: AtomicUsize::new(0),
+            first_done: AtomicUsize::new(0),
+        };
+        let pool = SbPool::new(4);
+        let regions: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let r = pool.alloc(&src) as usize;
+                        // Whoever is back first was the first one in.
+                        src.first_done.store(2, Ordering::Release);
+                        r
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(regions[0] != 0 && regions[1] != 0 && regions[0] != regions[1]);
+        let stats = src.inner.stats();
+        assert_eq!((stats.os_allocs, stats.os_frees), (2, 1), "both mapped, the later one gave back");
+        assert_eq!(pool.hyperblock_count(), 1);
+        assert_eq!(stats.live_bytes, 4 * SbPool::REGION_SIZE);
+        assert_eq!(stats.peak_bytes, 8 * SbPool::REGION_SIZE, "the peak still saw both");
+        assert!(regions.iter().all(|&r| pool.owns(r)), "both regions are the survivor's");
+        for r in regions {
+            unsafe { pool.dealloc(r as *mut u8) };
+        }
+        unsafe { pool.release_all(&src) };
+        assert_eq!(src.inner.stats().live_bytes, 0);
     }
 
     /// The textbook ABA shape on the free LIFO, one step at a time: A is

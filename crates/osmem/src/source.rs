@@ -75,6 +75,33 @@ mod mprotect_sys {
     }
 }
 
+/// Anonymous zero mappings for an allocator's own fixed metadata, counted
+/// by no [`PageSource`]: `mmap` itself (Linux constants, as in
+/// `malloc_api::procfork::sys`), so zero-fill and page-at-a-time residency
+/// hold whatever `malloc` did before, and glibc's mmap threshold stays put.
+pub mod anon {
+    use core::ffi::c_void;
+    const PROT_READ_WRITE: i32 = 1 | 2;
+    const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+    unsafe extern "C" {
+        fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    /// `len` zero bytes, page-aligned; null when the kernel refuses.
+    pub fn map(len: usize) -> *mut u8 {
+        let p = unsafe { mmap(core::ptr::null_mut(), len, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS, -1, 0) };
+        if p as isize == -1 { core::ptr::null_mut() } else { p as *mut u8 }
+    }
+
+    /// # Safety
+    ///
+    /// `ptr`/`len` must match a live prior [`map`].
+    pub unsafe fn unmap(ptr: *mut u8, len: usize) {
+        unsafe { munmap(ptr as *mut c_void, len) };
+    }
+}
+
 /// The default source: aligned runs from the *system* allocator.
 ///
 /// Uses `std::alloc::System` directly (never the Rust global allocator)

@@ -83,7 +83,7 @@ fn main() {
         let p = a.malloc(64);
         a.free(p);
         a.flush_thread_cache(); // out of the thread's magazine, onto the free list
-        (p.sub(8) as *mut u64).write(u64::MAX); // smash the next-free index
+        (p as *mut u64).write(u64::MAX); // smash the next-free index
     }
     let rep = a.audit();
     println!("== planted corruption ==");

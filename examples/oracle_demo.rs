@@ -85,7 +85,8 @@ fn main() {
 fn planted_bug_pipeline() {
     use oracle::{shrink, subjects::replay_named, FpActionSpec, FpPlan, FpTriggerSpec};
 
-    let mut trace = Trace::generate(0x5EED, 3, 400);
+    // The seed of tests/oracle_differential.rs (`SEED`, and why that one).
+    let mut trace = Trace::generate(0x5EEC, 3, 400);
     trace.allocator = "lfmalloc".into();
     trace.failpoints.push(FpPlan {
         site: "alloc.double_handout".into(),

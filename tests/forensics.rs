@@ -74,7 +74,7 @@ fn describe_ptr_classifies_every_pointer_state() {
         assert_eq!(a.describe_ptr(0).kind, PtrKind::Null);
         assert_eq!(a.describe_ptr(8).kind, PtrKind::Null);
 
-        // Live small block: class geometry, prefix offset, alloc bit.
+        // Live small block: class geometry, block start, alloc bit.
         let size = 48 + (seed as usize % 96);
         let p = unsafe { a.malloc(size) } as usize;
         assert_ne!(p, 0);
@@ -82,8 +82,9 @@ fn describe_ptr_classifies_every_pointer_state() {
         assert_eq!(r.kind, PtrKind::Small, "{r:?}");
         assert!(r.class.is_some());
         assert!(r.class_size as usize >= size, "class must fit the request");
-        assert_eq!(r.offset_in_block, 8, "user data sits past the prefix");
-        assert_eq!(r.block_start, p - 8);
+        assert_eq!(r.offset_in_block, 0, "the pointer is the block: no prefix");
+        assert_eq!(r.block_start, p);
+        assert_eq!(r.class_size as usize, unsafe { a.usable_size(p as *mut u8) });
         assert_ne!(r.superblock, 0);
         assert_ne!(r.descriptor, 0);
         assert!(r.sb_state.is_some());

@@ -7,6 +7,7 @@
 //! cannot survive. The canary page in front of it covers overruns that
 //! stop short of the trap.
 
+use lfmalloc::config::SB_SIZE;
 use lfmalloc_repro::prelude::*;
 use std::sync::{Arc, Barrier};
 
@@ -21,36 +22,43 @@ fn invalid_frees_are_rejected_and_counted() {
     unsafe {
         let p = a.malloc(64);
         assert!(!p.is_null());
-        // Deterministic garbage where an interior free will look for a
-        // prefix word.
+        // Nothing the block holds can vouch for a pointer: validation
+        // reads the frame map, never the block.
         core::ptr::write_bytes(p, 0xAB, 64);
 
         // Interior pointer: 8-aligned but pointing into block data.
         a.free(p.add(8));
         assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 1);
 
+        // Interior pointer where a smaller class would have a block
+        // start: the frame is a superblock's, of the 64-byte class.
+        a.free(p.add(32));
+        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 2);
+
         // Misaligned pointer.
         a.free(p.add(3));
-        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 2);
+        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 3);
 
         // Stack address: not in any superblock this instance mapped.
         let local = 0u64;
         a.free(&local as *const u64 as *mut u8);
-        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 3);
+        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 4);
 
         // Foreign pointer: a live block of another lfmalloc instance.
         let q = b.malloc(64);
         assert!(!q.is_null());
         a.free(q);
-        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 4);
+        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 5);
         assert_eq!(b.misuse_counters().total(), 0);
 
-        // The legitimate owners can still free both blocks.
+        // The block is intact and the legitimate owners can still free
+        // both.
+        assert!((0..64).all(|i| *p.add(i) == 0xAB));
         a.free(p);
         b.free(q);
     }
-    assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 4);
-    assert_eq!(a.misuse_counters().total(), 4, "no other kind may fire");
+    assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 5);
+    assert_eq!(a.misuse_counters().total(), 5, "no other kind may fire");
     let last = a.misuse_counters().last_report().unwrap();
     assert_eq!(last.kind, MisuseKind::InvalidFree);
     a.flush_quarantine();
@@ -65,8 +73,9 @@ fn sequential_double_free_is_classified_as_double_free() {
         let p = a.malloc(48);
         assert!(!p.is_null());
         a.free(p);
-        // The block is quarantined with its descriptor prefix intact,
-        // so the repeat free reaches the bitmap and loses there.
+        // The block is quarantined, poisoned from its first byte; the
+        // frame map still names its descriptor, so the repeat free
+        // reaches the bitmap and loses there.
         a.free(p);
     }
     let c = a.misuse_counters();
@@ -136,6 +145,40 @@ fn use_after_free_write_is_caught_by_quarantine_poison() {
     assert_eq!(c.count(MisuseKind::PoisonViolation), 1);
     assert_eq!(c.total(), 1);
     assert_eq!(c.last_report().unwrap().kind, MisuseKind::PoisonViolation);
+    assert!(a.audit().is_clean(), "{:?}", a.audit());
+}
+
+/// The allocation bitmap has 1024 bits and an 8-byte superblock 2048
+/// blocks: a hardened instance opens only the first 1024 of them.
+#[test]
+fn hardened_eight_byte_superblocks_stop_at_the_bitmap() {
+    let a = LfMalloc::with_config(Config::with_heaps(1).with_hardening(Hardening::Detect));
+    unsafe {
+        let blocks: Vec<usize> = (0..3_000).map(|_| a.malloc(8) as usize).collect();
+        let mut per_sb = std::collections::HashMap::new();
+        for &p in &blocks {
+            assert!(p != 0);
+            assert_eq!(a.usable_size(p as *mut u8), 8);
+            assert!(p % SB_SIZE < 1024 * 8, "{p:#x} is past the bitmap's reach");
+            *per_sb.entry(p / SB_SIZE).or_insert(0usize) += 1;
+        }
+        assert_eq!(per_sb.len(), 3, "1024 blocks to a superblock: {per_sb:?}");
+        assert_eq!(blocks.iter().collect::<std::collections::HashSet<_>>().len(), blocks.len());
+        // The last block the bitmap covers: its double free is caught.
+        let last = *blocks.iter().find(|&&p| p % SB_SIZE == 1023 * 8).unwrap();
+        a.free(last as *mut u8);
+        a.free(last as *mut u8);
+        assert_eq!(a.misuse_counters().count(MisuseKind::DoubleFree), 1);
+        // And the byte behind it belongs to no block.
+        a.free((last + 8) as *mut u8);
+        assert_eq!(a.misuse_counters().count(MisuseKind::InvalidFree), 1);
+        assert!(a.audit().is_clean(), "{:?}", a.audit());
+        for p in blocks.into_iter().filter(|&p| p != last) {
+            a.free(p as *mut u8);
+        }
+    }
+    assert_eq!(a.misuse_counters().total(), 2);
+    a.flush_quarantine();
     assert!(a.audit().is_clean(), "{:?}", a.audit());
 }
 

@@ -127,7 +127,7 @@ fn concurrent_threads_progress_while_killer_rampages() {
 /// stated bound: a thread killed with its magazines and its outboxes
 /// full strands what they hold — at most `magazine::MAX_CACHED_BYTES`
 /// (Σ (capacity + outbox capacity) × block size over the cached
-/// classes, ≤ 32 classes × 3 KiB) per instance — and still never blocks
+/// classes, 79 328 bytes ≤ 33 classes × 3 KiB) per instance — and still never blocks
 /// anyone: other threads allocate, free, adopt other slots and audit
 /// clean around the corpse, and a quiescent `trim` takes even that back.
 #[test]
@@ -142,12 +142,13 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     #[cfg(feature = "failpoints")]
     let _quiet = malloc_api::failpoints::no_scenario();
 
-    let size_of = |ci: usize| CLASS_SIZES[ci] as usize - 8;
+    let size_of = |ci: usize| CLASS_SIZES[ci] as usize;
     let full: usize = (0..CACHED_CLASSES).map(|ci| capacity(ci) + out_capacity(ci)).sum();
     let full_bytes: usize = (0..CACHED_CLASSES)
         .map(|ci| (capacity(ci) + out_capacity(ci)) * CLASS_SIZES[ci] as usize)
         .sum();
     assert_eq!(full_bytes, MAX_CACHED_BYTES);
+    assert_eq!(MAX_CACHED_BYTES, 79_328);
     assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES * 3 / 2);
 
     let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));

@@ -202,6 +202,17 @@ mod planted_bug {
     use super::*;
     use oracle::{shrink, subjects::replay_named, Expectation, FpActionSpec, FpPlan, FpTriggerSpec, Violation};
 
+    /// A seed that meets two conditions (0x5EED did while classes
+    /// included a prefix). Its every-7th `malloc_small` finds, at least
+    /// once, a request of its predecessor's class with that block still
+    /// live — about every second seed; which ones depends on the
+    /// size-class table. And its minimized trace starts and ends on the
+    /// same thread: the instance's hyperblock comes out of the glibc arena
+    /// of the thread that mallocs first, an exiting thread's arena is the
+    /// next one handed out, so that thread gets its own arena back on
+    /// every replay and step 3 can compare raw pointers.
+    const SEED: u64 = 0x5EEC;
+
     /// A trace whose failpoint plan makes lfmalloc re-hand-out the
     /// previous same-class small block on every 7th `malloc_small`.
     fn bugged_trace(seed: u64) -> Trace {
@@ -223,7 +234,7 @@ mod planted_bug {
     #[test]
     fn planted_double_handout_is_caught_shrunk_and_replayed() {
         // 1. Caught: the oracle sees the duplicate before any write.
-        let trace = bugged_trace(0x5EED);
+        let trace = bugged_trace(SEED);
         let (out, _) = replay_named("lfmalloc", &trace);
         assert!(
             out.violations.iter().any(is_double_handout),
@@ -291,7 +302,7 @@ op 6 t=0 malloc slot=6 size=64
     /// allocator.
     #[test]
     fn without_the_plan_the_trace_is_clean() {
-        let mut trace = bugged_trace(0x5EED);
+        let mut trace = bugged_trace(SEED);
         trace.failpoints.clear();
         for s in all_subjects() {
             let out = s.replay(&trace);

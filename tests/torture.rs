@@ -129,9 +129,9 @@ fn audit_flags_seeded_freelist_corruption() {
         // A local free is cached in the thread's magazine; send it home.
         a.flush_thread_cache();
         // `p`'s block is now the head of its superblock's free list; the
-        // block's first word (at the prefix slot, user pointer − 8)
-        // holds the next-free index.
-        (p.sub(8) as *mut u64).write(u64::MAX);
+        // block's first word — the pointer is the block start — holds
+        // the next-free index.
+        (p as *mut u64).write(u64::MAX);
     }
     let rep = a.audit();
     assert!(
