@@ -19,9 +19,14 @@
 //! in the frame map, written once per superblock by [`open_sb`] and
 //! kept current by `MallocFromPartial`'s line 3. An over-aligned request
 //! is an ordinary block of a class whose size the alignment divides.
+//!
+//! Third departure (DESIGN.md §20): `open_sb` links nothing. Figure 4's
+//! line 3 is gone; the anchor's virgin flag says the blocks from `avail`
+//! up are free, in order and never written, and both pops step through
+//! such a run by addition (`walk`).
 
 use crate::active::Active;
-use crate::anchor::{SbState, MAX_BLOCKS};
+use crate::anchor::{Link, SbState};
 use crate::config::SB_SIZE;
 use crate::descriptor::{Descriptor, BITMAP_WORDS};
 use crate::framemap::Entry;
@@ -157,7 +162,21 @@ unsafe fn malloc_from_active<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
 ) -> Option<(usize, *const Descriptor)> {
-    unsafe { pop_from_active(inner, heap, 1) }.map(|(block, desc, _)| (block, desc))
+    unsafe { pop_from_active(inner, heap, 1) }.map(|(block, desc, ..)| (block, desc))
+}
+
+/// Figure 4's `next = *addr`, `m` times over from `head`: the address of
+/// the block at `head` and the position `m` blocks on, or `None` when the
+/// walk met a word that was no link (see [`pop_from_active`]). The loads
+/// are atomic: a racing thread may already have been handed a block we
+/// read and be writing user data. Under `V` there is no load at all
+/// ([`Link::skip`]).
+#[inline]
+unsafe fn walk(desc: &Descriptor, head: Link, m: u32) -> Option<(usize, Link)> {
+    let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
+    let at = |i: u32| (sb + i as usize * sz) as *const AtomicU64;
+    let word = |i| unsafe { (*at(i)).load(Ordering::Acquire) };
+    Some((at(head.idx()) as usize, head.skip(m, desc.maxcount(), word)?))
 }
 
 /// `MallocFromActive` with both steps generalised from one block to up
@@ -169,18 +188,21 @@ unsafe fn malloc_from_active<S: PageSource>(
 ///
 /// Why the chain pop is as safe as the single pop: the free list never
 /// holds fewer blocks than are reserved, so with `m` reservations in
-/// hand the first `m` links from `avail` exist. Links of listed blocks
-/// are immutable, and any pop between our anchor load and our CAS bumps
-/// the tag (a push alone changes `avail`, and can only bring the old
-/// value back after a pop), so a successful CAS proves the chain we
+/// hand the first `m` positions from `avail` exist. Links of listed
+/// blocks are immutable, and any pop between our anchor load and our CAS
+/// bumps the tag (a push alone changes `avail`, and can only bring the
+/// old value back after a pop), so a successful CAS proves the chain we
 /// walked is the chain we took — the paper's ABA argument, with the tag
 /// still bumped once per pop. A *failed* walk may have read a link out
 /// of a block a racing pop already handed to the application, i.e. user
-/// bytes: every link is therefore checked against `maxcount` before it
-/// is followed, so the walk never leaves the superblock.
+/// bytes: every explicit link is therefore checked against `maxcount`
+/// before it is followed, and once a link carries `V` nothing more is
+/// read, so the walk never leaves the superblock (DESIGN.md §15.3).
 ///
-/// Returns the first block's start, the descriptor and `m`; the blocks
-/// are linked in list order by block index through their first word.
+/// Returns the first block's start, the descriptor, `m`, and the head
+/// the list had. The blocks are the first `m` positions from that head:
+/// linked by block index through their first word up to the first
+/// position that carries `V`, consecutive and unwritten from there on.
 ///
 /// # Safety
 ///
@@ -189,7 +211,7 @@ pub(crate) unsafe fn pop_from_active<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
     k: u32,
-) -> Option<(usize, *const Descriptor, u32)> {
+) -> Option<(usize, *const Descriptor, u32, Link)> {
     debug_assert!(k >= 1);
     // -- First step: reserve blocks -----------------------------------
     // `reserve_tries`/`pop_tries` feed the CAS-retry histograms *and*
@@ -242,7 +264,7 @@ pub(crate) unsafe fn pop_from_active<S: PageSource>(
     // -- Second step: pop blocks (lock-free LIFO pop with ABA tag) ----
     let mut pop_tries: u64 = 0;
     let mut morecredits = 0;
-    let (block, oldanchor) = 'pop: loop {
+    let (block, oldanchor) = loop {
         if malloc_api::fail_point!("active.pop").retry {
             // Forced CAS-failure arm of the pop loop; counted so the
             // watchdog sees seeded storms.
@@ -251,27 +273,15 @@ pub(crate) unsafe fn pop_from_active<S: PageSource>(
             continue;
         }
         let oldanchor = desc.load_anchor(); // line 8
-        let sb = desc.sb() as usize;
-        let sz = desc.sz() as usize;
-        let maxcount = desc.maxcount();
-        let block = sb + oldanchor.avail() as usize * sz; // line 9
-        // line 10, `m` times: read the next free index from the block
-        // body. Atomic: a racing thread may have already allocated this
-        // block and be writing user data; the bounds check keeps such a
-        // walk inside the superblock and the tag CAS below rejects it.
-        let mut next = oldanchor.avail();
-        for _ in 0..m {
-            if next >= maxcount {
-                pop_tries += 1;
-                watch(inner, heap, WatchSite::ActivePop, pop_tries);
-                continue 'pop;
-            }
-            let link = (sb + next as usize * sz) as *const AtomicU64;
-            next = unsafe { (*link).load(Ordering::Acquire) } as u32 & (MAX_BLOCKS - 1);
-        }
-        let mut newanchor = oldanchor
-            .with_avail(next) // line 11 (masked: garbage is rejected by the CAS)
-            .with_tag_bump(); // line 12
+        // lines 9-10; a walk that strayed is a pop that lost its race.
+        let Some((block, next)) = (unsafe { walk(desc, oldanchor.head(), m) }) else {
+            pop_tries += 1;
+            watch(inner, heap, WatchSite::ActivePop, pop_tries);
+            continue;
+        };
+        // Where a test parks a popper between its walk and its CAS.
+        let _ = malloc_api::fail_point!("active.walked");
+        let mut newanchor = oldanchor.pop(next); // lines 11-12
         if took_last {
             // line 13: we took the last credit; state must be ACTIVE.
             if oldanchor.count() == 0 {
@@ -293,7 +303,7 @@ pub(crate) unsafe fn pop_from_active<S: PageSource>(
     if took_last && oldanchor.count() > 0 {
         unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 19-20
     }
-    Some((block, desc_ptr, m))
+    Some((block, desc_ptr, m, oldanchor.head()))
 }
 
 /// `UpdateActive` (Figure 4): try to reinstall `desc` as the active
@@ -446,13 +456,10 @@ unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) 
     let mut pop_tries: u64 = 0;
     let block = loop {
         let old = desc.load_anchor();
-        let sb = desc.sb() as usize;
-        let sz = desc.sz() as usize;
-        let block = sb + old.avail() as usize * sz; // line 12
-        let next = unsafe { (*(block as *const AtomicU64)).load(Ordering::Acquire) };
-        let new = old.with_avail(next as u32 & (MAX_BLOCKS - 1)).with_tag_bump(); // 13-14
-        if desc.cas_anchor(old, new).is_ok() {
-            break block; // line 15
+        if let Some((block, next)) = unsafe { walk(desc, old.head(), 1) } {
+            if desc.cas_anchor(old, old.pop(next)).is_ok() {
+                break block; // lines 12-15
+            }
         }
         pop_tries += 1;
         watch(inner, heap, WatchSite::PartialPop, pop_tries);
@@ -517,9 +524,12 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
     unsafe { open_sb(inner, heap, desc_ptr) }
 }
 
-/// The rest of `MallocFromNewSB` (Figure 4, lines 3–17): lay a fresh free
-/// list over `desc_ptr`'s superblock and try to install it as `heap`'s
-/// active superblock. On a lost race the pair is retired as it stands
+/// The rest of `MallocFromNewSB` (Figure 4, lines 4–17): declare
+/// `desc_ptr`'s superblock one virgin run and try to install it as
+/// `heap`'s active superblock. Line 3, the loop that links every block to
+/// the next, is gone: the anchor says `1 | V` and nothing is written into
+/// the superblock, new or reopened (DESIGN.md §20; CI checks this body
+/// has no loop). On a lost race the pair is retired as it stands
 /// ("we prefer to deallocate the superblock rather than take a block
 /// from it", §3.2.3 — onto the warm stack, not into the page pool).
 ///
@@ -545,13 +555,6 @@ unsafe fn open_sb<S: PageSource>(
         desc.reset_alloc_bits();
         maxcount = maxcount.min(BITMAP_WORDS as u32 * 64);
     }
-    // line 3: organize blocks in a linked list starting with index 0.
-    for i in 0..maxcount {
-        unsafe {
-            (*((sb as usize + i as usize * sz) as *const AtomicU64))
-                .store(i as u64 + 1, Ordering::Relaxed);
-        }
-    }
     desc.set_heap(heap as *const _ as *mut ProcHeap); // line 4
     desc.set_sz(sz as u32); // line 6
     desc.set_maxcount(maxcount); // line 7
@@ -564,12 +567,7 @@ unsafe fn open_sb<S: PageSource>(
     // lines 5, 10, 11 — preserving the descriptor's tag sequence across
     // reuse keeps the ABA argument intact. A store: no block of an EMPTY
     // superblock is allocated or reserved, so no anchor CAS is pending.
-    let anchor = desc
-        .load_anchor()
-        .with_avail(1)
-        .with_count(count)
-        .with_state(SbState::Active)
-        .with_tag_bump();
+    let anchor = desc.load_anchor().open(count);
     desc.store_anchor(anchor); // line 12's fence == this release store
     let newactive = Active::pack(desc_ptr, credits);
     if heap.cas_active(Active::null(), newactive).is_ok() {

@@ -9,32 +9,154 @@
 //!     unsigned avail:10, count:10, state:2, tag:42;
 //! ```
 //!
-//! We widen `avail`/`count` to 12 bits each (tag shrinks to 38): a
-//! 16 KiB superblock of 16-byte blocks holds 1024 blocks, which does not
-//! fit in 10 bits. 2³⁸ tag values keep "full wraparound practically
+//! Ours, low bits first (DESIGN.md §20):
+//!
+//! ```text
+//!     avail:12, virgin:1, count:11, state:2, tag:38
+//! ```
+//!
+//! A 16 KiB superblock of the 8-byte class holds 2048 blocks. `avail`
+//! indexes `0..=2047` and must also hold 2048, the "no next block"
+//! value the last block links to: 12 bits. `count` never exceeds
+//! `maxcount - 1` = 2047 (the paper keeps it one short of the
+//! population, so an EMPTY anchor reads the same however it got there):
+//! 11 bits. The bit between them is the **virgin flag**; the tag keeps
+//! its 38 bits, and 2³⁸ values keep "full wraparound practically
 //! impossible in a short time", the paper's stated requirement.
+//!
+//! # The virgin flag
+//!
+//! `avail` and the flag together are the head of the free list, a
+//! [`Link`], and a listed block's first word is a `Link` too. `i | V`
+//! means: block `i`, and every block from `i` to `maxcount` is free, has
+//! never been handed out in this life of the superblock, and is linked
+//! in ascending order *implicitly* — nothing is written in any of them.
+//! A superblock opens with `avail = 1 | V` and no store into it
+//! ([`Anchor::open`]); a pop under `V` is an addition ([`Link::skip`]);
+//! a push writes the old head, flag and all, into the pushed chain's
+//! last block and leaves an explicit head ([`Anchor::push`]). Pushes go
+//! in front and only pops move the frontier, upward, so the virgin run
+//! is always the list's tail: at most one listed block carries a `V`
+//! link, and it names the frontier.
+
+use crate::size_classes::blocks_per_superblock;
 
 /// Bits for the `avail` (first free block index) subfield.
 pub const AVAIL_BITS: u32 = 12;
+/// Bits for the virgin flag, which sits on top of `avail`.
+pub const VIRGIN_BITS: u32 = 1;
 /// Bits for the `count` (unreserved free blocks) subfield.
-pub const COUNT_BITS: u32 = 12;
+pub const COUNT_BITS: u32 = 11;
 /// Bits for the `state` subfield.
 pub const STATE_BITS: u32 = 2;
 /// Bits for the ABA `tag` subfield.
-pub const TAG_BITS: u32 = 64 - AVAIL_BITS - COUNT_BITS - STATE_BITS;
+pub const TAG_BITS: u32 = 64 - AVAIL_BITS - VIRGIN_BITS - COUNT_BITS - STATE_BITS;
 
-/// Maximum blocks per superblock representable in the anchor.
-pub const MAX_BLOCKS: u32 = 1 << AVAIL_BITS;
+/// Maximum blocks per superblock representable in the anchor: `count`
+/// holds up to `maxcount - 1`.
+pub const MAX_BLOCKS: u32 = 1 << COUNT_BITS;
 
-const AVAIL_SHIFT: u32 = 0;
-const COUNT_SHIFT: u32 = AVAIL_BITS;
-const STATE_SHIFT: u32 = AVAIL_BITS + COUNT_BITS;
-const TAG_SHIFT: u32 = AVAIL_BITS + COUNT_BITS + STATE_BITS;
+const COUNT_SHIFT: u32 = AVAIL_BITS + VIRGIN_BITS;
+const STATE_SHIFT: u32 = COUNT_SHIFT + COUNT_BITS;
+const TAG_SHIFT: u32 = STATE_SHIFT + STATE_BITS;
 
-const AVAIL_MASK: u64 = (1 << AVAIL_BITS) - 1;
+const AVAIL_MASK: u32 = (1 << AVAIL_BITS) - 1;
+const VIRGIN: u32 = 1 << AVAIL_BITS;
+const LINK_MASK: u32 = AVAIL_MASK | VIRGIN;
 const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
 const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
 const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
+
+// Class 0 is the smallest, so its superblocks are the most populous.
+// Their "no next block" value must fit `avail`, and the most `count`
+// ever holds must fit the field the virgin flag narrowed.
+const _: () = assert!(blocks_per_superblock(0) <= AVAIL_MASK);
+const _: () = assert!(blocks_per_superblock(0) <= MAX_BLOCKS);
+const _: () = assert!(TAG_BITS == 38);
+
+/// A position in a superblock's free list: a block index and the virgin
+/// flag. The anchor's low bits hold one (the list's head); so does the
+/// first word of every listed block (its successor).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Link(u32);
+
+impl Link {
+    /// Block `idx`, whose successor is whatever its first word says.
+    #[inline]
+    pub const fn explicit(idx: u32) -> Link {
+        debug_assert!(idx <= AVAIL_MASK);
+        Link(idx)
+    }
+
+    /// Block `idx` at the head of the never-allocated tail.
+    #[inline]
+    pub const fn virgin(idx: u32) -> Link {
+        debug_assert!(idx <= AVAIL_MASK);
+        Link(idx | VIRGIN)
+    }
+
+    /// Reads a block's first word as a link. Masked: a doomed walk may
+    /// read user bytes here, and whatever it makes of them must still
+    /// fit the anchor's field (the tag CAS then rejects it).
+    #[inline]
+    pub const fn from_word(word: u64) -> Link {
+        Link(word as u32 & LINK_MASK)
+    }
+
+    /// The word to store in a listed block whose successor this is.
+    #[inline]
+    pub const fn word(self) -> u64 {
+        self.0 as u64
+    }
+
+    /// The block index.
+    #[inline]
+    pub const fn idx(self) -> u32 {
+        self.0 & AVAIL_MASK
+    }
+
+    /// Whether the block and everything above it is untouched.
+    #[inline]
+    pub const fn is_virgin(self) -> bool {
+        self.0 & VIRGIN != 0
+    }
+
+    /// The successor of this position, which the caller knows to be a
+    /// listed block: the next index up under `V`, otherwise what the
+    /// block's first word — `word()`, not called under `V` — says.
+    #[inline]
+    pub fn next(self, word: impl FnOnce() -> u64) -> Link {
+        debug_assert!(self.idx() < AVAIL_MASK);
+        if self.is_virgin() {
+            Link(self.0 + 1)
+        } else {
+            Link::from_word(word())
+        }
+    }
+
+    /// The position `m` blocks down the list from this one; `word(i)`
+    /// reads block `i`'s first word and is called only for explicit
+    /// positions below `maxcount`. Under `V` the rest of the way is one
+    /// addition. `None` when the list has no `m` blocks from here inside
+    /// `0..maxcount` — which a list the caller holds `m` reservations
+    /// against always has, so `None` means the walk read a word that was
+    /// not a link (a racing pop handed the block out) and must restart.
+    #[inline]
+    pub fn skip(self, m: u32, maxcount: u32, mut word: impl FnMut(u32) -> u64) -> Option<Link> {
+        let mut at = self;
+        for left in (1..=m).rev() {
+            if at.is_virgin() {
+                let next = at.idx() + left;
+                return (next <= maxcount).then(|| Link::virgin(next));
+            }
+            if at.idx() >= maxcount {
+                return None;
+            }
+            at = at.next(|| word(at.idx()));
+        }
+        Some(at)
+    }
+}
 
 /// Superblock lifecycle state (§3.2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,12 +195,12 @@ impl SbState {
 /// # Example
 ///
 /// ```
-/// use lfmalloc::anchor::{Anchor, SbState};
+/// use lfmalloc::anchor::{Anchor, Link, SbState};
 ///
 /// let a = Anchor::new(5, 3, SbState::Active);
 /// assert_eq!(a.avail(), 5);
 /// assert_eq!(a.count(), 3);
-/// let popped = a.with_avail(7).with_tag_bump();
+/// let popped = a.pop(Link::explicit(7));
 /// assert_eq!(popped.avail(), 7);
 /// assert_eq!(popped.tag(), a.tag() + 1);
 /// assert_ne!(popped.raw(), a.raw());
@@ -87,15 +209,11 @@ impl SbState {
 pub struct Anchor(u64);
 
 impl Anchor {
-    /// Builds an anchor with tag zero.
+    /// Builds an anchor with an explicit head and tag zero.
     pub fn new(avail: u32, count: u32, state: SbState) -> Anchor {
-        debug_assert!(avail < MAX_BLOCKS, "avail {avail} out of range");
+        debug_assert!(avail <= AVAIL_MASK, "avail {avail} out of range");
         debug_assert!((count as u64) <= COUNT_MASK, "count {count} out of range");
-        Anchor(
-            ((avail as u64) << AVAIL_SHIFT)
-                | ((count as u64) << COUNT_SHIFT)
-                | ((state as u64) << STATE_SHIFT),
-        )
+        Anchor(avail as u64 | ((count as u64) << COUNT_SHIFT) | ((state as u64) << STATE_SHIFT))
     }
 
     /// Reinterprets a raw word loaded from the descriptor's atomic.
@@ -110,10 +228,24 @@ impl Anchor {
         self.0
     }
 
+    /// The head of the superblock's free list: `avail` and the virgin
+    /// flag.
+    #[inline]
+    pub fn head(self) -> Link {
+        Link(self.0 as u32 & LINK_MASK)
+    }
+
     /// Index of the first available block in the superblock's free list.
     #[inline]
     pub fn avail(self) -> u32 {
-        ((self.0 >> AVAIL_SHIFT) & AVAIL_MASK) as u32
+        self.head().idx()
+    }
+
+    /// Whether the free list is, from its head on, the never-allocated
+    /// tail of the superblock.
+    #[inline]
+    pub fn virgin(self) -> bool {
+        self.head().is_virgin()
     }
 
     /// Number of unreserved available blocks.
@@ -134,11 +266,10 @@ impl Anchor {
         (self.0 >> TAG_SHIFT) & TAG_MASK
     }
 
-    /// Replaces `avail`.
+    /// Replaces the head: `avail` and the virgin flag together.
     #[inline]
-    pub fn with_avail(self, avail: u32) -> Anchor {
-        debug_assert!(avail < MAX_BLOCKS);
-        Anchor((self.0 & !(AVAIL_MASK << AVAIL_SHIFT)) | ((avail as u64) << AVAIL_SHIFT))
+    pub fn with_head(self, head: Link) -> Anchor {
+        Anchor((self.0 & !(LINK_MASK as u64)) | head.word())
     }
 
     /// Replaces `count`.
@@ -161,12 +292,59 @@ impl Anchor {
         let tag = (self.tag().wrapping_add(1)) & TAG_MASK;
         Anchor((self.0 & !(TAG_MASK << TAG_SHIFT)) | (tag << TAG_SHIFT))
     }
+
+    /// The anchor of a superblock just opened (Figure 4,
+    /// `MallocFromNewSB` lines 5 and 10–11): block 0 is the opener's,
+    /// blocks `1..maxcount` are the virgin run, `count` of them
+    /// unreserved. Built on the descriptor's last anchor so the tag
+    /// sequence carries on across lives; the caller holds the superblock
+    /// with no block allocated or reserved, which is what makes all of it
+    /// virgin again.
+    #[inline]
+    pub fn open(self, count: u32) -> Anchor {
+        self.with_head(Link::virgin(1))
+            .with_count(count)
+            .with_state(SbState::Active)
+            .with_tag_bump()
+    }
+
+    /// The anchor after a pop that leaves `next` at the head (Figure 4,
+    /// `MallocFromActive` lines 11–12). The tag is bumped whether the
+    /// popped blocks were virgin or not: a superblock emptied, reopened
+    /// and popped back to the same `i | V` must not look unchanged.
+    #[inline]
+    pub fn pop(self, next: Link) -> Anchor {
+        self.with_head(next).with_tag_bump()
+    }
+
+    /// A push of `n` blocks, the first of them block `first` (Figure 6,
+    /// `free` lines 8–16): the word to store in the last one — the old
+    /// head, virgin flag included — and the new anchor, whose head is
+    /// explicit: the pushed blocks have been handed out, and the virgin
+    /// run now starts behind them.
+    #[inline]
+    pub fn push(self, first: u32, n: u32, maxcount: u32) -> (u64, Anchor) {
+        let mut new = self.with_head(Link::explicit(first)); // line 9
+        if self.state() == SbState::Full {
+            new = new.with_state(SbState::Partial); // lines 10-11
+        }
+        if self.count() + n == maxcount {
+            // lines 12-15: these were the last allocated blocks (count
+            // stays short of `maxcount` by one, as in the paper, so an
+            // EMPTY anchor reads the same however it got there).
+            new = new.with_count(maxcount - 1).with_state(SbState::Empty);
+        } else {
+            new = new.with_count(self.count() + n); // line 16
+        }
+        (self.head().word(), new)
+    }
 }
 
 impl core::fmt::Debug for Anchor {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Anchor")
             .field("avail", &self.avail())
+            .field("virgin", &self.virgin())
             .field("count", &self.count())
             .field("state", &self.state())
             .field("tag", &self.tag())
@@ -181,27 +359,47 @@ mod tests {
 
     #[test]
     fn field_widths_sum_to_64() {
-        assert_eq!(AVAIL_BITS + COUNT_BITS + STATE_BITS + TAG_BITS, 64);
+        assert_eq!(
+            AVAIL_BITS + VIRGIN_BITS + COUNT_BITS + STATE_BITS + TAG_BITS,
+            64
+        );
         assert_eq!(TAG_BITS, 38);
     }
 
     #[test]
     fn max_superblock_population_fits() {
-        // 16 KiB / 16 B = 1024 blocks; avail indexes 0..=1023 and the
-        // "no next block" sentinel 1024 must be representable.
-        assert!(crate::config::SB_SIZE / 16 <= MAX_BLOCKS as usize);
+        // The 8-byte class: 2048 blocks. `avail` indexes 0..=2047 and
+        // holds the "no next block" value 2048, with or without the
+        // virgin flag; `count` holds up to 2047.
+        let most = blocks_per_superblock(0);
+        assert_eq!(most, 2048);
+        assert_eq!(most, MAX_BLOCKS);
+        for end in [Link::explicit(most), Link::virgin(most)] {
+            let a = Anchor::new(0, most - 1, SbState::Partial).with_head(end);
+            assert_eq!(
+                (a.avail(), a.virgin(), a.count()),
+                (most, end.is_virgin(), most - 1)
+            );
+            assert_eq!(Link::from_word(end.word()), end);
+        }
     }
 
     #[test]
     fn new_starts_with_zero_tag() {
         let a = Anchor::new(1, 2, SbState::Partial);
         assert_eq!(a.tag(), 0);
+        assert!(!a.virgin());
         assert_eq!(a.state(), SbState::Partial);
     }
 
     #[test]
     fn state_roundtrip_all_variants() {
-        for s in [SbState::Active, SbState::Full, SbState::Partial, SbState::Empty] {
+        for s in [
+            SbState::Active,
+            SbState::Full,
+            SbState::Partial,
+            SbState::Empty,
+        ] {
             let a = Anchor::new(0, 0, SbState::Active).with_state(s);
             assert_eq!(a.state(), s);
         }
@@ -222,26 +420,45 @@ mod tests {
     #[test]
     fn tag_wraps_in_field_without_corrupting_others() {
         let mut a = Anchor::from_raw(
-            Anchor::new(7, 9, SbState::Full).raw() | (TAG_MASK << TAG_SHIFT), // max tag
+            Anchor::new(7, 9, SbState::Full)
+                .with_head(Link::virgin(7))
+                .raw()
+                | (TAG_MASK << TAG_SHIFT), // max tag
         );
         a = a.with_tag_bump();
         assert_eq!(a.tag(), 0);
-        assert_eq!(a.avail(), 7);
+        assert_eq!(a.head(), Link::virgin(7));
         assert_eq!(a.count(), 9);
         assert_eq!(a.state(), SbState::Full);
+    }
+
+    fn random_head(rng: &mut TestRng) -> Link {
+        let idx = rng.range(0, 1 << AVAIL_BITS) as u32;
+        if rng.range(0, 2) == 1 {
+            Link::virgin(idx)
+        } else {
+            Link::explicit(idx)
+        }
     }
 
     #[test]
     fn pack_roundtrip_randomized() {
         let mut rng = TestRng::new(0xA2C0);
         for _ in 0..4096 {
-            let avail = rng.range(0, MAX_BLOCKS as usize) as u32;
+            let head = random_head(&mut rng);
             let count = rng.range(0, 1 << COUNT_BITS) as u32;
             let state = SbState::from_bits(rng.range(0, 4) as u64);
-            let a = Anchor::new(avail, count, state);
-            assert_eq!(a.avail(), avail);
+            let a = Anchor::new(head.idx(), count, state).with_head(head);
+            assert_eq!(a.head(), head);
+            assert_eq!((a.avail(), a.virgin()), (head.idx(), head.is_virgin()));
             assert_eq!(a.count(), count);
             assert_eq!(a.state(), state);
+            assert_eq!(a.tag(), 0);
+            assert_eq!(
+                Link::from_word(head.word() | !(LINK_MASK as u64)),
+                head,
+                "masked"
+            );
         }
     }
 
@@ -249,19 +466,219 @@ mod tests {
     fn with_fields_are_independent_randomized() {
         let mut rng = TestRng::new(0xA2C1);
         for _ in 0..4096 {
-            let avail = rng.range(0, MAX_BLOCKS as usize) as u32;
+            let head = random_head(&mut rng);
             let count = rng.range(0, 1 << COUNT_BITS) as u32;
-            let new_avail = rng.range(0, MAX_BLOCKS as usize) as u32;
+            let new_head = random_head(&mut rng);
             let new_count = rng.range(0, 1 << COUNT_BITS) as u32;
-            let a = Anchor::new(avail, count, SbState::Active)
+            let a = Anchor::new(head.idx(), count, SbState::Active)
+                .with_head(head)
                 .with_tag_bump()
-                .with_avail(new_avail)
+                .with_head(new_head)
                 .with_count(new_count)
                 .with_state(SbState::Empty);
-            assert_eq!(a.avail(), new_avail);
+            assert_eq!(a.head(), new_head);
             assert_eq!(a.count(), new_count);
             assert_eq!(a.state(), SbState::Empty);
             assert_eq!(a.tag(), 1);
+        }
+    }
+
+    #[test]
+    fn a_garbage_link_never_walks_out_of_the_superblock() {
+        let maxcount = 6;
+        let no_read = |_| -> u64 { panic!("a virgin position is never read") };
+        // Under V the walk is arithmetic, bounded by the sentinel.
+        assert_eq!(
+            Link::virgin(2).skip(4, maxcount, no_read),
+            Some(Link::virgin(6))
+        );
+        assert_eq!(Link::virgin(2).skip(5, maxcount, no_read), None);
+        // User bytes read as a link: an explicit index out of range stops
+        // the walk before it is followed, one with the V bit set stops it
+        // at the final range check.
+        assert_eq!(Link::explicit(0).skip(2, maxcount, |_| 0xDEAD_BEEF), None);
+        assert_eq!(Link::explicit(0).skip(2, maxcount, |_| u64::MAX), None);
+        // In range, it is handed to the tag CAS to reject.
+        let next = Link::explicit(0).skip(1, maxcount, |_| 0xDEAD_BEEF);
+        assert_eq!(next, Some(Link::from_word(0xDEAD_BEEF)));
+    }
+
+    /// What a handed-out or never-listed block's first word may hold.
+    const USER_BYTES: u64 = 0xA5A5_A5A5_A5A5_A5A5;
+
+    /// A superblock as the hot paths' pure functions see it — an anchor
+    /// and one word per block — beside a plain list of free block indices.
+    #[derive(Clone)]
+    struct Tiny {
+        maxcount: u32,
+        anchor: Anchor,
+        words: Vec<u64>,
+        /// The model: free blocks, head first, and the ones handed out.
+        free: Vec<u32>,
+        held: Vec<u32>,
+        /// Where the virgin run began after the last operation.
+        frontier: u32,
+    }
+
+    impl Tiny {
+        fn opened(maxcount: u32, last_life: Anchor) -> Tiny {
+            Tiny {
+                maxcount,
+                // `open_sb`: block 0 is the opener's, nothing is written.
+                anchor: last_life.open(maxcount - 1),
+                words: vec![USER_BYTES; maxcount as usize],
+                free: (1..maxcount).collect(),
+                held: vec![0],
+                frontier: 1,
+            }
+        }
+
+        fn word(&self) -> impl FnMut(u32) -> u64 + '_ {
+            |i| {
+                assert!(
+                    self.free.contains(&i),
+                    "read the first word of block {i}, not listed"
+                );
+                self.words[i as usize]
+            }
+        }
+
+        /// `MallocFromPartial`: reserve `k`, then pop them in one CAS.
+        fn pop(&mut self, k: u32) {
+            let old = self.anchor;
+            let left = old.count() - k;
+            let state = if left > 0 {
+                SbState::Partial
+            } else {
+                SbState::Full
+            };
+            let old = old.with_count(left).with_state(state);
+            let next = old
+                .head()
+                .skip(k, self.maxcount, self.word())
+                .expect("k blocks are listed");
+            // The k-block skip lands where k single steps do, and those
+            // name the blocks handed out (as `magazine::refill` walks).
+            let (mut at, mut got) = (old.head(), Vec::new());
+            for _ in 0..k {
+                got.push(at.idx());
+                at = at.skip(1, self.maxcount, self.word()).expect("listed");
+            }
+            assert_eq!(at, next);
+            let model: Vec<u32> = self.free.drain(..k as usize).collect();
+            assert_eq!(got, model, "hand-out order");
+            for &i in &got {
+                self.words[i as usize] = USER_BYTES;
+            }
+            self.held.extend(got);
+            self.anchor = old.pop(next);
+            assert_eq!(self.anchor.tag(), old.tag() + 1, "every pop bumps the tag");
+            self.check();
+        }
+
+        /// `free`, or a magazine flush: `chain` goes in front of the list.
+        fn push(&mut self, chain: &[u32]) {
+            for pair in chain.windows(2) {
+                self.words[pair[0] as usize] = Link::explicit(pair[1]).word();
+            }
+            let (last, new) = self
+                .anchor
+                .push(chain[0], chain.len() as u32, self.maxcount);
+            self.words[chain[chain.len() - 1] as usize] = last;
+            assert!(!new.virgin(), "a pushed block has been handed out");
+            assert_eq!(new.tag(), self.anchor.tag());
+            self.anchor = new;
+            self.held.retain(|i| !chain.contains(i));
+            self.free.splice(0..0, chain.iter().copied());
+            self.check();
+        }
+
+        fn check(&mut self) {
+            let a = self.anchor;
+            if self.held.is_empty() {
+                assert_eq!((a.state(), a.count()), (SbState::Empty, self.maxcount - 1));
+                return;
+            }
+            assert_ne!(a.state(), SbState::Empty);
+            assert_eq!(a.count() as usize, self.free.len(), "count");
+            // The whole list, walked the way the audit does: explicit
+            // links, then one V link or a V anchor, then arithmetic.
+            let (mut at, mut walked) = (a.head(), Vec::new());
+            let mut frontier = None;
+            while at.idx() < self.maxcount {
+                if at.is_virgin() && frontier.is_none() {
+                    frontier = Some(at.idx());
+                }
+                assert_eq!(
+                    at.is_virgin(),
+                    frontier.is_some(),
+                    "the virgin run is the tail"
+                );
+                walked.push(at.idx());
+                at = at.skip(1, self.maxcount, self.word()).expect("in range");
+            }
+            assert_eq!(walked, self.free, "the list is the model's");
+            let frontier = frontier.unwrap_or(at.idx());
+            assert_eq!(at.idx(), self.maxcount);
+            assert!(frontier >= self.frontier, "the frontier moved down");
+            assert!(
+                self.held.iter().all(|&i| i < frontier),
+                "a held block in the virgin run"
+            );
+            self.frontier = frontier;
+        }
+
+        /// Every sequence of at most `depth` further operations.
+        fn explore(&self, depth: u32, sequences: &mut u64) {
+            *sequences += 1;
+            if depth == 0 {
+                return;
+            }
+            if self.anchor.state() == SbState::Empty {
+                // Whoever takes the descriptor reopens it: every word is
+                // stale, none is read, and the tag carries on.
+                Tiny::opened(self.maxcount, self.anchor).explore(depth - 1, sequences);
+                return;
+            }
+            for k in 1..=self.anchor.count().min(3) {
+                let mut t = self.clone();
+                t.pop(k);
+                t.explore(depth - 1, sequences);
+            }
+            let mut chains: Vec<Vec<u32>> = Vec::new();
+            for &a in &self.held {
+                chains.push(vec![a]);
+                chains.extend(self.held.iter().filter(|&&b| b != a).map(|&b| vec![a, b]));
+            }
+            if self.held.len() > 2 {
+                // Everything at once, in and against allocation order:
+                // the chain that empties the superblock.
+                chains.push(self.held.clone());
+                chains.push(self.held.iter().rev().copied().collect());
+            }
+            for chain in chains {
+                let mut t = self.clone();
+                t.push(&chain);
+                t.explore(depth - 1, sequences);
+            }
+        }
+    }
+
+    /// DESIGN.md §20.4: bounded-exhaustive, sequential. Every sequence of
+    /// pop-`k` / push-chain / empty-and-reopen up to a fixed length on a
+    /// tiny superblock hands blocks out in the order a plain list would,
+    /// keeps `count`, never reads a word of a block that is not listed,
+    /// and never moves the frontier down within a life.
+    #[test]
+    fn every_short_sequence_matches_a_plain_free_list() {
+        for (maxcount, depth) in [(2, 8), (4, 5), (5, 4), (6, 4)] {
+            let mut sequences = 0;
+            Tiny::opened(maxcount, Anchor::new(0, maxcount - 1, SbState::Empty))
+                .explore(depth, &mut sequences);
+            assert!(
+                sequences > 100 || maxcount == 2,
+                "maxcount {maxcount}: {sequences}"
+            );
         }
     }
 }

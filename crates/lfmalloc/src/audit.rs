@@ -45,14 +45,19 @@
 //!   `PARTIAL` or `EMPTY`).
 //! * The superblock free list holds **at least** `count` (+
 //!   `credits + 1` for the installed active superblock) distinct,
-//!   in-range blocks — walked by following the in-block next indices
-//!   from `anchor.avail`. Kills may leak blocks, which makes the free
-//!   list *longer* than the anchor accounts for (leaked reservations)
-//!   or leaves allocated blocks unreachable, but never shorter and
-//!   never cyclic.
+//!   in-range blocks — walked from `anchor.avail` by following the
+//!   successor in each listed block's first word and, from the first
+//!   position that carries the virgin flag on, by counting upward
+//!   without reading anything (DESIGN.md §20). Kills may leak blocks,
+//!   which makes the free list *longer* than the anchor accounts for
+//!   (leaked reservations) or leaves allocated blocks unreachable, but
+//!   never shorter and never cyclic; and a virgin run never starts past
+//!   `maxcount` nor, hardened, holds a block marked allocated
+//!   (`sb.virgin-range`).
 //! * `EMPTY` descriptors record `count == maxcount - 1` (all blocks
 //!   free except the conceptual one being freed); their free list is
-//!   not walked (whoever reopens the superblock lays a fresh one).
+//!   not walked (whoever reopens the superblock declares it one
+//!   virgin run, whatever the last life left in it).
 //! * Every block cached in a thread magazine or parked in a thread's
 //!   outbox ([`crate::magazine`]) lies at a block start of a live,
 //!   non-`EMPTY` superblock of the bin's class (by the frame map: the
@@ -598,25 +603,68 @@ fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
     rep.large_cached_spans = spans;
 }
 
-/// The blocks (by index) that `desc`'s anchor — plus the Active word of
-/// its heap, if it is installed there — accounts for as free: the first
-/// `count (+ credits + 1)` links from `avail`. The walk stops at the
-/// first out-of-range or repeated index; `check_linked_desc` reports
-/// those.
-fn accounted_free_blocks(desc: &Descriptor) -> HashSet<u64> {
-    let anchor = desc.load_anchor();
-    let active = unsafe { &*desc.heap() }.load_active();
-    let reserved = if core::ptr::eq(active.desc(), desc) { active.credits() as usize + 1 } else { 0 };
-    let (sb, sz, maxc) = (desc.sb() as usize, desc.sz() as usize, desc.maxcount() as u64);
-    let mut free = HashSet::new();
-    let mut idx = anchor.avail() as u64;
-    for _ in 0..anchor.count() as usize + reserved {
-        if idx >= maxc || !free.insert(idx) {
+/// The first positions of a superblock's free list, as far as they are
+/// sound.
+struct FreeWalk {
+    /// Block indices in list order.
+    blocks: Vec<u32>,
+    /// The rest of the virgin run, if the position after the last block
+    /// asked for lies in it: free, but beyond what was to be accounted.
+    beyond: core::ops::Range<u32>,
+    /// What stopped the walk short of the length asked for, as a check
+    /// name and its detail.
+    defect: Option<(&'static str, String)>,
+}
+
+/// Follows the first `n` positions of `desc`'s free list from
+/// `anchor.avail`: a listed block's first word names its successor, and
+/// from the first position that carries `V` on (the anchor's, or one
+/// link's) the successor is the next index up and nothing is read
+/// (DESIGN.md §20). Stops at the first index out of range or met twice.
+fn walk_free_list(desc: &Descriptor, n: usize) -> FreeWalk {
+    let (sb, sz, maxc) = (desc.sb() as usize, desc.sz() as usize, desc.maxcount());
+    let mut walk = FreeWalk { blocks: Vec::new(), beyond: 0..0, defect: None };
+    let mut seen: HashSet<u32> = HashSet::new();
+    let mut at = desc.load_anchor().head();
+    // One position past the last block asked for: a `V` there has to
+    // be a possible one too.
+    for step in 0..=n {
+        let idx = at.idx();
+        if at.is_virgin() && idx > maxc {
+            walk.defect = Some(("sb.virgin-range", format!("position {step} is {idx} | V, beyond maxcount {maxc}")));
             break;
         }
-        idx = unsafe { *((sb + idx as usize * sz) as *const u64) };
+        if step == n {
+            if at.is_virgin() {
+                walk.beyond = idx..maxc;
+            }
+            break;
+        }
+        if idx >= maxc {
+            walk.defect = Some(("sb.freelist-short", format!("free list ended at {step}/{n} (next index {idx})")));
+            break;
+        }
+        if !seen.insert(idx) {
+            walk.defect = Some(("sb.freelist-cycle", format!("free list revisits block {idx} at {step}/{n}")));
+            break;
+        }
+        walk.blocks.push(idx);
+        // The first word of an explicitly listed block is its successor
+        // (written by `free`); a virgin block's was never written.
+        at = at.next(|| unsafe { *((sb + idx as usize * sz) as *const u64) });
     }
-    free
+    walk
+}
+
+/// The blocks (by index) that `desc`'s anchor — plus the Active word of
+/// its heap, if it is installed there — accounts for as free: the first
+/// `count (+ credits + 1)` positions from `avail`, as far as they are
+/// sound; `check_linked_desc` reports where they are not.
+fn accounted_free_blocks(desc: &Descriptor) -> HashSet<u32> {
+    let active = unsafe { &*desc.heap() }.load_active();
+    let reserved = if core::ptr::eq(active.desc(), desc) { active.credits() as usize + 1 } else { 0 };
+    let n = desc.load_anchor().count() as usize + reserved;
+    walk_free_list(desc, n).blocks.into_iter().collect()
 }
 
 /// The row of a magazine slot a block or a miscount was found in.
@@ -650,7 +698,7 @@ fn check_magazines<S: PageSource>(
         });
     }
     let mut seen: HashSet<usize> = HashSet::new();
-    let mut free_lists: HashMap<usize, HashSet<u64>> = HashMap::new();
+    let mut free_lists: HashMap<usize, HashSet<u32>> = HashMap::new();
     for b in &cached {
         let place = format!("{}[slot {}, class {}]", row_name(b.out), b.slot, b.class);
         let mut flag = |check: &'static str, detail: String| {
@@ -685,7 +733,7 @@ fn check_magazines<S: PageSource>(
             flag("mag.block-range", format!("{:#x} is no block start of superblock {sb:#x}", b.user));
             continue;
         }
-        let idx = ((b.user - sb) / sz) as u64;
+        let idx = ((b.user - sb) / sz) as u32;
         if free_lists.entry(d).or_insert_with(|| accounted_free_blocks(desc)).contains(&idx) {
             flag("mag.block-free", format!("{:#x} is also on its superblock's free list", b.user));
         }
@@ -750,8 +798,8 @@ fn check_linked_desc<S: PageSource>(
 
     if state == SbState::Empty {
         // Parked: the superblock waits on its descriptor for whoever
-        // takes that next. Its free list is not walked (a reopen lays a
-        // fresh one); an EMPTY anchor records all blocks free.
+        // takes that next. Its free list is not walked (a reopen ignores
+        // it); an EMPTY anchor records all blocks free.
         rep.parked_superblocks += 1;
         if !in_pool {
             rep.violations.push(AuditViolation {
@@ -816,49 +864,25 @@ fn check_linked_desc<S: PageSource>(
     // be reachable from `anchor.avail`. Kills may leak *extra* blocks
     // onto the list (abandoned reservations), so the walk stops after
     // `expected` — a longer list is legal, a shorter or cyclic one is
-    // corruption.
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut idx = anchor.avail() as u64;
-    for step in 0..expected {
-        if idx >= maxc as u64 {
-            rep.violations.push(AuditViolation {
-                check: "sb.freelist-short",
-                detail: format!(
-                    "{}: desc {a:#x} free list ended at {step}/{expected} (next index {idx})",
-                    l.place
-                ),
-            });
-            break;
-        }
-        if !visited.insert(idx) {
-            rep.violations.push(AuditViolation {
-                check: "sb.freelist-cycle",
-                detail: format!(
-                    "{}: desc {a:#x} free list revisits block {idx} at {step}/{expected}",
-                    l.place
-                ),
-            });
-            break;
-        }
-        // Hardened cross-check: a block on the free list must not be
-        // marked allocated in the descriptor's bitmap (the bit is
-        // cleared before the anchor push and set before the pointer
-        // escapes malloc).
-        if hardened && desc.alloc_bit(idx as usize) {
-            rep.violations.push(AuditViolation {
-                check: "harden.bitmap-free-set",
-                detail: format!(
-                    "{}: desc {a:#x} free-listed block {idx} has its allocation bit set",
-                    l.place
-                ),
-            });
-        }
-        // The first word of a free block is its next-free index (written
-        // by the superblock carve or by free); quiescent free blocks
-        // always hold a value <= maxcount.
-        idx = unsafe { *((sb + idx as usize * sz as usize) as *const u64) };
+    // corruption, and so is a virgin run that starts past the end.
+    let walk = walk_free_list(desc, expected);
+    if let Some((check, detail)) = walk.defect {
+        rep.violations.push(AuditViolation { check, detail: format!("{}: desc {a:#x} {detail}", l.place) });
     }
-    rep.free_blocks_walked += visited.len();
+    rep.free_blocks_walked += walk.blocks.len();
+    if hardened {
+        // A block on the free list must not be marked allocated in the
+        // descriptor's bitmap (the bit is cleared before the anchor push
+        // and set before the pointer escapes malloc) — and where the
+        // virgin run outlasts the accounted blocks (reservations leaked by
+        // kills), no block of the rest has been handed out in this life.
+        let listed = walk.blocks.iter().map(|&i| ("harden.bitmap-free-set", "free-listed", i));
+        let beyond = walk.beyond.map(|i| ("sb.virgin-range", "virgin", i));
+        for (check, what, idx) in listed.chain(beyond).filter(|b| desc.alloc_bit(b.2 as usize)) {
+            let detail = format!("{}: desc {a:#x} {what} block {idx} has its allocation bit set", l.place);
+            rep.violations.push(AuditViolation { check, detail });
+        }
+    }
 
     // Hardened cross-check: allocated bits + free blocks accounted by
     // the anchor/Active word can never exceed the population. One-
@@ -876,6 +900,104 @@ fn check_linked_desc<S: PageSource>(
                     l.place
                 ),
             });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::anchor::Link as Pos;
+    use crate::config::Config;
+    use crate::harden::Hardening;
+    use malloc_api::RawMalloc;
+
+    fn violations<S: PageSource>(a: &LfMalloc<S>) -> Vec<&'static str> {
+        a.audit().violations.iter().map(|v| v.check).collect()
+    }
+
+    /// DESIGN.md §20: the walk follows explicit links, then one `V`, then
+    /// counts upward — and a `V` that names a block past the end is
+    /// `sb.virgin-range`, in a link as in the anchor.
+    #[test]
+    fn a_mixed_list_is_clean_and_a_virgin_position_out_of_range_is_not() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            // The ladder serves block 0, a refill takes the next sixteen.
+            let held: Vec<*mut u8> = (0..5).map(|_| a.malloc(64)).collect();
+            let desc = &*a.inner().frames.get(held[0] as usize).desc();
+            let (maxc, sb) = (desc.maxcount(), desc.sb() as usize);
+            let opened = desc.load_anchor();
+            assert!(opened.virgin() && opened.avail() == 17, "{opened:?}");
+            let rep = a.audit();
+            assert!(rep.is_clean(), "a virgin anchor: {rep}");
+            assert_eq!(rep.free_blocks_walked as u32, maxc - 17);
+
+            // Two frees and the twelve cached blocks go home: fourteen
+            // explicit links in front of the run that starts at 17.
+            a.free(held[1]);
+            a.free(held[3]);
+            a.flush_thread_cache();
+            let mixed = desc.load_anchor();
+            assert!(!mixed.virgin(), "{mixed:?}");
+            let rep = a.audit();
+            assert!(rep.is_clean(), "explicit links, then the run: {rep}");
+            assert_eq!(rep.free_blocks_walked as u32, maxc - 17 + 14);
+            let (mut at, mut explicit) = (mixed.head(), 0);
+            let frontier_link = loop {
+                let word = (sb + at.idx() as usize * 64) as *mut u64;
+                explicit += 1;
+                at = Pos::from_word(*word);
+                if at.is_virgin() {
+                    break word;
+                }
+            };
+            assert_eq!((explicit, at), (14, Pos::virgin(17)));
+
+            frontier_link.write(Pos::virgin(maxc + 1).word());
+            assert_eq!(violations(&a), ["sb.virgin-range"]);
+            frontier_link.write(at.word());
+            assert!(a.audit().is_clean());
+
+            desc.store_anchor(mixed.with_head(Pos::virgin(maxc + 1)));
+            assert_eq!(violations(&a), ["sb.virgin-range"]);
+            // An empty run is legal where nothing more is accounted for;
+            // here it leaves the list short.
+            desc.store_anchor(mixed.with_head(Pos::virgin(maxc)));
+            assert_eq!(violations(&a), ["sb.freelist-short"]);
+            desc.store_anchor(mixed);
+            assert!(a.audit().is_clean());
+            for p in [held[0], held[2], held[4]] {
+                a.free(p);
+            }
+        }
+    }
+
+    #[test]
+    fn hardened_a_block_of_the_virgin_run_marked_allocated_is_flagged() {
+        let a = LfMalloc::with_config(Config::with_heaps(1).with_hardening(Hardening::Detect));
+        unsafe {
+            let p = a.malloc(64);
+            let desc = &*a.inner().frames.get(p as usize).desc();
+            assert!(desc.load_anchor().virgin());
+            assert!(a.audit().is_clean());
+            // A killed reservation leaves the run one block longer than
+            // the anchor and the Active word account for: that last block
+            // is free, but in no walk.
+            assert!(a.simulate_killed_reservation(64));
+            assert!(a.audit().is_clean());
+            let idx = desc.maxcount() as usize - 1;
+            assert!(desc.set_alloc_bit(idx));
+            assert_eq!(violations(&a), ["sb.virgin-range"]);
+            desc.clear_alloc_bit(idx);
+            // An accounted block is the older check's.
+            desc.set_alloc_bit(1);
+            assert_eq!(violations(&a), ["harden.bitmap-free-set"]);
+            desc.clear_alloc_bit(1);
+            assert!(a.audit().is_clean());
+            a.free(p);
         }
     }
 }

@@ -856,4 +856,42 @@ mod tests {
         });
         unsafe { pool.release_all(&src) };
     }
+
+    /// Every life of a superblock starts at `1 | V` (DESIGN.md §20.3). No
+    /// popper of one life can still be walking in the next — a
+    /// reservation keeps the superblock from going EMPTY — but were a CAS
+    /// delayed across a whole life, it would meet the same `avail`,
+    /// `count` and state under another tag: the anchor of a reopened
+    /// descriptor is built on the one it finds, and every pop, virgin or
+    /// not, bumps it.
+    #[test]
+    fn the_same_virgin_head_in_the_next_life_carries_another_tag() {
+        use crate::anchor::Link;
+        use crate::instance::LfMalloc;
+        use malloc_api::RawMalloc;
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(crate::config::Config::with_heaps(1));
+        unsafe {
+            let p = a.malloc(8000); // two blocks to a superblock
+            let desc = &*a.inner().frames.get(p as usize).desc();
+            let first_life = desc.load_anchor();
+            assert_eq!(first_life.head(), Link::virgin(1));
+            let q = a.malloc(8000);
+            assert_eq!(desc.load_anchor().head(), Link::virgin(2), "popped by addition");
+            assert_eq!(desc.load_anchor().tag(), first_life.tag() + 1);
+            a.free(p);
+            a.free(q); // EMPTY, parked in the heap's slot
+            assert_eq!(a.malloc(8000), p, "reopened in place");
+            let next_life = desc.load_anchor();
+            assert_eq!(
+                (next_life.head(), next_life.count(), next_life.state()),
+                (first_life.head(), first_life.count(), first_life.state())
+            );
+            assert_eq!(next_life.tag(), first_life.tag() + 2, "one pop, one reopen");
+            let stale = first_life.pop(Link::virgin(2));
+            assert_eq!(desc.cas_anchor(first_life, stale), Err(next_life));
+            a.free(p);
+        }
+    }
 }

@@ -131,13 +131,12 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
             continue;
         }
         let old = desc.load_anchor(); // line 7
-        // line 8: link the chain's end to the current list head.
-        // Written before the CAS; the CAS's release ordering is the
-        // paper's memory fence (line 17).
-        unsafe {
-            (*(last as *const AtomicU64)).store(old.avail() as u64, Ordering::Relaxed);
-        }
-        let mut new = old.with_avail(first_idx); // line 9
+        // lines 9-16, and line 8: link the chain's end to the current
+        // list head — the virgin flag goes into the block with it, and
+        // the new head carries none. Written before the CAS; the CAS's
+        // release ordering is the paper's memory fence (line 17).
+        let (link, new) = old.push(first_idx, n, maxcount);
+        unsafe { (*(last as *const AtomicU64)).store(link, Ordering::Relaxed) };
         // One chain never takes a superblock FULL → EMPTY: the descriptor
         // would be in no slot and on no list, stranded. A FULL anchor
         // counts 0, so the chain would have to be the whole superblock;
@@ -145,20 +144,12 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
         // class, an eighth of the `SB_SIZE / sz` a superblock does, and
         // every other caller passes n == 1 < 2 ≤ maxcount.
         debug_assert!(old.state() != SbState::Full || n < maxcount);
-        if old.state() == SbState::Full {
-            new = new.with_state(SbState::Partial); // lines 10-11
-        }
-        if old.count() + n == maxcount {
-            // lines 12-15: these were the last allocated blocks (count
-            // stays short of `maxcount` by one, as in the paper, so an
-            // EMPTY anchor reads the same however it got there). Read the
+        if new.state() == SbState::Empty {
+            // lines 12-15: these were the last allocated blocks. Read the
             // owning heap *before* the CAS (the paper's instruction
             // fence, line 14): after the CAS the descriptor may be
             // recycled by another thread at any time.
             heap = desc.heap(); // line 13
-            new = new.with_count(maxcount - 1).with_state(SbState::Empty); // line 15
-        } else {
-            new = new.with_count(old.count() + n); // line 16
         }
         match desc.cas_anchor(old, new) {
             Ok(()) => break (old, new), // line 18

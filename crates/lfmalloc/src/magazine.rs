@@ -7,7 +7,10 @@
 //!   thread touches: no atomic read-modify-write, no shared cache line.
 //! * A **miss** refills half a magazine with
 //!   [`alloc::pop_from_active`](crate::alloc): Figure 4's two CASes,
-//!   reserving and popping `k` blocks instead of one. An **overflow**
+//!   reserving and popping `k` blocks instead of one. Blocks popped off
+//!   a virgin run (DESIGN.md §20) are consecutive and were never
+//!   written: the refill stores a pointer into each and loads from
+//!   none. An **overflow**
 //!   returns half through [`free_impl::push_free_chain`](crate::free_impl),
 //!   one CAS per run of blocks sharing a superblock.
 //! * Only *local* frees enter a magazine (the block's superblock belongs
@@ -29,6 +32,7 @@
 //! or by fork recovery. What a *killed* thread strands is bounded by
 //! [`MAX_CACHED_BYTES`].
 
+use crate::anchor::Link;
 use crate::config::SB_SIZE;
 use crate::framemap::Entry;
 use crate::harden::Hardening;
@@ -287,7 +291,8 @@ unsafe fn refill<S: PageSource>(
     let heap = my_heap(inner, tb, ci);
     let k = CAP[ci] as u32 / 2;
     let t0 = crate::lat_start!();
-    let Some((first, desc_ptr, m)) = (unsafe { crate::alloc::pop_from_active(inner, heap, k) })
+    let Some((first, desc_ptr, m, head)) =
+        (unsafe { crate::alloc::pop_from_active(inner, heap, k) })
     else {
         return unsafe { crate::alloc::malloc_small(inner, ci) };
     };
@@ -295,19 +300,20 @@ unsafe fn refill<S: PageSource>(
     crate::stat_lat!(inner, lat_malloc_fast, t0);
     let desc = unsafe { &*desc_ptr };
     let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
-    // The chain is linked by block index through each block's first
-    // word. Turn each index into the pointer a hit expects, in place.
-    let mut block = first;
-    for i in 1..=m {
+    // The chain is the first `m` positions from `head`: linked by block
+    // index through each block's first word while explicit, consecutive
+    // once one carries `V` — and from there on nothing is loaded, the run
+    // was never written. Either way each block gets the pointer a hit
+    // expects, in place.
+    let (mut at, mut block) = (head, first);
+    for _ in 1..m {
         let link = block as *const AtomicU64;
-        if i == m {
-            // The last block's index word is not ours to follow.
-            unsafe { (*link).store(0, Ordering::Relaxed) };
-            break;
-        }
-        block = sb + unsafe { (*link).load(Ordering::Relaxed) } as usize * sz;
+        at = at.next(|| unsafe { (*link).load(Ordering::Relaxed) });
+        block = sb + at.idx() as usize * sz;
         unsafe { (*link).store(block as u64, Ordering::Relaxed) };
     }
+    // The last block's successor is not ours to follow.
+    unsafe { (*(block as *const AtomicU64)).store(0, Ordering::Relaxed) };
     crate::stat!(inner, heap, mag_refill);
     if m > 1 {
         // Release: a fork (or a signal) between the two stores must find
@@ -426,10 +432,8 @@ unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> us
         while next as usize & !(SB_SIZE - 1) == sb {
             let block = next as usize;
             next = unsafe { *(next as *const *mut u8) };
-            unsafe {
-                (*(last as *const AtomicU64))
-                    .store(desc.block_index(block - sb) as u64, Ordering::Relaxed);
-            }
+            let link = Link::explicit(desc.block_index(block - sb) as u32).word();
+            unsafe { (*(last as *const AtomicU64)).store(link, Ordering::Relaxed) };
             last = block;
             len += 1;
         }
@@ -725,6 +729,57 @@ mod tests {
             a.free(held.pop().unwrap());
             assert_eq!(cached(&a), cap - cap / 2 + 1, "an overflow returns half");
             assert!(held.is_empty());
+            assert!(a.audit().is_clean());
+        }
+    }
+
+    /// DESIGN.md §20.2: a refill takes the first `k` positions of the
+    /// free list, whatever they are made of — explicit links a flush
+    /// wrote, then the run nothing was ever written in — and hands them
+    /// out in list order; what it leaves cached goes home through the
+    /// same door whoever drains it.
+    #[test]
+    fn a_refill_crosses_from_explicit_links_into_the_virgin_run() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
+        let k = capacity(0) / 2;
+        unsafe {
+            let p0 = a.malloc(8) as usize; // the ladder's: block 0
+            let desc = desc_of(&a, p0 as *mut u8);
+            let block = |i: usize| p0 + 8 * i;
+            // Straight out of the virgin run: ascending, nothing loaded.
+            let first: Vec<usize> = (0..k).map(|_| a.malloc(8) as usize).collect();
+            assert_eq!(first, (1..=k).map(block).collect::<Vec<_>>());
+            assert_eq!(desc.load_anchor().head(), Link::virgin(k as u32 + 1));
+            // Three go home in one chain, 3 -> 10 -> 5 -> (k + 1) | V.
+            for i in [5, 10, 3] {
+                a.free(block(i) as *mut u8);
+            }
+            assert_eq!(a.flush_thread_cache(), 3);
+            assert_eq!(desc.load_anchor().head(), Link::explicit(3));
+            let second: Vec<usize> = (0..k).map(|_| a.malloc(8) as usize).collect();
+            let list = [3, 10, 5].into_iter().chain(k + 1..2 * k - 2);
+            let want: Vec<usize> = list.map(block).collect();
+            assert_eq!(second, want, "three links followed, then counted up");
+            assert_eq!(desc.load_anchor().head(), Link::virgin(2 * k as u32 - 2));
+            assert!(a.audit().is_clean());
+
+            // A thread exits with a refill's leftovers cached, blocks no
+            // application ever saw: `maintain`'s drain links them in.
+            let b = std::sync::Arc::clone(&a);
+            std::thread::spawn(move || b.free(b.malloc(8))).join().unwrap();
+            assert_eq!(drain_dead(a.inner()), k);
+            assert!(!desc.load_anchor().virgin());
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            // And `trim` takes the superblock back once everything is home.
+            let still_held = first.iter().filter(|p| !second.contains(p));
+            for &p in still_held.chain(&second).chain([&p0]) {
+                a.free(p as *mut u8);
+            }
+            a.trim();
+            assert_eq!(a.os_stats().live_bytes, 0);
             assert!(a.audit().is_clean());
         }
     }

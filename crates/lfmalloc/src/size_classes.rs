@@ -116,7 +116,7 @@ pub fn class_index_aligned(size: usize, align: usize) -> Option<usize> {
 
 /// Blocks per superblock for class `ci`.
 #[inline]
-pub fn blocks_per_superblock(ci: usize) -> u32 {
+pub const fn blocks_per_superblock(ci: usize) -> u32 {
     (SB_SIZE / CLASS_SIZES[ci] as usize) as u32
 }
 

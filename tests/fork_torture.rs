@@ -189,8 +189,10 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
         }
         blocks[4] as usize
     };
+    // Beside the five: what the refill took and nobody asked for yet,
+    // blocks of a virgin run that carry a pointer and nothing else.
     let cached = a.audit().magazine_blocks;
-    assert!(cached >= 5);
+    assert!(cached > 5);
     // Two more threads fill magazines of their own and stay alive
     // (parked) across the fork, so in the parent their slots are owned
     // by live threads and in the child by nobody. Their ids follow each

@@ -615,4 +615,128 @@ mod failpoint_kills {
         assert!(rep.is_clean(), "{rep}");
         assert_eq!(rep.descriptors_floating, 0);
     }
+
+    /// DESIGN.md §20.3, run step by step on a four-block superblock: a
+    /// popper is frozen between its walk and its CAS, holding a
+    /// reservation and having read `avail = 1 | V`. Around it the rest of
+    /// the superblock is popped (the frontier passes the frozen thread's
+    /// block), filled, freed (explicit links now lead to a `V` link) and
+    /// popped again across that link — but never goes EMPTY, because the
+    /// frozen thread's reservation is outstanding (§3.2.3), which is why
+    /// no later life can show it `1 | V` again. Its CAS loses, its retry
+    /// takes the one block nobody else holds; the oracle checks every
+    /// hand-out, the audit the structure.
+    #[test]
+    fn a_popper_frozen_on_a_virgin_head_loses_its_cas_and_takes_only_its_own_block() {
+        let _guard = fp::scenario(0x5EC0);
+        let o = OracleMalloc::new(LfMalloc::with_config(Config::with_heaps(1)));
+        let a = o.inner();
+        const SZ: usize = 4_000; // class 4096: blocks 0..4
+        let idx_in = |sb: usize, p: *mut u8| (p as usize - sb) / 4096;
+        unsafe {
+            let p0 = o.malloc(SZ); // opens the superblock: 1 | V, two credits
+            let sb = p0 as usize & !(16384 - 1);
+            fp::arm_limited("active.walked", FpAction::Park, FpTrigger::Always, 1);
+            std::thread::scope(|s| {
+                let frozen = s.spawn(|| o.malloc(SZ) as usize);
+                // A failed assertion below must not leave the scope
+                // waiting for a thread nobody will thaw.
+                struct Thaw;
+                impl Drop for Thaw {
+                    fn drop(&mut self) {
+                        fp::disarm("active.walked");
+                    }
+                }
+                let _thaw = Thaw;
+                while fp::fired("active.walked") == 0 {
+                    std::thread::yield_now();
+                }
+                // The frontier moves past what the frozen thread walked:
+                // blocks 1 and 2 go out under `V`, the superblock is FULL.
+                let (q1, q2) = (o.malloc(SZ), o.malloc(SZ));
+                assert_eq!((idx_in(sb, q1), idx_in(sb, q2)), (1, 2));
+                // Everything anyone holds goes back: 0 -> 2 -> 1 -> 3 | V
+                // (the oracle checks its fill pattern on every free).
+                for p in [q1, q2, p0] {
+                    o.free(p);
+                }
+                let rep = a.audit();
+                assert!(rep.is_clean(), "{rep}");
+                assert_eq!(
+                    (rep.parked_superblocks, rep.warm_superblocks),
+                    (0, 0),
+                    "a reservation is outstanding: the superblock is not EMPTY\n{rep}"
+                );
+                // And out again, across the `V` link, as far as the
+                // reservation lets the list go: block 3 stays.
+                let again: Vec<*mut u8> = (0..3).map(|_| o.malloc(SZ)).collect();
+                assert_eq!(
+                    again.iter().map(|&p| idx_in(sb, p)).collect::<Vec<_>>(),
+                    [0, 2, 1],
+                    "the list order, then the frozen thread's block left alone"
+                );
+                fp::disarm("active.walked");
+                // The frozen CAS expected `1 | V`; the anchor reads `3 | V`
+                // a dozen tag values later. The retry walks from there.
+                let r = frozen.join().unwrap() as *mut u8;
+                assert_eq!((r as usize & !(16384 - 1), idx_in(sb, r)), (sb, 3));
+                for p in again.into_iter().chain([r]) {
+                    o.free(p);
+                }
+            });
+            assert_eq!(o.verify_all(), 0);
+            assert_eq!(o.violation_count(), 0);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!((rep.parked_superblocks, rep.descriptors_floating), (1, 0), "{rep}");
+            a.trim();
+            assert_eq!(a.os_stats().live_bytes, 0);
+        }
+    }
+
+    /// A death between the reservation and the pop, and one before a
+    /// free's CAS, while the anchor says `i | V`: the reserved block stays
+    /// in the virgin run, one more than the anchor and the Active word
+    /// account for; the unfreed block stays allocated; nothing else is
+    /// lost and nothing is written anywhere.
+    #[test]
+    fn kills_under_a_virgin_anchor_leak_only_the_blocks_in_hand() {
+        let _guard = fp::scenario(0x71A6);
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p0 = a.malloc(100); // class 112: 146 blocks, all but block 0 virgin
+            let sb = p0 as usize & !(16384 - 1);
+            fp::arm_limited("active.reserved", FpAction::Kill, FpTrigger::Always, 1);
+            let p1 = a.malloc(100); // one reservation dies; the ladder's next turn serves
+            assert_eq!(fp::fired("active.reserved"), 1);
+            assert_eq!(p1 as usize, p0 as usize + 112, "served from the same run, in order");
+            fp::arm_limited("free.link", FpAction::Kill, FpTrigger::Always, 1);
+            a.free(p1); // dies before the CAS: block 1 stays allocated
+            assert_eq!(fp::fired("free.link"), 1);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            // The rest of the superblock is handed out in ascending order
+            // and runs out two blocks early: block 1, and the reservation.
+            let mut rest = Vec::new();
+            loop {
+                let p = a.malloc(100);
+                if p as usize & !(16384 - 1) != sb {
+                    a.free(p);
+                    break;
+                }
+                rest.push(p as usize);
+            }
+            assert!(rest.windows(2).all(|w| w[1] == w[0] + 112), "the virgin run, in order");
+            assert_eq!(rest.first(), Some(&(p0 as usize + 2 * 112)));
+            assert_eq!(rest.len(), 146 - 2 - 1, "one block leaked per kill");
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            for p in rest {
+                a.free(p as *mut u8);
+            }
+            a.free(p0);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+        }
+    }
 }

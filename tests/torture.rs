@@ -120,24 +120,30 @@ fn audit_clean_after_simulated_kills() {
 fn audit_flags_seeded_freelist_corruption() {
     // The auditor must not be vacuous: scribbling over a free block's
     // next-index word is exactly the corruption a buggy free path would
-    // produce, and the walk must report it.
-    let a = LfMalloc::with_config(Config::with_heaps(1));
-    unsafe {
-        let p = a.malloc(64);
-        assert!(!p.is_null());
-        a.free(p);
-        // A local free is cached in the thread's magazine; send it home.
-        a.flush_thread_cache();
-        // `p`'s block is now the head of its superblock's free list; the
-        // block's first word — the pointer is the block start — holds
-        // the next-free index.
-        (p as *mut u64).write(u64::MAX);
+    // produce, and the walk must report it — as a list that ends early
+    // when the word reads as an explicit index out of range, as a virgin
+    // run that starts past the end when it reads with the V bit set
+    // (DESIGN.md §20).
+    for (scribble, check) in [(0x0FFF, "sb.freelist-short"), (u64::MAX, "sb.virgin-range")] {
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p = a.malloc(64);
+            assert!(!p.is_null());
+            a.free(p);
+            // A local free is cached in the thread's magazine; send it home.
+            a.flush_thread_cache();
+            assert!(a.audit().is_clean());
+            // `p`'s block is now the head of its superblock's free list; the
+            // block's first word — the pointer is the block start — holds
+            // its successor.
+            (p as *mut u64).write(scribble);
+        }
+        let rep = a.audit();
+        assert!(
+            rep.violations.iter().any(|v| v.check == check),
+            "auditor missed planted free-list corruption {scribble:#x}:\n{rep}"
+        );
     }
-    let rep = a.audit();
-    assert!(
-        rep.violations.iter().any(|v| v.check.starts_with("sb.freelist")),
-        "auditor missed planted free-list corruption:\n{rep}"
-    );
 }
 
 #[test]
