@@ -24,6 +24,15 @@
 //! line 3 is gone; the anchor's virgin flag says the blocks from `avail`
 //! up are free, in order and never written, and both pops step through
 //! such a run by addition (`walk`).
+//!
+//! Fourth departure (DESIGN.md §21): the ladder carries a block count.
+//! [`malloc_run`] is Figure 4's `malloc` asked for up to `k` blocks — a
+//! magazine refill — and `k == 1` is the paper's. `MallocFromActive` pops
+//! `k` (§15.3), `open_sb` hands its caller the first `min(k, maxcount)`
+//! blocks of the superblock it opens — all of them when the superblock
+//! is no bigger than the refill, in which case it is born FULL and
+//! installed nowhere — and `MallocFromPartial` on a PARTIAL superblock
+//! stays the paper's one block.
 
 use crate::active::Active;
 use crate::anchor::{Link, SbState};
@@ -37,18 +46,30 @@ use crate::maintain::{prune_empty, MaintenanceBudget};
 use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
+/// Blocks handed to one caller by one arm of the ladder: the first `m`
+/// positions of `desc`'s free list as it was when its head was `head` —
+/// linked by block index through their first word up to the first
+/// position that carries `V`, consecutive and unwritten from there on.
+/// `first` is the start of the block at `head`.
+pub(crate) struct Run {
+    pub first: usize,
+    pub desc: *const Descriptor,
+    pub m: u32,
+    pub head: Link,
+}
+
 /// Outcome of an arm that opens a superblock: `MallocFromNewSB`, or
 /// `MallocFromPartial` handed an EMPTY one.
 enum NewSb {
-    /// Allocation finished: `Some((block, descriptor))`, or `None` when
-    /// the OS is out of memory.
-    Done(Option<(usize, *const Descriptor)>),
+    /// Allocation finished: the blocks, or `None` when the OS is out of
+    /// memory.
+    Done(Option<Run>),
     /// Lost the install race ("a new active superblock must have been
     /// installed by another thread"); retry the whole ladder.
     Lost,
 }
 
-/// Small-block malloc: the `while(1)` ladder of Figure 4's `malloc`.
+/// Small-block malloc, one block: [`malloc_run`] with `k == 1`.
 ///
 /// # Safety
 ///
@@ -79,28 +100,45 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(inner: &Inner<S>, ci: usize) ->
     };
     #[cfg(not(feature = "failpoints"))]
     let stash = |p: *mut u8| p;
-    let heap = inner.heap_for(ci);
+    match unsafe { malloc_run(inner, inner.heap_for(ci), 1) } {
+        Some(run) => {
+            unsafe { note_alloc(inner, run.first, run.desc) };
+            stash(run.first as *mut u8)
+        }
+        None => core::ptr::null_mut(),
+    }
+}
+
+/// The `while(1)` ladder of Figure 4's `malloc`, for up to `k` blocks of
+/// `heap`'s class: whichever arm serves hands over as many of them as it
+/// has at no further shared step (at least one). `None`: out of memory.
+///
+/// # Safety
+///
+/// `heap` must be a heap of `inner`, and `k >= 1`.
+pub(crate) unsafe fn malloc_run<S: PageSource>(
+    inner: &Inner<S>,
+    heap: &ProcHeap,
+    k: u32,
+) -> Option<Run> {
     // Latency classification follows the serving arm: Active hits are
     // the fast path, partial/new-superblock hits the slow path.
     let t0 = crate::lat_start!();
     loop {
-        if let Some((block, desc)) = unsafe { malloc_from_active(inner, heap) } {
+        if let Some(run) = unsafe { pop_from_active(inner, heap, k) } {
             crate::stat!(inner, heap, malloc_fast);
             crate::stat_lat!(inner, lat_malloc_fast, t0);
-            unsafe { note_alloc(inner, block, desc) };
-            return stash(block as *mut u8);
+            return Some(run);
         }
-        let slow = match unsafe { malloc_from_partial(inner, heap) } {
+        let slow = match unsafe { malloc_from_partial(inner, heap, k) } {
             Some(outcome) => outcome,
-            None => unsafe { malloc_from_new_sb(inner, heap) },
+            None => unsafe { malloc_from_new_sb(inner, heap, k) },
         };
         match slow {
-            NewSb::Done(Some((block, desc))) => {
+            NewSb::Done(run) => {
                 crate::stat_lat!(inner, lat_malloc_slow, t0);
-                unsafe { note_alloc(inner, block, desc) };
-                return stash(block as *mut u8);
+                return run;
             }
-            NewSb::Done(None) => return core::ptr::null_mut(),
             NewSb::Lost => continue,
         }
     }
@@ -151,20 +189,6 @@ pub(crate) unsafe fn abandon_reservation<S: PageSource>(
     }
 }
 
-/// `MallocFromActive` (Figure 4): the common case. Two atomic steps:
-/// reserve a credit from the `Active` word, then pop the reserved block
-/// from the superblock's LIFO free list.
-///
-/// Returns the *block start* and descriptor, or `None` if the heap has
-/// no active superblock.
-#[inline]
-unsafe fn malloc_from_active<S: PageSource>(
-    inner: &Inner<S>,
-    heap: &ProcHeap,
-) -> Option<(usize, *const Descriptor)> {
-    unsafe { pop_from_active(inner, heap, 1) }.map(|(block, desc, ..)| (block, desc))
-}
-
 /// Figure 4's `next = *addr`, `m` times over from `head`: the address of
 /// the block at `head` and the position `m` blocks on, or `None` when the
 /// walk met a word that was no link (see [`pop_from_active`]). The loads
@@ -184,7 +208,7 @@ unsafe fn walk(desc: &Descriptor, head: Link, m: u32) -> Option<(usize, Link)> {
 /// one tagged `Anchor` CAS pops the `m`-block chain at the head of the
 /// free list. This is how a thread magazine refills
 /// ([`crate::magazine`]); with `k == 1` it is the paper's function line
-/// for line.
+/// for line: "the common case", reserve a credit, pop the reserved block.
 ///
 /// Why the chain pop is as safe as the single pop: the free list never
 /// holds fewer blocks than are reserved, so with `m` reservations in
@@ -199,19 +223,16 @@ unsafe fn walk(desc: &Descriptor, head: Link, m: u32) -> Option<(usize, Link)> {
 /// before it is followed, and once a link carries `V` nothing more is
 /// read, so the walk never leaves the superblock (DESIGN.md §15.3).
 ///
-/// Returns the first block's start, the descriptor, `m`, and the head
-/// the list had. The blocks are the first `m` positions from that head:
-/// linked by block index through their first word up to the first
-/// position that carries `V`, consecutive and unwritten from there on.
+/// `None`: the heap has no active superblock.
 ///
 /// # Safety
 ///
 /// `heap` must be a heap of `inner`, and `k >= 1`.
-pub(crate) unsafe fn pop_from_active<S: PageSource>(
+unsafe fn pop_from_active<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
     k: u32,
-) -> Option<(usize, *const Descriptor, u32, Link)> {
+) -> Option<Run> {
     debug_assert!(k >= 1);
     // -- First step: reserve blocks -----------------------------------
     // `reserve_tries`/`pop_tries` feed the CAS-retry histograms *and*
@@ -303,7 +324,7 @@ pub(crate) unsafe fn pop_from_active<S: PageSource>(
     if took_last && oldanchor.count() > 0 {
         unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 19-20
     }
-    Some((block, desc_ptr, m, oldanchor.head()))
+    Some(Run { first: block, desc: desc_ptr, m, head: oldanchor.head() })
 }
 
 /// `UpdateActive` (Figure 4): try to reinstall `desc` as the active
@@ -406,8 +427,13 @@ unsafe fn heap_get_partial<S: PageSource>(
 /// the rest in the Active word. `None`: there is no partial superblock.
 /// A descriptor that went EMPTY where it was parked is not retired
 /// (lines 5–6) but reopened: taking it out of the slot or off the list
-/// made it, and the superblock still attached to it, this thread's alone.
-unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> Option<NewSb> {
+/// made it, and the superblock still attached to it, this thread's alone
+/// — and only then does `k` count: a PARTIAL superblock gives one block.
+unsafe fn malloc_from_partial<S: PageSource>(
+    inner: &Inner<S>,
+    heap: &ProcHeap,
+    k: u32,
+) -> Option<NewSb> {
     let desc_ptr = unsafe { heap_get_partial(inner, heap) }?; // line 1-2
     if malloc_api::fail_point!("partial.reserve").kill {
         // Died holding a descriptor plucked from the partial list:
@@ -431,7 +457,7 @@ unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) 
             if malloc_api::fail_point!("sb.reopen").kill {
                 return None; // died holding the pair: both leak
             }
-            let opened = unsafe { open_sb(inner, heap, desc_ptr) };
+            let opened = unsafe { open_sb(inner, heap, desc_ptr, k) };
             if matches!(opened, NewSb::Done(_)) {
                 crate::stat!(inner, heap, sb_reopen);
             }
@@ -454,11 +480,11 @@ unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) 
 
     // -- Pop reserved block (lines 11-15) -------------------------------
     let mut pop_tries: u64 = 0;
-    let block = loop {
+    let (first, head) = loop {
         let old = desc.load_anchor();
         if let Some((block, next)) = unsafe { walk(desc, old.head(), 1) } {
             if desc.cas_anchor(old, old.pop(next)).is_ok() {
-                break block; // lines 12-15
+                break (block, old.head()); // lines 12-15
             }
         }
         pop_tries += 1;
@@ -470,12 +496,12 @@ unsafe fn malloc_from_partial<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) 
     }
     crate::stat!(inner, heap, malloc_slow);
     crate::stat!(inner, heap, partial_reuse);
-    Some(NewSb::Done(Some((block, desc_ptr))))
+    Some(NewSb::Done(Some(Run { first, desc: desc_ptr, m: 1, head })))
 }
 
 /// `MallocFromNewSB` (Figure 4), lines 1–2: a descriptor, and a
 /// superblock for it unless it brought its own off the warm stack.
-unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> NewSb {
+unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k: u32) -> NewSb {
     // line 1, with bounded backoff: a transient source outage (or a
     // momentarily drained reserve) should not surface as spurious OOM.
     let desc_ptr = crate::retry::from_source(inner, || unsafe {
@@ -521,26 +547,34 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -
         }
         desc.set_sb(sb);
     }
-    unsafe { open_sb(inner, heap, desc_ptr) }
+    unsafe { open_sb(inner, heap, desc_ptr, k) }
 }
 
-/// The rest of `MallocFromNewSB` (Figure 4, lines 4–17): declare
-/// `desc_ptr`'s superblock one virgin run and try to install it as
-/// `heap`'s active superblock. Line 3, the loop that links every block to
-/// the next, is gone: the anchor says `1 | V` and nothing is written into
+/// The rest of `MallocFromNewSB` (Figure 4, lines 4–17): hand the caller
+/// the first `take = min(k, maxcount)` blocks of `desc_ptr`'s superblock,
+/// declare the rest one virgin run and try to install it as `heap`'s
+/// active superblock. Line 3, the loop that links every block to the
+/// next, is gone: the anchor says `take | V` and nothing is written into
 /// the superblock, new or reopened (DESIGN.md §20; CI checks this body
 /// has no loop). On a lost race the pair is retired as it stands
 /// ("we prefer to deallocate the superblock rather than take a block
 /// from it", §3.2.3 — onto the warm stack, not into the page pool).
 ///
+/// When the caller's `k` blocks are all there is, there is no rest and
+/// no race to lose (DESIGN.md §21): the anchor is stored FULL, as the
+/// paper's pops would leave it after `maxcount` turns, and the
+/// superblock is installed nowhere — a FULL superblock never is; its
+/// first free relinks it, and a chain of all its blocks retires it.
+///
 /// # Safety
 ///
 /// The caller holds `desc_ptr` exclusively, with a superblock attached
-/// that has no block allocated or reserved.
+/// that has no block allocated or reserved; `k >= 1`.
 unsafe fn open_sb<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
     desc_ptr: *mut Descriptor,
+    k: u32,
 ) -> NewSb {
     let desc = unsafe { &*desc_ptr };
     let ci = heap.class();
@@ -558,28 +592,38 @@ unsafe fn open_sb<S: PageSource>(
     desc.set_heap(heap as *const _ as *mut ProcHeap); // line 4
     desc.set_sz(sz as u32); // line 6
     desc.set_maxcount(maxcount); // line 7
-    // Before the install CAS publishes the first block: the word `free`
-    // will look its blocks up by. A thread killed before this line has
+    // Before anything publishes the first block: the word `free` will
+    // look its blocks up by. A thread killed before this line has
     // handed out nothing.
     inner.frames.set(sb as usize, Entry::pack(desc_ptr, ci, inner.column_of(heap)));
-    let credits = (maxcount - 1).min(inner.config.max_credits) - 1; // line 9
-    let count = (maxcount - 1) - (credits + 1); // line 10
+    let take = k.min(maxcount);
+    let left = maxcount - take;
     // lines 5, 10, 11 — preserving the descriptor's tag sequence across
     // reuse keeps the ABA argument intact. A store: no block of an EMPTY
     // superblock is allocated or reserved, so no anchor CAS is pending.
-    let anchor = desc.load_anchor().open(count);
-    desc.store_anchor(anchor); // line 12's fence == this release store
-    let newactive = Active::pack(desc_ptr, credits);
-    if heap.cas_active(Active::null(), newactive).is_ok() {
-        // line 13 success: block 0 is ours.
-        crate::stat!(inner, heap, malloc_newsb);
-        crate::stat_event!(inner, SbAcquire, ci, sb as usize);
-        NewSb::Done(Some((sb as usize, desc_ptr)))
+    let opened = if left == 0 {
+        desc.store_anchor(desc.load_anchor().open(take, 0).with_state(SbState::Full));
+        // A thread that dies here held every block of a superblock
+        // nothing points to: the pair floats, FULL, for good.
+        !malloc_api::fail_point!("sb.full").kill
     } else {
-        // lines 16-17: lost the race; back to EMPTY (nobody saw it), as
-        // every warm descriptor is.
-        desc.store_anchor(anchor.with_count(maxcount - 1).with_state(SbState::Empty));
-        unsafe { inner.desc_pool.retire(desc_ptr) };
-        NewSb::Lost
+        let credits = left.min(inner.config.max_credits) - 1; // line 9
+        let anchor = desc.load_anchor().open(take, left - (credits + 1)); // line 10
+        desc.store_anchor(anchor); // line 12's fence == this release store
+        let installed = heap.cas_active(Active::null(), Active::pack(desc_ptr, credits)).is_ok();
+        if !installed {
+            // lines 16-17: lost the race; back to EMPTY (nobody saw it),
+            // as every warm descriptor is.
+            desc.store_anchor(anchor.with_count(maxcount - 1).with_state(SbState::Empty));
+            unsafe { inner.desc_pool.retire(desc_ptr) };
+        }
+        installed
+    };
+    if !opened {
+        return NewSb::Lost;
     }
+    // line 13 success: blocks 0..take are ours.
+    crate::stat!(inner, heap, malloc_newsb);
+    crate::stat_event!(inner, SbAcquire, ci, sb as usize);
+    NewSb::Done(Some(Run { first: sb as usize, desc: desc_ptr, m: take, head: Link::virgin(0) }))
 }

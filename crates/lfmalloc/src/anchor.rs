@@ -31,13 +31,14 @@
 //! means: block `i`, and every block from `i` to `maxcount` is free, has
 //! never been handed out in this life of the superblock, and is linked
 //! in ascending order *implicitly* — nothing is written in any of them.
-//! A superblock opens with `avail = 1 | V` and no store into it
-//! ([`Anchor::open`]); a pop under `V` is an addition ([`Link::skip`]);
-//! a push writes the old head, flag and all, into the pushed chain's
-//! last block and leaves an explicit head ([`Anchor::push`]). Pushes go
-//! in front and only pops move the frontier, upward, so the virgin run
-//! is always the list's tail: at most one listed block carries a `V`
-//! link, and it names the frontier.
+//! A superblock opens with `avail = take | V` — `take` is 1 for the
+//! paper's opener, a magazine refill's worth otherwise — and no store
+//! into it ([`Anchor::open`]); a pop under `V` is an addition
+//! ([`Link::skip`]); a push writes the old head, flag and all, into the
+//! pushed chain's last block and leaves an explicit head
+//! ([`Anchor::push`]). Pushes go in front and only pops move the
+//! frontier, upward, so the virgin run is always the list's tail: at
+//! most one listed block carries a `V` link, and it names the frontier.
 
 use crate::size_classes::blocks_per_superblock;
 
@@ -294,15 +295,17 @@ impl Anchor {
     }
 
     /// The anchor of a superblock just opened (Figure 4,
-    /// `MallocFromNewSB` lines 5 and 10–11): block 0 is the opener's,
-    /// blocks `1..maxcount` are the virgin run, `count` of them
-    /// unreserved. Built on the descriptor's last anchor so the tag
-    /// sequence carries on across lives; the caller holds the superblock
-    /// with no block allocated or reserved, which is what makes all of it
-    /// virgin again.
+    /// `MallocFromNewSB` lines 5 and 10–11): blocks `0..take` are the
+    /// opener's, blocks `take..maxcount` are the virgin run, `count` of
+    /// them unreserved. With `take == maxcount` the run is empty, the
+    /// head reads `maxcount | V` — the end of the list — and the caller
+    /// makes the state FULL. Built on the descriptor's last anchor so the
+    /// tag sequence carries on across lives; the caller holds the
+    /// superblock with no block allocated or reserved, which is what
+    /// makes all of it virgin again.
     #[inline]
-    pub fn open(self, count: u32) -> Anchor {
-        self.with_head(Link::virgin(1))
+    pub fn open(self, take: u32, count: u32) -> Anchor {
+        self.with_head(Link::virgin(take))
             .with_count(count)
             .with_state(SbState::Active)
             .with_tag_bump()
@@ -521,16 +524,25 @@ mod tests {
     }
 
     impl Tiny {
-        fn opened(maxcount: u32, last_life: Anchor) -> Tiny {
-            Tiny {
-                maxcount,
-                // `open_sb`: block 0 is the opener's, nothing is written.
-                anchor: last_life.open(maxcount - 1),
-                words: vec![USER_BYTES; maxcount as usize],
-                free: (1..maxcount).collect(),
-                held: vec![0],
-                frontier: 1,
+        /// `open_sb` handing its caller the first `take` blocks: nothing
+        /// is written, and `take == maxcount` leaves no run at all.
+        fn opened(maxcount: u32, last_life: Anchor, take: u32) -> Tiny {
+            let mut anchor = last_life.open(take, maxcount - take);
+            if take == maxcount {
+                anchor = anchor.with_state(SbState::Full);
             }
+            let mut t = Tiny {
+                maxcount,
+                anchor,
+                words: vec![USER_BYTES; maxcount as usize],
+                free: (take..maxcount).collect(),
+                held: (0..take).collect(),
+                frontier: take,
+            };
+            assert_eq!(anchor.head(), Link::virgin(take));
+            assert_eq!(anchor.tag(), last_life.tag() + 1);
+            t.check();
+            t
         }
 
         fn word(&self) -> impl FnMut(u32) -> u64 + '_ {
@@ -601,6 +613,7 @@ mod tests {
             }
             assert_ne!(a.state(), SbState::Empty);
             assert_eq!(a.count() as usize, self.free.len(), "count");
+            assert_eq!(a.state() == SbState::Full, self.free.is_empty(), "FULL");
             // The whole list, walked the way the audit does: explicit
             // links, then one V link or a V anchor, then arithmetic.
             let (mut at, mut walked) = (a.head(), Vec::new());
@@ -635,9 +648,12 @@ mod tests {
                 return;
             }
             if self.anchor.state() == SbState::Empty {
-                // Whoever takes the descriptor reopens it: every word is
+                // Whoever takes the descriptor reopens it, for one block
+                // or for a refill's worth up to all of it: every word is
                 // stale, none is read, and the tag carries on.
-                Tiny::opened(self.maxcount, self.anchor).explore(depth - 1, sequences);
+                for take in 1..=self.maxcount {
+                    Tiny::opened(self.maxcount, self.anchor, take).explore(depth - 1, sequences);
+                }
                 return;
             }
             for k in 1..=self.anchor.count().min(3) {
@@ -652,7 +668,8 @@ mod tests {
             }
             if self.held.len() > 2 {
                 // Everything at once, in and against allocation order:
-                // the chain that empties the superblock.
+                // the chain that empties the superblock — from FULL when
+                // the opener took every block.
                 chains.push(self.held.clone());
                 chains.push(self.held.iter().rev().copied().collect());
             }
@@ -665,16 +682,20 @@ mod tests {
     }
 
     /// DESIGN.md §20.4: bounded-exhaustive, sequential. Every sequence of
-    /// pop-`k` / push-chain / empty-and-reopen up to a fixed length on a
-    /// tiny superblock hands blocks out in the order a plain list would,
+    /// open-`take` / pop-`k` / push-chain / empty-and-reopen up to a fixed
+    /// length on a tiny superblock — `take == maxcount`, the FULL opening
+    /// of §21, and the one chain that takes it back to EMPTY included —
+    /// hands blocks out in the order a plain list would,
     /// keeps `count`, never reads a word of a block that is not listed,
     /// and never moves the frontier down within a life.
     #[test]
     fn every_short_sequence_matches_a_plain_free_list() {
         for (maxcount, depth) in [(2, 8), (4, 5), (5, 4), (6, 4)] {
             let mut sequences = 0;
-            Tiny::opened(maxcount, Anchor::new(0, maxcount - 1, SbState::Empty))
-                .explore(depth, &mut sequences);
+            for take in 1..=maxcount {
+                Tiny::opened(maxcount, Anchor::new(0, maxcount - 1, SbState::Empty), take)
+                    .explore(depth, &mut sequences);
+            }
             assert!(
                 sequences > 100 || maxcount == 2,
                 "maxcount {maxcount}: {sequences}"

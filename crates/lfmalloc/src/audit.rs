@@ -52,8 +52,9 @@
 //!   which makes the free list *longer* than the anchor accounts for
 //!   (leaked reservations) or leaves allocated blocks unreachable, but
 //!   never shorter and never cyclic; and a virgin run never starts past
-//!   `maxcount` nor, hardened, holds a block marked allocated
-//!   (`sb.virgin-range`).
+//!   `maxcount` — in a listed descriptor or in a floating one, where
+//!   `maxcount | V` is the FULL anchor of a superblock opened whole —
+//!   nor, hardened, holds a block marked allocated (`sb.virgin-range`).
 //! * `EMPTY` descriptors record `count == maxcount - 1` (all blocks
 //!   free except the conceptual one being freed); their free list is
 //!   not walked (whoever reopens the superblock declares it one
@@ -64,7 +65,9 @@
 //!   block itself says nothing), is held exactly once
 //!   across both rows of every slot, and is not among the blocks that
 //!   superblock's free list accounts for; each bin's count matches its
-//!   list and stays within its row's capacity. (To the checks above
+//!   list and stays within its row's capacity (`mag.count`), and the
+//!   mid-class bins of a slot together hold what the slot's byte count
+//!   says, at most `MID_BUDGET` (`mag.budget`). (To the checks above
 //!   such a block is simply allocated.)
 //! * Every span in the free-span cache ([`crate::large::SpanCache`])
 //!   carries a header whose size is the slot's page count and whose
@@ -447,6 +450,14 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
                 ),
             });
         }
+        // A superblock opened whole (DESIGN.md §21) floats FULL under
+        // `maxcount | V`, the empty run; no run starts further up.
+        if anchor.virgin() && anchor.avail() > maxc {
+            rep.violations.push(AuditViolation {
+                check: "sb.virgin-range",
+                detail: format!("floating {a:#x}: head {} | V, beyond maxcount {maxc}", anchor.avail()),
+            });
+        }
     }
 
     // -- Superblock conservation. ----------------------------------------
@@ -681,8 +692,20 @@ fn check_magazines<S: PageSource>(
     free_set: &HashSet<usize>,
     rep: &mut AuditReport,
 ) {
-    let (cached, miscounted) = crate::magazine::snapshot(inner);
+    let (cached, miscounted, overdrawn) = crate::magazine::snapshot(inner);
     rep.magazine_blocks = cached.len();
+    for o in overdrawn {
+        rep.violations.push(AuditViolation {
+            check: "mag.budget",
+            detail: format!(
+                "magazine[slot {}] counts {} mid-class bytes, holds {} (budget {})",
+                o.slot,
+                o.counted,
+                o.held,
+                crate::magazine::MID_BUDGET
+            ),
+        });
+    }
     for m in miscounted {
         rep.violations.push(AuditViolation {
             check: "mag.count",
@@ -925,18 +948,18 @@ mod tests {
         let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(Config::with_heaps(1));
         unsafe {
-            // The ladder serves block 0, a refill takes the next sixteen.
+            // The refill that opens the superblock takes sixteen blocks.
             let held: Vec<*mut u8> = (0..5).map(|_| a.malloc(64)).collect();
             let desc = &*a.inner().frames.get(held[0] as usize).desc();
             let (maxc, sb) = (desc.maxcount(), desc.sb() as usize);
             let opened = desc.load_anchor();
-            assert!(opened.virgin() && opened.avail() == 17, "{opened:?}");
+            assert!(opened.virgin() && opened.avail() == 16, "{opened:?}");
             let rep = a.audit();
             assert!(rep.is_clean(), "a virgin anchor: {rep}");
-            assert_eq!(rep.free_blocks_walked as u32, maxc - 17);
+            assert_eq!(rep.free_blocks_walked as u32, maxc - 16);
 
-            // Two frees and the twelve cached blocks go home: fourteen
-            // explicit links in front of the run that starts at 17.
+            // Two frees and the eleven cached blocks go home: thirteen
+            // explicit links in front of the run that starts at 16.
             a.free(held[1]);
             a.free(held[3]);
             a.flush_thread_cache();
@@ -944,7 +967,7 @@ mod tests {
             assert!(!mixed.virgin(), "{mixed:?}");
             let rep = a.audit();
             assert!(rep.is_clean(), "explicit links, then the run: {rep}");
-            assert_eq!(rep.free_blocks_walked as u32, maxc - 17 + 14);
+            assert_eq!(rep.free_blocks_walked as u32, maxc - 16 + 13);
             let (mut at, mut explicit) = (mixed.head(), 0);
             let frontier_link = loop {
                 let word = (sb + at.idx() as usize * 64) as *mut u64;
@@ -954,7 +977,7 @@ mod tests {
                     break word;
                 }
             };
-            assert_eq!((explicit, at), (14, Pos::virgin(17)));
+            assert_eq!((explicit, at), (13, Pos::virgin(16)));
 
             frontier_link.write(Pos::virgin(maxc + 1).word());
             assert_eq!(violations(&a), ["sb.virgin-range"]);
@@ -972,6 +995,30 @@ mod tests {
             for p in [held[0], held[2], held[4]] {
                 a.free(p);
             }
+        }
+    }
+
+    /// DESIGN.md §21: a superblock a refill takes whole is born FULL under
+    /// `maxcount | V`, linked nowhere. That anchor is clean; one position
+    /// further up is `sb.virgin-range`.
+    #[test]
+    fn a_superblock_opened_whole_floats_under_the_empty_run() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p = a.malloc(8000);
+            let desc = &*a.inner().frames.get(p as usize).desc();
+            let opened = desc.load_anchor();
+            assert_eq!((opened.head(), opened.state()), (Pos::virgin(2), SbState::Full));
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!((rep.descriptors_floating, rep.magazine_blocks), (1, 1), "{rep}");
+            desc.store_anchor(opened.with_head(Pos::virgin(3)));
+            assert_eq!(violations(&a), ["sb.virgin-range"]);
+            desc.store_anchor(opened);
+            assert!(a.audit().is_clean());
+            a.free(p);
         }
     }
 

@@ -857,39 +857,42 @@ mod tests {
         unsafe { pool.release_all(&src) };
     }
 
-    /// Every life of a superblock starts at `1 | V` (DESIGN.md §20.3). No
-    /// popper of one life can still be walking in the next — a
-    /// reservation keeps the superblock from going EMPTY — but were a CAS
-    /// delayed across a whole life, it would meet the same `avail`,
-    /// `count` and state under another tag: the anchor of a reopened
-    /// descriptor is built on the one it finds, and every pop, virgin or
-    /// not, bumps it.
+    /// Every life of a superblock opened for the same caller starts at the
+    /// same `take | V` (DESIGN.md §20.3) — here a two-block superblock a
+    /// magazine refill takes whole, `2 | V` and FULL (§21). No popper of
+    /// one life can still be walking in the next — a reservation keeps the
+    /// superblock from going EMPTY — but were a CAS delayed across a whole
+    /// life, it would meet the same `avail`, `count` and state under
+    /// another tag: the anchor of a reopened descriptor is built on the
+    /// one it finds, and every open and every pop, virgin or not, bumps it.
     #[test]
     fn the_same_virgin_head_in_the_next_life_carries_another_tag() {
-        use crate::anchor::Link;
+        use crate::anchor::{Link, SbState};
         use crate::instance::LfMalloc;
         use malloc_api::RawMalloc;
         #[cfg(feature = "failpoints")]
         let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(crate::config::Config::with_heaps(1));
         unsafe {
-            let p = a.malloc(8000); // two blocks to a superblock
+            let p = a.malloc(8000); // two blocks to a superblock, both taken
             let desc = &*a.inner().frames.get(p as usize).desc();
             let first_life = desc.load_anchor();
-            assert_eq!(first_life.head(), Link::virgin(1));
+            assert_eq!((first_life.head(), first_life.state()), (Link::virgin(2), SbState::Full));
             let q = a.malloc(8000);
-            assert_eq!(desc.load_anchor().head(), Link::virgin(2), "popped by addition");
-            assert_eq!(desc.load_anchor().tag(), first_life.tag() + 1);
+            assert_eq!(desc.load_anchor(), first_life, "a hit: no pop");
             a.free(p);
-            a.free(q); // EMPTY, parked in the heap's slot
-            assert_eq!(a.malloc(8000), p, "reopened in place");
+            a.free(q);
+            // One chain, FULL → EMPTY, and the pair is retired warm.
+            assert_eq!(a.flush_thread_cache(), 2);
+            assert_eq!(desc.load_anchor().state(), SbState::Empty);
+            assert_eq!(a.malloc(8000), p, "popped off the warm stack and reopened");
             let next_life = desc.load_anchor();
             assert_eq!(
                 (next_life.head(), next_life.count(), next_life.state()),
                 (first_life.head(), first_life.count(), first_life.state())
             );
-            assert_eq!(next_life.tag(), first_life.tag() + 2, "one pop, one reopen");
-            let stale = first_life.pop(Link::virgin(2));
+            assert_eq!(next_life.tag(), first_life.tag() + 1, "one reopen");
+            let stale = first_life.with_head(Link::explicit(0)).with_state(SbState::Partial);
             assert_eq!(desc.cas_anchor(first_life, stale), Err(next_life));
             a.free(p);
         }

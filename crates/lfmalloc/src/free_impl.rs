@@ -10,8 +10,10 @@
 //! no reference to the pair, so it neither recycles the superblock
 //! (Figure 6, line 20) nor takes the descriptor out of the heap's slot
 //! (`RemoveEmptyDesc`, line 1): whoever next *takes* the descriptor
-//! reopens or retires the two together. This file does not name the
-//! page pool (CI checks that).
+//! reopens or retires the two together. The one emptier that does hold
+//! the pair is the one whose chain was the whole superblock, FULL →
+//! EMPTY in one CAS (DESIGN.md §21): nobody else can, so it retires the
+//! pair itself. This file does not name the page pool (CI checks that).
 //!
 //! Lines 1–3, reading the descriptor out of the word in front of the
 //! block, are gone with that word (DESIGN.md §19): the caller found it
@@ -137,13 +139,6 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
         // release ordering is the paper's memory fence (line 17).
         let (link, new) = old.push(first_idx, n, maxcount);
         unsafe { (*(last as *const AtomicU64)).store(link, Ordering::Relaxed) };
-        // One chain never takes a superblock FULL → EMPTY: the descriptor
-        // would be in no slot and on no list, stranded. A FULL anchor
-        // counts 0, so the chain would have to be the whole superblock;
-        // a magazine row holds at most `MAX_CLASS_BYTES / sz` blocks of a
-        // class, an eighth of the `SB_SIZE / sz` a superblock does, and
-        // every other caller passes n == 1 < 2 ≤ maxcount.
-        debug_assert!(old.state() != SbState::Full || n < maxcount);
         if new.state() == SbState::Empty {
             // lines 12-15: these were the last allocated blocks. Read the
             // owning heap *before* the CAS (the paper's instruction
@@ -163,21 +158,40 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     crate::stat_hist!(inner, owner, anchor_cas, link_tries);
 
     if newanchor.state() == SbState::Empty {
-        if malloc_api::fail_point!("free.empty").kill {
-            // Died right after the EMPTY transition: nothing is
-            // stranded, the descriptor is still wherever it was parked;
-            // only the sweep below is skipped.
+        // FULL → EMPTY in one step: the chain was the whole superblock
+        // (a FULL anchor counts 0, so `n == maxcount`). No reservation,
+        // no free and no other holder of this descriptor can exist — a
+        // FULL superblock is in no slot and on no list — so the CAS made
+        // this thread the pair's exclusive holder (DESIGN.md §18.2).
+        let whole = oldanchor.state() == SbState::Full;
+        let killed = if whole {
+            // Died holding the pair: descriptor and superblock float,
+            // EMPTY, for good.
+            malloc_api::fail_point!("free.whole").kill
+        } else {
+            // Died right after the EMPTY transition of a superblock
+            // other frees had made PARTIAL before: nothing is stranded,
+            // this thread held no reference and the descriptor is still
+            // wherever the first of those frees parked it; only the
+            // sweep below is skipped.
+            malloc_api::fail_point!("free.empty").kill
+        };
+        if killed {
             return;
         }
         crate::stat!(inner, owner, free_empty);
         crate::stat_event!(inner, SbRetire, owner.class(), sb);
-        // Lines 19–21, restated: the superblock stays on its descriptor.
-        // One load says whether that sits in its heap's Partial slot,
-        // where the next malloc of the class reopens it; if not, sweep
-        // the class list the way `RemoveEmptyDesc`'s line 3 does (the
-        // popped descriptors are the sweeper's, superblocks and all).
         let heap = unsafe { &*heap };
-        if heap.load_partial() != desc_ptr {
+        if whole {
+            // The holder retires it: one push onto the warm stack.
+            unsafe { inner.desc_pool.retire(desc_ptr) };
+        } else if heap.load_partial() != desc_ptr {
+            // Lines 19–21, restated: the superblock stays on its
+            // descriptor. One load says whether that sits in its heap's
+            // Partial slot, where the next malloc of the class reopens
+            // it; if not, sweep the class list the way `RemoveEmptyDesc`'s
+            // line 3 does (the popped descriptors are the sweeper's,
+            // superblocks and all).
             unsafe { inner.classes[heap.class()].partial.remove_empty(&inner.desc_pool) };
         }
         crate::stat_lat!(inner, lat_free_slow, t0);

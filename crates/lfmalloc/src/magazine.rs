@@ -6,19 +6,25 @@
 //!   is a handful of plain loads and stores on memory only the calling
 //!   thread touches: no atomic read-modify-write, no shared cache line.
 //! * A **miss** refills half a magazine with
-//!   [`alloc::pop_from_active`](crate::alloc): Figure 4's two CASes,
-//!   reserving and popping `k` blocks instead of one. Blocks popped off
-//!   a virgin run (DESIGN.md §20) are consecutive and were never
-//!   written: the refill stores a pointer into each and loads from
-//!   none. An **overflow**
-//!   returns half through [`free_impl::push_free_chain`](crate::free_impl),
-//!   one CAS per run of blocks sharing a superblock.
+//!   [`alloc::malloc_run`](crate::alloc): Figure 4's ladder asked for `k`
+//!   blocks instead of one — two CASes from the active superblock, one
+//!   when it opens one. Blocks popped off a virgin run (DESIGN.md §20)
+//!   are consecutive and were never written: the refill stores a pointer
+//!   into each and loads from none. An **overflow** returns half through
+//!   [`free_impl::push_free_chain`](crate::free_impl), one CAS per run of
+//!   blocks sharing a superblock.
 //! * Only *local* frees enter a magazine (the block's superblock belongs
 //!   to the caller's own heap). A *remote* free is parked in the slot's
 //!   **outbox**, a second row of bins that `malloc` never pops: when one
 //!   holds half a magazine the whole run goes home the way an overflow
 //!   does. A block handed to another thread therefore still returns to
 //!   its own superblock and Hoard's no-false-sharing property survives.
+//! * The 33 classes up to 1 KiB each have a bin bounded on its own; the 24
+//!   **mid classes** above share a third row bounded in bytes for the
+//!   whole row ([`MID_BUDGET`]): two blocks a bin, a refill asks for two
+//!   and a full bin goes home whole — which, where a superblock *is* two
+//!   blocks, opens and closes it as one run (DESIGN.md §21). Local frees
+//!   only; a remote mid-class free takes the paper's path.
 //! * A cached block is linked through its first word and holds nothing
 //!   else of the allocator's: where it goes home is the frame map's
 //!   business (DESIGN.md §19). To the core it is simply allocated, so
@@ -47,16 +53,24 @@ use std::alloc::{GlobalAlloc, Layout, System};
 /// Most blocks one magazine holds.
 pub const MAX_BLOCKS: usize = 32;
 
-/// Most bytes one magazine holds; classes too big for two blocks of it
-/// get no magazine at all.
+/// Most bytes one magazine of its own holds; classes too big for two
+/// blocks of it are the mid classes.
 pub const MAX_CLASS_BYTES: usize = 2048;
 
+/// Blocks a mid-class bin holds: a refill takes this many, a full bin
+/// goes home whole.
+pub const MID_BLOCKS: usize = 2;
+
+/// Most bytes the mid row of one slot holds, all bins together; a block
+/// that would take it over sends the row home first.
+pub const MID_BUDGET: usize = 48 * 1024;
+
 /// Blocks the magazine of class `ci` holds: [`MAX_CLASS_BYTES`] worth,
-/// at most [`MAX_BLOCKS`], and 0 rather than 1 (a refill is half).
+/// at most [`MAX_BLOCKS`] and at least [`MID_BLOCKS`] (a refill is half).
 pub const fn capacity(ci: usize) -> usize {
     let n = MAX_CLASS_BYTES / CLASS_SIZES[ci] as usize;
-    if n < 2 {
-        0
+    if n < MID_BLOCKS {
+        MID_BLOCKS
     } else if n > MAX_BLOCKS {
         MAX_BLOCKS
     } else {
@@ -64,14 +78,19 @@ pub const fn capacity(ci: usize) -> usize {
     }
 }
 
-/// Classes `0..CACHED_CLASSES` have a magazine (block size ≤ 1 KiB).
+/// Classes `0..CACHED_CLASSES` (block size ≤ 1 KiB) have a magazine
+/// bounded on its own, [`MAX_CLASS_BYTES`] each; the rest are the mid
+/// classes, bounded together by [`MID_BUDGET`].
 pub const CACHED_CLASSES: usize = {
     let mut ci = 0;
-    while ci < NUM_CLASSES && capacity(ci) > 0 {
+    while ci < NUM_CLASSES && CLASS_SIZES[ci] as usize * MID_BLOCKS <= MAX_CLASS_BYTES {
         ci += 1;
     }
     ci
 };
+
+/// The mid classes: `CACHED_CLASSES..NUM_CLASSES`.
+pub const MID_CLASSES: usize = NUM_CLASSES - CACHED_CLASSES;
 
 /// Blocks the outbox of class `ci` holds: the half magazine an overflow
 /// sends home, and 0 where that is no run at all (one block), so such a
@@ -85,18 +104,22 @@ pub const fn out_capacity(ci: usize) -> usize {
     }
 }
 
-/// What one thread's full magazines and full outboxes hold: the bound
-/// on memory stranded by a thread killed (or fork-orphaned, until
-/// recovery) with them.
+/// What one thread's full magazines, full outboxes and full mid row hold:
+/// the bound on memory stranded by a thread killed (or fork-orphaned,
+/// until recovery) with them — and on what a *preempted* thread keeps
+/// from everyone else meanwhile.
 pub const MAX_CACHED_BYTES: usize = {
-    let (mut ci, mut sum) = (0, 0);
+    let (mut ci, mut sum) = (0, MID_BUDGET);
     while ci < CACHED_CLASSES {
         sum += (capacity(ci) + out_capacity(ci)) * CLASS_SIZES[ci] as usize;
         ci += 1;
     }
     sum
 };
-const _: () = assert!(MAX_CACHED_BYTES <= 96 * 1024);
+const _: () = assert!(MAX_CACHED_BYTES <= 128 * 1024);
+// Whatever the mid bins hold between them, one more block of any class
+// fits the budget once the row has gone home.
+const _: () = assert!(MID_BUDGET >= CLASS_SIZES[NUM_CLASSES - 1] as usize * MID_BLOCKS);
 
 /// Slots per instance. A thread that finds none free runs on the
 /// lock-free core alone, as every thread did before magazines.
@@ -122,14 +145,42 @@ pub(crate) struct Bin {
     count: AtomicU32,
 }
 
+impl Bin {
+    /// A hit's half of `malloc`: takes `head`, the block this bin's list
+    /// starts with, off it.
+    #[inline]
+    unsafe fn pop(&self, head: *mut u8) {
+        // The block is ours alone: its link word is stable.
+        let next = unsafe { *(head as *const *mut u8) };
+        self.head.store(next, Ordering::Relaxed);
+        self.count
+            .store(self.count.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+    }
+
+    /// A hit's half of `free`: puts `ptr` in front of the `n` blocks held.
+    #[inline]
+    unsafe fn push(&self, ptr: *mut u8, n: u32) {
+        unsafe { *(ptr as *mut *mut u8) = self.head.load(Ordering::Relaxed) };
+        // Release: a fork (or a signal) between the two stores must find
+        // the links written before the head that leads to them.
+        self.head.store(ptr, Ordering::Release);
+        self.count.store(n + 1, Ordering::Relaxed);
+    }
+}
+
 /// One thread's magazines and outboxes in one instance.
 #[repr(C, align(64))]
 pub(crate) struct Slot {
     bins: [Bin; CACHED_CLASSES],
     /// Remote frees on their way home; `malloc` never looks here.
     out: [Bin; CACHED_CLASSES],
+    /// The mid classes' magazines, class `CACHED_CLASSES + i` in `mid[i]`.
+    mid: [Bin; MID_CLASSES],
     /// Stamp of the owning thread; 0 = free. Changes hands only by CAS.
     owner: AtomicU64,
+    /// Bytes cached in `mid`, at most [`MID_BUDGET`]. The owner's, like a
+    /// bin's count: plain loads and stores.
+    mid_bytes: AtomicU32,
 }
 
 /// The instance's slots and its identity. All-zero is the empty table.
@@ -258,71 +309,93 @@ pub(crate) unsafe fn malloc<S: PageSource>(
     tb: &ThreadBlock,
     ci: usize,
 ) -> *mut u8 {
-    if ci < CACHED_CLASSES {
-        let slot = slot_of(inner, tb);
-        if !slot.is_null() {
-            let bin = unsafe { &(*slot).bins[ci] };
-            let head = bin.head.load(Ordering::Relaxed);
-            if head.is_null() {
-                return unsafe { refill(inner, tb, bin, ci) };
-            }
-            // The block is ours alone: its link word is stable.
-            let next = unsafe { *(head as *const *mut u8) };
-            bin.head.store(next, Ordering::Relaxed);
-            bin.count
-                .store(bin.count.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
-            crate::stat!(inner, my_heap(inner, tb, ci), malloc_cached);
-            return head;
+    if ci >= CACHED_CLASSES {
+        return unsafe { malloc_mid(inner, tb, ci) };
+    }
+    let slot = slot_of(inner, tb);
+    if !slot.is_null() {
+        let bin = unsafe { &(*slot).bins[ci] };
+        let head = bin.head.load(Ordering::Relaxed);
+        if head.is_null() {
+            return unsafe { refill(inner, tb, bin, ci, CAP[ci] as u32 / 2) };
         }
+        unsafe { bin.pop(head) };
+        crate::stat!(inner, my_heap(inner, tb, ci), malloc_cached);
+        return head;
     }
     unsafe { crate::alloc::malloc_small(inner, ci) }
 }
 
-/// Miss: take up to half a magazine from the heap's active superblock
-/// with two CASes, hand the first block out and cache the rest. With no
-/// active superblock the ladder serves this one call and installs one.
+/// `malloc` of a mid class: the same hit, plus the row's byte count; a
+/// miss asks for the whole bin. Out of line: inlined into `malloc` it
+/// costs the small-class hit 0.9 ns of its 10 (DESIGN.md §21.5).
+#[inline(never)]
+unsafe fn malloc_mid<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock, ci: usize) -> *mut u8 {
+    let slot = slot_of(inner, tb);
+    if slot.is_null() {
+        return unsafe { crate::alloc::malloc_small(inner, ci) };
+    }
+    let slot = unsafe { &*slot };
+    let (bin, sz) = (&slot.mid[ci - CACHED_CLASSES], CLASS_SIZES[ci]);
+    let head = bin.head.load(Ordering::Relaxed);
+    let mut cached = slot.mid_bytes.load(Ordering::Relaxed);
+    if head.is_null() {
+        // What the refill leaves cached must fit the budget.
+        if cached + (MID_BLOCKS as u32 - 1) * sz > MID_BUDGET as u32 {
+            unsafe { mid_home(inner, slot) };
+            cached = 0;
+        }
+        let p = unsafe { refill(inner, tb, bin, ci, MID_BLOCKS as u32) };
+        let kept = bin.count.load(Ordering::Relaxed) * sz;
+        slot.mid_bytes.store(cached + kept, Ordering::Relaxed);
+        return p;
+    }
+    unsafe { bin.pop(head) };
+    slot.mid_bytes.store(cached - sz, Ordering::Relaxed);
+    crate::stat!(inner, my_heap(inner, tb, ci), malloc_cached);
+    head
+}
+
+/// Miss on an empty `bin`: ask the ladder for `k` blocks, hand the first
+/// out and cache the rest. It gives what it has at no further shared
+/// step: up to `k` from the active superblock with two CASes or from a
+/// superblock it opens with one, a single block from a partial one.
 #[inline(never)]
 unsafe fn refill<S: PageSource>(
     inner: &Inner<S>,
     tb: &ThreadBlock,
     bin: &Bin,
     ci: usize,
+    k: u32,
 ) -> *mut u8 {
     let heap = my_heap(inner, tb, ci);
-    let k = CAP[ci] as u32 / 2;
-    let t0 = crate::lat_start!();
-    let Some((first, desc_ptr, m, head)) =
-        (unsafe { crate::alloc::pop_from_active(inner, heap, k) })
-    else {
-        return unsafe { crate::alloc::malloc_small(inner, ci) };
+    let Some(run) = (unsafe { crate::alloc::malloc_run(inner, heap, k) }) else {
+        return core::ptr::null_mut();
     };
-    crate::stat!(inner, heap, malloc_fast);
-    crate::stat_lat!(inner, lat_malloc_fast, t0);
-    let desc = unsafe { &*desc_ptr };
+    let desc = unsafe { &*run.desc };
     let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
     // The chain is the first `m` positions from `head`: linked by block
     // index through each block's first word while explicit, consecutive
     // once one carries `V` — and from there on nothing is loaded, the run
     // was never written. Either way each block gets the pointer a hit
     // expects, in place.
-    let (mut at, mut block) = (head, first);
-    for _ in 1..m {
+    let (mut at, mut block) = (run.head, run.first);
+    for _ in 1..run.m {
         let link = block as *const AtomicU64;
         at = at.next(|| unsafe { (*link).load(Ordering::Relaxed) });
         block = sb + at.idx() as usize * sz;
         unsafe { (*link).store(block as u64, Ordering::Relaxed) };
     }
-    // The last block's successor is not ours to follow.
-    unsafe { (*(block as *const AtomicU64)).store(0, Ordering::Relaxed) };
     crate::stat!(inner, heap, mag_refill);
-    if m > 1 {
-        // Release: a fork (or a signal) between the two stores must find
-        // the links written before the head that leads to them.
+    if run.m > 1 {
+        // The last block's successor is not ours to follow.
+        unsafe { (*(block as *const AtomicU64)).store(0, Ordering::Relaxed) };
+        // Release: see `Bin::push`.
         bin.head
-            .store(unsafe { *(first as *const *mut u8) }, Ordering::Release);
-        bin.count.store(m - 1, Ordering::Relaxed);
+            .store(unsafe { *(run.first as *const *mut u8) }, Ordering::Release);
+        bin.count.store(run.m - 1, Ordering::Relaxed);
     }
-    first as *mut u8
+    run.first as *mut u8
 }
 
 /// Small `free`: caches a local block for this thread's next `malloc`,
@@ -342,16 +415,26 @@ pub(crate) unsafe fn free<S: PageSource>(
 ) -> bool {
     let slot = slot_of(inner, tb);
     let ci = entry.class();
-    if slot.is_null() || ci >= CACHED_CLASSES {
+    if slot.is_null() {
         return false;
     }
-    // Half a magazine is what goes home at a time from either row: the
-    // newer half of a full magazine, all of a full outbox.
-    let half = CAP[ci] as u32 / 2;
     // The entry's column is as current as `desc.heap()` would be (both
     // change at `MallocFromPartial`'s line 3); the descriptor's line,
     // which a remote owner keeps writing, is not touched.
     let local = unsafe { inner.heaps.add(entry.column()) } as usize == tb.heap0.get();
+    if ci >= CACHED_CLASSES {
+        // Local frees only: a remote one takes the paper's path.
+        if local {
+            if unsafe { free_mid(inner, &*slot, ptr, ci) } {
+                crate::stat!(inner, my_heap(inner, tb, ci), mag_flush);
+            }
+            crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
+        }
+        return local;
+    }
+    // Half a magazine is what goes home at a time from either row: the
+    // newer half of a full magazine, all of a full outbox.
+    let half = CAP[ci] as u32 / 2;
     let (bin, limit) = if local {
         (unsafe { &(*slot).bins[ci] }, CAP[ci] as u32)
     } else if half >= 2 {
@@ -372,10 +455,7 @@ pub(crate) unsafe fn free<S: PageSource>(
         }
         n = bin.count.load(Ordering::Relaxed);
     }
-    unsafe { *(ptr as *mut *mut u8) = bin.head.load(Ordering::Relaxed) };
-    // Release: see `refill`.
-    bin.head.store(ptr, Ordering::Release);
-    bin.count.store(n + 1, Ordering::Relaxed);
+    unsafe { bin.push(ptr, n) };
     if local {
         crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
     } else {
@@ -383,6 +463,34 @@ pub(crate) unsafe fn free<S: PageSource>(
         crate::stat!(inner, unsafe { &*(*entry.desc()).heap() }, free_outbox);
     }
     true
+}
+
+/// Local `free` of a mid class. A full bin goes home whole first — where
+/// the superblock is those two blocks, as one chain that takes it FULL →
+/// EMPTY (`free_impl::push_free_chain`) — and so does the whole row when
+/// this block would take it over [`MID_BUDGET`]. Returns whether
+/// anything went home. Out of line, like `malloc_mid`: inlined into
+/// `free` it buys `sbcycle_1t` 1 ns and costs `threadtest_2t`, whose
+/// frees never come here, half of one (DESIGN.md §21.5).
+#[inline(never)]
+unsafe fn free_mid<S: PageSource>(inner: &Inner<S>, slot: &Slot, ptr: *mut u8, ci: usize) -> bool {
+    let (bin, sz) = (&slot.mid[ci - CACHED_CLASSES], CLASS_SIZES[ci]);
+    let mut n = bin.count.load(Ordering::Relaxed);
+    let mut cached = slot.mid_bytes.load(Ordering::Relaxed);
+    let full = n >= MID_BLOCKS as u32;
+    let goes_home = full || cached + sz > MID_BUDGET as u32;
+    if full {
+        cached -= n * sz;
+        slot.mid_bytes.store(cached, Ordering::Relaxed);
+        unsafe { flush(inner, bin, n) };
+        n = 0;
+    } else if goes_home {
+        unsafe { mid_home(inner, slot) };
+        (n, cached) = (0, 0);
+    }
+    unsafe { bin.push(ptr, n) };
+    slot.mid_bytes.store(cached + sz, Ordering::Relaxed);
+    goes_home
 }
 
 /// Takes the `n` most recently cached blocks of `bin` (all of them if
@@ -444,19 +552,29 @@ unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> us
     blocks
 }
 
+/// Sends everything `bin` holds home; returns how many blocks.
+unsafe fn drain_bin<S: PageSource>(inner: &Inner<S>, bin: &Bin) -> usize {
+    // The pointer list is consistent at every instant, the count is not
+    // (a fork can land between a hit's two stores): the list is what
+    // gets released, the count is just reset.
+    let first = bin.head.swap(core::ptr::null_mut(), Ordering::Acquire);
+    bin.count.store(0, Ordering::Relaxed);
+    unsafe { release_list(inner, first) }
+}
+
+/// The mid row goes home: over budget, or with the rest of the slot.
+#[cold]
+unsafe fn mid_home<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
+    slot.mid_bytes.store(0, Ordering::Relaxed);
+    slot.mid.iter().map(|bin| unsafe { drain_bin(inner, bin) }).sum()
+}
+
 /// Empties every magazine and outbox of `slot`. The caller owns the
 /// slot (claimed its owner word) or the instance is quiescent.
 unsafe fn drain_slot<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
-    let mut blocks = 0;
-    for bin in slot.bins.iter().chain(&slot.out) {
-        // The pointer list is consistent at every instant, the count is
-        // not (a fork can land between a hit's two stores): the list is
-        // what gets released, the count is just reset.
-        let first = bin.head.swap(core::ptr::null_mut(), Ordering::Acquire);
-        bin.count.store(0, Ordering::Relaxed);
-        blocks += unsafe { release_list(inner, first) };
-    }
-    blocks
+    let own_bound = slot.bins.iter().chain(&slot.out);
+    own_bound.map(|bin| unsafe { drain_bin(inner, bin) }).sum::<usize>()
+        + unsafe { mid_home(inner, slot) }
 }
 
 /// Returns the calling thread's cached blocks to their superblocks;
@@ -563,14 +681,31 @@ pub(crate) struct Miscount {
     pub bound: u32,
 }
 
-/// Every cached and parked block, plus every [`Miscount`]. Walks are
-/// cut at the row's bound + 1, so a cyclic list shows as a miscount
-/// instead of hanging the audit.
-pub(crate) fn snapshot<S: PageSource>(inner: &Inner<S>) -> (Vec<CachedBlock>, Vec<Miscount>) {
-    let (mut blocks, mut bad) = (Vec::new(), Vec::new());
+/// A slot whose mid row holds more than [`MID_BUDGET`], or not what its
+/// byte count says.
+pub(crate) struct Overdraft {
+    pub slot: usize,
+    pub counted: u32,
+    pub held: u32,
+}
+
+/// Every cached and parked block, every [`Miscount`] and every
+/// [`Overdraft`]. Walks are cut at the row's bound + 1, so a cyclic list
+/// shows as a miscount instead of hanging the audit.
+pub(crate) fn snapshot<S: PageSource>(
+    inner: &Inner<S>,
+) -> (Vec<CachedBlock>, Vec<Miscount>, Vec<Overdraft>) {
+    let (mut blocks, mut bad, mut overdrawn) = (Vec::new(), Vec::new(), Vec::new());
     for (si, slot) in inner.mags.slots().iter().enumerate() {
-        for (out, row) in [(false, &slot.bins), (true, &slot.out)] {
-            for (ci, bin) in row.iter().enumerate() {
+        // (outbox?, bins, class of the first)
+        let rows = [
+            (false, &slot.bins[..], 0),
+            (true, &slot.out[..], 0),
+            (false, &slot.mid[..], CACHED_CLASSES),
+        ];
+        let mut mid_held = 0;
+        for (out, row, class0) in rows {
+            for (ci, bin) in (class0..).zip(row) {
                 let bound = if out { out_capacity(ci) } else { capacity(ci) } as u32;
                 let counted = bin.count.load(Ordering::Relaxed);
                 let mut p = bin.head.load(Ordering::Acquire);
@@ -595,10 +730,21 @@ pub(crate) fn snapshot<S: PageSource>(inner: &Inner<S>) -> (Vec<CachedBlock>, Ve
                         bound,
                     });
                 }
+                if ci >= CACHED_CLASSES {
+                    mid_held += walked * CLASS_SIZES[ci];
+                }
             }
         }
+        let counted = slot.mid_bytes.load(Ordering::Relaxed);
+        if counted != mid_held || mid_held > MID_BUDGET as u32 {
+            overdrawn.push(Overdraft {
+                slot: si,
+                counted,
+                held: mid_held,
+            });
+        }
     }
-    (blocks, bad)
+    (blocks, bad, overdrawn)
 }
 
 #[cfg(test)]
@@ -610,15 +756,16 @@ mod tests {
 
     #[test]
     fn capacity_table_is_bounded_in_blocks_and_bytes() {
-        assert_eq!(CACHED_CLASSES, 33);
+        assert_eq!((CACHED_CLASSES, MID_CLASSES), (33, 24));
         assert_eq!(CLASS_SIZES[CACHED_CLASSES - 1], 1024);
-        assert_eq!(MAX_CACHED_BYTES, 79_328);
+        assert_eq!(MAX_CACHED_BYTES, 79_328 + MID_BUDGET);
+        assert_eq!(MAX_CACHED_BYTES, 128_480);
         for ci in 0..NUM_CLASSES {
             let cap = capacity(ci);
-            assert!(cap <= MAX_BLOCKS);
-            assert!(cap * CLASS_SIZES[ci] as usize <= MAX_CLASS_BYTES);
-            assert_eq!(cap > 0, ci < CACHED_CLASSES, "cached classes are a prefix");
-            assert_ne!(cap, 1, "a refill is half a magazine");
+            assert!((MID_BLOCKS..=MAX_BLOCKS).contains(&cap), "a refill is half a magazine");
+            let own_bound = cap * CLASS_SIZES[ci] as usize <= MAX_CLASS_BYTES;
+            assert_eq!(own_bound, ci < CACHED_CLASSES, "the mid classes are a suffix");
+            assert!(own_bound || cap == MID_BLOCKS);
         }
         assert_eq!(capacity(0), 32);
         for ci in 0..CACHED_CLASSES {
@@ -627,8 +774,13 @@ mod tests {
         }
         assert_eq!(out_capacity(0), 16);
         assert_eq!(out_capacity(CACHED_CLASSES - 1), 0, "one block is no run");
-        assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES * 3 / 2);
+        // Full bins of all 24 mid classes would be 175 KiB a thread; the
+        // budget is 13 blocks of their average size.
+        let one_each: usize = (CACHED_CLASSES..NUM_CLASSES).map(|ci| CLASS_SIZES[ci] as usize).sum();
+        assert_eq!(MID_BLOCKS * one_each, 179_200);
+        assert_eq!(MID_BUDGET / (one_each / MID_CLASSES), 13);
         assert_eq!(core::mem::size_of::<Slot>() % 64, 0);
+        assert!(core::mem::size_of::<[Slot; SLOTS]>() <= 96 * 1024);
     }
 
     fn desc_of(a: &LfMalloc, block: *mut u8) -> &crate::descriptor::Descriptor {
@@ -650,8 +802,8 @@ mod tests {
     }
 
     fn parked(a: &LfMalloc) -> Vec<usize> {
-        let (blocks, bad) = snapshot(a.inner());
-        assert!(bad.is_empty());
+        let (blocks, bad, overdrawn) = snapshot(a.inner());
+        assert!(bad.is_empty() && overdrawn.is_empty());
         blocks.iter().filter(|b| b.out).map(|b| b.user).collect()
     }
 
@@ -670,7 +822,7 @@ mod tests {
                 core::ptr::write_bytes(*q, 0xA5, 48);
             }
             a.free(p);
-            let (cached, bad) = snapshot(a.inner());
+            let (cached, bad, _) = snapshot(a.inner());
             assert!(bad.is_empty());
             assert!(
                 cached.iter().any(|b| b.user == p as usize),
@@ -711,16 +863,17 @@ mod tests {
         let cap = capacity(0);
         let cached = |a: &LfMalloc| snapshot(a.inner()).0.len();
         unsafe {
-            // Install an active superblock; the ladder serves this one.
+            // The first miss opens a superblock and takes its half
+            // magazine off the front of it.
             let mut held = vec![a.malloc(8)];
-            assert_eq!(cached(&a), 0);
-            held.push(a.malloc(8));
             assert_eq!(cached(&a), cap / 2 - 1, "a miss takes half, hands one out");
-            // Use those up, then one more refill's worth.
+            // Use those up, then one more refill's worth, from Active now.
             for _ in 0..cap - 1 {
                 held.push(a.malloc(8));
             }
             assert_eq!(cached(&a), 0);
+            held.push(a.malloc(8));
+            assert_eq!(a.flush_thread_cache(), cap / 2 - 1);
             assert!(held.iter().all(|p| !p.is_null()));
             for p in held.drain(..cap) {
                 a.free(p);
@@ -745,24 +898,24 @@ mod tests {
         let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
         let k = capacity(0) / 2;
         unsafe {
-            let p0 = a.malloc(8) as usize; // the ladder's: block 0
-            let desc = desc_of(&a, p0 as *mut u8);
-            let block = |i: usize| p0 + 8 * i;
-            // Straight out of the virgin run: ascending, nothing loaded.
+            // The refill that opens the superblock, straight off the
+            // front of the virgin run: ascending, nothing loaded.
             let first: Vec<usize> = (0..k).map(|_| a.malloc(8) as usize).collect();
-            assert_eq!(first, (1..=k).map(block).collect::<Vec<_>>());
-            assert_eq!(desc.load_anchor().head(), Link::virgin(k as u32 + 1));
-            // Three go home in one chain, 3 -> 10 -> 5 -> (k + 1) | V.
+            let desc = desc_of(&a, first[0] as *mut u8);
+            let block = |i: usize| first[0] + 8 * i;
+            assert_eq!(first, (0..k).map(block).collect::<Vec<_>>());
+            assert_eq!(desc.load_anchor().head(), Link::virgin(k as u32));
+            // Three go home in one chain, 3 -> 10 -> 5 -> k | V.
             for i in [5, 10, 3] {
                 a.free(block(i) as *mut u8);
             }
             assert_eq!(a.flush_thread_cache(), 3);
             assert_eq!(desc.load_anchor().head(), Link::explicit(3));
             let second: Vec<usize> = (0..k).map(|_| a.malloc(8) as usize).collect();
-            let list = [3, 10, 5].into_iter().chain(k + 1..2 * k - 2);
+            let list = [3, 10, 5].into_iter().chain(k..2 * k - 3);
             let want: Vec<usize> = list.map(block).collect();
             assert_eq!(second, want, "three links followed, then counted up");
-            assert_eq!(desc.load_anchor().head(), Link::virgin(2 * k as u32 - 2));
+            assert_eq!(desc.load_anchor().head(), Link::virgin(2 * k as u32 - 3));
             assert!(a.audit().is_clean());
 
             // A thread exits with a refill's leftovers cached, blocks no
@@ -775,7 +928,7 @@ mod tests {
             assert!(rep.is_clean(), "{rep}");
             // And `trim` takes the superblock back once everything is home.
             let still_held = first.iter().filter(|p| !second.contains(p));
-            for &p in still_held.chain(&second).chain([&p0]) {
+            for &p in still_held.chain(&second) {
                 a.free(p as *mut u8);
             }
             a.trim();
@@ -785,25 +938,27 @@ mod tests {
     }
 
     #[test]
-    fn uncached_classes_bypass_and_a_remote_block_is_parked() {
+    fn a_remote_block_is_parked_unless_it_would_wait_alone() {
         // Magazines step aside while a fault scenario runs.
         #[cfg(feature = "failpoints")]
         let _quiet = malloc_api::failpoints::no_scenario();
         let a = LfMalloc::with_config(Config::with_heaps(2));
         unsafe {
-            let big = a.malloc(2000);
-            a.free(big);
-            assert!(snapshot(a.inner()).0.is_empty(), "no magazine above 1 KiB");
             // A block freed by a thread on another heap waits in that
             // thread's outbox, where no malloc finds it.
             let p = a.malloc(8) as usize;
             // So does not a block of a class whose half magazine is one
-            // block: that one goes straight home.
+            // block, nor one of a mid class, which has no outbox: those
+            // go straight home.
             let lone = a.malloc(1000) as usize;
+            let mid = a.malloc(2000) as usize;
             assert_eq!(out_capacity(a.inner().frames.get(lone).class()), 0);
+            assert!(a.inner().frames.get(mid).class() >= CACHED_CLASSES);
+            assert!(a.flush_thread_cache() > 0, "what the three refills left");
             on_a_remote_thread(&a, desc_of(&a, p as *mut u8).heap(), || {
                 a.free(p as *mut u8);
                 a.free(lone as *mut u8);
+                a.free(mid as *mut u8);
                 assert_eq!(parked(&a), [p]);
                 let audit = a.audit();
                 assert!(audit.is_clean(), "{audit}");
@@ -926,7 +1081,7 @@ mod tests {
             held[1]
         };
         unsafe {
-            // Class 4096 has no magazine: every malloc is the ladder's.
+            // Class 4096, a mid class: two blocks a refill.
             let theirs = a_partial_superblock(4096, 4);
             let before = entry_of(theirs);
             let home = (*before.desc()).heap();
@@ -949,7 +1104,7 @@ mod tests {
                 let mine = a.malloc(16);
                 assert_eq!(entry_of(mine as usize), entry_of(theirs), "adopted");
                 a.free(theirs as *mut u8);
-                let (cached, _) = snapshot(a.inner());
+                let (cached, ..) = snapshot(a.inner());
                 assert!(
                     cached.iter().any(|b| b.user == theirs && !b.out),
                     "local to the adopting heap: cached, not parked"
@@ -1013,6 +1168,242 @@ mod tests {
             plant(core::ptr::null_mut(), 0);
             assert!(a.audit().is_clean());
             a.free(q);
+        }
+    }
+
+    /// The calling thread's slot in `a`, once it has made a call there.
+    fn my_slot(a: &LfMalloc) -> &Slot {
+        let slot = crate::tls::with_block(|tb| tb.mag.get());
+        assert!(a.inner().mags.slots().iter().any(|s| core::ptr::eq(s, slot)));
+        unsafe { &*slot }
+    }
+
+    /// ROADMAP item 4's cliff, by construction rather than by the clock:
+    /// in every class a freed block is the next malloc's, and neither call
+    /// touches a shared word — the descriptor's anchor and the heap's
+    /// Active word are bit-identical before and after.
+    #[test]
+    fn every_class_has_a_hit_that_runs_no_cas() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        for (ci, &sz) in CLASS_SIZES.iter().enumerate() {
+            unsafe {
+                let p = a.malloc(sz as usize);
+                let (desc, heap) = (desc_of(&a, p), a.inner().heap_for(ci));
+                let before = (desc.load_anchor().raw(), heap.load_active().raw());
+                a.free(p);
+                assert_eq!(a.malloc(sz as usize), p, "class {ci} ({sz} B): LIFO hit");
+                let after = (desc.load_anchor().raw(), heap.load_active().raw());
+                assert_eq!(before, after, "class {ci} ({sz} B): a hit moved a shared word");
+                a.free(p);
+                let rep = a.audit();
+                assert!(rep.is_clean(), "{rep}");
+                // Each class from an empty cache: 57 classes' leftovers
+                // together are over the mid row's budget.
+                assert_eq!(a.flush_thread_cache(), rep.magazine_blocks);
+            }
+        }
+    }
+
+    /// DESIGN.md §21: a superblock no bigger than a refill is taken whole
+    /// when it opens — anchor stored FULL, installed nowhere — and goes
+    /// home whole when its bin does: one chain, FULL → EMPTY, and the
+    /// flusher, who then holds the pair alone, retires it warm.
+    #[test]
+    fn a_two_block_superblock_opens_and_closes_as_one_run() {
+        use crate::anchor::SbState;
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p0 = a.malloc(8000);
+            let desc = desc_of(&a, p0);
+            let opened = desc.load_anchor();
+            assert_eq!(
+                (opened.head(), opened.count(), opened.state()),
+                (Link::virgin(2), 0, SbState::Full)
+            );
+            let heap = a.inner().heap_for(a.inner().frames.get(p0 as usize).class());
+            assert!(heap.load_active().is_null() && heap.load_partial().is_null());
+            let p1 = a.malloc(8000);
+            assert_eq!(p1 as usize, p0 as usize + 8192, "the other half, cached");
+            assert_eq!(desc.load_anchor(), opened);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            // A second superblock's pair, so that a third free finds the
+            // bin full of the first one's.
+            let (q0, q1) = (a.malloc(8000), a.malloc(8000));
+            for p in [p0, p1] {
+                a.free(p);
+            }
+            assert_eq!(desc.load_anchor(), opened, "two frees, both cached");
+            a.free(q0);
+            let closed = desc.load_anchor();
+            assert_eq!((closed.state(), closed.count()), (SbState::Empty, 1));
+            assert_eq!(closed.tag(), opened.tag(), "a push bumps no tag");
+            assert!(heap.load_partial().is_null(), "not parked: retired");
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!((rep.warm_superblocks, rep.parked_superblocks), (1, 0), "{rep}");
+            assert_eq!(rep.magazine_blocks, 1);
+            a.free(q1);
+            assert_eq!(a.flush_thread_cache(), 2);
+            assert_eq!(a.audit().warm_superblocks, 2);
+            // In the order a stack gives them back the blocks of two
+            // superblocks go home one by one, the paper's way: FULL ->
+            // PARTIAL -> EMPTY, found parked or swept off the class list.
+            let (r0, r1) = (a.malloc(8000), a.malloc(8000));
+            let (s0, s1) = (a.malloc(8000), a.malloc(8000));
+            for p in [r0, s0, r1, s1] {
+                a.free(p);
+                assert_eq!(a.flush_thread_cache(), 1);
+            }
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!(rep.warm_superblocks + rep.parked_superblocks, 2, "{rep}");
+            a.trim();
+            assert_eq!(a.os_stats().live_bytes, 0);
+        }
+    }
+
+    /// The mid row's one byte budget: filled to exactly [`MID_BUDGET`] it
+    /// holds; the next block sends the whole row home first; and the
+    /// audit's bounds (`mag.count`: two a bin, `mag.budget`) hold all the
+    /// way and catch a planted overdraft.
+    #[test]
+    fn the_mid_row_fills_to_its_budget_and_then_goes_home() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        let clean = |a: &LfMalloc| {
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            rep.magazine_blocks
+        };
+        const FILL: [usize; 4] = [8192, 7168, 5120, 4096];
+        assert_eq!(2 * FILL.iter().sum::<usize>(), MID_BUDGET);
+        unsafe {
+            let extra = a.malloc(1152);
+            let held: Vec<*mut u8> = FILL.iter().flat_map(|&sz| [a.malloc(sz), a.malloc(sz)]).collect();
+            a.flush_thread_cache();
+            let slot = my_slot(&a);
+            assert_eq!(slot.mid_bytes.load(Ordering::Relaxed), 0);
+            let mut bytes = 0;
+            for (i, &p) in held.iter().enumerate() {
+                a.free(p);
+                bytes += FILL[i / 2] as u32;
+                assert_eq!(slot.mid_bytes.load(Ordering::Relaxed), bytes);
+                assert_eq!(clean(&a), i + 1);
+            }
+            assert_eq!(bytes as usize, MID_BUDGET, "full to the byte");
+            // A hit and the free that undoes it leave the row as it was.
+            let top = a.malloc(4096);
+            assert_eq!(top, held[7]);
+            assert_eq!(slot.mid_bytes.load(Ordering::Relaxed) as usize, MID_BUDGET - 4096);
+            a.free(top);
+            assert_eq!(clean(&a), 8);
+            // One block more than the budget has room for: the row goes
+            // home and the block is cached alone.
+            a.free(extra);
+            assert_eq!(slot.mid_bytes.load(Ordering::Relaxed), 1152);
+            assert_eq!(clean(&a), 1);
+            assert_eq!(a.malloc(1152), extra);
+            // A refill is bounded the same way: what it would leave
+            // cached has to fit.
+            let held: Vec<*mut u8> = FILL.iter().flat_map(|&sz| [a.malloc(sz), a.malloc(sz)]).collect();
+            a.flush_thread_cache();
+            held.iter().for_each(|&p| a.free(p));
+            assert_eq!(slot.mid_bytes.load(Ordering::Relaxed) as usize, MID_BUDGET);
+            let other = a.malloc(2048);
+            assert_eq!(slot.mid_bytes.load(Ordering::Relaxed), 2048, "the row went home first");
+            assert_eq!(clean(&a), 1);
+
+            // What the audit says when the books are wrong.
+            let checks = |a: &LfMalloc| -> Vec<String> {
+                let hits = a.audit().violations;
+                hits.iter().map(|v| format!("{} {}", v.check, v.detail)).collect()
+            };
+            slot.mid_bytes.store(4096, Ordering::Relaxed);
+            let found = checks(&a);
+            assert!(
+                found.iter().any(|v| v.starts_with("mag.budget magazine[")
+                    && v.contains("counts 4096 mid-class bytes, holds 2048")),
+                "{found:?}"
+            );
+            slot.mid_bytes.store(2048, Ordering::Relaxed);
+            // Three blocks in a bin of two.
+            let bin = &slot.mid[a.inner().frames.get(other as usize).class() - CACHED_CLASSES];
+            let cached = bin.head.load(Ordering::Relaxed);
+            let planted = [extra, other];
+            *(planted[0] as *mut *mut u8) = planted[1];
+            *(planted[1] as *mut *mut u8) = cached;
+            bin.head.store(planted[0], Ordering::Relaxed);
+            bin.count.store(3, Ordering::Relaxed);
+            let found = checks(&a);
+            assert!(
+                found.iter().any(|v| v.starts_with("mag.count magazine[")
+                    && v.ends_with("counts 3, holds 3 (capacity 2)")),
+                "{found:?}"
+            );
+            bin.head.store(cached, Ordering::Relaxed);
+            bin.count.store(1, Ordering::Relaxed);
+            assert_eq!(clean(&a), 1);
+            a.free(other);
+            a.free(extra);
+            a.trim();
+            assert_eq!(a.os_stats().live_bytes, 0);
+        }
+    }
+
+    /// Every way a slot is emptied reaches the third row and zeroes its
+    /// byte count: the owner's own flush, `maintain`'s reap of a dead
+    /// owner, adoption by the next thread, and `trim`'s quiescent sweep.
+    #[test]
+    fn every_drain_covers_the_mid_row() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = std::sync::Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
+        let mid_bytes = |a: &LfMalloc| -> Vec<u32> {
+            let slots = a.inner().mags.slots().iter();
+            slots.map(|s| s.mid_bytes.load(Ordering::Relaxed)).filter(|&b| b != 0).collect()
+        };
+        // A pair of 3000-byte blocks (class 3072) on a thread of its own,
+        // which exits with both cached.
+        let pair_on_thread = || {
+            let a = std::sync::Arc::clone(&a);
+            std::thread::spawn(move || unsafe {
+                let (p, q) = (a.malloc(3000), a.malloc(3000));
+                a.free(p);
+                a.free(q);
+            })
+            .join()
+            .unwrap()
+        };
+        unsafe {
+            let p = a.malloc(3000);
+            a.free(p);
+            assert_eq!(mid_bytes(&a), [2 * 3072]);
+            assert_eq!(a.flush_thread_cache(), 2, "drain_own");
+            assert!(mid_bytes(&a).is_empty());
+
+            pair_on_thread();
+            assert_eq!(mid_bytes(&a), [2 * 3072]);
+            assert_eq!(drain_dead(a.inner()), 2, "drain_dead");
+            assert!(mid_bytes(&a).is_empty());
+
+            pair_on_thread();
+            pair_on_thread(); // adopts the first one's slot, drains it first
+            assert_eq!(mid_bytes(&a), [2 * 3072]);
+            assert_eq!(snapshot(a.inner()).0.len(), 2);
+
+            let p = a.malloc(3000);
+            a.free(p);
+            assert_eq!(mid_bytes(&a).len(), 2);
+            a.trim(); // drain_all
+            assert!(mid_bytes(&a).is_empty());
+            assert_eq!(a.os_stats().live_bytes, 0);
+            assert!(a.audit().is_clean());
         }
     }
 

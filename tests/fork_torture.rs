@@ -166,11 +166,12 @@ fn lfmalloc_child_recovers_after_fork_under_load() {
     });
 }
 
-/// Thread magazines across a fork: the forking thread's magazine and
-/// outbox come through intact (same blocks, same order, under its new
-/// identity), while the slots of the threads the fork left behind are
-/// orphans whose blocks — cached and parked alike — `fork::recover`
-/// sends home: none stay cached, none are lost, and the child audits
+/// Thread magazines across a fork: the forking thread's magazine,
+/// outbox and mid row come through intact (same blocks, same order,
+/// under its new identity), while the slots of the threads the fork left
+/// behind are orphans whose blocks — cached and parked alike, all three
+/// rows — `fork::recover` sends home: none stay cached, none are lost,
+/// no orphan keeps a byte count (`mag.budget`), and the child audits
 /// clean.
 #[test]
 fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
@@ -189,10 +190,16 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
         }
         blocks[4] as usize
     };
+    // And its mid row: a 3000-byte block on top of its refill's other half.
+    let mid_top = unsafe {
+        let p = a.malloc(3000);
+        a.free(p);
+        p as usize
+    };
     // Beside the five: what the refill took and nobody asked for yet,
     // blocks of a virgin run that carry a pointer and nothing else.
     let cached = a.audit().magazine_blocks;
-    assert!(cached > 5);
+    assert!(cached > 5 + 2);
     // Two more threads fill magazines of their own and stay alive
     // (parked) across the fork, so in the parent their slots are owned
     // by live threads and in the child by nobody. Their ids follow each
@@ -212,6 +219,8 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
                         assert!(!p.is_null());
                         a.free(p);
                     }
+                    let mid = a.malloc(2000 + 2000 * t);
+                    a.free(mid);
                     a.free(handed[t] as *mut u8);
                     if lfmalloc::heap::thread_id() % 2 != home {
                         gifts[t].store(a.malloc(40) as usize, Ordering::Relaxed);
@@ -249,10 +258,19 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
             }
             unsafe {
                 a.free(p);
-                // Both rows are this thread's to send home.
-                if a.flush_thread_cache() != mine || a.audit().magazine_blocks != 0 {
+                // The mid row's top comes back too. It stays out while
+                // the rows are counted: under its new id this thread may
+                // map to the other heap, and a remote free of a mid class
+                // is not cached.
+                let q = a.malloc(3000);
+                if q as usize != mid_top {
                     sys::_exit(MAGAZINE_LOST);
                 }
+                // All three rows are this thread's to send home.
+                if a.flush_thread_cache() != mine - 1 || a.audit().magazine_blocks != 0 {
+                    sys::_exit(MAGAZINE_LOST);
+                }
+                a.free(q);
                 sys::_exit(if a.audit().is_clean() { OK } else { AUDIT_VIOLATION });
             }
         }

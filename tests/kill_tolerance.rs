@@ -124,17 +124,19 @@ fn concurrent_threads_progress_while_killer_rampages() {
 }
 
 /// A thread magazine weakens "a kill leaks at most one block" to a
-/// stated bound: a thread killed with its magazines and its outboxes
-/// full strands what they hold — at most `magazine::MAX_CACHED_BYTES`
-/// (Σ (capacity + outbox capacity) × block size over the cached
-/// classes, 79 328 bytes ≤ 33 classes × 3 KiB) per instance — and still never blocks
-/// anyone: other threads allocate, free, adopt other slots and audit
-/// clean around the corpse, and a quiescent `trim` takes even that back.
+/// stated bound: a thread killed with its magazines, its outboxes and
+/// its mid row full strands what they hold — at most
+/// `magazine::MAX_CACHED_BYTES` (Σ (capacity + outbox capacity) × block
+/// size over the 33 classes up to 1 KiB, 79 328 bytes, plus the mid
+/// classes' one budget, 49 152: 128 480 bytes ≤ 128 KiB) per instance —
+/// and still never blocks anyone: other threads allocate, free, adopt
+/// other slots and audit clean around the corpse, and a quiescent `trim`
+/// takes even that back.
 #[test]
 fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     use lfmalloc::magazine::{
         capacity, out_capacity, simulate_killed_thread, CACHED_CLASSES, MAX_CACHED_BYTES,
-        MAX_CLASS_BYTES,
+        MAX_CLASS_BYTES, MID_BUDGET,
     };
     use lfmalloc::size_classes::CLASS_SIZES;
     // Magazines step aside while a fault scenario runs; keep the ones
@@ -143,13 +145,18 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     let _quiet = malloc_api::failpoints::no_scenario();
 
     let size_of = |ci: usize| CLASS_SIZES[ci] as usize;
-    let full: usize = (0..CACHED_CLASSES).map(|ci| capacity(ci) + out_capacity(ci)).sum();
+    // Two blocks each of four mid classes are the mid row's budget to
+    // the byte.
+    const MID_FILL: [usize; 4] = [8192, 7168, 5120, 4096];
+    let full: usize = (0..CACHED_CLASSES).map(|ci| capacity(ci) + out_capacity(ci)).sum::<usize>()
+        + 2 * MID_FILL.len();
     let full_bytes: usize = (0..CACHED_CLASSES)
         .map(|ci| (capacity(ci) + out_capacity(ci)) * CLASS_SIZES[ci] as usize)
-        .sum();
+        .sum::<usize>()
+        + 2 * MID_FILL.iter().sum::<usize>();
     assert_eq!(full_bytes, MAX_CACHED_BYTES);
-    assert_eq!(MAX_CACHED_BYTES, 79_328);
-    assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES * 3 / 2);
+    assert_eq!(MAX_CACHED_BYTES, 128_480);
+    assert!(MAX_CACHED_BYTES <= CACHED_CLASSES * MAX_CLASS_BYTES * 3 / 2 + MID_BUDGET);
 
     let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
     // An outbox's worth of this thread's blocks per class, for the
@@ -189,7 +196,14 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
         for &p in handed.iter().flatten() {
             victim.free(p as *mut u8);
         }
-        simulate_killed_thread(); // ...and dies here, both rows full
+        // And the mid row, to its budget: each pair is one refill, handed
+        // out whole and freed again.
+        for sz in MID_FILL {
+            let pair = [victim.malloc(sz), victim.malloc(sz)];
+            assert!(pair.iter().all(|p| !p.is_null()));
+            pair.into_iter().for_each(|p| victim.free(p));
+        }
+        simulate_killed_thread(); // ...and dies here, all three rows full
         Some(())
     });
 
@@ -199,7 +213,7 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     assert_eq!(rep.magazines_drained, 0, "a killed thread's slot must stay untouched");
     let audit = a.audit();
     assert!(audit.is_clean(), "{audit}");
-    assert_eq!(audit.magazine_blocks, full, "exactly the full magazines and outboxes are stranded");
+    assert_eq!(audit.magazine_blocks, full, "exactly the full magazines, outboxes and mid row are stranded");
 
     // Everyone else carries on, magazines and all.
     let mut workers = Vec::new();
@@ -209,7 +223,7 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
             let mut rng = testkit::TestRng::new(0xDEAD + t);
             for _ in 0..20_000 {
                 unsafe {
-                    let sz = rng.range(1, 1024);
+                    let sz = rng.range(1, 8192);
                     let p = a.malloc(sz);
                     assert!(!p.is_null(), "allocation blocked behind a killed thread's magazine");
                     testkit::fill(p, sz);
@@ -437,6 +451,13 @@ mod failpoint_kills {
     /// descriptor it does not hold, so a lost descriptor's superblock no
     /// longer finds its own way back to the page pool. There is no
     /// per-thread retire list, so a death cannot pin more than that.
+    ///
+    /// The last two rows are the transitions of DESIGN.md §21, which only
+    /// a magazine reaches: a refill that took a two-block superblock whole
+    /// dies right after storing its anchor FULL (it held both blocks and
+    /// the only reference), and a flusher whose chain was the whole
+    /// superblock dies between the FULL -> EMPTY CAS and the retire (it
+    /// was the pair's exclusive holder). One pair each.
     #[test]
     fn descriptor_cycle_kills_strand_exactly_what_was_in_hand() {
         // One pass takes two two-block superblocks, A and B, through every
@@ -457,20 +478,43 @@ mod failpoint_kills {
                 }
             }
         }
-        // (site, descriptor + superblock pairs stranded)
-        for (site, pairs) in [
-            ("desc.alloc", 0),
-            ("stack.pop", 0),
-            ("partial.get", 0),
-            ("partial.put", 1),
-            ("partial.reserve", 1),
-            ("desc.retire", 1),
-            ("sb.reopen", 1),
+        // The same two superblocks through the magazine: each opened
+        // whole by one refill, each sent home whole — A by the free that
+        // finds the bin full of it, B by the flush.
+        unsafe fn cached_cycle(a: &LfMalloc) {
+            unsafe {
+                let (a0, a1) = (a.malloc(8000), a.malloc(8000));
+                let (b0, b1) = (a.malloc(8000), a.malloc(8000));
+                for p in [a0, a1, b0, b1] {
+                    a.free(p);
+                }
+                a.flush_thread_cache();
+            }
+        }
+        // (site, descriptor + superblock pairs stranded, through the magazine)
+        for (site, pairs, cached) in [
+            ("desc.alloc", 0, false),
+            ("stack.pop", 0, false),
+            ("partial.get", 0, false),
+            ("partial.put", 1, false),
+            ("partial.reserve", 1, false),
+            ("desc.retire", 1, false),
+            ("sb.reopen", 1, false),
             // The dying thread had let go: the EMPTY pair is where the
             // anchor CAS found it, and the next malloc takes it from there.
-            ("free.empty", 0),
+            ("free.empty", 0, false),
+            ("sb.full", 1, true),
+            ("free.whole", 1, true),
         ] {
-            let _guard = fp::scenario(0xDE5C);
+            // A scenario keeps magazines out of the way; the last two rows
+            // need them in, and only the scenario lock.
+            let _guard = (!cached).then(|| fp::scenario(0xDE5C));
+            let _quiet = cached.then(|| {
+                let lock = fp::no_scenario();
+                fp::clear();
+                lock
+            });
+            let cycle = if cached { cached_cycle } else { cycle };
             let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
             unsafe {
                 cycle(&a);
@@ -506,7 +550,79 @@ mod failpoint_kills {
                 (pairs * (16 << 10), pairs * (1 << 20)),
                 "{site}: pinned after trim"
             );
+            fp::clear();
         }
+    }
+
+    /// DESIGN.md §21's ownership argument, run step by step: a flusher's
+    /// chain is a whole two-block superblock, its CAS takes the anchor
+    /// FULL -> EMPTY, and it is frozen before the retire. The pair is in no
+    /// slot, on no list and on no stack — its alone: another thread sweeps
+    /// the class (opening, filling, emptying and retiring superblock after
+    /// superblock) and `maintain` prunes and reaps around it without ever
+    /// seeing the pair; thawed, the flusher retires it warm.
+    #[test]
+    fn a_flusher_frozen_with_a_whole_superblock_holds_the_pair_alone() {
+        let _quiet = fp::no_scenario(); // magazines in, other scenarios out
+        fp::clear();
+        let o = OracleMalloc::new(LfMalloc::with_config(Config::with_heaps(1)));
+        let a = o.inner();
+        let sb_of = |p: *mut u8| p as usize & !(16384 - 1);
+        let frozen_sb = std::sync::atomic::AtomicUsize::new(0);
+        fp::arm_limited("free.whole", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| unsafe {
+            let flusher = s.spawn(|| {
+                let (p0, p1) = (o.malloc(8000), o.malloc(8000));
+                assert_eq!(sb_of(p0), sb_of(p1));
+                frozen_sb.store(sb_of(p0), std::sync::atomic::Ordering::Release);
+                o.free(p0);
+                o.free(p1);
+                a.flush_thread_cache() // one chain, FULL -> EMPTY, and parks
+            });
+            // A failed assertion below must not leave the scope waiting
+            // for a thread nobody will thaw.
+            struct Thaw;
+            impl Drop for Thaw {
+                fn drop(&mut self) {
+                    fp::disarm("free.whole");
+                }
+            }
+            let _thaw = Thaw;
+            while fp::fired("free.whole") == 0 {
+                std::thread::yield_now();
+            }
+            let frozen_sb = frozen_sb.load(std::sync::atomic::Ordering::Acquire);
+            for _ in 0..3 {
+                let blocks: Vec<*mut u8> = (0..64).map(|_| o.malloc(8000)).collect();
+                assert!(blocks.iter().all(|&p| !p.is_null() && sb_of(p) != frozen_sb));
+                blocks.into_iter().for_each(|p| o.free(p));
+                a.maintain(MaintenanceBudget::full());
+            }
+            a.flush_thread_cache();
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!(
+                (rep.descriptors_floating, rep.parked_superblocks, rep.magazine_blocks),
+                (1, 0, 0),
+                "the frozen pair, and nothing else, is in nobody's structure\n{rep}"
+            );
+            let warm = rep.warm_superblocks;
+            fp::disarm("free.whole");
+            assert_eq!(flusher.join().unwrap(), 2);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!((rep.descriptors_floating, rep.warm_superblocks), (0, warm + 1), "{rep}");
+            // And it serves again: the warm stack's top.
+            let p = o.malloc(8000);
+            assert_eq!(sb_of(p), frozen_sb);
+            o.free(p);
+        });
+        assert_eq!(o.verify_all(), 0);
+        assert_eq!(o.violation_count(), 0);
+        unsafe { a.trim() };
+        assert_eq!(a.os_stats().live_bytes, 0);
+        assert!(a.audit().is_clean());
+        fp::clear();
     }
 
     /// A malloc that took an EMPTY descriptor out of the heap's slot is

@@ -261,15 +261,20 @@ fn empty_superblocks_parked_under_one_class_serve_another_before_the_os_is_asked
             // 60 superblocks of two 8000 B blocks each; one free apiece
             // makes every one PARTIAL (one in the heap's slot, 59 listed),
             // the second free makes 58 of them EMPTY where they are, all
-            // beneath a listed one that is not.
+            // beneath a listed one that is not. Each block goes home on
+            // its own, not by way of the magazine.
             let blocks: Vec<*mut u8> = (0..120).map(|_| a.malloc(8000)).collect();
             assert!(blocks.iter().all(|p| !p.is_null()));
             assert_eq!(a.hyperblock_count(), 1);
+            let free_home = |p: *mut u8| {
+                a.free(p);
+                assert_eq!(a.flush_thread_cache(), 1);
+            };
             for pair in blocks.chunks(2) {
-                a.free(pair[0]);
+                free_home(pair[0]);
             }
             for pair in blocks.chunks(2).take(58) {
-                a.free(pair[1]);
+                free_home(pair[1]);
             }
             assert!(a.health().parked_empty >= 57, "the idle superblocks are parked: {:?}", a.health());
 

@@ -89,8 +89,9 @@ fn malloc_paths_partition_the_total() {
     assert_eq!(t.mallocs(), N, "{t:?}");
     assert_eq!(t.malloc_cached + t.malloc_fast + t.malloc_slow + t.malloc_newsb, N);
     assert!(t.malloc_cached > 0 && t.mag_refill > 0, "magazines never served: {t:?}");
-    // Sizes up to 4 KiB: the classes above 1 KiB have no magazine.
-    assert!(t.malloc_fast > t.mag_refill, "{t:?}");
+    // Every class has a magazine: each call the ladder served was a
+    // refill, whichever rung served it.
+    assert_eq!(t.mag_refill, t.malloc_fast + t.malloc_slow + t.malloc_newsb, "{t:?}");
     assert_eq!(t.frees(), N, "{t:?}");
     assert_eq!(t.free_cached + t.free_local + t.free_remote, N);
     assert!(t.free_cached > 0 && t.mag_flush > 0, "{t:?}");

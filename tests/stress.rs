@@ -4,8 +4,43 @@
 use lfmalloc::config::SB_SIZE;
 use lfmalloc_repro::prelude::*;
 use malloc_api::testkit::{self, TestRng};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// A barrier that a panicking party breaks: a failed assertion in one
+/// thread fails the test, where `std::sync::Barrier` would leave the
+/// peers waiting for it for ever.
+struct Gate {
+    parties: usize,
+    arrived: AtomicUsize,
+    broken: AtomicBool,
+}
+
+/// Held by each thread that meets at a [`Gate`]: dropped in a panic, it
+/// breaks the gate.
+struct Party<'a>(&'a Gate);
+
+impl Gate {
+    fn new(parties: usize) -> Gate {
+        Gate { parties, arrived: AtomicUsize::new(0), broken: AtomicBool::new(false) }
+    }
+
+    fn wait(&self) {
+        let turn = self.arrived.fetch_add(1, Ordering::AcqRel) / self.parties;
+        while self.arrived.load(Ordering::Acquire) / self.parties == turn {
+            assert!(!self.broken.load(Ordering::Acquire), "a peer at the gate panicked");
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for Party<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.broken.store(true, Ordering::Release);
+        }
+    }
+}
 
 #[test]
 fn mixed_size_mixed_thread_torture() {
@@ -243,22 +278,26 @@ fn superblock_cycle_under_four_threads() {
     // allocated then freed) on four threads over two heaps, half of every
     // thread's frees remote: DescAlloc, DescRetire, ListPutPartial,
     // ListGetPartial and ListRemoveEmptyDesc all race on one size
-    // class. Each block carries its owner's tag at both ends while it is
-    // live, so a block (or a superblock, through a descriptor handed out
-    // twice) given to two owners shows as a foreign tag.
+    // class. (A superblock opens whole for a refill; its two blocks go
+    // separate ways, so each comes home on its own: the remote one
+    // straight, the local one when its bin is flushed.) Each block
+    // carries its owner's tag at both ends while it is live, so a block
+    // (or a superblock, through a descriptor handed out twice) given to
+    // two owners shows as a foreign tag.
     const THREADS: usize = 4;
     const ROUNDS: usize = 40;
     const BLOCKS: usize = 64;
     const SZ: usize = 8000;
     let a = LfMalloc::with_config(Config::with_heaps(2));
-    let gate = std::sync::Barrier::new(THREADS);
+    let gate = Gate::new(THREADS);
     let handed: Vec<std::sync::Mutex<Vec<(usize, u64)>>> =
         (0..THREADS).map(|_| Default::default()).collect();
-    let slots_after_first_round = std::sync::atomic::AtomicUsize::new(0);
+    let slots_after_first_round = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (a, gate, handed, first) = (&a, &gate, &handed, &slots_after_first_round);
             s.spawn(move || unsafe {
+                let _party = Party(gate);
                 let check_and_free = |p: *mut u8, tag: u64| {
                     assert_eq!((p as *const u64).read(), tag, "block handed out twice");
                     assert_eq!((p.add(SZ - 8) as *const u64).read(), tag);
@@ -299,6 +338,8 @@ fn superblock_cycle_under_four_threads() {
                     }
                     gate.wait();
                 }
+                // What this thread's bin still holds is in its hands.
+                a.flush_thread_cache();
             });
         }
     });
@@ -350,10 +391,16 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
     // two, and each thread allocated alone on its heap).
     let peak_superblocks = 2 * N;
     assert_eq!(listed(), 0);
+    // One block at a time, straight home: this is about where a
+    // descriptor waits, not about the magazine a local free would wait in.
+    let free_home = |p: usize| unsafe {
+        a.free(p as *mut u8);
+        a.flush_thread_cache();
+    };
     // Free one block of each: every superblock turns PARTIAL and passes
     // through its heap's slot onto the class list.
     for pair in blocks.chunks(2) {
-        unsafe { a.free(pair[0] as *mut u8) };
+        free_home(pair[0]);
     }
     let on_list = listed();
     assert!(on_list >= peak_superblocks - 2, "{on_list} listed: at most one per heap in a slot");
@@ -363,7 +410,7 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
     let top = blocks.len() / 2 - 2;
     for (k, pair) in blocks.chunks(2).enumerate() {
         if k != top {
-            unsafe { a.free(pair[1] as *mut u8) };
+            free_home(pair[1]);
         }
     }
     let rep = a.audit();
@@ -386,9 +433,9 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
     );
     // The class's next mallocs pop down to them: an EMPTY descriptor left
     // in a heap slot first, then the PARTIAL head (one block), then each
-    // EMPTY descriptor beneath it is reopened where it is (two blocks) —
-    // all of it before a descriptor is carved, a superblock is asked of
-    // the page pool, or anything is mapped.
+    // EMPTY descriptor beneath it is reopened where it is (two blocks,
+    // both to the one refill) — all of it before a descriptor is carved,
+    // a superblock is asked of the page pool, or anything is mapped.
     let (slots, hyperblocks, os_allocs) =
         (h.descriptor_slots, a.hyperblock_count(), a.os_stats().os_allocs);
     let mut again = Vec::new();
@@ -406,11 +453,10 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
     assert!(a.audit().is_clean());
     // `maintain` is the other way down: with everything freed again in
     // the same order, it retires whatever is parked, wherever it is.
-    unsafe {
-        a.free(blocks[2 * top + 1] as *mut u8);
-        for p in again {
-            a.free(p);
-        }
+    a.flush_thread_cache(); // the last refill's other half
+    free_home(blocks[2 * top + 1]);
+    for p in again {
+        free_home(p as usize);
     }
     let rep = a.audit();
     assert!(rep.is_clean(), "{rep}");
@@ -425,12 +471,14 @@ fn empty_descriptors_parked_in_a_partial_list_are_bounded_and_drained() {
 
 #[test]
 fn a_second_sweep_maps_nothing_and_asks_the_page_pool_for_nothing() {
-    // The benchmark's `sbcycle` shape, twice. The first sweep maps one
-    // hyperblock and carves one descriptor slab; after it every
-    // superblock is EMPTY and on its descriptor (31 warm, the last one
-    // parked in the heap's slot), so the second sweep opens 32
-    // superblocks without the OS, the descriptor slabs or — while a warm
-    // pair is left — the page pool hearing of it.
+    // The benchmark's `sbcycle` shape, twice, every free going straight
+    // home (the paper's transitions; the same two sweeps through the
+    // magazine are the next test). The first sweep maps one hyperblock
+    // and carves one descriptor slab; after it every superblock is EMPTY
+    // and on its descriptor (31 warm, the last one parked in the heap's
+    // slot), so the second sweep opens 32 superblocks without the OS, the
+    // descriptor slabs or — while a warm pair is left — the page pool
+    // hearing of it.
     const BLOCKS: usize = 64;
     // Under `failpoints`: any call of `PagePool::alloc` in the second
     // sweep, for a superblock or a descriptor slab, fails the malloc.
@@ -440,7 +488,10 @@ fn a_second_sweep_maps_nothing_and_asks_the_page_pool_for_nothing() {
     let sweep = || unsafe {
         let blocks: Vec<*mut u8> = (0..BLOCKS).map(|_| a.malloc(8000)).collect();
         assert!(blocks.iter().all(|p| !p.is_null()));
-        blocks.into_iter().for_each(|p| a.free(p));
+        for p in blocks {
+            a.free(p);
+            a.flush_thread_cache();
+        }
     };
     sweep();
     let first = a.audit();
@@ -475,6 +526,58 @@ fn a_second_sweep_maps_nothing_and_asks_the_page_pool_for_nothing() {
 }
 
 #[test]
+fn a_sweep_through_the_magazine_opens_and_closes_each_superblock_as_one_run() {
+    // DESIGN.md §21, the benchmark's `sbcycle` shape as the default build
+    // runs it: a refill takes a two-block superblock whole (stored FULL,
+    // installed nowhere), the frees fill the bin, and the full bin goes
+    // home as one chain, FULL -> EMPTY, retired warm by the flusher. No
+    // superblock is ever PARTIAL, in a slot or on a list; the last pair
+    // of a sweep waits in the bin for the next sweep's first two mallocs.
+    const BLOCKS: usize = 64;
+    // Magazines step aside while a fault scenario runs.
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    let sweep = || unsafe {
+        let blocks: Vec<*mut u8> = (0..BLOCKS).map(|_| a.malloc(8000)).collect();
+        assert!(blocks.iter().all(|p| !p.is_null()));
+        blocks.iter().for_each(|&p| testkit::fill(p, 8000));
+        for p in blocks {
+            testkit::check_fill(p, 8000);
+            a.free(p);
+        }
+    };
+    sweep();
+    let first = a.audit();
+    assert!(first.is_clean(), "{first}");
+    assert_eq!((first.warm_superblocks, first.parked_superblocks), (BLOCKS / 2 - 1, 0), "{first}");
+    assert_eq!((first.magazine_blocks, first.descriptors_floating), (2, 1), "{first}");
+    let (os_allocs, hyperblocks) = (a.os_stats().os_allocs, a.hyperblock_count());
+    assert_eq!(hyperblocks, 1);
+    sweep();
+    let second = a.audit();
+    assert!(second.is_clean(), "{second}");
+    assert_eq!((a.os_stats().os_allocs, a.hyperblock_count()), (os_allocs, hyperblocks));
+    assert_eq!(second.descriptors_total, first.descriptors_total);
+    assert_eq!(
+        (second.warm_superblocks, second.magazine_blocks, second.descriptors_floating),
+        (first.warm_superblocks, 2, 1)
+    );
+    assert_eq!(a.health().partial_listed.iter().sum::<usize>(), 0);
+    #[cfg(feature = "stats")]
+    {
+        let t = a.stats().totals;
+        assert_eq!(t.malloc_newsb, BLOCKS as u64 - 1, "31 + 32 superblock lives: {t:?}");
+        assert_eq!(t.free_empty, t.malloc_newsb - 1, "all but the pair in the bin: {t:?}");
+        assert_eq!((t.partial_push, t.partial_pop, t.sb_reopen), (0, 0, 0), "{t:?}");
+    }
+    assert_eq!(a.flush_thread_cache(), 2);
+    unsafe { a.trim() };
+    assert_eq!(a.os_stats().live_bytes, 0);
+    assert!(a.audit().is_clean());
+}
+
+#[test]
 fn a_warm_superblock_serves_any_class() {
     // Every superblock is 16 KiB, whatever it is cut into: 60 superblocks
     // filled and drained as 8000-byte blocks come back as 60 superblocks
@@ -506,7 +609,7 @@ fn a_warm_superblock_serves_any_class() {
 
 #[test]
 fn parked_empty_superblocks_are_one_per_slot_and_returnable() {
-    // DESIGN.md §18's second bound. Four uncached classes, two threads
+    // DESIGN.md §18's second bound. Four mid classes, two threads
     // (two heaps, unless both ids fall on one), allocate-then-free sweeps:
     // when everything is freed, what is EMPTY is on the warm stack except
     // the last superblock each (class, heap) saw, which is still in that
@@ -525,6 +628,8 @@ fn parked_empty_superblocks_are_one_per_slot_and_returnable() {
                         blocks.into_iter().for_each(|p| unsafe { a.free(p) });
                     }
                 }
+                // "Everything is freed" includes what the mid row holds.
+                a.flush_thread_cache();
             });
         });
     }
@@ -559,10 +664,14 @@ fn reopen_in_place_races_remote_frees_and_slot_displacement() {
     // or swept off the list) — while the allocators, whose Active word
     // runs dry every second malloc, take descriptors out of that slot and
     // off that list: PARTIAL to reserve from, EMPTY to reopen where they
-    // are. A marker ends a round; barriers make the audit quiescent. Each
-    // block carries its tag at both ends while live: a superblock
-    // reopened under a block still out, or handed to two openers, shows
-    // as a foreign tag.
+    // are. Every free goes straight home (flushed out of the freer's bin,
+    // which would otherwise pair the blocks up again and send each
+    // superblock home whole, past all of the above), and an allocator
+    // sends home what its last refill left over before a round ends. A
+    // marker ends a round; gates make the audit quiescent, and a thread
+    // that fails an assertion breaks them. Each block carries its tag at
+    // both ends while live: a superblock reopened under a block still
+    // out, or handed to two openers, shows as a foreign tag.
     const PAIRS: usize = 2;
     const ROUNDS: usize = 8;
     const BLOCKS: usize = 5000;
@@ -570,12 +679,13 @@ fn reopen_in_place_races_remote_frees_and_slot_displacement() {
     const SZ: usize = 8000;
     const END_OF_ROUND: (usize, u64) = (0, 0);
     let a = LfMalloc::with_config(Config::with_heaps(1));
-    let gate = std::sync::Barrier::new(2 * PAIRS);
+    let gate = Gate::new(2 * PAIRS);
     std::thread::scope(|s| {
         for t in 0..PAIRS {
             let (a, gate) = (&a, &gate);
             let (to_freer, from_allocator) = std::sync::mpsc::sync_channel(IN_FLIGHT);
             s.spawn(move || {
+                let _party = Party(gate);
                 for round in 0..ROUNDS {
                     for i in 0..BLOCKS {
                         let p = unsafe { a.malloc(SZ) };
@@ -588,6 +698,7 @@ fn reopen_in_place_races_remote_frees_and_slot_displacement() {
                         to_freer.send((p as usize, tag)).unwrap();
                     }
                     to_freer.send(END_OF_ROUND).unwrap();
+                    a.flush_thread_cache();
                     gate.wait();
                     if t == 0 {
                         let rep = a.audit();
@@ -598,6 +709,7 @@ fn reopen_in_place_races_remote_frees_and_slot_displacement() {
                 }
             });
             s.spawn(move || {
+                let _party = Party(gate);
                 for (p, tag) in from_allocator {
                     if (p, tag) == END_OF_ROUND {
                         gate.wait();
@@ -609,6 +721,7 @@ fn reopen_in_place_races_remote_frees_and_slot_displacement() {
                         assert_eq!((p as *const u64).read(), tag, "block handed out twice");
                         assert_eq!((p.add(SZ - 8) as *const u64).read(), tag);
                         a.free(p);
+                        a.flush_thread_cache();
                     }
                 }
             });
