@@ -39,10 +39,10 @@ use crate::anchor::{Link, SbState};
 use crate::config::SB_SIZE;
 use crate::descriptor::{Descriptor, BITMAP_WORDS};
 use crate::framemap::Entry;
-use crate::health::{watch, WatchSite};
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
 use crate::maintain::{prune_empty, MaintenanceBudget};
+use crate::observe::{self, Count, EventKind, Lat, Retries, Site, Timer};
 use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
@@ -123,11 +123,11 @@ pub(crate) unsafe fn malloc_run<S: PageSource>(
 ) -> Option<Run> {
     // Latency classification follows the serving arm: Active hits are
     // the fast path, partial/new-superblock hits the slow path.
-    let t0 = crate::lat_start!();
+    let t0 = Timer::start();
     loop {
         if let Some(run) = unsafe { pop_from_active(inner, heap, k) } {
-            crate::stat!(inner, heap, malloc_fast);
-            crate::stat_lat!(inner, lat_malloc_fast, t0);
+            observe::count(inner, heap, Count::MallocFast);
+            t0.stop(inner, Lat::MallocFast);
             return Some(run);
         }
         let slow = match unsafe { malloc_from_partial(inner, heap, k) } {
@@ -136,7 +136,7 @@ pub(crate) unsafe fn malloc_run<S: PageSource>(
         };
         match slow {
             NewSb::Done(run) => {
-                crate::stat_lat!(inner, lat_malloc_slow, t0);
+                t0.stop(inner, Lat::MallocSlow);
                 return run;
             }
             NewSb::Lost => continue,
@@ -235,10 +235,7 @@ unsafe fn pop_from_active<S: PageSource>(
 ) -> Option<Run> {
     debug_assert!(k >= 1);
     // -- First step: reserve blocks -----------------------------------
-    // `reserve_tries`/`pop_tries` feed the CAS-retry histograms *and*
-    // the liveness watchdog; forced-retry failpoint iterations count
-    // too, so a seeded storm is indistinguishable from a real one.
-    let mut reserve_tries: u64 = 0;
+    let mut retries = Retries::at(Site::ActiveReserve);
     let mut oldactive = heap.load_active();
     let (reserved, m) = loop {
         if oldactive.is_null() {
@@ -249,8 +246,7 @@ unsafe fn pop_from_active<S: PageSource>(
             return None; // died before the reservation CAS: nothing taken
         }
         if fp.retry {
-            reserve_tries += 1;
-            watch(inner, heap, WatchSite::ActiveReserve, reserve_tries);
+            retries.lost(inner, heap);
             oldactive = heap.load_active();
             continue;
         }
@@ -263,13 +259,12 @@ unsafe fn pop_from_active<S: PageSource>(
         match heap.cas_active(oldactive, newactive) {
             Ok(()) => break (oldactive, m), // line 6 success
             Err(observed) => {
-                reserve_tries += 1;
-                watch(inner, heap, WatchSite::ActiveReserve, reserve_tries);
+                retries.lost(inner, heap);
                 oldactive = observed;
             }
         }
     };
-    crate::stat_hist!(inner, heap, active_cas, reserve_tries);
+    retries.done(inner, heap);
     let took_last = m > reserved.credits();
     // After this CAS we are *guaranteed* `m` blocks in this superblock;
     // the state may meanwhile become FULL, PARTIAL, or even the active
@@ -283,21 +278,17 @@ unsafe fn pop_from_active<S: PageSource>(
     let desc = unsafe { &*desc_ptr };
 
     // -- Second step: pop blocks (lock-free LIFO pop with ABA tag) ----
-    let mut pop_tries: u64 = 0;
+    let mut retries = Retries::at(Site::ActivePop);
     let mut morecredits = 0;
     let (block, oldanchor) = loop {
         if malloc_api::fail_point!("active.pop").retry {
-            // Forced CAS-failure arm of the pop loop; counted so the
-            // watchdog sees seeded storms.
-            pop_tries += 1;
-            watch(inner, heap, WatchSite::ActivePop, pop_tries);
+            retries.lost(inner, heap); // forced CAS-failure arm of the pop loop
             continue;
         }
         let oldanchor = desc.load_anchor(); // line 8
         // lines 9-10; a walk that strayed is a pop that lost its race.
         let Some((block, next)) = (unsafe { walk(desc, oldanchor.head(), m) }) else {
-            pop_tries += 1;
-            watch(inner, heap, WatchSite::ActivePop, pop_tries);
+            retries.lost(inner, heap);
             continue;
         };
         // Where a test parks a popper between its walk and its CAS.
@@ -317,10 +308,9 @@ unsafe fn pop_from_active<S: PageSource>(
         if desc.cas_anchor(oldanchor, newanchor).is_ok() {
             break (block, oldanchor); // line 18
         }
-        pop_tries += 1;
-        watch(inner, heap, WatchSite::ActivePop, pop_tries);
+        retries.lost(inner, heap);
     };
-    crate::stat_hist!(inner, heap, anchor_cas, pop_tries);
+    retries.done(inner, heap);
     if took_last && oldanchor.count() > 0 {
         unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 19-20
     }
@@ -350,17 +340,16 @@ pub(crate) unsafe fn update_active<S: PageSource>(
     }
     // Someone installed another active sb: return credits, go PARTIAL.
     let desc = unsafe { &*desc_ptr };
-    let mut tries: u64 = 0;
+    let mut retries = Retries::at(Site::UpdateActive);
     loop {
         let old = desc.load_anchor(); // line 4
         let new = old.with_count(old.count() + morecredits).with_state(SbState::Partial); // 5-6
         if desc.cas_anchor(old, new).is_ok() {
             break; // line 7
         }
-        tries += 1;
-        watch(inner, heap, WatchSite::UpdateActive, tries);
+        retries.lost(inner, heap);
     }
-    crate::stat_hist!(inner, heap, anchor_cas, tries);
+    retries.done(inner, heap);
     unsafe { heap_put_partial(inner, desc_ptr as *mut Descriptor) }; // line 8
 }
 
@@ -375,7 +364,7 @@ pub(crate) unsafe fn heap_put_partial<S: PageSource>(inner: &Inner<S>, desc: *mu
         return;
     }
     let heap = unsafe { &*(*desc).heap() };
-    crate::stat!(inner, heap, partial_push);
+    observe::count(inner, heap, Count::PartialPush);
     let prev = heap.swap_partial(desc); // lines 1-2 (swap == CAS loop)
     if prev.is_null() {
         return;
@@ -393,15 +382,15 @@ unsafe fn heap_get_partial<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
 ) -> Option<*mut Descriptor> {
-    let mut tries: u64 = 0;
+    // The slot exchange is no anchor CAS: tallied for the watchdog only.
+    let mut retries = Retries::at(Site::PartialPop);
     loop {
         let fp = malloc_api::fail_point!("partial.get");
         if fp.kill {
             return None; // died before taking anything
         }
         if fp.retry {
-            tries += 1;
-            watch(inner, heap, WatchSite::PartialPop, tries);
+            retries.lost(inner, heap);
             continue;
         }
         let desc = heap.load_partial(); // line 1
@@ -409,16 +398,15 @@ unsafe fn heap_get_partial<S: PageSource>(
             // line 3: ListGetPartial
             let got = unsafe { inner.classes[heap.class()].partial.get() };
             if got.is_some() {
-                crate::stat!(inner, heap, partial_pop);
+                observe::count(inner, heap, Count::PartialPop);
             }
             return got;
         }
         if heap.cas_partial(desc, core::ptr::null_mut()) {
-            crate::stat!(inner, heap, partial_pop);
+            observe::count(inner, heap, Count::PartialPop);
             return Some(desc); // lines 4-5
         }
-        tries += 1;
-        watch(inner, heap, WatchSite::PartialPop, tries);
+        retries.lost(inner, heap);
     }
 }
 
@@ -450,7 +438,7 @@ unsafe fn malloc_from_partial<S: PageSource>(
     }
 
     // -- Reserve blocks (lines 4-10) -----------------------------------
-    let mut reserve_tries: u64 = 0;
+    let mut retries = Retries::at(Site::PartialReserve);
     let morecredits = loop {
         let old = desc.load_anchor();
         if old.state() == SbState::Empty {
@@ -459,7 +447,7 @@ unsafe fn malloc_from_partial<S: PageSource>(
             }
             let opened = unsafe { open_sb(inner, heap, desc_ptr, k) };
             if matches!(opened, NewSb::Done(_)) {
-                crate::stat!(inner, heap, sb_reopen);
+                observe::count(inner, heap, Count::SbReopen);
             }
             return Some(opened);
         }
@@ -473,13 +461,12 @@ unsafe fn malloc_from_partial<S: PageSource>(
         if desc.cas_anchor(old, new).is_ok() {
             break mc; // line 10
         }
-        reserve_tries += 1;
-        watch(inner, heap, WatchSite::PartialReserve, reserve_tries);
+        retries.lost(inner, heap);
     };
-    crate::stat_hist!(inner, heap, anchor_cas, reserve_tries);
+    retries.done(inner, heap);
 
     // -- Pop reserved block (lines 11-15) -------------------------------
-    let mut pop_tries: u64 = 0;
+    let mut retries = Retries::at(Site::PartialPop);
     let (first, head) = loop {
         let old = desc.load_anchor();
         if let Some((block, next)) = unsafe { walk(desc, old.head(), 1) } {
@@ -487,15 +474,14 @@ unsafe fn malloc_from_partial<S: PageSource>(
                 break (block, old.head()); // lines 12-15
             }
         }
-        pop_tries += 1;
-        watch(inner, heap, WatchSite::PartialPop, pop_tries);
+        retries.lost(inner, heap);
     };
-    crate::stat_hist!(inner, heap, anchor_cas, pop_tries);
+    retries.done(inner, heap);
     if morecredits > 0 {
         unsafe { update_active(inner, heap, desc_ptr, morecredits) }; // lines 16-17
     }
-    crate::stat!(inner, heap, malloc_slow);
-    crate::stat!(inner, heap, partial_reuse);
+    observe::count(inner, heap, Count::MallocSlow);
+    observe::count(inner, heap, Count::PartialReuse);
     Some(NewSb::Done(Some(Run { first, desc: desc_ptr, m: 1, head })))
 }
 
@@ -508,7 +494,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k
         inner.desc_pool.alloc(&inner.source) as *mut u8
     }) as *mut Descriptor;
     if desc_ptr.is_null() {
-        crate::stat_event!(inner, OomBackoff, heap.class(), 0);
+        observe::event(inner, EventKind::OomBackoff, heap.class(), 0);
         return NewSb::Done(None); // OS exhausted
     }
     let desc = unsafe { &*desc_ptr };
@@ -542,7 +528,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k
                 // `DescAlloc` brings one back with its descriptor.
                 return NewSb::Lost;
             }
-            crate::stat_event!(inner, OomBackoff, heap.class(), 0);
+            observe::event(inner, EventKind::OomBackoff, heap.class(), 0);
             return NewSb::Done(None);
         }
         desc.set_sb(sb);
@@ -623,7 +609,7 @@ unsafe fn open_sb<S: PageSource>(
         return NewSb::Lost;
     }
     // line 13 success: blocks 0..take are ours.
-    crate::stat!(inner, heap, malloc_newsb);
-    crate::stat_event!(inner, SbAcquire, ci, sb as usize);
+    observe::count(inner, heap, Count::MallocNewsb);
+    observe::event(inner, EventKind::SbAcquire, ci, sb as u64);
     NewSb::Done(Some(Run { first: sb as usize, desc: desc_ptr, m: take, head: Link::virgin(0) }))
 }

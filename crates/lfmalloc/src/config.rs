@@ -190,8 +190,13 @@ impl Config {
     /// of processors in the system at initialization time").
     pub fn detect() -> Self {
         let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Self::base(HeapMode::PerCpu(cpus))
+    }
+
+    /// The defaults every constructor starts from, over `heap_mode`.
+    const fn base(heap_mode: HeapMode) -> Self {
         Config {
-            heap_mode: HeapMode::PerCpu(cpus),
+            heap_mode,
             max_credits: MAX_CREDITS,
             oom_retries: DEFAULT_OOM_RETRIES,
             hardening: Hardening::Off,
@@ -207,32 +212,12 @@ impl Config {
     /// and for the global allocator, whose initialization path must not
     /// allocate — unlike [`detect`](Self::detect), this is `const`).
     pub const fn with_heaps(n: usize) -> Self {
-        Config {
-            heap_mode: HeapMode::PerCpu(n),
-            max_credits: MAX_CREDITS,
-            oom_retries: DEFAULT_OOM_RETRIES,
-            hardening: Hardening::Off,
-            liveness: LivenessConfig::default_const(),
-            reaper: None,
-            atfork: true,
-            profile: ProfileParams::default_const(),
-            forensics: ForensicsParams::default_const(),
-        }
+        Self::base(HeapMode::PerCpu(n))
     }
 
     /// The §4.2.4 single-heap configuration.
     pub const fn uniprocessor() -> Self {
-        Config {
-            heap_mode: HeapMode::Single,
-            max_credits: MAX_CREDITS,
-            oom_retries: DEFAULT_OOM_RETRIES,
-            hardening: Hardening::Off,
-            liveness: LivenessConfig::default_const(),
-            reaper: None,
-            atfork: true,
-            profile: ProfileParams::default_const(),
-            forensics: ForensicsParams::default_const(),
-        }
+        Self::base(HeapMode::Single)
     }
 
     /// Clamped credit cap for the A2 ablation.

@@ -292,7 +292,7 @@ pub struct DescriptorPool {
     /// bias a descriptor toward one stack or the other).
     reserve_len: AtomicUsize,
     /// Descriptor superblocks; released only by `trim` and at teardown.
-    slabs: PagePool<SB_SHIFT>,
+    pub(crate) slabs: PagePool<SB_SHIFT>,
 }
 
 impl DescriptorPool {
@@ -437,12 +437,6 @@ impl DescriptorPool {
     /// Bytes mapped for descriptor slabs (audit accounting).
     pub fn mapped_bytes(&self) -> usize {
         self.slabs.mapped_bytes()
-    }
-
-    /// Lifetime number of descriptor slabs carved from the OS.
-    #[cfg(feature = "stats")]
-    pub fn carve_count(&self) -> u64 {
-        self.slabs.carve_count()
     }
 
     /// Every descriptor slot in every slab, whether handed out or still

@@ -234,7 +234,7 @@ impl Drop for ForensicsState {
 /// compiled in.
 #[inline]
 pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, ptr: usize) {
-    let st = &inner.forensics;
+    let st = &inner.obs.forensics;
     let tid = match FLIGHT_THREAD.try_with(|slot| {
         let (epoch, idx1) = slot.get();
         if epoch == st.epoch && idx1 != 0 {
@@ -294,12 +294,25 @@ pub(crate) fn entry_of_desc<S: PageSource>(
     (sb != 0 && entry.desc() == dp).then_some(entry)
 }
 
+/// Raw `(storms_total, throttles, maintain_passes, fork_recoveries)` of
+/// the always-on health counters, for the crash reporter and the heap
+/// dump: allocation-free, a relaxed load per storm site plus three
+/// counters — safe from a signal handler.
+pub(crate) fn crash_counters(h: &crate::health::HealthState) -> (u64, u64, u64, u64) {
+    (
+        h.storms.iter().map(|s| s.load(Ordering::Relaxed)).sum(),
+        h.throttles.load(Ordering::Relaxed),
+        h.maintain_passes.load(Ordering::Relaxed),
+        h.fork_recoveries.load(Ordering::Relaxed),
+    )
+}
+
 /// Snapshot of the most recent `max` flight-recorder entries, newest
 /// first. Allocates (quiescent/diagnostic use); the crash path uses
 /// [`merge_tail`] instead.
 pub(crate) fn flight_tail<S: PageSource>(inner: &Inner<S>, max: usize) -> Vec<FlightOp> {
     let mut out = Vec::new();
-    let st = &inner.forensics;
+    let st = &inner.obs.forensics;
     for t in 0..RING_THREADS {
         let ring = st.ring(t);
         for e in &ring.entries {
@@ -830,7 +843,7 @@ fn install_handlers_once() {
 /// installs the process handlers. Returns false when all sink slots are
 /// taken.
 pub(crate) fn install_crash_reporter_inner<S: PageSource>(inner: &Inner<S>, fd: i32) -> bool {
-    let st = &inner.forensics;
+    let st = &inner.obs.forensics;
     st.report_fd.store(fd, Ordering::Relaxed);
     st.crash_generation.store(procfork::generation(), Ordering::Relaxed);
     let addr = inner as *const Inner<S> as usize;
@@ -878,19 +891,19 @@ pub(crate) fn unregister_crash_sink<S: PageSource>(inner: &Inner<S>) {
 /// call this right before panicking so the report survives the abort.
 /// No-op unless a report fd was configured.
 pub(crate) fn failstop_report<S: PageSource>(inner: &Inner<S>, reason: &str, addr: usize) {
-    if inner.forensics.report_fd.load(Ordering::Relaxed) < 0 {
+    if inner.obs.forensics.report_fd.load(Ordering::Relaxed) < 0 {
         return;
     }
     // Fail-stops run in normal (non-signal) context, so the event ring
     // (which timestamps) is fair game here — unlike in crash_handler.
-    crate::stat_event!(inner, CrashReport, 0u16, addr as u64);
+    crate::observe::event(inner, crate::observe::EventKind::CrashReport, 0, addr as u64);
     emit_crash_report(inner, 0, addr, Some(reason));
 }
 
 /// Renders the black-box report. `sig == 0` means a fail-stop (reason
 /// given) rather than a signal. Async-signal-safe throughout.
 fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, reason: Option<&str>) {
-    let fd = inner.forensics.report_fd.load(Ordering::Relaxed);
+    let fd = inner.obs.forensics.report_fd.load(Ordering::Relaxed);
     if fd < 0 {
         return;
     }
@@ -931,21 +944,21 @@ fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, re
 
     b.clear();
     b.push_str("inside allocator entry point: ");
-    b.push_str(if crate::tls::in_allocator() { "yes" } else { "no" });
+    b.push_str(if crate::tls::with_block(|tb| tb.in_alloc.get()) { "yes" } else { "no" });
     w.line(&b);
 
     b.clear();
     b.push_str("fork generation: ");
     b.push_dec(procfork::generation());
     b.push_str(" (handlers installed at ");
-    b.push_dec(inner.forensics.crash_generation.load(Ordering::Relaxed));
+    b.push_dec(inner.obs.forensics.crash_generation.load(Ordering::Relaxed));
     b.push_str(")");
     w.line(&b);
 
     // -- Flight recorder: merged tail, newest first. -------------------
     b.clear();
     b.push_str("-- flight recorder (newest first, dropped=");
-    b.push_dec(inner.forensics.dropped.get());
+    b.push_dec(inner.obs.forensics.dropped.get());
     b.push_str(") --");
     w.line(&b);
     let mut tail: [(u64, u64, u64); REPORT_TAIL] = [(0, 0, 0); REPORT_TAIL];
@@ -1002,7 +1015,7 @@ fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, re
     b.clear();
     b.push_str("-- health --");
     w.line(&b);
-    let (storms, throttles, passes, recoveries) = inner.health.crash_counters();
+    let (storms, throttles, passes, recoveries) = crash_counters(&inner.health);
     b.clear();
     b.push_str("  storms=");
     b.push_dec(storms);
@@ -1057,7 +1070,7 @@ fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, re
 /// Feeds every published ring entry to `f` as raw `(seq, meta, ptr)`
 /// words — the crash handler's allocation-free tail walk.
 pub(crate) fn merge_tail<S: PageSource>(inner: &Inner<S>, mut f: impl FnMut(u64, u64, u64)) {
-    let st = &inner.forensics;
+    let st = &inner.obs.forensics;
     for t in 0..RING_THREADS {
         let ring = st.ring(t);
         for e in &ring.entries {
@@ -1229,12 +1242,28 @@ impl<S: PageSource> LfMalloc<S> {
     /// Lifetime count of operations the flight recorder could not
     /// record (thread-local storage torn down).
     pub fn flight_recorder_dropped(&self) -> u64 {
-        self.inner().forensics.dropped.get()
+        self.inner().obs.forensics.dropped.get()
     }
 
     /// Whether this instance's crash handlers are installed.
     pub fn crash_handler_installed(&self) -> bool {
-        self.inner().forensics.handler_installed.load(Ordering::Relaxed) == 1
+        self.inner().obs.forensics.handler_installed.load(Ordering::Relaxed) == 1
+    }
+}
+
+impl crate::global::GlobalLfMalloc {
+    /// Registers an exit-time leak report on `fd` (typically 2 for
+    /// stderr): at normal process exit, an `atexit` callback prints the
+    /// instance's retained OS bytes, live large/small block counts,
+    /// and — when built with `profile` — the top retained call sites.
+    /// One registration per process; a later call re-points the fd.
+    pub fn install_exit_leak_report(&self, fd: i32) {
+        install_exit_report_inner(self.instance().inner(), fd);
+    }
+
+    /// [`LfMalloc::install_crash_reporter`] on the underlying instance.
+    pub fn install_crash_reporter(&self, fd: i32) -> bool {
+        self.instance().install_crash_reporter(fd)
     }
 }
 

@@ -56,6 +56,7 @@
 use crate::harden::{MisuseKind, MisuseReport};
 use crate::instance::Inner;
 use crate::maintain::{ReaperBox, ReaperConfig};
+use crate::observe::{self, EventKind};
 use core::cell::{Cell, UnsafeCell};
 use core::sync::atomic::{AtomicU64, Ordering};
 use malloc_api::procfork::{self, HookSet, HookToken};
@@ -144,7 +145,7 @@ pub(crate) unsafe fn hook_prepare<S: PageSource>(data: usize) {
 pub(crate) unsafe fn hook_parent<S: PageSource>(data: usize) {
     let inner = unsafe { &*(data as *const Inner<S>) };
     drop(unsafe { (*inner.fork.stash.get()).take() });
-    crate::stat_event!(inner, Fork, 0, procfork::generation());
+    observe::event(inner, EventKind::Fork, 0, procfork::generation());
 }
 
 /// Child hook: clear the dead reaper through the still-held guard, run
@@ -202,8 +203,7 @@ fn recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
         respawn(inner, cfg);
     }
     inner.health.note_fork_recovery();
-    crate::stat_event!(inner, ChildRecover, 0, drained as u64);
-    let _ = drained;
+    observe::event(inner, EventKind::ChildRecover, 0, drained as u64);
 }
 
 /// Restarts the reaper through the monomorphized trampoline stored by

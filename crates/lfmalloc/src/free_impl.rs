@@ -24,6 +24,7 @@ use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
+use crate::observe::{self, Count, EventKind, Lat, Retries, Site, Timer};
 use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
@@ -59,26 +60,8 @@ pub(crate) unsafe fn push_free_block<S: PageSource>(
     idx: u32,
     block: usize,
 ) {
-    // Telemetry reads the owning heap while the block still pins the
-    // descriptor; see `push_free_chain`.
-    #[cfg(feature = "stats")]
-    {
-        let owner = unsafe { &*(*desc_ptr).heap() };
-        if crate::heap::try_thread_id().is_none() {
-            // TLS teardown: the freeing thread's identity is being
-            // retired, so "local vs remote" is undecidable — it is
-            // deliberately attributed as a *remote* free (the paper's
-            // slow-path accounting) rather than defaulting to heap 0's
-            // local path, and counted separately so teardown traffic is
-            // visible. See `heap::try_thread_id`.
-            inner.shard(owner).free_teardown.inc();
-            inner.shard(owner).free_remote.inc();
-        } else if crate::stats::is_local_heap(inner, owner) {
-            inner.shard(owner).free_local.inc();
-        } else {
-            inner.shard(owner).free_remote.inc();
-        }
-    }
+    // Counted before the push: the block still pins the descriptor.
+    unsafe { observe::count_push(inner, desc_ptr) };
     unsafe { push_free_chain(inner, desc_ptr, idx, block, 1) }
 }
 
@@ -103,13 +86,12 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     n: u32,
 ) {
     let desc = unsafe { &*desc_ptr };
-    // For the event ring, read while the blocks still pin the descriptor.
-    #[cfg(feature = "stats")]
-    let sb = desc.sb() as usize;
+    // For the event ring: superblocks are `SB_SIZE`-aligned.
+    let sb = (last & !(SB_SIZE - 1)) as u64;
     let maxcount = desc.maxcount();
     // Latency classification: a plain free-list push is the fast path;
     // an EMPTY transition or FULL→PARTIAL relink is the slow path.
-    let t0 = crate::lat_start!();
+    let t0 = Timer::start();
 
     // The watchdog needs the owning heap for site attribution; read it
     // now, while the blocks still pin the descriptor (the heap table
@@ -117,7 +99,7 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     // valid even if the descriptor is recycled later).
     let owner = unsafe { &*desc.heap() };
 
-    let mut link_tries: u64 = 0;
+    let mut retries = Retries::at(Site::FreeLink);
     let mut heap: *mut ProcHeap = core::ptr::null_mut();
     let (oldanchor, newanchor) = loop {
         let fp = malloc_api::fail_point!("free.link");
@@ -127,9 +109,7 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
             return;
         }
         if fp.retry {
-            // Forced CAS failure: counted so the watchdog sees it.
-            link_tries += 1;
-            crate::health::watch(inner, owner, crate::health::WatchSite::FreeLink, link_tries);
+            retries.lost(inner, owner); // forced CAS failure
             continue;
         }
         let old = desc.load_anchor(); // line 7
@@ -148,14 +128,10 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
         }
         match desc.cas_anchor(old, new) {
             Ok(()) => break (old, new), // line 18
-            Err(_) => {
-                link_tries += 1;
-                crate::health::watch(inner, owner, crate::health::WatchSite::FreeLink, link_tries);
-                continue;
-            }
+            Err(_) => retries.lost(inner, owner),
         }
     };
-    crate::stat_hist!(inner, owner, anchor_cas, link_tries);
+    retries.done(inner, owner);
 
     if newanchor.state() == SbState::Empty {
         // FULL → EMPTY in one step: the chain was the whole superblock
@@ -179,8 +155,8 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
         if killed {
             return;
         }
-        crate::stat!(inner, owner, free_empty);
-        crate::stat_event!(inner, SbRetire, owner.class(), sb);
+        observe::count(inner, owner, Count::FreeEmpty);
+        observe::event(inner, EventKind::SbRetire, owner.class(), sb);
         let heap = unsafe { &*heap };
         if whole {
             // The holder retires it: one push onto the warm stack.
@@ -194,14 +170,14 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
             // superblocks and all).
             unsafe { inner.classes[heap.class()].partial.remove_empty(&inner.desc_pool) };
         }
-        crate::stat_lat!(inner, lat_free_slow, t0);
+        t0.stop(inner, Lat::FreeSlow);
     } else if oldanchor.state() == SbState::Full {
-        crate::stat_event!(inner, HeapTransition, owner.class(), sb);
+        observe::event(inner, EventKind::HeapTransition, owner.class(), sb);
         // lines 22-23: we are the first to free into a FULL superblock;
         // take responsibility for re-linking it.
         unsafe { crate::alloc::heap_put_partial(inner, desc_ptr) };
-        crate::stat_lat!(inner, lat_free_slow, t0);
+        t0.stop(inner, Lat::FreeSlow);
     } else {
-        crate::stat_lat!(inner, lat_free_fast, t0);
+        t0.stop(inner, Lat::FreeFast);
     }
 }

@@ -137,22 +137,6 @@ impl GlobalLfMalloc {
     pub fn stop_reaper(&self) -> bool {
         self.instance().stop_reaper()
     }
-
-    /// Registers an exit-time leak report on `fd` (typically 2 for
-    /// stderr): at normal process exit, an `atexit` callback prints the
-    /// instance's retained OS bytes, live large/small block counts,
-    /// and — when built with `profile` — the top retained call sites.
-    /// One registration per process; a later call re-points the fd.
-    #[cfg(feature = "forensics")]
-    pub fn install_exit_leak_report(&self, fd: i32) {
-        crate::forensics::install_exit_report_inner(self.instance().inner(), fd);
-    }
-
-    /// [`LfMalloc::install_crash_reporter`] on the underlying instance.
-    #[cfg(feature = "forensics")]
-    pub fn install_crash_reporter(&self, fd: i32) -> bool {
-        self.instance().install_crash_reporter(fd)
-    }
 }
 
 impl Default for GlobalLfMalloc {

@@ -238,8 +238,7 @@ pub(crate) fn report<S: PageSource>(inner: &Inner<S>, r: MisuseReport) {
         // The fail-stop is about to unwind into an abort: flush the
         // black-box report first so the postmortem has the flight
         // recorder and the misuse pointer's classification.
-        #[cfg(feature = "forensics")]
-        crate::forensics::failstop_report(inner, "hardened-abort", r.ptr);
+        crate::observe::failstop(inner, "hardened-abort", r.ptr);
         panic!("lfmalloc hardened mode: {r}");
     }
 }

@@ -8,9 +8,10 @@
 //! contention produces, and without instrumentation it spins silently.
 //! This module makes liveness observable and (optionally) enforceable:
 //!
-//! * Every instrumented retry loop (the same sites PR 4's `stat!`
-//!   histograms count) feeds its per-operation retry tally to
-//!   [`watch`], which compares it against the configured
+//! * Every instrumented retry loop keeps one tally
+//!   (`observe::Retries`, which also feeds the `stats` build's retry
+//!   histograms) and hands it to [`watch`] after each failed CAS, which
+//!   compares it against the configured
 //!   [`LivenessConfig::retry_ceiling`].
 //! * Crossing the ceiling is a *storm*. What happens next is the
 //!   [`LivenessPolicy`]: `Ignore` (count nothing), `Throttle` (inject
@@ -130,28 +131,30 @@ pub enum WatchSite {
 /// Number of [`WatchSite`]s (length of [`HealthSnapshot::storms`]).
 pub const NUM_WATCH_SITES: usize = 6;
 
+/// The sites, in [`WatchSite`] order: the label reports and the JSON use,
+/// and the failpoint whose `Retry` action forces lost turns at the site
+/// (DESIGN.md §6, §10) — the other two loops have no failpoint inside.
+const SITES: [(&str, Option<&str>); NUM_WATCH_SITES] = [
+    ("active.reserve", Some("active.reserve")),
+    ("active.pop", Some("active.pop")),
+    ("partial.reserve", None),
+    ("partial.pop", Some("partial.get")),
+    ("active.update", None),
+    ("free.link", Some("free.link")),
+];
+
 impl WatchSite {
     /// Short label for reports.
     pub fn label(self) -> &'static str {
-        match self {
-            WatchSite::ActiveReserve => "active.reserve",
-            WatchSite::ActivePop => "active.pop",
-            WatchSite::PartialReserve => "partial.reserve",
-            WatchSite::PartialPop => "partial.pop",
-            WatchSite::UpdateActive => "active.update",
-            WatchSite::FreeLink => "free.link",
-        }
+        SITES[self as usize].0
+    }
+
+    /// The failpoint that forces retries at this site, if one does: arm
+    /// it with `FpAction::Retry` to seed a storm there.
+    pub fn forced_by(self) -> Option<&'static str> {
+        SITES[self as usize].1
     }
 }
-
-const SITE_LABELS: [&str; NUM_WATCH_SITES] = [
-    "active.reserve",
-    "active.pop",
-    "partial.reserve",
-    "partial.pop",
-    "active.update",
-    "free.link",
-];
 
 /// Process-wide storm counter (all instances), for fleet-style health
 /// probes that don't hold an instance handle.
@@ -171,15 +174,17 @@ const AUDIT_NEVER: u64 = u64::MAX;
 /// Always-compiled health counters, one set per allocator instance.
 /// Unlike the `stats`-gated telemetry, these exist in every build: the
 /// watchdog is part of the robustness story, not the profiling story.
+/// (The four `pub(crate)` ones are what the crash reporter prints:
+/// relaxed loads, safe from a signal handler.)
 #[derive(Debug)]
 pub(crate) struct HealthState {
     /// Storms detected per [`WatchSite`].
-    storms: [AtomicU64; NUM_WATCH_SITES],
+    pub(crate) storms: [AtomicU64; NUM_WATCH_SITES],
     /// Throttle activations (escalated-backoff injections).
-    throttles: AtomicU64,
+    pub(crate) throttles: AtomicU64,
     /// Completed [`maintain`](crate::LfMalloc::maintain) passes
     /// (including reaper-driven ones).
-    maintain_passes: AtomicU64,
+    pub(crate) maintain_passes: AtomicU64,
     /// Maintenance passes driven by the background reaper specifically.
     reaper_passes: AtomicU64,
     /// Quarantined blocks released by maintenance.
@@ -196,7 +201,7 @@ pub(crate) struct HealthState {
     /// never ran).
     last_audit_violations: AtomicU64,
     /// Child-side fork recoveries performed (see [`crate::fork`]).
-    fork_recoveries: AtomicU64,
+    pub(crate) fork_recoveries: AtomicU64,
     /// Audit-slice cursor into the descriptor universe.
     audit_cursor: AtomicUsize,
     /// Last trim target handed to maintenance ([`usize::MAX`] = none).
@@ -220,23 +225,6 @@ impl HealthState {
             audit_cursor: AtomicUsize::new(0),
             watermark: AtomicUsize::new(usize::MAX),
         }
-    }
-
-    /// Raw `(storms_total, throttles, maintain_passes, fork_recoveries)`
-    /// for the crash reporter: allocation-free, four relaxed loads per
-    /// storm site plus three counters — safe from a signal handler.
-    #[cfg(feature = "forensics")]
-    pub(crate) fn crash_counters(&self) -> (u64, u64, u64, u64) {
-        let mut storms = 0u64;
-        for s in &self.storms {
-            storms += s.load(Ordering::Relaxed);
-        }
-        (
-            storms,
-            self.throttles.load(Ordering::Relaxed),
-            self.maintain_passes.load(Ordering::Relaxed),
-            self.fork_recoveries.load(Ordering::Relaxed),
-        )
     }
 
     pub(crate) fn note_maintain(
@@ -315,9 +303,8 @@ fn storm<S: PageSource>(
     if tries == ceiling {
         inner.health.storms[site as usize].fetch_add(1, Ordering::Relaxed);
         PROCESS_STORMS.fetch_add(1, Ordering::Relaxed);
-        crate::stat_event!(inner, LivenessStorm, heap.class() as u16, site as u64);
-        #[cfg(not(feature = "stats"))]
-        let _ = heap;
+        let kind = crate::observe::EventKind::LivenessStorm;
+        crate::observe::event(inner, kind, heap.class(), site as u64);
     }
     match policy {
         LivenessPolicy::Throttle => {
@@ -334,8 +321,7 @@ fn storm<S: PageSource>(
             }
         }
         LivenessPolicy::Abort => {
-            #[cfg(feature = "forensics")]
-            crate::forensics::failstop_report(inner, "liveness-abort", 0);
+            crate::observe::failstop(inner, "liveness-abort", 0);
             panic!(
                 "lfmalloc liveness watchdog: CAS retry storm at {} \
                  ({} consecutive failed retries, ceiling {}) under LivenessPolicy::Abort",
@@ -461,7 +447,7 @@ impl HealthSnapshot {
             if i > 0 {
                 storms.push(',');
             }
-            storms.push_str(&format!("\"{}\":{}", SITE_LABELS[i], n));
+            storms.push_str(&format!("\"{}\":{}", SITES[i].0, n));
         }
         format!(
             "{{\"degraded\":{},\"policy\":\"{}\",\"retry_ceiling\":{},\
@@ -578,18 +564,16 @@ mod tests {
         assert_eq!(lc.policy, LivenessPolicy::Report);
     }
 
+    /// The table's second column names failpoints the two files with CAS
+    /// loops really have.
     #[test]
-    fn site_labels_match_table() {
-        for (site, want) in [
-            (WatchSite::ActiveReserve, "active.reserve"),
-            (WatchSite::ActivePop, "active.pop"),
-            (WatchSite::PartialReserve, "partial.reserve"),
-            (WatchSite::PartialPop, "partial.pop"),
-            (WatchSite::UpdateActive, "active.update"),
-            (WatchSite::FreeLink, "free.link"),
-        ] {
-            assert_eq!(site.label(), want);
-            assert_eq!(SITE_LABELS[site as usize], want);
+    fn every_forcing_failpoint_is_a_site() {
+        let core = [include_str!("alloc.rs"), include_str!("free_impl.rs")];
+        let forced: Vec<&str> = SITES.iter().filter_map(|s| s.1).collect();
+        assert_eq!(forced, ["active.reserve", "active.pop", "partial.get", "free.link"]);
+        for fp in forced {
+            let site = format!("fail_point!(\"{fp}\")");
+            assert!(core.iter().any(|f| f.contains(&site)), "{fp}");
         }
     }
 

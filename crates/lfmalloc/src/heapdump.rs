@@ -42,11 +42,13 @@
 use std::io::{self, Write};
 use std::path::Path;
 
+use malloc_api::json::Json;
 use osmem::source::PageSource;
 
 use crate::anchor::SbState;
 use crate::forensics::{
-    entry_of_desc, merge_tail, unpack_meta, FdWriter, OpKind, SigBuf, CLASS_LARGE, CLASS_UNKNOWN,
+    crash_counters, entry_of_desc, merge_tail, unpack_meta, FdWriter, OpKind, SigBuf, CLASS_LARGE,
+    CLASS_UNKNOWN,
 };
 use crate::harden::{Hardening, MisuseKind};
 use crate::instance::{Inner, LfMalloc};
@@ -62,29 +64,6 @@ const DUMP_TAIL: usize = 64;
 fn wline(w: &mut impl Write, b: &SigBuf) -> io::Result<()> {
     w.write_all(b.as_bytes())?;
     w.write_all(b"\n")
-}
-
-/// Appends `s` JSON-escaped (quotes not included).
-#[cfg_attr(not(feature = "profile"), allow(dead_code))]
-fn push_json_str(b: &mut SigBuf, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => b.push_str("\\\""),
-            '\\' => b.push_str("\\\\"),
-            '\n' => b.push_str("\\n"),
-            '\r' => b.push_str("\\r"),
-            '\t' => b.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                b.push_str("\\u00");
-                b.push_hex(((c as u32) >> 4) as u64);
-                b.push_hex(((c as u32) & 0xF) as u64);
-            }
-            c => {
-                let mut tmp = [0u8; 4];
-                b.push_str(c.encode_utf8(&mut tmp));
-            }
-        }
-    }
 }
 
 /// Aggregates built from one pass over the descriptor universe.
@@ -171,7 +150,7 @@ pub(crate) fn render_dump<S: PageSource>(
     b.push_str("},");
     wline(w, &b)?;
 
-    let (storms, throttles, passes, recoveries) = inner.health.crash_counters();
+    let (storms, throttles, passes, recoveries) = crash_counters(&inner.health);
     b.clear();
     b.push_str("\"health\":{\"storms\":");
     b.push_dec(storms);
@@ -308,7 +287,7 @@ pub(crate) fn render_dump<S: PageSource>(
     tail[..n].sort_unstable_by(|a, b| b.0.cmp(&a.0));
     b.clear();
     b.push_str("\"flight\":{\"dropped\":");
-    b.push_dec(inner.forensics.dropped.get());
+    b.push_dec(inner.obs.forensics.dropped.get());
     b.push_str(",\"tail\":[");
     wline(w, &b)?;
     for (i, &(seq, meta, ptr)) in tail[..n].iter().enumerate() {
@@ -352,7 +331,7 @@ pub(crate) fn render_dump<S: PageSource>(
                 b.push_str(",");
             }
             b.push_str("{\"file\":\"");
-            push_json_str(&mut b, site.site.file);
+            b.push_str(&malloc_api::json::escape(site.site.file));
             b.push_str("\",\"line\":");
             b.push_dec(site.site.line as u64);
             b.push_str(",\"live_bytes\":");
@@ -377,7 +356,7 @@ impl<S: PageSource> LfMalloc<S> {
     pub fn dump_heap(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         render_dump(self.inner(), &mut f, true)?;
-        crate::stat_event!(self.inner(), HeapDump, 0u16, DUMP_VERSION);
+        crate::observe::event(self.inner(), crate::observe::EventKind::HeapDump, 0, DUMP_VERSION);
         f.flush()
     }
 
@@ -396,238 +375,17 @@ impl<S: PageSource> LfMalloc<S> {
 }
 
 // ---------------------------------------------------------------------
-// Offline side: minimal JSON parser + analyzers
+// Offline side: analyzers over `malloc_api::json`
 // ---------------------------------------------------------------------
 
-/// Minimal JSON value for the offline analyzers (no external deps).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn u64_at(&self, key: &str) -> u64 {
-        self.get(key).and_then(Json::as_u64).unwrap_or(0)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn lit(&mut self, text: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| core::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // Copy the full UTF-8 sequence.
-                    let len = match c {
-                        c if c < 0x80 => 1,
-                        c if c >= 0xF0 => 4,
-                        c if c >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|b| core::str::from_utf8(b).ok())
-                        .ok_or("bad utf-8 in string")?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("bad array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("bad object at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 fn parse_dump(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
+    let v = malloc_api::json::parse(text)?;
     match v.get("format").and_then(Json::as_str) {
         Some("lfmalloc-heapdump") => {}
         Some(other) => return Err(format!("not a heap dump (format {other:?})")),
         None => return Err("not a heap dump (no format field)".into()),
     }
-    let version = v.u64_at("version");
+    let version = v.u64("version");
     if version == 0 || version > DUMP_VERSION {
         return Err(format!(
             "unsupported dump version {version} (analyzer understands <= {DUMP_VERSION})"
@@ -759,9 +517,9 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
                 .iter()
                 .map(|s| LeakCandidate {
                     file: s.get("file").and_then(Json::as_str).unwrap_or("?").to_string(),
-                    line: s.u64_at("line"),
-                    live_bytes: s.u64_at("live_bytes"),
-                    live_samples: s.u64_at("live_samples"),
+                    line: s.u64("line"),
+                    live_bytes: s.u64("live_bytes"),
+                    live_samples: s.u64("live_samples"),
                 })
                 .collect()
         })
@@ -774,11 +532,11 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
         .map(|cs| {
             cs.iter()
                 .map(|c| ClassCensus {
-                    class: c.u64_at("class"),
-                    size: c.u64_at("size"),
-                    superblocks: c.u64_at("superblocks"),
-                    blocks_used: c.u64_at("blocks_used"),
-                    blocks_capacity: c.u64_at("blocks_capacity"),
+                    class: c.u64("class"),
+                    size: c.u64("size"),
+                    superblocks: c.u64("superblocks"),
+                    blocks_used: c.u64("blocks_used"),
+                    blocks_capacity: c.u64("blocks_capacity"),
                 })
                 .collect()
         })
@@ -788,13 +546,13 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
 
     let d = v.get("descriptors");
     let descriptors = DescriptorCensus {
-        total: d.map_or(0, |d| d.u64_at("total")),
-        active: d.map_or(0, |d| d.u64_at("active")),
-        full: d.map_or(0, |d| d.u64_at("full")),
-        partial: d.map_or(0, |d| d.u64_at("partial")),
-        empty: d.map_or(0, |d| d.u64_at("empty")),
-        unbound: d.map_or(0, |d| d.u64_at("unbound")),
-        warm: d.map_or(0, |d| d.u64_at("warm")),
+        total: d.map_or(0, |d| d.u64("total")),
+        active: d.map_or(0, |d| d.u64("active")),
+        full: d.map_or(0, |d| d.u64("full")),
+        partial: d.map_or(0, |d| d.u64("partial")),
+        empty: d.map_or(0, |d| d.u64("empty")),
+        unbound: d.map_or(0, |d| d.u64("unbound")),
+        warm: d.map_or(0, |d| d.u64("warm")),
     };
 
     let misuse_total = v
@@ -806,7 +564,7 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
         .unwrap_or(0);
 
     Ok(AnalyzeReport {
-        version: v.u64_at("version"),
+        version: v.u64("version"),
         hardening: v.get("hardening").and_then(Json::as_str).unwrap_or("?").to_string(),
         leak_candidates: leaks,
         classes,
@@ -816,11 +574,11 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
             .and_then(|l| l.get("spans"))
             .and_then(Json::as_arr)
             .map_or(0, |s| s.len() as u64),
-        large_bytes: v.get("large").map_or(0, |l| l.u64_at("bytes")),
-        large_cached_spans: v.get("large").map_or(0, |l| l.u64_at("cached_spans")),
-        large_cached_bytes: v.get("large").map_or(0, |l| l.u64_at("cached_bytes")),
-        quarantine_depth: v.u64_at("quarantine_depth"),
-        os_live_bytes: v.get("os").map_or(0, |o| o.u64_at("source_live_bytes")),
+        large_bytes: v.get("large").map_or(0, |l| l.u64("bytes")),
+        large_cached_spans: v.get("large").map_or(0, |l| l.u64("cached_spans")),
+        large_cached_bytes: v.get("large").map_or(0, |l| l.u64("cached_bytes")),
+        quarantine_depth: v.u64("quarantine_depth"),
+        os_live_bytes: v.get("os").map_or(0, |o| o.u64("source_live_bytes")),
         reconciles: v
             .get("os")
             .and_then(|o| o.get("reconciles"))
@@ -833,7 +591,7 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
             .and_then(|f| f.get("tail"))
             .and_then(Json::as_arr)
             .map_or(0, |t| t.len() as u64),
-        flight_dropped: v.get("flight").map_or(0, |f| f.u64_at("dropped")),
+        flight_dropped: v.get("flight").map_or(0, |f| f.u64("dropped")),
         misuse_total,
     })
 }
@@ -1104,14 +862,5 @@ mod tests {
         assert_eq!(d.delta_os_bytes, 0);
         let text = d.to_string();
         assert!(text.contains("leaky.rs:42"));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let mut p = Parser::new(r#"{"a\n\"b":[1,2.5,-3,true,false,null,{"x":"A"}]}"#);
-        let v = p.value().unwrap();
-        let arr = v.get("a\n\"b").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[6].get("x").and_then(Json::as_str), Some("A"));
     }
 }

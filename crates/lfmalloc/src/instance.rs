@@ -17,6 +17,7 @@ use crate::config::{Config, PREFIX_SIZE, SB_BATCH, SB_SHIFT};
 use crate::descriptor::{Descriptor, DescriptorPool};
 use crate::harden::{Hardening, MisuseCounters, QUARANTINE_CAP};
 use crate::heap::{HeapMap, ProcHeap};
+use crate::observe::{self, EventKind, Global, Lat, Timer};
 use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
 use core::ptr::NonNull;
@@ -91,16 +92,65 @@ pub(crate) struct Inner<S: PageSource> {
     pub bug_stash: AtomicUsize,
     #[cfg(feature = "failpoints")]
     pub bug_stash_ci: AtomicUsize,
-    /// Telemetry: the shard array, global counters, and the event ring.
-    #[cfg(feature = "stats")]
-    pub stats: crate::stats::InstanceStats,
-    /// Sampled allocation-site profiler (see [`crate::profile`]).
-    #[cfg(feature = "profile")]
-    pub profile: crate::profile::ProfileState,
-    /// Crash-forensics state: flight-recorder rings and crash-reporter
-    /// wiring (see [`crate::forensics`]).
-    #[cfg(feature = "forensics")]
-    pub forensics: crate::forensics::ForensicsState,
+    /// What the instrumented builds keep: telemetry shards and rings, the
+    /// profiler's sample table, the flight recorder. Last, and zero-sized
+    /// in the default build (see [`crate::observe`]).
+    pub obs: observe::State,
+}
+
+/// A system-allocated array of `len` slots, the first `built` of them
+/// written. It owns both: dropping it drops those and frees the array —
+/// which is how a half-built instance leaks nothing, and how a finished
+/// one's heap table and quarantine rings are taken apart. (The telemetry
+/// shards are one too.)
+#[derive(Debug)]
+pub(crate) struct SysArray<T> {
+    pub ptr: *mut T,
+    pub len: usize,
+    built: usize,
+}
+
+// SAFETY: a `SysArray` is the unique owner of its `T`s, like a `Box<[T]>`:
+// moving it moves them (`T: Send`), sharing it shares them (`T: Sync`).
+unsafe impl<T: Send> Send for SysArray<T> {}
+unsafe impl<T: Sync> Sync for SysArray<T> {}
+
+impl<T> SysArray<T> {
+    /// `len` unwritten slots; none, and a null `ptr`, for `len == 0`.
+    pub(crate) fn new(len: usize) -> Result<Self, OutOfMemory> {
+        const { assert!(core::mem::size_of::<T>() > 0) };
+        let mut ptr = core::ptr::null_mut();
+        if len > 0 {
+            let layout = Layout::array::<T>(len).map_err(|_| OutOfMemory)?;
+            // SAFETY: the layout's size is not zero.
+            ptr = unsafe { System.alloc(layout) } as *mut T;
+            if ptr.is_null() {
+                return Err(OutOfMemory);
+            }
+        }
+        Ok(SysArray { ptr, len, built: 0 })
+    }
+
+    pub(crate) fn push(&mut self, v: T) {
+        assert!(self.built < self.len);
+        // SAFETY: slot `built` is inside the allocation and unwritten.
+        unsafe { self.ptr.add(self.built).write(v) };
+        self.built += 1;
+    }
+}
+
+impl<T> Drop for SysArray<T> {
+    fn drop(&mut self) {
+        if !self.ptr.is_null() {
+            let layout = Layout::array::<T>(self.len).expect("computed once already, in `new`");
+            // SAFETY: the first `built` slots hold values nobody else owns,
+            // and `ptr` is `new`'s allocation of this layout.
+            unsafe {
+                core::ptr::slice_from_raw_parts_mut(self.ptr, self.built).drop_in_place();
+                System.dealloc(self.ptr as *mut u8, layout);
+            }
+        }
+    }
 }
 
 impl<S: PageSource> Inner<S> {
@@ -234,94 +284,25 @@ impl<S: PageSource> LfMalloc<S> {
     /// instance state block.
     pub fn try_with_config_and_source(config: Config, source: S) -> Result<Self, OutOfMemory> {
         let nheaps = config.heap_mode.heap_count();
+        // Every part owns what it allocated, so an OOM at any step leaks
+        // nothing: `?` drops the parts built so far.
+        let mut heaps = SysArray::new(NUM_CLASSES * nheaps)?;
+        for i in 0..heaps.len {
+            heaps.push(ProcHeap::new(i / nheaps));
+        }
+        // Hardened instances get one quarantine ring per heap.
+        let hardened = config.hardening != Hardening::Off;
+        let mut quarantine = SysArray::new(if hardened { nheaps } else { 0 })?;
+        for _ in 0..quarantine.len {
+            quarantine.push(BoundedQueue::new(QUARANTINE_CAP).ok_or(OutOfMemory)?);
+        }
+        let mags = crate::magazine::SlotTable::new().ok_or(OutOfMemory)?;
+        let frames = crate::framemap::FrameMap::new().ok_or(OutOfMemory)?;
+        // Telemetry shards mirror the heap table's layout.
+        let obs = observe::State::new(&config, NUM_CLASSES * nheaps).ok_or(OutOfMemory)?;
         unsafe {
-            let heaps_layout = Layout::array::<ProcHeap>(NUM_CLASSES * nheaps)
-                .map_err(|_| OutOfMemory)?;
-            let heaps = System.alloc(heaps_layout) as *mut ProcHeap;
-            if heaps.is_null() {
-                return Err(OutOfMemory);
-            }
-            for ci in 0..NUM_CLASSES {
-                for h in 0..nheaps {
-                    heaps.add(ci * nheaps + h).write(ProcHeap::new(ci));
-                }
-            }
-            // Hardened instances get one quarantine ring per heap.
-            let mut quarantine: *mut BoundedQueue<QuarantineEntry> = core::ptr::null_mut();
-            if config.hardening != Hardening::Off {
-                let q_layout = Layout::array::<BoundedQueue<QuarantineEntry>>(nheaps)
-                    .map_err(|_| OutOfMemory)?;
-                quarantine = System.alloc(q_layout) as *mut BoundedQueue<QuarantineEntry>;
-                if quarantine.is_null() {
-                    System.dealloc(heaps as *mut u8, heaps_layout);
-                    return Err(OutOfMemory);
-                }
-                for i in 0..nheaps {
-                    match BoundedQueue::new(QUARANTINE_CAP) {
-                        Some(q) => quarantine.add(i).write(q),
-                        None => {
-                            for j in 0..i {
-                                core::ptr::drop_in_place(quarantine.add(j));
-                            }
-                            System.dealloc(quarantine as *mut u8, q_layout);
-                            System.dealloc(heaps as *mut u8, heaps_layout);
-                            return Err(OutOfMemory);
-                        }
-                    }
-                }
-            }
-            let free_quarantine = |q: *mut BoundedQueue<QuarantineEntry>| {
-                if !q.is_null() {
-                    for i in 0..nheaps {
-                        core::ptr::drop_in_place(q.add(i));
-                    }
-                    System.dealloc(
-                        q as *mut u8,
-                        Layout::array::<BoundedQueue<QuarantineEntry>>(nheaps).unwrap(),
-                    );
-                }
-            };
-            let (Some(mags), Some(frames)) =
-                (crate::magazine::SlotTable::new(), crate::framemap::FrameMap::new())
-            else {
-                free_quarantine(quarantine);
-                System.dealloc(heaps as *mut u8, heaps_layout);
-                return Err(OutOfMemory);
-            };
-            // Telemetry shards mirror the heap table's layout; build them
-            // first so a failure cleans up like any other metadata OOM.
-            #[cfg(feature = "stats")]
-            let stats = match crate::stats::InstanceStats::new(NUM_CLASSES * nheaps) {
-                Some(s) => s,
-                None => {
-                    free_quarantine(quarantine);
-                    System.dealloc(heaps as *mut u8, heaps_layout);
-                    return Err(OutOfMemory);
-                }
-            };
-            #[cfg(feature = "profile")]
-            let profile = match crate::profile::ProfileState::new(config.profile) {
-                Some(p) => p,
-                None => {
-                    free_quarantine(quarantine);
-                    System.dealloc(heaps as *mut u8, heaps_layout);
-                    return Err(OutOfMemory);
-                }
-            };
-            #[cfg(feature = "forensics")]
-            let forensics = match crate::forensics::ForensicsState::new(config.forensics) {
-                Some(f) => f,
-                None => {
-                    free_quarantine(quarantine);
-                    System.dealloc(heaps as *mut u8, heaps_layout);
-                    return Err(OutOfMemory);
-                }
-            };
-            let inner_layout = Layout::new::<Inner<S>>();
-            let inner = System.alloc(inner_layout) as *mut Inner<S>;
+            let inner = System.alloc(Layout::new::<Inner<S>>()) as *mut Inner<S>;
             if inner.is_null() {
-                free_quarantine(quarantine);
-                System.dealloc(heaps as *mut u8, heaps_layout);
                 return Err(OutOfMemory);
             }
             inner.write(Inner {
@@ -331,7 +312,7 @@ impl<S: PageSource> LfMalloc<S> {
                 config,
                 nheaps,
                 heap_map: HeapMap::new(config.heap_mode),
-                heaps,
+                heaps: heaps.ptr,
                 mags,
                 frames,
                 classes: core::array::from_fn(|i| SizeClassState {
@@ -343,7 +324,7 @@ impl<S: PageSource> LfMalloc<S> {
                 large_cache: Default::default(),
                 large_spans: SpanRegistry::new(),
                 misuse: MisuseCounters::new(),
-                quarantine,
+                quarantine: quarantine.ptr,
                 health: crate::health::HealthState::new(),
                 reaper: crate::maintain::ReaperState::new(),
                 fork: crate::fork::ForkState::new(),
@@ -351,13 +332,10 @@ impl<S: PageSource> LfMalloc<S> {
                 bug_stash: AtomicUsize::new(0),
                 #[cfg(feature = "failpoints")]
                 bug_stash_ci: AtomicUsize::new(usize::MAX),
-                #[cfg(feature = "stats")]
-                stats,
-                #[cfg(feature = "profile")]
-                profile,
-                #[cfg(feature = "forensics")]
-                forensics,
+                obs,
             });
+            // The instance owns the two arrays now (`LfMalloc::drop`).
+            core::mem::forget((heaps, quarantine));
             // Fork awareness: register atfork hooks against the (now
             // address-stable) instance. This touches only the in-tree
             // procfork registry — never `pthread_atfork`, which may
@@ -366,16 +344,7 @@ impl<S: PageSource> LfMalloc<S> {
             if config.atfork {
                 crate::fork::register_instance(&*inner);
             }
-            // Black-box crash reporting, when configured: the instance
-            // address is stable from here on, so it can register as a
-            // crash sink.
-            #[cfg(feature = "forensics")]
-            if config.forensics.crash_handlers {
-                crate::forensics::install_crash_reporter_inner(
-                    &*inner,
-                    config.forensics.report_fd,
-                );
-            }
+            observe::attach(&*inner);
             Ok(LfMalloc { inner: NonNull::new_unchecked(inner) })
         }
     }
@@ -490,7 +459,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// Same quiescence contract as [`trim`](Self::trim).
     pub unsafe fn trim_to(&self, target_bytes: usize) -> usize {
         let inner = self.inner();
-        let t0 = crate::lat_start!();
+        let t0 = Timer::start();
         inner.health.note_watermark(target_bytes);
         // 0. Blocks parked outside the free lists pin their superblocks
         //    partially allocated; send them home before hunting for
@@ -527,8 +496,8 @@ impl<S: PageSource> LfMalloc<S> {
                             // Counted like free()'s EMPTY transition so
                             // the fragmentation estimator's committed
                             // figure (new-sb minus emptied) stays true.
-                            crate::stat!(inner, heap, free_empty);
-                            crate::stat_event!(inner, SbRetire, ci, desc.sb() as usize);
+                            observe::count(inner, heap, observe::Count::FreeEmpty);
+                            observe::event(inner, EventKind::SbRetire, ci, desc.sb() as u64);
                             unsafe { inner.desc_pool.retire(desc_ptr) };
                             break;
                         }
@@ -562,9 +531,9 @@ impl<S: PageSource> LfMalloc<S> {
         let mut released = unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
         released += unsafe { inner.desc_pool.trim(&inner.source) };
         released += unsafe { crate::large::drain_cache(inner) };
-        crate::stat_global!(inner, trims);
-        crate::stat_event!(inner, Trim, 0, released);
-        crate::stat_lat!(inner, lat_trim, t0);
+        observe::count_global(inner, Global::Trims);
+        observe::event(inner, EventKind::Trim, 0, released as u64);
+        t0.stop(inner, Lat::Trim);
         released
     }
 
@@ -576,46 +545,7 @@ impl<S: PageSource> LfMalloc<S> {
     #[cfg_attr(feature = "profile", track_caller)]
     pub unsafe fn allocate(&self, size: usize, align: usize) -> *mut u8 {
         debug_assert!(align.is_power_of_two());
-        #[cfg(feature = "profile")]
-        let site = core::panic::Location::caller();
-        let inner = self.inner();
-        let Some(entry) = crate::tls::enter_alloc() else {
-            // Signal handler re-entered the allocator on this thread:
-            // fail fast instead of racing our own interrupted frame.
-            crate::fork::reject_reentrant(inner, 0);
-            return core::ptr::null_mut();
-        };
-        crate::fork::maybe_recover(inner);
-        // Every class's blocks are 8-aligned; above that, the class must
-        // be a multiple of the alignment.
-        let class = if align <= MIN_MALLOC_ALIGN {
-            class_index(size)
-        } else {
-            class_index_aligned(size, align)
-        };
-        let p = match class {
-            Some(ci) => unsafe { crate::magazine::malloc(inner, entry.block(), ci) },
-            None => unsafe { crate::large::alloc_large(inner, size, align) }.0,
-        };
-        #[cfg(feature = "profile")]
-        if !p.is_null() {
-            crate::profile::tick(inner, p, size, site);
-        }
-        #[cfg(feature = "forensics")]
-        crate::forensics::record(
-            inner,
-            if p.is_null() {
-                crate::forensics::OpKind::AllocFailed
-            } else {
-                crate::forensics::OpKind::Alloc
-            },
-            match class {
-                Some(ci) => ci as u16,
-                None => crate::forensics::CLASS_LARGE,
-            },
-            p as usize,
-        );
-        p
+        unsafe { self.allocate_impl(size, align, false) }
     }
 
     /// Allocates `size` zeroed bytes.
@@ -634,51 +564,38 @@ impl<S: PageSource> LfMalloc<S> {
     /// Standard malloc contract; see [`RawMalloc::malloc_zeroed`].
     #[cfg_attr(feature = "profile", track_caller)]
     pub unsafe fn allocate_zeroed(&self, size: usize) -> *mut u8 {
-        #[cfg(feature = "profile")]
-        let site = core::panic::Location::caller();
+        unsafe { self.allocate_impl(size, MIN_MALLOC_ALIGN, true) }
+    }
+
+    /// Both allocating entry points: the guards, the class, the dispatch,
+    /// the memset when `zero` (a constant at either caller), and the
+    /// observers' epilogue.
+    #[inline(always)]
+    #[cfg_attr(feature = "profile", track_caller)]
+    unsafe fn allocate_impl(&self, size: usize, align: usize, zero: bool) -> *mut u8 {
         let inner = self.inner();
         let Some(entry) = crate::tls::enter_alloc() else {
+            // Signal handler re-entered the allocator on this thread:
+            // fail fast instead of racing our own interrupted frame.
             crate::fork::reject_reentrant(inner, 0);
             return core::ptr::null_mut();
         };
         crate::fork::maybe_recover(inner);
-        let class = class_index(size);
-        let p = match class {
-            Some(ci) => {
-                let p = unsafe { crate::magazine::malloc(inner, entry.block(), ci) };
-                if !p.is_null() {
-                    unsafe { core::ptr::write_bytes(p, 0, size) };
-                }
-                p
-            }
-            None => {
-                let (p, fresh) =
-                    unsafe { crate::large::alloc_large(inner, size, MIN_MALLOC_ALIGN) };
-                let clean = fresh && inner.source.zeroes_fresh_pages();
-                if !p.is_null() && !clean {
-                    unsafe { core::ptr::write_bytes(p, 0, size) };
-                }
-                p
-            }
+        // Every class's blocks are 8-aligned; above that, the class must
+        // be a multiple of the alignment.
+        let class = if align <= MIN_MALLOC_ALIGN {
+            class_index(size)
+        } else {
+            class_index_aligned(size, align)
         };
-        #[cfg(feature = "profile")]
-        if !p.is_null() {
-            crate::profile::tick(inner, p, size, site);
+        let (p, fresh) = match class {
+            Some(ci) => (unsafe { crate::magazine::malloc(inner, entry.block(), ci) }, false),
+            None => unsafe { crate::large::alloc_large(inner, size, align) },
+        };
+        if zero && !p.is_null() && !(fresh && inner.source.zeroes_fresh_pages()) {
+            unsafe { core::ptr::write_bytes(p, 0, size) };
         }
-        #[cfg(feature = "forensics")]
-        crate::forensics::record(
-            inner,
-            if p.is_null() {
-                crate::forensics::OpKind::AllocFailed
-            } else {
-                crate::forensics::OpKind::Alloc
-            },
-            match class {
-                Some(ci) => ci as u16,
-                None => crate::forensics::CLASS_LARGE,
-            },
-            p as usize,
-        );
+        observe::on_alloc(inner, class, p, size);
         p
     }
 
@@ -729,15 +646,7 @@ impl<S: PageSource> LfMalloc<S> {
             return;
         };
         crate::fork::maybe_recover(inner);
-        // Unwind any live sample before the block is dispatched; works
-        // on every free path (hardened, large, TLS teardown) because
-        // removal needs no thread identity.
-        #[cfg(feature = "profile")]
-        crate::profile::untick(inner, ptr);
-        // Record before dispatch so misuse frees (which the hardened
-        // path rejects) still land in the flight recorder.
-        #[cfg(feature = "forensics")]
-        crate::forensics::record_free(inner, ptr);
+        observe::on_free(inner, ptr);
         if inner.config.hardening != Hardening::Off {
             // The validated path establishes provenance before touching
             // any memory; misuse is reported, never executed.
@@ -805,18 +714,13 @@ impl<S: PageSource> Drop for LfMalloc<S> {
         //     parent/child, so after this no hook can see the dying
         //     instance.
         crate::fork::unregister_instance(self.inner());
-        // 0a'. Drop out of the crash-sink table first: after teardown
-        //      starts, a signal must not walk this instance's memory.
-        #[cfg(feature = "forensics")]
-        crate::forensics::unregister_crash_sink(self.inner());
+        // 0a'. Observers that borrow the instance let go of it first: the
+        //      crash-sink table, the metrics scrape thread.
+        observe::detach(self.inner());
         // 0b. Stop and join the background reaper (if any) before any
         //     state is torn down: a maintenance pass must never race
         //     teardown.
         crate::maintain::stop_reaper_inner(self.inner());
-        // 0c. Stop and join the metrics scrape thread under the same
-        //     rule: it borrows the instance and must die first.
-        #[cfg(feature = "stats")]
-        crate::metrics::stop_metrics_inner(self.inner());
         unsafe {
             let inner = self.inner.as_ptr();
             // 1. Release bulk memory: cached large spans, superblock
@@ -833,30 +737,13 @@ impl<S: PageSource> Drop for LfMalloc<S> {
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).reaper));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).mags));
             core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).frames));
-            #[cfg(feature = "stats")]
-            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).stats));
-            #[cfg(feature = "profile")]
-            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).profile));
-            #[cfg(feature = "forensics")]
-            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).forensics));
-            // Quarantine entries are plain addresses into memory already
-            // released above; dropping the rings only frees their
-            // buffers.
-            let quarantine = (*inner).quarantine;
-            if !quarantine.is_null() {
-                let nheaps = (*inner).nheaps;
-                for i in 0..nheaps {
-                    core::ptr::drop_in_place(quarantine.add(i));
-                }
-                System.dealloc(
-                    quarantine as *mut u8,
-                    Layout::array::<BoundedQueue<QuarantineEntry>>(nheaps).unwrap(),
-                );
-            }
-            // 3. Free the heap table and the instance block (plain data).
-            let nheaps = (*inner).nheaps;
-            let heaps_layout = Layout::array::<ProcHeap>(NUM_CLASSES * nheaps).unwrap();
-            System.dealloc((*inner).heaps as *mut u8, heaps_layout);
+            core::ptr::drop_in_place(core::ptr::addr_of_mut!((*inner).obs));
+            // 3. Free the quarantine rings (their entries are plain
+            //    addresses into memory already released above), the heap
+            //    table and the instance block (plain data).
+            let (nheaps, nrows) = ((*inner).nheaps, NUM_CLASSES * (*inner).nheaps);
+            drop(SysArray { ptr: (*inner).quarantine, len: nheaps, built: nheaps });
+            drop(SysArray { ptr: (*inner).heaps, len: nrows, built: nrows });
             System.dealloc(inner as *mut u8, Layout::new::<Inner<S>>());
         }
     }
@@ -877,6 +764,26 @@ mod tests {
     use crate::active::Active;
     use crate::anchor::SbState;
     use crate::config::SB_SIZE;
+
+    /// The default build is the same allocator: the seam's state adds no
+    /// byte to `Inner` and sits behind every field the paths read, which
+    /// keep their order (the comment on `Inner` about `sbcycle_1t`).
+    #[cfg(not(feature = "stats"))]
+    #[test]
+    fn default_build_state_is_zero_sized_and_last() {
+        use core::mem::size_of;
+        type Inner = super::Inner<SystemSource>;
+        assert_eq!(size_of::<observe::State>() + size_of::<Timer>(), 0);
+        macro_rules! offsets {
+            ($($field:ident)*) => { [$(core::mem::offset_of!(Inner, $field)),*] };
+        }
+        let order = offsets!(
+            config desc_pool sb_pool source nheaps heap_map heaps mags frames classes
+            large_mapped_spans large_mapped_bytes large_cache large_spans misuse quarantine
+            health reaper fork obs
+        );
+        assert!(order[0] == 0 && order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+    }
 
     #[test]
     fn first_malloc_installs_an_active_superblock() {

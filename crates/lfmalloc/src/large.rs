@@ -30,6 +30,7 @@
 use crate::config::PREFIX_SIZE;
 use crate::harden::{Hardening, GUARD_CANARY};
 use crate::instance::Inner;
+use crate::observe::{self, EventKind, Global, Lat, Timer};
 use core::sync::atomic::{AtomicUsize, Ordering};
 use malloc_api::layout::align_up;
 use osmem::source::{pages_for, PAGE_SIZE};
@@ -268,7 +269,7 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     align: usize,
 ) -> (*mut u8, bool) {
     const FAILED: (*mut u8, bool) = (core::ptr::null_mut(), true);
-    let t0 = crate::lat_start!();
+    let t0 = Timer::start();
     // User data starts at least 16 bytes in: 8 for the header word at
     // base, 8 for the prefix at user-8.
     let user_off = align_up(2 * PREFIX_SIZE, align.max(PREFIX_SIZE));
@@ -306,7 +307,7 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
                 // Killed holding the span, like `park`'s kill.
                 return FAILED;
             }
-            crate::stat_global!(inner, large_cache_hit);
+            observe::count_global(inner, Global::LargeCacheHit);
             base
         }
         None => unsafe { map_span(inner, total, os_align) },
@@ -319,8 +320,8 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
         (*(user.sub(PREFIX_SIZE) as *const AtomicUsize))
             .store((user_off << 1) | LARGE_FLAG, Ordering::Relaxed);
     }
-    crate::stat_global!(inner, large_alloc);
-    crate::stat_lat!(inner, lat_malloc_large, t0);
+    observe::count_global(inner, Global::LargeAlloc);
+    t0.stop(inner, Lat::MallocLarge);
     (user, cached.is_none())
 }
 
@@ -330,10 +331,10 @@ unsafe fn map_span<S: PageSource>(inner: &Inner<S>, total: usize, os_align: usiz
     let base =
         crate::retry::from_source(inner, || unsafe { inner.source.alloc_pages(total, os_align) });
     if base.is_null() {
-        crate::stat_event!(inner, OomBackoff, 0, total);
+        observe::event(inner, EventKind::OomBackoff, 0, total as u64);
         return 0;
     }
-    crate::stat_global!(inner, large_cache_miss);
+    observe::count_global(inner, Global::LargeCacheMiss);
     debug_assert_eq!(total & ALIGN_EXP_MASK, 0);
     let mut header = total | os_align.trailing_zeros() as usize;
     if inner.config.hardening != Hardening::Off {
@@ -394,15 +395,15 @@ pub(crate) unsafe fn free_large<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, p
 /// Parks a freed large block's span in the cache, given its validated
 /// base address, or, failing that, returns it to the source.
 pub(crate) unsafe fn release_large<S: PageSource>(inner: &Inner<S>, base: usize) {
-    let t0 = crate::lat_start!();
+    let t0 = Timer::start();
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, guarded, _) = header_fields(header);
-    crate::stat_global!(inner, large_free);
+    observe::count_global(inner, Global::LargeFree);
     if guarded || !park(inner, base, total) {
-        crate::stat_global!(inner, large_cache_bypass);
+        observe::count_global(inner, Global::LargeCacheBypass);
         unsafe { unmap(inner, base) };
     }
-    crate::stat_lat!(inner, lat_free_large, t0);
+    t0.stop(inner, Lat::FreeLarge);
 }
 
 #[cfg(test)]

@@ -42,6 +42,10 @@
 //!   superblocks wait in a second, never-popped row (the outbox) and
 //!   go home a run at a time. Not in the paper; every miss, push and
 //!   slow path is the paper's code unchanged.
+//! * What any of it reports — which path served a call, CAS retries,
+//!   timings, slow-path events — goes through one crate-private seam,
+//!   `observe`, whose functions are empty unless the `stats`, `profile`
+//!   or `forensics` feature gives them somewhere to go.
 //!
 //! # Quick start
 //!
@@ -71,83 +75,6 @@
 //! life, and `DescAvail` and the partial lists are tag-protected stacks
 //! instead of `SafeCAS` and an MS queue.
 
-// Telemetry increment macros (crate-internal). With the `stats` feature
-// they hit the instance's shard/global counters; without it they expand
-// to nothing, so instrumented call sites compile to zero code — the
-// same contract as `malloc_api::fail_point!`. The local retry tallies
-// feeding `stat_hist!` are *not* feature-gated: they also feed the
-// always-on liveness watchdog (`health::watch`).
-#[cfg(feature = "stats")]
-macro_rules! stat {
-    ($inner:expr, $heap:expr, $field:ident) => {
-        $inner.shard($heap).$field.inc()
-    };
-}
-#[cfg(not(feature = "stats"))]
-macro_rules! stat {
-    ($inner:expr, $heap:expr, $field:ident) => {};
-}
-#[cfg(feature = "stats")]
-macro_rules! stat_hist {
-    ($inner:expr, $heap:expr, $hist:ident, $n:expr) => {
-        $inner.shard($heap).$hist.record($n)
-    };
-}
-#[cfg(not(feature = "stats"))]
-macro_rules! stat_hist {
-    ($inner:expr, $heap:expr, $hist:ident, $n:expr) => {};
-}
-#[cfg(feature = "stats")]
-macro_rules! stat_global {
-    ($inner:expr, $field:ident) => {
-        $inner.stats.$field.inc()
-    };
-}
-#[cfg(not(feature = "stats"))]
-macro_rules! stat_global {
-    ($inner:expr, $field:ident) => {};
-}
-#[cfg(feature = "stats")]
-macro_rules! stat_event {
-    ($inner:expr, $kind:ident, $class:expr, $arg:expr) => {
-        $inner.stats.record_event(crate::stats::EventKind::$kind, $class as u16, $arg as u64)
-    };
-}
-#[cfg(not(feature = "stats"))]
-macro_rules! stat_event {
-    ($inner:expr, $kind:ident, $class:expr, $arg:expr) => {};
-}
-// Latency timing pair: `lat_start!()` captures a monotonic timestamp at
-// the top of an operation and `stat_lat!` records the elapsed
-// nanoseconds into one of the instance's `LatencyHist`s. Without
-// `stats` both vanish (the timestamp is a constant the optimizer
-// deletes), keeping clock reads off the default-build fast path.
-#[cfg(feature = "stats")]
-macro_rules! lat_start {
-    () => {
-        malloc_api::telemetry::monotonic_nanos()
-    };
-}
-#[cfg(not(feature = "stats"))]
-macro_rules! lat_start {
-    () => {
-        0u64
-    };
-}
-#[cfg(feature = "stats")]
-macro_rules! stat_lat {
-    ($inner:expr, $field:ident, $t0:expr) => {
-        $inner.stats.$field.record_since($t0)
-    };
-}
-#[cfg(not(feature = "stats"))]
-macro_rules! stat_lat {
-    ($inner:expr, $field:ident, $t0:expr) => {{
-        let _ = $t0;
-    }};
-}
-pub(crate) use {lat_start, stat, stat_event, stat_global, stat_hist, stat_lat};
-
 pub mod active;
 pub mod alloc;
 pub mod anchor;
@@ -171,10 +98,12 @@ pub mod magazine;
 pub mod maintain;
 #[cfg(feature = "stats")]
 pub mod metrics;
+pub(crate) mod observe;
 pub mod partial;
 #[cfg(feature = "profile")]
 pub mod profile;
 pub(crate) mod retry;
+pub(crate) mod schema;
 pub mod size_classes;
 pub(crate) mod tls;
 #[cfg(feature = "stats")]
@@ -188,9 +117,7 @@ pub use health::{
     process_liveness_counters, HealthSnapshot, LivenessConfig, LivenessPolicy, WatchSite,
     DEFAULT_RETRY_CEILING, NUM_WATCH_SITES,
 };
-pub use config::ProfileParams;
-#[cfg(feature = "forensics")]
-pub use config::ForensicsParams;
+pub use config::{ForensicsParams, ProfileParams};
 #[cfg(feature = "forensics")]
 pub use forensics::{FdWriter, FlightOp, OpKind, PtrKind, PtrReport, SigBuf};
 #[cfg(feature = "forensics")]

@@ -44,6 +44,7 @@ use crate::framemap::Entry;
 use crate::harden::Hardening;
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
+use crate::observe::{self, Count};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::tls::{stamp_alive, ThreadBlock, DRAINING};
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -320,7 +321,7 @@ pub(crate) unsafe fn malloc<S: PageSource>(
             return unsafe { refill(inner, tb, bin, ci, CAP[ci] as u32 / 2) };
         }
         unsafe { bin.pop(head) };
-        crate::stat!(inner, my_heap(inner, tb, ci), malloc_cached);
+        observe::count(inner, my_heap(inner, tb, ci), Count::MallocCached);
         return head;
     }
     unsafe { crate::alloc::malloc_small(inner, ci) }
@@ -352,7 +353,7 @@ unsafe fn malloc_mid<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock, ci: usiz
     }
     unsafe { bin.pop(head) };
     slot.mid_bytes.store(cached - sz, Ordering::Relaxed);
-    crate::stat!(inner, my_heap(inner, tb, ci), malloc_cached);
+    observe::count(inner, my_heap(inner, tb, ci), Count::MallocCached);
     head
 }
 
@@ -386,7 +387,7 @@ unsafe fn refill<S: PageSource>(
         block = sb + at.idx() as usize * sz;
         unsafe { (*link).store(block as u64, Ordering::Relaxed) };
     }
-    crate::stat!(inner, heap, mag_refill);
+    observe::count(inner, heap, Count::MagRefill);
     if run.m > 1 {
         // The last block's successor is not ours to follow.
         unsafe { (*(block as *const AtomicU64)).store(0, Ordering::Relaxed) };
@@ -426,9 +427,9 @@ pub(crate) unsafe fn free<S: PageSource>(
         // Local frees only: a remote one takes the paper's path.
         if local {
             if unsafe { free_mid(inner, &*slot, ptr, ci) } {
-                crate::stat!(inner, my_heap(inner, tb, ci), mag_flush);
+                observe::count(inner, my_heap(inner, tb, ci), Count::MagFlush);
             }
-            crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
+            observe::count(inner, my_heap(inner, tb, ci), Count::FreeCached);
         }
         return local;
     }
@@ -449,18 +450,20 @@ pub(crate) unsafe fn free<S: PageSource>(
     if n >= limit {
         unsafe { flush(inner, bin, half) };
         if local {
-            crate::stat!(inner, my_heap(inner, tb, ci), mag_flush);
+            observe::count(inner, my_heap(inner, tb, ci), Count::MagFlush);
         } else {
-            crate::stat!(inner, my_heap(inner, tb, ci), out_flush);
+            observe::count(inner, my_heap(inner, tb, ci), Count::OutFlush);
         }
         n = bin.count.load(Ordering::Relaxed);
     }
     unsafe { bin.push(ptr, n) };
     if local {
-        crate::stat!(inner, my_heap(inner, tb, ci), free_cached);
+        observe::count(inner, my_heap(inner, tb, ci), Count::FreeCached);
     } else {
-        // Counted where `free_remote` would have been: the owning heap.
-        crate::stat!(inner, unsafe { &*(*entry.desc()).heap() }, free_outbox);
+        // Counted where `free_remote` would have been: the owning heap,
+        // found as `local` was — the descriptor is not read.
+        let owner = unsafe { &*inner.heaps.add(ci * inner.nheaps + entry.column()) };
+        observe::count(inner, owner, Count::FreeOutbox);
     }
     true
 }

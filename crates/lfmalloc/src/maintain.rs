@@ -314,7 +314,7 @@ impl<S: PageSource> LfMalloc<S> {
         from_reaper: bool,
     ) -> MaintenanceReport {
         let inner = self.inner();
-        let t0 = crate::lat_start!();
+        let t0 = crate::observe::Timer::start();
         let mut report = MaintenanceReport::default();
         if budget.reap_dead_threads {
             // Before the prune below: these blocks may be all that keeps
@@ -349,17 +349,8 @@ impl<S: PageSource> LfMalloc<S> {
             report.audit_checked,
             report.audit_flagged,
         );
-        crate::stat_event!(
-            inner,
-            Maintain,
-            0,
-            report.magazines_drained + report.quarantine_flushed + report.empty_pruned
-        );
-        crate::stat_lat!(inner, lat_maintain, t0);
-        // Every pass contributes one point to the fragmentation time
-        // series (allocation-free; the ring evicts its oldest when full).
-        #[cfg(feature = "stats")]
-        crate::stats::record_frag_sample(inner);
+        let acted = report.magazines_drained + report.quarantine_flushed + report.empty_pruned;
+        crate::observe::on_maintain(inner, t0, acted);
         report
     }
 

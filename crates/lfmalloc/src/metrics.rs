@@ -26,9 +26,9 @@
 //! only from other threads — the same contract as `stats()`.
 
 use crate::instance::{Inner, LfMalloc};
-use crate::stats::StatsSnapshot;
+use crate::stats::{StatsSnapshot, CLASS_COUNTERS, RETRY_HISTOGRAMS};
 use core::sync::atomic::{AtomicBool, Ordering};
-use malloc_api::telemetry::{LatencySnapshot, TIME_BUCKETS};
+use malloc_api::telemetry::{LatencySnapshot, RETRY_BUCKETS, TIME_BUCKETS};
 use osmem::PageSource;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
@@ -59,6 +59,12 @@ fn write_family(out: &mut String, name: &str, kind: &str, help: &str) {
     if !help.is_empty() {
         let _ = writeln!(out, "# HELP {name} {help}");
     }
+}
+
+/// A gauge family of one unlabelled sample.
+fn gauge(out: &mut String, name: &str, help: &str, v: u64) {
+    write_family(out, name, "gauge", help);
+    let _ = writeln!(out, "{name} {v}");
 }
 
 /// Emits one latency histogram as cumulative OpenMetrics buckets in
@@ -95,40 +101,34 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     let t = &s.totals;
     let mut o = String::with_capacity(8 * 1024);
 
-    write_family(&mut o, "lfmalloc_mallocs", "counter", "Small mallocs by serving path.");
-    let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"cached\"}} {}", t.malloc_cached);
-    let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"fast\"}} {}", t.malloc_fast);
-    let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"partial\"}} {}", t.malloc_slow);
-    let _ = writeln!(o, "lfmalloc_mallocs_total{{path=\"newsb\"}} {}", t.malloc_newsb);
-    write_family(&mut o, "lfmalloc_frees", "counter", "Small frees by locality.");
-    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"cached\"}} {}", t.free_cached);
-    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"outbox\"}} {}", t.free_outbox);
-    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"local\"}} {}", t.free_local);
-    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"remote\"}} {}", t.free_remote);
-    let _ = writeln!(o, "lfmalloc_frees_total{{path=\"teardown\"}} {}", t.free_teardown);
-    write_family(
-        &mut o,
-        "lfmalloc_magazine_batches",
-        "counter",
-        "Thread-magazine batch moves against the lock-free core.",
-    );
-    let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"refill\"}} {}", t.mag_refill);
-    let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"flush\"}} {}", t.mag_flush);
-    let _ = writeln!(o, "lfmalloc_magazine_batches_total{{op=\"outbox_flush\"}} {}", t.out_flush);
-    write_family(
-        &mut o,
-        "lfmalloc_superblocks_retired",
-        "counter",
-        "Superblocks emptied (each stays on its descriptor for reuse).",
-    );
-    let _ = writeln!(o, "lfmalloc_superblocks_retired_total {}", t.free_empty);
-    write_family(
-        &mut o,
-        "lfmalloc_superblocks_reopened",
-        "counter",
-        "EMPTY superblocks reopened where they were parked (a subset of newsb mallocs).",
-    );
-    let _ = writeln!(o, "lfmalloc_superblocks_reopened_total {}", t.sb_reopen);
+    // The per-class counters, summed over classes: one family per run of
+    // table rows that name it, HELP assembled from the rows' help lines.
+    for (i, c) in CLASS_COUNTERS.iter().enumerate() {
+        if i == 0 || CLASS_COUNTERS[i - 1].family != c.family {
+            let rows = CLASS_COUNTERS.iter().filter(|r| r.family == c.family);
+            let help: Vec<String> =
+                rows.map(|r| format!("{} {}", r.label.replace('"', ""), r.help)).collect();
+            write_family(&mut o, c.family, "counter", help.join(" ").trim_start());
+        }
+        let labels = if c.label.is_empty() { String::new() } else { format!("{{{}}}", c.label) };
+        let _ = writeln!(o, "{}_total{labels} {}", c.family, (c.get)(t));
+    }
+    // The CAS-retry histograms: cumulative buckets over the retry counts
+    // 0 / 1 / 2–3 / ... / 64+, `le` the largest count a bucket holds.
+    for (_, family, help, get) in &RETRY_HISTOGRAMS {
+        write_family(&mut o, family, "histogram", help);
+        let (buckets, mut cum) = (get(t), 0u64);
+        for (i, n) in buckets.iter().enumerate() {
+            cum += n;
+            let le = if i + 1 == RETRY_BUCKETS {
+                "+Inf".into()
+            } else {
+                ((1u64 << i) - 1).to_string()
+            };
+            let _ = writeln!(o, "{family}_bucket{{le=\"{le}\"}} {cum}");
+        }
+        let _ = writeln!(o, "{family}_count {cum}");
+    }
     write_family(&mut o, "lfmalloc_large", "counter", "Large-block operations.");
     let _ = writeln!(o, "lfmalloc_large_total{{op=\"alloc\"}} {}", s.large_alloc);
     let _ = writeln!(o, "lfmalloc_large_total{{op=\"free\"}} {}", s.large_free);
@@ -147,37 +147,42 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     write_family(&mut o, "lfmalloc_trims", "counter", "");
     let _ = writeln!(o, "lfmalloc_trims_total {}", s.trims);
 
-    // Satellite gauges surfaced explicitly: ring overflow and the
-    // watchdog's degradation verdict.
-    write_family(
+    // Point-in-time values; ring overflow and the watchdog's degradation
+    // verdict among them.
+    let h = &s.health;
+    gauge(
         &mut o,
         "lfmalloc_events_dropped",
-        "gauge",
         "Slow-path trace events lost to ring overflow.",
+        s.events_dropped,
     );
-    let _ = writeln!(o, "lfmalloc_events_dropped {}", s.events_dropped);
-    write_family(
+    gauge(
         &mut o,
         "lfmalloc_degraded",
-        "gauge",
         "1 when the liveness watchdog considers the instance degraded.",
+        u64::from(h.is_degraded()),
     );
-    let _ = writeln!(o, "lfmalloc_degraded {}", u8::from(s.health.is_degraded()));
-    write_family(&mut o, "lfmalloc_os_live_bytes", "gauge", "OS bytes currently mapped.");
-    let _ = writeln!(o, "lfmalloc_os_live_bytes {}", s.os.live_bytes);
-    write_family(&mut o, "lfmalloc_os_peak_bytes", "gauge", "");
-    let _ = writeln!(o, "lfmalloc_os_peak_bytes {}", s.os.peak_bytes);
-    write_family(&mut o, "lfmalloc_large_live", "gauge", "Live large blocks.");
-    let _ = writeln!(o, "lfmalloc_large_live {}", s.large_live);
-    write_family(
+    gauge(&mut o, "lfmalloc_os_live_bytes", "OS bytes currently mapped.", s.os.live_bytes as u64);
+    gauge(&mut o, "lfmalloc_os_peak_bytes", "", s.os.peak_bytes as u64);
+    gauge(&mut o, "lfmalloc_large_live", "Live large blocks.", s.large_live);
+    gauge(
         &mut o,
         "lfmalloc_large_cached_spans",
-        "gauge",
         "Freed large spans parked in the span cache.",
+        h.large_cached_spans as u64,
     );
-    let _ = writeln!(o, "lfmalloc_large_cached_spans {}", s.health.large_cached_spans);
-    write_family(&mut o, "lfmalloc_large_cached_bytes", "gauge", "OS bytes those spans hold.");
-    let _ = writeln!(o, "lfmalloc_large_cached_bytes {}", s.health.large_cached_bytes);
+    gauge(
+        &mut o,
+        "lfmalloc_large_cached_bytes",
+        "OS bytes those spans hold.",
+        h.large_cached_bytes as u64,
+    );
+    gauge(
+        &mut o,
+        "lfmalloc_retained_empty_bytes",
+        "Bytes of EMPTY superblocks kept on their descriptors, warm or parked.",
+        h.retained_empty_bytes() as u64,
+    );
     write_family(
         &mut o,
         "lfmalloc_descriptors",
@@ -185,20 +190,12 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
         "Descriptor slots carved, by where they are: DescAvail, the emergency reserve, \
          the warm stack (EMPTY superblock attached), a size-class partial list, or in use.",
     );
-    let h = &s.health;
     let listed: usize = h.partial_listed.iter().sum();
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"avail\"}} {}", h.desc_avail);
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"reserve\"}} {}", h.desc_reserve);
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"warm\"}} {}", h.desc_warm);
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"partial_list\"}} {listed}");
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"in_use\"}} {}", h.descriptors_in_use());
-    write_family(
-        &mut o,
-        "lfmalloc_retained_empty_bytes",
-        "gauge",
-        "Bytes of EMPTY superblocks kept on their descriptors, warm or parked.",
-    );
-    let _ = writeln!(o, "lfmalloc_retained_empty_bytes {}", h.retained_empty_bytes());
     write_family(
         &mut o,
         "lfmalloc_partial_listed",
@@ -221,16 +218,11 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
             "lfmalloc_flight_recorder_dropped_total {}",
             this.flight_recorder_dropped()
         );
-        write_family(
+        gauge(
             &mut o,
             "lfmalloc_crash_handler_installed",
-            "gauge",
             "1 when this instance's chained crash handlers are installed.",
-        );
-        let _ = writeln!(
-            o,
-            "lfmalloc_crash_handler_installed {}",
-            u8::from(this.crash_handler_installed())
+            u64::from(this.crash_handler_installed()),
         );
     }
 
@@ -270,17 +262,14 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
 
     // Fragmentation gauges.
     let f = &s.fragmentation;
-    write_family(
+    gauge(
         &mut o,
         "lfmalloc_frag_external_permille",
-        "gauge",
         "External fragmentation of the small heap.",
+        f.external_frag_permille() as u64,
     );
-    let _ = writeln!(o, "lfmalloc_frag_external_permille {}", f.external_frag_permille());
-    write_family(&mut o, "lfmalloc_frag_committed_bytes", "gauge", "");
-    let _ = writeln!(o, "lfmalloc_frag_committed_bytes {}", f.small_committed_bytes);
-    write_family(&mut o, "lfmalloc_frag_live_bytes", "gauge", "");
-    let _ = writeln!(o, "lfmalloc_frag_live_bytes {}", f.small_live_bytes);
+    gauge(&mut o, "lfmalloc_frag_committed_bytes", "", f.small_committed_bytes);
+    gauge(&mut o, "lfmalloc_frag_live_bytes", "", f.small_live_bytes);
     write_family(&mut o, "lfmalloc_class_committed_bytes", "gauge", "");
     for c in &f.classes {
         let _ = writeln!(
@@ -530,23 +519,23 @@ impl<S: PageSource + Send + Sync + 'static> LfMalloc<S> {
     /// [`stop_metrics`](Self::stop_metrics) or instance drop.
     pub fn serve_metrics<A: ToSocketAddrs>(&self, addr: A) -> std::io::Result<SocketAddr> {
         let inner = self.inner();
-        let mut boxed = inner.stats.metrics.lock();
+        let mut boxed = inner.obs.stats.metrics.lock();
         // A pre-fork thread died with the parent's address space;
         // forget its handle so the child can re-serve.
         let cur_gen = malloc_api::procfork::generation();
         if boxed.spawn_gen != cur_gen && boxed.handle.is_some() {
             drop(boxed.handle.take());
             boxed.addr = None;
-            inner.stats.metrics.running.store(false, Ordering::Release);
+            inner.obs.stats.metrics.running.store(false, Ordering::Release);
         }
-        if inner.stats.metrics.running.load(Ordering::Acquire) {
+        if inner.obs.stats.metrics.running.load(Ordering::Acquire) {
             if let Some(addr) = boxed.addr {
                 return Ok(addr);
             }
         }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        inner.stats.metrics.stop.store(false, Ordering::Release);
+        inner.obs.stats.metrics.stop.store(false, Ordering::Release);
         let raw = RawInner::<S>(self.raw_inner());
         let handle = std::thread::Builder::new()
             .name("lfmalloc-metrics".into())
@@ -558,12 +547,12 @@ impl<S: PageSource + Send + Sync + 'static> LfMalloc<S> {
                 let inner = unsafe { raw.0.as_ref() };
                 loop {
                     let Ok((mut stream, _)) = listener.accept() else {
-                        if inner.stats.metrics.stop.load(Ordering::Acquire) {
+                        if inner.obs.stats.metrics.stop.load(Ordering::Acquire) {
                             break;
                         }
                         continue;
                     };
-                    if inner.stats.metrics.stop.load(Ordering::Acquire) {
+                    if inner.obs.stats.metrics.stop.load(Ordering::Acquire) {
                         break;
                     }
                     serve_one(&mut stream, &this);
@@ -572,7 +561,7 @@ impl<S: PageSource + Send + Sync + 'static> LfMalloc<S> {
         boxed.handle = Some(handle);
         boxed.addr = Some(local);
         boxed.spawn_gen = cur_gen;
-        inner.stats.metrics.running.store(true, Ordering::Release);
+        inner.obs.stats.metrics.running.store(true, Ordering::Release);
         Ok(local)
     }
 
@@ -603,11 +592,11 @@ fn serve_one<S: PageSource>(stream: &mut TcpStream, this: &LfMalloc<S>) {
 /// Free-function form of stop so `LfMalloc::drop` (no `Send + Sync`
 /// bound in scope) can call it.
 pub(crate) fn stop_metrics_inner<S: PageSource>(inner: &Inner<S>) -> bool {
-    let mut boxed = inner.stats.metrics.lock();
+    let mut boxed = inner.obs.stats.metrics.lock();
     let Some(handle) = boxed.handle.take() else {
         return false;
     };
-    inner.stats.metrics.stop.store(true, Ordering::Release);
+    inner.obs.stats.metrics.stop.store(true, Ordering::Release);
     let addr = boxed.addr.take();
     let stale = boxed.spawn_gen != malloc_api::procfork::generation();
     drop(boxed);
@@ -621,7 +610,7 @@ pub(crate) fn stop_metrics_inner<S: PageSource>(inner: &Inner<S>) -> bool {
         }
         let _ = handle.join();
     }
-    inner.stats.metrics.running.store(false, Ordering::Release);
+    inner.obs.stats.metrics.running.store(false, Ordering::Release);
     true
 }
 

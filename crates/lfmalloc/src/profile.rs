@@ -278,7 +278,7 @@ pub(crate) fn tick<S: PageSource>(
     requested: usize,
     site: &'static Location<'static>,
 ) {
-    let p = &inner.profile;
+    let p = &inner.obs.profile;
     let crossed = SAMPLER
         .try_with(|slot| {
             let (epoch, rng, countdown) = slot.get();
@@ -306,7 +306,7 @@ fn take_sample<S: PageSource>(
     requested: usize,
     site: &'static Location<'static>,
 ) {
-    let p = &inner.profile;
+    let p = &inner.obs.profile;
     let stride = p.params.stride_bytes;
     // Re-arm the countdown (switching instances re-seeds the stream so
     // each instance observes a deterministic phase).
@@ -373,7 +373,7 @@ fn take_sample<S: PageSource>(
 /// thread identity).
 #[inline]
 pub(crate) fn untick<S: PageSource>(inner: &Inner<S>, ptr: *mut u8) {
-    inner.profile.remove(ptr as usize);
+    inner.obs.profile.remove(ptr as usize);
 }
 
 /// An allocating call site (`#[track_caller]` provenance), rendered as
@@ -538,7 +538,7 @@ impl ProfileSnapshot {
                     "{{\"site\":\"{}\",\"live_samples\":{},\"live_bytes\":{},\
                      \"requested_bytes\":{},\"block_bytes\":{},\"threads\":{},\
                      \"top_class\":{},\"oldest_age_nanos\":{}}}",
-                    json_escape(&r.site.to_string()),
+                    malloc_api::json::escape(&r.site.to_string()),
                     r.live_samples,
                     r.live_bytes,
                     r.requested_bytes,
@@ -571,23 +571,6 @@ impl ProfileSnapshot {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl<S: PageSource> crate::instance::LfMalloc<S> {
     /// A point-in-time profiler snapshot: sampler counters plus every
     /// live sample with call-site, class, thread and age attribution.
@@ -597,7 +580,7 @@ impl<S: PageSource> crate::instance::LfMalloc<S> {
     /// allocation path.
     pub fn profile(&self) -> ProfileSnapshot {
         let inner = self.inner();
-        let p = &inner.profile;
+        let p = &inner.obs.profile;
         let now = monotonic_nanos();
         let live = p
             .collect_live()
@@ -702,13 +685,6 @@ mod tests {
         }
         assert_eq!(p.samples.get(), SAMPLE_TABLE_CAP as u64);
         assert_eq!(p.dropped.get(), 10);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain/path.rs"), "plain/path.rs");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
     }
 
     #[test]

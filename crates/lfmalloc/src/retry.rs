@@ -35,7 +35,7 @@ pub(crate) fn from_source<S: PageSource>(
     with_backoff(inner.config.oom_retries, || {
         let p = attempt();
         if p.is_null() {
-            crate::stat_global!(inner, oom_backoffs);
+            crate::observe::count_global(inner, crate::observe::Global::OomBackoffs);
             if !relieved {
                 relieved = true;
                 // SAFETY: every cached span is owned by the cache alone.

@@ -13,18 +13,23 @@
 //!   never orders them; a snapshot racing increments may be off by the
 //!   in-flight handful, which is the documented tolerance of
 //!   [`StatsSnapshot`].
-//! * **Zero cost when off.** Every increment goes through the
-//!   `stat!`/`stat_hist!`/`stat_global!`/`stat_event!` macros in
-//!   `lib.rs`, which compile to nothing without the feature — the same
-//!   pattern as `fail_point!`.
+//! * **Zero cost when off.** The core reports through
+//!   [`crate::observe`], whose functions have empty bodies without the
+//!   feature — the same contract as `fail_point!`.
+//! * **One schema.** The per-class counters are declared once, in
+//!   [`crate::schema`]; [`ClassStats`], the shard sums and
+//!   [`CLASS_COUNTERS`] are generated from that table and every renderer
+//!   loops over it.
 //!
-//! The event ring reuses the Vyukov [`BoundedQueue`]: fixed capacity,
-//! pre-allocated, never blocking. When full it overwrites the oldest
-//! event (pop once, retry) and counts what it had to drop.
+//! The event ring and the fragmentation series are one [`EvictRing`] over
+//! the Vyukov [`BoundedQueue`]: fixed capacity, pre-allocated, never
+//! blocking. When full it overwrites the oldest entry (pop once, retry)
+//! and counts what it had to drop.
 
 use crate::config::SB_SIZE;
 use crate::heap::ProcHeap;
-use crate::instance::{Inner, LfMalloc};
+use crate::instance::{Inner, LfMalloc, SysArray};
+use crate::schema::{Global, Lat};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use lockfree_structs::stats::StructsCasStats;
 use lockfree_structs::BoundedQueue;
@@ -34,7 +39,6 @@ use malloc_api::telemetry::{
 };
 use malloc_api::AllocStats;
 use osmem::PageSource;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 
 /// Capacity of the slow-path event ring (power of two; see
@@ -46,55 +50,14 @@ pub const EVENT_RING_CAP: usize = 1024;
 /// default 250 ms reaper period this holds the last ~64 s of history.
 pub const FRAG_SERIES_CAP: usize = 256;
 
-/// Live counters of one `(size class, heap)` pair. Padded to its own
-/// cache lines so neighbouring shards never false-share — the same
-/// guarantee `ProcHeap` itself makes.
+/// Live counters of one `(size class, heap)` pair: one per row of the
+/// schema's table, indexed by [`crate::schema::Count`], and the two CAS-retry
+/// histograms. Padded to its own cache lines so neighbouring shards never
+/// false-share — the same guarantee `ProcHeap` itself makes.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 pub(crate) struct ClassShard {
-    /// Mallocs served from the calling thread's magazine (no CAS).
-    pub malloc_cached: Counter,
-    /// Mallocs served by `MallocFromActive` (the two-CAS fast path),
-    /// magazine refills included: a refill hands its first block out.
-    pub malloc_fast: Counter,
-    /// Mallocs served by `MallocFromPartial`.
-    pub malloc_slow: Counter,
-    /// Mallocs served by `MallocFromNewSB`.
-    pub malloc_newsb: Counter,
-    /// Frees absorbed by the calling thread's magazine (no CAS; always
-    /// local). When such a block later goes home in a flush it is not
-    /// counted again.
-    pub free_cached: Counter,
-    /// Remote frees parked in the freeing thread's outbox (no CAS), in
-    /// the owning heap's shard. When such a block later goes home in an
-    /// outbox flush it is not counted again.
-    pub free_outbox: Counter,
-    /// Frees by the thread mapped to the owning heap.
-    pub free_local: Counter,
-    /// Frees by a thread mapped to a different heap that took the
-    /// paper's one-CAS push (remote frees that could not be parked).
-    pub free_remote: Counter,
-    /// Frees issued during TLS teardown (thread identity gone); also
-    /// counted under `free_remote` — see `heap::try_thread_id`.
-    pub free_teardown: Counter,
-    /// Frees that emptied their superblock (EMPTY transition).
-    pub free_empty: Counter,
-    /// `HeapPutPartial` executions (superblock parked partial).
-    pub partial_push: Counter,
-    /// `HeapGetPartial` successes (slot or class list).
-    pub partial_pop: Counter,
-    /// Blocks actually served out of a partial superblock.
-    pub partial_reuse: Counter,
-    /// EMPTY superblocks reopened where they were parked, by the malloc
-    /// that took their descriptor out of a heap slot or off a partial
-    /// list (a subset of `malloc_newsb`).
-    pub sb_reopen: Counter,
-    /// Magazine refills: k-block pops from the active superblock.
-    pub mag_refill: Counter,
-    /// Magazine overflows: half a magazine returned to its superblocks.
-    pub mag_flush: Counter,
-    /// Full outboxes sent home, one anchor CAS per superblock in them.
-    pub out_flush: Counter,
+    pub counts: [Counter; CLASS_COUNTERS.len()],
     /// Retries of the Active-word reservation CAS, per malloc.
     pub active_cas: Histogram<RETRY_BUCKETS>,
     /// Retries of Anchor CASes (pop/reserve/credit-return/free-link),
@@ -102,40 +65,7 @@ pub(crate) struct ClassShard {
     pub anchor_cas: Histogram<RETRY_BUCKETS>,
 }
 
-/// What happened on a slow path, recorded in the event ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum EventKind {
-    /// A fresh superblock was carved and installed (`MallocFromNewSB`).
-    SbAcquire,
-    /// A superblock went EMPTY and returned to the page pool.
-    SbRetire,
-    /// A FULL superblock re-entered circulation as PARTIAL.
-    HeapTransition,
-    /// An allocation attempt exhausted its OOM backoff budget.
-    OomBackoff,
-    /// `trim`/`trim_to` ran; `arg` is the bytes released.
-    Trim,
-    /// The liveness watchdog detected a CAS retry storm; `arg` is the
-    /// [`WatchSite`](crate::health::WatchSite) index.
-    LivenessStorm,
-    /// A maintenance pass completed; `arg` is the number of objects it
-    /// acted on (magazine blocks drained + flushed + pruned).
-    Maintain,
-    /// The process forked with this instance's atfork hooks registered
-    /// (recorded parent-side); `arg` is the parent's process generation.
-    Fork,
-    /// Child-side fork recovery completed; `arg` is the number of
-    /// blocks sent home from orphaned magazine slots (see
-    /// [`crate::fork`]).
-    ChildRecover,
-    /// A black-box crash report was emitted (recorded by the forensics
-    /// test hooks, never from the signal handler itself — the event
-    /// ring records a timestamp, which is not async-signal-safe).
-    CrashReport,
-    /// A post-mortem heap dump was written; `arg` is the dump version.
-    HeapDump,
-}
+pub use crate::schema::EventKind;
 
 impl EventKind {
     /// Stable lowercase label for reports and JSON.
@@ -169,34 +99,33 @@ pub struct Event {
     pub arg: u64,
 }
 
-/// Monotonic nanoseconds since the process's telemetry epoch — the same
-/// clock as the latency histograms and sample ages, so every timestamp
-/// in a report is directly comparable.
-fn now_nanos() -> u64 {
-    monotonic_nanos()
-}
-
-/// Fixed-capacity, lock-free ring of slow-path [`Event`]s.
+/// Fixed-capacity, lock-free ring that keeps the newest entries.
 ///
 /// Recording never blocks and never allocates: on a full ring the
-/// oldest event is popped to make room; if even that race is lost the
-/// event is dropped and counted.
+/// oldest entry is popped to make room; if even that race is lost the
+/// new one is dropped and counted.
 #[derive(Debug)]
-pub struct EventRing {
-    ring: Option<BoundedQueue<Event>>,
+pub struct EvictRing<T> {
+    ring: Option<BoundedQueue<T>>,
     dropped: Counter,
 }
 
-impl EventRing {
-    /// A ring of (at least) `cap` events; a failed buffer allocation
+/// The ring of slow-path [`Event`]s.
+pub type EventRing = EvictRing<Event>;
+
+/// The ring of [`FragSample`]s, sized for minutes of history.
+pub type FragSeries = EvictRing<FragSample>;
+
+impl<T> EvictRing<T> {
+    /// A ring of (at least) `cap` entries; a failed buffer allocation
     /// degrades to a ring that drops everything rather than failing
     /// instance construction.
     pub(crate) fn new(cap: usize) -> Self {
-        EventRing { ring: BoundedQueue::new(cap), dropped: Counter::new() }
+        EvictRing { ring: BoundedQueue::new(cap), dropped: Counter::new() }
     }
 
-    /// Records `ev`, overwriting the oldest event when full.
-    pub fn record(&self, ev: Event) {
+    /// Records `entry`, overwriting the oldest one when full.
+    pub fn record(&self, entry: T) {
         let Some(ring) = &self.ring else {
             self.dropped.inc();
             return;
@@ -209,12 +138,12 @@ impl EventRing {
         // none). Eight attempts make that outcome vanishingly rare
         // while still bounding the worst case; this path only runs on
         // slow-path events, never on the malloc/free fast path.
-        let mut ev = ev;
+        let mut entry = entry;
         for _ in 0..8 {
-            match ring.push(ev) {
+            match ring.push(entry) {
                 Ok(()) => return,
                 Err(back) => {
-                    ev = back;
+                    entry = back;
                     let _ = ring.pop(); // evict the oldest
                     core::hint::spin_loop();
                 }
@@ -223,12 +152,12 @@ impl EventRing {
         self.dropped.inc();
     }
 
-    /// Pops the oldest recorded event.
-    pub fn pop(&self) -> Option<Event> {
+    /// Pops the oldest recorded entry.
+    pub fn pop(&self) -> Option<T> {
         self.ring.as_ref()?.pop()
     }
 
-    /// Events lost to eviction races or a failed ring allocation.
+    /// Entries lost to eviction races or a failed ring allocation.
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
     }
@@ -271,113 +200,41 @@ impl FragSample {
     }
 }
 
-/// Bounded, lock-free ring of [`FragSample`]s — the same evict-oldest
-/// discipline as [`EventRing`], sized for minutes of history.
-#[derive(Debug)]
-pub struct FragSeries {
-    ring: Option<BoundedQueue<FragSample>>,
-}
-
-impl FragSeries {
-    pub(crate) fn new(cap: usize) -> Self {
-        FragSeries { ring: BoundedQueue::new(cap) }
-    }
-
-    /// Records a sample, evicting the oldest when full.
-    pub(crate) fn record(&self, s: FragSample) {
-        let Some(ring) = &self.ring else { return };
-        let mut s = s;
-        for _ in 0..2 {
-            match ring.push(s) {
-                Ok(()) => return,
-                Err(back) => {
-                    s = back;
-                    let _ = ring.pop();
-                }
-            }
-        }
-    }
-
-    /// Pops the oldest sample.
-    pub fn pop(&self) -> Option<FragSample> {
-        self.ring.as_ref()?.pop()
-    }
-}
-
 /// All live telemetry of one allocator instance: the shard array plus
 /// instance-global counters and the event ring.
 #[derive(Debug)]
 pub(crate) struct InstanceStats {
-    /// `NUM_CLASSES * nheaps` shards, system-allocated (zeroed), laid
+    /// `NUM_CLASSES * nheaps` shards, system-allocated, laid
     /// out exactly like the heap table: index `ci * nheaps + h`.
-    shards: *mut ClassShard,
-    nshards: usize,
-    /// Large blocks allocated / freed.
-    pub large_alloc: Counter,
-    pub large_free: Counter,
-    /// Large mallocs served from the span cache / from the source
-    /// (`hit + miss == large_alloc`), and large frees whose span went
-    /// straight back to the source instead of into the cache.
-    pub large_cache_hit: Counter,
-    pub large_cache_miss: Counter,
-    pub large_cache_bypass: Counter,
-    /// Failed attempts inside the OOM retry/backoff loops.
-    pub oom_backoffs: Counter,
-    /// `trim`/`trim_to` invocations.
-    pub trims: Counter,
+    shards: SysArray<ClassShard>,
+    /// The instance-wide counters, indexed by [`Global`].
+    pub globals: [Counter; Global::Trims as usize + 1],
     /// Slow-path trace ring.
     pub events: EventRing,
-    /// Per-op latency, split by operation and serving path. Instance-
-    /// global (not sharded): recording is two relaxed `fetch_add`s on
-    /// lines that the slow paths already own, and the fast-path hists
-    /// are only touched once per op.
-    pub lat_malloc_fast: LatencyHist,
-    pub lat_malloc_slow: LatencyHist,
-    pub lat_malloc_large: LatencyHist,
-    pub lat_free_fast: LatencyHist,
-    pub lat_free_slow: LatencyHist,
-    pub lat_free_large: LatencyHist,
-    /// Maintenance-pass and trim-pass durations.
-    pub lat_maintain: LatencyHist,
-    pub lat_trim: LatencyHist,
+    /// Per-op latency, split by operation and serving path and indexed
+    /// by [`Lat`] (the last two: maintenance-pass and trim-pass
+    /// durations). Instance-global, not sharded: recording is two relaxed
+    /// `fetch_add`s on lines that the slow paths already own.
+    pub lat: [LatencyHist; Lat::Trim as usize + 1],
     /// Fragmentation time series, fed by the maintenance pass.
     pub frag_series: FragSeries,
     /// Scrape-endpoint control plane (see [`crate::metrics`]).
     pub(crate) metrics: crate::metrics::MetricsState,
 }
 
-unsafe impl Send for InstanceStats {}
-unsafe impl Sync for InstanceStats {}
-
 impl InstanceStats {
     /// Allocates the shard array; `None` when the system allocator is
     /// exhausted.
     pub(crate) fn new(nshards: usize) -> Option<Self> {
-        let layout = Layout::array::<ClassShard>(nshards).ok()?;
-        // Zeroed memory is a valid ClassShard: every field is atomics.
-        let shards = unsafe { System.alloc_zeroed(layout) } as *mut ClassShard;
-        if shards.is_null() {
-            return None;
+        let mut shards = SysArray::new(nshards).ok()?;
+        for _ in 0..nshards {
+            shards.push(ClassShard::default());
         }
         Some(InstanceStats {
             shards,
-            nshards,
-            large_alloc: Counter::new(),
-            large_free: Counter::new(),
-            large_cache_hit: Counter::new(),
-            large_cache_miss: Counter::new(),
-            large_cache_bypass: Counter::new(),
-            oom_backoffs: Counter::new(),
-            trims: Counter::new(),
+            globals: core::array::from_fn(|_| Counter::new()),
             events: EventRing::new(EVENT_RING_CAP),
-            lat_malloc_fast: LatencyHist::new(),
-            lat_malloc_slow: LatencyHist::new(),
-            lat_malloc_large: LatencyHist::new(),
-            lat_free_fast: LatencyHist::new(),
-            lat_free_slow: LatencyHist::new(),
-            lat_free_large: LatencyHist::new(),
-            lat_maintain: LatencyHist::new(),
-            lat_trim: LatencyHist::new(),
+            lat: core::array::from_fn(|_| LatencyHist::new()),
             frag_series: FragSeries::new(FRAG_SERIES_CAP),
             metrics: crate::metrics::MetricsState::new(),
         })
@@ -386,25 +243,14 @@ impl InstanceStats {
     /// Shard at flat index `idx` (`ci * nheaps + h`).
     #[inline]
     pub(crate) fn shard(&self, idx: usize) -> &ClassShard {
-        debug_assert!(idx < self.nshards);
-        unsafe { &*self.shards.add(idx) }
+        debug_assert!(idx < self.shards.len);
+        unsafe { &*self.shards.ptr.add(idx) }
     }
 
     /// Records a timestamped slow-path event.
     #[inline]
     pub(crate) fn record_event(&self, kind: EventKind, class: u16, arg: u64) {
-        self.events.record(Event { nanos: now_nanos(), kind, class, arg });
-    }
-}
-
-impl Drop for InstanceStats {
-    fn drop(&mut self) {
-        unsafe {
-            System.dealloc(
-                self.shards as *mut u8,
-                Layout::array::<ClassShard>(self.nshards).unwrap(),
-            );
-        }
+        self.events.record(Event { nanos: monotonic_nanos(), kind, class, arg });
     }
 }
 
@@ -414,43 +260,94 @@ impl<S: PageSource> Inner<S> {
     pub(crate) fn shard(&self, heap: &ProcHeap) -> &ClassShard {
         let idx = (heap as *const ProcHeap as usize - self.heaps as usize)
             / core::mem::size_of::<ProcHeap>();
-        self.stats.shard(idx)
+        self.obs.stats.shard(idx)
+    }
+
+    /// Class `ci`'s counters summed over its heaps (allocation-free).
+    pub(crate) fn class_stats(&self, ci: usize) -> ClassStats {
+        let mut c = ClassStats { class: ci, block_size: CLASS_SIZES[ci], ..Default::default() };
+        for h in 0..self.nheaps {
+            let shard = self.obs.stats.shard(ci * self.nheaps + h);
+            c.add_each(|i| shard.counts[i].get());
+            c.add_retries(&shard.active_cas.snapshot(), &shard.anchor_cas.snapshot());
+        }
+        c
     }
 }
 
-/// Aggregated counters of one size class (all heaps summed), or of the
-/// whole instance in [`StatsSnapshot::totals`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Size-class index.
-    pub class: usize,
-    /// Block size of the class (0 in `totals`).
-    pub block_size: u32,
-    pub malloc_cached: u64,
-    pub malloc_fast: u64,
-    pub malloc_slow: u64,
-    pub malloc_newsb: u64,
-    pub free_cached: u64,
-    pub free_outbox: u64,
-    pub free_local: u64,
-    pub free_remote: u64,
-    /// TLS-teardown frees (a subset of `free_remote`).
-    pub free_teardown: u64,
-    pub free_empty: u64,
-    pub partial_push: u64,
-    pub partial_pop: u64,
-    pub partial_reuse: u64,
-    /// Reopened-in-place superblocks (a subset of `malloc_newsb`).
-    pub sb_reopen: u64,
-    pub mag_refill: u64,
-    pub mag_flush: u64,
-    pub out_flush: u64,
-    /// Active-word reservation CAS retries per malloc, bucketed
-    /// 0 / 1 / 2–3 / ... / 64+ (see [`bucket_label`]).
-    pub active_cas: [u64; RETRY_BUCKETS],
-    /// Anchor CAS retries per operation, same buckets.
-    pub anchor_cas: [u64; RETRY_BUCKETS],
+/// One row of the per-class counter schema ([`CLASS_COUNTERS`]).
+#[derive(Clone, Copy, Debug)]
+pub struct CounterInfo {
+    /// The [`ClassStats`] field, and the key in the JSON.
+    pub name: &'static str,
+    /// OpenMetrics family (its samples end `_total`) and this counter's
+    /// label in it, `key="value"` or empty.
+    pub family: &'static str,
+    pub label: &'static str,
+    /// One line saying what is counted.
+    pub help: &'static str,
+    /// Reads the counter out of a [`ClassStats`].
+    pub get: fn(&ClassStats) -> u64,
 }
+
+macro_rules! class_stats {
+    ($($field:ident $variant:ident $family:literal $label:literal $help:literal;)*) => {
+        /// Aggregated counters of one size class (all heaps summed), or of the
+        /// whole instance in [`StatsSnapshot::totals`].
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct ClassStats {
+            /// Size-class index.
+            pub class: usize,
+            /// Block size of the class (0 in `totals`).
+            pub block_size: u32,
+            $(#[doc = $help] pub $field: u64,)*
+            /// Active-word reservation CAS retries per malloc, bucketed
+            /// 0 / 1 / 2–3 / ... / 64+ (see [`bucket_label`]).
+            pub active_cas: [u64; RETRY_BUCKETS],
+            /// Anchor CAS retries per operation, same buckets.
+            pub anchor_cas: [u64; RETRY_BUCKETS],
+        }
+
+        /// The per-class counters, in [`ClassStats`] field order: what
+        /// every renderer (and `lfstat`) loops over.
+        pub const CLASS_COUNTERS: &[CounterInfo] = &[$(CounterInfo {
+            name: stringify!($field),
+            family: $family,
+            label: $label,
+            help: $help,
+            get: |c| c.$field,
+        }),*];
+
+        impl ClassStats {
+            /// Adds `n(i)` to the counter of row `i`, for every row.
+            fn add_each(&mut self, n: impl Fn(usize) -> u64) {
+                for (i, field) in [$(&mut self.$field),*].into_iter().enumerate() {
+                    *field += n(i);
+                }
+            }
+        }
+    };
+}
+crate::schema::class_counters!(class_stats);
+
+type RetryBuckets = [u64; RETRY_BUCKETS];
+
+/// The two CAS-retry histograms of a [`ClassStats`]: field name (and JSON
+/// key), OpenMetrics family, help line, accessor.
+pub(crate) const RETRY_HISTOGRAMS: [(&str, &str, &str, fn(&ClassStats) -> &RetryBuckets); 2] = [
+    (
+        "active_cas",
+        "lfmalloc_active_cas_retries",
+        "Retries of the Active-word reservation CAS, per malloc that reserved.",
+        |c| &c.active_cas,
+    ),
+    (
+        "anchor_cas",
+        "lfmalloc_anchor_cas_retries",
+        "Retries of an Anchor CAS (pop, reserve, credit return, free link), per CAS loop.",
+        |c| &c.anchor_cas,
+    ),
+];
 
 impl ClassStats {
     /// All small mallocs of the class: each was served by exactly one of
@@ -470,87 +367,27 @@ impl ClassStats {
         self.free_outbox + self.free_remote
     }
 
-    fn accumulate(&mut self, shard: &ClassShard) {
-        self.malloc_cached += shard.malloc_cached.get();
-        self.malloc_fast += shard.malloc_fast.get();
-        self.malloc_slow += shard.malloc_slow.get();
-        self.malloc_newsb += shard.malloc_newsb.get();
-        self.free_cached += shard.free_cached.get();
-        self.free_outbox += shard.free_outbox.get();
-        self.free_local += shard.free_local.get();
-        self.free_remote += shard.free_remote.get();
-        self.free_teardown += shard.free_teardown.get();
-        self.free_empty += shard.free_empty.get();
-        self.partial_push += shard.partial_push.get();
-        self.partial_pop += shard.partial_pop.get();
-        self.partial_reuse += shard.partial_reuse.get();
-        self.sb_reopen += shard.sb_reopen.get();
-        self.mag_refill += shard.mag_refill.get();
-        self.mag_flush += shard.mag_flush.get();
-        self.out_flush += shard.out_flush.get();
-        let a = shard.active_cas.snapshot();
-        let n = shard.anchor_cas.snapshot();
+    fn add_retries(&mut self, active: &RetryBuckets, anchor: &RetryBuckets) {
         for i in 0..RETRY_BUCKETS {
-            self.active_cas[i] += a[i];
-            self.anchor_cas[i] += n[i];
+            self.active_cas[i] += active[i];
+            self.anchor_cas[i] += anchor[i];
         }
     }
 
     fn add(&mut self, other: &ClassStats) {
-        self.malloc_cached += other.malloc_cached;
-        self.malloc_fast += other.malloc_fast;
-        self.malloc_slow += other.malloc_slow;
-        self.malloc_newsb += other.malloc_newsb;
-        self.free_cached += other.free_cached;
-        self.free_outbox += other.free_outbox;
-        self.free_local += other.free_local;
-        self.free_remote += other.free_remote;
-        self.free_teardown += other.free_teardown;
-        self.free_empty += other.free_empty;
-        self.partial_push += other.partial_push;
-        self.partial_pop += other.partial_pop;
-        self.partial_reuse += other.partial_reuse;
-        self.sb_reopen += other.sb_reopen;
-        self.mag_refill += other.mag_refill;
-        self.mag_flush += other.mag_flush;
-        self.out_flush += other.out_flush;
-        for i in 0..RETRY_BUCKETS {
-            self.active_cas[i] += other.active_cas[i];
-            self.anchor_cas[i] += other.anchor_cas[i];
-        }
+        self.add_each(|i| (CLASS_COUNTERS[i].get)(other));
+        self.add_retries(&other.active_cas, &other.anchor_cas);
     }
 
     fn to_json(&self) -> String {
-        format!(
-            "{{\"class\":{},\"size\":{},\"malloc_cached\":{},\"malloc_fast\":{},\
-             \"malloc_slow\":{},\"malloc_newsb\":{},\"free_cached\":{},\
-             \"free_outbox\":{},\"free_local\":{},\"free_remote\":{},\
-             \"free_teardown\":{},\"free_empty\":{},\
-             \"partial_push\":{},\"partial_pop\":{},\"partial_reuse\":{},\
-             \"sb_reopen\":{},\"mag_refill\":{},\"mag_flush\":{},\"out_flush\":{},\
-             \"active_cas\":{},\"anchor_cas\":{}}}",
-            self.class,
-            self.block_size,
-            self.malloc_cached,
-            self.malloc_fast,
-            self.malloc_slow,
-            self.malloc_newsb,
-            self.free_cached,
-            self.free_outbox,
-            self.free_local,
-            self.free_remote,
-            self.free_teardown,
-            self.free_empty,
-            self.partial_push,
-            self.partial_pop,
-            self.partial_reuse,
-            self.sb_reopen,
-            self.mag_refill,
-            self.mag_flush,
-            self.out_flush,
-            json_array(&self.active_cas),
-            json_array(&self.anchor_cas),
-        )
+        let mut out = format!("{{\"class\":{},\"size\":{}", self.class, self.block_size);
+        for c in CLASS_COUNTERS {
+            out.push_str(&format!(",\"{}\":{}", c.name, (c.get)(self)));
+        }
+        for (name, _, _, get) in &RETRY_HISTOGRAMS {
+            out.push_str(&format!(",\"{}\":{}", name, json_array(get(self))));
+        }
+        out + "}"
     }
 }
 
@@ -561,17 +398,28 @@ fn json_array(v: &[u64]) -> String {
 
 /// Per-op latency distributions of the snapshot, one
 /// [`LatencySnapshot`] per (operation, serving path) pair.
+///
+/// **What is timed is the lock-free core, not the call.** A magazine hit
+/// — the common malloc and the common free since DESIGN.md §15 — reads
+/// no clock and appears in none of these: the small-block rows time the
+/// trips *past* the magazine (a refill's k-block pop, a miss's ladder, a
+/// flush's chain push), which is why their counts are far below
+/// `mallocs()`/`frees()`. A clock read costs more than a hit.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyStats {
-    /// Mallocs served by the Active fast path.
+    /// Trips down the malloc ladder served by `MallocFromActive`: a
+    /// magazine refill's k-block pop, or one block for a thread without a
+    /// magazine. Never a magazine hit.
     pub malloc_fast: LatencySnapshot,
-    /// Mallocs served by a partial or fresh superblock.
+    /// Ladder trips served by a partial or newly opened superblock.
     pub malloc_slow: LatencySnapshot,
     /// Large (direct-mmap) allocations.
     pub malloc_large: LatencySnapshot,
-    /// Frees that were a plain free-list push.
+    /// Anchor pushes that were a plain free-list push: one block, or a
+    /// magazine or outbox flush's chain. Never a free the magazine or the
+    /// outbox absorbed.
     pub free_fast: LatencySnapshot,
-    /// Frees that emptied a superblock or relinked FULL→PARTIAL.
+    /// Pushes that emptied a superblock or relinked FULL→PARTIAL.
     pub free_slow: LatencySnapshot,
     /// Large-block releases.
     pub free_large: LatencySnapshot,
@@ -582,7 +430,8 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// All malloc paths combined.
+    /// Every *timed* malloc path combined: refills, misses and large
+    /// blocks. Magazine hits are not in it (see the type's docs).
     pub fn malloc_all(&self) -> LatencySnapshot {
         let mut m = self.malloc_fast;
         m.merge(&self.malloc_slow);
@@ -590,7 +439,8 @@ impl LatencyStats {
         m
     }
 
-    /// All free paths combined.
+    /// Every *timed* free path combined: anchor pushes and large frees,
+    /// not the frees a magazine or an outbox absorbed.
     pub fn free_all(&self) -> LatencySnapshot {
         let mut m = self.free_fast;
         m.merge(&self.free_slow);
@@ -664,6 +514,15 @@ impl FragClass {
     }
 }
 
+/// `(committed, live)` bytes of a class, as [`FragClass`] defines them.
+fn frag_bytes(c: &ClassStats) -> (u64, u64) {
+    let committed = c.malloc_newsb.saturating_sub(c.free_empty) * SB_SIZE as u64;
+    let live = c.mallocs().saturating_sub(c.frees()) * c.block_size as u64;
+    // Clamp to committed: racing counters (or blocks freed into a
+    // just-retired superblock) can momentarily overshoot.
+    (committed, live.min(committed))
+}
+
 fn frag_permille(live: u64, committed: u64) -> u32 {
     if committed == 0 {
         0
@@ -692,12 +551,7 @@ impl FragmentationStats {
     fn compute(classes: &[ClassStats], large_live_bytes: u64) -> Self {
         let mut out = FragmentationStats { large_live_bytes, ..Default::default() };
         for c in classes {
-            let committed =
-                c.malloc_newsb.saturating_sub(c.free_empty) * SB_SIZE as u64;
-            let live = c.mallocs().saturating_sub(c.frees()) * c.block_size as u64;
-            // Clamp to committed: racing counters (or blocks freed into
-            // a just-retired superblock) can momentarily overshoot.
-            let live = live.min(committed);
+            let (committed, live) = frag_bytes(c);
             if committed == 0 {
                 continue;
             }
@@ -746,30 +600,15 @@ impl FragmentationStats {
 /// every maintenance pass). Allocation-free: sums the shard counters
 /// into scalars and pushes into the bounded ring.
 pub(crate) fn record_frag_sample<S: PageSource>(inner: &Inner<S>) {
-    let mut committed = 0u64;
-    let mut live = 0u64;
+    let (mut committed, mut live) = (0u64, 0u64);
     for ci in 0..NUM_CLASSES {
-        let (mut newsb, mut empt, mut mallocs, mut frees) = (0u64, 0u64, 0u64, 0u64);
-        for h in 0..inner.nheaps {
-            let s = inner.stats.shard(ci * inner.nheaps + h);
-            newsb += s.malloc_newsb.get();
-            empt += s.free_empty.get();
-            mallocs += s.malloc_cached.get()
-                + s.malloc_fast.get()
-                + s.malloc_slow.get()
-                + s.malloc_newsb.get();
-            frees += s.free_cached.get()
-                + s.free_outbox.get()
-                + s.free_local.get()
-                + s.free_remote.get();
-        }
-        let c = newsb.saturating_sub(empt) * SB_SIZE as u64;
+        let (c, l) = frag_bytes(&inner.class_stats(ci));
         committed += c;
-        live += (mallocs.saturating_sub(frees) * CLASS_SIZES[ci] as u64).min(c);
+        live += l;
     }
     let large = inner.large_live().1 as u64;
-    inner.stats.frag_series.record(FragSample {
-        nanos: now_nanos(),
+    inner.obs.stats.frag_series.record(FragSample {
+        nanos: monotonic_nanos(),
         small_committed_bytes: committed,
         small_live_bytes: live,
         large_live_bytes: large,
@@ -853,6 +692,10 @@ impl StatsSnapshot {
             .map(ClassStats::to_json)
             .collect();
         let r = &self.reconciliation;
+        #[cfg(feature = "profile")]
+        let profile = format!(",\"profile\":{}", self.profile.to_json());
+        #[cfg(not(feature = "profile"))]
+        let profile = "";
         format!(
             "{{\"allocator\":\"lfmalloc\",\"totals\":{},\"classes\":[{}],\
              \"large\":{{\"alloc\":{},\"free\":{},\"live\":{},\"cache_hit\":{},\
@@ -897,16 +740,7 @@ impl StatsSnapshot {
             self.health.to_json(),
             self.latency.to_json(),
             self.fragmentation.to_json(),
-            {
-                #[cfg(feature = "profile")]
-                {
-                    format!(",\"profile\":{}", self.profile.to_json())
-                }
-                #[cfg(not(feature = "profile"))]
-                {
-                    String::new()
-                }
-            },
+            profile,
         )
     }
 }
@@ -917,50 +751,42 @@ impl<S: PageSource> LfMalloc<S> {
     /// drain the event ring (use [`take_events`](Self::take_events)).
     pub fn stats(&self) -> StatsSnapshot {
         let inner = self.inner();
-        let mut classes: Vec<ClassStats> = (0..NUM_CLASSES)
-            .map(|ci| ClassStats {
-                class: ci,
-                block_size: CLASS_SIZES[ci],
-                ..ClassStats::default()
-            })
-            .collect();
-        for ci in 0..NUM_CLASSES {
-            for h in 0..inner.nheaps {
-                classes[ci].accumulate(inner.stats.shard(ci * inner.nheaps + h));
-            }
-        }
+        let classes: Vec<ClassStats> = (0..NUM_CLASSES).map(|ci| inner.class_stats(ci)).collect();
         let mut totals = ClassStats::default();
         for c in &classes {
             totals.add(c);
         }
+        let st = &inner.obs.stats;
+        let lat = |path: Lat| st.lat[path as usize].snapshot();
         let latency = LatencyStats {
-            malloc_fast: inner.stats.lat_malloc_fast.snapshot(),
-            malloc_slow: inner.stats.lat_malloc_slow.snapshot(),
-            malloc_large: inner.stats.lat_malloc_large.snapshot(),
-            free_fast: inner.stats.lat_free_fast.snapshot(),
-            free_slow: inner.stats.lat_free_slow.snapshot(),
-            free_large: inner.stats.lat_free_large.snapshot(),
-            maintain: inner.stats.lat_maintain.snapshot(),
-            trim: inner.stats.lat_trim.snapshot(),
+            malloc_fast: lat(Lat::MallocFast),
+            malloc_slow: lat(Lat::MallocSlow),
+            malloc_large: lat(Lat::MallocLarge),
+            free_fast: lat(Lat::FreeFast),
+            free_slow: lat(Lat::FreeSlow),
+            free_large: lat(Lat::FreeLarge),
+            maintain: lat(Lat::Maintain),
+            trim: lat(Lat::Trim),
         };
+        let global = |g: Global| st.globals[g as usize].get();
         let (large_live, large_live_bytes) = inner.large_live();
         let fragmentation = FragmentationStats::compute(&classes, large_live_bytes as u64);
         StatsSnapshot {
             classes,
             totals,
-            large_alloc: inner.stats.large_alloc.get(),
-            large_free: inner.stats.large_free.get(),
+            large_alloc: global(Global::LargeAlloc),
+            large_free: global(Global::LargeFree),
             large_live: large_live as u64,
-            large_cache_hit: inner.stats.large_cache_hit.get(),
-            large_cache_miss: inner.stats.large_cache_miss.get(),
-            large_cache_bypass: inner.stats.large_cache_bypass.get(),
-            oom_backoffs: inner.stats.oom_backoffs.get(),
-            trims: inner.stats.trims.get(),
-            events_dropped: inner.stats.events.dropped(),
+            large_cache_hit: global(Global::LargeCacheHit),
+            large_cache_miss: global(Global::LargeCacheMiss),
+            large_cache_bypass: global(Global::LargeCacheBypass),
+            oom_backoffs: global(Global::OomBackoffs),
+            trims: global(Global::Trims),
+            events_dropped: st.events.dropped(),
             structs_cas: lockfree_structs::stats::snapshot(),
             os: inner.source.stats(),
             sb_carves: inner.sb_pool.carve_count(),
-            desc_carves: inner.desc_pool.carve_count(),
+            desc_carves: inner.desc_pool.slabs.carve_count(),
             reconciliation: inner.reconcile_bytes(),
             health: self.health(),
             latency,
@@ -973,7 +799,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// Drains and returns the recorded slow-path events, oldest first.
     pub fn take_events(&self) -> Vec<Event> {
         let mut out = Vec::new();
-        while let Some(ev) = self.inner().stats.events.pop() {
+        while let Some(ev) = self.inner().obs.stats.events.pop() {
             out.push(ev);
         }
         out
@@ -983,7 +809,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// (one point per maintenance pass; see [`FragSample`]).
     pub fn take_frag_series(&self) -> Vec<FragSample> {
         let mut out = Vec::new();
-        while let Some(s) = self.inner().stats.frag_series.pop() {
+        while let Some(s) = self.inner().obs.stats.frag_series.pop() {
             out.push(s);
         }
         out
@@ -1040,7 +866,11 @@ impl<S: PageSource> LfMalloc<S> {
             s.health.large_cached_bytes
         )?;
         writeln!(w, "oom backoff attempts: {}   trims: {}", s.oom_backoffs, s.trims)?;
-        writeln!(w, "latency (ns, power-of-two bucket upper bounds):")?;
+        writeln!(
+            w,
+            "latency of the trips past the magazine — refills, misses, flushes, large blocks; \
+             a hit is never timed (ns, power-of-two bucket upper bounds):"
+        )?;
         writeln!(
             w,
             "  {:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
@@ -1111,8 +941,9 @@ impl<S: PageSource> LfMalloc<S> {
             }
         }
         writeln!(w, "cas retries per operation:")?;
-        write_histogram(w, "  active (reserve)", &t.active_cas)?;
-        write_histogram(w, "  anchor (pop/free)", &t.anchor_cas)?;
+        for (name, _, _, get) in &RETRY_HISTOGRAMS {
+            write_histogram(w, name, get(t))?;
+        }
         writeln!(
             w,
             "descriptors: {} slots = {} avail + {} reserve + {} warm + {} on partial lists + {} in use; \
@@ -1183,33 +1014,18 @@ impl<S: PageSource> LfMalloc<S> {
             h.fork_recoveries,
             self.misuse_counters().count(crate::harden::MisuseKind::ReentrantAlloc)
         )?;
+        writeln!(w, "counters, all classes (a class's row below prints its nonzero ones):")?;
+        for c in CLASS_COUNTERS {
+            writeln!(w, "  {:<13} {:>12}  {}", c.name, (c.get)(t), c.help)?;
+        }
         writeln!(w, "per size class (active classes only):")?;
-        writeln!(
-            w,
-            "  {:>5} {:>7} {:>10} {:>7} {:>10} {:>8} {:>7} {:>18}",
-            "class", "size", "mallocs", "fast%", "frees", "remote", "new-sb", "partial p/p/reuse"
-        )?;
         for c in s.classes.iter().filter(|c| c.mallocs() + c.frees() > 0) {
-            // "fast" as the application sees it: no slow-path rung.
-            let fast_pct = if c.mallocs() > 0 {
-                100.0 * (c.malloc_cached + c.malloc_fast) as f64 / c.mallocs() as f64
-            } else {
-                0.0
-            };
-            writeln!(
-                w,
-                "  {:>5} {:>7} {:>10} {:>6.1}% {:>10} {:>8} {:>7} {:>7}/{}/{}",
-                c.class,
-                c.block_size,
-                c.mallocs(),
-                fast_pct,
-                c.frees(),
-                c.remote_frees(),
-                c.malloc_newsb,
-                c.partial_push,
-                c.partial_pop,
-                c.partial_reuse
-            )?;
+            let (ci, sz, mallocs, frees) = (c.class, c.block_size, c.mallocs(), c.frees());
+            write!(w, "  class {ci:>2} ({sz:>4} B): {mallocs} mallocs, {frees} frees:")?;
+            for d in CLASS_COUNTERS.iter().filter(|d| (d.get)(c) > 0) {
+                write!(w, " {}={}", d.name, (d.get)(c))?;
+            }
+            writeln!(w)?;
         }
         let events = self.take_events();
         writeln!(w, "events: {} recorded, {} dropped", events.len(), s.events_dropped)?;
@@ -1233,20 +1049,12 @@ fn write_histogram(
     name: &str,
     buckets: &[u64; RETRY_BUCKETS],
 ) -> std::io::Result<()> {
-    write!(w, "{name}:")?;
+    write!(w, "  {name}:")?;
     for (i, count) in buckets.iter().enumerate() {
         write!(w, "  {}:{}", bucket_label(i, RETRY_BUCKETS), count)?;
     }
     writeln!(w)
 }
-
-/// Whether `heap` is the heap the *calling thread* would use for its
-/// class — the local/remote free discriminator.
-#[inline]
-pub(crate) fn is_local_heap<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> bool {
-    core::ptr::eq(inner.heap_for(heap.class()), heap)
-}
-
 
 #[cfg(test)]
 mod tests {
@@ -1294,6 +1102,38 @@ mod tests {
             events.iter().any(|e| e.kind == EventKind::SbAcquire),
             "superblock acquisition was traced: {events:?}"
         );
+    }
+
+    /// The schema is what the renderers loop over: every row of the
+    /// table, and both retry histograms, in the JSON, the text dump and
+    /// the OpenMetrics exposition — a row added to the table is in all
+    /// three with no other edit.
+    #[test]
+    fn every_counter_is_in_every_renderer() {
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        unsafe { a.free(a.malloc(64)) };
+        let json = a.stats().to_json();
+        let mut dump = Vec::new();
+        a.dump_stats(&mut dump).unwrap();
+        let dump = String::from_utf8(dump).unwrap();
+        let om = a.render_openmetrics();
+        crate::metrics::check_openmetrics(&om).expect("exposition well-formed");
+        assert_eq!(CLASS_COUNTERS.len(), 17);
+        for c in CLASS_COUNTERS {
+            let sample = match c.label {
+                "" => format!("{}_total ", c.family),
+                label => format!("{}_total{{{label}}} ", c.family),
+            };
+            assert!(json.contains(&format!("\"{}\":", c.name)), "{} not in the JSON", c.name);
+            assert!(dump.contains(&format!("  {} ", c.name)), "{} not in the dump", c.name);
+            assert!(om.contains(&sample), "{sample}not in the exposition");
+        }
+        for (name, family, ..) in &RETRY_HISTOGRAMS {
+            assert!(json.contains(&format!("\"{name}\":[")), "{name} not in the JSON");
+            assert!(dump.contains(&format!("  {name}:")), "{name} not in the dump");
+            let last = format!("{family}_bucket{{le=\"+Inf\"}} ");
+            assert!(om.contains(&last), "{family} not in the exposition");
+        }
     }
 
     #[test]

@@ -66,8 +66,11 @@ pub(crate) fn stamp_alive(stamp: u64) -> bool {
 /// Per-thread allocator state. All `Cell`s: only the owning thread (and
 /// signal handlers running on it) ever touch it.
 pub(crate) struct ThreadBlock {
-    /// True while this thread is inside an allocator entry point.
-    in_alloc: Cell<bool>,
+    /// True while this thread is inside an allocator entry point. Read
+    /// from outside by the crash reporter alone: whether the fault
+    /// interrupted the allocator itself or plain application code is one
+    /// TLS flag read, async-signal-safe.
+    pub(crate) in_alloc: Cell<bool>,
     /// Set by the exit sentinel: the thread is running TLS destructors
     /// and must not take a magazine slot it can no longer give up.
     exiting: Cell<bool>,
@@ -251,15 +254,6 @@ pub(crate) fn enter_alloc() -> Option<AllocGuard> {
         tb.ensure_fresh();
         Some(AllocGuard { tb })
     })
-}
-
-/// Whether the calling thread is currently inside an allocator entry
-/// point. Read-only and async-signal-safe (one TLS flag read): the
-/// crash reporter uses it to say whether the fault interrupted the
-/// allocator itself or plain application code.
-#[cfg(feature = "forensics")]
-pub(crate) fn in_allocator() -> bool {
-    BLOCK.with(|tb| tb.in_alloc.get())
 }
 
 /// The calling thread's id, or `None` once its exit sentinel has run

@@ -35,6 +35,7 @@
 
 pub mod block;
 pub mod failpoints;
+pub mod json;
 pub mod layout;
 pub mod procfork;
 pub mod stats;

@@ -18,211 +18,16 @@
 //! bytes. `FILE` of `-` reads stdin; records may be surrounded by other
 //! output lines (the last JSON object line wins).
 //!
-//! The JSON reader below is deliberately minimal and dependency-free —
-//! enough for the allocator's own records, not a general parser.
+//! Records are read with the workspace's one JSON reader
+//! (`malloc_api::json`), and the per-class counter rows of `print` and
+//! `diff` come from the allocator's public schema table
+//! (`lfmalloc::stats::CLASS_COUNTERS`): a counter added there shows up
+//! here with no edit.
 
+use lfmalloc::stats::CLASS_COUNTERS;
 use lfmalloc_repro::prelude::*;
+use malloc_api::json::{self, Json};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// Minimal JSON model
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Walks `a.b.c` through nested objects.
-    fn get(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for key in path.split('.') {
-            let Json::Obj(fields) = cur else { return None };
-            cur = &fields.iter().find(|(k, _)| k == key)?.1;
-        }
-        Some(cur)
-    }
-
-    fn num(&self, path: &str) -> f64 {
-        match self.get(path) {
-            Some(Json::Num(n)) => *n,
-            _ => 0.0,
-        }
-    }
-
-    fn u64(&self, path: &str) -> u64 {
-        self.num(path) as u64
-    }
-
-    fn str(&self, path: &str) -> &str {
-        match self.get(path) {
-            Some(Json::Str(s)) => s,
-            _ => "",
-        }
-    }
-
-    fn arr(&self, path: &str) -> &[Json] {
-        match self.get(path) {
-            Some(Json::Arr(v)) => v,
-            _ => &[],
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { b: s.as_bytes(), i: 0 }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i).copied().ok_or("unterminated string")? {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let esc = self.b.get(self.i).copied().ok_or("bad escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        }
-                        c => out.push(c as char),
-                    }
-                }
-                c => {
-                    self.i += 1;
-                    out.push(c as char);
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("bad array at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(v));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            v.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(v));
-                }
-                _ => return Err(format!("bad object at byte {}", self.i)),
-            }
-        }
-    }
-}
 
 /// Loads the last JSON-object line of `path` (`-` = stdin): stats-JSON
 /// records are emitted as the final stdout line by convention, so demo
@@ -249,7 +54,7 @@ fn load_record(path: &str) -> Json {
         });
     // Bench records wrap the allocator stats: unwrap a top-level
     // "stats" field when present.
-    let v = Parser::new(line.trim()).value().unwrap_or_else(|e| {
+    let v = json::parse(line.trim()).unwrap_or_else(|e| {
         eprintln!("lfstat: {path}: {e}");
         std::process::exit(2);
     });
@@ -346,6 +151,10 @@ fn print_record(rec: &Json) {
         rec.u64("oom_backoffs"),
         rec.u64("events_dropped"),
     );
+    println!("  every per-class counter, all classes:");
+    for c in CLASS_COUNTERS {
+        println!("    {:<14} {:>14}  {}", c.name, t.u64(c.name), c.help);
+    }
     if rec.get("health.descriptor_slots").is_some() {
         let listed: f64 = rec
             .arr("health.partial_listed")
@@ -454,19 +263,9 @@ fn print_sites(rec: &Json, n: usize) {
 
 fn print_diff(a: &Json, b: &Json) {
     println!("{:<34} {:>14} {:>14} {:>14}", "counter", "before", "after", "delta");
-    let rows: &[(&str, &str)] = &[
-        ("small mallocs (cached)", "totals.malloc_cached"),
-        ("small mallocs (fast)", "totals.malloc_fast"),
-        ("small mallocs (partial)", "totals.malloc_slow"),
-        ("small mallocs (new sb)", "totals.malloc_newsb"),
-        ("small frees (cached)", "totals.free_cached"),
-        ("small frees (outbox)", "totals.free_outbox"),
-        ("small frees (local)", "totals.free_local"),
-        ("small frees (remote)", "totals.free_remote"),
-        ("magazine refills", "totals.mag_refill"),
-        ("magazine flushes", "totals.mag_flush"),
-        ("outbox flushes", "totals.out_flush"),
-        ("superblocks retired", "totals.free_empty"),
+    let counters =
+        CLASS_COUNTERS.iter().map(|c| (c.name.to_string(), format!("totals.{}", c.name)));
+    let rest = [
         ("large allocs", "large.alloc"),
         ("large frees", "large.free"),
         ("large span-cache hits", "large.cache_hit"),
@@ -482,8 +281,9 @@ fn print_diff(a: &Json, b: &Json) {
         ("p99 malloc slow (ns)", "latency.malloc_slow.p99"),
         ("p99 free fast (ns)", "latency.free_fast.p99"),
     ];
+    let rows = counters.chain(rest.iter().map(|(l, p)| (l.to_string(), p.to_string())));
     for (label, path) in rows {
-        let (va, vb) = (a.num(path), b.num(path));
+        let (va, vb) = (a.num(&path), b.num(&path));
         if va == 0.0 && vb == 0.0 {
             continue;
         }
