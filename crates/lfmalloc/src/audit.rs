@@ -235,7 +235,7 @@ impl<S: PageSource> Inner<S> {
             superblock_bytes: self.sb_pool.mapped_bytes(),
             descriptor_slab_bytes: self.desc_pool.mapped_bytes(),
             large_bytes: self.large_live().1,
-            large_cached_bytes: self.large_cache.cached_bytes(),
+            large_cached_bytes: crate::large::cached_bytes(self),
             source_live_bytes: self.source.stats().live_bytes,
         }
     }
@@ -244,10 +244,10 @@ impl<S: PageSource> Inner<S> {
     /// operation counts them: a span is live when it is mapped and in no
     /// slot — in the application's hands or a `malloc`'s or `free`'s.
     pub(crate) fn large_live(&self) -> (usize, usize) {
-        let cache = &self.large_cache;
+        use crate::large::{cached_bytes, cached_spans};
         (
-            self.large_mapped_spans.load(Ordering::Relaxed).saturating_sub(cache.cached_spans()),
-            self.large_mapped_bytes.load(Ordering::Relaxed).saturating_sub(cache.cached_bytes()),
+            self.large_mapped_spans.load(Ordering::Relaxed).saturating_sub(cached_spans(self)),
+            self.large_mapped_bytes.load(Ordering::Relaxed).saturating_sub(cached_bytes(self)),
         )
     }
 }
@@ -492,7 +492,7 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     let pool_free = unsafe { inner.sb_pool.free_regions() };
     // Off a descriptor, or under a large span, a frame holds no small
     // block and must say so: `free` tells the two apart by nothing else.
-    let mut spans: Vec<(usize, usize)> = inner.large_cache.spans().collect();
+    let mut spans: Vec<(usize, usize)> = crate::large::spans(inner).collect();
     inner.large_spans.for_each(|base, bytes| spans.push((base, bytes)));
     let large = spans.iter().flat_map(|&(base, bytes)| (base..base + bytes).step_by(SB_SIZE));
     for frame in pool_free.iter().copied().chain(large) {
@@ -580,13 +580,13 @@ fn sb_in_pool(sb_regions: &[(*mut u8, usize)], sb: usize) -> bool {
 }
 
 fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
-    use crate::large::{header_fields, MAX_CACHED_BYTES, MAX_CACHED_SPAN};
+    use crate::large::{header_fields, MAX_CACHED_BYTES, MAX_CACHED_SPAN, MAX_THREAD_SPAN};
     let mut flag = |detail: String| {
         rep.violations.push(AuditViolation { check: "large.cache", detail })
     };
     let mut seen: HashSet<usize> = HashSet::new();
     let (mut spans, mut cached) = (0, 0);
-    for (base, bytes) in inner.large_cache.spans() {
+    for (base, bytes) in crate::large::spans(inner) {
         spans += 1;
         cached += bytes;
         if base == 0 || bytes == 0 || bytes > MAX_CACHED_SPAN {
@@ -594,7 +594,7 @@ fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
             continue; // do not dereference
         }
         if !seen.insert(base) {
-            flag(format!("span {base:#x} is parked in two slots"));
+            flag(format!("span {base:#x} is parked in two words"));
             continue;
         }
         if inner.large_spans.span_containing(base).is_some() {
@@ -606,10 +606,22 @@ fn check_span_cache<S: PageSource>(inner: &Inner<S>, rep: &mut AuditReport) {
             flag(format!("span {base:#x} of {bytes} bytes carries header {header:#x}"));
         }
     }
+    // Each level has its own bound: a thread's word on its own, the
+    // shared words together.
+    let mut own = 0;
+    for (base, bytes) in crate::large::thread_spans(inner) {
+        own += bytes;
+        if bytes > MAX_THREAD_SPAN {
+            flag(format!("a thread's own word holds {bytes} bytes at {base:#x}"));
+        }
+    }
     let mapped_spans = inner.large_mapped_spans.load(Ordering::Relaxed);
     let mapped = inner.large_mapped_bytes.load(Ordering::Relaxed);
-    if cached > MAX_CACHED_BYTES || cached > mapped || spans > mapped_spans {
-        flag(format!("{spans} spans of {cached} bytes parked, {mapped_spans} of {mapped} mapped"));
+    if cached.saturating_sub(own) > MAX_CACHED_BYTES || cached > mapped || spans > mapped_spans {
+        flag(format!(
+            "{spans} spans of {cached} bytes parked ({own} in threads' own words), \
+             {mapped_spans} of {mapped} mapped"
+        ));
     }
     rep.large_cached_spans = spans;
 }

@@ -405,7 +405,7 @@ unsafe fn free_large_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, bas
             };
         }
     }
-    unsafe { crate::large::release_large(inner, base) };
+    unsafe { crate::large::release_large(inner, None, base) };
 }
 
 #[cfg(test)]

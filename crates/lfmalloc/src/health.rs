@@ -540,8 +540,8 @@ impl<S: PageSource> LfMalloc<S> {
             quarantine_depth: inner.quarantine_depth(),
             magazine_slots: crate::magazine::owned_slots(inner),
             map_leaves: inner.frames.leaf_count(),
-            large_cached_spans: inner.large_cache.cached_spans(),
-            large_cached_bytes: inner.large_cache.cached_bytes(),
+            large_cached_spans: crate::large::cached_spans(inner),
+            large_cached_bytes: crate::large::cached_bytes(inner),
             os_live_bytes: inner.source.stats().live_bytes,
             os_watermark: if watermark == usize::MAX { None } else { Some(watermark) },
             fork_generation: inner.fork.recovered_generation(),

@@ -228,7 +228,7 @@ pub(crate) fn render_dump<S: PageSource>(
     b.push_str(",\"bytes\":");
     b.push_dec(rec.large_bytes as u64);
     b.push_str(",\"cached_spans\":");
-    b.push_dec(inner.large_cache.cached_spans() as u64);
+    b.push_dec(crate::large::cached_spans(inner) as u64);
     b.push_str(",\"cached_bytes\":");
     b.push_dec(rec.large_cached_bytes as u64);
     b.push_str(",\"spans\":[");

@@ -590,7 +590,7 @@ impl<S: PageSource> LfMalloc<S> {
         };
         let (p, fresh) = match class {
             Some(ci) => (unsafe { crate::magazine::malloc(inner, entry.block(), ci) }, false),
-            None => unsafe { crate::large::alloc_large(inner, size, align) },
+            None => unsafe { crate::large::alloc_large(inner, entry.block(), size, align) },
         };
         if zero && !p.is_null() && !(fresh && inner.source.zeroes_fresh_pages()) {
             unsafe { core::ptr::write_bytes(p, 0, size) };
@@ -656,7 +656,7 @@ impl<S: PageSource> LfMalloc<S> {
         // block itself is not read. No superblock there: a large block.
         let frame = inner.frames.get(ptr as usize);
         if frame.is_empty() {
-            return unsafe { crate::large::free_large(inner, ptr, large_marker(ptr)) };
+            return unsafe { crate::large::free_large(inner, entry.block(), ptr, large_marker(ptr)) };
         }
         if !unsafe { crate::magazine::free(inner, entry.block(), ptr, frame) } {
             unsafe { crate::free_impl::free_small(inner, ptr, frame.desc()) };

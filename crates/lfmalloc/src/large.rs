@@ -1,10 +1,27 @@
 //! Large blocks: allocated from the OS (§3.1 / Figure 4 lines 2–3), and
 //! freed into a small lock-free cache of free spans that the next large
-//! malloc looks in first ([`SpanCache`], DESIGN.md §16). The paper frees
-//! them straight to the OS (Figure 6 lines 4–5); that is still what
-//! happens to a span the cache has no room for, to every span above
-//! [`MAX_CACHED_SPAN`], and to every hardened block. A hit is a take CAS
-//! and a park CAS; live is derived, not counted ([`Inner::large_live`]).
+//! malloc looks in first (DESIGN.md §16). The paper frees them straight to
+//! the OS (Figure 6 lines 4–5); that is still what happens to a span the
+//! cache has no room for, to every span above [`MAX_CACHED_SPAN`], and to
+//! every hardened block.
+//!
+//! The cache has two levels of the same thing, a word that *is* the span
+//! (`base | pages`, 0 = empty) and is taken by one CAS by whoever takes it:
+//!
+//! * **the thread's own word** — one per magazine slot, for a span of at
+//!   most [`MAX_THREAD_SPAN`]. Only the slot's owner ever parks there, so
+//!   its park is a plain `Release` store into an empty word; a one-thread
+//!   hit pair is that store and one uncontended take CAS, on a line no
+//!   other thread writes (§16.7).
+//! * **eight shared words** ([`SpanCache`]), for everything else up to
+//!   [`MAX_CACHED_SPAN`]: a take CAS and a park CAS, retained bytes bounded
+//!   over the eight by [`MAX_CACHED_BYTES`].
+//!
+//! `malloc` looks in the caller's own word, then the shared ones, then maps
+//! ([`map_span`]); ageing, `trim`, teardown and the pressure valve walk
+//! every word of both levels ([`words`]) through the same
+//! [`claim`](SpanCache::claim). Live is derived, not counted
+//! ([`Inner::large_live`]).
 //!
 //! Layout of a large allocation:
 //!
@@ -12,25 +29,28 @@
 //! base (page aligned, >= align)
 //! │ [ header: total_size | log2(os_align) ]   8 bytes
 //! │ [ ...padding to satisfy user alignment... ]
-//! │ [ prefix: (user_offset << 1) | 1 ]        8 bytes at user-8
+//! │ [ marker: (user_offset << 1) | 1 ]        8 bytes at user-8
 //! └─[ user data: `size` bytes ]               at base + user_offset
 //! ```
 //!
-//! The odd prefix word is the paper's "large block bit": `free` reads
-//! the word before the user pointer and dispatches on the low bit
-//! ("Large block - desc holds sz+1"). Descriptors are 64-byte aligned so
-//! a genuine descriptor pointer is always even.
+//! `free` does not find a large block by that marker: it looks the address
+//! up in the frame map (DESIGN.md §19), and a frame that holds no superblock
+//! is a large block's. The marker only says how far below the user pointer
+//! the span starts; its low bit, the paper's "large block bit" ("desc holds
+//! sz+1"), is set for the debug assertions and the hardened checks.
 //!
 //! The header is written once, when the span is mapped, and names what
 //! the source was asked for. A span that comes back out of the cache
-//! keeps it — only the prefix word is rewritten — so it reports its true
+//! keeps it — only the marker word is rewritten — so it reports its true
 //! usable size and is eventually returned with the size and alignment it
 //! was mapped with.
 
 use crate::config::PREFIX_SIZE;
 use crate::harden::{Hardening, GUARD_CANARY};
 use crate::instance::Inner;
+use crate::magazine::{own_span_word, span_words, SLOTS};
 use crate::observe::{self, EventKind, Global, Lat, Timer};
+use crate::tls::ThreadBlock;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use malloc_api::layout::align_up;
 use osmem::source::{pages_for, PAGE_SIZE};
@@ -77,8 +97,15 @@ pub(crate) const CACHE_SLOTS: usize = 8;
 /// of what the cache may hold.
 pub(crate) const MAX_CACHED_SPAN: usize = 2 << 20;
 
-/// Most the cache retains, over all its slots.
+/// Most the cache retains, over all its shared slots.
 pub(crate) const MAX_CACHED_BYTES: usize = 4 << 20;
+
+/// Largest span a thread parks in its own word: what an instance retains
+/// there is bounded per word, by this times [`SLOTS`].
+pub(crate) const MAX_THREAD_SPAN: usize = 128 << 10;
+
+const _: () = assert!(MAX_THREAD_SPAN <= MAX_CACHED_SPAN);
+const _: () = assert!(SLOTS * MAX_THREAD_SPAN + MAX_CACHED_BYTES <= 12 << 20);
 
 /// Slot-word bits 0..=9: the span's page count (at most
 /// `MAX_CACHED_SPAN / PAGE_SIZE` = 512).
@@ -91,7 +118,8 @@ const SLOT_IDLE: usize = 1 << 11;
 const _: () = assert!(MAX_CACHED_SPAN / PAGE_SIZE <= SLOT_PAGES_MASK);
 const _: () = assert!(SLOT_PAGES_MASK < SLOT_IDLE && SLOT_IDLE < PAGE_SIZE);
 
-/// Free large spans, parked by `free` for the next large `malloc`.
+/// Free large spans, parked by `free` for the next large `malloc`: the
+/// shared level.
 ///
 /// Each slot is one word, `base | pages (| SLOT_IDLE)`, or 0 when empty:
 /// `base` is page aligned, which frees the low 12 bits. The word *is*
@@ -100,7 +128,8 @@ const _: () = assert!(SLOT_PAGES_MASK < SLOT_IDLE && SLOT_IDLE < PAGE_SIZE);
 /// needed. A taker's CAS can only succeed on a word that is in the slot
 /// now, and an equal word that was taken and parked again in between
 /// names a span its last holder gave up just as legitimately.
-/// The eight words are the cache's only state, and one cache line.
+/// The eight words are this level's only state, and one cache line; a
+/// magazine slot's span word is a ninth kind of the same word.
 #[derive(Default)]
 #[repr(align(64))]
 pub(crate) struct SpanCache {
@@ -114,27 +143,25 @@ impl SpanCache {
         (word & !(PAGE_SIZE - 1), (word & SLOT_PAGES_MASK) * PAGE_SIZE)
     }
 
-    /// Claims the span in slot `i` if it is occupied and `wanted(base,
-    /// bytes, idle)` says so; its base. The caller owns the span from
-    /// then on.
+    /// Claims the span in `slot`, a word of either level, if it is
+    /// occupied and `wanted(base, bytes, idle)` says so; its base. The
+    /// caller owns the span from then on.
     ///
-    /// The CAS is `Acquire` and pairs with the park CAS in [`park`]:
+    /// The CAS is `Acquire` and pairs with the park in [`park`] (a CAS on
+    /// a shared word, the owner's store on its own):
     /// what the parking thread did to the span (the header it
     /// read, the user's last writes) happens before anything the taker
     /// does to it. A maintenance pass's `Relaxed` idle-bit CAS in between
     /// is a read-modify-write and so continues that release sequence.
-    fn claim(&self, i: usize, wanted: impl Fn(usize, usize, bool) -> bool) -> Option<usize> {
-        let word = self.slots[i].load(Ordering::Relaxed);
+    fn claim(slot: &AtomicUsize, wanted: impl Fn(usize, usize, bool) -> bool) -> Option<usize> {
+        let word = slot.load(Ordering::Relaxed);
         let (base, bytes) = Self::decode(word);
         if word == 0 || !wanted(base, bytes, word & SLOT_IDLE != 0) {
             return None;
         }
         // A lost CAS means another thread took or aged the span; the
-        // caller moves on to the next slot, so a scan is 8 steps at most.
-        self.slots[i]
-            .compare_exchange(word, 0, Ordering::Acquire, Ordering::Relaxed)
-            .ok()
-            .map(|_| base)
+        // caller moves on to the next word, so a take is 9 steps at most.
+        slot.compare_exchange(word, 0, Ordering::Acquire, Ordering::Relaxed).ok().map(|_| base)
     }
 
     /// One pass for [`park`], last word to first: bytes parked, and the
@@ -151,39 +178,70 @@ impl SpanCache {
         }
         (parked, empty)
     }
-
-    /// Occupied slots as `(base, bytes)` (audit and reports; racy unless
-    /// the instance is quiescent).
-    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .filter(|&w| w != 0)
-            .map(Self::decode)
-    }
-
-    /// Spans parked right now.
-    pub(crate) fn cached_spans(&self) -> usize {
-        self.spans().count()
-    }
-
-    /// Bytes parked right now.
-    pub(crate) fn cached_bytes(&self) -> usize {
-        self.spans().map(|(_, bytes)| bytes).sum()
-    }
 }
 
-/// Parks a freed span in the cache. False when the span has to go back
-/// to the source instead: too big, no free slot, or it would take the
-/// retained bytes over the bound.
-/// The bound is on what *stays*: parkers that raced may each have seen
-/// room for one span, so each looks again after its CAS and, over the
+/// Every word a span can be parked in: the eight shared ones, then each
+/// magazine slot's own. Whatever walks the cache walks these.
+fn words<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item = &AtomicUsize> {
+    inner.large_cache.slots.iter().chain(span_words(inner))
+}
+
+fn occupied<'a>(
+    words: impl Iterator<Item = &'a AtomicUsize> + 'a,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    words.map(|w| w.load(Ordering::Relaxed)).filter(|&w| w != 0).map(SpanCache::decode)
+}
+
+/// Every parked span as `(base, bytes)`, at both levels (audit and
+/// reports; racy unless the instance is quiescent).
+pub(crate) fn spans<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item = (usize, usize)> + '_ {
+    occupied(words(inner))
+}
+
+/// The spans among [`spans`] that sit in a thread's own word.
+pub(crate) fn thread_spans<S: PageSource>(
+    inner: &Inner<S>,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    occupied(span_words(inner))
+}
+
+/// Spans parked right now.
+pub(crate) fn cached_spans<S: PageSource>(inner: &Inner<S>) -> usize {
+    spans(inner).count()
+}
+
+/// Bytes parked right now.
+pub(crate) fn cached_bytes<S: PageSource>(inner: &Inner<S>) -> usize {
+    spans(inner).map(|(_, bytes)| bytes).sum()
+}
+
+/// Parks a freed span: in the calling thread's own word if that is empty
+/// and the span at most [`MAX_THREAD_SPAN`], else in the shared cache.
+/// False when the span has to go back to the source instead: too big, no
+/// free slot, or it would take the retained bytes over the bound.
+///
+/// Only a slot's owner ever writes a span into its word — everyone else's
+/// CAS expects one there — so a word the owner reads empty stays empty
+/// until the owner's store: no CAS, no scan, and the bound is the word's
+/// own. The store is a `Release` to every taker's `Acquire`, as the shared
+/// CAS is (DESIGN.md §16.7).
+///
+/// The shared bound is on what *stays*: parkers that raced may each have
+/// seen room for one span, so each looks again after its CAS and, over the
 /// bound, takes its own span back out. CAS and scan are `SeqCst` so that
 /// the later of two racing parkers sees both spans; to the taker's
 /// `Acquire` the CAS is a `Release` (DESIGN.md §16.1–16.2).
-fn park<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
+fn park<S: PageSource>(
+    inner: &Inner<S>,
+    tb: Option<&ThreadBlock>,
+    base: usize,
+    total: usize,
+) -> bool {
     let cache = &inner.large_cache;
-    let (parked, first) = cache.scan();
+    let own = tb
+        .and_then(|tb| own_span_word(inner, tb))
+        .filter(|own| total <= MAX_THREAD_SPAN && own.load(Ordering::Relaxed) == 0);
+    let (parked, first) = if own.is_some() { (0, 0) } else { cache.scan() };
     if total > MAX_CACHED_SPAN || first == CACHE_SLOTS || parked + total > MAX_CACHED_BYTES {
         return false;
     }
@@ -192,6 +250,10 @@ fn park<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
         return true;
     }
     let word = base | (total / PAGE_SIZE);
+    if let Some(own) = own {
+        own.store(word, Ordering::Release);
+        return true;
+    }
     let Some(i) = (first..CACHE_SLOTS).find(|&i| {
         let slot = &cache.slots[i];
         slot.load(Ordering::Relaxed) == 0
@@ -201,7 +263,8 @@ fn park<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
     };
     // Matched on base, so an ageing mark does not hide the word. A lost
     // claim means a taker has the span: parked, as far as we can tell.
-    cache.scan().0 <= MAX_CACHED_BYTES || cache.claim(i, |b, _, _| b == base).is_none()
+    cache.scan().0 <= MAX_CACHED_BYTES
+        || SpanCache::claim(&cache.slots[i], |b, _, _| b == base).is_none()
 }
 
 /// Returns a span nobody holds a pointer into to the source, with the
@@ -216,14 +279,13 @@ unsafe fn unmap<S: PageSource>(inner: &Inner<S>, base: usize) -> usize {
 }
 
 /// Claims every cached span (`only_idle`: every span carrying the idle
-/// mark) and returns it to the source; `(spans, bytes)` released. Safe
-/// alongside `malloc`/`free`: each span is claimed by the same CAS a
-/// `malloc` would use.
+/// mark), a live thread's own included, and returns it to the source;
+/// `(spans, bytes)` released. Safe alongside `malloc`/`free`: each span is
+/// claimed by the same CAS a `malloc` would use.
 unsafe fn release_cached<S: PageSource>(inner: &Inner<S>, only_idle: bool) -> (usize, usize) {
-    let cache = &inner.large_cache;
     let (mut spans, mut released) = (0, 0);
-    for i in 0..CACHE_SLOTS {
-        if let Some(base) = cache.claim(i, |_, _, idle| idle || !only_idle) {
+    for slot in words(inner) {
+        if let Some(base) = SpanCache::claim(slot, |_, _, idle| idle || !only_idle) {
             released += unsafe { unmap(inner, base) };
             spans += 1;
         }
@@ -242,7 +304,7 @@ pub(crate) unsafe fn drain_cache<S: PageSource>(inner: &Inner<S>) -> usize {
 /// marked so the next pass can tell. Returns spans released.
 pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usize {
     let released = unsafe { release_cached(inner, true) }.0;
-    for slot in &inner.large_cache.slots {
+    for slot in words(inner) {
         let word = slot.load(Ordering::Relaxed);
         if word != 0 {
             // Failure means the span was taken meanwhile: not idle.
@@ -265,6 +327,7 @@ pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usiz
 #[inline(never)]
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
+    tb: &ThreadBlock,
     size: usize,
     align: usize,
 ) -> (*mut u8, bool) {
@@ -294,12 +357,16 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     // Hardened blocks never come out of the cache (and never go in): the
     // guard pages, the registry entry and the unmap on free are how that
     // mode catches a use after free.
-    // First fit: big enough, at most a quarter wasted, aligned.
+    // First fit: big enough, at most a quarter wasted, aligned. The
+    // caller's own word first, then the shared ones.
     let fits = |base: usize, bytes: usize, _| {
         bytes >= total && bytes - total <= total / 4 && base & (os_align - 1) == 0
     };
     let cached = (!hardened && total <= MAX_CACHED_SPAN)
-        .then(|| (0..CACHE_SLOTS).find_map(|i| inner.large_cache.claim(i, fits)))
+        .then(|| {
+            let own = own_span_word(inner, tb).into_iter();
+            own.chain(&inner.large_cache.slots).find_map(|slot| SpanCache::claim(slot, fits))
+        })
         .flatten();
     let base = match cached {
         Some(base) => {
@@ -385,21 +452,31 @@ pub(crate) unsafe fn usable_size_large(ptr: *mut u8, prefix: usize) -> usize {
 /// [`crate::harden`], which validates and then calls
 /// [`release_large`]).
 #[inline(never)]
-pub(crate) unsafe fn free_large<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, prefix: usize) {
+pub(crate) unsafe fn free_large<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    ptr: *mut u8,
+    prefix: usize,
+) {
     debug_assert_eq!(prefix & LARGE_FLAG, LARGE_FLAG);
     let user_off = prefix >> 1;
     let base = unsafe { ptr.sub(user_off) };
-    unsafe { release_large(inner, base as usize) };
+    unsafe { release_large(inner, Some(tb), base as usize) };
 }
 
 /// Parks a freed large block's span in the cache, given its validated
-/// base address, or, failing that, returns it to the source.
-pub(crate) unsafe fn release_large<S: PageSource>(inner: &Inner<S>, base: usize) {
+/// base address, or, failing that, returns it to the source. `tb`: the
+/// calling thread's block, whose own word comes first (none: shared only).
+pub(crate) unsafe fn release_large<S: PageSource>(
+    inner: &Inner<S>,
+    tb: Option<&ThreadBlock>,
+    base: usize,
+) {
     let t0 = Timer::start();
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, guarded, _) = header_fields(header);
     observe::count_global(inner, Global::LargeFree);
-    if guarded || !park(inner, base, total) {
+    if guarded || !park(inner, tb, base, total) {
         observe::count_global(inner, Global::LargeCacheBypass);
         unsafe { unmap(inner, base) };
     }
@@ -493,6 +570,8 @@ mod tests {
 
     #[test]
     fn bounds_hold_and_audit_is_clean_at_every_fill() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
         let a = instance();
         unsafe {
             assert!(a.audit().is_clean(), "empty: {}", a.audit());
@@ -512,17 +591,18 @@ mod tests {
             assert_eq!(rep.bytes.large_cached_bytes, h.large_cached_bytes);
             assert_eq!(rep.large_cached_spans, 2);
             a.trim();
-            // Nine small spans: eight slots.
-            let ps: Vec<_> = (0..CACHE_SLOTS + 1).map(|_| a.malloc(16 << 10)).collect();
+            // Ten small spans: this thread's own word and eight slots.
+            const WORDS: usize = CACHE_SLOTS + 1;
+            let ps: Vec<_> = (0..WORDS + 1).map(|_| a.malloc(16 << 10)).collect();
             for p in ps {
                 a.free(p);
             }
-            assert_eq!(a.health().large_cached_spans, CACHE_SLOTS);
-            assert_eq!(a.os_stats().live_bytes, CACHE_SLOTS * span(16 << 10));
+            assert_eq!(a.health().large_cached_spans, WORDS);
+            assert_eq!(a.os_stats().live_bytes, WORDS * span(16 << 10));
             let rep = a.audit();
             assert!(rep.is_clean(), "full: {rep}");
             let released = a.trim();
-            assert!(released >= CACHE_SLOTS * span(16 << 10), "trim counts the drained spans");
+            assert!(released >= WORDS * span(16 << 10), "trim counts the drained spans");
             assert_eq!(a.os_stats().live_bytes, 0);
         }
     }
@@ -572,6 +652,177 @@ mod tests {
         }
         let os = a.os_stats();
         assert_eq!((os.os_allocs, os.os_frees), (1, 0));
+    }
+
+    /// The calling thread's own word in `a`.
+    fn own_word(a: &LfMalloc) -> &AtomicUsize {
+        crate::tls::with_block(|tb| own_span_word(a.inner(), tb)).expect("the test thread has a slot")
+    }
+
+    fn shared_words(a: &LfMalloc) -> [usize; CACHE_SLOTS] {
+        core::array::from_fn(|i| a.inner().large_cache.slots[i].load(Ordering::Relaxed))
+    }
+
+    /// DESIGN.md §16.7: between entry and return of a one-thread hit pair
+    /// the span moves between the caller and the caller's own word, by one
+    /// CAS and one store; the shared line is not written and no counter
+    /// moves.
+    #[test]
+    fn a_one_thread_large_pair_touches_no_shared_word() {
+        // The thread's word steps aside, with the magazines, while a fault
+        // scenario runs.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        let mapped = || {
+            let i = a.inner();
+            (i.large_mapped_spans.load(Ordering::Relaxed), i.large_mapped_bytes.load(Ordering::Relaxed))
+        };
+        unsafe {
+            let p = a.malloc(64 << 10);
+            let word = p as usize - 2 * PREFIX_SIZE | span(64 << 10) / PAGE_SIZE;
+            for _ in 0..10_000 {
+                assert_eq!(own_word(&a).load(Ordering::Relaxed), 0);
+                a.free(p);
+                assert_eq!(own_word(&a).load(Ordering::Relaxed), word);
+                assert_eq!(shared_words(&a), [0; CACHE_SLOTS]);
+                assert_eq!(a.malloc(64 << 10), p);
+                assert_eq!(shared_words(&a), [0; CACHE_SLOTS]);
+                assert_eq!(mapped(), (1, span(64 << 10)));
+            }
+            a.free(p);
+        }
+        let os = a.os_stats();
+        assert_eq!((os.os_allocs, os.os_frees), (1, 0));
+    }
+
+    #[test]
+    fn a_second_size_goes_to_the_shared_words_and_both_come_back() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        unsafe {
+            // Neither span fits the other's request.
+            let (older, newer) = (a.malloc(64 << 10), a.malloc(100 << 10));
+            a.free(older);
+            a.free(newer);
+            let (own, shared) = (own_word(&a).load(Ordering::Relaxed), shared_words(&a));
+            assert_eq!(SpanCache::decode(own), (older as usize - 16, span(64 << 10)), "the older stays");
+            assert_eq!(SpanCache::decode(shared[0]), (newer as usize - 16, span(100 << 10)));
+            assert_eq!(a.health().large_cached_spans, 2);
+            assert!(a.audit().is_clean());
+            assert_eq!(a.malloc(100 << 10), newer);
+            assert_eq!(a.malloc(64 << 10), older);
+            assert_eq!(a.health().large_cached_spans, 0);
+            assert_eq!(a.os_stats().os_allocs, 2);
+            a.free(older);
+            a.free(newer);
+        }
+    }
+
+    #[test]
+    fn a_span_above_the_thread_bound_never_enters_a_threads_word() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        unsafe {
+            let p = a.malloc(MAX_THREAD_SPAN); // one page more than the bound
+            a.free(p);
+            assert_eq!(own_word(&a).load(Ordering::Relaxed), 0);
+            assert_eq!(SpanCache::decode(shared_words(&a)[0]).1, MAX_THREAD_SPAN + PAGE_SIZE);
+            assert_eq!(a.malloc(MAX_THREAD_SPAN), p);
+            let q = a.malloc(MAX_THREAD_SPAN - 2 * PREFIX_SIZE); // the bound exactly
+            a.free(q);
+            assert_eq!(SpanCache::decode(own_word(&a).load(Ordering::Relaxed)).1, MAX_THREAD_SPAN);
+            a.free(p);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!(rep.large_cached_spans, 2);
+        }
+    }
+
+    /// A maintenance loop on another thread ages the owner's word while
+    /// the owner churns: whenever the idle mark lands between the owner's
+    /// load and its CAS the owner misses, maps, and parks beside the aged
+    /// span. Every span stays in exactly one place — the books reconcile
+    /// at the end — and what the instance holds stays within one live
+    /// span, the thread's word and the eight shared ones.
+    #[test]
+    fn ageing_a_live_owners_word_loses_and_doubles_no_span() {
+        use core::sync::atomic::AtomicBool;
+        const SIZE: usize = 64 << 10;
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    a.maintain(MaintenanceBudget::light());
+                    let held = a.os_stats().live_bytes;
+                    assert!(held <= (CACHE_SLOTS + 2) * span(SIZE), "{held} bytes held");
+                }
+            });
+            for i in 0..100_000usize {
+                unsafe {
+                    let p = a.malloc(SIZE) as *mut usize;
+                    assert!(!p.is_null());
+                    let last = p.add(SIZE / 8 - 1);
+                    p.write(i);
+                    last.write(!i);
+                    assert_eq!((p.read(), last.read()), (i, !i));
+                    a.free(p as *mut u8);
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(rep.large_live, 0);
+        assert_eq!(a.os_stats().live_bytes, rep.bytes.large_cached_bytes);
+    }
+
+    /// A span in the word of a thread that has exited is aged like any
+    /// other: nobody has to adopt the slot, and nothing waits for `trim`.
+    #[test]
+    fn an_exited_threads_span_is_released_by_the_second_pass() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        std::thread::scope(|s| {
+            s.spawn(|| unsafe {
+                let p = a.malloc(64 << 10);
+                a.free(p);
+                assert_ne!(own_word(&a).load(Ordering::Relaxed), 0);
+            });
+        });
+        assert_eq!(shared_words(&a), [0; CACHE_SLOTS]);
+        assert_eq!(a.os_stats().live_bytes, span(64 << 10));
+        assert_eq!(a.maintain(MaintenanceBudget::light()).large_spans_released, 0);
+        assert_eq!(a.maintain(MaintenanceBudget::light()).large_spans_released, 1);
+        assert_eq!(a.os_stats().live_bytes, 0);
+        assert!(a.audit().is_clean());
+    }
+
+    #[test]
+    fn audit_names_a_span_parked_in_a_threads_word_and_a_shared_one() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        unsafe {
+            let p = a.malloc(64 << 10);
+            a.free(p);
+        }
+        let word = own_word(&a).load(Ordering::Relaxed);
+        assert_ne!(word, 0);
+        a.inner().large_cache.slots[3].store(word, Ordering::Relaxed);
+        let rep = a.audit();
+        let named = |v: &crate::audit::AuditViolation| {
+            v.check == "large.cache" && v.detail.contains("parked in two words")
+        };
+        assert!(rep.violations.iter().any(named), "{rep}");
+        a.inner().large_cache.slots[3].store(0, Ordering::Relaxed);
+        assert!(a.audit().is_clean());
     }
 
     /// The second look, one step at a time: A scans an empty cache and is

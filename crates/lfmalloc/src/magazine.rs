@@ -47,7 +47,7 @@ use crate::instance::Inner;
 use crate::observe::{self, Count};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::tls::{stamp_alive, ThreadBlock, DRAINING};
-use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use osmem::PageSource;
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -182,7 +182,16 @@ pub(crate) struct Slot {
     /// Bytes cached in `mid`, at most [`MID_BUDGET`]. The owner's, like a
     /// bin's count: plain loads and stores.
     mid_bytes: AtomicU32,
+    /// One freed large span, parked for this thread's next large `malloc`
+    /// in the shared cache's word format; [`crate::large`] alone reads and
+    /// writes it (DESIGN.md §16.7). Lives in what was the slot's padding.
+    span: AtomicUsize,
 }
+
+// The span word took the slot's tail padding: no slot grew by it.
+const _: () = assert!(
+    core::mem::size_of::<Slot>() == (core::mem::offset_of!(Slot, mid_bytes) + 4).next_multiple_of(64)
+);
 
 /// The instance's slots and its identity. All-zero is the empty table.
 pub(crate) struct SlotTable {
@@ -233,6 +242,22 @@ fn slot_of<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
     } else {
         attach(inner, tb)
     }
+}
+
+/// The calling thread's own span word ([`crate::large`]'s thread level,
+/// DESIGN.md §16.7); none where it runs without a slot.
+#[inline]
+pub(crate) fn own_span_word<'a, S: PageSource>(
+    inner: &'a Inner<S>,
+    tb: &ThreadBlock,
+) -> Option<&'a AtomicUsize> {
+    // SAFETY: a non-null slot is one of `inner.mags`' slots.
+    unsafe { slot_of(inner, tb).as_ref() }.map(|s| &s.span)
+}
+
+/// Every slot's span word, whoever owns the slot or did.
+pub(crate) fn span_words<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item = &AtomicUsize> {
+    inner.mags.slots().iter().map(|s| &s.span)
 }
 
 /// First magazine use of this thread on this instance (or first since

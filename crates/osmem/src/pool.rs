@@ -16,9 +16,17 @@
 //! exists for orderly teardown by the owner.
 
 use crate::source::PageSource;
-use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use lockfree_structs::TaggedStack;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::time::{Duration, Instant};
+
+/// How many times the pool's previous carve a thread that found another
+/// one mapping waits for its regions before it maps a hyperblock of its
+/// own (the mapper may have been killed), and the least that carve is
+/// taken to have lasted (a cold 1 MiB carve is ≈ 0.4 ms of page faults).
+const MAPPER_PATIENCE: u32 = 8;
+const MIN_CARVE: Duration = Duration::from_micros(500);
 
 /// Registry entry recording one hyperblock for teardown. Allocated from
 /// the system allocator (never the global allocator).
@@ -54,6 +62,13 @@ pub struct PagePool<const SHIFT: u32> {
     hypers: AtomicPtr<HyperRecord>,
     hyper_count: AtomicUsize,
     batch: usize,
+    /// Set by the thread that maps a hyperblock for the dry pool, cleared
+    /// by whoever finishes a carve: visitors meanwhile poll the LIFO for
+    /// a bounded time and do not map a second one. `Relaxed` throughout:
+    /// the word publishes nothing, the regions come through the LIFO.
+    mapping: AtomicBool,
+    /// How long the last carve took, in nanoseconds.
+    carve_ns: AtomicU64,
     /// Lifetime count of hyperblock carves (never decremented by trim).
     #[cfg(feature = "stats")]
     carves: malloc_api::telemetry::Counter,
@@ -78,6 +93,8 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
             hypers: AtomicPtr::new(core::ptr::null_mut()),
             hyper_count: AtomicUsize::new(0),
             batch,
+            mapping: AtomicBool::new(false),
+            carve_ns: AtomicU64::new(0),
             #[cfg(feature = "stats")]
             carves: malloc_api::telemetry::Counter::new(),
         }
@@ -90,13 +107,56 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         if fp.kill {
             return core::ptr::null_mut(); // the caller sees OOM
         }
+        // `retry` skips the free-LIFO fast path once, forcing a fresh
+        // hyperblock carve even when regions are available.
         if !fp.retry {
-            // `retry` skips the free-LIFO fast path once, forcing a
-            // fresh hyperblock carve even when regions are available.
-            if let Some(r) = unsafe { self.free.pop() } {
-                return r as *mut u8;
+            loop {
+                if let Some(r) = unsafe { self.free.pop() } {
+                    return r as *mut u8;
+                }
+                // Dry. One mapper at a time: whoever sets the word maps,
+                // and a thread that finds it set waits for that carve's
+                // regions — a bounded time, then it maps its own as every
+                // visitor did before, so a killed mapper blocks nobody.
+                // (A carve of one region stocks nothing to wait for.)
+                let elected = self.batch == 1 || !self.mapping.swap(true, Ordering::Relaxed);
+                if elected || !self.outwait() {
+                    break;
+                }
             }
         }
+        let t0 = Instant::now();
+        let region = self.carve(source, fp.retry);
+        self.carve_ns.store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // Cleared by every thread that carved, elected or out of patience:
+        // the word a killed mapper left set is nobody else's to clear.
+        self.mapping.store(false, Ordering::Relaxed);
+        region
+    }
+
+    /// Polls the LIFO while another thread maps. True once it is stocked
+    /// or the mapper is done (look again), false when the mapper has taken
+    /// [`MAPPER_PATIENCE`] times the previous carve.
+    fn outwait(&self) -> bool {
+        let last = Duration::from_nanos(self.carve_ns.load(Ordering::Relaxed));
+        let (patience, start) = (last.max(MIN_CARVE) * MAPPER_PATIENCE, Instant::now());
+        let mut polls = 0u32;
+        while self.mapping.load(Ordering::Relaxed) && self.free.is_empty() {
+            if start.elapsed() > patience {
+                return false;
+            }
+            polls = polls.wrapping_add(1);
+            if polls & 63 == 0 {
+                std::thread::yield_now();
+            } else {
+                core::hint::spin_loop();
+            }
+        }
+        true
+    }
+
+    /// Maps one hyperblock, keeps its first region and pushes the rest.
+    fn carve<S: PageSource>(&self, source: &S, forced: bool) -> *mut u8 {
         let bytes = self.batch << SHIFT;
         let base = unsafe { source.alloc_pages(bytes, Self::REGION_SIZE) };
         if base.is_null() {
@@ -104,11 +164,11 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
             // repopulated it while the OS call failed.
             return unsafe { self.free.pop() }.map_or(core::ptr::null_mut(), |r| r as *mut u8);
         }
-        // Threads that find the pool dry in the same instant each map a
-        // hyperblock; whoever comes back to a stocked LIFO takes a region
-        // there and returns its own mapping, which no stack ever held
-        // (a forced carve, `retry`, keeps it).
-        if !fp.retry {
+        // Threads that map for a dry pool at the same time (one ran out of
+        // patience with the other) each hold a hyperblock; whoever comes
+        // back to a stocked LIFO takes a region there and returns its own
+        // mapping, which no stack ever held (a forced carve keeps it).
+        if !forced {
             if let Some(r) = unsafe { self.free.pop() } {
                 unsafe { source.dealloc_pages(base, bytes, Self::REGION_SIZE) };
                 return r as *mut u8;
@@ -527,10 +587,77 @@ mod tests {
         unsafe { pool.release_all(&*src) };
     }
 
-    /// Two threads find the pool dry in the same instant and each maps a
-    /// hyperblock. The source holds the second one's mapping back until
-    /// the first has carved, so the second comes back to a stocked LIFO:
-    /// it takes a region from there and returns its own mapping.
+    /// `SystemSource` whose `alloc_pages` takes a millisecond longer.
+    struct Slow(CountingSource<SystemSource>);
+    unsafe impl PageSource for Slow {
+        unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
+            std::thread::sleep(Duration::from_millis(1));
+            unsafe { self.0.alloc_pages(size, align) }
+        }
+        unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
+            unsafe { self.0.dealloc_pages(ptr, size, align) }
+        }
+    }
+
+    /// Two threads find the pool dry in the same instant: one maps, the
+    /// other waits for the first one's regions and maps nothing.
+    #[test]
+    fn two_threads_on_a_dry_pool_map_one_hyperblock() {
+        let src = Slow(CountingSource::new(SystemSource::new()));
+        let pool = SbPool::new(4);
+        let gate = std::sync::Barrier::new(2);
+        let regions: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        pool.alloc(&src) as usize
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(regions[0] != 0 && regions[1] != 0 && regions[0] != regions[1]);
+        let stats = src.0.stats();
+        assert_eq!((stats.os_allocs, stats.os_frees), (1, 0), "the second thread mapped too");
+        assert_eq!(stats.peak_bytes, 4 * SbPool::REGION_SIZE);
+        assert_eq!(pool.hyperblock_count(), 1);
+        assert!(!pool.mapping.load(Ordering::Relaxed));
+        for r in regions {
+            unsafe { pool.dealloc(r as *mut u8) };
+        }
+        unsafe { pool.release_all(&src) };
+    }
+
+    /// A mapper killed after its election leaves the word set. The next
+    /// visitor of the dry pool waits its bounded time, maps its own
+    /// hyperblock and clears the word: the one after it does not wait.
+    #[test]
+    fn a_killed_mapper_costs_the_next_visitor_one_bounded_wait() {
+        let src = CountingSource::new(SystemSource::new());
+        let pool = SbPool::new(2);
+        pool.mapping.store(true, Ordering::Relaxed); // elected, then killed
+        let t0 = Instant::now();
+        let r = pool.alloc(&src);
+        let waited = t0.elapsed();
+        assert!(!r.is_null());
+        assert!(waited >= MIN_CARVE * MAPPER_PATIENCE, "did not wait for the mapper: {waited:?}");
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+        assert!(!pool.mapping.load(Ordering::Relaxed), "the word outlived the carve");
+        assert_eq!(pool.hyperblock_count(), 1);
+        unsafe {
+            pool.dealloc(r);
+            pool.release_all(&src);
+        }
+        assert_eq!(src.stats().live_bytes, 0);
+    }
+
+    /// Two threads map for the dry pool at once — the second ran out of
+    /// patience with the first, whose mapping the source holds back until
+    /// it has company. The source then holds the second one's mapping
+    /// back until the first has carved, so the second comes back to a
+    /// stocked LIFO: it takes a region from there and returns its own
+    /// mapping.
     #[test]
     fn a_dry_pool_carve_race_ends_with_one_hyperblock() {
         use std::sync::atomic::AtomicUsize;

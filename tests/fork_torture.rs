@@ -284,6 +284,76 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
     assert!(audit.magazine_blocks > cached);
 }
 
+/// Spans parked in threads' own words (DESIGN.md §16.7) cross the fork
+/// where they are: the forking thread finds its own again with its slot,
+/// and the one in the word of a thread the fork left behind is nobody's
+/// to take but everybody's to age — two maintenance passes return it, no
+/// adoption and no `trim`. The child audits clean throughout.
+#[test]
+fn thread_parked_spans_cross_the_fork_in_their_words() {
+    let _serial = fork_lock();
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let mine = unsafe {
+        let p = a.malloc(100 << 10);
+        a.free(p);
+        p
+    };
+    let (ready, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    std::thread::scope(|s| {
+        // Parks a span in its own word and stays alive across the fork.
+        s.spawn(|| {
+            unsafe {
+                let p = a.malloc(64 << 10);
+                a.free(p);
+            }
+            ready.wait();
+            release.wait();
+        });
+        ready.wait();
+        let cached = a.health().large_cached_bytes;
+        assert_eq!(a.health().large_cached_spans, 2);
+        assert_eq!(cached, (100 << 10) + (64 << 10) + 2 * 4096);
+
+        let pid = unsafe { procfork::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            unsafe {
+                let h = a.health();
+                if (h.large_cached_spans, h.large_cached_bytes) != (2, cached) {
+                    sys::_exit(SPAN_CACHE_LOST);
+                }
+                if !a.audit().is_clean() {
+                    sys::_exit(AUDIT_VIOLATION);
+                }
+                // This thread's span is still this thread's.
+                let q = a.malloc(100 << 10);
+                if q != mine || a.health().large_cached_spans != 1 {
+                    sys::_exit(SPAN_CACHE_LOST);
+                }
+                a.free(q);
+                // The other word's owner does not exist here. Nobody took
+                // either span between these passes: both go back.
+                a.maintain(MaintenanceBudget::light());
+                let released = a.maintain(MaintenanceBudget::light()).large_spans_released;
+                let clean = a.audit().is_clean();
+                let gone = released == 2 && a.os_stats().live_bytes == 0;
+                sys::_exit(if !clean { AUDIT_VIOLATION } else if gone { OK } else { SPAN_CACHE_LOST });
+            }
+        }
+        let code = wait_child(pid, "thread-parked spans across fork");
+        release.wait();
+        assert_eq!(code, OK, "child failed (see exit-code constants)");
+        // The parent's words are as they were.
+        assert_eq!(a.health().large_cached_bytes, cached);
+    });
+    unsafe {
+        assert_eq!(a.malloc(100 << 10), mine);
+        a.free(mine);
+    }
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+}
+
 /// The free-span cache crosses a fork as plain memory: the child owns
 /// a copy of every parked span, takes them, parks its own, trims them
 /// away and audits clean throughout, and none of it shows in the

@@ -442,6 +442,46 @@ mod failpoint_kills {
         }
     }
 
+    /// The take window again, with the span coming out of the victim's own
+    /// word (DESIGN.md §16.7) — armed outside a scenario, which would send
+    /// the call past that word. Two spans of one size: the older sits in
+    /// the thread's word, the newer in a shared one, and the thread's word
+    /// is looked in first, so the span the killed `malloc` held is the
+    /// older and the newer serves the next call. Same books as the shared
+    /// row: one live large block nobody will free, nothing stranded.
+    #[test]
+    fn a_take_from_the_threads_own_word_killed_strands_that_one_span() {
+        const SPAN: usize = (64 << 10) + 4096;
+        let _quiet = fp::no_scenario();
+        fp::clear();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        unsafe {
+            let (older, newer) = (a.malloc(64 << 10), a.malloc(64 << 10));
+            a.free(older);
+            a.free(newer);
+            fp::arm_limited("large.cache_take", FpAction::Kill, FpTrigger::Always, 1);
+            assert!(a.malloc(64 << 10).is_null(), "a killed malloc hands nothing out");
+            assert_eq!(fp::fired("large.cache_take"), 1);
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            assert_eq!((rep.large_live, rep.large_cached_spans), (1, 1), "{rep}");
+            assert_eq!((rep.bytes.large_bytes, rep.bytes.stranded()), (SPAN, 0), "{rep}");
+            // The thread's word is empty, not stuck: it takes the next
+            // free, and gives the span back to the next malloc.
+            let q = a.malloc(64 << 10);
+            assert_eq!(q, newer, "the shared word's span was the one taken");
+            a.free(q);
+            assert_eq!(a.malloc(64 << 10), q);
+            a.free(q);
+            a.trim();
+        }
+        fp::clear();
+        assert_eq!(a.os_stats().live_bytes, SPAN, "still exactly the one span");
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!((rep.large_live, rep.bytes.stranded()), (1, 0), "{rep}");
+    }
+
     /// The descriptor cycle's windows (DESIGN.md §17.6, §18). A thread
     /// killed at any of them blocks no one, and what it strands is exactly
     /// what it had in hand: nothing where it dies before taking anything

@@ -199,7 +199,8 @@ fn large_span_cache_under_four_threads() {
     // stops and the books are checked.
     const THREADS: usize = 4;
     const ROUNDS: usize = 20;
-    const RETAINED_BOUND: usize = 4 << 20; // DESIGN.md §16
+    // DESIGN.md §16.7: the shared words together, and each thread's own.
+    const RETAINED_BOUND: usize = (4 << 20) + THREADS * (128 << 10);
     // An instance of its own, large blocks only: every OS byte it holds
     // is a large span, live or cached.
     let a = LfMalloc::with_config(Config::with_heaps(THREADS));
