@@ -189,15 +189,7 @@ mod tests {
         assert!(!entry(0x40, 0, 0).is_empty(), "class 0, column 0 is still an entry");
     }
 
-    /// Pages of `[p, p + len)` the kernel holds in memory.
-    fn resident_pages<T>(p: *const T, len: usize) -> usize {
-        unsafe extern "C" {
-            fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
-        }
-        let mut vec = vec![0u8; len.div_ceil(4096)];
-        assert_eq!(unsafe { mincore(p as *mut _, len, vec.as_mut_ptr()) }, 0);
-        vec.iter().filter(|b| **b & 1 == 1).count()
-    }
+    use malloc_api::testkit::resident_pages;
 
     #[test]
     fn nodes_are_resident_a_page_at_a_time_whatever_malloc_did_before() {

@@ -814,6 +814,33 @@ mod tests {
         }
     }
 
+    /// Memory comes from the kernel untouched (DESIGN.md §22): the first
+    /// `malloc` leaves its hyperblock's other 63 regions in the page
+    /// pool's tail, unwritten and counted by the audit, and a fresh
+    /// zeroed span is resident in its header page alone.
+    #[test]
+    fn a_fresh_instance_touches_only_what_it_hands_out() {
+        use malloc_api::testkit::resident_pages;
+        use osmem::PAGE_SIZE;
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        unsafe {
+            let p = a.malloc(8);
+            let (hyper, bytes) = a.inner().sb_pool.hyperblocks()[0];
+            // The refill's blocks, or none where a scenario bypasses it.
+            assert!(resident_pages(hyper, bytes) <= 1, "{} pages", resident_pages(hyper, bytes));
+            assert_eq!(a.inner().sb_pool.free_regions().len(), 63, "the tail");
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{:?}", rep.violations);
+            let big = a.malloc_zeroed(1 << 20);
+            let base = big.sub(16);
+            assert_eq!(base as usize % PAGE_SIZE, 0);
+            assert_eq!(resident_pages(base, (1 << 20) + PAGE_SIZE), 1, "the header page alone");
+            assert!(core::slice::from_raw_parts(big, 1 << 20).iter().all(|&b| b == 0));
+            a.free(big);
+            a.free(p);
+        }
+    }
+
     #[test]
     fn freeing_last_block_empties_and_recycles() {
         let a = LfMalloc::with_config(Config::with_heaps(1));

@@ -30,7 +30,7 @@
 //!   business (DESIGN.md §19). To the core it is simply allocated, so
 //!   every paper invariant holds unchanged.
 //!
-//! Slots live in the instance (their own allocation, so the hot lines
+//! Slots live in the instance (their own mapping, so the hot lines
 //! share nothing with `Inner`'s read-mostly fields) and are owned by
 //! [stamp](crate::tls): a thread finds its slot through its TLS block,
 //! and a slot whose owner has exited or died in a fork is drained by
@@ -49,7 +49,6 @@ use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use crate::tls::{stamp_alive, ThreadBlock, DRAINING};
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use osmem::PageSource;
-use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Most blocks one magazine holds.
 pub const MAX_BLOCKS: usize = 32;
@@ -199,31 +198,41 @@ pub(crate) struct SlotTable {
     /// the instance without ever being followed.
     id: u64,
     slots: *mut Slot,
+    /// One past the highest slot ever claimed; claims go lowest first.
+    /// Relaxed: a slot a scan misses was claimed just now, still empty.
+    claimed: AtomicUsize,
 }
 
-// SAFETY: `slots` is an owned allocation of atomics; `id` is immutable.
+// SAFETY: `slots` is an owned mapping of atomics; `id` is immutable.
 unsafe impl Send for SlotTable {}
 unsafe impl Sync for SlotTable {}
 
+const TABLE_BYTES: usize = core::mem::size_of::<[Slot; SLOTS]>();
+
 impl SlotTable {
+    /// An anonymous zero mapping, like the frame map's nodes.
     pub(crate) fn new() -> Option<Self> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-        let slots = unsafe { System.alloc_zeroed(Layout::new::<[Slot; SLOTS]>()) } as *mut Slot;
+        let slots = osmem::source::anon::map(TABLE_BYTES) as *mut Slot;
         (!slots.is_null()).then(|| SlotTable {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             slots,
+            claimed: AtomicUsize::new(0),
         })
     }
 
+    /// The slots that ever had an owner: the rest were never written.
     fn slots(&self) -> &[Slot] {
-        // SAFETY: `SLOTS` zero-initialised slots, live until drop.
-        unsafe { core::slice::from_raw_parts(self.slots, SLOTS) }
+        // SAFETY: `SLOTS` zero-initialised slots, live until drop, and
+        // `claimed <= SLOTS`.
+        unsafe { core::slice::from_raw_parts(self.slots, self.claimed.load(Ordering::Relaxed)) }
     }
 }
 
 impl Drop for SlotTable {
     fn drop(&mut self) {
-        unsafe { System.dealloc(self.slots as *mut u8, Layout::new::<[Slot; SLOTS]>()) };
+        // SAFETY: the table's own map, which nothing reaches after its drop.
+        unsafe { osmem::source::anon::unmap(self.slots as *mut u8, TABLE_BYTES) };
     }
 }
 
@@ -281,11 +290,10 @@ fn claim<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
     if me == 0 || inner.config.hardening != Hardening::Off {
         return core::ptr::null();
     }
-    let slots = inner.mags.slots();
     // A slot this thread already owns: it was here before, or it is the
     // forking thread and the slot still carries its parent-era stamp.
     let prev = tb.prev_stamp();
-    for s in slots {
+    for s in inner.mags.slots() {
         let o = s.owner.load(Ordering::Acquire);
         if o == me
             || (prev != 0
@@ -297,13 +305,16 @@ fn claim<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
             return s;
         }
     }
-    for s in slots {
+    // SAFETY: `SLOTS` zero-initialised slots, live as long as `inner`.
+    let all = unsafe { core::slice::from_raw_parts(inner.mags.slots, SLOTS) };
+    for (i, s) in all.iter().enumerate() {
         let o = s.owner.load(Ordering::Acquire);
         if (o == 0 || !stamp_alive(o))
             && s.owner
                 .compare_exchange(o, me, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
         {
+            inner.mags.claimed.fetch_max(i + 1, Ordering::Relaxed);
             // Adopted from a thread that is gone: its blocks came from
             // *its* heap's superblocks and go back there, not to us.
             unsafe { drain_slot(inner, s) };
@@ -809,6 +820,27 @@ mod tests {
         assert_eq!(MID_BUDGET / (one_each / MID_CLASSES), 13);
         assert_eq!(core::mem::size_of::<Slot>() % 64, 0);
         assert!(core::mem::size_of::<[Slot; SLOTS]>() <= 96 * 1024);
+    }
+
+    #[test]
+    fn the_slot_table_is_resident_a_page_at_a_time_whatever_malloc_did_before() {
+        use malloc_api::testkit::resident_pages;
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        // As for the frame map's nodes: a `calloc` after this would hand
+        // out recycled memory, memset in full.
+        for _ in 0..2 {
+            drop(std::hint::black_box(vec![1u8; 8 << 20]));
+        }
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        let table = a.inner().mags.slots;
+        assert_eq!(resident_pages(table, TABLE_BYTES), 0, "an untouched table");
+        unsafe {
+            let p = a.malloc(8);
+            // One slot of 1 472 bytes, which may straddle a page boundary.
+            assert!(resident_pages(table, TABLE_BYTES) <= 2, "{} pages", resident_pages(table, TABLE_BYTES));
+            a.free(p);
+        }
     }
 
     fn desc_of(a: &LfMalloc, block: *mut u8) -> &crate::descriptor::Descriptor {

@@ -166,6 +166,22 @@ pub unsafe fn canary_claim_release(addr: usize, msg: &str) {
     canary.store(0, Ordering::Release);
 }
 
+/// Pages overlapping `[p, p + len)` that the kernel holds in memory
+/// (`mincore`). Ask this, not a read, whether memory was left untouched:
+/// reading an untouched anonymous page maps the zero page, and `mincore`
+/// counts that page as resident from then on.
+pub fn resident_pages<T>(p: *const T, len: usize) -> usize {
+    unsafe extern "C" {
+        fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
+    }
+    let (start, end) = (p as usize & !4095, p as usize + len);
+    let mut vec = vec![0u8; (end - start).div_ceil(4096)];
+    // SAFETY: `mincore` writes one byte per page of the range into `vec`,
+    // which has that many.
+    assert_eq!(unsafe { mincore(start as *mut _, end - start, vec.as_mut_ptr()) }, 0);
+    vec.iter().filter(|b| **b & 1 == 1).count()
+}
+
 /// Basic single-thread contract: varied sizes round-trip, results are
 /// non-null, aligned, distinct while live, and data is preserved.
 pub fn check_basic<A: RawMalloc>(alloc: &A) {

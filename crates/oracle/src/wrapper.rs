@@ -89,6 +89,30 @@ pub enum Violation {
     Overlap { a: usize, a_size: usize, b: usize },
 }
 
+impl Violation {
+    /// The same violation with every pointer reduced to its offset in an
+    /// aligned `frame` (a power of two): what two replays of one trace
+    /// share when the kernel maps the heap at different addresses.
+    pub fn in_frame(&self, frame: usize) -> Violation {
+        let mut v = self.clone();
+        let pointers: &mut [&mut usize] = match &mut v {
+            Violation::DoubleHandOut { ptr, .. }
+            | Violation::UntrackedFree { ptr }
+            | Violation::Misaligned { ptr, .. }
+            | Violation::UsableTooSmall { ptr, .. }
+            | Violation::NotZeroed { ptr, .. }
+            | Violation::ContentCorruption { ptr, .. } => &mut [ptr],
+            Violation::ReallocContentLoss { old_ptr, new_ptr, .. } => &mut [old_ptr, new_ptr],
+            Violation::Overlap { a, b, .. } => &mut [a, b],
+            Violation::CallocOverflow { .. } => &mut [],
+        };
+        for p in pointers {
+            **p &= frame - 1;
+        }
+        v
+    }
+}
+
 impl core::fmt::Display for Violation {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

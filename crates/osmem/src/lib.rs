@@ -16,7 +16,7 @@
 //! # Substitution note (see DESIGN.md)
 //!
 //! The paper's platform is AIX 5.1 `mmap` on PowerPC. Here the default
-//! [`SystemSource`] obtains aligned runs from `std::alloc::System` —
+//! [`SystemSource`] is Linux anonymous `mmap`/`munmap`, called directly —
 //! deliberately *not* the Rust global allocator, so the allocators built
 //! on top can themselves be installed as the global allocator without
 //! recursion. The algorithmic content above this layer is unchanged.

@@ -4,9 +4,11 @@
 //! allocate superblocks (e.g., 16 KB) in batches of (e.g., 1 MB)
 //! hyperblocks (superblocks of superblocks)."
 //!
-//! [`PagePool`] keeps a lock-free LIFO of free regions. When empty it
-//! obtains one hyperblock from the [`PageSource`], hands out the first
-//! region, and pushes the rest. Freed regions return to the LIFO — the
+//! [`PagePool`] keeps a lock-free LIFO of freed regions and a *tail*
+//! word, `base | n`: the newest hyperblock's last `n` regions, never
+//! handed out and never written. When both are empty it maps one
+//! hyperblock from the [`PageSource`], hands out its first region and
+//! makes the rest the tail. Freed regions go to the LIFO — the
 //! pool **never unmaps on the hot path**, which is what makes the
 //! tag-protected stack traversal safe (see [`TaggedStack`]); the paper
 //! makes the equivalent trade for descriptor superblocks and notes the
@@ -24,7 +26,9 @@ use std::time::{Duration, Instant};
 /// How many times the pool's previous carve a thread that found another
 /// one mapping waits for its regions before it maps a hyperblock of its
 /// own (the mapper may have been killed), and the least that carve is
-/// taken to have lasted (a cold 1 MiB carve is ≈ 0.4 ms of page faults).
+/// taken to have lasted. A carve is a map and a word (≈ 1–10 µs); the
+/// floor is for a source that sleeps in `alloc_pages` and for a kernel
+/// that stalls one `mmap`, which a wait of 8 × a few µs would not outlast.
 const MAPPER_PATIENCE: u32 = 8;
 const MIN_CARVE: Duration = Duration::from_micros(500);
 
@@ -59,13 +63,17 @@ struct HyperRecord {
 #[derive(Debug)]
 pub struct PagePool<const SHIFT: u32> {
     free: TaggedStack<SHIFT>,
+    /// The tail, `base | n` (DESIGN.md §22): regions `batch − n .. batch`
+    /// of the hyperblock at `base`, taken from the front by CAS; `n == 0`
+    /// is empty.
+    fresh: AtomicUsize,
     hypers: AtomicPtr<HyperRecord>,
     hyper_count: AtomicUsize,
     batch: usize,
     /// Set by the thread that maps a hyperblock for the dry pool, cleared
-    /// by whoever finishes a carve: visitors meanwhile poll the LIFO for
+    /// by whoever finishes a carve: visitors meanwhile poll the pool for
     /// a bounded time and do not map a second one. `Relaxed` throughout:
-    /// the word publishes nothing, the regions come through the LIFO.
+    /// the word publishes nothing, the regions come through the tail.
     mapping: AtomicBool,
     /// How long the last carve took, in nanoseconds.
     carve_ns: AtomicU64,
@@ -81,15 +89,20 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
     /// Bytes per region.
     pub const REGION_SIZE: usize = 1 << SHIFT;
 
+    /// The tail word's count bits; the rest is the hyperblock's base.
+    const COUNT: usize = Self::REGION_SIZE - 1;
+
     /// Creates a pool that refills `batch` regions at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` is zero.
+    /// Panics if `batch` is zero or above `REGION_SIZE` (the tail's count
+    /// lives in a region address's low bits).
     pub const fn new(batch: usize) -> Self {
-        assert!(batch > 0, "batch must be positive");
+        assert!(batch > 0 && batch <= Self::REGION_SIZE, "batch out of range");
         PagePool {
             free: TaggedStack::new(),
+            fresh: AtomicUsize::new(0),
             hypers: AtomicPtr::new(core::ptr::null_mut()),
             hyper_count: AtomicUsize::new(0),
             batch,
@@ -100,19 +113,20 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         }
     }
 
-    /// Hands out one region: from the free LIFO if possible, otherwise
-    /// from a freshly mapped hyperblock. Null only if the source fails.
+    /// Hands out one region: from the free LIFO if possible, then from
+    /// the tail, otherwise from a freshly mapped hyperblock. Null only if
+    /// the source fails.
     pub fn alloc<S: PageSource>(&self, source: &S) -> *mut u8 {
         let fp = malloc_api::fail_point!("pool.carve");
         if fp.kill {
             return core::ptr::null_mut(); // the caller sees OOM
         }
-        // `retry` skips the free-LIFO fast path once, forcing a fresh
+        // `retry` skips the LIFO and the tail once, forcing a fresh
         // hyperblock carve even when regions are available.
         if !fp.retry {
             loop {
-                if let Some(r) = unsafe { self.free.pop() } {
-                    return r as *mut u8;
+                if let Some(r) = self.take() {
+                    return r;
                 }
                 // Dry. One mapper at a time: whoever sets the word maps,
                 // and a thread that finds it set waits for that carve's
@@ -134,14 +148,33 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         region
     }
 
-    /// Polls the LIFO while another thread maps. True once it is stocked
-    /// or the mapper is done (look again), false when the mapper has taken
-    /// [`MAPPER_PATIENCE`] times the previous carve.
+    /// A region off the LIFO, else the tail's first, in ascending order.
+    fn take(&self) -> Option<*mut u8> {
+        // SAFETY: a region on the LIFO stays mapped until a quiescent
+        // `trim_to`/`release_all`, the tagged stack's condition.
+        if let Some(r) = unsafe { self.free.pop() } {
+            return Some(r as *mut u8);
+        }
+        // Acquire: pairs with the carve's install, after the hyperblock's
+        // registration. What the CAS hands out is a function of the word
+        // alone — no load from memory — so an old value seen again hands
+        // out what it says (DESIGN.md §22.2).
+        let f = self
+            .fresh
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, |f| (f & Self::COUNT > 0).then(|| f - 1))
+            .ok()?;
+        let n = f & Self::COUNT;
+        Some((f - n + ((self.batch - n) << SHIFT)) as *mut u8)
+    }
+
+    /// Polls the LIFO and the tail while another thread maps. True once
+    /// one is stocked or the mapper is done (look again), false when the
+    /// mapper has taken [`MAPPER_PATIENCE`] times the previous carve.
     fn outwait(&self) -> bool {
         let last = Duration::from_nanos(self.carve_ns.load(Ordering::Relaxed));
         let (patience, start) = (last.max(MIN_CARVE) * MAPPER_PATIENCE, Instant::now());
         let mut polls = 0u32;
-        while self.mapping.load(Ordering::Relaxed) && self.free.is_empty() {
+        while self.mapping.load(Ordering::Relaxed) && !self.has_free() {
             if start.elapsed() > patience {
                 return false;
             }
@@ -155,23 +188,25 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         true
     }
 
-    /// Maps one hyperblock, keeps its first region and pushes the rest.
+    /// Maps one hyperblock, keeps its first region and installs the rest
+    /// as the tail — or pushes them, where another carve's tail is still
+    /// there.
     fn carve<S: PageSource>(&self, source: &S, forced: bool) -> *mut u8 {
         let bytes = self.batch << SHIFT;
         let base = unsafe { source.alloc_pages(bytes, Self::REGION_SIZE) };
         if base.is_null() {
-            // One more attempt on the LIFO: a racing free may have
+            // One more attempt on the pool: a racing free may have
             // repopulated it while the OS call failed.
-            return unsafe { self.free.pop() }.map_or(core::ptr::null_mut(), |r| r as *mut u8);
+            return self.take().unwrap_or(core::ptr::null_mut());
         }
         // Threads that map for a dry pool at the same time (one ran out of
         // patience with the other) each hold a hyperblock; whoever comes
-        // back to a stocked LIFO takes a region there and returns its own
-        // mapping, which no stack ever held (a forced carve keeps it).
+        // back to a stocked pool takes a region there and returns its own
+        // mapping, which nobody else ever saw (a forced carve keeps it).
         if !forced {
-            if let Some(r) = unsafe { self.free.pop() } {
+            if let Some(r) = self.take() {
                 unsafe { source.dealloc_pages(base, bytes, Self::REGION_SIZE) };
-                return r as *mut u8;
+                return r;
             }
         }
         if !self.register_hyperblock(base, bytes) {
@@ -180,11 +215,17 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
             // (the registry record comes from the system allocator, so
             // failing here means memory is truly exhausted).
             unsafe { source.dealloc_pages(base, bytes, Self::REGION_SIZE) };
-            return unsafe { self.free.pop() }.map_or(core::ptr::null_mut(), |r| r as *mut u8);
+            return self.take().unwrap_or(core::ptr::null_mut());
         }
-        // Keep region 0, push the rest.
-        for i in 1..self.batch {
-            unsafe { self.free.push(base as usize + (i << SHIFT)) };
+        // Keep region 0; the rest become the tail if the tail is empty
+        // (a batch of one has no rest). Release: a taker's Acquire then
+        // sees the registration above.
+        let tail = base as usize | (self.batch - 1);
+        let install = |f: usize| (self.batch > 1 && f & Self::COUNT == 0).then_some(tail);
+        if self.fresh.fetch_update(Ordering::Release, Ordering::Relaxed, install).is_err() {
+            for i in 1..self.batch {
+                unsafe { self.free.push(base as usize + (i << SHIFT)) };
+            }
         }
         #[cfg(feature = "stats")]
         self.carves.inc();
@@ -208,19 +249,29 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         unsafe { self.free.push(region as usize) };
     }
 
-    /// Whether the free LIFO holds a region, so that [`alloc`](Self::alloc)
-    /// would not go to the source (a hint beside concurrent callers).
+    /// Whether the free LIFO or the tail holds a region, so that
+    /// [`alloc`](Self::alloc) would not go to the source (a hint beside
+    /// concurrent callers).
     pub fn has_free(&self) -> bool {
-        !self.free.is_empty()
+        !self.free.is_empty() || self.fresh.load(Ordering::Relaxed) & Self::COUNT != 0
     }
 
-    /// The regions on the free LIFO (audit accounting).
+    /// The regions on the free LIFO, then the tail's (audit accounting).
     ///
     /// # Safety
     ///
     /// Requires quiescence: no concurrent `alloc`/`dealloc`.
     pub unsafe fn free_regions(&self) -> Vec<usize> {
-        unsafe { self.free.snapshot() }
+        let mut free = unsafe { self.free.snapshot() };
+        free.extend(self.tail());
+        free
+    }
+
+    /// The tail's regions, ascending. For quiescent callers, hence `Relaxed`.
+    fn tail(&self) -> impl Iterator<Item = usize> {
+        let f = self.fresh.load(Ordering::Relaxed);
+        let (base, n) = (f & !Self::COUNT, f & Self::COUNT);
+        (self.batch - n..self.batch).map(move |i| base + (i << SHIFT))
     }
 
     /// Number of hyperblocks mapped so far.
@@ -295,9 +346,10 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
     /// may still be in use, and no other thread may touch the pool again.
     /// `source` must be the same source passed to every `alloc`.
     pub unsafe fn release_all<S: PageSource>(&self, source: &S) {
-        // Drain the free list first: its intrusive links live inside the
-        // hyperblocks about to be unmapped.
+        // Drain the free list and the tail first: the links and the tail's
+        // base name the hyperblocks about to be unmapped.
         while unsafe { self.free.pop() }.is_some() {}
+        self.fresh.store(0, Ordering::Relaxed);
         let mut p = self.hypers.swap(core::ptr::null_mut(), Ordering::AcqRel);
         while !p.is_null() {
             let rec = unsafe { &*p };
@@ -310,7 +362,8 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
     }
 
     /// Unmaps every *fully free* hyperblock (all `batch` regions on the
-    /// free LIFO) and returns the number of bytes released to `source`.
+    /// free LIFO or in the tail) and returns the number of bytes released
+    /// to `source`.
     ///
     /// # Safety
     ///
@@ -337,6 +390,9 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
         while let Some(r) = unsafe { self.free.pop() } {
             free.push(r);
         }
+        // The tail stays in place: a surviving hyperblock's untouched
+        // regions are not written by a re-push.
+        let tail: Vec<usize> = self.tail().collect();
         // Detach the registry; we rebuild it below with survivors only.
         let mut p = self.hypers.swap(core::ptr::null_mut(), Ordering::AcqRel);
         let mut released = 0usize;
@@ -345,10 +401,14 @@ impl<const SHIFT: u32> PagePool<SHIFT> {
             let rec = unsafe { &mut *p };
             let next = rec.next;
             let (base, bytes) = (rec.base as usize, rec.bytes);
-            let free_here = free.iter().filter(|&&r| r >= base && r < base + bytes).count();
+            let inside = |r: usize| (base..base + bytes).contains(&r);
+            let free_here = free.iter().chain(&tail).filter(|&&r| inside(r)).count();
             let fully_free = free_here << SHIFT == bytes;
             if fully_free && self.mapped_bytes() > target_bytes {
-                free.retain(|&r| r < base || r >= base + bytes);
+                free.retain(|&r| !inside(r));
+                if tail.iter().any(|&r| inside(r)) {
+                    self.fresh.store(0, Ordering::Relaxed);
+                }
                 unsafe { source.dealloc_pages(base as *mut u8, bytes, Self::REGION_SIZE) };
                 unsafe { System.dealloc(p as *mut u8, Layout::new::<HyperRecord>()) };
                 self.hyper_count.fetch_sub(1, Ordering::Relaxed);
@@ -456,6 +516,44 @@ mod tests {
             unsafe { pool.dealloc(r) };
         }
         unsafe { pool.release_all(&src) };
+    }
+
+    /// A carve writes nothing into its hyperblock: the 63 regions nobody
+    /// has been handed are one word, taken in ascending order.
+    #[test]
+    fn a_fresh_hyperblock_is_untouched_and_its_tail_is_handed_out_in_order() {
+        use malloc_api::testkit::resident_pages;
+        let src = CountingSource::new(SystemSource::new());
+        let pool = SbPool::new(64);
+        let hyper = 64 * SbPool::REGION_SIZE;
+        let first = pool.alloc(&src);
+        assert_eq!(resident_pages(first, hyper), 0, "the carve wrote into its hyperblock");
+        assert!(pool.has_free());
+        let tail: Vec<usize> = (1..64).map(|i| first as usize + i * SbPool::REGION_SIZE).collect();
+        assert_eq!(unsafe { pool.free_regions() }, tail);
+        // A hyperblock with a region out survives a trim, its tail unwritten.
+        assert_eq!(unsafe { pool.trim(&src) }, 0);
+        assert_eq!(unsafe { pool.free_regions() }, tail);
+        assert_eq!(resident_pages(first, hyper), 0, "trim wrote into the tail");
+        let taken: Vec<usize> = (1..64).map(|_| pool.alloc(&src) as usize).collect();
+        assert_eq!(taken, tail, "each region once, ascending");
+        assert!(!pool.has_free() && unsafe { pool.free_regions() }.is_empty());
+        assert_eq!(src.stats().os_allocs, 1);
+        let second = pool.alloc(&src);
+        assert_eq!((pool.hyperblock_count(), src.stats().os_allocs), (2, 2), "the 64th maps");
+        // Its only handed-out region back: tail + LIFO is the whole hyperblock.
+        unsafe { pool.dealloc(second) };
+        assert_eq!(unsafe { pool.trim(&src) }, hyper);
+        assert_eq!(pool.hyperblock_count(), 1);
+        assert!(!pool.has_free() && !pool.owns(second as usize));
+        unsafe {
+            pool.dealloc(first);
+            for r in taken {
+                pool.dealloc(r as *mut u8);
+            }
+            pool.release_all(&src);
+        }
+        assert_eq!(src.stats().live_bytes, 0);
     }
 
     #[test]
@@ -728,8 +826,13 @@ mod tests {
         use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
         let _guard = fp::scenario(0xABA);
         let src = SystemSource::new();
-        let pool = SbPool::new(4); // one carve: region 0 out, 1..=3 free
+        let pool = SbPool::new(4); // one carve: region 0 out, 1..=3 the tail
         let r0 = pool.alloc(&src);
+        // Through the LIFO: 3 on top, then 2, then 1.
+        let rest: Vec<*mut u8> = (0..3).map(|_| pool.alloc(&src)).collect();
+        for r in rest {
+            unsafe { pool.dealloc(r) };
+        }
         fp::arm_limited("stack.pop", FpAction::Park, FpTrigger::Always, 1);
         std::thread::scope(|s| {
             let a = s.spawn(|| pool.alloc(&src) as usize);

@@ -3,7 +3,6 @@
 use malloc_api::layout::{align_up, is_aligned};
 use malloc_api::stats::UsageCounter;
 use malloc_api::AllocStats;
-use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Assumed OS page size. The substrate rounds all requests up to this.
 pub const PAGE_SIZE: usize = 4096;
@@ -75,10 +74,11 @@ mod mprotect_sys {
     }
 }
 
-/// Anonymous zero mappings for an allocator's own fixed metadata, counted
-/// by no [`PageSource`]: `mmap` itself (Linux constants, as in
+/// Anonymous zero mappings: `mmap` itself (Linux constants, as in
 /// `malloc_api::procfork::sys`), so zero-fill and page-at-a-time residency
 /// hold whatever `malloc` did before, and glibc's mmap threshold stays put.
+/// [`SystemSource`] is built on it, and so is an allocator's own fixed
+/// metadata, which no [`PageSource`] counts.
 pub mod anon {
     use core::ffi::c_void;
     const PROT_READ_WRITE: i32 = 1 | 2;
@@ -96,26 +96,30 @@ pub mod anon {
 
     /// # Safety
     ///
-    /// `ptr`/`len` must match a live prior [`map`].
+    /// `ptr`/`len` must be whole pages of a live prior [`map`] that
+    /// nobody uses again.
     pub unsafe fn unmap(ptr: *mut u8, len: usize) {
         unsafe { munmap(ptr as *mut c_void, len) };
     }
 }
 
-/// The default source: aligned runs from the *system* allocator.
+/// The default source: aligned runs of anonymous memory from the kernel
+/// ([`anon`]), the paper's `mmap`/`munmap` (§3.2.5).
 ///
-/// Uses `std::alloc::System` directly (never the Rust global allocator)
-/// so allocators built on it can be installed as `#[global_allocator]`.
+/// A run is fresh from the kernel, so it reads zero and no page of it is
+/// resident until its user touches it. An alignment above [`PAGE_SIZE`]
+/// costs one map of `size + align − PAGE_SIZE` whose head and tail are
+/// unmapped again: at most three system calls. A free is one `munmap` of
+/// exactly the run. Never the Rust global allocator, and not libc
+/// `malloc` either, so allocators built on it can be installed as
+/// `#[global_allocator]`.
 ///
 /// # Fork safety
 ///
-/// `System` routes to libc `malloc`, and glibc's `fork` runs its own
-/// internal atfork handlers that reacquire the malloc arena locks in a
-/// consistent state on both sides (and has since well before any
-/// toolchain we target). A forked child can therefore request fresh
-/// pages from this source immediately; the allocator-level recovery
-/// protocol (DESIGN.md §12) only has to repair *our* structures, never
-/// the page source underneath.
+/// `mmap` and `munmap` are system calls that take no lock in this
+/// process, so a forked child can request fresh pages from this source
+/// immediately; the allocator-level recovery protocol (DESIGN.md §12)
+/// only has to repair *our* structures, never the page source underneath.
 #[derive(Debug, Default)]
 pub struct SystemSource;
 
@@ -130,17 +134,34 @@ unsafe impl PageSource for SystemSource {
     unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
         debug_assert!(size > 0 && is_aligned(size, PAGE_SIZE));
         debug_assert!(align.is_power_of_two() && align >= PAGE_SIZE);
-        let Ok(layout) = Layout::from_size_align(size, align) else {
+        let Some(len) = size.checked_add(align - PAGE_SIZE) else {
             return core::ptr::null_mut();
         };
-        // Anonymous mmap hands out zero-filled pages; reproduce that so
-        // code above this layer can rely on the same invariant.
-        unsafe { System.alloc_zeroed(layout) }
+        let p = anon::map(len);
+        if p.is_null() {
+            return p;
+        }
+        // Trim the over-map to the aligned run.
+        let head = align_up(p as usize, align) - p as usize;
+        let tail = len - head - size;
+        // SAFETY: `p` is a fresh map of `len` bytes, page-aligned like
+        // `head` and `size`; head and tail are whole pages of it outside
+        // the run, and nobody has seen them.
+        unsafe {
+            if head > 0 {
+                anon::unmap(p, head);
+            }
+            if tail > 0 {
+                anon::unmap(p.add(head + size), tail);
+            }
+            p.add(head)
+        }
     }
 
-    unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
-        let layout = Layout::from_size_align(size, align).expect("layout validated at alloc");
-        unsafe { System.dealloc(ptr, layout) };
+    unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, _align: usize) {
+        // SAFETY: the caller passes a live run of ours, whose pages are
+        // exactly what is left of its map.
+        unsafe { anon::unmap(ptr, size) };
     }
 
     #[cfg(unix)]
@@ -154,8 +175,7 @@ unsafe impl PageSource for SystemSource {
         unsafe { mprotect_sys::mprotect(ptr as *mut core::ffi::c_void, len, prot) == 0 }
     }
 
-    // `alloc_pages` goes through `System.alloc_zeroed` precisely so this
-    // invariant holds (anonymous-mmap semantics).
+    // Every run is a fresh anonymous mapping: the kernel zero-fills it.
     fn zeroes_fresh_pages(&self) -> bool {
         true
     }
@@ -285,6 +305,38 @@ mod tests {
                 s.dealloc_pages(p, align, align);
             }
         }
+    }
+
+    #[test]
+    fn a_fresh_run_is_aligned_zero_and_not_resident_whatever_malloc_did_before() {
+        use malloc_api::testkit::resident_pages;
+        // A process that has freed a large `malloc` block: glibc's mmap
+        // threshold now lies above both sizes, and `calloc` would hand
+        // out recycled memory, memset in full.
+        for _ in 0..2 {
+            drop(std::hint::black_box(vec![1u8; 8 << 20]));
+        }
+        let s = SystemSource::new();
+        for size in [64 << 10, 1 << 20] {
+            for align in [PAGE_SIZE, 16 << 10, 1 << 20] {
+                unsafe {
+                    let p = s.alloc_pages(size, align);
+                    assert!(!p.is_null() && is_aligned(p as usize, align), "{p:p} at {align:#x}");
+                    assert_eq!(resident_pages(p, size), 0, "{size:#x} at {align:#x} was touched");
+                    let run = core::slice::from_raw_parts(p, size);
+                    assert!(run.iter().all(|&b| b == 0));
+                    s.dealloc_pages(p, size, align);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_over_map_that_would_overflow_is_null() {
+        let s = SystemSource::new();
+        let size = usize::MAX & !(PAGE_SIZE - 1);
+        assert!(unsafe { s.alloc_pages(size, 1 << 20) }.is_null());
+        assert!(unsafe { s.alloc_pages(size, PAGE_SIZE) }.is_null(), "the kernel refuses");
     }
 
     #[test]

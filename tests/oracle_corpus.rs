@@ -10,6 +10,7 @@
 //!   reachable only through trace-embedded failpoint plans, so they are
 //!   skipped (loudly) when the `failpoints` feature is compiled out.
 
+use lfmalloc::config::SB_SIZE;
 use oracle::{all_subjects, subjects::replay_named, Expectation, Trace};
 use std::path::PathBuf;
 
@@ -66,7 +67,9 @@ fn violation_corpus_traces_still_reproduce() {
             continue;
         }
         // Three consecutive replays: the violation must be deterministic,
-        // not a lucky interleaving.
+        // not a lucky interleaving. Each replay's heap is a fresh kernel
+        // mapping, placed wherever the kernel likes, so a pointer is
+        // compared by its offset in its 16 KiB frame.
         let mut first = None;
         for run in 0..3 {
             let (out, _) = replay_named(&trace.allocator, &trace);
@@ -74,12 +77,10 @@ fn violation_corpus_traces_still_reproduce() {
                 !out.violations.is_empty(),
                 "{name}: run {run} no longer reproduces its violation"
             );
+            let v = out.violations[0].in_frame(SB_SIZE);
             match &first {
-                None => first = Some(out.violations[0].clone()),
-                Some(f) => assert_eq!(
-                    *f, out.violations[0],
-                    "{name}: run {run} produced a different violation"
-                ),
+                None => first = Some(v),
+                Some(f) => assert_eq!(*f, v, "{name}: run {run} produced a different violation"),
             }
         }
         checked += 1;
