@@ -644,7 +644,7 @@ pub struct StatsSnapshot {
     pub trims: u64,
     /// Events the ring had to drop.
     pub events_dropped: u64,
-    /// Process-wide queue/stack CAS retries from `lockfree-structs`
+    /// Process-wide tagged-stack CAS retries from `lockfree-structs`
     /// (shared by *all* instances in the process — the embedded
     /// structures keep their layout by counting into statics).
     pub structs_cas: StructsCasStats,
@@ -701,8 +701,7 @@ impl StatsSnapshot {
              \"large\":{{\"alloc\":{},\"free\":{},\"live\":{},\"cache_hit\":{},\
              \"cache_miss\":{},\"cache_bypass\":{}}},\
              \"oom_backoffs\":{},\"trims\":{},\"events_dropped\":{},\
-             \"structs_cas\":{{\"queue_enqueue\":{},\"queue_dequeue\":{},\
-             \"stack_push\":{},\"stack_pop\":{}}},\
+             \"structs_cas\":{{\"stack_push\":{},\"stack_pop\":{}}},\
              \"os\":{{\"live_bytes\":{},\"peak_bytes\":{},\"mmap_calls\":{},\
              \"munmap_calls\":{}}},\
              \"carves\":{{\"superblock\":{},\"descriptor\":{}}},\
@@ -721,8 +720,6 @@ impl StatsSnapshot {
             self.oom_backoffs,
             self.trims,
             self.events_dropped,
-            self.structs_cas.queue_enqueue_retries,
-            self.structs_cas.queue_dequeue_retries,
             self.structs_cas.stack_push_retries,
             self.structs_cas.stack_pop_retries,
             self.os.live_bytes,
@@ -959,9 +956,7 @@ impl<S: PageSource> LfMalloc<S> {
         )?;
         writeln!(
             w,
-            "structs: queue cas retries {}/{} (enq/deq), stack {}/{} (push/pop) [process-wide]",
-            s.structs_cas.queue_enqueue_retries,
-            s.structs_cas.queue_dequeue_retries,
+            "structs: stack cas retries {}/{} (push/pop) [process-wide]",
             s.structs_cas.stack_push_retries,
             s.structs_cas.stack_pop_retries
         )?;

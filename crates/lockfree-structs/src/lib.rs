@@ -11,13 +11,13 @@
 //! * [`stack`] — the tag-protected Treiber/IBM-freelist LIFO
 //!   ([`stack::TaggedStack`]): the page pool's free list, and the
 //!   allocator's `DescAvail`, descriptor reserve and partial lists.
-//! * [`queue`] — the Michael–Scott FIFO queue (PODC 1996) with
-//!   hazard-pointer memory management, "with optimized memory
-//!   management" (§3.2.6): nodes come from an internal never-unmapped
-//!   slab pool (its free list is the paper's `SafeCAS` pop), so the
-//!   queue itself needs no general-purpose malloc — which would be
-//!   circular inside an allocator. The producer–consumer workload and
-//!   baseline; the allocator itself no longer links it.
+//! * [`queue`] — the Michael–Scott FIFO queue (PODC 1996) in its
+//!   counted-pointer form: every link word carries a tag, and nodes come
+//!   from internal slabs that live as long as the queue (its free list is
+//!   a [`stack::TaggedStack`]), so the queue needs neither a reclamation
+//!   scheme nor a general-purpose malloc — which would be circular inside
+//!   an allocator. The producer–consumer workload and baseline; the
+//!   allocator itself does not use it.
 //! * [`mpmc`] — Vyukov's bounded MPMC array queue, the fixed-capacity
 //!   ring behind the hardened allocator's free-block quarantine (not
 //!   strictly lock-free; see the module docs for the caveat).

@@ -1,5 +1,5 @@
-//! Michael–Scott lock-free FIFO queue with hazard-pointer memory
-//! management.
+//! Michael–Scott lock-free FIFO queue (PODC 1996) in its counted-pointer
+//! form: type-stable nodes under tags, no reclamation scheme.
 //!
 //! The paper manages each size class's list of partial superblocks with
 //! "a version of the lock-free FIFO queue algorithm in [20] with
@@ -7,381 +7,75 @@
 //! and false sharing versus a LIFO list, and queue nodes are allocated
 //! "in a manner similar but simpler than allocating descriptors" — i.e.
 //! from internal slabs, not from a general-purpose malloc (which would
-//! be circular inside an allocator).
+//! be circular inside an allocator). `lfmalloc` keeps its partial lists
+//! on tag-protected stacks instead (DESIGN.md §17); this queue serves the
+//! producer–consumer benchmark of §4.1, workload and baseline.
 //!
-//! This module provides:
+//! The ABA argument is the 1996 paper's own (DESIGN.md §17.10):
 //!
-//! * [`RawQueue`] — the embeddable engine: caller supplies the
-//!   [`HazardDomain`] and guarantees address stability. `lfmalloc` used
-//!   it for its per-size-class partial lists until its descriptors
-//!   moved to tag-protected intrusive stacks (DESIGN.md §17); it stays
-//!   as the engine under [`Queue`].
-//! * [`Queue`] — a safe, self-contained wrapper (own domain, boxed for
-//!   address stability) used by tests and by the producer–consumer
-//!   benchmark of §4.1.
+//! * `head`, `tail` and every node's `next` are [`TagPtr`] words, and
+//!   every successful CAS on one bumps its tag, so a CAS whose expected
+//!   word was read before its node left the queue and came back fails.
+//! * Nodes come from `System` slabs that are freed only when the queue
+//!   drops, so a thread holding a stale node address still reads a node.
+//! * Free nodes sit on a [`TaggedStack`] linked through `value`, never
+//!   through `next`: a reused node gets a null `next` under the tag it
+//!   already carries.
 //!
-//! Nodes are 16 bytes (`next` + `value`), matching the "fixed size queue
-//! node (16 bytes)" the paper's producer–consumer benchmark allocates.
+//! A node is the two words of the paper's "fixed size queue node (16
+//! bytes)" on a cache line of its own; the 64-byte alignment is what
+//! leaves room for the tag.
 
-use crate::backoff::Backoff;
-use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use hazard::{HazardDomain, Slot};
+use crate::pad::CachePadded;
+use crate::stack::TaggedStack;
+use crate::tagptr::TagPtr;
+use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
 
-/// Hazard slot used for the queue head / enqueue tail.
-pub const SLOT_HEAD: Slot = Slot(0);
-/// Hazard slot used for the dequeued node's successor.
-pub const SLOT_NEXT: Slot = Slot(1);
-/// Hazard slot used by the node free-list pop.
-pub const SLOT_FREE: Slot = Slot(2);
+/// Node alignment: 64 bytes.
+const SHIFT: u32 = 6;
+/// Node addresses lie below 2^48, as `lfmalloc`'s descriptors do.
+const ADDR: u32 = 48;
 
-/// Queue node: intrusive link + payload word.
-#[repr(C)]
-#[derive(Debug)]
-pub struct Node {
-    next: AtomicPtr<Node>,
+/// A node address and its ABA tag in one CAS-able word.
+type Link = TagPtr<SHIFT, ADDR>;
+
+/// The free nodes, linked through `value` so that `next` keeps its tag.
+type FreeList = TaggedStack<SHIFT, { core::mem::offset_of!(Node, value) }, ADDR>;
+
+// Parity with `lfmalloc`'s descriptor stacks: a stale CAS succeeds
+// wrongly only after exactly k * 2^TAG_BITS successful CASes on its word.
+const _: () = assert!(Link::TAG_BITS >= 21);
+const _: () = assert!(core::mem::align_of::<Node>() == 1 << SHIFT);
+
+/// Queue node: tagged link + payload word.
+#[repr(C, align(64))]
+struct Node {
+    next: AtomicU64,
     value: AtomicUsize,
 }
 
 const NODES_PER_SLAB: usize = 64;
 
-/// Header prepended to each slab of nodes; slabs form an append-only
-/// list freed when the pool drops.
+/// A slab of nodes; slabs form an append-only list freed on drop.
 #[repr(C)]
-struct SlabHeader {
-    next: *mut SlabHeader,
+struct Slab {
+    nodes: [Node; NODES_PER_SLAB],
+    next: *mut Slab,
 }
 
-fn slab_layout() -> Layout {
-    Layout::new::<SlabHeader>()
-        .extend(Layout::array::<Node>(NODES_PER_SLAB).unwrap())
-        .unwrap()
-        .0
-        .pad_to_align()
+fn load(word: &AtomicU64) -> Link {
+    Link::from_raw(word.load(Ordering::Acquire))
 }
 
-/// A never-shrinking pool of queue nodes backed by system-allocator
-/// slabs. Free nodes sit on a LIFO whose pop is the paper's `SafeCAS`
-/// (§3.2.5, Figure 7): the CAS is ABA-safe because the popper publishes
-/// a hazard pointer to the head it read, and a popped node re-enters
-/// the list only through [`HazardDomain::retire`], that is, once no
-/// thread protects it. Fresh nodes (never popped) are pushed directly.
-#[derive(Debug)]
-pub struct NodePool {
-    free: AtomicPtr<Node>,
-    slabs: AtomicPtr<SlabHeader>,
+/// CASes `word` from `old` to the address `to` under the next tag: no
+/// successful CAS on a link leaves its tag where it was.
+fn swing(word: &AtomicU64, old: Link, to: usize) -> bool {
+    let new = old.with_addr(to).bump_tag();
+    word.compare_exchange(old.raw(), new.raw(), Ordering::AcqRel, Ordering::Relaxed).is_ok()
 }
 
-unsafe impl Send for NodePool {}
-unsafe impl Sync for NodePool {}
-
-impl NodePool {
-    /// Creates an empty pool (no slab is allocated until first use).
-    pub const fn new() -> Self {
-        NodePool {
-            free: AtomicPtr::new(core::ptr::null_mut()),
-            slabs: AtomicPtr::new(core::ptr::null_mut()),
-        }
-    }
-
-    /// Pushes `node` on the free list.
-    ///
-    /// # Safety
-    ///
-    /// `node` must be valid, not on the list, and either never popped
-    /// or arriving through `retire` (see the type's docs).
-    unsafe fn push_free(&self, node: *mut Node) {
-        let mut backoff = Backoff::new();
-        let mut head = self.free.load(Ordering::Acquire);
-        loop {
-            unsafe { (*node).next.store(head, Ordering::Relaxed) };
-            match self.free.compare_exchange_weak(head, node, Ordering::Release, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(observed) => {
-                    crate::cas_retry!(STACK_PUSH_RETRIES);
-                    head = observed;
-                    backoff.spin();
-                }
-            }
-        }
-    }
-
-    /// Pops a free node under hazard slot [`SLOT_FREE`].
-    ///
-    /// # Safety
-    ///
-    /// `domain` must be the one domain used for all operations on this
-    /// pool.
-    unsafe fn pop_free(&self, domain: &HazardDomain) -> Option<*mut Node> {
-        let mut backoff = Backoff::new();
-        loop {
-            let p = domain.protect(SLOT_FREE, &self.free);
-            if p.is_null() {
-                domain.clear(SLOT_FREE);
-                return None;
-            }
-            // p is protected: it cannot be reclaimed and pushed again, so
-            // its link is stable if p is still the head.
-            let next = unsafe { (*p).next.load(Ordering::Acquire) };
-            if self.free.compare_exchange(p, next, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                domain.clear(SLOT_FREE);
-                return Some(p);
-            }
-            crate::cas_retry!(STACK_POP_RETRIES);
-            backoff.spin();
-        }
-    }
-
-    /// Pops a free node, refilling from a fresh slab when empty.
-    ///
-    /// # Safety
-    ///
-    /// `domain` must be the one domain used for all operations on this
-    /// pool.
-    pub unsafe fn alloc_node(&self, domain: &HazardDomain) -> *mut Node {
-        if let Some(n) = unsafe { self.pop_free(domain) } {
-            return n;
-        }
-        // Refill: one slab, first node returned, rest pushed free.
-        let layout = slab_layout();
-        let raw = unsafe { System.alloc(layout) };
-        assert!(!raw.is_null(), "queue node slab allocation failed");
-        let header = raw as *mut SlabHeader;
-        // Register the slab (lock-free prepend; only Drop pops).
-        let mut head = self.slabs.load(Ordering::Acquire);
-        loop {
-            unsafe { (*header).next = head };
-            match self.slabs.compare_exchange_weak(
-                head,
-                header,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(observed) => head = observed,
-            }
-        }
-        let nodes = unsafe { raw.add(core::mem::size_of::<SlabHeader>()) } as *mut Node;
-        for i in 0..NODES_PER_SLAB {
-            let n = unsafe { nodes.add(i) };
-            unsafe {
-                n.write(Node {
-                    next: AtomicPtr::new(core::ptr::null_mut()),
-                    value: AtomicUsize::new(0),
-                });
-            }
-            if i != 0 {
-                // Fresh nodes may be pushed directly (never popped yet).
-                unsafe { self.push_free(n) };
-            }
-        }
-        nodes
-    }
-
-    /// Hands a detached node to the domain; it returns to the free stack
-    /// once unprotected.
-    ///
-    /// # Safety
-    ///
-    /// `node` must be detached from the queue, and `self` must be
-    /// address-stable until the domain is dropped.
-    pub unsafe fn retire_node(&self, domain: &HazardDomain, node: *mut Node) {
-        unsafe fn reclaim(ctx: *mut u8, ptr: *mut u8) {
-            let pool = unsafe { &*(ctx as *const NodePool) };
-            unsafe { pool.push_free(ptr as *mut Node) };
-        }
-        unsafe { domain.retire(node as *mut u8, self as *const _ as *mut u8, reclaim) };
-    }
-
-    /// Number of slabs allocated so far (diagnostics: bounded reuse).
-    pub fn slab_count(&self) -> usize {
-        let mut n = 0;
-        let mut p = self.slabs.load(Ordering::Acquire);
-        while !p.is_null() {
-            n += 1;
-            p = unsafe { (*p).next };
-        }
-        n
-    }
-}
-
-impl Default for NodePool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for NodePool {
-    fn drop(&mut self) {
-        let mut p = *self.slabs.get_mut();
-        let layout = slab_layout();
-        while !p.is_null() {
-            let next = unsafe { (*p).next };
-            unsafe { System.dealloc(p as *mut u8, layout) };
-            p = next;
-        }
-    }
-}
-
-/// The embeddable Michael–Scott queue engine.
-///
-/// The caller owns the [`HazardDomain`] (letting many queues share one
-/// domain) and must keep both the queue
-/// and the domain at stable addresses between `init` and drop.
-#[derive(Debug)]
-pub struct RawQueue {
-    head: AtomicPtr<Node>,
-    tail: AtomicPtr<Node>,
-    pool: NodePool,
-}
-
-unsafe impl Send for RawQueue {}
-unsafe impl Sync for RawQueue {}
-
-impl RawQueue {
-    /// Creates an uninitialized queue; call [`init`](Self::init) before
-    /// any enqueue/dequeue.
-    pub const fn new() -> Self {
-        RawQueue {
-            head: AtomicPtr::new(core::ptr::null_mut()),
-            tail: AtomicPtr::new(core::ptr::null_mut()),
-            pool: NodePool::new(),
-        }
-    }
-
-    /// Allocates the dummy node. Must be called exactly once, before any
-    /// concurrent use.
-    ///
-    /// # Safety
-    ///
-    /// Single-threaded call; `self` must not move afterwards.
-    pub unsafe fn init(&self, domain: &HazardDomain) {
-        let dummy = unsafe { self.pool.alloc_node(domain) };
-        unsafe { (*dummy).next.store(core::ptr::null_mut(), Ordering::Relaxed) };
-        self.head.store(dummy, Ordering::Release);
-        self.tail.store(dummy, Ordering::Release);
-    }
-
-    /// Appends `value` at the tail.
-    ///
-    /// # Safety
-    ///
-    /// `init` must have completed with this same `domain`.
-    pub unsafe fn enqueue(&self, domain: &HazardDomain, value: usize) {
-        let node = unsafe { self.pool.alloc_node(domain) };
-        unsafe {
-            (*node).next.store(core::ptr::null_mut(), Ordering::Relaxed);
-            (*node).value.store(value, Ordering::Relaxed);
-        }
-        loop {
-            if crate::fp("queue.enqueue").retry {
-                continue; // forced retry arm (kill has no legal meaning here)
-            }
-            let t = domain.protect(SLOT_HEAD, &self.tail);
-            let next = unsafe { (*t).next.load(Ordering::Acquire) };
-            if self.tail.load(Ordering::Acquire) != t {
-                crate::cas_retry!(QUEUE_ENQUEUE_RETRIES);
-                continue;
-            }
-            if !next.is_null() {
-                // Tail is lagging: help swing it forward.
-                let _ = self.tail.compare_exchange(t, next, Ordering::Release, Ordering::Relaxed);
-                crate::cas_retry!(QUEUE_ENQUEUE_RETRIES);
-                continue;
-            }
-            if unsafe { &(*t).next }
-                .compare_exchange(
-                    core::ptr::null_mut(),
-                    node,
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                let _ = self.tail.compare_exchange(t, node, Ordering::Release, Ordering::Relaxed);
-                domain.clear(SLOT_HEAD);
-                return;
-            }
-            crate::cas_retry!(QUEUE_ENQUEUE_RETRIES);
-        }
-    }
-
-    /// Removes and returns the value at the head, or `None` if empty.
-    ///
-    /// # Safety
-    ///
-    /// `init` must have completed with this same `domain`.
-    pub unsafe fn dequeue(&self, domain: &HazardDomain) -> Option<usize> {
-        loop {
-            if crate::fp("queue.dequeue").retry {
-                continue;
-            }
-            let h = domain.protect(SLOT_HEAD, &self.head);
-            let t = self.tail.load(Ordering::Acquire);
-            let next = unsafe { (*h).next.load(Ordering::Acquire) };
-            domain.set(SLOT_NEXT, next);
-            if self.head.load(Ordering::Acquire) != h {
-                crate::cas_retry!(QUEUE_DEQUEUE_RETRIES);
-                continue; // validation of both h and next failed
-            }
-            if next.is_null() {
-                domain.clear(SLOT_HEAD);
-                domain.clear(SLOT_NEXT);
-                return None;
-            }
-            if h == t {
-                // Tail lagging behind a non-empty queue: help.
-                let _ = self.tail.compare_exchange(t, next, Ordering::Release, Ordering::Relaxed);
-                crate::cas_retry!(QUEUE_DEQUEUE_RETRIES);
-                continue;
-            }
-            // `next` is protected; read the value before unlinking `h`.
-            let value = unsafe { (*next).value.load(Ordering::Acquire) };
-            if self
-                .head
-                .compare_exchange(h, next, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                domain.clear(SLOT_HEAD);
-                domain.clear(SLOT_NEXT);
-                unsafe { self.pool.retire_node(domain, h) };
-                return Some(value);
-            }
-            crate::cas_retry!(QUEUE_DEQUEUE_RETRIES);
-        }
-    }
-
-    /// Best-effort emptiness check (exact only while quiescent).
-    pub fn is_empty_hint(&self) -> bool {
-        let h = self.head.load(Ordering::Acquire);
-        if h.is_null() {
-            return true; // not yet initialized
-        }
-        unsafe { (*h).next.load(Ordering::Acquire).is_null() }
-    }
-
-    /// Slab count of the internal node pool (diagnostics).
-    pub fn slab_count(&self) -> usize {
-        self.pool.slab_count()
-    }
-}
-
-impl Default for RawQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-struct QueueInner {
-    // Field order is drop order: the domain must drop first so its
-    // retired nodes are pushed back into the pool before the pool frees
-    // its slabs.
-    domain: HazardDomain,
-    raw: RawQueue,
-}
-
-/// A safe, self-contained MPMC lock-free FIFO queue of `usize` values.
+/// A lock-free MPMC FIFO queue of `usize` values.
 ///
 /// # Example
 ///
@@ -397,13 +91,10 @@ struct QueueInner {
 /// ```
 #[derive(Debug)]
 pub struct Queue {
-    inner: Box<QueueInner>,
-}
-
-impl core::fmt::Debug for QueueInner {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("QueueInner").finish_non_exhaustive()
-    }
+    head: CachePadded<AtomicU64>,
+    tail: CachePadded<AtomicU64>,
+    free: FreeList,
+    slabs: AtomicPtr<Slab>,
 }
 
 impl Default for Queue {
@@ -415,26 +106,160 @@ impl Default for Queue {
 impl Queue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let inner = Box::new(QueueInner { domain: HazardDomain::new(), raw: RawQueue::new() });
-        // The Box pins the addresses RawQueue and the reclaim context
-        // depend on.
-        unsafe { inner.raw.init(&inner.domain) };
-        Queue { inner }
+        let q = Queue {
+            head: CachePadded::new(AtomicU64::new(0)),
+            tail: CachePadded::new(AtomicU64::new(0)),
+            free: FreeList::new(),
+            slabs: AtomicPtr::new(core::ptr::null_mut()),
+        };
+        let dummy = Link::pack(q.take_node(0), 0).raw();
+        q.head.store(dummy, Ordering::Relaxed);
+        q.tail.store(dummy, Ordering::Relaxed);
+        q
     }
 
     /// Appends `value` at the tail.
     pub fn push(&self, value: usize) {
-        unsafe { self.inner.raw.enqueue(&self.inner.domain, value) }
+        self.link(self.take_node(value));
     }
 
     /// Removes and returns the head value, or `None` if empty.
     pub fn pop(&self) -> Option<usize> {
-        unsafe { self.inner.raw.dequeue(&self.inner.domain) }
+        loop {
+            let head = load(&self.head);
+            let tail = load(&self.tail);
+            // SAFETY: `head` always names a node.
+            let next = load(&unsafe { self.node(head.addr()) }.next);
+            if head.raw() != self.head.load(Ordering::Acquire) {
+                continue;
+            }
+            if head.addr() == tail.addr() {
+                if next.is_null() {
+                    return None;
+                }
+                // The tail lags behind a non-empty queue: help it on.
+                swing(&self.tail, tail, next.addr());
+                continue;
+            }
+            // Read before the CAS: once `head` moves on, `next` is the
+            // dummy and its value word may be a free-list link.
+            // SAFETY: `head` held still while `tail` was elsewhere, so the
+            // dummy had a successor, and `next` names it.
+            let value = unsafe { self.node(next.addr()) }.value.load(Ordering::Acquire);
+            if crate::fp("queue.dequeue").retry {
+                continue;
+            }
+            if swing(&self.head, head, next.addr()) {
+                // SAFETY: the CAS made the old dummy ours alone, and it
+                // lies in one of this queue's slabs.
+                unsafe { self.free.push(head.addr()) };
+                return Some(value);
+            }
+        }
     }
 
-    /// Best-effort emptiness check.
+    /// Best-effort emptiness check (exact only while quiescent).
     pub fn is_empty_hint(&self) -> bool {
-        self.inner.raw.is_empty_hint()
+        // SAFETY: `head` always names a node.
+        load(&unsafe { self.node(load(&self.head).addr()) }.next).is_null()
+    }
+
+    /// Links the node at `addr`, fresh from [`take_node`](Self::take_node),
+    /// behind the tail.
+    fn link(&self, addr: usize) {
+        loop {
+            let tail = load(&self.tail);
+            // SAFETY: `tail` always names a node.
+            let last = unsafe { self.node(tail.addr()) };
+            let next = load(&last.next);
+            if tail.raw() != self.tail.load(Ordering::Acquire) {
+                continue;
+            }
+            if !next.is_null() {
+                // The tail lags: help it on.
+                swing(&self.tail, tail, next.addr());
+                continue;
+            }
+            if crate::fp("queue.enqueue").retry {
+                continue;
+            }
+            if swing(&last.next, next, addr) {
+                swing(&self.tail, tail, addr);
+                return;
+            }
+        }
+    }
+
+    /// The node at `addr`.
+    ///
+    /// # Safety
+    ///
+    /// `addr` must be a node of this queue's slabs: an address read from
+    /// `head`, `tail` or a non-null `next`, or one the free list handed
+    /// out. Slabs live until drop, so such a node is readable in any of
+    /// its lives, and its words are only ever accessed atomically.
+    unsafe fn node(&self, addr: usize) -> &Node {
+        unsafe { &*(addr as *const Node) }
+    }
+
+    /// A node off the free list (or a fresh slab) holding `value`, with a
+    /// null `next` under the tag it carried: a stale enqueuer that read
+    /// this node's `next` in an earlier life expects an older tag.
+    fn take_node(&self, value: usize) -> usize {
+        // SAFETY: every node ever pushed lies in a slab that lives until
+        // drop.
+        let addr = unsafe { self.free.pop() }.unwrap_or_else(|| self.carve_slab());
+        // SAFETY: `addr` came off the free list or out of a fresh slab.
+        let node = unsafe { self.node(addr) };
+        node.value.store(value, Ordering::Relaxed);
+        let next = Link::from_raw(node.next.load(Ordering::Relaxed));
+        node.next.store(next.with_addr(0).raw(), Ordering::Relaxed);
+        addr
+    }
+
+    /// Allocates a slab, keeps its first node for the caller and pushes
+    /// the rest on the free list as one chain.
+    fn carve_slab(&self) -> usize {
+        let layout = Layout::new::<Slab>();
+        // SAFETY: `Slab` is not zero-sized.
+        let slab = unsafe { System.alloc_zeroed(layout) } as *mut Slab;
+        assert!(!slab.is_null(), "queue node slab allocation failed");
+        assert!(slab as usize + layout.size() <= 1 << ADDR, "queue node slab above 2^{ADDR}");
+        let mut head = self.slabs.load(Ordering::Relaxed);
+        loop {
+            // SAFETY: the slab is ours until the CAS below publishes it,
+            // and only `drop` reads this link.
+            unsafe { (*slab).next = head };
+            match self.slabs.compare_exchange_weak(head, slab, Ordering::Release, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(observed) => head = observed,
+            }
+        }
+        // SAFETY: zeroed memory is an array of nodes with null links under
+        // tag 0, and the slab lives as long as `self`.
+        let nodes = unsafe { &(*slab).nodes };
+        for pair in nodes[1..].windows(2) {
+            pair[0].value.store(&pair[1] as *const Node as usize, Ordering::Relaxed);
+        }
+        let addr = |node: &Node| node as *const Node as usize;
+        // SAFETY: nodes 1 to the last are linked in order above, no other
+        // thread can see them yet, and their slab lives until drop.
+        unsafe { self.free.push_chain(addr(&nodes[1]), addr(&nodes[NODES_PER_SLAB - 1])) };
+        addr(&nodes[0])
+    }
+}
+
+impl Drop for Queue {
+    fn drop(&mut self) {
+        let mut slab = *self.slabs.get_mut();
+        while !slab.is_null() {
+            // SAFETY: with `&mut self` no thread can reach a node, and
+            // every slab on the list was allocated with this layout.
+            let next = unsafe { (*slab).next };
+            unsafe { System.dealloc(slab as *mut u8, Layout::new::<Slab>()) };
+            slab = next;
+        }
     }
 }
 
@@ -443,6 +268,18 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use std::sync::Arc;
+
+    impl Queue {
+        fn slab_count(&self) -> usize {
+            let mut n = 0;
+            let mut p = self.slabs.load(Ordering::Acquire);
+            while !p.is_null() {
+                n += 1;
+                p = unsafe { (*p).next };
+            }
+            n
+        }
+    }
 
     #[test]
     fn fifo_order_single_thread() {
@@ -485,11 +322,11 @@ mod tests {
             }
         }
         // 10k ops through the queue: without recycling this would need
-        // ~160 slabs; with hazard-mediated recycling it stays small.
+        // ~160 slabs; with the free list it stays small.
         assert!(
-            q.inner.raw.slab_count() <= 8,
+            q.slab_count() <= 8,
             "slab count {} suggests nodes are not recycled",
-            q.inner.raw.slab_count()
+            q.slab_count()
         );
     }
 
@@ -539,16 +376,21 @@ mod tests {
         }
         let mut all: Vec<usize> = Vec::new();
         for c in consumers {
-            all.extend(c.join().unwrap());
+            let got = c.join().unwrap();
+            // Each consumer sees each producer's items in push order.
+            let mut last = [None; PRODUCERS];
+            for &v in &got {
+                let (p, i) = (v >> 32, v & 0xFFFF_FFFF);
+                assert!(last[p] < Some(i), "producer {p}: {i} after {:?}", last[p]);
+                last[p] = Some(i);
+            }
+            all.extend(got);
         }
         // Residual items (raced with the final None check).
         while let Some(v) = q.pop() {
             all.push(v);
         }
         assert_eq!(all.len(), PRODUCERS * PER_PRODUCER, "values lost or duplicated");
-        // Per-producer FIFO order must hold in each consumer's local
-        // sequence; globally we check the multiset and that each
-        // producer's items are all present exactly once.
         let mut counts: HashMap<usize, usize> = HashMap::new();
         for v in all {
             *counts.entry(v).or_default() += 1;
@@ -560,26 +402,75 @@ mod tests {
         }
     }
 
-    use core::sync::atomic::Ordering;
-
+    /// The dequeue ABA, one step at a time: A is frozen between reading
+    /// the value behind the dummy D and its head CAS. B pops, pushes and
+    /// pops until D is the dummy again (the free list is LIFO, so the
+    /// push reuses D), then pushes one more value. The head's address is
+    /// what A saw and its tag is not: A's CAS fails, A retries and takes
+    /// the real front, and `x` comes out once.
+    #[cfg(feature = "failpoints")]
     #[test]
-    fn raw_queue_shared_domain() {
-        // Two queues sharing one domain.
-        let domain = Box::new(HazardDomain::new());
-        let q1 = Box::new(RawQueue::new());
-        let q2 = Box::new(RawQueue::new());
-        unsafe {
-            q1.init(&domain);
-            q2.init(&domain);
-            q1.enqueue(&domain, 10);
-            q2.enqueue(&domain, 20);
-            assert_eq!(q1.dequeue(&domain), Some(10));
-            assert_eq!(q2.dequeue(&domain), Some(20));
-            assert_eq!(q1.dequeue(&domain), None);
-        }
-        // Domain must drop before the queues' pools.
-        drop(domain);
-        drop(q1);
-        drop(q2);
+    fn a_stale_dequeue_loses_to_the_head_tag() {
+        use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
+        let _guard = fp::scenario(0xABA);
+        let q = Queue::new();
+        let d = load(&q.head).addr();
+        q.push(1); // x
+        fp::arm_limited("queue.dequeue", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| q.pop());
+            while fp::fired("queue.dequeue") == 0 {
+                std::thread::yield_now();
+            }
+            // A holds (head = D, next = N1, value x) and is parked.
+            assert_eq!(q.pop(), Some(1));
+            q.push(2); // into D, which the pop above freed
+            assert_eq!(q.pop(), Some(2));
+            assert_eq!(load(&q.head).addr(), d, "D is the dummy again");
+            q.push(3);
+            fp::disarm("queue.dequeue");
+            assert_eq!(a.join().unwrap(), Some(3), "A retried and took the real front");
+        });
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty_hint());
+        q.push(4);
+        q.push(5);
+        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(4), Some(5), None));
+    }
+
+    /// The enqueue ABA: A is frozen between reading the tail D's `next`
+    /// (null) and its link CAS. B pushes behind D and pops, which frees
+    /// D, then takes D for a push of its own and holds it unlinked: D's
+    /// `next` is null again, off the queue. Its tag is not what A saw:
+    /// A's CAS fails, A links behind the real tail, and its value is in
+    /// the queue when its push returns.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_stale_enqueue_loses_to_the_next_tag() {
+        use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
+        let _guard = fp::scenario(0xABA);
+        let q = Queue::new();
+        let d = load(&q.tail).addr();
+        fp::arm_limited("queue.enqueue", FpAction::Park, FpTrigger::Always, 1);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| q.push(1)); // x
+            while fp::fired("queue.enqueue") == 0 {
+                std::thread::yield_now();
+            }
+            // A holds (tail = D, next = null) and is parked.
+            q.push(2);
+            assert_eq!(q.pop(), Some(2));
+            let held = q.take_node(3);
+            assert_eq!(held, d, "B holds D, unlinked");
+            fp::disarm("queue.enqueue");
+            a.join().unwrap();
+            assert!(!q.is_empty_hint(), "A's push returned, so x is in the queue");
+            assert_eq!(q.pop(), Some(1));
+            assert_eq!(q.pop(), None);
+            q.link(held);
+        });
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty_hint());
     }
 }

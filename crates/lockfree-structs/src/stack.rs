@@ -8,8 +8,9 @@
 //! partial lists (type-stable descriptor slabs).
 //!
 //! The paper's other ABA defence, `SafeCAS` under a hazard pointer
-//! (§3.2.5), lives on where this workspace still uses it: the
-//! Michael–Scott queue's node free list ([`crate::queue::NodePool`]).
+//! (§3.2.5), is used nowhere in this workspace: the Michael–Scott queue
+//! ([`crate::queue`]) keeps its node free list on this stack and carries
+//! tags on its own link words as well.
 
 use crate::backoff::Backoff;
 use crate::tagptr::{TagPtr, ADDR_BITS};

@@ -3,41 +3,30 @@
 //! Compiled only under the `stats` feature. The counters are
 //! process-wide statics rather than per-structure fields so that
 //! enabling telemetry changes no structure's size or cache layout — the
-//! queues and stacks here are embedded inside allocator hot structures
-//! whose geometry the tests pin. A retry is one failed CAS (or failed
-//! head/tail validation) inside a push/pop/enqueue/dequeue loop; the
-//! first, successful attempt is not counted.
+//! stacks here are embedded inside allocator hot structures whose
+//! geometry the tests pin. A retry is one failed CAS inside a push/pop
+//! loop; the first, successful attempt is not counted.
 
 use malloc_api::telemetry::Counter;
 
-/// Michael–Scott queue: enqueue-loop retries.
-pub static QUEUE_ENQUEUE_RETRIES: Counter = Counter::new();
-/// Michael–Scott queue: dequeue-loop retries.
-pub static QUEUE_DEQUEUE_RETRIES: Counter = Counter::new();
-/// Treiber/HP stacks: push-loop retries.
+/// Tagged stacks: push-loop retries.
 pub static STACK_PUSH_RETRIES: Counter = Counter::new();
-/// Treiber/HP stacks: pop-loop retries.
+/// Tagged stacks: pop-loop retries.
 pub static STACK_POP_RETRIES: Counter = Counter::new();
 
 /// Snapshot of the process-wide CAS-retry counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StructsCasStats {
-    /// Failed CAS attempts in queue enqueue loops.
-    pub queue_enqueue_retries: u64,
-    /// Failed CAS attempts in queue dequeue loops.
-    pub queue_dequeue_retries: u64,
     /// Failed CAS attempts in stack push loops.
     pub stack_push_retries: u64,
     /// Failed CAS attempts in stack pop loops.
     pub stack_pop_retries: u64,
 }
 
-/// Reads all four counters (racy but monotone: each field never
-/// decreases between snapshots).
+/// Reads both counters (racy but monotone: each field never decreases
+/// between snapshots).
 pub fn snapshot() -> StructsCasStats {
     StructsCasStats {
-        queue_enqueue_retries: QUEUE_ENQUEUE_RETRIES.get(),
-        queue_dequeue_retries: QUEUE_DEQUEUE_RETRIES.get(),
         stack_push_retries: STACK_PUSH_RETRIES.get(),
         stack_pop_retries: STACK_POP_RETRIES.get(),
     }

@@ -11,9 +11,9 @@
 //! * [`workloads`] — the six benchmarks of §4.1.
 //! * [`oracle`] — the shadow-heap differential verifier with trace
 //!   record/replay and failure shrinking.
-//! * [`lockfree_structs`], [`osmem`] — the substrates; [`hazard`] —
-//!   hazard pointers, which the producer–consumer workload's queue
-//!   uses (the allocator itself no longer does).
+//! * [`lockfree_structs`], [`osmem`] — the substrates. No crate here
+//!   carries a reclamation scheme: descriptors and the producer–consumer
+//!   workload's queue nodes are type-stable under tags.
 //!
 //! # Quickstart
 //!
@@ -32,7 +32,6 @@
 //! `EXPERIMENTS.md` for the reproduction methodology.
 
 pub use dlheap;
-pub use hazard;
 pub use hoard;
 pub use lfmalloc;
 pub use lockfree_structs;

@@ -6,7 +6,11 @@
 //!
 //! The soak and reaper scenarios run in the default tier-1 build; the
 //! watchdog scenarios force CAS-retry storms with failpoint plans and
-//! need `--features failpoints`.
+//! need `--features failpoints`. Magazines step aside process-wide while
+//! a scenario runs, so in that build the churn tests hold
+//! `failpoints::no_scenario()`: their threads' mallocs would otherwise
+//! take the paper's path and spend the `active.pop` budget a watchdog
+//! test armed for its own instance.
 
 use lfmalloc_repro::prelude::*;
 use malloc_api::testkit::{self, TestRng};
@@ -79,6 +83,8 @@ fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
 fn thread_churn_soak_stays_healthy() {
     const THREADS: usize = 5_000;
     const WIDTH: usize = 8;
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
     testkit::for_each_seed("thread churn soak", &[0x11FE_0001, 0x11FE_0002], |seed| {
         let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
         churn_threads(&a, seed, THREADS / 5, WIDTH);
@@ -115,10 +121,8 @@ fn thread_churn_soak_stays_healthy() {
             h.os_live_bytes
         );
         assert_eq!(h.os_watermark, Some(bound));
-        // (Magazines step aside while a fault scenario runs elsewhere in
-        // the process, so a failpoints build may find nothing to drain.)
         assert!(
-            cfg!(feature = "failpoints") || rep.magazines_drained > 0,
+            rep.magazines_drained > 0,
             "exited threads left nothing cached? {rep:?}"
         );
         let audit = a.audit();
@@ -135,6 +139,8 @@ fn thread_churn_soak_stays_healthy() {
 /// sent home.
 #[test]
 fn reaper_keeps_up_with_thread_churn() {
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
     let cfg = Config::with_heaps(2)
         .with_reaper(ReaperConfig::every(std::time::Duration::from_millis(2)));
     let a = Arc::new(LfMalloc::with_config(cfg));
@@ -184,6 +190,8 @@ fn frees_during_tls_teardown_are_routed() {
             const { std::cell::RefCell::new(None) };
     }
 
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
     let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
     for round in 0..16usize {
         let a2 = Arc::clone(&a);
