@@ -6,8 +6,8 @@
 //! * `table1` — Table 1, contention-free speedup over libc malloc.
 //! * `fig8`   — Figure 8(a–h), speedup vs thread count.
 //! * `space`  — §4.2.5, maximum space used per allocator.
-//! * `ablation` — §4.2.4 uniprocessor optimization (U1), FIFO-vs-LIFO
-//!   partial lists (A1), credit batching (A2).
+//! * `ablation` — §4.2.4 one heap vs per-CPU heaps (U1), credit
+//!   batching (A2).
 //!
 //! Criterion micro-benches `latency` and `scalability` cover the
 //! §4.2.1 latency discussion (including the lock-pair comparison).

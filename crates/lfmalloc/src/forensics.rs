@@ -56,7 +56,7 @@ use malloc_api::telemetry::Counter;
 use osmem::source::{PageSource, PAGE_SIZE};
 
 use crate::anchor::SbState;
-use crate::config::{ForensicsParams, SB_SIZE};
+use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
 use crate::harden::POISON;
 use crate::instance::{Inner, LfMalloc};
@@ -169,7 +169,7 @@ pub(crate) struct ForensicsState {
     seq: AtomicU64,
     /// Ops not recorded (thread-local storage already torn down).
     pub dropped: Counter,
-    /// Crash-report fd; negative = reporting not configured.
+    /// Crash-report fd; negative until `install_crash_reporter`.
     pub report_fd: AtomicI32,
     /// 1 after the crash handlers were installed for this instance.
     pub handler_installed: AtomicU32,
@@ -192,7 +192,7 @@ thread_local! {
 impl ForensicsState {
     /// Allocates the rings; `None` when the system allocator is
     /// exhausted.
-    pub(crate) fn new(_params: ForensicsParams) -> Option<Self> {
+    pub(crate) fn new() -> Option<Self> {
         let layout = Layout::array::<RingSlot>(RING_THREADS).ok()?;
         // Zeroed memory is a valid RingSlot: every field is atomics.
         let rings = unsafe { System.alloc_zeroed(layout) } as *mut RingSlot;
@@ -889,7 +889,7 @@ pub(crate) fn unregister_crash_sink<S: PageSource>(inner: &Inner<S>) {
 
 /// Fail-stop black box: `Hardening::Abort` and `LivenessPolicy::Abort`
 /// call this right before panicking so the report survives the abort.
-/// No-op unless a report fd was configured.
+/// No-op until `install_crash_reporter` set a report fd.
 pub(crate) fn failstop_report<S: PageSource>(inner: &Inner<S>, reason: &str, addr: usize) {
     if inner.obs.forensics.report_fd.load(Ordering::Relaxed) < 0 {
         return;

@@ -17,22 +17,22 @@
 //! Recovery therefore needs no heap surgery, only ownership repair, and
 //! runs in two tiers:
 //!
-//! 1. **Hooked (eager)** — when [`Config::atfork`](crate::Config) is on
-//!    (default), the instance registers prepare/parent/child hooks with
-//!    [`malloc_api::procfork`]. Prepare pins the reaper handle box (so
-//!    the fork cannot snapshot it mid-update), parent releases it, and
-//!    the child clears the dead reaper, runs [`recover`], and respawns
-//!    the reaper with its pre-fork config.
+//! 1. **Hooked (eager)** — every instance registers prepare/parent/child
+//!    hooks with [`malloc_api::procfork`] at construction. Prepare pins
+//!    the reaper handle box (so the fork cannot snapshot it mid-update),
+//!    parent releases it, and the child clears the dead reaper, runs
+//!    [`recover`], and respawns the reaper with its pre-fork config.
 //! 2. **Lazy** — every allocator entry point compares the instance's
 //!    recovered generation against [`malloc_api::procfork::generation`]
-//!    (one relaxed load on the fast path). A child that forked through
-//!    `procfork::fork` without hooks recovers on its first
-//!    malloc/free. A *raw* `fork(2)` with neither hooks nor
-//!    [`malloc_api::procfork::install`] bumps no generation; such a
-//!    child must call [`malloc_api::procfork::child_after_raw_fork`]
-//!    before touching the allocator (the POSIX contract is stricter
-//!    still: only async-signal-safe calls are allowed between a
-//!    multithreaded fork and exec).
+//!    (one relaxed load on the fast path). An instance that found the
+//!    procfork registry full has no hooks; a child that forked through
+//!    `procfork::fork` recovers it on its first malloc/free. A *raw*
+//!    `fork(2)` without [`malloc_api::procfork::install`] runs no hooks
+//!    and bumps no generation; such a child must call
+//!    [`malloc_api::procfork::child_after_raw_fork`] before touching the
+//!    allocator (the POSIX contract is stricter still: only
+//!    async-signal-safe calls are allowed between a multithreaded fork
+//!    and exec).
 //!
 //! The recovery claim is a CAS on the instance's generation stamp, so
 //! exactly one thread recovers per fork; losers proceed immediately —
@@ -70,8 +70,8 @@ pub(crate) struct ForkState {
     /// recovery is still owed; the CAS that advances it is the
     /// single-recoverer claim token.
     proc_gen: AtomicU64,
-    /// Registration token of the instance's atfork hooks (`None` when
-    /// `Config::atfork` is off or the registry was full).
+    /// Registration token of the instance's atfork hooks (`None` only
+    /// when the procfork registry was full).
     token: Cell<Option<HookToken>>,
     /// The reaper handle-box guard carried across a hooked fork:
     /// written by the prepare hook, taken by exactly one of the
@@ -100,8 +100,8 @@ impl ForkState {
 }
 
 /// Registers the instance's atfork hooks. Called once from the
-/// constructor (when `Config::atfork`); the data word is the `Inner`
-/// pointer, which is address-stable for the instance's lifetime.
+/// constructor; the data word is the `Inner` pointer, which is
+/// address-stable for the instance's lifetime.
 pub(crate) fn register_instance<S: PageSource>(inner: &Inner<S>) {
     let token = procfork::register(HookSet {
         prepare: Some(hook_prepare::<S>),
@@ -207,7 +207,7 @@ fn recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
 }
 
 /// Restarts the reaper through the monomorphized trampoline stored by
-/// `start_reaper_with` (fork recovery only has `S: PageSource`, not the
+/// `start_reaper` (fork recovery only has `S: PageSource`, not the
 /// `Send + Sync + 'static` spawning bounds).
 fn respawn<S: PageSource>(inner: &Inner<S>, cfg: ReaperConfig) {
     let thunk = inner.reaper.respawn_thunk();

@@ -126,11 +126,10 @@ impl GlobalLfMalloc {
         self.instance().maintain(budget)
     }
 
-    /// Starts the background reaper on the underlying instance
-    /// (explicit configuration — the const-built global config cannot
-    /// carry one). Returns `false` if a reaper is already running.
+    /// [`LfMalloc::start_reaper`] on the underlying instance. Returns
+    /// `false` if a reaper is already running.
     pub fn start_reaper(&self, cfg: crate::maintain::ReaperConfig) -> bool {
-        self.instance().start_reaper_with(cfg)
+        self.instance().start_reaper(cfg)
     }
 
     /// Stops the background reaper, if any; `true` if one was stopped.

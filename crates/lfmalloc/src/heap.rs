@@ -16,7 +16,6 @@
 //! in front of the size class's partial list.
 
 use crate::active::Active;
-use crate::config::HeapMode;
 use crate::descriptor::Descriptor;
 use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
@@ -127,9 +126,10 @@ pub(crate) struct HeapMap {
 }
 
 impl HeapMap {
-    /// Maps thread ids to heap columns under `mode`.
-    pub(crate) fn new(mode: HeapMode) -> Self {
-        let n = mode.heap_count() as u32; // at most 2^16
+    /// Maps thread ids to `n` heap columns (`Config::heaps`, so at most
+    /// 2^16).
+    pub(crate) fn new(n: usize) -> Self {
+        let n = n as u32;
         HeapMap { n, recip: if n.is_power_of_two() { 0 } else { u64::MAX / n as u64 + 1 } }
     }
 
@@ -199,10 +199,10 @@ mod tests {
 
     #[test]
     fn heap_map_is_id_mod_n() {
-        assert_eq!(HeapMap::new(HeapMode::Single).column(12345), 0);
-        assert_eq!(HeapMap::new(HeapMode::PerCpu(1)).column(usize::MAX), 0);
+        assert_eq!(HeapMap::new(1).column(12345), 0);
+        assert_eq!(HeapMap::new(1).column(usize::MAX), 0);
         for n in [2usize, 3, 4, 5, 6, 7, 8, 12, 48, 64, 100, 1000] {
-            let map = HeapMap::new(HeapMode::PerCpu(n));
+            let map = HeapMap::new(n);
             for id in (0..5_000u32).chain([u32::MAX - 1, u32::MAX, 0x8000_0001, 0xFFFF_FFF0]) {
                 assert_eq!(map.column(id as usize), id as usize % n, "n {n}, id {id}");
             }

@@ -156,7 +156,7 @@ impl<T> Drop for SysArray<T> {
 impl<S: PageSource> Inner<S> {
     /// The heap the calling thread uses for size class `ci`. A single
     /// heap skips the thread-id lookup entirely — that skipped lookup
-    /// is the §4.2.4 uniprocessor optimization.
+    /// is the §4.2.4 single-processor optimization.
     #[inline]
     pub fn heap_for(&self, ci: usize) -> &ProcHeap {
         let h =
@@ -244,23 +244,14 @@ impl LfMalloc<SystemSource> {
         Self::try_with_config(Config::detect())
     }
 
-    /// Custom configuration over the system page source. When
-    /// [`Config::reaper`] is set, the background reaper starts here.
+    /// Custom configuration over the system page source.
     pub fn with_config(config: Config) -> Self {
-        let a = Self::with_config_and_source(config, SystemSource::new());
-        if config.reaper.is_some() {
-            a.start_reaper();
-        }
-        a
+        Self::with_config_and_source(config, SystemSource::new())
     }
 
     /// Fallible [`with_config`](Self::with_config).
     pub fn try_with_config(config: Config) -> Result<Self, OutOfMemory> {
-        let a = Self::try_with_config_and_source(config, SystemSource::new())?;
-        if config.reaper.is_some() {
-            a.start_reaper();
-        }
-        Ok(a)
+        Self::try_with_config_and_source(config, SystemSource::new())
     }
 }
 
@@ -283,7 +274,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// when the system allocator cannot supply the heap table or the
     /// instance state block.
     pub fn try_with_config_and_source(config: Config, source: S) -> Result<Self, OutOfMemory> {
-        let nheaps = config.heap_mode.heap_count();
+        let nheaps = config.heaps;
         // Every part owns what it allocated, so an OOM at any step leaks
         // nothing: `?` drops the parts built so far.
         let mut heaps = SysArray::new(NUM_CLASSES * nheaps)?;
@@ -311,7 +302,7 @@ impl<S: PageSource> LfMalloc<S> {
                 source: CountingSource::new(source),
                 config,
                 nheaps,
-                heap_map: HeapMap::new(config.heap_mode),
+                heap_map: HeapMap::new(nheaps),
                 heaps: heaps.ptr,
                 mags,
                 frames,
@@ -341,10 +332,7 @@ impl<S: PageSource> LfMalloc<S> {
             // procfork registry — never `pthread_atfork`, which may
             // itself malloc and so must not run inside the global
             // allocator's first-call initialization.
-            if config.atfork {
-                crate::fork::register_instance(&*inner);
-            }
-            observe::attach(&*inner);
+            crate::fork::register_instance(&*inner);
             Ok(LfMalloc { inner: NonNull::new_unchecked(inner) })
         }
     }
@@ -859,7 +847,7 @@ mod tests {
 
     #[test]
     fn heap_for_respects_single_mode() {
-        let a = LfMalloc::with_config(Config::uniprocessor());
+        let a = LfMalloc::with_config(Config::with_heaps(1));
         let ci = class_index(64).unwrap();
         let h1 = a.inner().heap_for(ci) as *const ProcHeap;
         let h2 = a.inner().heap_at(ci, 0) as *const ProcHeap;

@@ -110,14 +110,14 @@ pub(crate) mod tls;
 pub mod stats;
 
 pub use audit::{AuditReport, AuditViolation, ByteReconciliation};
-pub use config::{Config, HeapMode};
+pub use config::Config;
 pub use global::GlobalLfMalloc;
 pub use harden::{process_misuse_counters, Hardening, MisuseCounters, MisuseKind, MisuseReport};
 pub use health::{
     process_liveness_counters, HealthSnapshot, LivenessConfig, LivenessPolicy, WatchSite,
     DEFAULT_RETRY_CEILING, NUM_WATCH_SITES,
 };
-pub use config::{ForensicsParams, ProfileParams};
+pub use config::ProfileParams;
 #[cfg(feature = "forensics")]
 pub use forensics::{FdWriter, FlightOp, OpKind, PtrKind, PtrReport, SigBuf};
 #[cfg(feature = "forensics")]

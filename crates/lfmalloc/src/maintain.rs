@@ -10,21 +10,21 @@
 //! incrementally and concurrently:
 //!
 //! * [`LfMalloc::maintain`] runs one bounded pass over the reclaimable
-//!   backlog under a [`MaintenanceBudget`]. Every phase it runs by
-//!   default is **safe under full concurrency** — each reuses an
-//!   ownership protocol the hot paths already rely on (the magazine
-//!   slot's owner-word CAS, the MPMC quarantine ring, the partial-list
-//!   get/put and heap-slot CAS). The one quiescence-only phase, the OS
+//!   backlog under a [`MaintenanceBudget`]; every pass first sends dead
+//!   threads' magazines home. Every phase it runs by default is **safe
+//!   under full concurrency** — each reuses an ownership protocol the
+//!   hot paths already rely on (the magazine slot's owner-word CAS, the
+//!   MPMC quarantine ring, the partial-list get/put and heap-slot CAS). The one quiescence-only phase, the OS
 //!   trim toward a byte watermark, must be opted into through the
 //!   `unsafe` [`MaintenanceBudget::with_quiescent_trim`], which carries
 //!   the same contract as [`LfMalloc::trim_to`].
-//! * [`ReaperConfig`] (via [`Config::reaper`](crate::Config)) spawns an
-//!   opt-in background thread that calls `maintain` on a period. The
+//! * [`LfMalloc::start_reaper`] spawns an opt-in background thread that
+//!   calls `maintain` on the period a [`ReaperConfig`] gives. The
 //!   reaper never touches a malloc/free hot path and takes no locks the
 //!   hot paths can see, so the allocator's lock-freedom is preserved:
 //!   the reaper is an *additional* thread running ordinary lock-free
 //!   operations, not a scheduler dependency. If it is descheduled
-//!   forever, the allocator behaves exactly as it did before this PR —
+//!   forever, the allocator behaves exactly as it does without one —
 //!   backlog accumulates until someone calls `maintain`/`trim`.
 //!
 //! The bounded audit slice deserves a caveat: its per-descriptor checks
@@ -49,10 +49,6 @@ use osmem::PageSource;
 /// How much work one [`LfMalloc::maintain`] pass may do.
 #[derive(Clone, Copy, Debug)]
 pub struct MaintenanceBudget {
-    /// Dead-thread reap: send the blocks cached in exited threads'
-    /// magazine slots home. (A dead thread leaves nothing else behind:
-    /// descriptors are retired straight onto the free stack.)
-    pub reap_dead_threads: bool,
     /// Maximum quarantined blocks released back into circulation
     /// (0 = skip; no-op when hardening is off).
     pub quarantine: u32,
@@ -69,11 +65,10 @@ pub struct MaintenanceBudget {
 }
 
 impl MaintenanceBudget {
-    /// The reaper's default: cheap enough to run every period — reap,
-    /// a modest quarantine drain, light pruning, a small audit slice.
+    /// The reaper's default: cheap enough to run every period — a
+    /// modest quarantine drain, light pruning, a small audit slice.
     pub const fn light() -> Self {
         MaintenanceBudget {
-            reap_dead_threads: true,
             quarantine: 64,
             prune_partials: 8,
             audit_descriptors: 64,
@@ -86,27 +81,11 @@ impl MaintenanceBudget {
     /// every concurrent-safe phase.
     pub const fn full() -> Self {
         MaintenanceBudget {
-            reap_dead_threads: true,
             quarantine: 4096,
             prune_partials: 1024,
             audit_descriptors: 512,
             trim_target: None,
         }
-    }
-
-    /// Overrides the quarantine cap.
-    pub const fn with_quarantine(self, n: u32) -> Self {
-        MaintenanceBudget { quarantine: n, ..self }
-    }
-
-    /// Overrides the per-class partial-prune cap.
-    pub const fn with_prune(self, n: u32) -> Self {
-        MaintenanceBudget { prune_partials: n, ..self }
-    }
-
-    /// Overrides the audit-slice length.
-    pub const fn with_audit(self, n: u32) -> Self {
-        MaintenanceBudget { audit_descriptors: n, ..self }
     }
 
     /// Adds the OS-trim phase: after the concurrent phases, run
@@ -174,11 +153,6 @@ impl ReaperConfig {
     pub const fn every(period: Duration) -> Self {
         ReaperConfig { period, budget: MaintenanceBudget::light() }
     }
-
-    /// Overrides the per-pass budget.
-    pub const fn with_budget(self, budget: MaintenanceBudget) -> Self {
-        ReaperConfig { budget, ..self }
-    }
 }
 
 /// Reaper control plane, embedded in `Inner`. The mutex guards only the
@@ -192,7 +166,7 @@ pub(crate) struct ReaperState {
     /// True while a reaper thread is installed (start-once latch).
     running: AtomicBool,
     /// Monomorphized respawn trampoline (`respawn_thunk::<S>` as a
-    /// `usize`; 0 until the first `start_reaper_with`). Stored where the
+    /// `usize`; 0 until the first `start_reaper`). Stored where the
     /// `S: Send + Sync + 'static` bounds exist so fork recovery — which
     /// only has `S: PageSource` — can restart the reaper in the child.
     respawn: core::sync::atomic::AtomicUsize,
@@ -271,7 +245,7 @@ pub(crate) fn reaper_reconcile<S: PageSource>(inner: &Inner<S>) -> Option<Reaper
 }
 
 /// Monomorphized respawn trampoline, stored (as a `usize`) in
-/// [`ReaperState::respawn`] by `start_reaper_with`, where the
+/// [`ReaperState::respawn`] by `start_reaper`, where the
 /// `Send + Sync + 'static` bounds on `S` are available. Fork recovery
 /// calls it through the erased pointer to restart the reaper in the
 /// child.
@@ -279,14 +253,14 @@ pub(crate) fn reaper_reconcile<S: PageSource>(inner: &Inner<S>) -> Option<Reaper
 /// # Safety
 ///
 /// `inner` must point at the live `Inner<S>` instance whose
-/// `start_reaper_with` stored this exact monomorphization.
+/// `start_reaper` stored this exact monomorphization.
 pub(crate) unsafe fn respawn_thunk<S: PageSource + Send + Sync + 'static>(
     inner: *mut (),
     cfg: ReaperConfig,
 ) -> bool {
     let inner = unsafe { core::ptr::NonNull::new_unchecked(inner as *mut Inner<S>) };
     let shim = unsafe { LfMalloc::<S>::borrow_raw(inner) };
-    shim.start_reaper_with(cfg)
+    shim.start_reaper(cfg)
 }
 
 /// Shuttles the instance pointer into the reaper thread. Sound because
@@ -315,12 +289,12 @@ impl<S: PageSource> LfMalloc<S> {
     ) -> MaintenanceReport {
         let inner = self.inner();
         let t0 = crate::observe::Timer::start();
-        let mut report = MaintenanceReport::default();
-        if budget.reap_dead_threads {
-            // Before the prune below: these blocks may be all that keeps
-            // a superblock from going EMPTY.
-            report.magazines_drained = crate::magazine::drain_dead(inner) as u64;
-        }
+        let mut report = MaintenanceReport {
+            // Before the prune below: these blocks may be all that keeps a
+            // superblock from going EMPTY.
+            magazines_drained: crate::magazine::drain_dead(inner) as u64,
+            ..Default::default()
+        };
         if budget.quarantine > 0 {
             report.quarantine_flushed = flush_quarantine_budgeted(inner, budget.quarantine);
         }
@@ -363,23 +337,10 @@ impl<S: PageSource> LfMalloc<S> {
 }
 
 impl<S: PageSource + Send + Sync + 'static> LfMalloc<S> {
-    /// Spawns the background reaper configured in
-    /// [`Config::reaper`](crate::Config). Returns false if the config
-    /// has no reaper or one is already running. Instances over the
-    /// system page source do this automatically at construction;
-    /// custom-source instances (whose `S` may not be `'static`-spawnable
-    /// from the constructor) call it explicitly.
-    pub fn start_reaper(&self) -> bool {
-        match self.inner().config.reaper {
-            Some(cfg) => self.start_reaper_with(cfg),
-            None => false,
-        }
-    }
-
-    /// Spawns a background reaper with an explicit configuration,
-    /// ignoring [`Config::reaper`](crate::Config). Returns false if one
-    /// is already running or the thread could not be spawned.
-    pub fn start_reaper_with(&self, cfg: ReaperConfig) -> bool {
+    /// Spawns a background reaper that runs a `cfg.budget` pass every
+    /// `cfg.period`. Returns false if one is already running or the
+    /// thread could not be spawned.
+    pub fn start_reaper(&self, cfg: ReaperConfig) -> bool {
         let inner = self.inner();
         // A reaper latch left set by a pre-fork parent must not block
         // the child's (re)start: its thread died in the fork.
@@ -582,8 +543,8 @@ mod tests {
 
     #[test]
     fn budgets_compose_const() {
-        const B: MaintenanceBudget = MaintenanceBudget::light().with_audit(16).with_prune(2);
-        assert!(B.reap_dead_threads);
+        const L: MaintenanceBudget = MaintenanceBudget::light();
+        const B: MaintenanceBudget = MaintenanceBudget { audit_descriptors: 16, prune_partials: 2, ..L };
         assert_eq!(B.audit_descriptors, 16);
         assert_eq!(B.prune_partials, 2);
         assert!(!B.trims());
@@ -633,15 +594,14 @@ mod tests {
 
     #[test]
     fn reaper_runs_and_stops() {
-        let cfg = Config::with_heaps(1)
-            .with_reaper(ReaperConfig::every(Duration::from_millis(5)));
-        let a = LfMalloc::with_config(cfg);
+        let a = LfMalloc::with_config(Config::with_heaps(1));
+        assert!(a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
         unsafe {
             let p = a.malloc(128);
             assert!(!p.is_null());
             a.free(p);
         }
-        // Construction auto-started the reaper; wait for some passes.
+        // Wait for some passes.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while a.health().reaper_passes == 0 {
             assert!(std::time::Instant::now() < deadline, "reaper never ran");
@@ -658,11 +618,10 @@ mod tests {
     #[test]
     fn reaper_restart_after_stop() {
         let a = LfMalloc::with_config(Config::with_heaps(1));
-        assert!(!a.start_reaper(), "no reaper configured");
-        assert!(a.start_reaper_with(ReaperConfig::every(Duration::from_millis(5))));
-        assert!(!a.start_reaper_with(ReaperConfig::every(Duration::from_millis(5))));
+        assert!(a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
+        assert!(!a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
         assert!(a.stop_reaper());
-        assert!(a.start_reaper_with(ReaperConfig::every(Duration::from_millis(5))));
+        assert!(a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
         // Drop stops the second reaper implicitly; reaching the end
         // without hanging is the assertion.
     }

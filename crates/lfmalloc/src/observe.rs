@@ -54,16 +54,8 @@ impl State {
             #[cfg(feature = "profile")]
             profile: crate::profile::ProfileState::new(config.profile)?,
             #[cfg(feature = "forensics")]
-            forensics: crate::forensics::ForensicsState::new(config.forensics)?,
+            forensics: crate::forensics::ForensicsState::new()?,
         })
-    }
-}
-
-/// The instance's address is stable: it may register as a crash sink.
-pub(crate) fn attach<S: PageSource>(inner: &Inner<S>) {
-    #[cfg(feature = "forensics")]
-    if inner.config.forensics.crash_handlers {
-        crate::forensics::install_crash_reporter_inner(inner, inner.config.forensics.report_fd);
     }
 }
 

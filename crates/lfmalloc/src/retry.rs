@@ -8,9 +8,8 @@
 //! null as OOM turns every such blip into a spurious allocation
 //! failure. Instead, the three paths that ask the source for memory
 //! (superblock carve, descriptor-slab carve, large allocation) go
-//! through [`from_source`]: up to
-//! [`Config::oom_retries`](crate::config::Config::oom_retries) further
-//! attempts, spinning an exponential [`Backoff`] and yielding the thread
+//! through [`from_source`]: up to [`OOM_RETRIES`] further attempts,
+//! spinning an exponential [`Backoff`] and yielding the thread
 //! in between so a recovering source gets time to recover. Before the
 //! first of them the free-span cache ([`crate::large`]) is emptied into
 //! the source: memory the allocator is only sitting on is the first
@@ -24,15 +23,21 @@ use crate::instance::Inner;
 use lockfree_structs::Backoff;
 use osmem::PageSource;
 
+/// Attempts after the first null before a source failure becomes an OOM:
+/// enough that a brief OS outage (a handful of failed `mmap`s while the
+/// kernel reclaims) is ridden out by backoff instead of surfacing as a
+/// spurious null.
+pub(crate) const OOM_RETRIES: u32 = 8;
+
 /// Runs one request against the page source (directly or through a
-/// pool) under the instance's retry budget, counting each null; the
+/// pool) under the retry budget, counting each null; the
 /// first null also drains the large-span cache into the source.
 pub(crate) fn from_source<S: PageSource>(
     inner: &Inner<S>,
     mut attempt: impl FnMut() -> *mut u8,
 ) -> *mut u8 {
     let mut relieved = false;
-    with_backoff(inner.config.oom_retries, || {
+    with_backoff(OOM_RETRIES, || {
         let p = attempt();
         if p.is_null() {
             crate::observe::count_global(inner, crate::observe::Global::OomBackoffs);

@@ -41,9 +41,9 @@ fn remote_free_producer_consumer() {
 
 #[test]
 fn full_battery_single_heap() {
-    // The §4.2.4 uniprocessor configuration must satisfy the same
+    // The §4.2.4 single-heap configuration must satisfy the same
     // contract.
-    let a = Arc::new(LfMalloc::with_config(Config::uniprocessor()));
+    let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
     testkit::check_all(a);
 }
 

@@ -59,7 +59,7 @@ fn main() {
         assert!(src.stats().live_bytes <= 2 * MIB + MIB);
 
         // 3. Total outage: the next 400 page requests fail — far deeper
-        //    than the retry budget (oom_retries = 8 by default). Fresh
+        //    than the retry budget (8 retries per request). Fresh
         //    hyperblock mallocs report null; the trimmed-but-warm cache
         //    keeps small requests serviceable; frees never need the OS.
         let warm = a.malloc(64);

@@ -46,7 +46,7 @@ pub mod prelude {
     pub use dlheap::LockedHeap;
     pub use hoard::Hoard;
     pub use lfmalloc::{
-        Config, GlobalLfMalloc, Hardening, HealthSnapshot, HeapMode, LfMalloc, LivenessConfig,
+        Config, GlobalLfMalloc, Hardening, HealthSnapshot, LfMalloc, LivenessConfig,
         LivenessPolicy, MaintenanceBudget, MaintenanceReport, MisuseKind, MisuseReport,
         ReaperConfig, WatchSite,
     };
@@ -57,8 +57,8 @@ pub mod prelude {
     pub use lfmalloc::{ClassStats, Event, EventKind, StatsSnapshot};
     #[cfg(feature = "forensics")]
     pub use lfmalloc::{
-        analyze_dump, diff_dumps, AnalyzeReport, DiffReport, FlightOp, ForensicsParams, OpKind,
-        PtrKind, PtrReport,
+        analyze_dump, diff_dumps, AnalyzeReport, DiffReport, FlightOp, OpKind, PtrKind,
+        PtrReport,
     };
 }
 

@@ -181,7 +181,7 @@ fn a_refusal_at_any_os_entry_point_drains_the_span_cache_first() {
         a.free(p);
         assert_eq!(a.health().large_cached_spans, 1);
     };
-    let outage = 3; // < DEFAULT_OOM_RETRIES
+    let outage = 3; // fewer than the 8 retries of `retry.rs`
 
     // Descriptor-slab carve: the first small malloc of an instance.
     let (a, src) = lf_with_budget(isize::MAX);

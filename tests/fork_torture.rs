@@ -20,7 +20,8 @@
 //! * the differential oracle replays cleanly over a forked heap.
 //!
 //! Children communicate only via `_exit` codes (no panic unwinding, no
-//! stdio flushing in the child); the parent reaps with a watchdog that
+//! stdio in the child; a failed audit also writes its report to fd 2
+//! with raw `write(2)`); the parent reaps with a watchdog that
 //! converts a hung child — i.e. a deadlock — into `SIGKILL` plus a test
 //! failure instead of a hung CI job.
 
@@ -47,6 +48,25 @@ const SPAN_CACHE_LOST: i32 = 17;
 fn fork_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Child side: audits `a` and, if the audit objects, writes the report
+/// to fd 2 with raw `write(2)` calls (stdio stays out of the child) and
+/// exits with [`AUDIT_VIOLATION`], so a rare red run names its check.
+fn audit_or_exit(a: &LfMalloc) {
+    let report = a.audit();
+    if !report.is_clean() {
+        let msg = format!("child audit: {report}\n");
+        let mut rest = msg.as_bytes();
+        while !rest.is_empty() {
+            let n = unsafe { sys::write(2, rest.as_ptr(), rest.len()) };
+            if n <= 0 {
+                break;
+            }
+            rest = &rest[n as usize..];
+        }
+        unsafe { sys::_exit(AUDIT_VIOLATION) };
+    }
 }
 
 /// Reaps `pid` with a deadline. A child that deadlocks (the exact bug
@@ -124,9 +144,7 @@ fn lfmalloc_child_check(a: &LfMalloc) -> ! {
             a.free(p);
         }
     }
-    if !a.audit().is_clean() {
-        unsafe { sys::_exit(AUDIT_VIOLATION) };
-    }
+    audit_or_exit(a);
     let h = a.health();
     if h.fork_recoveries != 1 || h.fork_generation != procfork::generation() {
         unsafe { sys::_exit(HEALTH_MISMATCH) };
@@ -164,6 +182,53 @@ fn lfmalloc_child_recovers_after_fork_under_load() {
         assert!(a.audit().is_clean(), "parent audit dirty after fork");
         assert_eq!(a.health().fork_recoveries, 0);
     });
+}
+
+/// The lazy tier (DESIGN.md §12.2): an instance built while the procfork
+/// registry is full has no hooks, so nothing runs for it at the fork, and
+/// the child's first malloc recovers it. Same load and same child proof
+/// as above.
+#[test]
+fn an_instance_without_hooks_recovers_on_the_childs_first_malloc() {
+    let _serial = fork_lock();
+    let fillers: Vec<_> = std::iter::from_fn(|| procfork::register(Default::default())).collect();
+    assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+    let a = LfMalloc::new_default();
+    let stop = AtomicBool::new(false);
+    let (ar, stopr) = (&a, &stop);
+    let code = std::thread::scope(|s| {
+        for t in 0..4u64 {
+            s.spawn(move || hammer(ar, stopr, 0x1A2E_0000 + t));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let pid = unsafe { procfork::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            unsafe {
+                // No hook ran: nothing has recovered until a malloc does.
+                if a.health().fork_recoveries != 0 {
+                    sys::_exit(HEALTH_MISMATCH);
+                }
+                let p = a.malloc(64);
+                if p.is_null() {
+                    sys::_exit(NULL_ALLOC);
+                }
+                if a.health().fork_recoveries != 1 {
+                    sys::_exit(HEALTH_MISMATCH);
+                }
+                a.free(p);
+            }
+            lfmalloc_child_check(&a); // never returns
+        }
+        let code = wait_child(pid, "lazy fork recovery");
+        stop.store(true, Ordering::Relaxed);
+        code
+    });
+    for token in fillers {
+        procfork::unregister(token);
+    }
+    assert_eq!(code, OK, "child failed (see exit-code constants)");
+    assert!(a.audit().is_clean(), "parent audit dirty after fork");
 }
 
 /// Thread magazines across a fork: the forking thread's magazine,
@@ -245,11 +310,8 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
         assert!(pid >= 0, "fork failed");
         if pid == 0 {
             // The child hook has already run recovery.
-            let audit = a.audit();
-            if !audit.is_clean() {
-                unsafe { sys::_exit(AUDIT_VIOLATION) };
-            }
-            if audit.magazine_blocks != mine || a.health().magazine_slots != 1 {
+            audit_or_exit(&a);
+            if a.audit().magazine_blocks != mine || a.health().magazine_slots != 1 {
                 unsafe { sys::_exit(ORPHANS_KEPT) };
             }
             let p = unsafe { a.malloc(40) };
@@ -271,7 +333,8 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
                     sys::_exit(MAGAZINE_LOST);
                 }
                 a.free(q);
-                sys::_exit(if a.audit().is_clean() { OK } else { AUDIT_VIOLATION });
+                audit_or_exit(&a);
+                sys::_exit(OK);
             }
         }
         let code = wait_child(pid, "magazines across fork");
@@ -322,9 +385,7 @@ fn thread_parked_spans_cross_the_fork_in_their_words() {
                 if (h.large_cached_spans, h.large_cached_bytes) != (2, cached) {
                     sys::_exit(SPAN_CACHE_LOST);
                 }
-                if !a.audit().is_clean() {
-                    sys::_exit(AUDIT_VIOLATION);
-                }
+                audit_or_exit(&a);
                 // This thread's span is still this thread's.
                 let q = a.malloc(100 << 10);
                 if q != mine || a.health().large_cached_spans != 1 {
@@ -335,9 +396,9 @@ fn thread_parked_spans_cross_the_fork_in_their_words() {
                 // either span between these passes: both go back.
                 a.maintain(MaintenanceBudget::light());
                 let released = a.maintain(MaintenanceBudget::light()).large_spans_released;
-                let clean = a.audit().is_clean();
+                audit_or_exit(&a);
                 let gone = released == 2 && a.os_stats().live_bytes == 0;
-                sys::_exit(if !clean { AUDIT_VIOLATION } else if gone { OK } else { SPAN_CACHE_LOST });
+                sys::_exit(if gone { OK } else { SPAN_CACHE_LOST });
             }
         }
         let code = wait_child(pid, "thread-parked spans across fork");
@@ -389,18 +450,17 @@ fn span_cache_crosses_the_fork_and_serves_the_child() {
                 sys::_exit(NULL_ALLOC);
             }
             core::ptr::write_bytes(q1m, 0x5A, 1 << 20);
-            if !a.audit().is_clean() {
-                sys::_exit(AUDIT_VIOLATION);
-            }
+            audit_or_exit(&a);
             for q in [q64, q1m, q300k] {
                 a.free(q);
             }
-            if a.health().large_cached_spans != 3 || !a.audit().is_clean() {
-                sys::_exit(AUDIT_VIOLATION);
+            if a.health().large_cached_spans != 3 {
+                sys::_exit(SPAN_CACHE_LOST);
             }
+            audit_or_exit(&a);
             a.trim();
-            let clean = a.audit().is_clean() && a.health().large_cached_bytes == 0;
-            sys::_exit(if clean { OK } else { AUDIT_VIOLATION });
+            audit_or_exit(&a);
+            sys::_exit(if a.health().large_cached_bytes == 0 { OK } else { SPAN_CACHE_LOST });
         }
     }
     let code = wait_child(pid, "span cache across fork");
@@ -424,7 +484,7 @@ fn span_cache_crosses_the_fork_and_serves_the_child() {
 fn reaper_respawns_in_child_and_corpse_is_never_joined() {
     let _serial = fork_lock();
     let a = LfMalloc::new_default();
-    assert!(a.start_reaper_with(ReaperConfig::every(std::time::Duration::from_millis(10))));
+    assert!(a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(10))));
     // Give the reaper a beat to be genuinely parked in its loop.
     std::thread::sleep(std::time::Duration::from_millis(20));
     let pid = unsafe { procfork::fork() };
@@ -444,12 +504,10 @@ fn reaper_respawns_in_child_and_corpse_is_never_joined() {
             unsafe { sys::_exit(REAPER_STUCK) };
         }
         // And the child can run its own reaper lifecycle afterwards.
-        if !a.start_reaper_with(ReaperConfig::every(std::time::Duration::from_millis(10))) || !a.stop_reaper() {
+        if !a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(10))) || !a.stop_reaper() {
             unsafe { sys::_exit(REAPER_STUCK) };
         }
-        if !a.audit().is_clean() {
-            unsafe { sys::_exit(AUDIT_VIOLATION) };
-        }
+        audit_or_exit(&a);
         unsafe { sys::_exit(OK) };
     }
     let code = wait_child(pid, "reaper respawn");
@@ -557,9 +615,7 @@ fn child_heap_passes_oracle_differential_after_fork() {
                 if oracle.violation_count() != 0 {
                     sys::_exit(ORACLE_VIOLATION);
                 }
-                if !oracle.inner().audit().is_clean() {
-                    sys::_exit(AUDIT_VIOLATION);
-                }
+                audit_or_exit(oracle.inner());
                 sys::_exit(OK);
             }
         }

@@ -141,9 +141,8 @@ fn thread_churn_soak_stays_healthy() {
 fn reaper_keeps_up_with_thread_churn() {
     #[cfg(feature = "failpoints")]
     let _quiet = malloc_api::failpoints::no_scenario();
-    let cfg = Config::with_heaps(2)
-        .with_reaper(ReaperConfig::every(std::time::Duration::from_millis(2)));
-    let a = Arc::new(LfMalloc::with_config(cfg));
+    let a = Arc::new(LfMalloc::with_config(Config::with_heaps(2)));
+    assert!(a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(2))));
     churn_threads(&a, 0x4EA9E4, 400, 8);
     // Give the reaper a few periods of quiescence, then check it both
     // ran and drained the backlog.

@@ -159,7 +159,7 @@ fn full_outage_yields_nulls_then_recovers() {
             a.free(cached);
 
             // Recovery: keep asking until the outage drains. Each
-            // attempt consumes at most 1 + oom_retries denials, so the
+            // attempt consumes at most 1 + 8 denials (the retries), so the
             // bound below is generous.
             let mut recovered = false;
             for _ in 0..200 {

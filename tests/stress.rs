@@ -153,7 +153,7 @@ fn all_configurations_survive_producer_consumer() {
     let params = Params { database_size: 20_000, tasks: 1_000, work: 50, seed: 5 };
     let configs = [
         Config::detect(),
-        Config::uniprocessor(),
+        Config::with_heaps(1),
         Config::with_heaps(8),
         Config::detect().with_max_credits(1),
         Config::detect().with_max_credits(7),

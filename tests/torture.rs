@@ -163,7 +163,7 @@ fn audit_clean_under_intermittent_os_failure_plans() {
         // Outage: the next 4 OS allocations fail, then service resumes
         // on its own. Large blocks always go to the OS, so the outage is
         // squarely in the allocation path — and the bounded backoff loop
-        // (Config::oom_retries, default 8) must ride it out: the caller
+        // (8 retries, a constant of `retry.rs`) must ride it out: the caller
         // sees one successful malloc, while the source records the
         // denials that the retries absorbed.
         src.fail_every_nth(0);
@@ -230,9 +230,8 @@ mod failpoint_scenarios {
             // The background reaper rides along: its maintenance passes
             // run concurrently with the churn *and* the failpoint storm,
             // so the self-healing paths face the same adversary.
-            let cfg = Config::with_heaps(1)
-                .with_reaper(ReaperConfig::every(std::time::Duration::from_millis(2)));
-            let a = Arc::new(LfMalloc::with_config(cfg));
+            let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
+            assert!(a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(2))));
             let mut workers = Vec::new();
             for t in 0..2u64 {
                 let a = Arc::clone(&a);
