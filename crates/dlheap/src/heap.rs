@@ -64,24 +64,6 @@ pub struct SerialHeap<S: PageSource> {
     segment_size: usize,
     /// Frees rejected by the boundary-tag sanity check in [`free`](Self::free).
     misuse: u64,
-    /// Free chunks split by malloc (plain `u64`s: the heap is serial
-    /// by contract, every call holds `&mut self`).
-    #[cfg(feature = "stats")]
-    splits: u64,
-    /// Neighbour merges performed by free (each direction counts one).
-    #[cfg(feature = "stats")]
-    coalesces: u64,
-}
-
-/// Snapshot of [`SerialHeap`]'s split/coalesce counters.
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SerialHeapStats {
-    /// Free chunks split by malloc to serve a smaller request.
-    pub splits: u64,
-    /// Boundary-tag merges performed by free (forward and backward
-    /// each count one).
-    pub coalesces: u64,
 }
 
 unsafe impl<S: PageSource + Send + Sync> Send for SerialHeap<S> {}
@@ -101,17 +83,7 @@ impl<S: PageSource> SerialHeap<S> {
             source,
             segment_size,
             misuse: 0,
-            #[cfg(feature = "stats")]
-            splits: 0,
-            #[cfg(feature = "stats")]
-            coalesces: 0,
         }
-    }
-
-    /// Split/coalesce counters.
-    #[cfg(feature = "stats")]
-    pub fn op_stats(&self) -> SerialHeapStats {
-        SerialHeapStats { splits: self.splits, coalesces: self.coalesces }
     }
 
     /// Frees rejected because the chunk header failed sanity checks
@@ -187,10 +159,6 @@ impl<S: PageSource> SerialHeap<S> {
                 let nsize = n.size();
                 self.bins.unlink(n, nsize);
                 size += nsize;
-                #[cfg(feature = "stats")]
-                {
-                    self.coalesces += 1;
-                }
             }
             // Coalesce backward (footer of the free predecessor).
             if !c.pinuse() {
@@ -199,10 +167,6 @@ impl<S: PageSource> SerialHeap<S> {
                 self.bins.unlink(p, psize);
                 start = p;
                 size += psize;
-                #[cfg(feature = "stats")]
-                {
-                    self.coalesces += 1;
-                }
             }
             let pinuse_flag = start.header() & PINUSE;
             start.set_header(size | pinuse_flag);
@@ -220,10 +184,6 @@ impl<S: PageSource> SerialHeap<S> {
         unsafe {
             let pinuse_flag = c.header() & PINUSE;
             if csize - need >= MIN_CHUNK {
-                #[cfg(feature = "stats")]
-                {
-                    self.splits += 1;
-                }
                 let rem = Chunk(c.0 + need);
                 let rem_size = csize - need;
                 rem.set_header(rem_size | PINUSE); // c is now in use

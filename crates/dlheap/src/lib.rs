@@ -23,7 +23,3 @@ pub mod locked;
 
 pub use heap::SerialHeap;
 pub use locked::LockedHeap;
-#[cfg(feature = "stats")]
-pub use heap::SerialHeapStats;
-#[cfg(feature = "stats")]
-pub use locked::LockedHeapStats;

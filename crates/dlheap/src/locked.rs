@@ -34,21 +34,6 @@ use std::sync::Arc;
 pub struct LockedHeap<S: PageSource = CountingSource<SystemSource>> {
     heap: Mutex<SerialHeap<S>>,
     source: Arc<S>,
-    #[cfg(feature = "stats")]
-    locks: malloc_api::telemetry::Counter,
-}
-
-/// Snapshot of [`LockedHeap`]'s lock and heap-operation counters.
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LockedHeapStats {
-    /// Global mutex acquisitions (one per malloc and per free — every
-    /// operation serializes here; the baseline's defining cost).
-    pub lock_acquisitions: u64,
-    /// Free chunks split by malloc.
-    pub splits: u64,
-    /// Boundary-tag merges performed by free.
-    pub coalesces: u64,
 }
 
 impl LockedHeap<CountingSource<SystemSource>> {
@@ -70,22 +55,6 @@ impl<S: PageSource> LockedHeap<S> {
         LockedHeap {
             heap: Mutex::new(SerialHeap::new(Arc::clone(&source))),
             source,
-            #[cfg(feature = "stats")]
-            locks: malloc_api::telemetry::Counter::new(),
-        }
-    }
-
-    /// Lock and split/coalesce counters.
-    ///
-    /// Named `lock_stats` (not `stats`) so it does not shadow
-    /// [`RawMalloc::stats`] on the concrete type.
-    #[cfg(feature = "stats")]
-    pub fn lock_stats(&self) -> LockedHeapStats {
-        let ops = self.heap.lock().op_stats();
-        LockedHeapStats {
-            lock_acquisitions: self.locks.get(),
-            splits: ops.splits,
-            coalesces: ops.coalesces,
         }
     }
 
@@ -190,14 +159,10 @@ impl<S: PageSource + 'static> Drop for AtforkGuard<'_, S> {
 
 unsafe impl<S: PageSource + Send + Sync> RawMalloc for LockedHeap<S> {
     unsafe fn malloc(&self, size: usize) -> *mut u8 {
-        #[cfg(feature = "stats")]
-        self.locks.inc();
         unsafe { self.heap.lock().malloc(size) }
     }
 
     unsafe fn free(&self, ptr: *mut u8) {
-        #[cfg(feature = "stats")]
-        self.locks.inc();
         unsafe { self.heap.lock().free(ptr) }
     }
 
@@ -239,24 +204,25 @@ mod tests {
         unsafe { a.free(p) };
     }
 
-    #[cfg(feature = "stats")]
     #[test]
-    fn counters_track_lock_and_boundary_tag_traffic() {
+    fn reverse_frees_coalesce_the_splits_back_into_one_chunk() {
         let a = LockedHeap::new();
         unsafe {
-            // Carve three blocks out of one segment (splits), then free
-            // them in reverse so neighbours merge back (coalesces).
+            // Carve three blocks out of one segment: each a split off the
+            // one free chunk.
             let p1 = a.malloc(64);
             let p2 = a.malloc(64);
             let p3 = a.malloc(64);
+            let r = a.check_integrity();
+            assert_eq!((r.segments, r.in_use_chunks, r.free_chunks), (1, 3, 1), "{r:?}");
+            // Freed in reverse, each block merges with the free chunk
+            // after it.
             a.free(p3);
             a.free(p2);
             a.free(p1);
         }
-        let s = a.lock_stats();
-        assert_eq!(s.lock_acquisitions, 6, "got {s:?}");
-        assert!(s.splits >= 3, "got {s:?}");
-        assert!(s.coalesces >= 2, "got {s:?}");
+        let r = a.check_integrity();
+        assert_eq!((r.in_use_chunks, r.free_chunks), (0, 1), "{r:?}");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   stack threaded through the descriptors ([`descriptor`],
 //!   [`partial`]): descriptors are type-stable, so no reclamation
 //!   scheme is needed (the paper uses hazard pointers and a FIFO queue
-//!   here; no crate of this workspace has one). An EMPTY superblock stays on its descriptor through all of
+//!   here; no crate of this workspace has a reclamation scheme). An EMPTY superblock stays on its descriptor through all of
 //!   it — parked where it went EMPTY, or retired as a pair — until a
 //!   malloc reopens it; only `trim` takes the two apart.
 //! * In front of all that, each thread keeps a small private stack of

@@ -26,7 +26,9 @@
 //! only from other threads — the same contract as `stats()`.
 
 use crate::instance::{Inner, LfMalloc};
-use crate::stats::{StatsSnapshot, CLASS_COUNTERS, RETRY_HISTOGRAMS};
+use crate::stats::{
+    CounterInfo, StatsSnapshot, CLASS_COUNTERS, INSTANCE_COUNTERS, LATENCY_PATHS, RETRY_HISTOGRAMS,
+};
 use core::sync::atomic::{AtomicBool, Ordering};
 use malloc_api::telemetry::{LatencySnapshot, RETRY_BUCKETS, TIME_BUCKETS};
 use osmem::PageSource;
@@ -67,6 +69,31 @@ fn gauge(out: &mut String, name: &str, help: &str, v: u64) {
     let _ = writeln!(out, "{name} {v}");
 }
 
+/// Writes a schema table's rows: one family per run of rows that name it,
+/// HELP assembled from the rows' help lines, and `sample` for each row.
+fn write_rows<T, V>(
+    out: &mut String,
+    rows: &[CounterInfo<T, V>],
+    mut sample: impl FnMut(&mut String, &CounterInfo<T, V>),
+) {
+    for (i, c) in rows.iter().enumerate() {
+        if i == 0 || rows[i - 1].family != c.family {
+            let run = rows.iter().filter(|r| r.family == c.family);
+            let help: Vec<String> =
+                run.map(|r| format!("{} {}", r.label.replace('"', ""), r.help)).collect();
+            write_family(out, c.family, c.kind, help.join(" ").trim_start());
+        }
+        sample(out, c);
+    }
+}
+
+/// The sample of a counter or gauge row.
+fn write_scalar<T>(out: &mut String, c: &CounterInfo<T>, v: u64) {
+    let suffix = if c.kind == "counter" { "_total" } else { "" };
+    let labels = if c.label.is_empty() { String::new() } else { format!("{{{}}}", c.label) };
+    let _ = writeln!(out, "{}{suffix}{labels} {v}", c.family);
+}
+
 /// Emits one latency histogram as cumulative OpenMetrics buckets in
 /// seconds. `labels` is either empty or a `key="value"` list *without*
 /// braces.
@@ -101,18 +128,8 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     let t = &s.totals;
     let mut o = String::with_capacity(8 * 1024);
 
-    // The per-class counters, summed over classes: one family per run of
-    // table rows that name it, HELP assembled from the rows' help lines.
-    for (i, c) in CLASS_COUNTERS.iter().enumerate() {
-        if i == 0 || CLASS_COUNTERS[i - 1].family != c.family {
-            let rows = CLASS_COUNTERS.iter().filter(|r| r.family == c.family);
-            let help: Vec<String> =
-                rows.map(|r| format!("{} {}", r.label.replace('"', ""), r.help)).collect();
-            write_family(&mut o, c.family, "counter", help.join(" ").trim_start());
-        }
-        let labels = if c.label.is_empty() { String::new() } else { format!("{{{}}}", c.label) };
-        let _ = writeln!(o, "{}_total{labels} {}", c.family, (c.get)(t));
-    }
+    // The per-class counters, summed over classes.
+    write_rows(&mut o, CLASS_COUNTERS, |o, c| write_scalar(o, c, (c.get)(t)));
     // The CAS-retry histograms: cumulative buckets over the retry counts
     // 0 / 1 / 2–3 / ... / 64+, `le` the largest count a bucket holds.
     for (_, family, help, get) in &RETRY_HISTOGRAMS {
@@ -129,33 +146,11 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
         }
         let _ = writeln!(o, "{family}_count {cum}");
     }
-    write_family(&mut o, "lfmalloc_large", "counter", "Large-block operations.");
-    let _ = writeln!(o, "lfmalloc_large_total{{op=\"alloc\"}} {}", s.large_alloc);
-    let _ = writeln!(o, "lfmalloc_large_total{{op=\"free\"}} {}", s.large_free);
-    write_family(
-        &mut o,
-        "lfmalloc_large_cache",
-        "counter",
-        "Large mallocs served from the span cache (hit) or the page source (miss), \
-         and large frees that went straight back to the source (bypass).",
-    );
-    let _ = writeln!(o, "lfmalloc_large_cache_total{{outcome=\"hit\"}} {}", s.large_cache_hit);
-    let _ = writeln!(o, "lfmalloc_large_cache_total{{outcome=\"miss\"}} {}", s.large_cache_miss);
-    let _ = writeln!(o, "lfmalloc_large_cache_total{{outcome=\"bypass\"}} {}", s.large_cache_bypass);
-    write_family(&mut o, "lfmalloc_oom_backoffs", "counter", "");
-    let _ = writeln!(o, "lfmalloc_oom_backoffs_total {}", s.oom_backoffs);
-    write_family(&mut o, "lfmalloc_trims", "counter", "");
-    let _ = writeln!(o, "lfmalloc_trims_total {}", s.trims);
+    // The instance-wide counters, and the gauges among their rows.
+    write_rows(&mut o, INSTANCE_COUNTERS, |o, c| write_scalar(o, c, (c.get)(&s)));
 
-    // Point-in-time values; ring overflow and the watchdog's degradation
-    // verdict among them.
+    // Point-in-time values; the watchdog's degradation verdict among them.
     let h = &s.health;
-    gauge(
-        &mut o,
-        "lfmalloc_events_dropped",
-        "Slow-path trace events lost to ring overflow.",
-        s.events_dropped,
-    );
     gauge(
         &mut o,
         "lfmalloc_degraded",
@@ -164,7 +159,6 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     );
     gauge(&mut o, "lfmalloc_os_live_bytes", "OS bytes currently mapped.", s.os.live_bytes as u64);
     gauge(&mut o, "lfmalloc_os_peak_bytes", "", s.os.peak_bytes as u64);
-    gauge(&mut o, "lfmalloc_large_live", "Live large blocks.", s.large_live);
     gauge(
         &mut o,
         "lfmalloc_large_cached_spans",
@@ -227,38 +221,9 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     }
 
     // Latency histograms, one family per operation, path as a label.
-    let l = &s.latency;
-    write_family(
-        &mut o,
-        "lfmalloc_malloc_latency_seconds",
-        "histogram",
-        "Malloc latency by serving path.",
-    );
-    write_latency(&mut o, "lfmalloc_malloc_latency_seconds", "path=\"fast\"", &l.malloc_fast);
-    write_latency(&mut o, "lfmalloc_malloc_latency_seconds", "path=\"slow\"", &l.malloc_slow);
-    write_latency(&mut o, "lfmalloc_malloc_latency_seconds", "path=\"large\"", &l.malloc_large);
-    write_family(
-        &mut o,
-        "lfmalloc_free_latency_seconds",
-        "histogram",
-        "Free latency by path.",
-    );
-    write_latency(&mut o, "lfmalloc_free_latency_seconds", "path=\"fast\"", &l.free_fast);
-    write_latency(&mut o, "lfmalloc_free_latency_seconds", "path=\"slow\"", &l.free_slow);
-    write_latency(&mut o, "lfmalloc_free_latency_seconds", "path=\"large\"", &l.free_large);
-    write_family(
-        &mut o,
-        "lfmalloc_maintenance_latency_seconds",
-        "histogram",
-        "Maintenance and trim pass durations.",
-    );
-    write_latency(
-        &mut o,
-        "lfmalloc_maintenance_latency_seconds",
-        "pass=\"maintain\"",
-        &l.maintain,
-    );
-    write_latency(&mut o, "lfmalloc_maintenance_latency_seconds", "pass=\"trim\"", &l.trim);
+    write_rows(&mut o, LATENCY_PATHS, |o, p| {
+        write_latency(o, p.family, p.label, &(p.get)(&s.latency))
+    });
 
     // Fragmentation gauges.
     let f = &s.fragmentation;

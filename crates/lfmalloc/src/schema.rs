@@ -1,22 +1,25 @@
-//! What the core can report, as data: the per-class counter table and the
+//! What the core can report, as data: the three schema tables and the
 //! small enums the observation seam ([`crate::observe`]) is called with.
 //! Compiled in every build and naming no cargo feature — a `Count` or an
 //! [`EventKind`] costs nothing until a `stats` build gives it somewhere
 //! to go.
 //!
-//! [`class_counters!`] is the schema (DESIGN.md §9): one row per
-//! per-class counter. [`Count`] is generated from it here; `ClassStats`,
-//! the shard sums and the public `CLASS_COUNTERS` table are generated
-//! from it in `stats.rs`, and every renderer — JSON, the text dump,
-//! OpenMetrics, `lfstat` — loops over that table. A new counter is one
-//! row here and its `observe::count` call.
+//! The tables are the schema (DESIGN.md §9): [`class_counters!`] has one
+//! row per per-class counter, [`instance_counters!`] one per instance-wide
+//! number and [`latency_paths!`] one per latency histogram. [`Count`],
+//! [`Global`] and [`Lat`] are generated from them here; `ClassStats`,
+//! `StatsSnapshot`'s rows, `LatencyStats` and the public tables
+//! `CLASS_COUNTERS`, `INSTANCE_COUNTERS` and `LATENCY_PATHS` are generated
+//! from them in `stats.rs`, and every renderer — JSON, the text dump,
+//! OpenMetrics, `lfstat` — loops over those tables. A new counter is one
+//! row here and its `observe` call.
 
 /// The per-class counters: `field Variant "OpenMetrics family" "label"
 /// "help";` — the field is the `ClassStats` member and the JSON key.
 /// Rows of one family are adjacent.
 macro_rules! class_counters {
-    ($with:ident) => {
-        $with! {
+    ($with:ident $($arg:tt)*) => {
+        $with! { $($arg)*
             malloc_cached MallocCached "lfmalloc_mallocs" "path=\"cached\""
                 "Mallocs served from the calling thread's magazine (no CAS).";
             malloc_fast MallocFast "lfmalloc_mallocs" "path=\"fast\""
@@ -58,43 +61,88 @@ macro_rules! class_counters {
 #[allow(unused_imports)]
 pub(crate) use class_counters;
 
-macro_rules! count_enum {
-    ($($field:ident $variant:ident $family:literal $label:literal $help:literal;)*) => {
-        /// A per-class counter: a row of [`class_counters!`], which says
-        /// what each means.
-        #[derive(Clone, Copy, Debug)]
-        pub(crate) enum Count { $($variant),* }
+/// The instance-wide numbers: `field Variant "JSON key" "OpenMetrics
+/// family" "label" "help";` — the field is the `StatsSnapshot` member, and
+/// a dotted key is a member of a JSON object. A row with a variant is a
+/// counter, kept off the shards; a row without one is a gauge, read when
+/// the snapshot is taken. Rows of one family, and of one object, are
+/// adjacent.
+macro_rules! instance_counters {
+    ($with:ident $($arg:tt)*) => {
+        $with! { $($arg)*
+            large_alloc LargeAlloc "large.alloc" "lfmalloc_large" "op=\"alloc\""
+                "Large (direct-mmap) blocks allocated.";
+            large_free LargeFree "large.free" "lfmalloc_large" "op=\"free\""
+                "Large blocks freed.";
+            large_live "large.live" "lfmalloc_large_live" ""
+                "Large blocks live now: mapped, minus the spans parked in the span cache.";
+            large_cache_hit LargeCacheHit "large.cache_hit" "lfmalloc_large_cache" "outcome=\"hit\""
+                "Large mallocs served from the span cache.";
+            large_cache_miss LargeCacheMiss "large.cache_miss" "lfmalloc_large_cache" "outcome=\"miss\""
+                "Large mallocs served by the page source (hit + miss = large_alloc).";
+            large_cache_bypass LargeCacheBypass "large.cache_bypass" "lfmalloc_large_cache" "outcome=\"bypass\""
+                "Large frees whose span went straight back to the source (hardened, over a bound, or no slot).";
+            oom_backoffs OomBackoffs "oom_backoffs" "lfmalloc_oom_backoffs" ""
+                "Failed attempts inside the OOM backoff loops.";
+            trims Trims "trims" "lfmalloc_trims" ""
+                "trim and trim_to calls.";
+            events_dropped "events_dropped" "lfmalloc_events_dropped" ""
+                "Slow-path trace events lost to ring overflow.";
+        }
     };
 }
-class_counters!(count_enum);
+#[allow(unused_imports)]
+pub(crate) use instance_counters;
 
-/// The instance-wide counters, kept off the shards: large blocks by
-/// outcome (`hit + miss == alloc`; a bypass is a large free whose span
-/// went straight back to the source), failed attempts inside the OOM
-/// backoff loops, and `trim`/`trim_to` calls.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Global {
-    LargeAlloc,
-    LargeFree,
-    LargeCacheHit,
-    LargeCacheMiss,
-    LargeCacheBypass,
-    OomBackoffs,
-    Trims,
+/// The latency histograms: `field Variant "OpenMetrics family" "label"
+/// "help";` — the field is the `LatencyStats` member and the JSON key.
+/// Rows of one family are adjacent.
+macro_rules! latency_paths {
+    ($with:ident $($arg:tt)*) => {
+        $with! { $($arg)*
+            malloc_fast MallocFast "lfmalloc_malloc_latency_seconds" "path=\"fast\""
+                "Trips down the malloc ladder served by MallocFromActive: a magazine refill's k-block pop, or one block for a thread without a magazine. Never a magazine hit.";
+            malloc_slow MallocSlow "lfmalloc_malloc_latency_seconds" "path=\"slow\""
+                "Ladder trips served by a partial or newly opened superblock.";
+            malloc_large MallocLarge "lfmalloc_malloc_latency_seconds" "path=\"large\""
+                "Large (direct-mmap) allocations.";
+            free_fast FreeFast "lfmalloc_free_latency_seconds" "path=\"fast\""
+                "Anchor pushes that were a plain free-list push: one block, or a magazine or outbox flush's chain. Never a free the magazine or the outbox absorbed.";
+            free_slow FreeSlow "lfmalloc_free_latency_seconds" "path=\"slow\""
+                "Pushes that emptied a superblock or relinked FULL to PARTIAL.";
+            free_large FreeLarge "lfmalloc_free_latency_seconds" "path=\"large\""
+                "Large-block releases.";
+            maintain Maintain "lfmalloc_maintenance_latency_seconds" "pass=\"maintain\""
+                "Maintenance-pass durations.";
+            trim Trim "lfmalloc_maintenance_latency_seconds" "pass=\"trim\""
+                "Trim-pass durations.";
+        }
+    };
 }
+#[allow(unused_imports)]
+pub(crate) use latency_paths;
 
-/// Which latency histogram a [`Timer`] stops into.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Lat {
-    MallocFast,
-    MallocSlow,
-    MallocLarge,
-    FreeFast,
-    FreeSlow,
-    FreeLarge,
-    Maintain,
-    Trim,
+/// A table's enum, one variant per row that names one: invoked through
+/// the table as `class_counters!(schema_enum /// docs Count)`.
+macro_rules! schema_enum {
+    ($(#[$doc:meta])* $name:ident $($field:ident $($variant:ident)? $($text:literal)*;)*) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum $name { $($($variant,)?)* }
+    };
 }
+class_counters!(schema_enum
+    /// A per-class counter: a row of [`class_counters!`], which says what
+    /// each means.
+    Count);
+instance_counters!(schema_enum
+    /// An instance-wide counter: a row of [`instance_counters!`] that
+    /// names a variant.
+    Global);
+latency_paths!(schema_enum
+    /// Which latency histogram a [`Timer`](crate::observe::Timer) stops
+    /// into: a row of [`latency_paths!`].
+    Lat);
 
 /// What happened on a slow path, recorded in the event ring.
 // `CrashReport` and `HeapDump` are recorded by `forensics` builds only.

@@ -16,10 +16,12 @@
 //! * **Zero cost when off.** The core reports through
 //!   [`crate::observe`], whose functions have empty bodies without the
 //!   feature — the same contract as `fail_point!`.
-//! * **One schema.** The per-class counters are declared once, in
-//!   [`crate::schema`]; [`ClassStats`], the shard sums and
-//!   [`CLASS_COUNTERS`] are generated from that table and every renderer
-//!   loops over it.
+//! * **One schema.** Every counter, gauge and latency path is declared
+//!   once, in a table of [`crate::schema`]; [`ClassStats`],
+//!   [`StatsSnapshot`]'s instance rows, [`LatencyStats`] and the public
+//!   tables [`CLASS_COUNTERS`], [`INSTANCE_COUNTERS`] and
+//!   [`LATENCY_PATHS`] are generated from them, and every renderer loops
+//!   over those tables.
 //!
 //! The event ring and the fragmentation series are one [`EvictRing`] over
 //! the Vyukov [`BoundedQueue`]: fixed capacity, pre-allocated, never
@@ -207,15 +209,16 @@ pub(crate) struct InstanceStats {
     /// `NUM_CLASSES * nheaps` shards, system-allocated, laid
     /// out exactly like the heap table: index `ci * nheaps + h`.
     shards: SysArray<ClassShard>,
-    /// The instance-wide counters, indexed by [`Global`].
-    pub globals: [Counter; Global::Trims as usize + 1],
+    /// The instance-wide counters, indexed by [`Global`]; one per row of
+    /// [`INSTANCE_COUNTERS`], so the gauge rows leave two idle.
+    pub globals: [Counter; INSTANCE_COUNTERS.len()],
     /// Slow-path trace ring.
     pub events: EventRing,
     /// Per-op latency, split by operation and serving path and indexed
     /// by [`Lat`] (the last two: maintenance-pass and trim-pass
     /// durations). Instance-global, not sharded: recording is two relaxed
     /// `fetch_add`s on lines that the slow paths already own.
-    pub lat: [LatencyHist; Lat::Trim as usize + 1],
+    pub lat: [LatencyHist; LATENCY_PATHS.len()],
     /// Fragmentation time series, fed by the maintenance pass.
     pub frag_series: FragSeries,
     /// Scrape-endpoint control plane (see [`crate::metrics`]).
@@ -275,19 +278,25 @@ impl<S: PageSource> Inner<S> {
     }
 }
 
-/// One row of the per-class counter schema ([`CLASS_COUNTERS`]).
-#[derive(Clone, Copy, Debug)]
-pub struct CounterInfo {
-    /// The [`ClassStats`] field, and the key in the JSON.
+/// One row of a schema table — [`CLASS_COUNTERS`], [`INSTANCE_COUNTERS`]
+/// or [`LATENCY_PATHS`] — whose value a `T` holds.
+#[derive(Debug)]
+pub struct CounterInfo<T = ClassStats, V = u64> {
+    /// The field of `T`, and its key in `T`'s JSON object.
     pub name: &'static str,
-    /// OpenMetrics family (its samples end `_total`) and this counter's
-    /// label in it, `key="value"` or empty.
+    /// Where a stats-JSON record holds it, as a `malloc_api::json` path
+    /// (for a class counter, its sum over the classes).
+    pub key: &'static str,
+    /// OpenMetrics type (`counter`, `gauge` or `histogram`), family (a
+    /// counter's samples end `_total`) and this row's label in it,
+    /// `key="value"` or empty.
+    pub kind: &'static str,
     pub family: &'static str,
     pub label: &'static str,
     /// One line saying what is counted.
     pub help: &'static str,
-    /// Reads the counter out of a [`ClassStats`].
-    pub get: fn(&ClassStats) -> u64,
+    /// Reads the row out of a `T`.
+    pub get: fn(&T) -> V,
 }
 
 macro_rules! class_stats {
@@ -312,6 +321,8 @@ macro_rules! class_stats {
         /// every renderer (and `lfstat`) loops over.
         pub const CLASS_COUNTERS: &[CounterInfo] = &[$(CounterInfo {
             name: stringify!($field),
+            key: concat!("totals.", stringify!($field)),
+            kind: "counter",
             family: $family,
             label: $label,
             help: $help,
@@ -396,38 +407,44 @@ fn json_array(v: &[u64]) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// Per-op latency distributions of the snapshot, one
-/// [`LatencySnapshot`] per (operation, serving path) pair.
-///
-/// **What is timed is the lock-free core, not the call.** A magazine hit
-/// — the common malloc and the common free since DESIGN.md §15 — reads
-/// no clock and appears in none of these: the small-block rows time the
-/// trips *past* the magazine (a refill's k-block pop, a miss's ladder, a
-/// flush's chain push), which is why their counts are far below
-/// `mallocs()`/`frees()`. A clock read costs more than a hit.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyStats {
-    /// Trips down the malloc ladder served by `MallocFromActive`: a
-    /// magazine refill's k-block pop, or one block for a thread without a
-    /// magazine. Never a magazine hit.
-    pub malloc_fast: LatencySnapshot,
-    /// Ladder trips served by a partial or newly opened superblock.
-    pub malloc_slow: LatencySnapshot,
-    /// Large (direct-mmap) allocations.
-    pub malloc_large: LatencySnapshot,
-    /// Anchor pushes that were a plain free-list push: one block, or a
-    /// magazine or outbox flush's chain. Never a free the magazine or the
-    /// outbox absorbed.
-    pub free_fast: LatencySnapshot,
-    /// Pushes that emptied a superblock or relinked FULL→PARTIAL.
-    pub free_slow: LatencySnapshot,
-    /// Large-block releases.
-    pub free_large: LatencySnapshot,
-    /// Maintenance-pass durations.
-    pub maintain: LatencySnapshot,
-    /// Trim-pass durations.
-    pub trim: LatencySnapshot,
+macro_rules! latency_stats {
+    ($($field:ident $variant:ident $family:literal $label:literal $help:literal;)*) => {
+        /// Per-op latency distributions of the snapshot, one
+        /// [`LatencySnapshot`] per (operation, serving path) pair.
+        ///
+        /// **What is timed is the lock-free core, not the call.** A magazine
+        /// hit — the common malloc and the common free since DESIGN.md §15 —
+        /// reads no clock and appears in none of these: the small-block rows
+        /// time the trips *past* the magazine (a refill's k-block pop, a
+        /// miss's ladder, a flush's chain push), which is why their counts
+        /// are far below `mallocs()`/`frees()`. A clock read costs more than
+        /// a hit.
+        #[derive(Clone, Debug, Default)]
+        pub struct LatencyStats {
+            $(#[doc = $help] pub $field: LatencySnapshot,)*
+        }
+
+        /// The latency paths, in [`LatencyStats`] field order: what every
+        /// renderer (and `lfstat`) loops over.
+        pub const LATENCY_PATHS: &[CounterInfo<LatencyStats, LatencySnapshot>] = &[$(CounterInfo {
+            name: stringify!($field),
+            key: concat!("latency.", stringify!($field)),
+            kind: "histogram",
+            family: $family,
+            label: $label,
+            help: $help,
+            get: |l| l.$field,
+        }),*];
+
+        impl LatencyStats {
+            /// Snapshots an instance's histograms, indexed by [`Lat`].
+            fn read(hists: &[LatencyHist]) -> Self {
+                LatencyStats { $($field: hists[Lat::$variant as usize].snapshot()),* }
+            }
+        }
+    };
 }
+crate::schema::latency_paths!(latency_stats);
 
 impl LatencyStats {
     /// Every *timed* malloc path combined: refills, misses and large
@@ -448,28 +465,15 @@ impl LatencyStats {
         m
     }
 
-    fn paths(&self) -> [(&'static str, &LatencySnapshot); 8] {
-        [
-            ("malloc_fast", &self.malloc_fast),
-            ("malloc_slow", &self.malloc_slow),
-            ("malloc_large", &self.malloc_large),
-            ("free_fast", &self.free_fast),
-            ("free_slow", &self.free_slow),
-            ("free_large", &self.free_large),
-            ("maintain", &self.maintain),
-            ("trim", &self.trim),
-        ]
-    }
-
     fn to_json(&self) -> String {
-        let parts: Vec<String> = self
-            .paths()
+        let parts: Vec<String> = LATENCY_PATHS
             .iter()
-            .map(|(name, s)| {
+            .map(|p| {
+                let s = (p.get)(self);
                 format!(
                     "\"{}\":{{\"count\":{},\"sum_nanos\":{},\"p50\":{},\"p90\":{},\
                      \"p99\":{},\"p999\":{},\"buckets\":{}}}",
-                    name,
+                    p.name,
                     s.count(),
                     s.sum_nanos,
                     s.percentile(0.50),
@@ -617,60 +621,102 @@ pub(crate) fn record_frag_sample<S: PageSource>(inner: &Inner<S>) {
     });
 }
 
-/// A consistent-enough aggregate of every counter in the instance.
-///
-/// Each counter is read once with `Relaxed` ordering; counters advanced
-/// by in-flight operations may differ by the handful currently
-/// executing, but every counter is monotone between snapshots.
-#[derive(Clone, Debug)]
-pub struct StatsSnapshot {
-    /// Per-size-class aggregates (length [`NUM_CLASSES`]).
-    pub classes: Vec<ClassStats>,
-    /// Sum over all classes (`class`/`block_size` zero).
-    pub totals: ClassStats,
-    /// Large (direct-mmap) blocks allocated / freed / currently live.
-    pub large_alloc: u64,
-    pub large_free: u64,
-    pub large_live: u64,
-    /// Large mallocs served from the span cache / from the page source
-    /// (`hit + miss == large_alloc`), and large frees whose span went
-    /// straight back to the source (hardened, over a bound, or no slot).
-    pub large_cache_hit: u64,
-    pub large_cache_miss: u64,
-    pub large_cache_bypass: u64,
-    /// Failed attempts inside OOM retry/backoff loops.
-    pub oom_backoffs: u64,
-    /// `trim`/`trim_to` invocations.
-    pub trims: u64,
-    /// Events the ring had to drop.
-    pub events_dropped: u64,
-    /// Process-wide tagged-stack CAS retries from `lockfree-structs`
-    /// (shared by *all* instances in the process — the embedded
-    /// structures keep their layout by counting into statics).
-    pub structs_cas: StructsCasStats,
-    /// OS-level accounting: `os.os_allocs`/`os.os_frees` are the
-    /// mmap/munmap call counts; live/peak bytes as in [`AllocStats`].
-    pub os: AllocStats,
-    /// Superblock hyperblocks carved from the OS (lifetime count).
-    pub sb_carves: u64,
-    /// Descriptor slabs carved from the OS (lifetime count).
-    pub desc_carves: u64,
-    /// The audit's byte reconciliation, computed from the same source
-    /// of truth (`Inner::reconcile_bytes`) rather than re-derived.
-    pub reconciliation: crate::audit::ByteReconciliation,
-    /// Liveness + maintenance health (same data as
-    /// [`LfMalloc::health`](crate::LfMalloc::health), taken in the same
-    /// snapshot).
-    pub health: crate::health::HealthSnapshot,
-    /// Per-op latency distributions (see [`LatencyStats`]).
-    pub latency: LatencyStats,
-    /// External-fragmentation accounting (see [`FragmentationStats`]).
-    pub fragmentation: FragmentationStats,
-    /// Sampled allocation-site profile, taken in the same snapshot
-    /// (only under the `profile` feature, which implies `stats`).
-    #[cfg(feature = "profile")]
-    pub profile: crate::profile::ProfileSnapshot,
+macro_rules! stats_snapshot {
+    ($($field:ident $($variant:ident)? $key:literal $family:literal $label:literal $help:literal;)*) => {
+        /// A consistent-enough aggregate of every counter in the instance.
+        ///
+        /// Each counter is read once with `Relaxed` ordering; counters
+        /// advanced by in-flight operations may differ by the handful
+        /// currently executing, but every counter is monotone between
+        /// snapshots.
+        #[derive(Clone, Debug)]
+        pub struct StatsSnapshot {
+            /// Per-size-class aggregates (length [`NUM_CLASSES`]).
+            pub classes: Vec<ClassStats>,
+            /// Sum over all classes (`class`/`block_size` zero).
+            pub totals: ClassStats,
+            $(#[doc = $help] pub $field: u64,)*
+            /// Process-wide tagged-stack CAS retries from `lockfree-structs`
+            /// (shared by *all* instances in the process — the embedded
+            /// structures keep their layout by counting into statics).
+            pub structs_cas: StructsCasStats,
+            /// OS-level accounting: `os.os_allocs`/`os.os_frees` are the
+            /// mmap/munmap call counts; live/peak bytes as in [`AllocStats`].
+            pub os: AllocStats,
+            /// Superblock hyperblocks carved from the OS (lifetime count).
+            pub sb_carves: u64,
+            /// Descriptor slabs carved from the OS (lifetime count).
+            pub desc_carves: u64,
+            /// The audit's byte reconciliation, computed from the same source
+            /// of truth (`Inner::reconcile_bytes`) rather than re-derived.
+            pub reconciliation: crate::audit::ByteReconciliation,
+            /// Liveness + maintenance health (same data as
+            /// [`LfMalloc::health`](crate::LfMalloc::health), taken in the same
+            /// snapshot).
+            pub health: crate::health::HealthSnapshot,
+            /// Per-op latency distributions (see [`LatencyStats`]).
+            pub latency: LatencyStats,
+            /// External-fragmentation accounting (see [`FragmentationStats`]).
+            pub fragmentation: FragmentationStats,
+            /// Sampled allocation-site profile, taken in the same snapshot
+            /// (only under the `profile` feature, which implies `stats`).
+            #[cfg(feature = "profile")]
+            pub profile: crate::profile::ProfileSnapshot,
+        }
+
+        /// The instance-wide rows of a [`StatsSnapshot`], in JSON order:
+        /// what every renderer (and `lfstat`) loops over.
+        pub const INSTANCE_COUNTERS: &[CounterInfo<StatsSnapshot>] = &[$(CounterInfo {
+            name: stringify!($field),
+            key: $key,
+            // A row that names no `Global` is a gauge.
+            kind: if stringify!($($variant)?).is_empty() { "gauge" } else { "counter" },
+            family: $family,
+            label: $label,
+            help: $help,
+            get: |s| s.$field,
+        }),*];
+
+        impl<S: PageSource> LfMalloc<S> {
+            /// A consistent aggregate of every telemetry counter; see
+            /// [`StatsSnapshot`] for the racing-increment tolerance. Does not
+            /// drain the event ring (use [`take_events`](Self::take_events)).
+            pub fn stats(&self) -> StatsSnapshot {
+                let inner = self.inner();
+                let classes: Vec<ClassStats> =
+                    (0..NUM_CLASSES).map(|ci| inner.class_stats(ci)).collect();
+                let mut totals = ClassStats::default();
+                for c in &classes {
+                    totals.add(c);
+                }
+                let st = &inner.obs.stats;
+                let (large_live, large_live_bytes) = inner.large_live();
+                let fragmentation = FragmentationStats::compute(&classes, large_live_bytes as u64);
+                let mut s = StatsSnapshot {
+                    $($field: 0,)*
+                    classes,
+                    totals,
+                    structs_cas: lockfree_structs::stats::snapshot(),
+                    os: inner.source.stats(),
+                    sb_carves: inner.sb_pool.carve_count(),
+                    desc_carves: inner.desc_pool.slabs.carve_count(),
+                    reconciliation: inner.reconcile_bytes(),
+                    health: self.health(),
+                    latency: LatencyStats::read(&st.lat),
+                    fragmentation,
+                    #[cfg(feature = "profile")]
+                    profile: self.profile(),
+                };
+                // The counter rows, then the two gauges.
+                $($(s.$field = st.globals[Global::$variant as usize].get();)?)*
+                s.large_live = large_live as u64;
+                s.events_dropped = st.events.dropped();
+                s
+            }
+        }
+    };
 }
+crate::schema::instance_counters!(stats_snapshot);
 
 impl StatsSnapshot {
     /// Size classes with any malloc/free activity, hottest (most
@@ -691,16 +737,32 @@ impl StatsSnapshot {
             .filter(|c| c.mallocs() + c.frees() + c.partial_push + c.partial_pop > 0)
             .map(ClassStats::to_json)
             .collect();
+        // The instance rows; a run of rows whose keys share a dotted
+        // prefix is one object.
+        let object = |c: &CounterInfo<StatsSnapshot>| c.key.split_once('.').map(|(o, _)| o);
+        let rows: Vec<String> = INSTANCE_COUNTERS
+            .chunk_by(|a, b| object(a).is_some() && object(a) == object(b))
+            .map(|run| {
+                let members: Vec<String> = run
+                    .iter()
+                    .map(|c| {
+                        let name = c.key.rsplit_once('.').map_or(c.key, |(_, name)| name);
+                        format!("\"{name}\":{}", (c.get)(self))
+                    })
+                    .collect();
+                match object(&run[0]) {
+                    Some(o) => format!("\"{o}\":{{{}}}", members.join(",")),
+                    None => members.join(","),
+                }
+            })
+            .collect();
         let r = &self.reconciliation;
         #[cfg(feature = "profile")]
         let profile = format!(",\"profile\":{}", self.profile.to_json());
         #[cfg(not(feature = "profile"))]
         let profile = "";
         format!(
-            "{{\"allocator\":\"lfmalloc\",\"totals\":{},\"classes\":[{}],\
-             \"large\":{{\"alloc\":{},\"free\":{},\"live\":{},\"cache_hit\":{},\
-             \"cache_miss\":{},\"cache_bypass\":{}}},\
-             \"oom_backoffs\":{},\"trims\":{},\"events_dropped\":{},\
+            "{{\"allocator\":\"lfmalloc\",\"totals\":{},\"classes\":[{}],{},\
              \"structs_cas\":{{\"stack_push\":{},\"stack_pop\":{}}},\
              \"os\":{{\"live_bytes\":{},\"peak_bytes\":{},\"mmap_calls\":{},\
              \"munmap_calls\":{}}},\
@@ -711,15 +773,7 @@ impl StatsSnapshot {
              \"health\":{},\"latency\":{},\"fragmentation\":{}{}}}",
             self.totals.to_json(),
             classes.join(","),
-            self.large_alloc,
-            self.large_free,
-            self.large_live,
-            self.large_cache_hit,
-            self.large_cache_miss,
-            self.large_cache_bypass,
-            self.oom_backoffs,
-            self.trims,
-            self.events_dropped,
+            rows.join(","),
             self.structs_cas.stack_push_retries,
             self.structs_cas.stack_pop_retries,
             self.os.live_bytes,
@@ -743,56 +797,6 @@ impl StatsSnapshot {
 }
 
 impl<S: PageSource> LfMalloc<S> {
-    /// A consistent aggregate of every telemetry counter; see
-    /// [`StatsSnapshot`] for the racing-increment tolerance. Does not
-    /// drain the event ring (use [`take_events`](Self::take_events)).
-    pub fn stats(&self) -> StatsSnapshot {
-        let inner = self.inner();
-        let classes: Vec<ClassStats> = (0..NUM_CLASSES).map(|ci| inner.class_stats(ci)).collect();
-        let mut totals = ClassStats::default();
-        for c in &classes {
-            totals.add(c);
-        }
-        let st = &inner.obs.stats;
-        let lat = |path: Lat| st.lat[path as usize].snapshot();
-        let latency = LatencyStats {
-            malloc_fast: lat(Lat::MallocFast),
-            malloc_slow: lat(Lat::MallocSlow),
-            malloc_large: lat(Lat::MallocLarge),
-            free_fast: lat(Lat::FreeFast),
-            free_slow: lat(Lat::FreeSlow),
-            free_large: lat(Lat::FreeLarge),
-            maintain: lat(Lat::Maintain),
-            trim: lat(Lat::Trim),
-        };
-        let global = |g: Global| st.globals[g as usize].get();
-        let (large_live, large_live_bytes) = inner.large_live();
-        let fragmentation = FragmentationStats::compute(&classes, large_live_bytes as u64);
-        StatsSnapshot {
-            classes,
-            totals,
-            large_alloc: global(Global::LargeAlloc),
-            large_free: global(Global::LargeFree),
-            large_live: large_live as u64,
-            large_cache_hit: global(Global::LargeCacheHit),
-            large_cache_miss: global(Global::LargeCacheMiss),
-            large_cache_bypass: global(Global::LargeCacheBypass),
-            oom_backoffs: global(Global::OomBackoffs),
-            trims: global(Global::Trims),
-            events_dropped: st.events.dropped(),
-            structs_cas: lockfree_structs::stats::snapshot(),
-            os: inner.source.stats(),
-            sb_carves: inner.sb_pool.carve_count(),
-            desc_carves: inner.desc_pool.slabs.carve_count(),
-            reconciliation: inner.reconcile_bytes(),
-            health: self.health(),
-            latency,
-            fragmentation,
-            #[cfg(feature = "profile")]
-            profile: self.profile(),
-        }
-    }
-
     /// Drains and returns the recorded slow-path events, oldest first.
     pub fn take_events(&self) -> Vec<Event> {
         let mut out = Vec::new();
@@ -873,14 +877,15 @@ impl<S: PageSource> LfMalloc<S> {
             "  {:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
             "path", "count", "p50", "p90", "p99", "p99.9", "mean"
         )?;
-        for (name, l) in s.latency.paths() {
+        for p in LATENCY_PATHS {
+            let l = (p.get)(&s.latency);
             if l.count() == 0 {
                 continue;
             }
             writeln!(
                 w,
                 "  {:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                name,
+                p.name,
                 l.count(),
                 l.percentile(0.50),
                 l.percentile(0.90),
@@ -1100,14 +1105,20 @@ mod tests {
     }
 
     /// The schema is what the renderers loop over: every row of the
-    /// table, and both retry histograms, in the JSON, the text dump and
-    /// the OpenMetrics exposition — a row added to the table is in all
+    /// three tables, and both retry histograms, in the JSON, the text dump
+    /// and the OpenMetrics exposition — a row added to a table is in all
     /// three with no other edit.
     #[test]
     fn every_counter_is_in_every_renderer() {
         let a = LfMalloc::with_config(Config::with_heaps(2));
         unsafe { a.free(a.malloc(64)) };
+        // Every latency path the dump can print, but the two the magazine
+        // keeps a lone thread off: a large pair, a maintenance pass, a trim.
+        unsafe { a.free(a.malloc(100_000)) };
+        a.maintain(crate::maintain::MaintenanceBudget::light());
+        unsafe { a.trim() };
         let json = a.stats().to_json();
+        let record = malloc_api::json::parse(&json).expect("the JSON parses");
         let mut dump = Vec::new();
         a.dump_stats(&mut dump).unwrap();
         let dump = String::from_utf8(dump).unwrap();
@@ -1129,6 +1140,41 @@ mod tests {
             let last = format!("{family}_bucket{{le=\"+Inf\"}} ");
             assert!(om.contains(&last), "{family} not in the exposition");
         }
+        let braced = |label: &str| match label {
+            "" => String::new(),
+            label => format!("{{{label}}}"),
+        };
+        assert_eq!(INSTANCE_COUNTERS.len(), 9);
+        for c in INSTANCE_COUNTERS {
+            let suffix = if c.kind == "counter" { "_total" } else { "" };
+            let sample = format!("{}{suffix}{} ", c.family, braced(c.label));
+            assert!(record.get(c.key).is_some(), "{} not in the JSON", c.key);
+            assert!(om.contains(&sample), "{sample}not in the exposition");
+        }
+        // The dump's latency table: the lines between its header and the
+        // fragmentation line. It prints the paths that were timed.
+        let table: Vec<&str> = dump
+            .lines()
+            .skip_while(|l| !l.starts_with("latency of the trips"))
+            .take_while(|l| !l.starts_with("fragmentation:"))
+            .collect();
+        let s = a.stats();
+        assert_eq!(LATENCY_PATHS.len(), 8);
+        for p in LATENCY_PATHS {
+            let count = format!("{}.count", p.key);
+            let sample = format!("{}_count{} ", p.family, braced(p.label));
+            assert!(record.get(&count).is_some(), "{count} not in the JSON");
+            assert!(om.contains(&sample), "{sample}not in the exposition");
+            let timed = (p.get)(&s.latency).count() > 0;
+            let row = format!("  {} ", p.name);
+            assert_eq!(timed, table.iter().any(|l| l.starts_with(&row)), "{} in the dump", p.name);
+        }
+        for driven in
+            [&s.latency.malloc_large, &s.latency.free_large, &s.latency.maintain, &s.latency.trim]
+        {
+            assert!(driven.count() > 0, "a driven path went untimed: {:?}", s.latency);
+        }
+        assert!(s.latency.malloc_fast.count() + s.latency.malloc_slow.count() > 0);
     }
 
     #[test]

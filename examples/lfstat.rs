@@ -19,12 +19,12 @@
 //! output lines (the last JSON object line wins).
 //!
 //! Records are read with the workspace's one JSON reader
-//! (`malloc_api::json`), and the per-class counter rows of `print` and
-//! `diff` come from the allocator's public schema table
-//! (`lfmalloc::stats::CLASS_COUNTERS`): a counter added there shows up
-//! here with no edit.
+//! (`malloc_api::json`), and the counter and latency rows of `print` and
+//! `diff` come from the allocator's public schema tables
+//! (`lfmalloc::stats::CLASS_COUNTERS`, `INSTANCE_COUNTERS`,
+//! `LATENCY_PATHS`): a row added there shows up here with no edit.
 
-use lfmalloc::stats::CLASS_COUNTERS;
+use lfmalloc::stats::{CLASS_COUNTERS, INSTANCE_COUNTERS, LATENCY_PATHS};
 use lfmalloc_repro::prelude::*;
 use malloc_api::json::{self, Json};
 use std::sync::Arc;
@@ -95,17 +95,6 @@ fn human_nanos(n: f64) -> String {
     }
 }
 
-const LAT_PATHS: [&str; 8] = [
-    "malloc_fast",
-    "malloc_slow",
-    "malloc_large",
-    "free_fast",
-    "free_slow",
-    "free_large",
-    "maintain",
-    "trim",
-];
-
 fn print_record(rec: &Json) {
     let t = rec.get("totals").cloned().unwrap_or(Json::Obj(vec![]));
     // `num` reads an absent key as 0, so records from before the
@@ -136,24 +125,12 @@ fn print_record(rec: &Json) {
         100.0 * t.num("free_remote") / frees.max(1.0),
         t.u64("free_teardown"),
     );
-    println!(
-        "  large         {:>14} alloc / {} free ({} live; span cache {} hit / {} miss)",
-        rec.u64("large.alloc"),
-        rec.u64("large.free"),
-        rec.u64("large.live"),
-        rec.u64("large.cache_hit"),
-        rec.u64("large.cache_miss"),
-    );
-    println!(
-        "  superblocks retired {}   trims {}   oom backoffs {}   events dropped {}",
-        t.u64("free_empty"),
-        rec.u64("trims"),
-        rec.u64("oom_backoffs"),
-        rec.u64("events_dropped"),
-    );
-    println!("  every per-class counter, all classes:");
+    println!("  every per-class counter, all classes, and every instance-wide one:");
     for c in CLASS_COUNTERS {
-        println!("    {:<14} {:>14}  {}", c.name, t.u64(c.name), c.help);
+        println!("    {:<18} {:>14}  {}", c.name, rec.u64(c.key), c.help);
+    }
+    for c in INSTANCE_COUNTERS {
+        println!("    {:<18} {:>14}  {}", c.name, rec.u64(c.key), c.help);
     }
     if rec.get("health.descriptor_slots").is_some() {
         let listed: f64 = rec
@@ -179,19 +156,19 @@ fn print_record(rec: &Json) {
             "  {:<13} {:>12} {:>10} {:>10} {:>10} {:>10}",
             "path", "count", "p50", "p90", "p99", "p99.9"
         );
-        for path in LAT_PATHS {
-            let count = rec.u64(&format!("latency.{path}.count"));
+        for p in LATENCY_PATHS {
+            let count = rec.u64(&format!("{}.count", p.key));
             if count == 0 {
                 continue;
             }
             println!(
                 "  {:<13} {:>12} {:>10} {:>10} {:>10} {:>10}",
-                path,
+                p.name,
                 count,
-                human_nanos(rec.num(&format!("latency.{path}.p50"))),
-                human_nanos(rec.num(&format!("latency.{path}.p90"))),
-                human_nanos(rec.num(&format!("latency.{path}.p99"))),
-                human_nanos(rec.num(&format!("latency.{path}.p999"))),
+                human_nanos(rec.num(&format!("{}.p50", p.key))),
+                human_nanos(rec.num(&format!("{}.p90", p.key))),
+                human_nanos(rec.num(&format!("{}.p99", p.key))),
+                human_nanos(rec.num(&format!("{}.p999", p.key))),
             );
         }
     }
@@ -263,25 +240,20 @@ fn print_sites(rec: &Json, n: usize) {
 
 fn print_diff(a: &Json, b: &Json) {
     println!("{:<34} {:>14} {:>14} {:>14}", "counter", "before", "after", "delta");
-    let counters =
-        CLASS_COUNTERS.iter().map(|c| (c.name.to_string(), format!("totals.{}", c.name)));
+    let counters = CLASS_COUNTERS.iter().map(|c| (c.name, c.key));
+    let instance = INSTANCE_COUNTERS.iter().map(|c| (c.name, c.key));
     let rest = [
-        ("large allocs", "large.alloc"),
-        ("large frees", "large.free"),
-        ("large span-cache hits", "large.cache_hit"),
-        ("large span-cache misses", "large.cache_miss"),
-        ("large frees past the cache", "large.cache_bypass"),
-        ("trims", "trims"),
-        ("oom backoffs", "oom_backoffs"),
-        ("events dropped", "events_dropped"),
         ("os live bytes", "os.live_bytes"),
         ("os peak bytes", "os.peak_bytes"),
         ("external frag permille", "fragmentation.external_frag_permille"),
-        ("p99 malloc fast (ns)", "latency.malloc_fast.p99"),
-        ("p99 malloc slow (ns)", "latency.malloc_slow.p99"),
-        ("p99 free fast (ns)", "latency.free_fast.p99"),
     ];
-    let rows = counters.chain(rest.iter().map(|(l, p)| (l.to_string(), p.to_string())));
+    let p99 =
+        LATENCY_PATHS.iter().map(|p| (format!("p99 {} (ns)", p.name), format!("{}.p99", p.key)));
+    let rows = counters
+        .chain(instance)
+        .chain(rest)
+        .map(|(l, p)| (l.to_string(), p.to_string()))
+        .chain(p99);
     for (label, path) in rows {
         let (va, vb) = (a.num(&path), b.num(&path));
         if va == 0.0 && vb == 0.0 {
