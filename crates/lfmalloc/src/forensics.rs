@@ -1,20 +1,23 @@
 //! Crash forensics (the `forensics` cargo feature): a black-box flight
-//! recorder, async-signal-safe pointer classification, and a chained
-//! crash reporter.
+//! recorder, async-signal-safe pointer classification, and the signal
+//! and `atexit` plumbing that gets a post-mortem written.
 //!
 //! Production postmortems rarely get to ask "what are the counters
 //! now" — the process is dead. This module answers "what was the heap
-//! doing when it died" with three pieces:
+//! doing when it died" with three pieces; what a post-mortem *contains*
+//! is decided in one place, [`crate::heapdump`]:
 //!
 //! * **Flight recorder** — per-thread lock-free rings of the most
 //!   recent allocator operations (op kind, size class, pointer, thread,
-//!   monotonic sequence number). Threads claim ring slots first-touch
-//!   with the same epoch-keyed thread-local scheme as the profiler's
-//!   sampler slots, so instances never share streams and the rings
-//!   survive fork (plain memory, no locks). Writers publish each entry
+//!   monotonic sequence number). Threads claim ring slots first-touch,
+//!   keyed in a thread-local by the instance's id (the one its magazine
+//!   slot table issues, as the profiler's sampler slots are), so
+//!   instances never share streams and the rings survive fork (plain
+//!   memory, no locks). Writers publish each entry
 //!   by storing its sequence word last with `Release` after zeroing it,
 //!   so a reader (possibly a signal handler interrupting the writer
 //!   mid-entry) either sees a fully-written entry or skips it.
+//!   `newest_first` is the one reader every post-mortem shares.
 //! * **`describe_ptr`** — classifies *any* address against the
 //!   instance's memory: small block (with descriptor state, class,
 //!   block index, hardened allocated-bit and quarantine-poison
@@ -25,16 +28,14 @@
 //!   validation, span-registry lookups — all of which are lock-free and
 //!   allocation-free, so the walk is async-signal-safe by construction.
 //! * **Crash reporter** — chained SIGSEGV/SIGBUS/SIGABRT handlers that
-//!   emit a black-box report to a configurable fd using only `write(2)`
-//!   and hand-rolled fixed-buffer rendering: no allocation, no locks,
-//!   no `std::fmt`. The report contains the faulting address's
-//!   `describe_ptr` line, the merged tail of the flight recorder, the
-//!   health counters, misuse counters, and the OS-byte reconciliation.
-//!   After reporting, the previous signal disposition is restored and
-//!   the signal re-delivered, so default core-dumping (or a
-//!   pre-existing handler) still happens. `Hardening::Abort` and
+//!   have [`crate::heapdump`] write a black-box report to a configurable
+//!   fd using only `write(2)` and hand-rolled fixed-buffer rendering: no
+//!   allocation, no locks, no `std::fmt`. After reporting, the previous
+//!   signal disposition is restored and the signal re-delivered, so
+//!   default core-dumping (or a pre-existing handler) still happens. `Hardening::Abort` and
 //!   `LivenessPolicy::Abort` fail-stops route through the same report
-//!   path before panicking.
+//!   path before panicking. The exit leak report is an `atexit` hook
+//!   that writes a heap dump between two header lines.
 //!
 //! # Async-signal-safety contract
 //!
@@ -57,7 +58,6 @@ use osmem::source::{PageSource, PAGE_SIZE};
 
 use crate::anchor::SbState;
 use crate::config::SB_SIZE;
-use crate::descriptor::Descriptor;
 use crate::harden::POISON;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::CLASS_SIZES;
@@ -69,9 +69,6 @@ pub const RING_THREADS: usize = 32;
 
 /// Entries per ring (power of two).
 pub const RING_CAP: usize = 64;
-
-/// Entries printed in a crash report's flight-recorder section.
-const REPORT_TAIL: usize = 32;
 
 /// `class` value of a large-block entry.
 pub const CLASS_LARGE: u16 = u16::MAX;
@@ -157,10 +154,6 @@ pub(crate) fn unpack_meta(meta: u64) -> (u64, u16, u32) {
 /// `forensics` feature.
 #[derive(Debug)]
 pub(crate) struct ForensicsState {
-    /// Distinguishes this instance's recorder stream in the
-    /// thread-local slot (see [`FLIGHT_THREAD`]); process-unique and
-    /// never zero — the same scheme as the profiler's sampler epoch.
-    epoch: u64,
     /// Dense per-instance thread indices, issued in first-touch order.
     next_thread: AtomicU32,
     /// `RING_THREADS` rings, system-allocated (zeroed = all empty).
@@ -181,11 +174,10 @@ pub(crate) struct ForensicsState {
 unsafe impl Send for ForensicsState {}
 unsafe impl Sync for ForensicsState {}
 
-static FORENSICS_EPOCH: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// `(instance epoch, ring index + 1)`: the ring slot this thread
-    /// last claimed, keyed by instance epoch (re-arms on mismatch).
+    /// `(instance id, ring index + 1)`: the ring slot this thread last
+    /// claimed, keyed by the instance's magazine-table id (process-unique,
+    /// never zero, never reused; re-arms on mismatch).
     static FLIGHT_THREAD: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
 }
 
@@ -200,7 +192,6 @@ impl ForensicsState {
             return None;
         }
         Some(ForensicsState {
-            epoch: FORENSICS_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
             next_thread: AtomicU32::new(0),
             rings,
             seq: AtomicU64::new(1),
@@ -234,14 +225,14 @@ impl Drop for ForensicsState {
 /// compiled in.
 #[inline]
 pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, ptr: usize) {
-    let st = &inner.obs.forensics;
+    let (st, id) = (&inner.obs.forensics, inner.mags.id);
     let tid = match FLIGHT_THREAD.try_with(|slot| {
-        let (epoch, idx1) = slot.get();
-        if epoch == st.epoch && idx1 != 0 {
+        let (inst, idx1) = slot.get();
+        if inst == id && idx1 != 0 {
             idx1 - 1
         } else {
             let idx = st.next_thread.fetch_add(1, Ordering::Relaxed);
-            slot.set((st.epoch, idx + 1));
+            slot.set((id, idx + 1));
             idx
         }
     }) {
@@ -283,62 +274,58 @@ pub(crate) fn record_free<S: PageSource>(inner: &Inner<S>, ptr: *mut u8) {
     record(inner, OpKind::Free, class, addr);
 }
 
-/// The frame-map entry of the superblock `dp` names, if that names `dp`
-/// back: the census walks' "this slot describes a superblock right now".
-pub(crate) fn entry_of_desc<S: PageSource>(
-    inner: &Inner<S>,
-    dp: *mut Descriptor,
-) -> Option<crate::framemap::Entry> {
-    let sb = unsafe { (*dp).sb() } as usize;
-    let entry = inner.frames.get(sb);
-    (sb != 0 && entry.desc() == dp).then_some(entry)
-}
-
-/// Raw `(storms_total, throttles, maintain_passes, fork_recoveries)` of
-/// the always-on health counters, for the crash reporter and the heap
-/// dump: allocation-free, a relaxed load per storm site plus three
-/// counters — safe from a signal handler.
-pub(crate) fn crash_counters(h: &crate::health::HealthState) -> (u64, u64, u64, u64) {
-    (
-        h.storms.iter().map(|s| s.load(Ordering::Relaxed)).sum(),
-        h.throttles.load(Ordering::Relaxed),
-        h.maintain_passes.load(Ordering::Relaxed),
-        h.fork_recoveries.load(Ordering::Relaxed),
-    )
-}
-
-/// Snapshot of the most recent `max` flight-recorder entries, newest
-/// first. Allocates (quiescent/diagnostic use); the crash path uses
-/// [`merge_tail`] instead.
+/// The most recent `max` flight-recorder entries, newest first.
+/// Allocates (quiescent/diagnostic use); the post-mortems call
+/// `newest_first` with a fixed array instead.
 pub(crate) fn flight_tail<S: PageSource>(inner: &Inner<S>, max: usize) -> Vec<FlightOp> {
-    let mut out = Vec::new();
+    let mut tail = vec![(0, 0, 0); max.min(RING_THREADS * RING_CAP)];
+    let n = newest_first(inner, &mut tail);
+    tail[..n]
+        .iter()
+        .filter_map(|&(seq, meta, ptr)| {
+            let (op_bits, class, tid) = unpack_meta(meta);
+            Some(FlightOp { seq, op: OpKind::from_bits(op_bits)?, class, tid, ptr: ptr as usize })
+        })
+        .collect()
+}
+
+/// Fills `tail` with the newest published ring entries as raw
+/// `(seq, meta, ptr)` words, newest first, and returns how many there
+/// are: the one tail selection every post-mortem shares. It keeps the
+/// largest sequence numbers in `tail` itself, so it allocates nothing
+/// and runs in the crash handler.
+pub(crate) fn newest_first<S: PageSource>(inner: &Inner<S>, tail: &mut [(u64, u64, u64)]) -> usize {
+    let mut n = 0;
+    merge_tail(inner, |seq, meta, ptr| {
+        if n < tail.len() {
+            tail[n] = (seq, meta, ptr);
+            n += 1;
+        } else if let Some(oldest) = tail.iter_mut().min_by_key(|e| e.0).filter(|e| e.0 < seq) {
+            *oldest = (seq, meta, ptr);
+        }
+    });
+    tail[..n].sort_unstable_by_key(|e| core::cmp::Reverse(e.0));
+    n
+}
+
+/// Feeds every published ring entry to `f` as raw `(seq, meta, ptr)`
+/// words; an entry rewritten while it was read is skipped.
+fn merge_tail<S: PageSource>(inner: &Inner<S>, mut f: impl FnMut(u64, u64, u64)) {
     let st = &inner.obs.forensics;
     for t in 0..RING_THREADS {
         let ring = st.ring(t);
         for e in &ring.entries {
-            if let Some(op) = decode_entry(e) {
-                out.push(op);
+            let seq = e.seq.load(Ordering::Acquire);
+            if seq == 0 {
+                continue;
+            }
+            let meta = e.meta.load(Ordering::Relaxed);
+            let ptr = e.ptr.load(Ordering::Relaxed);
+            if e.seq.load(Ordering::Acquire) == seq {
+                f(seq, meta, ptr);
             }
         }
     }
-    out.sort_unstable_by(|a, b| b.seq.cmp(&a.seq));
-    out.truncate(max);
-    out
-}
-
-fn decode_entry(e: &RingEntry) -> Option<FlightOp> {
-    let seq = e.seq.load(Ordering::Acquire);
-    if seq == 0 {
-        return None;
-    }
-    let meta = e.meta.load(Ordering::Relaxed);
-    let ptr = e.ptr.load(Ordering::Relaxed) as usize;
-    // Reject entries rewritten mid-read.
-    if e.seq.load(Ordering::Acquire) != seq {
-        return None;
-    }
-    let (op_bits, class, tid) = unpack_meta(meta);
-    Some(FlightOp { seq, op: OpKind::from_bits(op_bits)?, class, tid, ptr })
 }
 
 // ---------------------------------------------------------------------
@@ -622,57 +609,37 @@ impl SigBuf {
 
     /// Appends literal text (truncates at capacity).
     pub fn push_str(&mut self, s: &str) {
-        for &b in s.as_bytes() {
-            if self.len == self.bytes.len() {
-                return;
-            }
-            self.bytes[self.len] = b;
-            self.len += 1;
-        }
+        self.push_bytes(s.as_bytes());
     }
 
     /// Appends `v` in decimal.
-    pub fn push_dec(&mut self, mut v: u64) {
-        let mut tmp = [0u8; 20];
-        let mut i = tmp.len();
-        loop {
-            i -= 1;
-            tmp[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        for &b in &tmp[i..] {
-            if self.len == self.bytes.len() {
-                return;
-            }
-            self.bytes[self.len] = b;
-            self.len += 1;
-        }
+    pub fn push_dec(&mut self, v: u64) {
+        self.push_radix(v, 10);
     }
 
     /// Appends `v` in lowercase hex (no `0x` prefix).
     pub fn push_hex(&mut self, v: u64) {
-        const DIGITS: &[u8; 16] = b"0123456789abcdef";
-        let mut tmp = [0u8; 16];
-        let mut i = tmp.len();
-        let mut v = v;
+        self.push_radix(v, 16);
+    }
+
+    fn push_radix(&mut self, mut v: u64, radix: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
         loop {
             i -= 1;
-            tmp[i] = DIGITS[(v & 0xF) as usize];
-            v >>= 4;
+            digits[i] = b"0123456789abcdef"[(v % radix) as usize];
+            v /= radix;
             if v == 0 {
                 break;
             }
         }
-        for &b in &tmp[i..] {
-            if self.len == self.bytes.len() {
-                return;
-            }
-            self.bytes[self.len] = b;
-            self.len += 1;
-        }
+        self.push_bytes(&digits[i..]);
+    }
+
+    fn push_bytes(&mut self, bytes: &[u8]) {
+        let n = bytes.len().min(self.bytes.len() - self.len);
+        self.bytes[self.len..self.len + n].copy_from_slice(&bytes[..n]);
+        self.len += n;
     }
 }
 
@@ -777,7 +744,7 @@ type EmitFn = unsafe fn(usize, i32, usize);
 /// Monomorphized per page source: recovers the `Inner<S>` and emits.
 unsafe fn emit_trampoline<S: PageSource>(inner_addr: usize, sig: i32, fault: usize) {
     let inner = unsafe { &*(inner_addr as *const Inner<S>) };
-    emit_crash_report(inner, sig, fault, None);
+    crate::heapdump::crash_report(inner, sig, fault, None);
 }
 
 /// The chained signal handler. See the module docs for the
@@ -897,194 +864,7 @@ pub(crate) fn failstop_report<S: PageSource>(inner: &Inner<S>, reason: &str, add
     // Fail-stops run in normal (non-signal) context, so the event ring
     // (which timestamps) is fair game here — unlike in crash_handler.
     crate::observe::event(inner, crate::observe::EventKind::CrashReport, 0, addr as u64);
-    emit_crash_report(inner, 0, addr, Some(reason));
-}
-
-/// Renders the black-box report. `sig == 0` means a fail-stop (reason
-/// given) rather than a signal. Async-signal-safe throughout.
-fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, reason: Option<&str>) {
-    let fd = inner.obs.forensics.report_fd.load(Ordering::Relaxed);
-    if fd < 0 {
-        return;
-    }
-    let w = FdWriter::new(fd);
-    let mut b = SigBuf::new();
-
-    b.push_str("==== lfmalloc crash report ====");
-    w.line(&b);
-
-    b.clear();
-    match reason {
-        Some(r) => {
-            b.push_str("cause: fail-stop (");
-            b.push_str(r);
-            b.push_str(")");
-        }
-        None => {
-            b.push_str("cause: signal ");
-            b.push_dec(sig as u64);
-            b.push_str(match sig {
-                s if s == sys::SIGSEGV => " (SIGSEGV)",
-                s if s == sys::SIGBUS => " (SIGBUS)",
-                s if s == sys::SIGABRT => " (SIGABRT)",
-                _ => "",
-            });
-        }
-    }
-    w.line(&b);
-
-    b.clear();
-    b.push_str("fault address: 0x");
-    b.push_hex(fault as u64);
-    w.line(&b);
-
-    b.clear();
-    describe_ptr_inner(inner, fault).render(&mut b);
-    w.line(&b);
-
-    b.clear();
-    b.push_str("inside allocator entry point: ");
-    b.push_str(if crate::tls::with_block(|tb| tb.in_alloc.get()) { "yes" } else { "no" });
-    w.line(&b);
-
-    b.clear();
-    b.push_str("fork generation: ");
-    b.push_dec(procfork::generation());
-    b.push_str(" (handlers installed at ");
-    b.push_dec(inner.obs.forensics.crash_generation.load(Ordering::Relaxed));
-    b.push_str(")");
-    w.line(&b);
-
-    // -- Flight recorder: merged tail, newest first. -------------------
-    b.clear();
-    b.push_str("-- flight recorder (newest first, dropped=");
-    b.push_dec(inner.obs.forensics.dropped.get());
-    b.push_str(") --");
-    w.line(&b);
-    let mut tail: [(u64, u64, u64); REPORT_TAIL] = [(0, 0, 0); REPORT_TAIL];
-    let mut n = 0usize;
-    merge_tail(inner, |seq, meta, ptr| {
-        // Keep the REPORT_TAIL largest sequence numbers (insertion into
-        // a fixed array — no allocation).
-        if n < tail.len() {
-            tail[n] = (seq, meta, ptr);
-            n += 1;
-        } else {
-            // Replace the smallest if this one is newer.
-            let mut min_i = 0;
-            for i in 1..tail.len() {
-                if tail[i].0 < tail[min_i].0 {
-                    min_i = i;
-                }
-            }
-            if seq > tail[min_i].0 {
-                tail[min_i] = (seq, meta, ptr);
-            }
-        }
-    });
-    tail[..n].sort_unstable_by(|a, b| b.0.cmp(&a.0));
-    for &(seq, meta, ptr) in &tail[..n] {
-        let (op_bits, class, tid) = unpack_meta(meta);
-        b.clear();
-        b.push_str("  seq=");
-        b.push_dec(seq);
-        b.push_str(" tid=");
-        b.push_dec(tid as u64);
-        b.push_str(" op=");
-        b.push_str(match OpKind::from_bits(op_bits) {
-            Some(k) => k.label(),
-            None => "?",
-        });
-        b.push_str(" class=");
-        match class {
-            CLASS_LARGE => b.push_str("large"),
-            CLASS_UNKNOWN => b.push_str("?"),
-            c => b.push_dec(c as u64),
-        }
-        b.push_str(" ptr=0x");
-        b.push_hex(ptr);
-        w.line(&b);
-    }
-    if n == 0 {
-        b.clear();
-        b.push_str("  (empty)");
-        w.line(&b);
-    }
-
-    // -- Health. -------------------------------------------------------
-    b.clear();
-    b.push_str("-- health --");
-    w.line(&b);
-    let (storms, throttles, passes, recoveries) = crash_counters(&inner.health);
-    b.clear();
-    b.push_str("  storms=");
-    b.push_dec(storms);
-    b.push_str(" throttles=");
-    b.push_dec(throttles);
-    b.push_str(" maintain_passes=");
-    b.push_dec(passes);
-    b.push_str(" fork_recoveries=");
-    b.push_dec(recoveries);
-    w.line(&b);
-
-    // -- OS-byte reconciliation. ---------------------------------------
-    let rec = inner.reconcile_bytes();
-    b.clear();
-    b.push_str("  os live bytes: ");
-    b.push_dec(rec.source_live_bytes as u64);
-    b.push_str(" (superblocks ");
-    b.push_dec(rec.superblock_bytes as u64);
-    b.push_str(" + slabs ");
-    b.push_dec(rec.descriptor_slab_bytes as u64);
-    b.push_str(" + large ");
-    b.push_dec(rec.large_bytes as u64);
-    b.push_str(" + cached large ");
-    b.push_dec(rec.large_cached_bytes as u64);
-    b.push_str(", reconciles=");
-    b.push_str(if rec.reconciles() { "yes" } else { "no" });
-    b.push_str(")");
-    w.line(&b);
-
-    // -- Misuse counters. ----------------------------------------------
-    b.clear();
-    b.push_str("-- misuse --");
-    w.line(&b);
-    b.clear();
-    b.push_str("  invalid_free=");
-    b.push_dec(inner.misuse.count(crate::harden::MisuseKind::InvalidFree));
-    b.push_str(" double_free=");
-    b.push_dec(inner.misuse.count(crate::harden::MisuseKind::DoubleFree));
-    b.push_str(" poison_violation=");
-    b.push_dec(inner.misuse.count(crate::harden::MisuseKind::PoisonViolation));
-    b.push_str(" guard_overrun=");
-    b.push_dec(inner.misuse.count(crate::harden::MisuseKind::GuardOverrun));
-    b.push_str(" reentrant_alloc=");
-    b.push_dec(inner.misuse.count(crate::harden::MisuseKind::ReentrantAlloc));
-    w.line(&b);
-
-    b.clear();
-    b.push_str("==== end lfmalloc crash report ====");
-    w.line(&b);
-}
-
-/// Feeds every published ring entry to `f` as raw `(seq, meta, ptr)`
-/// words — the crash handler's allocation-free tail walk.
-pub(crate) fn merge_tail<S: PageSource>(inner: &Inner<S>, mut f: impl FnMut(u64, u64, u64)) {
-    let st = &inner.obs.forensics;
-    for t in 0..RING_THREADS {
-        let ring = st.ring(t);
-        for e in &ring.entries {
-            let seq = e.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            let meta = e.meta.load(Ordering::Relaxed);
-            let ptr = e.ptr.load(Ordering::Relaxed);
-            if e.seq.load(Ordering::Acquire) == seq {
-                f(seq, meta, ptr);
-            }
-        }
-    }
+    crate::heapdump::crash_report(inner, 0, addr, Some(reason));
 }
 
 // ---------------------------------------------------------------------
@@ -1100,7 +880,7 @@ static EXIT_REGISTERED: AtomicU32 = AtomicU32::new(0);
 
 unsafe fn exit_trampoline<S: PageSource>(inner_addr: usize, fd: i32) {
     let inner = unsafe { &*(inner_addr as *const Inner<S>) };
-    emit_leak_report(inner, fd);
+    crate::heapdump::exit_report(inner, fd);
 }
 
 extern "C" fn exit_cb() {
@@ -1123,93 +903,6 @@ pub(crate) fn install_exit_report_inner<S: PageSource>(inner: &Inner<S>, fd: i32
     if EXIT_REGISTERED.swap(1, Ordering::AcqRel) == 0 {
         unsafe { sys::atexit(exit_cb) };
     }
-}
-
-/// Renders the exit-time leak report: retained OS bytes, live large
-/// blocks, and (with `profile`) the top retained call sites. Runs at
-/// normal exit — allocation is legal here, but the renderer sticks to
-/// the fixed-buffer primitives anyway except for the profile section.
-fn emit_leak_report<S: PageSource>(inner: &Inner<S>, fd: i32) {
-    let w = FdWriter::new(fd);
-    let mut b = SigBuf::new();
-    b.push_str("==== lfmalloc exit leak report ====");
-    w.line(&b);
-
-    let rec = inner.reconcile_bytes();
-    b.clear();
-    b.push_str("os live bytes at exit: ");
-    b.push_dec(rec.source_live_bytes as u64);
-    w.line(&b);
-
-    b.clear();
-    b.push_str("large blocks live: ");
-    b.push_dec(inner.large_live().0 as u64);
-    b.push_str(" (");
-    b.push_dec(rec.large_bytes as u64);
-    b.push_str(" B)");
-    w.line(&b);
-
-    // Small-block occupancy from the descriptor universe.
-    let mut live_blocks = 0u64;
-    let mut live_bytes = 0u64;
-    inner.desc_pool.for_each_descriptor(|dp| {
-        let desc = unsafe { &*dp };
-        let maxcount = desc.maxcount() as u64;
-        let anchor = desc.load_anchor();
-        // An EMPTY descriptor keeps its superblock (parked or warm) but
-        // no block of it is in use.
-        if entry_of_desc(inner, dp).is_some() && anchor.state() != crate::anchor::SbState::Empty {
-            let used = maxcount - (anchor.count() as u64).min(maxcount);
-            live_blocks += used;
-            live_bytes += used * desc.sz() as u64;
-        }
-    });
-    b.clear();
-    b.push_str("small blocks live-or-reserved: ");
-    b.push_dec(live_blocks);
-    b.push_str(" (");
-    b.push_dec(live_bytes);
-    b.push_str(" B)");
-    w.line(&b);
-
-    #[cfg(feature = "profile")]
-    {
-        let sites = {
-            let inst = unsafe {
-                LfMalloc::<S>::borrow_raw(core::ptr::NonNull::new_unchecked(
-                    inner as *const Inner<S> as *mut Inner<S>,
-                ))
-            };
-            inst.retention_report()
-        };
-        b.clear();
-        b.push_str("top retained call sites:");
-        w.line(&b);
-        for (i, site) in sites.iter().take(8).enumerate() {
-            b.clear();
-            b.push_str("  ");
-            b.push_dec(i as u64 + 1);
-            b.push_str(". ");
-            b.push_str(&site.site.file);
-            b.push_str(":");
-            b.push_dec(site.site.line as u64);
-            b.push_str(" live~");
-            b.push_dec(site.live_bytes);
-            b.push_str(" B over ");
-            b.push_dec(site.live_samples as u64);
-            b.push_str(" samples");
-            w.line(&b);
-        }
-        if sites.is_empty() {
-            b.clear();
-            b.push_str("  (no live samples)");
-            w.line(&b);
-        }
-    }
-
-    b.clear();
-    b.push_str("==== end lfmalloc exit leak report ====");
-    w.line(&b);
 }
 
 // ---------------------------------------------------------------------
@@ -1253,9 +946,10 @@ impl<S: PageSource> LfMalloc<S> {
 
 impl crate::global::GlobalLfMalloc {
     /// Registers an exit-time leak report on `fd` (typically 2 for
-    /// stderr): at normal process exit, an `atexit` callback prints the
-    /// instance's retained OS bytes, live large/small block counts,
-    /// and — when built with `profile` — the top retained call sites.
+    /// stderr): at normal process exit, an `atexit` callback writes the
+    /// instance's heap dump (with the live profile samples when built
+    /// with `profile`) between two header lines; `lfstat analyze` reads
+    /// the part between them.
     /// One registration per process; a later call re-points the fd.
     pub fn install_exit_leak_report(&self, fd: i32) {
         install_exit_report_inner(self.instance().inner(), fd);

@@ -73,32 +73,29 @@ pub enum MisuseKind {
 }
 
 impl MisuseKind {
-    /// Dense index for counter arrays.
-    #[inline]
-    fn index(self) -> usize {
-        match self {
-            MisuseKind::InvalidFree => 0,
-            MisuseKind::DoubleFree => 1,
-            MisuseKind::PoisonViolation => 2,
-            MisuseKind::GuardOverrun => 3,
-            MisuseKind::ReentrantAlloc => 4,
-        }
-    }
+    /// Every kind, in counter-array order (`ALL[k as usize] == k`).
+    pub const ALL: [MisuseKind; 5] = [
+        MisuseKind::InvalidFree,
+        MisuseKind::DoubleFree,
+        MisuseKind::PoisonViolation,
+        MisuseKind::GuardOverrun,
+        MisuseKind::ReentrantAlloc,
+    ];
 
-    fn from_index(i: usize) -> Option<Self> {
-        match i {
-            0 => Some(MisuseKind::InvalidFree),
-            1 => Some(MisuseKind::DoubleFree),
-            2 => Some(MisuseKind::PoisonViolation),
-            3 => Some(MisuseKind::GuardOverrun),
-            4 => Some(MisuseKind::ReentrantAlloc),
-            _ => None,
+    /// The kind's key in the crash report and the heap dump.
+    pub fn key(self) -> &'static str {
+        match self {
+            MisuseKind::InvalidFree => "invalid_free",
+            MisuseKind::DoubleFree => "double_free",
+            MisuseKind::PoisonViolation => "poison_violation",
+            MisuseKind::GuardOverrun => "guard_overrun",
+            MisuseKind::ReentrantAlloc => "reentrant_alloc",
         }
     }
 }
 
 /// Number of [`MisuseKind`] variants.
-const NUM_KINDS: usize = 5;
+const NUM_KINDS: usize = MisuseKind::ALL.len();
 
 /// One detected deallocation misuse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +137,7 @@ pub struct MisuseCounters {
     // Last-report fields are stored individually; a torn read across
     // them under contention is acceptable for diagnostics (the counts
     // are the test oracle).
-    last_kind: AtomicUsize, // MisuseKind::index + 1; 0 = none yet
+    last_kind: AtomicUsize, // MisuseKind as usize + 1; 0 = none yet
     last_ptr: AtomicUsize,
     last_size_class: AtomicUsize, // value + 1; 0 = None
     last_heap: AtomicUsize,
@@ -151,13 +148,7 @@ impl MisuseCounters {
     /// All-zero counters.
     pub const fn new() -> Self {
         MisuseCounters {
-            counts: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
+            counts: [const { AtomicU64::new(0) }; NUM_KINDS],
             last_kind: AtomicUsize::new(0),
             last_ptr: AtomicUsize::new(0),
             last_size_class: AtomicUsize::new(0),
@@ -167,19 +158,19 @@ impl MisuseCounters {
     }
 
     fn record(&self, r: &MisuseReport) {
-        self.counts[r.kind.index()].fetch_add(1, Ordering::AcqRel);
+        self.counts[r.kind as usize].fetch_add(1, Ordering::AcqRel);
         self.last_ptr.store(r.ptr, Ordering::Relaxed);
         self.last_size_class.store(r.size_class.map_or(0, |s| s + 1), Ordering::Relaxed);
         self.last_heap.store(r.heap, Ordering::Relaxed);
         self.last_tid.store(r.tid, Ordering::Relaxed);
         // Written last: a non-zero kind tells readers the other fields
         // hold at least one complete report.
-        self.last_kind.store(r.kind.index() + 1, Ordering::Release);
+        self.last_kind.store(r.kind as usize + 1, Ordering::Release);
     }
 
     /// Detections of `kind` so far.
     pub fn count(&self, kind: MisuseKind) -> u64 {
-        self.counts[kind.index()].load(Ordering::Acquire)
+        self.counts[kind as usize].load(Ordering::Acquire)
     }
 
     /// Total detections across all kinds.
@@ -190,7 +181,7 @@ impl MisuseCounters {
     /// The most recent report, if any misuse was ever recorded.
     pub fn last_report(&self) -> Option<MisuseReport> {
         let k = self.last_kind.load(Ordering::Acquire);
-        let kind = MisuseKind::from_index(k.checked_sub(1)?)?;
+        let kind = *MisuseKind::ALL.get(k.checked_sub(1)?)?;
         let sc = self.last_size_class.load(Ordering::Relaxed);
         Some(MisuseReport {
             kind,
@@ -420,9 +411,9 @@ mod tests {
             MisuseKind::PoisonViolation,
             MisuseKind::GuardOverrun,
         ] {
-            assert_eq!(MisuseKind::from_index(kind.index()), Some(kind));
+            assert_eq!(MisuseKind::ALL.get(kind as usize), Some(&kind));
         }
-        assert_eq!(MisuseKind::from_index(NUM_KINDS), None);
+        assert_eq!(MisuseKind::ALL.get(NUM_KINDS), None);
     }
 
     #[test]

@@ -1,14 +1,24 @@
-//! Post-mortem heap dumps (the `forensics` cargo feature): a versioned
-//! JSON snapshot of the allocator's state plus the offline analysis
-//! that `lfstat analyze` / `lfstat diff-heap` run over it.
+//! Post-mortems (the `forensics` cargo feature): what the crash report,
+//! the heap dump and the exit leak report contain, and the offline
+//! analysis that `lfstat analyze` / `lfstat diff-heap` run over a dump.
+//!
+//! [`crate::forensics`] owns the flight recorder, `describe_ptr` and the
+//! signal and `atexit` plumbing; every decision about what a post-mortem
+//! says is made here, once. The heap dump is the record. The exit leak
+//! report *is* a dump, framed by two header lines. The crash report is
+//! prose for a reader at a terminal, but its flight-recorder tail comes
+//! from the same `newest_first` selection and its health and misuse
+//! lines loop over the same rows (`health_rows`, `misuse_rows`) as
+//! the dump's `health` and `misuse` objects.
 //!
 //! # Dump format
 //!
-//! A dump is a single JSON object with `"format": "lfmalloc-heapdump"`
-//! and an integer `"version"` (currently [`DUMP_VERSION`]). Consumers
-//! must reject unknown formats and major versions; producers may only
-//! *add* fields within a version — removals or semantic changes bump
-//! the version. Version 1 carries:
+//! A dump is one JSON object with `"format": "lfmalloc-heapdump"` and an
+//! integer `"version"` (currently [`DUMP_VERSION`]), written one line per
+//! section (and one per class, span, tail entry and profile site).
+//! Consumers must reject unknown formats and major versions; producers
+//! may only *add* fields within a version — removals or semantic changes
+//! bump the version. Version 1 carries:
 //!
 //! * `os` — the byte reconciliation (superblock / slab / large bytes vs
 //!   the page source's live total);
@@ -20,7 +30,9 @@
 //!   attached, ready for any class);
 //! * `classes` — per-size-class occupancy (superblocks, blocks used vs
 //!   capacity) aggregated over bound descriptors;
-//! * `large` — live count/bytes and every registered span;
+//! * `large` — live count/bytes, the span cache, and every span in the
+//!   span registry (which only hardened instances keep; `live` counts
+//!   large blocks in every mode);
 //! * `quarantine_depth`, `flight` (recorder tail + dropped count);
 //! * `profile.sites` — live profile samples by call site (only when the
 //!   crate is also built with `profile` and the dump is quiescent).
@@ -32,7 +44,10 @@
 //! is the best-effort crash-context path: it renders through the same
 //! fixed-buffer [`SigBuf`]/[`FdWriter`] primitives as the crash
 //! reporter — no allocation, no locks — and therefore omits the
-//! profile section. Both emit the same format/version.
+//! profile section. The exit leak report
+//! ([`crate::GlobalLfMalloc::install_exit_leak_report`]) runs at normal
+//! exit, where allocating is allowed, so it writes the quiescent dump.
+//! All three emit the same format/version.
 //!
 //! Occupancy numbers are racy snapshots when the heap is not quiescent:
 //! each descriptor's anchor is read once, and `Active` superblocks hold
@@ -42,15 +57,19 @@
 use std::io::{self, Write};
 use std::path::Path;
 
+use core::sync::atomic::Ordering;
+
 use malloc_api::json::Json;
+use malloc_api::procfork::{self, sys};
 use osmem::source::PageSource;
 
 use crate::anchor::SbState;
 use crate::forensics::{
-    crash_counters, entry_of_desc, merge_tail, unpack_meta, FdWriter, OpKind, SigBuf, CLASS_LARGE,
+    describe_ptr_inner, newest_first, unpack_meta, FdWriter, OpKind, SigBuf, CLASS_LARGE,
     CLASS_UNKNOWN,
 };
-use crate::harden::{Hardening, MisuseKind};
+use crate::harden::{Hardening, MisuseCounters, MisuseKind};
+use crate::health::HealthState;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::NUM_CLASSES;
 
@@ -60,6 +79,49 @@ pub const DUMP_VERSION: u64 = 1;
 
 /// Flight-recorder entries included in a dump.
 const DUMP_TAIL: usize = 64;
+
+/// Entries printed in a crash report's flight-recorder section.
+const REPORT_TAIL: usize = 32;
+
+/// One counter of a post-mortem: its key and its value.
+type Row = (&'static str, u64);
+
+/// The four crash-time health counters: a relaxed load per storm site
+/// plus three counters, so the crash handler may read them too.
+fn health_rows(h: &HealthState) -> [Row; 4] {
+    [
+        ("storms", h.storms.iter().map(|s| s.load(Ordering::Relaxed)).sum()),
+        ("throttles", h.throttles.load(Ordering::Relaxed)),
+        ("maintain_passes", h.maintain_passes.load(Ordering::Relaxed)),
+        ("fork_recoveries", h.fork_recoveries.load(Ordering::Relaxed)),
+    ]
+}
+
+/// The misuse counters, one row per [`MisuseKind`].
+fn misuse_rows(m: &MisuseCounters) -> [Row; MisuseKind::ALL.len()] {
+    MisuseKind::ALL.map(|k| (k.key(), m.count(k)))
+}
+
+/// Appends `rows` as the crash report spells them: ` key=value` each.
+fn push_pairs(b: &mut SigBuf, rows: &[Row]) {
+    for &(key, value) in rows {
+        b.push_str(" ");
+        b.push_str(key);
+        b.push_str("=");
+        b.push_dec(value);
+    }
+}
+
+/// Appends `rows` as the dump spells them: `"key":value` JSON members,
+/// comma-separated.
+fn push_members(b: &mut SigBuf, rows: &[Row]) {
+    for (i, &(key, value)) in rows.iter().enumerate() {
+        b.push_str(if i == 0 { "\"" } else { ",\"" });
+        b.push_str(key);
+        b.push_str("\":");
+        b.push_dec(value);
+    }
+}
 
 fn wline(w: &mut impl Write, b: &SigBuf) -> io::Result<()> {
     w.write_all(b.as_bytes())?;
@@ -86,10 +148,12 @@ fn walk_descriptors<S: PageSource>(inner: &Inner<S>) -> DescWalk {
         let desc = unsafe { &*dp };
         w.total += 1;
         // Bound: the frame of the superblock it names names it back.
-        let Some(entry) = entry_of_desc(inner, dp) else {
+        let sb = desc.sb() as usize;
+        let entry = inner.frames.get(sb);
+        if sb == 0 || entry.desc() != dp {
             w.unbound += 1;
             return;
-        };
+        }
         let anchor = desc.load_anchor();
         let state = anchor.state();
         w.by_state[state as usize] += 1;
@@ -135,64 +199,49 @@ pub(crate) fn render_dump<S: PageSource>(
 
     let rec = inner.reconcile_bytes();
     b.clear();
-    b.push_str("\"os\":{\"superblock_bytes\":");
-    b.push_dec(rec.superblock_bytes as u64);
-    b.push_str(",\"descriptor_slab_bytes\":");
-    b.push_dec(rec.descriptor_slab_bytes as u64);
-    b.push_str(",\"large_bytes\":");
-    b.push_dec(rec.large_bytes as u64);
-    b.push_str(",\"large_cached_bytes\":");
-    b.push_dec(rec.large_cached_bytes as u64);
-    b.push_str(",\"source_live_bytes\":");
-    b.push_dec(rec.source_live_bytes as u64);
+    b.push_str("\"os\":{");
+    push_members(
+        &mut b,
+        &[
+            ("superblock_bytes", rec.superblock_bytes as u64),
+            ("descriptor_slab_bytes", rec.descriptor_slab_bytes as u64),
+            ("large_bytes", rec.large_bytes as u64),
+            ("large_cached_bytes", rec.large_cached_bytes as u64),
+            ("source_live_bytes", rec.source_live_bytes as u64),
+        ],
+    );
     b.push_str(",\"reconciles\":");
     b.push_str(if rec.reconciles() { "true" } else { "false" });
     b.push_str("},");
     wline(w, &b)?;
 
-    let (storms, throttles, passes, recoveries) = crash_counters(&inner.health);
     b.clear();
-    b.push_str("\"health\":{\"storms\":");
-    b.push_dec(storms);
-    b.push_str(",\"throttles\":");
-    b.push_dec(throttles);
-    b.push_str(",\"maintain_passes\":");
-    b.push_dec(passes);
-    b.push_str(",\"fork_recoveries\":");
-    b.push_dec(recoveries);
+    b.push_str("\"health\":{");
+    push_members(&mut b, &health_rows(&inner.health));
     b.push_str("},");
     wline(w, &b)?;
 
     b.clear();
-    b.push_str("\"misuse\":{\"invalid_free\":");
-    b.push_dec(inner.misuse.count(MisuseKind::InvalidFree));
-    b.push_str(",\"double_free\":");
-    b.push_dec(inner.misuse.count(MisuseKind::DoubleFree));
-    b.push_str(",\"poison_violation\":");
-    b.push_dec(inner.misuse.count(MisuseKind::PoisonViolation));
-    b.push_str(",\"guard_overrun\":");
-    b.push_dec(inner.misuse.count(MisuseKind::GuardOverrun));
-    b.push_str(",\"reentrant_alloc\":");
-    b.push_dec(inner.misuse.count(MisuseKind::ReentrantAlloc));
+    b.push_str("\"misuse\":{");
+    push_members(&mut b, &misuse_rows(&inner.misuse));
     b.push_str("},");
     wline(w, &b)?;
 
     let walk = walk_descriptors(inner);
     b.clear();
-    b.push_str("\"descriptors\":{\"total\":");
-    b.push_dec(walk.total);
-    b.push_str(",\"active\":");
-    b.push_dec(walk.by_state[SbState::Active as usize]);
-    b.push_str(",\"full\":");
-    b.push_dec(walk.by_state[SbState::Full as usize]);
-    b.push_str(",\"partial\":");
-    b.push_dec(walk.by_state[SbState::Partial as usize]);
-    b.push_str(",\"empty\":");
-    b.push_dec(walk.by_state[SbState::Empty as usize]);
-    b.push_str(",\"unbound\":");
-    b.push_dec(walk.unbound);
-    b.push_str(",\"warm\":");
-    b.push_dec(inner.desc_pool.free_counts().2 as u64);
+    b.push_str("\"descriptors\":{");
+    push_members(
+        &mut b,
+        &[
+            ("total", walk.total),
+            ("active", walk.by_state[SbState::Active as usize]),
+            ("full", walk.by_state[SbState::Full as usize]),
+            ("partial", walk.by_state[SbState::Partial as usize]),
+            ("empty", walk.by_state[SbState::Empty as usize]),
+            ("unbound", walk.unbound),
+            ("warm", inner.desc_pool.free_counts().2 as u64),
+        ],
+    );
     b.push_str("},");
     wline(w, &b)?;
 
@@ -207,30 +256,33 @@ pub(crate) fn render_dump<S: PageSource>(
             b.push_str(",");
         }
         first = false;
-        b.push_str("{\"class\":");
-        b.push_dec(ci as u64);
-        b.push_str(",\"size\":");
-        b.push_dec(inner.classes[ci].sz as u64);
-        b.push_str(",\"superblocks\":");
-        b.push_dec(c[0]);
-        b.push_str(",\"blocks_used\":");
-        b.push_dec(c[1]);
-        b.push_str(",\"blocks_capacity\":");
-        b.push_dec(c[2]);
+        b.push_str("{");
+        push_members(
+            &mut b,
+            &[
+                ("class", ci as u64),
+                ("size", inner.classes[ci].sz as u64),
+                ("superblocks", c[0]),
+                ("blocks_used", c[1]),
+                ("blocks_capacity", c[2]),
+            ],
+        );
         b.push_str("}");
         wline(w, &b)?;
     }
     w.write_all(b"],\n")?;
 
     b.clear();
-    b.push_str("\"large\":{\"live\":");
-    b.push_dec(inner.large_live().0 as u64);
-    b.push_str(",\"bytes\":");
-    b.push_dec(rec.large_bytes as u64);
-    b.push_str(",\"cached_spans\":");
-    b.push_dec(crate::large::cached_spans(inner) as u64);
-    b.push_str(",\"cached_bytes\":");
-    b.push_dec(rec.large_cached_bytes as u64);
+    b.push_str("\"large\":{");
+    push_members(
+        &mut b,
+        &[
+            ("live", inner.large_live().0 as u64),
+            ("bytes", rec.large_bytes as u64),
+            ("cached_spans", crate::large::cached_spans(inner) as u64),
+            ("cached_bytes", rec.large_cached_bytes as u64),
+        ],
+    );
     b.push_str(",\"spans\":[");
     wline(w, &b)?;
     let mut first = true;
@@ -244,10 +296,8 @@ pub(crate) fn render_dump<S: PageSource>(
             lb.push_str(",");
         }
         first = false;
-        lb.push_str("{\"base\":");
-        lb.push_dec(base as u64);
-        lb.push_str(",\"bytes\":");
-        lb.push_dec(bytes as u64);
+        lb.push_str("{");
+        push_members(&mut lb, &[("base", base as u64), ("bytes", bytes as u64)]);
         lb.push_str("}");
         if let Err(e) = wline(w, &lb) {
             err = Some(e);
@@ -264,27 +314,8 @@ pub(crate) fn render_dump<S: PageSource>(
     b.push_str(",");
     wline(w, &b)?;
 
-    // Flight recorder: keep the DUMP_TAIL newest entries, fixed-array
-    // selection as in the crash reporter.
-    let mut tail: [(u64, u64, u64); DUMP_TAIL] = [(0, 0, 0); DUMP_TAIL];
-    let mut n = 0usize;
-    merge_tail(inner, |seq, meta, ptr| {
-        if n < tail.len() {
-            tail[n] = (seq, meta, ptr);
-            n += 1;
-        } else {
-            let mut min_i = 0;
-            for i in 1..tail.len() {
-                if tail[i].0 < tail[min_i].0 {
-                    min_i = i;
-                }
-            }
-            if seq > tail[min_i].0 {
-                tail[min_i] = (seq, meta, ptr);
-            }
-        }
-    });
-    tail[..n].sort_unstable_by(|a, b| b.0.cmp(&a.0));
+    let mut tail = [(0, 0, 0); DUMP_TAIL];
+    let n = newest_first(inner, &mut tail);
     b.clear();
     b.push_str("\"flight\":{\"dropped\":");
     b.push_dec(inner.obs.forensics.dropped.get());
@@ -332,12 +363,15 @@ pub(crate) fn render_dump<S: PageSource>(
             }
             b.push_str("{\"file\":\"");
             b.push_str(&malloc_api::json::escape(site.site.file));
-            b.push_str("\",\"line\":");
-            b.push_dec(site.site.line as u64);
-            b.push_str(",\"live_bytes\":");
-            b.push_dec(site.live_bytes);
-            b.push_str(",\"live_samples\":");
-            b.push_dec(site.live_samples);
+            b.push_str("\",");
+            push_members(
+                &mut b,
+                &[
+                    ("line", site.site.line as u64),
+                    ("live_bytes", site.live_bytes),
+                    ("live_samples", site.live_samples),
+                ],
+            );
             b.push_str("}");
             wline(w, &b)?;
         }
@@ -347,6 +381,153 @@ pub(crate) fn render_dump<S: PageSource>(
     let _ = include_profile;
 
     w.write_all(b"}\n")
+}
+
+/// Writes the black-box crash report to the instance's report fd.
+/// `sig == 0` means a fail-stop (reason given) rather than a signal.
+/// Async-signal-safe throughout.
+pub(crate) fn crash_report<S: PageSource>(
+    inner: &Inner<S>,
+    sig: i32,
+    fault: usize,
+    reason: Option<&str>,
+) {
+    let fd = inner.obs.forensics.report_fd.load(Ordering::Relaxed);
+    if fd < 0 {
+        return;
+    }
+    let w = FdWriter::new(fd);
+    let mut b = SigBuf::new();
+
+    b.push_str("==== lfmalloc crash report ====");
+    w.line(&b);
+
+    b.clear();
+    match reason {
+        Some(r) => {
+            b.push_str("cause: fail-stop (");
+            b.push_str(r);
+            b.push_str(")");
+        }
+        None => {
+            b.push_str("cause: signal ");
+            b.push_dec(sig as u64);
+            b.push_str(match sig {
+                s if s == sys::SIGSEGV => " (SIGSEGV)",
+                s if s == sys::SIGBUS => " (SIGBUS)",
+                s if s == sys::SIGABRT => " (SIGABRT)",
+                _ => "",
+            });
+        }
+    }
+    w.line(&b);
+
+    b.clear();
+    b.push_str("fault address: 0x");
+    b.push_hex(fault as u64);
+    w.line(&b);
+
+    b.clear();
+    describe_ptr_inner(inner, fault).render(&mut b);
+    w.line(&b);
+
+    b.clear();
+    b.push_str("inside allocator entry point: ");
+    b.push_str(if crate::tls::with_block(|tb| tb.in_alloc.get()) { "yes" } else { "no" });
+    w.line(&b);
+
+    b.clear();
+    b.push_str("fork generation: ");
+    b.push_dec(procfork::generation());
+    b.push_str(" (handlers installed at ");
+    b.push_dec(inner.obs.forensics.crash_generation.load(Ordering::Relaxed));
+    b.push_str(")");
+    w.line(&b);
+
+    // -- Flight recorder: merged tail, newest first. -------------------
+    b.clear();
+    b.push_str("-- flight recorder (newest first, dropped=");
+    b.push_dec(inner.obs.forensics.dropped.get());
+    b.push_str(") --");
+    w.line(&b);
+    let mut tail = [(0, 0, 0); REPORT_TAIL];
+    let n = newest_first(inner, &mut tail);
+    for &(seq, meta, ptr) in &tail[..n] {
+        let (op_bits, class, tid) = unpack_meta(meta);
+        b.clear();
+        b.push_str("  seq=");
+        b.push_dec(seq);
+        b.push_str(" tid=");
+        b.push_dec(tid as u64);
+        b.push_str(" op=");
+        b.push_str(match OpKind::from_bits(op_bits) {
+            Some(k) => k.label(),
+            None => "?",
+        });
+        b.push_str(" class=");
+        match class {
+            CLASS_LARGE => b.push_str("large"),
+            CLASS_UNKNOWN => b.push_str("?"),
+            c => b.push_dec(c as u64),
+        }
+        b.push_str(" ptr=0x");
+        b.push_hex(ptr);
+        w.line(&b);
+    }
+    if n == 0 {
+        b.clear();
+        b.push_str("  (empty)");
+        w.line(&b);
+    }
+
+    // -- Health. -------------------------------------------------------
+    b.clear();
+    b.push_str("-- health --");
+    w.line(&b);
+    b.clear();
+    b.push_str(" ");
+    push_pairs(&mut b, &health_rows(&inner.health));
+    w.line(&b);
+
+    // -- OS-byte reconciliation. ---------------------------------------
+    let rec = inner.reconcile_bytes();
+    b.clear();
+    b.push_str("  os live bytes: ");
+    b.push_dec(rec.source_live_bytes as u64);
+    b.push_str(" (superblocks ");
+    b.push_dec(rec.superblock_bytes as u64);
+    b.push_str(" + slabs ");
+    b.push_dec(rec.descriptor_slab_bytes as u64);
+    b.push_str(" + large ");
+    b.push_dec(rec.large_bytes as u64);
+    b.push_str(" + cached large ");
+    b.push_dec(rec.large_cached_bytes as u64);
+    b.push_str(", reconciles=");
+    b.push_str(if rec.reconciles() { "yes" } else { "no" });
+    b.push_str(")");
+    w.line(&b);
+
+    // -- Misuse counters. ----------------------------------------------
+    b.clear();
+    b.push_str("-- misuse --");
+    w.line(&b);
+    b.clear();
+    b.push_str(" ");
+    push_pairs(&mut b, &misuse_rows(&inner.misuse));
+    w.line(&b);
+
+    b.clear();
+    b.push_str("==== end lfmalloc crash report ====");
+    w.line(&b);
+}
+
+/// Writes the exit leak report to `fd`: the quiescent heap dump between
+/// two header lines. Runs at normal exit, where allocating is allowed.
+pub(crate) fn exit_report<S: PageSource>(inner: &Inner<S>, fd: i32) {
+    let mut w = FdWriter::new(fd);
+    w.put(b"==== lfmalloc exit leak report ====\n");
+    let _ = render_dump(inner, &mut w, true);
+    w.put(b"==== end lfmalloc exit leak report ====\n");
 }
 
 impl<S: PageSource> LfMalloc<S> {
@@ -468,7 +649,7 @@ pub struct AnalyzeReport {
     pub classes: Vec<ClassCensus>,
     /// Descriptor census.
     pub descriptors: DescriptorCensus,
-    /// Live large spans registered at dump time.
+    /// Live large blocks at dump time (the dump's `large.live`).
     pub large_spans: u64,
     /// Bytes backing live large blocks.
     pub large_bytes: u64,
@@ -569,11 +750,7 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
         leak_candidates: leaks,
         classes,
         descriptors,
-        large_spans: v
-            .get("large")
-            .and_then(|l| l.get("spans"))
-            .and_then(Json::as_arr)
-            .map_or(0, |s| s.len() as u64),
+        large_spans: v.get("large").map_or(0, |l| l.u64("live")),
         large_bytes: v.get("large").map_or(0, |l| l.u64("bytes")),
         large_cached_spans: v.get("large").map_or(0, |l| l.u64("cached_spans")),
         large_cached_bytes: v.get("large").map_or(0, |l| l.u64("cached_bytes")),
@@ -786,10 +963,6 @@ impl core::fmt::Display for DiffReport {
         }
     }
 }
-
-// Suppress unused warnings for constants referenced only by docs/tests.
-const _: u16 = CLASS_LARGE;
-const _: u16 = CLASS_UNKNOWN;
 
 #[cfg(test)]
 mod tests {

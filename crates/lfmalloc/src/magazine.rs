@@ -195,8 +195,11 @@ const _: () = assert!(
 /// The instance's slots and its identity. All-zero is the empty table.
 pub(crate) struct SlotTable {
     /// Never reused, so a thread's cached `(id, slot)` pair can outlive
-    /// the instance without ever being followed.
-    id: u64,
+    /// the instance without ever being followed. Nonzero and
+    /// process-unique: the instance's identity in every thread-local
+    /// that caches per-instance state (the profiler's sampler, the flight
+    /// recorder).
+    pub(crate) id: u64,
     slots: *mut Slot,
     /// One past the highest slot ever claimed; claims go lowest first.
     /// Relaxed: a slot a scan misses was claimed just now, still empty.

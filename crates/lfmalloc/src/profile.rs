@@ -45,7 +45,7 @@ use crate::instance::Inner;
 use crate::size_classes::NUM_CLASSES;
 use core::cell::UnsafeCell;
 use core::panic::Location;
-use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use malloc_api::telemetry::{monotonic_nanos, Counter};
 use osmem::PageSource;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,9 +92,6 @@ struct SampleSlot {
 /// feature.
 #[derive(Debug)]
 pub(crate) struct ProfileState {
-    /// Distinguishes this instance's sampler stream in the thread-local
-    /// slot (see [`SAMPLER`]); process-unique and never zero.
-    epoch: u64,
     params: ProfileParams,
     /// Dense per-instance thread indices, issued in first-touch order.
     next_thread: AtomicU32,
@@ -112,18 +109,17 @@ unsafe impl Send for ProfileState {}
 // Slot metadata is only touched under the transient `ptr|1` slot lock.
 unsafe impl Sync for ProfileState {}
 
-static PROFILE_EPOCH: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// `(instance epoch, rng state, countdown)`. One slot serves every
-    /// instance: when a thread's allocations interleave across
-    /// instances the slot re-arms deterministically on each switch
-    /// (epoch mismatch), preserving per-instance determinism for the
-    /// dominant single-instance case.
+    /// `(instance id, rng state, countdown)`, keyed by the instance's
+    /// magazine-table id (process-unique, never zero, never reused). One
+    /// slot serves every instance: when a thread's allocations
+    /// interleave across instances the slot re-arms deterministically on
+    /// each switch (id mismatch), preserving per-instance determinism
+    /// for the dominant single-instance case.
     static SAMPLER: core::cell::Cell<(u64, u64, i64)> =
         const { core::cell::Cell::new((0, 0, 0)) };
     /// Per-instance thread index last issued to this thread, keyed by
-    /// the same epoch.
+    /// the same id.
     static SAMPLER_THREAD: core::cell::Cell<(u64, u32)> =
         const { core::cell::Cell::new((0, 0)) };
 }
@@ -159,7 +155,6 @@ impl ProfileState {
             return None;
         }
         Some(ProfileState {
-            epoch: PROFILE_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
             params,
             next_thread: AtomicU32::new(0),
             slots,
@@ -278,15 +273,14 @@ pub(crate) fn tick<S: PageSource>(
     requested: usize,
     site: &'static Location<'static>,
 ) {
-    let p = &inner.obs.profile;
     let crossed = SAMPLER
         .try_with(|slot| {
-            let (epoch, rng, countdown) = slot.get();
-            if epoch != p.epoch {
+            let (id, rng, countdown) = slot.get();
+            if id != inner.mags.id {
                 return true; // re-arm (and decide) in the cold shim
             }
             let left = countdown - requested.min(i64::MAX as usize) as i64;
-            slot.set((epoch, rng, left));
+            slot.set((id, rng, left));
             left <= 0
         })
         .unwrap_or(false);
@@ -306,35 +300,35 @@ fn take_sample<S: PageSource>(
     requested: usize,
     site: &'static Location<'static>,
 ) {
-    let p = &inner.obs.profile;
+    let (p, id) = (&inner.obs.profile, inner.mags.id);
     let stride = p.params.stride_bytes;
     // Re-arm the countdown (switching instances re-seeds the stream so
     // each instance observes a deterministic phase).
     let armed = SAMPLER.try_with(|slot| {
-        let (epoch, mut rng, countdown) = slot.get();
-        if epoch != p.epoch {
+        let (slot_id, mut rng, countdown) = slot.get();
+        if slot_id != id {
             let idx = SAMPLER_THREAD
                 .try_with(|t| {
-                    let (tepoch, tidx) = t.get();
-                    if tepoch == p.epoch {
+                    let (inst, tidx) = t.get();
+                    if inst == id {
                         tidx
                     } else {
                         let idx = p.next_thread.fetch_add(1, Ordering::Relaxed);
-                        t.set((p.epoch, idx));
+                        t.set((id, idx));
                         idx
                     }
                 })
                 .unwrap_or(u32::MAX);
             rng = p.params.seed ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let first = next_gap(&mut rng, stride) - requested.min(i64::MAX as usize) as i64;
-            slot.set((p.epoch, rng, first));
+            slot.set((id, rng, first));
             // A fresh stream's first allocation is sampled only if it
             // alone crosses the phase — mirrors the steady state.
             return first <= 0;
         }
         debug_assert!(countdown <= 0);
         let gap = next_gap(&mut rng, stride);
-        slot.set((epoch, rng, countdown + gap));
+        slot.set((id, rng, countdown + gap));
         true
     });
     if armed != Ok(true) {

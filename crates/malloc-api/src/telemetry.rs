@@ -4,9 +4,7 @@
 //! `Relaxed` ordering: telemetry observes *how often* paths run, never
 //! *orders* them — a stats read racing a stats write may be off by a few
 //! events, which is exactly the tolerance a monotonic counter snapshot
-//! needs (see DESIGN.md §9 for the full rationale). The only CAS loop in
-//! the module is the lock-free max of [`MaxGauge`], the same pattern as
-//! [`UsageCounter`](crate::stats::UsageCounter)'s peak tracking.
+//! needs (see DESIGN.md §9 for the full rationale).
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,35 +33,6 @@ impl Counter {
     }
 
     /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A lock-free high-water mark (bounded CAS loop, like peak bytes).
-#[derive(Debug, Default)]
-pub struct MaxGauge(AtomicU64);
-
-impl MaxGauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        MaxGauge(AtomicU64::new(0))
-    }
-
-    /// Raises the high-water mark to `v` if `v` exceeds it.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        while v > cur {
-            match self.0.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-
-    /// Current high-water mark.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -285,15 +254,6 @@ mod tests {
         c.add(4);
         c.add(0);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn max_gauge_keeps_high_water() {
-        let g = MaxGauge::new();
-        g.observe(3);
-        g.observe(10);
-        g.observe(7);
-        assert_eq!(g.get(), 10);
     }
 
     #[test]

@@ -399,6 +399,21 @@ fn dump_heap_accounts_for_cached_large_spans() {
     }
 }
 
+#[test]
+fn dump_counts_live_large_blocks_without_a_span_registry() {
+    // Only hardened instances register their spans; the analyzer's large
+    // count must not depend on that.
+    let a = LfMalloc::with_config(Config::with_heaps(1).with_hardening(Hardening::Off));
+    let p = unsafe { a.malloc(64 << 10) };
+    assert!(!p.is_null());
+    let mut dump = Vec::new();
+    a.dump_heap_to(&mut dump).expect("dump_heap_to");
+    let r = lfmalloc::analyze_dump(std::str::from_utf8(&dump).unwrap()).expect("analyze");
+    assert_eq!(r.large_spans, 1, "{r}");
+    assert_eq!(r.large_bytes, (64 << 10) + 4096, "{r}");
+    unsafe { a.free(p) };
+}
+
 // ---------------------------------------------------------------------
 // Planted leak: dump -> analyzer ranks the leaking call site first.
 // ---------------------------------------------------------------------
@@ -509,6 +524,15 @@ fn exit_leak_report_fires_at_process_exit() {
     let text = std::fs::read_to_string(&path).expect("read exit report");
     assert!(text.contains("==== lfmalloc exit leak report ===="), "{text}");
     assert!(text.contains("==== end lfmalloc exit leak report ===="), "{text}");
+    // Between the headers is a heap dump of the instance at exit.
+    let body = text
+        .split_once("==== lfmalloc exit leak report ====\n")
+        .and_then(|(_, rest)| rest.split_once("==== end lfmalloc exit leak report ===="))
+        .map(|(dump, _)| dump)
+        .expect("report body between the headers");
+    let r = lfmalloc::analyze_dump(body).expect("the exit report's body is a heap dump");
+    assert!(r.reconciles, "{r}");
+    assert!(r.small_used_bytes >= 5000, "the child's leaked block: {r}");
     let _ = std::fs::remove_file(&path);
 }
 
