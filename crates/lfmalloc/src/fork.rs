@@ -22,11 +22,13 @@
 //!    the reaper handle box (so the fork cannot snapshot it mid-update),
 //!    parent releases it, and the child clears the dead reaper, runs
 //!    [`recover`], and respawns the reaper with its pre-fork config.
-//! 2. **Lazy** — every allocator entry point compares the instance's
-//!    recovered generation against [`malloc_api::procfork::generation`]
-//!    (one relaxed load on the fast path). An instance that found the
-//!    procfork registry full has no hooks; a child that forked through
-//!    `procfork::fork` recovers it on its first malloc/free. A *raw*
+//! 2. **Lazy** — the first miss after a fork compares the instance's
+//!    recovered generation against [`malloc_api::procfork::generation`]:
+//!    the slow entry points and magazine `attach` do. A hit cannot come
+//!    first, because it compares the thread's TLS generation and a stale
+//!    one is a miss. An instance that found the procfork registry full
+//!    has no hooks; a child that forked through `procfork::fork`
+//!    recovers it on its first malloc/free. A *raw*
 //!    `fork(2)` without [`malloc_api::procfork::install`] runs no hooks
 //!    and bumps no generation; such a child must call
 //!    [`malloc_api::procfork::child_after_raw_fork`] before touching the
@@ -163,9 +165,11 @@ pub(crate) unsafe fn hook_child<S: PageSource>(data: usize) {
     }
 }
 
-/// Fast-path fork check: one relaxed load comparing the instance's
-/// recovered generation against the process generation. Inlined into
-/// every entry point; the mismatch path is a cold call.
+/// Fork check: one relaxed load comparing the instance's recovered
+/// generation against the process generation. At the top of the slow
+/// entry points and in magazine `attach`, where each thread's first call
+/// after a fork lands; a hit never runs it. The mismatch path is a cold
+/// call.
 #[inline]
 pub(crate) fn maybe_recover<S: PageSource>(inner: &Inner<S>) {
     let cur = procfork::generation();

@@ -17,6 +17,7 @@ use crate::config::{Config, PREFIX_SIZE, SB_BATCH, SB_SHIFT};
 use crate::descriptor::{Descriptor, DescriptorPool};
 use crate::harden::{Hardening, MisuseCounters, QUARANTINE_CAP};
 use crate::heap::{HeapMap, ProcHeap};
+use crate::magazine::CACHED_CLASSES;
 use crate::observe::{self, EventKind, Global, Lat, Timer};
 use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
@@ -97,6 +98,17 @@ pub(crate) struct Inner<S: PageSource> {
     /// in the default build (see [`crate::observe`]).
     pub obs: observe::State,
 }
+
+// Tripwire, not a layout: a field added in front of the words a hit or a
+// refill reads has to move these numbers, so no change shifts them
+// unnoticed. Telemetry puts a counter in `sb_pool`, 16 bytes further up.
+const _: () = {
+    type I = Inner<SystemSource>;
+    let at = if cfg!(feature = "stats") { 256 } else { 240 };
+    assert!(core::mem::offset_of!(I, heaps) == at);
+    assert!(core::mem::offset_of!(I, mags) == at + 8);
+    assert!(core::mem::offset_of!(I, frames) == at + 32);
+};
 
 /// A system-allocated array of `len` slots, the first `built` of them
 /// written. It owns both: dropping it drops those and frees the array —
@@ -530,6 +542,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// # Safety
     ///
     /// Standard malloc contract; see [`RawMalloc::malloc`].
+    #[inline(always)]
     #[cfg_attr(feature = "profile", track_caller)]
     pub unsafe fn allocate(&self, size: usize, align: usize) -> *mut u8 {
         debug_assert!(align.is_power_of_two());
@@ -550,17 +563,56 @@ impl<S: PageSource> LfMalloc<S> {
     /// # Safety
     ///
     /// Standard malloc contract; see [`RawMalloc::malloc_zeroed`].
+    #[inline(always)]
     #[cfg_attr(feature = "profile", track_caller)]
     pub unsafe fn allocate_zeroed(&self, size: usize) -> *mut u8 {
         unsafe { self.allocate_impl(size, MIN_MALLOC_ALIGN, true) }
     }
 
-    /// Both allocating entry points: the guards, the class, the dispatch,
-    /// the memset when `zero` (a constant at either caller), and the
-    /// observers' epilogue.
+    /// Both allocating entry points' hit, inlined into the caller: the
+    /// class, then a cached block of it (the reentrancy flag, the TLS
+    /// block's generation and slot key, the bin; DESIGN.md §15.1), the
+    /// memset when `zero` (a constant at either caller) and the observers'
+    /// epilogue. Anything else is [`allocate_slow`](Self::allocate_slow).
     #[inline(always)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn allocate_impl(&self, size: usize, align: usize, zero: bool) -> *mut u8 {
+        let inner = self.inner();
+        // Every class's blocks are 8-aligned; above that, the class must
+        // be a multiple of the alignment.
+        let class = if align <= MIN_MALLOC_ALIGN {
+            class_index(size)
+        } else {
+            class_index_aligned(size, align)
+        };
+        if let Some(ci) = class.filter(|&ci| ci < CACHED_CLASSES) {
+            if let Some(entry) = crate::tls::enter_hit() {
+                let p = unsafe { crate::magazine::pop(inner, entry.block(), ci) };
+                if !p.is_null() {
+                    if zero {
+                        unsafe { core::ptr::write_bytes(p, 0, size) };
+                    }
+                    observe::on_alloc(inner, class, p, size);
+                    return p;
+                }
+            }
+        }
+        unsafe { self.allocate_slow(size, align, zero, class) }
+    }
+
+    /// Every allocation that is not a hit: a refill, the mid row, the
+    /// paper's ladder, a large block; the reentrancy rejection and the
+    /// fork recovery. One call, not `#[cold]`: the mid row runs here on
+    /// every call (DESIGN.md §21.5).
+    #[inline(never)]
+    #[cfg_attr(feature = "profile", track_caller)]
+    unsafe fn allocate_slow(
+        &self,
+        size: usize,
+        align: usize,
+        zero: bool,
+        class: Option<usize>,
+    ) -> *mut u8 {
         let inner = self.inner();
         let Some(entry) = crate::tls::enter_alloc() else {
             // Signal handler re-entered the allocator on this thread:
@@ -569,13 +621,6 @@ impl<S: PageSource> LfMalloc<S> {
             return core::ptr::null_mut();
         };
         crate::fork::maybe_recover(inner);
-        // Every class's blocks are 8-aligned; above that, the class must
-        // be a multiple of the alignment.
-        let class = if align <= MIN_MALLOC_ALIGN {
-            class_index(size)
-        } else {
-            class_index_aligned(size, align)
-        };
         let (p, fresh) = match class {
             Some(ci) => (unsafe { crate::magazine::malloc(inner, entry.block(), ci) }, false),
             None => unsafe { crate::large::alloc_large(inner, entry.block(), size, align) },
@@ -619,13 +664,38 @@ impl<S: PageSource> LfMalloc<S> {
     /// Frees a block returned by [`allocate`](Self::allocate) (or by the
     /// `RawMalloc` methods).
     ///
+    /// The hit, inlined into the caller: the address names its frame and
+    /// the frame its superblock, class and heap column — the block itself
+    /// is not read — and a local block of a class up to 1 KiB goes into
+    /// its bin if that has room (DESIGN.md §15.1). Anything else is one
+    /// out-of-line call.
+    ///
     /// # Safety
     ///
     /// `ptr` must be null or a live block of this instance.
+    #[inline(always)]
     pub unsafe fn deallocate(&self, ptr: *mut u8) {
         if ptr.is_null() {
             return;
         }
+        let inner = self.inner();
+        let frame = inner.frames.get(ptr as usize);
+        if !frame.is_empty() && frame.class() < CACHED_CLASSES {
+            if let Some(entry) = crate::tls::enter_hit() {
+                if unsafe { crate::magazine::push(inner, entry.block(), ptr, frame) } {
+                    observe::on_free(inner, ptr);
+                    return;
+                }
+            }
+        }
+        unsafe { self.deallocate_slow(ptr, frame) }
+    }
+
+    /// Every `free` that is not a hit, `frame` being `ptr`'s entry in the
+    /// frame map: hardened, large, remote, a full bin, the mid row, no
+    /// slot; the reentrancy rejection and the fork recovery.
+    #[inline(never)]
+    unsafe fn deallocate_slow(&self, ptr: *mut u8, frame: crate::framemap::Entry) {
         let inner = self.inner();
         let Some(entry) = crate::tls::enter_alloc() else {
             // Reentrant free: leaking the block is the only safe answer
@@ -636,13 +706,12 @@ impl<S: PageSource> LfMalloc<S> {
         crate::fork::maybe_recover(inner);
         observe::on_free(inner, ptr);
         if inner.config.hardening != Hardening::Off {
-            // The validated path establishes provenance before touching
-            // any memory; misuse is reported, never executed.
+            // Hardened instances hold no slot, so every hardened free is
+            // here. The validated path establishes provenance before
+            // touching any memory; misuse is reported, never executed.
             return unsafe { crate::harden::free_hardened(inner, ptr) };
         }
-        // The address names its frame and the frame its superblock: the
-        // block itself is not read. No superblock there: a large block.
-        let frame = inner.frames.get(ptr as usize);
+        // No superblock in the frame: a large block.
         if frame.is_empty() {
             return unsafe { crate::large::free_large(inner, entry.block(), ptr, large_marker(ptr)) };
         }
@@ -662,11 +731,13 @@ unsafe fn large_marker(ptr: *mut u8) -> usize {
 unsafe impl<S: PageSource + Send + Sync> RawMalloc for LfMalloc<S> {
     // Under `profile`, caller locations flow through these shims into
     // `allocate` so samples attribute to the application call site.
+    #[inline(always)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn malloc(&self, size: usize) -> *mut u8 {
         unsafe { self.allocate(size, MIN_MALLOC_ALIGN) }
     }
 
+    #[inline(always)]
     unsafe fn free(&self, ptr: *mut u8) {
         unsafe { self.deallocate(ptr) }
     }
@@ -675,11 +746,13 @@ unsafe impl<S: PageSource + Send + Sync> RawMalloc for LfMalloc<S> {
         "lfmalloc"
     }
 
+    #[inline(always)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn malloc_aligned(&self, size: usize, align: usize) -> *mut u8 {
         unsafe { self.allocate(size, align) }
     }
 
+    #[inline(always)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn malloc_zeroed(&self, size: usize) -> *mut u8 {
         unsafe { self.allocate_zeroed(size) }

@@ -5,6 +5,8 @@
 //! * A **hit** — `malloc` popping a cached block, `free` pushing one —
 //!   is a handful of plain loads and stores on memory only the calling
 //!   thread touches: no atomic read-modify-write, no shared cache line.
+//!   It is inlined into the caller (`pop`, `push`); everything below
+//!   runs behind the instance's one out-of-line slow call.
 //! * A **miss** refills half a magazine with
 //!   [`alloc::malloc_run`](crate::alloc): Figure 4's ladder asked for `k`
 //!   blocks instead of one — two CASes from the active superblock, one
@@ -242,17 +244,32 @@ impl Drop for SlotTable {
 /// The calling thread's slot in `inner`, null when it runs without one.
 #[inline]
 fn slot_of<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    cached_slot(inner, tb).unwrap_or_else(|| attach(inner, tb))
+}
+
+/// The slot the TLS block holds for `inner`; `None` when it holds one
+/// for another instance or none yet.
+#[inline(always)]
+fn cached_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> Option<*const Slot> {
     // A fault scenario schedules yields, retries and kills call by call
     // at the core's CAS windows; while one runs every call takes the
     // paper's paths so each window is reached when the plan says.
     #[cfg(feature = "failpoints")]
     if malloc_api::failpoints::scenario_active() {
-        return core::ptr::null();
+        return Some(core::ptr::null());
     }
-    if tb.mag_inst.get() == inner.mags.id {
-        tb.mag.get()
-    } else {
-        attach(inner, tb)
+    (tb.mag_inst.get() == inner.mags.id).then(|| tb.mag.get())
+}
+
+/// The slot a hit may use: the cached one, if the TLS block is of this
+/// process generation. A forked child's first call on each thread
+/// therefore misses, and the miss recovers the instance (`attach`, or
+/// the slow entry) before any hit can follow.
+#[inline(always)]
+fn hit_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    match cached_slot(inner, tb) {
+        Some(slot) if tb.is_current() => slot,
+        _ => core::ptr::null(),
     }
 }
 
@@ -274,13 +291,14 @@ pub(crate) fn span_words<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item 
 
 /// First magazine use of this thread on this instance (or first since
 /// it used another one, or since a fork): find or claim a slot and
-/// cache it, with the thread's heap column, in the TLS block.
+/// cache it, with the thread's heap column, in the TLS block. Also the
+/// fork check a hit does not run: in a forked child each thread's first
+/// call comes here (`refresh` clears the slot key).
 #[cold]
 fn attach<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    crate::fork::maybe_recover(inner);
     let slot = claim(inner, tb);
-    let col = inner.heap_map.column(tb.id());
-    tb.heap0
-        .set(inner.heaps as usize + col * core::mem::size_of::<ProcHeap>());
+    tb.column.set(inner.heap_map.column(tb.id()) as u32);
     tb.mag.set(slot);
     tb.mag_inst.set(inner.mags.id);
     slot
@@ -331,10 +349,65 @@ fn claim<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
 /// cached at attach (so only meaningful once `slot_of` has run).
 #[inline]
 fn my_heap<'a, S: PageSource>(inner: &'a Inner<S>, tb: &ThreadBlock, ci: usize) -> &'a ProcHeap {
-    let addr = tb.heap0.get() + ci * inner.nheaps * core::mem::size_of::<ProcHeap>();
-    // SAFETY: `heap0` is a class-0 heap of `inner`'s table (`attach`),
-    // and `ci < NUM_CLASSES` rows of `nheaps` heaps follow it.
-    unsafe { &*(addr as *const ProcHeap) }
+    // SAFETY: `column < nheaps` (`attach`) and `ci < NUM_CLASSES`: the
+    // heap is one of `inner`'s table.
+    unsafe { &*inner.heaps.add(ci * inner.nheaps + tb.column.get() as usize) }
+}
+
+/// A hit's `malloc`: pops the cached block of class `ci`, or returns
+/// null for the slow entry to sort out — no slot or a stale TLS block,
+/// an empty bin.
+///
+/// # Safety
+///
+/// `ci` must be below [`CACHED_CLASSES`] (the mid row is the slow
+/// entry's).
+#[inline(always)]
+pub(crate) unsafe fn pop<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock, ci: usize) -> *mut u8 {
+    let slot = hit_slot(inner, tb);
+    if slot.is_null() {
+        return core::ptr::null_mut();
+    }
+    let bin = unsafe { &(*slot).bins[ci] };
+    let head = bin.head.load(Ordering::Relaxed);
+    if !head.is_null() {
+        unsafe { bin.pop(head) };
+        observe::count(inner, my_heap(inner, tb, ci), Count::MallocCached);
+    }
+    head
+}
+
+/// A hit's `free`: caches `ptr` if it is local and its bin has room.
+/// `false` leaves everything as it was for the slow entry: a remote
+/// block, a full bin, no slot or a stale TLS block.
+///
+/// # Safety
+///
+/// `ptr` must be a live block of `inner` and `entry` its frame's
+/// non-empty word in the frame map, of a class below [`CACHED_CLASSES`].
+#[inline(always)]
+pub(crate) unsafe fn push<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    ptr: *mut u8,
+    entry: Entry,
+) -> bool {
+    let ci = entry.class();
+    if entry.column() != tb.column.get() as usize {
+        return false;
+    }
+    let slot = hit_slot(inner, tb);
+    if slot.is_null() {
+        return false;
+    }
+    let bin = unsafe { &(*slot).bins[ci] };
+    let n = bin.count.load(Ordering::Relaxed);
+    if n >= CAP[ci] as u32 {
+        return false;
+    }
+    unsafe { bin.push(ptr, n) };
+    observe::count(inner, my_heap(inner, tb, ci), Count::FreeCached);
+    true
 }
 
 /// Small `malloc`: a cached block if there is one, else a refill, else
@@ -461,7 +534,7 @@ pub(crate) unsafe fn free<S: PageSource>(
     // The entry's column is as current as `desc.heap()` would be (both
     // change at `MallocFromPartial`'s line 3); the descriptor's line,
     // which a remote owner keeps writing, is not touched.
-    let local = unsafe { inner.heaps.add(entry.column()) } as usize == tb.heap0.get();
+    let local = entry.column() == tb.column.get() as usize;
     if ci >= CACHED_CLASSES {
         // Local frees only: a remote one takes the paper's path.
         if local {
@@ -1481,6 +1554,34 @@ mod tests {
             on_a_remote_thread(&a, desc_of(&a, p as *mut u8).heap(), || a.free(p as *mut u8));
         }
         assert!(snapshot(a.inner()).0.is_empty());
+    }
+
+    /// A hit reads the frame map before anything says the instance is
+    /// hardened: what sends a hardened free to validation is that the
+    /// thread holds no slot there (`claim`). After 1 000 pairs it still
+    /// holds none, and a double free of a small block is still caught.
+    #[test]
+    fn a_hardened_instance_gives_no_slot_and_still_catches_a_double_free() {
+        use crate::harden::MisuseKind;
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(1).with_hardening(Hardening::Detect));
+        unsafe {
+            for _ in 0..1_000 {
+                let p = a.malloc(8);
+                assert!(!p.is_null());
+                a.free(p);
+            }
+            let (key, slot) = crate::tls::with_block(|tb| (tb.mag_inst.get(), tb.mag.get()));
+            assert_eq!(key, a.inner().mags.id, "the thread has looked for a slot");
+            assert!(slot.is_null(), "a hardened instance gave the thread a slot");
+            let p = a.malloc(8);
+            a.free(p);
+            a.free(p);
+        }
+        let c = a.misuse_counters();
+        assert_eq!(c.count(MisuseKind::DoubleFree), 1);
+        assert_eq!(c.total(), 1);
     }
 
     /// A fault scenario must reach `free.link` call by call: while one

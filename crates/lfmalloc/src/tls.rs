@@ -1,6 +1,10 @@
 //! The calling thread's allocator state: one thread-local block holding
 //! the reentrancy flag, the thread id and the cached magazine slot, so
 //! an entry point touches thread-local storage once (DESIGN.md §15).
+//! A magazine hit reads this block, the process generation and its bin,
+//! and nothing else ([`enter_hit`], DESIGN.md §15.1); a stale generation
+//! or a missing slot sends the call to the slow entry, which refreshes
+//! the block ([`enter_alloc`]) and owes the instance its fork recovery.
 //!
 //! The block is `const`-initialised and has no destructor: reading it
 //! never allocates, never registers anything and never fails, which is
@@ -64,16 +68,10 @@ pub(crate) fn stamp_alive(stamp: u64) -> bool {
 }
 
 /// Per-thread allocator state. All `Cell`s: only the owning thread (and
-/// signal handlers running on it) ever touch it.
+/// signal handlers running on it) ever touch it. One cache line: a hit
+/// reads five of its words.
+#[repr(C, align(64))]
 pub(crate) struct ThreadBlock {
-    /// True while this thread is inside an allocator entry point. Read
-    /// from outside by the crash reporter alone: whether the fault
-    /// interrupted the allocator itself or plain application code is one
-    /// TLS flag read, async-signal-safe.
-    pub(crate) in_alloc: Cell<bool>,
-    /// Set by the exit sentinel: the thread is running TLS destructors
-    /// and must not take a magazine slot it can no longer give up.
-    exiting: Cell<bool>,
     /// Process generation `id` and `stamp` were issued in; `u64::MAX`
     /// before the first use (the generation counter starts at 0).
     gen: Cell<u64>,
@@ -83,29 +81,41 @@ pub(crate) struct ThreadBlock {
     /// The stamp held before the last fork: the forking thread's slots
     /// still carry it, and [`crate::magazine`] takes them back by it.
     prev_stamp: Cell<u64>,
-    /// Id of the instance `mag` and `heap0` belong to (0 = none). An
-    /// instance id is never reused, so a dropped instance's slot pointer
-    /// can sit here but is never followed.
+    /// Id of the instance `mag` and `column` belong to (0 =
+    /// none): the slot key. An instance id is never reused, so a dropped
+    /// instance's slot pointer can sit here but is never followed.
     pub(crate) mag_inst: Cell<u64>,
     /// This thread's slot in that instance; null = runs without one.
     pub(crate) mag: Cell<*const Slot>,
-    /// Address of this thread's class-0 heap in that instance; class
-    /// `ci`'s heap is `nheaps` heaps further per class.
-    pub(crate) heap0: Cell<usize>,
+    /// This thread's heap column in that instance: its heap of class
+    /// `ci` is `ci * nheaps + column`, and a `free` is local when the
+    /// frame's entry names it.
+    pub(crate) column: Cell<u32>,
+    /// True while this thread is inside an allocator entry point. Read
+    /// from outside by the crash reporter alone: whether the fault
+    /// interrupted the allocator itself or plain application code is one
+    /// TLS flag read, async-signal-safe.
+    pub(crate) in_alloc: Cell<bool>,
+    /// Set by the exit sentinel: the thread is running TLS destructors
+    /// and must not take a magazine slot it can no longer give up.
+    exiting: Cell<bool>,
 }
+
+// Every word a hit reads is on the block's one line.
+const _: () = assert!(core::mem::size_of::<ThreadBlock>() == 64);
 
 thread_local! {
     static BLOCK: ThreadBlock = const {
         ThreadBlock {
-            in_alloc: Cell::new(false),
-            exiting: Cell::new(false),
             gen: Cell::new(u64::MAX),
             id: Cell::new(0),
             stamp: Cell::new(0),
             prev_stamp: Cell::new(0),
             mag_inst: Cell::new(0),
             mag: Cell::new(core::ptr::null()),
-            heap0: Cell::new(0),
+            column: Cell::new(0),
+            in_alloc: Cell::new(false),
+            exiting: Cell::new(false),
         }
     };
     /// Registered on a thread's first allocator call; see the module
@@ -172,6 +182,13 @@ impl ThreadBlock {
         }
     }
 
+    /// Whether the block is of the current process generation: false on
+    /// a thread's first call and on its first since a fork.
+    #[inline(always)]
+    pub(crate) fn is_current(&self) -> bool {
+        self.gen.get() == procfork::generation()
+    }
+
     /// A small, dense per-thread id ("Threads use their thread ids to
     /// decide which processor heap to use").
     #[inline]
@@ -218,7 +235,7 @@ pub(crate) struct AllocGuard {
 }
 
 impl AllocGuard {
-    #[inline]
+    #[inline(always)]
     pub(crate) fn block(&self) -> &ThreadBlock {
         // SAFETY: the guard never leaves the thread whose block it
         // points at (raw pointers are `!Send`), and is dropped before
@@ -228,7 +245,7 @@ impl AllocGuard {
 }
 
 impl Drop for AllocGuard {
-    #[inline]
+    #[inline(always)]
     fn drop(&mut self) {
         // A signal handler on this thread must see every store of the
         // call before the flag clears; `compiler_fence` is the fence
@@ -243,6 +260,16 @@ impl Drop for AllocGuard {
 /// and the caller must fail fast instead of proceeding.
 #[inline]
 pub(crate) fn enter_alloc() -> Option<AllocGuard> {
+    let entry = enter_hit()?;
+    entry.block().ensure_fresh();
+    Some(entry)
+}
+
+/// Enters a magazine hit: [`enter_alloc`] without bringing the block up
+/// to the process generation, which is the slow entry's business (the
+/// hit compares it: [`ThreadBlock::is_current`]). `None` as there.
+#[inline(always)]
+pub(crate) fn enter_hit() -> Option<AllocGuard> {
     BLOCK.with(|tb| {
         if tb.in_alloc.get() {
             return None;
@@ -251,7 +278,6 @@ pub(crate) fn enter_alloc() -> Option<AllocGuard> {
         // The magazine's plain loads and stores must stay inside the
         // flagged region for the handler's view of this thread.
         compiler_fence(Ordering::SeqCst);
-        tb.ensure_fresh();
         Some(AllocGuard { tb })
     })
 }

@@ -231,6 +231,69 @@ fn an_instance_without_hooks_recovers_on_the_childs_first_malloc() {
     assert!(a.audit().is_clean(), "parent audit dirty after fork");
 }
 
+/// The lazy tier against the magazine hit (DESIGN.md §15.1): a hit runs
+/// no fork check of its own, it compares the thread's generation. So the
+/// forking thread's first call in the child — one its warm magazine
+/// would serve — misses, and the miss recovers the instance before
+/// anything is popped or pushed. One child frees first, one mallocs
+/// first, and one flushes its magazine first, which reaches the slot
+/// (`attach`) without either slow entry; `fork_recoveries` reads 1
+/// right after that one call.
+#[test]
+fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
+    let _serial = fork_lock();
+    let fillers: Vec<_> = std::iter::from_fn(|| procfork::register(Default::default())).collect();
+    assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+    let a = LfMalloc::new_default();
+    // Warm this thread's 8 B magazine and its mid row; `kept` is local
+    // and its bin has room, so in the parent its free would be a hit.
+    let kept = unsafe {
+        let small: Vec<*mut u8> = (0..4).map(|_| a.malloc(8)).collect();
+        let mid = a.malloc(2000);
+        let kept = a.malloc(8);
+        assert!(!kept.is_null() && !mid.is_null() && small.iter().all(|p| !p.is_null()));
+        for p in small {
+            a.free(p);
+        }
+        a.free(mid);
+        kept
+    };
+    assert!(a.audit().magazine_blocks > 0, "the forking thread's magazine is warm");
+    let codes: Vec<_> = ["free", "malloc", "flush_thread_cache"].map(|first| {
+        let pid = unsafe { procfork::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            unsafe {
+                if a.health().fork_recoveries != 0 {
+                    sys::_exit(HEALTH_MISMATCH);
+                }
+                match first {
+                    "free" => a.free(kept),
+                    "malloc" if a.malloc(8).is_null() => sys::_exit(NULL_ALLOC),
+                    "malloc" => {}
+                    _ => {
+                        a.flush_thread_cache();
+                    }
+                }
+                if a.health().fork_recoveries != 1 {
+                    sys::_exit(HEALTH_MISMATCH);
+                }
+            }
+            lfmalloc_child_check(&a); // never returns
+        }
+        (first, wait_child(pid, first))
+    }).into();
+    for token in fillers {
+        procfork::unregister(token);
+    }
+    for (what, code) in codes {
+        assert_eq!(code, OK, "{what} first: child failed (see exit-code constants)");
+    }
+    unsafe { a.free(kept) };
+    assert!(a.audit().is_clean(), "parent audit dirty after fork");
+    assert_eq!(a.health().fork_recoveries, 0);
+}
+
 /// Thread magazines across a fork: the forking thread's magazine,
 /// outbox and mid row come through intact (same blocks, same order,
 /// under its new identity), while the slots of the threads the fork left
