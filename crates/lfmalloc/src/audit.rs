@@ -96,6 +96,7 @@ use crate::descriptor::Descriptor;
 use crate::framemap::Entry;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
+use crate::schema::Sink;
 use crate::size_classes::NUM_CLASSES;
 use core::sync::atomic::Ordering;
 use osmem::PageSource;
@@ -224,6 +225,33 @@ impl ByteReconciliation {
     /// True when the source agrees with the component sum.
     pub fn reconciles(&self) -> bool {
         self.source_live_bytes == self.expected()
+    }
+
+    /// The five terms as every report lists them — JSON key, the words
+    /// prose puts after the number, bytes: the four places OS bytes sit,
+    /// then the source's total, which they add up to when the books
+    /// reconcile.
+    pub fn terms(&self) -> [(&'static str, &'static str, u64); 5] {
+        [
+            ("superblock_bytes", " superblock", self.superblock_bytes as u64),
+            ("descriptor_slab_bytes", " descriptor-slab", self.descriptor_slab_bytes as u64),
+            ("large_bytes", " large", self.large_bytes as u64),
+            ("large_cached_bytes", " cached large", self.large_cached_bytes as u64),
+            ("source_live_bytes", " live bytes", self.source_live_bytes as u64),
+        ]
+    }
+
+    /// Writes the terms as one sum: `T live bytes = a superblock + b
+    /// descriptor-slab + c large + d cached large`, `!=` when it does not
+    /// hold. Allocates nothing, so the crash report writes it too.
+    pub(crate) fn write_sum(&self, out: &mut impl Sink) {
+        let [parts @ .., total] = self.terms();
+        let seps = ["", if self.reconciles() { " = " } else { " != " }, " + ", " + ", " + "];
+        for ((_, words, bytes), sep) in [total].into_iter().chain(parts).zip(seps) {
+            out.push_str(sep);
+            out.push_dec(bytes);
+            out.push_str(words);
+        }
     }
 }
 
@@ -546,18 +574,10 @@ fn audit_inner<S: PageSource>(inner: &Inner<S>) -> AuditReport {
     rep.bytes = rec;
     let large_bytes = rec.large_bytes;
     if !rec.reconciles() {
-        rep.violations.push(AuditViolation {
-            check: "bytes.reconcile",
-            detail: format!(
-                "source live_bytes {} != superblocks {} + desc slabs {} + large {large_bytes} \
-                 + cached large {} ({} stranded)",
-                rec.source_live_bytes,
-                rec.superblock_bytes,
-                rec.descriptor_slab_bytes,
-                rec.large_cached_bytes,
-                rec.stranded()
-            ),
-        });
+        let mut detail = String::new();
+        rec.write_sum(&mut detail);
+        detail += &format!(" ({} stranded)", rec.stranded());
+        rep.violations.push(AuditViolation { check: "bytes.reconcile", detail });
     }
     rep.large_live = inner.large_live().0;
     if (rep.large_live == 0) != (large_bytes == 0) {

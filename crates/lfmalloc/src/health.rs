@@ -27,6 +27,16 @@
 //!   bytes vs. the trim watermark into a [`HealthSnapshot`] whose
 //!   [`is_degraded`](HealthSnapshot::is_degraded) gives a single verdict.
 //!
+//! Each number of the snapshot is declared once, as a row of
+//! `schema.rs`'s `health_numbers!` (DESIGN.md §9.1). A counter row is a
+//! word of `HealthState`, indexed by `HealthCount`; a gauge row names
+//! what `health()` reads out of the instance. The rows generate
+//! `HealthCount`, the snapshot's scalar fields, `health()` (all of it
+//! but the policy and the per-class `partial_listed`) and the public
+//! [`HEALTH_ROWS`], which every renderer loops over: the JSON here and in
+//! the stats record, the text dump, OpenMetrics, `lfstat`, and the heap
+//! dump and crash report, which print the counter rows.
+//!
 //! The watchdog itself is lock-free and costs nothing on the success
 //! path: the check runs only after a CAS *failure*, and is one branch on
 //! a thread-local tally. The counters are plain relaxed atomics — they
@@ -37,6 +47,8 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::anchor::SbState;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
+use crate::maintain::MaintenanceReport;
+use crate::schema::{json_members, CounterInfo};
 use crate::size_classes::NUM_CLASSES;
 use osmem::PageSource;
 
@@ -108,51 +120,22 @@ impl Default for LivenessConfig {
     }
 }
 
-/// The instrumented CAS retry sites, in the order their storm counters
-/// appear in [`HealthSnapshot::storms`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum WatchSite {
-    /// `malloc_from_active`: credit-reservation CAS on the Active word.
-    ActiveReserve = 0,
-    /// `malloc_from_active`: block-pop CAS on the anchor.
-    ActivePop = 1,
-    /// `malloc_from_partial`: credit-reservation CAS on a partial anchor.
-    PartialReserve = 2,
-    /// `malloc_from_partial` / `heap_get_partial`: partial block pop and
-    /// heap-slot exchange.
-    PartialPop = 3,
-    /// `update_active`: returning unused credits to the anchor.
-    UpdateActive = 4,
-    /// `free`: pushing a block onto its superblock's free list.
-    FreeLink = 5,
-}
-
-/// Number of [`WatchSite`]s (length of [`HealthSnapshot::storms`]).
-pub const NUM_WATCH_SITES: usize = 6;
-
-/// The sites, in [`WatchSite`] order: the label reports and the JSON use,
-/// and the failpoint whose `Retry` action forces lost turns at the site
-/// (DESIGN.md §6, §10) — the other two loops have no failpoint inside.
-const SITES: [(&str, Option<&str>); NUM_WATCH_SITES] = [
-    ("active.reserve", Some("active.reserve")),
-    ("active.pop", Some("active.pop")),
-    ("partial.reserve", None),
-    ("partial.pop", Some("partial.get")),
-    ("active.update", None),
-    ("free.link", Some("free.link")),
-];
+/// The failpoint whose `Retry` action forces lost turns at each site, in
+/// [`WatchSite`] order (DESIGN.md §6, §10) — the other two loops have no
+/// failpoint inside.
+const FORCED_BY: [Option<&str>; NUM_WATCH_SITES] =
+    [Some("active.reserve"), Some("active.pop"), None, Some("partial.get"), None, Some("free.link")];
 
 impl WatchSite {
-    /// Short label for reports.
+    /// Short label for reports: its storm row's key in `storms`.
     pub fn label(self) -> &'static str {
-        SITES[self as usize].0
+        SITE_LABELS[self as usize]
     }
 
     /// The failpoint that forces retries at this site, if one does: arm
     /// it with `FpAction::Retry` to seed a storm there.
     pub fn forced_by(self) -> Option<&'static str> {
-        SITES[self as usize].1
+        FORCED_BY[self as usize]
     }
 }
 
@@ -162,7 +145,7 @@ static PROCESS_STORMS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide throttle-activation counter.
 static PROCESS_THROTTLES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide liveness counters: `(storms, throttle_activations)`
+/// Process-wide liveness counters: `(storms, throttle activations)`
 /// summed over every allocator instance in this process.
 pub fn process_liveness_counters() -> (u64, u64) {
     (PROCESS_STORMS.load(Ordering::Relaxed), PROCESS_THROTTLES.load(Ordering::Relaxed))
@@ -171,37 +154,114 @@ pub fn process_liveness_counters() -> (u64, u64) {
 /// Sentinel for "no full audit has run yet".
 const AUDIT_NEVER: u64 = u64::MAX;
 
+/// A health number as every renderer takes it: `None` is JSON's `null`
+/// and no OpenMetrics sample.
+trait Reading {
+    fn reading(self) -> Option<u64>;
+}
+
+macro_rules! scalar_readings {
+    ($($t:ty)*) => {$(
+        impl Reading for $t {
+            fn reading(self) -> Option<u64> {
+                Some(self as u64)
+            }
+        }
+    )*};
+}
+scalar_readings!(u64 u32 usize);
+
+impl<T: Reading> Reading for Option<T> {
+    fn reading(self) -> Option<u64> {
+        self.and_then(T::reading)
+    }
+}
+
+macro_rules! health_snapshot {
+    ($($field:ident $([$site:ident $site_label:literal])? $(($ty:ty))? $($variant:ident)?
+        $({$read:expr})? $family:literal $label:literal $help:literal;)*) => {
+        /// The instrumented CAS retry sites, in the order their storm counters
+        /// appear in [`HealthSnapshot::storms`]: the table's storm rows.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum WatchSite { $($(#[doc = $help] $site,)?)* }
+
+        /// Number of [`WatchSite`]s (length of [`HealthSnapshot::storms`]).
+        pub const NUM_WATCH_SITES: usize = SITE_LABELS.len();
+
+        const SITE_LABELS: &[&str] = &[$($($site_label,)?)*];
+
+        /// A counter row of [`health_numbers!`](crate::schema::health_numbers):
+        /// the index of its word in [`HealthState`]. The storm rows come first,
+        /// in [`WatchSite`] order.
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum HealthCount { $($($site,)? $($variant,)?)* }
+
+        // A storm's word is its site's: `storm` indexes by the site.
+        $($(const _: () = assert!(HealthCount::$site as usize == WatchSite::$site as usize);)?)*
+
+        const NUM_COUNTERS: usize = [$($(stringify!($site),)? $(stringify!($variant),)?)*].len();
+
+        /// Aggregated health verdict of one allocator instance — liveness,
+        /// maintenance progress, descriptor bookkeeping, audit outcome, and OS
+        /// footprint in one racy-but-coherent-enough snapshot.
+        #[derive(Clone, Debug)]
+        pub struct HealthSnapshot {
+            /// Active watchdog policy.
+            pub policy: LivenessPolicy,
+            /// Storms detected per site, indexed by [`WatchSite`].
+            pub storms: [u64; NUM_WATCH_SITES],
+            /// Descriptors on each size class's partial list (a walk of
+            /// each list: a hint under concurrency).
+            pub partial_listed: [usize; NUM_CLASSES],
+            $($(#[doc = $help] pub $field: $ty,)?)*
+        }
+
+        /// The health numbers, in [`HealthSnapshot`]'s JSON order: what every
+        /// renderer (and `lfstat`) loops over. The counter rows are the ones
+        /// of kind `counter`, in `HealthState`'s word order.
+        pub const HEALTH_ROWS: &[CounterInfo<HealthSnapshot, Option<u64>>] = &[$(CounterInfo {
+            name: concat!(stringify!($field) $(, ".", $site_label)?),
+            key: concat!("health.", stringify!($field) $(, ".", $site_label)?),
+            kind: if stringify!($($site)? $($variant)?).is_empty() { "gauge" } else { "counter" },
+            family: $family,
+            label: $label,
+            help: $help,
+            get: |h| h.$field $([WatchSite::$site as usize])?.reading(),
+        }),*];
+
+        impl<S: PageSource> LfMalloc<S> {
+            /// Aggregated liveness + maintenance health of this instance. Safe to
+            /// call concurrently with allocation; the snapshot is racy in the
+            /// usual monotonic-counter sense.
+            pub fn health(&self) -> HealthSnapshot {
+                let inner = self.inner();
+                let slots = inner.desc_pool.slot_count();
+                HealthSnapshot {
+                    policy: inner.config.liveness.policy,
+                    storms: [$($(inner.health.get(HealthCount::$site),)?)*],
+                    partial_listed: core::array::from_fn(|ci| inner.classes[ci].partial.len_hint(slots)),
+                    $($($field: inner.health.get(HealthCount::$variant),)?)*
+                    // A gauge's reader, given the instance.
+                    $($($field: (($read) as fn(&Inner<S>) -> _)(inner),)?)*
+                }
+            }
+        }
+    };
+}
+crate::schema::health_numbers!(health_snapshot);
+
 /// Always-compiled health counters, one set per allocator instance.
 /// Unlike the `stats`-gated telemetry, these exist in every build: the
 /// watchdog is part of the robustness story, not the profiling story.
-/// (The four `pub(crate)` ones are what the crash reporter prints:
-/// relaxed loads, safe from a signal handler.)
 #[derive(Debug)]
 pub(crate) struct HealthState {
-    /// Storms detected per [`WatchSite`].
-    pub(crate) storms: [AtomicU64; NUM_WATCH_SITES],
-    /// Throttle activations (escalated-backoff injections).
-    pub(crate) throttles: AtomicU64,
-    /// Completed [`maintain`](crate::LfMalloc::maintain) passes
-    /// (including reaper-driven ones).
-    pub(crate) maintain_passes: AtomicU64,
-    /// Maintenance passes driven by the background reaper specifically.
-    reaper_passes: AtomicU64,
-    /// Quarantined blocks released by maintenance.
-    quarantine_flushed: AtomicU64,
-    /// EMPTY descriptors pruned off heap slots / partial lists by
-    /// maintenance.
-    empty_pruned: AtomicU64,
-    /// Descriptors checked by bounded audit slices.
-    audit_slice_checked: AtomicU64,
-    /// Invariant violations flagged by audit slices (advisory — see
-    /// [`crate::maintain`] on why slices can be racy).
-    audit_slice_flagged: AtomicU64,
+    /// One word per counter row of the table, indexed by [`HealthCount`]:
+    /// relaxed loads, so the crash reporter may read them too.
+    pub(crate) counts: [AtomicU64; NUM_COUNTERS],
     /// Violation count of the last *full* `audit()` ([`AUDIT_NEVER`] =
     /// never ran).
-    last_audit_violations: AtomicU64,
-    /// Child-side fork recoveries performed (see [`crate::fork`]).
-    pub(crate) fork_recoveries: AtomicU64,
+    last_audit: AtomicU64,
     /// Audit-slice cursor into the descriptor universe.
     audit_cursor: AtomicUsize,
     /// Last trim target handed to maintenance ([`usize::MAX`] = none).
@@ -210,44 +270,39 @@ pub(crate) struct HealthState {
 
 impl HealthState {
     pub(crate) fn new() -> Self {
-        const ZERO: AtomicU64 = AtomicU64::new(0);
         HealthState {
-            storms: [ZERO; NUM_WATCH_SITES],
-            throttles: AtomicU64::new(0),
-            maintain_passes: AtomicU64::new(0),
-            reaper_passes: AtomicU64::new(0),
-            quarantine_flushed: AtomicU64::new(0),
-            empty_pruned: AtomicU64::new(0),
-            audit_slice_checked: AtomicU64::new(0),
-            audit_slice_flagged: AtomicU64::new(0),
-            last_audit_violations: AtomicU64::new(AUDIT_NEVER),
-            fork_recoveries: AtomicU64::new(0),
+            counts: [const { AtomicU64::new(0) }; NUM_COUNTERS],
+            last_audit: AtomicU64::new(AUDIT_NEVER),
             audit_cursor: AtomicUsize::new(0),
             watermark: AtomicUsize::new(usize::MAX),
         }
     }
 
-    pub(crate) fn note_maintain(
-        &self,
-        from_reaper: bool,
-        flushed: u64,
-        pruned: u64,
-        slice_checked: u64,
-        slice_flagged: u64,
-    ) {
-        self.maintain_passes.fetch_add(1, Ordering::Relaxed);
-        if from_reaper {
-            self.reaper_passes.fetch_add(1, Ordering::Relaxed);
-        }
-        self.quarantine_flushed.fetch_add(flushed, Ordering::Relaxed);
-        self.empty_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.audit_slice_checked.fetch_add(slice_checked, Ordering::Relaxed);
-        self.audit_slice_flagged.fetch_add(slice_flagged, Ordering::Relaxed);
+    fn add(&self, c: HealthCount, n: u64) {
+        self.counts[c as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn get(&self, c: HealthCount) -> u64 {
+        self.counts[c as usize].load(Ordering::Relaxed)
+    }
+
+    /// Counts one completed maintenance pass and what it did.
+    pub(crate) fn note_maintain(&self, from_reaper: bool, pass: &MaintenanceReport) {
+        self.add(HealthCount::MaintainPasses, 1);
+        self.add(HealthCount::ReaperPasses, u64::from(from_reaper));
+        self.add(HealthCount::QuarantineFlushed, pass.quarantine_released);
+        self.add(HealthCount::EmptyPruned, pass.empty_pruned);
+        self.add(HealthCount::AuditSliceChecked, pass.audit_checked);
+        self.add(HealthCount::AuditSliceFlagged, pass.audit_flagged);
     }
 
     /// Records the outcome of a full `audit()`.
     pub(crate) fn note_full_audit(&self, violations: u64) {
-        self.last_audit_violations.store(violations, Ordering::Relaxed);
+        self.last_audit.store(violations, Ordering::Relaxed);
+    }
+
+    fn last_audit(&self) -> Option<u64> {
+        Some(self.last_audit.load(Ordering::Relaxed)).filter(|&v| v != AUDIT_NEVER)
     }
 
     /// Records a maintenance trim target (the OS-byte watermark).
@@ -255,9 +310,13 @@ impl HealthState {
         self.watermark.store(target, Ordering::Relaxed);
     }
 
+    fn watermark(&self) -> Option<usize> {
+        Some(self.watermark.load(Ordering::Relaxed)).filter(|&w| w != usize::MAX)
+    }
+
     /// Counts one completed child-side fork recovery.
     pub(crate) fn note_fork_recovery(&self) {
-        self.fork_recoveries.fetch_add(1, Ordering::Relaxed);
+        self.add(HealthCount::ForkRecoveries, 1);
     }
 
     /// Advances the audit-slice cursor by `n` modulo `universe`,
@@ -268,6 +327,16 @@ impl HealthState {
         self.audit_cursor.store(next, Ordering::Relaxed);
         prev
     }
+}
+
+/// EMPTY descriptors parked in a heap's Partial slot or on a partial list.
+pub(crate) fn parked_empty<S: PageSource>(inner: &Inner<S>) -> usize {
+    let in_slots = (0..NUM_CLASSES * inner.nheaps)
+        .map(|i| unsafe { &*inner.heaps.add(i) }.load_partial())
+        .filter(|d| !d.is_null() && unsafe { (**d).load_anchor() }.state() == SbState::Empty)
+        .count();
+    let slots = inner.desc_pool.slot_count();
+    in_slots + inner.classes.iter().map(|c| c.partial.empty_hint(slots)).sum::<usize>()
 }
 
 /// Watchdog check, called from the instrumented retry loops with the
@@ -301,7 +370,7 @@ fn storm<S: PageSource>(
 ) {
     // Exactly one storm per operation: counted at the first crossing.
     if tries == ceiling {
-        inner.health.storms[site as usize].fetch_add(1, Ordering::Relaxed);
+        inner.health.counts[site as usize].fetch_add(1, Ordering::Relaxed);
         PROCESS_STORMS.fetch_add(1, Ordering::Relaxed);
         let kind = crate::observe::EventKind::LivenessStorm;
         crate::observe::event(inner, kind, heap.class(), site as u64);
@@ -311,7 +380,7 @@ fn storm<S: PageSource>(
             // Re-escalate at every further multiple of the ceiling: a
             // saturated spin to the backoff cap plus scheduler yields.
             if tries % ceiling == 0 {
-                inner.health.throttles.fetch_add(1, Ordering::Relaxed);
+                inner.health.add(HealthCount::Throttles, 1);
                 PROCESS_THROTTLES.fetch_add(1, Ordering::Relaxed);
                 let mut backoff = lockfree_structs::Backoff::new();
                 for _ in 0..8 {
@@ -332,77 +401,6 @@ fn storm<S: PageSource>(
         }
         LivenessPolicy::Report | LivenessPolicy::Ignore => {}
     }
-}
-
-/// Aggregated health verdict of one allocator instance — liveness,
-/// maintenance progress, descriptor bookkeeping, audit outcome, and OS
-/// footprint in one racy-but-coherent-enough snapshot.
-#[derive(Clone, Debug)]
-pub struct HealthSnapshot {
-    /// Active watchdog policy.
-    pub policy: LivenessPolicy,
-    /// Active retry ceiling.
-    pub retry_ceiling: u32,
-    /// Storms detected per site, indexed by [`WatchSite`].
-    pub storms: [u64; NUM_WATCH_SITES],
-    /// Throttle activations (escalated-backoff injections).
-    pub throttle_activations: u64,
-    /// Completed maintenance passes (explicit + reaper).
-    pub maintain_passes: u64,
-    /// Maintenance passes driven by the background reaper.
-    pub reaper_passes: u64,
-    /// Quarantined blocks released by maintenance.
-    pub quarantine_flushed: u64,
-    /// EMPTY descriptors pruned by maintenance.
-    pub empty_pruned: u64,
-    /// Descriptors checked by bounded audit slices.
-    pub audit_slice_checked: u64,
-    /// Advisory flags raised by audit slices (racy; see module docs).
-    pub audit_slice_flagged: u64,
-    /// Violations reported by the last full `audit()`; `None` if no full
-    /// audit has run.
-    pub last_audit_violations: Option<u64>,
-    /// Free descriptors on `DescAvail`, in the emergency reserve and on
-    /// the warm stack (each of those still holding its EMPTY
-    /// superblock), and descriptors on each size class's partial list:
-    /// one walk of each stack at snapshot time, so hints under
-    /// concurrency. Free + listed + in use = `descriptor_slots`, the
-    /// slots carved so far.
-    pub desc_avail: usize,
-    pub desc_reserve: usize,
-    pub desc_warm: usize,
-    pub partial_listed: [usize; NUM_CLASSES],
-    pub descriptor_slots: usize,
-    /// EMPTY descriptors parked where their superblock went EMPTY — a
-    /// heap's Partial slot or a partial list — each holding its 16 KiB
-    /// until the class's next malloc reopens it or `maintain` moves it
-    /// to the warm stack (DESIGN.md §18).
-    pub parked_empty: usize,
-    /// Blocks currently sitting in the hardened-mode quarantine.
-    pub quarantine_depth: usize,
-    /// Thread-magazine slots currently owned, by live threads or by
-    /// exited ones whose slot nobody has adopted or drained yet. It
-    /// follows the number of threads alive at once, not the number that
-    /// ever ran.
-    pub magazine_slots: usize,
-    /// Leaves of the frame map: an anonymous 1 MiB mapping (outside
-    /// `os_live_bytes`, resident a page at a time) per 2 GiB a
-    /// superblock was ever opened in, kept until drop (DESIGN.md §19).
-    pub map_leaves: usize,
-    /// Freed large spans parked in the span cache for the next large
-    /// malloc, and the OS bytes they hold (at most 8 spans and 4 MiB).
-    pub large_cached_spans: usize,
-    pub large_cached_bytes: usize,
-    /// Bytes currently mapped from the OS.
-    pub os_live_bytes: usize,
-    /// Last maintenance trim target, if any trim has been requested.
-    pub os_watermark: Option<usize>,
-    /// Process-fork generation this instance has recovered to (equals
-    /// [`malloc_api::procfork::generation`] unless a fork happened and
-    /// no allocator call has run in the child yet).
-    pub fork_generation: u64,
-    /// Child-side fork recoveries this instance has performed.
-    pub fork_recoveries: u64,
 }
 
 impl HealthSnapshot {
@@ -440,113 +438,21 @@ impl HealthSnapshot {
     }
 
     /// Single-line JSON fragment (object), embedded by
-    /// `StatsSnapshot::to_json` and usable standalone.
+    /// `StatsSnapshot::to_json` and usable standalone: the verdict and the
+    /// policy, every row of [`HEALTH_ROWS`], and the derived and per-class
+    /// readings.
     pub fn to_json(&self) -> String {
-        let mut storms = String::new();
-        for (i, n) in self.storms.iter().enumerate() {
-            if i > 0 {
-                storms.push(',');
-            }
-            storms.push_str(&format!("\"{}\":{}", SITES[i].0, n));
-        }
-        format!(
-            "{{\"degraded\":{},\"policy\":\"{}\",\"retry_ceiling\":{},\
-             \"storms\":{{{}}},\"throttle_activations\":{},\
-             \"maintain_passes\":{},\"reaper_passes\":{},\
-             \"quarantine_flushed\":{},\"empty_pruned\":{},\
-             \"audit_slice_checked\":{},\"audit_slice_flagged\":{},\
-             \"last_audit_violations\":{},\"desc_avail\":{},\
-             \"desc_reserve\":{},\"desc_warm\":{},\"parked_empty\":{},\
-             \"retained_empty_bytes\":{},\"partial_listed\":{:?},\"descriptor_slots\":{},\
-             \"quarantine_depth\":{},\"magazine_slots\":{},\"map_leaves\":{},\
-             \"large_cached_spans\":{},\"large_cached_bytes\":{},\
-             \"os_live_bytes\":{},\"os_watermark\":{},\
-             \"fork_generation\":{},\"fork_recoveries\":{}}}",
+        let mut out = format!(
+            "{{\"degraded\":{},\"policy\":\"{}\",",
             self.is_degraded(),
-            self.policy.label(),
-            self.retry_ceiling,
-            storms,
-            self.throttle_activations,
-            self.maintain_passes,
-            self.reaper_passes,
-            self.quarantine_flushed,
-            self.empty_pruned,
-            self.audit_slice_checked,
-            self.audit_slice_flagged,
-            match self.last_audit_violations {
-                Some(v) => v.to_string(),
-                None => "null".into(),
-            },
-            self.desc_avail,
-            self.desc_reserve,
-            self.desc_warm,
-            self.parked_empty,
+            self.policy.label()
+        );
+        json_members(&mut out, HEALTH_ROWS.iter().map(|r| (r.name, (r.get)(self))));
+        out + &format!(
+            ",\"retained_empty_bytes\":{},\"partial_listed\":{:?}}}",
             self.retained_empty_bytes(),
-            self.partial_listed,
-            self.descriptor_slots,
-            self.quarantine_depth,
-            self.magazine_slots,
-            self.map_leaves,
-            self.large_cached_spans,
-            self.large_cached_bytes,
-            self.os_live_bytes,
-            match self.os_watermark {
-                Some(w) => w.to_string(),
-                None => "null".into(),
-            },
-            self.fork_generation,
-            self.fork_recoveries,
+            self.partial_listed
         )
-    }
-}
-
-impl<S: PageSource> LfMalloc<S> {
-    /// Aggregated liveness + maintenance health of this instance. Safe to
-    /// call concurrently with allocation; the snapshot is racy in the
-    /// usual monotonic-counter sense.
-    pub fn health(&self) -> HealthSnapshot {
-        let inner = self.inner();
-        let h = &inner.health;
-        let (desc_avail, desc_reserve, desc_warm) = inner.desc_pool.free_counts();
-        let descriptor_slots = inner.desc_pool.slot_count();
-        let parked_slots = (0..NUM_CLASSES * inner.nheaps)
-            .map(|i| unsafe { &*inner.heaps.add(i) }.load_partial())
-            .filter(|d| !d.is_null() && unsafe { (**d).load_anchor() }.state() == SbState::Empty)
-            .count();
-        let parked_listed: usize =
-            inner.classes.iter().map(|c| c.partial.empty_hint(descriptor_slots)).sum();
-        let watermark = h.watermark.load(Ordering::Relaxed);
-        let last_audit = h.last_audit_violations.load(Ordering::Relaxed);
-        HealthSnapshot {
-            policy: inner.config.liveness.policy,
-            retry_ceiling: inner.config.liveness.retry_ceiling,
-            storms: core::array::from_fn(|i| h.storms[i].load(Ordering::Relaxed)),
-            throttle_activations: h.throttles.load(Ordering::Relaxed),
-            maintain_passes: h.maintain_passes.load(Ordering::Relaxed),
-            reaper_passes: h.reaper_passes.load(Ordering::Relaxed),
-            quarantine_flushed: h.quarantine_flushed.load(Ordering::Relaxed),
-            empty_pruned: h.empty_pruned.load(Ordering::Relaxed),
-            audit_slice_checked: h.audit_slice_checked.load(Ordering::Relaxed),
-            audit_slice_flagged: h.audit_slice_flagged.load(Ordering::Relaxed),
-            last_audit_violations: if last_audit == AUDIT_NEVER { None } else { Some(last_audit) },
-            desc_avail,
-            desc_reserve,
-            desc_warm,
-            partial_listed: core::array::from_fn(|ci| {
-                inner.classes[ci].partial.len_hint(descriptor_slots)
-            }),
-            descriptor_slots,
-            parked_empty: parked_slots + parked_listed,
-            quarantine_depth: inner.quarantine_depth(),
-            magazine_slots: crate::magazine::owned_slots(inner),
-            map_leaves: inner.frames.leaf_count(),
-            large_cached_spans: crate::large::cached_spans(inner),
-            large_cached_bytes: crate::large::cached_bytes(inner),
-            os_live_bytes: inner.source.stats().live_bytes,
-            os_watermark: if watermark == usize::MAX { None } else { Some(watermark) },
-            fork_generation: inner.fork.recovered_generation(),
-            fork_recoveries: h.fork_recoveries.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -569,7 +475,7 @@ mod tests {
     #[test]
     fn every_forcing_failpoint_is_a_site() {
         let core = [include_str!("alloc.rs"), include_str!("free_impl.rs")];
-        let forced: Vec<&str> = SITES.iter().filter_map(|s| s.1).collect();
+        let forced: Vec<&str> = FORCED_BY.iter().flatten().copied().collect();
         assert_eq!(forced, ["active.reserve", "active.pop", "partial.get", "free.link"]);
         for fp in forced {
             let site = format!("fail_point!(\"{fp}\")");

@@ -7,9 +7,10 @@
 //! says is made here, once. The heap dump is the record. The exit leak
 //! report *is* a dump, framed by two header lines. The crash report is
 //! prose for a reader at a terminal, but its flight-recorder tail comes
-//! from the same `newest_first` selection and its health and misuse
-//! lines loop over the same rows (`health_rows`, `misuse_rows`) as
-//! the dump's `health` and `misuse` objects.
+//! from the same `newest_first` selection, its health and misuse lines
+//! loop over the same rows (`health_counters`, `misuse_rows`) as
+//! the dump's `health` and `misuse` objects, and its OS line over the
+//! same terms (`ByteReconciliation::terms`) as the dump's `os` object.
 //!
 //! # Dump format
 //!
@@ -18,11 +19,14 @@
 //! section (and one per class, span, tail entry and profile site).
 //! Consumers must reject unknown formats and major versions; producers
 //! may only *add* fields within a version — removals or semantic changes
-//! bump the version. Version 1 carries:
+//! bump the version. Version 2 carries:
 //!
-//! * `os` — the byte reconciliation (superblock / slab / large bytes vs
-//!   the page source's live total);
-//! * `health`, `misuse` — the always-on counter families;
+//! * `os` — the byte reconciliation (superblock / slab / large / cached
+//!   large bytes vs the page source's live total), keyed as the stats
+//!   record's `reconcile` object;
+//! * `health` — every counter row of the health table, keyed as the
+//!   stats record's `health` object (`storms` an object by site);
+//!   `misuse` — the misuse counters;
 //! * `descriptors` — a census of the descriptor universe by superblock
 //!   state (`Active`/`Full`/`Partial`/`Empty`, plus `unbound` for
 //!   descriptors not currently backing a superblock, and `warm`: how
@@ -49,6 +53,10 @@
 //! exit, where allocating is allowed, so it writes the quiescent dump.
 //! All three emit the same format/version.
 //!
+//! Version 1 differed in `health` alone: four members, `storms` (the
+//! total over the sites), `throttles`, `maintain_passes` and
+//! `fork_recoveries`. The analyzer reads both versions.
+//!
 //! Occupancy numbers are racy snapshots when the heap is not quiescent:
 //! each descriptor's anchor is read once, and `Active` superblocks hold
 //! reserved credits that count as used. The analyzer treats them as
@@ -69,13 +77,14 @@ use crate::forensics::{
     CLASS_UNKNOWN,
 };
 use crate::harden::{Hardening, MisuseCounters, MisuseKind};
-use crate::health::HealthState;
+use crate::health::{HealthState, HEALTH_ROWS};
 use crate::instance::{Inner, LfMalloc};
+use crate::schema::{json_members, Sink};
 use crate::size_classes::NUM_CLASSES;
 
 /// Current dump format version. See the module docs for the
 /// compatibility contract.
-pub const DUMP_VERSION: u64 = 1;
+pub const DUMP_VERSION: u64 = 2;
 
 /// Flight-recorder entries included in a dump.
 const DUMP_TAIL: usize = 64;
@@ -83,42 +92,34 @@ const DUMP_TAIL: usize = 64;
 /// Entries printed in a crash report's flight-recorder section.
 const REPORT_TAIL: usize = 32;
 
-/// One counter of a post-mortem: its key and its value.
-type Row = (&'static str, u64);
+impl Sink for SigBuf {
+    fn push_str(&mut self, s: &str) {
+        SigBuf::push_str(self, s);
+    }
 
-/// The four crash-time health counters: a relaxed load per storm site
-/// plus three counters, so the crash handler may read them too.
-fn health_rows(h: &HealthState) -> [Row; 4] {
-    [
-        ("storms", h.storms.iter().map(|s| s.load(Ordering::Relaxed)).sum()),
-        ("throttles", h.throttles.load(Ordering::Relaxed)),
-        ("maintain_passes", h.maintain_passes.load(Ordering::Relaxed)),
-        ("fork_recoveries", h.fork_recoveries.load(Ordering::Relaxed)),
-    ]
+    fn push_dec(&mut self, v: u64) {
+        SigBuf::push_dec(self, v);
+    }
+}
+
+/// The health table's counter rows and their words: relaxed loads and no
+/// walk, so the crash handler may print them.
+fn health_counters(h: &HealthState) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    let rows = HEALTH_ROWS.iter().filter(|r| r.kind == "counter");
+    rows.zip(&h.counts).map(|(r, c)| (r.name, c.load(Ordering::Relaxed)))
 }
 
 /// The misuse counters, one row per [`MisuseKind`].
-fn misuse_rows(m: &MisuseCounters) -> [Row; MisuseKind::ALL.len()] {
+fn misuse_rows(m: &MisuseCounters) -> [(&'static str, u64); MisuseKind::ALL.len()] {
     MisuseKind::ALL.map(|k| (k.key(), m.count(k)))
 }
 
 /// Appends `rows` as the crash report spells them: ` key=value` each.
-fn push_pairs(b: &mut SigBuf, rows: &[Row]) {
-    for &(key, value) in rows {
+fn push_pairs<'a>(b: &mut SigBuf, rows: impl IntoIterator<Item = (&'a str, u64)>) {
+    for (key, value) in rows {
         b.push_str(" ");
         b.push_str(key);
         b.push_str("=");
-        b.push_dec(value);
-    }
-}
-
-/// Appends `rows` as the dump spells them: `"key":value` JSON members,
-/// comma-separated.
-fn push_members(b: &mut SigBuf, rows: &[Row]) {
-    for (i, &(key, value)) in rows.iter().enumerate() {
-        b.push_str(if i == 0 { "\"" } else { ",\"" });
-        b.push_str(key);
-        b.push_str("\":");
         b.push_dec(value);
     }
 }
@@ -200,16 +201,7 @@ pub(crate) fn render_dump<S: PageSource>(
     let rec = inner.reconcile_bytes();
     b.clear();
     b.push_str("\"os\":{");
-    push_members(
-        &mut b,
-        &[
-            ("superblock_bytes", rec.superblock_bytes as u64),
-            ("descriptor_slab_bytes", rec.descriptor_slab_bytes as u64),
-            ("large_bytes", rec.large_bytes as u64),
-            ("large_cached_bytes", rec.large_cached_bytes as u64),
-            ("source_live_bytes", rec.source_live_bytes as u64),
-        ],
-    );
+    json_members(&mut b, rec.terms().map(|(key, _, v)| (key, v)));
     b.push_str(",\"reconciles\":");
     b.push_str(if rec.reconciles() { "true" } else { "false" });
     b.push_str("},");
@@ -217,22 +209,22 @@ pub(crate) fn render_dump<S: PageSource>(
 
     b.clear();
     b.push_str("\"health\":{");
-    push_members(&mut b, &health_rows(&inner.health));
+    json_members(&mut b, health_counters(&inner.health));
     b.push_str("},");
     wline(w, &b)?;
 
     b.clear();
     b.push_str("\"misuse\":{");
-    push_members(&mut b, &misuse_rows(&inner.misuse));
+    json_members(&mut b, misuse_rows(&inner.misuse));
     b.push_str("},");
     wline(w, &b)?;
 
     let walk = walk_descriptors(inner);
     b.clear();
     b.push_str("\"descriptors\":{");
-    push_members(
+    json_members(
         &mut b,
-        &[
+        [
             ("total", walk.total),
             ("active", walk.by_state[SbState::Active as usize]),
             ("full", walk.by_state[SbState::Full as usize]),
@@ -257,9 +249,9 @@ pub(crate) fn render_dump<S: PageSource>(
         }
         first = false;
         b.push_str("{");
-        push_members(
+        json_members(
             &mut b,
-            &[
+            [
                 ("class", ci as u64),
                 ("size", inner.classes[ci].sz as u64),
                 ("superblocks", c[0]),
@@ -274,9 +266,9 @@ pub(crate) fn render_dump<S: PageSource>(
 
     b.clear();
     b.push_str("\"large\":{");
-    push_members(
+    json_members(
         &mut b,
-        &[
+        [
             ("live", inner.large_live().0 as u64),
             ("bytes", rec.large_bytes as u64),
             ("cached_spans", crate::large::cached_spans(inner) as u64),
@@ -297,7 +289,7 @@ pub(crate) fn render_dump<S: PageSource>(
         }
         first = false;
         lb.push_str("{");
-        push_members(&mut lb, &[("base", base as u64), ("bytes", bytes as u64)]);
+        json_members(&mut lb, [("base", base as u64), ("bytes", bytes as u64)]);
         lb.push_str("}");
         if let Err(e) = wline(w, &lb) {
             err = Some(e);
@@ -364,9 +356,9 @@ pub(crate) fn render_dump<S: PageSource>(
             b.push_str("{\"file\":\"");
             b.push_str(&malloc_api::json::escape(site.site.file));
             b.push_str("\",");
-            push_members(
+            json_members(
                 &mut b,
-                &[
+                [
                     ("line", site.site.line as u64),
                     ("live_bytes", site.live_bytes),
                     ("live_samples", site.live_samples),
@@ -486,25 +478,16 @@ pub(crate) fn crash_report<S: PageSource>(
     w.line(&b);
     b.clear();
     b.push_str(" ");
-    push_pairs(&mut b, &health_rows(&inner.health));
+    push_pairs(&mut b, health_counters(&inner.health));
     w.line(&b);
 
     // -- OS-byte reconciliation. ---------------------------------------
     let rec = inner.reconcile_bytes();
     b.clear();
-    b.push_str("  os live bytes: ");
-    b.push_dec(rec.source_live_bytes as u64);
-    b.push_str(" (superblocks ");
-    b.push_dec(rec.superblock_bytes as u64);
-    b.push_str(" + slabs ");
-    b.push_dec(rec.descriptor_slab_bytes as u64);
-    b.push_str(" + large ");
-    b.push_dec(rec.large_bytes as u64);
-    b.push_str(" + cached large ");
-    b.push_dec(rec.large_cached_bytes as u64);
+    b.push_str("  os: ");
+    rec.write_sum(&mut b);
     b.push_str(", reconciles=");
     b.push_str(if rec.reconciles() { "yes" } else { "no" });
-    b.push_str(")");
     w.line(&b);
 
     // -- Misuse counters. ----------------------------------------------
@@ -513,7 +496,7 @@ pub(crate) fn crash_report<S: PageSource>(
     w.line(&b);
     b.clear();
     b.push_str(" ");
-    push_pairs(&mut b, &misuse_rows(&inner.misuse));
+    push_pairs(&mut b, misuse_rows(&inner.misuse));
     w.line(&b);
 
     b.clear();
@@ -725,24 +708,20 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
     let small_used_bytes = classes.iter().map(|c| c.blocks_used * c.size).sum();
     let small_capacity_bytes = classes.iter().map(|c| c.blocks_capacity * c.size).sum();
 
-    let d = v.get("descriptors");
     let descriptors = DescriptorCensus {
-        total: d.map_or(0, |d| d.u64("total")),
-        active: d.map_or(0, |d| d.u64("active")),
-        full: d.map_or(0, |d| d.u64("full")),
-        partial: d.map_or(0, |d| d.u64("partial")),
-        empty: d.map_or(0, |d| d.u64("empty")),
-        unbound: d.map_or(0, |d| d.u64("unbound")),
-        warm: d.map_or(0, |d| d.u64("warm")),
+        total: v.u64("descriptors.total"),
+        active: v.u64("descriptors.active"),
+        full: v.u64("descriptors.full"),
+        partial: v.u64("descriptors.partial"),
+        empty: v.u64("descriptors.empty"),
+        unbound: v.u64("descriptors.unbound"),
+        warm: v.u64("descriptors.warm"),
     };
 
-    let misuse_total = v
-        .get("misuse")
-        .map(|m| match m {
-            Json::Obj(pairs) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
-            _ => 0,
-        })
-        .unwrap_or(0);
+    let misuse_total = match v.get("misuse") {
+        Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
+        _ => 0,
+    };
 
     Ok(AnalyzeReport {
         version: v.u64("version"),
@@ -750,25 +729,17 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
         leak_candidates: leaks,
         classes,
         descriptors,
-        large_spans: v.get("large").map_or(0, |l| l.u64("live")),
-        large_bytes: v.get("large").map_or(0, |l| l.u64("bytes")),
-        large_cached_spans: v.get("large").map_or(0, |l| l.u64("cached_spans")),
-        large_cached_bytes: v.get("large").map_or(0, |l| l.u64("cached_bytes")),
+        large_spans: v.u64("large.live"),
+        large_bytes: v.u64("large.bytes"),
+        large_cached_spans: v.u64("large.cached_spans"),
+        large_cached_bytes: v.u64("large.cached_bytes"),
         quarantine_depth: v.u64("quarantine_depth"),
-        os_live_bytes: v.get("os").map_or(0, |o| o.u64("source_live_bytes")),
-        reconciles: v
-            .get("os")
-            .and_then(|o| o.get("reconciles"))
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
+        os_live_bytes: v.u64("os.source_live_bytes"),
+        reconciles: v.get("os.reconciles").and_then(Json::as_bool).unwrap_or(false),
         small_used_bytes,
         small_capacity_bytes,
-        flight_len: v
-            .get("flight")
-            .and_then(|f| f.get("tail"))
-            .and_then(Json::as_arr)
-            .map_or(0, |t| t.len() as u64),
-        flight_dropped: v.get("flight").map_or(0, |f| f.u64("dropped")),
+        flight_len: v.arr("flight.tail").len() as u64,
+        flight_dropped: v.u64("flight.dropped"),
         misuse_total,
     })
 }
@@ -993,6 +964,39 @@ mod tests {
             {"file": "leaky.rs", "line": 42, "live_bytes": 999999, "live_samples": 7}
         ]}
     }"#;
+
+    /// Every counter row of the health table is in both post-mortems, with
+    /// the value `health()` reads: the dump's `health` object (by key path)
+    /// and the crash report's health line (` name=value`).
+    #[test]
+    fn every_health_counter_is_in_every_post_mortem() {
+        use crate::health::HEALTH_ROWS;
+        use malloc_api::RawMalloc;
+        use std::os::fd::AsRawFd;
+        let a = crate::LfMalloc::with_config(crate::Config::with_heaps(2));
+        unsafe { a.free(a.malloc(64)) };
+        a.maintain(crate::MaintenanceBudget::light());
+        let mut dump = Vec::new();
+        a.dump_heap_to(&mut dump).unwrap();
+        let dump = malloc_api::json::parse(std::str::from_utf8(&dump).unwrap()).unwrap();
+        let path = std::env::temp_dir().join(format!("lfmalloc-health-{}.txt", std::process::id()));
+        let file = std::fs::File::create(&path).unwrap();
+        let inner = a.inner();
+        inner.obs.forensics.report_fd.store(file.as_raw_fd(), Ordering::Relaxed);
+        crash_report(inner, 0, 0, Some("test"));
+        inner.obs.forensics.report_fd.store(-1, Ordering::Relaxed);
+        let report = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let line = report.lines().skip_while(|l| *l != "-- health --").nth(1).unwrap();
+        let (h, counters) = (a.health(), HEALTH_ROWS.iter().filter(|r| r.kind == "counter"));
+        for r in counters {
+            let v = (r.get)(&h);
+            assert_eq!(dump.get(r.key).and_then(Json::as_u64), v, "{}", r.key);
+            let pair = format!("{}={}", r.name, v.unwrap());
+            assert!(line.split(' ').any(|p| p == pair), "{pair} not in {line:?}");
+        }
+        assert_eq!((line.split('=').count(), dump.u64("health.maintain_passes")), (15, 1));
+    }
 
     #[test]
     fn analyze_parses_and_ranks_leaks() {

@@ -115,8 +115,9 @@ pub use global::GlobalLfMalloc;
 pub use harden::{process_misuse_counters, Hardening, MisuseCounters, MisuseKind, MisuseReport};
 pub use health::{
     process_liveness_counters, HealthSnapshot, LivenessConfig, LivenessPolicy, WatchSite,
-    DEFAULT_RETRY_CEILING, NUM_WATCH_SITES,
+    DEFAULT_RETRY_CEILING, HEALTH_ROWS, NUM_WATCH_SITES,
 };
+pub use schema::CounterInfo;
 pub use config::ProfileParams;
 #[cfg(feature = "forensics")]
 pub use forensics::{FdWriter, FlightOp, OpKind, PtrKind, PtrReport, SigBuf};

@@ -123,7 +123,7 @@ pub struct MaintenanceReport {
     /// a fork).
     pub magazines_drained: u64,
     /// Quarantined blocks released back into circulation.
-    pub quarantine_flushed: u64,
+    pub quarantine_released: u64,
     /// EMPTY descriptors pruned off heap slots and partial lists.
     pub empty_pruned: u64,
     /// Descriptors examined by the audit slice.
@@ -296,7 +296,7 @@ impl<S: PageSource> LfMalloc<S> {
             ..Default::default()
         };
         if budget.quarantine > 0 {
-            report.quarantine_flushed = flush_quarantine_budgeted(inner, budget.quarantine);
+            report.quarantine_released = flush_quarantine_budgeted(inner, budget.quarantine);
         }
         if budget.prune_partials > 0 {
             report.empty_pruned = prune_empty(inner, budget.prune_partials);
@@ -316,14 +316,8 @@ impl<S: PageSource> LfMalloc<S> {
             // the quiescence obligation on whoever built it.
             report.bytes_trimmed = unsafe { self.trim_to(target) };
         }
-        inner.health.note_maintain(
-            from_reaper,
-            report.quarantine_flushed,
-            report.empty_pruned,
-            report.audit_checked,
-            report.audit_flagged,
-        );
-        let acted = report.magazines_drained + report.quarantine_flushed + report.empty_pruned;
+        inner.health.note_maintain(from_reaper, &report);
+        let acted = report.magazines_drained + report.quarantine_released + report.empty_pruned;
         crate::observe::on_maintain(inner, t0, acted);
         report
     }

@@ -25,10 +25,10 @@
 //! instance that *is* the Rust global allocator is still re-entrant-safe
 //! only from other threads — the same contract as `stats()`.
 
+use crate::health::HEALTH_ROWS;
 use crate::instance::{Inner, LfMalloc};
-use crate::stats::{
-    CounterInfo, StatsSnapshot, CLASS_COUNTERS, INSTANCE_COUNTERS, LATENCY_PATHS, RETRY_HISTOGRAMS,
-};
+use crate::schema::CounterInfo;
+use crate::stats::{StatsSnapshot, CLASS_COUNTERS, INSTANCE_COUNTERS, LATENCY_PATHS, RETRY_HISTOGRAMS};
 use core::sync::atomic::{AtomicBool, Ordering};
 use malloc_api::telemetry::{LatencySnapshot, RETRY_BUCKETS, TIME_BUCKETS};
 use osmem::PageSource;
@@ -88,7 +88,7 @@ fn write_rows<T, V>(
 }
 
 /// The sample of a counter or gauge row.
-fn write_scalar<T>(out: &mut String, c: &CounterInfo<T>, v: u64) {
+fn write_scalar<T, V>(out: &mut String, c: &CounterInfo<T, V>, v: u64) {
     let suffix = if c.kind == "counter" { "_total" } else { "" };
     let labels = if c.label.is_empty() { String::new() } else { format!("{{{}}}", c.label) };
     let _ = writeln!(out, "{}{suffix}{labels} {v}", c.family);
@@ -149,45 +149,16 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     // The instance-wide counters, and the gauges among their rows.
     write_rows(&mut o, INSTANCE_COUNTERS, |o, c| write_scalar(o, c, (c.get)(&s)));
 
-    // Point-in-time values; the watchdog's degradation verdict among them.
+    // The health numbers, a row with no reading (`None`) writing no
+    // sample; then the verdict and the readings derived from the rows.
     let h = &s.health;
-    gauge(
-        &mut o,
-        "lfmalloc_degraded",
-        "1 when the liveness watchdog considers the instance degraded.",
-        u64::from(h.is_degraded()),
-    );
-    gauge(&mut o, "lfmalloc_os_live_bytes", "OS bytes currently mapped.", s.os.live_bytes as u64);
-    gauge(&mut o, "lfmalloc_os_peak_bytes", "", s.os.peak_bytes as u64);
-    gauge(
-        &mut o,
-        "lfmalloc_large_cached_spans",
-        "Freed large spans parked in the span cache.",
-        h.large_cached_spans as u64,
-    );
-    gauge(
-        &mut o,
-        "lfmalloc_large_cached_bytes",
-        "OS bytes those spans hold.",
-        h.large_cached_bytes as u64,
-    );
-    gauge(
-        &mut o,
-        "lfmalloc_retained_empty_bytes",
-        "Bytes of EMPTY superblocks kept on their descriptors, warm or parked.",
-        h.retained_empty_bytes() as u64,
-    );
-    write_family(
-        &mut o,
-        "lfmalloc_descriptors",
-        "gauge",
-        "Descriptor slots carved, by where they are: DescAvail, the emergency reserve, \
-         the warm stack (EMPTY superblock attached), a size-class partial list, or in use.",
-    );
+    write_rows(&mut o, HEALTH_ROWS, |o, c| {
+        if let Some(v) = (c.get)(h) {
+            write_scalar(o, c, v)
+        }
+    });
+    // The descriptor places are the table's last family; two more follow.
     let listed: usize = h.partial_listed.iter().sum();
-    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"avail\"}} {}", h.desc_avail);
-    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"reserve\"}} {}", h.desc_reserve);
-    let _ = writeln!(o, "lfmalloc_descriptors{{place=\"warm\"}} {}", h.desc_warm);
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"partial_list\"}} {listed}");
     let _ = writeln!(o, "lfmalloc_descriptors{{place=\"in_use\"}} {}", h.descriptors_in_use());
     write_family(
@@ -199,6 +170,19 @@ fn render<S: PageSource>(this: &LfMalloc<S>) -> String {
     for (ci, n) in h.partial_listed.iter().enumerate().filter(|(_, n)| **n > 0) {
         let _ = writeln!(o, "lfmalloc_partial_listed{{class=\"{ci}\"}} {n}");
     }
+    gauge(
+        &mut o,
+        "lfmalloc_degraded",
+        "1 when the liveness watchdog considers the instance degraded.",
+        u64::from(h.is_degraded()),
+    );
+    gauge(
+        &mut o,
+        "lfmalloc_retained_empty_bytes",
+        "Bytes of EMPTY superblocks kept on their descriptors, warm or parked.",
+        h.retained_empty_bytes() as u64,
+    );
+    gauge(&mut o, "lfmalloc_os_peak_bytes", "", s.os.peak_bytes as u64);
     #[cfg(feature = "forensics")]
     {
         write_family(

@@ -1,4 +1,4 @@
-//! What the core can report, as data: the three schema tables and the
+//! What the core can report, as data: the four schema tables and the
 //! small enums the observation seam ([`crate::observe`]) is called with.
 //! Compiled in every build and naming no cargo feature — a `Count` or an
 //! [`EventKind`] costs nothing until a `stats` build gives it somewhere
@@ -6,13 +6,92 @@
 //!
 //! The tables are the schema (DESIGN.md §9): [`class_counters!`] has one
 //! row per per-class counter, [`instance_counters!`] one per instance-wide
-//! number and [`latency_paths!`] one per latency histogram. [`Count`],
+//! number, [`latency_paths!`] one per latency histogram and
+//! [`health_numbers!`] one per number of the health snapshot. [`Count`],
 //! [`Global`] and [`Lat`] are generated from them here; `ClassStats`,
 //! `StatsSnapshot`'s rows, `LatencyStats` and the public tables
 //! `CLASS_COUNTERS`, `INSTANCE_COUNTERS` and `LATENCY_PATHS` are generated
-//! from them in `stats.rs`, and every renderer — JSON, the text dump,
-//! OpenMetrics, `lfstat` — loops over those tables. A new counter is one
-//! row here and its `observe` call.
+//! from them in `stats.rs`, and `HealthState`'s counters, `HealthSnapshot`
+//! and `HEALTH_ROWS` in `health.rs`. Every renderer — JSON, the text dump,
+//! OpenMetrics, the heap dump, the crash report, `lfstat` — loops over
+//! those tables. A new counter is one row here and its `observe` call.
+
+/// One row of a schema table — `CLASS_COUNTERS`, `INSTANCE_COUNTERS`,
+/// `LATENCY_PATHS` or [`HEALTH_ROWS`](crate::health::HEALTH_ROWS) — whose
+/// value a `T` holds.
+#[derive(Debug)]
+pub struct CounterInfo<T, V = u64> {
+    /// The field of `T`, and its key in `T`'s JSON object (a dotted key is
+    /// a member of a nested object).
+    pub name: &'static str,
+    /// Where a stats-JSON record holds it, as a `malloc_api::json` path
+    /// (for a class counter, its sum over the classes).
+    pub key: &'static str,
+    /// OpenMetrics type (`counter`, `gauge` or `histogram`), family (a
+    /// counter's samples end `_total`) and this row's label in it,
+    /// `key="value"` or empty.
+    pub kind: &'static str,
+    pub family: &'static str,
+    pub label: &'static str,
+    /// One line saying what is counted.
+    pub help: &'static str,
+    /// Reads the row out of a `T`.
+    pub get: fn(&T) -> V,
+}
+
+/// Where a renderer writes: a `String` for the snapshots, the crash
+/// path's fixed buffer for the post-mortems, which may not allocate.
+pub(crate) trait Sink {
+    fn push_str(&mut self, s: &str);
+    fn push_dec(&mut self, v: u64);
+}
+
+impl Sink for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+
+    fn push_dec(&mut self, v: u64) {
+        use core::fmt::Write as _;
+        let _ = write!(self, "{v}");
+    }
+}
+
+/// Writes `rows` as the members of a JSON object, without its braces:
+/// `"key":value`, `null` for `None`, and a run of keys that share a
+/// dotted prefix as one nested object (`large.alloc` is `alloc` in
+/// `"large":{…}`).
+pub(crate) fn json_members<'a, V: Into<Option<u64>>>(
+    out: &mut impl Sink,
+    rows: impl IntoIterator<Item = (&'a str, V)>,
+) {
+    let mut prev = None; // the previous row's object, once there is a row
+    for (key, v) in rows {
+        let (object, name) = key.split_once('.').map_or((None, key), |(o, n)| (Some(o), n));
+        let inside = object.is_some() && prev == Some(object);
+        match prev {
+            Some(Some(_)) if !inside => out.push_str("},"),
+            Some(_) => out.push_str(","),
+            None => {}
+        }
+        if let (Some(o), false) = (object, inside) {
+            out.push_str("\"");
+            out.push_str(o);
+            out.push_str("\":{");
+        }
+        out.push_str("\"");
+        out.push_str(name);
+        out.push_str("\":");
+        match v.into() {
+            Some(v) => out.push_dec(v),
+            None => out.push_str("null"),
+        }
+        prev = Some(object);
+    }
+    if let Some(Some(_)) = prev {
+        out.push_str("}");
+    }
+}
 
 /// The per-class counters: `field Variant "OpenMetrics family" "label"
 /// "help";` — the field is the `ClassStats` member and the JSON key.
@@ -121,6 +200,83 @@ macro_rules! latency_paths {
 }
 #[allow(unused_imports)]
 pub(crate) use latency_paths;
+
+/// The health numbers, what [`HealthSnapshot`](crate::health::HealthSnapshot)
+/// holds besides its policy and its per-class `partial_listed`: `field[Site
+/// "site"]`, `field(type) Variant` or `field(type) {reader}`, then
+/// `"OpenMetrics family" "label" "help";`. The field is the snapshot's
+/// member and its JSON key. A row with a site or a variant is a counter, a
+/// word of `HealthState` that the core adds to; a storm row's word is its
+/// [`WatchSite`](crate::health::WatchSite)'s, and its key is
+/// `storms.<site>`. A row with a reader is a gauge, which `health()` reads
+/// out of the instance when the snapshot is taken. Rows of one family are
+/// adjacent, and the descriptor gauges come last: OpenMetrics adds the
+/// derived places to their family.
+macro_rules! health_numbers {
+    ($with:ident $($arg:tt)*) => {
+        $with! { $($arg)*
+            storms[ActiveReserve "active.reserve"] "lfmalloc_liveness_storms" "site=\"active.reserve\""
+                "Retry storms (an operation failing retry_ceiling CASes in a row) at malloc_from_active's credit-reservation CAS on the Active word.";
+            storms[ActivePop "active.pop"] "lfmalloc_liveness_storms" "site=\"active.pop\""
+                "Retry storms at malloc_from_active's block-pop CAS on the anchor.";
+            storms[PartialReserve "partial.reserve"] "lfmalloc_liveness_storms" "site=\"partial.reserve\""
+                "Retry storms at malloc_from_partial's credit-reservation CAS on a partial anchor.";
+            storms[PartialPop "partial.pop"] "lfmalloc_liveness_storms" "site=\"partial.pop\""
+                "Retry storms at malloc_from_partial's block pop and heap_get_partial's heap-slot exchange.";
+            storms[UpdateActive "active.update"] "lfmalloc_liveness_storms" "site=\"active.update\""
+                "Retry storms at update_active's return of unused credits to the anchor.";
+            storms[FreeLink "free.link"] "lfmalloc_liveness_storms" "site=\"free.link\""
+                "Retry storms at free's push of a block onto its superblock's free list.";
+            throttle_activations(u64) Throttles "lfmalloc_liveness_throttles" ""
+                "Escalated-backoff injections under the Throttle policy, one per multiple of the ceiling.";
+            maintain_passes(u64) MaintainPasses "lfmalloc_maintain_passes" ""
+                "Completed maintenance passes, explicit and reaper-driven.";
+            reaper_passes(u64) ReaperPasses "lfmalloc_reaper_passes" ""
+                "Maintenance passes driven by the background reaper.";
+            quarantine_flushed(u64) QuarantineFlushed "lfmalloc_quarantine_flushed" ""
+                "Quarantined blocks released by maintenance.";
+            empty_pruned(u64) EmptyPruned "lfmalloc_empty_pruned" ""
+                "EMPTY descriptors pruned off heap slots and partial lists by maintenance.";
+            audit_slice_checked(u64) AuditSliceChecked "lfmalloc_audit_slice_checked" ""
+                "Descriptors checked by bounded audit slices.";
+            audit_slice_flagged(u64) AuditSliceFlagged "lfmalloc_audit_slice_flagged" ""
+                "Advisory flags raised by audit slices (racy: a slice runs beside the allocator).";
+            fork_recoveries(u64) ForkRecoveries "lfmalloc_fork_recoveries" ""
+                "Child-side fork recoveries this instance performed.";
+            retry_ceiling(u32) {|i| i.config.liveness.retry_ceiling} "lfmalloc_liveness_retry_ceiling" ""
+                "Consecutive failed CASes of one operation that make a storm.";
+            last_audit_violations(Option<u64>) {|i| i.health.last_audit()} "lfmalloc_last_audit_violations" ""
+                "Violations the last full audit() reported; none before the first.";
+            fork_generation(u64) {|i| i.fork.recovered_generation()} "lfmalloc_fork_generation" ""
+                "Process-fork generation this instance has recovered to: the process's, unless no allocator call has run in a forked child yet.";
+            quarantine_depth(usize) {|i| i.quarantine_depth()} "lfmalloc_quarantine_depth" ""
+                "Blocks in the hardened-mode quarantine now.";
+            magazine_slots(usize) {crate::magazine::owned_slots} "lfmalloc_magazine_slots" ""
+                "Thread-magazine slots owned now, by live threads or by exited ones nobody has adopted or drained: it follows the threads alive at once, not the number that ever ran.";
+            map_leaves(usize) {|i| i.frames.leaf_count()} "lfmalloc_map_leaves" ""
+                "Frame-map leaves: a 1 MiB mapping (outside os_live_bytes, resident a page at a time) per 2 GiB a superblock was ever opened in, kept until drop.";
+            large_cached_spans(usize) {crate::large::cached_spans} "lfmalloc_large_cached_spans" ""
+                "Freed large spans parked in the span cache for the next large malloc (at most 8).";
+            large_cached_bytes(usize) {crate::large::cached_bytes} "lfmalloc_large_cached_bytes" ""
+                "OS bytes those spans hold (at most 4 MiB).";
+            os_live_bytes(usize) {|i| i.source.stats().live_bytes} "lfmalloc_os_live_bytes" ""
+                "OS bytes mapped now.";
+            os_watermark(Option<usize>) {|i| i.health.watermark()} "lfmalloc_os_watermark_bytes" ""
+                "The last trim target handed to maintenance; none before the first.";
+            parked_empty(usize) {crate::health::parked_empty} "lfmalloc_parked_empty" ""
+                "EMPTY descriptors parked where their superblock went EMPTY (a heap's Partial slot or a partial list), each holding its 16 KiB until the class's next malloc reopens it or maintenance moves it to the warm stack.";
+            descriptor_slots(usize) {|i| i.desc_pool.slot_count()} "lfmalloc_descriptor_slots" ""
+                "Descriptor slots carved so far: free, on a partial list or in use.";
+            desc_avail(usize) {|i| i.desc_pool.free_counts().0} "lfmalloc_descriptors" "place=\"avail\""
+                "Free descriptors on DescAvail (a walk of the stack: a hint under concurrency).";
+            desc_reserve(usize) {|i| i.desc_pool.free_counts().1} "lfmalloc_descriptors" "place=\"reserve\""
+                "Free descriptors in the emergency reserve.";
+            desc_warm(usize) {|i| i.desc_pool.free_counts().2} "lfmalloc_descriptors" "place=\"warm\""
+                "Free descriptors on the warm stack, each still holding its EMPTY superblock.";
+        }
+    };
+}
+pub(crate) use health_numbers;
 
 /// A table's enum, one variant per row that names one: invoked through
 /// the table as `class_counters!(schema_enum /// docs Count)`.

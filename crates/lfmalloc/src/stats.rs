@@ -20,8 +20,9 @@
 //!   once, in a table of [`crate::schema`]; [`ClassStats`],
 //!   [`StatsSnapshot`]'s instance rows, [`LatencyStats`] and the public
 //!   tables [`CLASS_COUNTERS`], [`INSTANCE_COUNTERS`] and
-//!   [`LATENCY_PATHS`] are generated from them, and every renderer loops
-//!   over those tables.
+//!   [`LATENCY_PATHS`] are generated from them (the health numbers'
+//!   [`HEALTH_ROWS`] in `health.rs`), and
+//!   every renderer loops over those tables.
 //!
 //! The event ring and the fragmentation series are one [`EvictRing`] over
 //! the Vyukov [`BoundedQueue`]: fixed capacity, pre-allocated, never
@@ -31,7 +32,8 @@
 use crate::config::SB_SIZE;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc, SysArray};
-use crate::schema::{Global, Lat};
+use crate::health::HEALTH_ROWS;
+use crate::schema::{json_members, CounterInfo, Global, Lat};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use lockfree_structs::stats::StructsCasStats;
 use lockfree_structs::BoundedQueue;
@@ -278,27 +280,6 @@ impl<S: PageSource> Inner<S> {
     }
 }
 
-/// One row of a schema table — [`CLASS_COUNTERS`], [`INSTANCE_COUNTERS`]
-/// or [`LATENCY_PATHS`] — whose value a `T` holds.
-#[derive(Debug)]
-pub struct CounterInfo<T = ClassStats, V = u64> {
-    /// The field of `T`, and its key in `T`'s JSON object.
-    pub name: &'static str,
-    /// Where a stats-JSON record holds it, as a `malloc_api::json` path
-    /// (for a class counter, its sum over the classes).
-    pub key: &'static str,
-    /// OpenMetrics type (`counter`, `gauge` or `histogram`), family (a
-    /// counter's samples end `_total`) and this row's label in it,
-    /// `key="value"` or empty.
-    pub kind: &'static str,
-    pub family: &'static str,
-    pub label: &'static str,
-    /// One line saying what is counted.
-    pub help: &'static str,
-    /// Reads the row out of a `T`.
-    pub get: fn(&T) -> V,
-}
-
 macro_rules! class_stats {
     ($($field:ident $variant:ident $family:literal $label:literal $help:literal;)*) => {
         /// Aggregated counters of one size class (all heaps summed), or of the
@@ -319,7 +300,7 @@ macro_rules! class_stats {
 
         /// The per-class counters, in [`ClassStats`] field order: what
         /// every renderer (and `lfstat`) loops over.
-        pub const CLASS_COUNTERS: &[CounterInfo] = &[$(CounterInfo {
+        pub const CLASS_COUNTERS: &[CounterInfo<ClassStats>] = &[$(CounterInfo {
             name: stringify!($field),
             key: concat!("totals.", stringify!($field)),
             kind: "counter",
@@ -737,26 +718,11 @@ impl StatsSnapshot {
             .filter(|c| c.mallocs() + c.frees() + c.partial_push + c.partial_pop > 0)
             .map(ClassStats::to_json)
             .collect();
-        // The instance rows; a run of rows whose keys share a dotted
-        // prefix is one object.
-        let object = |c: &CounterInfo<StatsSnapshot>| c.key.split_once('.').map(|(o, _)| o);
-        let rows: Vec<String> = INSTANCE_COUNTERS
-            .chunk_by(|a, b| object(a).is_some() && object(a) == object(b))
-            .map(|run| {
-                let members: Vec<String> = run
-                    .iter()
-                    .map(|c| {
-                        let name = c.key.rsplit_once('.').map_or(c.key, |(_, name)| name);
-                        format!("\"{name}\":{}", (c.get)(self))
-                    })
-                    .collect();
-                match object(&run[0]) {
-                    Some(o) => format!("\"{o}\":{{{}}}", members.join(",")),
-                    None => members.join(","),
-                }
-            })
-            .collect();
+        let mut rows = String::new();
+        json_members(&mut rows, INSTANCE_COUNTERS.iter().map(|c| (c.key, (c.get)(self))));
+        let mut reconcile = String::new();
         let r = &self.reconciliation;
+        json_members(&mut reconcile, r.terms().map(|(key, _, v)| (key, v)));
         #[cfg(feature = "profile")]
         let profile = format!(",\"profile\":{}", self.profile.to_json());
         #[cfg(not(feature = "profile"))]
@@ -767,13 +733,11 @@ impl StatsSnapshot {
              \"os\":{{\"live_bytes\":{},\"peak_bytes\":{},\"mmap_calls\":{},\
              \"munmap_calls\":{}}},\
              \"carves\":{{\"superblock\":{},\"descriptor\":{}}},\
-             \"reconcile\":{{\"superblock_bytes\":{},\"descriptor_slab_bytes\":{},\
-             \"large_bytes\":{},\"large_cached_bytes\":{},\"source_live_bytes\":{},\
-             \"ok\":{}}},\
+             \"reconcile\":{{{reconcile},\"ok\":{}}},\
              \"health\":{},\"latency\":{},\"fragmentation\":{}{}}}",
             self.totals.to_json(),
             classes.join(","),
-            rows.join(","),
+            rows,
             self.structs_cas.stack_push_retries,
             self.structs_cas.stack_pop_retries,
             self.os.live_bytes,
@@ -782,11 +746,6 @@ impl StatsSnapshot {
             self.os.os_frees,
             self.sb_carves,
             self.desc_carves,
-            r.superblock_bytes,
-            r.descriptor_slab_bytes,
-            r.large_bytes,
-            r.large_cached_bytes,
-            r.source_live_bytes,
             r.reconciles(),
             self.health.to_json(),
             self.latency.to_json(),
@@ -855,16 +814,13 @@ impl<S: PageSource> LfMalloc<S> {
         )?;
         writeln!(
             w,
-            "large:   {:>12} alloc / {} free / {} live  (span cache: {} hit / {} miss / {} bypassed, \
-             {} spans holding {} bytes)",
+            "large:   {:>12} alloc / {} free / {} live  (span cache: {} hit / {} miss / {} bypassed)",
             s.large_alloc,
             s.large_free,
             s.large_live,
             s.large_cache_hit,
             s.large_cache_miss,
-            s.large_cache_bypass,
-            s.health.large_cached_spans,
-            s.health.large_cached_bytes
+            s.large_cache_bypass
         )?;
         writeln!(w, "oom backoff attempts: {}   trims: {}", s.oom_backoffs, s.trims)?;
         writeln!(
@@ -948,72 +904,34 @@ impl<S: PageSource> LfMalloc<S> {
         }
         writeln!(
             w,
-            "descriptors: {} slots = {} avail + {} reserve + {} warm + {} on partial lists + {} in use; \
-             {} EMPTY parked, {} B of EMPTY superblocks retained",
-            s.health.descriptor_slots,
-            s.health.desc_avail,
-            s.health.desc_reserve,
-            s.health.desc_warm,
-            s.health.partial_listed.iter().sum::<usize>(),
-            s.health.descriptors_in_use(),
-            s.health.parked_empty,
-            s.health.retained_empty_bytes()
-        )?;
-        writeln!(
-            w,
             "structs: stack cas retries {}/{} (push/pop) [process-wide]",
             s.structs_cas.stack_push_retries,
             s.structs_cas.stack_pop_retries
         )?;
-        let r = &s.reconciliation;
+        let mut os = String::new();
+        s.reconciliation.write_sum(&mut os);
         writeln!(
             w,
-            "os: {} live bytes = {} superblock + {} descriptor-slab + {} large + {} cached large \
-             (peak {}, mmap {}, munmap {}, carves {} sb / {} desc){}",
-            r.source_live_bytes,
-            r.superblock_bytes,
-            r.descriptor_slab_bytes,
-            r.large_bytes,
-            r.large_cached_bytes,
-            s.os.peak_bytes,
-            s.os.os_allocs,
-            s.os.os_frees,
-            s.sb_carves,
-            s.desc_carves,
-            if r.reconciles() { "" } else { "  [MISMATCH]" }
+            "os: {os} (peak {}, mmap {}, munmap {}, carves {} sb / {} desc)",
+            s.os.peak_bytes, s.os.os_allocs, s.os.os_frees, s.sb_carves, s.desc_carves
         )?;
         let h = &s.health;
+        let verdict = if h.is_degraded() { "DEGRADED" } else { "ok" };
+        writeln!(w, "health: {verdict} (policy {})", h.policy.label())?;
+        for r in HEALTH_ROWS {
+            let v = (r.get)(h).map_or("none".into(), |v| v.to_string());
+            writeln!(w, "  {:<22} {v:>12}  {}", r.name, r.help)?;
+        }
         writeln!(
             w,
-            "health: {} (policy {}, ceiling {})  storms {}  throttles {}",
-            if h.is_degraded() { "DEGRADED" } else { "ok" },
-            h.policy.label(),
-            h.retry_ceiling,
-            h.storms_total(),
-            h.throttle_activations
+            "  descriptors: {} on partial lists, {} in use; {} B of EMPTY superblocks retained",
+            h.partial_listed.iter().sum::<usize>(),
+            h.descriptors_in_use(),
+            h.retained_empty_bytes()
         )?;
-        writeln!(
-            w,
-            "maintenance: {} passes ({} reaper) — {} quarantine flushed, \
-             {} empty pruned, audit slices {}/{} flagged, last full audit {}",
-            h.maintain_passes,
-            h.reaper_passes,
-            h.quarantine_flushed,
-            h.empty_pruned,
-            h.audit_slice_flagged,
-            h.audit_slice_checked,
-            match h.last_audit_violations {
-                Some(v) => format!("{v} violations"),
-                None => "never ran".into(),
-            }
-        )?;
-        writeln!(
-            w,
-            "fork: generation {}  child recoveries {}  reentrant-alloc rejections {}",
-            h.fork_generation,
-            h.fork_recoveries,
-            self.misuse_counters().count(crate::harden::MisuseKind::ReentrantAlloc)
-        )?;
+        let misuse = self.misuse_counters();
+        let misuse = crate::harden::MisuseKind::ALL.map(|k| format!("{}={}", k.key(), misuse.count(k)));
+        writeln!(w, "misuse: {}", misuse.join(" "))?;
         writeln!(w, "counters, all classes (a class's row below prints its nonzero ones):")?;
         for c in CLASS_COUNTERS {
             writeln!(w, "  {:<13} {:>12}  {}", c.name, (c.get)(t), c.help)?;
@@ -1105,7 +1023,7 @@ mod tests {
     }
 
     /// The schema is what the renderers loop over: every row of the
-    /// three tables, and both retry histograms, in the JSON, the text dump
+    /// four tables, and both retry histograms, in the JSON, the text dump
     /// and the OpenMetrics exposition — a row added to a table is in all
     /// three with no other edit.
     #[test]
@@ -1150,6 +1068,19 @@ mod tests {
             let sample = format!("{}{suffix}{} ", c.family, braced(c.label));
             assert!(record.get(c.key).is_some(), "{} not in the JSON", c.key);
             assert!(om.contains(&sample), "{sample}not in the exposition");
+        }
+        // 29 rows; OpenMetrics adds two places to the last row's family.
+        assert_eq!((HEALTH_ROWS.len(), HEALTH_ROWS[28].family), (29, "lfmalloc_descriptors"));
+        let h = a.health();
+        for r in HEALTH_ROWS {
+            let suffix = if r.kind == "counter" { "_total" } else { "" };
+            let sample = format!("\n{}{suffix}{} ", r.family, braced(r.label));
+            assert!(record.get(r.key).is_some(), "{} not in the JSON", r.key);
+            assert!(dump.contains(&format!("\n  {} ", r.name)), "{} not in the dump", r.name);
+            // An instance that never audited or trimmed has no reading of
+            // those two rows (see the next test).
+            let read = (r.get)(&h).is_some();
+            assert_eq!(om.contains(&sample), read, "{sample}in the exposition: {read}");
         }
         // The dump's latency table: the lines between its header and the
         // fragmentation line. It prints the paths that were timed.

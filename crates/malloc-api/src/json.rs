@@ -21,16 +21,15 @@ pub enum Json {
 }
 
 impl Json {
-    /// Walks `a.b.c` through nested objects (a key without a dot is a
-    /// plain field lookup; the stack's records have no dotted keys on
-    /// any path a reader asks for).
+    /// Walks `a.b.c` through nested objects. A key may hold dots itself
+    /// (the health record's `storms` are keyed by watch site, such as
+    /// `active.reserve`): each member whose key starts the path is tried.
     pub fn get(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for key in path.split('.') {
-            let Json::Obj(fields) = cur else { return None };
-            cur = &fields.iter().find(|(k, _)| k == key)?.1;
-        }
-        Some(cur)
+        let Json::Obj(fields) = self else { return None };
+        fields.iter().find_map(|(k, v)| match path.strip_prefix(k.as_str())? {
+            "" => Some(v),
+            rest => v.get(rest.strip_prefix('.')?),
+        })
     }
 
     pub fn as_u64(&self) -> Option<u64> {
@@ -292,6 +291,8 @@ mod tests {
             (v.u64("o.p.q"), v.u64("o.p.absent"), v.str("o.p")),
             (7, 0, "")
         );
+        let dotted = parse(r#"{"s":{"a":{"x":1},"a.b":2}}"#).unwrap();
+        assert_eq!((dotted.u64("s.a.x"), dotted.u64("s.a.b")), (1, 2), "a key with a dot");
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! output lines (the last JSON object line wins).
 //!
 //! Records are read with the workspace's one JSON reader
-//! (`malloc_api::json`), and the counter and latency rows of `print` and
-//! `diff` come from the allocator's public schema tables
+//! (`malloc_api::json`), and the counter, health and latency rows of
+//! `print` and `diff` come from the allocator's public schema tables
 //! (`lfmalloc::stats::CLASS_COUNTERS`, `INSTANCE_COUNTERS`,
-//! `LATENCY_PATHS`): a row added there shows up here with no edit.
+//! `LATENCY_PATHS`, `lfmalloc::HEALTH_ROWS`): a row added there shows up
+//! here with no edit.
 
 use lfmalloc::stats::{CLASS_COUNTERS, INSTANCE_COUNTERS, LATENCY_PATHS};
+use lfmalloc::HEALTH_ROWS;
 use lfmalloc_repro::prelude::*;
 use malloc_api::json::{self, Json};
 use std::sync::Arc;
@@ -132,22 +134,18 @@ fn print_record(rec: &Json) {
     for c in INSTANCE_COUNTERS {
         println!("    {:<18} {:>14}  {}", c.name, rec.u64(c.key), c.help);
     }
-    if rec.get("health.descriptor_slots").is_some() {
-        let listed: f64 = rec
-            .arr("health.partial_listed")
-            .iter()
-            .map(|n| if let Json::Num(n) = n { *n } else { 0.0 })
-            .sum();
-        println!(
-            "  descriptors   {:>14} slots: {} avail, {} reserve, {} warm, {} on partial lists; \
-             {} B of EMPTY superblocks retained",
-            rec.u64("health.descriptor_slots"),
-            rec.u64("health.desc_avail"),
-            rec.u64("health.desc_reserve"),
-            rec.u64("health.desc_warm"),
-            listed as u64,
-            rec.u64("health.retained_empty_bytes"),
-        );
+    if rec.get("health").is_some() {
+        println!("\n== health ==");
+        // A row the record lacks (an older writer's) is skipped; `null` is
+        // a reading not taken yet.
+        for r in HEALTH_ROWS {
+            let v = match rec.get(r.key) {
+                Some(Json::Num(n)) => (*n as u64).to_string(),
+                Some(_) => "none".into(),
+                None => continue,
+            };
+            println!("    {:<22} {v:>14}  {}", r.name, r.help);
+        }
     }
 
     if rec.get("latency").is_some() {
@@ -242,6 +240,7 @@ fn print_diff(a: &Json, b: &Json) {
     println!("{:<34} {:>14} {:>14} {:>14}", "counter", "before", "after", "delta");
     let counters = CLASS_COUNTERS.iter().map(|c| (c.name, c.key));
     let instance = INSTANCE_COUNTERS.iter().map(|c| (c.name, c.key));
+    let health = HEALTH_ROWS.iter().map(|c| (c.name, c.key));
     let rest = [
         ("os live bytes", "os.live_bytes"),
         ("os peak bytes", "os.peak_bytes"),
@@ -251,6 +250,7 @@ fn print_diff(a: &Json, b: &Json) {
         LATENCY_PATHS.iter().map(|p| (format!("p99 {} (ns)", p.name), format!("{}.p99", p.key)));
     let rows = counters
         .chain(instance)
+        .chain(health)
         .chain(rest)
         .map(|(l, p)| (l.to_string(), p.to_string()))
         .chain(p99);

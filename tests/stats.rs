@@ -224,8 +224,34 @@ fn health_and_maintenance_land_in_stats_surface() {
     a.dump_stats(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
     assert!(text.contains("health: ok"), "{text}");
-    assert!(text.contains("maintenance: 1 passes"), "{text}");
+    assert!(text.contains("\n  maintain_passes                   1  "), "{text}");
     assert!(text.contains("TLS teardown"), "{text}");
+}
+
+/// A health row with no reading (`None`) is `null` in the JSON and has
+/// no sample in the exposition, which has no null; once read, it is a
+/// number in both.
+#[test]
+fn a_health_row_without_a_reading_is_null_and_unsampled() {
+    use malloc_api::json::Json;
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    let check = |want: [Option<u64>; 2]| {
+        let record = malloc_api::json::parse(&a.stats().to_json()).expect("the JSON parses");
+        let om = a.render_openmetrics();
+        for (name, want) in ["last_audit_violations", "os_watermark"].into_iter().zip(want) {
+            let r = lfmalloc::HEALTH_ROWS.iter().find(|r| r.name == name).unwrap();
+            assert_eq!((r.get)(&a.health()), want, "{name}");
+            let json = want.map_or(Json::Null, |v| Json::Num(v as f64));
+            assert_eq!(record.get(r.key), Some(&json), "{name} in the JSON");
+            let sample = om.lines().find(|l| l.starts_with(&format!("{} ", r.family)));
+            assert_eq!(sample, want.map(|v| format!("{} {v}", r.family)).as_deref(), "{name}");
+        }
+    };
+    check([None, None]);
+    assert!(a.audit().is_clean());
+    check([Some(0), None]);
+    unsafe { a.trim_to(1 << 20) };
+    check([Some(0), Some(1 << 20)]);
 }
 
 #[test]
@@ -259,7 +285,9 @@ fn span_cache_counters_add_up_on_every_surface() {
     let mut out = Vec::new();
     a.dump_stats(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
-    assert!(text.contains("span cache: 9 hit / 2 miss / 1 bypassed, 1 spans holding 69632 bytes"), "{text}");
+    assert!(text.contains("span cache: 9 hit / 2 miss / 1 bypassed)"), "{text}");
+    assert!(text.contains("\n  large_cached_spans                1  "), "{text}");
+    assert!(text.contains("\n  large_cached_bytes            69632  "), "{text}");
     assert!(text.contains("+ 69632 cached large"), "{text}");
     let om = a.render_openmetrics();
     lfmalloc::metrics::check_openmetrics(&om).expect("exposition well-formed");
