@@ -36,13 +36,14 @@
 
 use crate::active::Active;
 use crate::anchor::{Link, SbState};
-use crate::config::SB_SIZE;
 use crate::descriptor::{Descriptor, BITMAP_WORDS};
 use crate::framemap::Entry;
 use crate::heap::ProcHeap;
 use crate::instance::Inner;
 use crate::maintain::{prune_empty, MaintenanceBudget};
 use crate::observe::{self, Count, EventKind, Lat, Retries, Site, Timer};
+use crate::size_classes::GEOMETRY;
+use core::ops::ControlFlow::{self, Break, Continue};
 use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
@@ -58,16 +59,10 @@ pub(crate) struct Run {
     pub head: Link,
 }
 
-/// Outcome of an arm that opens a superblock: `MallocFromNewSB`, or
-/// `MallocFromPartial` handed an EMPTY one.
-enum NewSb {
-    /// Allocation finished: the blocks, or `None` when the OS is out of
-    /// memory.
-    Done(Option<Run>),
-    /// Lost the install race ("a new active superblock must have been
-    /// installed by another thread"); retry the whole ladder.
-    Lost,
-}
+/// What the ladder's slow arms return: `Break` with the blocks (`None`: the
+/// OS is out of memory), `Continue` to go round when an open lost the
+/// install race ("a new active superblock must have been installed ...").
+type Slow = ControlFlow<Option<Run>>;
 
 /// Small-block malloc, one block: [`malloc_run`] with `k == 1`.
 ///
@@ -134,12 +129,9 @@ pub(crate) unsafe fn malloc_run<S: PageSource>(
             Some(outcome) => outcome,
             None => unsafe { malloc_from_new_sb(inner, heap, k) },
         };
-        match slow {
-            NewSb::Done(run) => {
-                t0.stop(inner, Lat::MallocSlow);
-                return run;
-            }
-            NewSb::Lost => continue,
+        if let Break(run) = slow {
+            t0.stop(inner, Lat::MallocSlow);
+            return run;
         }
     }
 }
@@ -421,7 +413,7 @@ unsafe fn malloc_from_partial<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
     k: u32,
-) -> Option<NewSb> {
+) -> Option<Slow> {
     let desc_ptr = unsafe { heap_get_partial(inner, heap) }?; // line 1-2
     if malloc_api::fail_point!("partial.reserve").kill {
         // Died holding a descriptor plucked from the partial list:
@@ -445,11 +437,12 @@ unsafe fn malloc_from_partial<S: PageSource>(
             if malloc_api::fail_point!("sb.reopen").kill {
                 return None; // died holding the pair: both leak
             }
-            let opened = unsafe { open_sb(inner, heap, desc_ptr, k) };
-            if matches!(opened, NewSb::Done(_)) {
-                observe::count(inner, heap, Count::SbReopen);
-            }
-            return Some(opened);
+            let Some(m) = (unsafe { open_sb(inner, heap, desc_ptr, k) }) else {
+                return Some(Continue(()));
+            };
+            observe::count(inner, heap, Count::SbReopen);
+            let first = desc.sb() as usize;
+            return Some(Break(Some(Run { first, desc: desc_ptr, m, head: Link::virgin(0) })));
         }
         // "oldanchor state must be PARTIAL; oldanchor count must be > 0"
         debug_assert_eq!(old.state(), SbState::Partial);
@@ -482,12 +475,12 @@ unsafe fn malloc_from_partial<S: PageSource>(
     }
     observe::count(inner, heap, Count::MallocSlow);
     observe::count(inner, heap, Count::PartialReuse);
-    Some(NewSb::Done(Some(Run { first, desc: desc_ptr, m: 1, head })))
+    Some(Break(Some(Run { first, desc: desc_ptr, m: 1, head })))
 }
 
 /// `MallocFromNewSB` (Figure 4), lines 1–2: a descriptor, and a
 /// superblock for it unless it brought its own off the warm stack.
-unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k: u32) -> NewSb {
+unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k: u32) -> Slow {
     // line 1, with bounded backoff: a transient source outage (or a
     // momentarily drained reserve) should not surface as spurious OOM.
     let desc_ptr = crate::retry::from_source(inner, || unsafe {
@@ -495,7 +488,7 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k
     }) as *mut Descriptor;
     if desc_ptr.is_null() {
         observe::event(inner, EventKind::OomBackoff, heap.class(), 0);
-        return NewSb::Done(None); // OS exhausted
+        return Break(None); // OS exhausted
     }
     let desc = unsafe { &*desc_ptr };
     if desc.sb().is_null() {
@@ -526,14 +519,17 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k
             if pruned > 0 {
                 // The pruned pairs are warm: round the ladder again and
                 // `DescAlloc` brings one back with its descriptor.
-                return NewSb::Lost;
+                return Continue(());
             }
             observe::event(inner, EventKind::OomBackoff, heap.class(), 0);
-            return NewSb::Done(None);
+            return Break(None);
         }
         desc.set_sb(sb);
     }
-    unsafe { open_sb(inner, heap, desc_ptr, k) }
+    let Some(m) = (unsafe { open_sb(inner, heap, desc_ptr, k) }) else {
+        return Continue(());
+    };
+    Break(Some(Run { first: desc.sb() as usize, desc: desc_ptr, m, head: Link::virgin(0) }))
 }
 
 /// The rest of `MallocFromNewSB` (Figure 4, lines 4–17): hand the caller
@@ -551,22 +547,25 @@ unsafe fn malloc_from_new_sb<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, k
 /// paper's pops would leave it after `maxcount` turns, and the
 /// superblock is installed nowhere — a FULL superblock never is; its
 /// first free relinks it, and a chain of all its blocks retires it.
+/// Returns `take`, or `None` on a lost install. The caller builds the
+/// [`Run`]: one stored here and reloaded there stalls (DESIGN.md §21.5).
+/// Out of line: inlined, it grows `malloc_run`, which every refill runs.
 ///
 /// # Safety
 ///
 /// The caller holds `desc_ptr` exclusively, with a superblock attached
 /// that has no block allocated or reserved; `k >= 1`.
+#[inline(never)]
 unsafe fn open_sb<S: PageSource>(
     inner: &Inner<S>,
     heap: &ProcHeap,
     desc_ptr: *mut Descriptor,
     k: u32,
-) -> NewSb {
+) -> Option<u32> {
     let desc = unsafe { &*desc_ptr };
     let ci = heap.class();
-    let sz = inner.classes[ci].sz as usize;
     let sb = desc.sb();
-    let mut maxcount = (SB_SIZE / sz) as u32;
+    let mut maxcount = GEOMETRY[ci].0;
     if inner.config.hardening != crate::harden::Hardening::Off {
         // A recycled descriptor can carry stale allocation bits from
         // blocks leaked on its previous superblock (kill-injected
@@ -576,8 +575,7 @@ unsafe fn open_sb<S: PageSource>(
         maxcount = maxcount.min(BITMAP_WORDS as u32 * 64);
     }
     desc.set_heap(heap as *const _ as *mut ProcHeap); // line 4
-    desc.set_sz(sz as u32); // line 6
-    desc.set_maxcount(maxcount); // line 7
+    desc.set_class(ci, maxcount); // lines 6-7
     // Before anything publishes the first block: the word `free` will
     // look its blocks up by. A thread killed before this line has
     // handed out nothing.
@@ -587,29 +585,27 @@ unsafe fn open_sb<S: PageSource>(
     // lines 5, 10, 11 — preserving the descriptor's tag sequence across
     // reuse keeps the ABA argument intact. A store: no block of an EMPTY
     // superblock is allocated or reserved, so no anchor CAS is pending.
-    let opened = if left == 0 {
+    if left == 0 {
         desc.store_anchor(desc.load_anchor().open(take, 0).with_state(SbState::Full));
         // A thread that dies here held every block of a superblock
         // nothing points to: the pair floats, FULL, for good.
-        !malloc_api::fail_point!("sb.full").kill
+        if malloc_api::fail_point!("sb.full").kill {
+            return None;
+        }
     } else {
         let credits = left.min(inner.config.max_credits) - 1; // line 9
         let anchor = desc.load_anchor().open(take, left - (credits + 1)); // line 10
         desc.store_anchor(anchor); // line 12's fence == this release store
-        let installed = heap.cas_active(Active::null(), Active::pack(desc_ptr, credits)).is_ok();
-        if !installed {
+        if heap.cas_active(Active::null(), Active::pack(desc_ptr, credits)).is_err() {
             // lines 16-17: lost the race; back to EMPTY (nobody saw it),
             // as every warm descriptor is.
             desc.store_anchor(anchor.with_count(maxcount - 1).with_state(SbState::Empty));
             unsafe { inner.desc_pool.retire(desc_ptr) };
+            return None;
         }
-        installed
-    };
-    if !opened {
-        return NewSb::Lost;
     }
     // line 13 success: blocks 0..take are ours.
     observe::count(inner, heap, Count::MallocNewsb);
     observe::event(inner, EventKind::SbAcquire, ci, sb as u64);
-    NewSb::Done(Some(Run { first: sb as usize, desc: desc_ptr, m: take, head: Link::virgin(0) }))
+    Some(take)
 }

@@ -97,7 +97,7 @@ use crate::framemap::Entry;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
 use crate::schema::Sink;
-use crate::size_classes::NUM_CLASSES;
+use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use core::sync::atomic::Ordering;
 use osmem::PageSource;
 use std::collections::{HashMap, HashSet};
@@ -776,7 +776,7 @@ fn check_magazines<S: PageSource>(
         }
         let desc = unsafe { &*entry.desc() };
         let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
-        if entry.class() != b.class || sz != inner.classes[b.class].sz as usize {
+        if entry.class() != b.class || sz != CLASS_SIZES[b.class] as usize {
             flag("mag.class", format!("{:#x} is a {sz}-byte block of class {}", b.user, entry.class()));
             continue;
         }
@@ -805,7 +805,7 @@ fn check_linked_desc<S: PageSource>(
     let a = l.desc as usize;
     let sz = desc.sz();
     let maxc = desc.maxcount();
-    let class_sz = inner.classes[l.class].sz;
+    let class_sz = CLASS_SIZES[l.class];
     if sz != class_sz {
         rep.violations.push(AuditViolation {
             check: "desc.class-size",

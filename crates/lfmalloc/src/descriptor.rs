@@ -59,6 +59,7 @@
 use crate::anchor::Anchor;
 use crate::config::{SB_SHIFT, SB_SIZE};
 use crate::heap::ProcHeap;
+use crate::size_classes::{CLASS_SIZES, GEOMETRY};
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use lockfree_structs::TaggedStack;
 use osmem::{PagePool, PageSource};
@@ -184,13 +185,13 @@ impl Descriptor {
         self.sz.load(Ordering::Relaxed)
     }
 
-    /// Sets the block size (construction only), along with the
-    /// reciprocal [`block_index`](Self::block_index) multiplies by.
+    /// Sets class `ci`'s block size, its reciprocal (see
+    /// [`block_index`](Self::block_index)) and the block count (construction only).
     #[inline]
-    pub fn set_sz(&self, sz: u32) {
-        debug_assert!(sz >= 2, "ceil(2^32 / sz) must fit 32 bits");
-        self.sz.store(sz, Ordering::Relaxed);
-        self.sz_recip.store(sz_recip(sz), Ordering::Relaxed);
+    pub fn set_class(&self, ci: usize, maxcount: u32) {
+        self.sz.store(CLASS_SIZES[ci], Ordering::Relaxed);
+        self.sz_recip.store(GEOMETRY[ci].1, Ordering::Relaxed);
+        self.maxcount.store(maxcount, Ordering::Relaxed);
     }
 
     /// `off / sz` for a byte offset `off < SB_SIZE` into the superblock,
@@ -206,12 +207,6 @@ impl Descriptor {
     #[inline]
     pub fn maxcount(&self) -> u32 {
         self.maxcount.load(Ordering::Relaxed)
-    }
-
-    /// Sets the block count (construction only).
-    #[inline]
-    pub fn set_maxcount(&self, n: u32) {
-        self.maxcount.store(n, Ordering::Relaxed);
     }
 
     /// Marks block `idx` allocated (hardened mode); returns `false` if
@@ -252,13 +247,6 @@ impl Descriptor {
             w.store(0, Ordering::Relaxed);
         }
     }
-}
-
-/// `ceil(2^32 / sz)`. With `off < 2^14` the product's error term is
-/// below `2^-18`, less than the `1/sz >= 2^-13` by which `off / sz`
-/// falls short of the next integer, so the floor is exact.
-const fn sz_recip(sz: u32) -> u32 {
-    (1u64 << 32).div_ceil(sz as u64) as u32
 }
 
 /// Descriptors per 16 KiB descriptor superblock.
@@ -499,8 +487,12 @@ impl DescriptorPool {
     /// Descriptors on `DescAvail`, in the reserve and on the warm stack
     /// right now, by walking each (diagnostics; see [`walk_len`]).
     pub fn free_counts(&self) -> (usize, usize, usize) {
-        let limit = self.slot_count();
-        (walk_len(&self.avail, limit), walk_len(&self.reserve, limit), walk_len(&self.warm, limit))
+        (self.free_count(0), self.free_count(1), self.free_count(2))
+    }
+
+    /// Field `i` of [`free_counts`](Self::free_counts): one stack's walk.
+    pub fn free_count(&self, i: usize) -> usize {
+        walk_len([&self.avail, &self.reserve, &self.warm][i], self.slot_count())
     }
 
     /// Descriptor slots carved so far: [`DESC_PER_SLAB`] per mapped slab.
@@ -619,8 +611,8 @@ mod tests {
         let pool = Box::new(DescriptorPool::new());
         let d = unsafe { &*pool.alloc(&src) };
         assert_eq!(CLASS_SIZES[0], 8, "the densest class is covered");
-        for &sz in &CLASS_SIZES {
-            d.set_sz(sz);
+        for (ci, &sz) in CLASS_SIZES.iter().enumerate() {
+            d.set_class(ci, GEOMETRY[ci].0);
             for off in 0..SB_SIZE {
                 assert_eq!(d.block_index(off), off / sz as usize, "sz {sz}, off {off}");
             }

@@ -11,9 +11,9 @@
 //! (Figure 6, line 20) nor takes the descriptor out of the heap's slot
 //! (`RemoveEmptyDesc`, line 1): whoever next *takes* the descriptor
 //! reopens or retires the two together. The one emptier that does hold
-//! the pair is the one whose chain was the whole superblock, FULL →
-//! EMPTY in one CAS (DESIGN.md §21): nobody else can, so it retires the
-//! pair itself. This file does not name the page pool (CI checks that).
+//! the pair is the one whose chain was the whole superblock: one store
+//! takes it FULL → EMPTY and the holder retires the pair ([`close_whole`],
+//! DESIGN.md §21.3). This file does not name the page pool (CI checks that).
 //!
 //! Lines 1–3, reading the descriptor out of the word in front of the
 //! block, are gone with that word (DESIGN.md §19): the caller found it
@@ -28,8 +28,8 @@ use crate::observe::{self, Count, EventKind, Lat, Retries, Site, Timer};
 use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
-/// Frees a small block. `ptr` is the block; `desc_ptr` is what the
-/// frame map names for its frame.
+/// Frees a small block, the hardened path's quarantined ones too. `ptr`
+/// is the block; `desc_ptr` is what the frame map names for its frame.
 ///
 /// # Safety
 ///
@@ -42,27 +42,9 @@ pub(crate) unsafe fn free_small<S: PageSource>(
     // Lines 6 and 9: superblocks are `SB_SIZE`-aligned, so the offset is
     // the address's low bits; the index is one reciprocal multiply.
     let idx = unsafe { &*desc_ptr }.block_index(ptr as usize & (SB_SIZE - 1));
-    unsafe { push_free_block(inner, desc_ptr, idx as u32, ptr as usize) }
-}
-
-/// Pushes `block` (a block *start* address, index `idx`) onto its
-/// superblock's free list as one application-level free — the
-/// anchor-CAS half of [`free_small`], shared with the hardened path,
-/// which releases quarantined blocks through it.
-///
-/// # Safety
-///
-/// `block` must be allocated block `idx` of `desc_ptr`'s superblock,
-/// and no other thread may free it concurrently.
-pub(crate) unsafe fn push_free_block<S: PageSource>(
-    inner: &Inner<S>,
-    desc_ptr: *mut Descriptor,
-    idx: u32,
-    block: usize,
-) {
     // Counted before the push: the block still pins the descriptor.
     unsafe { observe::count_push(inner, desc_ptr) };
-    unsafe { push_free_chain(inner, desc_ptr, idx, block, 1) }
+    unsafe { push_free_chain(inner, desc_ptr, idx as u32, ptr as usize, 1) }
 }
 
 /// Figure 6's anchor update for a chain of `n` blocks of one superblock
@@ -72,12 +54,12 @@ pub(crate) unsafe fn push_free_block<S: PageSource>(
 /// linked to each other by block index through their first words, and
 /// `last` is the start address of its last block, whose link this
 /// function writes. A thread magazine returns runs of cached blocks
-/// through here ([`crate::magazine`]).
+/// through here ([`crate::magazine`]), a whole superblock's via [`close_whole`].
 ///
 /// # Safety
 ///
 /// The chain's blocks must be distinct allocated blocks of `desc_ptr`'s
-/// superblock that no other thread can free concurrently.
+/// superblock, not all of them, that no other thread can free concurrently.
 pub(crate) unsafe fn push_free_chain<S: PageSource>(
     inner: &Inner<S>,
     desc_ptr: *mut Descriptor,
@@ -89,6 +71,7 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     // For the event ring: superblocks are `SB_SIZE`-aligned.
     let sb = (last & !(SB_SIZE - 1)) as u64;
     let maxcount = desc.maxcount();
+    debug_assert!(n < maxcount, "a whole superblock is closed, not pushed");
     // Latency classification: a plain free-list push is the fast path;
     // an EMPTY transition or FULL→PARTIAL relink is the slow path.
     let t0 = Timer::start();
@@ -134,34 +117,17 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     retries.done(inner, owner);
 
     if newanchor.state() == SbState::Empty {
-        // FULL → EMPTY in one step: the chain was the whole superblock
-        // (a FULL anchor counts 0, so `n == maxcount`). No reservation,
-        // no free and no other holder of this descriptor can exist — a
-        // FULL superblock is in no slot and on no list — so the CAS made
-        // this thread the pair's exclusive holder (DESIGN.md §18.2).
-        let whole = oldanchor.state() == SbState::Full;
-        let killed = if whole {
-            // Died holding the pair: descriptor and superblock float,
-            // EMPTY, for good.
-            malloc_api::fail_point!("free.whole").kill
-        } else {
-            // Died right after the EMPTY transition of a superblock
-            // other frees had made PARTIAL before: nothing is stranded,
-            // this thread held no reference and the descriptor is still
-            // wherever the first of those frees parked it; only the
-            // sweep below is skipped.
-            malloc_api::fail_point!("free.empty").kill
-        };
-        if killed {
+        // Died right after the EMPTY transition of a superblock other
+        // frees had made PARTIAL before: nothing is stranded, this thread
+        // held no reference and the descriptor is still wherever the
+        // first of those frees parked it; only the sweep below is skipped.
+        if malloc_api::fail_point!("free.empty").kill {
             return;
         }
         observe::count(inner, owner, Count::FreeEmpty);
         observe::event(inner, EventKind::SbRetire, owner.class(), sb);
         let heap = unsafe { &*heap };
-        if whole {
-            // The holder retires it: one push onto the warm stack.
-            unsafe { inner.desc_pool.retire(desc_ptr) };
-        } else if heap.load_partial() != desc_ptr {
+        if heap.load_partial() != desc_ptr {
             // Lines 19–21, restated: the superblock stays on its
             // descriptor. One load says whether that sits in its heap's
             // Partial slot, where the next malloc of the class reopens
@@ -180,4 +146,38 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
     } else {
         t0.stop(inner, Lat::FreeFast);
     }
+}
+
+/// [`push_free_chain`] for all `n == maxcount` blocks (DESIGN.md §21.3):
+/// with every block in the caller's hands nothing can race it, so FULL →
+/// EMPTY is one Release store, and the caller retires the pair to `warm`.
+///
+/// # Safety
+///
+/// As for `push_free_chain`, with the chain all of the superblock.
+pub(crate) unsafe fn close_whole<S: PageSource>(
+    inner: &Inner<S>,
+    desc_ptr: *mut Descriptor,
+    first_idx: u32,
+    last: usize,
+    n: u32,
+) {
+    let desc = unsafe { &*desc_ptr };
+    let owner = unsafe { &*desc.heap() };
+    let t0 = Timer::start();
+    if malloc_api::fail_point!("free.link").kill {
+        return; // the blocks stay allocated for good, as in a push
+    }
+    let old = desc.load_anchor();
+    debug_assert!(old.state() == SbState::Full && n == desc.maxcount(), "{old:?}, {n}");
+    let (link, new) = old.push(first_idx, n, n); // n == maxcount
+    unsafe { (*(last as *const AtomicU64)).store(link, Ordering::Relaxed) };
+    desc.store_anchor(new);
+    if malloc_api::fail_point!("free.whole").kill {
+        return; // died holding the pair: both float, EMPTY, for good
+    }
+    observe::count(inner, owner, Count::FreeEmpty);
+    observe::event(inner, EventKind::SbRetire, owner.class(), desc.sb() as u64);
+    unsafe { inner.desc_pool.retire(desc_ptr) };
+    t0.stop(inner, Lat::FreeSlow);
 }

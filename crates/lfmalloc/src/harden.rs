@@ -341,8 +341,7 @@ pub(crate) unsafe fn release_quarantined<S: PageSource>(
             },
         );
     }
-    let idx = desc.block_index(block - desc.sb() as usize) as u32;
-    unsafe { crate::free_impl::push_free_block(inner, desc_ptr, idx, block) };
+    unsafe { crate::free_impl::free_small(inner, block as *mut u8, desc_ptr) };
 }
 
 /// Hardened free of a large block whose span registry entry named

@@ -507,6 +507,23 @@ mod tests {
         assert!(json.contains("\"fork_recoveries\":0"));
     }
 
+    /// Each `desc_*` gauge walks its own stack once; read on a quiescent
+    /// instance the three are what `free_counts()` walks.
+    #[test]
+    fn descriptor_gauges_are_the_free_counts() {
+        let a = crate::LfMalloc::new_default();
+        let blocks: Vec<*mut u8> = (0..4).map(|_| unsafe { a.malloc(8000) }).collect();
+        for p in blocks {
+            unsafe { a.free(p) };
+        }
+        a.flush_thread_cache();
+        a.maintain(crate::maintain::MaintenanceBudget::full());
+        let h = a.health();
+        let gauges = (h.desc_avail, h.desc_reserve, h.desc_warm);
+        assert_eq!(gauges, a.inner().desc_pool.free_counts());
+        assert!(h.desc_warm >= 2 && h.desc_reserve > 0, "{h:?}");
+    }
+
     #[test]
     fn full_audit_outcome_lands_in_snapshot() {
         let a = crate::LfMalloc::new_default();

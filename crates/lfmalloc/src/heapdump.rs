@@ -80,7 +80,7 @@ use crate::harden::{Hardening, MisuseCounters, MisuseKind};
 use crate::health::{HealthState, HEALTH_ROWS};
 use crate::instance::{Inner, LfMalloc};
 use crate::schema::{json_members, Sink};
-use crate::size_classes::NUM_CLASSES;
+use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 
 /// Current dump format version. See the module docs for the
 /// compatibility contract.
@@ -231,7 +231,7 @@ pub(crate) fn render_dump<S: PageSource>(
             ("partial", walk.by_state[SbState::Partial as usize]),
             ("empty", walk.by_state[SbState::Empty as usize]),
             ("unbound", walk.unbound),
-            ("warm", inner.desc_pool.free_counts().2 as u64),
+            ("warm", inner.desc_pool.free_count(2) as u64),
         ],
     );
     b.push_str("},");
@@ -253,7 +253,7 @@ pub(crate) fn render_dump<S: PageSource>(
             &mut b,
             [
                 ("class", ci as u64),
-                ("size", inner.classes[ci].sz as u64),
+                ("size", CLASS_SIZES[ci] as u64),
                 ("superblocks", c[0]),
                 ("blocks_used", c[1]),
                 ("blocks_capacity", c[2]),

@@ -31,14 +31,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 /// A quarantined small block: `(block start, descriptor address)`.
 pub(crate) type QuarantineEntry = (usize, usize);
 
-/// Per-size-class state: the partial-superblock list plus the class
-/// geometry (paper Figure 3's `sizeclass`).
+/// Per-size-class state: the partial-superblock list (paper Figure 3's
+/// `sizeclass`; the geometry is `size_classes`'s tables).
 #[derive(Debug)]
 pub(crate) struct SizeClassState {
     /// Partial-superblock list shared by the class's heaps.
     pub partial: PartialList,
-    /// Block size.
-    pub sz: u32,
 }
 
 /// All allocator state; address-stable behind a system allocation.
@@ -318,10 +316,7 @@ impl<S: PageSource> LfMalloc<S> {
                 heaps: heaps.ptr,
                 mags,
                 frames,
-                classes: core::array::from_fn(|i| SizeClassState {
-                    partial: PartialList::new(),
-                    sz: CLASS_SIZES[i],
-                }),
+                classes: core::array::from_fn(|_| SizeClassState { partial: PartialList::new() }),
                 large_mapped_spans: AtomicUsize::new(0),
                 large_mapped_bytes: AtomicUsize::new(0),
                 large_cache: Default::default(),

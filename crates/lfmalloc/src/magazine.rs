@@ -14,7 +14,7 @@
 //!   are consecutive and were never written: the refill stores a pointer
 //!   into each and loads from none. An **overflow** returns half through
 //!   [`free_impl::push_free_chain`](crate::free_impl), one CAS per run of
-//!   blocks sharing a superblock.
+//!   blocks sharing a superblock (one store where the run is all of it).
 //! * Only *local* frees enter a magazine (the block's superblock belongs
 //!   to the caller's own heap). A *remote* free is parked in the slot's
 //!   **outbox**, a second row of bins that `malloc` never pops: when one
@@ -582,7 +582,7 @@ pub(crate) unsafe fn free<S: PageSource>(
 
 /// Local `free` of a mid class. A full bin goes home whole first — where
 /// the superblock is those two blocks, as one chain that takes it FULL →
-/// EMPTY (`free_impl::push_free_chain`) — and so does the whole row when
+/// EMPTY (`free_impl::close_whole`) — and so does the whole row when
 /// this block would take it over [`MID_BUDGET`]. Returns whether
 /// anything went home. Out of line, like `malloc_mid`: inlined into
 /// `free` it buys `sbcycle_1t` 1 ns and costs `threadtest_2t`, whose
@@ -640,9 +640,9 @@ unsafe fn flush<S: PageSource>(inner: &Inner<S>, bin: &Bin, n: u32) {
 }
 
 /// Pushes a null-terminated list of cached blocks back onto their
-/// superblocks' free lists, one anchor CAS per run of neighbours that
-/// share a superblock — the same 16 KiB frame, so telling takes no load;
-/// returns how many blocks that was.
+/// superblocks' free lists: one anchor CAS per run of neighbours in one
+/// 16 KiB frame (telling takes no load), one store where the run is the
+/// whole superblock (DESIGN.md §21.3). Returns how many blocks that was.
 unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> usize {
     let mut blocks = 0;
     while !next.is_null() {
@@ -661,7 +661,11 @@ unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> us
             len += 1;
         }
         let idx = desc.block_index(first - sb) as u32;
-        unsafe { crate::free_impl::push_free_chain(inner, desc_ptr, idx, last, len) };
+        if len == desc.maxcount() {
+            unsafe { crate::free_impl::close_whole(inner, desc_ptr, idx, last, len) };
+        } else {
+            unsafe { crate::free_impl::push_free_chain(inner, desc_ptr, idx, last, len) };
+        }
         blocks += len as usize;
     }
     blocks
@@ -1344,8 +1348,9 @@ mod tests {
 
     /// DESIGN.md §21: a superblock no bigger than a refill is taken whole
     /// when it opens — anchor stored FULL, installed nowhere — and goes
-    /// home whole when its bin does: one chain, FULL → EMPTY, and the
-    /// flusher, who then holds the pair alone, retires it warm.
+    /// home whole when its bin does: one chain, FULL → EMPTY in one store
+    /// (§21.3), and the flusher, who then holds the pair alone, retires
+    /// it warm. A delayed actor still holding the FULL anchor loses.
     #[test]
     fn a_two_block_superblock_opens_and_closes_as_one_run() {
         use crate::anchor::SbState;
@@ -1376,8 +1381,11 @@ mod tests {
             assert_eq!(desc.load_anchor(), opened, "two frees, both cached");
             a.free(q0);
             let closed = desc.load_anchor();
-            assert_eq!((closed.state(), closed.count()), (SbState::Empty, 1));
-            assert_eq!(closed.tag(), opened.tag(), "a push bumps no tag");
+            assert_eq!((closed.state(), closed.count()), (SbState::Empty, desc.maxcount() - 1));
+            assert_eq!(closed.tag(), opened.tag(), "a close bumps no tag");
+            let warm = a.inner().desc_pool.free_descriptors().0;
+            assert!(core::ptr::eq(warm[0], desc), "the pair is on top of warm");
+            assert_eq!(desc.cas_anchor(opened, opened), Err(closed), "a stale FULL CAS fails");
             assert!(heap.load_partial().is_null(), "not parked: retired");
             let rep = a.audit();
             assert!(rep.is_clean(), "{rep}");

@@ -30,7 +30,7 @@
 //! The bounded audit slice deserves a caveat: its per-descriptor checks
 //! (geometry, anchor count-range) are single-word invariants, but a
 //! descriptor being re-initialized for a new size class is briefly
-//! inconsistent between `set_sz` and the anchor store, so a concurrent
+//! inconsistent between `set_class` and the anchor store, so a concurrent
 //! slice can flag a false positive. Slice results are therefore
 //! *advisory* — counted in [`HealthSnapshot`](crate::HealthSnapshot)
 //! but excluded from [`is_degraded`](crate::HealthSnapshot::is_degraded),

@@ -267,11 +267,11 @@ macro_rules! health_numbers {
                 "EMPTY descriptors parked where their superblock went EMPTY (a heap's Partial slot or a partial list), each holding its 16 KiB until the class's next malloc reopens it or maintenance moves it to the warm stack.";
             descriptor_slots(usize) {|i| i.desc_pool.slot_count()} "lfmalloc_descriptor_slots" ""
                 "Descriptor slots carved so far: free, on a partial list or in use.";
-            desc_avail(usize) {|i| i.desc_pool.free_counts().0} "lfmalloc_descriptors" "place=\"avail\""
+            desc_avail(usize) {|i| i.desc_pool.free_count(0)} "lfmalloc_descriptors" "place=\"avail\""
                 "Free descriptors on DescAvail (a walk of the stack: a hint under concurrency).";
-            desc_reserve(usize) {|i| i.desc_pool.free_counts().1} "lfmalloc_descriptors" "place=\"reserve\""
+            desc_reserve(usize) {|i| i.desc_pool.free_count(1)} "lfmalloc_descriptors" "place=\"reserve\""
                 "Free descriptors in the emergency reserve.";
-            desc_warm(usize) {|i| i.desc_pool.free_counts().2} "lfmalloc_descriptors" "place=\"warm\""
+            desc_warm(usize) {|i| i.desc_pool.free_count(2)} "lfmalloc_descriptors" "place=\"warm\""
                 "Free descriptors on the warm stack, each still holding its EMPTY superblock.";
         }
     };

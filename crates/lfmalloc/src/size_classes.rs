@@ -120,6 +120,20 @@ pub const fn blocks_per_superblock(ci: usize) -> u32 {
     (SB_SIZE / CLASS_SIZES[ci] as usize) as u32
 }
 
+/// Per class, `maxcount` and `ceil(2^32 / sz)`: opening a superblock reads
+/// them and divides nothing. `block_index`'s multiply by the latter is
+/// exact: for `off < 2^14` its error is below `2^-18`, less than the
+/// `1/sz >= 2^-13` by which `off / sz` falls short of the next integer.
+pub(crate) const GEOMETRY: [(u32, u32); NUM_CLASSES] = {
+    let (mut g, mut ci) = ([(0, 0); NUM_CLASSES], 0);
+    while ci < NUM_CLASSES {
+        let sz_recip = (1u64 << 32).div_ceil(CLASS_SIZES[ci] as u64) as u32;
+        g[ci] = (blocks_per_superblock(ci), sz_recip);
+        ci += 1;
+    }
+    g
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -103,11 +103,11 @@ pub struct Event {
     pub arg: u64,
 }
 
-/// Fixed-capacity, lock-free ring that keeps the newest entries.
-///
-/// Recording never blocks and never allocates: on a full ring the
-/// oldest entry is popped to make room; if even that race is lost the
-/// new one is dropped and counted.
+/// Fixed-capacity ring that keeps the newest entries: recording never
+/// waits and never allocates. On a full ring the oldest entry is popped
+/// to make room; if even that race is lost the new one is dropped and
+/// counted. Not lock-free: `BoundedQueue` is not (a producer stalled
+/// mid-push blocks its cell), and while one is stalled entries drop.
 #[derive(Debug)]
 pub struct EvictRing<T> {
     ring: Option<BoundedQueue<T>>,
