@@ -39,6 +39,12 @@
 //! ([`Anchor::push`]). Pushes go in front and only pops move the
 //! frontier, upward, so the virgin run is always the list's tail: at
 //! most one listed block carries a `V` link, and it names the frontier.
+//!
+//! A listed block's first word is `link:13, hop2:12, hop3:12, hop4:12,
+//! hop5:12, hops:3`, low bits first (DESIGN.md §20.1): an outbox run's
+//! words name up to four of the run's blocks 2 to 5 positions further
+//! down ([`Link::packed`]); every other word has `hops == 0`. Listed, a
+//! block's hops are as immutable as its link.
 
 use crate::size_classes::blocks_per_superblock;
 
@@ -64,6 +70,10 @@ const TAG_SHIFT: u32 = STATE_SHIFT + STATE_BITS;
 const AVAIL_MASK: u32 = (1 << AVAIL_BITS) - 1;
 const VIRGIN: u32 = 1 << AVAIL_BITS;
 const LINK_MASK: u32 = AVAIL_MASK | VIRGIN;
+/// Most hop indices a link word carries: the blocks at distances 2..=5.
+pub const MAX_HOPS: u32 = 4;
+const HOP_SHIFT: u32 = AVAIL_BITS + VIRGIN_BITS;
+const HOPS_SHIFT: u32 = HOP_SHIFT + MAX_HOPS * AVAIL_BITS;
 const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
 const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
 const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
@@ -74,6 +84,8 @@ const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
 const _: () = assert!(blocks_per_superblock(0) <= AVAIL_MASK);
 const _: () = assert!(blocks_per_superblock(0) <= MAX_BLOCKS);
 const _: () = assert!(TAG_BITS == 38);
+// The hop count, 0..=MAX_HOPS, fills the link word's top three bits.
+const _: () = assert!(HOPS_SHIFT + 3 == 64 && MAX_HOPS < 8);
 
 /// A position in a superblock's free list: a block index and the virgin
 /// flag. The anchor's low bits hold one (the list's head); so does the
@@ -110,6 +122,34 @@ impl Link {
         self.0 as u64
     }
 
+    /// [`word`](Link::word) with the first `n` of `hops`: explicit indices
+    /// of the blocks 2, 3, … positions down from the one whose word this
+    /// is. The rest of `hops` is masked off, so a writer packs a fixed
+    /// window without a branch.
+    #[inline]
+    pub fn packed(self, hops: [u32; MAX_HOPS as usize], n: u32) -> u64 {
+        debug_assert!(n <= MAX_HOPS && (n == 0 || !self.is_virgin()));
+        let at = |i: usize| HOP_SHIFT + i as u32 * AVAIL_BITS;
+        let idx = hops.iter().enumerate().fold(0, |w, (i, &h)| w | (h as u64) << at(i));
+        let keep = ((1 << (n * AVAIL_BITS)) - 1) << HOP_SHIFT;
+        self.word() | idx & keep | (n as u64) << HOPS_SHIFT
+    }
+
+    /// How many hop indices `word` carries, at most [`MAX_HOPS`] whatever
+    /// a garbage word's top bits say.
+    #[inline]
+    pub fn hops(word: u64) -> u32 {
+        ((word >> HOPS_SHIFT) as u32).min(MAX_HOPS)
+    }
+
+    /// The index of the block `d` positions down from the one whose first
+    /// word is `word`, for `2 <= d <= hops(word) + 1`. Unchecked: a doomed
+    /// walk's caller bounds it by `maxcount`.
+    #[inline]
+    pub const fn hop(word: u64, d: u32) -> u32 {
+        (word >> (HOP_SHIFT + (d - 2) * AVAIL_BITS)) as u32 & AVAIL_MASK
+    }
+
     /// The block index.
     #[inline]
     pub const fn idx(self) -> u32 {
@@ -137,15 +177,17 @@ impl Link {
 
     /// The position `m` blocks down the list from this one; `word(i)`
     /// reads block `i`'s first word and is called only for explicit
-    /// positions below `maxcount`. Under `V` the rest of the way is one
-    /// addition. `None` when the list has no `m` blocks from here inside
-    /// `0..maxcount` — which a list the caller holds `m` reservations
-    /// against always has, so `None` means the walk read a word that was
-    /// not a link (a racing pop handed the block out) and must restart.
+    /// positions below `maxcount`. Each word read moves as far as its
+    /// hops reach, up to five positions; under `V` the rest of the way is
+    /// one addition. `None` when the list has no `m` blocks from here
+    /// inside `0..maxcount` — which a list the caller holds `m`
+    /// reservations against always has, so `None` means the walk read a
+    /// word that was not a link (a racing pop handed the block out) and
+    /// must restart.
     #[inline]
     pub fn skip(self, m: u32, maxcount: u32, mut word: impl FnMut(u32) -> u64) -> Option<Link> {
-        let mut at = self;
-        for left in (1..=m).rev() {
+        let (mut at, mut left) = (self, m);
+        while left > 0 {
             if at.is_virgin() {
                 let next = at.idx() + left;
                 return (next <= maxcount).then(|| Link::virgin(next));
@@ -153,7 +195,19 @@ impl Link {
             if at.idx() >= maxcount {
                 return None;
             }
-            at = at.next(|| word(at.idx()));
+            let w = word(at.idx());
+            let d = left.min(Link::hops(w) + 1);
+            at = if d == 1 {
+                Link::from_word(w)
+            } else {
+                // A hop names a block: one out of range is garbage.
+                let h = Link::hop(w, d);
+                if h >= maxcount {
+                    return None;
+                }
+                Link::explicit(h)
+            };
+            left -= d;
         }
         Some(at)
     }
@@ -504,6 +558,44 @@ mod tests {
         // In range, it is handed to the tag CAS to reject.
         let next = Link::explicit(0).skip(1, maxcount, |_| 0xDEAD_BEEF);
         assert_eq!(next, Some(Link::from_word(0xDEAD_BEEF)));
+        // Garbage hop bits: a count of 7 is read as four hops, and a hop
+        // index out of range stops the walk; one in range is handed on.
+        let hop_to = |h: u64| u64::MAX << HOPS_SHIFT | h << (HOP_SHIFT + AVAIL_BITS) | 1;
+        assert_eq!(Link::explicit(0).skip(3, maxcount, |_| hop_to(4095)), None);
+        assert_eq!(Link::explicit(0).skip(3, maxcount, |_| hop_to(maxcount as u64)), None);
+        let next = Link::explicit(0).skip(3, maxcount, |_| hop_to(5));
+        assert_eq!(next, Some(Link::explicit(5)));
+        let far = 4 << HOPS_SHIFT | 0xFFF << (HOP_SHIFT + 3 * AVAIL_BITS) | 1;
+        assert_eq!(Link::explicit(0).skip(5, maxcount, |_| far), None, "the fourth hop");
+    }
+
+    /// The word `magazine::release_list` stores in the block at position
+    /// `i` of an outbox run (`i + 1 < run.len()`).
+    fn run_word(run: &[u32], i: usize) -> u64 {
+        let hops = core::array::from_fn(|d| run.get(i + 2 + d).copied().unwrap_or(0xFFF));
+        let n = (run.len() - i - 2).min(MAX_HOPS as usize);
+        Link::explicit(run[i + 1]).packed(hops, n as u32)
+    }
+
+    #[test]
+    fn a_packed_word_round_trips_and_a_plain_one_has_no_hops() {
+        let chain = [7u32, 2047, 0, 9, 1000, 3, 4095];
+        for i in 0..chain.len() - 1 {
+            let word = run_word(&chain, i);
+            let hops = &chain[i + 2..chain.len().min(i + 6)];
+            assert_eq!(Link::from_word(word), Link::explicit(chain[i + 1]));
+            assert_eq!(Link::hops(word) as usize, hops.len());
+            for (d, &h) in (2..).zip(hops) {
+                assert_eq!(Link::hop(word, d), h);
+            }
+        }
+        // What is past the count is masked off, whatever the window held.
+        for link in [Link::explicit(5), Link::virgin(5), Link::virgin(2048)] {
+            assert_eq!(link.packed([0xFFF; 4], 0), link.word());
+            assert_eq!(Link::hops(link.word()), 0);
+        }
+        let one = Link::explicit(5).packed([9, 0xFFF, 0xFFF, 0xFFF], 1);
+        assert_eq!(one, Link::explicit(5).packed([9, 0, 0, 0], 1));
     }
 
     /// What a handed-out or never-listed block's first word may hold.
@@ -521,6 +613,11 @@ mod tests {
         held: Vec<u32>,
         /// Where the virgin run began after the last operation.
         frontier: u32,
+        /// Per block, the packed chain it was pushed in (0: none).
+        run: Vec<u32>,
+        runs: u32,
+        /// Words read through `word()`.
+        reads: core::cell::Cell<u32>,
     }
 
     impl Tiny {
@@ -538,6 +635,9 @@ mod tests {
                 free: (take..maxcount).collect(),
                 held: (0..take).collect(),
                 frontier: take,
+                run: vec![0; maxcount as usize],
+                runs: 0,
+                reads: Default::default(),
             };
             assert_eq!(anchor.head(), Link::virgin(take));
             assert_eq!(anchor.tag(), last_life.tag() + 1);
@@ -551,6 +651,7 @@ mod tests {
                     self.free.contains(&i),
                     "read the first word of block {i}, not listed"
                 );
+                self.reads.set(self.reads.get() + 1);
                 self.words[i as usize]
             }
         }
@@ -565,10 +666,23 @@ mod tests {
                 SbState::Full
             };
             let old = old.with_count(left).with_state(state);
+            self.reads.set(0);
             let next = old
                 .head()
                 .skip(k, self.maxcount, self.word())
                 .expect("k blocks are listed");
+            // Inside a packed chain a word serves five positions; its last
+            // block's word, the plain one that names the rest of the list,
+            // is one more read.
+            let run = self.run[self.free[0] as usize];
+            let inside = self.free.iter().take_while(|&&i| run != 0 && self.run[i as usize] == run);
+            let (inside, per_word) = (inside.count() as u32, MAX_HOPS + 1);
+            let (reads, bound) = (self.reads.get(), k.div_ceil(per_word));
+            if k < inside {
+                assert!(reads <= bound, "{reads} words read for {k} packed positions");
+            } else if k == inside {
+                assert!(reads <= (k - 1).div_ceil(per_word) + 1, "{reads} reads to leave the run");
+            }
             // The k-block skip lands where k single steps do, and those
             // name the blocks handed out (as `magazine::refill` walks).
             let (mut at, mut got) = (old.head(), Vec::new());
@@ -581,6 +695,7 @@ mod tests {
             assert_eq!(got, model, "hand-out order");
             for &i in &got {
                 self.words[i as usize] = USER_BYTES;
+                self.run[i as usize] = 0;
             }
             self.held.extend(got);
             self.anchor = old.pop(next);
@@ -588,10 +703,16 @@ mod tests {
             self.check();
         }
 
-        /// `free`, or a magazine flush: `chain` goes in front of the list.
-        fn push(&mut self, chain: &[u32]) {
-            for pair in chain.windows(2) {
-                self.words[pair[0] as usize] = Link::explicit(pair[1]).word();
+        /// `free`, or a magazine flush: `chain` goes in front of the list,
+        /// `packed` as `magazine::release_list` writes an outbox run.
+        fn push(&mut self, chain: &[u32], packed: bool) {
+            self.runs += 1;
+            for (i, &b) in chain[..chain.len() - 1].iter().enumerate() {
+                let plain = Link::explicit(chain[i + 1]).word();
+                self.words[b as usize] = if packed { run_word(chain, i) } else { plain };
+            }
+            for &b in chain {
+                self.run[b as usize] = if packed { self.runs } else { 0 };
             }
             let (last, new) = self
                 .anchor
@@ -656,7 +777,7 @@ mod tests {
                 }
                 return;
             }
-            for k in 1..=self.anchor.count().min(3) {
+            for k in 1..=self.anchor.count().min(5) {
                 let mut t = self.clone();
                 t.pop(k);
                 t.explore(depth - 1, sequences);
@@ -673,16 +794,26 @@ mod tests {
                 chains.push(self.held.clone());
                 chains.push(self.held.iter().rev().copied().collect());
             }
+            if self.held.len() > 3 {
+                // A run that leaves one block held, so later pops walk it.
+                chains.push(self.held[1..].to_vec());
+            }
             for chain in chains {
-                let mut t = self.clone();
-                t.push(&chain);
-                t.explore(depth - 1, sequences);
+                for packed in [false, true] {
+                    if packed && chain.len() < 3 {
+                        continue; // no word of it would carry a hop
+                    }
+                    let mut t = self.clone();
+                    t.push(&chain, packed);
+                    t.explore(depth - 1, sequences);
+                }
             }
         }
     }
 
     /// DESIGN.md §20.4: bounded-exhaustive, sequential. Every sequence of
-    /// open-`take` / pop-`k` / push-chain / empty-and-reopen up to a fixed
+    /// open-`take` / pop-`k` / push-chain (plain, and packed with hops as
+    /// an outbox run is) / empty-and-reopen up to a fixed
     /// length on a tiny superblock — `take == maxcount`, the FULL opening
     /// of §21, and the one chain that takes it back to EMPTY included —
     /// hands blocks out in the order a plain list would,
@@ -690,7 +821,7 @@ mod tests {
     /// and never moves the frontier down within a life.
     #[test]
     fn every_short_sequence_matches_a_plain_free_list() {
-        for (maxcount, depth) in [(2, 8), (4, 5), (5, 4), (6, 4)] {
+        for (maxcount, depth) in [(2, 8), (4, 5), (5, 4), (6, 4), (7, 3)] {
             let mut sequences = 0;
             for take in 1..=maxcount {
                 Tiny::opened(maxcount, Anchor::new(0, maxcount - 1, SbState::Empty), take)

@@ -55,6 +55,9 @@
 //!   `maxcount` — in a listed descriptor or in a floating one, where
 //!   `maxcount | V` is the FULL anchor of a superblock opened whole —
 //!   nor, hardened, holds a block marked allocated (`sb.virgin-range`).
+//!   A listed block's hop indices, where an outbox run wrote them, name
+//!   the blocks the walk finds 2 to 5 positions further down
+//!   (`sb.freelist-hop`).
 //! * `EMPTY` descriptors record `count == maxcount - 1` (all blocks
 //!   free except the conceptual one being freed); their free list is
 //!   not walked (whoever reopens the superblock declares it one
@@ -90,7 +93,7 @@
 //! never-unmapped slabs — but may report spurious violations from torn
 //! logical snapshots.
 
-use crate::anchor::SbState;
+use crate::anchor::{Link as Pos, SbState};
 use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
 use crate::framemap::Entry;
@@ -664,10 +667,14 @@ struct FreeWalk {
 /// from the first position that carries `V` on (the anchor's, or one
 /// link's) the successor is the next index up and nothing is read
 /// (DESIGN.md §20). Stops at the first index out of range or met twice.
+/// A word's hops (DESIGN.md §15.7) must name the blocks the walk finds
+/// that many positions down; past position `n` of a longer list they are
+/// not checked.
 fn walk_free_list(desc: &Descriptor, n: usize) -> FreeWalk {
     let (sb, sz, maxc) = (desc.sb() as usize, desc.sz() as usize, desc.maxcount());
     let mut walk = FreeWalk { blocks: Vec::new(), beyond: 0..0, defect: None };
     let mut seen: HashSet<u32> = HashSet::new();
+    let mut words = Vec::new();
     let mut at = desc.load_anchor().head();
     // One position past the last block asked for: a `V` there has to
     // be a possible one too.
@@ -694,7 +701,24 @@ fn walk_free_list(desc: &Descriptor, n: usize) -> FreeWalk {
         walk.blocks.push(idx);
         // The first word of an explicitly listed block is its successor
         // (written by `free`); a virgin block's was never written.
-        at = at.next(|| unsafe { *((sb + idx as usize * sz) as *const u64) });
+        at = at.next(|| {
+            // Explicit positions come first: `words[step]` is this one's.
+            words.push(unsafe { *((sb + idx as usize * sz) as *const u64) });
+            words[step]
+        });
+    }
+    let end = walk.blocks.len();
+    let there = |p: usize| match p {
+        p if p < end => Some(Pos::explicit(walk.blocks[p])),
+        p if p == end || at.is_virgin() => Some(at), // `V`: nothing explicit from here on
+        _ => None,
+    };
+    let mut hops = words.iter().enumerate().flat_map(|(step, &w)| {
+        (2..=Pos::hops(w) + 1).map(move |d| (step + d as usize, Pos::hop(w, d)))
+    });
+    if let Some((p, hop)) = hops.find(|&(p, hop)| there(p).is_some_and(|t| t != Pos::explicit(hop))) {
+        let detail = format!("a hop names block {hop} for position {p}, which holds another");
+        walk.defect.get_or_insert(("sb.freelist-hop", detail));
     }
     walk
 }
@@ -1027,6 +1051,44 @@ mod tests {
             for p in [held[0], held[2], held[4]] {
                 a.free(p);
             }
+        }
+    }
+
+    /// DESIGN.md §15.7: an outbox run goes home with words that name the
+    /// run's next blocks. The packed list audits clean; a hop naming a
+    /// block the walk does not find there — one the owner holds — is
+    /// `sb.freelist-hop`.
+    #[test]
+    fn a_packed_list_is_clean_and_a_hop_naming_a_held_block_is_not() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        unsafe {
+            let held: Vec<usize> = (0..8).map(|_| a.malloc(8) as usize).collect();
+            let desc = &*a.inner().frames.get(held[0]).desc();
+            let (home, sb) = (desc.heap() as usize, desc.sb() as usize);
+            let idx = |p: usize| ((p - sb) / 8) as u32;
+            malloc_api::testkit::on_some_thread(|| {
+                (a.inner().heap_for(0) as *const ProcHeap as usize != home).then(|| {
+                    held[..6].iter().for_each(|&p| a.free(p as *mut u8));
+                    a.flush_thread_cache()
+                })
+            });
+            // The run is the list's head, newest first: 5 4 3 2 1 0, then
+            // the virgin run.
+            assert_eq!(desc.load_anchor().head(), Pos::explicit(idx(held[5])));
+            let word = held[5] as *mut u64;
+            let clean = *word;
+            assert_eq!((Pos::from_word(clean), Pos::hops(clean)), (Pos::explicit(idx(held[4])), 4));
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+            let hops = [idx(held[7]), Pos::hop(clean, 3), Pos::hop(clean, 4), Pos::hop(clean, 5)];
+            word.write(Pos::from_word(clean).packed(hops, 4));
+            assert_eq!(violations(&a), ["sb.freelist-hop"]);
+            word.write(clean);
+            assert!(a.audit().is_clean());
+            a.free(held[6] as *mut u8);
+            a.free(held[7] as *mut u8);
         }
     }
 

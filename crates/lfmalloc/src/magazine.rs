@@ -40,7 +40,7 @@
 //! or by fork recovery. What a *killed* thread strands is bounded by
 //! [`MAX_CACHED_BYTES`].
 
-use crate::anchor::Link;
+use crate::anchor::{Link, MAX_HOPS};
 use crate::config::SB_SIZE;
 use crate::framemap::Entry;
 use crate::harden::Hardening;
@@ -488,21 +488,35 @@ unsafe fn refill<S: PageSource>(
     let desc = unsafe { &*run.desc };
     let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
     // The chain is the first `m` positions from `head`: linked by block
-    // index through each block's first word while explicit, consecutive
-    // once one carries `V` — and from there on nothing is loaded, the run
-    // was never written. Either way each block gets the pointer a hit
-    // expects, in place.
-    let (mut at, mut block) = (run.head, run.first);
-    for _ in 1..run.m {
-        let link = block as *const AtomicU64;
-        at = at.next(|| unsafe { (*link).load(Ordering::Relaxed) });
-        block = sb + at.idx() as usize * sz;
-        unsafe { (*link).store(block as u64, Ordering::Relaxed) };
+    // index through each block's first word while explicit (a word with
+    // hops names up to five, and is one the pop's walk loaded too), then
+    // consecutive once one carries `V`, never written, nothing to load or
+    // decode. Each block gets the pointer a hit expects, in place.
+    // SAFETY: each block given is the run's, which the pop's CAS made ours.
+    let link = |block: usize| unsafe { &*(block as *const AtomicU64) };
+    let (mut at, mut block, mut left) = (run.head, run.first, run.m - 1);
+    while left > 0 {
+        if at.is_virgin() {
+            for _ in 0..left {
+                link(block).store((block + sz) as u64, Ordering::Relaxed);
+                block += sz;
+            }
+            break;
+        }
+        let word = link(block).load(Ordering::Relaxed);
+        let reach = left.min(Link::hops(word) + 1);
+        for d in 1..=reach {
+            at = if d == 1 { Link::from_word(word) } else { Link::explicit(Link::hop(word, d)) };
+            let next = sb + at.idx() as usize * sz;
+            link(block).store(next as u64, Ordering::Relaxed);
+            block = next;
+        }
+        left -= reach;
     }
     observe::count(inner, heap, Count::MagRefill);
     if run.m > 1 {
         // The last block's successor is not ours to follow.
-        unsafe { (*(block as *const AtomicU64)).store(0, Ordering::Relaxed) };
+        link(block).store(0, Ordering::Relaxed);
         // Release: see `Bin::push`.
         bin.head
             .store(unsafe { *(run.first as *const *mut u8) }, Ordering::Release);
@@ -560,10 +574,11 @@ pub(crate) unsafe fn free<S: PageSource>(
     };
     let mut n = bin.count.load(Ordering::Relaxed);
     if n >= limit {
-        unsafe { flush(inner, bin, half) };
         if local {
+            unsafe { flush::<S, false>(inner, bin, half) };
             observe::count(inner, my_heap(inner, tb, ci), Count::MagFlush);
         } else {
+            unsafe { flush::<S, true>(inner, bin, half) };
             observe::count(inner, my_heap(inner, tb, ci), Count::OutFlush);
         }
         n = bin.count.load(Ordering::Relaxed);
@@ -597,7 +612,7 @@ unsafe fn free_mid<S: PageSource>(inner: &Inner<S>, slot: &Slot, ptr: *mut u8, c
     if full {
         cached -= n * sz;
         slot.mid_bytes.store(cached, Ordering::Relaxed);
-        unsafe { flush(inner, bin, n) };
+        unsafe { flush::<S, false>(inner, bin, n) };
         n = 0;
     } else if goes_home {
         unsafe { mid_home(inner, slot) };
@@ -609,8 +624,9 @@ unsafe fn free_mid<S: PageSource>(inner: &Inner<S>, slot: &Slot, ptr: *mut u8, c
 }
 
 /// Takes the `n` most recently cached blocks of `bin` (all of them if
-/// it holds fewer) and returns them to their superblocks.
-unsafe fn flush<S: PageSource>(inner: &Inner<S>, bin: &Bin, n: u32) {
+/// it holds fewer) and returns them to their superblocks, packed if
+/// `bin` is an outbox (see [`release_list`]).
+unsafe fn flush<S: PageSource, const PACK: bool>(inner: &Inner<S>, bin: &Bin, n: u32) {
     let first = bin.head.load(Ordering::Relaxed);
     if first.is_null() {
         bin.count.store(0, Ordering::Relaxed);
@@ -636,31 +652,52 @@ unsafe fn flush<S: PageSource>(inner: &Inner<S>, bin: &Bin, n: u32) {
         last = next;
         taken += 1;
     }
-    unsafe { release_list(inner, first) };
+    unsafe { release_list::<S, PACK>(inner, first) };
 }
 
 /// Pushes a null-terminated list of cached blocks back onto their
 /// superblocks' free lists: one anchor CAS per run of neighbours in one
 /// 16 KiB frame (telling takes no load), one store where the run is the
-/// whole superblock (DESIGN.md §21.3). Returns how many blocks that was.
-unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> usize {
+/// whole superblock (DESIGN.md §21.3). With `PACK` — an outbox's remote
+/// blocks, never more than [`MAX_BLOCKS`] — each link word but the
+/// last also names the run's next blocks ([`Link::packed`]), so the
+/// owner's refill loads one word in five (DESIGN.md §15.7); a constant,
+/// so that a plain chain's copy has no gather buffer to fill. Returns
+/// how many blocks that was.
+unsafe fn release_list<S: PageSource, const PACK: bool>(inner: &Inner<S>, mut next: *mut u8) -> usize {
     let mut blocks = 0;
+    let mut run = [0u32; MAX_BLOCKS + MAX_HOPS as usize];
     while !next.is_null() {
         let first = next as usize;
         let sb = first & !(SB_SIZE - 1);
         let desc_ptr = inner.frames.get(first).desc();
         let desc = unsafe { &*desc_ptr };
+        let idx = desc.block_index(first - sb) as u32;
         let (mut last, mut len) = (first, 1);
+        run[0] = idx;
         next = unsafe { *(next as *const *mut u8) };
         while next as usize & !(SB_SIZE - 1) == sb {
             let block = next as usize;
             next = unsafe { *(next as *const *mut u8) };
-            let link = Link::explicit(desc.block_index(block - sb) as u32).word();
-            unsafe { (*(last as *const AtomicU64)).store(link, Ordering::Relaxed) };
+            let i = desc.block_index(block - sb) as u32;
+            if PACK {
+                run[len as usize] = i;
+            } else {
+                unsafe { (*(last as *const AtomicU64)).store(Link::explicit(i).word(), Ordering::Relaxed) };
+            }
             last = block;
             len += 1;
         }
-        let idx = desc.block_index(first - sb) as u32;
+        if PACK {
+            // Gathered first, so that each word is stored once; the count
+            // masks off what the window holds past the run's end.
+            let (n, sz) = (len as usize, desc.sz() as usize);
+            for i in 0..n - 1 {
+                let hops = core::array::from_fn(|d| run[i + 2 + d]);
+                let word = Link::explicit(run[i + 1]).packed(hops, (n - 2 - i).min(MAX_HOPS as usize) as u32);
+                unsafe { (*((sb + run[i] as usize * sz) as *const AtomicU64)).store(word, Ordering::Relaxed) };
+            }
+        }
         if len == desc.maxcount() {
             unsafe { crate::free_impl::close_whole(inner, desc_ptr, idx, last, len) };
         } else {
@@ -671,29 +708,30 @@ unsafe fn release_list<S: PageSource>(inner: &Inner<S>, mut next: *mut u8) -> us
     blocks
 }
 
-/// Sends everything `bin` holds home; returns how many blocks.
-unsafe fn drain_bin<S: PageSource>(inner: &Inner<S>, bin: &Bin) -> usize {
+/// Sends everything `bin` holds home, packed if it is an outbox;
+/// returns how many blocks.
+unsafe fn drain_bin<S: PageSource, const PACK: bool>(inner: &Inner<S>, bin: &Bin) -> usize {
     // The pointer list is consistent at every instant, the count is not
     // (a fork can land between a hit's two stores): the list is what
     // gets released, the count is just reset.
     let first = bin.head.swap(core::ptr::null_mut(), Ordering::Acquire);
     bin.count.store(0, Ordering::Relaxed);
-    unsafe { release_list(inner, first) }
+    unsafe { release_list::<S, PACK>(inner, first) }
 }
 
 /// The mid row goes home: over budget, or with the rest of the slot.
 #[cold]
 unsafe fn mid_home<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
     slot.mid_bytes.store(0, Ordering::Relaxed);
-    slot.mid.iter().map(|bin| unsafe { drain_bin(inner, bin) }).sum()
+    slot.mid.iter().map(|bin| unsafe { drain_bin::<S, false>(inner, bin) }).sum()
 }
 
 /// Empties every magazine and outbox of `slot`. The caller owns the
 /// slot (claimed its owner word) or the instance is quiescent.
 unsafe fn drain_slot<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
-    let own_bound = slot.bins.iter().chain(&slot.out);
-    own_bound.map(|bin| unsafe { drain_bin(inner, bin) }).sum::<usize>()
-        + unsafe { mid_home(inner, slot) }
+    let bins = slot.bins.iter().map(|bin| unsafe { drain_bin::<S, false>(inner, bin) });
+    let out = slot.out.iter().map(|bin| unsafe { drain_bin::<S, true>(inner, bin) });
+    bins.chain(out).sum::<usize>() + unsafe { mid_home(inner, slot) }
 }
 
 /// Returns the calling thread's cached blocks to their superblocks;
@@ -1152,6 +1190,66 @@ mod tests {
                 assert_eq!(parked(&a), [held[k]]);
                 assert!(a.audit().is_clean());
             });
+        }
+    }
+
+    /// DESIGN.md §15.7: only an outbox packs. A local overflow's words are
+    /// plain links, bits 13–63 zero; a remote run's words also name the
+    /// run's next blocks, up to four each, and none past its end. Either
+    /// way the owner's refills hand the blocks out in list order — the
+    /// order a walk of the plain links alone finds.
+    #[test]
+    fn a_remote_run_carries_its_next_blocks_and_a_local_one_does_not() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = LfMalloc::with_config(Config::with_heaps(2));
+        let (cap, k) = (capacity(0), out_capacity(0));
+        let word = |p: usize| unsafe { *(p as *const u64) };
+        unsafe {
+            let held: Vec<usize> = (0..cap + 1 + 2 * k).map(|_| a.malloc(8) as usize).collect();
+            let desc = desc_of(&a, held[0] as *mut u8);
+            assert!(held.iter().all(|&p| core::ptr::eq(desc_of(&a, p as *mut u8), desc)));
+            // A full magazine's newer half goes home: plain words.
+            a.flush_thread_cache();
+            for &p in &held[..cap + 1] {
+                a.free(p as *mut u8);
+            }
+            let local: Vec<usize> = held[k..cap].iter().rev().copied().collect();
+            assert!(local.iter().all(|&p| word(p) >> 13 == 0), "a local chain has no hops");
+            a.flush_thread_cache();
+            // Two outbox runs go home: one full outbox as the next free
+            // parks, one by the thread's own flush.
+            let remote = &held[cap + 1..];
+            on_a_remote_thread(&a, desc.heap(), || {
+                remote.iter().for_each(|&p| a.free(p as *mut u8));
+                assert_eq!(a.flush_thread_cache(), k);
+            });
+            let sb = desc.sb() as usize;
+            let idx = |p: usize| ((p - sb) / 8) as u32;
+            // The list as a plain walk finds it: the second run, then the first.
+            let (mut at, mut list) = (desc.load_anchor().head(), Vec::new());
+            while list.len() < 2 * k {
+                list.push(sb + at.idx() as usize * 8);
+                at = Link::from_word(word(list[list.len() - 1]));
+            }
+            assert!(a.audit().is_clean(), "the hops name what the walk finds");
+            let newest_first = |r: &[usize]| r.iter().rev().map(|&p| idx(p)).collect::<Vec<_>>();
+            let runs = [newest_first(&remote[k..]), newest_first(&remote[..k])];
+            assert_eq!(list.iter().map(|&p| idx(p)).collect::<Vec<_>>(), runs.concat());
+            for run in &runs {
+                for (i, &b) in run[..k - 1].iter().enumerate() {
+                    let hops = core::array::from_fn(|d| run.get(i + 2 + d).copied().unwrap_or(0));
+                    let n = (k - i - 2).min(4) as u32;
+                    assert_eq!(word(sb + b as usize * 8), Link::explicit(run[i + 1]).packed(hops, n));
+                }
+                assert_eq!(Link::hops(word(sb + run[k - 1] as usize * 8)), 0, "the last word is the push's");
+            }
+            let again: Vec<usize> = (0..2 * k).map(|_| a.malloc(8) as usize).collect();
+            assert_eq!(again, list, "list order");
+            again.into_iter().for_each(|p| a.free(p as *mut u8));
+            a.flush_thread_cache();
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
         }
     }
 

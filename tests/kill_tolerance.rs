@@ -258,6 +258,7 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
 #[cfg(feature = "failpoints")]
 mod failpoint_kills {
     use super::*;
+    use lfmalloc::anchor::Link;
     use malloc_api::failpoints::{self as fp, FpAction, FpTrigger};
 
     #[test]
@@ -848,6 +849,97 @@ mod failpoint_kills {
             a.trim();
             assert_eq!(a.os_stats().live_bytes, 0);
         }
+    }
+
+    /// A refill frozen between its walk and its CAS, where the walk used
+    /// an outbox run's hops (DESIGN.md §15.3, §15.7), with the magazines
+    /// running. Meanwhile another thread's outbox run lands on the same
+    /// anchor, and the owner's pops take it and then the very blocks the
+    /// frozen walk named. The frozen CAS loses (head and tag have moved),
+    /// and the retry takes the list's head as it then is: blocks nobody
+    /// holds, in list order. The oracle checks every hand-out, the audit the structure.
+    #[test]
+    fn a_popper_frozen_on_a_packed_run_loses_its_cas_and_takes_only_free_blocks() {
+        let _quiet = fp::no_scenario(); // magazines in, other scenarios out
+        fp::clear();
+        let o = OracleMalloc::new(LfMalloc::with_config(Config::with_heaps(2)));
+        let a = o.inner();
+        const K: usize = 16; // a refill's, and an outbox's, worth of 8-byte blocks
+        let sb_of = |p: usize| p & !(16384 - 1);
+        let home = lfmalloc::heap::thread_id() % 2;
+        let on_the_other_heap = |blocks: &[usize]| {
+            testkit::on_some_thread(|| {
+                (lfmalloc::heap::thread_id() % 2 != home).then(|| {
+                    blocks.iter().for_each(|&p| unsafe { o.free(p as *mut u8) });
+                    a.flush_thread_cache()
+                })
+            })
+        };
+        unsafe {
+            // Three refills' worth: the Active word keeps 31 credits, so
+            // neither the frozen refill nor the owner's below takes its last.
+            let mine: Vec<usize> = (0..3 * K).map(|_| o.malloc(8) as usize).collect();
+            a.flush_thread_cache();
+            let sb = sb_of(mine[0]);
+            assert!(mine.iter().all(|&p| sb_of(p) == sb));
+            let idx = |p: usize| ((p - sb) / 8) as u32;
+            let newest_first = |run: &[usize]| run.iter().rev().copied().collect::<Vec<_>>();
+            // Two packed runs go home: the one the frozen walk will use on
+            // top of the one its retry will take.
+            assert_eq!(on_the_other_heap(&mine[..K]), K);
+            assert_eq!(on_the_other_heap(&mine[K..2 * K]), K);
+            let (retried, walked) = (newest_first(&mine[..K]), newest_first(&mine[K..2 * K]));
+            let head_word = *(walked[0] as *const u64);
+            assert_eq!(
+                (Link::from_word(head_word), Link::hops(head_word)),
+                (Link::explicit(idx(walked[1])), 4)
+            );
+            fp::arm_limited("active.walked", FpAction::Park, FpTrigger::Always, 1);
+            std::thread::scope(|s| {
+                // A failed assertion below must not leave the scope
+                // waiting for a thread nobody will thaw.
+                struct Thaw;
+                impl Drop for Thaw {
+                    fn drop(&mut self) {
+                        fp::disarm("active.walked");
+                    }
+                }
+                let _thaw = Thaw;
+                // The frozen thread shares the owner's heap: its refill
+                // walks the packed run, 16 positions in four loads.
+                let frozen = loop {
+                    let t = s.spawn(|| {
+                        (lfmalloc::heap::thread_id() % 2 == home)
+                            .then(|| (0..K).map(|_| o.malloc(8) as usize).collect::<Vec<_>>())
+                    });
+                    while !t.is_finished() && fp::fired("active.walked") == 0 {
+                        std::thread::yield_now();
+                    }
+                    if fp::fired("active.walked") == 1 {
+                        break t;
+                    }
+                    assert!(t.join().unwrap().is_none());
+                };
+                // A third run lands on top, and the owner's next two
+                // refills pop it and then everything the frozen walk named.
+                assert_eq!(on_the_other_heap(&mine[2 * K..]), K);
+                let popped: Vec<usize> = (0..2 * K).map(|_| o.malloc(8) as usize).collect();
+                assert_eq!(popped, [newest_first(&mine[2 * K..]), walked].concat());
+                fp::disarm("active.walked");
+                let got = frozen.join().unwrap().expect("the frozen refill's thread");
+                assert_eq!(got, retried, "the list's head as the retry found it");
+                popped.into_iter().chain(got).for_each(|p| o.free(p as *mut u8));
+            });
+            a.flush_thread_cache();
+        }
+        assert_eq!(o.verify_all(), 0);
+        assert_eq!(o.violation_count(), 0);
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(rep.magazine_blocks, 0, "{rep}");
+        unsafe { a.trim() };
+        assert_eq!(a.os_stats().live_bytes, 0);
+        fp::clear();
     }
 
     /// A death between the reservation and the pop, and one before a
