@@ -36,6 +36,7 @@
 
 use crate::active::Active;
 use crate::anchor::{Link, SbState};
+use crate::config::MAX_CREDITS;
 use crate::descriptor::{Descriptor, BITMAP_WORDS};
 use crate::framemap::Entry;
 use crate::heap::ProcHeap;
@@ -293,7 +294,7 @@ unsafe fn pop_from_active<S: PageSource>(
             } else {
                 // lines 16-17: move as many credits as possible from the
                 // anchor's count to the Active word.
-                morecredits = oldanchor.count().min(inner.config.max_credits);
+                morecredits = oldanchor.count().min(MAX_CREDITS);
                 newanchor = newanchor.with_count(oldanchor.count() - morecredits);
             }
         }
@@ -447,7 +448,7 @@ unsafe fn malloc_from_partial<S: PageSource>(
         // "oldanchor state must be PARTIAL; oldanchor count must be > 0"
         debug_assert_eq!(old.state(), SbState::Partial);
         debug_assert!(old.count() > 0);
-        let mc = (old.count() - 1).min(inner.config.max_credits); // line 7
+        let mc = (old.count() - 1).min(MAX_CREDITS); // line 7
         let new = old
             .with_count(old.count() - (mc + 1)) // line 8
             .with_state(if mc > 0 { SbState::Active } else { SbState::Full }); // line 9
@@ -593,7 +594,7 @@ unsafe fn open_sb<S: PageSource>(
             return None;
         }
     } else {
-        let credits = left.min(inner.config.max_credits) - 1; // line 9
+        let credits = left.min(MAX_CREDITS) - 1; // line 9
         let anchor = desc.load_anchor().open(take, left - (credits + 1)); // line 10
         desc.store_anchor(anchor); // line 12's fence == this release store
         if heap.cas_active(Active::null(), Active::pack(desc_ptr, credits)).is_err() {

@@ -1,10 +1,10 @@
 //! Allocator configuration and load-bearing constants.
 //!
 //! [`Config`] holds only what callers set to different values: the heap
-//! count, the credit cap, hardening, the liveness watchdog and the
-//! sampler. The rest is fixed where it acts: the OOM retry count is a
-//! constant in `retry.rs`, every instance registers its atfork hooks
-//! (`fork.rs`), the reaper runs once
+//! count, hardening, the liveness watchdog and the sampler. The rest is
+//! fixed where it acts: the credit cap is [`MAX_CREDITS`], the OOM retry
+//! count is a constant in `retry.rs`, every instance registers its
+//! atfork hooks (`fork.rs`), the reaper runs once
 //! [`start_reaper`](crate::LfMalloc::start_reaper) is called, and crash
 //! handlers once `install_crash_reporter` is.
 
@@ -88,11 +88,6 @@ pub struct Config {
     /// of processors". One heap skips the thread-id lookup — the §4.2.4
     /// single-processor optimization.
     pub heaps: usize,
-    /// Cap on credits moved into the `Active` word at once
-    /// (1..=[`MAX_CREDITS`]). The paper fixes this at 64 via pointer
-    /// alignment; the A2 ablation sweeps it to show what credit
-    /// batching buys.
-    pub max_credits: u32,
     /// Deallocation hardening: [`Hardening::Off`] (default) keeps the
     /// paper's trusting hot path; `Detect`/`Abort` validate every free
     /// (provenance, double free, poison, guard pages) — see the
@@ -124,16 +119,10 @@ impl Config {
     pub const fn with_heaps(n: usize) -> Self {
         Config {
             heaps: if n == 0 { 1 } else if n > MAX_HEAPS { MAX_HEAPS } else { n },
-            max_credits: MAX_CREDITS,
             hardening: Hardening::Off,
             liveness: LivenessConfig::default_const(),
             profile: ProfileParams::default_const(),
         }
-    }
-
-    /// Clamped credit cap for the A2 ablation.
-    pub fn with_max_credits(self, n: u32) -> Self {
-        Config { max_credits: n.clamp(1, MAX_CREDITS), ..self }
     }
 
     /// Deallocation-hardening mode (const so the global allocator's

@@ -13,12 +13,11 @@
 //!   histograms) and hands it to [`watch`] after each failed CAS, which
 //!   compares it against the configured
 //!   [`LivenessConfig::retry_ceiling`].
-//! * Crossing the ceiling is a *storm*. What happens next is the
-//!   [`LivenessPolicy`]: `Ignore` (count nothing), `Throttle` (inject
-//!   escalated backoff so the storming thread stops saturating the
-//!   contended line), `Report` (default — count it, and under the
-//!   `stats` feature emit a [`LivenessStorm`](crate::stats::EventKind)
-//!   event into the event ring), or `Abort` (fail-stop: panic with the
+//! * Crossing the ceiling is a *storm*, counted once per operation.
+//!   What happens next is the [`LivenessPolicy`]: `Report` (default —
+//!   count it, and under the `stats` feature emit a
+//!   [`LivenessStorm`](crate::stats::EventKind) event into the event
+//!   ring; the operation goes on) or `Abort` (fail-stop: panic with the
 //!   site and tally, turning a silent livelock into a loud crash).
 //! * [`LfMalloc::health`](crate::LfMalloc::health) aggregates the storm
 //!   counters with maintenance progress (see [`crate::maintain`]),
@@ -55,13 +54,6 @@ use osmem::PageSource;
 /// What the watchdog does when a retry loop crosses the ceiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LivenessPolicy {
-    /// No detection at all (the pure paper hot path).
-    Ignore,
-    /// Count the storm and inject escalated backoff each time the tally
-    /// crosses another multiple of the ceiling, de-saturating the
-    /// contended cache line. The loop itself stays lock-free: backoff
-    /// delays the storming thread, it never blocks it.
-    Throttle,
     /// Count the storm in process-wide and per-instance counters and
     /// (under `stats`) emit a structured event into the event ring.
     /// The operation continues unhindered.
@@ -76,8 +68,6 @@ impl LivenessPolicy {
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
-            LivenessPolicy::Ignore => "ignore",
-            LivenessPolicy::Throttle => "throttle",
             LivenessPolicy::Report => "report",
             LivenessPolicy::Abort => "abort",
         }
@@ -142,13 +132,10 @@ impl WatchSite {
 /// Process-wide storm counter (all instances), for fleet-style health
 /// probes that don't hold an instance handle.
 static PROCESS_STORMS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide throttle-activation counter.
-static PROCESS_THROTTLES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide liveness counters: `(storms, throttle activations)`
-/// summed over every allocator instance in this process.
-pub fn process_liveness_counters() -> (u64, u64) {
-    (PROCESS_STORMS.load(Ordering::Relaxed), PROCESS_THROTTLES.load(Ordering::Relaxed))
+/// Storms summed over every allocator instance in this process.
+pub fn process_storms() -> u64 {
+    PROCESS_STORMS.load(Ordering::Relaxed)
 }
 
 /// Sentinel for "no full audit has run yet".
@@ -344,15 +331,11 @@ pub(crate) fn parked_empty<S: PageSource>(inner: &Inner<S>) -> usize {
 /// never touched on the success path.
 #[inline]
 pub(crate) fn watch<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, site: WatchSite, tries: u64) {
-    let lv = inner.config.liveness;
-    if matches!(lv.policy, LivenessPolicy::Ignore) {
-        return;
+    // The tally rises by one a lost turn, so it meets the ceiling once:
+    // exactly one storm per operation.
+    if tries == inner.config.liveness.retry_ceiling.max(1) as u64 {
+        storm(inner, heap, site, tries);
     }
-    let ceiling = lv.retry_ceiling.max(1) as u64;
-    if tries < ceiling {
-        return;
-    }
-    storm(inner, heap, site, tries, ceiling, lv.policy);
 }
 
 /// Out-of-line escalation: by the time we are here the operation has
@@ -360,46 +343,18 @@ pub(crate) fn watch<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, site: Watc
 /// irrelevant.
 #[cold]
 #[inline(never)]
-fn storm<S: PageSource>(
-    inner: &Inner<S>,
-    heap: &ProcHeap,
-    site: WatchSite,
-    tries: u64,
-    ceiling: u64,
-    policy: LivenessPolicy,
-) {
-    // Exactly one storm per operation: counted at the first crossing.
-    if tries == ceiling {
-        inner.health.counts[site as usize].fetch_add(1, Ordering::Relaxed);
-        PROCESS_STORMS.fetch_add(1, Ordering::Relaxed);
-        let kind = crate::observe::EventKind::LivenessStorm;
-        crate::observe::event(inner, kind, heap.class(), site as u64);
-    }
-    match policy {
-        LivenessPolicy::Throttle => {
-            // Re-escalate at every further multiple of the ceiling: a
-            // saturated spin to the backoff cap plus scheduler yields.
-            if tries % ceiling == 0 {
-                inner.health.add(HealthCount::Throttles, 1);
-                PROCESS_THROTTLES.fetch_add(1, Ordering::Relaxed);
-                let mut backoff = lockfree_structs::Backoff::new();
-                for _ in 0..8 {
-                    backoff.spin();
-                    std::thread::yield_now();
-                }
-            }
-        }
-        LivenessPolicy::Abort => {
-            crate::observe::failstop(inner, "liveness-abort", 0);
-            panic!(
-                "lfmalloc liveness watchdog: CAS retry storm at {} \
-                 ({} consecutive failed retries, ceiling {}) under LivenessPolicy::Abort",
-                site.label(),
-                tries,
-                ceiling
-            );
-        }
-        LivenessPolicy::Report | LivenessPolicy::Ignore => {}
+fn storm<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap, site: WatchSite, tries: u64) {
+    inner.health.counts[site as usize].fetch_add(1, Ordering::Relaxed);
+    PROCESS_STORMS.fetch_add(1, Ordering::Relaxed);
+    let kind = crate::observe::EventKind::LivenessStorm;
+    crate::observe::event(inner, kind, heap.class(), site as u64);
+    if inner.config.liveness.policy == LivenessPolicy::Abort {
+        crate::observe::failstop(inner, "liveness-abort", 0);
+        panic!(
+            "lfmalloc liveness watchdog: CAS retry storm at {} \
+             (the ceiling, {tries} consecutive failed retries) under LivenessPolicy::Abort",
+            site.label(),
+        );
     }
 }
 

@@ -19,7 +19,7 @@
 //! section (and one per class, span, tail entry and profile site).
 //! Consumers must reject unknown formats and major versions; producers
 //! may only *add* fields within a version — removals or semantic changes
-//! bump the version. Version 2 carries:
+//! bump the version. Version 3 carries:
 //!
 //! * `os` — the byte reconciliation (superblock / slab / large / cached
 //!   large bytes vs the page source's live total), keyed as the stats
@@ -53,9 +53,12 @@
 //! exit, where allocating is allowed, so it writes the quiescent dump.
 //! All three emit the same format/version.
 //!
-//! Version 1 differed in `health` alone: four members, `storms` (the
-//! total over the sites), `throttles`, `maintain_passes` and
-//! `fork_recoveries`. The analyzer reads both versions.
+//! Older versions differ in `health` alone. Version 2's also held
+//! `throttle_activations`, the counter of a watchdog policy that is
+//! gone; version 3 dropped it. Version 1's held four members: `storms`
+//! (the total over the sites), `throttles`, `maintain_passes` and
+//! `fork_recoveries`. The analyzer reads no `health` member, so it reads
+//! all three versions.
 //!
 //! Occupancy numbers are racy snapshots when the heap is not quiescent:
 //! each descriptor's anchor is read once, and `Active` superblocks hold
@@ -84,7 +87,7 @@ use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 
 /// Current dump format version. See the module docs for the
 /// compatibility contract.
-pub const DUMP_VERSION: u64 = 2;
+pub const DUMP_VERSION: u64 = 3;
 
 /// Flight-recorder entries included in a dump.
 const DUMP_TAIL: usize = 64;
@@ -995,11 +998,19 @@ mod tests {
             let pair = format!("{}={}", r.name, v.unwrap());
             assert!(line.split(' ').any(|p| p == pair), "{pair} not in {line:?}");
         }
-        assert_eq!((line.split('=').count(), dump.u64("health.maintain_passes")), (15, 1));
+        assert_eq!((line.split('=').count(), dump.u64("health.maintain_passes")), (14, 1));
     }
 
     #[test]
     fn analyze_parses_and_ranks_leaks() {
+        // Version 2's `health` held `throttle_activations`; the analyzer
+        // still takes it.
+        let v2 = SAMPLE.replace("\"version\": 1", "\"version\": 2").replace(
+            "\"storms\": 0, \"throttles\": 0",
+            "\"storms\": {\"active.pop\": 0}, \"throttle_activations\": 0",
+        );
+        assert!(v2.contains("throttle_activations"));
+        assert_eq!(analyze_dump(&v2).unwrap().version, 2);
         let r = analyze_dump(SAMPLE).unwrap();
         assert_eq!(r.version, 1);
         assert_eq!(r.hardening, "detect");

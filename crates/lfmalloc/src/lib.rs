@@ -114,7 +114,7 @@ pub use config::Config;
 pub use global::GlobalLfMalloc;
 pub use harden::{process_misuse_counters, Hardening, MisuseCounters, MisuseKind, MisuseReport};
 pub use health::{
-    process_liveness_counters, HealthSnapshot, LivenessConfig, LivenessPolicy, WatchSite,
+    process_storms, HealthSnapshot, LivenessConfig, LivenessPolicy, WatchSite,
     DEFAULT_RETRY_CEILING, HEALTH_ROWS, NUM_WATCH_SITES,
 };
 pub use schema::CounterInfo;

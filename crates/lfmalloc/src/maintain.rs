@@ -46,19 +46,25 @@ use core::sync::atomic::{AtomicBool, Ordering};
 use core::time::Duration;
 use osmem::PageSource;
 
-/// How much work one [`LfMalloc::maintain`] pass may do.
+/// How much work one [`LfMalloc::maintain`] pass may do: [`light`]
+/// (the reaper's), [`full`] (an explicit call's), either with
+/// [`with_quiescent_trim`].
+///
+/// [`light`]: Self::light
+/// [`full`]: Self::full
+/// [`with_quiescent_trim`]: Self::with_quiescent_trim
 #[derive(Clone, Copy, Debug)]
 pub struct MaintenanceBudget {
     /// Maximum quarantined blocks released back into circulation
     /// (0 = skip; no-op when hardening is off).
-    pub quarantine: u32,
+    pub(crate) quarantine: u32,
     /// Maximum partial-list descriptors inspected per size class while
     /// pruning EMPTY stragglers (0 = skip).
-    pub prune_partials: u32,
+    pub(crate) prune_partials: u32,
     /// Descriptors examined by the bounded advisory audit slice
     /// (0 = skip). The cursor persists across passes, so successive
     /// slices cover the whole descriptor universe.
-    pub audit_descriptors: u32,
+    pub(crate) audit_descriptors: u32,
     /// Quiescent-only OS trim target; see
     /// [`with_quiescent_trim`](Self::with_quiescent_trim).
     trim_target: Option<usize>,

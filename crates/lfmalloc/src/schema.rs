@@ -227,8 +227,6 @@ macro_rules! health_numbers {
                 "Retry storms at update_active's return of unused credits to the anchor.";
             storms[FreeLink "free.link"] "lfmalloc_liveness_storms" "site=\"free.link\""
                 "Retry storms at free's push of a block onto its superblock's free list.";
-            throttle_activations(u64) Throttles "lfmalloc_liveness_throttles" ""
-                "Escalated-backoff injections under the Throttle policy, one per multiple of the ceiling.";
             maintain_passes(u64) MaintainPasses "lfmalloc_maintain_passes" ""
                 "Completed maintenance passes, explicit and reaper-driven.";
             reaper_passes(u64) ReaperPasses "lfmalloc_reaper_passes" ""

@@ -1069,8 +1069,8 @@ mod tests {
             assert!(record.get(c.key).is_some(), "{} not in the JSON", c.key);
             assert!(om.contains(&sample), "{sample}not in the exposition");
         }
-        // 29 rows; OpenMetrics adds two places to the last row's family.
-        assert_eq!((HEALTH_ROWS.len(), HEALTH_ROWS[28].family), (29, "lfmalloc_descriptors"));
+        // 28 rows; OpenMetrics adds two places to the last row's family.
+        assert_eq!((HEALTH_ROWS.len(), HEALTH_ROWS[27].family), (28, "lfmalloc_descriptors"));
         let h = a.health();
         for r in HEALTH_ROWS {
             let suffix = if r.kind == "counter" { "_total" } else { "" };

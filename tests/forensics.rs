@@ -331,7 +331,7 @@ fn dump_heap_roundtrips_through_analyzer() {
     assert_eq!(r.flight_dropped, 0);
     assert!(r.descriptors.total > 0);
     let rendered = r.to_string();
-    assert!(rendered.contains("lfmalloc heap dump v2"), "{rendered}");
+    assert!(rendered.contains("lfmalloc heap dump v3"), "{rendered}");
     assert!(rendered.contains("fragmentation by class:"), "{rendered}");
 
     // Free half and dump again: the diff shows per-class shrinkage and

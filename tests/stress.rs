@@ -155,8 +155,6 @@ fn all_configurations_survive_producer_consumer() {
         Config::detect(),
         Config::with_heaps(1),
         Config::with_heaps(8),
-        Config::detect().with_max_credits(1),
-        Config::detect().with_max_credits(7),
     ];
     for cfg in configs {
         let a = Arc::new(LfMalloc::with_config(cfg));
