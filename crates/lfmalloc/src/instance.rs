@@ -422,9 +422,10 @@ impl<S: PageSource> LfMalloc<S> {
 
     /// Returns the blocks cached in the calling thread's magazines, and
     /// the other threads' blocks parked in its outboxes, to their
-    /// superblocks, and how many there were. For a thread about to
-    /// go idle holding memory others could use; safe to call at any
-    /// time, concurrently with anything.
+    /// superblocks, and how many there were; the large span parked in
+    /// the thread's own word goes to the shared span cache (not counted).
+    /// For a thread about to go idle holding memory others could use;
+    /// safe to call at any time, concurrently with anything.
     pub fn flush_thread_cache(&self) -> usize {
         crate::magazine::drain_own(self.inner())
     }
@@ -456,11 +457,13 @@ impl<S: PageSource> LfMalloc<S> {
         let inner = self.inner();
         let t0 = Timer::start();
         inner.health.note_watermark(target_bytes);
-        // 0. Blocks parked outside the free lists pin their superblocks
-        //    partially allocated; send them home before hunting for
-        //    fully free hyperblocks: every thread's magazines (quiescence
-        //    makes other threads' slots ours to touch), and in hardened
-        //    mode the quarantine.
+        // 0. Every cached large span goes back to the source, the ones in
+        //    threads' own words included (quiescence makes other threads'
+        //    slots ours to touch). Then blocks parked outside the free
+        //    lists, which pin their superblocks partially allocated, go
+        //    home before hunting for fully free hyperblocks: every
+        //    thread's magazines, and in hardened mode the quarantine.
+        let mut released = unsafe { crate::large::drain_cache(inner) };
         unsafe { crate::magazine::drain_all(inner) };
         self.flush_quarantine();
         // 1. Uninstall every idle active superblock. An installed ACTIVE
@@ -523,9 +526,8 @@ impl<S: PageSource> LfMalloc<S> {
         };
         unsafe { inner.desc_pool.detach_warm(release) };
         // 3. Give fully free hyperblocks and slabs back to the OS.
-        let mut released = unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
+        released += unsafe { inner.sb_pool.trim_to(&inner.source, target_bytes) };
         released += unsafe { inner.desc_pool.trim(&inner.source) };
-        released += unsafe { crate::large::drain_cache(inner) };
         observe::count_global(inner, Global::Trims);
         observe::event(inner, EventKind::Trim, 0, released as u64);
         t0.stop(inner, Lat::Trim);

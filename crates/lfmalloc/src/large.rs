@@ -6,22 +6,24 @@
 //! every hardened block.
 //!
 //! The cache has two levels of the same thing, a word that *is* the span
-//! (`base | pages`, 0 = empty) and is taken by one CAS by whoever takes it:
+//! (`base | pages`, 0 = empty):
 //!
 //! * **the thread's own word** — one per magazine slot, for a span of at
-//!   most [`MAX_THREAD_SPAN`]. Only the slot's owner ever parks there, so
-//!   its park is a plain `Release` store into an empty word; a one-thread
-//!   hit pair is that store and one uncontended take CAS, on a line no
-//!   other thread writes (§16.7).
+//!   most [`MAX_THREAD_SPAN`]. It belongs to the slot, as the slot's bins
+//!   do: the slot's live owner parks and takes with a plain load and a
+//!   plain store, and nobody else touches the word but whoever holds the
+//!   slot's owner word (an adopter, `drain_dead`, fork recovery) or runs
+//!   under `trim`'s or teardown's quiescence. A one-thread hit pair is two
+//!   loads and two stores on a line no other thread writes (§16.7).
 //! * **eight shared words** ([`SpanCache`]), for everything else up to
 //!   [`MAX_CACHED_SPAN`]: a take CAS and a park CAS, retained bytes bounded
 //!   over the eight by [`MAX_CACHED_BYTES`].
 //!
 //! `malloc` looks in the caller's own word, then the shared ones, then maps
-//! ([`map_span`]); ageing, `trim`, teardown and the pressure valve walk
-//! every word of both levels ([`words`]) through the same
-//! [`claim`](SpanCache::claim). Live is derived, not counted
-//! ([`Inner::large_live`]).
+//! ([`map_span`]). Ageing and the pressure valve visit the shared words and
+//! the calling thread's own; `trim` and teardown visit every word; a
+//! slot's drain hands the slot's span to the shared level ([`give_back`]).
+//! Live is derived, not counted ([`Inner::large_live`]).
 //!
 //! Layout of a large allocation:
 //!
@@ -48,7 +50,7 @@
 use crate::config::PREFIX_SIZE;
 use crate::harden::{Hardening, GUARD_CANARY};
 use crate::instance::Inner;
-use crate::magazine::{own_span_word, span_words, SLOTS};
+use crate::magazine::{held_span_word, own_span_word, span_words, SLOTS};
 use crate::observe::{self, EventKind, Global, Lat, Timer};
 use crate::tls::ThreadBlock;
 use core::sync::atomic::{AtomicUsize, Ordering};
@@ -101,8 +103,9 @@ pub(crate) const MAX_CACHED_SPAN: usize = 2 << 20;
 pub(crate) const MAX_CACHED_BYTES: usize = 4 << 20;
 
 /// Largest span a thread parks in its own word: what an instance retains
-/// there is bounded per word, by this times [`SLOTS`].
-pub(crate) const MAX_THREAD_SPAN: usize = 128 << 10;
+/// there is bounded per word, by this times [`SLOTS`], and what a killed
+/// thread strands beside its magazines is one such span.
+pub const MAX_THREAD_SPAN: usize = 128 << 10;
 
 const _: () = assert!(MAX_THREAD_SPAN <= MAX_CACHED_SPAN);
 const _: () = assert!(SLOTS * MAX_THREAD_SPAN + MAX_CACHED_BYTES <= 12 << 20);
@@ -129,7 +132,7 @@ const _: () = assert!(SLOT_PAGES_MASK < SLOT_IDLE && SLOT_IDLE < PAGE_SIZE);
 /// now, and an equal word that was taken and parked again in between
 /// names a span its last holder gave up just as legitimately.
 /// The eight words are this level's only state, and one cache line; a
-/// magazine slot's span word is a ninth kind of the same word.
+/// magazine slot's span word has the same format but belongs to its slot.
 #[derive(Default)]
 #[repr(align(64))]
 pub(crate) struct SpanCache {
@@ -143,33 +146,33 @@ impl SpanCache {
         (word & !(PAGE_SIZE - 1), (word & SLOT_PAGES_MASK) * PAGE_SIZE)
     }
 
-    /// Claims the span in `slot`, a word of either level, if it is
-    /// occupied and `wanted(base, bytes, idle)` says so; its base. The
-    /// caller owns the span from then on.
+    /// Claims the span in the shared word `slot` if it is occupied and
+    /// `wanted(base, bytes, idle)` says so; its base. The caller owns the
+    /// span from then on.
     ///
-    /// The CAS is `Acquire` and pairs with the park in [`park`] (a CAS on
-    /// a shared word, the owner's store on its own):
-    /// what the parking thread did to the span (the header it
-    /// read, the user's last writes) happens before anything the taker
-    /// does to it. A maintenance pass's `Relaxed` idle-bit CAS in between
-    /// is a read-modify-write and so continues that release sequence.
+    /// The CAS is `Acquire` and pairs with the park CAS in [`park_shared`]: what
+    /// the parking thread did to the span (the header it read, the user's
+    /// last writes) happens before anything the taker does to it. A
+    /// maintenance pass's `Relaxed` idle-bit CAS in between is a
+    /// read-modify-write and so continues that release sequence.
     fn claim(slot: &AtomicUsize, wanted: impl Fn(usize, usize, bool) -> bool) -> Option<usize> {
+        // Relaxed: only picks the expected value; the CAS below orders.
         let word = slot.load(Ordering::Relaxed);
-        let (base, bytes) = Self::decode(word);
-        if word == 0 || !wanted(base, bytes, word & SLOT_IDLE != 0) {
-            return None;
-        }
+        let base = wanted_base(word, wanted)?;
         // A lost CAS means another thread took or aged the span; the
         // caller moves on to the next word, so a take is 9 steps at most.
+        // Acquire on success: see above. Relaxed on failure: nothing taken.
         slot.compare_exchange(word, 0, Ordering::Acquire, Ordering::Relaxed).ok().map(|_| base)
     }
 
-    /// One pass for [`park`], last word to first: bytes parked, and the
+    /// One pass for [`park_shared`], last word to first: bytes parked, and the
     /// lowest empty slot (`CACHE_SLOTS`: none). `SeqCst`: see there.
     #[inline]
     fn scan(&self) -> (usize, usize) {
         let (mut parked, mut empty) = (0, CACHE_SLOTS);
         for (i, slot) in self.slots.iter().enumerate().rev() {
+            // SeqCst: one total order with the park CASes, so the later of
+            // two racing parkers sees both spans (DESIGN.md §16.2).
             let word = slot.load(Ordering::SeqCst);
             parked += Self::decode(word).1;
             if word == 0 {
@@ -180,8 +183,31 @@ impl SpanCache {
     }
 }
 
+/// The base of the span `word` names, if it names one and `wanted(base,
+/// bytes, idle)` says so.
+fn wanted_base(word: usize, wanted: impl Fn(usize, usize, bool) -> bool) -> Option<usize> {
+    let (base, bytes) = SpanCache::decode(word);
+    (word != 0 && wanted(base, bytes, word & SLOT_IDLE != 0)).then_some(base)
+}
+
+/// Takes the span out of a slot's own word if `wanted` says so; its base.
+/// A load and a store: the caller is the only thread touching the word —
+/// the slot's live owner, whoever holds the slot's owner word, or anyone
+/// under quiescence (DESIGN.md §16.7).
+///
+/// Both `Relaxed`. The owner reads its own stores in program order; a
+/// holder of the owner word got it after the dead owner's ticket release
+/// (`tls::stamp_alive`'s `Acquire`) or the drain's owner-word `Release`,
+/// and quiescence is established by whoever calls `trim` or drops the
+/// instance: each orders the last park before this load.
+fn take_own(own: &AtomicUsize, wanted: impl Fn(usize, usize, bool) -> bool) -> Option<usize> {
+    let base = wanted_base(own.load(Ordering::Relaxed), wanted)?;
+    own.store(0, Ordering::Relaxed);
+    Some(base)
+}
+
 /// Every word a span can be parked in: the eight shared ones, then each
-/// magazine slot's own. Whatever walks the cache walks these.
+/// magazine slot's own. What reports and the audit read.
 fn words<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item = &AtomicUsize> {
     inner.large_cache.slots.iter().chain(span_words(inner))
 }
@@ -189,6 +215,8 @@ fn words<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item = &AtomicUsize> 
 fn occupied<'a>(
     words: impl Iterator<Item = &'a AtomicUsize> + 'a,
 ) -> impl Iterator<Item = (usize, usize)> + 'a {
+    // Relaxed: a report's racy snapshot; nothing is dereferenced on it
+    // except by the audit, which runs quiescent.
     words.map(|w| w.load(Ordering::Relaxed)).filter(|&w| w != 0).map(SpanCache::decode)
 }
 
@@ -216,46 +244,62 @@ pub(crate) fn cached_bytes<S: PageSource>(inner: &Inner<S>) -> usize {
 }
 
 /// Parks a freed span: in the calling thread's own word if that is empty
-/// and the span at most [`MAX_THREAD_SPAN`], else in the shared cache.
-/// False when the span has to go back to the source instead: too big, no
-/// free slot, or it would take the retained bytes over the bound.
+/// and the span at most [`MAX_THREAD_SPAN`], else in the shared words
+/// ([`park_shared`]). False when the span has to go back to the source
+/// instead.
 ///
-/// Only a slot's owner ever writes a span into its word — everyone else's
-/// CAS expects one there — so a word the owner reads empty stays empty
-/// until the owner's store: no CAS, no scan, and the bound is the word's
-/// own. The store is a `Release` to every taker's `Acquire`, as the shared
-/// CAS is (DESIGN.md §16.7).
-///
-/// The shared bound is on what *stays*: parkers that raced may each have
-/// seen room for one span, so each looks again after its CAS and, over the
-/// bound, takes its own span back out. CAS and scan are `SeqCst` so that
-/// the later of two racing parkers sees both spans; to the taker's
-/// `Acquire` the CAS is a `Release` (DESIGN.md §16.1–16.2).
+/// The own word is the slot's (see [`take_own`]): a word its owner reads
+/// empty stays empty until the owner's store, so there is no CAS, no scan,
+/// and the bound is the word's own. This much is inlined into `free`; the
+/// shared level is a call of its own.
+#[inline]
 fn park<S: PageSource>(
     inner: &Inner<S>,
     tb: Option<&ThreadBlock>,
     base: usize,
     total: usize,
 ) -> bool {
-    let cache = &inner.large_cache;
+    // Relaxed: the owner's own word, as in `take_own`.
     let own = tb
         .and_then(|tb| own_span_word(inner, tb))
         .filter(|own| total <= MAX_THREAD_SPAN && own.load(Ordering::Relaxed) == 0);
-    let (parked, first) = if own.is_some() { (0, 0) } else { cache.scan() };
+    let Some(own) = own else {
+        return park_shared(inner, base, total);
+    };
+    if malloc_api::fail_point!("large.cache_put").kill {
+        // Killed holding the span: mapped, in no word — one live block.
+        return true;
+    }
+    // Relaxed: whoever else reads this word first synchronises with this
+    // thread by other means (`take_own`).
+    own.store(base | (total / PAGE_SIZE), Ordering::Relaxed);
+    true
+}
+
+/// Parks a span in the shared words. False when
+/// the span has to go back to the source instead: too big, no free slot,
+/// or it would take the retained bytes over the bound.
+///
+/// The bound is on what *stays*: parkers that raced may each have seen
+/// room for one span, so each looks again after its CAS and, over the
+/// bound, takes its own span back out. CAS and scan are `SeqCst` so that
+/// the later of two racing parkers sees both spans; to the taker's
+/// `Acquire` the CAS is a `Release` (DESIGN.md §16.1–16.2).
+#[inline(never)]
+fn park_shared<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bool {
+    let cache = &inner.large_cache;
+    let (parked, first) = cache.scan();
     if total > MAX_CACHED_SPAN || first == CACHE_SLOTS || parked + total > MAX_CACHED_BYTES {
         return false;
     }
     if malloc_api::fail_point!("large.cache_put").kill {
-        // Killed holding the span: mapped, in no slot — one live block.
-        return true;
+        return true; // as in `park`
     }
     let word = base | (total / PAGE_SIZE);
-    if let Some(own) = own {
-        own.store(word, Ordering::Release);
-        return true;
-    }
     let Some(i) = (first..CACHE_SLOTS).find(|&i| {
         let slot = &cache.slots[i];
+        // Relaxed load: a cheap look before the CAS; SeqCst CAS: the
+        // bound's total order, and the `Release` a taker pairs with.
         slot.load(Ordering::Relaxed) == 0
             && slot.compare_exchange(0, word, Ordering::SeqCst, Ordering::Relaxed).is_ok()
     }) else {
@@ -270,50 +314,101 @@ fn park<S: PageSource>(
 /// Returns a span nobody holds a pointer into to the source, with the
 /// size and alignment its header says it was mapped with.
 unsafe fn unmap<S: PageSource>(inner: &Inner<S>, base: usize) -> usize {
+    // Relaxed: the span is ours; whoever handed it over ordered its header.
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, _, _) = header_fields(header);
+    // Relaxed: statistics, read by reports only.
     inner.large_mapped_spans.fetch_sub(1, Ordering::Relaxed);
     inner.large_mapped_bytes.fetch_sub(total, Ordering::Relaxed);
     unsafe { inner.source.dealloc_pages(base as *mut u8, total, header_align(header)) };
     total
 }
 
-/// Claims every cached span (`only_idle`: every span carrying the idle
-/// mark), a live thread's own included, and returns it to the source;
-/// `(spans, bytes)` released. Safe alongside `malloc`/`free`: each span is
-/// claimed by the same CAS a `malloc` would use.
-unsafe fn release_cached<S: PageSource>(inner: &Inner<S>, only_idle: bool) -> (usize, usize) {
+/// Returns to the source every shared span `wanted` names, each claimed by
+/// the CAS a `malloc` would use, then every one in `own`, words the caller
+/// may touch with [`take_own`]; `(spans, bytes)` released.
+unsafe fn release_cached<'a, S: PageSource>(
+    inner: &'a Inner<S>,
+    own: impl Iterator<Item = &'a AtomicUsize>,
+    wanted: impl Fn(usize, usize, bool) -> bool,
+) -> (usize, usize) {
+    let shared = inner.large_cache.slots.iter().filter_map(|s| SpanCache::claim(s, &wanted));
     let (mut spans, mut released) = (0, 0);
-    for slot in words(inner) {
-        if let Some(base) = SpanCache::claim(slot, |_, _, idle| idle || !only_idle) {
-            released += unsafe { unmap(inner, base) };
-            spans += 1;
-        }
+    for base in shared.chain(own.filter_map(|w| take_own(w, &wanted))) {
+        released += unsafe { unmap(inner, base) };
+        spans += 1;
     }
     (spans, released)
 }
 
-/// Empties the cache into the source; bytes released. `trim`, teardown,
-/// and the pressure valve of [`crate::retry::from_source`].
+/// Empties the cache into the source, every slot's word included; bytes
+/// released. `trim` and teardown.
+///
+/// # Safety
+///
+/// Quiescence, as for [`trim`](crate::LfMalloc::trim): no thread may be
+/// inside `malloc`/`free` on this instance.
 pub(crate) unsafe fn drain_cache<S: PageSource>(inner: &Inner<S>) -> usize {
-    unsafe { release_cached(inner, false) }.1
+    unsafe { release_cached(inner, span_words(inner), |_, _, _| true) }.1
+}
+
+/// The pressure valve of [`crate::retry::from_source`]: empties the shared
+/// words and the calling thread's own into the source; bytes released.
+/// Other threads' words are theirs. Runs inside an allocator entry, so the
+/// caller's own word is not halfway through a take.
+pub(crate) fn relieve<S: PageSource>(inner: &Inner<S>) -> usize {
+    let own = crate::tls::with_block(|tb| held_span_word(inner, tb));
+    // SAFETY: the shared spans are claimed by CAS; `own` is the caller's.
+    unsafe { release_cached(inner, own.into_iter(), |_, _, _| true) }.1
+}
+
+/// Hands the span in a slot's word to the shared level, or back to the
+/// source where that has no room; `magazine::drain_slot`, whose caller
+/// holds the slot (its owner, the holder of its owner word, or quiescence).
+pub(crate) unsafe fn give_back<S: PageSource>(inner: &Inner<S>, own: &AtomicUsize) {
+    // Relaxed: the caller holds the slot, as in `take_own`.
+    let word = own.load(Ordering::Relaxed);
+    if word != 0 {
+        own.store(0, Ordering::Relaxed);
+        let (base, total) = SpanCache::decode(word);
+        if !park_shared(inner, base, total) {
+            unsafe { unmap(inner, base) };
+        }
+    }
 }
 
 /// One ageing step, run by every maintenance pass: spans that have sat
 /// parked since the previous pass go back to the source, the rest are
-/// marked so the next pass can tell. Returns spans released.
+/// marked so the next pass can tell. Returns spans released. It visits
+/// the shared words and the calling thread's own word, and no other
+/// thread's: a dead thread's span reaches the shared words through
+/// `drain_dead`, which `maintain` runs first.
 pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usize {
-    let released = unsafe { release_cached(inner, true) }.0;
-    for slot in words(inner) {
+    // A signal handler's pass must not age a word its thread is halfway
+    // through taking: inside the allocator, the own word is left alone.
+    let entry = crate::tls::enter_hit();
+    let own = entry.as_ref().and_then(|e| held_span_word(inner, e.block()));
+    let released = unsafe { release_cached(inner, own.into_iter(), |_, _, idle| idle) }.0;
+    for slot in &inner.large_cache.slots {
+        // Relaxed: the CAS below decides; a stale read only skips a mark.
         let word = slot.load(Ordering::Relaxed);
         if word != 0 {
             // Failure means the span was taken meanwhile: not idle.
+            // Relaxed: a read-modify-write continues the park's release
+            // sequence, and the mark publishes nothing of its own.
             let _ = slot.compare_exchange(
                 word,
                 word | SLOT_IDLE,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             );
+        }
+    }
+    if let Some(own) = own {
+        // Relaxed: the caller's own word, as in `take_own`.
+        let word = own.load(Ordering::Relaxed);
+        if word != 0 {
+            own.store(word | SLOT_IDLE, Ordering::Relaxed);
         }
     }
     released
@@ -323,7 +418,8 @@ pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usiz
 /// when the span came fresh from the source, false when it was recycled
 /// out of the cache with a previous user's bytes still in it.
 /// Out of line, like [`free_large`]: inlined, the large path moves the
-/// small path's hot code in `allocate`/`deallocate` (DESIGN.md §16.6).
+/// small path's hot code in `allocate`/`deallocate` (DESIGN.md §16.6,
+/// §16.7).
 #[inline(never)]
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
@@ -358,14 +454,15 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     // guard pages, the registry entry and the unmap on free are how that
     // mode catches a use after free.
     // First fit: big enough, at most a quarter wasted, aligned. The
-    // caller's own word first, then the shared ones.
+    // caller's own word first, a load and a store, then the shared ones.
     let fits = |base: usize, bytes: usize, _| {
         bytes >= total && bytes - total <= total / 4 && base & (os_align - 1) == 0
     };
     let cached = (!hardened && total <= MAX_CACHED_SPAN)
         .then(|| {
-            let own = own_span_word(inner, tb).into_iter();
-            own.chain(&inner.large_cache.slots).find_map(|slot| SpanCache::claim(slot, fits))
+            own_span_word(inner, tb)
+                .and_then(|own| take_own(own, fits))
+                .or_else(|| inner.large_cache.slots.iter().find_map(|s| SpanCache::claim(s, fits)))
         })
         .flatten();
     let base = match cached {
@@ -383,6 +480,8 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
         return FAILED;
     }
     let user = (base + user_off) as *mut u8;
+    // Relaxed: the span is this thread's until it hands the pointer out,
+    // and the hand-out orders the marker with the rest of the block.
     unsafe {
         (*(user.sub(PREFIX_SIZE) as *const AtomicUsize))
             .store((user_off << 1) | LARGE_FLAG, Ordering::Relaxed);
@@ -429,8 +528,11 @@ unsafe fn map_span<S: PageSource>(inner: &Inner<S>, total: usize, os_align: usiz
         }
     }
     // The span can circulate: counted mapped from here until `unmap`.
+    // Relaxed: statistics, read by reports only.
     inner.large_mapped_spans.fetch_add(1, Ordering::Relaxed);
     inner.large_mapped_bytes.fetch_add(total, Ordering::Relaxed);
+    // Relaxed: the span is this thread's; a later holder gets it through
+    // a hand-out or a park, which orders the header.
     unsafe { (*(base as *const AtomicUsize)).store(header, Ordering::Relaxed) };
     base as usize
 }
@@ -441,6 +543,7 @@ pub(crate) unsafe fn usable_size_large(ptr: *mut u8, prefix: usize) -> usize {
     debug_assert_eq!(prefix & LARGE_FLAG, LARGE_FLAG);
     let user_off = prefix >> 1;
     let base = ptr as usize - user_off;
+    // Relaxed: the caller holds the block, so its header is ordered.
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, guarded, _) = header_fields(header);
     let guard_bytes = if guarded { 2 * PAGE_SIZE } else { 0 };
@@ -473,6 +576,7 @@ pub(crate) unsafe fn release_large<S: PageSource>(
     base: usize,
 ) {
     let t0 = Timer::start();
+    // Relaxed: the freeing thread holds the block, as above.
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, guarded, _) = header_fields(header);
     observe::count_global(inner, Global::LargeFree);
@@ -664,9 +768,9 @@ mod tests {
     }
 
     /// DESIGN.md §16.7: between entry and return of a one-thread hit pair
-    /// the span moves between the caller and the caller's own word, by one
-    /// CAS and one store; the shared line is not written and no counter
-    /// moves.
+    /// the span moves between the caller and the caller's own word, by a
+    /// load and a store each way; the shared line is not written and no
+    /// counter moves.
     #[test]
     fn a_one_thread_large_pair_touches_no_shared_word() {
         // The thread's word steps aside, with the magazines, while a fault
@@ -741,12 +845,12 @@ mod tests {
         }
     }
 
-    /// A maintenance loop on another thread ages the owner's word while
-    /// the owner churns: whenever the idle mark lands between the owner's
-    /// load and its CAS the owner misses, maps, and parks beside the aged
-    /// span. Every span stays in exactly one place — the books reconcile
-    /// at the end — and what the instance holds stays within one live
-    /// span, the thread's word and the eight shared ones.
+    /// A maintenance loop on another thread runs while the owner churns.
+    /// The owner's word is the owner's slot's (§16.7): the loop neither
+    /// ages nor takes it, so no take misses and no span is mapped beside
+    /// the parked one. Every span stays in exactly one place — the books
+    /// reconcile at the end — and what the instance holds stays within one
+    /// live span, the thread's word and the eight shared ones.
     #[test]
     fn ageing_a_live_owners_word_loses_and_doubles_no_span() {
         use core::sync::atomic::AtomicBool;
@@ -782,19 +886,25 @@ mod tests {
         assert_eq!(a.os_stats().live_bytes, rep.bytes.large_cached_bytes);
     }
 
-    /// A span in the word of a thread that has exited is aged like any
-    /// other: nobody has to adopt the slot, and nothing waits for `trim`.
+    /// A span in the word of a thread that has exited goes to the shared
+    /// words with the rest of its slot in the first pass (`drain_dead`),
+    /// and the second pass releases it: nobody has to adopt the slot, and
+    /// nothing waits for `trim`.
     #[test]
     fn an_exited_threads_span_is_released_by_the_second_pass() {
         #[cfg(feature = "failpoints")]
         let _quiet = malloc_api::failpoints::no_scenario();
         let a = instance();
+        // Joined, not just scoped out: the thread has run its exit
+        // sentinel, so the first pass sees its slot's owner gone.
         std::thread::scope(|s| {
             s.spawn(|| unsafe {
                 let p = a.malloc(64 << 10);
                 a.free(p);
                 assert_ne!(own_word(&a).load(Ordering::Relaxed), 0);
-            });
+            })
+            .join()
+            .unwrap();
         });
         assert_eq!(shared_words(&a), [0; CACHE_SLOTS]);
         assert_eq!(a.os_stats().live_bytes, span(64 << 10));
@@ -802,6 +912,66 @@ mod tests {
         assert_eq!(a.maintain(MaintenanceBudget::light()).large_spans_released, 1);
         assert_eq!(a.os_stats().live_bytes, 0);
         assert!(a.audit().is_clean());
+    }
+
+    /// A live owner's word is reached only through its slot (§16.7).
+    /// Another thread's maintenance passes and pressure valve leave the
+    /// parked span where it is; the owner's own two passes release it;
+    /// `flush_thread_cache` hands it to the shared words, whose ageing
+    /// anyone's passes run; an exited owner's span goes the same way.
+    #[test]
+    fn a_live_owners_span_word_is_reached_only_through_its_slot() {
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::no_scenario();
+        let a = instance();
+        let clean = || {
+            let rep = a.audit();
+            assert!(rep.is_clean(), "{rep}");
+        };
+        // Joined: a thread that ran `f` has run its exit sentinel too.
+        let elsewhere = |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        let passes = |n: usize| -> Vec<u64> {
+            (0..n).map(|_| a.maintain(MaintenanceBudget::light()).large_spans_released).collect()
+        };
+        unsafe {
+            let p = a.malloc(64 << 10);
+            a.free(p);
+            let word = own_word(&a).load(Ordering::Relaxed);
+            assert_ne!(word, 0);
+            elsewhere(&|| {
+                assert_eq!(passes(3), [0, 0, 0]);
+                assert_eq!(relieve(a.inner()), 0, "the valve leaves another thread's word");
+            });
+            assert_eq!(own_word(&a).load(Ordering::Relaxed), word, "neither taken nor aged");
+            assert_eq!(a.os_stats().live_bytes, span(64 << 10));
+            clean();
+            // The owner's own passes age its word.
+            assert_eq!(passes(2), [0, 1]);
+            assert_eq!(own_word(&a).load(Ordering::Relaxed), 0);
+            assert_eq!(a.os_stats().live_bytes, 0);
+            clean();
+            // A flush hands the span to the shared words, and anyone ages
+            // those.
+            let p = a.malloc(64 << 10);
+            a.free(p);
+            a.flush_thread_cache();
+            assert_eq!(own_word(&a).load(Ordering::Relaxed), 0);
+            assert_eq!(SpanCache::decode(shared_words(&a)[0]), (p as usize - 16, span(64 << 10)));
+            clean();
+            elsewhere(&|| assert_eq!(passes(2), [0, 1]));
+            assert_eq!(a.os_stats().live_bytes, 0);
+            clean();
+        }
+        // An owner that exits leaves its span to anyone's two passes.
+        elsewhere(&|| unsafe {
+            let p = a.malloc(64 << 10);
+            a.free(p);
+            assert_ne!(own_word(&a).load(Ordering::Relaxed), 0);
+        });
+        assert_eq!(a.os_stats().live_bytes, span(64 << 10));
+        elsewhere(&|| assert_eq!(passes(2), [0, 1]));
+        assert_eq!(a.os_stats().live_bytes, 0);
+        clean();
     }
 
     #[test]

@@ -37,8 +37,11 @@
 //! [stamp](crate::tls): a thread finds its slot through its TLS block,
 //! and a slot whose owner has exited or died in a fork is drained by
 //! the next thread to adopt it, by [`maintain`](crate::LfMalloc::maintain)
-//! or by fork recovery. What a *killed* thread strands is bounded by
-//! [`MAX_CACHED_BYTES`].
+//! or by fork recovery. A slot also holds the thread's parked large span
+//! ([`crate::large`]'s own word), and every drain hands that on too. What
+//! a *killed* thread strands is its slot: bounded by [`MAX_CACHED_BYTES`]
+//! in blocks plus one span of at most
+//! [`MAX_THREAD_SPAN`](crate::large::MAX_THREAD_SPAN).
 
 use crate::anchor::{Link, MAX_HOPS};
 use crate::config::SB_SIZE;
@@ -185,7 +188,8 @@ pub(crate) struct Slot {
     mid_bytes: AtomicU32,
     /// One freed large span, parked for this thread's next large `malloc`
     /// in the shared cache's word format; [`crate::large`] alone reads and
-    /// writes it (DESIGN.md §16.7). Lives in what was the slot's padding.
+    /// writes it (DESIGN.md §16.7). The owner's, like the bins: plain
+    /// loads and stores. Lives in what was the slot's padding.
     span: AtomicUsize,
 }
 
@@ -282,6 +286,17 @@ pub(crate) fn own_span_word<'a, S: PageSource>(
 ) -> Option<&'a AtomicUsize> {
     // SAFETY: a non-null slot is one of `inner.mags`' slots.
     unsafe { slot_of(inner, tb).as_ref() }.map(|s| &s.span)
+}
+
+/// The calling thread's span word if the thread already holds a slot in
+/// `inner` (no attach, no fork recovery); none otherwise.
+#[inline]
+pub(crate) fn held_span_word<'a, S: PageSource>(
+    inner: &'a Inner<S>,
+    tb: &ThreadBlock,
+) -> Option<&'a AtomicUsize> {
+    // SAFETY: a non-null slot is one of `inner.mags`' slots.
+    unsafe { hit_slot(inner, tb).as_ref() }.map(|s| &s.span)
 }
 
 /// Every slot's span word, whoever owns the slot or did.
@@ -726,9 +741,12 @@ unsafe fn mid_home<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
     slot.mid.iter().map(|bin| unsafe { drain_bin::<S, false>(inner, bin) }).sum()
 }
 
-/// Empties every magazine and outbox of `slot`. The caller owns the
-/// slot (claimed its owner word) or the instance is quiescent.
+/// Empties every magazine and outbox of `slot`, and hands its parked
+/// large span to the shared level; returns how many blocks went home. The
+/// caller owns the slot (claimed its owner word) or the instance is
+/// quiescent.
 unsafe fn drain_slot<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
+    unsafe { crate::large::give_back(inner, &slot.span) };
     let bins = slot.bins.iter().map(|bin| unsafe { drain_bin::<S, false>(inner, bin) });
     let out = slot.out.iter().map(|bin| unsafe { drain_bin::<S, true>(inner, bin) });
     bins.chain(out).sum::<usize>() + unsafe { mid_home(inner, slot) }
@@ -808,8 +826,9 @@ pub(crate) fn reattach_after_fork<S: PageSource>(inner: &Inner<S>) {
 
 /// Crash-tolerance test hook: the calling thread forgets every slot it
 /// owns, in every instance, exactly as if it had been killed — the
-/// slots keep naming it, its liveness ticket stays taken, and the
-/// blocks cached there (at most [`MAX_CACHED_BYTES`] per instance) are
+/// slots keep naming it, its liveness ticket stays taken, and what they
+/// hold (at most [`MAX_CACHED_BYTES`] of blocks and one span of at most
+/// [`MAX_THREAD_SPAN`](crate::large::MAX_THREAD_SPAN) per instance) is
 /// stranded until `trim`. The thread itself carries on under a new
 /// identity.
 #[doc(hidden)]

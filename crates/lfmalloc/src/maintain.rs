@@ -149,9 +149,9 @@ pub struct MaintenanceReport {
 #[derive(Clone, Copy, Debug)]
 pub struct ReaperConfig {
     /// Sleep between maintenance passes.
-    pub period: Duration,
+    pub(crate) period: Duration,
     /// Budget of each pass.
-    pub budget: MaintenanceBudget,
+    pub(crate) budget: MaintenanceBudget,
 }
 
 impl ReaperConfig {
@@ -280,7 +280,9 @@ impl<S: PageSource> LfMalloc<S> {
     /// Runs one bounded self-healing pass: drains dead threads'
     /// magazines, releases quarantined blocks, prunes EMPTY descriptors,
     /// advances the advisory audit slice, releases cached large spans
-    /// that sat idle since the previous pass, and (only if the budget was
+    /// that sat idle since the previous pass (the shared ones and the
+    /// calling thread's own: a live thread's parked span is its own to
+    /// age), and (only if the budget was
     /// built with the `unsafe` trim constructor) trims toward the OS
     /// watermark. Safe to call concurrently with `malloc`/`free` for
     /// any budget that doesn't trim; see [`MaintenanceBudget`].
@@ -313,8 +315,10 @@ impl<S: PageSource> LfMalloc<S> {
             report.audit_flagged = flagged;
         }
         // Ageing of the large-span cache: two passes without a taker and a
-        // span goes back to the OS. Needs no quiescence (a span is claimed
-        // by the CAS a malloc would use), so every pass runs it.
+        // span goes back to the OS. Needs no quiescence: a shared span is
+        // claimed by the CAS a malloc would use, and the only thread word
+        // visited is the caller's own. A dead thread's span is in the
+        // shared words by now (`drain_dead` above).
         report.large_spans_released = unsafe { crate::large::release_idle_spans(inner) } as u64;
         if let Some(target) = budget.trim_target {
             inner.health.note_watermark(target);

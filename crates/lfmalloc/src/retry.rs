@@ -12,8 +12,9 @@
 //! spinning an exponential [`Backoff`] and yielding the thread
 //! in between so a recovering source gets time to recover. Before the
 //! first of them the free-span cache ([`crate::large`]) is emptied into
-//! the source: memory the allocator is only sitting on is the first
-//! thing to give back.
+//! the source — its shared words and the calling thread's own; other
+//! threads' words are theirs: memory the allocator is only sitting on is
+//! the first thing to give back.
 //!
 //! Lock-freedom is unaffected: the retry count is a hard bound, so every
 //! call still completes in a finite number of steps; after the budget is
@@ -31,7 +32,8 @@ pub(crate) const OOM_RETRIES: u32 = 8;
 
 /// Runs one request against the page source (directly or through a
 /// pool) under the retry budget, counting each null; the
-/// first null also drains the large-span cache into the source.
+/// first null also drains the large-span cache into the source
+/// ([`crate::large::relieve`]).
 pub(crate) fn from_source<S: PageSource>(
     inner: &Inner<S>,
     mut attempt: impl FnMut() -> *mut u8,
@@ -43,8 +45,7 @@ pub(crate) fn from_source<S: PageSource>(
             crate::observe::count_global(inner, crate::observe::Global::OomBackoffs);
             if !relieved {
                 relieved = true;
-                // SAFETY: every cached span is owned by the cache alone.
-                unsafe { crate::large::drain_cache(inner) };
+                crate::large::relieve(inner);
             }
         }
         p

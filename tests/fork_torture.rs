@@ -410,11 +410,76 @@ fn forking_threads_magazine_survives_and_orphaned_slots_are_drained() {
     assert!(audit.magazine_blocks > cached);
 }
 
+/// A thread's parked span belongs to its slot (DESIGN.md §16.7), and a
+/// forked child's recovery drains every parent-era slot but the forking
+/// thread's: the span a thread left behind by the fork parked is in the
+/// shared words once the child has recovered, and the child's next
+/// malloc of that size is handed it. In the parent the span stays in its
+/// thread's word, which nobody else takes from. Both audit clean.
+#[test]
+fn a_parent_era_threads_span_word_is_drained_by_the_childs_recovery() {
+    let _serial = fork_lock();
+    let a = LfMalloc::with_config(Config::with_heaps(2));
+    let parked = std::sync::atomic::AtomicUsize::new(0);
+    let (ready, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            unsafe {
+                let p = a.malloc(64 << 10);
+                a.free(p);
+                parked.store(p as usize, Ordering::Relaxed);
+            }
+            ready.wait();
+            release.wait();
+        });
+        ready.wait();
+        let p = parked.load(Ordering::Relaxed);
+        assert_eq!(a.health().large_cached_spans, 1);
+
+        let pid = unsafe { procfork::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            unsafe {
+                // The child hook has already run recovery: the orphan's
+                // slot is drained and given up, its span parked shared.
+                let h = a.health();
+                if (h.magazine_slots, h.large_cached_spans) != (1, 1) {
+                    sys::_exit(ORPHANS_KEPT);
+                }
+                audit_or_exit(&a);
+                // This thread's own word is empty: the span comes from a
+                // shared word.
+                let q = a.malloc(64 << 10);
+                if q as usize != p || a.health().large_cached_spans != 0 {
+                    sys::_exit(SPAN_CACHE_LOST);
+                }
+                a.free(q);
+                audit_or_exit(&a);
+                sys::_exit(OK);
+            }
+        }
+        let code = wait_child(pid, "a parent-era thread's span word");
+        // The parent's thread is alive: its word is its own, and this
+        // thread's malloc maps a span of its own.
+        unsafe {
+            let q = a.malloc(64 << 10);
+            assert!(!q.is_null());
+            assert_ne!(q as usize, p, "another live thread's word was taken from");
+            a.free(q);
+        }
+        release.wait();
+        assert_eq!(code, OK, "child failed (see exit-code constants)");
+    });
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+}
+
 /// Spans parked in threads' own words (DESIGN.md §16.7) cross the fork
 /// where they are: the forking thread finds its own again with its slot,
-/// and the one in the word of a thread the fork left behind is nobody's
-/// to take but everybody's to age — two maintenance passes return it, no
-/// adoption and no `trim`. The child audits clean throughout.
+/// and the one in the word of a thread the fork left behind goes to the
+/// shared words with the rest of that orphan's slot when the child
+/// recovers — two maintenance passes return it, no adoption and no
+/// `trim`. The child audits clean throughout.
 #[test]
 fn thread_parked_spans_cross_the_fork_in_their_words() {
     let _serial = fork_lock();

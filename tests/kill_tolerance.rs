@@ -249,6 +249,55 @@ fn a_thread_killed_with_full_magazines_strands_a_bounded_amount() {
     assert_eq!(audit.magazine_blocks, 0);
 }
 
+/// A thread's parked large span belongs to its slot (DESIGN.md §16.7), so
+/// a killed thread strands it with the slot's blocks: maintenance passes
+/// leave it where it is, the audit counts it parked and stays clean, and
+/// a quiescent `trim` returns it. What the corpse holds is at most
+/// `magazine::MAX_CACHED_BYTES` of blocks plus one span of at most
+/// `large::MAX_THREAD_SPAN`.
+#[test]
+fn a_thread_killed_with_a_parked_span_strands_it_until_trim() {
+    use lfmalloc::large::MAX_THREAD_SPAN;
+    use lfmalloc::magazine::{simulate_killed_thread, MAX_CACHED_BYTES};
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
+
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    // Joined, so the victim has run its exit sentinel: only the kill
+    // keeps its slot owned.
+    std::thread::scope(|s| {
+        s.spawn(|| unsafe {
+            // A 128 KiB span, the most a thread's own word takes, and a
+            // few small blocks in the magazine beside it.
+            let p = a.malloc(MAX_THREAD_SPAN - 16);
+            let small: Vec<*mut u8> = (0..4).map(|_| a.malloc(64)).collect();
+            a.free(p);
+            small.into_iter().for_each(|q| a.free(q));
+            simulate_killed_thread();
+        })
+        .join()
+        .unwrap();
+    });
+    for pass in 0..3 {
+        let rep = a.maintain(MaintenanceBudget::full());
+        assert_eq!((rep.magazines_drained, rep.large_spans_released), (0, 0), "pass {pass}");
+    }
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!((audit.large_cached_spans, audit.large_live), (1, 0), "parked, not live: {audit}");
+    assert_eq!(audit.bytes.large_cached_bytes, MAX_THREAD_SPAN);
+    let stranded = audit.magazine_blocks * 64 + audit.bytes.large_cached_bytes;
+    assert!(audit.magazine_blocks >= 4, "{audit}");
+    assert!(stranded <= MAX_CACHED_BYTES + MAX_THREAD_SPAN, "{stranded} bytes stranded");
+
+    // Quiescent now: trim may touch any slot, the corpse's included.
+    unsafe { a.trim() };
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!((audit.large_cached_spans, audit.magazine_blocks), (0, 0), "{audit}");
+    assert_eq!(a.os_stats().live_bytes, 0, "trim returned the span and the blocks");
+}
+
 /// Kill sites beyond the reservation window, reachable only through the
 /// deterministic failpoint registry (`--features failpoints`): deaths
 /// inside `free` (before the free-list CAS, and right after the EMPTY
