@@ -33,9 +33,15 @@
 //! is no bigger than the refill, in which case it is born FULL and
 //! installed nowhere — and `MallocFromPartial` on a PARTIAL superblock
 //! stays the paper's one block.
+//!
+//! The `k`-block pop reads the descriptor's `hint` with its anchor, from
+//! the same cache line (DESIGN.md §15.3): when it names the head, the
+//! walk's words are loaded all at once, and the walk then follows them
+//! exactly as it would have loaded them one by one. The hint is no
+//! state; the CAS still decides.
 
 use crate::active::Active;
-use crate::anchor::{Link, SbState};
+use crate::anchor::{Ahead, Link, Plan, SbState};
 use crate::config::MAX_CREDITS;
 use crate::descriptor::{Descriptor, BITMAP_WORDS};
 use crate::framemap::Entry;
@@ -187,13 +193,16 @@ pub(crate) unsafe fn abandon_reservation<S: PageSource>(
 /// walk met a word that was no link (see [`pop_from_active`]). The loads
 /// are atomic: a racing thread may already have been handed a block we
 /// read and be writing user data. Under `V` there is no load at all
-/// ([`Link::skip`]).
+/// ([`Link::skip`]). When `plan` starts at `head` and more than one word
+/// may be needed, the words it names are loaded first, all at once, and
+/// the walk takes them from there ([`Plan::load`], DESIGN.md §15.3).
 #[inline]
-unsafe fn walk(desc: &Descriptor, head: Link, m: u32) -> Option<(usize, Link)> {
-    let (sb, sz) = (desc.sb() as usize, desc.sz() as usize);
+unsafe fn walk(desc: &Descriptor, head: Link, m: u32, plan: Plan) -> Option<(usize, Link)> {
+    let (sb, sz, maxcount) = (desc.sb() as usize, desc.sz() as usize, desc.maxcount());
     let at = |i: u32| (sb + i as usize * sz) as *const AtomicU64;
     let word = |i| unsafe { (*at(i)).load(Ordering::Acquire) };
-    Some((at(head.idx()) as usize, head.skip(m, desc.maxcount(), word)?))
+    let ahead = if m > 1 && plan.leads(head) { plan.load(maxcount, word) } else { Ahead::NONE };
+    Some((at(head.idx()) as usize, head.skip(m, maxcount, ahead.or(word))?))
 }
 
 /// `MallocFromActive` with both steps generalised from one block to up
@@ -214,7 +223,10 @@ unsafe fn walk(desc: &Descriptor, head: Link, m: u32) -> Option<(usize, Link)> {
 /// of a block a racing pop already handed to the application, i.e. user
 /// bytes: every explicit link is therefore checked against `maxcount`
 /// before it is followed, and once a link carries `V` nothing more is
-/// read, so the walk never leaves the superblock (DESIGN.md §15.3).
+/// read, so the walk never leaves the superblock (DESIGN.md §15.3). The
+/// descriptor's `hint`, on the anchor's line, names the words a packed
+/// run's walk will read; they are loaded together, after the anchor, and
+/// are the blocks' own words like any other the walk reads.
 ///
 /// `None`: the heap has no active superblock.
 ///
@@ -279,8 +291,9 @@ unsafe fn pop_from_active<S: PageSource>(
             continue;
         }
         let oldanchor = desc.load_anchor(); // line 8
+        let plan = desc.hint(); // the anchor's line: no further miss
         // lines 9-10; a walk that strayed is a pop that lost its race.
-        let Some((block, next)) = (unsafe { walk(desc, oldanchor.head(), m) }) else {
+        let Some((block, next)) = (unsafe { walk(desc, oldanchor.head(), m, plan) }) else {
             retries.lost(inner, heap);
             continue;
         };
@@ -463,7 +476,7 @@ unsafe fn malloc_from_partial<S: PageSource>(
     let mut retries = Retries::at(Site::PartialPop);
     let (first, head) = loop {
         let old = desc.load_anchor();
-        if let Some((block, next)) = unsafe { walk(desc, old.head(), 1) } {
+        if let Some((block, next)) = unsafe { walk(desc, old.head(), 1, Plan::NONE) } {
             if desc.cas_anchor(old, old.pop(next)).is_ok() {
                 break (block, old.head()); // lines 12-15
             }

@@ -44,7 +44,10 @@
 //! hop5:12, hops:3`, low bits first (DESIGN.md §20.1): an outbox run's
 //! words name up to four of the run's blocks 2 to 5 positions further
 //! down ([`Link::packed`]); every other word has `hops == 0`. Listed, a
-//! block's hops are as immutable as its link.
+//! block's hops are as immutable as its link. Beside the anchor, the
+//! descriptor's `hint` holds a [`Plan`]: which words a walk of the last
+//! outbox run reads, so a pop can load them all at once (DESIGN.md
+//! §15.3).
 
 use crate::size_classes::blocks_per_superblock;
 
@@ -210,6 +213,124 @@ impl Link {
             left -= d;
         }
         Some(at)
+    }
+}
+
+/// Positions one packed word carries a walk: itself and its four hops.
+const STRIDE: usize = MAX_HOPS as usize + 1;
+const PLAN_LEN_SHIFT: u32 = MAX_HOPS * AVAIL_BITS;
+
+/// A walk plan (DESIGN.md §15.3): the indices of the blocks whose words
+/// [`Link::skip`] reads when it walks a whole packed run, head first —
+/// run positions 0, 5, 10, then 15 or the run's last, at most
+/// [`MAX_HOPS`] of them — as `idx:12` × 4 and `len:3`, low bits first.
+/// The outbox flush that pushes the run stores it beside the anchor; the
+/// owner's pop loads the words it names together ([`Plan::load`]), before
+/// its walk needs the first. Not state: a stale plan only picks loads
+/// that go unused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Plan(u64);
+
+impl Plan {
+    /// No plan: what a fresh descriptor's zero word reads as.
+    pub const NONE: Plan = Plan(0);
+
+    /// The plan of the packed run `run` (block indices, head first, at
+    /// least one). Each packed word moves the walk five positions or to
+    /// the run's last block, whichever is nearer, so the `j`-th word read
+    /// is at `min(5j, last)`; the count masks off the window past it.
+    #[inline]
+    pub fn of_run(run: &[u32]) -> Plan {
+        let last = run.len() - 1;
+        let n = (last.div_ceil(STRIDE) + 1).min(MAX_HOPS as usize) as u32;
+        let idx = (0..MAX_HOPS as usize)
+            .fold(0, |w, j| w | (run[(j * STRIDE).min(last)] as u64) << (j as u32 * AVAIL_BITS));
+        let keep = (1 << (n * AVAIL_BITS)) - 1;
+        Plan(idx & keep | (n as u64) << PLAN_LEN_SHIFT)
+    }
+
+    /// Reads a descriptor's `hint` word, whatever a racing flush left.
+    #[inline]
+    pub const fn from_word(word: u64) -> Plan {
+        Plan(word)
+    }
+
+    /// The word to store in the descriptor's `hint`.
+    #[inline]
+    pub const fn word(self) -> u64 {
+        self.0
+    }
+
+    /// How many indices the plan names, at most [`MAX_HOPS`].
+    #[inline]
+    pub fn len(self) -> u32 {
+        ((self.0 >> PLAN_LEN_SHIFT) as u32).min(MAX_HOPS)
+    }
+
+    /// Whether the plan names nothing.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `j`-th index, `j < len()`. Unchecked against `maxcount`.
+    #[inline]
+    pub const fn at(self, j: u32) -> u32 {
+        (self.0 >> (j * AVAIL_BITS)) as u32 & AVAIL_MASK
+    }
+
+    /// Whether a walk from `head` starts where the plan does: an explicit
+    /// head, the plan's first index.
+    #[inline]
+    pub fn leads(self, head: Link) -> bool {
+        !self.is_empty() && head.0 == self.at(0)
+    }
+
+    /// Loads the words the plan names, with `word(i)`, all of them before
+    /// any is used: no load waits for another. An index at or past
+    /// `maxcount` is not loaded, so even a stale plan reads inside the
+    /// superblock.
+    #[inline]
+    pub fn load(self, maxcount: u32, mut word: impl FnMut(u32) -> u64) -> Ahead {
+        let mut ahead = Ahead::NONE;
+        for j in 0..self.len() {
+            let i = self.at(j);
+            if i < maxcount {
+                ahead.idx[j as usize] = i;
+                ahead.word[j as usize] = word(i);
+            }
+        }
+        ahead
+    }
+}
+
+/// Words loaded ahead of a walk, in the order the walk is expected to read
+/// them ([`Plan::load`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Ahead {
+    /// Block indices; `u32::MAX`, which no walk reads, where none was loaded.
+    idx: [u32; MAX_HOPS as usize],
+    word: [u64; MAX_HOPS as usize],
+}
+
+impl Ahead {
+    /// Nothing loaded.
+    pub const NONE: Ahead = Ahead { idx: [u32::MAX; MAX_HOPS as usize], word: [0; MAX_HOPS as usize] };
+
+    /// `word`, for [`Link::skip`], with these words in front of it: the
+    /// walk's `r`-th read is the `r`-th word loaded if it names the same
+    /// block, `word(i)` otherwise. Both are block `i`'s own word loaded
+    /// after the anchor, so the walk finds what it would have found
+    /// loading each itself.
+    #[inline]
+    pub fn or(self, mut word: impl FnMut(u32) -> u64) -> impl FnMut(u32) -> u64 {
+        let mut r = 0;
+        move |i| {
+            let hit = r < MAX_HOPS as usize && self.idx[r] == i;
+            let w = if hit { self.word[r] } else { word(i) };
+            r += 1;
+            w
+        }
     }
 }
 
@@ -596,6 +717,87 @@ mod tests {
         }
         let one = Link::explicit(5).packed([9, 0xFFF, 0xFFF, 0xFFF], 1);
         assert_eq!(one, Link::explicit(5).packed([9, 0, 0, 0], 1));
+    }
+
+    /// DESIGN.md §15.3, bounded-exhaustive: for every packed run length
+    /// up to a whole superblock, pushed onto a list of plain links and a
+    /// virgin tail, the plan `magazine::release_list` stores beside the
+    /// anchor names exactly the words a walk of the whole run reads, in
+    /// order, as many as fit in four. And a walk fed words loaded ahead —
+    /// the plan's, a stale plan's, garbage indices in range and out of it —
+    /// lands where the serial walk does, for every length it may be asked.
+    #[test]
+    fn a_plan_names_the_words_a_walk_of_its_run_reads() {
+        let maxcount = MAX_BLOCKS;
+        let mut rng = TestRng::new(0x9A4E);
+        for n in 1..=maxcount as usize {
+            // The run, then the rest of the explicit blocks below it as a
+            // plain list, then the virgin tail from `frontier`.
+            let frontier = rng.range(n, maxcount as usize + 1) as u32;
+            let mut explicit: Vec<u32> = (0..frontier).collect();
+            for i in (1..explicit.len()).rev() {
+                explicit.swap(i, rng.range(0, i + 1));
+            }
+            let (run, below) = explicit.split_at(n);
+            let mut words = vec![USER_BYTES; maxcount as usize];
+            let mut link = Link::virgin(frontier);
+            for &b in below.iter().rev() {
+                words[b as usize] = link.word();
+                link = Link::explicit(b);
+            }
+            words[run[n - 1] as usize] = link.word(); // the push's word
+            for i in 0..n - 1 {
+                words[run[i] as usize] = run_word(run, i);
+            }
+            let word = |i: u32| {
+                assert!(i < maxcount, "read block {i} of {maxcount}");
+                words[i as usize]
+            };
+            let head = Link::explicit(run[0]);
+
+            let plan = Plan::of_run(run);
+            let mut reads = Vec::new();
+            let end = head.skip(n as u32, maxcount, |i| {
+                reads.push(i);
+                word(i)
+            });
+            assert_eq!(end, Some(link), "run of {n}: the walk leaves it where it was pushed");
+            let named: Vec<u32> = (0..plan.len()).map(|j| plan.at(j)).collect();
+            assert_eq!(named.len(), reads.len().min(MAX_HOPS as usize), "run of {n}");
+            assert_eq!(named, reads[..named.len()], "run of {n}: the plan is the walk's reads");
+            assert!(n > 16 || reads.len() <= MAX_HOPS as usize, "an outbox run is read in four");
+            assert!(plan.leads(head) && !plan.leads(Link::virgin(run[0])));
+            assert!(!Plan::NONE.leads(Link::explicit(0)) && !Plan::from_word(0).leads(head));
+
+            // The words a pop could have loaded ahead of its walk; the
+            // stale plan is that of the same blocks pushed the other way.
+            let stale = Plan::of_run(&run.iter().rev().copied().collect::<Vec<_>>());
+            let garbage = Plan::from_word(rng.next_u64());
+            let mut scattered = Ahead::NONE;
+            for j in 0..MAX_HOPS as usize {
+                let i = rng.range(0, maxcount as usize) as u32;
+                (scattered.idx[j], scattered.word[j]) = (i, word(i));
+            }
+            let aheads = [
+                plan.load(maxcount, word),
+                stale.load(maxcount, word),
+                garbage.load(maxcount, word),
+                Plan::from_word(u64::MAX).load(maxcount, word), // 4095 × 4: none loaded
+                scattered,
+                Ahead::NONE,
+            ];
+            for m in [1, 2, 5, 6, 7, 11, 16, 17, n - 1, n, n + 1, n + 7] {
+                let m = m as u32;
+                if m == 0 || m > maxcount {
+                    continue; // the list holds all `maxcount` blocks
+                }
+                let serial = head.skip(m, maxcount, word);
+                assert!(serial.is_some());
+                for (k, ahead) in aheads.iter().enumerate() {
+                    assert_eq!(head.skip(m, maxcount, ahead.or(word)), serial, "run {n}, m {m}, set {k}");
+                }
+            }
+        }
     }
 
     /// What a handed-out or never-listed block's first word may hold.

@@ -55,11 +55,23 @@
 //! heap slot); a thread that merely made it EMPTY holds nothing. So a
 //! descriptor on `warm` is EMPTY with `sb` attached, and one on
 //! `DescAvail` or the reserve has `sb == null`.
+//!
+//! # The line map (DESIGN.md §8.2)
+//!
+//! A descriptor is three cache lines. The first holds `anchor` and
+//! `hint` — the words pops and pushes write — and the bitmap's first six
+//! words, which only a hardened instance touches. `next`, `sb`, `heap`,
+//! `sz`, `maxcount` and `sz_recip` sit on the last: written while a
+//! thread holds the descriptor alone, then only read, so every thread
+//! keeps a shared copy that the anchor's traffic never invalidates. A
+//! `const` assertion pins it; a smaller descriptor needs two lines, not
+//! one, for the same reason.
 
-use crate::anchor::Anchor;
+use crate::anchor::{Anchor, Plan};
 use crate::config::{SB_SHIFT, SB_SIZE};
 use crate::heap::ProcHeap;
 use crate::size_classes::{CLASS_SIZES, GEOMETRY};
+use core::mem::{offset_of, size_of};
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use lockfree_structs::TaggedStack;
 use osmem::{PagePool, PageSource};
@@ -89,13 +101,27 @@ const _: () = assert!(core::mem::align_of::<Descriptor>() == 1 << 6);
 pub const BITMAP_WORDS: usize = (1 << SB_SHIFT) / 16 / 64;
 
 /// A superblock descriptor (64-byte aligned so the `Active` word can
-/// pack credits into the pointer's low bits).
+/// pack credits into the pointer's low bits). Three lines (DESIGN.md
+/// §8.2): the first holds the words a pop and a push write — `anchor`
+/// and `hint` — and the bitmap's first six words, which only a hardened
+/// instance touches; the fields that are only read after a superblock is
+/// opened sit on the last, where every thread keeps a shared copy that no
+/// anchor CAS invalidates.
 #[repr(C, align(64))]
 #[derive(Debug)]
 pub struct Descriptor {
     /// The packed `(avail, count, state, tag)` word; every state change
     /// of the superblock is one CAS on this field.
     anchor: AtomicU64,
+    /// The [`Plan`] of the last outbox run pushed here: which words a pop
+    /// of it loads ahead. Not state; see [`hint`](Self::hint).
+    hint: AtomicU64,
+    /// Hardened-mode allocation bitmap: bit `i` is set while block `i`
+    /// is handed out to the application. All zero (and untouched on the
+    /// hot paths) when hardening is off; the double-free arbiter when it
+    /// is on. Grows the descriptor from 64 to 192 bytes — the paper's
+    /// "less than 1% of allocated memory" bound still holds.
+    bitmap: [AtomicU64; BITMAP_WORDS],
     /// Link word of whichever [`DescStack`] holds the descriptor
     /// (`DescAvail`, the reserve, or a partial list — one at a time);
     /// stale poppers of any of them may read it at any time, so it is
@@ -112,13 +138,34 @@ pub struct Descriptor {
     /// `ceil(2^32 / sz)`: [`block_index`](Self::block_index) divides by
     /// `sz` with one multiply. Written with `sz`.
     sz_recip: AtomicU32,
-    /// Hardened-mode allocation bitmap: bit `i` is set while block `i`
-    /// is handed out to the application. All zero (and untouched on the
-    /// hot paths) when hardening is off; the double-free arbiter when it
-    /// is on. Grows the descriptor from 64 to 192 bytes — the paper's
-    /// "less than 1% of allocated memory" bound still holds.
-    bitmap: [AtomicU64; BITMAP_WORDS],
 }
+
+// The line map above, pinned: `anchor` and `hint` share a line, and no
+// field but the bitmap's first words shares it with them.
+const fn line_of(off: usize, size: usize) -> (usize, usize) {
+    (off / 64, (off + size - 1) / 64)
+}
+const ANCHOR_LINE: usize = line_of(offset_of!(Descriptor, anchor), 8).0;
+const _: () = {
+    let hint = line_of(offset_of!(Descriptor, hint), 8);
+    assert!(hint.0 == ANCHOR_LINE && hint.1 == ANCHOR_LINE);
+};
+const _: () = {
+    let others = [
+        line_of(offset_of!(Descriptor, next), 8),
+        line_of(offset_of!(Descriptor, sb), 8),
+        line_of(offset_of!(Descriptor, heap), 8),
+        line_of(offset_of!(Descriptor, sz), 4),
+        line_of(offset_of!(Descriptor, maxcount), 4),
+        line_of(offset_of!(Descriptor, sz_recip), 4),
+    ];
+    let mut i = 0;
+    while i < others.len() {
+        assert!(others[i].0 != ANCHOR_LINE && others[i].1 != ANCHOR_LINE);
+        i += 1;
+    }
+};
+const _: () = assert!(size_of::<Descriptor>() == 192);
 
 impl Descriptor {
     /// Loads the anchor with acquire ordering (pairs with the release
@@ -151,6 +198,23 @@ impl Descriptor {
     #[inline]
     pub fn store_anchor(&self, a: Anchor) {
         self.anchor.store(a.raw(), Ordering::Release);
+    }
+
+    /// The plan of the last outbox run pushed onto this superblock's
+    /// free list ([`Plan::NONE`] if none ever was). `Relaxed` both ways: a
+    /// pop uses it only to choose which block words to load before its
+    /// walk, and loads each of those itself after its anchor load, so a
+    /// stale or racing plan costs loads, never a wrong block.
+    #[inline]
+    pub fn hint(&self) -> Plan {
+        Plan::from_word(self.hint.load(Ordering::Relaxed))
+    }
+
+    /// Stores the plan of a run being pushed, between the push's anchor
+    /// load and its CAS (`free_impl::push_free_chain`).
+    #[inline]
+    pub fn set_hint(&self, plan: Plan) {
+        self.hint.store(plan.word(), Ordering::Relaxed);
     }
 
     /// Superblock base address.
@@ -199,8 +263,18 @@ impl Descriptor {
     /// (see `reciprocal_is_exact_for_every_class_and_offset`).
     #[inline]
     pub fn block_index(&self, off: usize) -> usize {
-        debug_assert!(off < (1 << SB_SHIFT));
-        ((off as u64 * self.sz_recip.load(Ordering::Relaxed) as u64) >> 32) as usize
+        self.block_indexer()(off)
+    }
+
+    /// [`block_index`](Self::block_index) with the reciprocal loaded once,
+    /// for a caller that divides a run's worth of offsets.
+    #[inline]
+    pub fn block_indexer(&self) -> impl Fn(usize) -> usize + Copy {
+        let recip = self.sz_recip.load(Ordering::Relaxed) as u64;
+        move |off| {
+            debug_assert!(off < (1 << SB_SHIFT));
+            ((off as u64 * recip) >> 32) as usize
+        }
     }
 
     /// Blocks per superblock.
@@ -250,7 +324,7 @@ impl Descriptor {
 }
 
 /// Descriptors per 16 KiB descriptor superblock.
-pub const DESC_PER_SLAB: usize = (1 << SB_SHIFT) / core::mem::size_of::<Descriptor>();
+pub const DESC_PER_SLAB: usize = (1 << SB_SHIFT) / size_of::<Descriptor>();
 
 /// Size of the emergency descriptor reserve (see [`DescriptorPool`]).
 ///
@@ -592,7 +666,7 @@ mod tests {
 
     #[test]
     fn descriptor_is_cacheline_aligned_with_bitmap() {
-        // 40 bytes of paper fields + the reciprocal word +
+        // 40 bytes of paper fields + the reciprocal and hint words +
         // 128 bytes of allocation bitmap, rounded to the 64-byte
         // alignment the Active word needs.
         assert_eq!(core::mem::size_of::<Descriptor>(), 192);

@@ -19,7 +19,7 @@
 //! block, are gone with that word (DESIGN.md §19): the caller found it
 //! in the frame map, and the pointer it passes is the block's first byte.
 
-use crate::anchor::SbState;
+use crate::anchor::{Plan, SbState};
 use crate::config::SB_SIZE;
 use crate::descriptor::Descriptor;
 use crate::heap::ProcHeap;
@@ -44,7 +44,7 @@ pub(crate) unsafe fn free_small<S: PageSource>(
     let idx = unsafe { &*desc_ptr }.block_index(ptr as usize & (SB_SIZE - 1));
     // Counted before the push: the block still pins the descriptor.
     unsafe { observe::count_push(inner, desc_ptr) };
-    unsafe { push_free_chain(inner, desc_ptr, idx as u32, ptr as usize, 1) }
+    unsafe { push_free_chain(inner, desc_ptr, idx as u32, ptr as usize, 1, Plan::NONE) }
 }
 
 /// Figure 6's anchor update for a chain of `n` blocks of one superblock
@@ -55,17 +55,25 @@ pub(crate) unsafe fn free_small<S: PageSource>(
 /// `last` is the start address of its last block, whose link this
 /// function writes. A thread magazine returns runs of cached blocks
 /// through here ([`crate::magazine`]), a whole superblock's via [`close_whole`].
+/// An outbox run comes with its walk plan, stored in the descriptor's
+/// `hint` between the anchor load and the CAS (DESIGN.md §15.3): the one
+/// line is then taken for the store and the CAS together, and held for
+/// no longer than the CAS needs it. [`Plan::NONE`] stores nothing.
+/// Inlined: called out of `release_list`, `handoff_2t` read ≈ 10 % slower
+/// (DESIGN.md §15.7).
 ///
 /// # Safety
 ///
 /// The chain's blocks must be distinct allocated blocks of `desc_ptr`'s
 /// superblock, not all of them, that no other thread can free concurrently.
+#[inline(always)]
 pub(crate) unsafe fn push_free_chain<S: PageSource>(
     inner: &Inner<S>,
     desc_ptr: *mut Descriptor,
     first_idx: u32,
     last: usize,
     n: u32,
+    plan: Plan,
 ) {
     let desc = unsafe { &*desc_ptr };
     // For the event ring: superblocks are `SB_SIZE`-aligned.
@@ -96,6 +104,9 @@ pub(crate) unsafe fn push_free_chain<S: PageSource>(
             continue;
         }
         let old = desc.load_anchor(); // line 7
+        if !plan.is_empty() {
+            desc.set_hint(plan);
+        }
         // lines 9-16, and line 8: link the chain's end to the current
         // list head — the virgin flag goes into the block with it, and
         // the new head carries none. Written before the CAS; the CAS's

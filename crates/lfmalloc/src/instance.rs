@@ -644,6 +644,15 @@ impl<S: PageSource> LfMalloc<S> {
         }
     }
 
+    /// Test hook: the descriptor of the superblock whose frame holds
+    /// `addr`, as the frame map names it (null for any other address).
+    /// Descriptors are type-stable until `trim`, so the pointer may be
+    /// read while the instance lives and nothing trims it.
+    #[doc(hidden)]
+    pub fn descriptor_of(&self, addr: usize) -> *const crate::descriptor::Descriptor {
+        self.inner().frames.get(addr).desc()
+    }
+
     /// Usable bytes in the block at `ptr`: its class's block size (this
     /// ≥ the requested size), or what is left of a large block's span.
     ///

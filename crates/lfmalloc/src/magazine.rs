@@ -21,6 +21,10 @@
 //!   holds half a magazine the whole run goes home the way an overflow
 //!   does. A block handed to another thread therefore still returns to
 //!   its own superblock and Hoard's no-false-sharing property survives.
+//!   An outbox run goes home *packed*: each link word also names the
+//!   run's blocks 2–5 positions on, and the descriptor's `hint` names the
+//!   words the owner's refill will read, so that refill loads them all at
+//!   once (DESIGN.md §15.3, §15.7).
 //! * The 33 classes up to 1 KiB each have a bin bounded on its own; the 24
 //!   **mid classes** above share a third row bounded in bytes for the
 //!   whole row ([`MID_BUDGET`]): two blocks a bin, a refill asks for two
@@ -43,7 +47,7 @@
 //! in blocks plus one span of at most
 //! [`MAX_THREAD_SPAN`](crate::large::MAX_THREAD_SPAN).
 
-use crate::anchor::{Link, MAX_HOPS};
+use crate::anchor::{Link, Plan, MAX_HOPS};
 use crate::config::SB_SIZE;
 use crate::framemap::Entry;
 use crate::harden::Hardening;
@@ -676,7 +680,9 @@ unsafe fn flush<S: PageSource, const PACK: bool>(inner: &Inner<S>, bin: &Bin, n:
 /// whole superblock (DESIGN.md §21.3). With `PACK` — an outbox's remote
 /// blocks, never more than [`MAX_BLOCKS`] — each link word but the
 /// last also names the run's next blocks ([`Link::packed`]), so the
-/// owner's refill loads one word in five (DESIGN.md §15.7); a constant,
+/// owner's refill loads one word in five (DESIGN.md §15.7), and the push
+/// stores the run's [`Plan`] in the descriptor's `hint`, so the refill
+/// loads those words at once (§15.3); a constant,
 /// so that a plain chain's copy has no gather buffer to fill. Returns
 /// how many blocks that was.
 unsafe fn release_list<S: PageSource, const PACK: bool>(inner: &Inner<S>, mut next: *mut u8) -> usize {
@@ -687,14 +693,15 @@ unsafe fn release_list<S: PageSource, const PACK: bool>(inner: &Inner<S>, mut ne
         let sb = first & !(SB_SIZE - 1);
         let desc_ptr = inner.frames.get(first).desc();
         let desc = unsafe { &*desc_ptr };
-        let idx = desc.block_index(first - sb) as u32;
+        let index = desc.block_indexer();
+        let idx = index(first - sb) as u32;
         let (mut last, mut len) = (first, 1);
         run[0] = idx;
         next = unsafe { *(next as *const *mut u8) };
         while next as usize & !(SB_SIZE - 1) == sb {
             let block = next as usize;
             next = unsafe { *(next as *const *mut u8) };
-            let i = desc.block_index(block - sb) as u32;
+            let i = index(block - sb) as u32;
             if PACK {
                 run[len as usize] = i;
             } else {
@@ -716,7 +723,10 @@ unsafe fn release_list<S: PageSource, const PACK: bool>(inner: &Inner<S>, mut ne
         if len == desc.maxcount() {
             unsafe { crate::free_impl::close_whole(inner, desc_ptr, idx, last, len) };
         } else {
-            unsafe { crate::free_impl::push_free_chain(inner, desc_ptr, idx, last, len) };
+            // An outbox run names the words the owner's walk will read, so
+            // that its pop loads them together (DESIGN.md §15.3).
+            let plan = if PACK { Plan::of_run(&run[..len as usize]) } else { Plan::NONE };
+            unsafe { crate::free_impl::push_free_chain(inner, desc_ptr, idx, last, len, plan) };
         }
         blocks += len as usize;
     }
@@ -1213,10 +1223,12 @@ mod tests {
     }
 
     /// DESIGN.md §15.7: only an outbox packs. A local overflow's words are
-    /// plain links, bits 13–63 zero; a remote run's words also name the
-    /// run's next blocks, up to four each, and none past its end. Either
-    /// way the owner's refills hand the blocks out in list order — the
-    /// order a walk of the plain links alone finds.
+    /// plain links, bits 13–63 zero, and it writes no plan; a remote run's
+    /// words also name the run's next blocks, up to four each, and none
+    /// past its end, and the descriptor's `hint` names the words a walk of
+    /// the run reads (§15.3): positions 0, 5, 10 and 15 of a 16-block run.
+    /// Either way the owner's refills hand the blocks out in list order —
+    /// the order a walk of the plain links alone finds.
     #[test]
     fn a_remote_run_carries_its_next_blocks_and_a_local_one_does_not() {
         #[cfg(feature = "failpoints")]
@@ -1236,15 +1248,22 @@ mod tests {
             let local: Vec<usize> = held[k..cap].iter().rev().copied().collect();
             assert!(local.iter().all(|&p| word(p) >> 13 == 0), "a local chain has no hops");
             a.flush_thread_cache();
+            assert_eq!(desc.hint(), Plan::NONE, "a local chain writes no plan");
             // Two outbox runs go home: one full outbox as the next free
             // parks, one by the thread's own flush.
             let remote = &held[cap + 1..];
-            on_a_remote_thread(&a, desc.heap(), || {
-                remote.iter().for_each(|&p| a.free(p as *mut u8));
-                assert_eq!(a.flush_thread_cache(), k);
-            });
             let sb = desc.sb() as usize;
             let idx = |p: usize| ((p - sb) / 8) as u32;
+            let newest_first = |r: &[usize]| r.iter().rev().map(|&p| idx(p)).collect::<Vec<_>>();
+            let planned = || (0..desc.hint().len()).map(|j| desc.hint().at(j)).collect::<Vec<_>>();
+            let every_fifth = |run: &[u32]| [run[0], run[5], run[10], run[15]];
+            assert_eq!(k, 16);
+            on_a_remote_thread(&a, desc.heap(), || {
+                remote.iter().for_each(|&p| a.free(p as *mut u8));
+                assert_eq!(planned(), every_fifth(&newest_first(&remote[..k])));
+                assert_eq!(a.flush_thread_cache(), k);
+            });
+            assert_eq!(planned(), every_fifth(&newest_first(&remote[k..])), "the run on top");
             // The list as a plain walk finds it: the second run, then the first.
             let (mut at, mut list) = (desc.load_anchor().head(), Vec::new());
             while list.len() < 2 * k {
@@ -1252,7 +1271,6 @@ mod tests {
                 at = Link::from_word(word(list[list.len() - 1]));
             }
             assert!(a.audit().is_clean(), "the hops name what the walk finds");
-            let newest_first = |r: &[usize]| r.iter().rev().map(|&p| idx(p)).collect::<Vec<_>>();
             let runs = [newest_first(&remote[k..]), newest_first(&remote[..k])];
             assert_eq!(list.iter().map(|&p| idx(p)).collect::<Vec<_>>(), runs.concat());
             for run in &runs {

@@ -19,6 +19,11 @@ use std::sync::Arc;
 
 #[test]
 fn allocation_survives_abandoned_reservations() {
+    // Failpoints are process-wide: hold the lock every failpoint row
+    // holds, so that no site one of them parks or kills at fires in
+    // this test's threads instead of the thread it was armed for.
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
     let a = LfMalloc::with_config(Config::with_heaps(1)); // all threads share heap 0
     unsafe {
         // Warm up: install an active superblock.
@@ -44,6 +49,11 @@ fn allocation_survives_abandoned_reservations() {
 
 #[test]
 fn killed_reservations_leak_at_most_one_block_each() {
+    // Failpoints are process-wide: hold the lock every failpoint row
+    // holds, so that no site one of them parks or kills at fires in
+    // this test's threads instead of the thread it was armed for.
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
     let a = LfMalloc::with_config(Config::with_heaps(1));
     unsafe {
         let p = a.malloc(16);
@@ -77,6 +87,11 @@ fn killed_reservations_leak_at_most_one_block_each() {
 
 #[test]
 fn concurrent_threads_progress_while_killer_rampages() {
+    // Failpoints are process-wide: hold the lock every failpoint row
+    // holds, so that no site one of them parks or kills at fires in
+    // this test's threads instead of the thread it was armed for.
+    #[cfg(feature = "failpoints")]
+    let _quiet = malloc_api::failpoints::no_scenario();
     // One thread continuously "kills itself" mid-malloc; four workers
     // hammer the same single heap. Total progress must match the
     // workers' demands exactly.
@@ -978,6 +993,109 @@ mod failpoint_kills {
                 let got = frozen.join().unwrap().expect("the frozen refill's thread");
                 assert_eq!(got, retried, "the list's head as the retry found it");
                 popped.into_iter().chain(got).for_each(|p| o.free(p as *mut u8));
+            });
+            a.flush_thread_cache();
+        }
+        assert_eq!(o.verify_all(), 0);
+        assert_eq!(o.violation_count(), 0);
+        let rep = a.audit();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(rep.magazine_blocks, 0, "{rep}");
+        unsafe { a.trim() };
+        assert_eq!(a.os_stats().live_bytes, 0);
+        fp::clear();
+    }
+
+    /// The walk plan's row (DESIGN.md §15.3): a refill frozen between a
+    /// walk that loaded the words the descriptor's `hint` named and its
+    /// CAS. Another thread's outbox run lands on top and rewrites the
+    /// hint, and the owner pops exactly that run, so the anchor's head is
+    /// the frozen walk's head again under a newer tag. The frozen CAS
+    /// loses on the tag alone; the retry finds a hint that names blocks the
+    /// owner now holds and does not lead the head, walks without it, and
+    /// takes the head as it then is — the run the frozen walk had read.
+    /// The oracle checks every hand-out, the audit the structure.
+    #[test]
+    fn a_popper_frozen_after_a_hinted_walk_loses_to_a_run_that_rewrote_the_hint() {
+        use lfmalloc::anchor::Plan;
+        let _quiet = fp::no_scenario(); // magazines in, other scenarios out
+        fp::clear();
+        let o = OracleMalloc::new(LfMalloc::with_config(Config::with_heaps(2)));
+        let a = o.inner();
+        const K: usize = 16; // a refill's, and an outbox's, worth of 8-byte blocks
+        let sb_of = |p: usize| p & !(16384 - 1);
+        let home = lfmalloc::heap::thread_id() % 2;
+        let on_the_other_heap = |blocks: &[usize]| {
+            testkit::on_some_thread(|| {
+                (lfmalloc::heap::thread_id() % 2 != home).then(|| {
+                    blocks.iter().for_each(|&p| unsafe { o.free(p as *mut u8) });
+                    a.flush_thread_cache()
+                })
+            })
+        };
+        unsafe {
+            // Three refills' worth: the Active word keeps 31 credits, so
+            // neither the frozen refill nor the owner's below takes its last.
+            let mine: Vec<usize> = (0..3 * K).map(|_| o.malloc(8) as usize).collect();
+            a.flush_thread_cache();
+            let sb = sb_of(mine[0]);
+            assert!(mine.iter().all(|&p| sb_of(p) == sb));
+            let desc = &*a.descriptor_of(sb);
+            let idx = |p: usize| ((p - sb) / 8) as u32;
+            let newest_first = |run: &[usize]| run.iter().rev().copied().collect::<Vec<_>>();
+            let plan_of = |run: &[usize]| Plan::of_run(&run.iter().map(|&p| idx(p)).collect::<Vec<_>>());
+            // Two packed runs go home; the frozen walk and its retry both
+            // start at the one on top.
+            assert_eq!(on_the_other_heap(&mine[..K]), K);
+            assert_eq!(on_the_other_heap(&mine[K..2 * K]), K);
+            let walked = newest_first(&mine[K..2 * K]);
+            let head = Link::explicit(idx(walked[0]));
+            assert_eq!(desc.load_anchor().head(), head);
+            assert_eq!(desc.hint(), plan_of(&walked));
+            assert!(desc.hint().leads(head) && desc.hint().len() == 4, "the frozen walk is hinted");
+            fp::arm_limited("active.walked", FpAction::Park, FpTrigger::Always, 1);
+            std::thread::scope(|s| {
+                // A failed assertion below must not leave the scope
+                // waiting for a thread nobody will thaw.
+                struct Thaw;
+                impl Drop for Thaw {
+                    fn drop(&mut self) {
+                        fp::disarm("active.walked");
+                    }
+                }
+                let _thaw = Thaw;
+                // The frozen thread shares the owner's heap.
+                let frozen = loop {
+                    let t = s.spawn(|| {
+                        (lfmalloc::heap::thread_id() % 2 == home)
+                            .then(|| (0..K).map(|_| o.malloc(8) as usize).collect::<Vec<_>>())
+                    });
+                    while !t.is_finished() && fp::fired("active.walked") == 0 {
+                        std::thread::yield_now();
+                    }
+                    if fp::fired("active.walked") == 1 {
+                        break t;
+                    }
+                    assert!(t.join().unwrap().is_none());
+                };
+                // A third run lands on top and its plan replaces the one
+                // the frozen walk used; the owner's next refill pops it.
+                let third = newest_first(&mine[2 * K..]);
+                assert_eq!(on_the_other_heap(&mine[2 * K..]), K);
+                assert_eq!(desc.hint(), plan_of(&third));
+                let tag = desc.load_anchor().tag();
+                let popped: Vec<usize> = (0..K).map(|_| o.malloc(8) as usize).collect();
+                assert_eq!(popped, third);
+                let now = desc.load_anchor();
+                assert_eq!((now.head(), now.tag()), (head, tag + 1), "the frozen head, a newer tag");
+                assert!(!desc.hint().leads(head), "the hint names the run the owner took");
+                fp::disarm("active.walked");
+                let got = frozen.join().unwrap().expect("the frozen refill's thread");
+                assert_eq!(got, walked, "the list's head as the retry found it");
+                // Below it the first run, untouched: the owner's next refill.
+                let rest: Vec<usize> = (0..K).map(|_| o.malloc(8) as usize).collect();
+                assert_eq!(rest, newest_first(&mine[..K]));
+                [popped, got, rest].concat().into_iter().for_each(|p| o.free(p as *mut u8));
             });
             a.flush_thread_cache();
         }
