@@ -13,10 +13,10 @@
 //!   keyed in a thread-local by the instance's id (the one its magazine
 //!   slot table issues, as the profiler's sampler slots are), so
 //!   instances never share streams and the rings survive fork (plain
-//!   memory, no locks). Writers publish each entry
-//!   by storing its sequence word last with `Release` after zeroing it,
-//!   so a reader (possibly a signal handler interrupting the writer
-//!   mid-entry) either sees a fully-written entry or skips it.
+//!   memory, no locks). Each ring is a [`StampedRing`]: a writer
+//!   publishes an entry's stamp after its words, so a reader (possibly a
+//!   signal handler interrupting the writer mid-entry) either sees a
+//!   fully-written entry or skips it.
 //!   `newest_first` is the one reader every post-mortem shares.
 //! * **`describe_ptr`** — classifies *any* address against the
 //!   instance's memory: small block (with descriptor state, class,
@@ -50,7 +50,6 @@
 
 use core::cell::{Cell, UnsafeCell};
 use core::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::alloc::{GlobalAlloc, Layout, System};
 
 use malloc_api::procfork::{self, sys};
 use malloc_api::telemetry::Counter;
@@ -61,6 +60,7 @@ use crate::config::SB_SIZE;
 use crate::harden::POISON;
 use crate::instance::{Inner, LfMalloc};
 use crate::size_classes::CLASS_SIZES;
+use crate::stats::StampedRing;
 
 /// Ring slots per instance. Threads hash into the slots by their dense
 /// first-touch index; more threads than slots share rings (entries
@@ -125,20 +125,9 @@ pub struct FlightOp {
     pub ptr: usize,
 }
 
-/// One ring entry: `seq == 0` means empty/being-rewritten. Writers
-/// store `seq` last (`Release`) after zeroing it, so readers that see a
-/// non-zero `seq` (`Acquire`) see matching `meta`/`ptr`.
-struct RingEntry {
-    seq: AtomicU64,
-    meta: AtomicU64,
-    ptr: AtomicU64,
-}
-
-/// One per-thread(-ish) ring.
-struct RingSlot {
-    head: AtomicU64,
-    entries: [RingEntry; RING_CAP],
-}
+/// One per-thread(-ish) ring of `[seq, meta, ptr]` entries: the global
+/// sequence number is a word of the entry, so readers merge across rings.
+type FlightRing = StampedRing<[u64; 3], 3>;
 
 #[inline]
 fn pack_meta(op: OpKind, class: u16, tid: u32) -> u64 {
@@ -156,9 +145,9 @@ pub(crate) fn unpack_meta(meta: u64) -> (u64, u16, u32) {
 pub(crate) struct ForensicsState {
     /// Dense per-instance thread indices, issued in first-touch order.
     next_thread: AtomicU32,
-    /// `RING_THREADS` rings, system-allocated (zeroed = all empty).
-    rings: *mut RingSlot,
-    /// Global op sequence; starts at 1 so 0 stays the "empty" marker.
+    /// `RING_THREADS` rings of `RING_CAP` entries.
+    rings: [FlightRing; RING_THREADS],
+    /// Global op sequence; starts at 1, so the tail's 0 is no entry.
     seq: AtomicU64,
     /// Ops not recorded (thread-local storage already torn down).
     pub dropped: Counter,
@@ -171,9 +160,6 @@ pub(crate) struct ForensicsState {
     pub crash_generation: AtomicU64,
 }
 
-unsafe impl Send for ForensicsState {}
-unsafe impl Sync for ForensicsState {}
-
 thread_local! {
     /// `(instance id, ring index + 1)`: the ring slot this thread last
     /// claimed, keyed by the instance's magazine-table id (process-unique,
@@ -185,10 +171,8 @@ impl ForensicsState {
     /// Allocates the rings; `None` when the system allocator is
     /// exhausted.
     pub(crate) fn new() -> Option<Self> {
-        let layout = Layout::array::<RingSlot>(RING_THREADS).ok()?;
-        // Zeroed memory is a valid RingSlot: every field is atomics.
-        let rings = unsafe { System.alloc_zeroed(layout) } as *mut RingSlot;
-        if rings.is_null() {
+        let rings: [FlightRing; RING_THREADS] = core::array::from_fn(|_| FlightRing::new(RING_CAP));
+        if rings.iter().any(|r| r.capacity() == 0) {
             return None;
         }
         Some(ForensicsState {
@@ -201,27 +185,10 @@ impl ForensicsState {
             crash_generation: AtomicU64::new(0),
         })
     }
-
-    #[inline]
-    fn ring(&self, i: usize) -> &RingSlot {
-        debug_assert!(i < RING_THREADS);
-        unsafe { &*self.rings.add(i) }
-    }
-}
-
-impl Drop for ForensicsState {
-    fn drop(&mut self) {
-        unsafe {
-            System.dealloc(
-                self.rings as *mut u8,
-                Layout::array::<RingSlot>(RING_THREADS).unwrap(),
-            );
-        }
-    }
 }
 
 /// Records one op into the calling thread's ring. Two relaxed
-/// `fetch_add`s plus three stores; called only when the feature is
+/// `fetch_add`s plus four stores; called only when the feature is
 /// compiled in.
 #[inline]
 pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, ptr: usize) {
@@ -243,16 +210,10 @@ pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, pt
             return;
         }
     };
+    // Relaxed: the number only orders entries for readers; the ring's
+    // stamp publishes it with the rest of the entry.
     let seq = st.seq.fetch_add(1, Ordering::Relaxed);
-    let ring = st.ring(tid as usize % RING_THREADS);
-    let pos = ring.head.fetch_add(1, Ordering::Relaxed) as usize % RING_CAP;
-    let e = &ring.entries[pos];
-    // Invalidate, fill, publish: a reader interrupting between the
-    // stores sees seq == 0 and skips the entry.
-    e.seq.store(0, Ordering::Release);
-    e.meta.store(pack_meta(op, class, tid), Ordering::Relaxed);
-    e.ptr.store(ptr as u64, Ordering::Relaxed);
-    e.seq.store(seq, Ordering::Release);
+    st.rings[tid as usize % RING_THREADS].record([seq, pack_meta(op, class, tid), ptr as u64]);
 }
 
 /// Free-path hook: attributes the class from the frame map, like
@@ -309,22 +270,10 @@ pub(crate) fn newest_first<S: PageSource>(inner: &Inner<S>, tail: &mut [(u64, u6
 }
 
 /// Feeds every published ring entry to `f` as raw `(seq, meta, ptr)`
-/// words; an entry rewritten while it was read is skipped.
+/// words; an entry being written while it was read is skipped.
 fn merge_tail<S: PageSource>(inner: &Inner<S>, mut f: impl FnMut(u64, u64, u64)) {
-    let st = &inner.obs.forensics;
-    for t in 0..RING_THREADS {
-        let ring = st.ring(t);
-        for e in &ring.entries {
-            let seq = e.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            let meta = e.meta.load(Ordering::Relaxed);
-            let ptr = e.ptr.load(Ordering::Relaxed);
-            if e.seq.load(Ordering::Acquire) == seq {
-                f(seq, meta, ptr);
-            }
-        }
+    for ring in &inner.obs.forensics.rings {
+        ring.published().for_each(|[seq, meta, ptr]| f(seq, meta, ptr));
     }
 }
 

@@ -19,7 +19,7 @@
 //!   double frees race on one `fetch_and` and exactly one loses, so the
 //!   anchor is never pushed twice.
 //! * **Use-after-free write** — freed small blocks are filled with
-//!   [`POISON`] and parked in a bounded per-heap quarantine ring;
+//!   [`POISON`] and parked in a bounded per-heap [`Quarantine`] ring;
 //!   on the way back into circulation every byte is re-verified.
 //! * **Guard overrun** — large blocks get guard pages appended (see
 //!   [`crate::large`]); the canary page is verified on free and the
@@ -31,7 +31,6 @@
 //! report.
 
 use crate::config::{PREFIX_SIZE, SB_SIZE};
-use crate::descriptor::Descriptor;
 use crate::size_classes::CLASS_SIZES;
 use crate::instance::Inner;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -220,6 +219,58 @@ pub const GUARD_CANARY: u8 = 0xC7;
 /// and every parked block pins its superblock partially allocated.
 pub const QUARANTINE_CAP: usize = 32;
 
+/// One heap's quarantine: the newest `QUARANTINE_CAP` freed blocks, by
+/// address (0 is an empty cell). A free claims a cell with a `fetch_add`
+/// and swaps its block in; the block it swaps out is released. A block
+/// changes hands only through a `swap`, so each is released once, and a
+/// thread stopped between its `fetch_add` and its `swap` holds only its
+/// own block: every other free and flush carries on.
+#[derive(Debug, Default)]
+pub(crate) struct Quarantine {
+    cursor: AtomicUsize,
+    cells: [AtomicUsize; QUARANTINE_CAP],
+}
+
+impl<S: PageSource> Inner<S> {
+    /// The per-heap quarantines; none when hardening is off.
+    fn quarantines(&self) -> &[Quarantine] {
+        if self.quarantine.is_null() {
+            return &[];
+        }
+        // SAFETY: a hardened instance built `nheaps` of them, for its lifetime.
+        unsafe { core::slice::from_raw_parts(self.quarantine, self.nheaps) }
+    }
+
+    /// Blocks currently parked in the quarantine rings (racy snapshot;
+    /// 0 when hardening is off).
+    pub fn quarantine_depth(&self) -> usize {
+        let cells = self.quarantines().iter().flat_map(|q| &q.cells);
+        // Relaxed: a count, not a claim on the blocks.
+        cells.filter(|c| c.load(Ordering::Relaxed) != 0).count()
+    }
+}
+
+/// Releases up to `max` quarantined blocks back into circulation, after
+/// verifying their poison, and returns how many there were. Safe beside
+/// any malloc/free: each cell is emptied with a `swap`, and the release
+/// is the ordinary lock-free free.
+pub(crate) fn flush_quarantine<S: PageSource>(inner: &Inner<S>, max: usize) -> usize {
+    let mut released = 0;
+    for cell in inner.quarantines().iter().flat_map(|q| &q.cells) {
+        if released == max {
+            break;
+        }
+        // AcqRel: as in `free_hardened`; the block is ours once swapped out.
+        let block = cell.swap(0, Ordering::AcqRel);
+        if block != 0 {
+            // SAFETY: a parked block, and the swap made it ours alone.
+            unsafe { release_quarantined(inner, block) };
+            released += 1;
+        }
+    }
+    released
+}
+
 /// Records a misuse in the instance and process counters; panics in
 /// [`Hardening::Abort`] mode.
 pub(crate) fn report<S: PageSource>(inner: &Inner<S>, r: MisuseReport) {
@@ -293,39 +344,35 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
     // -- Poison + quarantine. ------------------------------------------
     // The whole block: none of it is the allocator's.
     unsafe { core::ptr::write_bytes(ptr, POISON, sz) };
-    let shard = unsafe {
-        &*inner.quarantine.add(crate::heap::thread_id() % inner.nheaps)
-    };
-    let mut entry = (addr, desc_ptr as usize);
-    // Push, displacing the oldest entry when the ring is full; the
-    // displaced block is verified and released for reuse. Bounded
-    // retries: under a pathological push/pop race, releasing directly
-    // is always correct (the quarantine is best-effort delay).
-    for _ in 0..4 {
-        match shard.push(entry) {
-            Ok(()) => return,
-            Err(back) => {
-                entry = back;
-                if let Some((old_block, old_desc)) = shard.pop() {
-                    unsafe {
-                        release_quarantined(inner, old_block, old_desc as *mut Descriptor)
-                    };
-                }
-            }
-        }
+    let q = &inner.quarantines()[crate::heap::thread_id() % inner.nheaps];
+    // Relaxed: the count only spreads frees over the cells; the swap is
+    // what hands blocks over.
+    let i = q.cursor.fetch_add(1, Ordering::Relaxed) % QUARANTINE_CAP;
+    // AcqRel: releases this block's poison fill to whoever swaps it out,
+    // and acquires the fill of the block it displaces.
+    let displaced = q.cells[i].swap(addr, Ordering::AcqRel);
+    if displaced != 0 {
+        // SAFETY: a parked block, and the swap made it ours alone.
+        unsafe { release_quarantined(inner, displaced) };
     }
-    unsafe { release_quarantined(inner, entry.0, entry.1 as *mut Descriptor) };
 }
 
 /// Verifies a quarantined block's poison and hands it to the normal
 /// free path. A rewritten byte is a use-after-free write through a
 /// stale pointer; the block is still released (in `Detect` mode) so the
 /// heap keeps functioning.
-pub(crate) unsafe fn release_quarantined<S: PageSource>(
-    inner: &Inner<S>,
-    block: usize,
-    desc_ptr: *mut Descriptor,
-) {
+///
+/// The frame map still names the block's descriptor: to the core the
+/// block is allocated, so its superblock cannot go EMPTY, and only
+/// `trim` clears a frame entry, after it flushes the quarantine.
+///
+/// # Safety
+///
+/// `block` was swapped out of one of `inner`'s quarantine cells: a small
+/// block that `free_hardened` poisoned and parked, held by the caller
+/// alone.
+unsafe fn release_quarantined<S: PageSource>(inner: &Inner<S>, block: usize) {
+    let desc_ptr = inner.frames.get(block).desc();
     let desc = unsafe { &*desc_ptr };
     let sz = desc.sz() as usize;
     let clean = (0..sz).all(|i| unsafe { *((block + i) as *const u8) } == POISON);
@@ -401,6 +448,81 @@ unsafe fn free_large_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, bas
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::instance::LfMalloc;
+    use crate::maintain::MaintenanceBudget;
+    use malloc_api::RawMalloc;
+
+    fn hardened(heaps: usize) -> LfMalloc {
+        LfMalloc::with_config(Config::with_heaps(heaps).with_hardening(Hardening::Detect))
+    }
+
+    /// A free stopped between its `fetch_add` and its `swap` blocks
+    /// nobody: two laps of frees on another thread still fill the ring,
+    /// and a write through a freed pointer is still reported.
+    #[test]
+    fn a_stalled_quarantine_push_blocks_nobody() {
+        let a = hardened(1);
+        // What a thread stopped between the two steps leaves: a claimed
+        // position whose cell it never swaps.
+        a.inner().quarantines()[0].cursor.fetch_add(1, Ordering::Relaxed);
+        let newest = std::thread::scope(|s| {
+            s.spawn(|| unsafe {
+                let blocks: Vec<usize> =
+                    (0..2 * QUARANTINE_CAP).map(|_| a.malloc(64) as usize).collect();
+                for &p in &blocks {
+                    a.free(p as *mut u8);
+                }
+                *blocks.last().unwrap()
+            })
+            .join()
+            .unwrap()
+        });
+        let depth = a.inner().quarantine_depth();
+        assert!(depth >= QUARANTINE_CAP - 1, "the ring filled past the claimed cell: {depth}");
+        assert_eq!(a.misuse_counters().total(), 0);
+        // A dangling write into the newest block, still quarantined.
+        unsafe { (newest as *mut u8).write(7) };
+        assert_eq!(a.flush_quarantine(), depth);
+        assert_eq!(a.misuse_counters().count(MisuseKind::PoisonViolation), 1);
+        assert_eq!(a.misuse_counters().total(), 1);
+        assert!(a.audit().is_clean(), "{:?}", a.audit());
+    }
+
+    /// Four threads' hardened frees race a fifth that flushes the
+    /// quarantine and runs maintenance: no block is released twice or
+    /// lost, so nothing is reported and the heap audits clean.
+    #[test]
+    fn hardened_frees_race_flushes_and_maintenance_cleanly() {
+        let a = hardened(2);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (a, done) = (&a, &done);
+                s.spawn(move || unsafe {
+                    for round in 0..200 {
+                        let size = |i: usize| 16 + (i + t + round) % 4 * 48;
+                        let blocks: Vec<usize> = (0..64).map(|i| a.malloc(size(i)) as usize).collect();
+                        for p in blocks {
+                            assert!(p != 0);
+                            a.free(p as *mut u8);
+                        }
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            s.spawn(|| {
+                while done.load(Ordering::Acquire) < 4 {
+                    a.flush_quarantine();
+                    a.maintain(MaintenanceBudget::light());
+                }
+            });
+        });
+        assert_eq!(a.misuse_counters().total(), 0, "{:?}", a.misuse_counters().last_report());
+        a.flush_quarantine();
+        assert_eq!(a.inner().quarantine_depth(), 0);
+        assert!(a.audit().is_clean(), "{:?}", a.audit());
+    }
 
     #[test]
     fn kind_index_roundtrip() {

@@ -14,8 +14,8 @@
 use crate::active::Active;
 use crate::anchor::SbState;
 use crate::config::{Config, PREFIX_SIZE, SB_BATCH, SB_SHIFT};
-use crate::descriptor::{Descriptor, DescriptorPool};
-use crate::harden::{Hardening, MisuseCounters, QUARANTINE_CAP};
+use crate::descriptor::DescriptorPool;
+use crate::harden::{Hardening, MisuseCounters, Quarantine};
 use crate::heap::{HeapMap, ProcHeap};
 use crate::magazine::CACHED_CLASSES;
 use crate::observe::{self, EventKind, Global, Lat, Timer};
@@ -23,13 +23,9 @@ use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
 use core::ptr::NonNull;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use lockfree_structs::BoundedQueue;
 use malloc_api::{AllocStats, RawMalloc, MIN_MALLOC_ALIGN};
 use osmem::{CountingSource, PagePool, PageSource, SpanRegistry, SystemSource};
 use std::alloc::{GlobalAlloc, Layout, System};
-
-/// A quarantined small block: `(block start, descriptor address)`.
-pub(crate) type QuarantineEntry = (usize, usize);
 
 /// Per-size-class state: the partial-superblock list (paper Figure 3's
 /// `sizeclass`; the geometry is `size_classes`'s tables).
@@ -75,7 +71,7 @@ pub(crate) struct Inner<S: PageSource> {
     pub misuse: MisuseCounters,
     /// `nheaps` quarantine shards for freed small blocks, or null when
     /// hardening is off. System-allocated.
-    pub quarantine: *mut BoundedQueue<QuarantineEntry>,
+    pub quarantine: *mut Quarantine,
     /// Always-on liveness/maintenance counters (see [`crate::health`]).
     pub health: crate::health::HealthState,
     /// Background-reaper control plane (see [`crate::maintain`]).
@@ -188,15 +184,6 @@ impl<S: PageSource> Inner<S> {
         assert!(ci < NUM_CLASSES && h < self.nheaps);
         unsafe { &*self.heaps.add(ci * self.nheaps + h) }
     }
-
-    /// Blocks currently parked in the quarantine rings (racy snapshot;
-    /// 0 when hardening is off).
-    pub fn quarantine_depth(&self) -> usize {
-        if self.quarantine.is_null() {
-            return 0;
-        }
-        (0..self.nheaps).map(|i| unsafe { (*self.quarantine.add(i)).len() }).sum()
-    }
 }
 
 /// The completely lock-free allocator of Michael (PLDI 2004).
@@ -295,7 +282,7 @@ impl<S: PageSource> LfMalloc<S> {
         let hardened = config.hardening != Hardening::Off;
         let mut quarantine = SysArray::new(if hardened { nheaps } else { 0 })?;
         for _ in 0..quarantine.len {
-            quarantine.push(BoundedQueue::new(QUARANTINE_CAP).ok_or(OutOfMemory)?);
+            quarantine.push(Quarantine::default());
         }
         let mags = crate::magazine::SlotTable::new().ok_or(OutOfMemory)?;
         let frames = crate::framemap::FrameMap::new().ok_or(OutOfMemory)?;
@@ -400,24 +387,10 @@ impl<S: PageSource> LfMalloc<S> {
     /// Releases every quarantined block back into circulation (after
     /// verifying its poison), returning how many were released. No-op
     /// when hardening is off. Safe to call concurrently with
-    /// malloc/free — the quarantine rings are MPMC and the release path
-    /// is the ordinary lock-free free.
+    /// malloc/free — each quarantine cell is emptied with one `swap`, and
+    /// the release path is the ordinary lock-free free.
     pub fn flush_quarantine(&self) -> usize {
-        let inner = self.inner();
-        if inner.quarantine.is_null() {
-            return 0;
-        }
-        let mut released = 0;
-        for i in 0..inner.nheaps {
-            let shard = unsafe { &*inner.quarantine.add(i) };
-            while let Some((block, desc)) = shard.pop() {
-                unsafe {
-                    crate::harden::release_quarantined(inner, block, desc as *mut Descriptor)
-                };
-                released += 1;
-            }
-        }
-        released
+        crate::harden::flush_quarantine(self.inner(), usize::MAX)
     }
 
     /// Returns the blocks cached in the calling thread's magazines, and

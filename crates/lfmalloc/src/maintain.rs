@@ -14,8 +14,9 @@
 //!   threads' magazines home. Every phase it runs by default is **safe
 //!   under full concurrency** — each reuses an ownership protocol the
 //!   hot paths already rely on (the magazine slot's owner-word CAS, the
-//!   MPMC quarantine ring, the partial-list get/put and heap-slot CAS). The one quiescence-only phase, the OS
-//!   trim toward a byte watermark, must be opted into through the
+//!   quarantine cells' `swap`, the partial-list get/put and heap-slot
+//!   CAS). The one quiescence-only phase, the OS trim toward a byte
+//!   watermark, must be opted into through the
 //!   `unsafe` [`MaintenanceBudget::with_quiescent_trim`], which carries
 //!   the same contract as [`LfMalloc::trim_to`].
 //! * [`LfMalloc::start_reaper`] spawns an opt-in background thread that
@@ -304,7 +305,8 @@ impl<S: PageSource> LfMalloc<S> {
             ..Default::default()
         };
         if budget.quarantine > 0 {
-            report.quarantine_released = flush_quarantine_budgeted(inner, budget.quarantine);
+            report.quarantine_released =
+                crate::harden::flush_quarantine(inner, budget.quarantine as usize) as u64;
         }
         if budget.prune_partials > 0 {
             report.empty_pruned = prune_empty(inner, budget.prune_partials);
@@ -419,28 +421,6 @@ pub(crate) fn stop_reaper_inner<S: PageSource>(inner: &Inner<S>) -> bool {
     };
     inner.reaper.running.store(false, Ordering::Release);
     stopped
-}
-
-/// Budgeted version of `flush_quarantine`: pops at most `max` entries
-/// across the shards. Same concurrency story as the unbudgeted flush —
-/// the rings are MPMC and the release path is an ordinary lock-free
-/// free.
-fn flush_quarantine_budgeted<S: PageSource>(inner: &Inner<S>, max: u32) -> u64 {
-    if inner.quarantine.is_null() {
-        return 0;
-    }
-    let mut released = 0u64;
-    'shards: for i in 0..inner.nheaps {
-        let shard = unsafe { &*inner.quarantine.add(i) };
-        while let Some((block, desc)) = shard.pop() {
-            unsafe { crate::harden::release_quarantined(inner, block, desc as *mut Descriptor) };
-            released += 1;
-            if released >= max as u64 {
-                break 'shards;
-            }
-        }
-    }
-    released
 }
 
 /// Prunes EMPTY descriptors out of the heap partial slots and (budgeted

@@ -24,10 +24,10 @@
 //!   [`HEALTH_ROWS`] in `health.rs`), and
 //!   every renderer loops over those tables.
 //!
-//! The event ring and the fragmentation series are one [`EvictRing`] over
-//! the Vyukov [`BoundedQueue`]: fixed capacity, pre-allocated, never
-//! blocking. When full it overwrites the oldest entry (pop once, retry)
-//! and counts what it had to drop.
+//! The event ring, the fragmentation series and the flight recorder's
+//! rings are one [`StampedRing`]: fixed capacity, pre-allocated, a push
+//! is one `fetch_add` and a few stores that overwrite the oldest entry,
+//! and a reader that meets an entry mid-write skips it.
 
 use crate::config::SB_SIZE;
 use crate::heap::ProcHeap;
@@ -36,17 +36,18 @@ use crate::health::HEALTH_ROWS;
 use crate::schema::{json_members, CounterInfo, Global, Lat};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use lockfree_structs::stats::StructsCasStats;
-use lockfree_structs::BoundedQueue;
 use malloc_api::telemetry::{
     bucket_label, monotonic_nanos, Counter, Histogram, LatencyHist, LatencySnapshot,
     RETRY_BUCKETS,
 };
+use core::marker::PhantomData;
+use core::sync::atomic::{fence, AtomicU64, Ordering};
 use malloc_api::AllocStats;
 use osmem::PageSource;
 use std::io::Write;
 
 /// Capacity of the slow-path event ring (power of two; see
-/// [`BoundedQueue::new`]).
+/// [`StampedRing::new`]).
 pub const EVENT_RING_CAP: usize = 1024;
 
 /// Capacity of the fragmentation time-series ring: one
@@ -103,65 +104,147 @@ pub struct Event {
     pub arg: u64,
 }
 
-/// Fixed-capacity ring that keeps the newest entries: recording never
-/// waits and never allocates. On a full ring the oldest entry is popped
-/// to make room; if even that race is lost the new one is dropped and
-/// counted. Not lock-free: `BoundedQueue` is not (a producer stalled
-/// mid-push blocks its cell), and while one is stalled entries drop.
-#[derive(Debug)]
-pub struct EvictRing<T> {
-    ring: Option<BoundedQueue<T>>,
-    dropped: Counter,
+impl From<Event> for [u64; 3] {
+    fn from(e: Event) -> Self {
+        [e.nanos, e.kind as u64 | (e.class as u64) << 8, e.arg]
+    }
+}
+
+impl From<[u64; 3]> for Event {
+    fn from([nanos, meta, arg]: [u64; 3]) -> Self {
+        let kind = (meta as u8).min(EventKind::HeapDump as u8);
+        // SAFETY: `EventKind` is `repr(u8)` and ends at `HeapDump`; every
+        // kind byte in a ring was written by `From<Event>`.
+        let kind = unsafe { core::mem::transmute::<u8, EventKind>(kind) };
+        Event { nanos, kind, class: (meta >> 8) as u16, arg }
+    }
 }
 
 /// The ring of slow-path [`Event`]s.
-pub type EventRing = EvictRing<Event>;
+pub type EventRing = StampedRing<Event, 3>;
 
 /// The ring of [`FragSample`]s, sized for minutes of history.
-pub type FragSeries = EvictRing<FragSample>;
+pub type FragSeries = StampedRing<FragSample, 6>;
 
-impl<T> EvictRing<T> {
-    /// A ring of (at least) `cap` entries; a failed buffer allocation
-    /// degrades to a ring that drops everything rather than failing
-    /// instance construction.
+/// A slot's words and the stamp they were published under: the entry's
+/// position in the ring plus one, or 0 while a writer is in the slot.
+#[derive(Debug)]
+struct Slot<const W: usize> {
+    stamp: AtomicU64,
+    words: [AtomicU64; W],
+}
+
+/// Fixed-capacity ring that keeps the newest entries, each stored as `W`
+/// words (`T` converts to and from them), with a seqlock a slot: a
+/// push claims a position with a `fetch_add`, then invalidates that slot's
+/// stamp, fills its words and publishes the stamp. It never waits or
+/// allocates, so a writer stopped anywhere holds up nobody; its slot reads
+/// as mid-write until a lap overwrites it. A reader keeps a slot's words
+/// only if its stamp reads the same before and after them.
+///
+/// One tear is left: a writer that a whole lap (capacity pushes) overtakes
+/// while it fills its slot can publish its stamp over a mix of its words
+/// and the lapping writer's. Each word is still one a writer wrote.
+#[derive(Debug)]
+pub struct StampedRing<T, const W: usize> {
+    /// Positions claimed so far.
+    head: AtomicU64,
+    /// Every position below this one was returned or skipped by a `take`.
+    taken: AtomicU64,
+    /// A power of two of slots; none if the system allocator refused
+    /// them, and then every push is dropped.
+    slots: SysArray<Slot<W>>,
+    dropped: Counter,
+    entry: PhantomData<fn(T) -> T>,
+}
+
+impl<T: Into<[u64; W]> + From<[u64; W]>, const W: usize> StampedRing<T, W> {
+    /// A ring of `cap` entries, rounded up to a power of two.
     pub(crate) fn new(cap: usize) -> Self {
-        EvictRing { ring: BoundedQueue::new(cap), dropped: Counter::new() }
+        let slots = SysArray::new(cap.next_power_of_two()).or_else(|_| SysArray::new(0));
+        let mut slots = slots.expect("an empty array allocates nothing");
+        for _ in 0..slots.len {
+            let words = core::array::from_fn(|_| AtomicU64::new(0));
+            slots.push(Slot { stamp: AtomicU64::new(0), words });
+        }
+        let (head, taken) = (AtomicU64::new(0), AtomicU64::new(0));
+        StampedRing { head, taken, slots, dropped: Counter::new(), entry: PhantomData }
+    }
+
+    /// Entries the ring holds when full (0 if it has no slots).
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len
+    }
+
+    fn slot(&self, pos: u64) -> &Slot<W> {
+        // SAFETY: a power of two of built slots; callers checked there are some.
+        unsafe { &*self.slots.ptr.add(pos as usize & (self.slots.len - 1)) }
     }
 
     /// Records `entry`, overwriting the oldest one when full.
+    #[inline]
     pub fn record(&self, entry: T) {
-        let Some(ring) = &self.ring else {
+        if self.slots.len == 0 {
             self.dropped.inc();
             return;
-        };
-        // Evict-then-push, retried enough to ride out a retire storm:
-        // with only a couple of attempts, racing writers each evict an
-        // event and then lose the push to a neighbour, so a burst both
-        // drops thousands of events and leaves the ring far below
-        // capacity (every double-failure removes two events and inserts
-        // none). Eight attempts make that outcome vanishingly rare
-        // while still bounding the worst case; this path only runs on
-        // slow-path events, never on the malloc/free fast path.
-        let mut entry = entry;
-        for _ in 0..8 {
-            match ring.push(entry) {
-                Ok(()) => return,
-                Err(back) => {
-                    entry = back;
-                    let _ = ring.pop(); // evict the oldest
-                    core::hint::spin_loop();
-                }
+        }
+        // Relaxed: the position only picks the slot and names the stamp.
+        let pos = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = self.slot(pos);
+        // Relaxed: the fence after it orders it before the word stores.
+        slot.stamp.store(0, Ordering::Relaxed);
+        // Release fence: a reader whose word load sees a store below
+        // re-checks a stamp that reads this 0 or later, and skips the slot.
+        fence(Ordering::Release);
+        for (word, v) in slot.words.iter().zip(entry.into()) {
+            // Relaxed: ordered by the fence above and the store below.
+            word.store(v, Ordering::Relaxed);
+        }
+        // Release: a reader that loads this stamp sees the words above.
+        slot.stamp.store(pos + 1, Ordering::Release);
+    }
+
+    /// The stamp and words of `pos`'s slot, or `None` while a writer is in
+    /// it. Never waits and never allocates: a signal handler may call it.
+    fn read(&self, pos: u64) -> Option<(u64, [u64; W])> {
+        let slot = self.slot(pos);
+        // Acquire: pairs with the publishing store, for the words it published.
+        let stamp = slot.stamp.load(Ordering::Acquire);
+        // Relaxed: the fence below keeps them before the re-check.
+        let words = core::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+        // Acquire fence: if a word load saw a later writer's store, the
+        // re-check sees that writer's 0 (or later), not `stamp`.
+        fence(Ordering::Acquire);
+        // Relaxed: ordered after the word loads by the fence.
+        (stamp != 0 && slot.stamp.load(Ordering::Relaxed) == stamp).then_some((stamp, words))
+    }
+
+    /// Every published entry, in slot order.
+    pub(crate) fn published(&self) -> impl Iterator<Item = T> + '_ {
+        (0..self.capacity() as u64).filter_map(|i| self.read(i)).map(|(_, w)| T::from(w))
+    }
+
+    /// The entries recorded since the previous `take`, oldest first; those
+    /// a lap overwrote are gone. Never waits: an entry still being written
+    /// is skipped and counted [`dropped`](Self::dropped), and no later
+    /// `take` returns it.
+    pub fn take(&self) -> Vec<T> {
+        // Relaxed, both: they bound the walk; each slot's stamp says
+        // whether its entry is there.
+        let head = self.head.load(Ordering::Relaxed);
+        let from = self.taken.fetch_max(head, Ordering::Relaxed);
+        let from = from.max(head.saturating_sub(self.capacity() as u64));
+        let mut out = Vec::with_capacity(head.saturating_sub(from) as usize);
+        for pos in from..head {
+            match self.read(pos) {
+                Some((stamp, words)) if stamp == pos + 1 => out.push(T::from(words)),
+                _ => self.dropped.inc(),
             }
         }
-        self.dropped.inc();
+        out
     }
 
-    /// Pops the oldest recorded entry.
-    pub fn pop(&self) -> Option<T> {
-        self.ring.as_ref()?.pop()
-    }
-
-    /// Entries lost to eviction races or a failed ring allocation.
+    /// Entries pushed into a ring with no slots, or skipped by a `take`.
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
     }
@@ -186,6 +269,27 @@ pub struct FragSample {
     /// External fragmentation of the small heap in permille:
     /// `1000 * (1 - live/committed)`.
     pub external_frag_permille: u32,
+}
+
+impl From<FragSample> for [u64; 6] {
+    fn from(s: FragSample) -> Self {
+        let (committed, live, large) =
+            (s.small_committed_bytes, s.small_live_bytes, s.large_live_bytes);
+        [s.nanos, committed, live, large, s.os_live_bytes, s.external_frag_permille as u64]
+    }
+}
+
+impl From<[u64; 6]> for FragSample {
+    fn from([nanos, committed, live, large, os, permille]: [u64; 6]) -> Self {
+        FragSample {
+            nanos,
+            small_committed_bytes: committed,
+            small_live_bytes: live,
+            large_live_bytes: large,
+            os_live_bytes: os,
+            external_frag_permille: permille as u32,
+        }
+    }
 }
 
 impl FragSample {
@@ -756,23 +860,16 @@ impl StatsSnapshot {
 }
 
 impl<S: PageSource> LfMalloc<S> {
-    /// Drains and returns the recorded slow-path events, oldest first.
+    /// The slow-path events recorded since the previous call, oldest
+    /// first (see [`StampedRing::take`]).
     pub fn take_events(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.inner().obs.stats.events.pop() {
-            out.push(ev);
-        }
-        out
+        self.inner().obs.stats.events.take()
     }
 
-    /// Drains and returns the fragmentation time series, oldest first
-    /// (one point per maintenance pass; see [`FragSample`]).
+    /// The fragmentation time series since the previous call, oldest
+    /// first (one point per maintenance pass; see [`FragSample`]).
     pub fn take_frag_series(&self) -> Vec<FragSample> {
-        let mut out = Vec::new();
-        while let Some(s) = self.inner().obs.stats.frag_series.pop() {
-            out.push(s);
-        }
-        out
+        self.inner().obs.stats.frag_series.take()
     }
 
     /// Writes a `malloc_stats_print`-style human-readable report of
@@ -986,12 +1083,33 @@ mod tests {
         for i in 0..10 {
             ring.record(Event { nanos: i, kind: EventKind::SbAcquire, class: 0, arg: i });
         }
-        let mut got = Vec::new();
-        while let Some(ev) = ring.pop() {
-            got.push(ev.arg);
-        }
+        let got: Vec<u64> = ring.take().iter().map(|ev| ev.arg).collect();
         assert_eq!(got.len(), 4, "ring keeps its capacity");
         assert_eq!(got, vec![6, 7, 8, 9], "oldest events were evicted");
+    }
+
+    /// A writer stopped between claiming its position and publishing it
+    /// holds up nobody: `take` skips its entry, counts it dropped, returns
+    /// the others in order, and no later `take` returns it.
+    #[test]
+    fn take_skips_an_entry_mid_write_once() {
+        let ring = StampedRing::<[u64; 2], 2>::new(8);
+        ring.record([0, 10]);
+        ring.record([1, 11]);
+        // What `record` leaves when its writer stops after the invalidate.
+        let stalled = ring.head.fetch_add(1, Ordering::Relaxed);
+        ring.slot(stalled).stamp.store(0, Ordering::Relaxed);
+        ring.record([3, 13]);
+        assert_eq!(ring.take(), vec![[0, 10], [1, 11], [3, 13]]);
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.published().count(), 3, "the flight recorder's reader skips it too");
+        // The writer finishes; its entry was already given up for.
+        ring.slot(stalled).words[0].store(2, Ordering::Relaxed);
+        ring.slot(stalled).words[1].store(12, Ordering::Relaxed);
+        ring.slot(stalled).stamp.store(stalled + 1, Ordering::Release);
+        ring.record([4, 14]);
+        assert_eq!(ring.take(), vec![[4, 14]]);
+        assert_eq!((ring.take(), ring.dropped()), (vec![], 1));
     }
 
     #[test]

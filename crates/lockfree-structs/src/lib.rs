@@ -18,9 +18,6 @@
 //!   scheme nor a general-purpose malloc — which would be circular inside
 //!   an allocator. The producer–consumer workload and baseline; the
 //!   allocator itself does not use it.
-//! * [`mpmc`] — Vyukov's bounded MPMC array queue, the fixed-capacity
-//!   ring behind the hardened allocator's free-block quarantine (not
-//!   strictly lock-free; see the module docs for the caveat).
 //! * [`backoff`] — bounded exponential backoff for CAS retry loops.
 //! * [`pad`] — cache-line padding to keep unrelated hot words from
 //!   false sharing.
@@ -72,7 +69,6 @@ macro_rules! cas_retry {
 pub(crate) use cas_retry;
 
 pub mod backoff;
-pub mod mpmc;
 pub mod pad;
 pub mod queue;
 pub mod stack;
@@ -81,7 +77,6 @@ pub mod stats;
 pub mod tagptr;
 
 pub use backoff::Backoff;
-pub use mpmc::BoundedQueue;
 pub use pad::CachePadded;
 pub use queue::Queue;
 pub use stack::TaggedStack;
