@@ -24,11 +24,11 @@
 //!    [`recover`], and respawns the reaper with its pre-fork config.
 //! 2. **Lazy** — the first miss after a fork compares the instance's
 //!    recovered generation against [`malloc_api::procfork::generation`]:
-//!    the slow entry points and magazine `attach` do. A hit cannot come
-//!    first, because it compares the thread's TLS generation and a stale
-//!    one is a miss. An instance that found the procfork registry full
-//!    has no hooks; a child that forked through `procfork::fork`
-//!    recovers it on its first malloc/free. A *raw*
+//!    the class entry points, the large entry points' miss and magazine
+//!    `attach` do. A hit cannot come first, because it compares the
+//!    thread's TLS generation and a stale one is a miss. An instance that
+//!    found the procfork registry full has no hooks; a child that forked
+//!    through `procfork::fork` recovers it on its first malloc/free. A *raw*
 //!    `fork(2)` without [`malloc_api::procfork::install`] runs no hooks
 //!    and bumps no generation; such a child must call
 //!    [`malloc_api::procfork::child_after_raw_fork`] before touching the
@@ -166,10 +166,10 @@ pub(crate) unsafe fn hook_child<S: PageSource>(data: usize) {
 }
 
 /// Fork check: one relaxed load comparing the instance's recovered
-/// generation against the process generation. At the top of the slow
-/// entry points and in magazine `attach`, where each thread's first call
-/// after a fork lands; a hit never runs it. The mismatch path is a cold
-/// call.
+/// generation against the process generation. At the top of the class
+/// entry points, on the large entry points' miss and in magazine `attach`,
+/// where each thread's first call after a fork lands; a hit never runs it.
+/// The mismatch path is a cold call.
 #[inline]
 pub(crate) fn maybe_recover<S: PageSource>(inner: &Inner<S>) {
     let cur = procfork::generation();

@@ -13,16 +13,17 @@
 
 use crate::active::Active;
 use crate::anchor::SbState;
-use crate::config::{Config, PREFIX_SIZE, SB_BATCH, SB_SHIFT};
+use crate::config::{Config, SB_BATCH, SB_SHIFT};
 use crate::descriptor::DescriptorPool;
 use crate::harden::{Hardening, MisuseCounters, Quarantine};
 use crate::heap::{HeapMap, ProcHeap};
+use crate::large::large_marker;
 use crate::magazine::CACHED_CLASSES;
 use crate::observe::{self, EventKind, Global, Lat, Timer};
 use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
 use core::ptr::NonNull;
-use core::sync::atomic::{AtomicUsize, Ordering};
+use core::sync::atomic::AtomicUsize;
 use malloc_api::{AllocStats, RawMalloc, MIN_MALLOC_ALIGN};
 use osmem::{CountingSource, PagePool, PageSource, SpanRegistry, SystemSource};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -570,10 +571,10 @@ impl<S: PageSource> LfMalloc<S> {
         unsafe { self.allocate_slow(size, align, zero, class) }
     }
 
-    /// Every allocation that is not a hit: a refill, the mid row, the
-    /// paper's ladder, a large block; the reentrancy rejection and the
-    /// fork recovery. One call, not `#[cold]`: the mid row runs here on
-    /// every call (DESIGN.md §21.5).
+    /// Every allocation that is not a small hit, sent on by its class: a
+    /// large block to [`allocate_large`](Self::allocate_large), anything
+    /// else to [`allocate_class`](Self::allocate_class). Each arm is a tail
+    /// jump with no prologue (DESIGN.md §15.1).
     #[inline(never)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn allocate_slow(
@@ -583,6 +584,19 @@ impl<S: PageSource> LfMalloc<S> {
         zero: bool,
         class: Option<usize>,
     ) -> *mut u8 {
+        match class {
+            Some(ci) => unsafe { self.allocate_class(size, zero, ci) },
+            None => unsafe { self.allocate_large(size, align, zero) },
+        }
+    }
+
+    /// A class allocation that missed its bin: a refill, the mid row, the
+    /// paper's ladder; the reentrancy rejection and the fork recovery.
+    /// One call, not `#[cold]`: the mid row runs here on every call
+    /// (DESIGN.md §21.5).
+    #[inline(never)]
+    #[cfg_attr(feature = "profile", track_caller)]
+    unsafe fn allocate_class(&self, size: usize, zero: bool, ci: usize) -> *mut u8 {
         let inner = self.inner();
         let Some(entry) = crate::tls::enter_alloc() else {
             // Signal handler re-entered the allocator on this thread:
@@ -591,14 +605,41 @@ impl<S: PageSource> LfMalloc<S> {
             return core::ptr::null_mut();
         };
         crate::fork::maybe_recover(inner);
-        let (p, fresh) = match class {
-            Some(ci) => (unsafe { crate::magazine::malloc(inner, entry.block(), ci) }, false),
-            None => unsafe { crate::large::alloc_large(inner, entry.block(), size, align) },
+        let p = unsafe { crate::magazine::malloc(inner, entry.block(), ci) };
+        if zero && !p.is_null() {
+            unsafe { core::ptr::write_bytes(p, 0, size) };
+        }
+        observe::on_alloc(inner, Some(ci), p, size);
+        p
+    }
+
+    /// A large block (DESIGN.md §16.7). The hit is the thread's own span
+    /// word behind the reentrancy flag alone, as a small hit is: the word
+    /// is reached through the slot a hit may use, so a stale process
+    /// generation or a hardened instance (no slot) misses. The miss brings
+    /// the thread and the instance up to the process generation and runs
+    /// [`alloc_large`](crate::large::alloc_large).
+    #[inline(never)]
+    #[cfg_attr(feature = "profile", track_caller)]
+    unsafe fn allocate_large(&self, size: usize, align: usize, zero: bool) -> *mut u8 {
+        let inner = self.inner();
+        let Some(entry) = crate::tls::enter_hit() else {
+            crate::fork::reject_reentrant(inner, 0);
+            return core::ptr::null_mut();
+        };
+        let hit = unsafe { crate::large::take_held(inner, entry.block(), size, align) };
+        let (p, fresh) = match hit {
+            Some(p) => (p, false),
+            None => {
+                entry.block().ensure_fresh();
+                crate::fork::maybe_recover(inner);
+                unsafe { crate::large::alloc_large(inner, entry.block(), size, align) }
+            }
         };
         if zero && !p.is_null() && !(fresh && inner.source.zeroes_fresh_pages()) {
             unsafe { core::ptr::write_bytes(p, 0, size) };
         }
-        observe::on_alloc(inner, class, p, size);
+        observe::on_alloc(inner, None, p, size);
         p
     }
 
@@ -670,11 +711,24 @@ impl<S: PageSource> LfMalloc<S> {
         unsafe { self.deallocate_slow(ptr, frame) }
     }
 
-    /// Every `free` that is not a hit, `frame` being `ptr`'s entry in the
-    /// frame map: hardened, large, remote, a full bin, the mid row, no
-    /// slot; the reentrancy rejection and the fork recovery.
+    /// Every `free` that is not a small hit, sent on by its frame: a
+    /// frame with no superblock to [`deallocate_large`](Self::deallocate_large),
+    /// any other to [`deallocate_class`](Self::deallocate_class). Each arm
+    /// is a tail jump, as in [`allocate_slow`](Self::allocate_slow).
     #[inline(never)]
     unsafe fn deallocate_slow(&self, ptr: *mut u8, frame: crate::framemap::Entry) {
+        if frame.is_empty() {
+            unsafe { self.deallocate_large(ptr) }
+        } else {
+            unsafe { self.deallocate_class(ptr, frame) }
+        }
+    }
+
+    /// A `free` of a small block that is not a hit, `frame` being `ptr`'s
+    /// entry in the frame map: hardened, remote, a full bin, the mid row,
+    /// no slot; the reentrancy rejection and the fork recovery.
+    #[inline(never)]
+    unsafe fn deallocate_class(&self, ptr: *mut u8, frame: crate::framemap::Entry) {
         let inner = self.inner();
         let Some(entry) = crate::tls::enter_alloc() else {
             // Reentrant free: leaking the block is the only safe answer
@@ -686,25 +740,41 @@ impl<S: PageSource> LfMalloc<S> {
         observe::on_free(inner, ptr);
         if inner.config.hardening != Hardening::Off {
             // Hardened instances hold no slot, so every hardened free is
-            // here. The validated path establishes provenance before
-            // touching any memory; misuse is reported, never executed.
+            // here or in `deallocate_large`. The validated path establishes
+            // provenance before touching any memory; misuse is reported,
+            // never executed.
             return unsafe { crate::harden::free_hardened(inner, ptr) };
-        }
-        // No superblock in the frame: a large block.
-        if frame.is_empty() {
-            return unsafe { crate::large::free_large(inner, entry.block(), ptr, large_marker(ptr)) };
         }
         if !unsafe { crate::magazine::free(inner, entry.block(), ptr, frame) } {
             unsafe { crate::free_impl::free_small(inner, ptr, frame.desc()) };
         }
     }
-}
 
-/// The word in front of a large block: its offset into its span, under
-/// the paper's large-block bit. Small blocks have no such word.
-#[inline]
-unsafe fn large_marker(ptr: *mut u8) -> usize {
-    unsafe { (*(ptr.sub(PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed) }
+    /// A `free` whose frame holds no superblock: a large block, or, on a
+    /// hardened instance, whatever the validated path makes of the
+    /// pointer. The hit parks the span in the thread's own word behind the
+    /// reentrancy flag alone; the word is looked up before anything in
+    /// front of `ptr` is read, and a hardened instance has none, so its
+    /// frees reach [`free_hardened`](crate::harden::free_hardened) with
+    /// the block untouched.
+    #[inline(never)]
+    unsafe fn deallocate_large(&self, ptr: *mut u8) {
+        let inner = self.inner();
+        let Some(entry) = crate::tls::enter_hit() else {
+            crate::fork::reject_reentrant(inner, ptr as usize);
+            return;
+        };
+        if unsafe { crate::large::park_held(inner, entry.block(), ptr) } {
+            return observe::on_free(inner, ptr);
+        }
+        entry.block().ensure_fresh();
+        crate::fork::maybe_recover(inner);
+        observe::on_free(inner, ptr);
+        if inner.config.hardening != Hardening::Off {
+            return unsafe { crate::harden::free_hardened(inner, ptr) };
+        }
+        unsafe { crate::large::free_large(inner, entry.block(), ptr, large_marker(ptr)) };
+    }
 }
 
 unsafe impl<S: PageSource + Send + Sync> RawMalloc for LfMalloc<S> {

@@ -19,10 +19,15 @@
 //!   [`MAX_CACHED_SPAN`]: a take CAS and a park CAS, retained bytes bounded
 //!   over the eight by [`MAX_CACHED_BYTES`].
 //!
-//! `malloc` looks in the caller's own word, then the shared ones, then maps
-//! ([`map_span`]). Ageing and the pressure valve visit the shared words and
-//! the calling thread's own; `trim` and teardown visit every word; a
-//! slot's drain hands the slot's span to the shared level ([`give_back`]).
+//! A large block has entry points of its own (`LfMalloc::allocate_large`,
+//! `deallocate_large`; DESIGN.md §15.1), and their hit is the caller's own
+//! word behind the reentrancy flag alone: `take_held` and `park_held`. A
+//! miss runs the instance's guards, then `alloc_large` — the own word
+//! again (attaching a slot on a thread's first call), the shared ones, then
+//! a map ([`map_span`]) — or `free_large`. Ageing and the pressure valve
+//! visit the shared words and the calling thread's own; `trim` and teardown
+//! visit every word; a slot's drain hands the slot's span to the shared
+//! level ([`give_back`]).
 //! Live is derived, not counted ([`Inner::large_live`]).
 //!
 //! Layout of a large allocation:
@@ -54,8 +59,7 @@ use crate::magazine::{held_span_word, own_span_word, span_words, SLOTS};
 use crate::observe::{self, EventKind, Global, Lat, Timer};
 use crate::tls::ThreadBlock;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use malloc_api::layout::align_up;
-use osmem::source::{pages_for, PAGE_SIZE};
+use osmem::source::PAGE_SIZE;
 use osmem::PageSource;
 
 /// Low prefix bit marking a large block.
@@ -243,15 +247,9 @@ pub(crate) fn cached_bytes<S: PageSource>(inner: &Inner<S>) -> usize {
     spans(inner).map(|(_, bytes)| bytes).sum()
 }
 
-/// Parks a freed span: in the calling thread's own word if that is empty
-/// and the span at most [`MAX_THREAD_SPAN`], else in the shared words
-/// ([`park_shared`]). False when the span has to go back to the source
-/// instead.
-///
-/// The own word is the slot's (see [`take_own`]): a word its owner reads
-/// empty stays empty until the owner's store, so there is no CAS, no scan,
-/// and the bound is the word's own. This much is inlined into `free`; the
-/// shared level is a call of its own.
+/// Parks a freed span: in the calling thread's own word ([`park_own`]),
+/// else in the shared words ([`park_shared`]). False when the span has to
+/// go back to the source instead.
 #[inline]
 fn park<S: PageSource>(
     inner: &Inner<S>,
@@ -259,13 +257,23 @@ fn park<S: PageSource>(
     base: usize,
     total: usize,
 ) -> bool {
+    tb.and_then(|tb| own_span_word(inner, tb)).is_some_and(|own| park_own(own, base, total))
+        || park_shared(inner, base, total)
+}
+
+/// Parks a span in a slot's own word if that is empty and the span at most
+/// [`MAX_THREAD_SPAN`]; false otherwise.
+///
+/// The own word is the slot's (see [`take_own`]): a word its owner reads
+/// empty stays empty until the owner's store, so there is no CAS, no scan,
+/// and the bound is the word's own. This much is inlined into `free`'s
+/// hit and into `free_large`; the shared level is a call of its own.
+#[inline]
+fn park_own(own: &AtomicUsize, base: usize, total: usize) -> bool {
     // Relaxed: the owner's own word, as in `take_own`.
-    let own = tb
-        .and_then(|tb| own_span_word(inner, tb))
-        .filter(|own| total <= MAX_THREAD_SPAN && own.load(Ordering::Relaxed) == 0);
-    let Some(own) = own else {
-        return park_shared(inner, base, total);
-    };
+    if total > MAX_THREAD_SPAN || own.load(Ordering::Relaxed) != 0 {
+        return false;
+    }
     if malloc_api::fail_point!("large.cache_put").kill {
         // Killed holding the span: mapped, in no word — one live block.
         return true;
@@ -293,7 +301,7 @@ fn park_shared<S: PageSource>(inner: &Inner<S>, base: usize, total: usize) -> bo
         return false;
     }
     if malloc_api::fail_point!("large.cache_put").kill {
-        return true; // as in `park`
+        return true; // as in `park_own`
     }
     let word = base | (total / PAGE_SIZE);
     let Some(i) = (first..CACHE_SLOTS).find(|&i| {
@@ -414,12 +422,54 @@ pub(crate) unsafe fn release_idle_spans<S: PageSource>(inner: &Inner<S>) -> usiz
     released
 }
 
-/// Allocates a large block of `size` bytes at `align`. The flag is true
-/// when the span came fresh from the source, false when it was recycled
-/// out of the cache with a previous user's bytes still in it.
-/// Out of line, like [`free_large`]: inlined, the large path moves the
-/// small path's hot code in `allocate`/`deallocate` (DESIGN.md §16.6,
-/// §16.7).
+/// Where a block of `size` bytes at `align` (a power of two) starts in its
+/// span, and the span's bytes with `guard_bytes` of trailing guard pages;
+/// none when that overflows.
+#[inline]
+fn span_layout(size: usize, align: usize, guard_bytes: usize) -> Option<(usize, usize)> {
+    // User data starts at least 16 bytes in: 8 for the header word at
+    // base, 8 for the prefix at user-8. A larger alignment is a multiple
+    // of 16, so the first aligned offset is `align` itself.
+    let user_off = align.max(2 * PREFIX_SIZE);
+    // Checked rounding: near-usize::MAX requests must fail cleanly, not
+    // wrap into tiny page counts. The addend cannot wrap (`align` is at
+    // most 2^63), and the sum is at least one page.
+    let padded = size.checked_add(user_off + guard_bytes + PAGE_SIZE - 1)?;
+    Some((user_off, padded & !(PAGE_SIZE - 1)))
+}
+
+/// The cache's fit rule for a span of `total` bytes at `os_align`: first
+/// fit, big enough, at most a quarter wasted, aligned.
+#[inline]
+fn fits(total: usize, os_align: usize) -> impl Fn(usize, usize, bool) -> bool {
+    move |base, bytes, _| bytes >= total && bytes - total <= total / 4 && base & (os_align - 1) == 0
+}
+
+/// `malloc`'s large hit (DESIGN.md §16.7): a block of `size` bytes at
+/// `align` out of the span in the calling thread's own word, if the
+/// thread holds a slot of this process generation and the span fits.
+/// None: nothing was done. A span out of a word is never fresh.
+#[inline]
+pub(crate) unsafe fn take_held<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    size: usize,
+    align: usize,
+) -> Option<*mut u8> {
+    let own = held_span_word(inner, tb)?;
+    let t0 = Timer::start();
+    // No guard pages: an instance that adds them holds no slot.
+    let (user_off, total) = span_layout(size, align, 0)?;
+    let base = take_own(own, fits(total, align.max(PAGE_SIZE)))?;
+    Some(unsafe { hand_out_cached(inner, t0, base, user_off) })
+}
+
+/// Allocates a large block of `size` bytes at `align`, the thread's own
+/// word first, then the shared ones, then the source; `allocate_large`'s
+/// miss. The flag is true when the span came fresh from the source, false
+/// when it was recycled out of the cache with a previous user's bytes still
+/// in it. Out of line, like [`free_large`], so that the large entry holds
+/// its hit and one call (DESIGN.md §15.1, §16.7).
 #[inline(never)]
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
@@ -429,56 +479,62 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
 ) -> (*mut u8, bool) {
     const FAILED: (*mut u8, bool) = (core::ptr::null_mut(), true);
     let t0 = Timer::start();
-    // User data starts at least 16 bytes in: 8 for the header word at
-    // base, 8 for the prefix at user-8.
-    let user_off = align_up(2 * PREFIX_SIZE, align.max(PREFIX_SIZE));
-    // Checked rounding: near-usize::MAX requests must fail cleanly, not
-    // wrap into tiny page counts.
-    let Some(needed) = size.checked_add(user_off) else {
-        return FAILED;
-    };
-    let Some(padded) = needed.checked_add(PAGE_SIZE - 1) else {
-        return FAILED;
-    };
     // Hardened blocks carry two trailing guard pages: a canary page
     // whose bytes are verified on free, then a trap page that is made
     // PROT_NONE when the source supports it.
     let hardened = inner.config.hardening != Hardening::Off;
     let guard_bytes = if hardened { 2 * PAGE_SIZE } else { 0 };
-    let Some(padded) = padded.checked_add(guard_bytes) else {
+    let Some((user_off, total)) = span_layout(size, align, guard_bytes) else {
         return FAILED;
     };
-    let total = pages_for(padded & !(PAGE_SIZE - 1));
     let os_align = align.max(PAGE_SIZE);
     // Hardened blocks never come out of the cache (and never go in): the
     // guard pages, the registry entry and the unmap on free are how that
-    // mode catches a use after free.
-    // First fit: big enough, at most a quarter wasted, aligned. The
-    // caller's own word first, a load and a store, then the shared ones.
-    let fits = |base: usize, bytes: usize, _| {
-        bytes >= total && bytes - total <= total / 4 && base & (os_align - 1) == 0
-    };
+    // mode catches a use after free. The caller's own word first, a load
+    // and a store (attaching a slot on a thread's first call), then the
+    // shared ones.
+    let fits = fits(total, os_align);
     let cached = (!hardened && total <= MAX_CACHED_SPAN)
         .then(|| {
             own_span_word(inner, tb)
-                .and_then(|own| take_own(own, fits))
-                .or_else(|| inner.large_cache.slots.iter().find_map(|s| SpanCache::claim(s, fits)))
+                .and_then(|own| take_own(own, &fits))
+                .or_else(|| inner.large_cache.slots.iter().find_map(|s| SpanCache::claim(s, &fits)))
         })
         .flatten();
-    let base = match cached {
-        Some(base) => {
-            if malloc_api::fail_point!("large.cache_take").kill {
-                // Killed holding the span, like `park`'s kill.
-                return FAILED;
-            }
-            observe::count_global(inner, Global::LargeCacheHit);
-            base
-        }
-        None => unsafe { map_span(inner, total, os_align) },
-    };
-    if base == 0 {
-        return FAILED;
+    if let Some(base) = cached {
+        return (unsafe { hand_out_cached(inner, t0, base, user_off) }, false);
     }
+    match unsafe { map_span(inner, total, os_align) } {
+        0 => FAILED,
+        base => (unsafe { hand_out(inner, t0, base, user_off) }, true),
+    }
+}
+
+/// Hands out a span taken out of the cache: [`hand_out`], or null when the
+/// thread is killed holding it.
+#[inline]
+unsafe fn hand_out_cached<S: PageSource>(
+    inner: &Inner<S>,
+    t0: Timer,
+    base: usize,
+    user_off: usize,
+) -> *mut u8 {
+    if malloc_api::fail_point!("large.cache_take").kill {
+        // Killed holding the span, like `park_own`'s kill.
+        return core::ptr::null_mut();
+    }
+    observe::count_global(inner, Global::LargeCacheHit);
+    unsafe { hand_out(inner, t0, base, user_off) }
+}
+
+/// The span at `base` as a block `user_off` into it: its marker, counted.
+#[inline]
+unsafe fn hand_out<S: PageSource>(
+    inner: &Inner<S>,
+    t0: Timer,
+    base: usize,
+    user_off: usize,
+) -> *mut u8 {
     let user = (base + user_off) as *mut u8;
     // Relaxed: the span is this thread's until it hands the pointer out,
     // and the hand-out orders the marker with the rest of the block.
@@ -488,7 +544,7 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     }
     observe::count_global(inner, Global::LargeAlloc);
     t0.stop(inner, Lat::MallocLarge);
-    (user, cached.is_none())
+    user
 }
 
 /// The miss path: maps a span of `total` bytes, writes its header and
@@ -550,10 +606,44 @@ pub(crate) unsafe fn usable_size_large(ptr: *mut u8, prefix: usize) -> usize {
     total - guard_bytes - user_off
 }
 
+/// The word in front of a large block: its offset into its span, under
+/// the paper's large-block bit. Small blocks have no such word.
+#[inline]
+pub(crate) unsafe fn large_marker(ptr: *mut u8) -> usize {
+    // Relaxed: the caller holds the block, so its marker is ordered.
+    unsafe { (*(ptr.sub(PREFIX_SIZE) as *const AtomicUsize)).load(Ordering::Relaxed) }
+}
+
+/// `free`'s large hit (DESIGN.md §16.7): parks the span of the large block
+/// at `ptr` in the calling thread's own word, if the thread holds a slot
+/// of this process generation and the span goes there ([`park_own`]).
+/// The word is looked up before anything in front of `ptr` is read. False:
+/// nothing was done.
+#[inline]
+pub(crate) unsafe fn park_held<S: PageSource>(
+    inner: &Inner<S>,
+    tb: &ThreadBlock,
+    ptr: *mut u8,
+) -> bool {
+    let Some(own) = held_span_word(inner, tb) else {
+        return false;
+    };
+    let t0 = Timer::start();
+    let base = ptr as usize - (unsafe { large_marker(ptr) } >> 1);
+    // Relaxed: the freeing thread holds the block, as in `release_large`.
+    let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
+    if !park_own(own, base, header_fields(header).0) {
+        return false;
+    }
+    observe::count_global(inner, Global::LargeFree);
+    t0.stop(inner, Lat::FreeLarge);
+    true
+}
+
 /// Frees a large block given its user pointer and (odd) prefix word
 /// (the trusting non-hardened path; hardened frees route through
 /// [`crate::harden`], which validates and then calls
-/// [`release_large`]).
+/// [`release_large`]); `deallocate_large`'s miss.
 #[inline(never)]
 pub(crate) unsafe fn free_large<S: PageSource>(
     inner: &Inner<S>,
@@ -591,7 +681,9 @@ pub(crate) unsafe fn release_large<S: PageSource>(
 mod tests {
     use super::*;
     use crate::{Config, LfMalloc, MaintenanceBudget};
+    use malloc_api::layout::align_up;
     use malloc_api::RawMalloc;
+    use osmem::source::pages_for;
 
     fn instance() -> LfMalloc {
         LfMalloc::with_config(Config::with_heaps(1))
@@ -1099,5 +1191,31 @@ mod tests {
         assert_eq!(align_up(2 * PREFIX_SIZE, PREFIX_SIZE), 16);
         assert_eq!(align_up(2 * PREFIX_SIZE, 64), 64);
         assert_eq!(align_up(2 * PREFIX_SIZE, 4096), 4096);
+    }
+
+    /// `span_layout` against the rounding written out step by step, each
+    /// step checked: every power-of-two alignment, sizes around the page
+    /// boundaries and up to the last that fit.
+    #[test]
+    fn span_layout_is_the_stepwise_rounding() {
+        let stepwise = |size: usize, align: usize, guard: usize| {
+            let user_off = align_up(2 * PREFIX_SIZE, align.max(PREFIX_SIZE));
+            let padded = size.checked_add(user_off)?.checked_add(PAGE_SIZE - 1)?;
+            Some((user_off, pages_for(padded.checked_add(guard)? & !(PAGE_SIZE - 1))))
+        };
+        for shift in 0..usize::BITS {
+            let align = 1usize << shift;
+            for guard in [0, 2 * PAGE_SIZE] {
+                for base in [0, PAGE_SIZE, 64 << 10, usize::MAX - align - guard - PAGE_SIZE] {
+                    for size in (base.saturating_sub(40)..).take(80) {
+                        assert_eq!(
+                            span_layout(size, align, guard),
+                            stepwise(size, align, guard),
+                            "size {size} align {align} guard {guard}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -293,7 +293,9 @@ pub(crate) fn own_span_word<'a, S: PageSource>(
 }
 
 /// The calling thread's span word if the thread already holds a slot in
-/// `inner` (no attach, no fork recovery); none otherwise.
+/// `inner` of this process generation (no attach, no fork recovery; the
+/// slot a hit may use); none otherwise. The large entries' hit reads the
+/// word through this, so its fork check is the small hit's.
 #[inline]
 pub(crate) fn held_span_word<'a, S: PageSource>(
     inner: &'a Inner<S>,

@@ -1,9 +1,10 @@
 //! The calling thread's allocator state: one thread-local block holding
 //! the reentrancy flag, the thread id and the cached magazine slot, so
 //! an entry point touches thread-local storage once (DESIGN.md §15).
-//! A magazine hit reads this block, the process generation and its bin,
+//! A hit — a magazine's, or a large block's on the thread's own span
+//! word — reads this block, the process generation and its bin or word,
 //! and nothing else ([`enter_hit`], DESIGN.md §15.1); a stale generation
-//! or a missing slot sends the call to the slow entry, which refreshes
+//! or a missing slot sends the call to its miss, which refreshes
 //! the block ([`enter_alloc`]) and owes the instance its fork recovery.
 //!
 //! The block is `const`-initialised and has no destructor: reading it
@@ -175,7 +176,7 @@ impl ThreadBlock {
     }
 
     #[inline]
-    fn ensure_fresh(&self) {
+    pub(crate) fn ensure_fresh(&self) {
         let cur = procfork::generation();
         if self.gen.get() != cur {
             self.refresh(cur);
@@ -265,9 +266,10 @@ pub(crate) fn enter_alloc() -> Option<AllocGuard> {
     Some(entry)
 }
 
-/// Enters a magazine hit: [`enter_alloc`] without bringing the block up
-/// to the process generation, which is the slow entry's business (the
-/// hit compares it: [`ThreadBlock::is_current`]). `None` as there.
+/// Enters a hit — a magazine's, or a large entry's on the thread's own
+/// span word: [`enter_alloc`] without bringing the block up to the process
+/// generation, which is the miss's business (the hit compares it:
+/// [`ThreadBlock::is_current`]). `None` as there.
 #[inline(always)]
 pub(crate) fn enter_hit() -> Option<AllocGuard> {
     BLOCK.with(|tb| {

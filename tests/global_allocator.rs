@@ -265,6 +265,96 @@ fn signal_landing_inside_a_magazine_hit_is_rejected_and_counted() {
     assert!(audit.is_clean(), "{audit}");
 }
 
+/// The same shower of signals over large pairs. A 64 KiB pair is a load
+/// and a store on the thread's own span word each way, behind the
+/// reentrancy flag alone (DESIGN.md §16.7), so most deliveries interrupt a
+/// take or a park half done. The handler's own 64 KiB malloc must be
+/// refused there (null, counted), never take or park on the torn word, and
+/// no span may end up in two words or in none.
+#[test]
+fn signal_landing_inside_a_large_pair_is_rejected_and_counted() {
+    use std::sync::atomic::{AtomicBool, AtomicPtr};
+    extern "C" {
+        fn pthread_self() -> usize;
+        fn pthread_kill(thread: usize, sig: i32) -> i32;
+    }
+    const SIGURG: i32 = 23; // the two signals above belong to the tests above
+    const LARGE: usize = 64 << 10;
+    static INST: AtomicPtr<LfMalloc> = AtomicPtr::new(core::ptr::null_mut());
+    static DELIVERED: AtomicUsize = AtomicUsize::new(0);
+    static COMPLETED: AtomicUsize = AtomicUsize::new(0);
+    static REJECTED: AtomicUsize = AtomicUsize::new(0);
+
+    extern "C" fn on_urg(_sig: i32) {
+        DELIVERED.fetch_add(1, Ordering::SeqCst);
+        let a = unsafe { &*INST.load(Ordering::Acquire) };
+        unsafe {
+            let p = a.malloc(LARGE);
+            if p.is_null() {
+                REJECTED.fetch_add(1, Ordering::SeqCst);
+            } else {
+                (p as *mut u64).write(0xEE);
+                a.free(p);
+                COMPLETED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    let a = Box::new(LfMalloc::with_config(Config::with_heaps(1)));
+    INST.store(&*a as *const LfMalloc as *mut LfMalloc, Ordering::Release);
+    let prev = unsafe { sys::signal(SIGURG, on_urg as *const () as usize) };
+    let target = unsafe { pthread_self() };
+    let done = AtomicBool::new(false);
+    const SIGNALS: usize = 3_000;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for sent in 1..=SIGNALS {
+                assert_eq!(unsafe { pthread_kill(target, SIGURG) }, 0);
+                // A pending signal absorbs the next one sent: wait for this
+                // one to land, so every signal sent is a delivery.
+                while DELIVERED.load(Ordering::SeqCst) < sent {
+                    std::hint::spin_loop();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let mut pairs = 0u64;
+        while !done.load(Ordering::Acquire) {
+            unsafe {
+                let p = a.malloc(LARGE) as *mut u64;
+                assert!(!p.is_null(), "the interrupted thread itself is never refused");
+                p.write(pairs);
+                assert_eq!(p.read(), pairs, "span handed out twice");
+                a.free(p as *mut u8);
+            }
+            pairs += 1;
+        }
+    });
+    unsafe { sys::signal(SIGURG, prev) };
+    INST.store(core::ptr::null_mut(), Ordering::Release);
+
+    let (delivered, completed, rejected) = (
+        DELIVERED.load(Ordering::SeqCst),
+        COMPLETED.load(Ordering::SeqCst),
+        REJECTED.load(Ordering::SeqCst),
+    );
+    assert_eq!(delivered, SIGNALS, "a signal was lost");
+    assert_eq!(completed + rejected, delivered, "a delivery was lost or deadlocked");
+    assert!(rejected > 0, "no signal landed inside the allocator in {delivered} deliveries");
+    assert_eq!(
+        a.misuse_counters().count(MisuseKind::ReentrantAlloc),
+        rejected as u64,
+        "every refusal is counted, and nothing else is"
+    );
+    // The audit objects to a span parked in two words; every mapped byte
+    // parked means none is in no word.
+    let audit = a.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.large_live, 0, "{audit}");
+    assert!(audit.large_cached_spans >= 1, "{audit}");
+    assert_eq!(a.os_stats().live_bytes, audit.bytes.large_cached_bytes, "{audit}");
+}
+
 /// Deterministic version of the reentrancy contract: with the guard
 /// artificially held (as if a signal had landed mid-malloc), the fast
 /// path fails fast with a counted rejection instead of recursing.
