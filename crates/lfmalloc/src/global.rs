@@ -128,8 +128,8 @@ impl GlobalLfMalloc {
 
     /// [`LfMalloc::start_reaper`] on the underlying instance. Returns
     /// `false` if a reaper is already running.
-    pub fn start_reaper(&self, cfg: crate::maintain::ReaperConfig) -> bool {
-        self.instance().start_reaper(cfg)
+    pub fn start_reaper(&self, period: core::time::Duration) -> bool {
+        self.instance().start_reaper(period)
     }
 
     /// Stops the background reaper, if any; `true` if one was stopped.

@@ -75,10 +75,10 @@ pub(crate) struct Inner<S: PageSource> {
     pub quarantine: *mut Quarantine,
     /// Always-on liveness/maintenance counters (see [`crate::health`]).
     pub health: crate::health::HealthState,
-    /// Background-reaper control plane (see [`crate::maintain`]).
-    pub reaper: crate::maintain::ReaperState,
-    /// Fork bookkeeping: recovered generation, atfork-hook token, and
-    /// the across-fork reaper-guard stash (see [`crate::fork`]).
+    /// The background reaper (see [`crate::maintain`]).
+    pub reaper: crate::fork::Worker<crate::maintain::Reaper<S>>,
+    /// Fork bookkeeping: recovered generation and atfork-hook token (see
+    /// [`crate::fork`]).
     pub fork: crate::fork::ForkState,
     /// Planted-bug state for the shadow-heap oracle tests: the most
     /// recent small block handed out, plus its class index. Only read
@@ -312,7 +312,7 @@ impl<S: PageSource> LfMalloc<S> {
                 misuse: MisuseCounters::new(),
                 quarantine: quarantine.ptr,
                 health: crate::health::HealthState::new(),
-                reaper: crate::maintain::ReaperState::new(),
+                reaper: crate::fork::Worker::new(),
                 fork: crate::fork::ForkState::new(),
                 #[cfg(feature = "failpoints")]
                 bug_stash: AtomicUsize::new(0),
@@ -830,7 +830,7 @@ impl<S: PageSource> Drop for LfMalloc<S> {
         // 0b. Stop and join the background reaper (if any) before any
         //     state is torn down: a maintenance pass must never race
         //     teardown.
-        crate::maintain::stop_reaper_inner(self.inner());
+        self.inner().reaper.stop(|_| ());
         unsafe {
             let inner = self.inner.as_ptr();
             // 1. Release bulk memory: cached large spans, superblock

@@ -127,7 +127,7 @@ pub use heapdump::{
     LeakCandidate, SiteDelta, DUMP_VERSION,
 };
 pub use instance::{LfMalloc, OutOfMemory};
-pub use maintain::{MaintenanceBudget, MaintenanceReport, ReaperConfig};
+pub use maintain::{MaintenanceBudget, MaintenanceReport};
 #[cfg(feature = "profile")]
 pub use profile::{CallSite, LiveSample, ProfileSnapshot, SiteReport};
 #[cfg(feature = "stats")]

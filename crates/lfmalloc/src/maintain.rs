@@ -20,7 +20,9 @@
 //!   `unsafe` [`MaintenanceBudget::with_quiescent_trim`], which carries
 //!   the same contract as [`LfMalloc::trim_to`].
 //! * [`LfMalloc::start_reaper`] spawns an opt-in background thread that
-//!   calls `maintain` on the period a [`ReaperConfig`] gives. The
+//!   runs a [`light`](MaintenanceBudget::light) pass every period, with
+//!   the lifecycle of a `fork::Worker`: start once,
+//!   stop and join, respawned in a forked child. The
 //!   reaper never touches a malloc/free hot path and takes no locks the
 //!   hot paths can see, so the allocator's lock-freedom is preserved:
 //!   the reaper is an *additional* thread running ordinary lock-free
@@ -43,7 +45,6 @@ use crate::descriptor::Descriptor;
 use crate::instance::{Inner, LfMalloc};
 use crate::partial::PartialList;
 use crate::size_classes::NUM_CLASSES;
-use core::sync::atomic::{AtomicBool, Ordering};
 use core::time::Duration;
 use osmem::PageSource;
 
@@ -146,136 +147,10 @@ pub struct MaintenanceReport {
     pub bytes_trimmed: usize,
 }
 
-/// Background-reaper configuration: how often, and with what budget.
-#[derive(Clone, Copy, Debug)]
-pub struct ReaperConfig {
-    /// Sleep between maintenance passes.
-    pub(crate) period: Duration,
-    /// Budget of each pass.
-    pub(crate) budget: MaintenanceBudget,
-}
-
-impl ReaperConfig {
-    /// A reaper with the [`light`](MaintenanceBudget::light) budget.
-    pub const fn every(period: Duration) -> Self {
-        ReaperConfig { period, budget: MaintenanceBudget::light() }
-    }
-}
-
-/// Reaper control plane, embedded in `Inner`. The mutex guards only the
-/// join-handle box — it is touched by `start_reaper`/`stop_reaper`/
-/// `drop`/the atfork hooks, never by an allocation path, so hot-path
-/// lock-freedom is unaffected.
-#[derive(Debug)]
-pub(crate) struct ReaperState {
-    /// Tells the reaper thread to exit at its next wake-up.
-    stop: AtomicBool,
-    /// True while a reaper thread is installed (start-once latch).
-    running: AtomicBool,
-    /// Monomorphized respawn trampoline (`respawn_thunk::<S>` as a
-    /// `usize`; 0 until the first `start_reaper`). Stored where the
-    /// `S: Send + Sync + 'static` bounds exist so fork recovery — which
-    /// only has `S: PageSource` — can restart the reaper in the child.
-    respawn: core::sync::atomic::AtomicUsize,
-    handle: std::sync::Mutex<ReaperBox>,
-}
-
-/// Mutex-protected reaper bookkeeping: the join handle, the config it
-/// was spawned with (for child-side respawn after a fork), and the
-/// process generation it was spawned in (a handle from an older
-/// generation refers to a thread that died in a fork and must be
-/// dropped, never joined).
-#[derive(Debug)]
-pub(crate) struct ReaperBox {
-    pub(crate) handle: Option<std::thread::JoinHandle<()>>,
-    pub(crate) cfg: Option<ReaperConfig>,
-    pub(crate) spawn_gen: u64,
-}
-
-impl ReaperState {
-    pub(crate) fn new() -> Self {
-        ReaperState {
-            stop: AtomicBool::new(false),
-            running: AtomicBool::new(false),
-            respawn: core::sync::atomic::AtomicUsize::new(0),
-            handle: std::sync::Mutex::new(ReaperBox { handle: None, cfg: None, spawn_gen: 0 }),
-        }
-    }
-
-    /// Locks the handle box (poison-ignoring: a reaper panicking while
-    /// holding it must not wedge teardown or fork recovery).
-    pub(crate) fn lock_handle(&self) -> std::sync::MutexGuard<'_, ReaperBox> {
-        self.handle.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The stored respawn trampoline (0 = reaper never started).
-    pub(crate) fn respawn_thunk(&self) -> usize {
-        self.respawn.load(Ordering::Acquire)
-    }
-
-    /// With the handle box locked, clears state left by a reaper thread
-    /// that died in a fork: the stale-generation handle is dropped
-    /// (detached) **without joining** — the thread does not exist in
-    /// this process — and the start-once latch is released so the
-    /// reaper can be respawned. Returns the dead reaper's config when
-    /// one was actually running at fork time; `None` when there is
-    /// nothing to recover (same generation, or no reaper installed).
-    pub(crate) fn clear_dead(&self, boxed: &mut ReaperBox, cur_gen: u64) -> Option<ReaperConfig> {
-        if boxed.spawn_gen == cur_gen {
-            return None;
-        }
-        boxed.spawn_gen = cur_gen;
-        if !self.running.load(Ordering::Acquire) {
-            return None;
-        }
-        drop(boxed.handle.take());
-        self.stop.store(false, Ordering::Release);
-        self.running.store(false, Ordering::Release);
-        boxed.cfg
-    }
-}
-
-/// Fork-aware reaper reconciliation: detects a handle spawned in an
-/// older process generation (its thread died in the fork) and clears it
-/// without joining. `try_lock` keeps this non-blocking — if the box is
-/// held (the mutex was copied locked across a raw, un-hooked fork) the
-/// reconcile is skipped; the hooked fork path never leaves it locked.
-/// Returns the dead reaper's config so callers can respawn it.
-pub(crate) fn reaper_reconcile<S: PageSource>(inner: &Inner<S>) -> Option<ReaperConfig> {
-    let cur = malloc_api::procfork::generation();
-    let mut boxed = match inner.reaper.handle.try_lock() {
-        Ok(g) => g,
-        Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-        Err(std::sync::TryLockError::WouldBlock) => return None,
-    };
-    inner.reaper.clear_dead(&mut boxed, cur)
-}
-
-/// Monomorphized respawn trampoline, stored (as a `usize`) in
-/// [`ReaperState::respawn`] by `start_reaper`, where the
-/// `Send + Sync + 'static` bounds on `S` are available. Fork recovery
-/// calls it through the erased pointer to restart the reaper in the
-/// child.
-///
-/// # Safety
-///
-/// `inner` must point at the live `Inner<S>` instance whose
-/// `start_reaper` stored this exact monomorphization.
-pub(crate) unsafe fn respawn_thunk<S: PageSource + Send + Sync + 'static>(
-    inner: *mut (),
-    cfg: ReaperConfig,
-) -> bool {
-    let inner = unsafe { core::ptr::NonNull::new_unchecked(inner as *mut Inner<S>) };
-    let shim = unsafe { LfMalloc::<S>::borrow_raw(inner) };
-    shim.start_reaper(cfg)
-}
-
-/// Shuttles the instance pointer into the reaper thread. Sound because
-/// `stop_reaper_inner` joins the thread before instance teardown begins
-/// (first step of `LfMalloc::drop`), so the pointer outlives every
-/// dereference.
-struct RawInner<S: PageSource>(core::ptr::NonNull<Inner<S>>);
-unsafe impl<S: PageSource + Send + Sync> Send for RawInner<S> {}
+/// What a reaper runs with: its period, and `start_reaper` for the
+/// instance's page source, which fork recovery (bounded by `PageSource`
+/// alone) calls to start the reaper again in a child.
+pub(crate) type Reaper<S> = (Duration, fn(&LfMalloc<S>, Duration) -> bool);
 
 impl<S: PageSource> LfMalloc<S> {
     /// Runs one bounded self-healing pass: drains dead threads'
@@ -338,89 +213,31 @@ impl<S: PageSource> LfMalloc<S> {
     /// Returns true if a reaper was actually stopped. Called implicitly
     /// by `drop`, so teardown never races a maintenance pass.
     pub fn stop_reaper(&self) -> bool {
-        stop_reaper_inner(self.inner())
+        self.inner().reaper.stop(|_| ())
     }
 }
 
 impl<S: PageSource + Send + Sync + 'static> LfMalloc<S> {
-    /// Spawns a background reaper that runs a `cfg.budget` pass every
-    /// `cfg.period`. Returns false if one is already running or the
-    /// thread could not be spawned.
-    pub fn start_reaper(&self, cfg: ReaperConfig) -> bool {
-        let inner = self.inner();
-        // A reaper latch left set by a pre-fork parent must not block
-        // the child's (re)start: its thread died in the fork.
-        reaper_reconcile(inner);
-        if inner
-            .reaper
-            .running
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        inner.reaper.stop.store(false, Ordering::Release);
-        let raw = RawInner::<S>(self.raw_inner());
-        let spawned = std::thread::Builder::new()
-            .name("lfmalloc-reaper".into())
-            .spawn(move || {
-                let raw = raw;
-                // A borrowed, never-dropped view of the instance; valid
-                // until `stop_reaper_inner` joins us.
-                let shim = unsafe { LfMalloc::<S>::borrow_raw(raw.0) };
-                loop {
-                    // Sleep first: a start/stop pair shouldn't pay for a
-                    // pass, and `stop` unparks us early.
-                    std::thread::park_timeout(cfg.period);
-                    if shim.inner().reaper.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    shim.maintain_impl(cfg.budget, true);
+    /// Spawns a background reaper that runs a
+    /// [`light`](MaintenanceBudget::light) pass every `period`. Returns
+    /// false if one is already running or the thread could not be
+    /// spawned.
+    pub fn start_reaper(&self, period: Duration) -> bool {
+        let started = self.inner().reaper.start(|| {
+            let thread = crate::fork::spawn(self, "lfmalloc-reaper", move |this| loop {
+                // Sleep first: a start/stop pair shouldn't pay for a
+                // pass, and `stop` unparks us early.
+                std::thread::park_timeout(period);
+                if this.inner().reaper.stopping() {
+                    break;
                 }
-            });
-        match spawned {
-            Ok(h) => {
-                let mut boxed = inner.reaper.lock_handle();
-                boxed.handle = Some(h);
-                boxed.cfg = Some(cfg);
-                boxed.spawn_gen = malloc_api::procfork::generation();
-                drop(boxed);
-                inner.reaper.respawn.store(
-                    respawn_thunk::<S> as unsafe fn(*mut (), ReaperConfig) -> bool as usize,
-                    Ordering::Release,
-                );
-                true
-            }
-            Err(_) => {
-                inner.reaper.running.store(false, Ordering::Release);
-                false
-            }
-        }
+                this.maintain_impl(MaintenanceBudget::light(), true);
+            })?;
+            let again = Self::start_reaper as fn(&Self, Duration) -> bool;
+            std::io::Result::Ok((thread, (period, again)))
+        });
+        matches!(started, Ok((_, true)))
     }
-}
-
-/// Stop/join path shared by [`LfMalloc::stop_reaper`] and `drop` (which
-/// has no `Send + Sync` bounds on `S`, so this must not require them).
-pub(crate) fn stop_reaper_inner<S: PageSource>(inner: &Inner<S>) -> bool {
-    // Fork-aware: a reaper that died in a fork is cleared here, never
-    // joined (joining a handle whose thread was lost to `fork` would
-    // block forever).
-    reaper_reconcile(inner);
-    if !inner.reaper.running.load(Ordering::Acquire) {
-        return false;
-    }
-    inner.reaper.stop.store(true, Ordering::Release);
-    let handle = inner.reaper.lock_handle().handle.take();
-    let stopped = match handle {
-        Some(h) => {
-            h.thread().unpark();
-            let _ = h.join();
-            true
-        }
-        None => false,
-    };
-    inner.reaper.running.store(false, Ordering::Release);
-    stopped
 }
 
 /// Prunes EMPTY descriptors out of the heap partial slots and (budgeted
@@ -579,7 +396,7 @@ mod tests {
     #[test]
     fn reaper_runs_and_stops() {
         let a = LfMalloc::with_config(Config::with_heaps(1));
-        assert!(a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
+        assert!(a.start_reaper(Duration::from_millis(5)));
         unsafe {
             let p = a.malloc(128);
             assert!(!p.is_null());
@@ -602,10 +419,10 @@ mod tests {
     #[test]
     fn reaper_restart_after_stop() {
         let a = LfMalloc::with_config(Config::with_heaps(1));
-        assert!(a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
-        assert!(!a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
+        assert!(a.start_reaper(Duration::from_millis(5)));
+        assert!(!a.start_reaper(Duration::from_millis(5)));
         assert!(a.stop_reaper());
-        assert!(a.start_reaper(ReaperConfig::every(Duration::from_millis(5))));
+        assert!(a.start_reaper(Duration::from_millis(5)));
         // Drop stops the second reaper implicitly; reaching the end
         // without hanging is the assertion.
     }

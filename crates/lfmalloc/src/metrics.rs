@@ -19,8 +19,10 @@
 //!
 //! [`LfMalloc::serve_metrics`] optionally spawns a minimal HTTP/1.0
 //! scrape endpoint on a `std::net::TcpListener` — one thread, one
-//! request at a time, stopped and joined before instance teardown (the
-//! same lifecycle discipline as the background reaper). The exporter
+//! request at a time, a `fork::Worker` like the
+//! background reaper: started once, stopped and joined before instance
+//! teardown, forgotten (never joined) in a forked child, which can serve
+//! again. The exporter
 //! renders through the system allocator-backed `String`, so scraping an
 //! instance that *is* the Rust global allocator is still re-entrant-safe
 //! only from other threads — the same contract as `stats()`.
@@ -29,7 +31,6 @@ use crate::health::HEALTH_ROWS;
 use crate::instance::{Inner, LfMalloc};
 use crate::schema::CounterInfo;
 use crate::stats::{StatsSnapshot, CLASS_COUNTERS, INSTANCE_COUNTERS, LATENCY_PATHS, RETRY_HISTOGRAMS};
-use core::sync::atomic::{AtomicBool, Ordering};
 use malloc_api::telemetry::{LatencySnapshot, RETRY_BUCKETS, TIME_BUCKETS};
 use osmem::PageSource;
 use std::fmt::Write as _;
@@ -409,47 +410,6 @@ pub fn check_openmetrics(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Scrape-endpoint control plane, embedded in `Inner` under `stats`.
-/// The same lifecycle discipline as the reaper: a stop flag, a
-/// start-once latch, and a join handle that teardown drains before any
-/// state dies. A handle spawned before a fork refers to a thread that
-/// does not exist in the child and is dropped without joining.
-#[derive(Debug)]
-pub(crate) struct MetricsState {
-    stop: AtomicBool,
-    running: AtomicBool,
-    handle: std::sync::Mutex<MetricsBox>,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct MetricsBox {
-    handle: Option<std::thread::JoinHandle<()>>,
-    addr: Option<SocketAddr>,
-    spawn_gen: u64,
-}
-
-impl MetricsState {
-    pub(crate) fn new() -> Self {
-        MetricsState {
-            stop: AtomicBool::new(false),
-            running: AtomicBool::new(false),
-            handle: std::sync::Mutex::new(MetricsBox::default()),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsBox> {
-        match self.handle.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-/// Shuttles the instance pointer into the scrape thread; sound because
-/// `stop_metrics` joins the thread before teardown (`LfMalloc::drop`).
-struct RawInner<S: PageSource>(core::ptr::NonNull<Inner<S>>);
-unsafe impl<S: PageSource + Send + Sync> Send for RawInner<S> {}
-
 impl<S: PageSource> LfMalloc<S> {
     /// The full telemetry snapshot as OpenMetrics 1.0 text (ends with
     /// `# EOF`). Allocates through the Rust global allocator, like
@@ -467,51 +427,21 @@ impl<S: PageSource + Send + Sync + 'static> LfMalloc<S> {
     /// existing address. The serving thread is stopped and joined by
     /// [`stop_metrics`](Self::stop_metrics) or instance drop.
     pub fn serve_metrics<A: ToSocketAddrs>(&self, addr: A) -> std::io::Result<SocketAddr> {
-        let inner = self.inner();
-        let mut boxed = inner.obs.stats.metrics.lock();
-        // A pre-fork thread died with the parent's address space;
-        // forget its handle so the child can re-serve.
-        let cur_gen = malloc_api::procfork::generation();
-        if boxed.spawn_gen != cur_gen && boxed.handle.is_some() {
-            drop(boxed.handle.take());
-            boxed.addr = None;
-            inner.obs.stats.metrics.running.store(false, Ordering::Release);
-        }
-        if inner.obs.stats.metrics.running.load(Ordering::Acquire) {
-            if let Some(addr) = boxed.addr {
-                return Ok(addr);
-            }
-        }
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        inner.obs.stats.metrics.stop.store(false, Ordering::Release);
-        let raw = RawInner::<S>(self.raw_inner());
-        let handle = std::thread::Builder::new()
-            .name("lfmalloc-metrics".into())
-            .spawn(move || {
-                let raw = raw;
-                // Safety: stop_metrics joins this thread before the
-                // instance is torn down.
-                let this = unsafe { LfMalloc::borrow_raw(raw.0) };
-                let inner = unsafe { raw.0.as_ref() };
-                loop {
-                    let Ok((mut stream, _)) = listener.accept() else {
-                        if inner.obs.stats.metrics.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        continue;
-                    };
-                    if inner.obs.stats.metrics.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    serve_one(&mut stream, &this);
+        let served = self.inner().obs.stats.metrics.start(|| {
+            let listener = TcpListener::bind(addr)?;
+            let local = listener.local_addr()?;
+            let thread = crate::fork::spawn(self, "lfmalloc-metrics", move |this| loop {
+                let accepted = listener.accept();
+                if this.inner().obs.stats.metrics.stopping() {
+                    break;
+                }
+                if let Ok((mut stream, _)) = accepted {
+                    serve_one(&mut stream, this);
                 }
             })?;
-        boxed.handle = Some(handle);
-        boxed.addr = Some(local);
-        boxed.spawn_gen = cur_gen;
-        inner.obs.stats.metrics.running.store(true, Ordering::Release);
-        Ok(local)
+            std::io::Result::Ok((thread, local))
+        });
+        served.map(|(local, _)| local)
     }
 
     /// Stops and joins the scrape endpoint; returns true if one was
@@ -541,26 +471,8 @@ fn serve_one<S: PageSource>(stream: &mut TcpStream, this: &LfMalloc<S>) {
 /// Free-function form of stop so `LfMalloc::drop` (no `Send + Sync`
 /// bound in scope) can call it.
 pub(crate) fn stop_metrics_inner<S: PageSource>(inner: &Inner<S>) -> bool {
-    let mut boxed = inner.obs.stats.metrics.lock();
-    let Some(handle) = boxed.handle.take() else {
-        return false;
-    };
-    inner.obs.stats.metrics.stop.store(true, Ordering::Release);
-    let addr = boxed.addr.take();
-    let stale = boxed.spawn_gen != malloc_api::procfork::generation();
-    drop(boxed);
-    if stale {
-        // The thread died in a fork; joining would hang or worse.
-        drop(handle);
-    } else {
-        // Unblock the accept loop with a self-connection, then join.
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect(addr);
-        }
-        let _ = handle.join();
-    }
-    inner.obs.stats.metrics.running.store(false, Ordering::Release);
-    true
+    // A self-connection gets the thread out of `accept`.
+    inner.obs.stats.metrics.stop(|addr| drop(TcpStream::connect(addr)))
 }
 
 #[cfg(test)]

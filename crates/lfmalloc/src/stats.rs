@@ -328,7 +328,7 @@ pub(crate) struct InstanceStats {
     /// Fragmentation time series, fed by the maintenance pass.
     pub frag_series: FragSeries,
     /// Scrape-endpoint control plane (see [`crate::metrics`]).
-    pub(crate) metrics: crate::metrics::MetricsState,
+    pub(crate) metrics: crate::fork::Worker<std::net::SocketAddr>,
 }
 
 impl InstanceStats {
@@ -345,7 +345,7 @@ impl InstanceStats {
             events: EventRing::new(EVENT_RING_CAP),
             lat: core::array::from_fn(|_| LatencyHist::new()),
             frag_series: FragSeries::new(FRAG_SERIES_CAP),
-            metrics: crate::metrics::MetricsState::new(),
+            metrics: crate::fork::Worker::new(),
         })
     }
 
@@ -859,6 +859,19 @@ impl StatsSnapshot {
     }
 }
 
+/// One line per family of a schema table (its rows are adjacent): the
+/// family's name, then each row's `name=value`.
+fn write_families<T>(w: &mut impl Write, rows: &[CounterInfo<T>], v: &T) -> std::io::Result<()> {
+    for (i, c) in rows.iter().enumerate() {
+        if i == 0 || rows[i - 1].family != c.family {
+            let line = if i == 0 { "" } else { "\n" };
+            write!(w, "{line}  {:<22}", format!("{}:", c.family.trim_start_matches("lfmalloc_")))?;
+        }
+        write!(w, " {}={}", c.name, (c.get)(v))?;
+    }
+    writeln!(w)
+}
+
 impl<S: PageSource> LfMalloc<S> {
     /// The slow-path events recorded since the previous call, oldest
     /// first (see [`StampedRing::take`]).
@@ -879,47 +892,9 @@ impl<S: PageSource> LfMalloc<S> {
         let s = self.stats();
         let t = &s.totals;
         writeln!(w, "___ Begin lfmalloc statistics ___")?;
-        writeln!(
-            w,
-            "mallocs: {:>12}  (cached {} / fast {} / partial {} / new-sb {})",
-            t.mallocs(),
-            t.malloc_cached,
-            t.malloc_fast,
-            t.malloc_slow,
-            t.malloc_newsb
-        )?;
-        writeln!(
-            w,
-            "frees:   {:>12}  (cached {} / outbox {} / local {} / remote {} [{} in TLS teardown] / emptied {} superblocks)",
-            t.frees(),
-            t.free_cached,
-            t.free_outbox,
-            t.free_local,
-            t.free_remote,
-            t.free_teardown,
-            t.free_empty
-        )?;
-        writeln!(
-            w,
-            "partial: {:>12} push / {} pop / {} blocks reused / {} EMPTY reopened in place",
-            t.partial_push, t.partial_pop, t.partial_reuse, t.sb_reopen
-        )?;
-        writeln!(
-            w,
-            "magazines: {:>10} refills / {} flushes / {} outbox flushes",
-            t.mag_refill, t.mag_flush, t.out_flush
-        )?;
-        writeln!(
-            w,
-            "large:   {:>12} alloc / {} free / {} live  (span cache: {} hit / {} miss / {} bypassed)",
-            s.large_alloc,
-            s.large_free,
-            s.large_live,
-            s.large_cache_hit,
-            s.large_cache_miss,
-            s.large_cache_bypass
-        )?;
-        writeln!(w, "oom backoff attempts: {}   trims: {}", s.oom_backoffs, s.trims)?;
+        writeln!(w, "{} mallocs, {} frees, all classes; by family:", t.mallocs(), t.frees())?;
+        write_families(w, CLASS_COUNTERS, t)?;
+        write_families(w, INSTANCE_COUNTERS, &s)?;
         writeln!(
             w,
             "latency of the trips past the magazine — refills, misses, flushes, large blocks; \

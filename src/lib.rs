@@ -48,7 +48,7 @@ pub mod prelude {
     pub use lfmalloc::{
         Config, GlobalLfMalloc, Hardening, HealthSnapshot, LfMalloc, LivenessConfig,
         LivenessPolicy, MaintenanceBudget, MaintenanceReport, MisuseKind, MisuseReport,
-        ReaperConfig, WatchSite,
+        WatchSite,
     };
     pub use malloc_api::{AllocStats, RawMalloc};
     pub use oracle::{OracleMalloc, Trace};

@@ -14,6 +14,8 @@
 //!   its health snapshot (DESIGN.md §12, §17.6);
 //! * the reaper thread — which died in the fork — is respawned, and
 //!   `stop_reaper` never tries to join the corpse;
+//! * a fork that lands while another thread starts or stops the reaper
+//!   or the metrics endpoint leaves the child nothing to wait on;
 //! * the three lock-based baselines, which WOULD deadlock when forked
 //!   mid-allocation, never do so under their atfork guards (prepare
 //!   acquires every lock, parent/child release);
@@ -42,6 +44,7 @@ const REAPER_STUCK: i32 = 14;
 const MAGAZINE_LOST: i32 = 15;
 const ORPHANS_KEPT: i32 = 16;
 const SPAN_CACHE_LOST: i32 = 17;
+const WORKER_NOT_RESTARTED: i32 = 18;
 
 /// Serializes fork scenarios: the test harness is multithreaded, and
 /// concurrent `waitpid` loops could reap each other's children.
@@ -73,13 +76,22 @@ fn audit_or_exit(a: &LfMalloc) {
 /// these tests exist to catch) is SIGKILLed and reported as a failure
 /// rather than hanging the suite.
 fn wait_child(pid: i32, what: &str) -> i32 {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    match reap_within(pid, std::time::Duration::from_secs(60), what) {
+        Some(code) => code,
+        None => panic!("{what}: child {pid} hung past the deadline — deadlock in the child"),
+    }
+}
+
+/// Reaps `pid`, or SIGKILLs it once `limit` has passed and returns
+/// `None`: a hung child.
+fn reap_within(pid: i32, limit: std::time::Duration, what: &str) -> Option<i32> {
+    let deadline = std::time::Instant::now() + limit;
     let mut status = 0i32;
     loop {
         let r = unsafe { sys::waitpid(pid, &mut status, sys::WNOHANG) };
         if r == pid {
             match sys::exit_code(status) {
-                Some(code) => return code,
+                Some(code) => return Some(code),
                 None => panic!("{what}: child {pid} killed by signal (status {status:#x})"),
             }
         }
@@ -89,7 +101,7 @@ fn wait_child(pid: i32, what: &str) -> i32 {
                 sys::kill(pid, sys::SIGKILL);
                 sys::waitpid(pid, &mut status, 0);
             }
-            panic!("{what}: child {pid} hung past the deadline — deadlock in the child");
+            return None;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
@@ -612,7 +624,7 @@ fn span_cache_crosses_the_fork_and_serves_the_child() {
 fn reaper_respawns_in_child_and_corpse_is_never_joined() {
     let _serial = fork_lock();
     let a = LfMalloc::new_default();
-    assert!(a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(10))));
+    assert!(a.start_reaper(std::time::Duration::from_millis(10)));
     // Give the reaper a beat to be genuinely parked in its loop.
     std::thread::sleep(std::time::Duration::from_millis(20));
     let pid = unsafe { procfork::fork() };
@@ -632,7 +644,7 @@ fn reaper_respawns_in_child_and_corpse_is_never_joined() {
             unsafe { sys::_exit(REAPER_STUCK) };
         }
         // And the child can run its own reaper lifecycle afterwards.
-        if !a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(10))) || !a.stop_reaper() {
+        if !a.start_reaper(std::time::Duration::from_millis(10)) || !a.stop_reaper() {
             unsafe { sys::_exit(REAPER_STUCK) };
         }
         audit_or_exit(&a);
@@ -642,6 +654,72 @@ fn reaper_respawns_in_child_and_corpse_is_never_joined() {
     assert_eq!(code, OK, "child failed (see exit-code constants)");
     // The parent's reaper is untouched by the child's lifecycle.
     assert!(a.stop_reaper(), "parent lost its reaper");
+}
+
+/// A background worker across forks: a second thread starts and stops
+/// it in a loop while the test forks 20 times, one child at a time, and
+/// each child stops it, starts it, stops it again and exits. A fork that
+/// lands while the churning thread holds the worker's state must not
+/// leave the child waiting on it: every child finishes within 5 s.
+fn worker_churn_across_forks(
+    what: &str,
+    start: fn(&LfMalloc) -> bool,
+    stop: fn(&LfMalloc) -> bool,
+) {
+    const FORKS: usize = 20;
+    let _serial = fork_lock();
+    let a = LfMalloc::new_default();
+    let done = AtomicBool::new(false);
+    let (mut hung, mut failed) = (0, Vec::new());
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                start(&a);
+                stop(&a);
+            }
+        });
+        for round in 0..FORKS {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let pid = unsafe { procfork::fork() };
+            assert!(pid >= 0, "{what}: fork failed");
+            if pid == 0 {
+                stop(&a);
+                let restarted = start(&a);
+                stop(&a);
+                unsafe { sys::_exit(if restarted { OK } else { WORKER_NOT_RESTARTED }) };
+            }
+            match reap_within(pid, std::time::Duration::from_secs(5), what) {
+                Some(OK) => {}
+                Some(code) => failed.push((round, code)),
+                None => hung += 1,
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(
+        (hung, &failed[..]),
+        (0, &[][..]),
+        "{what}: {hung} of {FORKS} children hung; (round, exit code) of the failed: {failed:?}"
+    );
+}
+
+#[test]
+fn the_reaper_survives_forks_amid_start_stop_churn() {
+    worker_churn_across_forks(
+        "reaper churn",
+        |a| a.start_reaper(std::time::Duration::from_millis(10)),
+        |a| a.stop_reaper(),
+    );
+}
+
+#[cfg(feature = "stats")]
+#[test]
+fn the_metrics_endpoint_survives_forks_amid_serve_stop_churn() {
+    worker_churn_across_forks(
+        "metrics endpoint churn",
+        |a| a.serve_metrics("127.0.0.1:0").is_ok(),
+        |a| a.stop_metrics(),
+    );
 }
 
 /// Forks a lock-based baseline mid-allocation, repeatedly, with its

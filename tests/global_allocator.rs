@@ -179,64 +179,87 @@ fn signal_handler_allocation_is_deadlock_free() {
     );
 }
 
-/// The same contract with the signal landing *inside* the fast path: a
-/// second thread showers the allocating thread with signals while it
-/// does nothing but malloc/free pairs, which its magazine serves with
-/// plain loads and stores — so most deliveries interrupt a pop or a
-/// push half done. The handler's own malloc must then be refused by the
-/// reentrancy flag (null, counted), never run on the torn magazine, and
-/// every delivery must finish one way or the other.
-#[test]
-fn signal_landing_inside_a_magazine_hit_is_rejected_and_counted() {
-    use std::sync::atomic::{AtomicBool, AtomicPtr};
+/// One row of the signal-shower tests below: the signal it sends, the
+/// size the target thread and the handler allocate, and its own tallies.
+struct Shower {
+    sig: i32,
+    size: usize,
+    inst: std::sync::atomic::AtomicPtr<LfMalloc>,
+    delivered: AtomicUsize,
+    completed: AtomicUsize,
+    rejected: AtomicUsize,
+}
+
+impl Shower {
+    const fn new(sig: i32, size: usize) -> Self {
+        Shower {
+            sig,
+            size,
+            inst: std::sync::atomic::AtomicPtr::new(core::ptr::null_mut()),
+            delivered: AtomicUsize::new(0),
+            completed: AtomicUsize::new(0),
+            rejected: AtomicUsize::new(0),
+        }
+    }
+}
+
+// SIGUSR1 belongs to the test above.
+static MAGAZINE_HIT: Shower = Shower::new(12, 8); // SIGUSR2
+static LARGE_PAIR: Shower = Shower::new(23, 64 << 10); // SIGURG
+
+extern "C" fn on_shower(sig: i32) {
+    let row = if sig == MAGAZINE_HIT.sig { &MAGAZINE_HIT } else { &LARGE_PAIR };
+    row.delivered.fetch_add(1, Ordering::SeqCst);
+    let a = unsafe { &*row.inst.load(Ordering::Acquire) };
+    unsafe {
+        let p = a.malloc(row.size);
+        if p.is_null() {
+            row.rejected.fetch_add(1, Ordering::SeqCst);
+        } else {
+            (p as *mut u64).write(0xEE);
+            a.free(p);
+            row.completed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Showers a thread doing nothing but `row.size` malloc/free pairs on an
+/// instance of its own with 3 000 of `row.sig`, each waited for before
+/// the next is sent (a pending signal absorbs the next one sent), from a
+/// handler that mallocs and frees that size too. Every delivery must
+/// finish, completed or refused (null, counted as `ReentrantAlloc`), and
+/// some must land inside the allocator. Returns the instance, audited
+/// clean, for the row's own checks.
+fn signal_shower(row: &'static Shower) -> (Box<LfMalloc>, lfmalloc::AuditReport) {
+    use std::sync::atomic::AtomicBool;
     extern "C" {
         fn pthread_self() -> usize;
         fn pthread_kill(thread: usize, sig: i32) -> i32;
     }
-    const SIGUSR2: i32 = 12; // SIGUSR1 belongs to the test above
-    static INST: AtomicPtr<LfMalloc> = AtomicPtr::new(core::ptr::null_mut());
-    static DELIVERED: AtomicUsize = AtomicUsize::new(0);
-    static COMPLETED: AtomicUsize = AtomicUsize::new(0);
-    static REJECTED: AtomicUsize = AtomicUsize::new(0);
-
-    extern "C" fn on_usr2(_sig: i32) {
-        DELIVERED.fetch_add(1, Ordering::SeqCst);
-        let a = unsafe { &*INST.load(Ordering::Acquire) };
-        unsafe {
-            let p = a.malloc(8);
-            if p.is_null() {
-                REJECTED.fetch_add(1, Ordering::SeqCst);
-            } else {
-                (p as *mut u64).write(0xEE);
-                a.free(p);
-                COMPLETED.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-
+    const SIGNALS: usize = 3_000;
     // An instance of its own (not GLOBAL), so the audit at the end is
     // quiescent whatever the other tests in this binary are doing.
     let a = Box::new(LfMalloc::with_config(Config::with_heaps(1)));
-    INST.store(&*a as *const LfMalloc as *mut LfMalloc, Ordering::Release);
-    let prev = unsafe { sys::signal(SIGUSR2, on_usr2 as *const () as usize) };
+    row.inst.store(&*a as *const LfMalloc as *mut LfMalloc, Ordering::Release);
+    let prev = unsafe { sys::signal(row.sig, on_shower as *const () as usize) };
     let target = unsafe { pthread_self() };
     let done = AtomicBool::new(false);
-    const SIGNALS: usize = 3_000;
     std::thread::scope(|s| {
         s.spawn(|| {
-            for _ in 0..SIGNALS {
-                assert_eq!(unsafe { pthread_kill(target, SIGUSR2) }, 0);
-                for _ in 0..200 {
+            for sent in 1..=SIGNALS {
+                assert_eq!(unsafe { pthread_kill(target, row.sig) }, 0);
+                while row.delivered.load(Ordering::SeqCst) < sent {
                     std::hint::spin_loop();
                 }
             }
             done.store(true, Ordering::Release);
         });
-        // Same size class as the handler: they contend for one magazine.
+        // Same size as the handler: they contend for one magazine bin or
+        // one span word.
         let mut pairs = 0u64;
         while !done.load(Ordering::Acquire) {
             unsafe {
-                let p = a.malloc(8) as *mut u64;
+                let p = a.malloc(row.size) as *mut u64;
                 assert!(!p.is_null(), "the interrupted thread itself is never refused");
                 p.write(pairs);
                 assert_eq!(p.read(), pairs, "block handed out twice");
@@ -245,111 +268,49 @@ fn signal_landing_inside_a_magazine_hit_is_rejected_and_counted() {
             pairs += 1;
         }
     });
-    unsafe { sys::signal(SIGUSR2, prev) };
-    INST.store(core::ptr::null_mut(), Ordering::Release);
+    unsafe { sys::signal(row.sig, prev) };
+    row.inst.store(core::ptr::null_mut(), Ordering::Release);
 
     let (delivered, completed, rejected) = (
-        DELIVERED.load(Ordering::SeqCst),
-        COMPLETED.load(Ordering::SeqCst),
-        REJECTED.load(Ordering::SeqCst),
-    );
-    assert!(delivered > 0, "no signal was delivered");
-    assert_eq!(completed + rejected, delivered, "a delivery was lost or deadlocked");
-    assert!(rejected > 0, "no signal landed inside the allocator in {delivered} deliveries");
-    assert_eq!(
-        a.misuse_counters().count(MisuseKind::ReentrantAlloc),
-        rejected as u64,
-        "every refusal is counted, and nothing else is"
-    );
-    let audit = a.audit();
-    assert!(audit.is_clean(), "{audit}");
-}
-
-/// The same shower of signals over large pairs. A 64 KiB pair is a load
-/// and a store on the thread's own span word each way, behind the
-/// reentrancy flag alone (DESIGN.md §16.7), so most deliveries interrupt a
-/// take or a park half done. The handler's own 64 KiB malloc must be
-/// refused there (null, counted), never take or park on the torn word, and
-/// no span may end up in two words or in none.
-#[test]
-fn signal_landing_inside_a_large_pair_is_rejected_and_counted() {
-    use std::sync::atomic::{AtomicBool, AtomicPtr};
-    extern "C" {
-        fn pthread_self() -> usize;
-        fn pthread_kill(thread: usize, sig: i32) -> i32;
-    }
-    const SIGURG: i32 = 23; // the two signals above belong to the tests above
-    const LARGE: usize = 64 << 10;
-    static INST: AtomicPtr<LfMalloc> = AtomicPtr::new(core::ptr::null_mut());
-    static DELIVERED: AtomicUsize = AtomicUsize::new(0);
-    static COMPLETED: AtomicUsize = AtomicUsize::new(0);
-    static REJECTED: AtomicUsize = AtomicUsize::new(0);
-
-    extern "C" fn on_urg(_sig: i32) {
-        DELIVERED.fetch_add(1, Ordering::SeqCst);
-        let a = unsafe { &*INST.load(Ordering::Acquire) };
-        unsafe {
-            let p = a.malloc(LARGE);
-            if p.is_null() {
-                REJECTED.fetch_add(1, Ordering::SeqCst);
-            } else {
-                (p as *mut u64).write(0xEE);
-                a.free(p);
-                COMPLETED.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    let a = Box::new(LfMalloc::with_config(Config::with_heaps(1)));
-    INST.store(&*a as *const LfMalloc as *mut LfMalloc, Ordering::Release);
-    let prev = unsafe { sys::signal(SIGURG, on_urg as *const () as usize) };
-    let target = unsafe { pthread_self() };
-    let done = AtomicBool::new(false);
-    const SIGNALS: usize = 3_000;
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for sent in 1..=SIGNALS {
-                assert_eq!(unsafe { pthread_kill(target, SIGURG) }, 0);
-                // A pending signal absorbs the next one sent: wait for this
-                // one to land, so every signal sent is a delivery.
-                while DELIVERED.load(Ordering::SeqCst) < sent {
-                    std::hint::spin_loop();
-                }
-            }
-            done.store(true, Ordering::Release);
-        });
-        let mut pairs = 0u64;
-        while !done.load(Ordering::Acquire) {
-            unsafe {
-                let p = a.malloc(LARGE) as *mut u64;
-                assert!(!p.is_null(), "the interrupted thread itself is never refused");
-                p.write(pairs);
-                assert_eq!(p.read(), pairs, "span handed out twice");
-                a.free(p as *mut u8);
-            }
-            pairs += 1;
-        }
-    });
-    unsafe { sys::signal(SIGURG, prev) };
-    INST.store(core::ptr::null_mut(), Ordering::Release);
-
-    let (delivered, completed, rejected) = (
-        DELIVERED.load(Ordering::SeqCst),
-        COMPLETED.load(Ordering::SeqCst),
-        REJECTED.load(Ordering::SeqCst),
+        row.delivered.load(Ordering::SeqCst),
+        row.completed.load(Ordering::SeqCst),
+        row.rejected.load(Ordering::SeqCst),
     );
     assert_eq!(delivered, SIGNALS, "a signal was lost");
     assert_eq!(completed + rejected, delivered, "a delivery was lost or deadlocked");
     assert!(rejected > 0, "no signal landed inside the allocator in {delivered} deliveries");
+    let counted = a.misuse_counters().count(MisuseKind::ReentrantAlloc);
     assert_eq!(
-        a.misuse_counters().count(MisuseKind::ReentrantAlloc),
+        counted,
         rejected as u64,
-        "every refusal is counted, and nothing else is"
+        "every refusal is counted, and nothing else is: {delivered} delivered, \
+         {completed} completed, {rejected} rejected, ReentrantAlloc {counted}"
     );
-    // The audit objects to a span parked in two words; every mapped byte
-    // parked means none is in no word.
     let audit = a.audit();
     assert!(audit.is_clean(), "{audit}");
+    (a, audit)
+}
+
+/// The same contract with the signal landing *inside* the fast path: the
+/// target's malloc/free pairs are served by its magazine with plain loads
+/// and stores, so most deliveries interrupt a pop or a push half done.
+/// The handler's own malloc must then be refused by the reentrancy flag,
+/// never run on the torn magazine.
+#[test]
+fn signal_landing_inside_a_magazine_hit_is_rejected_and_counted() {
+    signal_shower(&MAGAZINE_HIT);
+}
+
+/// The same shower over large pairs. A 64 KiB pair is a load and a store
+/// on the thread's own span word each way, behind the reentrancy flag
+/// alone (DESIGN.md §16.7), so most deliveries interrupt a take or a park
+/// half done. The handler must never take or park on the torn word, and
+/// no span may end up in two words or in none.
+#[test]
+fn signal_landing_inside_a_large_pair_is_rejected_and_counted() {
+    let (a, audit) = signal_shower(&LARGE_PAIR);
+    // The audit objects to a span parked in two words; every mapped byte
+    // parked means none is in no word.
     assert_eq!(audit.large_live, 0, "{audit}");
     assert!(audit.large_cached_spans >= 1, "{audit}");
     assert_eq!(a.os_stats().live_bytes, audit.bytes.large_cached_bytes, "{audit}");

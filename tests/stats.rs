@@ -285,7 +285,7 @@ fn span_cache_counters_add_up_on_every_surface() {
     let mut out = Vec::new();
     a.dump_stats(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
-    assert!(text.contains("span cache: 9 hit / 2 miss / 1 bypassed)"), "{text}");
+    assert!(text.contains(" large_cache_hit=9 large_cache_miss=2 large_cache_bypass=1\n"), "{text}");
     assert!(text.contains("\n  large_cached_spans                1  "), "{text}");
     assert!(text.contains("\n  large_cached_bytes            69632  "), "{text}");
     assert!(text.contains("+ 69632 cached large"), "{text}");
@@ -324,8 +324,8 @@ fn outbox_counters_add_up_on_every_surface() {
     let mut out = Vec::new();
     a.dump_stats(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
-    assert!(text.contains("(cached 0 / outbox 40 / local 0 / remote 1 "), "{text}");
-    assert!(text.contains("0 flushes / 2 outbox flushes"), "{text}");
+    assert!(text.contains(" free_cached=0 free_outbox=40 free_local=0 free_remote=1 "), "{text}");
+    assert!(text.contains(" mag_flush=0 out_flush=2\n"), "{text}");
     let om = a.render_openmetrics();
     lfmalloc::metrics::check_openmetrics(&om).expect("exposition well-formed");
     assert!(om.contains("lfmalloc_frees_total{path=\"outbox\"} 40"), "{om}");

@@ -231,7 +231,7 @@ mod failpoint_scenarios {
             // run concurrently with the churn *and* the failpoint storm,
             // so the self-healing paths face the same adversary.
             let a = Arc::new(LfMalloc::with_config(Config::with_heaps(1)));
-            assert!(a.start_reaper(ReaperConfig::every(std::time::Duration::from_millis(2))));
+            assert!(a.start_reaper(std::time::Duration::from_millis(2)));
             let mut workers = Vec::new();
             for t in 0..2u64 {
                 let a = Arc::clone(&a);
