@@ -131,9 +131,10 @@ pub(crate) unsafe fn hook_child<S: PageSource>(data: usize) {
 }
 
 /// Fork check: one relaxed load comparing the instance's recovered
-/// generation against the process generation. At the top of the class
-/// entry points, on the large entry points' miss and in magazine `attach`,
-/// where each thread's first call after a fork lands; a hit never runs it.
+/// generation against the process generation. In `magazine::class_slot`
+/// on a stale slot, on the large entry points' miss and in magazine
+/// `attach`, where each thread's first call after a fork lands; a hit, and
+/// a class entry on a warm slot, never runs it.
 /// The mismatch path is a cold call.
 #[inline]
 pub(crate) fn maybe_recover<S: PageSource>(inner: &Inner<S>) {

@@ -591,21 +591,23 @@ impl<S: PageSource> LfMalloc<S> {
     }
 
     /// A class allocation that missed its bin: a refill, the mid row, the
-    /// paper's ladder; the reentrancy rejection and the fork recovery.
-    /// One call, not `#[cold]`: the mid row runs here on every call
-    /// (DESIGN.md §21.5).
+    /// paper's ladder; the reentrancy rejection. Behind the hit's guard: the
+    /// generation checks run only where the slot is stale
+    /// ([`class_slot`](crate::magazine::class_slot), DESIGN.md §15.1). One
+    /// call, not `#[cold]`: the mid row runs here on every call (§21.5).
     #[inline(never)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn allocate_class(&self, size: usize, zero: bool, ci: usize) -> *mut u8 {
         let inner = self.inner();
-        let Some(entry) = crate::tls::enter_alloc() else {
+        let Some(entry) = crate::tls::enter_hit() else {
             // Signal handler re-entered the allocator on this thread:
             // fail fast instead of racing our own interrupted frame.
             crate::fork::reject_reentrant(inner, 0);
             return core::ptr::null_mut();
         };
-        crate::fork::maybe_recover(inner);
-        let p = unsafe { crate::magazine::malloc(inner, entry.block(), ci) };
+        let tb = entry.block();
+        let slot = crate::magazine::class_slot(inner, tb);
+        let p = unsafe { crate::magazine::malloc(inner, tb, slot, ci) };
         if zero && !p.is_null() {
             unsafe { core::ptr::write_bytes(p, 0, size) };
         }
@@ -726,17 +728,19 @@ impl<S: PageSource> LfMalloc<S> {
 
     /// A `free` of a small block that is not a hit, `frame` being `ptr`'s
     /// entry in the frame map: hardened, remote, a full bin, the mid row,
-    /// no slot; the reentrancy rejection and the fork recovery.
+    /// no slot; the reentrancy rejection. The generation checks run as in
+    /// [`allocate_class`](Self::allocate_class), before anything else.
     #[inline(never)]
     unsafe fn deallocate_class(&self, ptr: *mut u8, frame: crate::framemap::Entry) {
         let inner = self.inner();
-        let Some(entry) = crate::tls::enter_alloc() else {
+        let Some(entry) = crate::tls::enter_hit() else {
             // Reentrant free: leaking the block is the only safe answer
             // (touching the anchor could race our interrupted frame).
             crate::fork::reject_reentrant(inner, ptr as usize);
             return;
         };
-        crate::fork::maybe_recover(inner);
+        let tb = entry.block();
+        let slot = crate::magazine::class_slot(inner, tb);
         observe::on_free(inner, ptr);
         if inner.config.hardening != Hardening::Off {
             // Hardened instances hold no slot, so every hardened free is
@@ -745,7 +749,7 @@ impl<S: PageSource> LfMalloc<S> {
             // never executed.
             return unsafe { crate::harden::free_hardened(inner, ptr) };
         }
-        if !unsafe { crate::magazine::free(inner, entry.block(), ptr, frame) } {
+        if !unsafe { crate::magazine::free(inner, tb, slot, ptr, frame) } {
             unsafe { crate::free_impl::free_small(inner, ptr, frame.desc()) };
         }
     }

@@ -6,7 +6,8 @@
 //!   is a handful of plain loads and stores on memory only the calling
 //!   thread touches: no atomic read-modify-write, no shared cache line.
 //!   It is inlined into the caller (`pop`, `push`); everything below
-//!   runs behind the instance's one out-of-line slow call.
+//!   runs in the class entry, one call behind the hit's guard, whose
+//!   generation checks run only on a stale slot ([`class_slot`]).
 //! * A **miss** refills half a magazine with
 //!   [`alloc::malloc_run`](crate::alloc): Figure 4's ladder asked for `k`
 //!   blocks instead of one — two CASes from the active superblock, one
@@ -281,6 +282,26 @@ fn hit_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
     }
 }
 
+/// The slot a class entry works on (DESIGN.md §15.1): the hit's, whose key
+/// only an `attach` that recovered the instance in this generation set.
+/// Otherwise the thread and the instance catch up with the process
+/// generation first; null when the thread runs without a slot.
+#[inline(always)]
+pub(crate) fn class_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+    #[cold]
+    #[inline(never)]
+    fn stale<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+        tb.ensure_fresh();
+        crate::fork::maybe_recover(inner);
+        slot_of(inner, tb)
+    }
+    let slot = hit_slot(inner, tb);
+    if !slot.is_null() {
+        return slot;
+    }
+    stale(inner, tb)
+}
+
 /// The calling thread's own span word ([`crate::large`]'s thread level,
 /// DESIGN.md §16.7); none where it runs without a slot.
 #[inline]
@@ -431,8 +452,8 @@ pub(crate) unsafe fn push<S: PageSource>(
     true
 }
 
-/// Small `malloc`: a cached block if there is one, else a refill, else
-/// the paper's ladder.
+/// Small `malloc` on `slot`, [`class_slot`]'s answer: a cached block if
+/// there is one, else a refill, else (no slot) the paper's ladder.
 ///
 /// # Safety
 ///
@@ -441,36 +462,34 @@ pub(crate) unsafe fn push<S: PageSource>(
 pub(crate) unsafe fn malloc<S: PageSource>(
     inner: &Inner<S>,
     tb: &ThreadBlock,
+    slot: *const Slot,
     ci: usize,
 ) -> *mut u8 {
+    // SAFETY: a non-null slot is one of `inner.mags`' slots.
+    let Some(slot) = (unsafe { slot.as_ref() }) else {
+        return unsafe { crate::alloc::malloc_small(inner, ci) };
+    };
     if ci >= CACHED_CLASSES {
-        return unsafe { malloc_mid(inner, tb, ci) };
+        return unsafe { malloc_mid(inner, tb, slot, ci) };
     }
-    let slot = slot_of(inner, tb);
-    if !slot.is_null() {
-        let bin = unsafe { &(*slot).bins[ci] };
-        let head = bin.head.load(Ordering::Relaxed);
-        if head.is_null() {
-            return unsafe { refill(inner, tb, bin, ci, CAP[ci] as u32 / 2) };
-        }
-        unsafe { bin.pop(head) };
-        observe::count(inner, my_heap(inner, tb, ci), Count::MallocCached);
-        return head;
+    let bin = &slot.bins[ci];
+    let head = bin.head.load(Ordering::Relaxed);
+    if head.is_null() {
+        return unsafe { refill(inner, tb, bin, ci, CAP[ci] as u32 / 2) };
     }
-    unsafe { crate::alloc::malloc_small(inner, ci) }
+    unsafe { bin.pop(head) };
+    observe::count(inner, my_heap(inner, tb, ci), Count::MallocCached);
+    head
 }
 
 /// `malloc` of a mid class: the same hit, plus the row's byte count; a
-/// miss asks for the whole bin. Out of line: inlined into `malloc` it
-/// costs the small-class hit 0.9 ns of its 10 (DESIGN.md §21.5).
-#[inline(never)]
-unsafe fn malloc_mid<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock, ci: usize) -> *mut u8 {
-    let slot = slot_of(inner, tb);
-    if slot.is_null() {
-        return unsafe { crate::alloc::malloc_small(inner, ci) };
-    }
-    let slot = unsafe { &*slot };
-    let (bin, sz) = (&slot.mid[ci - CACHED_CLASSES], CLASS_SIZES[ci]);
+/// miss asks for the whole bin. Inline, like `free_mid`: the small hit is
+/// `pop`, in the caller, so the class entry is the mid row's (§21.5).
+#[inline(always)]
+unsafe fn malloc_mid<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock, slot: &Slot, ci: usize) -> *mut u8 {
+    // SAFETY: `CACHED_CLASSES <= ci < NUM_CLASSES` (the caller's branch,
+    // and `malloc`'s contract): both tables have its row.
+    let (bin, sz) = unsafe { (slot.mid.get_unchecked(ci - CACHED_CLASSES), *CLASS_SIZES.get_unchecked(ci)) };
     let head = bin.head.load(Ordering::Relaxed);
     let mut cached = slot.mid_bytes.load(Ordering::Relaxed);
     if head.is_null() {
@@ -546,9 +565,9 @@ unsafe fn refill<S: PageSource>(
     run.first as *mut u8
 }
 
-/// Small `free`: caches a local block for this thread's next `malloc`,
-/// parks a remote one in the outbox. `false` means neither may be done
-/// and the caller must take the paper's path.
+/// Small `free` on `slot`, [`class_slot`]'s answer: caches a local block
+/// for this thread's next `malloc`, parks a remote one in the outbox.
+/// `false` means neither may be done and the caller must take the paper's path.
 ///
 /// # Safety
 ///
@@ -558,10 +577,10 @@ unsafe fn refill<S: PageSource>(
 pub(crate) unsafe fn free<S: PageSource>(
     inner: &Inner<S>,
     tb: &ThreadBlock,
+    slot: *const Slot,
     ptr: *mut u8,
     entry: Entry,
 ) -> bool {
-    let slot = slot_of(inner, tb);
     let ci = entry.class();
     if slot.is_null() {
         return false;
@@ -620,12 +639,12 @@ pub(crate) unsafe fn free<S: PageSource>(
 /// the superblock is those two blocks, as one chain that takes it FULL →
 /// EMPTY (`free_impl::close_whole`) — and so does the whole row when
 /// this block would take it over [`MID_BUDGET`]. Returns whether
-/// anything went home. Out of line, like `malloc_mid`: inlined into
-/// `free` it buys `sbcycle_1t` 1 ns and costs `threadtest_2t`, whose
-/// frees never come here, half of one (DESIGN.md §21.5).
-#[inline(never)]
+/// anything went home. Inline, like `malloc_mid` (DESIGN.md §21.5).
+#[inline(always)]
 unsafe fn free_mid<S: PageSource>(inner: &Inner<S>, slot: &Slot, ptr: *mut u8, ci: usize) -> bool {
-    let (bin, sz) = (&slot.mid[ci - CACHED_CLASSES], CLASS_SIZES[ci]);
+    // SAFETY: `CACHED_CLASSES <= ci < NUM_CLASSES` (the caller's branch,
+    // and a frame entry names a class): both tables have its row.
+    let (bin, sz) = unsafe { (slot.mid.get_unchecked(ci - CACHED_CLASSES), *CLASS_SIZES.get_unchecked(ci)) };
     let mut n = bin.count.load(Ordering::Relaxed);
     let mut cached = slot.mid_bytes.load(Ordering::Relaxed);
     let full = n >= MID_BLOCKS as u32;

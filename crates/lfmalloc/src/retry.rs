@@ -16,6 +16,9 @@
 //! threads' words are theirs: memory the allocator is only sitting on is
 //! the first thing to give back.
 //!
+//! A success is the first attempt, inlined into the caller; everything
+//! after a null is one cold call ([`after_null`]).
+//!
 //! Lock-freedom is unaffected: the retry count is a hard bound, so every
 //! call still completes in a finite number of steps; after the budget is
 //! spent the failure propagates as a null return (never a panic).
@@ -34,35 +37,29 @@ pub(crate) const OOM_RETRIES: u32 = 8;
 /// pool) under the retry budget, counting each null; the
 /// first null also drains the large-span cache into the source
 /// ([`crate::large::relieve`]).
+#[inline(always)]
 pub(crate) fn from_source<S: PageSource>(
     inner: &Inner<S>,
     mut attempt: impl FnMut() -> *mut u8,
 ) -> *mut u8 {
-    let mut relieved = false;
-    with_backoff(OOM_RETRIES, || {
-        let p = attempt();
-        if p.is_null() {
-            crate::observe::count_global(inner, crate::observe::Global::OomBackoffs);
-            if !relieved {
-                relieved = true;
-                crate::large::relieve(inner);
-            }
-        }
-        p
-    })
+    let p = attempt();
+    if !p.is_null() {
+        return p;
+    }
+    after_null(inner, attempt)
 }
 
-/// Runs `attempt` until it returns non-null, at most `1 + retries`
-/// times, with exponential backoff plus a scheduler yield between
-/// attempts. Returns the first non-null result, or null once the budget
-/// is exhausted.
-fn with_backoff(retries: u32, mut attempt: impl FnMut() -> *mut u8) -> *mut u8 {
-    let first = attempt();
-    if !first.is_null() {
-        return first;
-    }
+/// [`from_source`] after its first attempt came back null: count it, give
+/// back what the span cache holds, then [`OOM_RETRIES`] more attempts with
+/// exponential backoff plus a scheduler yield before each.
+#[cold]
+#[inline(never)]
+fn after_null<S: PageSource>(inner: &Inner<S>, mut attempt: impl FnMut() -> *mut u8) -> *mut u8 {
+    let oom = || crate::observe::count_global(inner, crate::observe::Global::OomBackoffs);
+    oom();
+    crate::large::relieve(inner);
     let mut backoff = Backoff::new();
-    for _ in 0..retries {
+    for _ in 0..OOM_RETRIES {
         backoff.spin();
         // The backoff spin saturates quickly (MAX_SHIFT); the yield is
         // what actually gives a recovering OS room to make progress.
@@ -71,6 +68,7 @@ fn with_backoff(retries: u32, mut attempt: impl FnMut() -> *mut u8) -> *mut u8 {
         if !p.is_null() {
             return p;
         }
+        oom();
     }
     core::ptr::null_mut()
 }
@@ -78,52 +76,37 @@ fn with_backoff(retries: u32, mut attempt: impl FnMut() -> *mut u8) -> *mut u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LfMalloc;
     use core::sync::atomic::{AtomicU32, Ordering};
+
+    /// `from_source` on a fresh instance with an attempt that fails its
+    /// first `fails` calls; the result and the number of calls.
+    fn run(fails: u32) -> (*mut u8, u32) {
+        let a = LfMalloc::new_default();
+        let calls = AtomicU32::new(0);
+        let p = from_source(a.inner(), || {
+            if calls.fetch_add(1, Ordering::Relaxed) < fails {
+                core::ptr::null_mut()
+            } else {
+                0x1000 as *mut u8
+            }
+        });
+        (p, calls.load(Ordering::Relaxed))
+    }
 
     #[test]
     fn first_success_needs_no_backoff() {
-        let calls = AtomicU32::new(0);
-        let p = with_backoff(8, || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            0x1000 as *mut u8
-        });
-        assert_eq!(p, 0x1000 as *mut u8);
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(run(0), (0x1000 as *mut u8, 1));
     }
 
     #[test]
     fn recovers_within_budget() {
-        let calls = AtomicU32::new(0);
-        let p = with_backoff(8, || {
-            if calls.fetch_add(1, Ordering::Relaxed) < 4 {
-                core::ptr::null_mut()
-            } else {
-                0x2000 as *mut u8
-            }
-        });
-        assert_eq!(p, 0x2000 as *mut u8);
-        assert_eq!(calls.load(Ordering::Relaxed), 5, "stops at first success");
+        assert_eq!(run(4), (0x1000 as *mut u8, 5), "stops at first success");
+        assert_eq!(run(OOM_RETRIES), (0x1000 as *mut u8, 1 + OOM_RETRIES), "the last retry counts");
     }
 
     #[test]
     fn exhausted_budget_returns_null() {
-        let calls = AtomicU32::new(0);
-        let p = with_backoff(3, || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            core::ptr::null_mut()
-        });
-        assert!(p.is_null());
-        assert_eq!(calls.load(Ordering::Relaxed), 4, "1 attempt + 3 retries");
-    }
-
-    #[test]
-    fn zero_retries_is_single_attempt() {
-        let calls = AtomicU32::new(0);
-        let p = with_backoff(0, || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            core::ptr::null_mut()
-        });
-        assert!(p.is_null());
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(run(u32::MAX), (core::ptr::null_mut(), 1 + OOM_RETRIES), "1 attempt + the retries");
     }
 }

@@ -219,7 +219,8 @@ impl<T: Into<[u64; W]> + From<[u64; W]>, const W: usize> StampedRing<T, W> {
         (stamp != 0 && slot.stamp.load(Ordering::Relaxed) == stamp).then_some((stamp, words))
     }
 
-    /// Every published entry, in slot order.
+    /// Every published entry, in slot order (the flight recorder's reader).
+    #[cfg(any(feature = "forensics", test))]
     pub(crate) fn published(&self) -> impl Iterator<Item = T> + '_ {
         (0..self.capacity() as u64).filter_map(|i| self.read(i)).map(|(_, w)| T::from(w))
     }

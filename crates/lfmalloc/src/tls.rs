@@ -5,7 +5,8 @@
 //! word — reads this block, the process generation and its bin or word,
 //! and nothing else ([`enter_hit`], DESIGN.md §15.1); a stale generation
 //! or a missing slot sends the call to its miss, which refreshes
-//! the block ([`enter_alloc`]) and owes the instance its fork recovery.
+//! the block ([`ThreadBlock::ensure_fresh`]) and recovers the instance
+//! before it reads anything else.
 //!
 //! The block is `const`-initialised and has no destructor: reading it
 //! never allocates, never registers anything and never fails, which is
@@ -266,10 +267,11 @@ pub(crate) fn enter_alloc() -> Option<AllocGuard> {
     Some(entry)
 }
 
-/// Enters a hit — a magazine's, or a large entry's on the thread's own
-/// span word: [`enter_alloc`] without bringing the block up to the process
-/// generation, which is the miss's business (the hit compares it:
-/// [`ThreadBlock::is_current`]). `None` as there.
+/// Enters a call that may be a hit — the small hit, and the class and
+/// large entries, whose hits are a warm slot's bins and span word:
+/// [`enter_alloc`] without bringing the block up to the process
+/// generation, which is a stale slot's business (the hit compares it:
+/// [`ThreadBlock::is_current`]; `magazine::class_slot`). `None` as there.
 #[inline(always)]
 pub(crate) fn enter_hit() -> Option<AllocGuard> {
     BLOCK.with(|tb| {

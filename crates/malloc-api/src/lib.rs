@@ -43,6 +43,7 @@ pub mod sync;
 #[cfg(feature = "stats")]
 pub mod telemetry;
 pub mod testkit;
+pub mod trace;
 
 pub use stats::AllocStats;
 

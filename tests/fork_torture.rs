@@ -306,6 +306,79 @@ fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
     assert_eq!(a.health().fork_recoveries, 0);
 }
 
+/// The same lazy tier against the mid row (DESIGN.md §15.1, §21.1). The
+/// class entry, which every mid-class call runs, checks the generations
+/// only when `class_slot` finds the slot stale. So the forking thread's
+/// first mid-row call in the child must find it stale and recover the
+/// instance before it touches a bin. One child's first call is a *miss*
+/// (a 5000 B malloc on an empty bin: a refill). The other's is a *flush*
+/// (an 8000 B free onto a full bin holding both blocks of one superblock,
+/// which goes home whole). One heap, so the child's free stays local
+/// under the thread's new id.
+#[test]
+fn a_childs_first_mid_row_miss_or_flush_recovers_an_instance_without_hooks() {
+    let _serial = fork_lock();
+    let fillers: Vec<_> = std::iter::from_fn(|| procfork::register(Default::default())).collect();
+    assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+    let a = LfMalloc::with_config(Config::with_heaps(1));
+    // `pair` is one two-block superblock, taken whole by a refill, and
+    // `live` the other superblock's blocks. Freeing `pair` fills the
+    // 8000 B bin with it; the 5000 B bin was never used.
+    let live = unsafe {
+        let pair = [a.malloc(8000), a.malloc(8000)];
+        let live = [a.malloc(8000), a.malloc(8000)];
+        assert!(pair.iter().chain(&live).all(|p| !p.is_null()));
+        assert_eq!(pair[0] as usize >> 14, pair[1] as usize >> 14, "one 16 KiB superblock");
+        a.free(pair[0]);
+        a.free(pair[1]);
+        live
+    };
+    assert_eq!(a.audit().magazine_blocks, 2, "the forking thread's 8000 B bin is full");
+    let codes: Vec<_> = ["mid miss", "mid flush"].map(|first| {
+        let pid = unsafe { procfork::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            unsafe {
+                if a.health().fork_recoveries != 0 {
+                    sys::_exit(HEALTH_MISMATCH);
+                }
+                // What the bins hold after the one call: the refill's
+                // second block beside the full bin, or the freed block
+                // alone once the pair has gone home.
+                let cached = if first == "mid miss" {
+                    if a.malloc(5000).is_null() {
+                        sys::_exit(NULL_ALLOC);
+                    }
+                    3
+                } else {
+                    a.free(live[0]);
+                    1
+                };
+                if a.health().fork_recoveries != 1 {
+                    sys::_exit(HEALTH_MISMATCH);
+                }
+                if a.audit().magazine_blocks != cached {
+                    sys::_exit(MAGAZINE_LOST);
+                }
+            }
+            audit_or_exit(&a);
+            lfmalloc_child_check(&a); // never returns
+        }
+        (first, wait_child(pid, first))
+    }).into();
+    for token in fillers {
+        procfork::unregister(token);
+    }
+    for (what, code) in codes {
+        assert_eq!(code, OK, "{what} first: child failed (see exit-code constants)");
+    }
+    for p in live {
+        unsafe { a.free(p) };
+    }
+    assert!(a.audit().is_clean(), "parent audit dirty after fork");
+    assert_eq!(a.health().fork_recoveries, 0);
+}
+
 /// Thread magazines across a fork: the forking thread's magazine,
 /// outbox and mid row come through intact (same blocks, same order,
 /// under its new identity), while the slots of the threads the fork left

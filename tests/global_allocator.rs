@@ -206,9 +206,14 @@ impl Shower {
 // SIGUSR1 belongs to the test above.
 static MAGAZINE_HIT: Shower = Shower::new(12, 8); // SIGUSR2
 static LARGE_PAIR: Shower = Shower::new(23, 64 << 10); // SIGURG
+static MID_PAIR: Shower = Shower::new(28, 8000); // SIGWINCH
 
 extern "C" fn on_shower(sig: i32) {
-    let row = if sig == MAGAZINE_HIT.sig { &MAGAZINE_HIT } else { &LARGE_PAIR };
+    let row = match sig {
+        s if s == MAGAZINE_HIT.sig => &MAGAZINE_HIT,
+        s if s == LARGE_PAIR.sig => &LARGE_PAIR,
+        _ => &MID_PAIR,
+    };
     row.delivered.fetch_add(1, Ordering::SeqCst);
     let a = unsafe { &*row.inst.load(Ordering::Acquire) };
     unsafe {
@@ -314,6 +319,18 @@ fn signal_landing_inside_a_large_pair_is_rejected_and_counted() {
     assert_eq!(audit.large_live, 0, "{audit}");
     assert!(audit.large_cached_spans >= 1, "{audit}");
     assert_eq!(a.os_stats().live_bytes, audit.bytes.large_cached_bytes, "{audit}");
+}
+
+/// The same shower over 8000 B pairs, the mid row (DESIGN.md §21.1). Each
+/// call is the class entry, behind the hit's guard alone: the generation
+/// checks run only on a stale slot (§15.1). So a delivery lands inside a
+/// mid hit, a refill that opens a two-block superblock whole, or a full
+/// bin going home, half done. The handler's call must be refused there,
+/// never run on the torn row or superblock.
+#[test]
+fn signal_landing_inside_a_mid_pair_is_rejected_and_counted() {
+    let (_a, audit) = signal_shower(&MID_PAIR);
+    assert!(audit.magazine_blocks <= 2, "one mid bin's worth is cached: {audit}");
 }
 
 /// Deterministic version of the reentrancy contract: with the guard

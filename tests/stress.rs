@@ -617,6 +617,9 @@ fn parked_empty_superblocks_are_one_per_slot_and_returnable() {
     const SIZES: [usize; 4] = [1500, 3000, 6000, 8000];
     let a = LfMalloc::with_config(Config::with_heaps(2));
     for _ in 0..2 {
+        // Joined, not just scoped out: the thread has run its exit
+        // sentinel, so the next one adopts its slot and `maintain` finds
+        // the owner gone, every run alike.
         std::thread::scope(|s| {
             s.spawn(|| {
                 for round in 0..3 {
@@ -629,7 +632,9 @@ fn parked_empty_superblocks_are_one_per_slot_and_returnable() {
                 }
                 // "Everything is freed" includes what the mid row holds.
                 a.flush_thread_cache();
-            });
+            })
+            .join()
+            .unwrap();
         });
     }
     let rep = a.audit();
