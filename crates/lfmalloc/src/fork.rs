@@ -25,11 +25,12 @@
 //!    hook: nothing is locked across the fork. The parent hook records
 //!    the fork; the child hook runs [`recover`] at once, which respawns
 //!    the reaper the parent was running.
-//! 2. **Lazy** — the first miss after a fork compares the instance's
-//!    recovered generation against [`malloc_api::procfork::generation`]:
-//!    the class entry points, the large entry points' miss and magazine
-//!    `attach` do. A hit cannot come first, because it compares the
-//!    thread's TLS generation and a stale one is a miss. An instance that
+//! 2. **Lazy** — the first slow call after a fork compares the
+//!    instance's recovered generation against
+//!    [`malloc_api::procfork::generation`]: every slow call finds its
+//!    slot through `magazine::slot`, whose cold path does. A hit cannot
+//!    come first, because it compares the thread's TLS generation and a
+//!    stale one is a miss. An instance that
 //!    found the procfork registry full has no hooks; a child that forked
 //!    through `procfork::fork` recovers it on its first malloc/free. A *raw*
 //!    `fork(2)` without [`malloc_api::procfork::install`] runs no hooks
@@ -125,17 +126,17 @@ pub(crate) unsafe fn hook_parent<S: PageSource>(data: usize) {
     observe::event(inner, EventKind::Fork, 0, procfork::generation());
 }
 
-/// Child hook: recover now rather than at the first miss.
+/// Child hook: recover now rather than at the first slow call.
 pub(crate) unsafe fn hook_child<S: PageSource>(data: usize) {
     maybe_recover(unsafe { &*(data as *const Inner<S>) });
 }
 
 /// Fork check: one relaxed load comparing the instance's recovered
-/// generation against the process generation. In `magazine::class_slot`
-/// on a stale slot, on the large entry points' miss and in magazine
-/// `attach`, where each thread's first call after a fork lands; a hit, and
-/// a class entry on a warm slot, never runs it.
-/// The mismatch path is a cold call.
+/// generation against the process generation. Outside the child hook it
+/// runs in one place, `magazine::slot` on a stale slot, where each
+/// thread's first slow call after a fork lands — a class or large entry's,
+/// or `flush_thread_cache`; a hit, and a slow call on a warm slot, never
+/// runs it. The mismatch path is a cold call.
 #[inline]
 pub(crate) fn maybe_recover<S: PageSource>(inner: &Inner<S>) {
     let cur = procfork::generation();
@@ -365,5 +366,5 @@ pub(crate) fn reject_reentrant<S: PageSource>(inner: &Inner<S>, ptr: usize) {
 /// the fast path). Panics if the thread is already inside one.
 #[doc(hidden)]
 pub fn hold_reentrancy_guard_for_testing() -> impl Drop {
-    crate::tls::enter_alloc().expect("thread already inside an allocator entry point")
+    crate::tls::enter_hit().expect("thread already inside an allocator entry point")
 }

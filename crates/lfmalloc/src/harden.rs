@@ -442,7 +442,7 @@ unsafe fn free_large_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, bas
             };
         }
     }
-    unsafe { crate::large::release_large(inner, None, base) };
+    unsafe { crate::large::release_large(inner, base) };
 }
 
 #[cfg(test)]

@@ -593,7 +593,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// A class allocation that missed its bin: a refill, the mid row, the
     /// paper's ladder; the reentrancy rejection. Behind the hit's guard: the
     /// generation checks run only where the slot is stale
-    /// ([`class_slot`](crate::magazine::class_slot), DESIGN.md §15.1). One
+    /// ([`slot`](crate::magazine::slot), DESIGN.md §15.1). One
     /// call, not `#[cold]`: the mid row runs here on every call (§21.5).
     #[inline(never)]
     #[cfg_attr(feature = "profile", track_caller)]
@@ -606,7 +606,7 @@ impl<S: PageSource> LfMalloc<S> {
             return core::ptr::null_mut();
         };
         let tb = entry.block();
-        let slot = crate::magazine::class_slot(inner, tb);
+        let slot = crate::magazine::slot(inner, tb);
         let p = unsafe { crate::magazine::malloc(inner, tb, slot, ci) };
         if zero && !p.is_null() {
             unsafe { core::ptr::write_bytes(p, 0, size) };
@@ -615,12 +615,11 @@ impl<S: PageSource> LfMalloc<S> {
         p
     }
 
-    /// A large block (DESIGN.md §16.7). The hit is the thread's own span
-    /// word behind the reentrancy flag alone, as a small hit is: the word
-    /// is reached through the slot a hit may use, so a stale process
-    /// generation or a hardened instance (no slot) misses. The miss brings
-    /// the thread and the instance up to the process generation and runs
-    /// [`alloc_large`](crate::large::alloc_large).
+    /// A large block (DESIGN.md §16.7). Behind the hit's guard, the slot
+    /// as in [`allocate_class`](Self::allocate_class); the hit is that
+    /// slot's span word, and a hardened instance (no slot) has none. The
+    /// miss is [`alloc_large`](crate::large::alloc_large): the shared
+    /// words, then the source.
     #[inline(never)]
     #[cfg_attr(feature = "profile", track_caller)]
     unsafe fn allocate_large(&self, size: usize, align: usize, zero: bool) -> *mut u8 {
@@ -629,14 +628,12 @@ impl<S: PageSource> LfMalloc<S> {
             crate::fork::reject_reentrant(inner, 0);
             return core::ptr::null_mut();
         };
-        let hit = unsafe { crate::large::take_held(inner, entry.block(), size, align) };
-        let (p, fresh) = match hit {
+        let slot = crate::magazine::slot(inner, entry.block());
+        // SAFETY: the slot is null or one of `inner`'s.
+        let own = unsafe { crate::magazine::span_word(slot) };
+        let (p, fresh) = match unsafe { crate::large::take_held(inner, own, size, align) } {
             Some(p) => (p, false),
-            None => {
-                entry.block().ensure_fresh();
-                crate::fork::maybe_recover(inner);
-                unsafe { crate::large::alloc_large(inner, entry.block(), size, align) }
-            }
+            None => unsafe { crate::large::alloc_large(inner, size, align) },
         };
         if zero && !p.is_null() && !(fresh && inner.source.zeroes_fresh_pages()) {
             unsafe { core::ptr::write_bytes(p, 0, size) };
@@ -740,7 +737,7 @@ impl<S: PageSource> LfMalloc<S> {
             return;
         };
         let tb = entry.block();
-        let slot = crate::magazine::class_slot(inner, tb);
+        let slot = crate::magazine::slot(inner, tb);
         observe::on_free(inner, ptr);
         if inner.config.hardening != Hardening::Off {
             // Hardened instances hold no slot, so every hardened free is
@@ -756,11 +753,12 @@ impl<S: PageSource> LfMalloc<S> {
 
     /// A `free` whose frame holds no superblock: a large block, or, on a
     /// hardened instance, whatever the validated path makes of the
-    /// pointer. The hit parks the span in the thread's own word behind the
-    /// reentrancy flag alone; the word is looked up before anything in
-    /// front of `ptr` is read, and a hardened instance has none, so its
-    /// frees reach [`free_hardened`](crate::harden::free_hardened) with
-    /// the block untouched.
+    /// pointer. The slot as in [`allocate_large`](Self::allocate_large);
+    /// the hit parks the span in the slot's word. The word is looked up
+    /// before anything in front of `ptr` is read, and a hardened instance
+    /// has none, so its frees reach
+    /// [`free_hardened`](crate::harden::free_hardened) with the block
+    /// untouched.
     #[inline(never)]
     unsafe fn deallocate_large(&self, ptr: *mut u8) {
         let inner = self.inner();
@@ -768,16 +766,18 @@ impl<S: PageSource> LfMalloc<S> {
             crate::fork::reject_reentrant(inner, ptr as usize);
             return;
         };
-        if unsafe { crate::large::park_held(inner, entry.block(), ptr) } {
-            return observe::on_free(inner, ptr);
-        }
-        entry.block().ensure_fresh();
-        crate::fork::maybe_recover(inner);
+        let slot = crate::magazine::slot(inner, entry.block());
+        // SAFETY: the slot is null or one of `inner`'s.
+        let own = unsafe { crate::magazine::span_word(slot) };
+        let parked = unsafe { crate::large::park_held(inner, own, ptr) };
         observe::on_free(inner, ptr);
+        if parked {
+            return;
+        }
         if inner.config.hardening != Hardening::Off {
             return unsafe { crate::harden::free_hardened(inner, ptr) };
         }
-        unsafe { crate::large::free_large(inner, entry.block(), ptr, large_marker(ptr)) };
+        unsafe { crate::large::free_large(inner, ptr, large_marker(ptr)) };
     }
 }
 

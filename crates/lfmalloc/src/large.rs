@@ -20,14 +20,14 @@
 //!   over the eight by [`MAX_CACHED_BYTES`].
 //!
 //! A large block has entry points of its own (`LfMalloc::allocate_large`,
-//! `deallocate_large`; DESIGN.md §15.1), and their hit is the caller's own
-//! word behind the reentrancy flag alone: `take_held` and `park_held`. A
-//! miss runs the instance's guards, then `alloc_large` — the own word
-//! again (attaching a slot on a thread's first call), the shared ones, then
-//! a map ([`map_span`]) — or `free_large`. Ageing and the pressure valve
-//! visit the shared words and the calling thread's own; `trim` and teardown
-//! visit every word; a slot's drain hands the slot's span to the shared
-//! level ([`give_back`]).
+//! `deallocate_large`; DESIGN.md §15.1). Each finds the caller's slot the
+//! way a class entry does (`magazine::slot`, which runs the generation
+//! checks only on a stale slot), and its hit is that slot's word:
+//! `take_held` and `park_held`. A miss goes on to the shared words:
+//! `alloc_large` — a claim, then a map ([`map_span`]) — or `free_large`.
+//! Ageing and the pressure valve visit the shared words and the calling
+//! thread's own; `trim` and teardown visit every word; a slot's drain
+//! hands the slot's span to the shared level ([`give_back`]).
 //! Live is derived, not counted ([`Inner::large_live`]).
 //!
 //! Layout of a large allocation:
@@ -55,9 +55,8 @@
 use crate::config::PREFIX_SIZE;
 use crate::harden::{Hardening, GUARD_CANARY};
 use crate::instance::Inner;
-use crate::magazine::{held_span_word, own_span_word, span_words, SLOTS};
+use crate::magazine::{held_span_word, span_words, SLOTS};
 use crate::observe::{self, EventKind, Global, Lat, Timer};
-use crate::tls::ThreadBlock;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use osmem::source::PAGE_SIZE;
 use osmem::PageSource;
@@ -247,27 +246,13 @@ pub(crate) fn cached_bytes<S: PageSource>(inner: &Inner<S>) -> usize {
     spans(inner).map(|(_, bytes)| bytes).sum()
 }
 
-/// Parks a freed span: in the calling thread's own word ([`park_own`]),
-/// else in the shared words ([`park_shared`]). False when the span has to
-/// go back to the source instead.
-#[inline]
-fn park<S: PageSource>(
-    inner: &Inner<S>,
-    tb: Option<&ThreadBlock>,
-    base: usize,
-    total: usize,
-) -> bool {
-    tb.and_then(|tb| own_span_word(inner, tb)).is_some_and(|own| park_own(own, base, total))
-        || park_shared(inner, base, total)
-}
-
 /// Parks a span in a slot's own word if that is empty and the span at most
 /// [`MAX_THREAD_SPAN`]; false otherwise.
 ///
 /// The own word is the slot's (see [`take_own`]): a word its owner reads
 /// empty stays empty until the owner's store, so there is no CAS, no scan,
 /// and the bound is the word's own. This much is inlined into `free`'s
-/// hit and into `free_large`; the shared level is a call of its own.
+/// hit; the shared level is a call of its own.
 #[inline]
 fn park_own(own: &AtomicUsize, base: usize, total: usize) -> bool {
     // Relaxed: the owner's own word, as in `take_own`.
@@ -446,17 +431,17 @@ fn fits(total: usize, os_align: usize) -> impl Fn(usize, usize, bool) -> bool {
 }
 
 /// `malloc`'s large hit (DESIGN.md §16.7): a block of `size` bytes at
-/// `align` out of the span in the calling thread's own word, if the
-/// thread holds a slot of this process generation and the span fits.
+/// `align` out of the span in `own`, the calling thread's own word (its
+/// slot's, `magazine::span_word`), if it has one and the span fits.
 /// None: nothing was done. A span out of a word is never fresh.
 #[inline]
 pub(crate) unsafe fn take_held<S: PageSource>(
     inner: &Inner<S>,
-    tb: &ThreadBlock,
+    own: Option<&AtomicUsize>,
     size: usize,
     align: usize,
 ) -> Option<*mut u8> {
-    let own = held_span_word(inner, tb)?;
+    let own = own?;
     let t0 = Timer::start();
     // No guard pages: an instance that adds them holds no slot.
     let (user_off, total) = span_layout(size, align, 0)?;
@@ -464,16 +449,16 @@ pub(crate) unsafe fn take_held<S: PageSource>(
     Some(unsafe { hand_out_cached(inner, t0, base, user_off) })
 }
 
-/// Allocates a large block of `size` bytes at `align`, the thread's own
-/// word first, then the shared ones, then the source; `allocate_large`'s
-/// miss. The flag is true when the span came fresh from the source, false
-/// when it was recycled out of the cache with a previous user's bytes still
-/// in it. Out of line, like [`free_large`], so that the large entry holds
-/// its hit and one call (DESIGN.md §15.1, §16.7).
+/// Allocates a large block of `size` bytes at `align` out of the shared
+/// words, else from the source; `allocate_large`'s miss, after the
+/// thread's own word ([`take_held`]). The flag is true when the span came
+/// fresh from the source, false when it was recycled out of the cache with
+/// a previous user's bytes still in it. Out of line, like [`free_large`],
+/// so that the large entry holds its hit and one call (DESIGN.md §15.1,
+/// §16.7).
 #[inline(never)]
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
-    tb: &ThreadBlock,
     size: usize,
     align: usize,
 ) -> (*mut u8, bool) {
@@ -490,16 +475,10 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     let os_align = align.max(PAGE_SIZE);
     // Hardened blocks never come out of the cache (and never go in): the
     // guard pages, the registry entry and the unmap on free are how that
-    // mode catches a use after free. The caller's own word first, a load
-    // and a store (attaching a slot on a thread's first call), then the
-    // shared ones.
+    // mode catches a use after free.
     let fits = fits(total, os_align);
     let cached = (!hardened && total <= MAX_CACHED_SPAN)
-        .then(|| {
-            own_span_word(inner, tb)
-                .and_then(|own| take_own(own, &fits))
-                .or_else(|| inner.large_cache.slots.iter().find_map(|s| SpanCache::claim(s, &fits)))
-        })
+        .then(|| inner.large_cache.slots.iter().find_map(|s| SpanCache::claim(s, &fits)))
         .flatten();
     if let Some(base) = cached {
         return (unsafe { hand_out_cached(inner, t0, base, user_off) }, false);
@@ -615,17 +594,17 @@ pub(crate) unsafe fn large_marker(ptr: *mut u8) -> usize {
 }
 
 /// `free`'s large hit (DESIGN.md §16.7): parks the span of the large block
-/// at `ptr` in the calling thread's own word, if the thread holds a slot
-/// of this process generation and the span goes there ([`park_own`]).
-/// The word is looked up before anything in front of `ptr` is read. False:
-/// nothing was done.
+/// at `ptr` in `own`, the calling thread's own word (its slot's,
+/// `magazine::span_word`), if it has one and the span goes there
+/// ([`park_own`]). Nothing in front of `ptr` is read without a word.
+/// False: nothing was done.
 #[inline]
 pub(crate) unsafe fn park_held<S: PageSource>(
     inner: &Inner<S>,
-    tb: &ThreadBlock,
+    own: Option<&AtomicUsize>,
     ptr: *mut u8,
 ) -> bool {
-    let Some(own) = held_span_word(inner, tb) else {
+    let Some(own) = own else {
         return false;
     };
     let t0 = Timer::start();
@@ -643,34 +622,25 @@ pub(crate) unsafe fn park_held<S: PageSource>(
 /// Frees a large block given its user pointer and (odd) prefix word
 /// (the trusting non-hardened path; hardened frees route through
 /// [`crate::harden`], which validates and then calls
-/// [`release_large`]); `deallocate_large`'s miss.
+/// [`release_large`]); `deallocate_large`'s miss, after the thread's own
+/// word ([`park_held`]).
 #[inline(never)]
-pub(crate) unsafe fn free_large<S: PageSource>(
-    inner: &Inner<S>,
-    tb: &ThreadBlock,
-    ptr: *mut u8,
-    prefix: usize,
-) {
+pub(crate) unsafe fn free_large<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, prefix: usize) {
     debug_assert_eq!(prefix & LARGE_FLAG, LARGE_FLAG);
     let user_off = prefix >> 1;
     let base = unsafe { ptr.sub(user_off) };
-    unsafe { release_large(inner, Some(tb), base as usize) };
+    unsafe { release_large(inner, base as usize) };
 }
 
-/// Parks a freed large block's span in the cache, given its validated
-/// base address, or, failing that, returns it to the source. `tb`: the
-/// calling thread's block, whose own word comes first (none: shared only).
-pub(crate) unsafe fn release_large<S: PageSource>(
-    inner: &Inner<S>,
-    tb: Option<&ThreadBlock>,
-    base: usize,
-) {
+/// Parks a freed large block's span in the shared words, given its
+/// validated base address, or, failing that, returns it to the source.
+pub(crate) unsafe fn release_large<S: PageSource>(inner: &Inner<S>, base: usize) {
     let t0 = Timer::start();
     // Relaxed: the freeing thread holds the block, as above.
     let header = unsafe { (*(base as *const AtomicUsize)).load(Ordering::Relaxed) };
     let (total, guarded, _) = header_fields(header);
     observe::count_global(inner, Global::LargeFree);
-    if guarded || !park(inner, tb, base, total) {
+    if guarded || !park_shared(inner, base, total) {
         observe::count_global(inner, Global::LargeCacheBypass);
         unsafe { unmap(inner, base) };
     }
@@ -852,7 +822,9 @@ mod tests {
 
     /// The calling thread's own word in `a`.
     fn own_word(a: &LfMalloc) -> &AtomicUsize {
-        crate::tls::with_block(|tb| own_span_word(a.inner(), tb)).expect("the test thread has a slot")
+        let slot = crate::tls::with_block(|tb| crate::magazine::slot(a.inner(), tb));
+        // SAFETY: the slot is null or one of `a`'s.
+        unsafe { crate::magazine::span_word(slot) }.expect("the test thread has a slot")
     }
 
     fn shared_words(a: &LfMalloc) -> [usize; CACHE_SLOTS] {

@@ -7,7 +7,7 @@
 //!   thread touches: no atomic read-modify-write, no shared cache line.
 //!   It is inlined into the caller (`pop`, `push`); everything below
 //!   runs in the class entry, one call behind the hit's guard, whose
-//!   generation checks run only on a stale slot ([`class_slot`]).
+//!   generation checks run only on a stale slot ([`slot`]).
 //! * A **miss** refills half a magazine with
 //!   [`alloc::malloc_run`](crate::alloc): Figure 4's ladder asked for `k`
 //!   blocks instead of one — two CASes from the active superblock, one
@@ -39,8 +39,11 @@
 //!
 //! Slots live in the instance (their own mapping, so the hot lines
 //! share nothing with `Inner`'s read-mostly fields) and are owned by
-//! [stamp](crate::tls): a thread finds its slot through its TLS block,
-//! and a slot whose owner has exited or died in a fork is drained by
+//! [stamp](crate::tls). A thread finds its slot through its TLS block:
+//! a hit through [`hit_slot`], every slow call — the class and large
+//! entries, [`drain_own`] — through [`slot`], the one place besides the
+//! child hook that recovers the instance after a fork. A slot whose
+//! owner has exited or died in a fork is drained by
 //! the next thread to adopt it, by [`maintain`](crate::LfMalloc::maintain)
 //! or by fork recovery. A slot also holds the thread's parked large span
 //! ([`crate::large`]'s own word), and every drain hands that on too. What
@@ -250,12 +253,6 @@ impl Drop for SlotTable {
     }
 }
 
-/// The calling thread's slot in `inner`, null when it runs without one.
-#[inline]
-fn slot_of<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
-    cached_slot(inner, tb).unwrap_or_else(|| attach(inner, tb))
-}
-
 /// The slot the TLS block holds for `inner`; `None` when it holds one
 /// for another instance or none yet.
 #[inline(always)]
@@ -272,8 +269,8 @@ fn cached_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> Option<*con
 
 /// The slot a hit may use: the cached one, if the TLS block is of this
 /// process generation. A forked child's first call on each thread
-/// therefore misses, and the miss recovers the instance (`attach`, or
-/// the slow entry) before any hit can follow.
+/// therefore misses, and the miss recovers the instance ([`slot`]) before
+/// any hit can follow.
 #[inline(always)]
 fn hit_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
     match cached_slot(inner, tb) {
@@ -282,18 +279,20 @@ fn hit_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
     }
 }
 
-/// The slot a class entry works on (DESIGN.md §15.1): the hit's, whose key
-/// only an `attach` that recovered the instance in this generation set.
-/// Otherwise the thread and the instance catch up with the process
-/// generation first; null when the thread runs without a slot.
+/// The calling thread's slot in `inner`, the one way a slow call finds it
+/// (DESIGN.md §15.1): the hit's, whose key only an `attach` of this
+/// process generation set, and every `attach` runs on an instance already
+/// recovered in it. Otherwise the thread and the instance catch up with
+/// the process generation first, then the slot is looked up or attached;
+/// null when the thread runs without one.
 #[inline(always)]
-pub(crate) fn class_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
+pub(crate) fn slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
     #[cold]
     #[inline(never)]
     fn stale<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
         tb.ensure_fresh();
         crate::fork::maybe_recover(inner);
-        slot_of(inner, tb)
+        cached_slot(inner, tb).unwrap_or_else(|| attach(inner, tb))
     }
     let slot = hit_slot(inner, tb);
     if !slot.is_null() {
@@ -302,28 +301,30 @@ pub(crate) fn class_slot<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *
     stale(inner, tb)
 }
 
-/// The calling thread's own span word ([`crate::large`]'s thread level,
-/// DESIGN.md §16.7); none where it runs without a slot.
-#[inline]
-pub(crate) fn own_span_word<'a, S: PageSource>(
-    inner: &'a Inner<S>,
-    tb: &ThreadBlock,
-) -> Option<&'a AtomicUsize> {
-    // SAFETY: a non-null slot is one of `inner.mags`' slots.
-    unsafe { slot_of(inner, tb).as_ref() }.map(|s| &s.span)
+/// The span word of `slot`, [`slot`]'s or [`hit_slot`]'s answer
+/// ([`crate::large`]'s thread level, DESIGN.md §16.7); none where the
+/// thread runs without a slot.
+///
+/// # Safety
+///
+/// `slot` must be null or one of an instance's slots, and the instance
+/// must outlive `'a`.
+#[inline(always)]
+pub(crate) unsafe fn span_word<'a>(slot: *const Slot) -> Option<&'a AtomicUsize> {
+    unsafe { slot.as_ref() }.map(|s| &s.span)
 }
 
-/// The calling thread's span word if the thread already holds a slot in
-/// `inner` of this process generation (no attach, no fork recovery; the
-/// slot a hit may use); none otherwise. The large entries' hit reads the
-/// word through this, so its fork check is the small hit's.
+/// The calling thread's span word if it already holds a slot in `inner`
+/// of this process generation (no attach, no fork recovery; the slot a hit
+/// may use); none otherwise. The pressure valve and the ageing pass, which
+/// run where no slot lookup did.
 #[inline]
 pub(crate) fn held_span_word<'a, S: PageSource>(
     inner: &'a Inner<S>,
     tb: &ThreadBlock,
 ) -> Option<&'a AtomicUsize> {
     // SAFETY: a non-null slot is one of `inner.mags`' slots.
-    unsafe { hit_slot(inner, tb).as_ref() }.map(|s| &s.span)
+    unsafe { span_word(hit_slot(inner, tb)) }
 }
 
 /// Every slot's span word, whoever owns the slot or did.
@@ -333,12 +334,11 @@ pub(crate) fn span_words<S: PageSource>(inner: &Inner<S>) -> impl Iterator<Item 
 
 /// First magazine use of this thread on this instance (or first since
 /// it used another one, or since a fork): find or claim a slot and
-/// cache it, with the thread's heap column, in the TLS block. Also the
-/// fork check a hit does not run: in a forked child each thread's first
-/// call comes here (`refresh` clears the slot key).
+/// cache it, with the thread's heap column, in the TLS block. Runs only
+/// on an instance of the current process generation: from [`slot`]'s
+/// cold path, after its fork check, and from fork recovery itself.
 #[cold]
 fn attach<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
-    crate::fork::maybe_recover(inner);
     let slot = claim(inner, tb);
     tb.column.set(inner.heap_map.column(tb.id()) as u32);
     tb.mag.set(slot);
@@ -388,7 +388,7 @@ fn claim<S: PageSource>(inner: &Inner<S>, tb: &ThreadBlock) -> *const Slot {
 }
 
 /// The heap class `ci` maps the calling thread to, from the column
-/// cached at attach (so only meaningful once `slot_of` has run).
+/// cached at attach (so only meaningful once [`slot`] has run).
 #[inline]
 fn my_heap<'a, S: PageSource>(inner: &'a Inner<S>, tb: &ThreadBlock, ci: usize) -> &'a ProcHeap {
     // SAFETY: `column < nheaps` (`attach`) and `ci < NUM_CLASSES`: the
@@ -452,7 +452,7 @@ pub(crate) unsafe fn push<S: PageSource>(
     true
 }
 
-/// Small `malloc` on `slot`, [`class_slot`]'s answer: a cached block if
+/// Small `malloc` on `slot`, [`slot`]'s answer: a cached block if
 /// there is one, else a refill, else (no slot) the paper's ladder.
 ///
 /// # Safety
@@ -565,7 +565,7 @@ unsafe fn refill<S: PageSource>(
     run.first as *mut u8
 }
 
-/// Small `free` on `slot`, [`class_slot`]'s answer: caches a local block
+/// Small `free` on `slot`, [`slot`]'s answer: caches a local block
 /// for this thread's next `malloc`, parks a remote one in the outbox.
 /// `false` means neither may be done and the caller must take the paper's path.
 ///
@@ -786,10 +786,10 @@ unsafe fn drain_slot<S: PageSource>(inner: &Inner<S>, slot: &Slot) -> usize {
 /// Returns the calling thread's cached blocks to their superblocks;
 /// returns how many.
 pub(crate) fn drain_own<S: PageSource>(inner: &Inner<S>) -> usize {
-    let Some(entry) = crate::tls::enter_alloc() else {
+    let Some(entry) = crate::tls::enter_hit() else {
         return 0; // a signal handler inside the allocator: leave it be
     };
-    let slot = slot_of(inner, entry.block());
+    let slot = slot(inner, entry.block());
     if slot.is_null() {
         0
     } else {

@@ -4,9 +4,9 @@
 //! A hit — a magazine's, or a large block's on the thread's own span
 //! word — reads this block, the process generation and its bin or word,
 //! and nothing else ([`enter_hit`], DESIGN.md §15.1); a stale generation
-//! or a missing slot sends the call to its miss, which refreshes
-//! the block ([`ThreadBlock::ensure_fresh`]) and recovers the instance
-//! before it reads anything else.
+//! or a missing slot sends the slot lookup (`magazine::slot`) down its
+//! cold path, which refreshes the block ([`ThreadBlock::ensure_fresh`])
+//! and recovers the instance before anything else is read.
 //!
 //! The block is `const`-initialised and has no destructor: reading it
 //! never allocates, never registers anything and never fails, which is
@@ -259,19 +259,10 @@ impl Drop for AllocGuard {
 
 /// Enters an allocator entry point. `None` means the calling thread is
 /// *already* inside one — a signal handler re-entered the allocator —
-/// and the caller must fail fast instead of proceeding.
-#[inline]
-pub(crate) fn enter_alloc() -> Option<AllocGuard> {
-    let entry = enter_hit()?;
-    entry.block().ensure_fresh();
-    Some(entry)
-}
-
-/// Enters a call that may be a hit — the small hit, and the class and
-/// large entries, whose hits are a warm slot's bins and span word:
-/// [`enter_alloc`] without bringing the block up to the process
-/// generation, which is a stale slot's business (the hit compares it:
-/// [`ThreadBlock::is_current`]; `magazine::class_slot`). `None` as there.
+/// and the caller must fail fast instead of proceeding. The block is not
+/// brought up to the process generation here: that is a stale slot's
+/// business (the hit compares it: [`ThreadBlock::is_current`];
+/// `magazine::slot`).
 #[inline(always)]
 pub(crate) fn enter_hit() -> Option<AllocGuard> {
     BLOCK.with(|tb| {
@@ -352,9 +343,9 @@ mod tests {
 
     #[test]
     fn reentry_is_refused_until_the_guard_drops() {
-        let g = enter_alloc().expect("first entry");
-        assert!(enter_alloc().is_none());
+        let g = enter_hit().expect("first entry");
+        assert!(enter_hit().is_none());
         drop(g);
-        assert!(enter_alloc().is_some());
+        assert!(enter_hit().is_some());
     }
 }

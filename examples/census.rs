@@ -116,11 +116,13 @@ fn remote_frees(size: usize) -> Result<PerOp, trace::Unavailable> {
 }
 
 fn main() {
-    let shapes: [(&str, Box<dyn Fn() -> Result<PerOp, trace::Unavailable>>); 7] = [
+    let shapes: [(&str, Box<dyn Fn() -> Result<PerOp, trace::Unavailable>>); 8] = [
         ("malloc(8) + free", Box::new(|| pairs(8))),
         ("malloc(1024) + free", Box::new(|| pairs(1024))),
         ("malloc(8000) + free", Box::new(|| pairs(8000))),
         ("malloc(64 KiB) + free", Box::new(|| pairs(64 * 1024))),
+        // Above a thread's own span word's bound: a shared word's take and park.
+        ("malloc(1 MiB) + free", Box::new(|| pairs(1024 * 1024))),
         ("64 x malloc(8000), 64 x free", Box::new(|| rounds(8000, 64, 20))),
         ("4096 x malloc(8), 4096 x free", Box::new(|| rounds(8, 4096, 2))),
         ("free(32) of the other heap's", Box::new(|| remote_frees(32))),

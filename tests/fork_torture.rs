@@ -72,6 +72,28 @@ fn audit_or_exit(a: &LfMalloc) {
     }
 }
 
+/// A full procfork registry, so that an instance built meanwhile gets no
+/// hooks (DESIGN.md §12.2's lazy tier). The fillers are unregistered on
+/// drop, so a failing assertion does not leave the registry full for the
+/// tests that run after it.
+struct FullRegistry(Vec<procfork::HookToken>);
+
+impl FullRegistry {
+    fn fill() -> Self {
+        let full = FullRegistry(std::iter::from_fn(|| procfork::register(Default::default())).collect());
+        assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+        full
+    }
+}
+
+impl Drop for FullRegistry {
+    fn drop(&mut self) {
+        for token in self.0.drain(..) {
+            procfork::unregister(token);
+        }
+    }
+}
+
 /// Reaps `pid` with a deadline. A child that deadlocks (the exact bug
 /// these tests exist to catch) is SIGKILLed and reported as a failure
 /// rather than hanging the suite.
@@ -203,8 +225,7 @@ fn lfmalloc_child_recovers_after_fork_under_load() {
 #[test]
 fn an_instance_without_hooks_recovers_on_the_childs_first_malloc() {
     let _serial = fork_lock();
-    let fillers: Vec<_> = std::iter::from_fn(|| procfork::register(Default::default())).collect();
-    assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+    let _no_hooks = FullRegistry::fill();
     let a = LfMalloc::new_default();
     let stop = AtomicBool::new(false);
     let (ar, stopr) = (&a, &stop);
@@ -236,9 +257,6 @@ fn an_instance_without_hooks_recovers_on_the_childs_first_malloc() {
         stop.store(true, Ordering::Relaxed);
         code
     });
-    for token in fillers {
-        procfork::unregister(token);
-    }
     assert_eq!(code, OK, "child failed (see exit-code constants)");
     assert!(a.audit().is_clean(), "parent audit dirty after fork");
 }
@@ -249,13 +267,14 @@ fn an_instance_without_hooks_recovers_on_the_childs_first_malloc() {
 /// would serve — misses, and the miss recovers the instance before
 /// anything is popped or pushed. One child frees first, one mallocs
 /// first, and one flushes its magazine first, which reaches the slot
-/// (`attach`) without either slow entry; `fork_recoveries` reads 1
-/// right after that one call.
+/// without either slow entry. Two more make a large call first, whose hit
+/// is the slot's span word (§16.7): a free that parks its span in the
+/// empty word, and a malloc that takes the span the word carried across
+/// the fork. `fork_recoveries` reads 1 right after that one call.
 #[test]
 fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
     let _serial = fork_lock();
-    let fillers: Vec<_> = std::iter::from_fn(|| procfork::register(Default::default())).collect();
-    assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+    let _no_hooks = FullRegistry::fill();
     let a = LfMalloc::new_default();
     // Warm this thread's 8 B magazine and its mid row; `kept` is local
     // and its bin has room, so in the parent its free would be a hit.
@@ -271,7 +290,22 @@ fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
         kept
     };
     assert!(a.audit().magazine_blocks > 0, "the forking thread's magazine is warm");
-    let codes: Vec<_> = ["free", "malloc", "flush_thread_cache"].map(|first| {
+    // Warm this thread's span word with a 64 KiB pair, then take the span
+    // back out: `big` is live and the word is empty.
+    const LARGE: usize = 64 << 10;
+    let big = unsafe {
+        let p = a.malloc(LARGE);
+        a.free(p);
+        let big = a.malloc(LARGE);
+        assert!(!p.is_null() && big == p, "the thread's own word served the pair");
+        big
+    };
+    let rows = ["free", "malloc", "flush_thread_cache", "large free", "large malloc"];
+    let codes: Vec<_> = rows.map(|first| {
+        if first == "large malloc" {
+            // This child's word holds `big`'s span, parked in the parent.
+            unsafe { a.free(big) };
+        }
         let pid = unsafe { procfork::fork() };
         assert!(pid >= 0, "fork failed");
         if pid == 0 {
@@ -279,25 +313,37 @@ fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
                 if a.health().fork_recoveries != 0 {
                     sys::_exit(HEALTH_MISMATCH);
                 }
-                match first {
-                    "free" => a.free(kept),
+                // Large spans parked after the one call: `big`'s, in the
+                // word, after the large free; none after the large malloc,
+                // which takes it out.
+                let parked = match first {
+                    "free" => {
+                        a.free(kept);
+                        0
+                    }
                     "malloc" if a.malloc(8).is_null() => sys::_exit(NULL_ALLOC),
-                    "malloc" => {}
+                    "large free" => {
+                        a.free(big);
+                        1
+                    }
+                    "large malloc" if a.malloc(LARGE) != big => sys::_exit(SPAN_CACHE_LOST),
+                    "malloc" | "large malloc" => 0,
                     _ => {
                         a.flush_thread_cache();
+                        0
                     }
-                }
+                };
                 if a.health().fork_recoveries != 1 {
                     sys::_exit(HEALTH_MISMATCH);
+                }
+                if a.health().large_cached_spans != parked {
+                    sys::_exit(SPAN_CACHE_LOST);
                 }
             }
             lfmalloc_child_check(&a); // never returns
         }
         (first, wait_child(pid, first))
     }).into();
-    for token in fillers {
-        procfork::unregister(token);
-    }
     for (what, code) in codes {
         assert_eq!(code, OK, "{what} first: child failed (see exit-code constants)");
     }
@@ -308,7 +354,7 @@ fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
 
 /// The same lazy tier against the mid row (DESIGN.md §15.1, §21.1). The
 /// class entry, which every mid-class call runs, checks the generations
-/// only when `class_slot` finds the slot stale. So the forking thread's
+/// only when `magazine::slot` finds the slot stale. So the forking thread's
 /// first mid-row call in the child must find it stale and recover the
 /// instance before it touches a bin. One child's first call is a *miss*
 /// (a 5000 B malloc on an empty bin: a refill). The other's is a *flush*
@@ -318,8 +364,7 @@ fn a_childs_first_hit_sized_call_recovers_an_instance_without_hooks() {
 #[test]
 fn a_childs_first_mid_row_miss_or_flush_recovers_an_instance_without_hooks() {
     let _serial = fork_lock();
-    let fillers: Vec<_> = std::iter::from_fn(|| procfork::register(Default::default())).collect();
-    assert_eq!(procfork::registered_count(), procfork::MAX_HOOKS);
+    let _no_hooks = FullRegistry::fill();
     let a = LfMalloc::with_config(Config::with_heaps(1));
     // `pair` is one two-block superblock, taken whole by a refill, and
     // `live` the other superblock's blocks. Freeing `pair` fills the
@@ -366,9 +411,6 @@ fn a_childs_first_mid_row_miss_or_flush_recovers_an_instance_without_hooks() {
         }
         (first, wait_child(pid, first))
     }).into();
-    for token in fillers {
-        procfork::unregister(token);
-    }
     for (what, code) in codes {
         assert_eq!(code, OK, "{what} first: child failed (see exit-code constants)");
     }
